@@ -141,10 +141,7 @@ synth_smoke() {
 #   3. a serve batch run on *each* execution backend (vm and bender)
 #      with different shard counts — each backend's JSON report must
 #      be byte-identical across shard counts (shard invariance at
-#      both cost-model and command-schedule fidelity) — and again
-#      with `--fuse off` at both shard counts: fused bulk execution
-#      (same-subarray visit batching plus cross-job operand fusion)
-#      must never move a report byte;
+#      both cost-model and command-schedule fidelity);
 #   4. the same serve under the demo fault plan (disturbance
 #      mitigation, derated success, one scripted mid-session chip
 #      dropout): each backend's faulted report must stay
@@ -153,11 +150,10 @@ synth_smoke() {
 #      and backends — because the planner derives it from
 #      (fleet, batch, policy) alone;
 #   5. a recorded daemon session replayed at shards 1 and 5 on both
-#      execution backends, fused and `--fuse off`: all eight replayed
-#      reports must be byte-identical to the live run's report,
-#      because the daemon report is a pure function of (session log,
-#      fleet, cost model) — wall-clock throughput and the fuse knob
-#      never enter it;
+#      execution backends: all four replayed reports must be
+#      byte-identical to the live run's report, because the daemon
+#      report is a pure function of (session log, fleet, cost model) —
+#      wall-clock throughput never enters it;
 #   6. the same recorded session traced and metered (the demo fault
 #      scenario, so fault instants appear): the Chrome trace JSON and
 #      the Prometheus-style metrics exposition of every replay must
@@ -184,14 +180,6 @@ determinism() {
            --json "target/tools/det_serve_${backend}_b.json" >/dev/null \
       && cmp "target/tools/det_serve_${backend}_a.json" "target/tools/det_serve_${backend}_b.json" \
       || { echo "determinism: $backend serve reports differ across shard counts" >&2; return 1; }
-    for shards in 1 5; do
-      "$bin" serve --jobs 24 --chips 3 --shards "$shards" --seed 7 --lanes 64 \
-          --backend "$backend" --fuse off \
-          --json "target/tools/det_serve_${backend}_u${shards}.json" >/dev/null \
-        && cmp "target/tools/det_serve_${backend}_a.json" \
-               "target/tools/det_serve_${backend}_u${shards}.json" \
-        || { echo "determinism: $backend serve report moves under --fuse off (shards=$shards)" >&2; return 1; }
-    done
   done
   for backend in vm bender; do
     "$bin" serve --jobs 24 --chips 3 --shards 1 --seed 7 --lanes 64 --backend "$backend" \
@@ -228,24 +216,12 @@ determinism() {
       cmp target/tools/det_metrics_live.prom \
           "target/tools/det_metrics_${backend}_s${shards}.prom" \
         || { echo "determinism: metrics exposition (backend=$backend shards=$shards) differs from the live run" >&2; return 1; }
-      "$bin" daemon --replay target/tools/det_session.json --shards "$shards" \
-          --backend "$backend" --fuse off \
-          --json "target/tools/det_daemon_${backend}_s${shards}_u.json" \
-          --trace-json "target/tools/det_trace_${backend}_s${shards}_u.json" \
-          --metrics "target/tools/det_metrics_${backend}_s${shards}_u.prom" >/dev/null 2>&1 \
-        && cmp target/tools/det_daemon_live.json \
-               "target/tools/det_daemon_${backend}_s${shards}_u.json" \
-        && cmp target/tools/det_trace_live.json \
-               "target/tools/det_trace_${backend}_s${shards}_u.json" \
-        && cmp target/tools/det_metrics_live.prom \
-               "target/tools/det_metrics_${backend}_s${shards}_u.prom" \
-        || { echo "determinism: daemon replay with --fuse off (backend=$backend shards=$shards) differs from the fused live run" >&2; return 1; }
     done
   done
-  echo "determinism: fleet, serve (fused + --fuse off), and faulted serve (vm + bender)" \
+  echo "determinism: fleet, serve, and faulted serve (vm + bender)" \
        "reports byte-identical; fleet-health ledger identical across shards and backends;" \
        "daemon session, trace JSON, and metrics replay byte-identically" \
-       "(shards 1/5 x vm/bender x fuse on/off)"
+       "(shards 1/5 x vm/bender)"
 }
 
 # Docs gate, two halves:

@@ -40,11 +40,6 @@
 //!   the mix's step plans (pure function of the programs; exact-gated
 //!   so the visit segmentation observability counters derive from
 //!   cannot drift silently).
-//!
-//! The device backends are additionally measured *unfused*
-//! (`exec_vm_dram_unfused/mix`, `exec_bender_unfused/mix`,
-//! `set_fuse(false)`): the fused/unfused delta is what same-subarray
-//! visit batching buys, with bit-identical results either way.
 
 use characterize::serve::DEMO_MIX;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -91,20 +86,14 @@ fn engine() -> BulkEngine {
 
 /// Prepares every program of the mix once on `backend` — the
 /// compile-once half of the two-phase API, hoisted out of the timed
-/// loops. `fuse` selects fused-visit execution (the default) or the
-/// step-by-step ablation path; results are bit-identical either way.
+/// loops.
 fn prepare_mix<B: ExecBackend>(
     backend: &mut B,
     progs: &[(SynthProgram, usize)],
-    fuse: bool,
 ) -> Vec<(PreparedProgram, usize)> {
     progs
         .iter()
-        .map(|(prog, n)| {
-            let mut prep = backend.prepare(prog).expect("mix prepares");
-            prep.set_fuse(fuse);
-            (prep, *n)
-        })
+        .map(|(prog, n)| (backend.prepare(prog).expect("mix prepares"), *n))
         .collect()
 }
 
@@ -127,33 +116,21 @@ fn bench(c: &mut Criterion) {
     let progs = programs();
 
     let mut host = SimdVm::new(HostSubstrate::new(256, 512)).unwrap();
-    let host_preps = prepare_mix(&mut host, &progs, true);
+    let host_preps = prepare_mix(&mut host, &progs);
     c.bench_function("exec_host/mix", |b| {
         b.iter(|| black_box(run_mix(&mut host, &host_preps)));
     });
 
-    // Fused (default) and unfused (step-by-step ablation) side by
-    // side on both device backends: the delta is what same-subarray
-    // visit batching buys — one engine borrow, one activation-map
-    // flush, deferred result writes riding the next step's program.
     let mut vm_dram = SimdVm::new(DramSubstrate::new(engine())).unwrap();
-    let vm_preps = prepare_mix(&mut vm_dram, &progs, true);
+    let vm_preps = prepare_mix(&mut vm_dram, &progs);
     c.bench_function("exec_vm_dram/mix", |b| {
         b.iter(|| black_box(run_mix(&mut vm_dram, &vm_preps)));
     });
-    let vm_unfused = prepare_mix(&mut vm_dram, &progs, false);
-    c.bench_function("exec_vm_dram_unfused/mix", |b| {
-        b.iter(|| black_box(run_mix(&mut vm_dram, &vm_unfused)));
-    });
 
     let mut bender = BenderBackend::new(engine()).unwrap();
-    let bender_preps = prepare_mix(&mut bender, &progs, true);
+    let bender_preps = prepare_mix(&mut bender, &progs);
     c.bench_function("exec_bender/mix", |b| {
         b.iter(|| black_box(run_mix(&mut bender, &bender_preps)));
-    });
-    let bender_unfused = prepare_mix(&mut bender, &progs, false);
-    c.bench_function("exec_bender_unfused/mix", |b| {
-        b.iter(|| black_box(run_mix(&mut bender, &bender_unfused)));
     });
 
     write_summary(&progs);
@@ -198,13 +175,13 @@ fn write_summary(progs: &[(SynthProgram, usize)]) {
     // `tests/exec_equivalence.rs`, so these counts also pin the
     // legacy wrappers).
     let mut vm = SimdVm::new(DramSubstrate::new(engine())).unwrap();
-    let vm_preps = prepare_mix(&mut vm, progs, true);
+    let vm_preps = prepare_mix(&mut vm, progs);
     vm.clear_trace();
     let _ = run_mix(&mut vm, &vm_preps);
     let vm_ops = vm.trace().in_dram_ops();
 
     let mut cmd = BenderBackend::new(engine()).unwrap();
-    let cmd_preps = prepare_mix(&mut cmd, progs, true);
+    let cmd_preps = prepare_mix(&mut cmd, progs);
     let _ = run_mix(&mut cmd, &cmd_preps);
     let cmd_ops = cmd.native_ops();
     println!("exec_native_ops: vm {vm_ops}, bender {cmd_ops}");
@@ -238,10 +215,10 @@ fn write_summary(progs: &[(SynthProgram, usize)]) {
     derived("exec_arena_slots/mix".to_string(), arena as f64, 1);
 
     // Deterministic fused-visit count of the mix's step plans: a pure
-    // function of the programs (independent of backend and of the
-    // fuse knob), so observability counters derived from it — the
-    // daemon's `fc_engine_visits_total`, the per-visit trace spans —
-    // are pinned here in both directions.
+    // function of the programs (independent of backend), so
+    // observability counters derived from it — the daemon's
+    // `fc_engine_visits_total`, the per-visit trace spans — are pinned
+    // here in both directions.
     let visits: usize = cmd_preps.iter().map(|(p, _)| p.fused_visits().len()).sum();
     println!("exec_fused_visits/mix: {visits}");
     derived("exec_fused_visits/mix".to_string(), visits as f64, 1);

@@ -24,11 +24,6 @@
 //!   program, and lane count, adjacency-independent (exact-gated: the
 //!   cross-job fusion shape the executor and the daemon's
 //!   `fc_fused_jobs_total` counter derive from).
-//!
-//! The serial configuration is additionally measured with cross-job
-//! fusion off (`sched_batch_unfused/<N>chips`, `policy.fuse =
-//! false`): the fused/unfused delta is the service-time drop operand
-//! fusion buys, with byte-identical reports either way.
 
 use characterize::serve::{build_batch, DEMO_MIX};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -58,15 +53,10 @@ fn demo_batch(cost: &CostModel) -> Batch {
 }
 
 /// One full schedule+execute pass; returns the retry count so the
-/// work cannot be optimized away. `fuse` selects cross-job operand
-/// fusion (the default) or per-job execution (ablation); the report
-/// is byte-identical either way.
-fn serve(batch: &Batch, cost: &CostModel, chips: usize, shards: usize, fuse: bool) -> u64 {
+/// work cannot be optimized away.
+fn serve(batch: &Batch, cost: &CostModel, chips: usize, shards: usize) -> u64 {
     let fleet = FleetConfig::table1(chips);
-    let policy = SchedPolicy {
-        fuse,
-        ..SchedPolicy::default().with_shards(shards)
-    };
+    let policy = SchedPolicy::default().with_shards(shards);
     let report = serve_batch(&fleet, cost, &policy, batch).expect("batch schedules");
     assert_eq!(report.jobs(), JOBS);
     report.total_retries()
@@ -78,13 +68,10 @@ fn bench(c: &mut Criterion) {
     let threads = worker_threads();
     for chips in CHIP_COUNTS {
         c.bench_function(format!("sched_batch_serial/{chips}chips"), |b| {
-            b.iter(|| black_box(serve(&batch, &cost, chips, 1, true)));
-        });
-        c.bench_function(format!("sched_batch_unfused/{chips}chips"), |b| {
-            b.iter(|| black_box(serve(&batch, &cost, chips, 1, false)));
+            b.iter(|| black_box(serve(&batch, &cost, chips, 1)));
         });
         c.bench_function(format!("sched_batch_sharded/{chips}chips"), |b| {
-            b.iter(|| black_box(serve(&batch, &cost, chips, threads, true)));
+            b.iter(|| black_box(serve(&batch, &cost, chips, threads)));
         });
     }
     write_summary(&cost, &batch, threads);
@@ -172,9 +159,8 @@ fn write_summary(cost: &CostModel, batch: &Batch, threads: usize) {
     // Deterministic cross-job fusion shape of the same plan: how many
     // jobs sit in same-(chip, program, lanes) fusion groups of two or
     // more, adjacency-independent. A pure function of (fleet, batch,
-    // policy) — independent of the fuse knob, shard count, and
-    // backend — so the daemon's `fc_fused_jobs_total` counter is
-    // pinned here.
+    // policy) — independent of the shard count and the backend — so
+    // the daemon's `fc_fused_jobs_total` counter is pinned here.
     let plan = fcsched::Planner::new(&fleet, cost, &policy)
         .plan(batch)
         .expect("batch plans");

@@ -15,13 +15,12 @@ usage: characterize [EXPERIMENT...] [--quick] [--json PATH]
        characterize synth (--expr EXPR | --table BITS) [--costs PATH]
                           [--fan-in N] [--execute] [--lanes N]
                           [--seed S] [--asm PATH]
-                          [--backend {vm,bender}] [--fuse {on,off}]
+                          [--backend {vm,bender}]
        characterize serve [--jobs N] [--exprs FILE] [--chips N]
                           [--shards K] [--seed S] [--lanes N]
                           [--retries R] [--min-success X] [--no-remap]
                           [--costs PATH] [--module NAME] [--fan-in N]
-                          [--backend {vm,bender}] [--fuse {on,off}]
-                          [--json PATH]
+                          [--backend {vm,bender}] [--json PATH]
                           [--faults PLAN.json|demo] [--health-json PATH]
        characterize daemon [--ticks N] [--chips N] [--seed S]
                            [--lanes N] [--shards K] [--max-batch N]
@@ -29,13 +28,12 @@ usage: characterize [EXPERIMENT...] [--quick] [--json PATH]
                            [--drain-max N] [--retries R]
                            [--min-success X] [--fan-in N]
                            [--module NAME] [--costs PATH]
-                           [--backend {vm,bender}] [--fuse {on,off}]
+                           [--backend {vm,bender}]
                            [--faults PLAN.json|demo] [--demo]
                            [--trace-json PATH] [--metrics PATH]
                            [--record SESSION.json] [--json PATH]
        characterize daemon --replay SESSION.json [--shards K]
-                           [--backend {vm,bender}] [--fuse {on,off}]
-                           [--costs PATH]
+                           [--backend {vm,bender}] [--costs PATH]
                            [--trace-json PATH] [--metrics PATH]
                            [--json PATH]
        characterize trace --input TRACE.json [--top N] [--json PATH]
@@ -50,11 +48,7 @@ EXPERIMENT  one or more of: table1 fig5 fig7 fig8 fig9 fig10 fig11
 The shared flags are spelled and defaulted identically in every mode
 that takes them: --backend {vm,bender} (default vm), --shards K
 (default 0 = one worker per CPU), --seed S (default 0), --chips N
-(default 8), --fuse {on,off} (default on: prepared programs execute
-with fused engine visits and the scheduler bulk-stages runs of
-same-program jobs; results and report bytes are identical either
-way — 'off' exists for ablation). A mode a shared flag does not
-apply to rejects it.
+(default 8). A mode a shared flag does not apply to rejects it.
 
 fleet mode sweeps a seeded population of simulated chips (drawn
 round-robin from Table 1, or from one --module) over the experiment
@@ -85,9 +79,6 @@ the chosen mapping, expected success, and energy/latency:
               simulated Table-1 chip — reports the observed match
               fraction against the reference and the cycle-accurate
               schedule latency)
---fuse F      whether --execute runs the prepared plan with fused
-              engine visits ('on', default) or step-by-step ('off');
-              the result bits are identical either way
 
 serve mode schedules a batch of compiled programs onto a simulated
 chip fleet (fcsched): least-loaded placement with (subarray, row-range)
@@ -114,11 +105,6 @@ wall-clock throughput on stderr varies:
                 latency at each chip's speed bin). Results are
                 host-exact on both; only the declared latency fields
                 of the report move.
---fuse F        'on' (default): fused engine visits plus cross-job
-                operand fusion — same-program jobs on one chip share a
-                prepared plan and bulk-stage operands;
-                'off' runs jobs one at a time (ablation). Report
-                bytes are identical either way
 --json PATH     additionally write the tables as JSON
 --faults F      run a degradation scenario: F is a FaultPlan JSON file
                 or the literal 'demo' (built-in scenario: aggressive
@@ -160,8 +146,6 @@ the report carries modeled throughput instead):
 --costs PATH    cost model from a fleet --export-costs run
 --backend B     execution backend: 'vm' or 'bender' (report bytes are
                 identical on both)
---fuse F        fused execution 'on' (default) or 'off'; like
-                --backend, never moves a report byte
 --faults F      degradation scenario (FaultPlan JSON or 'demo'); the
                 health snapshots accumulate mitigations and dropouts
 --demo          the canonical demo session: shorthand for --faults
@@ -179,8 +163,8 @@ the report carries modeled throughput instead):
 --record PATH   write the session log for later --replay
 --replay PATH   re-execute a recorded session; traffic-shaping flags
                 are rejected (the log pins them) — only --shards,
-                --backend, --fuse, --costs, --trace-json, --metrics,
-                and --json are allowed
+                --backend, --costs, --trace-json, --metrics, and
+                --json are allowed
 --json PATH     additionally write the tables as JSON
 
 trace mode analyzes a recorded Chrome trace offline: the top-N
@@ -211,38 +195,23 @@ fn parse_backend(text: &str) -> Option<fcexec::BackendKind> {
     parsed
 }
 
-/// Parses a `--fuse` value, printing a diagnostic on an unknown
-/// spelling.
-fn parse_fuse(text: &str) -> Option<bool> {
-    match text {
-        "on" => Some(true),
-        "off" => Some(false),
-        _ => {
-            eprintln!("--fuse: invalid value '{text}' (one of: on, off)\n{USAGE}");
-            None
-        }
-    }
-}
-
 /// Uniform default fleet size for every subcommand's `--chips`.
 const DEFAULT_CHIPS: usize = 8;
 
 /// The flags every subcommand spells and defaults identically:
 /// `--backend` (vm), `--shards` (0 = one worker per CPU), `--seed`
-/// (0), `--chips` ([`DEFAULT_CHIPS`]), `--fuse` (on). One parser, one
-/// spelling, one default — subcommands reject the ones that do not
+/// (0), `--chips` ([`DEFAULT_CHIPS`]). One parser, one spelling, one
+/// default — subcommands reject the ones that do not
 /// apply instead of re-defining them.
 struct CommonFlags {
     backend: fcexec::BackendKind,
     shards: usize,
     seed: u64,
     chips: usize,
-    fuse: bool,
     backend_set: bool,
     shards_set: bool,
     seed_set: bool,
     chips_set: bool,
-    fuse_set: bool,
 }
 
 impl Default for CommonFlags {
@@ -252,12 +221,10 @@ impl Default for CommonFlags {
             shards: 0,
             seed: 0,
             chips: DEFAULT_CHIPS,
-            fuse: true,
             backend_set: false,
             shards_set: false,
             seed_set: false,
             chips_set: false,
-            fuse_set: false,
         }
     }
 }
@@ -310,14 +277,6 @@ impl CommonFlags {
                 }
                 None => Common::Failed,
             },
-            "--fuse" => match str_arg(it, "--fuse").map(|v| parse_fuse(&v)) {
-                Some(Some(f)) => {
-                    self.fuse = f;
-                    self.fuse_set = true;
-                    Common::Consumed
-                }
-                _ => Common::Failed,
-            },
             _ => Common::Unrecognized,
         }
     }
@@ -331,7 +290,6 @@ impl CommonFlags {
             ("--shards", self.shards_set),
             ("--seed", self.seed_set),
             ("--chips", self.chips_set),
-            ("--fuse", self.fuse_set),
         ];
         for (name, set) in given {
             if set && !allowed.contains(&name) {
@@ -634,7 +592,6 @@ fn run_serve_cli(args: Vec<String>) -> ExitCode {
         allow_remap,
         shards,
         backend,
-        fuse: common.fuse,
         faults,
         ..fcsched::SchedPolicy::default()
     };
@@ -922,18 +879,13 @@ fn run_daemon_cli(args: Vec<String>) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let mut log = match fcserve::SessionLog::from_json(&json) {
+        let log = match fcserve::SessionLog::from_json(&json) {
             Ok(l) => l,
             Err(e) => {
                 eprintln!("{path}: {e}");
                 return ExitCode::FAILURE;
             }
         };
-        // Like --shards and --backend, --fuse never moves a report
-        // byte, so a replay may override the recorded choice.
-        if common.fuse_set {
-            log.policy.fuse = common.fuse;
-        }
         // Replays price admission against the recorded cost model;
         // --costs overrides the stored path (e.g. when it moved).
         let effective_costs = costs_path.or_else(|| log.costs.clone());
@@ -1043,7 +995,6 @@ fn run_daemon_cli(args: Vec<String>) -> ExitCode {
             retry_budget: retries.unwrap_or(3),
             shards: common.shards,
             backend: common.backend,
-            fuse: common.fuse,
             faults,
             ..fcsched::SchedPolicy::default()
         },
@@ -1235,7 +1186,7 @@ fn run_synth_cli(args: Vec<String>) -> ExitCode {
             },
         }
     }
-    if !common.check_applies("synth", &["--backend", "--seed", "--fuse"]) {
+    if !common.check_applies("synth", &["--backend", "--seed"]) {
         return ExitCode::FAILURE;
     }
     let backend = common.backend;
@@ -1366,14 +1317,13 @@ fn run_synth_cli(args: Vec<String>) -> ExitCode {
                 };
                 let operands = operands_for(lanes);
                 let expect = expect_for(&operands, lanes);
-                let mut prep = match vm.prepare(&m.program) {
+                let prep = match vm.prepare(&m.program) {
                     Ok(p) => p,
                     Err(e) => {
                         eprintln!("prepare failed: {e}");
                         return ExitCode::FAILURE;
                     }
                 };
-                prep.set_fuse(common.fuse);
                 match vm.run_prepared(&prep, &operands, |_, _| {}) {
                     Ok(got) if got == expect => {
                         println!(
@@ -1419,14 +1369,13 @@ fn run_synth_cli(args: Vec<String>) -> ExitCode {
                     .iter()
                     .map(|s| be.step_latency_ns(s).unwrap_or(0.0))
                     .sum();
-                let mut prep = match be.prepare(&m.program) {
+                let prep = match be.prepare(&m.program) {
                     Ok(p) => p,
                     Err(e) => {
                         eprintln!("prepare failed: {e}");
                         return ExitCode::FAILURE;
                     }
                 };
-                prep.set_fuse(common.fuse);
                 match be.run_prepared(&prep, &operands, |_, _| {}) {
                     Ok(got) => {
                         println!(

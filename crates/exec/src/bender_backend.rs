@@ -23,7 +23,7 @@
 //! function of `(operation counter, row, column)` state that both
 //! backends advance identically.
 
-use crate::engine::{execute_packed_with, execute_with, ExecBackend};
+use crate::engine::{check_operands, execute_with, ExecBackend};
 use crate::error::{ExecError, Result};
 use crate::prepared::{OutputAction, PreparedProgram};
 use bender::{DdrCommand, Program, ProgramBuilder};
@@ -447,8 +447,8 @@ impl BenderBackend {
     }
 
     /// Lands a deferred result write host-path (the same
-    /// `Fcdram::write_row` the unfused path issues immediately after
-    /// each gate).
+    /// `Fcdram::write_row` an immediate write-back after the gate
+    /// would issue).
     fn flush_result(&mut self, pending: Option<(GlobalRow, Vec<Bit>)>) -> Result<()> {
         if let Some((row, data)) = pending {
             let bank = self.engine.bank();
@@ -817,28 +817,6 @@ impl ExecBackend for BenderBackend {
         }
     }
 
-    fn run_prepared<F: FnMut(usize, &Step)>(
-        &mut self,
-        prep: &PreparedProgram,
-        operands: &[PackedBits],
-        on_step: F,
-    ) -> Result<PackedBits> {
-        if !prep.fits(self.max_fan_in) || prep.templates.is_none() {
-            return execute_packed_with(self, prep.program(), operands, on_step);
-        }
-        let prog = prep.program();
-        if operands.len() != prog.inputs.len() {
-            return Err(ExecError::InputMismatch {
-                expected: prog.inputs.len(),
-                got: operands.len(),
-            });
-        }
-        let lease = self.stage(operands)?;
-        let result = self.run_prepared_leased(prep, &lease, operands, on_step);
-        self.end_stage(lease);
-        result
-    }
-
     fn run_prepared_leased<F: FnMut(usize, &Step)>(
         &mut self,
         prep: &PreparedProgram,
@@ -856,12 +834,7 @@ impl ExecBackend for BenderBackend {
         }
         let templates = prep.templates.as_ref().expect("checked above");
         let prog = prep.program();
-        if operands.len() != prog.inputs.len() {
-            return Err(ExecError::InputMismatch {
-                expected: prog.inputs.len(),
-                got: operands.len(),
-            });
-        }
+        check_operands(prog, operands.len())?;
         let inputs: Vec<BitVecHandle> = lease.clone();
         let mut regs: Vec<Option<BitVecHandle>> = vec![None; prog.n_regs];
         let mut vals: Vec<Option<PackedBits>> = vec![None; prog.n_regs];
@@ -891,16 +864,16 @@ impl ExecBackend for BenderBackend {
 
 impl BenderBackend {
     /// The prepared step walk: values are threaded host-side, rows are
-    /// allocated and freed in exactly [`execute_packed_with`]'s order
+    /// allocated and freed in exactly [`crate::execute_packed_with`]'s order
     /// (the pool permutes rows on reuse and the device's stochastic
     /// draws key on row indices).
     ///
-    /// With [`PreparedProgram::fuse`] on, each step's result write is
-    /// deferred and shipped as the *next* fused program's prelude —
-    /// one `execute` per gate instead of one per gate plus one per
-    /// result write — landing host-path before any step that reads
-    /// device rows (copies) and at the end of each visit. Either way
-    /// the device command stream is byte-identical.
+    /// Each step's result write is deferred and shipped as the *next*
+    /// fused program's prelude — one `execute` per gate instead of one
+    /// per gate plus one per result write — landing host-path before
+    /// any step that reads device rows (copies) and at the end of each
+    /// visit. The device command stream is byte-identical to writing
+    /// each result back on its own.
     #[allow(clippy::too_many_arguments)]
     fn run_prepared_steps<F: FnMut(usize, &Step)>(
         &mut self,
@@ -913,7 +886,6 @@ impl BenderBackend {
         on_step: &mut F,
     ) -> Result<PackedBits> {
         let prog = prep.program();
-        let fuse = prep.fuse();
         let mut pending: Option<(GlobalRow, Vec<Bit>)> = None;
         for (i, step) in prog.steps.iter().enumerate() {
             let out = self.engine.alloc()?;
@@ -926,11 +898,7 @@ impl BenderBackend {
                     let t = templates.not_t.as_ref().expect("prepared");
                     let v = vals[step.args[0]].clone().expect("value tracked");
                     let (bits, wr) = self.prepared_not(t, &v, &out, pending.take())?;
-                    if fuse {
-                        pending = Some(wr);
-                    } else {
-                        self.flush_result(Some(wr))?;
-                    }
+                    pending = Some(wr);
                     bits
                 }
                 Some(op) if step.args.len() == 1 && !op.is_inverted_terminal() => {
@@ -945,11 +913,7 @@ impl BenderBackend {
                     let t = templates.not_t.as_ref().expect("prepared");
                     let v = vals[step.args[0]].clone().expect("value tracked");
                     let (bits, wr) = self.prepared_not(t, &v, &out, pending.take())?;
-                    if fuse {
-                        pending = Some(wr);
-                    } else {
-                        self.flush_result(Some(wr))?;
-                    }
+                    pending = Some(wr);
                     bits
                 }
                 Some(op) => {
@@ -969,11 +933,7 @@ impl BenderBackend {
                         .map(|r| vals[*r].as_ref().expect("value tracked"))
                         .collect();
                     let (bits, wr) = self.prepared_gate(t, op, &avals, &out, pending.take())?;
-                    if fuse {
-                        pending = Some(wr);
-                    } else {
-                        self.flush_result(Some(wr))?;
-                    }
+                    pending = Some(wr);
                     bits
                 }
             };

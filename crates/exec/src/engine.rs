@@ -11,7 +11,7 @@
 //!
 //! Two I/O modes share the walk:
 //!
-//! * **rows** ([`execute_with`] / [`execute`]) — operands are backend
+//! * **rows** ([`execute_with`]) — operands are backend
 //!   rows the caller already staged; the result row is returned owned.
 //! * **packed** ([`execute_packed_with`] / [`execute_packed`]) —
 //!   operands are host [`PackedBits`]; the engine stages them as one
@@ -138,8 +138,10 @@ pub trait ExecBackend {
     /// order, same device-call sequence, same stored bits — with the
     /// per-execution analysis and per-step read-backs elided.
     ///
-    /// The default runs the embedded program through the unprepared
-    /// engine, so every backend supports prepared plans.
+    /// Always exactly [`ExecBackend::stage`] +
+    /// [`ExecBackend::run_prepared_leased`] + [`ExecBackend::end_stage`]
+    /// after an operand-count check; backends customize the leased
+    /// walk, never this bracket.
     ///
     /// # Errors
     ///
@@ -153,7 +155,11 @@ pub trait ExecBackend {
     where
         Self: Sized,
     {
-        execute_packed_with(self, &prep.prog, operands, on_step)
+        check_operands(&prep.prog, operands.len())?;
+        let lease = self.stage(operands)?;
+        let result = self.run_prepared_leased(prep, &lease, operands, on_step);
+        self.end_stage(lease);
+        result
     }
 
     /// Executes a prepared plan over an operand lease the *caller*
@@ -164,12 +170,11 @@ pub trait ExecBackend {
     /// [`ExecBackend::end_stage`] the lease afterwards.
     ///
     /// Results are bit-identical to [`ExecBackend::run_prepared`] on
-    /// the same operands: `run_prepared` is exactly `stage` +
-    /// `run_prepared_leased` + `end_stage` on every backend.
+    /// the same operands, which is this call between `stage` and
+    /// `end_stage`.
     ///
     /// The default walks the embedded program through the unprepared
-    /// engine over the lease's rows (matching the default
-    /// `run_prepared`).
+    /// engine over the lease's rows.
     ///
     /// # Errors
     ///
@@ -210,12 +215,7 @@ pub fn execute_with<B: ExecBackend, F: FnMut(usize, &Step)>(
     inputs: &[B::Row],
     mut on_step: F,
 ) -> Result<B::Row> {
-    if inputs.len() != prog.inputs.len() {
-        return Err(ExecError::InputMismatch {
-            expected: prog.inputs.len(),
-            got: inputs.len(),
-        });
-    }
+    check_operands(prog, inputs.len())?;
     let n_in = inputs.len();
     let mut regs: Vec<Option<B::Row>> = vec![None; prog.n_regs];
     for (r, row) in inputs.iter().enumerate() {
@@ -271,17 +271,17 @@ fn run_steps<B: ExecBackend, F: FnMut(usize, &Step)>(
     }
 }
 
-/// [`execute_with`] without an observer.
-///
-/// # Errors
-///
-/// Same conditions as [`execute_with`].
-pub fn execute<B: ExecBackend>(
-    backend: &mut B,
-    prog: &SynthProgram,
-    inputs: &[B::Row],
-) -> Result<B::Row> {
-    execute_with(backend, prog, inputs, |_, _| {})
+/// Fails with [`ExecError::InputMismatch`] unless `prog` takes exactly
+/// `got` operands.
+pub(crate) fn check_operands(prog: &SynthProgram, got: usize) -> Result<()> {
+    if got == prog.inputs.len() {
+        Ok(())
+    } else {
+        Err(ExecError::InputMismatch {
+            expected: prog.inputs.len(),
+            got,
+        })
+    }
 }
 
 /// Stages packed operands, executes, reads the packed result back, and
@@ -298,12 +298,7 @@ pub fn execute_packed_with<B: ExecBackend, F: FnMut(usize, &Step)>(
     operands: &[PackedBits],
     on_step: F,
 ) -> Result<PackedBits> {
-    if operands.len() != prog.inputs.len() {
-        return Err(ExecError::InputMismatch {
-            expected: prog.inputs.len(),
-            got: operands.len(),
-        });
-    }
+    check_operands(prog, operands.len())?;
     let lease = backend.stage(operands)?;
     let inputs: Vec<B::Row> = B::lease_rows(&lease).to_vec();
     let result = execute_with(backend, prog, &inputs, on_step);

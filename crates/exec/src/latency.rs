@@ -230,15 +230,6 @@ impl<B: ExecBackend> ExecBackend for ScheduleTimed<B> {
         self.inner.prepare(prog)
     }
 
-    fn run_prepared<F: FnMut(usize, &Step)>(
-        &mut self,
-        prep: &crate::PreparedProgram,
-        operands: &[PackedBits],
-        on_step: F,
-    ) -> Result<PackedBits> {
-        self.inner.run_prepared(prep, operands, on_step)
-    }
-
     fn run_prepared_leased<F: FnMut(usize, &Step)>(
         &mut self,
         prep: &crate::PreparedProgram,

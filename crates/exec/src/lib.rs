@@ -62,7 +62,7 @@ pub mod prepared;
 mod vm;
 
 pub use bender_backend::BenderBackend;
-pub use engine::{execute, execute_packed, execute_packed_with, execute_with, ExecBackend};
+pub use engine::{execute_packed, execute_packed_with, execute_with, ExecBackend};
 pub use error::{ExecError, Result};
 pub use latency::{ScheduleLatency, ScheduleTimed};
 pub use prepared::{fused_visits_of, run_prepared, PreparedProgram};

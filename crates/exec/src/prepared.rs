@@ -81,13 +81,8 @@ pub struct PreparedProgram {
     /// Fused visits: maximal `[start, end)` runs of consecutive steps
     /// that execute in the engine's subarray pair without reading rows
     /// back mid-run (copy steps RowClone on-device and bound a run).
-    /// Always computed — whether execution *uses* them is `fuse`.
+    /// `run_prepared` executes each one as a single engine visit.
     pub(crate) visits: Vec<(usize, usize)>,
-    /// Whether `run_prepared` executes each visit as one fused engine
-    /// visit (default) or step-by-step. Either way the device-call
-    /// sequence, stored bits, and statistics are identical; the knob
-    /// exists for ablation and as an escape hatch.
-    pub(crate) fuse: bool,
     arena_slots: usize,
 }
 
@@ -130,7 +125,6 @@ impl PreparedProgram {
             templates: None,
             template_bytes: Vec::new(),
             visits,
-            fuse: true,
             arena_slots: prog.peak_live_rows(),
         }
     }
@@ -166,23 +160,11 @@ impl PreparedProgram {
 
     /// The fused visits the step plan defines: maximal `[start, end)`
     /// runs of steps a backend may execute under one engine visit.
-    /// A pure function of the program — independent of the
-    /// [`fuse`](Self::set_fuse) knob and of which backend prepared the
-    /// plan, so observability counters derived from it are invariant
-    /// across backends and across fused/unfused execution.
+    /// A pure function of the program — independent of which backend
+    /// prepared the plan, so observability counters derived from it
+    /// are invariant across backends.
     pub fn fused_visits(&self) -> &[(usize, usize)] {
         &self.visits
-    }
-
-    /// Whether `run_prepared` executes visits fused (the default).
-    pub fn fuse(&self) -> bool {
-        self.fuse
-    }
-
-    /// Turns fused visit execution on or off. Results are bit-identical
-    /// either way; `off` exists for ablation and debugging.
-    pub fn set_fuse(&mut self, fuse: bool) {
-        self.fuse = fuse;
     }
 
     /// Whether this plan's fan-in snapshot matches `fan_in` — the
@@ -199,8 +181,8 @@ impl PreparedProgram {
 /// writes landed); maximal runs of fusable steps become one visit
 /// each.
 ///
-/// A pure function of the program — independent of any backend, of
-/// the fuse knob, and of the shard count — so observability counters
+/// A pure function of the program — independent of any backend and of
+/// the shard count — so observability counters
 /// and spans derived from it byte-diff cleanly across all of those.
 pub fn fused_visits_of(prog: &SynthProgram) -> Vec<(usize, usize)> {
     let mut visits: Vec<(usize, usize)> = Vec::new();

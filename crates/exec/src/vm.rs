@@ -9,8 +9,8 @@
 //! accounting stays per job and a failed stage leaves the substrate
 //! exactly as it was.
 
-use crate::engine::{execute_packed_with, execute_with, ExecBackend};
-use crate::error::{ExecError, Result};
+use crate::engine::{check_operands, execute_with, ExecBackend};
+use crate::error::Result;
 use crate::prepared::{OutputAction, PreparedProgram};
 use dram_core::LogicOp;
 use fcdram::PackedBits;
@@ -122,28 +122,6 @@ impl<S: Substrate> ExecBackend for SimdVm<S> {
         SimdVm::release(self, r);
     }
 
-    fn run_prepared<F: FnMut(usize, &Step)>(
-        &mut self,
-        prep: &PreparedProgram,
-        operands: &[PackedBits],
-        on_step: F,
-    ) -> Result<PackedBits> {
-        if !prep.fits(self.substrate().max_fan_in()) {
-            return execute_packed_with(self, prep.program(), operands, on_step);
-        }
-        let prog = prep.program();
-        if operands.len() != prog.inputs.len() {
-            return Err(ExecError::InputMismatch {
-                expected: prog.inputs.len(),
-                got: operands.len(),
-            });
-        }
-        let lease = self.stage(operands)?;
-        let result = self.run_prepared_leased(prep, &lease, operands, on_step);
-        self.end_lease(lease);
-        result
-    }
-
     fn run_prepared_leased<F: FnMut(usize, &Step)>(
         &mut self,
         prep: &PreparedProgram,
@@ -153,21 +131,15 @@ impl<S: Substrate> ExecBackend for SimdVm<S> {
     ) -> Result<PackedBits> {
         let prog = prep.program();
         if !prep.fits(self.substrate().max_fan_in()) {
-            // Unprepared walk over the caller's staged rows (matching
-            // `run_prepared`'s fallback modulo the staging the caller
-            // already did).
+            // Over-wide steps: the unprepared walk over the caller's
+            // staged rows.
             let inputs: Vec<BitRow> = lease.rows().to_vec();
             let out = execute_with(self, prog, &inputs, on_step)?;
             let packed = self.read_row(out);
             ExecBackend::release(self, out);
             return packed;
         }
-        if operands.len() != prog.inputs.len() {
-            return Err(ExecError::InputMismatch {
-                expected: prog.inputs.len(),
-                got: operands.len(),
-            });
-        }
+        check_operands(prog, operands.len())?;
         let inputs: Vec<BitRow> = lease.rows().to_vec();
         let mut regs: Vec<Option<BitRow>> = vec![None; prog.n_regs];
         let mut vals: Vec<Option<PackedBits>> = vec![None; prog.n_regs];
@@ -219,7 +191,7 @@ fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
     // Fused visit bounds: begin before the first step of each visit,
     // end (flushing the deferred result write) after the last. Copy
     // steps and the output stage always run outside a visit.
-    let mut visits = prep.visits.iter().filter(|_| prep.fuse).peekable();
+    let mut visits = prep.visits.iter().peekable();
     for (i, step) in prog.steps.iter().enumerate() {
         if let Some((start, _)) = visits.peek() {
             if i == *start {

@@ -6,9 +6,10 @@
 //! any [`ExecBackend`] ([`run_job_on`]); the shipping configurations
 //! are selected by [`SchedPolicy::backend`]:
 //!
-//! * [`BackendKind::Vm`] — every job runs on its own
-//!   `SimdVm<HostSubstrate>` (the workspace's golden model) and is
-//!   priced by the assigned chip's derated cost model.
+//! * [`BackendKind::Vm`] — every fusion group (jobs sharing a fleet
+//!   member, program, and lane count; a lone job is a group of one)
+//!   runs on its own `SimdVm<HostSubstrate>` (the workspace's golden
+//!   model) and is priced by the assigned chip's derated cost model.
 //! * [`BackendKind::Bender`] — the same host-exact engine wrapped in
 //!   [`fcexec::ScheduleTimed`]: per-operation latency is the
 //!   *cycle-accurate DDR4 command schedule* of each step at the
@@ -111,8 +112,9 @@ pub struct StepTrace {
 }
 
 /// Runs one job on `backend` under its assigned chip profile — the
-/// backend-generic core every serving configuration calls. Pure
-/// function of `(job, assignment, profile cost, batch_seed, backend)`.
+/// backend-generic seam, and the same path every scheduled job takes
+/// (a group of one). Pure function of `(job, assignment, profile cost,
+/// batch_seed, backend)`.
 ///
 /// Per-step latency comes from [`ExecBackend::step_latency_ns`] when
 /// the backend declares one (command-schedule fidelity), from the
@@ -130,75 +132,69 @@ pub fn run_job_on<B: ExecBackend>(
     retry_budget: u32,
     batch_seed: u64,
 ) -> Result<JobOutcome> {
-    run_job_on_rec(backend, job, asg, profile, retry_budget, batch_seed, None).map(|(o, _)| o)
-}
-
-/// [`run_job_on`] with per-step trace records: the observability entry
-/// point. The outcome is bit-identical to the unrecorded run.
-///
-/// # Errors
-///
-/// Propagates backend failures (row exhaustion, lane mismatch).
-pub fn run_job_recorded<B: ExecBackend>(
-    backend: &mut B,
-    job: &Job,
-    asg: &Assignment,
-    profile: &crate::planner::ChipProfile,
-    retry_budget: u32,
-    batch_seed: u64,
-) -> Result<(JobOutcome, Vec<StepTrace>)> {
-    let mut steps = Vec::new();
-    let out = run_job_on_rec(
+    let mut runs = run_group_on(
         backend,
-        job,
-        asg,
+        &[(job, asg, retry_budget)],
         profile,
-        retry_budget,
         batch_seed,
-        Some(&mut steps),
+        false,
     )?;
-    Ok((out.0, steps))
+    runs.pop().expect("one run per job").map(|(o, _)| o)
 }
 
-/// The shared engine loop behind [`run_job_on`] / [`run_job_recorded`]:
-/// `record = None` is the exact pre-observability path.
-#[allow(clippy::too_many_arguments)]
-fn run_job_on_rec<B: ExecBackend>(
+/// The one execution path: `group`'s shared program is prepared once
+/// on `backend`, every job's operands are bulk-staged through
+/// [`ExecBackend::stage_many`], then each job's accounting loop runs
+/// over its own lease in group order. The outer error is a setup
+/// failure (`prepare`, staging) shared by the whole group; the inner
+/// ones are per-job execution failures. Per-step traces are recorded
+/// when `record` is set and left empty otherwise.
+fn run_group_on<B: ExecBackend>(
     backend: &mut B,
-    job: &Job,
-    asg: &Assignment,
+    group: &[(&Job, &Assignment, u32)],
     profile: &crate::planner::ChipProfile,
-    retry_budget: u32,
     batch_seed: u64,
-    record: Option<&mut Vec<StepTrace>>,
-) -> Result<(JobOutcome, ())> {
-    // Prepared once per job: the row plan (and, on command-schedule
+    record: bool,
+) -> Result<Vec<JobRun>> {
+    // Prepared once per group: the row plan (and, on command-schedule
     // backends, the program templates) is compiled a single time and
-    // reused across every retry attempt the loop below charges —
-    // operands are staged once per job, never per attempt.
-    let prep = backend.prepare(&asg.program)?;
-    run_job_with_prep(
-        backend,
-        job,
-        asg,
-        profile,
-        retry_budget,
-        batch_seed,
-        &prep,
-        None,
-        record,
-    )
+    // reused across every job and every retry attempt the loop charges
+    // — operands are staged once per job, never per attempt.
+    let prep = backend.prepare(&group[0].1.program)?;
+    let batches: Vec<&[PackedBits]> = group
+        .iter()
+        .map(|(j, _, _)| j.operands.as_slice())
+        .collect();
+    let leases = backend.stage_many(&batches)?;
+    let mut out = Vec::with_capacity(group.len());
+    for (&(job, asg, budget), lease) in group.iter().zip(leases) {
+        let mut steps = Vec::new();
+        let run = run_leased(
+            backend,
+            job,
+            asg,
+            profile,
+            budget,
+            batch_seed,
+            &prep,
+            &lease,
+            record.then_some(&mut steps),
+        );
+        backend.end_stage(lease);
+        out.push(run.map(|o| (o, steps)));
+    }
+    Ok(out)
 }
 
-/// The accounting loop proper, over an already-prepared plan — and,
-/// for cross-job fused runs, over an operand lease the caller staged
-/// through [`ExecBackend::stage_many`] and still owns. Outcomes are a
-/// pure function of `(job, assignment, profile cost, batch seed,
-/// backend kind)` whether or not the backend is shared across a run:
-/// retry draws key on the batch seed and job id (never on backend
-/// instance state), and results are host-exact.
+/// The accounting loop proper: one job's prepared plan over the operand
+/// lease the caller staged and still owns. Outcomes are a pure function
+/// of `(job, assignment, profile cost, batch seed, backend kind)`
+/// whether or not the backend is shared across a group: retry draws key
+/// on the batch seed and job id (never on backend instance state), and
+/// results are host-exact. `record`, when given, receives one
+/// [`StepTrace`] per executed step.
 #[allow(clippy::too_many_arguments)]
-fn run_job_with_prep<B: ExecBackend>(
+fn run_leased<B: ExecBackend>(
     backend: &mut B,
     job: &Job,
     asg: &Assignment,
@@ -206,9 +202,9 @@ fn run_job_with_prep<B: ExecBackend>(
     retry_budget: u32,
     batch_seed: u64,
     prep: &fcexec::PreparedProgram,
-    lease: Option<&B::Lease>,
+    lease: &B::Lease,
     mut record: Option<&mut Vec<StepTrace>>,
-) -> Result<(JobOutcome, ())> {
+) -> Result<JobOutcome> {
     let prog = &asg.program;
     let seed = mix3(batch_seed, job.id as u64, profile.chip_seed);
     let cost = &profile.cost;
@@ -278,68 +274,24 @@ fn run_job_with_prep<B: ExecBackend>(
             });
         }
     };
-    let result = match lease {
-        None => backend.run_prepared(prep, &job.operands, observer)?,
-        Some(l) => backend.run_prepared_leased(prep, l, &job.operands, observer)?,
-    };
-    Ok((
-        JobOutcome {
-            job: job.id,
-            label: job.label.clone(),
-            member: asg.member,
-            chip: profile.label.clone(),
-            wave: asg.wave,
-            admission: asg.admission,
-            succeeded: failed_ops == 0,
-            ops: prog.steps.len(),
-            retries,
-            failed_ops,
-            replacements: asg.replacements,
-            predicted_success: asg.predicted.expected_success,
-            latency_ns: latency,
-            energy_pj: energy,
-            result,
-        },
-        (),
-    ))
-}
-
-/// Builds the policy-selected backend for one job and runs it,
-/// recording step traces when `record` is set.
-fn run_job(
-    job: &Job,
-    asg: &Assignment,
-    profile: &crate::planner::ChipProfile,
-    policy: &SchedPolicy,
-    batch_seed: u64,
-    record: bool,
-) -> Result<(JobOutcome, Vec<StepTrace>)> {
-    let prog = &asg.program;
-    let capacity = (prog.n_regs + job.operands.len() + 4).max(8);
-    let mut vm =
-        SimdVm::new(HostSubstrate::new(job.lanes, capacity)).map_err(fcexec::ExecError::from)?;
-    // Re-placements off dying chips already spent part of the job's
-    // retry budget: the policy budget is honored across the whole
-    // served life of the job, not per placement.
-    let budget = policy.retry_budget.saturating_sub(asg.replacements);
-    if record {
-        match policy.backend {
-            BackendKind::Vm => run_job_recorded(&mut vm, job, asg, profile, budget, batch_seed),
-            BackendKind::Bender => {
-                let mut timed = ScheduleTimed::new(vm, profile.speed);
-                run_job_recorded(&mut timed, job, asg, profile, budget, batch_seed)
-            }
-        }
-    } else {
-        match policy.backend {
-            BackendKind::Vm => run_job_on(&mut vm, job, asg, profile, budget, batch_seed),
-            BackendKind::Bender => {
-                let mut timed = ScheduleTimed::new(vm, profile.speed);
-                run_job_on(&mut timed, job, asg, profile, budget, batch_seed)
-            }
-        }
-        .map(|o| (o, Vec::new()))
-    }
+    let result = backend.run_prepared_leased(prep, lease, &job.operands, observer)?;
+    Ok(JobOutcome {
+        job: job.id,
+        label: job.label.clone(),
+        member: asg.member,
+        chip: profile.label.clone(),
+        wave: asg.wave,
+        admission: asg.admission,
+        succeeded: failed_ops == 0,
+        ops: prog.steps.len(),
+        retries,
+        failed_ops,
+        replacements: asg.replacements,
+        predicted_success: asg.predicted.expected_success,
+        latency_ns: latency,
+        energy_pj: energy,
+        result,
+    })
 }
 
 /// Whether two planned jobs can share one fused run: same fleet
@@ -349,129 +301,75 @@ fn fusable(a: (&Job, &Assignment), b: (&Job, &Assignment)) -> bool {
     a.1.member == b.1.member && a.0.lanes == b.0.lanes && a.1.program == b.1.program
 }
 
-/// Jobs that belong to a cross-job fused run under serial submission
-/// order: the sum of sizes of fusion groups (size ≥ 2) when the whole
-/// batch is grouped by `fusable` key — adjacency is irrelevant, so
-/// a round-robin mix of templates fuses just as well as a sorted one.
-/// A pure function of the batch and the plan — independent of the
-/// fuse knob, the shard count, and the backend — so observability
-/// counters derived from it byte-diff cleanly across all of those.
-pub fn fused_jobs(batch: &Batch, plan: &Plan) -> usize {
-    let jobs = batch.jobs();
+/// Groups job indices by [`fusable`] key, each group in submission
+/// order and groups in order of first appearance. Adjacency is
+/// irrelevant, so a round-robin template mix fuses as well as a sorted
+/// one. A linear scan over group representatives: programs compare
+/// structurally, and a map keyed on serialized programs would cost
+/// more than it saves at batch sizes.
+fn fusion_groups(jobs: &[Job], asgs: &[Assignment]) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for i in 0..jobs.len() {
-        let found = groups.iter().position(|g| {
-            fusable(
-                (&jobs[g[0]], &plan.assignments[g[0]]),
-                (&jobs[i], &plan.assignments[i]),
-            )
-        });
+        let found = groups
+            .iter_mut()
+            .find(|g| fusable((&jobs[g[0]], &asgs[g[0]]), (&jobs[i], &asgs[i])));
         match found {
-            Some(gi) => groups[gi].push(i),
+            Some(g) => g.push(i),
             None => groups.push(vec![i]),
         }
     }
     groups
-        .into_iter()
-        .filter(|g| g.len() >= 2)
-        .map(|g| g.len())
+}
+
+/// Jobs that belong to a cross-job fused run under serial submission
+/// order: the sum of sizes of fusion groups of two or more when the
+/// whole batch is grouped by fusion key (same fleet member, mapped
+/// program, and lane count). A pure function of the
+/// batch and the plan — independent of the shard count and the
+/// backend — so observability counters derived from it byte-diff
+/// cleanly across both.
+pub fn fused_jobs(batch: &Batch, plan: &Plan) -> usize {
+    fusion_groups(batch.jobs(), &plan.assignments)
+        .iter()
+        .map(Vec::len)
+        .filter(|&n| n >= 2)
         .sum()
 }
 
-/// Runs one fused group on a shared backend: one prepared plan, every
-/// job's operands bulk-staged up front through
-/// [`ExecBackend::stage_many`], then each job executed over its own
-/// lease in submission order. Returns `None` when the bulk setup
-/// fails — the caller falls back to the per-job path, which would
-/// surface the same per-job errors (results are identical on both
-/// paths).
-fn run_group_on<B: ExecBackend>(
-    backend: &mut B,
-    jobs: &[&Job],
-    asgs: &[&Assignment],
-    profile: &crate::planner::ChipProfile,
-    policy: &SchedPolicy,
-    batch_seed: u64,
-    record: bool,
-) -> Option<Vec<JobRun>> {
-    let prep = backend.prepare(&asgs[0].program).ok()?;
-    let batches: Vec<&[PackedBits]> = jobs.iter().map(|j| j.operands.as_slice()).collect();
-    let leases = backend.stage_many(&batches).ok()?;
-    let mut out = Vec::with_capacity(jobs.len());
-    for ((&job, &asg), lease) in jobs.iter().zip(asgs).zip(leases) {
-        let budget = policy.retry_budget.saturating_sub(asg.replacements);
-        let run = if record {
-            let mut steps = Vec::new();
-            run_job_with_prep(
-                backend,
-                job,
-                asg,
-                profile,
-                budget,
-                batch_seed,
-                &prep,
-                Some(&lease),
-                Some(&mut steps),
-            )
-            .map(|(o, ())| (o, steps))
-        } else {
-            run_job_with_prep(
-                backend,
-                job,
-                asg,
-                profile,
-                budget,
-                batch_seed,
-                &prep,
-                Some(&lease),
-                None,
-            )
-            .map(|(o, ())| (o, Vec::new()))
-        };
-        backend.end_stage(lease);
-        out.push(run);
-    }
-    Some(out)
-}
-
-/// Builds the policy-selected backend for one fused group and runs it.
-/// `None` (setup failure) sends the caller to the per-job path.
+/// Builds the policy-selected backend for one fusion group and runs
+/// it. The group's jobs share a program, a lane count, and an operand
+/// count ([`fusable`], [`Batch::push`]).
 fn run_group(
-    jobs: &[&Job],
-    asgs: &[&Assignment],
+    group: &[(&Job, &Assignment, u32)],
     profile: &crate::planner::ChipProfile,
     policy: &SchedPolicy,
     batch_seed: u64,
     record: bool,
-) -> Option<Vec<JobRun>> {
-    let prog = &asgs[0].program;
+) -> Result<Vec<JobRun>> {
+    let (job, asg, _) = group[0];
     // Room for every job's staged lease at once, plus the running
     // job's register arena (capacity only bounds the pool — host
     // results never depend on it).
-    let capacity = (prog.n_regs + jobs.len() * jobs[0].operands.len() + 4).max(8);
-    let vm = SimdVm::new(HostSubstrate::new(jobs[0].lanes, capacity)).ok()?;
+    let capacity = (asg.program.n_regs + group.len() * job.operands.len() + 4).max(8);
+    let mut vm =
+        SimdVm::new(HostSubstrate::new(job.lanes, capacity)).map_err(fcexec::ExecError::from)?;
     match policy.backend {
-        BackendKind::Vm => {
-            let mut vm = vm;
-            run_group_on(&mut vm, jobs, asgs, profile, policy, batch_seed, record)
-        }
+        BackendKind::Vm => run_group_on(&mut vm, group, profile, batch_seed, record),
         BackendKind::Bender => {
             let mut timed = ScheduleTimed::new(vm, profile.speed);
-            run_group_on(&mut timed, jobs, asgs, profile, policy, batch_seed, record)
+            run_group_on(&mut timed, group, profile, batch_seed, record)
         }
     }
 }
 
-/// Runs one contiguous submission-order chunk of jobs. With
-/// [`SchedPolicy::fuse`] on, jobs sharing a fusion key ([`fusable`]:
-/// same fleet member, mapped program, and lane count) are grouped
-/// *regardless of adjacency* — a round-robin template mix fuses as
-/// well as a sorted one — and each group of two or more runs through
-/// one shared backend: one prepared plan, one bulk staging, jobs in
-/// submission order within the group, results scattered back to their
-/// submission-order slots. Outcomes are byte-identical to the per-job
-/// path either way: every job's retry draws and modeled costs key on
-/// the job and its assignment alone, never on its neighbours.
+/// Runs one contiguous submission-order chunk of jobs as fusion groups
+/// ([`fusion_groups`]), a lone job being a group of one: each group
+/// runs through one shared backend — one prepared plan, one bulk
+/// staging, jobs in submission order within the group — and results
+/// are scattered back to their submission-order slots. Every job's
+/// retry draws and modeled costs key on the job and its assignment
+/// alone, never on its neighbours, so outcomes do not depend on how
+/// the chunk groups. A group's setup error is every member's error.
 fn run_chunk(
     jobs: &[Job],
     asgs: &[Assignment],
@@ -480,56 +378,28 @@ fn run_chunk(
     batch_seed: u64,
     record: bool,
 ) -> Vec<JobRun> {
-    // Group chunk-local indices by fusion key: a linear scan over
-    // group representatives (programs compare structurally, and
-    // chunks are small enough that a map keyed on serialized programs
-    // would cost more than it saves).
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for i in 0..jobs.len() {
-        let found = if policy.fuse {
-            groups
-                .iter()
-                .position(|g| fusable((&jobs[g[0]], &asgs[g[0]]), (&jobs[i], &asgs[i])))
-        } else {
-            None
-        };
-        match found {
-            Some(gi) => groups[gi].push(i),
-            None => groups.push(vec![i]),
-        }
-    }
     let mut out: Vec<Option<JobRun>> = (0..jobs.len()).map(|_| None).collect();
-    for g in &groups {
-        let fused = if g.len() >= 2 {
-            let gj: Vec<&Job> = g.iter().map(|&i| &jobs[i]).collect();
-            let ga: Vec<&Assignment> = g.iter().map(|&i| &asgs[i]).collect();
-            run_group(
-                &gj,
-                &ga,
-                &profiles[asgs[g[0]].member],
-                policy,
-                batch_seed,
-                record,
-            )
-        } else {
-            None
-        };
-        match fused {
-            Some(runs) => {
+    for g in fusion_groups(jobs, asgs) {
+        // Re-placements off dying chips already spent part of a job's
+        // retry budget: the policy budget is honored across the whole
+        // served life of the job, not per placement.
+        let group: Vec<(&Job, &Assignment, u32)> = g
+            .iter()
+            .map(|&i| {
+                let budget = policy.retry_budget.saturating_sub(asgs[i].replacements);
+                (&jobs[i], &asgs[i], budget)
+            })
+            .collect();
+        let profile = &profiles[asgs[g[0]].member];
+        match run_group(&group, profile, policy, batch_seed, record) {
+            Ok(runs) => {
                 for (&i, r) in g.iter().zip(runs) {
                     out[i] = Some(r);
                 }
             }
-            None => {
-                for &i in g {
-                    out[i] = Some(run_job(
-                        &jobs[i],
-                        &asgs[i],
-                        &profiles[asgs[i].member],
-                        policy,
-                        batch_seed,
-                        record,
-                    ));
+            Err(e) => {
+                for &i in &g {
+                    out[i] = Some(Err(e.clone()));
                 }
             }
         }

@@ -84,8 +84,8 @@ pub mod report;
 
 pub use error::{Result, SchedError};
 pub use executor::{
-    execute_plan, execute_plan_traced, fused_jobs, ideal_cost, run_job_on, run_job_recorded,
-    serve_batch, JobOutcome, StepTrace, TraceCtx,
+    execute_plan, execute_plan_traced, fused_jobs, ideal_cost, run_job_on, serve_batch, JobOutcome,
+    StepTrace, TraceCtx,
 };
 pub use health::{Dropout, FleetHealth, HealthEvent, MemberHealth};
 pub use planner::{Admission, Assignment, ChipProfile, Plan, Planner, SchedPolicy};

@@ -58,16 +58,6 @@ pub struct SchedPolicy {
     /// speed bin ([`fcexec::BackendKind::Bender`]). Functional results
     /// are identical on every backend.
     pub backend: fcexec::BackendKind,
-    /// Whether the executor fuses groups of same-program jobs on
-    /// the same fleet member through one shared backend —
-    /// operands bulk-staged via [`fcexec::ExecBackend::stage_many`],
-    /// one prepared plan reused across the run — and executes each
-    /// job's prepared plan with fused engine visits. Reports are
-    /// byte-identical either way (and across shard counts and
-    /// backends); `false` exists for ablation. Recorded session logs
-    /// carry the knob, and replays may override it freely — like
-    /// `shards` and `backend`, it never moves a report byte.
-    pub fuse: bool,
     /// Optional fault-injection scenario. When set, the planner runs
     /// the fleet through read-disturbance accumulation (mitigation
     /// stealing lease bandwidth), hazard-rate wear derating with
@@ -86,7 +76,6 @@ impl Default for SchedPolicy {
             shards: 0,
             scratch_rows: simdram::MAX_FAN_IN,
             backend: fcexec::BackendKind::Vm,
-            fuse: true,
             faults: None,
         }
     }

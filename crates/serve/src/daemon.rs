@@ -108,7 +108,7 @@ pub struct Daemon<'a> {
     /// Fused engine visits across every executed job — a pure
     /// function of each job's step plan ([`fcexec::fused_visits_of`]),
     /// counted in submission order, so the exposition is identical
-    /// across `--fuse` settings, shard counts, and backends.
+    /// across shard counts and backends.
     engine_visits: usize,
     /// Jobs that belonged to a cross-job fusion group
     /// ([`fcsched::fused_jobs`]) — plan-structural, like

@@ -66,6 +66,25 @@ fn session_log_round_trips_and_replays_from_json() {
     assert_eq!(live.to_json(), replayed.to_json());
 }
 
+/// Logs recorded while execution still had an on/off fusion knob carry
+/// a `fuse` key in their policy. Unknown keys are ignored, so such a
+/// log — even one recorded with fusion off — replays to the
+/// byte-identical report.
+#[test]
+fn session_log_with_a_fuse_key_replays_byte_identically() {
+    let cost = CostModel::table1_defaults();
+    let fleet = FleetConfig::table1(12);
+    let (log, live) = demo_session(5);
+    let json = log.to_json();
+    let marker = "\"policy\": {";
+    assert_eq!(json.matches(marker).count(), 1, "one policy object");
+    let old_json = json.replacen(marker, "\"policy\": {\n    \"fuse\": false,", 1);
+    let parsed = SessionLog::from_json(&old_json).expect("old log parses");
+    assert_eq!(parsed, log);
+    let replayed = daemon::replay(&fleet, &cost, &parsed, None, None).expect("replay runs");
+    assert_eq!(live.to_json(), replayed.to_json());
+}
+
 #[test]
 fn demo_session_is_deterministic_and_seed_sensitive() {
     let (log_a, report_a) = demo_session(0);

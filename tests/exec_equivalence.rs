@@ -13,10 +13,11 @@
 //! * The engine on the host golden model matches the reference
 //!   evaluator for random expressions, in both I/O modes, and the
 //!   observer sees every step in order on every backend.
-//! * The fuse knob never moves a bit: prepared plans run with fused
-//!   engine visits (the default) and step-by-step
-//!   (`PreparedProgram::set_fuse(false)`) agree bit-for-bit, with
-//!   identical observer walks, on both backends in both fidelities.
+//! * Leased runs agree across backends: operand sets bulk-staged with
+//!   one `ExecBackend::stage_many` call (a combined `Wr`-burst program
+//!   on bender) and run back to back with `run_prepared_leased` give
+//!   bit-identical results on both device backends in both
+//!   fidelities, and the reference evaluator's bits on the host model.
 //! * Lease safety: `SimdVm::lease_rows`/`end_lease` driven through
 //!   `ExecBackend::stage` and `dram_core::FleetSlots` stay
 //!   all-or-nothing and reusable under randomized interleavings.
@@ -241,63 +242,66 @@ proptest! {
         }
     }
 
-    /// The fuse knob is invisible in the bits: the same prepared plan
-    /// run with fused engine visits (the default) and step-by-step
-    /// (`set_fuse(false)`) produces identical result bits and
-    /// identical ordered observer walks — on both device backends, in
-    /// both fidelities. The fused path must therefore drive the
-    /// device through a byte-identical command stream: the stochastic
-    /// draws key on device state both paths advance in lockstep.
+    /// Bulk-staged leased runs are backend-independent: `sets` operand
+    /// sets staged with one `stage_many` call and run back to back
+    /// through `run_prepared_leased` give bit-identical results and
+    /// observer walks on `SimdVm<DramSubstrate>` and `BenderBackend`
+    /// in both fidelities, and `eval_packed`'s bits on the host model.
     #[test]
-    fn fused_matches_unfused_bit_for_bit(
+    fn leased_runs_match_across_backends(
         n in 1usize..=8,
+        sets in 1usize..=4,
         seed in any::<u64>(),
     ) {
+        fn run_leased<B: ExecBackend>(
+            backend: &mut B,
+            prog: &fcsynth::SynthProgram,
+            operand_sets: &[Vec<PackedBits>],
+        ) -> Result<Vec<(PackedBits, Vec<usize>)>, String> {
+            let prep = backend.prepare(prog).map_err(|e| e.to_string())?;
+            let batches: Vec<&[PackedBits]> = operand_sets.iter().map(Vec::as_slice).collect();
+            let leases = backend.stage_many(&batches).map_err(|e| e.to_string())?;
+            let mut out = Vec::with_capacity(leases.len());
+            for (lease, ops) in leases.into_iter().zip(operand_sets) {
+                let mut walk = Vec::new();
+                let got = backend.run_prepared_leased(&prep, &lease, ops, |i, _| walk.push(i));
+                backend.end_stage(lease);
+                out.push((got.map_err(|e| e.to_string())?, walk));
+            }
+            Ok(out)
+        }
         let text = random_expr(n, seed, 10);
         let cost = CostModel::table1_defaults();
         let compiled = fcsynth::compile(&text, &cost, 16)
             .map_err(|e| format!("{text}: {e}"))?;
         let k = compiled.circuit.inputs().len();
         let prog = &compiled.mapping.program;
+        let operand_sets = |lanes: usize| -> Vec<Vec<PackedBits>> {
+            (0..sets)
+                .map(|j| random_operands(k, lanes, seed ^ 0x1EA5E ^ (j as u64) << 32))
+                .collect()
+        };
         for fidelity in [SimFidelity::fast(), SimFidelity::full()] {
-            let mut vm_f = SimdVm::new(DramSubstrate::new(engine(fidelity))).unwrap();
-            let lanes = ExecBackend::lanes(&vm_f);
-            let ops = random_operands(k, lanes, seed ^ 0xF0_5E);
-            let prep = vm_f.prepare(prog).map_err(|e| e.to_string())?;
-            prop_assert!(prep.fuse(), "fusion must default on");
-            let mut fused_walk = Vec::new();
-            let fused = vm_f
-                .run_prepared(&prep, &ops, |i, s| fused_walk.push((i, s.op, s.args.len())))
-                .map_err(|e| format!("{text}: {e}"))?;
-
-            let mut vm_u = SimdVm::new(DramSubstrate::new(engine(fidelity))).unwrap();
-            let mut prep_u = vm_u.prepare(prog).map_err(|e| e.to_string())?;
-            prep_u.set_fuse(false);
-            let mut unfused_walk = Vec::new();
-            let unfused = vm_u
-                .run_prepared(&prep_u, &ops, |i, s| unfused_walk.push((i, s.op, s.args.len())))
-                .map_err(|e| format!("{text}: {e}"))?;
-            prop_assert_eq!(&fused, &unfused, "{}: vm fuse knob moved bits", text);
-            prop_assert_eq!(&fused_walk, &unfused_walk, "{}: vm observer walks differ", text);
-
-            let mut cmd_f = BenderBackend::new(engine(fidelity)).unwrap();
-            let prep_cmd = cmd_f.prepare(prog).map_err(|e| e.to_string())?;
-            let mut cmd_fused_walk = Vec::new();
-            let cmd_fused = cmd_f
-                .run_prepared(&prep_cmd, &ops, |i, s| {
-                    cmd_fused_walk.push((i, s.op, s.args.len()));
-                })
-                .map_err(|e| format!("{text}: {e}"))?;
-
-            let mut cmd_u = BenderBackend::new(engine(fidelity)).unwrap();
-            let mut prep_cmd_u = cmd_u.prepare(prog).map_err(|e| e.to_string())?;
-            prep_cmd_u.set_fuse(false);
-            let cmd_unfused = cmd_u
-                .run_prepared(&prep_cmd_u, &ops, |_, _| {})
-                .map_err(|e| format!("{text}: {e}"))?;
-            prop_assert_eq!(&cmd_fused, &cmd_unfused, "{}: bender fuse knob moved bits", text);
-            prop_assert_eq!(&cmd_fused, &fused, "{}: backends diverged under fusion", text);
-            prop_assert_eq!(&cmd_fused_walk, &fused_walk, "{}: cross-backend walks differ", text);
+            let mut vm = SimdVm::new(DramSubstrate::new(engine(fidelity))).unwrap();
+            let sets_dev = operand_sets(ExecBackend::lanes(&vm));
+            let via_vm = run_leased(&mut vm, prog, &sets_dev)?;
+            let mut cmd = BenderBackend::new(engine(fidelity)).unwrap();
+            let via_cmd = run_leased(&mut cmd, prog, &sets_dev)?;
+            prop_assert_eq!(&via_vm, &via_cmd, "{}: leased runs diverged ({:?})", text, fidelity);
+        }
+        let lanes = 96;
+        let sets_host = operand_sets(lanes);
+        let capacity = prog.n_regs + sets * k + 8;
+        let mut host = SimdVm::new(HostSubstrate::new(lanes, capacity)).unwrap();
+        let via_host = run_leased(&mut host, prog, &sets_host)?;
+        for (ops, (got, walk)) in sets_host.iter().zip(&via_host) {
+            let want = if k == 0 {
+                PackedBits::splat(compiled.expr.eval(&[]), lanes)
+            } else {
+                compiled.circuit.eval_packed(ops)
+            };
+            prop_assert_eq!(got, &want, "{}: host leased run diverged", text);
+            prop_assert_eq!(walk.len(), prog.steps.len(), "{}: observer missed steps", text);
         }
     }
 

@@ -10,9 +10,10 @@
 //!   across shard counts (the deterministic JSON report is
 //!   byte-identical — the property the CI determinism job enforces
 //!   end-to-end through `characterize serve`);
-//! * cross-job operand fusion ([`fcsched::SchedPolicy::fuse`]) never
-//!   moves a report byte, on either backend at any shard count, even
-//!   when repeated templates make the fusion groups non-trivial.
+//! * cross-job operand fusion never moves an outcome: every job of a
+//!   batch whose repeated templates form non-trivial fusion groups
+//!   matches [`fcsched::run_job_on`] on its own fresh backend, on
+//!   either backend at every shard count.
 
 mod common;
 
@@ -171,44 +172,65 @@ proptest! {
     }
 
     /// Cross-job operand fusion never moves a report byte: a batch
-    /// with repeated templates (so fusion groups actually form)
-    /// serializes identically with `fuse` on and off, at any fleet
-    /// size and shard count, on both backends — and when every job
-    /// shares one template on a one-chip fleet, the deterministic
-    /// [`fcsched::fused_jobs`] counter covers the whole batch.
+    /// with repeated templates (so fusion groups actually form) serves
+    /// to exactly the outcomes of running each job alone through
+    /// [`fcsched::run_job_on`] on a fresh host VM (schedule-timed for
+    /// bender), at any fleet size and every shard count, on both
+    /// backends — and when every job shares one template on a one-chip
+    /// fleet, the deterministic [`fcsched::fused_jobs`] counter covers
+    /// the whole batch.
     #[test]
     fn fusion_never_moves_a_report_byte(
         jobs in 2usize..=10,
         distinct in 1usize..=3,
         chips in 1usize..=4,
-        shards in 1usize..=5,
         seed in any::<u64>(),
     ) {
         let batch = repeated_batch(jobs, distinct, 33, seed);
         let cost = CostModel::table1_defaults();
         let fleet = dram_core::FleetConfig::table1(chips);
         for backend in [fcexec::BackendKind::Vm, fcexec::BackendKind::Bender] {
-            let fused = serve_batch(
-                &fleet,
-                &cost,
-                &SchedPolicy { backend, ..SchedPolicy::default().with_shards(1) },
-                &batch,
-            ).map_err(|e| e.to_string())?;
-            let unfused = serve_batch(
-                &fleet,
-                &cost,
-                &SchedPolicy {
-                    fuse: false,
-                    backend,
-                    ..SchedPolicy::default().with_shards(shards)
-                },
-                &batch,
-            ).map_err(|e| e.to_string())?;
-            prop_assert_eq!(&fused.outcomes, &unfused.outcomes, "fusion changed accounting");
-            prop_assert_eq!(
-                fused.to_json(), unfused.to_json(),
-                "report not byte-identical across the fuse knob ({:?})", backend
-            );
+            let policy = SchedPolicy { backend, ..SchedPolicy::default().with_shards(1) };
+            let plan = fcsched::Planner::new(&fleet, &cost, &policy)
+                .plan(&batch)
+                .map_err(|e| e.to_string())?;
+            let mut alone = Vec::with_capacity(jobs);
+            for (job, asg) in batch.jobs().iter().zip(&plan.assignments) {
+                let profile = &plan.profiles[asg.member];
+                let budget = policy.retry_budget.saturating_sub(asg.replacements);
+                let capacity = (asg.program.n_regs + job.operands.len() + 4).max(8);
+                let vm = SimdVm::new(HostSubstrate::new(job.lanes, capacity))
+                    .map_err(|e| e.to_string())?;
+                let out = match backend {
+                    fcexec::BackendKind::Vm => {
+                        let mut vm = vm;
+                        fcsched::run_job_on(&mut vm, job, asg, profile, budget, batch.seed())
+                    }
+                    fcexec::BackendKind::Bender => {
+                        let mut timed = fcexec::ScheduleTimed::new(vm, profile.speed);
+                        fcsched::run_job_on(&mut timed, job, asg, profile, budget, batch.seed())
+                    }
+                };
+                alone.push(out.map_err(|e| e.to_string())?);
+            }
+            let mut serial_json = None;
+            for shards in 1usize..=5 {
+                let served = serve_batch(
+                    &fleet,
+                    &cost,
+                    &SchedPolicy { backend, ..SchedPolicy::default().with_shards(shards) },
+                    &batch,
+                ).map_err(|e| e.to_string())?;
+                prop_assert_eq!(
+                    &served.outcomes, &alone,
+                    "fusion changed accounting ({:?}, shards={})", backend, shards
+                );
+                let json = served.to_json();
+                prop_assert_eq!(
+                    serial_json.get_or_insert_with(|| json.clone()), &json,
+                    "report not byte-identical across shard counts ({:?})", backend
+                );
+            }
         }
         let policy = SchedPolicy::default().with_shards(1);
         let plan = fcsched::Planner::new(&fleet, &cost, &policy)
