@@ -8,12 +8,15 @@
 //! repository root in the same shape as `BENCH_engine.json`.
 //!
 //! The timed loops use the two-phase API the way a serving deployment
-//! does: every program is [`ExecBackend::prepare`]d once outside the
-//! measurement loop, and the loop times [`ExecBackend::run_prepared`]
-//! alone — the per-execution cost a scheduler pays after compiling a
-//! job once. `tools/bench_check.rs` gates the device backends as
-//! *ratios* against `exec_host/mix` from the same run
-//! (wall-clock-free, so a slow CI container cannot fail them).
+//! does: every program is [`ExecBackend::prepare`]d once and its
+//! operands are built once, outside the measurement loop, and the loop
+//! times [`ExecBackend::run_prepared`] alone — the per-execution cost a
+//! scheduler pays after compiling a job once. All three backends run
+//! at the same lane count (the device row's 32 shared-column lanes),
+//! so `tools/bench_check.rs` can gate the device backends as *ratios*
+//! against the word-wide host golden model's `exec_host/mix` from the
+//! same run (wall-clock-free, so a slow CI container cannot fail
+//! them).
 //!
 //! Derived entries:
 //!
@@ -97,15 +100,27 @@ fn prepare_mix<B: ExecBackend>(
         .collect()
 }
 
+/// The operand sets of one pass of the mix at `lanes` lanes, one per
+/// program — built once, outside the timed loops.
+fn mix_operands(progs: &[(SynthProgram, usize)], lanes: usize) -> Vec<Vec<PackedBits>> {
+    progs
+        .iter()
+        .enumerate()
+        .map(|(i, (_, n))| operands(*n, lanes, 0xE0_0E ^ i as u64))
+        .collect()
+}
+
 /// One pass of the mix through the prepared plans; returns a result
 /// word so the work cannot be optimized away.
-fn run_mix<B: ExecBackend>(backend: &mut B, preps: &[(PreparedProgram, usize)]) -> u64 {
-    let lanes = backend.lanes();
+fn run_mix<B: ExecBackend>(
+    backend: &mut B,
+    preps: &[(PreparedProgram, usize)],
+    operands: &[Vec<PackedBits>],
+) -> u64 {
     let mut acc = 0u64;
-    for (i, (prep, n)) in preps.iter().enumerate() {
-        let ops = operands(*n, lanes, 0xE0_0E ^ i as u64);
+    for ((prep, _), ops) in preps.iter().zip(operands) {
         let out = backend
-            .run_prepared(prep, &ops, |_, _| {})
+            .run_prepared(prep, ops, |_, _| {})
             .expect("mix executes");
         acc ^= out.words().first().copied().unwrap_or(0);
     }
@@ -115,30 +130,34 @@ fn run_mix<B: ExecBackend>(backend: &mut B, preps: &[(PreparedProgram, usize)]) 
 fn bench(c: &mut Criterion) {
     let progs = programs();
 
-    let mut host = SimdVm::new(HostSubstrate::new(256, 512)).unwrap();
+    let mut vm_dram = SimdVm::new(DramSubstrate::new(engine())).unwrap();
+    let mut bender = BenderBackend::new(engine()).unwrap();
+    let lanes = vm_dram.lanes();
+    assert_eq!(lanes, bender.lanes(), "device backends share a lane count");
+    let mut host = SimdVm::new(HostSubstrate::new(lanes, 512)).unwrap();
+    let ops = mix_operands(&progs, lanes);
+
     let host_preps = prepare_mix(&mut host, &progs);
     c.bench_function("exec_host/mix", |b| {
-        b.iter(|| black_box(run_mix(&mut host, &host_preps)));
+        b.iter(|| black_box(run_mix(&mut host, &host_preps, &ops)));
     });
 
-    let mut vm_dram = SimdVm::new(DramSubstrate::new(engine())).unwrap();
     let vm_preps = prepare_mix(&mut vm_dram, &progs);
     c.bench_function("exec_vm_dram/mix", |b| {
-        b.iter(|| black_box(run_mix(&mut vm_dram, &vm_preps)));
+        b.iter(|| black_box(run_mix(&mut vm_dram, &vm_preps, &ops)));
     });
 
-    let mut bender = BenderBackend::new(engine()).unwrap();
     let bender_preps = prepare_mix(&mut bender, &progs);
     c.bench_function("exec_bender/mix", |b| {
-        b.iter(|| black_box(run_mix(&mut bender, &bender_preps)));
+        b.iter(|| black_box(run_mix(&mut bender, &bender_preps, &ops)));
     });
 
-    write_summary(&progs);
+    write_summary(&progs, &ops);
 }
 
 /// Writes the wall-clock measurements plus the deterministic
 /// backend-parity entries to `BENCH_exec.json`.
-fn write_summary(progs: &[(SynthProgram, usize)]) {
+fn write_summary(progs: &[(SynthProgram, usize)], ops: &[Vec<PackedBits>]) {
     let results = criterion::results();
     let mut entries: Vec<serde_json::Value> = results
         .iter()
@@ -177,12 +196,12 @@ fn write_summary(progs: &[(SynthProgram, usize)]) {
     let mut vm = SimdVm::new(DramSubstrate::new(engine())).unwrap();
     let vm_preps = prepare_mix(&mut vm, progs);
     vm.clear_trace();
-    let _ = run_mix(&mut vm, &vm_preps);
+    let _ = run_mix(&mut vm, &vm_preps, ops);
     let vm_ops = vm.trace().in_dram_ops();
 
     let mut cmd = BenderBackend::new(engine()).unwrap();
     let cmd_preps = prepare_mix(&mut cmd, progs);
-    let _ = run_mix(&mut cmd, &cmd_preps);
+    let _ = run_mix(&mut cmd, &cmd_preps, ops);
     let cmd_ops = cmd.native_ops();
     println!("exec_native_ops: vm {vm_ops}, bender {cmd_ops}");
     assert_eq!(

@@ -932,8 +932,8 @@ fn run_daemon_cli(args: Vec<String>) -> ExitCode {
 
     let chips = common.chips;
     let lanes = lanes.unwrap_or(64);
-    if chips == 0 || lanes == 0 {
-        eprintln!("--chips and --lanes must be at least 1\n{USAGE}");
+    if chips == 0 || lanes == 0 || max_batch == Some(0) {
+        eprintln!("--chips, --lanes and --max-batch must be at least 1\n{USAGE}");
         return ExitCode::FAILURE;
     }
     let Some(cost) = load_cost_model(costs_path.as_deref()) else {

@@ -34,3 +34,22 @@ fn removed_fusion_switch_is_an_unknown_option() {
         );
     }
 }
+
+/// A zero-sized resource is a usage error, not an empty session: the
+/// daemon must refuse a batch budget of zero just as `serve` and
+/// `daemon` refuse zero lanes.
+#[test]
+fn zero_sizes_are_usage_errors() {
+    for args in [
+        vec!["serve", "--lanes", "0"],
+        vec!["daemon", "--lanes", "0"],
+        vec!["daemon", "--max-batch", "0"],
+    ] {
+        let (ok, stderr) = run(&args);
+        assert!(!ok, "{args:?} exited 0");
+        assert!(
+            stderr.contains("must be at least 1") && stderr.contains("usage"),
+            "{args:?}: no usage diagnostic in {stderr:?}"
+        );
+    }
+}

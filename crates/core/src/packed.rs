@@ -161,6 +161,23 @@ impl PackedBits {
         same
     }
 
+    /// Sets every lane to `value` in place (no reallocation).
+    pub fn fill(&mut self, value: bool) {
+        self.words.fill(if value { u64::MAX } else { 0 });
+        self.mask_tail();
+    }
+
+    /// Overwrites `self` with `other`'s lanes in place (no
+    /// reallocation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn copy_from(&mut self, other: &PackedBits) {
+        assert_eq!(self.len, other.len, "length mismatch");
+        self.words.copy_from_slice(&other.words);
+    }
+
     /// Lane-wise AND with `other`.
     pub fn and_assign(&mut self, other: &PackedBits) {
         assert_eq!(self.len, other.len, "length mismatch");
@@ -283,5 +300,18 @@ mod tests {
         assert!(!p.get(64));
         let z = PackedBits::splat(false, 65);
         assert_eq!(z.count_ones(), 0);
+    }
+
+    #[test]
+    fn fill_and_copy_from_keep_the_tail_clear() {
+        let mut p = PackedBits::zeros(65);
+        p.fill(true);
+        assert_eq!(p, PackedBits::ones(65));
+        assert_eq!(p.words()[1], 1, "tail bits stay zero");
+        let src = PackedBits::from_bools(&(0..65).map(|i| i % 2 == 0).collect::<Vec<_>>());
+        p.copy_from(&src);
+        assert_eq!(p, src);
+        p.fill(false);
+        assert_eq!(p, PackedBits::zeros(65));
     }
 }

@@ -15,7 +15,7 @@ use crate::prepared::{OutputAction, PreparedProgram};
 use dram_core::LogicOp;
 use fcdram::PackedBits;
 use fcsynth::Step;
-use simdram::{BitRow, RowLease, SimdVm, Substrate};
+use simdram::{BitRow, RowLease, SimdVm, Substrate, MAX_FAN_IN};
 
 impl<S: Substrate> ExecBackend for SimdVm<S> {
     type Row = BitRow;
@@ -142,10 +142,11 @@ impl<S: Substrate> ExecBackend for SimdVm<S> {
         check_operands(prog, operands.len())?;
         let inputs: Vec<BitRow> = lease.rows().to_vec();
         let mut regs: Vec<Option<BitRow>> = vec![None; prog.n_regs];
+        // Operand values stay borrowed from `operands`; `vals` holds the
+        // step results only.
         let mut vals: Vec<Option<PackedBits>> = vec![None; prog.n_regs];
         for (r, row) in inputs.iter().enumerate() {
             regs[r] = Some(*row);
-            vals[r] = Some(operands[r].clone());
         }
         let result = run_prepared_vm(
             self,
@@ -177,6 +178,10 @@ impl<S: Substrate> ExecBackend for SimdVm<S> {
 /// are allocated and freed in *exactly* the unprepared engine's order —
 /// the pool permutes rows on reuse and the device model's stochastic
 /// draws key on row indices, so any reordering would change results.
+///
+/// Step inputs are borrowed (register `r < operands.len()` is operand
+/// `r`, every later register a step result in `vals`), so each step
+/// allocates only the result bits its substrate call returns.
 #[allow(clippy::too_many_arguments)]
 fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
     vm: &mut SimdVm<S>,
@@ -188,6 +193,10 @@ fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
     on_step: &mut F,
 ) -> Result<PackedBits> {
     let prog = prep.program();
+    // Per-step argument buffers: rows reuse one vector, values fill a
+    // stack array (`unused` is an empty placeholder, never read).
+    let mut arows: Vec<BitRow> = Vec::with_capacity(MAX_FAN_IN);
+    let unused = PackedBits::zeros(0);
     // Fused visit bounds: begin before the first step of each visit,
     // end (flushing the deferred result write) after the last. Copy
     // steps and the output stage always run outside a visit.
@@ -198,36 +207,37 @@ fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
                 vm.substrate_mut().begin_visit();
             }
         }
-        let arows: Vec<BitRow> = step
-            .args
-            .iter()
-            .map(|r| regs[*r].expect("mapper emits defs before uses"))
-            .collect();
+        arows.clear();
+        arows.extend(
+            step.args
+                .iter()
+                .map(|r| regs[*r].expect("mapper emits defs before uses")),
+        );
         let out = vm.alloc_row()?;
         // Mirrors the unprepared dispatch exactly: NOT and one-input
         // inverted gates take the NOT kernel, one-input monotone gates
-        // copy, everything else (≤ fan-in by the `fits` guard) is one
-        // native gate.
+        // copy, everything else (≤ fan-in ≤ MAX_FAN_IN by the `fits`
+        // guard) is one native gate.
         let bits = match step.op {
             None => {
-                let v = vals[step.args[0]].clone().expect("value tracked");
-                vm.substrate_mut().not_known(arows[0], &v, out)?
+                let v = value(operands, vals, step.args[0]);
+                vm.substrate_mut().not_known(arows[0], v, out)?
             }
             Some(op) if arows.len() == 1 && !op.is_inverted_terminal() => {
-                let v = vals[step.args[0]].clone().expect("value tracked");
-                vm.substrate_mut().copy_known(arows[0], &v, out)?
+                let v = value(operands, vals, step.args[0]);
+                vm.substrate_mut().copy_known(arows[0], v, out)?
             }
             Some(_) if arows.len() == 1 => {
-                let v = vals[step.args[0]].clone().expect("value tracked");
-                vm.substrate_mut().not_known(arows[0], &v, out)?
+                let v = value(operands, vals, step.args[0]);
+                vm.substrate_mut().not_known(arows[0], v, out)?
             }
             Some(op) => {
-                let avals: Vec<&PackedBits> = step
-                    .args
-                    .iter()
-                    .map(|r| vals[*r].as_ref().expect("value tracked"))
-                    .collect();
-                vm.substrate_mut().logic_known(op, &arows, &avals, out)?
+                let mut avals = [&unused; MAX_FAN_IN];
+                for (slot, r) in avals.iter_mut().zip(&step.args) {
+                    *slot = value(operands, vals, *r);
+                }
+                let avals = &avals[..step.args.len()];
+                vm.substrate_mut().logic_known(op, &arows, avals, out)?
             }
         };
         regs[step.out] = Some(out);
@@ -268,6 +278,18 @@ fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
     };
     SimdVm::release(vm, out_row);
     Ok(out_val)
+}
+
+/// The current value of register `r`: an operand or a step result.
+fn value<'a>(
+    operands: &'a [PackedBits],
+    vals: &'a [Option<PackedBits>],
+    r: usize,
+) -> &'a PackedBits {
+    match operands.get(r) {
+        Some(v) => v,
+        None => vals[r].as_ref().expect("value tracked"),
+    }
 }
 
 #[cfg(test)]

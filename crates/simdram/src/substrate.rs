@@ -6,9 +6,10 @@
 //! * [`DramSubstrate`] — rows are DRAM rows of an
 //!   [`fcdram::BulkEngine`]; gates are the paper's in-DRAM NOT and
 //!   N-input AND/OR/NAND/NOR, with their measured unreliability.
-//! * [`HostSubstrate`] — rows are host bit vectors and gates are exact.
-//!   It is the golden model for circuit-synthesis tests and the CPU
-//!   baseline for cost comparisons.
+//! * [`HostSubstrate`] — rows are packed `u64` words (64 lanes per
+//!   word) and gates are exact word loops. It is the golden model for
+//!   circuit-synthesis tests and the word-wide CPU baseline for cost
+//!   comparisons.
 //!
 //! The trait deliberately mirrors what COTS DRAM offers (§5–§6 of the
 //! paper): wide rows, one-output gates with up to 16 inputs, copies,
@@ -48,7 +49,8 @@ pub trait Substrate {
     /// Number of SIMD lanes (bits per row).
     fn lanes(&self) -> usize;
 
-    /// Largest native fan-in `logic` accepts on this backend.
+    /// Largest native fan-in `logic` accepts on this backend (at most
+    /// [`MAX_FAN_IN`]).
     fn max_fan_in(&self) -> usize;
 
     /// Applies a [`dram_core::SimConfig`] (fidelity + temperature) to
@@ -83,25 +85,19 @@ pub trait Substrate {
     /// Fails when the handle is invalid.
     fn read(&mut self, r: BitRow) -> Result<Vec<bool>>;
 
-    /// Writes a bit-packed row (64 lanes per `u64` word). Backends
-    /// with a native packed path (DRAM) override this to avoid the
-    /// per-bit `Vec<bool>` round-trip.
+    /// Writes a bit-packed row (64 lanes per `u64` word).
     ///
     /// # Errors
     ///
     /// Fails when `bits.len() != lanes()` or the handle is invalid.
-    fn write_packed(&mut self, r: BitRow, bits: &PackedBits) -> Result<()> {
-        self.write(r, &bits.to_bools())
-    }
+    fn write_packed(&mut self, r: BitRow, bits: &PackedBits) -> Result<()>;
 
     /// Reads a row back bit-packed.
     ///
     /// # Errors
     ///
     /// Fails when the handle is invalid.
-    fn read_packed(&mut self, r: BitRow) -> Result<PackedBits> {
-        Ok(PackedBits::from_bools(&self.read(r)?))
-    }
+    fn read_packed(&mut self, r: BitRow) -> Result<PackedBits>;
 
     /// Fills a row with a constant.
     ///
@@ -249,7 +245,16 @@ fn derived_maj3<S: Substrate + ?Sized>(
 // Host golden model
 // ---------------------------------------------------------------------------
 
-/// Exact host-side substrate: the golden model and CPU baseline.
+/// Exact host-side substrate: the golden model and word-wide CPU
+/// baseline.
+///
+/// Each row is a [`PackedBits`] of `u64` words (64 lanes per word,
+/// unused tail bits of the last word always zero), so gates run as
+/// word loops and host I/O is a word copy. A freed slot keeps its
+/// words: `alloc` reuses it without allocating, and [`live_rows`]
+/// is the slot count minus the free-list length instead of a scan.
+///
+/// [`live_rows`]: HostSubstrate::live_rows
 ///
 /// # Examples
 ///
@@ -270,9 +275,16 @@ fn derived_maj3<S: Substrate + ?Sized>(
 #[derive(Debug, Clone)]
 pub struct HostSubstrate {
     lanes: usize,
-    rows: Vec<Option<Vec<bool>>>,
+    /// One packed row per slot, live or freed.
+    rows: Vec<PackedBits>,
+    /// Whether each slot is allocated (a freed handle fails `check`).
+    live: Vec<bool>,
+    /// Freed slots, reused LIFO; every other slot is live.
     free: Vec<usize>,
     capacity: usize,
+    /// Gate results are built here and swapped into the output row, so
+    /// an output may alias an input and no gate allocates.
+    scratch: PackedBits,
     trace: OpTrace,
 }
 
@@ -283,17 +295,28 @@ impl HostSubstrate {
         HostSubstrate {
             lanes,
             rows: Vec::new(),
+            live: Vec::new(),
             free: Vec::new(),
             capacity,
+            scratch: PackedBits::zeros(lanes),
             trace: OpTrace::new(),
         }
     }
 
-    fn slot(&self, r: BitRow) -> Result<&Vec<bool>> {
-        self.rows
-            .get(r.0)
-            .and_then(|s| s.as_ref())
-            .ok_or(SimdramError::BadHandle { id: r.0 })
+    fn check(&self, r: BitRow) -> Result<()> {
+        if self.live.get(r.0) == Some(&true) {
+            Ok(())
+        } else {
+            Err(SimdramError::BadHandle { id: r.0 })
+        }
+    }
+
+    /// Moves the scratch result into `out` and records `op`.
+    fn commit(&mut self, out: BitRow, op: NativeOp) -> Result<()> {
+        self.check(out)?;
+        std::mem::swap(&mut self.rows[out.0], &mut self.scratch);
+        self.record(op);
+        Ok(())
     }
 
     fn record(&mut self, op: NativeOp) {
@@ -306,7 +329,7 @@ impl HostSubstrate {
 
     /// Number of currently live rows (for leak tests).
     pub fn live_rows(&self) -> usize {
-        self.rows.iter().filter(|s| s.is_some()).count()
+        self.rows.len() - self.free.len()
     }
 }
 
@@ -320,108 +343,103 @@ impl Substrate for HostSubstrate {
     }
 
     fn alloc(&mut self) -> Result<BitRow> {
-        if let Some(id) = self.free.pop() {
-            self.rows[id] = Some(vec![false; self.lanes]);
-            return Ok(BitRow(id));
-        }
-        if self.live_rows() >= self.capacity {
-            return Err(SimdramError::Substrate(fcdram::FcdramError::OutOfRows));
-        }
-        self.rows.push(Some(vec![false; self.lanes]));
-        Ok(BitRow(self.rows.len() - 1))
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.rows[id].fill(false);
+                self.live[id] = true;
+                id
+            }
+            None if self.rows.len() >= self.capacity => {
+                return Err(SimdramError::Substrate(fcdram::FcdramError::OutOfRows));
+            }
+            None => {
+                self.rows.push(PackedBits::zeros(self.lanes));
+                self.live.push(true);
+                self.rows.len() - 1
+            }
+        };
+        Ok(BitRow(id))
     }
 
     fn free(&mut self, r: BitRow) {
-        if let Some(slot) = self.rows.get_mut(r.0) {
-            if slot.take().is_some() {
+        if let Some(live) = self.live.get_mut(r.0) {
+            if std::mem::replace(live, false) {
                 self.free.push(r.0);
             }
         }
     }
 
     fn write(&mut self, r: BitRow, bits: &[bool]) -> Result<()> {
+        self.write_packed(r, &PackedBits::from_bools(bits))
+    }
+
+    fn read(&mut self, r: BitRow) -> Result<Vec<bool>> {
+        Ok(self.read_packed(r)?.to_bools())
+    }
+
+    fn write_packed(&mut self, r: BitRow, bits: &PackedBits) -> Result<()> {
         if bits.len() != self.lanes {
             return Err(SimdramError::LaneMismatch {
                 expected: self.lanes,
                 got: bits.len(),
             });
         }
-        self.slot(r)?;
-        self.rows[r.0] = Some(bits.to_vec());
+        self.check(r)?;
+        self.rows[r.0].copy_from(bits);
         self.record(NativeOp::HostWrite);
         Ok(())
     }
 
-    fn read(&mut self, r: BitRow) -> Result<Vec<bool>> {
-        let data = self.slot(r)?.clone();
+    fn read_packed(&mut self, r: BitRow) -> Result<PackedBits> {
+        self.check(r)?;
+        let bits = self.rows[r.0].clone();
         self.record(NativeOp::HostRead);
-        Ok(data)
+        Ok(bits)
     }
 
     fn fill(&mut self, r: BitRow, value: bool) -> Result<()> {
-        self.slot(r)?;
-        self.rows[r.0] = Some(vec![value; self.lanes]);
+        self.check(r)?;
+        self.rows[r.0].fill(value);
         self.record(NativeOp::Fill);
         Ok(())
     }
 
     fn copy(&mut self, src: BitRow, dst: BitRow) -> Result<()> {
-        let data = self.slot(src)?.clone();
-        self.slot(dst)?;
-        self.rows[dst.0] = Some(data);
-        self.trace.record(TraceEntry {
-            op: NativeOp::Copy,
-            executions: 1,
-            predicted_success: 1.0,
-        });
-        Ok(())
+        self.check(src)?;
+        self.scratch.copy_from(&self.rows[src.0]);
+        self.commit(dst, NativeOp::Copy)
     }
 
     fn not(&mut self, a: BitRow, out: BitRow) -> Result<()> {
-        let data: Vec<bool> = self.slot(a)?.iter().map(|b| !b).collect();
-        self.slot(out)?;
-        self.rows[out.0] = Some(data);
-        self.trace.record(TraceEntry {
-            op: NativeOp::Not,
-            executions: 1,
-            predicted_success: 1.0,
-        });
-        Ok(())
+        self.check(a)?;
+        self.scratch.copy_from(&self.rows[a.0]);
+        self.scratch.not_in_place();
+        self.commit(out, NativeOp::Not)
     }
 
     fn logic(&mut self, op: LogicOp, ins: &[BitRow], out: BitRow) -> Result<()> {
-        if ins.len() < 2 || ins.len() > self.max_fan_in() {
+        if ins.len() < 2 || ins.len() > MAX_FAN_IN {
             return Err(SimdramError::Substrate(
                 fcdram::FcdramError::BadInputCount {
                     n: ins.len(),
-                    max: self.max_fan_in(),
+                    max: MAX_FAN_IN,
                 },
             ));
         }
-        let mut acc = vec![op.is_and_family(); self.lanes];
-        for r in ins {
-            let row = self.slot(*r)?;
-            for (a, b) in acc.iter_mut().zip(row) {
-                if op.is_and_family() {
-                    *a &= *b;
-                } else {
-                    *a |= *b;
-                }
+        self.check(ins[0])?;
+        self.scratch.copy_from(&self.rows[ins[0].0]);
+        for r in &ins[1..] {
+            self.check(*r)?;
+            if op.is_and_family() {
+                self.scratch.and_assign(&self.rows[r.0]);
+            } else {
+                self.scratch.or_assign(&self.rows[r.0]);
             }
         }
         if op.is_inverted_terminal() {
-            for a in &mut acc {
-                *a = !*a;
-            }
+            self.scratch.not_in_place();
         }
-        self.slot(out)?;
-        self.rows[out.0] = Some(acc);
-        self.trace.record(TraceEntry {
-            op: NativeOp::Logic(op, ins.len() as u8),
-            executions: 1,
-            predicted_success: 1.0,
-        });
-        Ok(())
+        self.commit(out, NativeOp::Logic(op, ins.len() as u8))
     }
 
     fn trace(&self) -> &OpTrace {
@@ -793,6 +811,25 @@ mod tests {
         assert!(s.logic(LogicOp::And, &[a], out).is_err());
         let many: Vec<BitRow> = (0..17).map(|_| s.alloc().unwrap()).collect();
         assert!(s.logic(LogicOp::And, &many, out).is_err());
+    }
+
+    #[test]
+    fn host_write_packed_rejects_wrong_length() {
+        let mut s = host();
+        let a = s.alloc().unwrap();
+        for len in [0, 7, 9, 64] {
+            let err = s.write_packed(a, &PackedBits::ones(len)).unwrap_err();
+            assert!(
+                matches!(err, SimdramError::LaneMismatch { expected: 8, got } if got == len),
+                "{err}"
+            );
+        }
+        assert_eq!(
+            s.read_packed(a).unwrap(),
+            PackedBits::zeros(8),
+            "row untouched"
+        );
+        assert_eq!(s.trace().len(), 1, "only the read is traced");
     }
 
     #[test]

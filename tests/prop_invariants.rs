@@ -277,3 +277,287 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// HostSubstrate against a per-`bool` reference model
+// ---------------------------------------------------------------------------
+
+use dram_core::math::mix2;
+use dram_core::LogicOp;
+use fcdram::{FcdramError, PackedBits};
+use simdram::{BitRow, HostSubstrate, NativeOp, OpTrace, SimdramError, Substrate, TraceEntry};
+
+/// The host golden model's contract, one `bool` per lane: LIFO slot
+/// reuse, zeroed rows on allocation, a cap on live rows, a no-op double
+/// free, the same error for the same mistake, and one trace entry per
+/// successful call (the value-path calls add their read-back).
+struct BoolHost {
+    lanes: usize,
+    rows: Vec<Option<Vec<bool>>>,
+    free: Vec<usize>,
+    capacity: usize,
+    trace: OpTrace,
+}
+
+type ModelResult<T> = Result<T, SimdramError>;
+
+impl BoolHost {
+    fn new(lanes: usize, capacity: usize) -> Self {
+        BoolHost {
+            lanes,
+            rows: Vec::new(),
+            free: Vec::new(),
+            capacity,
+            trace: OpTrace::new(),
+        }
+    }
+
+    fn record(&mut self, op: NativeOp) {
+        self.trace.record(TraceEntry {
+            op,
+            executions: 1,
+            predicted_success: 1.0,
+        });
+    }
+
+    fn row(&self, id: usize) -> ModelResult<Vec<bool>> {
+        self.rows
+            .get(id)
+            .and_then(|r| r.clone())
+            .ok_or(SimdramError::BadHandle { id })
+    }
+
+    fn store(&mut self, id: usize, bits: Vec<bool>, op: NativeOp) -> ModelResult<()> {
+        self.row(id)?;
+        self.rows[id] = Some(bits);
+        self.record(op);
+        Ok(())
+    }
+
+    fn live(&self) -> usize {
+        self.rows.iter().filter(|r| r.is_some()).count()
+    }
+
+    fn alloc(&mut self) -> ModelResult<usize> {
+        if let Some(id) = self.free.pop() {
+            self.rows[id] = Some(vec![false; self.lanes]);
+            return Ok(id);
+        }
+        if self.live() >= self.capacity {
+            return Err(SimdramError::Substrate(FcdramError::OutOfRows));
+        }
+        self.rows.push(Some(vec![false; self.lanes]));
+        Ok(self.rows.len() - 1)
+    }
+
+    fn free(&mut self, id: usize) {
+        if let Some(slot) = self.rows.get_mut(id) {
+            if slot.take().is_some() {
+                self.free.push(id);
+            }
+        }
+    }
+
+    fn write(&mut self, id: usize, bits: &[bool]) -> ModelResult<()> {
+        if bits.len() != self.lanes {
+            return Err(SimdramError::LaneMismatch {
+                expected: self.lanes,
+                got: bits.len(),
+            });
+        }
+        self.store(id, bits.to_vec(), NativeOp::HostWrite)
+    }
+
+    fn read(&mut self, id: usize) -> ModelResult<Vec<bool>> {
+        let bits = self.row(id)?;
+        self.record(NativeOp::HostRead);
+        Ok(bits)
+    }
+
+    fn read_packed(&mut self, id: usize) -> ModelResult<PackedBits> {
+        Ok(PackedBits::from_bools(&self.read(id)?))
+    }
+
+    fn fill(&mut self, id: usize, value: bool) -> ModelResult<()> {
+        self.store(id, vec![value; self.lanes], NativeOp::Fill)
+    }
+
+    fn copy(&mut self, src: usize, dst: usize) -> ModelResult<()> {
+        let bits = self.row(src)?;
+        self.store(dst, bits, NativeOp::Copy)
+    }
+
+    fn not(&mut self, a: usize, out: usize) -> ModelResult<()> {
+        let bits = self.row(a)?.iter().map(|b| !b).collect();
+        self.store(out, bits, NativeOp::Not)
+    }
+
+    fn logic(&mut self, op: LogicOp, ins: &[usize], out: usize) -> ModelResult<()> {
+        if ins.len() < 2 || ins.len() > simdram::MAX_FAN_IN {
+            return Err(SimdramError::Substrate(FcdramError::BadInputCount {
+                n: ins.len(),
+                max: simdram::MAX_FAN_IN,
+            }));
+        }
+        let mut acc = vec![op.is_and_family(); self.lanes];
+        for id in ins {
+            for (a, b) in acc.iter_mut().zip(self.row(*id)?) {
+                *a = if op.is_and_family() { *a && b } else { *a || b };
+            }
+        }
+        if op.is_inverted_terminal() {
+            acc.iter_mut().for_each(|a| *a = !*a);
+        }
+        self.store(out, acc, NativeOp::Logic(op, ins.len() as u8))
+    }
+}
+
+fn lane_bits(seed: u64, len: usize) -> Vec<bool> {
+    (0..len).map(|i| mix2(seed, i as u64) & 1 == 1).collect()
+}
+
+/// Whether the unused high bits of the last word are clear.
+fn tail_clear(p: &PackedBits) -> bool {
+    match (p.len() % 64, p.words().last()) {
+        (0, _) | (_, None) => true,
+        (r, Some(w)) => w >> r == 0,
+    }
+}
+
+const HOST_LANES: [usize; 6] = [1, 63, 64, 65, 130, 4096];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The packed host substrate behaves exactly like the per-`bool`
+    /// model on random call sequences: stored and returned bits,
+    /// `live_rows()`, trace entries and error variants all match, and
+    /// no returned row ever carries a set tail bit.
+    #[test]
+    fn host_substrate_matches_bool_model(
+        lanes_idx in 0usize..6,
+        capacity in 2usize..24,
+        calls in prop::collection::vec((0u8..14, any::<u64>()), 1..120),
+    ) {
+        let lanes = HOST_LANES[lanes_idx];
+        let mut s = HostSubstrate::new(lanes, capacity);
+        let mut m = BoolHost::new(lanes, capacity);
+        // Every handle ever returned, live or freed.
+        let mut handles: Vec<BitRow> = Vec::new();
+        let ops = [LogicOp::And, LogicOp::Or, LogicOp::Nand, LogicOp::Nor];
+        for (kind, seed) in calls {
+            let pick = |k: u64| handles[(mix2(seed, k) % handles.len() as u64) as usize];
+            // A write is the wrong length one time in five.
+            let write_len = match seed % 5 {
+                0 if seed % 2 == 0 => lanes + 1,
+                0 => lanes - 1,
+                _ => lanes,
+            };
+            let kind = if handles.is_empty() { 0 } else { kind };
+            match kind {
+                0 => {
+                    let got = s.alloc();
+                    prop_assert_eq!(got.clone().map(BitRow::id), m.alloc());
+                    if let Ok(r) = got {
+                        if !handles.contains(&r) {
+                            handles.push(r);
+                        }
+                    }
+                }
+                1 => {
+                    let r = pick(1);
+                    s.free(r);
+                    m.free(r.id());
+                }
+                2 => {
+                    let r = pick(1);
+                    for _ in 0..2 {
+                        s.free(r);
+                        m.free(r.id());
+                    }
+                }
+                3 => {
+                    let (r, bits) = (pick(1), lane_bits(seed, write_len));
+                    prop_assert_eq!(s.write(r, &bits), m.write(r.id(), &bits));
+                }
+                4 => {
+                    let (r, bits) = (pick(1), lane_bits(seed, write_len));
+                    let packed = PackedBits::from_bools(&bits);
+                    prop_assert_eq!(s.write_packed(r, &packed), m.write(r.id(), &bits));
+                }
+                5 => {
+                    let r = pick(1);
+                    prop_assert_eq!(s.read(r), m.read(r.id()));
+                }
+                6 => {
+                    let r = pick(1);
+                    prop_assert_eq!(s.read_packed(r), m.read_packed(r.id()));
+                }
+                7 => {
+                    let (r, v) = (pick(1), seed >> 32 & 1 == 1);
+                    prop_assert_eq!(s.fill(r, v), m.fill(r.id(), v));
+                }
+                8 => {
+                    let (a, b) = (pick(1), pick(2));
+                    prop_assert_eq!(s.copy(a, b), m.copy(a.id(), b.id()));
+                }
+                9 => {
+                    let (a, b) = (pick(1), pick(2));
+                    prop_assert_eq!(s.not(a, b), m.not(a.id(), b.id()));
+                }
+                10 | 12 => {
+                    let op = ops[(seed >> 8) as usize % 4];
+                    let n = 1 + (seed >> 16) as usize % 17;
+                    let ins: Vec<BitRow> = (0..n as u64).map(|k| pick(10 + k)).collect();
+                    let ids: Vec<usize> = ins.iter().map(|r| r.id()).collect();
+                    let out = pick(2);
+                    let want = m.logic(op, &ids, out.id());
+                    if kind == 10 {
+                        prop_assert_eq!(s.logic(op, &ins, out), want);
+                    } else {
+                        let want = want.and_then(|()| m.read_packed(out.id()));
+                        let vals: Vec<PackedBits> = ins.iter().map(|r| current(&m, *r)).collect();
+                        let refs: Vec<&PackedBits> = vals.iter().collect();
+                        let got = s.logic_known(op, &ins, &refs, out);
+                        prop_assert!(got.as_ref().map_or(true, tail_clear));
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                11 => {
+                    let (a, b) = (pick(1), pick(2));
+                    let val = current(&m, a);
+                    let want = m.not(a.id(), b.id()).and_then(|()| m.read_packed(b.id()));
+                    let got = s.not_known(a, &val, b);
+                    prop_assert!(got.as_ref().map_or(true, tail_clear));
+                    prop_assert_eq!(got, want);
+                }
+                _ => {
+                    let (a, b) = (pick(1), pick(2));
+                    let val = current(&m, a);
+                    let want = m.copy(a.id(), b.id()).and_then(|()| m.read_packed(b.id()));
+                    let got = s.copy_known(a, &val, b);
+                    prop_assert!(got.as_ref().map_or(true, tail_clear));
+                    prop_assert_eq!(got, want);
+                }
+            }
+            prop_assert_eq!(s.live_rows(), m.live());
+            prop_assert_eq!(s.trace(), &m.trace);
+        }
+        // Final state: every row reads back the model's bits, tail clear.
+        for r in &handles {
+            let got = s.read_packed(*r);
+            prop_assert!(got.as_ref().map_or(true, tail_clear));
+            prop_assert_eq!(got, m.read_packed(r.id()));
+        }
+        prop_assert_eq!(s.trace(), &m.trace);
+    }
+}
+
+/// The model's current value of `r` (zeros for a freed row), as a
+/// value-path caller would track it.
+fn current(m: &BoolHost, r: BitRow) -> PackedBits {
+    m.row(r.id()).map_or_else(
+        |_| PackedBits::zeros(m.lanes),
+        |b| PackedBits::from_bools(&b),
+    )
+}

@@ -47,9 +47,10 @@
 //! cycle-accurate `exec_schedule_ns/mix` latency-model pin, the
 //! prepared-plan shape pins `exec_prepared_templates/mix`,
 //! `exec_arena_slots/mix`, and `exec_fused_visits/mix`, the fused
-//! two-phase overhead ratios
-//! `exec_vm_dram/mix ÷ exec_host/mix ≤ 2.5` and
-//! `exec_bender/mix ÷ exec_host/mix ≤ 2.0`, the
+//! device-over-host ratios
+//! `exec_vm_dram/mix ÷ exec_host/mix ≤ 48.0` and
+//! `exec_bender/mix ÷ exec_host/mix ≤ 44.9` (equal lane
+//! counts, the host being the word-wide golden model), the
 //! five deterministic `faults_*/demo` degradation-ledger counts from
 //! `ablation_faults` (exact): mitigations, dropouts, re-placed jobs,
 //! diversions, and disturbance activations of the demo fault plan,
@@ -227,15 +228,14 @@ fn main() -> ExitCode {
         ] {
             checks.push((Some("BENCH_exec.json".to_string()), id.to_string(), true));
         }
-        // Two-phase execution overhead: the simulated device backends
-        // may cost at most this much over the host golden model
-        // *measured in the same bench run*, so the gate holds on any
-        // machine speed. Before the prepared-program API the
-        // vm/bender mixes sat at ~6x the host path; prepared
-        // execution brought them to ~2.9x/~2.3x, and fused bulk
-        // execution (same-subarray visit batching with deferred
-        // result writes) pins the recovered headroom at 2.5x/2.0x.
-        for (num, limit) in [("exec_vm_dram/mix", 2.5), ("exec_bender/mix", 2.0)] {
+        // Device-model cost over the word-wide host golden model:
+        // the simulated device backends may cost at most this much
+        // over `exec_host/mix` *measured in the same bench run*, so
+        // the gate holds on any machine speed. All three backends run
+        // the mix at the same lane count with operands built outside
+        // the timed loop; each limit is the committed artifact's
+        // ratio plus the 20% headroom the timing gates use.
+        for (num, limit) in [("exec_vm_dram/mix", 48.0), ("exec_bender/mix", 44.9)] {
             ratios.push((
                 "BENCH_exec.json".to_string(),
                 num.to_string(),
