@@ -5,21 +5,22 @@
 # artifact upload).
 #
 #   ./ci.sh                 full gate: build, test, synth, clippy,
-#                           fmt, bench-check, determinism, docs
+#                           fmt, bench-check, determinism, docs,
+#                           perfbench
 #   ./ci.sh --quick         build + test only (other stages are
 #                           reported as skipped)
 #   ./ci.sh --stage NAME    run one stage (repeatable, and NAME may be
 #                           a comma-separated list); NAME is one of:
 #                           build test synth clippy fmt bench-check
-#                           determinism docs. Unknown names error out
-#                           listing the valid stages.
+#                           determinism docs perfbench. Unknown names
+#                           error out listing the valid stages.
 #
 # Exit status is 0 iff every executed stage passed. Offline-safe: all
 # dependencies are in-tree (crates/shims), no registry access needed.
 set -uo pipefail
 cd "$(dirname "$0")" || exit 1
 
-ALL_STAGES=(build test synth clippy fmt bench-check determinism docs)
+ALL_STAGES=(build test synth clippy fmt bench-check determinism docs perfbench)
 SELECTED=()
 QUICK=0
 while [[ $# -gt 0 ]]; do
@@ -256,6 +257,14 @@ docs_check() {
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 }
 
+# The repo benchmark's own tests (perfbench/ is a standalone package
+# outside the workspace, so `cargo test` at the root skips them):
+# per-seed determinism, the pinned exact counts of every workload, and
+# the BENCHMARK.json <-> code tables.
+perfbench_tests() {
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml
+}
+
 wants() {
   local s
   for s in "${SELECTED[@]}"; do
@@ -278,6 +287,7 @@ for stage in "${ALL_STAGES[@]}"; do
     bench-check) run_stage bench-check bench_check ;;
     determinism) run_stage determinism determinism ;;
     docs)        run_stage docs docs_check ;;
+    perfbench)   run_stage perfbench perfbench_tests ;;
   esac
 done
 

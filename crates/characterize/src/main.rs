@@ -130,7 +130,7 @@ graceful drain. Every ingested job is appended to a session log;
 report depends only on (session log, fleet, cost model), never on
 shard count, backend, or the wall clock (wall jobs/s stays on stderr;
 the report carries modeled throughput instead):
---ticks N       ingestion ticks before the drain (default 12)
+--ticks N       ingestion ticks before the drain, at least 1 (default 12)
 --chips N       fleet size (default 8)
 --seed S        session seed: traffic, operands, retry draws (default 0)
 --lanes N       SIMD lanes per job (default 64)
@@ -932,8 +932,8 @@ fn run_daemon_cli(args: Vec<String>) -> ExitCode {
 
     let chips = common.chips;
     let lanes = lanes.unwrap_or(64);
-    if chips == 0 || lanes == 0 || max_batch == Some(0) {
-        eprintln!("--chips, --lanes and --max-batch must be at least 1\n{USAGE}");
+    if chips == 0 || lanes == 0 || max_batch == Some(0) || ticks == Some(0) {
+        eprintln!("--chips, --lanes, --max-batch and --ticks must be at least 1\n{USAGE}");
         return ExitCode::FAILURE;
     }
     let Some(cost) = load_cost_model(costs_path.as_deref()) else {
@@ -1282,16 +1282,7 @@ fn run_synth_cli(args: Vec<String>) -> ExitCode {
         let op_key = 0x5E17 ^ common.seed;
         let operands_for = |lanes: usize| -> Vec<fcdram::PackedBits> {
             (0..n)
-                .map(|i| {
-                    let mut p = fcdram::PackedBits::zeros(lanes);
-                    for l in 0..lanes {
-                        p.set(
-                            l,
-                            dram_core::math::mix3(op_key, i as u64, l as u64) & 1 == 1,
-                        );
-                    }
-                    p
-                })
+                .map(|i| fcdram::PackedBits::seeded(op_key, i as u64, lanes))
                 .collect()
         };
         // A constant expression has no operands; the reference is the

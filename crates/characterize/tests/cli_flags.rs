@@ -44,6 +44,7 @@ fn zero_sizes_are_usage_errors() {
         vec!["serve", "--lanes", "0"],
         vec!["daemon", "--lanes", "0"],
         vec!["daemon", "--max-batch", "0"],
+        vec!["daemon", "--ticks", "0"],
     ] {
         let (ok, stderr) = run(&args);
         assert!(!ok, "{args:?} exited 0");

@@ -6,6 +6,7 @@
 //! counting, majority voting — into a handful of word operations per
 //! cache line instead of a branch per bit.
 
+use dram_core::math::{mix2, splitmix64};
 use dram_core::Bit;
 use serde::{Deserialize, Serialize};
 
@@ -78,6 +79,26 @@ impl PackedBits {
             }
         }
         p
+    }
+
+    /// The seeded operand `key` of `lanes` bits: lane `l` holds the low
+    /// bit of [`dram_core::math::mix3`]`(seed, key, l)`.
+    ///
+    /// Built a word at a time with `mix2(seed, key)` hoisted out of the
+    /// lane loop: `mix3(s, k, l)` is `splitmix64(mix2(s, k) ^
+    /// l.rotate_left(41))`, so the bits are the per-lane ones.
+    pub fn seeded(seed: u64, key: u64, lanes: usize) -> Self {
+        let head = mix2(seed, key);
+        let words = (0..lanes.div_ceil(64))
+            .map(|w| {
+                let base = w * 64;
+                (0..(lanes - base).min(64)).fold(0u64, |word, b| {
+                    let lane = (base + b) as u64;
+                    word | (splitmix64(head ^ lane.rotate_left(41)) & 1) << b
+                })
+            })
+            .collect();
+        PackedBits { words, len: lanes }
     }
 
     /// Unpacks to a `bool` vector.
@@ -237,6 +258,20 @@ impl PackedBits {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seeded_matches_per_lane_mix3() {
+        for lanes in [0usize, 1, 63, 64, 65, 130, 4096] {
+            for (seed, key) in [(0u64, 0u64), (7, 3), (u64::MAX, 0x5E17)] {
+                let p = PackedBits::seeded(seed, key, lanes);
+                let mut q = PackedBits::zeros(lanes);
+                for l in 0..lanes {
+                    q.set(l, dram_core::math::mix3(seed, key, l as u64) & 1 == 1);
+                }
+                assert_eq!(p, q, "lanes {lanes} seed {seed} key {key}");
+            }
+        }
+    }
 
     #[test]
     fn round_trips_and_tail_masking() {

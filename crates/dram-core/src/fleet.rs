@@ -203,35 +203,56 @@ pub struct SlotLease {
 }
 
 /// Per-subarray free-row ranges of one fleet member.
+///
+/// Only a prefix of the subarrays is materialized: first fit touches
+/// subarrays in index order, so every subarray past `free` is still
+/// wholly free — one `(0, usable)` range — and costs nothing to track.
 #[derive(Debug, Clone)]
 struct MemberSlots {
+    /// Subarrays in the member's modeled bank.
+    subarrays: usize,
     /// Rows a lease may occupy per subarray (geometry rows minus the
     /// reserved scratch at the top).
     usable: usize,
-    /// Sorted, coalesced `(start, len)` free ranges per subarray.
+    /// Sorted, coalesced `(start, len)` free ranges of the touched
+    /// subarrays `0..free.len()`.
     free: Vec<Vec<(usize, usize)>>,
 }
 
 impl MemberSlots {
     fn new(subarrays: usize, usable: usize) -> MemberSlots {
         MemberSlots {
+            subarrays,
             usable,
-            free: vec![vec![(0, usable)]; subarrays],
+            free: Vec::new(),
         }
+    }
+
+    /// Subarrays not yet touched since construction or the last reset.
+    fn untouched(&self) -> usize {
+        self.subarrays - self.free.len()
+    }
+
+    /// Materializes subarrays up to and including `subarray`.
+    fn touch(&mut self, subarray: usize) -> &mut Vec<(usize, usize)> {
+        assert!(subarray < self.subarrays, "subarray out of range");
+        while self.free.len() <= subarray {
+            self.free.push(vec![(0, self.usable)]);
+        }
+        &mut self.free[subarray]
+    }
+
+    /// Lengths of the touched subarrays' free ranges.
+    fn free_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        self.free.iter().flat_map(|r| r.iter().map(|(_, len)| *len))
     }
 
     fn reset(&mut self) {
-        for ranges in &mut self.free {
-            ranges.clear();
-            ranges.push((0, self.usable));
-        }
+        self.free.clear();
     }
 
     fn free_rows(&self) -> usize {
-        self.free
-            .iter()
-            .flat_map(|r| r.iter().map(|(_, len)| len))
-            .sum()
+        self.free_lens().sum::<usize>() + self.untouched() * self.usable
     }
 }
 
@@ -280,25 +301,30 @@ impl FleetSlots {
     pub fn lease_on(&mut self, member: usize, rows: usize) -> Option<SlotLease> {
         assert!(rows > 0, "lease needs at least one row");
         let m = &mut self.members[member];
-        for (subarray, ranges) in m.free.iter_mut().enumerate() {
-            if let Some(i) = ranges.iter().position(|(_, len)| *len >= rows) {
-                let (start, len) = ranges[i];
-                if len == rows {
-                    ranges.remove(i);
-                } else {
-                    ranges[i] = (start + rows, len - rows);
-                }
-                return Some(SlotLease {
-                    slot: FleetSlot {
-                        member,
-                        subarray,
-                        row_start: start,
-                        rows,
-                    },
-                });
-            }
+        let touched = m.free.len();
+        let fits = |ranges: &[(usize, usize)]| ranges.iter().position(|(_, len)| *len >= rows);
+        let found = m
+            .free
+            .iter()
+            .enumerate()
+            .find_map(|(subarray, ranges)| Some((subarray, fits(ranges)?)))
+            .or_else(|| (m.untouched() > 0 && m.usable >= rows).then_some((touched, 0)));
+        let (subarray, i) = found?;
+        let ranges = m.touch(subarray);
+        let (start, len) = ranges[i];
+        if len == rows {
+            ranges.remove(i);
+        } else {
+            ranges[i] = (start + rows, len - rows);
         }
-        None
+        Some(SlotLease {
+            slot: FleetSlot {
+                member,
+                subarray,
+                row_start: start,
+                rows,
+            },
+        })
     }
 
     /// Returns a lease's rows to the pool (ranges are re-coalesced, so
@@ -315,7 +341,7 @@ impl FleetSlots {
             row_start,
             rows,
         } = lease.slot;
-        let ranges = &mut self.members[member].free[subarray];
+        let ranges = self.members[member].touch(subarray);
         let at = ranges
             .iter()
             .position(|(start, _)| *start > row_start)
@@ -345,12 +371,9 @@ impl FleetSlots {
 
     /// Largest single lease `member` can currently satisfy.
     pub fn largest_lease(&self, member: usize) -> usize {
-        self.members[member]
-            .free
-            .iter()
-            .flat_map(|r| r.iter().map(|(_, len)| *len))
-            .max()
-            .unwrap_or(0)
+        let m = &self.members[member];
+        let idle = if m.untouched() > 0 { m.usable } else { 0 };
+        m.free_lens().max().unwrap_or(0).max(idle)
     }
 }
 

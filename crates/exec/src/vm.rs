@@ -307,13 +307,7 @@ mod tests {
 
     fn random_operands(n: usize, lanes: usize, seed: u64) -> Vec<PackedBits> {
         (0..n)
-            .map(|i| {
-                let mut p = PackedBits::zeros(lanes);
-                for l in 0..lanes {
-                    p.set(l, dram_core::math::mix3(seed, i as u64, l as u64) & 1 == 1);
-                }
-                p
-            })
+            .map(|i| PackedBits::seeded(seed, i as u64, lanes))
             .collect()
     }
 

@@ -120,17 +120,7 @@ pub(crate) mod testutil {
             let compiled = fcsynth::compile(text, &cost, 16).unwrap();
             let n = compiled.circuit.inputs().len();
             let ops: Vec<PackedBits> = (0..n)
-                .map(|k| {
-                    let mut p = PackedBits::zeros(lanes);
-                    for l in 0..lanes {
-                        p.set(
-                            l,
-                            dram_core::math::mix3(data_seed ^ i as u64, k as u64, l as u64) & 1
-                                == 1,
-                        );
-                    }
-                    p
-                })
+                .map(|k| PackedBits::seeded(data_seed ^ i as u64, k as u64, lanes))
                 .collect();
             b.push(*text, &compiled.mapping, ops, lanes).unwrap();
         }

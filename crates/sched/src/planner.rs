@@ -33,6 +33,7 @@ use dram_core::math::{hash_to_unit, mix2};
 use dram_core::Temperature;
 use fcsynth::{CostModel, ProgramCost, SynthProgram};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Scheduling policy knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -233,41 +234,80 @@ pub struct Assignment {
 pub struct Plan {
     /// Per-job assignments, in submission order.
     pub assignments: Vec<Assignment>,
-    /// Per-member chip profiles, in fleet order.
-    pub profiles: Vec<ChipProfile>,
+    /// Per-member chip profiles, in fleet order (shared with the
+    /// planner that made the plan: they depend on the fleet alone).
+    pub profiles: Arc<[ChipProfile]>,
     /// Total waves across the fleet (max per-member wave + 1).
     pub waves: usize,
     /// Fleet-health ledger of the session (fault plans only).
     pub health: Option<FleetHealth>,
 }
 
-/// Memoized admission results: one entry per distinct submitted
-/// program, one slot per fleet member.
-type AdmissionMemo = Vec<(
-    SynthProgram,
-    Vec<Option<(SynthProgram, Admission, ProgramCost)>>,
-)>;
+/// One admission decision: the chosen variant (an index into
+/// [`AdmissionEntry::narrowed`], `None` for the submitted program),
+/// the outcome and the predicted cost.
+type Decision = (Option<usize>, Admission, ProgramCost);
+
+/// The memoized admission decisions of one distinct submitted program.
+#[derive(Debug, Clone)]
+struct AdmissionEntry {
+    submitted: SynthProgram,
+    /// The narrowed variants `(width, program)` in trial order, those
+    /// equal to the submitted program left out. They do not depend on
+    /// the chip, so they are built once, when a decision first needs
+    /// them.
+    narrowed: Option<Vec<(usize, SynthProgram)>>,
+    /// One slot per fleet member.
+    decisions: Vec<Option<Decision>>,
+}
+
+/// Memoized admission decisions, one entry per distinct submitted
+/// program.
+type AdmissionMemo = Vec<AdmissionEntry>;
 
 /// The planner.
+///
+/// Everything that depends on the fleet, the base model and the policy
+/// alone is derived once, in [`Planner::new`], and reused by every
+/// [`Planner::plan`] call: the chip profiles, the idle slot pool and
+/// the admission memo. Admission is a pure function of (program,
+/// profile, policy), so a memo hit is exactly the decision a fresh
+/// planner would make; a serving session keeps one planner for its
+/// whole life, and the memo grows with its distinct programs.
 #[derive(Debug, Clone)]
 pub struct Planner<'a> {
     fleet: &'a FleetConfig,
-    base: &'a CostModel,
-    policy: &'a SchedPolicy,
+    policy: SchedPolicy,
+    profiles: Arc<[ChipProfile]>,
+    /// The idle slot pool every plan starts from.
+    slots: FleetSlots,
+    /// Each member's largest-ever lease (an idle subarray's usable
+    /// rows): the fit ceiling candidate selection screens against.
+    capacity: Vec<usize>,
+    memo: AdmissionMemo,
 }
 
 impl<'a> Planner<'a> {
     /// A planner over `fleet` pricing against `base` (population-level
     /// cost model; each chip derates its own copy).
-    pub fn new(
-        fleet: &'a FleetConfig,
-        base: &'a CostModel,
-        policy: &'a SchedPolicy,
-    ) -> Planner<'a> {
+    pub fn new(fleet: &'a FleetConfig, base: &CostModel, policy: &SchedPolicy) -> Planner<'a> {
+        let profiles: Arc<[ChipProfile]> = fleet
+            .specs()
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| ChipProfile::derive(i, spec, base))
+            .collect();
+        let slots = FleetSlots::new(fleet, policy.scratch_rows);
+        let capacity = (0..profiles.len())
+            .map(|m| slots.largest_lease(m))
+            .collect();
         Planner {
             fleet,
-            base,
-            policy,
+            policy: policy.clone(),
+            profiles,
+            slots,
+            capacity,
+            memo: Vec::new(),
         }
     }
 
@@ -278,18 +318,10 @@ impl<'a> Planner<'a> {
     /// Fails on an empty fleet, a job too large for *every* chip of
     /// the fleet, or — under a fault plan — a fleet whose every member
     /// has dropped out.
-    pub fn plan(&self, batch: &Batch) -> Result<Plan> {
+    pub fn plan(&mut self, batch: &Batch) -> Result<Plan> {
         if self.fleet.is_empty() {
             return Err(SchedError::EmptyFleet);
         }
-        let profiles: Vec<ChipProfile> = self
-            .fleet
-            .specs()
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| ChipProfile::derive(i, spec, self.base))
-            .collect();
-        let slots = FleetSlots::new(self.fleet, self.policy.scratch_rows);
         // Fault bookkeeping is seeded entirely from the plan and the
         // chip identities — nothing backend- or shard-dependent — so a
         // degradation scenario's health ledger is byte-identical on
@@ -322,19 +354,15 @@ impl<'a> Planner<'a> {
             }
         });
         let n = batch.len();
+        let members = self.profiles.len();
         let mut ctx = PlanCtx {
-            planner: self,
-            // Each member's largest-ever lease (an idle subarray's
-            // usable rows): the fit ceiling candidate selection
-            // screens against.
-            capacity: (0..profiles.len())
-                .map(|m| slots.largest_lease(m))
-                .collect(),
-            load: vec![0.0f64; profiles.len()],
-            wave: vec![0usize; profiles.len()],
-            profiles,
-            slots,
-            memo: Vec::new(),
+            policy: &self.policy,
+            profiles: &self.profiles,
+            capacity: &self.capacity,
+            memo: &mut self.memo,
+            slots: self.slots.clone(),
+            load: vec![0.0f64; members],
+            wave: vec![0usize; members],
             faults,
             assignments: (0..n).map(|_| None).collect(),
             intervals: vec![None; n],
@@ -379,78 +407,99 @@ impl<'a> Planner<'a> {
                 .into_iter()
                 .map(|a| a.expect("every job placed"))
                 .collect(),
-            profiles: ctx.profiles,
+            profiles: Arc::clone(&self.profiles),
             health,
         })
     }
+}
 
-    /// Looks up (or computes and caches) the admission result for one
-    /// (submitted program, member) pair.
-    fn admit_memoized(
-        &self,
-        memo: &mut AdmissionMemo,
-        job: &crate::queue::Job,
-        member: usize,
-        profile: &ChipProfile,
-    ) -> (SynthProgram, Admission, ProgramCost) {
-        let pi = match memo.iter().position(|(p, _)| *p == job.program) {
-            Some(i) => i,
-            None => {
-                memo.push((job.program.clone(), Vec::new()));
-                memo.len() - 1
-            }
-        };
-        if memo[pi].1.len() <= member {
-            memo[pi].1.resize(member + 1, None);
+/// Looks up (or computes and caches) the admission result for one
+/// (submitted program, member) pair.
+fn admit_memoized(
+    memo: &mut AdmissionMemo,
+    policy: &SchedPolicy,
+    job: &Job,
+    member: usize,
+    profile: &ChipProfile,
+) -> (SynthProgram, Admission, ProgramCost) {
+    let pi = match memo.iter().position(|e| e.submitted == job.program) {
+        Some(i) => i,
+        None => {
+            memo.push(AdmissionEntry {
+                submitted: job.program.clone(),
+                narrowed: None,
+                decisions: Vec::new(),
+            });
+            memo.len() - 1
         }
-        if let Some(hit) = &memo[pi].1[member] {
-            return hit.clone();
-        }
-        let result = self.admit(&job.program, profile);
-        memo[pi].1[member] = Some(result.clone());
-        result
+    };
+    let entry = &mut memo[pi];
+    if entry.decisions.len() <= member {
+        entry.decisions.resize(member + 1, None);
     }
+    let (variant, admission, cost) = match entry.decisions[member] {
+        Some(hit) => hit,
+        None => {
+            let decision = admit(policy, entry, profile);
+            entry.decisions[member] = Some(decision);
+            decision
+        }
+    };
+    let program = match variant {
+        Some(i) => {
+            let narrowed = entry.narrowed.as_ref();
+            let (_, program) = &narrowed.expect("a narrowed decision built the variants")[i];
+            program.clone()
+        }
+        None => entry.submitted.clone(),
+    };
+    (program, admission, cost)
+}
 
-    /// Admission control for one (program, chip) pair.
-    fn admit(
-        &self,
-        submitted: &SynthProgram,
-        profile: &ChipProfile,
-    ) -> (SynthProgram, Admission, ProgramCost) {
-        let as_is = submitted.price(&profile.cost);
-        if as_is.expected_success >= self.policy.min_success {
-            return (submitted.clone(), Admission::Admitted, as_is);
+/// Admission control for one (program, chip) pair.
+fn admit(policy: &SchedPolicy, entry: &mut AdmissionEntry, profile: &ChipProfile) -> Decision {
+    let AdmissionEntry {
+        submitted,
+        narrowed,
+        ..
+    } = entry;
+    let as_is = submitted.price(&profile.cost);
+    if as_is.expected_success >= policy.min_success {
+        return (None, Admission::Admitted, as_is);
+    }
+    if !policy.allow_remap {
+        return (None, Admission::Flagged, as_is);
+    }
+    // Try narrower native widths (a width with no gate wider than it
+    // rewrites nothing and is skipped); keep the best expected success
+    // (ties to the wider variant — fewer ops, lower latency).
+    let narrowed = narrowed.get_or_insert_with(|| {
+        [8usize, 4, 2]
+            .into_iter()
+            .map(|width| (width, submitted.narrowed(width)))
+            .filter(|(_, cand)| cand != submitted)
+            .collect()
+    });
+    let mut best: Option<(usize, ProgramCost)> = None;
+    for (i, (_, cand)) in narrowed.iter().enumerate() {
+        let c = cand.price(&profile.cost);
+        if best
+            .as_ref()
+            .is_none_or(|(_, b)| c.expected_success > b.expected_success + 1e-15)
+        {
+            best = Some((i, c));
         }
-        if !self.policy.allow_remap {
-            return (submitted.clone(), Admission::Flagged, as_is);
+    }
+    match best {
+        Some((i, c)) if c.expected_success > as_is.expected_success + 1e-15 => {
+            let admission = if c.expected_success >= policy.min_success {
+                Admission::Remapped(narrowed[i].0)
+            } else {
+                Admission::Flagged
+            };
+            (Some(i), admission, c)
         }
-        // Try narrower native widths; keep the best expected success
-        // (ties to the wider variant — fewer ops, lower latency).
-        let mut best: Option<(usize, SynthProgram, ProgramCost)> = None;
-        for width in [8usize, 4, 2] {
-            let cand = submitted.narrowed(width);
-            if &cand == submitted {
-                continue; // no gate wider than `width` to rewrite
-            }
-            let c = cand.price(&profile.cost);
-            if best
-                .as_ref()
-                .is_none_or(|(_, _, b)| c.expected_success > b.expected_success + 1e-15)
-            {
-                best = Some((width, cand, c));
-            }
-        }
-        match best {
-            Some((w, p, c)) if c.expected_success > as_is.expected_success + 1e-15 => {
-                let admission = if c.expected_success >= self.policy.min_success {
-                    Admission::Remapped(w)
-                } else {
-                    Admission::Flagged
-                };
-                (p, admission, c)
-            }
-            _ => (submitted.clone(), Admission::Flagged, as_is),
-        }
+        _ => (None, Admission::Flagged, as_is),
     }
 }
 
@@ -483,14 +532,14 @@ struct FaultCtx {
 /// The mutable state of one `plan()` call, factored out so dropout
 /// handling can recursively re-place in-flight jobs through the same
 /// candidate-selection path first placement uses.
-struct PlanCtx<'p, 'a> {
-    planner: &'p Planner<'a>,
-    profiles: Vec<ChipProfile>,
+struct PlanCtx<'p> {
+    policy: &'p SchedPolicy,
+    profiles: &'p [ChipProfile],
+    capacity: &'p [usize],
+    memo: &'p mut AdmissionMemo,
     slots: FleetSlots,
-    capacity: Vec<usize>,
     load: Vec<f64>,
     wave: Vec<usize>,
-    memo: AdmissionMemo,
     faults: Option<FaultCtx>,
     /// Final assignment per job index (re-placement swaps entries).
     assignments: Vec<Option<Assignment>>,
@@ -499,7 +548,7 @@ struct PlanCtx<'p, 'a> {
     intervals: Vec<Option<(usize, f64, f64)>>,
 }
 
-impl PlanCtx<'_, '_> {
+impl PlanCtx<'_> {
     /// Wear-derating exponent of `member` at its current served age:
     /// `1 + wear · min(age / failure time, 1)`, or `1.0` outside a
     /// fault scenario (and for members that never fail).
@@ -515,7 +564,7 @@ impl PlanCtx<'_, '_> {
     /// recursively re-placing other jobs off a chip it kills).
     fn place(&mut self, jobs: &[Job], idx: usize, replacements: u32, wasted_ns: f64) -> Result<()> {
         let job = &jobs[idx];
-        let policy = self.planner.policy;
+        let policy = self.policy;
         // Candidate members by predicted load (ties to the lowest
         // index); a member whose subarrays can never hold the job —
         // even idle — is skipped rather than aborting the batch, so a
@@ -539,12 +588,8 @@ impl PlanCtx<'_, '_> {
         let mut placed = None;
         'passes: for pass in 0..passes {
             'candidates: for &member in &order {
-                let admitted = self.planner.admit_memoized(
-                    &mut self.memo,
-                    job,
-                    member,
-                    &self.profiles[member],
-                );
+                let admitted =
+                    admit_memoized(self.memo, policy, job, member, &self.profiles[member]);
                 if pass + 1 < passes {
                     let wexp = self.wear_exp(member);
                     let s = admitted.2.expected_success;
@@ -735,7 +780,7 @@ mod tests {
             16,
             1,
         );
-        let planner = Planner::new(&fleet, &base, &policy);
+        let mut planner = Planner::new(&fleet, &base, &policy);
         let p1 = planner.plan(&batch).unwrap();
         let p2 = planner.plan(&batch).unwrap();
         assert_eq!(p1, p2, "planning is pure");
@@ -903,7 +948,7 @@ mod tests {
             faults: Some(scripted_faults(1, 400.0)),
             ..SchedPolicy::default()
         };
-        let planner = Planner::new(&fleet, &base, &policy);
+        let mut planner = Planner::new(&fleet, &base, &policy);
         let plan = planner.plan(&mix_batch(7)).unwrap();
         assert_eq!(
             plan,

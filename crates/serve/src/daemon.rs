@@ -93,6 +93,9 @@ pub struct Daemon<'a> {
     fleet: &'a FleetConfig,
     cost: &'a CostModel,
     cfg: DaemonConfig,
+    /// The session's planner: chip profiles and admission decisions
+    /// are derived once and reused by every micro-batch.
+    planner: Planner<'a>,
     tenants: Vec<TenantSpec>,
     compiled: Vec<Vec<Option<CompiledExpr>>>,
     queues: Vec<VecDeque<QueuedJob>>,
@@ -136,6 +139,7 @@ impl<'a> Daemon<'a> {
         Daemon {
             fleet,
             cost,
+            planner: Planner::new(fleet, cost, &cfg.policy),
             compiled: tenants.iter().map(|t| vec![None; t.exprs.len()]).collect(),
             tenants,
             cfg,
@@ -302,7 +306,7 @@ impl<'a> Daemon<'a> {
         // service time must come from the *plan's* cost-model
         // prediction, never the executed backend latency — that is
         // the backend-invariance the replay gate byte-diffs.
-        let plan = Planner::new(self.fleet, self.cost, &self.cfg.policy).plan(&batch)?;
+        let plan = self.planner.plan(&batch)?;
         let report = if let Some(sink) = self.obs.trace.as_mut() {
             // The trace context places the batch on the daemon
             // timeline: every timestamp below derives from the tick

@@ -67,9 +67,107 @@ pub struct CostModelData {
 /// assert!(s2 > s16, "reliability degrades with input count");
 /// assert!(m.not_success() > 0.9);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The model is resolved once, at construction, into a table indexed
+/// by (op, N): every getter below is an array lookup, never a search
+/// over the document.
+#[derive(Debug, Clone)]
 pub struct CostModel {
     data: CostModelData,
+    /// NOT statistics (`not` entries interpolated at one input).
+    not: Stat,
+    /// One resolved curve per [`LogicOp::ALL`] entry, with the dual
+    /// fallback already applied.
+    logic: [Curve; 4],
+}
+
+/// Equality is the document's: the resolved table is a pure function
+/// of it.
+impl PartialEq for CostModel {
+    fn eq(&self, other: &CostModel) -> bool {
+        self.data == other.data
+    }
+}
+
+/// Success, latency and energy of one operation shape.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Stat {
+    success: f64,
+    latency_ns: f64,
+    energy_pj: f64,
+}
+
+/// Input counts the dense table covers at most; a document with wider
+/// points interpolates the (rare) rest from its sorted points.
+const DENSE_INPUTS: usize = 64;
+
+/// One operation's statistics over the input count.
+#[derive(Debug, Clone)]
+struct Curve {
+    /// The op's points, stably sorted by input count.
+    points: Vec<(usize, Stat)>,
+    /// [`interp`] at every N from 0 up to the largest point (at most
+    /// [`DENSE_INPUTS`]).
+    dense: Vec<Stat>,
+}
+
+impl Curve {
+    /// The curve of every entry named `op`, or `None` when there is
+    /// none.
+    fn of(entries: &[GateCost], op: &str) -> Option<Curve> {
+        let mut points: Vec<(usize, Stat)> = entries
+            .iter()
+            .filter(|e| e.op == op)
+            .map(|e| {
+                let stat = Stat {
+                    success: e.success,
+                    latency_ns: e.latency_ns,
+                    energy_pj: e.energy_pj,
+                };
+                (e.inputs, stat)
+            })
+            .collect();
+        points.sort_by_key(|(inputs, _)| *inputs);
+        let last = points.last()?.0;
+        let dense = (0..=last.min(DENSE_INPUTS))
+            .map(|n| interp(&points, n))
+            .collect();
+        Some(Curve { points, dense })
+    }
+
+    fn at(&self, n: usize) -> Stat {
+        match self.dense.get(n) {
+            Some(stat) => *stat,
+            None => interp(&self.points, n),
+        }
+    }
+}
+
+/// Linear interpolation over sorted, non-empty `points`, clamped to
+/// the end points.
+fn interp(points: &[(usize, Stat)], n: usize) -> Stat {
+    let (first, last) = (points[0], points[points.len() - 1]);
+    if n <= first.0 {
+        return first.1;
+    }
+    if n >= last.0 {
+        return last.1;
+    }
+    for w in points.windows(2) {
+        let ((n0, v0), (n1, v1)) = (w[0], w[1]);
+        if n0 <= n && n <= n1 {
+            if n == n0 {
+                return v0;
+            }
+            let t = (n - n0) as f64 / (n1 - n0) as f64;
+            return Stat {
+                success: v0.success + t * (v1.success - v0.success),
+                latency_ns: v0.latency_ns + t * (v1.latency_ns - v0.latency_ns),
+                energy_pj: v0.energy_pj + t * (v1.energy_pj - v0.energy_pj),
+            };
+        }
+    }
+    unreachable!("n inside the sorted point range");
 }
 
 impl CostModel {
@@ -92,7 +190,34 @@ impl CostModel {
                 });
             }
         }
-        Ok(CostModel { data })
+        Ok(CostModel::resolve(data))
+    }
+
+    /// Resolves a validated document (at least one logic entry) into
+    /// the lookup table. A logic op with no entries of its own takes
+    /// its monotone/inverted dual's curve, then any logic data at all.
+    fn resolve(data: CostModelData) -> CostModel {
+        let not = Curve::of(&data.entries, "not").map_or(
+            Stat {
+                success: 1.0,
+                latency_ns: 0.0,
+                energy_pj: 0.0,
+            },
+            |c| c.at(1),
+        );
+        let logic = LogicOp::ALL.map(|op| {
+            let dual = match op {
+                LogicOp::And => LogicOp::Nand,
+                LogicOp::Nand => LogicOp::And,
+                LogicOp::Or => LogicOp::Nor,
+                LogicOp::Nor => LogicOp::Or,
+            };
+            [op.name(), dual.name(), "and", "or", "nand", "nor"]
+                .into_iter()
+                .find_map(|name| Curve::of(&data.entries, name))
+                .expect("from_data guarantees at least one logic entry")
+        });
+        CostModel { data, not, logic }
     }
 
     /// Parses the JSON document `characterize fleet --export-costs`
@@ -166,13 +291,11 @@ impl CostModel {
                 });
             }
         }
-        CostModel {
-            data: CostModelData {
-                source: "built-in Table-1 population defaults".into(),
-                lanes,
-                entries,
-            },
-        }
+        CostModel::resolve(CostModelData {
+            source: "built-in Table-1 population defaults".into(),
+            lanes,
+            entries,
+        })
     }
 
     /// [`CostModel::table1_defaults_for`] at the canonical 8K-column
@@ -181,84 +304,44 @@ impl CostModel {
         CostModel::table1_defaults_for(65_536)
     }
 
-    fn interp<F: Fn(&GateCost) -> f64>(&self, op: &str, n: usize, f: F) -> Option<f64> {
-        let mut points: Vec<(usize, f64)> = self
-            .data
-            .entries
-            .iter()
-            .filter(|e| e.op == op)
-            .map(|e| (e.inputs, f(e)))
-            .collect();
-        if points.is_empty() {
-            return None;
-        }
-        points.sort_by_key(|(inputs, _)| *inputs);
-        if n <= points[0].0 {
-            return Some(points[0].1);
-        }
-        if n >= points[points.len() - 1].0 {
-            return Some(points[points.len() - 1].1);
-        }
-        for w in points.windows(2) {
-            let ((n0, v0), (n1, v1)) = (w[0], w[1]);
-            if n0 <= n && n <= n1 {
-                if n == n0 {
-                    return Some(v0);
-                }
-                let t = (n - n0) as f64 / (n1 - n0) as f64;
-                return Some(v0 + t * (v1 - v0));
-            }
-        }
-        unreachable!("n inside the sorted point range");
-    }
-
-    /// Fallback chain for a logic op with no entries of its own: its
-    /// monotone/inverted dual first, then any logic data at all.
-    fn logic_stat<F: Fn(&GateCost) -> f64 + Copy>(&self, op: LogicOp, n: usize, f: F) -> f64 {
-        let dual = match op {
-            LogicOp::And => LogicOp::Nand,
-            LogicOp::Nand => LogicOp::And,
-            LogicOp::Or => LogicOp::Nor,
-            LogicOp::Nor => LogicOp::Or,
+    fn logic_stat(&self, op: LogicOp, n: usize) -> Stat {
+        let i = match op {
+            LogicOp::And => 0,
+            LogicOp::Nand => 1,
+            LogicOp::Or => 2,
+            LogicOp::Nor => 3,
         };
-        for candidate in [op.name(), dual.name(), "and", "or", "nand", "nor"] {
-            if let Some(v) = self.interp(candidate, n, f) {
-                return v;
-            }
-        }
-        unreachable!("from_data guarantees at least one logic entry");
+        self.logic[i].at(n)
     }
 
     /// Mean success rate of an `n`-input `op` gate (interpolated).
     pub fn success(&self, op: LogicOp, n: usize) -> f64 {
-        self.logic_stat(op, n, |e| e.success).clamp(0.0, 1.0)
+        self.logic_stat(op, n).success.clamp(0.0, 1.0)
     }
 
     /// Latency of one `n`-input `op` execution, nanoseconds.
     pub fn latency_ns(&self, op: LogicOp, n: usize) -> f64 {
-        self.logic_stat(op, n, |e| e.latency_ns)
+        self.logic_stat(op, n).latency_ns
     }
 
     /// Energy of one `n`-input `op` execution, picojoules.
     pub fn energy_pj(&self, op: LogicOp, n: usize) -> f64 {
-        self.logic_stat(op, n, |e| e.energy_pj)
+        self.logic_stat(op, n).energy_pj
     }
 
     /// Mean success rate of the NOT operation.
     pub fn not_success(&self) -> f64 {
-        self.interp("not", 1, |e| e.success)
-            .unwrap_or(1.0)
-            .clamp(0.0, 1.0)
+        self.not.success.clamp(0.0, 1.0)
     }
 
     /// Latency of one NOT execution, nanoseconds.
     pub fn not_latency_ns(&self) -> f64 {
-        self.interp("not", 1, |e| e.latency_ns).unwrap_or(0.0)
+        self.not.latency_ns
     }
 
     /// Energy of one NOT execution, picojoules.
     pub fn not_energy_pj(&self) -> f64 {
-        self.interp("not", 1, |e| e.energy_pj).unwrap_or(0.0)
+        self.not.energy_pj
     }
 }
 

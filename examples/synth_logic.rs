@@ -40,16 +40,7 @@ fn report(title: &str, compiled: &fcsynth::Compiled, naive: &fcsynth::Mapping) {
 fn verify(compiled: &fcsynth::Compiled, lanes: usize) -> Result<(), fcexec::ExecError> {
     let n = compiled.circuit.inputs().len();
     let operands: Vec<PackedBits> = (0..n)
-        .map(|i| {
-            let mut p = PackedBits::zeros(lanes);
-            for l in 0..lanes {
-                p.set(
-                    l,
-                    dram_core::math::mix3(0xD1CE, i as u64, l as u64) & 1 == 1,
-                );
-            }
-            p
-        })
+        .map(|i| PackedBits::seeded(0xD1CE, i as u64, lanes))
         .collect();
     let expect = compiled.circuit.eval_packed(&operands);
     let mut vm = SimdVm::new(HostSubstrate::new(lanes, 512))?;

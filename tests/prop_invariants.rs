@@ -561,3 +561,148 @@ fn current(m: &BoolHost, r: BitRow) -> PackedBits {
         |b| PackedBits::from_bools(&b),
     )
 }
+
+use dram_core::{FleetConfig, FleetSlot, FleetSlots, SlotLease};
+
+/// The eager slot allocator: every subarray's free list materialized
+/// up front. The lazy [`FleetSlots`] must lease, release and report
+/// exactly as this model does.
+struct EagerSlots {
+    usable: Vec<usize>,
+    free: Vec<Vec<Vec<(usize, usize)>>>,
+}
+
+impl EagerSlots {
+    fn new(fleet: &FleetConfig, reserved_top: usize) -> EagerSlots {
+        let geometry: Vec<_> = (0..fleet.len())
+            .map(|i| fleet.spec(i).cfg.geometry())
+            .collect();
+        let usable: Vec<usize> = geometry
+            .iter()
+            .map(|g| g.rows_per_subarray().saturating_sub(reserved_top))
+            .collect();
+        let free = geometry
+            .iter()
+            .zip(&usable)
+            .map(|(g, &u)| vec![vec![(0, u)]; g.subarrays_per_bank()])
+            .collect();
+        EagerSlots { usable, free }
+    }
+
+    fn lease_on(&mut self, member: usize, rows: usize) -> Option<FleetSlot> {
+        for (subarray, ranges) in self.free[member].iter_mut().enumerate() {
+            if let Some(i) = ranges.iter().position(|(_, len)| *len >= rows) {
+                let (start, len) = ranges[i];
+                if len == rows {
+                    ranges.remove(i);
+                } else {
+                    ranges[i] = (start + rows, len - rows);
+                }
+                return Some(FleetSlot {
+                    member,
+                    subarray,
+                    row_start: start,
+                    rows,
+                });
+            }
+        }
+        None
+    }
+
+    fn release(&mut self, slot: FleetSlot) {
+        let ranges = &mut self.free[slot.member][slot.subarray];
+        let at = ranges
+            .iter()
+            .position(|(start, _)| *start > slot.row_start)
+            .unwrap_or(ranges.len());
+        ranges.insert(at, (slot.row_start, slot.rows));
+        if at + 1 < ranges.len() && ranges[at].0 + ranges[at].1 == ranges[at + 1].0 {
+            ranges[at].1 += ranges[at + 1].1;
+            ranges.remove(at + 1);
+        }
+        if at > 0 && ranges[at - 1].0 + ranges[at - 1].1 == ranges[at].0 {
+            ranges[at - 1].1 += ranges[at].1;
+            ranges.remove(at);
+        }
+    }
+
+    fn reset_member(&mut self, member: usize) {
+        let usable = self.usable[member];
+        for ranges in &mut self.free[member] {
+            *ranges = vec![(0, usable)];
+        }
+    }
+
+    fn free_rows(&self, member: usize) -> usize {
+        self.free[member].iter().flatten().map(|(_, len)| len).sum()
+    }
+
+    fn largest_lease(&self, member: usize) -> usize {
+        self.free[member]
+            .iter()
+            .flatten()
+            .map(|(_, len)| *len)
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Lazily materialized per-subarray free lists lease, release,
+    /// recycle and report exactly like the eager per-subarray model on
+    /// random `lease_on`/`release`/`reset_member` sequences.
+    #[test]
+    fn lazy_fleet_slots_match_the_eager_model(
+        chips in 1usize..4,
+        usable in 1usize..9,
+        calls in prop::collection::vec((0u8..8, any::<u64>()), 1..200),
+    ) {
+        let fleet = FleetConfig::table1(chips);
+        let rows = fleet.spec(0).cfg.geometry().rows_per_subarray();
+        let reserved_top = rows - usable;
+        let mut lazy = FleetSlots::new(&fleet, reserved_top);
+        let mut eager = EagerSlots::new(&fleet, reserved_top);
+        // Outstanding leases, per member.
+        let mut held: Vec<Vec<SlotLease>> = (0..chips).map(|_| Vec::new()).collect();
+        for (kind, seed) in calls {
+            let member = (seed % chips as u64) as usize;
+            let want = 1 + (seed >> 8) as usize % (usable + 2);
+            match kind {
+                0..=3 => {
+                    let got = lazy.lease_on(member, want);
+                    prop_assert_eq!(got.as_ref().map(|l| l.slot), eager.lease_on(member, want));
+                    held[member].extend(got);
+                }
+                // Lease until the member is exhausted, so the last
+                // subarray and the first refusal are always reached.
+                4 => loop {
+                    let got = lazy.lease_on(member, want);
+                    prop_assert_eq!(got.as_ref().map(|l| l.slot), eager.lease_on(member, want));
+                    match got {
+                        Some(lease) => held[member].push(lease),
+                        None => break,
+                    }
+                },
+                5 | 6 => {
+                    if !held[member].is_empty() {
+                        let i = (seed >> 16) as usize % held[member].len();
+                        let lease = held[member].swap_remove(i);
+                        eager.release(lease.slot);
+                        lazy.release(lease);
+                    }
+                }
+                _ => {
+                    lazy.reset_member(member);
+                    eager.reset_member(member);
+                    held[member].clear();
+                }
+            }
+            for m in 0..chips {
+                prop_assert_eq!(lazy.free_rows(m), eager.free_rows(m));
+                prop_assert_eq!(lazy.largest_lease(m), eager.largest_lease(m));
+            }
+        }
+    }
+}

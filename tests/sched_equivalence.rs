@@ -367,3 +367,44 @@ fn hostile_policy_never_changes_answers() {
         assert_eq!(&o.result, reference, "{}", o.label);
     }
 }
+
+/// A planner kept for a whole session (its chip profiles and admission
+/// memo outliving each `plan` call) plans every batch of a sequence
+/// exactly as a fresh planner does — without faults, under a strict
+/// threshold that narrows, and under the demo fault plan.
+#[test]
+fn session_planner_matches_a_fresh_planner_per_batch() {
+    let cost = CostModel::table1_defaults();
+    let fleet = dram_core::FleetConfig::table1(6);
+    let policies = [
+        SchedPolicy::default(),
+        SchedPolicy {
+            min_success: 0.97,
+            ..SchedPolicy::default()
+        },
+        SchedPolicy {
+            faults: Some(dram_core::FaultPlan::demo()),
+            ..SchedPolicy::default()
+        },
+    ];
+    for policy in &policies {
+        let mut session = fcsched::Planner::new(&fleet, &cost, policy);
+        for b in 0..8u64 {
+            // Alternate repeated templates (admission memo hits) with
+            // fresh random programs (memo growth).
+            let batch = if b % 2 == 0 {
+                repeated_batch(12, 3, 64, 0xB0 + b / 2)
+            } else {
+                random_batch(6, 64, 0x5E5 + b).0
+            };
+            let fresh = fcsched::Planner::new(&fleet, &cost, policy).plan(&batch);
+            assert_eq!(
+                session.plan(&batch),
+                fresh,
+                "batch {b}, min_success {}, faults {}",
+                policy.min_success,
+                policy.faults.is_some()
+            );
+        }
+    }
+}
