@@ -136,9 +136,12 @@ synth_smoke() {
 # Determinism gate: the fidelity invariant enforced byte-for-byte.
 #   1. the scheduler, execution-backend, and fault-injection
 #      equivalence suites;
-#   2. a quick fleet sweep run twice with the same parameters — the
-#      two JSON reports must be byte-identical (run-to-run
-#      determinism);
+#   2. a quick fleet sweep run at 1 and at 3 shards — the two JSON
+#      reports must be byte-identical (the sweep report does not
+#      depend on the shard count) except for the count itself, which
+#      the tables' note names ("swept over K shard(s)"); a second run
+#      at 3 shards must match the first byte for byte, note included
+#      (run-to-run determinism);
 #   3. a serve batch run on *each* execution backend (vm and bender)
 #      with different shard counts — each backend's JSON report must
 #      be byte-identical across shard counts (shard invariance at
@@ -169,10 +172,16 @@ determinism() {
   cargo test -q --test fault_equivalence || return 1
   cargo test -q --test obs_equivalence || return 1
   local bin=target/release/characterize
-  "$bin" fleet --quick --chips 3 --shards 2 --json target/tools/det_fleet_a.json >/dev/null \
-    && "$bin" fleet --quick --chips 3 --shards 2 --json target/tools/det_fleet_b.json >/dev/null \
-    && cmp target/tools/det_fleet_a.json target/tools/det_fleet_b.json \
+  "$bin" fleet --quick --chips 3 --shards 1 --json target/tools/det_fleet_s1.json >/dev/null \
+    && "$bin" fleet --quick --chips 3 --shards 3 --json target/tools/det_fleet_s3a.json >/dev/null \
+    && "$bin" fleet --quick --chips 3 --shards 3 --json target/tools/det_fleet_s3b.json >/dev/null \
+    || { echo "determinism: fleet sweep failed" >&2; return 1; }
+  cmp target/tools/det_fleet_s3a.json target/tools/det_fleet_s3b.json \
     || { echo "determinism: fleet sweep reports differ between runs" >&2; return 1; }
+  local shard_note='s/swept over [0-9]* shard(s)/swept over K shard(s)/'
+  cmp <(sed "$shard_note" target/tools/det_fleet_s1.json) \
+      <(sed "$shard_note" target/tools/det_fleet_s3a.json) \
+    || { echo "determinism: fleet sweep reports differ across shard counts" >&2; return 1; }
   local backend shards
   for backend in vm bender; do
     "$bin" serve --jobs 24 --chips 3 --shards 1 --seed 7 --lanes 64 --backend "$backend" \

@@ -12,6 +12,9 @@
 //! the 16-chip speedup tracks the CPU count (≥2x from 2 cores up); on
 //! a single-core host the sharded sweep still runs ≥2 worker threads
 //! but can only timeslice, so the ratio honestly degrades to ≈1.0.
+//! The `fleet_threads/available` entry records the host's
+//! `available_parallelism` (in `mean_ns`, `median_ns` and
+//! `iterations`), so a speedup can be read against the CPUs it ran on.
 
 use characterize::sweep::{run_fleet_sweep, SweepConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -20,12 +23,15 @@ use dram_core::FleetConfig;
 /// Chip counts swept by the ablation.
 const CHIP_COUNTS: [usize; 3] = [4, 16, 64];
 
+/// CPUs the host makes available to this process.
+fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Worker threads for the sharded configuration: one per CPU, floored
 /// at 2 so the threaded path is exercised even on one core.
 fn worker_threads() -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .clamp(2, 16)
+    available_threads().clamp(2, 16)
 }
 
 /// One full fleet sweep; returns the measured cell count so the work
@@ -78,6 +84,19 @@ fn write_summary(threads: usize) {
             ])
         })
         .collect();
+    // A derived entry: one value in `mean_ns` and `median_ns`, with a
+    // count in `iterations`.
+    let derived = |id: String, value: f64, count: usize| {
+        serde_json::Value::Object(vec![
+            ("id".to_string(), serde_json::Value::Str(id)),
+            ("mean_ns".to_string(), serde_json::Value::Float(value)),
+            ("median_ns".to_string(), serde_json::Value::Float(value)),
+            (
+                "iterations".to_string(),
+                serde_json::Value::UInt(count as u64),
+            ),
+        ])
+    };
     for chips in CHIP_COUNTS {
         let serial = mean_of(&format!("fleet_sweep_serial/{chips}chips"));
         let sharded = mean_of(&format!("fleet_sweep_sharded/{chips}chips"));
@@ -86,20 +105,20 @@ fn write_summary(threads: usize) {
             println!(
                 "fleet sweep speedup at {chips} chips: {speedup:.2}x over {threads} thread(s)"
             );
-            entries.push(serde_json::Value::Object(vec![
-                (
-                    "id".to_string(),
-                    serde_json::Value::Str(format!("fleet_sweep_speedup/{chips}chips")),
-                ),
-                ("mean_ns".to_string(), serde_json::Value::Float(speedup)),
-                ("median_ns".to_string(), serde_json::Value::Float(speedup)),
-                (
-                    "iterations".to_string(),
-                    serde_json::Value::UInt(threads as u64),
-                ),
-            ]));
+            entries.push(derived(
+                format!("fleet_sweep_speedup/{chips}chips"),
+                speedup,
+                threads,
+            ));
         }
     }
+    let available = available_threads();
+    println!("available parallelism: {available}");
+    entries.push(derived(
+        "fleet_threads/available".to_string(),
+        available as f64,
+        available,
+    ));
     let json = serde_json::to_string_pretty(&entries).expect("summary serializes");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
     std::fs::write(path, json).expect("summary written");

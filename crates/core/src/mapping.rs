@@ -4,10 +4,11 @@
 //!
 //! Discovery offers two modes:
 //!
-//! * **shape scan** — queries the activation produced for each
-//!   `(R_F, R_L)` address pair and records which rows would be raised.
-//!   This is the exhaustive mode used for coverage statistics (Fig. 5);
-//!   it corresponds to the paper's full 409,600-combination sweeps.
+//! * **shape scan** — queries the activation shape produced for each
+//!   `(R_F, R_L)` address pair, and resolves which rows would be raised
+//!   only for the entries it keeps. This is the exhaustive mode used
+//!   for coverage statistics (Fig. 5); it corresponds to the paper's
+//!   full 409,600-combination sweeps.
 //! * **command-level validation** — for a subset of pairs, runs the
 //!   §4.2 write–read methodology over the DDR4 command interface:
 //!   initialize candidate rows with pattern A, issue the violated
@@ -19,8 +20,8 @@
 use crate::error::{FcdramError, Result};
 use bender::Bender;
 use dram_core::{
-    is_shared_col, BankId, Bit, ChipId, GlobalRow, LocalRow, MultiActivation, PatternKind,
-    SubarrayId,
+    is_shared_col, ActivationShape, BankId, Bit, ChipId, GlobalRow, LocalRow, MultiActivation,
+    PatternKind, SubarrayId,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -148,19 +149,25 @@ impl ActivationMap {
             let l = idx % rows;
             let rf = geom.join_row(pair.0, LocalRow(f))?;
             let rl = geom.join_row(pair.1, LocalRow(l))?;
-            if let MultiActivation::CrossSubarray {
-                first_rows,
-                second_rows,
-                kind,
-                simultaneous: true,
-            } = dev.decoder().activation(&geom, rf, rl)
+            // Shape first: only an entry that is kept pays for its
+            // raised-row lists.
+            if let ActivationShape::Cross { n_rf, n_rl, kind } =
+                dev.decoder().activation_shape(&geom, rf, rl)
             {
-                let shape = (first_rows.len(), second_rows.len());
+                let shape = (usize::from(n_rf), usize::from(n_rl));
                 *shape_counts
                     .entry((shape.0, shape.1, kind == PatternKind::N2N))
                     .or_insert(0) += 1;
                 let list = entries.entry(shape).or_default();
                 if list.len() < cap_per_shape {
+                    let MultiActivation::CrossSubarray {
+                        first_rows,
+                        second_rows,
+                        ..
+                    } = dev.decoder().activation(&geom, rf, rl)
+                    else {
+                        unreachable!("a Cross shape is a cross-subarray activation");
+                    };
                     list.push(PatternEntry {
                         rf,
                         rl,

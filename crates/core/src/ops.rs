@@ -94,7 +94,10 @@ pub struct LogicReport {
     pub observed_success: f64,
     /// Mean model success probability of result cells.
     pub predicted_success: f64,
-    /// The raw per-cell outcome, for fine-grained analysis.
+    /// The raw per-cell outcome, for fine-grained analysis. It carries
+    /// only the result terminal's shared-half cells (role `Compute`
+    /// for AND/OR, `Reference` for NAND/NOR): the other terminal and
+    /// the non-shared majority half are not resolved.
     pub outcome: OpOutcome,
 }
 
@@ -311,6 +314,17 @@ impl Fcdram {
     /// rows. Shorter input lists are padded with the operation's
     /// identity element (all-1 for AND-family, all-0 for OR-family),
     /// which leaves the result unchanged.
+    ///
+    /// The charge share resolves only the terminal read back (compute
+    /// for AND/OR, reference for NAND/NOR; [`CsTerminal`]). That is
+    /// exact for everything reported: every raised row is rewritten
+    /// just before the charge share, and each result cell's success
+    /// probability and sampled value depend only on those rows. The
+    /// other terminal's rows and the non-shared column half of both
+    /// sides are left unresolved: they keep their staged values until
+    /// they are next written, so a later NOT whose destination rows
+    /// overlap them can observe different old bits than a full charge
+    /// share would have left.
     pub fn execute_logic(
         &mut self,
         bank: BankId,
@@ -368,9 +382,16 @@ impl Fcdram {
             self.bender.write_row(self.chip, bank, g, data)?;
         }
 
+        // Every raised row was just rewritten, so only the terminal read
+        // back below needs resolving.
+        let need = if op.is_inverted_terminal() {
+            CsTerminal::Reference
+        } else {
+            CsTerminal::Compute
+        };
         let outcome = self
             .bender
-            .charge_share(self.chip, bank, entry.rf, entry.rl)?;
+            .charge_share_masked(self.chip, bank, entry.rf, entry.rl, need)?;
         if !matches!(outcome.kind, OutcomeKind::Logic { .. }) {
             return Err(FcdramError::OpFailed {
                 detail: format!("charge share produced {:?}", outcome.kind),
@@ -1498,5 +1519,130 @@ mod tests {
             .execute_logic(BankId(0), &entry, LogicOp::And, &ins)
             .unwrap_err();
         assert!(matches!(err, FcdramError::OpFailed { .. }));
+    }
+
+    /// What `execute_logic` reports, recomputed on a twin stack that
+    /// stages the same rows and runs an unmasked (both-terminal)
+    /// charge share: `(result, expected, observed, predicted, cells)`.
+    type Unmasked = (Vec<Bit>, Vec<Bit>, f64, f64, Vec<dram_core::CellOutcome>);
+
+    fn logic_unmasked(
+        fc: &mut Fcdram,
+        entry: &PatternEntry,
+        op: LogicOp,
+        inputs: &[Vec<Bit>],
+    ) -> Unmasked {
+        let (bank, chip) = (BankId(0), fc.chip());
+        let geom = fc.config().geometry();
+        let (sub_ref, _) = geom.split_row(entry.rf).unwrap();
+        let (sub_com, _) = geom.split_row(entry.rl).unwrap();
+        let upper = SubarrayId(sub_ref.index().min(sub_com.index()));
+        let fill = vec![Bit::from(op.is_and_family()); geom.cols()];
+        for (i, row) in entry.first_rows.iter().enumerate() {
+            let g = geom.join_row(sub_ref, *row).unwrap();
+            if i + 1 == entry.first_rows.len() {
+                fc.bender_mut().frac(chip, bank, g).unwrap();
+            } else {
+                fc.bender_mut()
+                    .write_row(chip, bank, g, fill.clone())
+                    .unwrap();
+            }
+        }
+        for (i, row) in entry.second_rows.iter().enumerate() {
+            let g = geom.join_row(sub_com, *row).unwrap();
+            let data = inputs.get(i).unwrap_or(&fill).clone();
+            fc.bender_mut().write_row(chip, bank, g, data).unwrap();
+        }
+        let outcome = fc
+            .bender_mut()
+            .charge_share(chip, bank, entry.rf, entry.rl)
+            .unwrap();
+        let shared: Vec<usize> = (0..geom.cols())
+            .filter(|c| is_shared_col(upper, Col(*c)))
+            .collect();
+        let expected: Vec<Bit> = shared
+            .iter()
+            .map(|c| {
+                let agg = if op.is_and_family() {
+                    inputs.iter().all(|r| r[*c].as_bool())
+                } else {
+                    inputs.iter().any(|r| r[*c].as_bool())
+                };
+                Bit::from(agg != op.is_inverted_terminal())
+            })
+            .collect();
+        let (sub, rows, role) = if op.is_inverted_terminal() {
+            (sub_ref, &entry.first_rows, CellRole::Reference)
+        } else {
+            (sub_com, &entry.second_rows, CellRole::Compute)
+        };
+        let mut correct = 0usize;
+        let mut result = Vec::new();
+        for (i, row) in rows.iter().enumerate() {
+            let g = geom.join_row(sub, *row).unwrap();
+            let data = fc.read_row(bank, g).unwrap();
+            let got: Vec<Bit> = shared.iter().map(|c| data[*c]).collect();
+            correct += got.iter().zip(&expected).filter(|(a, b)| a == b).count();
+            if i == 0 {
+                result = got;
+            }
+        }
+        let cells = outcome
+            .cells
+            .iter()
+            .filter(|c| c.role == role)
+            .copied()
+            .collect();
+        (
+            result,
+            expected,
+            correct as f64 / (rows.len() * shared.len()) as f64,
+            outcome.mean_success(role).unwrap_or(0.0),
+            cells,
+        )
+    }
+
+    /// `execute_logic` resolves only the terminal it reads, and reports
+    /// exactly what a full charge share over the same staged rows
+    /// reports — across a sequence of operations on one chip, so each
+    /// op also sees the rows the previous op left unresolved.
+    #[test]
+    fn masked_logic_matches_an_unmasked_twin() {
+        let mut masked = fc();
+        let mut twin = fc();
+        let map = masked
+            .discover(BankId(0), (SubarrayId(0), SubarrayId(1)), 16384)
+            .unwrap();
+        for (k, n) in [2usize, 4, 8, 16].into_iter().enumerate() {
+            let entry = map.find_nn(n).expect("an N:N entry").clone();
+            for (j, op) in LogicOp::ALL.into_iter().enumerate() {
+                let inputs: Vec<Vec<Bit>> = (0..n)
+                    .map(|i| pattern((100 * k + 10 * j + i) as u64, masked.cols()))
+                    .collect();
+                let report = masked
+                    .execute_logic(BankId(0), &entry, op, &inputs)
+                    .unwrap();
+                let (result, expected, observed, predicted, cells) =
+                    logic_unmasked(&mut twin, &entry, op, &inputs);
+                let role = if op.is_inverted_terminal() {
+                    CellRole::Reference
+                } else {
+                    CellRole::Compute
+                };
+                assert_eq!(report.result, result, "{op:?} n={n} result");
+                assert_eq!(report.expected, expected, "{op:?} n={n} expected");
+                assert_eq!(report.observed_success, observed, "{op:?} n={n} observed");
+                assert_eq!(
+                    report.predicted_success, predicted,
+                    "{op:?} n={n} predicted"
+                );
+                assert!(!cells.is_empty(), "{op:?} n={n}: no result cells");
+                assert!(
+                    report.outcome.cells.iter().all(|c| c.role == role),
+                    "{op:?} n={n}: the outcome carries only the result terminal"
+                );
+                assert_eq!(report.outcome.cells, cells, "{op:?} n={n} result cells");
+            }
+        }
     }
 }

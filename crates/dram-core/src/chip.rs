@@ -1366,7 +1366,9 @@ impl Chip {
     /// for the non-shared majority half. Only safe when the caller
     /// rewrites every raised row before its next read — the prepared
     /// execution path guarantees this (and `BulkEngine` falls back to
-    /// the full kernel when its row plan cannot prove it).
+    /// the full kernel when its row plan cannot prove it), and
+    /// `fcdram`'s `execute_logic` stages every raised row before each
+    /// charge share.
     pub fn multi_act_charge_share_masked(
         &mut self,
         bank: BankId,

@@ -28,6 +28,7 @@ use crate::timing::SpeedBin;
 use crate::types::{BankId, Col, LocalRow, SubarrayId};
 use crate::variation::ProcessVariation;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// The four many-input logic operations characterized in §6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -292,6 +293,68 @@ fn solve_fleet_z(target: f64, deltas_weights: &[(f64, f64)], s: f64) -> f64 {
     0.5 * (lo + hi)
 }
 
+/// Base z values solved against the Table 1 fleet: a pure function of
+/// [`crate::config::table1`], shared by every chip's model.
+#[derive(Debug, Clone, Copy)]
+struct FleetCalibration {
+    /// Base z for NOT at k=2.
+    z0_not: f64,
+    /// Base z per (op, N index) for logic ops.
+    z_logic: [[f64; 4]; 4],
+}
+
+/// The process-wide fleet calibration, solved on first use.
+fn fleet_calibration() -> &'static FleetCalibration {
+    static CALIBRATION: OnceLock<FleetCalibration> = OnceLock::new();
+    CALIBRATION.get_or_init(solve_fleet_calibration)
+}
+
+/// Solves the fleet calibration: 17 bisections over the Table 1 fleet.
+fn solve_fleet_calibration() -> FleetCalibration {
+    let fleet = crate::config::table1();
+    let s_not = (1.0 + SIGMA_CELL_NOT.powi(2) + SIGMA_SA_NOT.powi(2)).sqrt();
+    // NOT base: all 256 chips participate in the 1-destination-row
+    // average (Samsung performs sequential 1:1 NOT).
+    let not_dw: Vec<(f64, f64)> = fleet
+        .iter()
+        .map(|m| (die_speed_shift_not(m), m.chips as f64))
+        .collect();
+    let z0_not = solve_fleet_z(0.9837, &not_dw, s_not);
+
+    let mut z_logic = [[0.0f64; 4]; 4];
+    for (oi, op) in LogicOp::ALL.iter().enumerate() {
+        // Activated rows sample the whole subarray, so the distance
+        // terms contribute Var[w·D·(0.5−U)] = w²D²/12 of z-variance;
+        // fold it into the mean-preserving width so fleet means stay
+        // on target.
+        let dist_var =
+            w_distance(*op).powi(2) * (DIST_COM_LOGIC.powi(2) + DIST_REF_LOGIC.powi(2)) / 12.0;
+        let s_logic = (1.0 + SIGMA_CELL_LOGIC.powi(2) + SIGMA_SA_LOGIC.powi(2) + dist_var).sqrt();
+        for ni in 0..4 {
+            let n = 2usize << ni;
+            // Only simultaneous-capable modules that can reach N
+            // inputs participate (the 8Gb M-die module stops at 8).
+            let dw: Vec<(f64, f64)> = fleet
+                .iter()
+                .filter(|m| m.max_op_inputs() >= n)
+                .map(|m| {
+                    let cpl = if op.is_and_family() {
+                        COUPLING_AND
+                    } else {
+                        COUPLING_OR
+                    };
+                    let d = w_die(*op, ni) * die_shift_logic(m)
+                        + w_speed(*op, ni) * speed_shift_logic(m)
+                        - cpl;
+                    (d, m.chips as f64)
+                })
+                .collect();
+            z_logic[oi][ni] = solve_fleet_z(B_TARGET[oi][ni], &dw, s_logic);
+        }
+    }
+    FleetCalibration { z0_not, z_logic }
+}
+
 // ---------------------------------------------------------------------
 // Events
 // ---------------------------------------------------------------------
@@ -385,51 +448,10 @@ impl ReliabilityModel {
     /// Builds the model for one chip of `cfg`.
     ///
     /// Base z values are solved against the Table 1 fleet so that
-    /// fleet-weighted means reproduce the paper's averages.
+    /// fleet-weighted means reproduce the paper's averages; the solve
+    /// is identical for every chip, so it runs once per process.
     pub fn new(cfg: &ModuleConfig, chip_seed: u64) -> Self {
-        let fleet = crate::config::table1();
-        let s_not = (1.0 + SIGMA_CELL_NOT.powi(2) + SIGMA_SA_NOT.powi(2)).sqrt();
-        // NOT base: all 256 chips participate in the 1-destination-row
-        // average (Samsung performs sequential 1:1 NOT).
-        let not_dw: Vec<(f64, f64)> = fleet
-            .iter()
-            .map(|m| (die_speed_shift_not(m), m.chips as f64))
-            .collect();
-        let z0_not = solve_fleet_z(0.9837, &not_dw, s_not);
-
-        let mut z_logic = [[0.0f64; 4]; 4];
-        for (oi, op) in LogicOp::ALL.iter().enumerate() {
-            // Activated rows sample the whole subarray, so the
-            // distance terms contribute Var[w·D·(0.5−U)] = w²D²/12 of
-            // z-variance; fold it into the mean-preserving width so
-            // fleet means stay on target.
-            let dist_var =
-                w_distance(*op).powi(2) * (DIST_COM_LOGIC.powi(2) + DIST_REF_LOGIC.powi(2)) / 12.0;
-            let s_logic =
-                (1.0 + SIGMA_CELL_LOGIC.powi(2) + SIGMA_SA_LOGIC.powi(2) + dist_var).sqrt();
-            for ni in 0..4 {
-                let n = 2usize << ni;
-                // Only simultaneous-capable modules that can reach N
-                // inputs participate (the 8Gb M-die module stops at 8).
-                let dw: Vec<(f64, f64)> = fleet
-                    .iter()
-                    .filter(|m| m.max_op_inputs() >= n)
-                    .map(|m| {
-                        let cpl = if op.is_and_family() {
-                            COUPLING_AND
-                        } else {
-                            COUPLING_OR
-                        };
-                        let d = w_die(*op, ni) * die_shift_logic(m)
-                            + w_speed(*op, ni) * speed_shift_logic(m)
-                            - cpl;
-                        (d, m.chips as f64)
-                    })
-                    .collect();
-                z_logic[oi][ni] = solve_fleet_z(B_TARGET[oi][ni], &dw, s_logic);
-            }
-        }
-
+        let &FleetCalibration { z0_not, z_logic } = fleet_calibration();
         ReliabilityModel {
             variation: ProcessVariation::new(chip_seed),
             analog: AnalogParams::ddr4_default(),

@@ -156,16 +156,36 @@ impl RowDecoder {
         self.p_glitch
     }
 
+    /// Bitmask of the 2-bit predecode groups (bits 0..4) in which two
+    /// local addresses differ, restricted to the mergeable groups.
+    fn merged_mask(&self, a: LocalRow, b: LocalRow) -> u8 {
+        let diff = a.index() ^ b.index();
+        (0..self.max_merge_groups)
+            .filter(|g| (diff >> (2 * *g as usize)) & 0b11 != 0)
+            .fold(0, |mask, g| mask | 1 << g)
+    }
+
     /// Set of 2-bit predecode groups (indices 0..4) in which two local
     /// addresses differ, restricted to the mergeable groups.
     fn merged_groups(&self, a: LocalRow, b: LocalRow) -> Vec<u8> {
-        let (a, b) = (a.index(), b.index());
-        (0..self.max_merge_groups)
-            .filter(|g| {
-                let shift = 2 * *g as usize;
-                ((a >> shift) ^ (b >> shift)) & 0b11 != 0
-            })
-            .collect()
+        let mask = self.merged_mask(a, b);
+        (0..4).filter(|g| (mask >> g) & 1 == 1).collect()
+    }
+
+    /// The section-latch predicate: whether a glitching cross-subarray
+    /// pair with `merged` differing groups also merges `R_L`'s section
+    /// bit (the `N:2N` family).
+    fn section_merges(
+        &self,
+        rf: GlobalRow,
+        rl: GlobalRow,
+        loc_f: LocalRow,
+        loc_l: LocalRow,
+        merged: usize,
+    ) -> bool {
+        self.supports_n2n
+            && loc_f.index() >> 8 != loc_l.index() >> 8
+            && self.pair_unit(rf, rl, 0x5EC) < self.q_section[merged.min(4)]
     }
 
     /// Expands the Cartesian product of merged groups around a base
@@ -269,11 +289,9 @@ impl RowDecoder {
         }
 
         let merged = self.merged_groups(loc_f, loc_l);
-        let s = merged.len().min(4);
         let b8_f = loc_f.index() >> 8;
         let b8_l = loc_l.index() >> 8;
-        let section_merges =
-            self.supports_n2n && b8_f != b8_l && self.pair_unit(rf, rl, 0x5EC) < self.q_section[s];
+        let section_merges = self.section_merges(rf, rl, loc_f, loc_l, merged.len());
 
         let first_rows = self.expand(loc_f, loc_l, &merged, &[b8_f]);
         let second_sections: Vec<usize> = if section_merges {
@@ -295,26 +313,40 @@ impl RowDecoder {
         }
     }
 
-    /// Fast shape-only variant of [`RowDecoder::activation`] for
-    /// coverage scans (no row-set allocation).
+    /// Shape-only form of [`RowDecoder::activation`] for coverage scans
+    /// and shape-first discovery: O(1) and allocation-free.
+    ///
+    /// Returns `Cross` exactly when [`RowDecoder::activation`] returns a
+    /// *simultaneous* `CrossSubarray`, with the same counts and family:
+    /// the glitch predicate decides whether the pair activates at all,
+    /// the `m` merged predecode groups give `n_rf = 2^m`, and the
+    /// section-merge predicate gives `n_rl = 2^(m+1)` (`N:2N`) instead
+    /// of `2^m` (`N:N`). Every other outcome — ignored, sequential,
+    /// same-subarray, non-neighbouring or non-glitching — is `None`.
     pub fn activation_shape(
         &self,
         geom: &Geometry,
         rf: GlobalRow,
         rl: GlobalRow,
     ) -> ActivationShape {
-        match self.activation(geom, rf, rl) {
-            MultiActivation::CrossSubarray {
-                first_rows,
-                second_rows,
-                kind,
-                simultaneous: true,
-            } => ActivationShape::Cross {
-                n_rf: first_rows.len() as u8,
-                n_rl: second_rows.len() as u8,
-                kind,
+        let (sub_f, loc_f) = geom.split_row(rf).expect("rf validated by caller");
+        let (sub_l, loc_l) = geom.split_row(rl).expect("rl validated by caller");
+        if self.capability != ActivationCapability::Simultaneous
+            || !geom.are_neighbors(sub_f, sub_l)
+            || self.pair_unit(rf, rl, GLITCH_SALT) >= self.p_glitch
+        {
+            return ActivationShape::None;
+        }
+        let m = self.merged_mask(loc_f, loc_l).count_ones() as usize;
+        let n2n = self.section_merges(rf, rl, loc_f, loc_l, m);
+        ActivationShape::Cross {
+            n_rf: 1 << m,
+            n_rl: if n2n { 2 << m } else { 1 << m },
+            kind: if n2n {
+                PatternKind::N2N
+            } else {
+                PatternKind::NN
             },
-            _ => ActivationShape::None,
         }
     }
 }

@@ -706,3 +706,198 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Shape-first activation discovery against the row-set decoder
+// ---------------------------------------------------------------------------
+
+use bender::Bender;
+use dram_core::{ActivationShape, DramModule, Geometry, ModuleConfig};
+use fcdram::{ActivationMap, CoverageRow, PatternEntry};
+use std::collections::BTreeMap;
+
+/// Every module of the tested fleet (Table 1 plus the Micron parts),
+/// so all three activation capabilities are covered: SK Hynix
+/// simultaneous, Samsung sequential, Micron ignored.
+fn fleet_modules() -> Vec<ModuleConfig> {
+    dram_core::config::full_fleet()
+        .into_iter()
+        .map(|m| m.with_modeled_cols(16))
+        .collect()
+}
+
+/// The shape [`dram_core::RowDecoder::activation`] implies: `Cross` for
+/// a simultaneous cross-subarray activation, `None` for anything else.
+fn shape_of(act: &MultiActivation) -> ActivationShape {
+    match act {
+        MultiActivation::CrossSubarray {
+            first_rows,
+            second_rows,
+            kind,
+            simultaneous: true,
+        } => ActivationShape::Cross {
+            n_rf: first_rows.len() as u8,
+            n_rl: second_rows.len() as u8,
+            kind: *kind,
+        },
+        _ => ActivationShape::None,
+    }
+}
+
+/// An `(rf, rl)` pair anywhere in the bank, of one of five classes:
+/// same subarray, neighbouring subarrays, non-neighbouring subarrays,
+/// `rf == rl`, or two unconstrained rows.
+fn bank_pair(geom: &Geometry, class: u8, a: u64, b: u64) -> (GlobalRow, GlobalRow) {
+    let rows = geom.rows_per_subarray() as u64;
+    let subs = geom.subarrays_per_bank() as u64;
+    let (loc_a, loc_b) = (LocalRow((a % rows) as usize), LocalRow((b % rows) as usize));
+    let (sa, sb) = match class {
+        0 => (a >> 32, a >> 32),
+        1 => {
+            let s = (a >> 32) % (subs - 1);
+            if b >> 63 == 0 {
+                (s, s + 1)
+            } else {
+                (s + 1, s)
+            }
+        }
+        2 => {
+            let s = (a >> 32) % subs;
+            let gap = 2 + (b >> 32) % (subs - 2);
+            (s, (s + gap) % subs)
+        }
+        3 => {
+            let g = GlobalRow((a % geom.rows_per_bank() as u64) as usize);
+            return (g, g);
+        }
+        _ => {
+            let bank_rows = geom.rows_per_bank() as u64;
+            return (
+                GlobalRow((a % bank_rows) as usize),
+                GlobalRow((b % bank_rows) as usize),
+            );
+        }
+    };
+    let join = |s: u64, l| geom.join_row(SubarrayId((s % subs) as usize), l).unwrap();
+    (join(sa, loc_a), join(sb, loc_b))
+}
+
+/// [`ActivationMap::discover`]'s contract, rebuilt on the row-set
+/// decoder: the same pseudo-random walk, every pair resolved through
+/// `activation`. Returns `(entries, shape_counts, scanned)`.
+#[allow(clippy::type_complexity)]
+fn reference_discover(
+    chip: &Chip,
+    pair: (SubarrayId, SubarrayId),
+    budget: usize,
+    cap: usize,
+) -> (
+    BTreeMap<(usize, usize), Vec<PatternEntry>>,
+    BTreeMap<(usize, usize, bool), usize>,
+    usize,
+) {
+    let geom = *chip.geometry();
+    let rows = geom.rows_per_subarray();
+    let total = rows * rows;
+    let budget = budget.min(total).max(1);
+    let mut entries: BTreeMap<(usize, usize), Vec<PatternEntry>> = BTreeMap::new();
+    let mut counts = BTreeMap::new();
+    for scanned in 0..budget {
+        let idx =
+            (dram_core::math::mix3(0x5CA9, scanned as u64, rows as u64) % total as u64) as usize;
+        let rf = geom.join_row(pair.0, LocalRow(idx / rows)).unwrap();
+        let rl = geom.join_row(pair.1, LocalRow(idx % rows)).unwrap();
+        if let MultiActivation::CrossSubarray {
+            first_rows,
+            second_rows,
+            kind,
+            simultaneous: true,
+        } = chip.decoder().activation(&geom, rf, rl)
+        {
+            let shape = (first_rows.len(), second_rows.len());
+            *counts
+                .entry((shape.0, shape.1, kind == PatternKind::N2N))
+                .or_insert(0) += 1;
+            let list = entries.entry(shape).or_default();
+            if list.len() < cap {
+                list.push(PatternEntry {
+                    rf,
+                    rl,
+                    first_rows,
+                    second_rows,
+                    kind,
+                });
+            }
+        }
+    }
+    (entries, counts, budget)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `activation_shape` is exactly the shape of `activation`, on a
+    /// chip of every fleet module, for pairs drawn over the whole bank.
+    #[test]
+    fn activation_shape_matches_activation(
+        chip in 0usize..8,
+        class in 0u8..5,
+        a in any::<u64>(),
+        b in any::<u64>(),
+    ) {
+        for cfg in fleet_modules() {
+            let id = ChipId(chip % cfg.chips);
+            let name = cfg.name.clone();
+            let chip = Chip::new(cfg, id);
+            let geom = *chip.geometry();
+            for (x, y) in [(a, b), (b, a), (mix2(a, 1), mix2(b, 2))] {
+                let (rf, rl) = bank_pair(&geom, class, x, y);
+                prop_assert_eq!(
+                    chip.decoder().activation_shape(&geom, rf, rl),
+                    shape_of(&chip.decoder().activation(&geom, rf, rl)),
+                    "{} {:?} rf={} rl={}", name, id, rf.index(), rl.index()
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// Shape-first discovery keeps the same entries, counts the same
+    /// shapes and scans the same pairs as a scan that resolves every
+    /// pair's raised rows, on every fleet module.
+    #[test]
+    fn discover_matches_a_row_set_scan(chip in 0usize..8, upper in 0usize..62, cap in 1usize..=16) {
+        for cfg in fleet_modules() {
+            let id = ChipId(chip % cfg.chips);
+            let subs = cfg.geometry().subarrays_per_bank();
+            let pair = (SubarrayId(upper % (subs - 1)), SubarrayId(upper % (subs - 1) + 1));
+            let mut bender = Bender::new(DramModule::new(cfg.clone()));
+            for budget in [512usize, 16384] {
+                let map =
+                    ActivationMap::discover(&mut bender, id, BankId(0), pair, budget, cap).unwrap();
+                let (entries, counts, scanned) =
+                    reference_discover(bender.module().chip(id).unwrap(), pair, budget, cap);
+                prop_assert_eq!(map.scanned(), scanned);
+                prop_assert_eq!(map.shapes(), entries.keys().copied().collect::<Vec<_>>());
+                for (shape, list) in &entries {
+                    prop_assert_eq!(map.find(shape.0, shape.1), list.as_slice());
+                }
+                // `coverage()` is `shape_counts` divided by `scanned`, one
+                // row per counted shape.
+                let coverage: Vec<CoverageRow> = counts
+                    .iter()
+                    .map(|(&(n_rf, n_rl, n2n), &count)| CoverageRow {
+                        n_rf,
+                        n_rl,
+                        kind: if n2n { PatternKind::N2N } else { PatternKind::NN },
+                        coverage: count as f64 / scanned as f64,
+                    })
+                    .collect();
+                prop_assert_eq!(map.coverage(), coverage);
+            }
+        }
+    }
+}
