@@ -126,7 +126,8 @@ impl Bender {
 
     /// Arms a one-shot terminal mask: the next charge share the
     /// executor recognizes (in any program) resolves only `need`'s
-    /// terminal. Cleared when consumed or at the next `execute`.
+    /// cells (a terminal, or its first row). Cleared when consumed or
+    /// at the next `execute`.
     pub fn arm_cs_mask(&mut self, need: CsTerminal) {
         self.cs_mask = Some(need);
     }
@@ -395,7 +396,7 @@ impl Bender {
     }
 
     /// Runs the charge-sharing sequence resolving only `need`'s
-    /// terminal (see [`dram_core::Chip::multi_act_charge_share_masked`]
+    /// cells (see [`dram_core::Chip::multi_act_charge_share_masked`]
     /// for the safety contract). The command stream is identical to
     /// [`Bender::charge_share`]; the mask is a host-side promise about
     /// which cells will be read back.

@@ -442,7 +442,7 @@ impl BulkEngine {
         if inputs.len() < 2 {
             return Err(FcdramError::BadInputCount {
                 n: inputs.len(),
-                max: 16,
+                max: self.fc.config().max_op_inputs(),
             });
         }
         let n = [2usize, 4, 8, 16]
@@ -671,9 +671,9 @@ impl BulkEngine {
 
     /// Value-path N-input logic for prepared execution: operand values
     /// are supplied by the caller (no input read-backs) and the charge
-    /// share is masked to the terminal being read when
-    /// [`BulkEngine::mask_safe`] holds (falling back to the full
-    /// kernel otherwise). Stored result bits, stochastic draws, and
+    /// share is masked to the first row of the terminal being read
+    /// when [`BulkEngine::mask_safe`] holds (falling back to the full
+    /// kernel otherwise). The result bits, their stochastic draws, and
     /// `predicted_success` are bit-identical to [`BulkEngine::logic`]
     /// on the same state.
     ///
@@ -689,7 +689,7 @@ impl BulkEngine {
         if vals.len() < 2 {
             return Err(FcdramError::BadInputCount {
                 n: vals.len(),
-                max: 16,
+                max: self.fc.config().max_op_inputs(),
             });
         }
         let n = [2usize, 4, 8, 16]
@@ -1018,6 +1018,31 @@ mod tests {
             voted.accuracy,
             single.accuracy
         );
+    }
+
+    /// The 8Gb M-die part tops out at 8 inputs, so a hard-coded 16
+    /// would show.
+    #[test]
+    fn too_few_inputs_report_the_part_fan_in() {
+        let cfg = table1()
+            .into_iter()
+            .find(|m| m.name == "hynix-8Gb-M-2666-#0")
+            .unwrap()
+            .with_modeled_cols(64);
+        let mut e = BulkEngine::new(Fcdram::new(cfg), BankId(0), SubarrayId(0)).unwrap();
+        let max = e.config().max_op_inputs();
+        assert_eq!(max, 8);
+        let a = e.alloc().unwrap();
+        let out = e.alloc().unwrap();
+        let val = e.read_packed(&a).unwrap();
+        let handle = e.logic(LogicOp::And, &[&a], &out).unwrap_err();
+        let known = e.logic_known(LogicOp::Or, &[&val], &out).unwrap_err();
+        for err in [handle, known] {
+            assert!(
+                matches!(err, FcdramError::BadInputCount { n: 1, max: m } if m == max),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -384,11 +384,7 @@ impl Fcdram {
 
         // Every raised row was just rewritten, so only the terminal read
         // back below needs resolving.
-        let need = if op.is_inverted_terminal() {
-            CsTerminal::Reference
-        } else {
-            CsTerminal::Compute
-        };
+        let need = CsTerminal::terminal_of(op);
         let outcome = self
             .bender
             .charge_share_masked(self.chip, bank, entry.rf, entry.rl, need)?;
@@ -714,12 +710,12 @@ impl Fcdram {
     }
 
     /// Value-path N-input logic for prepared execution: identical
-    /// writes and stochastic draws as [`Fcdram::execute_logic_packed`],
-    /// but the charge share is masked to the terminal being read
-    /// (compute for AND/OR, reference for NAND/NOR) and only the first
-    /// result row is read back. `result`, `expected`, and
-    /// `predicted_success` are bit-identical to the packed variant;
-    /// `observed_success` covers the first result row alone.
+    /// writes as [`Fcdram::execute_logic_packed`], but the charge share
+    /// resolves only the first row of the terminal being read (compute
+    /// for AND/OR, reference for NAND/NOR; [`CsTerminal::first_row_of`])
+    /// and only that row is read back. `result`, `expected`, the row's
+    /// stochastic draws and `predicted_success` are bit-identical to
+    /// the packed variant; `observed_success` covers that row alone.
     ///
     /// Masking is only safe when every raised row is rewritten before
     /// its next read — callers (`BulkEngine`) must verify their row
@@ -787,11 +783,8 @@ impl Fcdram {
             self.bender.write_row(self.chip, bank, g, data)?;
         }
 
-        let need = if op.is_inverted_terminal() {
-            CsTerminal::Reference
-        } else {
-            CsTerminal::Compute
-        };
+        // The value path reads back only the first result row.
+        let need = CsTerminal::first_row_of(op);
         let outcome = self
             .bender
             .charge_share_masked(self.chip, bank, entry.rf, entry.rl, need)?;
@@ -996,11 +989,8 @@ impl Fcdram {
         b.seq_charge_share(bank, entry.rf, entry.rl);
         let program = b.finish();
 
-        let need = if op.is_inverted_terminal() {
-            CsTerminal::Reference
-        } else {
-            CsTerminal::Compute
-        };
+        // The value path reads back only the first result row.
+        let need = CsTerminal::first_row_of(op);
         self.bender.arm_cs_mask(need);
         let exec = self.bender.execute(self.chip, &program)?;
         let outcome = exec
@@ -1526,17 +1516,14 @@ mod tests {
     /// charge share: `(result, expected, observed, predicted, cells)`.
     type Unmasked = (Vec<Bit>, Vec<Bit>, f64, f64, Vec<dram_core::CellOutcome>);
 
-    fn logic_unmasked(
-        fc: &mut Fcdram,
-        entry: &PatternEntry,
-        op: LogicOp,
-        inputs: &[Vec<Bit>],
-    ) -> Unmasked {
+    /// Stages every raised row of `entry` as `execute_logic` does:
+    /// constant reference rows plus one `Frac`, identity-padded
+    /// operands.
+    fn stage_logic(fc: &mut Fcdram, entry: &PatternEntry, op: LogicOp, inputs: &[Vec<Bit>]) {
         let (bank, chip) = (BankId(0), fc.chip());
         let geom = fc.config().geometry();
         let (sub_ref, _) = geom.split_row(entry.rf).unwrap();
         let (sub_com, _) = geom.split_row(entry.rl).unwrap();
-        let upper = SubarrayId(sub_ref.index().min(sub_com.index()));
         let fill = vec![Bit::from(op.is_and_family()); geom.cols()];
         for (i, row) in entry.first_rows.iter().enumerate() {
             let g = geom.join_row(sub_ref, *row).unwrap();
@@ -1553,6 +1540,20 @@ mod tests {
             let data = inputs.get(i).unwrap_or(&fill).clone();
             fc.bender_mut().write_row(chip, bank, g, data).unwrap();
         }
+    }
+
+    fn logic_unmasked(
+        fc: &mut Fcdram,
+        entry: &PatternEntry,
+        op: LogicOp,
+        inputs: &[Vec<Bit>],
+    ) -> Unmasked {
+        let (bank, chip) = (BankId(0), fc.chip());
+        let geom = fc.config().geometry();
+        let (sub_ref, _) = geom.split_row(entry.rf).unwrap();
+        let (sub_com, _) = geom.split_row(entry.rl).unwrap();
+        let upper = SubarrayId(sub_ref.index().min(sub_com.index()));
+        stage_logic(fc, entry, op, inputs);
         let outcome = fc
             .bender_mut()
             .charge_share(chip, bank, entry.rf, entry.rl)
@@ -1642,6 +1643,101 @@ mod tests {
                     "{op:?} n={n}: the outcome carries only the result terminal"
                 );
                 assert_eq!(report.outcome.cells, cells, "{op:?} n={n} result cells");
+            }
+        }
+    }
+
+    /// The row-scoped charge share the value path uses
+    /// ([`CsTerminal::first_row_of`]) against the whole-terminal one
+    /// ([`CsTerminal::terminal_of`]) on twin stacks: the first result
+    /// row and `mean_success` are identical, the other result rows
+    /// keep their staged values, and `observed_accuracy` covers the
+    /// drawn cells only.
+    #[test]
+    fn row_scoped_logic_matches_a_whole_terminal_twin() {
+        let cfg = table1().into_iter().next().unwrap().with_modeled_cols(1024);
+        let mut scoped = Fcdram::new(cfg.clone());
+        let mut whole = Fcdram::new(cfg);
+        let (bank, chip) = (BankId(0), scoped.chip());
+        let pair = (SubarrayId(0), SubarrayId(1));
+        let map = scoped.discover(bank, pair, 16384).unwrap();
+        whole.discover(bank, pair, 16384).unwrap();
+        let geom = scoped.config().geometry();
+        let shared = (0..geom.cols())
+            .filter(|c| is_shared_col(pair.0, Col(*c)))
+            .count();
+        let direct = |fc: &Fcdram, g: GlobalRow| {
+            let module = fc.bender().module();
+            module.chip(chip).unwrap().read_row_direct(bank, g).unwrap()
+        };
+        for (k, n) in [2usize, 4, 8, 16].into_iter().enumerate() {
+            let entry = map.find_nn(n).expect("an N:N entry").clone();
+            let (sub_ref, _) = geom.split_row(entry.rf).unwrap();
+            let (sub_com, _) = geom.split_row(entry.rl).unwrap();
+            for (j, op) in LogicOp::ALL.into_iter().enumerate() {
+                let inputs: Vec<Vec<Bit>> = (0..n)
+                    .map(|i| pattern((1000 + 100 * k + 10 * j + i) as u64, geom.cols()))
+                    .collect();
+                let (sub, rows, role) = if op.is_inverted_terminal() {
+                    (sub_ref, &entry.first_rows, CellRole::Reference)
+                } else {
+                    (sub_com, &entry.second_rows, CellRole::Compute)
+                };
+                let result_rows: Vec<GlobalRow> = rows
+                    .iter()
+                    .map(|r| geom.join_row(sub, *r).unwrap())
+                    .collect();
+                let mut staged = Vec::new();
+                let mut outcomes = Vec::new();
+                for (fc, need) in [
+                    (&mut scoped, CsTerminal::first_row_of(op)),
+                    (&mut whole, CsTerminal::terminal_of(op)),
+                ] {
+                    stage_logic(fc, &entry, op, &inputs);
+                    staged = result_rows.iter().map(|g| direct(fc, *g)).collect();
+                    let outcome = fc
+                        .bender_mut()
+                        .charge_share_masked(chip, bank, entry.rf, entry.rl, need)
+                        .unwrap();
+                    outcomes.push(outcome);
+                }
+                let (a, b) = (&outcomes[0], &outcomes[1]);
+                let ctx = format!("{op:?} n={n}");
+                assert_eq!(
+                    direct(&scoped, result_rows[0]),
+                    direct(&whole, result_rows[0]),
+                    "{ctx}: first result row"
+                );
+                assert_eq!(
+                    a.mean_success(role).map(f64::to_bits),
+                    b.mean_success(role).map(f64::to_bits),
+                    "{ctx}: mean_success"
+                );
+                for (i, g) in result_rows.iter().enumerate().skip(1) {
+                    assert_eq!(
+                        direct(&scoped, *g),
+                        staged[i],
+                        "{ctx}: row {i} stays staged"
+                    );
+                }
+                // Only the first row draws: its cells are the whole
+                // twin's first-row cells, and the accuracy is theirs.
+                let (sa, sb) = (a.stats.role(role), b.stats.role(role));
+                assert_eq!((sa.count, sb.count), (n * shared, n * shared), "{ctx}");
+                assert_eq!((sa.drawn, sb.drawn), (shared, n * shared), "{ctx}");
+                let first: Vec<_> = b
+                    .cells
+                    .iter()
+                    .filter(|c| c.role == role && c.row == rows[0])
+                    .copied()
+                    .collect();
+                assert_eq!(a.cells, first, "{ctx}: first-row cells only");
+                let matched = first.iter().filter(|c| c.actual == c.intended).count();
+                assert_eq!(
+                    a.observed_accuracy(role),
+                    Some(matched as f64 / shared as f64),
+                    "{ctx}: observed accuracy"
+                );
             }
         }
     }

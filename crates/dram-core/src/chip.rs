@@ -22,16 +22,17 @@ use crate::error::{DramError, Result};
 use crate::fault::{DisturbancePolicy, DisturbanceState};
 use crate::fidelity::{SimFidelity, Telemetry};
 use crate::geometry::Geometry;
-use crate::math::{mix3, normal_cdf};
+use crate::math::normal_cdf;
 use crate::obs::{CommandKind, CommandTally};
 use crate::reliability::{
     LogicOp, NotEvent, ReliabilityModel, SIGMA_CELL_LOGIC, SIGMA_CELL_NOT, SIGMA_SA_LOGIC,
     SIGMA_SA_NOT, Z_ROWCLONE,
 };
 use crate::row_decoder::{MultiActivation, PatternKind, RowDecoder};
+use crate::subarray::Subarray;
 use crate::thermal::Temperature;
 use crate::types::{BankId, Bit, ChipId, Col, GlobalRow, LocalRow, SubarrayId};
-use crate::variation::VariationCache;
+use crate::variation::{RowSampler, VariationCache};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -74,15 +75,22 @@ impl CellRole {
     }
 }
 
-/// Which charge-share terminal a caller intends to read back.
+/// Which charge-share cells a caller intends to read back.
 ///
 /// `Both` is the hardware-faithful default: every raised row resolves.
 /// The masked variants skip the state/telemetry updates for rows the
 /// caller has promised to rewrite before they are next read — the
-/// computed terminal's shared-half cells (bits, predicted success,
-/// stochastic draws) are unchanged, because each cell's model inputs
-/// and sample keys are per-(row, col) and independent of the skipped
-/// side's writes.
+/// resolved cells (bits, predicted success, stochastic draws) are
+/// unchanged, because each cell's model inputs and sample keys are
+/// per-(row, col) and independent of the skipped cells' writes.
+///
+/// The `*FirstRow` scopes narrow one terminal further, to its first
+/// raised row (the row a value-path caller reads back). The terminal's
+/// other rows still compute their success probabilities into
+/// [`RoleStats::count`]/[`RoleStats::sum_p`], in the same row-then-
+/// column order, so [`OpOutcome::mean_success`] is bit-identical to the
+/// whole-terminal scope; they draw nothing, keep their staged values
+/// and emit no [`CellOutcome`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CsTerminal {
     /// Resolve both terminals and the non-shared majority half.
@@ -91,16 +99,65 @@ pub enum CsTerminal {
     Compute,
     /// Resolve only the reference terminal's shared half (NAND/NOR).
     Reference,
+    /// Resolve only the compute terminal's first raised row.
+    ComputeFirstRow,
+    /// Resolve only the reference terminal's first raised row.
+    ReferenceFirstRow,
+}
+
+impl CsTerminal {
+    /// The whole terminal `op`'s result appears on: reference for
+    /// NAND/NOR, compute for AND/OR.
+    pub fn terminal_of(op: LogicOp) -> Self {
+        if op.is_inverted_terminal() {
+            CsTerminal::Reference
+        } else {
+            CsTerminal::Compute
+        }
+    }
+
+    /// The first raised row of `op`'s result terminal only.
+    pub fn first_row_of(op: LogicOp) -> Self {
+        if op.is_inverted_terminal() {
+            CsTerminal::ReferenceFirstRow
+        } else {
+            CsTerminal::ComputeFirstRow
+        }
+    }
+
+    fn resolves_compute(self) -> bool {
+        matches!(
+            self,
+            CsTerminal::Both | CsTerminal::Compute | CsTerminal::ComputeFirstRow
+        )
+    }
+
+    fn resolves_reference(self) -> bool {
+        matches!(
+            self,
+            CsTerminal::Both | CsTerminal::Reference | CsTerminal::ReferenceFirstRow
+        )
+    }
+
+    fn first_row_only(self) -> bool {
+        matches!(
+            self,
+            CsTerminal::ComputeFirstRow | CsTerminal::ReferenceFirstRow
+        )
+    }
 }
 
 /// Aggregate statistics for cells of one role in one operation.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct RoleStats {
-    /// Number of cells recorded.
+    /// Number of cells recorded, drawn or not.
     pub count: usize,
     /// Sum of model-assigned success probabilities.
     pub sum_p: f64,
-    /// Number of cells whose sampled value matched the intent.
+    /// Number of cells whose value was drawn and stored (smaller than
+    /// `count` only under a row-scoped [`CsTerminal`]).
+    pub drawn: usize,
+    /// Number of drawn cells whose sampled value matched the intent.
     pub matches: usize,
 }
 
@@ -114,13 +171,27 @@ pub struct OutcomeStats {
 }
 
 impl OutcomeStats {
-    /// Records one cell.
+    /// Records one drawn cell.
     #[inline]
     pub fn record(&mut self, role: CellRole, p: f64, matched: bool) {
         let s = &mut self.roles[role.index()];
         s.count += 1;
         s.sum_p += p;
+        s.drawn += 1;
         s.matches += usize::from(matched);
+    }
+
+    /// Records cells left unresolved, in order: their success
+    /// probabilities count toward the mean, but nothing was drawn.
+    #[inline]
+    pub(crate) fn record_unresolved(&mut self, role: CellRole, ps: impl IntoIterator<Item = f64>) {
+        let s = &mut self.roles[role.index()];
+        let mut sum_p = s.sum_p;
+        for p in ps {
+            s.count += 1;
+            sum_p += p;
+        }
+        s.sum_p = sum_p;
     }
 
     /// Aggregates for one role.
@@ -226,14 +297,14 @@ impl OpOutcome {
         }
     }
 
-    /// Fraction of cells with the given role whose sampled value
-    /// matches the intent.
+    /// Fraction of drawn cells with the given role whose sampled
+    /// value matches the intent.
     pub fn observed_accuracy(&self, role: CellRole) -> Option<f64> {
         let s = self.stats.role(role);
-        if s.count == 0 {
+        if s.drawn == 0 {
             None
         } else {
-            Some(s.matches as f64 / s.count as f64)
+            Some(s.matches as f64 / s.drawn as f64)
         }
     }
 }
@@ -606,12 +677,12 @@ impl Chip {
         self.op_counter
     }
 
-    fn cell_key(op: u64, sub: SubarrayId, row: LocalRow, col: Col) -> u64 {
-        mix3(
-            op,
-            ((sub.index() as u64) << 32) | row.index() as u64,
-            col.index() as u64,
-        )
+    /// The Monte-Carlo sampler of row `row` of `sub` in operation `op`:
+    /// column `c` draws `trial_unit(mix3(op, sub << 32 | row, c), 0)`.
+    #[inline]
+    fn row_sampler(&self, op: u64, sub: SubarrayId, row: LocalRow) -> RowSampler {
+        let key = ((sub.index() as u64) << 32) | row.index() as u64;
+        self.model.variation().row_sampler(op, key)
     }
 
     // -----------------------------------------------------------------
@@ -1127,15 +1198,14 @@ impl Chip {
                         continue;
                     }
                     let cdf = self.memo_clone_cdf(bank, sub_f, *row);
-                    let model = &self.model;
-                    let sub_row_key = ((sub_f.index() as u64) << 32) | row.index() as u64;
+                    let sampler = self.row_sampler(op, sub_f, *row);
                     let cdf_ref = &cdf;
                     run_cols(cols, parallel, &mut p_buf, &mut ok_buf, |start, pc, oc| {
                         for i in 0..pc.len() {
                             let c = start + i;
                             let p = cdf_ref[c];
                             pc[i] = p;
-                            oc[i] = model.sample(p, mix3(op, sub_row_key, c as u64), 0);
+                            oc[i] = sampler.sample(c, p);
                         }
                     });
                     let slice = self.banks[bank.index()].subarray_mut(sub_f).row_mut(*row);
@@ -1194,7 +1264,6 @@ impl Chip {
                 // raised destination rows — identical values retained).
                 let n_dst = second_rows.len();
                 for (ri, row) in second_rows.iter().enumerate() {
-                    let sub_row_key = ((sub_l.index() as u64) << 32) | row.index() as u64;
                     // Off-column majority votes read the rows' *current*
                     // bits (earlier destination rows may already have
                     // re-sensed), so snapshot per destination row.
@@ -1208,7 +1277,7 @@ impl Chip {
                     } else {
                         None
                     };
-                    let model = &self.model;
+                    let sampler = self.row_sampler(op, sub_l, *row);
                     let dst_tab = &nt.dst[ri];
                     let off_margin_ref = &off_margin;
                     run_cols(cols, parallel, &mut p_buf, &mut ok_buf, |start, pc, oc| {
@@ -1226,7 +1295,7 @@ impl Chip {
                                 continue;
                             };
                             pc[i] = p;
-                            oc[i] = model.sample(p, mix3(op, sub_row_key, c as u64), 0);
+                            oc[i] = sampler.sample(c, p);
                         }
                     });
                     let slice = self.banks[bank.index()].subarray_mut(sub_l).row_mut(*row);
@@ -1265,14 +1334,13 @@ impl Chip {
                     }
                     let src_tab = &nt.src[si];
                     si += 1;
-                    let sub_row_key = ((sub_f.index() as u64) << 32) | row.index() as u64;
-                    let model = &self.model;
+                    let sampler = self.row_sampler(op, sub_f, *row);
                     run_cols(cols, parallel, &mut p_buf, &mut ok_buf, |start, pc, oc| {
                         for i in 0..pc.len() {
                             let c = start + i;
                             let p = src_tab[c];
                             pc[i] = p;
-                            oc[i] = model.sample(p, mix3(op, sub_row_key, c as u64), 0);
+                            oc[i] = sampler.sample(c, p);
                         }
                     });
                     let slice = self.banks[bank.index()].subarray_mut(sub_f).row_mut(*row);
@@ -1360,15 +1428,25 @@ impl Chip {
         self.multi_act_charge_share_inner(bank, r_ref, r_com, CsTerminal::Both)
     }
 
-    /// Charge share resolving only the terminal the caller will read.
+    /// Charge share resolving only the cells the caller will read.
     ///
-    /// Skips voltage/telemetry updates for the other terminal's rows and
-    /// for the non-shared majority half. Only safe when the caller
-    /// rewrites every raised row before its next read — the prepared
-    /// execution path guarantees this (and `BulkEngine` falls back to
-    /// the full kernel when its row plan cannot prove it), and
-    /// `fcdram`'s `execute_logic` stages every raised row before each
-    /// charge share.
+    /// `Compute`/`Reference` skip voltage/telemetry updates for the
+    /// other terminal's rows and for the non-shared majority half; the
+    /// `*FirstRow` scopes also skip the read terminal's rows after its
+    /// first raised row, which then only add their success
+    /// probabilities to the outcome's `count`/`sum_p` (so
+    /// `mean_success` is bit-identical to the whole terminal's, and
+    /// `observed_accuracy` covers the drawn row alone). Resolved cells
+    /// draw and store exactly what [`Chip::multi_act_charge_share`]
+    /// would.
+    ///
+    /// Unresolved rows keep their staged values, so masking is only
+    /// safe when the caller rewrites every raised row before its next
+    /// read — the prepared execution path guarantees this (and
+    /// `BulkEngine` falls back to the full kernel when its row plan
+    /// cannot keep NOT destinations disjoint from charge-share rows),
+    /// and `fcdram`'s `execute_logic` stages every raised row before
+    /// each charge share.
     pub fn multi_act_charge_share_masked(
         &mut self,
         bank: BankId,
@@ -1396,8 +1474,6 @@ impl Chip {
         let op = self.next_op();
         let vdd = self.model.analog().vdd;
         let cols = self.geom.cols();
-        let rows_per_sub = self.geom.rows_per_subarray();
-        let temp = self.temperature;
 
         let telemetry = self.fidelity.telemetry;
         let parallel = self.fidelity.parallel_at(cols);
@@ -1452,8 +1528,7 @@ impl Chip {
                     let mut ok_buf = vec![false; cols];
                     for row in &rows {
                         let cdf = self.memo_maj_cdf(bank, sub_ref, *row);
-                        let model = &self.model;
-                        let sub_row_key = ((sub_ref.index() as u64) << 32) | row.index() as u64;
+                        let sampler = self.row_sampler(op, sub_ref, *row);
                         let (cdf_ref, mult_ref) = (&cdf, &mult);
                         run_cols(cols, parallel, &mut p_buf, &mut ok_buf, |start, pc, oc| {
                             for i in 0..pc.len() {
@@ -1463,7 +1538,7 @@ impl Chip {
                                     p = p.powf(dexp);
                                 }
                                 pc[i] = p;
-                                oc[i] = model.sample(p, mix3(op, sub_row_key, c as u64), 0);
+                                oc[i] = sampler.sample(c, p);
                             }
                         });
                         let slice = self.banks[bank.index()].subarray_mut(sub_ref).row_mut(*row);
@@ -1510,7 +1585,6 @@ impl Chip {
                 self.charge_disturbance(bank, sub_ref, first_rows.len() as u64);
                 self.charge_disturbance(bank, sub_com, second_rows.len() as u64);
                 let upper = SubarrayId(sub_ref.index().min(sub_com.index()));
-                let stripe = upper.index() + 1;
                 let n_ref = first_rows.len();
                 let n_com = second_rows.len();
                 let analog = *self.model.analog();
@@ -1531,103 +1605,65 @@ impl Chip {
 
                 // --- Gather (SoA): per-column voltage sums and packed
                 // per-row bits, one pass per raised row. Everything
-                // downstream is computed from these flat arrays; the
-                // old path materialized a Vec<f64> per column per side.
+                // downstream is computed from these flat arrays. Masked,
+                // only the shared half feeds the sensing model (classify
+                // + terminal pass); the packed bits of the other half
+                // are consumed solely by the skipped non-shared majority.
                 let masked = need != CsTerminal::Both;
+                let parity = masked.then_some(shared_start);
                 let mut sum_ref = vec![0.0f64; cols];
                 let mut sum_com = vec![0.0f64; cols];
                 let mut packed_ref = vec![0u64; cols];
                 let mut packed_com = vec![0u64; cols];
-                {
-                    let b = &self.banks[bank.index()];
-                    if masked {
-                        // Masked: only the shared half feeds the sensing
-                        // model downstream (classify + terminal pass);
-                        // `packed_ref` is consumed solely by the skipped
-                        // non-shared majority loop.
-                        for r in first_rows.iter() {
-                            if let Some(slice) = b.subarray(sub_ref).and_then(|s| s.row(*r)) {
-                                for c in (shared_start..cols).step_by(2) {
-                                    sum_ref[c] += f64::from(slice[c]);
-                                }
-                            }
-                        }
-                        for (i, r) in second_rows.iter().enumerate() {
-                            if let Some(slice) = b.subarray(sub_com).and_then(|s| s.row(*r)) {
-                                for c in (shared_start..cols).step_by(2) {
-                                    let v = f64::from(slice[c]);
-                                    sum_com[c] += v;
-                                    if v > vdd / 2.0 {
-                                        packed_com[c] |= 1 << i;
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        for (i, r) in first_rows.iter().enumerate() {
-                            if let Some(slice) = b.subarray(sub_ref).and_then(|s| s.row(*r)) {
-                                for c in 0..cols {
-                                    let v = f64::from(slice[c]);
-                                    sum_ref[c] += v;
-                                    if v > vdd / 2.0 {
-                                        packed_ref[c] |= 1 << i;
-                                    }
-                                }
-                            }
-                        }
-                        for (i, r) in second_rows.iter().enumerate() {
-                            if let Some(slice) = b.subarray(sub_com).and_then(|s| s.row(*r)) {
-                                for c in 0..cols {
-                                    let v = f64::from(slice[c]);
-                                    sum_com[c] += v;
-                                    if v > vdd / 2.0 {
-                                        packed_com[c] |= 1 << i;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+                let b = &self.banks[bank.index()];
+                let (sa_ref, sa_com) = (b.subarray(sub_ref), b.subarray(sub_com));
+                gather_rows(
+                    sa_ref,
+                    &first_rows,
+                    parity,
+                    vdd,
+                    &mut sum_ref,
+                    &mut packed_ref,
+                );
+                gather_rows(
+                    sa_com,
+                    &second_rows,
+                    parity,
+                    vdd,
+                    &mut sum_com,
+                    &mut packed_com,
+                );
 
                 // --- Per-column sensing outcome on the shared half:
-                // differential, margin class, family, and coupling
-                // mismatch (packed-word compares instead of Vec<bool>).
+                // differential, margin class, family, and the index of
+                // the coupling-mismatch table (packed-word compares of
+                // the two same-half neighbours: 0, ½ or 1 mismatched).
                 let mut class = vec![MarginClass::Comfortable; cols];
                 let mut fam_and = vec![false; cols];
                 let mut com_res = vec![Bit::Zero; cols];
-                let mut mm = vec![0.0f64; cols];
+                let mut mm_idx = vec![0u8; cols];
                 let mut and_family_any = false;
+                let cell_unit = analog.cell_unit(n_com.max(n_ref));
                 for c in (shared_start..cols).step_by(2) {
                     let diff = analog.bitline_from_sum(sum_com[c], n_com)
                         - analog.bitline_from_sum(sum_ref[c], n_ref);
-                    let diff_cells = diff / analog.cell_unit(n_com.max(n_ref));
+                    let diff_cells = diff / cell_unit;
                     let ref_mean = sum_ref[c] / (n_ref.max(1) as f64) / vdd;
                     class[c] = classify_margin(diff_cells, ref_mean);
                     fam_and[c] = ref_mean > 0.5;
                     and_family_any |= fam_and[c];
                     com_res[c] = Bit::from(diff > 0.0);
-                    let mut d = 0.0;
-                    let mut cnt = 0.0;
+                    let mut d = 0u8;
+                    let mut cnt = 0u8;
                     for nb in [c.wrapping_sub(2), c + 2] {
                         if nb < cols {
-                            cnt += 1.0;
-                            if packed_com[nb] != packed_com[c] {
-                                d += 1.0;
-                            }
+                            cnt += 1;
+                            d += u8::from(packed_com[nb] != packed_com[c]);
                         }
                     }
-                    if cnt > 0.0 {
-                        mm[c] = d / cnt;
-                    }
+                    mm_idx[c] = (2 * d).checked_div(cnt).unwrap_or(0);
                 }
 
-                // The addressed rows anchor the opposite-side distance
-                // terms (they gate the decoder's word-line timing); the
-                // result cell's own row supplies its side's term.
-                let com_dist_addr = dist_to_stripe(loc_com, rows_per_sub, sub_com, upper);
-                let ref_dist_addr = dist_to_stripe(loc_ref, rows_per_sub, sub_ref, upper);
-                let tterm = ReliabilityModel::logic_temp_term(temp);
-                let sa_shared = self.cache.sa_z(self.model.variation(), bank, stripe, cols);
                 // Read-disturbance derating: each side's result cells
                 // are weakened by their own subarray's unmitigated
                 // pressure (1.0 without a policy — the no-op path).
@@ -1638,110 +1674,12 @@ impl Chip {
                 let mut ok_buf = vec![false; cols];
 
                 // Result rows on both terminals share one kernel shape:
-                // z = prefix − cpl·mm + dist − temp + σ_cell·z + σ_sa·z.
-                let terminal_pass = |chip: &mut Self,
-                                     rec: &mut Recorder,
-                                     p_buf: &mut Vec<f64>,
-                                     ok_buf: &mut Vec<bool>,
-                                     sub: SubarrayId,
-                                     rows: &[LocalRow],
-                                     tabs: &[CsRowTab],
-                                     ops: (LogicOp, LogicOp),
-                                     n_side: usize,
-                                     invert: bool,
-                                     role: CellRole,
-                                     dexp: f64| {
-                    let pre_and = chip.model.logic_z_prefix(ops.0, n_side);
-                    let pre_or = chip.model.logic_z_prefix(ops.1, n_side);
-                    let cpl_and = ReliabilityModel::coupling(ops.0);
-                    let cpl_or = ReliabilityModel::coupling(ops.1);
-                    for (row_i, row) in rows.iter().enumerate() {
-                        let own_dist = dist_to_stripe(*row, rows_per_sub, sub, upper);
-                        // Compute terminal: own row is the com side;
-                        // reference terminal: own row is the ref side.
-                        // (Only the defensive fallback below needs the
-                        // distance terms and z-draws at run time.)
-                        let (dist_and, dist_or) = if invert {
-                            (
-                                ReliabilityModel::logic_dist_term(ops.0, com_dist_addr, own_dist),
-                                ReliabilityModel::logic_dist_term(ops.1, com_dist_addr, own_dist),
-                            )
-                        } else {
-                            (
-                                ReliabilityModel::logic_dist_term(ops.0, own_dist, ref_dist_addr),
-                                ReliabilityModel::logic_dist_term(ops.1, own_dist, ref_dist_addr),
-                            )
-                        };
-                        let lz = chip
-                            .cache
-                            .logic_z(chip.model.variation(), bank, sub, *row, cols);
-                        let model = &chip.model;
-                        let sub_row_key = ((sub.index() as u64) << 32) | row.index() as u64;
-                        let tab = &tabs[row_i];
-                        let (lz_ref, sa, mm_ref, class_ref, fam_ref) =
-                            (&lz, &sa_shared, &mm, &class, &fam_and);
-                        run_cols(cols, parallel, p_buf, ok_buf, |start, pc, oc| {
-                            for i in 0..pc.len() {
-                                let c = start + i;
-                                if c % 2 != shared_start {
-                                    continue;
-                                }
-                                let fam = fam_ref[c];
-                                let (pre, cpl, dist, op_sel) = if fam {
-                                    (pre_and, cpl_and, dist_and, ops.0)
-                                } else {
-                                    (pre_or, cpl_or, dist_or, ops.1)
-                                };
-                                let mut p = match (&tab.cdf[fam as usize], pre) {
-                                    (Some(t), Some(pre)) => {
-                                        let mm_v = mm_ref[c];
-                                        let cdf = if mm_v == 0.0 {
-                                            t[0][c]
-                                        } else if mm_v == 0.5 {
-                                            t[1][c]
-                                        } else if mm_v == 1.0 {
-                                            t[2][c]
-                                        } else {
-                                            // Defensive: a mismatch level
-                                            // outside {0, ½, 1} (never
-                                            // produced today) recomputes
-                                            // the kernel in-line.
-                                            let z = pre - cpl * mm_v.clamp(0.0, 1.0) + dist - tterm
-                                                + SIGMA_CELL_LOGIC * lz_ref[c]
-                                                + SIGMA_SA_LOGIC * sa[c];
-                                            normal_cdf(z)
-                                        };
-                                        (ReliabilityModel::margin_multiplier(
-                                            op_sel,
-                                            n_side,
-                                            class_ref[c],
-                                        ) * cdf)
-                                            .clamp(0.0, 1.0)
-                                    }
-                                    _ => 0.0,
-                                };
-                                if dexp != 1.0 {
-                                    p = p.powf(dexp);
-                                }
-                                pc[i] = p;
-                                oc[i] = model.sample(p, mix3(op, sub_row_key, c as u64), 0);
-                            }
-                        });
-                        let slice = chip.banks[bank.index()].subarray_mut(sub).row_mut(*row);
-                        for c in (shared_start..cols).step_by(2) {
-                            let intended = if invert { com_res[c].not() } else { com_res[c] };
-                            let actual = if ok_buf[c] { intended } else { intended.not() };
-                            slice[c] = actual.voltage(vdd) as f32;
-                            rec.push(sub, *row, Col(c), role, intended, actual, p_buf[c]);
-                        }
-                    }
-                };
-                if matches!(need, CsTerminal::Both | CsTerminal::Compute) {
-                    terminal_pass(
-                        self,
-                        &mut rec,
-                        &mut p_buf,
-                        &mut ok_buf,
+                // p = margin multiplier × Φ(z), Φ(z) from the memoized
+                // per-row table of the column's family and mismatch.
+                let first_only = need.first_row_only();
+                let terminals = [
+                    (
+                        need.resolves_compute(),
                         sub_com,
                         &second_rows,
                         &cs_tab.com,
@@ -1750,14 +1688,9 @@ impl Chip {
                         false,
                         CellRole::Compute,
                         dexp_com,
-                    );
-                }
-                if matches!(need, CsTerminal::Both | CsTerminal::Reference) {
-                    terminal_pass(
-                        self,
-                        &mut rec,
-                        &mut p_buf,
-                        &mut ok_buf,
+                    ),
+                    (
+                        need.resolves_reference(),
                         sub_ref,
                         &first_rows,
                         &cs_tab.refs,
@@ -1766,13 +1699,61 @@ impl Chip {
                         true,
                         CellRole::Reference,
                         dexp_ref,
-                    );
+                    ),
+                ];
+                for (resolve, sub, rows, tabs, ops, n_side, invert, role, dexp) in terminals {
+                    if !resolve {
+                        continue;
+                    }
+                    // Per-column invariants of this charge share.
+                    let mut mult = vec![0.0f64; cols];
+                    for c in (shared_start..cols).step_by(2) {
+                        let op_sel = if fam_and[c] { ops.0 } else { ops.1 };
+                        mult[c] = ReliabilityModel::margin_multiplier(op_sel, n_side, class[c]);
+                    }
+                    let (mult, fam_and, mm_idx) = (&mult, &fam_and, &mm_idx);
+                    let cell_p = |tab: &CsRowTab, c: usize| {
+                        let mut p = match &tab.cdf[usize::from(fam_and[c])] {
+                            Some(t) => (mult[c] * t[usize::from(mm_idx[c])][c]).clamp(0.0, 1.0),
+                            None => 0.0,
+                        };
+                        if dexp != 1.0 {
+                            p = p.powf(dexp);
+                        }
+                        p
+                    };
+                    for (row_i, (row, tab)) in rows.iter().zip(tabs.iter()).enumerate() {
+                        if first_only && row_i > 0 {
+                            // Unresolved: counted toward the mean, never
+                            // drawn; the row keeps its staged values.
+                            let ps = (shared_start..cols).step_by(2).map(|c| cell_p(tab, c));
+                            rec.stats.record_unresolved(role, ps);
+                            continue;
+                        }
+                        let sampler = self.row_sampler(op, sub, *row);
+                        run_cols(cols, parallel, &mut p_buf, &mut ok_buf, |start, pc, oc| {
+                            for i in ((start + shared_start) % 2..pc.len()).step_by(2) {
+                                let c = start + i;
+                                let p = cell_p(tab, c);
+                                pc[i] = p;
+                                oc[i] = sampler.sample(c, p);
+                            }
+                        });
+                        let slice = self.banks[bank.index()].subarray_mut(sub).row_mut(*row);
+                        for c in (shared_start..cols).step_by(2) {
+                            let intended = if invert { com_res[c].not() } else { com_res[c] };
+                            let actual = if ok_buf[c] { intended } else { intended.not() };
+                            slice[c] = actual.voltage(vdd) as f32;
+                            rec.push(sub, *row, Col(c), role, intended, actual, p_buf[c]);
+                        }
+                    }
                 }
 
                 // Non-shared half: each side majority-resolves against
                 // its other (precharged) stripe, from the pre-operation
                 // snapshot gathered above. Skipped when masked: these
                 // cells are never read before their next rewrite.
+                let off_start = 1 - shared_start;
                 let offmaj_sides: &[_] = if masked {
                     &[]
                 } else {
@@ -1804,28 +1785,21 @@ impl Chip {
                         .collect();
                     for row in rows.iter() {
                         let cdf = self.memo_maj_cdf(bank, sub, *row);
-                        let model = &self.model;
-                        let sub_row_key = ((sub.index() as u64) << 32) | row.index() as u64;
+                        let sampler = self.row_sampler(op, sub, *row);
                         let (cdf_ref, mult_ref) = (&cdf, &mult);
                         run_cols(cols, parallel, &mut p_buf, &mut ok_buf, |start, pc, oc| {
-                            for i in 0..pc.len() {
+                            for i in ((start + off_start) % 2..pc.len()).step_by(2) {
                                 let c = start + i;
-                                if c % 2 == shared_start {
-                                    continue;
-                                }
                                 let mut p = (mult_ref[c] * cdf_ref[c]).clamp(0.0, 1.0);
                                 if dexp != 1.0 {
                                     p = p.powf(dexp);
                                 }
                                 pc[i] = p;
-                                oc[i] = model.sample(p, mix3(op, sub_row_key, c as u64), 0);
+                                oc[i] = sampler.sample(c, p);
                             }
                         });
                         let slice = self.banks[bank.index()].subarray_mut(sub).row_mut(*row);
-                        for c in 0..cols {
-                            if c % 2 == shared_start {
-                                continue;
-                            }
+                        for c in (off_start..cols).step_by(2) {
                             let actual = if ok_buf[c] { maj[c] } else { maj[c].not() };
                             slice[c] = actual.voltage(vdd) as f32;
                             rec.push(
@@ -1894,6 +1868,7 @@ impl Chip {
         let mut out = Vec::new();
         for victim in victims {
             let mut flips = 0usize;
+            let sampler = self.row_sampler(op, sub, victim);
             for c in 0..self.geom.cols() {
                 let col = Col(c);
                 let threshold = self
@@ -1907,8 +1882,7 @@ impl Chip {
                 // Anti-cells (0 → 1 flips) are ~8× rarer.
                 let eff = if charged { threshold } else { threshold * 8.0 };
                 let p_flip = (activations as f64 / eff - 0.8).clamp(0.0, 0.95);
-                let key = Self::cell_key(op, sub, victim, col);
-                if p_flip > 0.0 && self.model.sample(p_flip, key, 0) {
+                if p_flip > 0.0 && sampler.sample(c, p_flip) {
                     let old = self.banks[bank.index()]
                         .subarray_mut(sub)
                         .bit(victim, col, vdd);
@@ -1923,6 +1897,53 @@ impl Chip {
             out.push((self.geom.join_row(sub, victim)?, flips));
         }
         Ok(out)
+    }
+}
+
+/// Adds each raised row's cell voltages into `sums`, and sets bit `i` of
+/// `packed[c]` where raised row `i` holds a one, in raised-row order
+/// (so each column's total is the same float sum whichever columns are
+/// visited). `parity = Some(s)` visits only the columns of parity `s`;
+/// `None` visits all. Unallocated rows read as zero and add nothing.
+fn gather_rows(
+    sa: Option<&Subarray>,
+    rows: &[LocalRow],
+    parity: Option<usize>,
+    vdd: f64,
+    sums: &mut [f64],
+    packed: &mut [u64],
+) {
+    let threshold = vdd / 2.0;
+    for (i, r) in rows.iter().enumerate() {
+        let Some(slice) = sa.and_then(|s| s.row(*r)) else {
+            continue;
+        };
+        let cell = |s: &mut f64, p: &mut u64, v: f32| {
+            let v = f64::from(v);
+            *s += v;
+            *p |= u64::from(v > threshold) << i;
+        };
+        match parity {
+            None => {
+                for ((s, p), v) in sums.iter_mut().zip(packed.iter_mut()).zip(slice) {
+                    cell(s, p, *v);
+                }
+            }
+            Some(start) => {
+                let pairs = sums
+                    .chunks_exact_mut(2)
+                    .zip(packed.chunks_exact_mut(2))
+                    .zip(slice.chunks_exact(2));
+                for ((s, p), v) in pairs {
+                    cell(&mut s[start], &mut p[start], v[start]);
+                }
+                // An odd trailing column is visited iff it has parity `start`.
+                let last = sums.len().wrapping_sub(1);
+                if sums.len() % 2 == 1 && last % 2 == start {
+                    cell(&mut sums[last], &mut packed[last], slice[last]);
+                }
+            }
+        }
     }
 }
 

@@ -80,4 +80,4 @@ pub use timing::{SpeedBin, TimingParams, ViolationWindows};
 pub use types::{
     is_shared_col, BankId, Bit, ChipId, Col, GlobalRow, LocalRow, RowLoc, StripeSide, SubarrayId,
 };
-pub use variation::{DistanceRegion, ProcessVariation, VariationCache};
+pub use variation::{DistanceRegion, ProcessVariation, RowSampler, VariationCache};

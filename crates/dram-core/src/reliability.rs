@@ -570,12 +570,6 @@ impl ReliabilityModel {
         (c * normal_cdf(z)).clamp(0.0, 1.0)
     }
 
-    /// Deterministic Monte-Carlo draw: whether an event with success
-    /// probability `p` succeeds on trial `trial` of event `event_key`.
-    pub fn sample(&self, p: f64, event_key: u64, trial: u64) -> bool {
-        self.variation.trial_unit(event_key, trial) < p
-    }
-
     // -----------------------------------------------------------------
     // Row-batch decomposition (the columnar fast path)
     // -----------------------------------------------------------------
@@ -1061,7 +1055,9 @@ mod tests {
     fn sampling_matches_probability() {
         let (_, m) = model_for(0);
         let p = 0.75;
-        let hits = (0..20_000).filter(|t| m.sample(p, 0xE7, *t)).count();
+        let hits = (0..20_000)
+            .filter(|t| m.variation().trial_unit(0xE7, *t) < p)
+            .count();
         let rate = hits as f64 / 20_000.0;
         assert!((rate - p).abs() < 0.01, "{rate}");
     }

@@ -101,6 +101,37 @@ pub struct ProcessVariation {
     seed: u64,
 }
 
+/// Monte-Carlo draws for the cells of one row in one operation (see
+/// [`ProcessVariation::row_sampler`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowSampler {
+    /// `splitmix64(seed ^ 0x7214)`: the first stage of every draw.
+    chip: u64,
+    /// `mix2(op, row_key)`: the first two stages of every cell key.
+    row: u64,
+}
+
+impl RowSampler {
+    /// The uniform deviate of column `col`.
+    ///
+    /// Unrolls `mix4(chip_seed, mix3(op, row_key, col), 0, 1)` from
+    /// its hoisted stages: one round finishes the cell key, three
+    /// finish the draw (the trial-0 stage XORs in zero).
+    #[inline]
+    pub fn unit(&self, col: usize) -> f64 {
+        let key = splitmix64(self.row ^ (col as u64).rotate_left(41));
+        let h = splitmix64(splitmix64(self.chip ^ key.rotate_left(23)));
+        crate::math::hash_to_unit(splitmix64(h ^ 1u64.rotate_left(7)))
+    }
+
+    /// Whether column `col`'s event with success probability `p`
+    /// succeeds.
+    #[inline]
+    pub fn sample(&self, col: usize, p: f64) -> bool {
+        self.unit(col) < p
+    }
+}
+
 /// Correlation between a cell's NOT-drive deviation and its logic-op
 /// sensing deviation. The same physical cell is involved in both, but
 /// the dominant failure mechanisms differ (restore drive vs. sensing
@@ -175,6 +206,17 @@ impl ProcessVariation {
     /// caller-chosen event key and trial number.
     pub fn trial_unit(&self, event_key: u64, trial: u64) -> f64 {
         crate::math::hash_to_unit(mix4(self.seed ^ 0x7214, event_key, trial, 0x1))
+    }
+
+    /// The trial-0 sampler of one cell row: `unit(col)` is
+    /// `trial_unit(mix3(op, row_key, col), 0)`, bit for bit, with the
+    /// chip- and row-invariant mixing stages computed once here.
+    #[inline]
+    pub fn row_sampler(&self, op: u64, row_key: u64) -> RowSampler {
+        RowSampler {
+            chip: splitmix64(self.seed ^ 0x7214),
+            row: crate::math::mix2(op, row_key),
+        }
     }
 
     /// RowHammer threshold of a cell: the number of aggressor

@@ -490,7 +490,7 @@ impl BenderBackend {
 
     /// One prepared N-input gate: clone the template, patch the
     /// operand payloads from tracked values, arm the charge-share
-    /// terminal mask when the activation map allows it, ship — with
+    /// first-result-row mask when the activation map allows it, ship — with
     /// any deferred result write fused in as the program's prelude —
     /// read the one result row the step consumes, and return it plus
     /// this step's own result write for the caller to defer or land.
@@ -515,12 +515,10 @@ impl BenderBackend {
             }
         }
         if self.engine.mask_safe() {
-            let need = if op.is_inverted_terminal() {
-                CsTerminal::Reference
-            } else {
-                CsTerminal::Compute
-            };
-            self.engine.fcdram_mut().bender_mut().arm_cs_mask(need);
+            self.engine
+                .fcdram_mut()
+                .bender_mut()
+                .arm_cs_mask(CsTerminal::first_row_of(op));
         }
         let outcome = self.run_schedule(&program)?;
         if !matches!(outcome, Some(OutcomeKind::Logic { .. })) {

@@ -174,6 +174,26 @@ proptest! {
         prop_assert!(s <= trials);
         prop_assert_eq!(s, fcdram::sample_trials(p, trials, key));
     }
+
+    /// The hoisted row sampler draws exactly the per-cell deviate it
+    /// replaces: `unit(c)` is `trial_unit(mix3(op, key, c), 0)`, bit
+    /// for bit, and `sample` thresholds it.
+    #[test]
+    fn row_sampler_matches_trial_unit(
+        seed in any::<u64>(),
+        op in any::<u64>(),
+        key in any::<u64>(),
+        col in any::<usize>(),
+        p in 0.0f64..1.0,
+    ) {
+        let var = dram_core::ProcessVariation::new(seed);
+        let sampler = var.row_sampler(op, key);
+        for c in [col, col / 2, col % 8192] {
+            let want = var.trial_unit(dram_core::math::mix3(op, key, c as u64), 0);
+            prop_assert_eq!(sampler.unit(c).to_bits(), want.to_bits());
+            prop_assert_eq!(sampler.sample(c, p), want < p);
+        }
+    }
 }
 
 proptest! {

@@ -48,8 +48,8 @@
 //! prepared-plan shape pins `exec_prepared_templates/mix`,
 //! `exec_arena_slots/mix`, and `exec_fused_visits/mix`, the fused
 //! device-over-host ratios
-//! `exec_vm_dram/mix ÷ exec_host/mix ≤ 48.0` and
-//! `exec_bender/mix ÷ exec_host/mix ≤ 44.9` (equal lane
+//! `exec_vm_dram/mix ÷ exec_host/mix ≤ 39.6` and
+//! `exec_bender/mix ÷ exec_host/mix ≤ 41.5` (equal lane
 //! counts, the host being the word-wide golden model), the
 //! five deterministic `faults_*/demo` degradation-ledger counts from
 //! `ablation_faults` (exact): mitigations, dropouts, re-placed jobs,
@@ -233,9 +233,10 @@ fn main() -> ExitCode {
         // over `exec_host/mix` *measured in the same bench run*, so
         // the gate holds on any machine speed. All three backends run
         // the mix at the same lane count with operands built outside
-        // the timed loop; each limit is the committed artifact's
-        // ratio plus the 20% headroom the timing gates use.
-        for (num, limit) in [("exec_vm_dram/mix", 48.0), ("exec_bender/mix", 44.9)] {
+        // the timed loop; each limit is the median ratio of six
+        // `ablation_exec` runs (33.0 and 34.6; single runs spread
+        // ±15%) plus the 20% headroom the timing gates use.
+        for (num, limit) in [("exec_vm_dram/mix", 39.6), ("exec_bender/mix", 41.5)] {
             ratios.push((
                 "BENCH_exec.json".to_string(),
                 num.to_string(),
