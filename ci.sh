@@ -163,7 +163,12 @@ synth_smoke() {
 #      the Prometheus-style metrics exposition of every replay must
 #      be byte-identical to the live run's — determinism invariant #4
 #      (docs/OBSERVABILITY.md): observability artifacts are modeled
-#      time only, never wall clock.
+#      time only, never wall clock;
+#   7. the quick full-paper report (`characterize all --quick --json`)
+#      run twice: the two JSON reports must be byte-identical. It is
+#      the one report that runs the characterization ops and the
+#      `DramSubstrate` handle path (the `arith` table, with 5-fold
+#      voting).
 determinism() {
   mkdir -p target/tools
   cargo build --release -p characterize || return 1
@@ -228,10 +233,15 @@ determinism() {
         || { echo "determinism: metrics exposition (backend=$backend shards=$shards) differs from the live run" >&2; return 1; }
     done
   done
+  "$bin" all --quick --json target/tools/det_all_a.json >/dev/null \
+    && "$bin" all --quick --json target/tools/det_all_b.json >/dev/null \
+    || { echo "determinism: quick paper report failed" >&2; return 1; }
+  cmp target/tools/det_all_a.json target/tools/det_all_b.json \
+    || { echo "determinism: quick paper reports differ between runs" >&2; return 1; }
   echo "determinism: fleet, serve, and faulted serve (vm + bender)" \
        "reports byte-identical; fleet-health ledger identical across shards and backends;" \
        "daemon session, trace JSON, and metrics replay byte-identically" \
-       "(shards 1/5 x vm/bender)"
+       "(shards 1/5 x vm/bender); quick paper report byte-identical across runs"
 }
 
 # Docs gate, two halves:

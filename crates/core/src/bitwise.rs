@@ -9,11 +9,11 @@
 
 use crate::error::{FcdramError, Result};
 use crate::mapping::{ActivationMap, InSubarrayEntry, PatternEntry};
-use crate::ops::Fcdram;
+use crate::ops::{Fcdram, Prelude};
 use crate::packed::PackedBits;
 use dram_core::{BankId, Bit, GlobalRow, LocalRow, LogicOp, SimFidelity, SubarrayId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Handle to an allocated in-DRAM bit vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -50,20 +50,15 @@ pub struct OpStats {
     pub predicted_success: f64,
 }
 
-/// Per-visit state: caches that amortize fixed host-side costs over a
-/// run of fused value-path operations, plus the one deferred result
-/// write the fused command programs carry forward (see
-/// [`BulkEngine::begin_visit`]).
-#[derive(Debug, Default)]
-struct VisitState {
-    /// Cached NOT destination entry (cloned from the map once).
-    not_entry: Option<PatternEntry>,
-    /// Cached `N:N` entries, keyed by N.
-    nn_entries: BTreeMap<usize, PatternEntry>,
-    /// The previous operation's result write, deferred so it ships as
-    /// the prelude of the next fused program (or is flushed at visit
-    /// end) instead of paying its own program execution.
-    pending: Option<(GlobalRow, Vec<Bit>)>,
+/// One device gate as [`BulkEngine::run_gate`] dispatches it.
+#[derive(Clone, Copy)]
+enum Gate<'a> {
+    /// NOT of the operand value.
+    Not(&'a PackedBits),
+    /// N-input logic over operand values.
+    Logic(LogicOp, &'a [&'a PackedBits]),
+    /// In-subarray majority over full-width staged rows.
+    Maj(&'a [Vec<Bit>]),
 }
 
 /// The bulk bitwise engine.
@@ -71,6 +66,9 @@ struct VisitState {
 /// Runs the chip in the fast fidelity mode ([`SimFidelity::fast`]):
 /// aggregate statistics only, packed host I/O, threaded column kernels
 /// on wide rows. Stored bits are identical to full-telemetry runs.
+///
+/// Every gate — handle op or value op — ships as one command program
+/// from the [`Fcdram`] value ops and reads back one result row.
 #[derive(Debug)]
 pub struct BulkEngine {
     fc: Fcdram,
@@ -81,6 +79,12 @@ pub struct BulkEngine {
     shared_start: usize,
     free_rows: Vec<GlobalRow>,
     repetition: usize,
+    /// The NOT destination pattern (the first `1`-destination entry,
+    /// else the first `2`-destination one), resolved at construction.
+    not_entry: Option<PatternEntry>,
+    /// The first `N:N` entry of each N ∈ {2, 4, 8, 16} the map offers,
+    /// narrowest first, resolved at construction.
+    nn_entries: Vec<PatternEntry>,
     maj_entry: Option<InSubarrayEntry>,
     /// Whether masked charge shares are provably safe on this map: the
     /// NOT entries' raised rows (whose *old* cell content feeds the
@@ -88,8 +92,12 @@ pub struct BulkEngine {
     /// logic entry's raised rows (which a masked charge share may
     /// leave unresolved). Computed once at construction.
     mask_safe: bool,
-    /// Active fused visit, if any (see [`BulkEngine::begin_visit`]).
-    visit: Option<VisitState>,
+    /// Whether a fused visit is open (see [`BulkEngine::begin_visit`]).
+    visiting: bool,
+    /// The previous gate's result write, deferred during a visit so it
+    /// ships as the prelude of the next gate's program (or is flushed
+    /// before anything reads device rows, and at visit end).
+    pending: Prelude,
 }
 
 impl BulkEngine {
@@ -126,18 +134,17 @@ impl BulkEngine {
         let shared_cols: Vec<usize> = (0..geom.cols())
             .filter(|c| dram_core::is_shared_col(pair.0, dram_core::Col(*c)))
             .collect();
-        // Reserve exactly the entries `not`/`logic` will select.
-        let mut reserved: BTreeSet<LocalRow> = BTreeSet::new();
-        for n_dst in [1usize, 2] {
-            if let Some(e) = map.find_dst(n_dst).first() {
-                reserved.extend(e.second_rows.iter().copied());
-            }
-        }
-        for n in [2usize, 4, 8, 16] {
-            if let Some(e) = map.find_nn(n) {
-                reserved.extend(e.second_rows.iter().copied());
-            }
-        }
+        // The first entry of each small NOT destination shape; NOTs run
+        // through the first of them.
+        let not_shapes: Vec<&PatternEntry> = [1usize, 2]
+            .into_iter()
+            .filter_map(|n_dst| map.find_dst(n_dst).first().copied())
+            .collect();
+        let not_entry = not_shapes.first().map(|e| (*e).clone());
+        let nn_entries: Vec<PatternEntry> = [2usize, 4, 8, 16]
+            .into_iter()
+            .filter_map(|n| map.find_nn(n).cloned())
+            .collect();
         let com_sub = pair.1;
         // Ambit-style in-subarray majority: keep one four-row
         // activation set in the compute subarray when the part has one
@@ -153,6 +160,11 @@ impl BulkEngine {
         )
         .ok()
         .and_then(|sets| sets.get(&4).and_then(|v| v.first().cloned()));
+        // Reserve the compute-subarray rows of those entries.
+        let mut reserved: BTreeSet<LocalRow> = BTreeSet::new();
+        for e in not_shapes.iter().copied().chain(&nn_entries) {
+            reserved.extend(e.second_rows.iter().copied());
+        }
         if let Some(e) = &maj_entry {
             reserved.extend(e.rows.iter().copied());
         }
@@ -165,25 +177,18 @@ impl BulkEngine {
         // row content is the copy/NOT kernel (failed samples retain the
         // previous bit), so masking is safe iff the NOT entries' raised
         // rows never coincide with a logic entry's raised rows.
-        let mut not_rows: BTreeSet<(usize, usize)> = BTreeSet::new();
-        for n_dst in [1usize, 2] {
-            if let Some(e) = map.find_dst(n_dst).first() {
+        let raised = |entries: &mut dyn Iterator<Item = &PatternEntry>| -> Result<_> {
+            let mut rows: BTreeSet<(usize, usize)> = BTreeSet::new();
+            for e in entries {
                 let (sf, _) = geom.split_row(e.rf)?;
                 let (sl, _) = geom.split_row(e.rl)?;
-                not_rows.extend(e.first_rows.iter().map(|r| (sf.index(), r.index())));
-                not_rows.extend(e.second_rows.iter().map(|r| (sl.index(), r.index())));
+                rows.extend(e.first_rows.iter().map(|r| (sf.index(), r.index())));
+                rows.extend(e.second_rows.iter().map(|r| (sl.index(), r.index())));
             }
-        }
-        let mut cs_rows: BTreeSet<(usize, usize)> = BTreeSet::new();
-        for n in [2usize, 4, 8, 16] {
-            if let Some(e) = map.find_nn(n) {
-                let (sf, _) = geom.split_row(e.rf)?;
-                let (sl, _) = geom.split_row(e.rl)?;
-                cs_rows.extend(e.first_rows.iter().map(|r| (sf.index(), r.index())));
-                cs_rows.extend(e.second_rows.iter().map(|r| (sl.index(), r.index())));
-            }
-        }
-        let mask_safe = not_rows.is_disjoint(&cs_rows);
+            Ok(rows)
+        };
+        let mask_safe =
+            raised(&mut not_shapes.iter().copied())?.is_disjoint(&raised(&mut nn_entries.iter())?);
         // Bulk workloads never inspect per-cell records: run the chip
         // in the fast fidelity mode (identical stored bits and
         // aggregate statistics, no per-cell vectors).
@@ -198,54 +203,46 @@ impl BulkEngine {
             shared_start: (pair.0.index() + 1) % 2,
             free_rows,
             repetition: 1,
+            not_entry,
+            nn_entries,
             maj_entry,
             mask_safe,
-            visit: None,
+            visiting: false,
+            pending: None,
         })
     }
 
-    /// Opens a fused visit: until [`BulkEngine::end_visit`], the
-    /// value-path operations ([`BulkEngine::not_known`],
-    /// [`BulkEngine::logic_known`]) each ship as ONE combined command
-    /// program (operand writes + gate sequence), with the result write
-    /// deferred into the *next* operation's program. Pattern-entry
-    /// lookups are cached for the visit. The device-call sequence —
-    /// and with it every stored bit, stochastic draw, and success
-    /// statistic — is identical to unfused execution; only the
+    /// Opens a fused visit: until [`BulkEngine::end_visit`], each gate's
+    /// result write is deferred into the *next* gate's command program
+    /// instead of shipping as a program of its own. The device-call
+    /// sequence — and with it every stored bit, stochastic draw, and
+    /// success statistic — is identical to unfused execution; only the
     /// per-program fixed costs are amortized.
     ///
     /// Nested calls are idempotent (an active visit is kept).
     pub fn begin_visit(&mut self) {
-        if self.visit.is_none() {
-            self.visit = Some(VisitState::default());
-        }
+        self.visiting = true;
     }
 
     /// Closes the current fused visit, flushing the deferred result
     /// write (if any). A no-op when no visit is active.
     pub fn end_visit(&mut self) -> Result<()> {
-        if let Some(visit) = self.visit.take() {
-            if let Some((row, data)) = visit.pending {
-                self.fc.write_row(self.bank, row, data)?;
-            }
-        }
-        Ok(())
+        self.visiting = false;
+        self.flush_pending()
     }
 
-    /// Flushes the visit's deferred result write without closing the
-    /// visit, so operations that read device rows directly (copies,
-    /// legacy paths, host read-backs) observe a consistent chip.
+    /// Lands the visit's deferred result write, so operations that
+    /// read device rows directly (copies, host read-backs) observe a
+    /// consistent chip.
     fn flush_pending(&mut self) -> Result<()> {
-        if let Some(visit) = self.visit.as_mut() {
-            if let Some((row, data)) = visit.pending.take() {
-                self.fc.write_row(self.bank, row, data)?;
-            }
+        if let Some((row, data)) = self.pending.take() {
+            self.fc.write_row(self.bank, row, data)?;
         }
         Ok(())
     }
 
-    /// Whether the value-path ops may use masked charge shares on this
-    /// part's activation map (see the field docs for the criterion).
+    /// Whether the gates may use masked charge shares on this part's
+    /// activation map (see the field docs for the criterion).
     pub fn mask_safe(&self) -> bool {
         self.mask_safe
     }
@@ -273,12 +270,6 @@ impl BulkEngine {
         self
     }
 
-    #[doc(hidden)]
-    pub fn set_fidelity(&mut self, fidelity: SimFidelity) {
-        let cfg = self.sim_config().with_fidelity(fidelity);
-        self.configure(cfg);
-    }
-
     /// Whether this part offers Ambit-style in-subarray majority (a
     /// four-row simultaneous activation set was discovered in the
     /// compute subarray).
@@ -294,6 +285,37 @@ impl BulkEngine {
     /// The discovered activation map (for inspection).
     pub fn map(&self) -> &ActivationMap {
         &self.map
+    }
+
+    /// The NOT destination pattern every NOT runs through.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FcdramError::NoPattern`] when the map has no
+    /// one- or two-destination pattern.
+    pub fn not_entry(&self) -> Result<&PatternEntry> {
+        self.not_entry
+            .as_ref()
+            .ok_or(FcdramError::NoPattern { n_rf: 1, n_rl: 1 })
+    }
+
+    /// The `N:N` pattern an `inputs`-input gate runs through: the
+    /// narrowest discovered one with `N ≥ inputs` (unused rows are
+    /// identity-padded).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FcdramError::BadInputCount`] for fewer than two
+    /// inputs or more than the widest discovered pattern.
+    pub fn logic_entry(&self, inputs: usize) -> Result<&PatternEntry> {
+        let bad = FcdramError::BadInputCount {
+            n: inputs,
+            max: self.fc.config().max_op_inputs(),
+        };
+        if inputs < 2 {
+            return Err(bad);
+        }
+        covering(&self.nn_entries, inputs).ok_or(bad)
     }
 
     /// The compute subarray vectors are allocated in.
@@ -323,12 +345,6 @@ impl BulkEngine {
     /// Mutable access to the wrapped library facade.
     pub fn fcdram_mut(&mut self) -> &mut Fcdram {
         &mut self.fc
-    }
-
-    #[doc(hidden)]
-    pub fn set_temperature(&mut self, t: dram_core::Temperature) {
-        let cfg = self.sim_config().with_temperature(t);
-        self.configure(cfg);
     }
 
     /// Enables k-fold repetition with majority voting (k odd).
@@ -400,36 +416,15 @@ impl BulkEngine {
         Ok(PackedBits::from_words(words, self.shared_cols.len()))
     }
 
-    /// In-DRAM NOT: `out ← ¬a`.
+    /// In-DRAM NOT: `out ← ¬a` (the operand read back, then
+    /// [`BulkEngine::not_known`]).
     pub fn not(&mut self, a: &BitVecHandle, out: &BitVecHandle) -> Result<OpStats> {
-        let src = self.read_packed(a)?;
-        let mut ideal = src.clone();
-        ideal.not_in_place();
-        let entry = self
-            .map
-            .find_dst(1)
-            .first()
-            .cloned()
-            .cloned()
-            .or_else(|| self.map.find_dst(2).first().cloned().cloned())
-            .ok_or(FcdramError::NoPattern { n_rf: 1, n_rl: 1 })?;
-        let src_full = self.expand_packed(&src);
-        if self.repetition == 1 {
-            let rep = self.fc.execute_not_packed(self.bank, &entry, &src_full)?;
-            return self.finish_packed(out, rep.result, &ideal, rep.predicted_success);
-        }
-        let mut votes = vec![0u32; self.shared_cols.len()];
-        let mut predicted = 0.0;
-        for _ in 0..self.repetition {
-            let rep = self.fc.execute_not_packed(self.bank, &entry, &src_full)?;
-            predicted += rep.predicted_success;
-            tally(&mut votes, &rep.result);
-        }
-        let result = majority(&votes, self.repetition);
-        self.finish_packed(out, result, &ideal, predicted)
+        let val = self.read_packed(a)?;
+        Ok(self.not_known(&val, out)?.0)
     }
 
-    /// In-DRAM N-input logic: `out ← op(inputs...)`.
+    /// In-DRAM N-input logic: `out ← op(inputs...)` (the operands read
+    /// back, then [`BulkEngine::logic_known`]).
     ///
     /// Uses the smallest discovered `N:N` pattern with `N ≥
     /// inputs.len()`, identity-padding unused rows.
@@ -439,50 +434,13 @@ impl BulkEngine {
         inputs: &[&BitVecHandle],
         out: &BitVecHandle,
     ) -> Result<OpStats> {
-        if inputs.len() < 2 {
-            return Err(FcdramError::BadInputCount {
-                n: inputs.len(),
-                max: self.fc.config().max_op_inputs(),
-            });
-        }
-        let n = [2usize, 4, 8, 16]
-            .into_iter()
-            .find(|n| *n >= inputs.len() && self.map.find_nn(*n).is_some())
-            .ok_or(FcdramError::BadInputCount {
-                n: inputs.len(),
-                max: self.fc.config().max_op_inputs(),
-            })?;
-        let entry = self.map.find_nn(n).expect("checked").clone();
-
-        let packed_inputs: Vec<PackedBits> = inputs
+        self.logic_entry(inputs.len())?;
+        let vals: Vec<PackedBits> = inputs
             .iter()
             .map(|h| self.read_packed(h))
             .collect::<Result<_>>()?;
-        if self.repetition == 1 {
-            let rep = self
-                .fc
-                .execute_logic_packed(self.bank, &entry, op, &packed_inputs)?;
-            let ideal = rep.expected;
-            return self.finish_packed(out, rep.result, &ideal, rep.predicted_success);
-        }
-        let mut votes = vec![0u32; self.shared_cols.len()];
-        let mut predicted = 0.0;
-        let mut ideal = None;
-        for _ in 0..self.repetition {
-            let rep = self
-                .fc
-                .execute_logic_packed(self.bank, &entry, op, &packed_inputs)?;
-            predicted += rep.predicted_success;
-            tally(&mut votes, &rep.result);
-            ideal.get_or_insert(rep.expected);
-        }
-        let result = majority(&votes, self.repetition);
-        self.finish_packed(
-            out,
-            result,
-            &ideal.expect("at least one execution"),
-            predicted,
-        )
+        let refs: Vec<&PackedBits> = vals.iter().collect();
+        Ok(self.logic_known(op, &refs, out)?.0)
     }
 
     /// Convenience wrappers.
@@ -526,12 +484,11 @@ impl BulkEngine {
         c: &BitVecHandle,
         out: &BitVecHandle,
     ) -> Result<OpStats> {
-        let entry = self
-            .maj_entry
-            .clone()
-            .ok_or_else(|| FcdramError::OpFailed {
+        if self.maj_entry.is_none() {
+            return Err(FcdramError::OpFailed {
                 detail: "no four-row in-subarray activation set discovered".to_string(),
-            })?;
+            });
+        }
         let (da, db, dc) = (
             self.read_packed(a)?,
             self.read_packed(b)?,
@@ -553,26 +510,11 @@ impl BulkEngine {
             self.expand_packed(&dc),
             vec![Bit::One; cols],
         ];
-        if self.repetition == 1 {
-            let rep = self
-                .fc
-                .execute_maj_packed(self.bank, &entry, &inputs, self.shared_start)?;
-            return self.finish_packed(out, rep.result, &ideal, rep.predicted_success);
-        }
-        let mut votes = vec![0u32; self.shared_cols.len()];
-        let mut predicted = 0.0;
-        for _ in 0..self.repetition {
-            let rep = self
-                .fc
-                .execute_maj_packed(self.bank, &entry, &inputs, self.shared_start)?;
-            predicted += rep.predicted_success;
-            tally(&mut votes, &rep.result);
-        }
-        let result = majority(&votes, self.repetition);
-        self.finish_packed(out, result, &ideal, predicted)
+        Ok(self.run_gate(Gate::Maj(&inputs), &ideal, out)?.0)
     }
 
-    /// In-DRAM copy (`out ← a`) via in-subarray RowClone.
+    /// In-DRAM copy (`out ← a`) via in-subarray RowClone (the operand
+    /// read back, then [`BulkEngine::copy_known`]).
     ///
     /// Both vectors live in the compute subarray, so the copy is a
     /// sub-`tRP` `ACT → PRE → ACT` pair that never moves data over the
@@ -585,38 +527,14 @@ impl BulkEngine {
     /// Propagates device addressing errors; the non-cloning-pair case
     /// is handled internally by the fallback.
     pub fn copy(&mut self, a: &BitVecHandle, out: &BitVecHandle) -> Result<OpStats> {
-        let ideal = self.read_packed(a)?;
-        match self.fc.rowclone(self.bank, a.row, out.row) {
-            Ok(outcome) => {
-                let got = self.read_packed(out)?;
-                let accuracy = got.accuracy_against(&ideal);
-                let predicted = outcome
-                    .mean_success(dram_core::CellRole::CloneDst)
-                    .unwrap_or(1.0);
-                Ok(OpStats {
-                    executions: 1,
-                    accuracy,
-                    predicted_success: predicted,
-                })
-            }
-            Err(_) => {
-                self.write_packed(out, &ideal)?;
-                Ok(OpStats {
-                    executions: 0,
-                    accuracy: 1.0,
-                    predicted_success: 1.0,
-                })
-            }
-        }
+        let val = self.read_packed(a)?;
+        Ok(self.copy_known(a, &val, out)?.0)
     }
 
     /// Value-path NOT for prepared execution: the caller supplies the
     /// operand's current value (tracked host-side), eliding the input
-    /// read-back, and the destination pattern is read back first-row
-    /// only. Stored bits, stochastic draws, result, and
-    /// `predicted_success` are bit-identical to [`BulkEngine::not`] on
-    /// the same state; returns the result bits alongside the stats so
-    /// the caller can keep tracking values.
+    /// read-back. Returns the stored result bits alongside the stats
+    /// so the caller can keep tracking values.
     ///
     /// # Errors
     ///
@@ -628,54 +546,13 @@ impl BulkEngine {
     ) -> Result<(OpStats, PackedBits)> {
         let mut ideal = val.clone();
         ideal.not_in_place();
-        if self.repetition == 1 && self.visit.is_some() {
-            let entry = self.visit_not_entry()?;
-            let src_full = self.expand_packed(val);
-            let prelude = self.take_pending();
-            let rep = self
-                .fc
-                .execute_not_packed_value_fused(self.bank, &entry, &src_full, prelude)?;
-            return self.finish_deferred(out, rep.result, &ideal, rep.predicted_success);
-        }
-        let entry = self
-            .map
-            .find_dst(1)
-            .first()
-            .cloned()
-            .cloned()
-            .or_else(|| self.map.find_dst(2).first().cloned().cloned())
-            .ok_or(FcdramError::NoPattern { n_rf: 1, n_rl: 1 })?;
-        let src_full = self.expand_packed(val);
-        if self.repetition == 1 {
-            let rep = self
-                .fc
-                .execute_not_packed_value(self.bank, &entry, &src_full)?;
-            let bits = rep.result.clone();
-            let stats = self.finish_packed(out, rep.result, &ideal, rep.predicted_success)?;
-            return Ok((stats, bits));
-        }
-        self.flush_pending()?;
-        let mut votes = vec![0u32; self.shared_cols.len()];
-        let mut predicted = 0.0;
-        for _ in 0..self.repetition {
-            let rep = self
-                .fc
-                .execute_not_packed_value(self.bank, &entry, &src_full)?;
-            predicted += rep.predicted_success;
-            tally(&mut votes, &rep.result);
-        }
-        let result = majority(&votes, self.repetition);
-        let stats = self.finish_packed(out, result.clone(), &ideal, predicted)?;
-        Ok((stats, result))
+        self.run_gate(Gate::Not(val), &ideal, out)
     }
 
     /// Value-path N-input logic for prepared execution: operand values
-    /// are supplied by the caller (no input read-backs) and the charge
+    /// are supplied by the caller (no input read-backs), and the charge
     /// share is masked to the first row of the terminal being read
-    /// when [`BulkEngine::mask_safe`] holds (falling back to the full
-    /// kernel otherwise). The result bits, their stochastic draws, and
-    /// `predicted_success` are bit-identical to [`BulkEngine::logic`]
-    /// on the same state.
+    /// when [`BulkEngine::mask_safe`] holds.
     ///
     /// # Errors
     ///
@@ -686,69 +563,13 @@ impl BulkEngine {
         vals: &[&PackedBits],
         out: &BitVecHandle,
     ) -> Result<(OpStats, PackedBits)> {
-        if vals.len() < 2 {
-            return Err(FcdramError::BadInputCount {
-                n: vals.len(),
-                max: self.fc.config().max_op_inputs(),
-            });
-        }
-        let n = [2usize, 4, 8, 16]
-            .into_iter()
-            .find(|n| *n >= vals.len() && self.map.find_nn(*n).is_some())
-            .ok_or(FcdramError::BadInputCount {
-                n: vals.len(),
-                max: self.fc.config().max_op_inputs(),
-            })?;
-        if self.repetition == 1 && self.mask_safe && self.visit.is_some() {
-            let entry = self.visit_nn_entry(n)?;
-            let prelude = self.take_pending();
-            let rep = self
-                .fc
-                .execute_logic_packed_value_fused(self.bank, &entry, op, vals, prelude)?;
-            let ideal = rep.expected;
-            return self.finish_deferred(out, rep.result, &ideal, rep.predicted_success);
-        }
-        self.flush_pending()?;
-        let entry = self.map.find_nn(n).expect("checked").clone();
-        let packed_inputs: Vec<PackedBits> = vals.iter().map(|p| (*p).clone()).collect();
-        let masked = self.mask_safe;
-        let run = |fc: &mut Fcdram, bank: BankId| {
-            if masked {
-                fc.execute_logic_packed_value(bank, &entry, op, &packed_inputs)
-            } else {
-                fc.execute_logic_packed(bank, &entry, op, &packed_inputs)
-            }
-        };
-        if self.repetition == 1 {
-            let rep = run(&mut self.fc, self.bank)?;
-            let bits = rep.result.clone();
-            let stats =
-                self.finish_packed(out, rep.result, &rep.expected, rep.predicted_success)?;
-            return Ok((stats, bits));
-        }
-        let mut votes = vec![0u32; self.shared_cols.len()];
-        let mut predicted = 0.0;
-        let mut ideal = None;
-        for _ in 0..self.repetition {
-            let rep = run(&mut self.fc, self.bank)?;
-            predicted += rep.predicted_success;
-            tally(&mut votes, &rep.result);
-            ideal.get_or_insert(rep.expected);
-        }
-        let result = majority(&votes, self.repetition);
-        let stats = self.finish_packed(
-            out,
-            result.clone(),
-            &ideal.expect("at least one execution"),
-            predicted,
-        )?;
-        Ok((stats, result))
+        self.logic_entry(vals.len())?;
+        let ideal = crate::ops::ideal_logic(op, vals, self.shared_cols.len());
+        self.run_gate(Gate::Logic(op, vals), &ideal, out)
     }
 
     /// Value-path copy for prepared execution: the source's current
     /// value is supplied by the caller, eliding the input read-back.
-    /// The RowClone attempt and its stochastic draws are identical to
-    /// [`BulkEngine::copy`] on the same state.
     ///
     /// # Errors
     ///
@@ -815,95 +636,85 @@ impl BulkEngine {
         bits.expand_strided(self.fc.config().modeled_cols, self.shared_start, 2)
     }
 
-    /// Takes the visit's deferred result write (to ship as the next
-    /// fused program's prelude).
-    fn take_pending(&mut self) -> Option<(GlobalRow, Vec<Bit>)> {
-        self.visit.as_mut().and_then(|v| v.pending.take())
-    }
-
-    /// The visit-cached NOT destination entry (cloned from the map on
-    /// first use).
-    fn visit_not_entry(&mut self) -> Result<PatternEntry> {
-        let cached = self.visit.as_ref().and_then(|v| v.not_entry.clone());
-        if let Some(e) = cached {
-            return Ok(e);
-        }
-        let entry = self
-            .map
-            .find_dst(1)
-            .first()
-            .cloned()
-            .cloned()
-            .or_else(|| self.map.find_dst(2).first().cloned().cloned())
-            .ok_or(FcdramError::NoPattern { n_rf: 1, n_rl: 1 })?;
-        if let Some(v) = self.visit.as_mut() {
-            v.not_entry = Some(entry.clone());
-        }
-        Ok(entry)
-    }
-
-    /// The visit-cached `N:N` entry (cloned from the map on first use).
-    fn visit_nn_entry(&mut self, n: usize) -> Result<PatternEntry> {
-        let cached = self
-            .visit
-            .as_ref()
-            .and_then(|v| v.nn_entries.get(&n).cloned());
-        if let Some(e) = cached {
-            return Ok(e);
-        }
-        let entry = self
-            .map
-            .find_nn(n)
-            .ok_or(FcdramError::NoPattern { n_rf: n, n_rl: n })?
-            .clone();
-        if let Some(v) = self.visit.as_mut() {
-            v.nn_entries.insert(n, entry.clone());
-        }
-        Ok(entry)
-    }
-
-    /// Visit-mode counterpart of [`finish_packed`](Self::finish_packed):
-    /// identical statistics, but the result write is deferred into the
-    /// visit instead of executing its own program now.
-    fn finish_deferred(
+    /// Runs `gate` `repetition` times through its value op — the first
+    /// run carries the deferred result write as its program's prelude
+    /// — majority-votes the results and stores the vote in `out`:
+    /// deferred into the visit when one is open, landed now otherwise.
+    fn run_gate(
         &mut self,
-        out: &BitVecHandle,
-        result: PackedBits,
+        gate: Gate<'_>,
         ideal: &PackedBits,
-        predicted: f64,
+        out: &BitVecHandle,
     ) -> Result<(OpStats, PackedBits)> {
-        let accuracy = result.accuracy_against(ideal);
-        let full = self.expand_packed(&result);
-        self.visit
-            .as_mut()
-            .expect("finish_deferred requires an active visit")
-            .pending = Some((out.row, full));
-        Ok((
-            OpStats {
-                executions: 1,
-                accuracy,
-                predicted_success: predicted,
-            },
-            result,
-        ))
-    }
-
-    fn finish_packed(
-        &mut self,
-        out: &BitVecHandle,
-        result: PackedBits,
-        ideal: &PackedBits,
-        predicted_sum: f64,
-    ) -> Result<OpStats> {
         let k = self.repetition;
-        let accuracy = result.accuracy_against(ideal);
-        self.write_packed(out, &result)?;
-        Ok(OpStats {
+        let mut votes = vec![0u32; if k > 1 { self.shared_cols.len() } else { 0 }];
+        let mut predicted = 0.0;
+        let mut result = None;
+        for _ in 0..k {
+            let prelude = self.pending.take();
+            let (bits, p) = match gate {
+                Gate::Not(val) => {
+                    let entry = self
+                        .not_entry
+                        .as_ref()
+                        .ok_or(FcdramError::NoPattern { n_rf: 1, n_rl: 1 })?;
+                    let rep = self.fc.execute_not_value(self.bank, entry, val, prelude)?;
+                    (rep.result, rep.predicted_success)
+                }
+                Gate::Logic(op, vals) => {
+                    let entry =
+                        covering(&self.nn_entries, vals.len()).expect("checked by logic_entry");
+                    let rep = self.fc.execute_logic_value(
+                        self.bank,
+                        entry,
+                        op,
+                        vals,
+                        prelude,
+                        self.mask_safe,
+                    )?;
+                    (rep.result, rep.predicted_success)
+                }
+                Gate::Maj(inputs) => {
+                    let entry = self.maj_entry.as_ref().expect("checked by maj3");
+                    let rep = self.fc.execute_maj_value(
+                        self.bank,
+                        entry,
+                        inputs,
+                        self.shared_start,
+                        prelude,
+                    )?;
+                    (rep.result, rep.predicted_success)
+                }
+            };
+            predicted += p;
+            if k > 1 {
+                tally(&mut votes, &bits);
+            }
+            result = Some(bits);
+        }
+        let result = if k > 1 {
+            majority(&votes, k)
+        } else {
+            result.expect("at least one execution")
+        };
+        let stats = OpStats {
             executions: k,
-            accuracy,
-            predicted_success: predicted_sum / k as f64,
-        })
+            accuracy: result.accuracy_against(ideal),
+            predicted_success: predicted / k as f64,
+        };
+        let full = self.expand_packed(&result);
+        self.pending = Some((out.row, full));
+        if !self.visiting {
+            self.flush_pending()?;
+        }
+        Ok((stats, result))
     }
+}
+
+/// The narrowest of `entries` (narrowest first) with at least
+/// `inputs` rows per side.
+fn covering(entries: &[PatternEntry], inputs: usize) -> Option<&PatternEntry> {
+    entries.iter().find(|e| e.shape().1 >= inputs)
 }
 
 /// Adds one packed execution's set lanes into per-lane vote counters.

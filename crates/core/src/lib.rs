@@ -51,7 +51,8 @@ pub use bitwise::{BitVecHandle, BulkEngine, OpStats};
 pub use error::{FcdramError, Result};
 pub use mapping::{ActivationMap, CoverageRow, InSubarrayEntry, PatternEntry};
 pub use ops::{
-    FastLogicResult, FastMajResult, FastNotResult, Fcdram, LogicReport, MajReport, NotReport,
+    FastLogicResult, FastMajResult, FastNotResult, Fcdram, GateLayout, GateSite, LogicReport,
+    MajReport, NotReport, Prelude,
 };
 pub use packed::PackedBits;
 pub use row_order::{discover_row_order, RowOrder};

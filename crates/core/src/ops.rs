@@ -1,33 +1,40 @@
 //! The in-DRAM operations: RowClone, Frac, NOT, and N-input
 //! AND/OR/NAND/NOR, executed over the command interface against a
 //! discovered [`ActivationMap`].
+//!
+//! Each device gate — NOT, N-input logic and in-subarray MAJ — has
+//! exactly one command-program builder ([`GateSite`]). Every layer that
+//! issues a gate takes its program from there: the characterization
+//! ops and value ops below, the bulk engine on top of them, and the
+//! command-schedule execution backend.
 
 use crate::error::{FcdramError, Result};
 use crate::mapping::{ActivationMap, InSubarrayEntry, PatternEntry};
 use crate::packed::PackedBits;
-use bender::Bender;
+use bender::{Bender, Program, ProgramBuilder};
 use dram_core::{
-    is_shared_col, BankId, Bit, CellRole, ChipId, Col, CsTerminal, DramModule, GlobalRow, LogicOp,
-    ModuleConfig, OpOutcome, OutcomeKind, SubarrayId, Temperature,
+    is_shared_col, BankId, Bit, CellRole, ChipId, Col, CsTerminal, DramModule, Geometry, GlobalRow,
+    LocalRow, LogicOp, ModuleConfig, OpOutcome, OutcomeKind, SubarrayId,
 };
 use serde::{Deserialize, Serialize};
 
-/// Result of a fast-path NOT execution: packed, shared columns only,
-/// no per-cell records and no full-width row reads.
+/// Result of a value-path NOT: packed, shared columns only, first
+/// destination row only, no per-cell records.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FastNotResult {
     /// Shape actually activated (`N_RF`, `N_RL`).
     pub shape: (usize, usize),
     /// First destination row's shared columns (packed).
     pub result: PackedBits,
-    /// Fraction of destination cells on shared columns holding ¬src
-    /// (over *all* destination rows, like [`NotReport`]).
+    /// Fraction of the first destination row's shared cells holding
+    /// ¬src.
     pub observed_success: f64,
     /// Mean model-assigned success probability of destination cells.
     pub predicted_success: f64,
 }
 
-/// Result of a fast-path logic execution (packed, shared columns only).
+/// Result of a value-path logic operation (packed, shared columns
+/// only, first result row only).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FastLogicResult {
     /// The operation.
@@ -38,14 +45,14 @@ pub struct FastLogicResult {
     pub expected: PackedBits,
     /// First result row's shared columns (packed).
     pub result: PackedBits,
-    /// Fraction of result cells (all result rows × shared columns)
-    /// holding the correct value.
+    /// Fraction of the first result row's shared cells holding the
+    /// correct value.
     pub observed_success: f64,
     /// Mean model success probability of result cells.
     pub predicted_success: f64,
 }
 
-/// Result of a fast-path in-subarray majority execution.
+/// Result of a value-path in-subarray majority.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FastMajResult {
     /// Number of rows that charge-shared.
@@ -118,6 +125,252 @@ pub struct MajReport {
     pub outcome: OpOutcome,
 }
 
+/// A deferred full-row write: `(row, data)` shipped ahead of a gate
+/// program instead of as a program of its own.
+pub type Prelude = Option<(GlobalRow, Vec<Bit>)>;
+
+/// Where a device gate's command program runs: the geometry that
+/// resolves pattern entries into bank rows, and the bank addressed.
+///
+/// Its three builders — [`GateSite::not`], [`GateSite::logic`] and
+/// [`GateSite::maj`] — are the only place a gate's command sequence is
+/// written down. They emit into a caller's [`ProgramBuilder`], so a
+/// deferred write (or anything else) issued before them rides in the
+/// same program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GateSite {
+    /// The chip geometry.
+    pub geom: Geometry,
+    /// The bank the program addresses.
+    pub bank: BankId,
+}
+
+/// What a gate builder emitted, beyond the commands themselves.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GateLayout {
+    /// Builder indices of the per-operand `Wr` commands, in row order
+    /// (for logic: the `N` compute-side rows, operands first, then
+    /// identity padding), so a prebuilt program can be re-staged by
+    /// patching payloads.
+    pub operand_wr: Vec<usize>,
+    /// The rows that hold the result: the NOT destination rows, the
+    /// read terminal's rows (compute side for AND/OR, reference side
+    /// for NAND/NOR), or the MAJ set's rows. The value ops read back
+    /// only the first.
+    pub result_rows: Vec<GlobalRow>,
+}
+
+impl GateSite {
+    /// NOT (§5.1): the source staging write, then the tRP-violating
+    /// copy-invert pair `entry.rf → entry.rl`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the entry's rows are outside the geometry.
+    pub fn not(
+        &self,
+        b: &mut ProgramBuilder,
+        entry: &PatternEntry,
+        src: Vec<Bit>,
+    ) -> Result<GateLayout> {
+        let (sub_l, _) = self.geom.split_row(entry.rl)?;
+        let result_rows = self.join_rows(sub_l, &entry.second_rows)?;
+        let operand_wr = vec![self.stage(b, entry.rf, src)];
+        b.seq_copy_invert(self.bank, entry.rf, entry.rl);
+        Ok(GateLayout {
+            operand_wr,
+            result_rows,
+        })
+    }
+
+    /// N-input logic (§6.1) through an `N:N` entry: the reference side
+    /// gets N−1 constant rows (all-1 for the AND family, all-0 for the
+    /// OR family) and one `Frac` row, the compute side gets `operands`
+    /// identity-padded with constant rows to N, then the doubly
+    /// violated charge-sharing activation.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the entry's rows are outside the geometry.
+    pub fn logic(
+        &self,
+        b: &mut ProgramBuilder,
+        entry: &PatternEntry,
+        op: LogicOp,
+        operands: impl IntoIterator<Item = Vec<Bit>>,
+    ) -> Result<GateLayout> {
+        let (sub_ref, _) = self.geom.split_row(entry.rf)?;
+        let (sub_com, _) = self.geom.split_row(entry.rl)?;
+        let result_rows = self.terminal_rows(entry, op)?;
+        let fill = vec![Bit::from(op.is_and_family()); self.geom.cols()];
+        let refs = self.join_rows(sub_ref, &entry.first_rows)?;
+        let coms = self.join_rows(sub_com, &entry.second_rows)?;
+        if let Some((frac, consts)) = refs.split_last() {
+            for g in consts {
+                b.seq_write_row(self.bank, *g, fill.clone());
+            }
+            b.seq_frac(self.bank, *frac);
+        }
+        let mut operands = operands.into_iter();
+        let operand_wr = coms
+            .iter()
+            .map(|g| {
+                let data = operands.next().unwrap_or_else(|| fill.clone());
+                self.stage(b, *g, data)
+            })
+            .collect();
+        b.seq_charge_share(self.bank, entry.rf, entry.rl);
+        Ok(GateLayout {
+            operand_wr,
+            result_rows,
+        })
+    }
+
+    /// In-subarray majority (§2.2): one staging write per raised row,
+    /// then the charge-sharing activation; the majority overwrites
+    /// every raised row.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the entry's rows are outside the geometry.
+    pub fn maj(
+        &self,
+        b: &mut ProgramBuilder,
+        entry: &InSubarrayEntry,
+        inputs: impl IntoIterator<Item = Vec<Bit>>,
+    ) -> Result<GateLayout> {
+        let (sub, _) = self.geom.split_row(entry.rf)?;
+        let result_rows = self.join_rows(sub, &entry.rows)?;
+        let operand_wr = result_rows
+            .iter()
+            .zip(inputs)
+            .map(|(g, data)| self.stage(b, *g, data))
+            .collect();
+        b.seq_charge_share(self.bank, entry.rf, entry.rl);
+        Ok(GateLayout {
+            operand_wr,
+            result_rows,
+        })
+    }
+
+    /// The rows `op`'s result lands in: the reference side for
+    /// NAND/NOR, the compute side for AND/OR.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the entry's rows are outside the geometry.
+    pub fn terminal_rows(&self, entry: &PatternEntry, op: LogicOp) -> Result<Vec<GlobalRow>> {
+        let (anchor, rows) = if op.is_inverted_terminal() {
+            (entry.rf, &entry.first_rows)
+        } else {
+            (entry.rl, &entry.second_rows)
+        };
+        let (sub, _) = self.geom.split_row(anchor)?;
+        self.join_rows(sub, rows)
+    }
+
+    /// First shared column and shared-lane count of `entry`'s
+    /// subarray pair (results live on every other column from there).
+    fn shared_lanes(&self, entry: &PatternEntry) -> Result<(usize, usize)> {
+        let start = (upper_subarray(&self.geom, entry)?.index() + 1) % 2;
+        Ok((start, (self.geom.cols() - start).div_ceil(2)))
+    }
+
+    fn join_rows(&self, sub: SubarrayId, rows: &[LocalRow]) -> Result<Vec<GlobalRow>> {
+        rows.iter()
+            .map(|r| Ok(self.geom.join_row(sub, *r)?))
+            .collect()
+    }
+
+    /// A timing-respecting row write; returns its `Wr` command's index
+    /// (the write is `ACT`, `WR`, `PRE`).
+    fn stage(&self, b: &mut ProgramBuilder, row: GlobalRow, data: Vec<Bit>) -> usize {
+        let wr = b.len() + 1;
+        b.seq_write_row(self.bank, row, data);
+        wr
+    }
+}
+
+/// The upper subarray of `entry`'s pair (it decides which column half
+/// is shared).
+fn upper_subarray(geom: &Geometry, entry: &PatternEntry) -> Result<SubarrayId> {
+    let (sub_f, _) = geom.split_row(entry.rf)?;
+    let (sub_l, _) = geom.split_row(entry.rl)?;
+    Ok(SubarrayId(sub_f.index().min(sub_l.index())))
+}
+
+/// Checks a logic operation's entry shape and input count; returns N.
+fn logic_width(entry: &PatternEntry, inputs: usize) -> Result<usize> {
+    let (n_ref, n_com) = entry.shape();
+    if n_ref != n_com {
+        return Err(FcdramError::OpFailed {
+            detail: format!("logic needs an N:N entry, got {n_ref}:{n_com}"),
+        });
+    }
+    if inputs == 0 || inputs > n_com {
+        return Err(FcdramError::BadInputCount {
+            n: inputs,
+            max: n_com,
+        });
+    }
+    Ok(n_com)
+}
+
+fn check_width(expected: usize, got: usize) -> Result<()> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(FcdramError::WidthMismatch { expected, got })
+    }
+}
+
+/// The ideal result of `op` over packed inputs.
+pub(crate) fn ideal_logic(op: LogicOp, inputs: &[&PackedBits], lanes: usize) -> PackedBits {
+    let mut out = PackedBits::splat(op.is_and_family(), lanes);
+    for input in inputs {
+        if op.is_and_family() {
+            out.and_assign(input);
+        } else {
+            out.or_assign(input);
+        }
+    }
+    if op.is_inverted_terminal() {
+        out.not_in_place();
+    }
+    out
+}
+
+/// The activation shape of a NOT outcome.
+fn not_shape(outcome: &OpOutcome) -> Result<(usize, usize)> {
+    match outcome.kind {
+        OutcomeKind::Not { n_rf, n_rl, .. } => Ok((n_rf, n_rl)),
+        ref k => Err(FcdramError::OpFailed {
+            detail: format!("NOT produced {k:?}"),
+        }),
+    }
+}
+
+fn expect_kind(outcome: &OpOutcome, in_subarray: bool) -> Result<()> {
+    match (&outcome.kind, in_subarray) {
+        (OutcomeKind::Logic { .. }, false) | (OutcomeKind::InSubarray { .. }, true) => Ok(()),
+        (k, false) => Err(FcdramError::OpFailed {
+            detail: format!("charge share produced {k:?}"),
+        }),
+        (k, true) => Err(FcdramError::OpFailed {
+            detail: format!("in-subarray activation produced {k:?}"),
+        }),
+    }
+}
+
+/// The role of `op`'s result cells.
+fn result_role(op: LogicOp) -> CellRole {
+    if op.is_inverted_terminal() {
+        CellRole::Reference
+    } else {
+        CellRole::Compute
+    }
+}
+
 /// The FCDRAM library facade: one chip under test, programmed through
 /// the testing infrastructure.
 #[derive(Debug, Clone)]
@@ -172,9 +425,21 @@ impl Fcdram {
     /// Applies a [`dram_core::SimConfig`]: rig temperature plus the
     /// simulation fidelity of the whole module under test. Stored bits
     /// and aggregate statistics are identical across fidelity modes.
+    ///
+    /// The rig temperature reaches a chip when it next runs a program;
+    /// until then, chips heated one by one keep their own temperature.
     pub fn configure(&mut self, cfg: dram_core::SimConfig) {
         self.bender.set_temperature(cfg.temperature());
-        self.bender.module_mut().set_fidelity(cfg.fidelity());
+        let module = self.bender.module_mut();
+        let heated: Vec<(ChipId, dram_core::Temperature)> = (0..module.chip_count())
+            .map(ChipId)
+            .filter_map(|id| module.chip(id).map(|c| (id, c.temperature())))
+            .collect();
+        module.configure(module.sim_config().with_fidelity(cfg.fidelity()));
+        for (id, t) in heated {
+            let chip = module.chip_mut(id);
+            chip.configure(chip.sim_config().with_temperature(t));
+        }
     }
 
     /// Builder form of [`Fcdram::configure`] for construction chains.
@@ -184,16 +449,13 @@ impl Fcdram {
         self
     }
 
-    #[doc(hidden)]
-    pub fn set_temperature(&mut self, t: Temperature) {
-        let cfg = self.sim_config().with_temperature(t);
-        self.configure(cfg);
-    }
-
-    #[doc(hidden)]
-    pub fn set_fidelity(&mut self, fidelity: dram_core::SimFidelity) {
-        let cfg = self.sim_config().with_fidelity(fidelity);
-        self.configure(cfg);
+    /// The gate site of `bank` on this chip: where the gate programs
+    /// every layer ships to it are built.
+    pub fn site(&self, bank: BankId) -> GateSite {
+        GateSite {
+            geom: self.config().geometry(),
+            bank,
+        }
     }
 
     /// Discovers the activation map of a neighboring subarray pair.
@@ -244,39 +506,65 @@ impl Fcdram {
         Ok(())
     }
 
+    /// A program builder for `bank` that starts with the deferred
+    /// write, if any.
+    fn program(&self, bank: BankId, prelude: Prelude) -> ProgramBuilder {
+        let mut b = self.bender.builder();
+        if let Some((row, data)) = prelude {
+            b.seq_write_row(bank, row, data);
+        }
+        b
+    }
+
+    /// Ships one gate program — arming `mask` for its charge share —
+    /// and returns the outcome of its last recognized operation, the
+    /// gate's own.
+    fn ship(&mut self, program: &Program, mask: Option<CsTerminal>) -> Result<OpOutcome> {
+        if let Some(need) = mask {
+            self.bender.arm_cs_mask(need);
+        }
+        let exec = self.bender.execute(self.chip, program)?;
+        exec.outcomes
+            .into_iter()
+            .next_back()
+            .map(|(_, o)| o)
+            .ok_or_else(|| FcdramError::OpFailed {
+                detail: "gate program produced no outcome".into(),
+            })
+    }
+
+    /// Reads every other column of `row` from `start`, packed.
+    fn read_lanes(
+        &mut self,
+        bank: BankId,
+        row: GlobalRow,
+        start: usize,
+        lanes: usize,
+    ) -> Result<PackedBits> {
+        let words = self
+            .bender
+            .read_row_packed(self.chip, bank, row, start, 2)?;
+        Ok(PackedBits::from_words(words, lanes))
+    }
+
     /// Executes a NOT through `entry`, negating `src_data` into the
-    /// destination rows. The source row is written first; destination
-    /// reads and success metrics are collected afterwards.
+    /// destination rows: the source write and the copy-invert ship as
+    /// one program; every destination row is then read back full
+    /// width for the report.
     pub fn execute_not(
         &mut self,
         bank: BankId,
         entry: &PatternEntry,
         src_data: &[Bit],
     ) -> Result<NotReport> {
-        let geom = *self.bender.module_mut().chip_mut(self.chip).geometry();
-        if src_data.len() != geom.cols() {
-            return Err(FcdramError::WidthMismatch {
-                expected: geom.cols(),
-                got: src_data.len(),
-            });
-        }
-        let (sub_f, _) = geom.split_row(entry.rf)?;
-        let (sub_l, _) = geom.split_row(entry.rl)?;
-        let upper = SubarrayId(sub_f.index().min(sub_l.index()));
-
-        self.bender
-            .write_row(self.chip, bank, entry.rf, src_data.to_vec())?;
-        let outcome = self
-            .bender
-            .copy_invert(self.chip, bank, entry.rf, entry.rl)?;
-        let shape = match outcome.kind {
-            OutcomeKind::Not { n_rf, n_rl, .. } => (n_rf, n_rl),
-            ref k => {
-                return Err(FcdramError::OpFailed {
-                    detail: format!("NOT produced {k:?}"),
-                })
-            }
-        };
+        let site = self.site(bank);
+        let geom = site.geom;
+        check_width(geom.cols(), src_data.len())?;
+        let upper = upper_subarray(&geom, entry)?;
+        let mut b = self.bender.builder();
+        let gate = site.not(&mut b, entry, src_data.to_vec())?;
+        let outcome = self.ship(&b.finish(), None)?;
+        let shape = not_shape(&outcome)?;
 
         let shared_cols: Vec<usize> = (0..geom.cols())
             .filter(|c| is_shared_col(upper, Col(*c)))
@@ -284,8 +572,7 @@ impl Fcdram {
         let mut dst_reads = Vec::new();
         let mut correct = 0usize;
         let mut total = 0usize;
-        for row in &entry.second_rows {
-            let g = geom.join_row(sub_l, *row)?;
+        for g in gate.result_rows {
             let data = self.bender.read_row(self.chip, bank, g)?;
             for c in &shared_cols {
                 total += 1;
@@ -313,14 +600,16 @@ impl Fcdram {
     /// with N−1 all-1 rows plus one `Frac` row; OR/NOR uses all-0
     /// rows. Shorter input lists are padded with the operation's
     /// identity element (all-1 for AND-family, all-0 for OR-family),
-    /// which leaves the result unchanged.
+    /// which leaves the result unchanged. The stagings and the charge
+    /// share ship as one program ([`GateSite::logic`]); every result
+    /// row is then read back full width.
     ///
     /// The charge share resolves only the terminal read back (compute
-    /// for AND/OR, reference for NAND/NOR; [`CsTerminal`]). That is
-    /// exact for everything reported: every raised row is rewritten
-    /// just before the charge share, and each result cell's success
-    /// probability and sampled value depend only on those rows. The
-    /// other terminal's rows and the non-shared column half of both
+    /// for AND/OR, reference for NAND/NOR; [`CsTerminal::terminal_of`]).
+    /// That is exact for everything reported: every raised row is
+    /// rewritten just before the charge share, and each result cell's
+    /// success probability and sampled value depend only on those rows.
+    /// The other terminal's rows and the non-shared column half of both
     /// sides are left unresolved: they keep their staged values until
     /// they are next written, so a later NOT whose destination rows
     /// overlap them can observe different old bits than a full charge
@@ -332,67 +621,17 @@ impl Fcdram {
         op: LogicOp,
         inputs: &[Vec<Bit>],
     ) -> Result<LogicReport> {
-        let geom = *self.bender.module_mut().chip_mut(self.chip).geometry();
-        let (n_ref, n_com) = entry.shape();
-        if n_ref != n_com {
-            return Err(FcdramError::OpFailed {
-                detail: format!("logic needs an N:N entry, got {n_ref}:{n_com}"),
-            });
-        }
-        let n = n_com;
-        if inputs.is_empty() || inputs.len() > n {
-            return Err(FcdramError::BadInputCount {
-                n: inputs.len(),
-                max: n,
-            });
-        }
+        let n = logic_width(entry, inputs.len())?;
+        let site = self.site(bank);
+        let geom = site.geom;
         for input in inputs {
-            if input.len() != geom.cols() {
-                return Err(FcdramError::WidthMismatch {
-                    expected: geom.cols(),
-                    got: input.len(),
-                });
-            }
+            check_width(geom.cols(), input.len())?;
         }
-        let (sub_ref, _) = geom.split_row(entry.rf)?;
-        let (sub_com, _) = geom.split_row(entry.rl)?;
-        let upper = SubarrayId(sub_ref.index().min(sub_com.index()));
-
-        // Reference subarray: N−1 constant rows + one Frac row.
-        let const_bit = if op.is_and_family() {
-            Bit::One
-        } else {
-            Bit::Zero
-        };
-        let const_row = vec![const_bit; geom.cols()];
-        for (i, row) in entry.first_rows.iter().enumerate() {
-            let g = geom.join_row(sub_ref, *row)?;
-            if i + 1 == entry.first_rows.len() {
-                self.bender.frac(self.chip, bank, g)?;
-            } else {
-                self.bender
-                    .write_row(self.chip, bank, g, const_row.clone())?;
-            }
-        }
-        // Compute subarray: the operands, identity-padded to N rows.
-        let identity = vec![const_bit; geom.cols()];
-        for (i, row) in entry.second_rows.iter().enumerate() {
-            let g = geom.join_row(sub_com, *row)?;
-            let data = inputs.get(i).cloned().unwrap_or_else(|| identity.clone());
-            self.bender.write_row(self.chip, bank, g, data)?;
-        }
-
-        // Every raised row was just rewritten, so only the terminal read
-        // back below needs resolving.
-        let need = CsTerminal::terminal_of(op);
-        let outcome = self
-            .bender
-            .charge_share_masked(self.chip, bank, entry.rf, entry.rl, need)?;
-        if !matches!(outcome.kind, OutcomeKind::Logic { .. }) {
-            return Err(FcdramError::OpFailed {
-                detail: format!("charge share produced {:?}", outcome.kind),
-            });
-        }
+        let upper = upper_subarray(&geom, entry)?;
+        let mut b = self.bender.builder();
+        let gate = site.logic(&mut b, entry, op, inputs.iter().cloned())?;
+        let outcome = self.ship(&b.finish(), Some(CsTerminal::terminal_of(op)))?;
+        expect_kind(&outcome, false)?;
 
         let shared_cols: Vec<usize> = (0..geom.cols())
             .filter(|c| is_shared_col(upper, Col(*c)))
@@ -411,17 +650,10 @@ impl Fcdram {
             })
             .collect();
 
-        // Result rows: compute side for AND/OR, reference for NAND/NOR.
-        let (result_sub, result_rows) = if op.is_inverted_terminal() {
-            (sub_ref, &entry.first_rows)
-        } else {
-            (sub_com, &entry.second_rows)
-        };
         let mut correct = 0usize;
         let mut total = 0usize;
         let mut first_read: Option<Vec<Bit>> = None;
-        for row in result_rows {
-            let g = geom.join_row(result_sub, *row)?;
+        for g in gate.result_rows {
             let data = self.bender.read_row(self.chip, bank, g)?;
             for (i, c) in shared_cols.iter().enumerate() {
                 total += 1;
@@ -433,12 +665,7 @@ impl Fcdram {
                 first_read = Some(shared_cols.iter().map(|c| data[*c]).collect());
             }
         }
-        let role = if op.is_inverted_terminal() {
-            CellRole::Reference
-        } else {
-            CellRole::Compute
-        };
-        let predicted = outcome.mean_success(role).unwrap_or(0.0);
+        let predicted = outcome.mean_success(result_role(op)).unwrap_or(0.0);
         Ok(LogicReport {
             op,
             n,
@@ -451,651 +678,124 @@ impl Fcdram {
         })
     }
 
-    /// Fast-path NOT: same command sequence as [`Fcdram::execute_not`],
-    /// but destination rows are read back packed and shared-columns
-    /// only, and no full-width `dst_reads` are materialized.
-    ///
-    /// `observed_success`/`predicted_success` are identical to the
-    /// values [`Fcdram::execute_not`] reports for the same state.
+    /// Value-path NOT: the deferred write (`prelude`), the source
+    /// staging and the copy-invert ship as one program, and only the
+    /// first destination row's shared columns are read back (packed).
+    /// `src` carries one lane per shared column; the staged row holds
+    /// zeros on the other half. `observed_success` covers the row read
+    /// back.
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`Fcdram::execute_not`].
-    pub fn execute_not_packed(
+    /// Fails on a width mismatch, an address outside the geometry, or a
+    /// sequence that does not produce a NOT on this chip.
+    pub fn execute_not_value(
         &mut self,
         bank: BankId,
         entry: &PatternEntry,
-        src_data: &[Bit],
+        src: &PackedBits,
+        prelude: Prelude,
     ) -> Result<FastNotResult> {
-        let geom = *self.bender.module_mut().chip_mut(self.chip).geometry();
-        if src_data.len() != geom.cols() {
-            return Err(FcdramError::WidthMismatch {
-                expected: geom.cols(),
-                got: src_data.len(),
-            });
-        }
-        let (sub_f, _) = geom.split_row(entry.rf)?;
-        let (sub_l, _) = geom.split_row(entry.rl)?;
-        let upper = SubarrayId(sub_f.index().min(sub_l.index()));
-        let shared_start = (upper.index() + 1) % 2;
-        let lanes = (geom.cols() - shared_start).div_ceil(2);
-
-        self.bender
-            .write_row(self.chip, bank, entry.rf, src_data.to_vec())?;
-        let outcome = self
-            .bender
-            .copy_invert(self.chip, bank, entry.rf, entry.rl)?;
-        let shape = match outcome.kind {
-            OutcomeKind::Not { n_rf, n_rl, .. } => (n_rf, n_rl),
-            ref k => {
-                return Err(FcdramError::OpFailed {
-                    detail: format!("NOT produced {k:?}"),
-                })
-            }
-        };
-
-        // Ideal: ¬src on the shared half.
-        let mut expected = PackedBits::zeros(lanes);
-        for (i, c) in (shared_start..geom.cols()).step_by(2).enumerate() {
-            expected.set(i, !src_data[c].as_bool());
-        }
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        let mut first: Option<PackedBits> = None;
-        for row in &entry.second_rows {
-            let g = geom.join_row(sub_l, *row)?;
-            let words = self
-                .bender
-                .read_row_packed(self.chip, bank, g, shared_start, 2)?;
-            let read = PackedBits::from_words(words, lanes);
-            correct += read.count_matches(&expected);
-            total += lanes;
-            if first.is_none() {
-                first = Some(read);
-            }
-        }
+        let site = self.site(bank);
+        let (start, lanes) = site.shared_lanes(entry)?;
+        check_width(lanes, src.len())?;
+        let mut b = self.program(bank, prelude);
+        let gate = site.not(
+            &mut b,
+            entry,
+            src.expand_strided(site.geom.cols(), start, 2),
+        )?;
+        let outcome = self.ship(&b.finish(), None)?;
+        let shape = not_shape(&outcome)?;
+        let mut expected = src.clone();
+        expected.not_in_place();
+        let result = self.read_lanes(bank, gate.result_rows[0], start, lanes)?;
         Ok(FastNotResult {
             shape,
-            result: first.unwrap_or_else(|| PackedBits::zeros(lanes)),
-            observed_success: correct as f64 / total.max(1) as f64,
+            observed_success: result.count_matches(&expected) as f64 / lanes.max(1) as f64,
             predicted_success: outcome.mean_success(CellRole::NotDst).unwrap_or(0.0),
+            result,
         })
     }
 
-    /// Fast-path N-input logic: same command sequence and write
-    /// pattern as [`Fcdram::execute_logic`], with packed shared-column
-    /// inputs and read-back. Inputs carry one lane per shared column.
+    /// Value-path N-input logic: the deferred write (`prelude`), the
+    /// reference-side constants and `Frac`, the operand stagings
+    /// (packed, one lane per shared column, zeros on the other half)
+    /// and the charge share ship as one program, and only the first
+    /// result row is read back. `observed_success` covers that row.
+    ///
+    /// With `mask_safe`, the charge share resolves only that row
+    /// ([`CsTerminal::first_row_of`]); its result, draws and
+    /// `predicted_success` are the same as without. That is only safe
+    /// when every raised row is rewritten before its next read — the
+    /// caller vouches for its row plan (see `BulkEngine::mask_safe`).
     ///
     /// # Errors
     ///
     /// Same failure modes as [`Fcdram::execute_logic`].
-    pub fn execute_logic_packed(
-        &mut self,
-        bank: BankId,
-        entry: &PatternEntry,
-        op: LogicOp,
-        inputs: &[PackedBits],
-    ) -> Result<FastLogicResult> {
-        let geom = *self.bender.module_mut().chip_mut(self.chip).geometry();
-        let (n_ref, n_com) = entry.shape();
-        if n_ref != n_com {
-            return Err(FcdramError::OpFailed {
-                detail: format!("logic needs an N:N entry, got {n_ref}:{n_com}"),
-            });
-        }
-        let n = n_com;
-        if inputs.is_empty() || inputs.len() > n {
-            return Err(FcdramError::BadInputCount {
-                n: inputs.len(),
-                max: n,
-            });
-        }
-        let (sub_ref, _) = geom.split_row(entry.rf)?;
-        let (sub_com, _) = geom.split_row(entry.rl)?;
-        let upper = SubarrayId(sub_ref.index().min(sub_com.index()));
-        let shared_start = (upper.index() + 1) % 2;
-        let lanes = (geom.cols() - shared_start).div_ceil(2);
-        for input in inputs {
-            if input.len() != lanes {
-                return Err(FcdramError::WidthMismatch {
-                    expected: lanes,
-                    got: input.len(),
-                });
-            }
-        }
-
-        // Reference subarray: N−1 constant rows + one Frac row.
-        let const_bit = if op.is_and_family() {
-            Bit::One
-        } else {
-            Bit::Zero
-        };
-        let const_row = vec![const_bit; geom.cols()];
-        for (i, row) in entry.first_rows.iter().enumerate() {
-            let g = geom.join_row(sub_ref, *row)?;
-            if i + 1 == entry.first_rows.len() {
-                self.bender.frac(self.chip, bank, g)?;
-            } else {
-                self.bender
-                    .write_row(self.chip, bank, g, const_row.clone())?;
-            }
-        }
-        // Compute subarray: the operands (shared half, zeros on the off
-        // half — matching the engine's legacy expansion), identity-
-        // padded to N rows with full-width constant rows.
-        for (i, row) in entry.second_rows.iter().enumerate() {
-            let g = geom.join_row(sub_com, *row)?;
-            let data = match inputs.get(i) {
-                Some(p) => p.expand_strided(geom.cols(), shared_start, 2),
-                None => const_row.clone(),
-            };
-            self.bender.write_row(self.chip, bank, g, data)?;
-        }
-
-        let outcome = self
-            .bender
-            .charge_share(self.chip, bank, entry.rf, entry.rl)?;
-        if !matches!(outcome.kind, OutcomeKind::Logic { .. }) {
-            return Err(FcdramError::OpFailed {
-                detail: format!("charge share produced {:?}", outcome.kind),
-            });
-        }
-
-        // Ideal result, computed word-wise.
-        let mut expected = PackedBits::splat(op.is_and_family(), lanes);
-        for input in inputs {
-            if op.is_and_family() {
-                expected.and_assign(input);
-            } else {
-                expected.or_assign(input);
-            }
-        }
-        if op.is_inverted_terminal() {
-            expected.not_in_place();
-        }
-
-        // Result rows: compute side for AND/OR, reference for NAND/NOR.
-        let (result_sub, result_rows) = if op.is_inverted_terminal() {
-            (sub_ref, &entry.first_rows)
-        } else {
-            (sub_com, &entry.second_rows)
-        };
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        let mut first: Option<PackedBits> = None;
-        for row in result_rows {
-            let g = geom.join_row(result_sub, *row)?;
-            let words = self
-                .bender
-                .read_row_packed(self.chip, bank, g, shared_start, 2)?;
-            let read = PackedBits::from_words(words, lanes);
-            correct += read.count_matches(&expected);
-            total += lanes;
-            if first.is_none() {
-                first = Some(read);
-            }
-        }
-        let role = if op.is_inverted_terminal() {
-            CellRole::Reference
-        } else {
-            CellRole::Compute
-        };
-        Ok(FastLogicResult {
-            op,
-            n,
-            expected,
-            result: first.unwrap_or_else(|| PackedBits::zeros(lanes)),
-            observed_success: correct as f64 / total.max(1) as f64,
-            predicted_success: outcome.mean_success(role).unwrap_or(0.0),
-        })
-    }
-
-    /// Value-path NOT for prepared execution: identical command
-    /// sequence and stochastic draws as [`Fcdram::execute_not_packed`],
-    /// but only the first destination row is read back, so
-    /// `observed_success` covers that row alone. `result` and
-    /// `predicted_success` are bit-identical to the packed variant.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Fcdram::execute_not_packed`].
-    pub fn execute_not_packed_value(
-        &mut self,
-        bank: BankId,
-        entry: &PatternEntry,
-        src_data: &[Bit],
-    ) -> Result<FastNotResult> {
-        let geom = *self.bender.module_mut().chip_mut(self.chip).geometry();
-        if src_data.len() != geom.cols() {
-            return Err(FcdramError::WidthMismatch {
-                expected: geom.cols(),
-                got: src_data.len(),
-            });
-        }
-        let (sub_f, _) = geom.split_row(entry.rf)?;
-        let (sub_l, _) = geom.split_row(entry.rl)?;
-        let upper = SubarrayId(sub_f.index().min(sub_l.index()));
-        let shared_start = (upper.index() + 1) % 2;
-        let lanes = (geom.cols() - shared_start).div_ceil(2);
-
-        self.bender
-            .write_row(self.chip, bank, entry.rf, src_data.to_vec())?;
-        let outcome = self
-            .bender
-            .copy_invert(self.chip, bank, entry.rf, entry.rl)?;
-        let shape = match outcome.kind {
-            OutcomeKind::Not { n_rf, n_rl, .. } => (n_rf, n_rl),
-            ref k => {
-                return Err(FcdramError::OpFailed {
-                    detail: format!("NOT produced {k:?}"),
-                })
-            }
-        };
-        let mut expected = PackedBits::zeros(lanes);
-        for (i, c) in (shared_start..geom.cols()).step_by(2).enumerate() {
-            expected.set(i, !src_data[c].as_bool());
-        }
-        let g = geom.join_row(sub_l, entry.second_rows[0])?;
-        let words = self
-            .bender
-            .read_row_packed(self.chip, bank, g, shared_start, 2)?;
-        let read = PackedBits::from_words(words, lanes);
-        let correct = read.count_matches(&expected);
-        Ok(FastNotResult {
-            shape,
-            result: read,
-            observed_success: correct as f64 / lanes.max(1) as f64,
-            predicted_success: outcome.mean_success(CellRole::NotDst).unwrap_or(0.0),
-        })
-    }
-
-    /// Value-path N-input logic for prepared execution: identical
-    /// writes as [`Fcdram::execute_logic_packed`], but the charge share
-    /// resolves only the first row of the terminal being read (compute
-    /// for AND/OR, reference for NAND/NOR; [`CsTerminal::first_row_of`])
-    /// and only that row is read back. `result`, `expected`, the row's
-    /// stochastic draws and `predicted_success` are bit-identical to
-    /// the packed variant; `observed_success` covers that row alone.
-    ///
-    /// Masking is only safe when every raised row is rewritten before
-    /// its next read — callers (`BulkEngine`) must verify their row
-    /// plan satisfies this (see `BulkEngine::mask_safe`).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Fcdram::execute_logic_packed`].
-    pub fn execute_logic_packed_value(
-        &mut self,
-        bank: BankId,
-        entry: &PatternEntry,
-        op: LogicOp,
-        inputs: &[PackedBits],
-    ) -> Result<FastLogicResult> {
-        let geom = *self.bender.module_mut().chip_mut(self.chip).geometry();
-        let (n_ref, n_com) = entry.shape();
-        if n_ref != n_com {
-            return Err(FcdramError::OpFailed {
-                detail: format!("logic needs an N:N entry, got {n_ref}:{n_com}"),
-            });
-        }
-        let n = n_com;
-        if inputs.is_empty() || inputs.len() > n {
-            return Err(FcdramError::BadInputCount {
-                n: inputs.len(),
-                max: n,
-            });
-        }
-        let (sub_ref, _) = geom.split_row(entry.rf)?;
-        let (sub_com, _) = geom.split_row(entry.rl)?;
-        let upper = SubarrayId(sub_ref.index().min(sub_com.index()));
-        let shared_start = (upper.index() + 1) % 2;
-        let lanes = (geom.cols() - shared_start).div_ceil(2);
-        for input in inputs {
-            if input.len() != lanes {
-                return Err(FcdramError::WidthMismatch {
-                    expected: lanes,
-                    got: input.len(),
-                });
-            }
-        }
-
-        let const_bit = if op.is_and_family() {
-            Bit::One
-        } else {
-            Bit::Zero
-        };
-        let const_row = vec![const_bit; geom.cols()];
-        for (i, row) in entry.first_rows.iter().enumerate() {
-            let g = geom.join_row(sub_ref, *row)?;
-            if i + 1 == entry.first_rows.len() {
-                self.bender.frac(self.chip, bank, g)?;
-            } else {
-                self.bender
-                    .write_row(self.chip, bank, g, const_row.clone())?;
-            }
-        }
-        for (i, row) in entry.second_rows.iter().enumerate() {
-            let g = geom.join_row(sub_com, *row)?;
-            let data = match inputs.get(i) {
-                Some(p) => p.expand_strided(geom.cols(), shared_start, 2),
-                None => const_row.clone(),
-            };
-            self.bender.write_row(self.chip, bank, g, data)?;
-        }
-
-        // The value path reads back only the first result row.
-        let need = CsTerminal::first_row_of(op);
-        let outcome = self
-            .bender
-            .charge_share_masked(self.chip, bank, entry.rf, entry.rl, need)?;
-        if !matches!(outcome.kind, OutcomeKind::Logic { .. }) {
-            return Err(FcdramError::OpFailed {
-                detail: format!("charge share produced {:?}", outcome.kind),
-            });
-        }
-
-        let mut expected = PackedBits::splat(op.is_and_family(), lanes);
-        for input in inputs {
-            if op.is_and_family() {
-                expected.and_assign(input);
-            } else {
-                expected.or_assign(input);
-            }
-        }
-        if op.is_inverted_terminal() {
-            expected.not_in_place();
-        }
-
-        let (result_sub, result_rows) = if op.is_inverted_terminal() {
-            (sub_ref, &entry.first_rows)
-        } else {
-            (sub_com, &entry.second_rows)
-        };
-        let g = geom.join_row(result_sub, result_rows[0])?;
-        let words = self
-            .bender
-            .read_row_packed(self.chip, bank, g, shared_start, 2)?;
-        let read = PackedBits::from_words(words, lanes);
-        let correct = read.count_matches(&expected);
-        let role = if op.is_inverted_terminal() {
-            CellRole::Reference
-        } else {
-            CellRole::Compute
-        };
-        Ok(FastLogicResult {
-            op,
-            n,
-            expected,
-            result: read,
-            observed_success: correct as f64 / lanes.max(1) as f64,
-            predicted_success: outcome.mean_success(role).unwrap_or(0.0),
-        })
-    }
-
-    /// Fused value-path NOT: the same device-call sequence as
-    /// [`Fcdram::execute_not_packed_value`], but the source write, an
-    /// optional deferred row write carried over from the previous
-    /// operation (`prelude`), and the copy/invert sequence ship as ONE
-    /// command program instead of two-or-three. Every `seq_*` ends with
-    /// a timing-respecting precharge, so concatenation preserves the
-    /// executor's per-command device calls exactly — results and
-    /// stochastic draws are bit-identical to the split path.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Fcdram::execute_not_packed_value`].
-    pub fn execute_not_packed_value_fused(
-        &mut self,
-        bank: BankId,
-        entry: &PatternEntry,
-        src_data: &[Bit],
-        prelude: Option<(GlobalRow, Vec<Bit>)>,
-    ) -> Result<FastNotResult> {
-        let geom = *self.bender.module_mut().chip_mut(self.chip).geometry();
-        if src_data.len() != geom.cols() {
-            return Err(FcdramError::WidthMismatch {
-                expected: geom.cols(),
-                got: src_data.len(),
-            });
-        }
-        let (sub_f, _) = geom.split_row(entry.rf)?;
-        let (sub_l, _) = geom.split_row(entry.rl)?;
-        let upper = SubarrayId(sub_f.index().min(sub_l.index()));
-        let shared_start = (upper.index() + 1) % 2;
-        let lanes = (geom.cols() - shared_start).div_ceil(2);
-
-        let mut b = self.bender.builder();
-        if let Some((row, data)) = prelude {
-            b.seq_write_row(bank, row, data);
-        }
-        b.seq_write_row(bank, entry.rf, src_data.to_vec());
-        b.seq_copy_invert(bank, entry.rf, entry.rl);
-        let program = b.finish();
-        let exec = self.bender.execute(self.chip, &program)?;
-        let outcome = exec
-            .outcomes
-            .into_iter()
-            .map(|(_, o)| o)
-            .next_back()
-            .ok_or_else(|| FcdramError::OpFailed {
-                detail: "fused NOT produced no outcome".into(),
-            })?;
-        let shape = match outcome.kind {
-            OutcomeKind::Not { n_rf, n_rl, .. } => (n_rf, n_rl),
-            ref k => {
-                return Err(FcdramError::OpFailed {
-                    detail: format!("NOT produced {k:?}"),
-                })
-            }
-        };
-        let mut expected = PackedBits::zeros(lanes);
-        for (i, c) in (shared_start..geom.cols()).step_by(2).enumerate() {
-            expected.set(i, !src_data[c].as_bool());
-        }
-        let g = geom.join_row(sub_l, entry.second_rows[0])?;
-        let words = self
-            .bender
-            .read_row_packed(self.chip, bank, g, shared_start, 2)?;
-        let read = PackedBits::from_words(words, lanes);
-        let correct = read.count_matches(&expected);
-        Ok(FastNotResult {
-            shape,
-            result: read,
-            observed_success: correct as f64 / lanes.max(1) as f64,
-            predicted_success: outcome.mean_success(CellRole::NotDst).unwrap_or(0.0),
-        })
-    }
-
-    /// Fused value-path N-input logic: the same device-call sequence as
-    /// [`Fcdram::execute_logic_packed_value`], but the reference-side
-    /// constant writes, the `Frac`, the operand writes, an optional
-    /// deferred row write from the previous operation (`prelude`), and
-    /// the masked charge share ship as ONE command program instead of
-    /// `2N (+1)` separate ones. Inputs are borrowed to spare the
-    /// per-call operand clones of the split path. Results, success
-    /// metrics, and stochastic draws are bit-identical to the split
-    /// path (same per-command device calls; see
-    /// [`Fcdram::execute_not_packed_value_fused`] for why).
-    ///
-    /// The charge-share mask is armed on the infrastructure and
-    /// consumed by this program's (only) charge share, so the masking
-    /// safety contract is the same as the split variant's.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Fcdram::execute_logic_packed_value`].
-    pub fn execute_logic_packed_value_fused(
+    pub fn execute_logic_value(
         &mut self,
         bank: BankId,
         entry: &PatternEntry,
         op: LogicOp,
         inputs: &[&PackedBits],
-        prelude: Option<(GlobalRow, Vec<Bit>)>,
+        prelude: Prelude,
+        mask_safe: bool,
     ) -> Result<FastLogicResult> {
-        let geom = *self.bender.module_mut().chip_mut(self.chip).geometry();
-        let (n_ref, n_com) = entry.shape();
-        if n_ref != n_com {
-            return Err(FcdramError::OpFailed {
-                detail: format!("logic needs an N:N entry, got {n_ref}:{n_com}"),
-            });
-        }
-        let n = n_com;
-        if inputs.is_empty() || inputs.len() > n {
-            return Err(FcdramError::BadInputCount {
-                n: inputs.len(),
-                max: n,
-            });
-        }
-        let (sub_ref, _) = geom.split_row(entry.rf)?;
-        let (sub_com, _) = geom.split_row(entry.rl)?;
-        let upper = SubarrayId(sub_ref.index().min(sub_com.index()));
-        let shared_start = (upper.index() + 1) % 2;
-        let lanes = (geom.cols() - shared_start).div_ceil(2);
+        let n = logic_width(entry, inputs.len())?;
+        let site = self.site(bank);
+        let (start, lanes) = site.shared_lanes(entry)?;
         for input in inputs {
-            if input.len() != lanes {
-                return Err(FcdramError::WidthMismatch {
-                    expected: lanes,
-                    got: input.len(),
-                });
-            }
+            check_width(lanes, input.len())?;
         }
-
-        let const_bit = if op.is_and_family() {
-            Bit::One
-        } else {
-            Bit::Zero
-        };
-        let const_row = vec![const_bit; geom.cols()];
-        let mut b = self.bender.builder();
-        if let Some((row, data)) = prelude {
-            b.seq_write_row(bank, row, data);
-        }
-        for (i, row) in entry.first_rows.iter().enumerate() {
-            let g = geom.join_row(sub_ref, *row)?;
-            if i + 1 == entry.first_rows.len() {
-                b.seq_frac(bank, g);
-            } else {
-                b.seq_write_row(bank, g, const_row.clone());
-            }
-        }
-        for (i, row) in entry.second_rows.iter().enumerate() {
-            let g = geom.join_row(sub_com, *row)?;
-            let data = match inputs.get(i) {
-                Some(p) => p.expand_strided(geom.cols(), shared_start, 2),
-                None => const_row.clone(),
-            };
-            b.seq_write_row(bank, g, data);
-        }
-        b.seq_charge_share(bank, entry.rf, entry.rl);
-        let program = b.finish();
-
-        // The value path reads back only the first result row.
-        let need = CsTerminal::first_row_of(op);
-        self.bender.arm_cs_mask(need);
-        let exec = self.bender.execute(self.chip, &program)?;
-        let outcome = exec
-            .outcomes
-            .into_iter()
-            .map(|(_, o)| o)
-            .next_back()
-            .ok_or_else(|| FcdramError::OpFailed {
-                detail: "fused logic produced no outcome".into(),
-            })?;
-        if !matches!(outcome.kind, OutcomeKind::Logic { .. }) {
-            return Err(FcdramError::OpFailed {
-                detail: format!("charge share produced {:?}", outcome.kind),
-            });
-        }
-
-        let mut expected = PackedBits::splat(op.is_and_family(), lanes);
-        for input in inputs {
-            if op.is_and_family() {
-                expected.and_assign(input);
-            } else {
-                expected.or_assign(input);
-            }
-        }
-        if op.is_inverted_terminal() {
-            expected.not_in_place();
-        }
-
-        let (result_sub, result_rows) = if op.is_inverted_terminal() {
-            (sub_ref, &entry.first_rows)
-        } else {
-            (sub_com, &entry.second_rows)
-        };
-        let g = geom.join_row(result_sub, result_rows[0])?;
-        let words = self
-            .bender
-            .read_row_packed(self.chip, bank, g, shared_start, 2)?;
-        let read = PackedBits::from_words(words, lanes);
-        let correct = read.count_matches(&expected);
-        let role = if op.is_inverted_terminal() {
-            CellRole::Reference
-        } else {
-            CellRole::Compute
-        };
+        let cols = site.geom.cols();
+        let mut b = self.program(bank, prelude);
+        let staged = inputs.iter().map(|p| p.expand_strided(cols, start, 2));
+        let gate = site.logic(&mut b, entry, op, staged)?;
+        let mask = mask_safe.then(|| CsTerminal::first_row_of(op));
+        let outcome = self.ship(&b.finish(), mask)?;
+        expect_kind(&outcome, false)?;
+        let expected = ideal_logic(op, inputs, lanes);
+        let result = self.read_lanes(bank, gate.result_rows[0], start, lanes)?;
         Ok(FastLogicResult {
             op,
             n,
+            observed_success: result.count_matches(&expected) as f64 / lanes.max(1) as f64,
+            predicted_success: outcome.mean_success(result_role(op)).unwrap_or(0.0),
             expected,
-            result: read,
-            observed_success: correct as f64 / lanes.max(1) as f64,
-            predicted_success: outcome.mean_success(role).unwrap_or(0.0),
+            result,
         })
     }
 
-    /// Fast-path in-subarray majority: same command sequence as
-    /// [`Fcdram::execute_maj`], reading back only the first raised
-    /// row's shared columns (packed).
+    /// Value-path in-subarray majority: the deferred write (`prelude`),
+    /// one staging write per raised row (`inputs` are full-width rows)
+    /// and the charge share ship as one program, and only the first
+    /// raised row's columns from `shared_start` (every other one) are
+    /// read back, packed.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`Fcdram::execute_maj`].
-    pub fn execute_maj_packed(
+    pub fn execute_maj_value(
         &mut self,
         bank: BankId,
         entry: &InSubarrayEntry,
         inputs: &[Vec<Bit>],
         shared_start: usize,
+        prelude: Prelude,
     ) -> Result<FastMajResult> {
-        let geom = *self.bender.module_mut().chip_mut(self.chip).geometry();
-        let n = entry.rows.len();
-        if inputs.len() != n {
-            return Err(FcdramError::BadInputCount {
-                n: inputs.len(),
-                max: n,
-            });
-        }
-        for input in inputs {
-            if input.len() != geom.cols() {
-                return Err(FcdramError::WidthMismatch {
-                    expected: geom.cols(),
-                    got: input.len(),
-                });
-            }
-        }
-        let (sub, _) = geom.split_row(entry.rf)?;
-        for (row, data) in entry.rows.iter().zip(inputs) {
-            self.bender
-                .write_row(self.chip, bank, geom.join_row(sub, *row)?, data.clone())?;
-        }
-        let outcome = self
-            .bender
-            .charge_share(self.chip, bank, entry.rf, entry.rl)?;
-        if !matches!(outcome.kind, OutcomeKind::InSubarray { .. }) {
-            return Err(FcdramError::OpFailed {
-                detail: format!("in-subarray activation produced {:?}", outcome.kind),
-            });
-        }
-        let lanes = (geom.cols() - shared_start.min(geom.cols())).div_ceil(2);
-        let g = geom.join_row(sub, entry.rows[0])?;
-        let words = self
-            .bender
-            .read_row_packed(self.chip, bank, g, shared_start, 2)?;
+        let site = self.site(bank);
+        let cols = site.geom.cols();
+        let n = maj_width(entry, inputs, cols)?;
+        let mut b = self.program(bank, prelude);
+        let gate = site.maj(&mut b, entry, inputs.iter().cloned())?;
+        let outcome = self.ship(&b.finish(), None)?;
+        expect_kind(&outcome, true)?;
+        let lanes = (cols - shared_start.min(cols)).div_ceil(2);
+        let result = self.read_lanes(bank, gate.result_rows[0], shared_start, lanes)?;
         Ok(FastMajResult {
             n,
-            result: PackedBits::from_words(words, lanes),
+            result,
             predicted_success: outcome.mean_success(CellRole::OffMaj).unwrap_or(0.0),
         })
     }
@@ -1113,13 +813,8 @@ impl Fcdram {
         entry: &InSubarrayEntry,
         data: &[Bit],
     ) -> Result<f64> {
-        let geom = *self.bender.module_mut().chip_mut(self.chip).geometry();
-        if data.len() != geom.cols() {
-            return Err(FcdramError::WidthMismatch {
-                expected: geom.cols(),
-                got: data.len(),
-            });
-        }
+        let geom = self.config().geometry();
+        check_width(geom.cols(), data.len())?;
         let (sub, loc_f) = geom.split_row(entry.rf)?;
         self.bender
             .write_row(self.chip, bank, entry.rf, data.to_vec())?;
@@ -1150,7 +845,9 @@ impl Fcdram {
     /// Executes an in-subarray N-row majority (the Ambit/ComputeDRAM
     /// baseline the paper builds on, §2.2): all raised rows
     /// charge-share and the sense amplifiers resolve the per-column
-    /// majority, which overwrites every raised row.
+    /// majority, which overwrites every raised row. The stagings and
+    /// the charge share ship as one program ([`GateSite::maj`]); every
+    /// raised row is then read back full width.
     ///
     /// Unlike the cross-subarray logic operations, in-subarray MAJ
     /// computes on *every* column (both bitline halves see a
@@ -1162,36 +859,14 @@ impl Fcdram {
         entry: &InSubarrayEntry,
         inputs: &[Vec<Bit>],
     ) -> Result<MajReport> {
-        let geom = *self.bender.module_mut().chip_mut(self.chip).geometry();
-        let n = entry.rows.len();
-        if inputs.len() != n {
-            return Err(FcdramError::BadInputCount {
-                n: inputs.len(),
-                max: n,
-            });
-        }
-        for input in inputs {
-            if input.len() != geom.cols() {
-                return Err(FcdramError::WidthMismatch {
-                    expected: geom.cols(),
-                    got: input.len(),
-                });
-            }
-        }
-        let (sub, _) = geom.split_row(entry.rf)?;
-        for (row, data) in entry.rows.iter().zip(inputs) {
-            self.bender
-                .write_row(self.chip, bank, geom.join_row(sub, *row)?, data.clone())?;
-        }
-        let outcome = self
-            .bender
-            .charge_share(self.chip, bank, entry.rf, entry.rl)?;
-        if !matches!(outcome.kind, OutcomeKind::InSubarray { .. }) {
-            return Err(FcdramError::OpFailed {
-                detail: format!("in-subarray activation produced {:?}", outcome.kind),
-            });
-        }
-        let expected: Vec<Bit> = (0..geom.cols())
+        let site = self.site(bank);
+        let cols = site.geom.cols();
+        let n = maj_width(entry, inputs, cols)?;
+        let mut b = self.bender.builder();
+        let gate = site.maj(&mut b, entry, inputs.iter().cloned())?;
+        let outcome = self.ship(&b.finish(), None)?;
+        expect_kind(&outcome, true)?;
+        let expected: Vec<Bit> = (0..cols)
             .map(|c| {
                 let ones = inputs.iter().filter(|r| r[c].as_bool()).count();
                 Bit::from(2 * ones > n)
@@ -1200,11 +875,9 @@ impl Fcdram {
         let mut correct = 0usize;
         let mut total = 0usize;
         let mut first_read: Option<Vec<Bit>> = None;
-        for row in &entry.rows {
-            let data = self
-                .bender
-                .read_row(self.chip, bank, geom.join_row(sub, *row)?)?;
-            for c in 0..geom.cols() {
+        for g in gate.result_rows {
+            let data = self.bender.read_row(self.chip, bank, g)?;
+            for c in 0..cols {
                 total += 1;
                 if data[c] == expected[c] {
                     correct += 1;
@@ -1224,6 +897,21 @@ impl Fcdram {
             outcome,
         })
     }
+}
+
+/// Checks a majority's input count and widths; returns N.
+fn maj_width(entry: &InSubarrayEntry, inputs: &[Vec<Bit>], cols: usize) -> Result<usize> {
+    let n = entry.rows.len();
+    if inputs.len() != n {
+        return Err(FcdramError::BadInputCount {
+            n: inputs.len(),
+            max: n,
+        });
+    }
+    for input in inputs {
+        check_width(cols, input.len())?;
+    }
+    Ok(n)
 }
 
 #[cfg(test)]
@@ -1740,5 +1428,114 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The value op with the mask off (`mask_safe == false`; no
+    /// Table-1 part takes this branch) against the split direct-Bender
+    /// reference: the deferred write issued on its own, each row
+    /// staged by its own program, a full charge share. Every device
+    /// row of the pair, the prediction and the read-back agree, with
+    /// and without a prelude.
+    #[test]
+    fn unmasked_value_logic_matches_the_split_reference() {
+        let (bank, mut value, mut split) = (BankId(0), fc(), fc());
+        let pair = (SubarrayId(0), SubarrayId(1));
+        let map = value.discover(bank, pair, 16384).unwrap();
+        split.discover(bank, pair, 16384).unwrap();
+        let geom = value.config().geometry();
+        let shared: Vec<usize> = (0..geom.cols())
+            .filter(|c| is_shared_col(pair.0, Col(*c)))
+            .collect();
+        let spare = geom.join_row(SubarrayId(4), LocalRow(7)).unwrap();
+        let pair_rows = 2 * geom.rows_per_subarray();
+        for (k, n) in [2usize, 4, 8, 16].into_iter().enumerate() {
+            let entry = map.find_nn(n).expect("an N:N entry").clone();
+            for (j, op) in LogicOp::ALL.into_iter().enumerate() {
+                let seed = (100 * k + 10 * j) as u64;
+                let vals: Vec<PackedBits> = (0..n)
+                    .map(|i| PackedBits::from_bits(&pattern(seed + i as u64, shared.len())))
+                    .collect();
+                let rows: Vec<Vec<Bit>> = vals
+                    .iter()
+                    .map(|v| v.expand_strided(geom.cols(), shared[0], 2))
+                    .collect();
+                let prelude = (j % 2 == 1).then(|| (spare, pattern(seed + 99, geom.cols())));
+                if let Some((row, data)) = prelude.clone() {
+                    split.write_row(bank, row, data).unwrap();
+                }
+                let refs: Vec<&PackedBits> = vals.iter().collect();
+                let got = value
+                    .execute_logic_value(bank, &entry, op, &refs, prelude, false)
+                    .unwrap();
+                let (result, expected, _, predicted, _) =
+                    logic_unmasked(&mut split, &entry, op, &rows);
+                let ctx = format!("{op:?} n={n}");
+                assert_eq!(got.result.to_bits(), result, "{ctx}: result");
+                assert_eq!(got.expected.to_bits(), expected, "{ctx}: expected");
+                assert_eq!(
+                    got.predicted_success.to_bits(),
+                    predicted.to_bits(),
+                    "{ctx}: predicted"
+                );
+                let matched = result.iter().zip(&expected).filter(|(a, b)| a == b).count();
+                assert_eq!(
+                    got.observed_success,
+                    matched as f64 / shared.len() as f64,
+                    "{ctx}: observed"
+                );
+                for g in (0..pair_rows).map(GlobalRow).chain([spare]) {
+                    let direct = |fc: &Fcdram| {
+                        let chip = fc.bender().module().chip(fc.chip()).unwrap();
+                        chip.read_row_direct(bank, g).unwrap()
+                    };
+                    assert_eq!(direct(&value), direct(&split), "{ctx}: row {g}");
+                }
+            }
+        }
+    }
+
+    /// `configure` sets the module's fidelity and the rig temperature;
+    /// a chip heated on its own keeps its temperature until it next
+    /// runs a program.
+    #[test]
+    fn configure_keeps_individually_heated_chips() {
+        let mut fc = fc();
+        let hot = dram_core::Temperature::celsius(85.0);
+        let chip = fc.bender_mut().module_mut().chip_mut(ChipId(1));
+        chip.configure(chip.sim_config().with_temperature(hot));
+        fc.configure(dram_core::SimConfig::fast());
+        let module = fc.bender().module();
+        assert_eq!(module.fidelity(), dram_core::SimFidelity::fast());
+        let chip = module.chip(ChipId(1)).unwrap();
+        assert_eq!(chip.temperature(), hot);
+        assert_eq!(chip.fidelity(), dram_core::SimFidelity::fast());
+    }
+
+    /// Every builder's operand slots are its `Wr` commands, in row
+    /// order, wherever the builder starts.
+    #[test]
+    fn builders_report_their_operand_writes() {
+        let mut fc = fc();
+        let map = map_for(&mut fc);
+        let site = fc.site(BankId(0));
+        let cols = fc.cols();
+        let entry = map.find_nn(4).expect("4:4 entry").clone();
+        let mut b = fc.bender().builder();
+        b.seq_write_row(BankId(0), GlobalRow(9), vec![Bit::One; cols]);
+        let ops = (0..3).map(|i| vec![Bit::from(i % 2 == 0); cols]);
+        let gate = site.logic(&mut b, &entry, LogicOp::Nor, ops).unwrap();
+        let program = b.finish();
+        assert_eq!(gate.operand_wr.len(), 4);
+        for (i, at) in gate.operand_wr.iter().enumerate() {
+            let bender::DdrCommand::Wr(_, data) = &program.commands()[*at].command else {
+                panic!("slot {i} is not a Wr");
+            };
+            // Three operands, then the OR family's all-0 padding.
+            assert_eq!(data[0], Bit::from(i < 3 && i % 2 == 0), "slot {i}");
+        }
+        assert_eq!(
+            gate.result_rows,
+            site.terminal_rows(&entry, LogicOp::Nor).unwrap()
+        );
     }
 }

@@ -536,18 +536,6 @@ impl Chip {
         self
     }
 
-    #[doc(hidden)]
-    pub fn set_fidelity(&mut self, fidelity: SimFidelity) {
-        let cfg = self.sim_config().with_fidelity(fidelity);
-        self.configure(cfg);
-    }
-
-    #[doc(hidden)]
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        let cfg = self.sim_config().with_telemetry(telemetry);
-        self.configure(cfg);
-    }
-
     /// The module configuration this chip belongs to.
     #[inline]
     pub fn config(&self) -> &ModuleConfig {
@@ -582,12 +570,6 @@ impl Chip {
     #[inline]
     pub fn temperature(&self) -> Temperature {
         self.temperature
-    }
-
-    #[doc(hidden)]
-    pub fn set_temperature(&mut self, t: Temperature) {
-        let cfg = self.sim_config().with_temperature(t);
-        self.configure(cfg);
     }
 
     /// Read-disturbance counters, one zone per `(bank, subarray)` in

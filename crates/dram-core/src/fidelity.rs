@@ -84,8 +84,7 @@ impl SimFidelity {
 /// `BulkEngine`, `SimdVm` — accepts a `SimConfig` through the same
 /// builder-style surface (`with_sim_config` at construction,
 /// `configure` afterwards, `sim_config` to read the current values)
-/// instead of the per-type `set_fidelity`/`set_temperature` setters
-/// this replaces (those remain as hidden shims for one release).
+/// instead of per-type `set_fidelity`/`set_temperature` setters.
 ///
 /// ```
 /// use dram_core::{SimConfig, SimFidelity, Temperature};

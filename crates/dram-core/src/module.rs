@@ -64,16 +64,6 @@ impl DramModule {
         self
     }
 
-    #[doc(hidden)]
-    pub fn set_fidelity(&mut self, fidelity: SimFidelity) {
-        // Fidelity-only shim: leaves each chip's temperature alone
-        // (chips heated individually keep their setting).
-        self.sim = self.sim.with_fidelity(fidelity);
-        for chip in self.chips.iter_mut().flatten() {
-            chip.set_fidelity(fidelity);
-        }
-    }
-
     /// Number of chips on the module.
     #[inline]
     pub fn chip_count(&self) -> usize {

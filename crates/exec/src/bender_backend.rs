@@ -3,41 +3,36 @@
 //! gap-recognizing executor.
 //!
 //! Where [`simdram::DramSubstrate`] asks [`fcdram::BulkEngine`] to run
-//! each gate (the engine issues several small command programs per
-//! operation internally), this backend *emits one combined command
-//! program per native operation* — the paper's §5–§6 schedule: N−1
-//! constant reference rows plus one `Frac`, the N operand stagings,
-//! and the doubly-violated charge-sharing activation (for NOT, the
-//! staging write plus the tRP-violating copy-invert pair) — and ships
-//! it through [`bender::Bender::execute`], which re-derives the analog
+//! each gate through the [`fcdram::Fcdram`] value ops, this backend
+//! ships the gate's command program itself — the paper's §5–§6
+//! schedule: N−1 constant reference rows plus one `Frac`, the N
+//! operand stagings, and the doubly-violated charge-sharing activation
+//! (for NOT, the staging write plus the tRP-violating copy-invert pair)
+//! — through [`bender::Bender::execute`], which re-derives the analog
 //! consequences purely from the inter-command gaps.
 //!
 //! ## Bit-identity with the VM backend
 //!
-//! The combined schedules reproduce the *exact* device-call sequence
-//! the bulk engine performs — same activation-map entries, same rows,
-//! same staged data, same order — so on the same module configuration
-//! the two backends produce bit-identical results for every program
-//! (`tests/exec_equivalence.rs` pins this in both fidelity modes).
-//! That holds because the device model's stochastic draws are a pure
-//! function of `(operation counter, row, column)` state that both
-//! backends advance identically.
+//! Both backends take every gate's program from the same builder,
+//! [`fcdram::GateSite`], over the same activation-map entries
+//! ([`BulkEngine::not_entry`], [`BulkEngine::logic_entry`]); this
+//! backend builds it once per shape as a template and patches the
+//! operand payloads in. The device-call sequence is therefore the same
+//! by construction, and on the same module configuration the two
+//! backends produce bit-identical results for every program
+//! (`tests/exec_equivalence.rs` pins this in both fidelity modes),
+//! because the device model's stochastic draws are a pure function of
+//! `(operation counter, row, column)` state that both backends advance
+//! identically.
 
 use crate::engine::{check_operands, execute_with, ExecBackend};
 use crate::error::{ExecError, Result};
 use crate::prepared::{OutputAction, PreparedProgram};
 use bender::{DdrCommand, Program, ProgramBuilder};
 use dram_core::{Bit, CsTerminal, GlobalRow, LogicOp, OutcomeKind, SpeedBin};
-use fcdram::{BitVecHandle, BulkEngine, PackedBits, PatternEntry};
+use fcdram::{BitVecHandle, BulkEngine, PackedBits, Prelude};
 use fcsynth::{Step, SynthProgram};
 use std::collections::BTreeMap;
-
-/// Smallest discovered `N:N` activation width covering `len` inputs.
-fn padded_width(len: usize, available: impl Fn(usize) -> bool) -> Option<usize> {
-    [2usize, 4, 8, 16]
-        .into_iter()
-        .find(|n| *n >= len && available(*n))
-}
 
 /// A precompiled gate schedule for one `(op family, N)` shape: the
 /// full command program with constant payloads, plus the `Wr` command
@@ -171,12 +166,6 @@ impl BenderBackend {
         self
     }
 
-    #[doc(hidden)]
-    pub fn set_fidelity(&mut self, fidelity: dram_core::SimFidelity) {
-        let cfg = self.sim_config().with_fidelity(fidelity);
-        self.configure(cfg);
-    }
-
     /// Native operations executed so far (each combined schedule
     /// counts once, including output-stage copies).
     pub fn native_ops(&self) -> usize {
@@ -211,109 +200,34 @@ impl BenderBackend {
         Ok(PackedBits::from_words(words, lanes))
     }
 
-    /// One native N-input gate as a single command schedule (constant
-    /// reference rows, `Frac`, operand stagings, charge share), result
-    /// written back into `out`'s pool row.
+    /// One native N-input gate, result written back into `out`'s pool
+    /// row: the operands read back, then the gate's template shipped
+    /// as in [`Self::prepared_gate`].
     fn native_gate(
         &mut self,
         op: LogicOp,
         args: &[BitVecHandle],
         out: &BitVecHandle,
     ) -> Result<()> {
-        let geom = self.engine.config().geometry();
-        let bank = self.engine.bank();
-        let n = padded_width(args.len(), |n| self.engine.map().find_nn(n).is_some()).ok_or(
-            ExecError::Engine(fcdram::FcdramError::BadInputCount {
-                n: args.len(),
-                max: self.engine.config().max_op_inputs(),
-            }),
-        )?;
-        let entry: PatternEntry = self.engine.map().find_nn(n).expect("checked").clone();
-        let packed_inputs: Vec<PackedBits> = args
+        let n = self.engine.logic_entry(args.len())?.shape().1;
+        let t = self.build_gate_template(op.is_and_family(), n)?;
+        let vals: Vec<PackedBits> = args
             .iter()
             .map(|h| self.engine.read_packed(h))
             .collect::<fcdram::Result<_>>()?;
-        let (sub_ref, _) = geom.split_row(entry.rf)?;
-        let (sub_com, _) = geom.split_row(entry.rl)?;
-        let start = self.engine.shared_start();
-        let cols = geom.cols();
-        let const_bit = Bit::from(op.is_and_family());
-        let const_row = vec![const_bit; cols];
-        let mut b = ProgramBuilder::new(self.speed);
-        // Reference subarray: N−1 constant rows + one Frac row — the
-        // same write order the bulk engine uses, so the device's
-        // operation counter advances identically.
-        for (i, row) in entry.first_rows.iter().enumerate() {
-            let g = geom.join_row(sub_ref, *row)?;
-            if i + 1 == entry.first_rows.len() {
-                b.seq_frac(bank, g);
-            } else {
-                b.seq_write_row(bank, g, const_row.clone());
-            }
-        }
-        // Compute subarray: the operands (shared half), identity-
-        // padded to N rows with full-width constant rows.
-        for (i, row) in entry.second_rows.iter().enumerate() {
-            let g = geom.join_row(sub_com, *row)?;
-            let data = match packed_inputs.get(i) {
-                Some(p) => p.expand_strided(cols, start, 2),
-                None => const_row.clone(),
-            };
-            b.seq_write_row(bank, g, data);
-        }
-        b.seq_charge_share(bank, entry.rf, entry.rl);
-        let outcome = self.run_schedule(&b.finish())?;
-        if !matches!(outcome, Some(OutcomeKind::Logic { .. })) {
-            return Err(ExecError::Protocol {
-                detail: format!("charge share produced {outcome:?}"),
-            });
-        }
-        // Result rows: compute side for AND/OR, reference for
-        // NAND/NOR; the first row carries the returned bits.
-        let (result_sub, result_rows) = if op.is_inverted_terminal() {
-            (sub_ref, &entry.first_rows)
-        } else {
-            (sub_com, &entry.second_rows)
-        };
-        let g = geom.join_row(result_sub, result_rows[0])?;
-        let result = self.read_result_row(g)?;
-        self.engine.write_packed(out, &result)?;
-        Ok(())
+        let refs: Vec<&PackedBits> = vals.iter().collect();
+        let (_, wr) = self.prepared_gate(&t, op, &refs, out, None)?;
+        self.flush_result(Some(wr))
     }
 
-    /// The NOT schedule: staging write plus the tRP-violating
-    /// copy-invert pair, result written back into `out`'s pool row.
+    /// The NOT schedule, result written back into `out`'s pool row:
+    /// the operand read back, then the NOT template shipped as in
+    /// [`Self::prepared_not`].
     fn native_not(&mut self, a: BitVecHandle, out: &BitVecHandle) -> Result<()> {
-        let geom = self.engine.config().geometry();
-        let bank = self.engine.bank();
-        let src = self.engine.read_packed(&a)?;
-        let entry: PatternEntry = self
-            .engine
-            .map()
-            .find_dst(1)
-            .first()
-            .cloned()
-            .cloned()
-            .or_else(|| self.engine.map().find_dst(2).first().cloned().cloned())
-            .ok_or(ExecError::Engine(fcdram::FcdramError::NoPattern {
-                n_rf: 1,
-                n_rl: 1,
-            }))?;
-        let (sub_l, _) = geom.split_row(entry.rl)?;
-        let src_full = src.expand_strided(geom.cols(), self.engine.shared_start(), 2);
-        let mut b = ProgramBuilder::new(self.speed);
-        b.seq_write_row(bank, entry.rf, src_full);
-        b.seq_copy_invert(bank, entry.rf, entry.rl);
-        let outcome = self.run_schedule(&b.finish())?;
-        if !matches!(outcome, Some(OutcomeKind::Not { .. })) {
-            return Err(ExecError::Protocol {
-                detail: format!("copy-invert produced {outcome:?}"),
-            });
-        }
-        let g = geom.join_row(sub_l, entry.second_rows[0])?;
-        let result = self.read_result_row(g)?;
-        self.engine.write_packed(out, &result)?;
-        Ok(())
+        let t = self.build_not_template()?;
+        let val = self.engine.read_packed(&a)?;
+        let (_, wr) = self.prepared_not(&t, &val, out, None)?;
+        self.flush_result(Some(wr))
     }
 
     /// In-subarray RowClone as a command schedule, with the bulk
@@ -333,90 +247,40 @@ impl BenderBackend {
         Ok(())
     }
 
-    /// Builds the reusable command program for one `(op family, N)`
-    /// gate shape: the same sequence [`Self::native_gate`] assembles
-    /// per call — N−1 constant reference rows plus `Frac`, N compute-
-    /// side writes (all constant in the template), the charge share —
-    /// with the operand `Wr` command indices recorded for per-
-    /// execution payload patching.
+    /// The reusable command program for one `(op family, N)` gate
+    /// shape: [`fcdram::GateSite::logic`] over the engine's `N:N`
+    /// entry with every compute-side payload constant, plus the first
+    /// result row of each terminal.
     fn build_gate_template(&self, and_family: bool, n: usize) -> Result<GateTemplate> {
-        let geom = self.engine.config().geometry();
-        let bank = self.engine.bank();
-        let entry: PatternEntry = self
-            .engine
-            .map()
-            .find_nn(n)
-            .expect("caller discovered the shape")
-            .clone();
-        let (sub_ref, _) = geom.split_row(entry.rf)?;
-        let (sub_com, _) = geom.split_row(entry.rl)?;
-        let const_row = vec![Bit::from(and_family); geom.cols()];
+        let entry = self.engine.logic_entry(n)?;
+        let site = self.engine.fcdram().site(self.engine.bank());
+        let (monotone, inverted) = if and_family {
+            (LogicOp::And, LogicOp::Nand)
+        } else {
+            (LogicOp::Or, LogicOp::Nor)
+        };
         let mut b = ProgramBuilder::new(self.speed);
-        for (i, row) in entry.first_rows.iter().enumerate() {
-            let g = geom.join_row(sub_ref, *row)?;
-            if i + 1 == entry.first_rows.len() {
-                b.seq_frac(bank, g);
-            } else {
-                b.seq_write_row(bank, g, const_row.clone());
-            }
-        }
-        for row in &entry.second_rows {
-            let g = geom.join_row(sub_com, *row)?;
-            b.seq_write_row(bank, g, const_row.clone());
-        }
-        b.seq_charge_share(bank, entry.rf, entry.rl);
-        let program = b.finish();
-        let wr: Vec<usize> = program
-            .commands()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| matches!(c.command, DdrCommand::Wr(..)))
-            .map(|(i, _)| i)
-            .collect();
-        // The first N−1 `Wr`s stage the constant reference rows and
-        // stay fixed; the next N are the compute-side operand slots.
-        let operand_wr = wr[entry.first_rows.len() - 1..].to_vec();
-        debug_assert_eq!(operand_wr.len(), entry.second_rows.len());
+        let gate = site.logic(&mut b, entry, monotone, std::iter::empty())?;
         Ok(GateTemplate {
-            program,
-            operand_wr,
-            result_row_monotone: geom.join_row(sub_com, entry.second_rows[0])?,
-            result_row_inverted: geom.join_row(sub_ref, entry.first_rows[0])?,
+            program: b.finish(),
+            operand_wr: gate.operand_wr,
+            result_row_monotone: gate.result_rows[0],
+            result_row_inverted: site.terminal_rows(entry, inverted)?[0],
         })
     }
 
-    /// Builds the reusable NOT program ([`Self::native_not`]'s
-    /// sequence): one staging write (patched per execution) plus the
-    /// tRP-violating copy-invert pair.
+    /// The reusable NOT program: [`fcdram::GateSite::not`] over the
+    /// engine's NOT entry with a zero staging payload.
     fn build_not_template(&self) -> Result<NotTemplate> {
-        let geom = self.engine.config().geometry();
-        let bank = self.engine.bank();
-        let entry: PatternEntry = self
-            .engine
-            .map()
-            .find_dst(1)
-            .first()
-            .cloned()
-            .cloned()
-            .or_else(|| self.engine.map().find_dst(2).first().cloned().cloned())
-            .ok_or(ExecError::Engine(fcdram::FcdramError::NoPattern {
-                n_rf: 1,
-                n_rl: 1,
-            }))?;
-        let (sub_l, _) = geom.split_row(entry.rl)?;
+        let entry = self.engine.not_entry()?;
+        let site = self.engine.fcdram().site(self.engine.bank());
         let mut b = ProgramBuilder::new(self.speed);
-        b.seq_write_row(bank, entry.rf, vec![Bit::Zero; geom.cols()]);
-        b.seq_copy_invert(bank, entry.rf, entry.rl);
-        let program = b.finish();
-        let wr = program
-            .commands()
-            .iter()
-            .position(|c| matches!(c.command, DdrCommand::Wr(..)))
-            .expect("staging write present");
+        let zeros = vec![Bit::Zero; site.geom.cols()];
+        let gate = site.not(&mut b, entry, zeros)?;
         Ok(NotTemplate {
-            program,
-            wr,
-            result_row: geom.join_row(sub_l, entry.second_rows[0])?,
+            program: b.finish(),
+            wr: gate.operand_wr[0],
+            result_row: gate.result_rows[0],
         })
     }
 
@@ -429,11 +293,7 @@ impl BenderBackend {
     /// the program plus the index shift at which the template's
     /// recorded `Wr` command positions now sit, so callers patch
     /// operand payloads without a second pass over the commands.
-    fn template_with_prelude(
-        &self,
-        template: &Program,
-        prelude: Option<(GlobalRow, Vec<Bit>)>,
-    ) -> (Program, usize) {
+    fn template_with_prelude(&self, template: &Program, prelude: Prelude) -> (Program, usize) {
         match prelude {
             None => (template.clone(), 0),
             Some((row, data)) => {
@@ -449,7 +309,7 @@ impl BenderBackend {
     /// Lands a deferred result write host-path (the same
     /// `Fcdram::write_row` an immediate write-back after the gate
     /// would issue).
-    fn flush_result(&mut self, pending: Option<(GlobalRow, Vec<Bit>)>) -> Result<()> {
+    fn flush_result(&mut self, pending: Prelude) -> Result<()> {
         if let Some((row, data)) = pending {
             let bank = self.engine.bank();
             self.engine.fcdram_mut().write_row(bank, row, data)?;
@@ -467,7 +327,7 @@ impl BenderBackend {
         t: &NotTemplate,
         val: &PackedBits,
         out: &BitVecHandle,
-        prelude: Option<(GlobalRow, Vec<Bit>)>,
+        prelude: Prelude,
     ) -> Result<(PackedBits, (GlobalRow, Vec<Bit>))> {
         let geom = self.engine.config().geometry();
         let cols = geom.cols();
@@ -500,7 +360,7 @@ impl BenderBackend {
         op: LogicOp,
         vals: &[&PackedBits],
         out: &BitVecHandle,
-        prelude: Option<(GlobalRow, Vec<Bit>)>,
+        prelude: Prelude,
     ) -> Result<(PackedBits, (GlobalRow, Vec<Bit>))> {
         let geom = self.engine.config().geometry();
         let cols = geom.cols();
@@ -721,12 +581,7 @@ impl ExecBackend for BenderBackend {
                 Some(op) if step.args.len() == 1 && !op.is_inverted_terminal() => {}
                 Some(_) if step.args.len() == 1 => need_not = true,
                 Some(op) => {
-                    let n =
-                        padded_width(step.args.len(), |n| self.engine.map().find_nn(n).is_some())
-                            .ok_or(ExecError::Engine(fcdram::FcdramError::BadInputCount {
-                            n: step.args.len(),
-                            max: self.engine.config().max_op_inputs(),
-                        }))?;
+                    let n = self.engine.logic_entry(step.args.len())?.shape().1;
                     let key = (op.is_and_family(), n);
                     if let std::collections::btree_map::Entry::Vacant(slot) =
                         templates.gates.entry(key)
@@ -884,7 +739,7 @@ impl BenderBackend {
         on_step: &mut F,
     ) -> Result<PackedBits> {
         let prog = prep.program();
-        let mut pending: Option<(GlobalRow, Vec<Bit>)> = None;
+        let mut pending: Prelude = None;
         for (i, step) in prog.steps.iter().enumerate() {
             let out = self.engine.alloc()?;
             // Same dispatch as the unprepared `op`: NOT and one-input
@@ -915,15 +770,7 @@ impl BenderBackend {
                     bits
                 }
                 Some(op) => {
-                    let n = padded_width(step.args.len(), |n| {
-                        templates.gates.contains_key(&(op.is_and_family(), n))
-                    })
-                    .ok_or(ExecError::Engine(
-                        fcdram::FcdramError::BadInputCount {
-                            n: step.args.len(),
-                            max: self.engine.config().max_op_inputs(),
-                        },
-                    ))?;
+                    let n = self.engine.logic_entry(step.args.len())?.shape().1;
                     let t = &templates.gates[&(op.is_and_family(), n)];
                     let avals: Vec<&PackedBits> = step
                         .args

@@ -16,9 +16,36 @@
 use crate::engine::ExecBackend;
 use crate::error::Result;
 use bender::ProgramBuilder;
-use dram_core::{BankId, Bit, GlobalRow, LogicOp, SpeedBin};
-use fcdram::PackedBits;
+use dram_core::{BankId, Bit, Geometry, GlobalRow, LocalRow, LogicOp, PatternKind, SpeedBin};
+use fcdram::{GateSite, PackedBits, PatternEntry};
 use fcsynth::Step;
+
+/// The site schedules are priced on: one bank of a 512-row subarray
+/// pair, 4 columns wide. A span depends only on the command timing,
+/// not on addresses or the row width.
+fn model_site() -> GateSite {
+    GateSite {
+        geom: Geometry::new(1, 2, 512, 4).expect("valid model geometry"),
+        bank: BankId(0),
+    }
+}
+
+/// A row payload of the model site's width.
+fn model_row() -> Vec<Bit> {
+    vec![Bit::Zero; 4]
+}
+
+/// A model-site entry activating `rf` in the first subarray and the
+/// second subarray's first row, raising the given rows on each side.
+fn model_entry(rf: usize, first_rows: Vec<LocalRow>, second_rows: Vec<LocalRow>) -> PatternEntry {
+    PatternEntry {
+        rf: GlobalRow(rf),
+        rl: GlobalRow(512),
+        first_rows,
+        second_rows,
+        kind: PatternKind::NN,
+    }
+}
 
 /// Prices [`Step`]s by their command-schedule cycle span.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,42 +76,36 @@ impl ScheduleLatency {
         self.speed.cycles_to_ns(b.build().duration_cycles())
     }
 
-    /// Schedule span of one native `N`-input gate: `N_e−1` constant
-    /// writes + `Frac` + `N_e` operand stagings + the charge-sharing
-    /// double activation + the result write-back, where `N_e` is the
-    /// activation width `n` pads to.
+    /// Schedule span of one native `N`-input gate: the gate program
+    /// ([`fcdram::GateSite::logic`]: `N_e−1` constant writes + `Frac` +
+    /// `N_e` operand stagings + the charge-sharing double activation)
+    /// plus the result write-back, where `N_e` is the activation width
+    /// `n` pads to.
     fn native_gate_ns(&self, n: usize) -> f64 {
         let ne = [2usize, 4, 8, 16]
             .into_iter()
             .find(|w| *w >= n)
             .unwrap_or(16);
-        let bank = BankId(0);
-        let data = vec![Bit::Zero; 4];
+        let rows: Vec<LocalRow> = (0..ne).map(LocalRow).collect();
+        let entry = model_entry(ne - 1, rows.clone(), rows);
+        let site = model_site();
         self.ns_of(|b| {
-            for i in 0..ne {
-                if i + 1 == ne {
-                    b.seq_frac(bank, GlobalRow(i));
-                } else {
-                    b.seq_write_row(bank, GlobalRow(i), data.clone());
-                }
-            }
-            for i in 0..ne {
-                b.seq_write_row(bank, GlobalRow(512 + i), data.clone());
-            }
-            b.seq_charge_share(bank, GlobalRow(ne - 1), GlobalRow(512));
-            b.seq_write_row(bank, GlobalRow(0), data.clone());
+            site.logic(b, &entry, LogicOp::And, std::iter::empty())
+                .expect("the model's rows fit its geometry");
+            b.seq_write_row(site.bank, GlobalRow(0), model_row());
         })
     }
 
-    /// Schedule span of the NOT sequence: staging write, the
-    /// tRP-violating copy-invert pair, and the result write-back.
+    /// Schedule span of the NOT sequence: the gate program
+    /// ([`fcdram::GateSite::not`]: staging write plus the tRP-violating
+    /// copy-invert pair) and the result write-back.
     fn not_ns(&self) -> f64 {
-        let bank = BankId(0);
-        let data = vec![Bit::Zero; 4];
+        let entry = model_entry(0, vec![LocalRow(0)], vec![LocalRow(0)]);
+        let site = model_site();
         self.ns_of(|b| {
-            b.seq_write_row(bank, GlobalRow(0), data.clone());
-            b.seq_copy_invert(bank, GlobalRow(0), GlobalRow(512));
-            b.seq_write_row(bank, GlobalRow(1), data.clone());
+            site.not(b, &entry, model_row())
+                .expect("the model's rows fit its geometry");
+            b.seq_write_row(site.bank, GlobalRow(1), model_row());
         })
     }
 

@@ -19,8 +19,9 @@
 //!   classified once instead of per execution;
 //! * on [`crate::BenderBackend`], the **command-program templates** —
 //!   one cycle-timed DDR4 [`bender::Program`] per `(op family, N)`
-//!   shape, built once with constant payloads and patched per
-//!   execution at precomputed `Wr` indices.
+//!   shape, built once by the `fcdram` gate builder
+//!   ([`fcdram::GateSite`]) with constant payloads and patched per
+//!   execution at the `Wr` indices the builder reports.
 //!
 //! [`ExecBackend::run_prepared`] then executes with batched device
 //! calls: operand values are threaded host-side (the value-path

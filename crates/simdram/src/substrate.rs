@@ -515,12 +515,6 @@ impl DramSubstrate {
         self.engine.sim_config()
     }
 
-    #[doc(hidden)]
-    pub fn set_temperature(&mut self, t: dram_core::Temperature) {
-        let cfg = self.sim_config().with_temperature(t);
-        self.engine.configure(cfg);
-    }
-
     /// The wrapped engine (for inspection).
     pub fn engine(&self) -> &BulkEngine {
         &self.engine

@@ -16,7 +16,8 @@ use crate::error::{Result, SynthError};
 use crate::mapper::{Output, SynthProgram};
 use bender::{Program, ProgramBuilder};
 use dram_core::timing::SpeedBin;
-use dram_core::{BankId, Bit, GlobalRow};
+use dram_core::{BankId, Bit, Geometry, GlobalRow, LocalRow, PatternKind};
+use fcdram::{GateSite, PatternEntry};
 
 /// Emits mapped programs as [`bender`] command schedules.
 ///
@@ -82,12 +83,16 @@ impl BenderEmitter {
             });
         }
         let rps = self.rows_per_subarray;
+        let site = GateSite {
+            geom: Geometry::new(1, 2, rps, self.cols)
+                .map_err(|e| SynthError::Backend(e.to_string()))?,
+            bank: self.bank,
+        };
         // Home rows (registers) fill the first subarray bottom-up;
         // reference scratch occupies its top; operand staging rows
         // live in the paired subarray.
         let home = |r: usize| GlobalRow(r);
         let ref_row = GlobalRow(rps - 1);
-        let const_row = |j: usize| GlobalRow(rps - 2 - j);
         let stage = |i: usize| GlobalRow(rps + i);
         let mut b = ProgramBuilder::new(self.speed);
         for step in &prog.steps {
@@ -105,17 +110,23 @@ impl BenderEmitter {
                     for (i, arg) in step.args.iter().enumerate() {
                         b.seq_copy_invert(self.bank, home(*arg), stage(i));
                     }
-                    // N−1 constant reference rows: all-1 for the AND
-                    // family, all-0 for the OR family (§6.1).
-                    let fill = Bit::from(op.is_and_family());
-                    for j in 0..n.saturating_sub(1) {
-                        b.seq_write_row(self.bank, const_row(j), vec![fill; self.cols]);
-                    }
-                    // Frac the reference row to VDD/2, then the
-                    // double-violated charge-sharing activation pairing
-                    // the reference side with the staged compute side.
-                    b.seq_frac(self.bank, ref_row);
-                    b.seq_charge_share(self.bank, ref_row, stage(0));
+                    // The logic gate program with its operands staged
+                    // by the copies above: N−1 constant reference rows
+                    // below the reference row, the `Frac`'d reference
+                    // row, and the doubly violated charge share
+                    // pairing it with the staged compute side.
+                    let entry = PatternEntry {
+                        rf: ref_row,
+                        rl: stage(0),
+                        first_rows: (0..n.saturating_sub(1))
+                            .map(|j| LocalRow(rps - 2 - j))
+                            .chain([LocalRow(rps - 1)])
+                            .collect(),
+                        second_rows: Vec::new(),
+                        kind: PatternKind::NN,
+                    };
+                    site.logic(&mut b, &entry, op, std::iter::empty())
+                        .map_err(|e| SynthError::Backend(e.to_string()))?;
                     // Result copy-out to the destination home row.
                     b.seq_copy_invert(self.bank, stage(0), home(step.out));
                 }

@@ -49,7 +49,10 @@ fn main() -> Result<(), FcdramError> {
     println!("\n-- AND-4 predicted success vs temperature --");
     let ins: Vec<&fcdram::BitVecHandle> = handles.iter().take(4).collect();
     for t in [50.0, 70.0, 95.0] {
-        engine.set_temperature(Temperature::celsius(t));
+        let cfg = engine
+            .sim_config()
+            .with_temperature(Temperature::celsius(t));
+        engine.configure(cfg);
         let stats = engine.logic(LogicOp::And, &ins, &out)?;
         println!(
             "{t:>5.0}°C : AND-4 {:>6.2}% (model {:>6.2}%)",
@@ -57,7 +60,8 @@ fn main() -> Result<(), FcdramError> {
             stats.predicted_success * 100.0
         );
     }
-    engine.set_temperature(Temperature::BASELINE);
+    let cfg = engine.sim_config().with_temperature(Temperature::BASELINE);
+    engine.configure(cfg);
 
     // (c) Repetition voting: correctness for bandwidth.
     println!("\n-- AND-2 accuracy vs repetition voting --");

@@ -131,6 +131,33 @@ fn threaded_columns_identical_to_serial() {
     }
 }
 
+/// `n` random lanes, one per shared column.
+fn lanes(seed: u64, n: usize) -> PackedBits {
+    let bits: Vec<bool> = (0..n)
+        .map(|j| dram_core::math::hash_to_unit(dram_core::math::mix2(seed, j as u64)) < 0.5)
+        .collect();
+    PackedBits::from_bools(&bits)
+}
+
+/// The value ops' staging convention: shared lanes, zeros elsewhere.
+fn staged(p: &PackedBits, cols: usize, shared: &[usize]) -> Vec<Bit> {
+    let mut row = vec![Bit::Zero; cols];
+    for (i, c) in shared.iter().enumerate() {
+        row[*c] = Bit::from(p.get(i));
+    }
+    row
+}
+
+/// Accuracy of one read-back row over `cols` against `want`.
+fn row_accuracy(row: &[Bit], cols: &[usize], want: impl Fn(usize, usize) -> bool) -> f64 {
+    let hits = cols
+        .iter()
+        .enumerate()
+        .filter(|(i, c)| row[**c].as_bool() == want(*i, **c))
+        .count();
+    hits as f64 / cols.len() as f64
+}
+
 #[test]
 fn packed_not_matches_telemetry_report() {
     let cols = 64;
@@ -148,20 +175,27 @@ fn packed_not_matches_telemetry_report() {
         .or_else(|| map.find_dst(2).first().cloned().cloned())
         .expect("a small NOT pattern");
 
-    let src = pattern(11, cols);
-    let report = full.execute_not(BANK, &entry, &src).unwrap();
-    let fast_res = fast.execute_not_packed(BANK, &entry, &src).unwrap();
+    let shared = shared_cols(cols, pair.0);
+    let src = lanes(11, shared.len());
+    let report = full
+        .execute_not(BANK, &entry, &staged(&src, cols, &shared))
+        .unwrap();
+    let fast_res = fast.execute_not_value(BANK, &entry, &src, None).unwrap();
 
     assert_eq!(report.shape, fast_res.shape);
-    assert_eq!(report.observed_success, fast_res.observed_success);
-    assert_eq!(report.predicted_success, fast_res.predicted_success);
-    // First destination row, shared columns only, bit-identical.
+    assert_eq!(
+        report.predicted_success.to_bits(),
+        fast_res.predicted_success.to_bits()
+    );
+    // First destination row, shared columns only, bit-identical; the
+    // value op's accuracy is that row's.
     let (_, data) = &report.dst_reads[0];
-    let shared = shared_cols(cols, pair.0);
     assert_eq!(fast_res.result.len(), shared.len());
     for (i, c) in shared.iter().enumerate() {
         assert_eq!(fast_res.result.get(i), data[*c].as_bool(), "lane {i}");
     }
+    let first = row_accuracy(data, &shared, |i, _| !src.get(i));
+    assert_eq!(first.to_bits(), fast_res.observed_success.to_bits());
 }
 
 #[test]
@@ -184,43 +218,24 @@ fn packed_logic_matches_telemetry_report_across_n() {
             // n random packed inputs over the shared half.
             let packed: Vec<PackedBits> = (0..n)
                 .map(|i| {
-                    let bits: Vec<bool> = (0..shared.len())
-                        .map(|j| {
-                            dram_core::math::hash_to_unit(dram_core::math::mix3(
-                                0xE0 + i as u64,
-                                n as u64,
-                                j as u64,
-                            )) < 0.5
-                        })
-                        .collect();
-                    PackedBits::from_bools(&bits)
+                    lanes(
+                        dram_core::math::mix2(0xE0 + i as u64, n as u64),
+                        shared.len(),
+                    )
                 })
                 .collect();
-            // Legacy full-width rows: shared lanes, zeros elsewhere
-            // (the engine's staging convention).
-            let rows: Vec<Vec<Bit>> = packed
-                .iter()
-                .map(|p| {
-                    let mut row = vec![Bit::Zero; cols];
-                    for (i, c) in shared.iter().enumerate() {
-                        row[*c] = Bit::from(p.get(i));
-                    }
-                    row
-                })
-                .collect();
+            let rows: Vec<Vec<Bit>> = packed.iter().map(|p| staged(p, cols, &shared)).collect();
+            let refs: Vec<&PackedBits> = packed.iter().collect();
 
             let report = full.execute_logic(BANK, &entry, op, &rows).unwrap();
             let fast_res = fast
-                .execute_logic_packed(BANK, &entry, op, &packed)
+                .execute_logic_value(BANK, &entry, op, &refs, None, true)
                 .unwrap();
 
             assert_eq!(report.n, fast_res.n, "{op:?} n={n}");
             assert_eq!(
-                report.observed_success, fast_res.observed_success,
-                "{op:?} n={n} observed"
-            );
-            assert_eq!(
-                report.predicted_success, fast_res.predicted_success,
+                report.predicted_success.to_bits(),
+                fast_res.predicted_success.to_bits(),
                 "{op:?} n={n} predicted"
             );
             for i in 0..shared.len() {
@@ -235,6 +250,20 @@ fn packed_logic_matches_telemetry_report_across_n() {
                     "{op:?} n={n}"
                 );
             }
+            // `result` is the report's first result row on the shared
+            // columns, so its accuracy is the value op's.
+            let first = report
+                .result
+                .iter()
+                .zip(&report.expected)
+                .filter(|(a, b)| a == b)
+                .count() as f64
+                / shared.len() as f64;
+            assert_eq!(
+                first.to_bits(),
+                fast_res.observed_success.to_bits(),
+                "{op:?} n={n} observed"
+            );
             tested += 1;
         }
     }
@@ -242,6 +271,47 @@ fn packed_logic_matches_telemetry_report_across_n() {
         tested >= 8,
         "expected at least N ∈ {{2, 4}} × 4 ops, got {tested} combos"
     );
+
+    // MAJ4 on an in-subarray four-row set of the same chips.
+    let mut sets = Vec::new();
+    for fc in [&mut full, &mut fast] {
+        let chip = fc.chip();
+        sets.push(
+            fcdram::mapping::discover_in_subarray(
+                fc.bender_mut(),
+                chip,
+                BANK,
+                SubarrayId(2),
+                8192,
+                4,
+            )
+            .unwrap(),
+        );
+    }
+    let entry = sets[0]
+        .get(&4)
+        .and_then(|v| v.first())
+        .expect("a 4-row in-subarray set")
+        .clone();
+    let inputs: Vec<Vec<Bit>> = (0..4).map(|i| pattern(0xA0 + i, cols)).collect();
+    let report = full.execute_maj(BANK, &entry, &inputs).unwrap();
+    let start = shared[0];
+    let fast_res = fast
+        .execute_maj_value(BANK, &entry, &inputs, start, None)
+        .unwrap();
+    assert_eq!(report.n, fast_res.n);
+    assert_eq!(
+        report.predicted_success.to_bits(),
+        fast_res.predicted_success.to_bits()
+    );
+    assert_eq!(fast_res.result.len(), shared.len());
+    for (i, c) in shared.iter().enumerate() {
+        assert_eq!(
+            report.result[*c].as_bool(),
+            fast_res.result.get(i),
+            "MAJ4 lane {i}"
+        );
+    }
 }
 
 #[test]

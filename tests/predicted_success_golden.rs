@@ -10,10 +10,17 @@
 //! result on both backends (`BenderBackend` keeps no trace). Any
 //! kernel rewrite that claims bit-identical draws and statistics must
 //! leave every value here unchanged.
+//!
+//! A second section pins the characterization path: `execute_not`,
+//! `execute_logic` (AND/OR/NAND/NOR × N ∈ {2, 4, 8, 16}) and
+//! `execute_maj` (MAJ4) on one Table-1 chip at full fidelity, in one
+//! sequence, so each operation also sees what the previous ones left
+//! in the rows. Each report's success figures (as `to_bits`), shape,
+//! read-back and per-cell outcomes are pinned.
 
 use characterize::serve::DEMO_MIX;
 use dram_core::math::mix2;
-use dram_core::{BankId, SimConfig, SubarrayId};
+use dram_core::{BankId, Bit, CellOutcome, LogicOp, SimConfig, SubarrayId};
 use fcdram::{BulkEngine, Fcdram, PackedBits};
 use fcexec::{BenderBackend, ExecBackend};
 use fcsynth::CostModel;
@@ -131,5 +138,157 @@ fn predicted_success_bits_are_pinned() {
     for (i, ((p, d), (gp, gd))) in got.iter().zip(GOLDEN).enumerate() {
         assert_eq!(p.as_slice(), *gp, "program {i}: predicted_success bits");
         assert_eq!(d.as_slice(), *gd, "program {i}: result digests");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Characterization path
+// ---------------------------------------------------------------------
+
+const CHAR_COLS: usize = 256;
+
+fn fold_bits(h: u64, bits: &[Bit]) -> u64 {
+    bits.iter().fold(mix2(h, bits.len() as u64), |h, b| {
+        mix2(h, u64::from(b.as_bool()))
+    })
+}
+
+fn cells_digest(cells: &[CellOutcome]) -> u64 {
+    cells.iter().fold(cells.len() as u64, |h, c| {
+        let h = mix2(h, c.role as u64);
+        let h = mix2(h, c.subarray.index() as u64);
+        let h = mix2(h, c.row.index() as u64);
+        let h = mix2(h, c.col.index() as u64);
+        let h = mix2(h, u64::from(c.intended.as_bool()));
+        let h = mix2(h, u64::from(c.actual.as_bool()));
+        mix2(h, c.p_success.to_bits())
+    })
+}
+
+fn row_pattern(seed: u64, cols: usize) -> Vec<Bit> {
+    (0..cols)
+        .map(|c| Bit::from(mix2(seed, c as u64) & 1 == 1))
+        .collect()
+}
+
+/// One row per report: `[observed, predicted, shape.0, shape.1,
+/// read-back digest, outcome-cell digest]`. NOT reports its activation
+/// shape; logic reports `(N, op index)`; MAJ reports `(N, 0)`.
+fn observe_characterization() -> Vec<[u64; 6]> {
+    let cfg = dram_core::config::table1()
+        .remove(0)
+        .with_modeled_cols(CHAR_COLS);
+    let mut fc = Fcdram::new(cfg).with_sim_config(SimConfig::full());
+    let bank = BankId(0);
+    let map = fc
+        .discover(bank, (SubarrayId(0), SubarrayId(1)), 16_384)
+        .unwrap();
+    let mut out = Vec::new();
+    let not_entry = map
+        .find_dst(1)
+        .first()
+        .copied()
+        .or_else(|| map.find_dst(2).first().copied())
+        .expect("a small NOT pattern")
+        .clone();
+    for seed in [1u64, 2] {
+        let r = fc
+            .execute_not(bank, &not_entry, &row_pattern(seed, CHAR_COLS))
+            .unwrap();
+        let reads = r.dst_reads.iter().fold(0u64, |h, (g, bits)| {
+            fold_bits(mix2(h, g.index() as u64), bits)
+        });
+        out.push([
+            r.observed_success.to_bits(),
+            r.predicted_success.to_bits(),
+            r.shape.0 as u64,
+            r.shape.1 as u64,
+            reads,
+            cells_digest(&r.outcome.cells),
+        ]);
+    }
+    for n in [2usize, 4, 8, 16] {
+        let entry = map.find_nn(n).expect("an N:N entry").clone();
+        for (j, op) in LogicOp::ALL.into_iter().enumerate() {
+            let inputs: Vec<Vec<Bit>> = (0..n)
+                .map(|i| row_pattern((100 * n + 10 * j + i) as u64, CHAR_COLS))
+                .collect();
+            let r = fc.execute_logic(bank, &entry, op, &inputs).unwrap();
+            out.push([
+                r.observed_success.to_bits(),
+                r.predicted_success.to_bits(),
+                r.n as u64,
+                j as u64,
+                fold_bits(fold_bits(0, &r.expected), &r.result),
+                cells_digest(&r.outcome.cells),
+            ]);
+        }
+    }
+    let chip = fc.chip();
+    let sets =
+        fcdram::mapping::discover_in_subarray(fc.bender_mut(), chip, bank, SubarrayId(2), 8192, 4)
+            .unwrap();
+    let maj = sets
+        .get(&4)
+        .and_then(|v| v.first())
+        .expect("a 4-row in-subarray set")
+        .clone();
+    for seed in [7u64, 8] {
+        let inputs: Vec<Vec<Bit>> = (0..4)
+            .map(|i| row_pattern(1000 * seed + i, CHAR_COLS))
+            .collect();
+        let r = fc.execute_maj(bank, &maj, &inputs).unwrap();
+        out.push([
+            r.observed_success.to_bits(),
+            r.predicted_success.to_bits(),
+            r.n as u64,
+            0,
+            fold_bits(fold_bits(0, &r.expected), &r.result),
+            cells_digest(&r.outcome.cells),
+        ]);
+    }
+    out
+}
+
+/// Captured before the characterization ops shipped one command
+/// program per operation.
+#[rustfmt::skip]
+const CHAR_GOLDEN: &[[u64; 6]] = &[
+    [0x3ff0000000000000, 0x3fefefdeeb353116, 0x0000000000000001, 0x0000000000000001, 0x312fe69bfda658b3, 0x72ad03c86e1752d8],
+    [0x3ff0000000000000, 0x3fefefdeeb353116, 0x0000000000000001, 0x0000000000000001, 0x6fb7138fdaee63ac, 0x4992b14e53fd24e8],
+    [0x3feae00000000000, 0x3febecf4e23613ea, 0x0000000000000002, 0x0000000000000000, 0x4c3bec597a1fd885, 0x80e72fa4ae0a0fb3],
+    [0x3feb400000000000, 0x3feb83307c2a5e39, 0x0000000000000002, 0x0000000000000001, 0x30a9ee2d54944ce8, 0xef6e1f1632fc1a9a],
+    [0x3fee600000000000, 0x3feea1b79953195e, 0x0000000000000002, 0x0000000000000002, 0x8a9145504e67d1e3, 0xfada063a39467cb7],
+    [0x3fef000000000000, 0x3feed96d5a44a6d2, 0x0000000000000002, 0x0000000000000003, 0x339ff8859d19a076, 0xac25b6f0cfd61333],
+    [0x3fee500000000000, 0x3fee88ee9e599f4e, 0x0000000000000004, 0x0000000000000000, 0x942a73d36afdf13f, 0x4db6bae89394579e],
+    [0x3fee100000000000, 0x3fedcae8a8c5f955, 0x0000000000000004, 0x0000000000000001, 0xe2c6e8a9e7085628, 0x3d72c915fa77ab80],
+    [0x3feef00000000000, 0x3fef02eb94195d14, 0x0000000000000004, 0x0000000000000002, 0xb98dd73e22128a55, 0x6f7031f733753f39],
+    [0x3feed00000000000, 0x3feefbdd82e434e7, 0x0000000000000004, 0x0000000000000003, 0xdc8e9b25c1665692, 0xe1e1bb66b0a20bb1],
+    [0x3feff80000000000, 0x3fefefe452153087, 0x0000000000000008, 0x0000000000000000, 0xb065241111f25360, 0xb7f20e64ee6d3791],
+    [0x3fefd80000000000, 0x3fefbfdcf3612c46, 0x0000000000000008, 0x0000000000000001, 0xee9834b5a5bab022, 0xe2be3e01b9af82c7],
+    [0x3fefd80000000000, 0x3fefc506838424f3, 0x0000000000000008, 0x0000000000000002, 0x7d4dcb831fb21321, 0x749fd9b319062ff4],
+    [0x3fef700000000000, 0x3fef96720f517f32, 0x0000000000000008, 0x0000000000000003, 0x2c8c068ab50366fc, 0x224c1be708c8a2c4],
+    [0x3fef8c0000000000, 0x3fef83c213588624, 0x0000000000000010, 0x0000000000000000, 0x35f82ac7b3a64409, 0x8d568f7c18f79373],
+    [0x3fef800000000000, 0x3fef8975352cf1d0, 0x0000000000000010, 0x0000000000000001, 0x20c70b27cdd4c7af, 0xad0ec8d3554d1cbd],
+    [0x3feee40000000000, 0x3feefcf804df29a3, 0x0000000000000010, 0x0000000000000002, 0xdefc26463d43018d, 0xba66e0ece92d1e68],
+    [0x3fef0c0000000000, 0x3fef098466a4fb7f, 0x0000000000000010, 0x0000000000000003, 0xe2aca25a4e97fba6, 0x2f67a10f689cbe99],
+    [0x3fe8400000000000, 0x3fe899028d9f93f5, 0x0000000000000004, 0x0000000000000000, 0xc18c133bc27d5f1b, 0xbbb1538923161b82],
+    [0x3fe8500000000000, 0x3fe8695624be2634, 0x0000000000000004, 0x0000000000000000, 0xede3619aabd72d42, 0xab2fde9100ebf7f9],
+];
+
+#[test]
+fn characterization_reports_are_pinned() {
+    let got = observe_characterization();
+    if std::env::var_os("FCDRAM_PRINT_GOLDEN").is_some() {
+        println!("const CHAR_GOLDEN: &[[u64; 6]] = &[");
+        for row in &got {
+            let row: Vec<String> = row.iter().map(|b| format!("{b:#018x}")).collect();
+            println!("    [{}],", row.join(", "));
+        }
+        println!("];");
+    }
+    assert_eq!(got.len(), CHAR_GOLDEN.len(), "one golden row per report");
+    for (i, (g, want)) in got.iter().zip(CHAR_GOLDEN).enumerate() {
+        assert_eq!(g, want, "report {i}");
     }
 }
