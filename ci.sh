@@ -145,7 +145,11 @@ synth_smoke() {
 #   3. a serve batch run on *each* execution backend (vm and bender)
 #      with different shard counts — each backend's JSON report must
 #      be byte-identical across shard counts (shard invariance at
-#      both cost-model and command-schedule fidelity);
+#      both cost-model and command-schedule fidelity) — plus a vm
+#      serve in the shape of the benchmark's `batch_wide` workload
+#      (48 jobs, 12 chips, 4096 lanes) at shards 1 and 5, where
+#      fusion groups span members and every chunk reuses its plans
+#      and its per-lane-count VM across many groups;
 #   4. the same serve under the demo fault plan (disturbance
 #      mitigation, derated success, one scripted mid-session chip
 #      dropout): each backend's faulted report must stay
@@ -196,6 +200,13 @@ determinism() {
       && cmp "target/tools/det_serve_${backend}_a.json" "target/tools/det_serve_${backend}_b.json" \
       || { echo "determinism: $backend serve reports differ across shard counts" >&2; return 1; }
   done
+  for shards in 1 5; do
+    "$bin" serve --jobs 48 --chips 12 --lanes 4096 --seed 7 --shards "$shards" --backend vm \
+        --json "target/tools/det_serve_wide_s${shards}.json" >/dev/null \
+      || { echo "determinism: wide serve (shards=$shards) failed" >&2; return 1; }
+  done
+  cmp target/tools/det_serve_wide_s1.json target/tools/det_serve_wide_s5.json \
+    || { echo "determinism: wide serve reports differ across shard counts" >&2; return 1; }
   for backend in vm bender; do
     "$bin" serve --jobs 24 --chips 3 --shards 1 --seed 7 --lanes 64 --backend "$backend" \
         --faults demo --json "target/tools/det_faults_${backend}_a.json" \
@@ -238,7 +249,7 @@ determinism() {
     || { echo "determinism: quick paper report failed" >&2; return 1; }
   cmp target/tools/det_all_a.json target/tools/det_all_b.json \
     || { echo "determinism: quick paper reports differ between runs" >&2; return 1; }
-  echo "determinism: fleet, serve, and faulted serve (vm + bender)" \
+  echo "determinism: fleet, serve, wide serve, and faulted serve (vm + bender)" \
        "reports byte-identical; fleet-health ledger identical across shards and backends;" \
        "daemon session, trace JSON, and metrics replay byte-identically" \
        "(shards 1/5 x vm/bender); quick paper report byte-identical across runs"

@@ -51,11 +51,12 @@ use fcdram::{BulkEngine, Fcdram, PackedBits};
 use fcexec::{BenderBackend, ExecBackend, PreparedProgram, ScheduleLatency};
 use fcsynth::{CostModel, SynthProgram};
 use simdram::{DramSubstrate, HostSubstrate, SimdVm};
+use std::sync::Arc;
 
 /// Modeled row width of the simulated device backends (32 lanes).
 const DEVICE_COLS: usize = 64;
 
-fn programs() -> Vec<(SynthProgram, usize)> {
+fn programs() -> Vec<(Arc<SynthProgram>, usize)> {
     let cost = CostModel::table1_defaults();
     DEMO_MIX
         .iter()
@@ -86,7 +87,7 @@ fn engine() -> BulkEngine {
 /// loops.
 fn prepare_mix<B: ExecBackend>(
     backend: &mut B,
-    progs: &[(SynthProgram, usize)],
+    progs: &[(Arc<SynthProgram>, usize)],
 ) -> Vec<(PreparedProgram, usize)> {
     progs
         .iter()
@@ -96,7 +97,7 @@ fn prepare_mix<B: ExecBackend>(
 
 /// The operand sets of one pass of the mix at `lanes` lanes, one per
 /// program — built once, outside the timed loops.
-fn mix_operands(progs: &[(SynthProgram, usize)], lanes: usize) -> Vec<Vec<PackedBits>> {
+fn mix_operands(progs: &[(Arc<SynthProgram>, usize)], lanes: usize) -> Vec<Vec<PackedBits>> {
     progs
         .iter()
         .enumerate()
@@ -151,7 +152,7 @@ fn bench(c: &mut Criterion) {
 
 /// Writes the wall-clock measurements plus the deterministic
 /// backend-parity entries to `BENCH_exec.json`.
-fn write_summary(progs: &[(SynthProgram, usize)], ops: &[Vec<PackedBits>]) {
+fn write_summary(progs: &[(Arc<SynthProgram>, usize)], ops: &[Vec<PackedBits>]) {
     let results = criterion::results();
     let mut entries: Vec<serde_json::Value> = results
         .iter()

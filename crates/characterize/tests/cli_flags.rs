@@ -1,5 +1,6 @@
 //! CLI flag hygiene: a flag the binary no longer takes is refused
-//! with a diagnostic naming it, never silently ignored.
+//! with a diagnostic naming it, never silently ignored, and a hostile
+//! input file exits with a diagnostic, never an abort.
 
 use std::process::Command;
 
@@ -51,6 +52,52 @@ fn zero_sizes_are_usage_errors() {
         assert!(
             stderr.contains("must be at least 1") && stderr.contains("usage"),
             "{args:?}: no usage diagnostic in {stderr:?}"
+        );
+    }
+}
+
+/// Hostile nesting in an input file is a typed error with a non-zero
+/// exit, never a stack overflow: a 200k-deep JSON session log, and
+/// 100k-deep parentheses or negations in an expression file.
+#[test]
+fn deep_nesting_exits_cleanly() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let write = |name: &str, text: String| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("scratch input written");
+        path.to_string_lossy().into_owned()
+    };
+    let log = write(
+        "deep_session.json",
+        format!("{}{}", "[".repeat(200_000), "]".repeat(200_000)),
+    );
+    let parens = write(
+        "deep_parens.txt",
+        format!("{}a{}\n", "(".repeat(100_000), ")".repeat(100_000)),
+    );
+    let nots = write("deep_nots.txt", format!("{}a\n", "!".repeat(100_000)));
+    for args in [
+        vec!["daemon", "--replay", &log],
+        vec!["serve", "--exprs", &parens],
+        vec!["serve", "--exprs", &nots],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_characterize"))
+            .args(&args)
+            .output()
+            .expect("characterize binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        // A signal (abort on stack overflow) leaves no exit code.
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{:?}: {:?}",
+            &args[..2],
+            stderr.lines().last()
+        );
+        assert!(
+            stderr.contains("nested deeper") || stderr.contains("nesting deeper"),
+            "{:?}: no depth diagnostic",
+            &args[..2]
         );
     }
 }

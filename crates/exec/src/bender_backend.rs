@@ -568,7 +568,7 @@ impl ExecBackend for BenderBackend {
         Some(crate::latency::ScheduleLatency::new(self.speed, self.max_fan_in).step_ns(step))
     }
 
-    fn prepare(&mut self, prog: &SynthProgram) -> Result<PreparedProgram> {
+    fn prepare(&mut self, prog: &std::sync::Arc<SynthProgram>) -> Result<PreparedProgram> {
         let mut prep = PreparedProgram::analyze(prog, self.max_fan_in);
         if prep.is_fallback() {
             return Ok(prep);

@@ -23,6 +23,7 @@ use crate::prepared::PreparedProgram;
 use dram_core::LogicOp;
 use fcdram::PackedBits;
 use fcsynth::{Output, Step, SynthProgram};
+use std::sync::Arc;
 
 /// A backend that executes mapped programs one native operation at a
 /// time.
@@ -119,14 +120,15 @@ pub trait ExecBackend {
     /// Compiles `prog` into a reusable [`PreparedProgram`]: the row
     /// plan and output action are resolved once, and command-schedule
     /// backends precompute their per-`(op, N)` program templates. The
-    /// returned plan is specific to this backend instance.
+    /// returned plan is specific to this backend instance. The plan
+    /// shares `prog` (one refcount) rather than copying it.
     ///
     /// The default performs the backend-independent analysis only.
     ///
     /// # Errors
     ///
     /// Backend overrides may fail while building templates.
-    fn prepare(&mut self, prog: &SynthProgram) -> Result<PreparedProgram>
+    fn prepare(&mut self, prog: &Arc<SynthProgram>) -> Result<PreparedProgram>
     where
         Self: Sized,
     {

@@ -189,6 +189,12 @@ impl<B: ExecBackend> ScheduleTimed<B> {
         &self.inner
     }
 
+    /// Unwraps the backend, so a caller can re-time it at another
+    /// speed bin without rebuilding it.
+    pub fn into_inner(self) -> B {
+        self.inner
+    }
+
     /// The latency model in force.
     pub fn model(&self) -> ScheduleLatency {
         self.model
@@ -247,7 +253,10 @@ impl<B: ExecBackend> ExecBackend for ScheduleTimed<B> {
         Some(self.model.step_ns(step))
     }
 
-    fn prepare(&mut self, prog: &fcsynth::SynthProgram) -> Result<crate::PreparedProgram> {
+    fn prepare(
+        &mut self,
+        prog: &std::sync::Arc<fcsynth::SynthProgram>,
+    ) -> Result<crate::PreparedProgram> {
         self.inner.prepare(prog)
     }
 

@@ -36,6 +36,7 @@
 use crate::engine::ExecBackend;
 use crate::error::Result;
 use fcsynth::{Output, SynthProgram};
+use std::sync::Arc;
 
 /// How the output row of a prepared execution is produced, resolved
 /// once at prepare time from [`Output`] and the operand count.
@@ -60,7 +61,9 @@ pub(crate) enum OutputAction {
 /// and a mismatch falls back to the unprepared path).
 #[derive(Debug, Clone)]
 pub struct PreparedProgram {
-    pub(crate) prog: SynthProgram,
+    /// The program, shared with the caller (preparing bumps a refcount
+    /// instead of copying it).
+    pub(crate) prog: Arc<SynthProgram>,
     /// Per-step list of registers whose rows die after that step, in
     /// the exact order the unprepared engine releases them.
     pub(crate) frees: Vec<Vec<usize>>,
@@ -89,8 +92,12 @@ pub struct PreparedProgram {
 
 impl PreparedProgram {
     /// The backend-independent analysis: free schedule, output action,
-    /// arena width, fallback classification.
-    pub(crate) fn analyze(prog: &SynthProgram, max_fan_in: usize) -> PreparedProgram {
+    /// arena width, fallback classification. This is the whole plan on
+    /// every backend without command templates ([`ExecBackend::prepare`]'s
+    /// default is exactly this call at the backend's fan-in), so a
+    /// caller that must size a backend from [`PreparedProgram::arena_slots`]
+    /// can plan before the backend exists.
+    pub fn analyze(prog: &Arc<SynthProgram>, max_fan_in: usize) -> PreparedProgram {
         let n_in = prog.inputs.len();
         let last_use = prog.last_use();
         let frees = prog
@@ -118,7 +125,7 @@ impl PreparedProgram {
         let fallback = prog.steps.iter().any(|s| s.args.len() > max_fan_in);
         let visits = fused_visits_of(prog);
         PreparedProgram {
-            prog: prog.clone(),
+            prog: Arc::clone(prog),
             frees,
             output,
             fallback,
@@ -223,7 +230,7 @@ mod tests {
     use super::*;
     use fcsynth::CostModel;
 
-    fn mapped(text: &str) -> SynthProgram {
+    fn mapped(text: &str) -> Arc<SynthProgram> {
         let cost = CostModel::table1_defaults();
         fcsynth::compile(text, &cost, 16).unwrap().mapping.program
     }

@@ -359,7 +359,7 @@ mod tests {
         let expect = compiled.circuit.eval_packed(&ops);
         let m = &compiled.mapping;
         for prog in [
-            m.program.clone(),
+            (*m.program).clone(),
             m.program.narrowed(3),
             m.program.narrowed(2),
         ] {

@@ -8,9 +8,13 @@
 //!
 //! * [`BackendKind::Vm`] — every fusion group (jobs sharing a fleet
 //!   member, program, and lane count; a lone job is a group of one)
-//!   runs on its own `SimdVm<HostSubstrate>` (the workspace's golden
-//!   model) and is priced by the assigned chip's derated cost model.
-//! * [`BackendKind::Bender`] — the same host-exact engine wrapped in
+//!   runs on a `SimdVm<HostSubstrate>` (the workspace's golden model)
+//!   and is priced by the assigned chip's derated cost model. Each
+//!   worker chunk prepares every distinct program once and keeps one
+//!   VM per lane count, sized from the plans' arenas plus the staged
+//!   rows; groups reuse both, and each group hands the VM on holding
+//!   only its two constant rows, with its trace cleared.
+//! * [`BackendKind::Bender`] — the same pooled VM wrapped in
 //!   [`fcexec::ScheduleTimed`]: per-operation latency is the
 //!   *cycle-accurate DDR4 command schedule* of each step at the
 //!   assigned chip's speed bin (the schedule the `fcexec`
@@ -44,7 +48,7 @@
 //! wall-clock optimization.
 
 use crate::error::Result;
-use crate::planner::{Admission, Assignment, Plan, SchedPolicy};
+use crate::planner::{same_program, Admission, Assignment, Plan, SchedPolicy};
 use crate::queue::{Batch, Job, JobId};
 use crate::report::BatchReport;
 use dram_core::math::{hash_to_unit, mix3};
@@ -132,8 +136,10 @@ pub fn run_job_on<B: ExecBackend>(
     retry_budget: u32,
     batch_seed: u64,
 ) -> Result<JobOutcome> {
+    let prep = backend.prepare(&asg.program)?;
     let mut runs = run_group_on(
         backend,
+        &prep,
         &[(job, asg, retry_budget)],
         profile,
         batch_seed,
@@ -142,25 +148,29 @@ pub fn run_job_on<B: ExecBackend>(
     runs.pop().expect("one run per job").map(|(o, _)| o)
 }
 
-/// The one execution path: `group`'s shared program is prepared once
-/// on `backend`, every job's operands are bulk-staged through
-/// [`ExecBackend::stage_many`], then each job's accounting loop runs
-/// over its own lease in group order. The outer error is a setup
-/// failure (`prepare`, staging) shared by the whole group; the inner
-/// ones are per-job execution failures. Per-step traces are recorded
-/// when `record` is set and left empty otherwise.
+/// The one execution path: `group`'s shared program runs from `prep`
+/// (prepared once, by the caller, for every group that assigns it), every
+/// job's operands are bulk-staged through [`ExecBackend::stage_many`],
+/// then each job's accounting loop runs over its own lease in group
+/// order. The outer error is a setup failure (staging) shared by the
+/// whole group; the inner ones are per-job execution failures. Per-step
+/// traces are recorded when `record` is set and left empty otherwise.
 fn run_group_on<B: ExecBackend>(
     backend: &mut B,
+    prep: &fcexec::PreparedProgram,
     group: &[(&Job, &Assignment, u32)],
     profile: &crate::planner::ChipProfile,
     batch_seed: u64,
     record: bool,
 ) -> Result<Vec<JobRun>> {
-    // Prepared once per group: the row plan (and, on command-schedule
-    // backends, the program templates) is compiled a single time and
-    // reused across every job and every retry attempt the loop charges
-    // — operands are staged once per job, never per attempt.
-    let prep = backend.prepare(&group[0].1.program)?;
+    // Latency per step, resolved once for the whole group (the
+    // observer runs while the backend is mutably borrowed).
+    let step_latency: Vec<Option<f64>> = prep
+        .program()
+        .steps
+        .iter()
+        .map(|s| backend.step_latency_ns(s))
+        .collect();
     let batches: Vec<&[PackedBits]> = group
         .iter()
         .map(|(j, _, _)| j.operands.as_slice())
@@ -176,7 +186,8 @@ fn run_group_on<B: ExecBackend>(
             profile,
             budget,
             batch_seed,
-            &prep,
+            prep,
+            &step_latency,
             &lease,
             record.then_some(&mut steps),
         );
@@ -191,8 +202,9 @@ fn run_group_on<B: ExecBackend>(
 /// of `(job, assignment, profile cost, batch seed, backend kind)`
 /// whether or not the backend is shared across a group: retry draws key
 /// on the batch seed and job id (never on backend instance state), and
-/// results are host-exact. `record`, when given, receives one
-/// [`StepTrace`] per executed step.
+/// results are host-exact. `step_latency` is the backend's per-step
+/// latency override, resolved once per group. `record`, when given,
+/// receives one [`StepTrace`] per executed step.
 #[allow(clippy::too_many_arguments)]
 fn run_leased<B: ExecBackend>(
     backend: &mut B,
@@ -202,19 +214,12 @@ fn run_leased<B: ExecBackend>(
     retry_budget: u32,
     batch_seed: u64,
     prep: &fcexec::PreparedProgram,
+    step_latency: &[Option<f64>],
     lease: &B::Lease,
     mut record: Option<&mut Vec<StepTrace>>,
 ) -> Result<JobOutcome> {
-    let prog = &asg.program;
     let seed = mix3(batch_seed, job.id as u64, profile.chip_seed);
     let cost = &profile.cost;
-    // Latency per step, resolved before execution (the observer runs
-    // while the backend is mutably borrowed).
-    let step_latency: Vec<Option<f64>> = prog
-        .steps
-        .iter()
-        .map(|s| backend.step_latency_ns(s))
-        .collect();
     let mut retries = 0u32;
     let mut failed_ops = 0usize;
     // Time already burned on chips that died mid-job is part of the
@@ -283,7 +288,7 @@ fn run_leased<B: ExecBackend>(
         wave: asg.wave,
         admission: asg.admission,
         succeeded: failed_ops == 0,
-        ops: prog.steps.len(),
+        ops: asg.program.steps.len(),
         retries,
         failed_ops,
         replacements: asg.replacements,
@@ -298,15 +303,15 @@ fn run_leased<B: ExecBackend>(
 /// member (same profile, same chip seed), same mapped program (same
 /// prepared plan), same lane count (same staging shape).
 fn fusable(a: (&Job, &Assignment), b: (&Job, &Assignment)) -> bool {
-    a.1.member == b.1.member && a.0.lanes == b.0.lanes && a.1.program == b.1.program
+    a.1.member == b.1.member && a.0.lanes == b.0.lanes && same_program(&a.1.program, &b.1.program)
 }
 
 /// Groups job indices by [`fusable`] key, each group in submission
 /// order and groups in order of first appearance. Adjacency is
 /// irrelevant, so a round-robin template mix fuses as well as a sorted
-/// one. A linear scan over group representatives: programs compare
-/// structurally, and a map keyed on serialized programs would cost
-/// more than it saves at batch sizes.
+/// one. A linear scan over group representatives: programs compare by
+/// pointer first and structurally otherwise, and a map keyed on
+/// serialized programs would cost more than it saves at batch sizes.
 fn fusion_groups(jobs: &[Job], asgs: &[Assignment]) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for i in 0..jobs.len() {
@@ -336,40 +341,56 @@ pub fn fused_jobs(batch: &Batch, plan: &Plan) -> usize {
         .sum()
 }
 
-/// Builds the policy-selected backend for one fusion group and runs
-/// it. The group's jobs share a program, a lane count, and an operand
-/// count ([`fusable`], [`Batch::push`]).
+/// Runs one fusion group on the chunk's pooled host VM for its lane
+/// count, on the policy-selected backend kind — the VM itself, or the
+/// same VM wrapped in [`ScheduleTimed`] at the member's speed bin — and
+/// hands the VM back with its trace cleared. The group's jobs share a
+/// program, a lane count, and an operand count ([`fusable`],
+/// [`Batch::push`]).
 fn run_group(
+    mut vm: SimdVm<HostSubstrate>,
+    prep: &fcexec::PreparedProgram,
     group: &[(&Job, &Assignment, u32)],
     profile: &crate::planner::ChipProfile,
     policy: &SchedPolicy,
     batch_seed: u64,
     record: bool,
-) -> Result<Vec<JobRun>> {
-    let (job, asg, _) = group[0];
-    // Room for every job's staged lease at once, plus the running
-    // job's register arena (capacity only bounds the pool — host
-    // results never depend on it).
-    let capacity = (asg.program.n_regs + group.len() * job.operands.len() + 4).max(8);
-    let mut vm =
-        SimdVm::new(HostSubstrate::new(job.lanes, capacity)).map_err(fcexec::ExecError::from)?;
-    match policy.backend {
-        BackendKind::Vm => run_group_on(&mut vm, group, profile, batch_seed, record),
+) -> (SimdVm<HostSubstrate>, Result<Vec<JobRun>>) {
+    let runs = match policy.backend {
+        BackendKind::Vm => run_group_on(&mut vm, prep, group, profile, batch_seed, record),
         BackendKind::Bender => {
             let mut timed = ScheduleTimed::new(vm, profile.speed);
-            run_group_on(&mut timed, group, profile, batch_seed, record)
+            let runs = run_group_on(&mut timed, prep, group, profile, batch_seed, record);
+            vm = timed.into_inner();
+            runs
         }
-    }
+    };
+    vm.clear_trace();
+    (vm, runs)
+}
+
+/// One lane count's pooled host VM: built at the first group that
+/// needs it, sized for the largest group of that lane count in the
+/// chunk, reused by every later one.
+struct LanePool {
+    lanes: usize,
+    /// Row budget: the largest group's plan arena plus its staged
+    /// operand rows, plus the two constant rows and an output row.
+    capacity: usize,
+    vm: Option<SimdVm<HostSubstrate>>,
 }
 
 /// Runs one contiguous submission-order chunk of jobs as fusion groups
-/// ([`fusion_groups`]), a lone job being a group of one: each group
-/// runs through one shared backend — one prepared plan, one bulk
-/// staging, jobs in submission order within the group — and results
-/// are scattered back to their submission-order slots. Every job's
-/// retry draws and modeled costs key on the job and its assignment
-/// alone, never on its neighbours, so outcomes do not depend on how
-/// the chunk groups. A group's setup error is every member's error.
+/// ([`fusion_groups`]), a lone job being a group of one. The chunk
+/// prepares each distinct assigned program once and builds one host VM
+/// per lane count; every group runs from its program's plan on its lane
+/// count's VM — one bulk staging, jobs in submission order within the
+/// group — and results are scattered back to their submission-order
+/// slots. Host results never depend on row ids, and every job's retry
+/// draws and modeled costs key on the job and its assignment alone,
+/// never on its neighbours or on the reused VM, so outcomes do not
+/// depend on how the chunk groups. A group's setup error is every
+/// member's error.
 fn run_chunk(
     jobs: &[Job],
     asgs: &[Assignment],
@@ -378,8 +399,47 @@ fn run_chunk(
     batch_seed: u64,
     record: bool,
 ) -> Vec<JobRun> {
+    let groups = fusion_groups(jobs, asgs);
+    // Plan first, so each VM can be sized from its groups' arenas. A
+    // host plan is the backend-independent analysis at the host fan-in
+    // on both backend kinds (`ScheduleTimed` prepares through the VM).
+    let mut plans: Vec<fcexec::PreparedProgram> = Vec::new();
+    let mut pools: Vec<LanePool> = Vec::new();
+    let mut slots: Vec<(usize, usize)> = Vec::with_capacity(groups.len());
+    for g in &groups {
+        let (job, asg) = (&jobs[g[0]], &asgs[g[0]]);
+        let k = match plans
+            .iter()
+            .position(|p| same_program(p.program(), &asg.program))
+        {
+            Some(k) => k,
+            None => {
+                plans.push(fcexec::PreparedProgram::analyze(
+                    &asg.program,
+                    simdram::MAX_FAN_IN,
+                ));
+                plans.len() - 1
+            }
+        };
+        let need = (plans[k].arena_slots() + g.len() * job.operands.len() + 4).max(8);
+        let v = match pools.iter().position(|p| p.lanes == job.lanes) {
+            Some(v) => {
+                pools[v].capacity = pools[v].capacity.max(need);
+                v
+            }
+            None => {
+                pools.push(LanePool {
+                    lanes: job.lanes,
+                    capacity: need,
+                    vm: None,
+                });
+                pools.len() - 1
+            }
+        };
+        slots.push((k, v));
+    }
     let mut out: Vec<Option<JobRun>> = (0..jobs.len()).map(|_| None).collect();
-    for g in fusion_groups(jobs, asgs) {
+    for (g, (k, v)) in groups.iter().zip(slots) {
         // Re-placements off dying chips already spent part of a job's
         // retry budget: the policy budget is honored across the whole
         // served life of the job, not per placement.
@@ -391,14 +451,27 @@ fn run_chunk(
             })
             .collect();
         let profile = &profiles[asgs[g[0]].member];
-        match run_group(&group, profile, policy, batch_seed, record) {
+        let pool = &mut pools[v];
+        let vm = match pool.vm.take() {
+            Some(vm) => Ok(vm),
+            None => SimdVm::new(HostSubstrate::new(pool.lanes, pool.capacity)),
+        };
+        let runs = vm
+            .map_err(|e| fcexec::ExecError::from(e).into())
+            .and_then(|vm| {
+                let (vm, runs) =
+                    run_group(vm, &plans[k], &group, profile, policy, batch_seed, record);
+                pool.vm = Some(vm);
+                runs
+            });
+        match runs {
             Ok(runs) => {
                 for (&i, r) in g.iter().zip(runs) {
                     out[i] = Some(r);
                 }
             }
             Err(e) => {
-                for &i in &g {
+                for &i in g {
                     out[i] = Some(Err(e.clone()));
                 }
             }
@@ -898,6 +971,102 @@ mod tests {
         for ((ra, _, ea), (rb, _, eb)) in zero.iter().zip(&five) {
             assert_eq!(ra, rb, "results are budget-independent");
             assert_eq!(ea, eb, "device-call stream moved with the retry budget");
+        }
+    }
+
+    #[test]
+    fn pooled_vm_and_shared_plans_change_nothing() {
+        // Two lane counts in one chunk, programs spread over several
+        // members, and a budget tight enough that retries run out.
+        let fleet = FleetConfig::table1(3);
+        let base = CostModel::table1_defaults();
+        let exprs: Vec<&str> = MIX
+            .into_iter()
+            .chain(["a&b&c&d&e&f&g&h&i&j&k&l&m&n&o&p"])
+            .collect();
+        let compiled: Vec<fcsynth::Mapping> = exprs
+            .iter()
+            .map(|t| fcsynth::compile(t, &base, 16).unwrap().mapping)
+            .collect();
+        let mut batch = Batch::new(0x9001);
+        for j in 0..36usize {
+            let k = j % exprs.len();
+            let lanes = if j % 2 == 0 { 64 } else { 4096 };
+            let ops = (0..compiled[k].program.inputs.len())
+                .map(|i| PackedBits::seeded(j as u64, i as u64, lanes))
+                .collect();
+            batch.push(exprs[k], &compiled[k], ops, lanes).unwrap();
+        }
+        for backend in [BackendKind::Vm, BackendKind::Bender] {
+            let policy = SchedPolicy {
+                backend,
+                retry_budget: 1,
+                shards: 1,
+                ..SchedPolicy::default()
+            };
+            let plan = crate::planner::Planner::new(&fleet, &base, &policy)
+                .plan(&batch)
+                .unwrap();
+            let groups = fusion_groups(batch.jobs(), &plan.assignments);
+            let spread = groups.iter().any(|a| {
+                groups.iter().any(|b| {
+                    let (x, y) = (&plan.assignments[a[0]], &plan.assignments[b[0]]);
+                    x.member != y.member && same_program(&x.program, &y.program)
+                })
+            });
+            assert!(spread, "some program runs on two members");
+            let report = execute_plan(&batch, &plan, &policy).unwrap();
+            // Reference: every job alone on a fresh VM, sized as the
+            // per-group path used to size it.
+            for (job, (asg, out)) in batch
+                .jobs()
+                .iter()
+                .zip(plan.assignments.iter().zip(&report.outcomes))
+            {
+                let profile = &plan.profiles[asg.member];
+                let budget = policy.retry_budget.saturating_sub(asg.replacements);
+                let capacity = (asg.program.n_regs + job.operands.len() + 4).max(8);
+                let vm = SimdVm::new(HostSubstrate::new(job.lanes, capacity)).unwrap();
+                let expect = match backend {
+                    BackendKind::Vm => {
+                        let mut vm = vm;
+                        run_job_on(&mut vm, job, asg, profile, budget, batch.seed())
+                    }
+                    BackendKind::Bender => {
+                        let mut timed = ScheduleTimed::new(vm, profile.speed);
+                        run_job_on(&mut timed, job, asg, profile, budget, batch.seed())
+                    }
+                }
+                .unwrap();
+                assert_eq!(*out, expect, "{backend:?} {}", job.label);
+            }
+            assert!(report.total_retries() > 0, "the budget is spent");
+            // Each group hands its lane count's VM back holding only the
+            // two constant rows, with its trace cleared.
+            let mut pool: Vec<SimdVm<HostSubstrate>> = Vec::new();
+            for g in &groups {
+                let (job, asg) = (&batch.jobs()[g[0]], &plan.assignments[g[0]]);
+                let prep = fcexec::PreparedProgram::analyze(&asg.program, simdram::MAX_FAN_IN);
+                let group: Vec<(&Job, &Assignment, u32)> = g
+                    .iter()
+                    .map(|&i| (&batch.jobs()[i], &plan.assignments[i], policy.retry_budget))
+                    .collect();
+                let v = match pool.iter().position(|vm| vm.lanes() == job.lanes) {
+                    Some(v) => v,
+                    None => {
+                        pool.push(SimdVm::new(HostSubstrate::new(job.lanes, 256)).unwrap());
+                        pool.len() - 1
+                    }
+                };
+                let vm = pool.swap_remove(v);
+                let profile = &plan.profiles[asg.member];
+                let (vm, runs) = run_group(vm, &prep, &group, profile, &policy, batch.seed(), true);
+                assert_eq!(runs.unwrap().len(), g.len());
+                assert_eq!(vm.substrate().live_rows(), 2, "rows leaked past a group");
+                assert!(vm.trace().is_empty(), "trace kept across groups");
+                pool.push(vm);
+            }
+            assert_eq!(pool.len(), 2, "one VM per lane count");
         }
     }
 

@@ -208,8 +208,10 @@ pub struct Assignment {
     /// Admission outcome.
     pub admission: Admission,
     /// The program to execute (narrowed when `admission` is
-    /// [`Admission::Remapped`], or the best attempt when flagged).
-    pub program: SynthProgram,
+    /// [`Admission::Remapped`], or the best attempt when flagged):
+    /// the job's own program when it runs as submitted, otherwise the
+    /// admission memo's shared narrowed variant — never a copy.
+    pub program: Arc<SynthProgram>,
     /// Predicted cost under the assigned chip's model.
     pub predicted: ProgramCost,
     /// Fault-model success derating: per-step success probabilities
@@ -251,12 +253,12 @@ type Decision = (Option<usize>, Admission, ProgramCost);
 /// The memoized admission decisions of one distinct submitted program.
 #[derive(Debug, Clone)]
 struct AdmissionEntry {
-    submitted: SynthProgram,
+    submitted: Arc<SynthProgram>,
     /// The narrowed variants `(width, program)` in trial order, those
     /// equal to the submitted program left out. They do not depend on
     /// the chip, so they are built once, when a decision first needs
-    /// them.
-    narrowed: Option<Vec<(usize, SynthProgram)>>,
+    /// them, and every assignment that runs one shares it.
+    narrowed: Option<Vec<(usize, Arc<SynthProgram>)>>,
     /// One slot per fleet member.
     decisions: Vec<Option<Decision>>,
 }
@@ -414,19 +416,26 @@ impl<'a> Planner<'a> {
 }
 
 /// Looks up (or computes and caches) the admission result for one
-/// (submitted program, member) pair.
+/// (submitted program, member) pair. Entries match by pointer first
+/// and structurally otherwise, so jobs compiled separately from the
+/// same text share one entry and one decision. The returned program is
+/// shared, never copied: the job's own when it runs as submitted, the
+/// memo's narrowed variant otherwise.
 fn admit_memoized(
     memo: &mut AdmissionMemo,
     policy: &SchedPolicy,
     job: &Job,
     member: usize,
     profile: &ChipProfile,
-) -> (SynthProgram, Admission, ProgramCost) {
-    let pi = match memo.iter().position(|e| e.submitted == job.program) {
+) -> (Arc<SynthProgram>, Admission, ProgramCost) {
+    let pi = match memo
+        .iter()
+        .position(|e| same_program(&e.submitted, &job.program))
+    {
         Some(i) => i,
         None => {
             memo.push(AdmissionEntry {
-                submitted: job.program.clone(),
+                submitted: Arc::clone(&job.program),
                 narrowed: None,
                 decisions: Vec::new(),
             });
@@ -449,11 +458,18 @@ fn admit_memoized(
         Some(i) => {
             let narrowed = entry.narrowed.as_ref();
             let (_, program) = &narrowed.expect("a narrowed decision built the variants")[i];
-            program.clone()
+            Arc::clone(program)
         }
-        None => entry.submitted.clone(),
+        None => Arc::clone(&job.program),
     };
     (program, admission, cost)
+}
+
+/// Whether two programs are the same program: one shared allocation,
+/// or structurally equal. The pointer check is only a fast path —
+/// decisions never depend on which of the two holds.
+pub(crate) fn same_program(a: &SynthProgram, b: &SynthProgram) -> bool {
+    std::ptr::eq(a, b) || a == b
 }
 
 /// Admission control for one (program, chip) pair.
@@ -477,7 +493,8 @@ fn admit(policy: &SchedPolicy, entry: &mut AdmissionEntry, profile: &ChipProfile
         [8usize, 4, 2]
             .into_iter()
             .map(|width| (width, submitted.narrowed(width)))
-            .filter(|(_, cand)| cand != submitted)
+            .filter(|(_, cand)| cand != &**submitted)
+            .map(|(width, cand)| (width, Arc::new(cand)))
             .collect()
     });
     let mut best: Option<(usize, ProgramCost)> = None;
@@ -614,11 +631,11 @@ impl PlanCtx<'_> {
                 // narrowing made the job too big for this member —
                 // feasibility beats the reliability re-map, and the
                 // job is flagged instead.
-                let submitted_fallback = if admitted.0 == job.program {
+                let submitted_fallback = if same_program(&admitted.0, &job.program) {
                     None
                 } else {
                     Some((
-                        job.program.clone(),
+                        Arc::clone(&job.program),
                         Admission::Flagged,
                         job.program.price(&self.profiles[member].cost),
                     ))
@@ -831,6 +848,66 @@ mod tests {
                 "NOT keeps the population rate"
             );
         }
+    }
+
+    #[test]
+    fn programs_are_shared_not_copied() {
+        let fleet = FleetConfig::table1(12);
+        let base = cost();
+        let text = "a&b&c&d&e&f&g&h&i&j&k&l&m&n&o&p";
+        let m = fcsynth::compile(text, &base, 16).unwrap().mapping;
+        // The same text compiled again: structurally equal, another
+        // allocation.
+        let twin = fcsynth::compile(text, &base, 16).unwrap().mapping;
+        assert!(!Arc::ptr_eq(&m.program, &twin.program));
+        let ops = |seed: u64| -> Vec<fcdram::PackedBits> {
+            (0..16)
+                .map(|k| fcdram::PackedBits::seeded(seed, k, 8))
+                .collect()
+        };
+        let mut batch = crate::queue::Batch::new(5);
+        for j in 0..12u64 {
+            let mapping = if j == 3 { &twin } else { &m };
+            batch.push(text, mapping, ops(j), 8).unwrap();
+            let job = &batch.jobs()[j as usize];
+            assert!(Arc::ptr_eq(&job.program, &mapping.program), "push copied");
+        }
+        // Admitted as submitted: every assignment runs its own job's
+        // program, the twin's included, from one shared memo entry.
+        let lax = SchedPolicy {
+            min_success: 0.0,
+            ..SchedPolicy::default()
+        };
+        let mut planner = Planner::new(&fleet, &base, &lax);
+        let plan = planner.plan(&batch).unwrap();
+        assert_eq!(planner.memo.len(), 1, "structural twins share one entry");
+        for (job, asg) in batch.jobs().iter().zip(&plan.assignments) {
+            assert_eq!(asg.admission, Admission::Admitted);
+            assert!(Arc::ptr_eq(&asg.program, &job.program), "admission copied");
+        }
+        // An impossible floor flags every job; the chips where
+        // narrowing helps run the memo's own narrowed variant.
+        let strict = SchedPolicy {
+            min_success: 1.01,
+            ..SchedPolicy::default()
+        };
+        let mut planner = Planner::new(&fleet, &base, &strict);
+        let plan = planner.plan(&batch).unwrap();
+        assert_eq!(planner.memo.len(), 1);
+        let narrowed = planner.memo[0].narrowed.as_ref().expect("variants built");
+        let mut narrowed_jobs = 0;
+        for (job, asg) in batch.jobs().iter().zip(&plan.assignments) {
+            if same_program(&asg.program, &job.program) {
+                assert!(Arc::ptr_eq(&asg.program, &job.program), "flagging copied");
+            } else {
+                narrowed_jobs += 1;
+                assert!(
+                    narrowed.iter().any(|(_, v)| Arc::ptr_eq(v, &asg.program)),
+                    "narrowed variant copied"
+                );
+            }
+        }
+        assert!(narrowed_jobs > 0, "some chip runs a narrowed variant");
     }
 
     #[test]

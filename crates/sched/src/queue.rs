@@ -11,6 +11,7 @@
 use crate::error::{Result, SchedError};
 use fcdram::PackedBits;
 use fcsynth::{Mapping, SynthProgram};
+use std::sync::Arc;
 
 /// Submission index of a job within its batch.
 pub type JobId = usize;
@@ -22,11 +23,12 @@ pub struct Job {
     pub id: JobId,
     /// Caller-supplied display label (e.g. the source expression).
     pub label: String,
-    /// The program as submitted (the planner may narrow a copy for an
+    /// The program as submitted, shared with the [`Mapping`] it was
+    /// pushed from (the planner may run a narrowed variant for an
     /// unreliable chip; the submitted program is never mutated). The
     /// mapper's own success prediction is deliberately *not* carried:
     /// the planner always re-prices under the assigned chip's model.
-    pub program: SynthProgram,
+    pub program: Arc<SynthProgram>,
     /// Packed operands, one per program input, `lanes` bits each.
     pub operands: Vec<PackedBits>,
     /// SIMD lanes (batch elements) this job computes at once.
@@ -93,7 +95,7 @@ impl Batch {
         self.jobs.push(Job {
             id,
             label,
-            program: mapping.program.clone(),
+            program: Arc::clone(&mapping.program),
             operands,
             lanes,
         });

@@ -196,7 +196,7 @@ impl<'a> Daemon<'a> {
         let mut best = m.expected_success;
         for width in [8usize, 4, 2] {
             let cand = m.program.narrowed(width);
-            if cand == m.program {
+            if cand == *m.program {
                 continue;
             }
             best = best.max(cand.price(self.cost).expected_success);

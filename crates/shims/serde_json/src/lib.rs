@@ -7,6 +7,12 @@ use serde::{Content, Deserialize, Serialize};
 pub use serde::Content as Value;
 pub use serde::Error;
 
+/// Deepest nesting of values [`from_str`] accepts (a top-level scalar
+/// is depth 1). The parser is recursive, so the bound keeps hostile
+/// input from exhausting the stack; real `serde_json` defaults to the
+/// same limit.
+pub const MAX_DEPTH: usize = 128;
+
 /// Serializes a value to compact JSON.
 ///
 /// # Errors
@@ -33,11 +39,13 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 ///
 /// # Errors
 ///
-/// Fails on malformed JSON or a shape mismatch with `T`.
+/// Fails on malformed JSON, values nested deeper than [`MAX_DEPTH`], or
+/// a shape mismatch with `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -155,6 +163,8 @@ fn write_str(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Values open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -191,7 +201,21 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// One value, at most [`MAX_DEPTH`] levels deep.
     fn value(&mut self) -> Result<Content, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "values nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = self.value_body();
+        self.depth -= 1;
+        v
+    }
+
+    fn value_body(&mut self) -> Result<Content, Error> {
         self.skip_ws();
         match self.peek() {
             Some(b'n') if self.eat_keyword("null") => Ok(Content::Null),
@@ -412,6 +436,20 @@ mod tests {
             from_str::<std::collections::BTreeMap<usize, Vec<bool>>>(&s).unwrap(),
             m
         );
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error() {
+        let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+        let err = from_str::<Value>(&deep).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
+        let objects = format!("{}1{}", "{\"k\":".repeat(200_000), "}".repeat(200_000));
+        assert!(from_str::<Value>(&objects).is_err());
+        // The limit itself still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str::<Value>(&ok).is_ok());
+        let over = format!("[{ok}]");
+        assert!(from_str::<Value>(&over).is_err());
     }
 
     #[test]

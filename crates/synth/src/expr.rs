@@ -14,6 +14,9 @@
 //! numbered in first-appearance order, which is also the operand order
 //! every backend expects.
 //!
+//! Parentheses and negations nest at most [`MAX_DEPTH`] deep; deeper
+//! input is a [`SynthError::Parse`], never a stack overflow.
+//!
 //! # Examples
 //!
 //! ```
@@ -23,6 +26,11 @@
 //! ```
 
 use crate::error::{Result, SynthError};
+
+/// Deepest nesting of parentheses and negations [`Expr::parse`]
+/// accepts. The parser is recursive descent, so the bound keeps hostile
+/// input from exhausting the stack.
+pub const MAX_DEPTH: usize = 256;
 
 /// Operator applied by an [`ExprNode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +74,7 @@ impl Expr {
         let mut p = Parser {
             src: text.as_bytes(),
             pos: 0,
+            depth: 0,
             inputs: Vec::new(),
         };
         let root = p.expr()?;
@@ -205,6 +214,8 @@ fn eval_node(node: &ExprNode, values: &[bool]) -> bool {
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Open parentheses and negations around the current position.
+    depth: usize,
     inputs: Vec<String>,
 }
 
@@ -260,9 +271,24 @@ impl Parser<'_> {
         Ok(lhs)
     }
 
+    /// Descends one nesting level, failing past [`MAX_DEPTH`].
+    fn nest(&mut self) -> Result<()> {
+        if self.depth == MAX_DEPTH {
+            return Err(SynthError::Parse {
+                at: self.pos,
+                detail: format!("nesting deeper than {MAX_DEPTH} levels"),
+            });
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn not(&mut self) -> Result<ExprNode> {
         if self.eat(b'!') || self.eat(b'~') {
-            return Ok(ExprNode::Apply(ExprOp::Not, vec![self.not()?]));
+            self.nest()?;
+            let inner = self.not()?;
+            self.depth -= 1;
+            return Ok(ExprNode::Apply(ExprOp::Not, vec![inner]));
         }
         self.atom()
     }
@@ -271,7 +297,9 @@ impl Parser<'_> {
         match self.peek() {
             Some(b'(') => {
                 self.pos += 1;
+                self.nest()?;
                 let inner = self.expr()?;
+                self.depth -= 1;
                 if !self.eat(b')') {
                     return Err(SynthError::Parse {
                         at: self.pos,
@@ -364,6 +392,26 @@ mod tests {
             let err = Expr::parse(bad).unwrap_err();
             assert!(matches!(err, SynthError::Parse { .. }), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_parse_error() {
+        let parens = format!("{}a{}", "(".repeat(100_000), ")".repeat(100_000));
+        let nots = format!("{}a", "!".repeat(100_000));
+        for text in [parens, nots] {
+            let err = Expr::parse(&text).unwrap_err();
+            assert!(
+                matches!(err, SynthError::Parse { at, .. } if at <= MAX_DEPTH + 1),
+                "{err}"
+            );
+        }
+        // The limit itself still parses, exactly as before.
+        let deepest = format!("{}a{}", "(".repeat(MAX_DEPTH), ")".repeat(MAX_DEPTH));
+        assert_eq!(Expr::parse(&deepest).unwrap(), Expr::parse("a").unwrap());
+        let nots = format!("{}a", "~".repeat(MAX_DEPTH));
+        assert!(Expr::parse(&nots).unwrap().eval(&[true]));
+        let too_deep = format!("({})", deepest);
+        assert!(Expr::parse(&too_deep).is_err());
     }
 
     #[test]

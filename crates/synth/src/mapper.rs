@@ -25,6 +25,7 @@ use crate::dag::{Circuit, Node};
 use dram_core::LogicOp;
 use serde::{Deserialize, Serialize};
 use simdram::trace::{NativeOp, OpTrace, TraceEntry};
+use std::sync::Arc;
 
 /// A virtual register of the mapped program. Registers
 /// `0..inputs.len()` hold the operands; higher registers are
@@ -219,8 +220,9 @@ impl SynthProgram {
 /// A mapped program plus the model's predictions for it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mapping {
-    /// The executable program.
-    pub program: SynthProgram,
+    /// The executable program, shared: every job submitted from this
+    /// mapping holds the same allocation.
+    pub program: Arc<SynthProgram>,
     /// Expected whole-circuit success probability (product over
     /// steps).
     pub expected_success: f64,
@@ -436,7 +438,7 @@ impl<'a> Mapper<'a> {
         }
         let native_ops = prog.steps.len();
         Mapping {
-            program: prog,
+            program: Arc::new(prog),
             expected_success: success,
             native_ops,
             latency_ns: latency,
@@ -682,7 +684,7 @@ mod tests {
             assert!(narrow.steps.iter().any(|s| s.out == orig_out));
         }
         // Already-narrow programs pass through unchanged.
-        assert_eq!(m.program.narrowed(16), m.program);
+        assert_eq!(m.program.narrowed(16), *m.program);
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn backends_bit_identical_in_both_fidelities() {
         let k = compiled.circuit.inputs().len();
         let programs = [
             compiled.mapping.program.clone(),
-            compiled.mapping.program.narrowed(2),
+            std::sync::Arc::new(compiled.mapping.program.narrowed(2)),
         ];
         for (pi, prog) in programs.iter().enumerate() {
             let mut results: Vec<(String, PackedBits)> = Vec::new();
@@ -255,7 +255,7 @@ proptest! {
     ) {
         fn run_leased<B: ExecBackend>(
             backend: &mut B,
-            prog: &fcsynth::SynthProgram,
+            prog: &std::sync::Arc<fcsynth::SynthProgram>,
             operand_sets: &[Vec<PackedBits>],
         ) -> Result<Vec<(PackedBits, Vec<usize>)>, String> {
             let prep = backend.prepare(prog).map_err(|e| e.to_string())?;
