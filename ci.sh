@@ -124,13 +124,19 @@ bench_check() {
 # End-to-end synthesis smoke: compile an expression with the
 # reliability-aware mapper, execute it on the host-substrate SimdVm
 # (verified bit-exact against the reference evaluator), and emit
-# bender assembly.
+# bender assembly; then run that expression and the paper's 16-input
+# AND headline shape through the command-schedule backend, so the
+# templated Bender prepare/run path executes end to end.
 synth_smoke() {
   mkdir -p target/tools
   cargo build --release -p characterize \
     && target/release/characterize synth \
          --expr '(a & b & c & d) ^ !(e | f | g)' \
-         --execute --asm target/tools/ci_synth.asm
+         --execute --asm target/tools/ci_synth.asm \
+    && target/release/characterize synth --backend bender \
+         --expr '(a & b & c & d) ^ !(e | f | g)' --execute \
+    && target/release/characterize synth --backend bender \
+         --expr 'a&b&c&d&e&f&g&h&i&j&k&l&m&n&o&p' --execute
 }
 
 # Determinism gate: the fidelity invariant enforced byte-for-byte.

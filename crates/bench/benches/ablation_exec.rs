@@ -184,10 +184,9 @@ fn write_summary(progs: &[(Arc<SynthProgram>, usize)], ops: &[Vec<PackedBits>]) 
     };
 
     // Deterministic parity counts: one pass of the mix on a fresh
-    // device through each backend's prepared path (pinned
-    // device-call-identical to the unprepared one by
-    // `tests/exec_equivalence.rs`, so these counts also pin the
-    // legacy wrappers).
+    // device through each backend's prepared path (the VM walk is
+    // pinned against an independent reference walk by
+    // `tests/exec_equivalence.rs`).
     let mut vm = SimdVm::new(DramSubstrate::new(engine())).unwrap();
     let vm_preps = prepare_mix(&mut vm, progs);
     vm.clear_trace();

@@ -58,7 +58,8 @@ fn zero_sizes_are_usage_errors() {
 
 /// Hostile nesting in an input file is a typed error with a non-zero
 /// exit, never a stack overflow: a 200k-deep JSON session log, and
-/// 100k-deep parentheses or negations in an expression file.
+/// 100k-deep parentheses or negations in an expression file. A
+/// 100k-long flat `&`, `|` or `^` chain never aborts either.
 #[test]
 fn deep_nesting_exits_cleanly() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
@@ -98,6 +99,24 @@ fn deep_nesting_exits_cleanly() {
             stderr.contains("nested deeper") || stderr.contains("nesting deeper"),
             "{:?}: no depth diagnostic",
             &args[..2]
+        );
+    }
+    // Long flat chains are one n-ary node each, not 100k-deep trees:
+    // they run (or fail with a diagnostic), and never abort.
+    for op in ['&', '|', '^'] {
+        let chain = write(
+            "flat_chain.txt",
+            format!("a{}\n", format!("{op}a").repeat(100_000)),
+        );
+        let out = Command::new(env!("CARGO_BIN_EXE_characterize"))
+            .args(["serve", "--exprs", &chain])
+            .output()
+            .expect("characterize binary runs");
+        assert!(
+            matches!(out.status.code(), Some(0 | 1)),
+            "100k-long '{op}' chain: {:?}: {:?}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr).lines().last()
         );
     }
 }

@@ -287,6 +287,18 @@ impl BulkEngine {
         &self.map
     }
 
+    /// The widest gate this engine runs as one native operation: the
+    /// largest `N` in 16, 8, 4, 2 with a discovered `N:N` activation
+    /// pattern. A part with no `N:N` pattern (the Samsung rows of
+    /// Table 1) reports 2; its logic steps then fail with a typed
+    /// [`FcdramError::BadInputCount`] from [`BulkEngine::logic_entry`].
+    pub fn max_fan_in(&self) -> usize {
+        [16usize, 8, 4, 2]
+            .into_iter()
+            .find(|n| self.map.find_nn(*n).is_some())
+            .unwrap_or(2)
+    }
+
     /// The NOT destination pattern every NOT runs through.
     ///
     /// # Errors

@@ -25,7 +25,7 @@
 //! `(operation counter, row, column)` state that both backends advance
 //! identically.
 
-use crate::engine::{check_operands, execute_with, ExecBackend};
+use crate::engine::{check_operands, ExecBackend};
 use crate::error::{ExecError, Result};
 use crate::prepared::{OutputAction, PreparedProgram};
 use bender::{DdrCommand, Program, ProgramBuilder};
@@ -106,12 +106,7 @@ impl BenderBackend {
     ///
     /// Fails when the engine cannot allocate two rows.
     pub fn new(mut engine: BulkEngine) -> Result<Self> {
-        // Same native fan-in rule as `simdram::DramSubstrate`: the
-        // largest discovered `N:N` activation shape.
-        let max_fan_in = [16usize, 8, 4, 2]
-            .into_iter()
-            .find(|n| engine.map().find_nn(*n).is_some())
-            .unwrap_or(2);
+        let max_fan_in = engine.max_fan_in();
         let speed = engine.config().speed;
         let zero = engine.alloc()?;
         engine.fill(&zero, false)?;
@@ -198,53 +193,6 @@ impl BenderBackend {
             .bender_mut()
             .read_row_packed(chip, bank, row, start, 2)?;
         Ok(PackedBits::from_words(words, lanes))
-    }
-
-    /// One native N-input gate, result written back into `out`'s pool
-    /// row: the operands read back, then the gate's template shipped
-    /// as in [`Self::prepared_gate`].
-    fn native_gate(
-        &mut self,
-        op: LogicOp,
-        args: &[BitVecHandle],
-        out: &BitVecHandle,
-    ) -> Result<()> {
-        let n = self.engine.logic_entry(args.len())?.shape().1;
-        let t = self.build_gate_template(op.is_and_family(), n)?;
-        let vals: Vec<PackedBits> = args
-            .iter()
-            .map(|h| self.engine.read_packed(h))
-            .collect::<fcdram::Result<_>>()?;
-        let refs: Vec<&PackedBits> = vals.iter().collect();
-        let (_, wr) = self.prepared_gate(&t, op, &refs, out, None)?;
-        self.flush_result(Some(wr))
-    }
-
-    /// The NOT schedule, result written back into `out`'s pool row:
-    /// the operand read back, then the NOT template shipped as in
-    /// [`Self::prepared_not`].
-    fn native_not(&mut self, a: BitVecHandle, out: &BitVecHandle) -> Result<()> {
-        let t = self.build_not_template()?;
-        let val = self.engine.read_packed(&a)?;
-        let (_, wr) = self.prepared_not(&t, &val, out, None)?;
-        self.flush_result(Some(wr))
-    }
-
-    /// In-subarray RowClone as a command schedule, with the bulk
-    /// engine's host-copy fallback for pairs the decoder predicate
-    /// rejects.
-    fn copy_into(&mut self, src: BitVecHandle, out: &BitVecHandle) -> Result<()> {
-        let bank = self.engine.bank();
-        let ideal = self.engine.read_packed(&src)?;
-        let mut b = ProgramBuilder::new(self.speed);
-        b.seq_copy_invert(bank, src.row(), out.row());
-        let outcome = self.run_schedule(&b.finish())?;
-        if !matches!(outcome, Some(OutcomeKind::InSubarray { .. })) {
-            // Non-cloning pair: host read + write, exactly like
-            // `BulkEngine::copy`'s fallback.
-            self.engine.write_packed(out, &ideal)?;
-        }
-        Ok(())
     }
 
     /// The reusable command program for one `(op family, N)` gate
@@ -396,10 +344,11 @@ impl BenderBackend {
         Ok((result, (out.row(), full)))
     }
 
-    /// One prepared RowClone ([`Self::copy_into`] with the read-back
-    /// elided): on a cloning pair the destination row's actual content
-    /// is read once to keep the tracked value honest; non-cloning
-    /// pairs fall back to the host write, whose value is exact.
+    /// One prepared in-subarray RowClone as a command schedule: on a
+    /// cloning pair the destination row's actual content is read once
+    /// to keep the tracked value honest; pairs the decoder predicate
+    /// rejects take the host write of the tracked value, exactly like
+    /// `BulkEngine::copy`.
     fn prepared_copy(
         &mut self,
         src: &BitVecHandle,
@@ -418,61 +367,16 @@ impl BenderBackend {
         }
     }
 
-    /// Mirror of the VM backend's tree reduction for argument lists
-    /// wider than the native fan-in: monotone stages chunked at the
-    /// fan-in, with the final stage applying the (possibly inverting)
-    /// operation — the same shape and device-call order as
-    /// [`simdram`]'s `reduce`/`reduce_inverted`.
-    fn reduce(&mut self, op: LogicOp, args: &[BitVecHandle]) -> Result<BitVecHandle> {
-        let fan_in = self.max_fan_in;
-        let stage_op = if op.is_inverted_terminal() {
-            if op.is_and_family() {
-                LogicOp::And
-            } else {
-                LogicOp::Or
-            }
-        } else {
-            op
-        };
-        let mut level: Vec<BitVecHandle> = args.to_vec();
-        let mut owned: Vec<BitVecHandle> = Vec::new();
-        // Free the intermediates whether the tree completes or a later
-        // allocation/gate fails — a failed wide gate must not strand
-        // pool rows on a long-lived backend.
-        let result = (|| {
-            while level.len() > fan_in {
-                let mut next = Vec::with_capacity(level.len().div_ceil(fan_in));
-                for chunk in level.chunks(fan_in) {
-                    if chunk.len() == 1 {
-                        next.push(chunk[0]);
-                    } else {
-                        let out = self.engine.alloc()?;
-                        owned.push(out);
-                        self.native_gate(stage_op, chunk, &out)?;
-                        next.push(out);
-                    }
-                }
-                level = next;
-            }
-            let out = self.engine.alloc()?;
-            owned.push(out);
-            self.native_gate(op, &level, &out)?;
-            Ok(out)
-        })();
-        if result.is_ok() {
-            // The last row pushed is the final gate's output — on
-            // success the caller owns it.
-            owned.pop();
-        }
-        for r in owned {
+    /// Returns a row to the engine's pool; the shared constant rows
+    /// are kept.
+    fn release(&mut self, r: BitVecHandle) {
+        if r != self.zero && r != self.one {
             self.engine.free(r);
         }
-        result
     }
 }
 
 impl ExecBackend for BenderBackend {
-    type Row = BitVecHandle;
     type Lease = Vec<BitVecHandle>;
 
     fn lanes(&self) -> usize {
@@ -509,58 +413,9 @@ impl ExecBackend for BenderBackend {
         Ok(rows)
     }
 
-    fn lease_rows(lease: &Vec<BitVecHandle>) -> &[BitVecHandle] {
-        lease
-    }
-
     fn end_stage(&mut self, lease: Vec<BitVecHandle>) {
         for r in lease {
             self.release(r);
-        }
-    }
-
-    fn op(&mut self, op: Option<LogicOp>, args: &[BitVecHandle]) -> Result<BitVecHandle> {
-        match op {
-            None => {
-                let out = self.engine.alloc()?;
-                self.native_not(args[0], &out)?;
-                Ok(out)
-            }
-            // Single-argument gates degenerate exactly as on the VM
-            // backend: monotone families copy, inverted families NOT.
-            Some(op) if args.len() == 1 && !op.is_inverted_terminal() => self.duplicate(args[0]),
-            Some(_) if args.len() == 1 => {
-                let out = self.engine.alloc()?;
-                self.native_not(args[0], &out)?;
-                Ok(out)
-            }
-            Some(op) if args.len() <= self.max_fan_in => {
-                let out = self.engine.alloc()?;
-                self.native_gate(op, args, &out)?;
-                Ok(out)
-            }
-            Some(op) => self.reduce(op, args),
-        }
-    }
-
-    fn constant(&mut self, value: bool) -> Result<BitVecHandle> {
-        let src = if value { self.one } else { self.zero };
-        self.duplicate(src)
-    }
-
-    fn duplicate(&mut self, src: BitVecHandle) -> Result<BitVecHandle> {
-        let out = self.engine.alloc()?;
-        self.copy_into(src, &out)?;
-        Ok(out)
-    }
-
-    fn read_row(&mut self, r: BitVecHandle) -> Result<PackedBits> {
-        Ok(self.engine.read_packed(&r)?)
-    }
-
-    fn release(&mut self, r: BitVecHandle) {
-        if r != self.zero && r != self.one {
-            self.engine.free(r);
         }
     }
 
@@ -570,12 +425,9 @@ impl ExecBackend for BenderBackend {
 
     fn prepare(&mut self, prog: &std::sync::Arc<SynthProgram>) -> Result<PreparedProgram> {
         let mut prep = PreparedProgram::analyze(prog, self.max_fan_in);
-        if prep.is_fallback() {
-            return Ok(prep);
-        }
         let mut templates = BenderTemplates::default();
         let mut need_not = false;
-        for step in &prog.steps {
+        for step in &prep.program().steps {
             match step.op {
                 None => need_not = true,
                 Some(op) if step.args.len() == 1 && !op.is_inverted_terminal() => {}
@@ -677,15 +529,10 @@ impl ExecBackend for BenderBackend {
         operands: &[PackedBits],
         mut on_step: F,
     ) -> Result<PackedBits> {
-        if !prep.fits(self.max_fan_in) || prep.templates.is_none() {
-            // Unprepared walk over the caller's staged rows.
-            let inputs: Vec<BitVecHandle> = lease.clone();
-            let out = execute_with(self, prep.program(), &inputs, on_step)?;
-            let packed = self.read_row(out);
-            self.release(out);
-            return packed;
-        }
-        let templates = prep.templates.as_ref().expect("checked above");
+        prep.check_fan_in(self.max_fan_in)?;
+        let templates = prep.templates.as_ref().ok_or_else(|| ExecError::Protocol {
+            detail: "plan carries no command templates; prepare it on this backend".into(),
+        })?;
         let prog = prep.program();
         check_operands(prog, operands.len())?;
         let inputs: Vec<BitVecHandle> = lease.clone();
@@ -717,9 +564,9 @@ impl ExecBackend for BenderBackend {
 
 impl BenderBackend {
     /// The prepared step walk: values are threaded host-side, rows are
-    /// allocated and freed in exactly [`crate::execute_packed_with`]'s order
-    /// (the pool permutes rows on reuse and the device's stochastic
-    /// draws key on row indices).
+    /// allocated and freed in exactly the VM backend's order (the pool
+    /// permutes rows on reuse and the device's stochastic draws key on
+    /// row indices).
     ///
     /// Each step's result write is deferred and shipped as the *next*
     /// fused program's prelude — one `execute` per gate instead of one
@@ -742,10 +589,10 @@ impl BenderBackend {
         let mut pending: Prelude = None;
         for (i, step) in prog.steps.iter().enumerate() {
             let out = self.engine.alloc()?;
-            // Same dispatch as the unprepared `op`: NOT and one-input
+            // Same dispatch as the VM backend: NOT and one-input
             // inverted gates run the NOT schedule, one-input monotone
             // gates clone, everything else is one templated gate
-            // (≤ fan-in by the `fits` guard).
+            // (≤ fan-in by the `check_fan_in` guard).
             let bits = match step.op {
                 None => {
                     let t = templates.not_t.as_ref().expect("prepared");
@@ -821,7 +668,6 @@ impl BenderBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::execute_packed;
     use dram_core::{BankId, SubarrayId};
     use fcsynth::CostModel;
     use simdram::{DramSubstrate, SimdVm};
@@ -837,6 +683,16 @@ mod tests {
         (0..n)
             .map(|i| PackedBits::seeded(seed, i as u64, lanes))
             .collect()
+    }
+
+    /// `prepare` + `run_prepared` without an observer.
+    fn execute<B: ExecBackend>(
+        backend: &mut B,
+        prog: &std::sync::Arc<SynthProgram>,
+        ops: &[PackedBits],
+    ) -> Result<PackedBits> {
+        let prep = backend.prepare(prog)?;
+        crate::run_prepared(backend, &prep, ops)
     }
 
     #[test]
@@ -856,8 +712,8 @@ mod tests {
             let mut cmd = BenderBackend::new(engine(64)).unwrap();
             assert_eq!(crate::ExecBackend::lanes(&vm), cmd.lanes());
             let ops = random_operands(k, cmd.lanes(), seed);
-            let via_vm = execute_packed(&mut vm, &compiled.mapping.program, &ops).unwrap();
-            let via_cmd = execute_packed(&mut cmd, &compiled.mapping.program, &ops).unwrap();
+            let via_vm = execute(&mut vm, &compiled.mapping.program, &ops).unwrap();
+            let via_cmd = execute(&mut cmd, &compiled.mapping.program, &ops).unwrap();
             assert_eq!(via_vm, via_cmd, "{text}: backends diverged");
             assert!(cmd.native_ops() > 0);
         }
@@ -871,13 +727,25 @@ mod tests {
         let lanes = cmd.lanes();
         let ops = random_operands(4, lanes, 9);
         let before = cmd.engine().fcdram().config().name.clone();
-        let _ = execute_packed(&mut cmd, &compiled.mapping.program, &ops).unwrap();
+        let _ = execute(&mut cmd, &compiled.mapping.program, &ops).unwrap();
         // Re-running on the same backend must still find rows — every
         // staged row, temporary, and result row was returned.
         for _ in 0..3 {
-            let _ = execute_packed(&mut cmd, &compiled.mapping.program, &ops).unwrap();
+            let _ = execute(&mut cmd, &compiled.mapping.program, &ops).unwrap();
         }
         assert_eq!(cmd.engine().fcdram().config().name, before);
+    }
+
+    #[test]
+    fn plans_without_templates_are_refused() {
+        let cost = CostModel::table1_defaults();
+        let compiled = fcsynth::compile("a & b", &cost, 16).unwrap();
+        let mut cmd = BenderBackend::new(engine(64)).unwrap();
+        let plan = PreparedProgram::analyze(&compiled.mapping.program, 16);
+        let ops = random_operands(2, cmd.lanes(), 3);
+        let err = crate::run_prepared(&mut cmd, &plan, &ops).unwrap_err();
+        assert!(matches!(err, ExecError::Protocol { .. }), "{err}");
+        assert_eq!(cmd.native_ops(), 0, "nothing ran");
     }
 
     #[test]

@@ -1,40 +1,31 @@
-//! The [`ExecBackend`] trait and the single generic program engine.
+//! The [`ExecBackend`] trait: the one seam every layer executes mapped
+//! programs through.
 //!
 //! Every layer that used to carry its own copy of the Frac →
 //! charge-share → copy-out pipeline (the four `fcsynth::execute_*`
-//! variants, the scheduler's inner loop, the CLI verifiers) now drives
-//! one engine: [`execute_with`] walks a [`SynthProgram`] step by step
-//! against any backend, frees temporaries at their last use, and calls
-//! an observer after every step — the hook per-operation accounting
+//! variants, the scheduler's inner loop, the CLI verifiers) now takes
+//! one path: [`ExecBackend::prepare`] compiles a [`SynthProgram`] into
+//! a [`PreparedProgram`] (narrowing steps wider than the backend's
+//! fan-in), and [`ExecBackend::run_prepared`] walks it over packed
+//! host operands, freeing temporaries at their last use and calling an
+//! observer after every step — the hook per-operation accounting
 //! (retry draws, modeled latency/energy) plugs into without the
 //! backend knowing about any of it.
-//!
-//! Two I/O modes share the walk:
-//!
-//! * **rows** ([`execute_with`]) — operands are backend
-//!   rows the caller already staged; the result row is returned owned.
-//! * **packed** ([`execute_packed_with`] / [`execute_packed`]) —
-//!   operands are host [`PackedBits`]; the engine stages them as one
-//!   all-or-nothing lease, executes, reads the packed result back, and
-//!   returns every staged row.
 
 use crate::error::{ExecError, Result};
 use crate::prepared::PreparedProgram;
-use dram_core::LogicOp;
 use fcdram::PackedBits;
-use fcsynth::{Output, Step, SynthProgram};
+use fcsynth::{Step, SynthProgram};
 use std::sync::Arc;
 
-/// A backend that executes mapped programs one native operation at a
-/// time.
+/// A backend that executes prepared programs one native operation at
+/// a time.
 ///
 /// Implementations must never clobber operand rows (the in-DRAM
 /// engines stage operands into reserved scratch), so a row may appear
-/// several times in one [`ExecBackend::op`] call and inputs survive
+/// several times in one step's arguments and inputs survive
 /// execution.
 pub trait ExecBackend {
-    /// Handle to one backend-resident row of bits.
-    type Row: Copy + std::fmt::Debug;
     /// A batch of staged operand rows, allocated and returned
     /// together ([`simdram::RowLease`] on the VM backend).
     type Lease;
@@ -42,18 +33,14 @@ pub trait ExecBackend {
     /// Bits per row (SIMD lanes).
     fn lanes(&self) -> usize;
 
-    /// Widest native gate one [`ExecBackend::op`] call executes as a
-    /// single operation; wider argument lists are tree-reduced by the
-    /// backend.
+    /// Widest gate the backend executes as one native operation;
+    /// [`ExecBackend::prepare`] narrows wider steps to it.
     fn max_fan_in(&self) -> usize;
 
     /// Stages packed operands into fresh rows, all-or-nothing: when
     /// staging fails part-way, every allocated row is returned before
     /// the error propagates.
     fn stage(&mut self, operands: &[PackedBits]) -> Result<Self::Lease>;
-
-    /// The staged rows of a lease, in operand order.
-    fn lease_rows(lease: &Self::Lease) -> &[Self::Row];
 
     /// Returns every row of a lease to the backend's pool.
     fn end_stage(&mut self, lease: Self::Lease);
@@ -90,24 +77,6 @@ pub trait ExecBackend {
         Ok(leases)
     }
 
-    /// Executes one native operation into a freshly allocated row:
-    /// `None` is NOT (one argument), `Some(op)` the N-input gate.
-    fn op(&mut self, op: Option<LogicOp>, args: &[Self::Row]) -> Result<Self::Row>;
-
-    /// A fresh row holding the constant `value` in every lane.
-    fn constant(&mut self, value: bool) -> Result<Self::Row>;
-
-    /// A fresh row holding a copy of `src` (used for passthrough
-    /// outputs, which must not alias the caller's operand rows).
-    fn duplicate(&mut self, src: Self::Row) -> Result<Self::Row>;
-
-    /// Reads a row back packed.
-    fn read_row(&mut self, r: Self::Row) -> Result<PackedBits>;
-
-    /// Returns a row to the pool (shared constant rows, should a
-    /// backend expose any, are silently kept).
-    fn release(&mut self, r: Self::Row);
-
     /// Cycle-accurate per-step latency when this backend's fidelity is
     /// a real command schedule; `None` when latency belongs to an
     /// external cost model. Callers doing per-operation accounting
@@ -117,11 +86,13 @@ pub trait ExecBackend {
         None
     }
 
-    /// Compiles `prog` into a reusable [`PreparedProgram`]: the row
-    /// plan and output action are resolved once, and command-schedule
-    /// backends precompute their per-`(op, N)` program templates. The
-    /// returned plan is specific to this backend instance. The plan
-    /// shares `prog` (one refcount) rather than copying it.
+    /// Compiles `prog` into a reusable [`PreparedProgram`]: steps wider
+    /// than [`ExecBackend::max_fan_in`] are narrowed into trees of
+    /// native gates, the row plan and output action are resolved once,
+    /// and command-schedule backends precompute their per-`(op, N)`
+    /// program templates. The returned plan is specific to this
+    /// backend instance. When no step needs narrowing the plan shares
+    /// `prog` (one refcount) rather than copying it.
     ///
     /// The default performs the backend-independent analysis only.
     ///
@@ -135,10 +106,11 @@ pub trait ExecBackend {
         Ok(PreparedProgram::analyze(prog, self.max_fan_in()))
     }
 
-    /// Executes a prepared plan over packed operands, bit-identical to
-    /// [`execute_packed_with`] on the same backend — same allocation
-    /// order, same device-call sequence, same stored bits — with the
-    /// per-execution analysis and per-step read-backs elided.
+    /// Executes a prepared plan over packed operands: stages them as
+    /// one all-or-nothing lease, walks the plan's steps (calling
+    /// `on_step(i, step)` after step `i`, over the plan's possibly
+    /// narrowed steps), reads the packed result back, and returns every
+    /// staged row.
     ///
     /// Always exactly [`ExecBackend::stage`] +
     /// [`ExecBackend::run_prepared_leased`] + [`ExecBackend::end_stage`]
@@ -147,7 +119,10 @@ pub trait ExecBackend {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`execute_packed_with`].
+    /// Fails on operand mismatch, ragged lane counts, row exhaustion,
+    /// a step wider than this backend's fan-in
+    /// ([`ExecError::StepTooWide`]), or any backend failure. Error
+    /// paths still return the staged lease before propagating.
     fn run_prepared<F: FnMut(usize, &Step)>(
         &mut self,
         prep: &PreparedProgram,
@@ -173,10 +148,9 @@ pub trait ExecBackend {
     ///
     /// Results are bit-identical to [`ExecBackend::run_prepared`] on
     /// the same operands, which is this call between `stage` and
-    /// `end_stage`.
-    ///
-    /// The default walks the embedded program through the unprepared
-    /// engine over the lease's rows.
+    /// `end_stage`. A plan with a step wider than this backend's
+    /// fan-in is refused with [`ExecError::StepTooWide`] before any
+    /// step runs.
     ///
     /// # Errors
     ///
@@ -189,88 +163,7 @@ pub trait ExecBackend {
         on_step: F,
     ) -> Result<PackedBits>
     where
-        Self: Sized,
-    {
-        let _ = operands;
-        let inputs: Vec<Self::Row> = Self::lease_rows(lease).to_vec();
-        let out = execute_with(self, &prep.prog, &inputs, on_step)?;
-        let packed = self.read_row(out);
-        self.release(out);
-        packed
-    }
-}
-
-/// Executes `prog` over pre-staged operand rows, calling
-/// `on_step(i, step)` after step `i` completes.
-///
-/// `inputs` are read but never freed or clobbered; the returned row is
-/// owned by the caller (for constant or passthrough outputs it is a
-/// fresh copy). Temporaries are released at their last use, keeping
-/// row pressure at the live-range width instead of the program length.
-///
-/// # Errors
-///
-/// Fails on an operand-count mismatch or any backend failure.
-pub fn execute_with<B: ExecBackend, F: FnMut(usize, &Step)>(
-    backend: &mut B,
-    prog: &SynthProgram,
-    inputs: &[B::Row],
-    mut on_step: F,
-) -> Result<B::Row> {
-    check_operands(prog, inputs.len())?;
-    let n_in = inputs.len();
-    let mut regs: Vec<Option<B::Row>> = vec![None; prog.n_regs];
-    for (r, row) in inputs.iter().enumerate() {
-        regs[r] = Some(*row);
-    }
-    let result = run_steps(backend, prog, inputs, &mut regs, &mut on_step);
-    if result.is_err() {
-        // A mid-program failure must not strand the temporaries still
-        // live in the register file (the caller's input rows are never
-        // released) — a long-lived backend would otherwise lose pool
-        // rows on every failed execution.
-        for slot in regs.iter_mut().skip(n_in) {
-            if let Some(row) = slot.take() {
-                backend.release(row);
-            }
-        }
-    }
-    result
-}
-
-/// The step walk of [`execute_with`]; separated so the caller can
-/// reclaim the register file when any step fails.
-fn run_steps<B: ExecBackend, F: FnMut(usize, &Step)>(
-    backend: &mut B,
-    prog: &SynthProgram,
-    inputs: &[B::Row],
-    regs: &mut [Option<B::Row>],
-    on_step: &mut F,
-) -> Result<B::Row> {
-    let n_in = inputs.len();
-    let last_use = prog.last_use();
-    for (i, step) in prog.steps.iter().enumerate() {
-        let args: Vec<B::Row> = step
-            .args
-            .iter()
-            .map(|r| regs[*r].expect("mapper emits defs before uses"))
-            .collect();
-        let out = backend.op(step.op, &args)?;
-        regs[step.out] = Some(out);
-        on_step(i, step);
-        for r in &step.args {
-            if *r >= n_in && last_use[*r] <= i {
-                if let Some(row) = regs[*r].take() {
-                    backend.release(row);
-                }
-            }
-        }
-    }
-    match prog.output {
-        Output::Const(b) => backend.constant(b),
-        Output::Reg(r) if r < n_in => backend.duplicate(inputs[r]),
-        Output::Reg(r) => Ok(regs[r].take().expect("output register defined")),
-    }
+        Self: Sized;
 }
 
 /// Fails with [`ExecError::InputMismatch`] unless `prog` takes exactly
@@ -284,47 +177,4 @@ pub(crate) fn check_operands(prog: &SynthProgram, got: usize) -> Result<()> {
             got,
         })
     }
-}
-
-/// Stages packed operands, executes, reads the packed result back, and
-/// frees every staged row — the universal entry point; per-step
-/// accounting hooks in through `on_step`.
-///
-/// # Errors
-///
-/// Fails on operand mismatch, ragged lane counts, or row exhaustion.
-/// Error paths still return the staged lease before propagating.
-pub fn execute_packed_with<B: ExecBackend, F: FnMut(usize, &Step)>(
-    backend: &mut B,
-    prog: &SynthProgram,
-    operands: &[PackedBits],
-    on_step: F,
-) -> Result<PackedBits> {
-    check_operands(prog, operands.len())?;
-    let lease = backend.stage(operands)?;
-    let inputs: Vec<B::Row> = B::lease_rows(&lease).to_vec();
-    let result = execute_with(backend, prog, &inputs, on_step);
-    let out = match result {
-        Ok(out) => {
-            let packed = backend.read_row(out);
-            backend.release(out);
-            packed
-        }
-        Err(e) => Err(e),
-    };
-    backend.end_stage(lease);
-    out
-}
-
-/// [`execute_packed_with`] without an observer.
-///
-/// # Errors
-///
-/// Same conditions as [`execute_packed_with`].
-pub fn execute_packed<B: ExecBackend>(
-    backend: &mut B,
-    prog: &SynthProgram,
-    operands: &[PackedBits],
-) -> Result<PackedBits> {
-    execute_packed_with(backend, prog, operands, |_, _| {})
 }

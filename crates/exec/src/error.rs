@@ -23,6 +23,15 @@ pub enum ExecError {
         /// Operands provided.
         got: usize,
     },
+    /// A plan step is wider than the running backend's native fan-in:
+    /// the plan was prepared for a wider backend. Preparing the
+    /// program on this backend narrows the step instead.
+    StepTooWide {
+        /// Arguments of the widest step in the plan.
+        width: usize,
+        /// Widest native gate this backend executes.
+        fan_in: usize,
+    },
     /// A [`simdram`] substrate/VM failure (row exhaustion, lane
     /// mismatch, bad handle).
     Vm(simdram::SimdramError),
@@ -47,6 +56,11 @@ impl fmt::Display for ExecError {
             ExecError::InputMismatch { expected, got } => {
                 write!(f, "program expects {expected} operand(s), got {got}")
             }
+            ExecError::StepTooWide { width, fan_in } => write!(
+                f,
+                "plan has a {width}-input step but the backend's fan-in is {fan_in}; \
+                 prepare the program on this backend"
+            ),
             ExecError::Vm(e) => write!(f, "vm backend: {e}"),
             ExecError::Device(e) => write!(f, "command interface: {e}"),
             ExecError::Engine(e) => write!(f, "bulk engine: {e}"),
@@ -107,6 +121,12 @@ mod tests {
             got: 1,
         };
         assert!(e.to_string().contains("3 operand"));
+        let e = ExecError::StepTooWide {
+            width: 16,
+            fan_in: 8,
+        };
+        assert!(e.to_string().contains("16-input step"));
+        assert!(e.to_string().contains("fan-in is 8"));
     }
 
     #[test]

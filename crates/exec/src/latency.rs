@@ -202,7 +202,6 @@ impl<B: ExecBackend> ScheduleTimed<B> {
 }
 
 impl<B: ExecBackend> ExecBackend for ScheduleTimed<B> {
-    type Row = B::Row;
     type Lease = B::Lease;
 
     fn lanes(&self) -> usize {
@@ -217,36 +216,12 @@ impl<B: ExecBackend> ExecBackend for ScheduleTimed<B> {
         self.inner.stage(operands)
     }
 
-    fn lease_rows(lease: &B::Lease) -> &[B::Row] {
-        B::lease_rows(lease)
-    }
-
     fn end_stage(&mut self, lease: B::Lease) {
         self.inner.end_stage(lease);
     }
 
     fn stage_many(&mut self, batches: &[&[PackedBits]]) -> Result<Vec<B::Lease>> {
         self.inner.stage_many(batches)
-    }
-
-    fn op(&mut self, op: Option<LogicOp>, args: &[B::Row]) -> Result<B::Row> {
-        self.inner.op(op, args)
-    }
-
-    fn constant(&mut self, value: bool) -> Result<B::Row> {
-        self.inner.constant(value)
-    }
-
-    fn duplicate(&mut self, src: B::Row) -> Result<B::Row> {
-        self.inner.duplicate(src)
-    }
-
-    fn read_row(&mut self, r: B::Row) -> Result<PackedBits> {
-        self.inner.read_row(r)
-    }
-
-    fn release(&mut self, r: B::Row) {
-        self.inner.release(r);
     }
 
     fn step_latency_ns(&self, step: &Step) -> Option<f64> {
@@ -345,7 +320,8 @@ mod tests {
                 p
             })
             .collect();
-        let got = crate::execute_packed(&mut timed, &compiled.mapping.program, &ops).unwrap();
+        let prep = timed.prepare(&compiled.mapping.program).unwrap();
+        let got = crate::run_prepared(&mut timed, &prep, &ops).unwrap();
         assert_eq!(got, compiled.circuit.eval_packed(&ops));
     }
 }

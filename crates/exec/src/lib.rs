@@ -7,11 +7,13 @@
 //! through now:
 //!
 //! * **[`ExecBackend`]** — the backend trait: staged operand leases,
-//!   one native operation at a time, packed host I/O, and an optional
-//!   cycle-accurate latency hook;
-//! * **[`execute_with`] / [`execute_packed_with`]** — the one generic,
-//!   observer-driven program engine (rows and [`fcdram::PackedBits`]
-//!   I/O modes);
+//!   packed host I/O, an optional cycle-accurate latency hook, and the
+//!   one execution path, [`ExecBackend::prepare`] then
+//!   [`ExecBackend::run_prepared`] with a per-step observer;
+//! * **[`PreparedProgram`]** — a program compiled once for one backend:
+//!   steps wider than the backend's fan-in narrowed into trees of
+//!   native gates, the row plan, and (on [`BenderBackend`]) the
+//!   command-program templates;
 //! * **[`SimdVm`](simdram::SimdVm)`<S>`** — the VM backend for any
 //!   [`simdram::Substrate`]: the exact host golden model and the
 //!   characterized DRAM device model;
@@ -28,7 +30,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use fcexec::execute_packed;
+//! use fcexec::ExecBackend;
 //! use fcsynth::CostModel;
 //! use simdram::{HostSubstrate, SimdVm};
 //!
@@ -45,7 +47,8 @@
 //!     })
 //!     .collect();
 //! let mut vm = SimdVm::new(HostSubstrate::new(lanes, 64))?;
-//! let got = execute_packed(&mut vm, &c.mapping.program, &operands)?;
+//! let prep = vm.prepare(&c.mapping.program)?;
+//! let got = fcexec::run_prepared(&mut vm, &prep, &operands)?;
 //! assert_eq!(got, c.circuit.eval_packed(&operands));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -62,7 +65,7 @@ pub mod prepared;
 mod vm;
 
 pub use bender_backend::BenderBackend;
-pub use engine::{execute_packed, execute_packed_with, execute_with, ExecBackend};
+pub use engine::ExecBackend;
 pub use error::{ExecError, Result};
 pub use latency::{ScheduleLatency, ScheduleTimed};
 pub use prepared::{fused_visits_of, run_prepared, PreparedProgram};

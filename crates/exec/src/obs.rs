@@ -1,6 +1,6 @@
 //! Observability helpers over engine steps.
 //!
-//! The engine's observer hook (`execute_packed_with`) hands callers
+//! The observer hook of [`crate::ExecBackend::run_prepared`] hands callers
 //! `(index, step)` pairs; these helpers turn a [`fcsynth::Step`] into
 //! the trace-facing view: a stable op-shape name and the modeled
 //! device-command footprint. Both are pure functions of the step

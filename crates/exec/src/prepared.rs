@@ -1,20 +1,18 @@
 //! Two-phase execution: compile a [`SynthProgram`] once into a
-//! [`PreparedProgram`], then run it many times.
+//! [`PreparedProgram`], then run it many times. This is the only way a
+//! program reaches a backend.
 //!
-//! [`crate::execute_packed_with`] re-derives everything on every call:
-//! the last-use table, the per-step free lists, and — on the
-//! command-schedule backend — one freshly built `ProgramBuilder`
-//! sequence per native operation. A scheduler that retries a job, or a
-//! serving daemon executing the same compiled circuit across thousands
-//! of batches, pays that analysis again each time.
+//! [`ExecBackend::prepare`] does all the per-program analysis once:
 //!
-//! [`ExecBackend::prepare`] hoists all of it out of the hot path:
-//!
+//! * **narrowing** — a step wider than the backend's native fan-in is
+//!   rewritten into a tree of native gates
+//!   ([`SynthProgram::narrowed`]); the plan holds the narrowed program,
+//!   and everything below is derived from it. A program that already
+//!   fits is shared, not copied;
 //! * the **row plan** — step-level register lifetimes resolved into an
 //!   arena of reusable slots: the per-step free schedule is computed
-//!   once (the per-step free schedule), and
-//!   [`PreparedProgram::arena_slots`] reports the peak number of
-//!   simultaneously-live rows the plan touches;
+//!   once, and [`PreparedProgram::arena_slots`] reports the peak number
+//!   of simultaneously-live rows the plan touches;
 //! * the **output action** — constant / passthrough / register moves
 //!   classified once instead of per execution;
 //! * on [`crate::BenderBackend`], the **command-program templates** —
@@ -28,13 +26,12 @@
 //! `*_known` substrate operations), so per-step operand read-backs
 //! disappear, and — when the engine's activation map permits
 //! ([`fcdram::BulkEngine::mask_safe`]) — charge-share programs compute
-//! only the terminal the step consumes. Results are bit-identical to
-//! the unprepared path: same allocation order, same device-call
-//! sequence for every stochastic draw, same stored bits
-//! (`tests/exec_equivalence.rs` pins this property-style).
+//! only the terminal the step consumes. A plan run on a backend whose
+//! fan-in is narrower than one of its steps fails with
+//! [`crate::ExecError::StepTooWide`]; no other walk is taken.
 
 use crate::engine::ExecBackend;
-use crate::error::Result;
+use crate::error::{ExecError, Result};
 use fcsynth::{Output, SynthProgram};
 use std::sync::Arc;
 
@@ -57,25 +54,20 @@ pub(crate) enum OutputAction {
 /// times — by [`ExecBackend::run_prepared`]. The plan is
 /// **backend-specific**: a plan prepared on one backend instance must
 /// only run on that instance (command templates embed that engine's
-/// activation-map rows; the fan-in snapshot is re-checked at run time
-/// and a mismatch falls back to the unprepared path).
+/// activation-map rows, and a step wider than the running backend's
+/// fan-in is refused).
 #[derive(Debug, Clone)]
 pub struct PreparedProgram {
-    /// The program, shared with the caller (preparing bumps a refcount
-    /// instead of copying it).
+    /// The program the plan runs: the caller's, shared (preparing bumps
+    /// a refcount instead of copying it), or its narrowing to the
+    /// preparing backend's fan-in when some step was wider.
     pub(crate) prog: Arc<SynthProgram>,
-    /// Per-step list of registers whose rows die after that step, in
-    /// the exact order the unprepared engine releases them.
+    /// Per-step list of registers whose rows die after that step:
+    /// temporaries at their last use, in argument order.
     pub(crate) frees: Vec<Vec<usize>>,
     pub(crate) output: OutputAction,
-    /// `true` when some step is wider than the preparing backend's
-    /// native fan-in: those steps tree-reduce through backend-internal
-    /// allocation, so execution takes the unprepared path wholesale.
-    pub(crate) fallback: bool,
-    /// The native fan-in the plan was prepared against; re-checked by
-    /// `run_prepared` so a plan can never drive a mismatched backend
-    /// down the templated path.
-    pub(crate) prepared_fan_in: usize,
+    /// Argument count of the widest step of `prog`.
+    width: usize,
     /// Command-program templates (command-schedule backends only).
     pub(crate) templates: Option<crate::bender_backend::BenderTemplates>,
     /// Deterministic serialization of the templates, empty when the
@@ -91,13 +83,19 @@ pub struct PreparedProgram {
 }
 
 impl PreparedProgram {
-    /// The backend-independent analysis: free schedule, output action,
-    /// arena width, fallback classification. This is the whole plan on
+    /// The backend-independent analysis: narrowing to `max_fan_in`,
+    /// free schedule, output action, arena width. This is the whole plan on
     /// every backend without command templates ([`ExecBackend::prepare`]'s
     /// default is exactly this call at the backend's fan-in), so a
     /// caller that must size a backend from [`PreparedProgram::arena_slots`]
     /// can plan before the backend exists.
     pub fn analyze(prog: &Arc<SynthProgram>, max_fan_in: usize) -> PreparedProgram {
+        let widest = |p: &SynthProgram| p.steps.iter().map(|s| s.args.len()).max().unwrap_or(0);
+        let prog = if widest(prog) > max_fan_in {
+            Arc::new(prog.narrowed(max_fan_in))
+        } else {
+            Arc::clone(prog)
+        };
         let n_in = prog.inputs.len();
         let last_use = prog.last_use();
         let frees = prog
@@ -105,9 +103,8 @@ impl PreparedProgram {
             .iter()
             .enumerate()
             .map(|(i, step)| {
-                // Same predicate and same order as the unprepared
-                // engine's free pass; `take()` semantics collapse to
-                // first-occurrence dedup.
+                // A register dies after its last use; a register
+                // repeated in one step dies once.
                 let mut dying: Vec<usize> = Vec::new();
                 for r in &step.args {
                     if *r >= n_in && last_use[*r] <= i && !dying.contains(r) {
@@ -122,22 +119,20 @@ impl PreparedProgram {
             Output::Reg(r) if r < n_in => OutputAction::Passthrough(r),
             Output::Reg(r) => OutputAction::Reg(r),
         };
-        let fallback = prog.steps.iter().any(|s| s.args.len() > max_fan_in);
-        let visits = fused_visits_of(prog);
         PreparedProgram {
-            prog: Arc::clone(prog),
+            width: widest(&prog),
+            visits: fused_visits_of(&prog),
+            arena_slots: prog.peak_live_rows(),
+            prog,
             frees,
             output,
-            fallback,
-            prepared_fan_in: max_fan_in,
             templates: None,
             template_bytes: Vec::new(),
-            visits,
-            arena_slots: prog.peak_live_rows(),
         }
     }
 
-    /// The program this plan was compiled from.
+    /// The program this plan runs: the one it was prepared from, or
+    /// that program narrowed to the preparing backend's fan-in.
     pub fn program(&self) -> &SynthProgram {
         &self.prog
     }
@@ -160,12 +155,6 @@ impl PreparedProgram {
         &self.template_bytes
     }
 
-    /// Whether execution will take the unprepared fallback path (some
-    /// step exceeds the preparing backend's native fan-in).
-    pub fn is_fallback(&self) -> bool {
-        self.fallback
-    }
-
     /// The fused visits the step plan defines: maximal `[start, end)`
     /// runs of steps a backend may execute under one engine visit.
     /// A pure function of the program — independent of which backend
@@ -175,10 +164,17 @@ impl PreparedProgram {
         &self.visits
     }
 
-    /// Whether this plan's fan-in snapshot matches `fan_in` — the
-    /// run-time guard against driving a mismatched backend.
-    pub(crate) fn fits(&self, fan_in: usize) -> bool {
-        !self.fallback && self.prepared_fan_in == fan_in
+    /// Fails with [`ExecError::StepTooWide`] when a step is wider than
+    /// `fan_in` — the run-time guard against a plan prepared for a
+    /// wider backend.
+    pub(crate) fn check_fan_in(&self, fan_in: usize) -> Result<()> {
+        if self.width > fan_in {
+            return Err(ExecError::StepTooWide {
+                width: self.width,
+                fan_in,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -239,7 +235,6 @@ mod tests {
     fn analysis_matches_engine_free_discipline() {
         let prog = mapped("(a & b) | (c & d) | (a & d)");
         let prep = PreparedProgram::analyze(&prog, 16);
-        assert!(!prep.is_fallback());
         assert_eq!(prep.frees.len(), prog.steps.len());
         // Every temporary register is freed exactly once, and no
         // operand register is ever freed.
@@ -261,15 +256,47 @@ mod tests {
     }
 
     #[test]
-    fn narrow_fan_in_forces_fallback() {
-        let prog = mapped("a & b & c & d & e & f & g & h");
-        let wide = prog.steps.iter().map(|s| s.args.len()).max().unwrap();
-        assert!(wide > 2, "mapper emitted only narrow steps");
-        let prep = PreparedProgram::analyze(&prog, 2);
-        assert!(prep.is_fallback());
-        assert!(!prep.fits(2));
-        let prep16 = PreparedProgram::analyze(&prog, 16);
-        assert!(prep16.fits(16));
-        assert!(!prep16.fits(8), "fan-in snapshot mismatch must not fit");
+    fn prepare_narrows_over_wide_steps() {
+        let prog = mapped("a & b & c & d & e & f & g & h & i & j & k & l & m & n & o & p");
+        let widest = |p: &PreparedProgram| p.program().steps.iter().map(|s| s.args.len()).max();
+        let wide = PreparedProgram::analyze(&prog, 16);
+        assert_eq!(widest(&wide), Some(16), "mapper emitted a 16-input gate");
+        assert!(
+            Arc::ptr_eq(&wide.prog, &prog),
+            "a fitting program is shared"
+        );
+        let narrow = PreparedProgram::analyze(&prog, 2);
+        assert_eq!(widest(&narrow), Some(2));
+        assert!(narrow.program().steps.len() > prog.steps.len());
+        assert_eq!(narrow.fused_visits().len(), wide.fused_visits().len());
+
+        // A 16-wide plan on the fan-in-8 part is refused, not rerouted.
+        let cfg = dram_core::config::table1()
+            .into_iter()
+            .find(|m| m.name == "hynix-8Gb-M-2666-#0")
+            .unwrap()
+            .with_modeled_cols(64);
+        let engine = fcdram::BulkEngine::new(
+            fcdram::Fcdram::new(cfg),
+            dram_core::BankId(0),
+            dram_core::SubarrayId(0),
+        )
+        .unwrap();
+        let mut vm = simdram::SimdVm::new(simdram::DramSubstrate::new(engine)).unwrap();
+        assert_eq!(ExecBackend::max_fan_in(&vm), 8);
+        let ops: Vec<fcdram::PackedBits> = (0..16)
+            .map(|i| fcdram::PackedBits::seeded(1, i, ExecBackend::lanes(&vm)))
+            .collect();
+        let err = run_prepared(&mut vm, &wide, &ops).unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::StepTooWide {
+                width: 16,
+                fan_in: 8
+            }
+        );
+        let prep = vm.prepare(&prog).unwrap();
+        assert_eq!(widest(&prep), Some(8));
+        assert!(run_prepared(&mut vm, &prep, &ops).is_ok());
     }
 }

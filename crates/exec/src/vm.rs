@@ -9,16 +9,14 @@
 //! accounting stays per job and a failed stage leaves the substrate
 //! exactly as it was.
 
-use crate::engine::{check_operands, execute_with, ExecBackend};
+use crate::engine::{check_operands, ExecBackend};
 use crate::error::Result;
 use crate::prepared::{OutputAction, PreparedProgram};
-use dram_core::LogicOp;
 use fcdram::PackedBits;
 use fcsynth::Step;
 use simdram::{BitRow, RowLease, SimdVm, Substrate, MAX_FAN_IN};
 
 impl<S: Substrate> ExecBackend for SimdVm<S> {
-    type Row = BitRow;
     type Lease = RowLease;
 
     fn lanes(&self) -> usize {
@@ -78,48 +76,8 @@ impl<S: Substrate> ExecBackend for SimdVm<S> {
         }
     }
 
-    fn lease_rows(lease: &RowLease) -> &[BitRow] {
-        lease.rows()
-    }
-
     fn end_stage(&mut self, lease: RowLease) {
         self.end_lease(lease);
-    }
-
-    fn op(&mut self, op: Option<LogicOp>, args: &[BitRow]) -> Result<BitRow> {
-        let out = match op {
-            None => self.bit_not(args[0])?,
-            Some(LogicOp::And) => self.bit_and(args)?,
-            Some(LogicOp::Or) => self.bit_or(args)?,
-            Some(LogicOp::Nand) => self.bit_nand(args)?,
-            Some(LogicOp::Nor) => self.bit_nor(args)?,
-        };
-        Ok(out)
-    }
-
-    fn constant(&mut self, value: bool) -> Result<BitRow> {
-        let out = self.alloc_row()?;
-        let src = if value {
-            self.one_row()
-        } else {
-            self.zero_row()
-        };
-        self.substrate_mut().copy(src, out)?;
-        Ok(out)
-    }
-
-    fn duplicate(&mut self, src: BitRow) -> Result<BitRow> {
-        let out = self.alloc_row()?;
-        self.substrate_mut().copy(src, out)?;
-        Ok(out)
-    }
-
-    fn read_row(&mut self, r: BitRow) -> Result<PackedBits> {
-        Ok(self.substrate_mut().read_packed(r)?)
-    }
-
-    fn release(&mut self, r: BitRow) {
-        SimdVm::release(self, r);
     }
 
     fn run_prepared_leased<F: FnMut(usize, &Step)>(
@@ -130,15 +88,7 @@ impl<S: Substrate> ExecBackend for SimdVm<S> {
         mut on_step: F,
     ) -> Result<PackedBits> {
         let prog = prep.program();
-        if !prep.fits(self.substrate().max_fan_in()) {
-            // Over-wide steps: the unprepared walk over the caller's
-            // staged rows.
-            let inputs: Vec<BitRow> = lease.rows().to_vec();
-            let out = execute_with(self, prog, &inputs, on_step)?;
-            let packed = self.read_row(out);
-            ExecBackend::release(self, out);
-            return packed;
-        }
+        prep.check_fan_in(self.substrate().max_fan_in())?;
         check_operands(prog, operands.len())?;
         let inputs: Vec<BitRow> = lease.rows().to_vec();
         let mut regs: Vec<Option<BitRow>> = vec![None; prog.n_regs];
@@ -161,11 +111,11 @@ impl<S: Substrate> ExecBackend for SimdVm<S> {
             // A failure mid-visit must not leave the substrate in
             // fused mode (or hold a deferred write) for later callers.
             let _ = self.substrate_mut().end_visit();
-            // Same reclamation as the unprepared engine: a failure must
-            // not strand live temporaries (inputs belong to the lease).
+            // A failure must not strand live temporaries (inputs
+            // belong to the lease).
             for slot in regs.iter_mut().skip(inputs.len()) {
                 if let Some(row) = slot.take() {
-                    SimdVm::release(self, row);
+                    self.release(row);
                 }
             }
         }
@@ -175,9 +125,10 @@ impl<S: Substrate> ExecBackend for SimdVm<S> {
 
 /// The prepared step walk for the VM backend: values are threaded
 /// host-side through the substrate's `*_known` operations, while rows
-/// are allocated and freed in *exactly* the unprepared engine's order —
-/// the pool permutes rows on reuse and the device model's stochastic
-/// draws key on row indices, so any reordering would change results.
+/// are allocated and freed in step order — one result row per step,
+/// temporaries released at their last use. The pool permutes rows on
+/// reuse and the device model's stochastic draws key on row indices,
+/// so this order is part of the result.
 ///
 /// Step inputs are borrowed (register `r < operands.len()` is operand
 /// `r`, every later register a step result in `vals`), so each step
@@ -214,10 +165,9 @@ fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
                 .map(|r| regs[*r].expect("mapper emits defs before uses")),
         );
         let out = vm.alloc_row()?;
-        // Mirrors the unprepared dispatch exactly: NOT and one-input
-        // inverted gates take the NOT kernel, one-input monotone gates
-        // copy, everything else (≤ fan-in ≤ MAX_FAN_IN by the `fits`
-        // guard) is one native gate.
+        // NOT and one-input inverted gates take the NOT kernel,
+        // one-input monotone gates copy, everything else (≤ fan-in ≤
+        // MAX_FAN_IN by the `check_fan_in` guard) is one native gate.
         let bits = match step.op {
             None => {
                 let v = value(operands, vals, step.args[0]);
@@ -245,7 +195,7 @@ fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
         on_step(i, step);
         for r in &prep.frees[i] {
             if let Some(row) = regs[*r].take() {
-                SimdVm::release(vm, row);
+                vm.release(row);
             }
         }
         if let Some((_, end)) = visits.peek() {
@@ -276,7 +226,7 @@ fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
             (row, bits)
         }
     };
-    SimdVm::release(vm, out_row);
+    vm.release(out_row);
     Ok(out_val)
 }
 
@@ -295,10 +245,20 @@ fn value<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{execute_packed, execute_packed_with};
     use crate::error::ExecError;
-    use fcsynth::CostModel;
+    use fcsynth::{CostModel, SynthProgram};
     use simdram::HostSubstrate;
+    use std::sync::Arc;
+
+    /// `prepare` + `run_prepared` without an observer.
+    fn execute<S: Substrate>(
+        vm: &mut SimdVm<S>,
+        prog: &Arc<SynthProgram>,
+        ops: &[PackedBits],
+    ) -> Result<PackedBits> {
+        let prep = vm.prepare(prog)?;
+        crate::run_prepared(vm, &prep, ops)
+    }
 
     fn mapped(text: &str) -> fcsynth::Mapping {
         let cost = CostModel::table1_defaults();
@@ -328,7 +288,7 @@ mod tests {
             let ops = random_operands(compiled.circuit.inputs().len(), lanes, 0xBEEF);
             let expect = compiled.circuit.eval_packed(&ops);
             let mut vm = SimdVm::new(HostSubstrate::new(lanes, 256)).unwrap();
-            let got = execute_packed(&mut vm, &compiled.mapping.program, &ops).unwrap();
+            let got = execute(&mut vm, &compiled.mapping.program, &ops).unwrap();
             assert_eq!(got, expect, "{text}");
         }
     }
@@ -340,7 +300,7 @@ mod tests {
         let mut vm = SimdVm::new(HostSubstrate::new(lanes, 256)).unwrap();
         let live0 = vm.substrate().live_rows();
         let ops = random_operands(8, lanes, 7);
-        let out = execute_packed(&mut vm, &m.program, &ops).unwrap();
+        let out = execute(&mut vm, &m.program, &ops).unwrap();
         assert_eq!(out.len(), lanes);
         assert_eq!(
             vm.substrate().live_rows(),
@@ -359,16 +319,18 @@ mod tests {
         let expect = compiled.circuit.eval_packed(&ops);
         let m = &compiled.mapping;
         for prog in [
-            (*m.program).clone(),
-            m.program.narrowed(3),
-            m.program.narrowed(2),
+            Arc::clone(&m.program),
+            Arc::new(m.program.narrowed(3)),
+            Arc::new(m.program.narrowed(2)),
         ] {
             let mut vm = SimdVm::new(HostSubstrate::new(lanes, 256)).unwrap();
             let mut seen = Vec::new();
-            let got = execute_packed_with(&mut vm, &prog, &ops, |i, s| {
-                seen.push((i, s.args.len()));
-            })
-            .unwrap();
+            let prep = vm.prepare(&prog).unwrap();
+            let got = vm
+                .run_prepared(&prep, &ops, |i, s| {
+                    seen.push((i, s.args.len()));
+                })
+                .unwrap();
             assert_eq!(got, expect, "narrowed program diverged");
             assert_eq!(seen.len(), prog.steps.len(), "observer missed steps");
             for (k, (i, _)) in seen.iter().enumerate() {
@@ -381,7 +343,7 @@ mod tests {
     fn operand_mismatch_is_rejected() {
         let m = mapped("a & b");
         let mut vm = SimdVm::new(HostSubstrate::new(8, 64)).unwrap();
-        let err = execute_packed(&mut vm, &m.program, &random_operands(1, 8, 1)).unwrap_err();
+        let err = execute(&mut vm, &m.program, &random_operands(1, 8, 1)).unwrap_err();
         assert!(matches!(
             err,
             ExecError::InputMismatch {
@@ -399,11 +361,11 @@ mod tests {
         // step runs out of rows mid-program. The register file's live
         // temporaries must be reclaimed on the error path.
         let m = mapped("(a & b) | (c & d) | (a & d)");
-        let prog = m.program.narrowed(2);
+        let prog = Arc::new(m.program.narrowed(2));
         let mut vm = SimdVm::new(HostSubstrate::new(8, 7)).unwrap();
         let live0 = vm.substrate().live_rows();
         let ops = random_operands(4, 8, 3);
-        let err = execute_packed(&mut vm, &prog, &ops).unwrap_err();
+        let err = execute(&mut vm, &prog, &ops).unwrap_err();
         assert!(matches!(err, ExecError::Vm(_)), "{err}");
         assert_eq!(
             vm.substrate().live_rows(),
@@ -412,7 +374,7 @@ mod tests {
         );
         // The pool is fully recovered: a small program still executes.
         let tiny = mapped("a & b");
-        let out = execute_packed(&mut vm, &tiny.program, &random_operands(2, 8, 4)).unwrap();
+        let out = execute(&mut vm, &tiny.program, &random_operands(2, 8, 4)).unwrap();
         assert_eq!(out.len(), 8);
     }
 
@@ -423,7 +385,7 @@ mod tests {
         // operands must fail and leave no rows behind.
         let mut vm = SimdVm::new(HostSubstrate::new(8, 4)).unwrap();
         let live0 = vm.substrate().live_rows();
-        let err = execute_packed(&mut vm, &m.program, &random_operands(6, 8, 2)).unwrap_err();
+        let err = execute(&mut vm, &m.program, &random_operands(6, 8, 2)).unwrap_err();
         assert!(matches!(err, ExecError::Vm(_)), "{err}");
         assert_eq!(vm.substrate().live_rows(), live0, "stage rolled back");
     }
@@ -435,7 +397,7 @@ mod tests {
         let mut vm = SimdVm::new(HostSubstrate::new(lanes, 256)).unwrap();
         let ops = random_operands(5, lanes, 3);
         vm.clear_trace();
-        let _ = execute_packed(&mut vm, &m.program, &ops).unwrap();
+        let _ = execute(&mut vm, &m.program, &ops).unwrap();
         // Staging writes/reads are host transfers; the in-DRAM op
         // count must equal the mapping exactly.
         assert_eq!(vm.trace().in_dram_ops(), m.native_ops);

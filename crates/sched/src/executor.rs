@@ -833,7 +833,8 @@ mod tests {
             // program on a fresh host VM.
             let mut vm =
                 SimdVm::new(HostSubstrate::new(job.lanes, job.program.n_regs + 8)).unwrap();
-            let expect = fcexec::execute_packed(&mut vm, &job.program, &job.operands).unwrap();
+            let prep = vm.prepare(&job.program).unwrap();
+            let expect = fcexec::run_prepared(&mut vm, &prep, &job.operands).unwrap();
             assert_eq!(out.result, expect, "{}", job.label);
             assert!(out.ops >= 1);
             assert!(out.latency_ns > 0.0);
@@ -1156,7 +1157,8 @@ mod tests {
         for (job, out) in batch.jobs().iter().zip(&serial.outcomes) {
             let mut vm =
                 SimdVm::new(HostSubstrate::new(job.lanes, job.program.n_regs + 8)).unwrap();
-            let expect = fcexec::execute_packed(&mut vm, &job.program, &job.operands).unwrap();
+            let prep = vm.prepare(&job.program).unwrap();
+            let expect = fcexec::run_prepared(&mut vm, &prep, &job.operands).unwrap();
             assert_eq!(out.result, expect, "{}", job.label);
         }
     }

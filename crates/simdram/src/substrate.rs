@@ -484,13 +484,10 @@ pub struct DramSubstrate {
 }
 
 impl DramSubstrate {
-    /// Wraps a bulk engine. The native fan-in limit is the largest
-    /// `N:N` activation pattern the engine discovered on this chip.
+    /// Wraps a bulk engine. The native fan-in limit is
+    /// [`BulkEngine::max_fan_in`].
     pub fn new(engine: BulkEngine) -> Self {
-        let max_fan_in = [16usize, 8, 4, 2]
-            .into_iter()
-            .find(|n| engine.map().find_nn(*n).is_some())
-            .unwrap_or(2);
+        let max_fan_in = engine.max_fan_in();
         DramSubstrate {
             engine,
             handles: Vec::new(),

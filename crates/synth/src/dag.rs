@@ -55,6 +55,15 @@ pub enum Node {
     Gate(LogicOp, Vec<NodeId>),
 }
 
+/// The gate of a binary AND/OR expression operator.
+fn logic_op(op: ExprOp) -> LogicOp {
+    if op == ExprOp::And {
+        LogicOp::And
+    } else {
+        LogicOp::Or
+    }
+}
+
 /// The inverse gate of `op` (terminal inversion: `!AND = NAND`).
 fn inverse_op(op: LogicOp) -> LogicOp {
     match op {
@@ -113,32 +122,37 @@ impl Circuit {
     /// optimization pipeline during construction.
     pub fn from_expr(expr: &Expr) -> Circuit {
         let mut c = Circuit::new(expr.inputs().to_vec());
-        let out = c.build(expr.root());
+        let out = c.build(expr.root(), expr.chains());
         c.set_output(out);
         c
     }
 
-    fn build(&mut self, node: &ExprNode) -> NodeId {
+    /// Builds `node`. With `chains`, an n-ary AND/OR is a written
+    /// chain and folds left operand by operand, exactly as the binary
+    /// tree `(a & b) & c` would; otherwise it is one gate over all its
+    /// children. XOR always folds left.
+    fn build(&mut self, node: &ExprNode, chains: bool) -> NodeId {
         match node {
             ExprNode::Var(i) => self.input(*i),
             ExprNode::Const(b) => self.constant(*b),
             ExprNode::Apply(ExprOp::Not, xs) => {
-                let x = self.build(&xs[0]);
+                let x = self.build(&xs[0], chains);
                 self.not(x)
             }
-            ExprNode::Apply(ExprOp::And, xs) => {
-                let ids: Vec<NodeId> = xs.iter().map(|x| self.build(x)).collect();
-                self.gate(LogicOp::And, ids)
+            ExprNode::Apply(op @ (ExprOp::And | ExprOp::Or), xs) if !chains => {
+                let ids: Vec<NodeId> = xs.iter().map(|x| self.build(x, chains)).collect();
+                self.gate(logic_op(*op), ids)
             }
-            ExprNode::Apply(ExprOp::Or, xs) => {
-                let ids: Vec<NodeId> = xs.iter().map(|x| self.build(x)).collect();
-                self.gate(LogicOp::Or, ids)
-            }
-            ExprNode::Apply(ExprOp::Xor, xs) => {
-                let ids: Vec<NodeId> = xs.iter().map(|x| self.build(x)).collect();
-                ids.into_iter()
-                    .reduce(|a, b| self.xor(a, b))
-                    .expect("xor arity >= 1")
+            ExprNode::Apply(op, xs) => {
+                let mut acc = self.build(&xs[0], chains);
+                for x in &xs[1..] {
+                    let rhs = self.build(x, chains);
+                    acc = match op {
+                        ExprOp::Xor => self.xor(acc, rhs),
+                        _ => self.gate(logic_op(*op), vec![acc, rhs]),
+                    };
+                }
+                acc
             }
         }
     }
@@ -395,6 +409,22 @@ mod tests {
 
     fn of(text: &str) -> Circuit {
         Circuit::from_expr(&Expr::parse(text).unwrap())
+    }
+
+    #[test]
+    fn chains_build_as_left_nested_pairs() {
+        for (chain, nested) in [
+            ("!a & !b & c", "(!a & !b) & c"),
+            ("a ^ b ^ c ^ d", "((a ^ b) ^ c) ^ d"),
+            (
+                "!a | b | !c | (d & e & f)",
+                "((!a | b) | !c) | ((d & e) & f)",
+            ),
+        ] {
+            let (c, n) = (of(chain), of(nested));
+            assert_eq!(c.nodes(), n.nodes(), "{chain}");
+            assert_eq!(c.output(), n.output(), "{chain}");
+        }
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! every backend expects.
 //!
 //! Parentheses and negations nest at most [`MAX_DEPTH`] deep; deeper
-//! input is a [`SynthError::Parse`], never a stack overflow.
+//! input is a [`SynthError::Parse`], never a stack overflow. A run of
+//! one binary operator (`a & b & … & z`) parses into a single n-ary
+//! [`ExprNode::Apply`], so a flat chain of any length adds no depth.
 //!
 //! # Examples
 //!
@@ -52,7 +54,11 @@ pub enum ExprNode {
     Var(usize),
     /// A literal `0` or `1`.
     Const(bool),
-    /// `op` applied to one (NOT) or two children.
+    /// `op` applied to one child (NOT) or over two or more. A parsed
+    /// run of one binary operator (`a & b & c`) is a single node that
+    /// the circuit builder associates left to right, as written; a
+    /// truth table's products and sum are single n-ary gates (see
+    /// [`Expr::from_truth_table`]).
     Apply(ExprOp, Vec<ExprNode>),
 }
 
@@ -61,6 +67,9 @@ pub enum ExprNode {
 pub struct Expr {
     root: ExprNode,
     inputs: Vec<String>,
+    /// Whether n-ary nodes are written operator chains (parsed text)
+    /// rather than sum-of-products gates (truth tables).
+    chains: bool,
 }
 
 impl Expr {
@@ -88,6 +97,7 @@ impl Expr {
         Ok(Expr {
             root,
             inputs: p.inputs,
+            chains: true,
         })
     }
 
@@ -145,6 +155,7 @@ impl Expr {
         Ok(Expr {
             root,
             inputs: (0..n).map(|j| format!("x{j}")).collect(),
+            chains: false,
         })
     }
 
@@ -186,6 +197,12 @@ impl Expr {
     /// Input names in first-appearance (operand) order.
     pub fn inputs(&self) -> &[String] {
         &self.inputs
+    }
+
+    /// Whether the n-ary AND/OR nodes are written chains, built left
+    /// to right, rather than truth-table gates built all at once.
+    pub(crate) fn chains(&self) -> bool {
+        self.chains
     }
 
     /// Evaluates the expression on one input assignment (reference
@@ -245,30 +262,37 @@ impl Parser<'_> {
     }
 
     fn expr(&mut self) -> Result<ExprNode> {
-        let mut lhs = self.xor()?;
-        while self.eat(b'|') {
-            let rhs = self.xor()?;
-            lhs = ExprNode::Apply(ExprOp::Or, vec![lhs, rhs]);
-        }
-        Ok(lhs)
+        self.chain(b'|', ExprOp::Or, Self::xor)
     }
 
     fn xor(&mut self) -> Result<ExprNode> {
-        let mut lhs = self.and()?;
-        while self.eat(b'^') {
-            let rhs = self.and()?;
-            lhs = ExprNode::Apply(ExprOp::Xor, vec![lhs, rhs]);
-        }
-        Ok(lhs)
+        self.chain(b'^', ExprOp::Xor, Self::and)
     }
 
     fn and(&mut self) -> Result<ExprNode> {
-        let mut lhs = self.not()?;
-        while self.eat(b'&') {
-            let rhs = self.not()?;
-            lhs = ExprNode::Apply(ExprOp::And, vec![lhs, rhs]);
+        self.chain(b'&', ExprOp::And, Self::not)
+    }
+
+    /// One run `x (c x)*` of the binary operator `c`, folded into a
+    /// single n-ary node (a lone operand is returned as is), so a long
+    /// flat chain costs no recursion depth anywhere.
+    fn chain(
+        &mut self,
+        c: u8,
+        op: ExprOp,
+        operand: fn(&mut Self) -> Result<ExprNode>,
+    ) -> Result<ExprNode> {
+        let first = operand(self)?;
+        if !self.eat(c) {
+            return Ok(first);
         }
-        Ok(lhs)
+        let mut xs = vec![first];
+        loop {
+            xs.push(operand(self)?);
+            if !self.eat(c) {
+                return Ok(ExprNode::Apply(op, xs));
+            }
+        }
     }
 
     /// Descends one nesting level, failing past [`MAX_DEPTH`].
@@ -370,6 +394,19 @@ mod tests {
         for m in 0..16u32 {
             check([m & 1 == 1, m & 2 == 2, m & 4 == 4, m & 8 == 8]);
         }
+    }
+
+    #[test]
+    fn same_operator_runs_are_one_node() {
+        let e = Expr::parse("a & b & c | d").unwrap();
+        let ExprNode::Apply(ExprOp::Or, sum) = e.root() else {
+            panic!("root is the OR run: {:?}", e.root());
+        };
+        assert!(matches!(&sum[0], ExprNode::Apply(ExprOp::And, xs) if xs.len() == 3));
+        let long = format!("a{}", "^a".repeat(100_000));
+        let e = Expr::parse(&long).unwrap();
+        assert!(matches!(e.root(), ExprNode::Apply(ExprOp::Xor, xs) if xs.len() == 100_001));
+        assert!(e.eval(&[true]), "an odd number of ones");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! Run with: `cargo run --release --example synth_logic`
 
 use fcdram::PackedBits;
+use fcexec::ExecBackend;
 use fcsynth::{compile_expr, BenderEmitter, CostModel, Expr, Mapper};
 use simdram::{HostSubstrate, SimdVm};
 
@@ -44,7 +45,8 @@ fn verify(compiled: &fcsynth::Compiled, lanes: usize) -> Result<(), fcexec::Exec
         .collect();
     let expect = compiled.circuit.eval_packed(&operands);
     let mut vm = SimdVm::new(HostSubstrate::new(lanes, 512))?;
-    let got = fcexec::execute_packed(&mut vm, &compiled.mapping.program, &operands)?;
+    let prep = vm.prepare(&compiled.mapping.program)?;
+    let got = fcexec::run_prepared(&mut vm, &prep, &operands)?;
     assert_eq!(got, expect, "SimdVm diverged from the reference evaluator");
     println!(
         "verified on SimdVm<HostSubstrate>: {lanes} lanes bit-exact, {} in-DRAM ops\n",

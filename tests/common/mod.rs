@@ -7,7 +7,12 @@
 // Each test binary uses a subset of these helpers.
 #![allow(dead_code)]
 
+use dram_core::LogicOp;
 use fcdram::PackedBits;
+use fcexec::ExecBackend;
+use fcsynth::{Output, Step, SynthProgram};
+use simdram::{BitRow, SimdVm, SimdramError, Substrate};
+use std::sync::Arc;
 
 /// Deterministic expression generator: a random tree over `n` inputs
 /// with the given node budget, driven by a splitmix-style stream.
@@ -70,4 +75,77 @@ pub fn random_operands(n: usize, lanes: usize, seed: u64) -> Vec<PackedBits> {
     (0..n)
         .map(|i| PackedBits::seeded(seed, i as u64, lanes))
         .collect()
+}
+
+/// `prog` prepared on `backend` and run once over `operands`: the
+/// one execution path, without an observer.
+pub fn execute<B: ExecBackend>(
+    backend: &mut B,
+    prog: &Arc<SynthProgram>,
+    operands: &[PackedBits],
+) -> fcexec::Result<PackedBits> {
+    let prep = backend.prepare(prog)?;
+    fcexec::run_prepared(backend, &prep, operands)
+}
+
+/// An independent reference for the prepared VM walk, written against
+/// `SimdVm`'s public gate API only: operands staged as one lease, each
+/// step run through `bit_not`/`bit_and`/`bit_or`/`bit_nand`/`bit_nor`
+/// into a fresh row (wider-than-native gates tree-reduce inside the
+/// VM), temporaries released at their last use, the output read back.
+/// Calls `on_step(i, step)` after step `i`.
+pub fn reference_walk<S: Substrate>(
+    vm: &mut SimdVm<S>,
+    prog: &SynthProgram,
+    operands: &[PackedBits],
+    mut on_step: impl FnMut(usize, &Step),
+) -> Result<PackedBits, SimdramError> {
+    let n_in = prog.inputs.len();
+    assert_eq!(operands.len(), n_in, "operand count");
+    let lease = vm.lease_rows(n_in)?;
+    let inputs: Vec<BitRow> = lease.rows().to_vec();
+    for (row, bits) in inputs.iter().zip(operands) {
+        vm.substrate_mut().write_packed(*row, bits)?;
+    }
+    let mut regs: Vec<Option<BitRow>> = vec![None; prog.n_regs];
+    for (r, row) in inputs.iter().enumerate() {
+        regs[r] = Some(*row);
+    }
+    let last_use = prog.last_use();
+    for (i, step) in prog.steps.iter().enumerate() {
+        let args: Vec<BitRow> = step.args.iter().map(|r| regs[*r].unwrap()).collect();
+        let out = match step.op {
+            None => vm.bit_not(args[0])?,
+            Some(LogicOp::And) => vm.bit_and(&args)?,
+            Some(LogicOp::Or) => vm.bit_or(&args)?,
+            Some(LogicOp::Nand) => vm.bit_nand(&args)?,
+            Some(LogicOp::Nor) => vm.bit_nor(&args)?,
+        };
+        regs[step.out] = Some(out);
+        on_step(i, step);
+        for r in &step.args {
+            if *r >= n_in && last_use[*r] <= i {
+                if let Some(row) = regs[*r].take() {
+                    vm.release(row);
+                }
+            }
+        }
+    }
+    let out = match prog.output {
+        Output::Reg(r) if r >= n_in => regs[r].take().unwrap(),
+        output => {
+            let src = match output {
+                Output::Const(true) => vm.one_row(),
+                Output::Const(false) => vm.zero_row(),
+                Output::Reg(r) => inputs[r],
+            };
+            let out = vm.alloc_row()?;
+            vm.substrate_mut().copy(src, out)?;
+            out
+        }
+    };
+    let bits = vm.substrate_mut().read_packed(out)?;
+    vm.release(out);
+    vm.end_lease(lease);
+    Ok(bits)
 }

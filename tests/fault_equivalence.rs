@@ -53,7 +53,7 @@ fn random_batch(jobs: usize, lanes: usize, seed: u64) -> (Batch, Vec<PackedBits>
         ))
         .expect("vm");
         references.push(
-            fcexec::execute_packed(&mut vm, &compiled.mapping.program, &operands)
+            common::execute(&mut vm, &compiled.mapping.program, &operands)
                 .expect("reference executes"),
         );
         batch
@@ -97,7 +97,7 @@ fn mix_batch(jobs: usize, lanes: usize, seed: u64) -> (Batch, Vec<PackedBits>) {
         ))
         .expect("vm");
         references.push(
-            fcexec::execute_packed(&mut vm, &compiled.mapping.program, &operands)
+            common::execute(&mut vm, &compiled.mapping.program, &operands)
                 .expect("reference executes"),
         );
         batch

@@ -4,7 +4,7 @@
 //! * a batch of random ≤8-input jobs scheduled across **any shard
 //!   count and any fleet size** produces result rows bit-identical to
 //!   serial per-job execution on a fleet of 1 — and to the direct
-//!   [`fcexec::execute_packed`] reference on a fresh host VM;
+//!   `prepare` + `run_prepared` reference on a fresh host VM;
 //! * retry/latency/energy accounting is a pure function of the batch
 //!   seed, jobs, fleet, and policy: identical across repeated runs and
 //!   across shard counts (the deterministic JSON report is
@@ -53,7 +53,7 @@ fn random_batch(jobs: usize, lanes: usize, seed: u64) -> (Batch, Vec<PackedBits>
         ))
         .expect("vm");
         references.push(
-            fcexec::execute_packed(&mut vm, &compiled.mapping.program, &operands)
+            common::execute(&mut vm, &compiled.mapping.program, &operands)
                 .expect("reference executes"),
         );
         batch

@@ -117,7 +117,7 @@ proptest! {
             let mapping = mapper.map(&circuit);
             let mut vm = SimdVm::new(HostSubstrate::new(lanes, 512))
                 .map_err(|e| e.to_string())?;
-            let got = fcexec::execute_packed(&mut vm, &mapping.program, &operands)
+            let got = common::execute(&mut vm, &mapping.program, &operands)
                 .map_err(|e| format!("{text}: {e}"))?;
             prop_assert_eq!(&got, &expect, "{} diverged from reference", text);
         }
@@ -152,9 +152,9 @@ fn synthesized_circuits_fidelity_bit_identical_on_dram() {
         let compiled = compile(&text, &cost, 16).unwrap();
         let k = compiled.circuit.inputs().len();
         let operands = random_operands(k, lanes, case ^ 0xF00D);
-        let fast = fcexec::execute_packed(&mut fast_vm, &compiled.mapping.program, &operands)
+        let fast = common::execute(&mut fast_vm, &compiled.mapping.program, &operands)
             .unwrap_or_else(|e| panic!("{text}: fast execution failed: {e}"));
-        let full = fcexec::execute_packed(&mut full_vm, &compiled.mapping.program, &operands)
+        let full = common::execute(&mut full_vm, &compiled.mapping.program, &operands)
             .unwrap_or_else(|e| panic!("{text}: full execution failed: {e}"));
         assert_eq!(fast, full, "{text}: fidelity modes diverged");
         // Both VMs must also agree on the predicted-success trace.
@@ -188,8 +188,8 @@ fn aware_mapping_beats_naive_and_stays_correct() {
     let operands = random_operands(16, lanes, 0xCAFE);
     let expect = compiled.circuit.eval_packed(&operands);
     let mut vm = SimdVm::new(HostSubstrate::new(lanes, 256)).unwrap();
-    let aware_bits = fcexec::execute_packed(&mut vm, &compiled.mapping.program, &operands).unwrap();
-    let naive_bits = fcexec::execute_packed(&mut vm, &naive.program, &operands).unwrap();
+    let aware_bits = common::execute(&mut vm, &compiled.mapping.program, &operands).unwrap();
+    let naive_bits = common::execute(&mut vm, &naive.program, &operands).unwrap();
     assert_eq!(aware_bits, expect);
     assert_eq!(naive_bits, expect);
 }
