@@ -6,7 +6,9 @@
 #
 #   ./ci.sh                 full gate: build, test, synth, clippy,
 #                           fmt, bench-check, determinism, docs,
-#                           perfbench
+#                           perfbench (clippy and fmt also lint the
+#                           perfbench/ package, which sits outside
+#                           the workspace but compiles against it)
 #   ./ci.sh --quick         build + test only (other stages are
 #                           reported as skipped)
 #   ./ci.sh --stage NAME    run one stage (repeatable, and NAME may be
@@ -293,6 +295,19 @@ docs_check() {
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 }
 
+# Lint gates over the workspace and the benchmark package: perfbench/
+# is outside the workspace, so the workspace-wide commands skip it,
+# yet it compiles against the APIs the workspace crates export.
+clippy_check() {
+  cargo clippy --workspace --all-targets -- -D warnings \
+    && cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+}
+
+fmt_check() {
+  cargo fmt --all --check \
+    && cargo fmt --manifest-path perfbench/Cargo.toml --all --check
+}
+
 # The repo benchmark's own tests (perfbench/ is a standalone package
 # outside the workspace, so `cargo test` at the root skips them):
 # per-seed determinism, the pinned exact counts of every workload, and
@@ -318,8 +333,8 @@ for stage in "${ALL_STAGES[@]}"; do
     build)       run_stage build cargo build --release ;;
     test)        run_stage test cargo test -q ;;
     synth)       run_stage synth synth_smoke ;;
-    clippy)      run_stage clippy cargo clippy --workspace --all-targets -- -D warnings ;;
-    fmt)         run_stage fmt cargo fmt --all --check ;;
+    clippy)      run_stage clippy clippy_check ;;
+    fmt)         run_stage fmt fmt_check ;;
     bench-check) run_stage bench-check bench_check ;;
     determinism) run_stage determinism determinism ;;
     docs)        run_stage docs docs_check ;;

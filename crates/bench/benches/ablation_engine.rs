@@ -37,7 +37,7 @@ fn bench(c: &mut Criterion) {
     });
 
     c.bench_function("engine_not", |b| {
-        b.iter(|| black_box(e.not(&a, &out).unwrap()));
+        b.iter(|| black_box(e.not(&a, None, &out).unwrap()));
     });
 
     for n in [2usize, 4, 8] {
@@ -88,7 +88,7 @@ fn width_sweep(c: &mut Criterion) {
         let ins8: Vec<&fcdram::BitVecHandle> = std::iter::repeat_n(&a, 7).chain([&bv]).collect();
 
         c.bench_function(format!("engine_not/{cols}cols"), |b| {
-            b.iter(|| black_box(e.not(&a, &out).unwrap()));
+            b.iter(|| black_box(e.not(&a, None, &out).unwrap()));
         });
         c.bench_function(format!("engine_and_8_inputs/{cols}cols"), |b| {
             b.iter(|| black_box(e.and(&ins8, &out).unwrap()));

@@ -49,6 +49,9 @@ The shared flags are spelled and defaulted identically in every mode
 that takes them: --backend {vm,bender} (default vm), --shards K
 (default 0 = one worker per CPU), --seed S (default 0), --chips N
 (default 8). A mode a shared flag does not apply to rejects it.
+Numeric flags are range-checked in every mode: --jobs, --chips,
+--lanes, --max-batch and --ticks must be at least 1, --fan-in 2 to 16,
+--min-success in [0, 1], and --tick-us finite and greater than 0.
 
 fleet mode sweeps a seeded population of simulated chips (drawn
 round-robin from Table 1, or from one --module) over the experiment
@@ -302,19 +305,47 @@ impl CommonFlags {
 }
 
 /// Parses the next argument as a number, printing a diagnostic when it
-/// is missing or malformed.
+/// is missing, malformed or outside the flag's range ([`out_of_range`]).
+/// Every subcommand reads its numeric flags through here, so each
+/// range is checked in this one place.
 fn num_arg<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> Option<T> {
     let Some(v) = it.next() else {
         eprintln!("{flag} requires a value\n{USAGE}");
         return None;
     };
-    match v.parse() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!("{flag}: invalid value '{v}'\n{USAGE}");
-            None
-        }
+    let Ok(n) = v.parse() else {
+        eprintln!("{flag}: invalid value '{v}'\n{USAGE}");
+        return None;
+    };
+    if let Some(range) = v.parse().ok().and_then(|x| out_of_range(flag, x)) {
+        eprintln!("{flag} must be {range} (got '{v}')\n{USAGE}");
+        return None;
     }
+    Some(n)
+}
+
+/// The accepted range of a numeric flag, when `x` falls outside it:
+/// counts are at least 1, `--fan-in` is a native gate width
+/// (2..=[`simdram::MAX_FAN_IN`]), `--min-success` a probability and
+/// `--tick-us` a positive period. Other numeric flags take any value
+/// their type parses (`--shards 0` means one worker per CPU).
+fn out_of_range(flag: &str, x: f64) -> Option<String> {
+    let (ok, range) = match flag {
+        "--jobs" | "--chips" | "--lanes" | "--max-batch" | "--ticks" => {
+            (x >= 1.0, "at least 1".to_string())
+        }
+        "--fan-in" => (
+            (2.0..=simdram::MAX_FAN_IN as f64).contains(&x),
+            format!("between 2 and {}", simdram::MAX_FAN_IN),
+        ),
+        "--min-success" => ((0.0..=1.0).contains(&x), "in [0, 1]".to_string()),
+        "--tick-us" => (
+            x.is_finite() && x > 0.0,
+            "finite and greater than 0".to_string(),
+        ),
+        _ => return None,
+    };
+    (!ok).then_some(range)
 }
 
 fn run_fleet_cli(args: Vec<String>) -> ExitCode {
@@ -357,10 +388,6 @@ fn run_fleet_cli(args: Vec<String>) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let (chips, shards, seed) = (common.chips, common.shards, common.seed);
-    if chips == 0 {
-        eprintln!("--chips must be at least 1\n{USAGE}");
-        return ExitCode::FAILURE;
-    }
     let fleet = match module {
         Some(name) => {
             let all = dram_core::config::full_fleet();
@@ -499,10 +526,6 @@ fn run_serve_cli(args: Vec<String>) -> ExitCode {
         }
     }
     let (chips, shards, seed, backend) = (common.chips, common.shards, common.seed, common.backend);
-    if jobs == 0 || chips == 0 || lanes == 0 {
-        eprintln!("--jobs, --chips, and --lanes must be at least 1\n{USAGE}");
-        return ExitCode::FAILURE;
-    }
     let cost = match &costs_path {
         Some(path) => {
             let json = match std::fs::read_to_string(path) {
@@ -932,10 +955,6 @@ fn run_daemon_cli(args: Vec<String>) -> ExitCode {
 
     let chips = common.chips;
     let lanes = lanes.unwrap_or(64);
-    if chips == 0 || lanes == 0 || max_batch == Some(0) || ticks == Some(0) {
-        eprintln!("--chips, --lanes, --max-batch and --ticks must be at least 1\n{USAGE}");
-        return ExitCode::FAILURE;
-    }
     let Some(cost) = load_cost_model(costs_path.as_deref()) else {
         return ExitCode::FAILURE;
     };

@@ -38,19 +38,60 @@ fn removed_fusion_switch_is_an_unknown_option() {
 
 /// A zero-sized resource is a usage error, not an empty session: the
 /// daemon must refuse a batch budget of zero just as `serve` and
-/// `daemon` refuse zero lanes.
+/// `daemon` refuse zero lanes. Every other degenerate knob is refused
+/// the same way, by the one range-checked parse all subcommands share:
+/// a fan-in outside 2..=16, a success threshold outside [0, 1] and a
+/// non-positive tick period.
 #[test]
 fn zero_sizes_are_usage_errors() {
     for args in [
         vec!["serve", "--lanes", "0"],
+        vec!["serve", "--jobs", "0"],
+        vec!["serve", "--chips", "0"],
+        vec!["fleet", "--chips", "0"],
         vec!["daemon", "--lanes", "0"],
+        vec!["daemon", "--chips", "0"],
         vec!["daemon", "--max-batch", "0"],
         vec!["daemon", "--ticks", "0"],
+        vec!["synth", "--expr", "a&b", "--lanes", "0", "--execute"],
+        vec![
+            "synth",
+            "--expr",
+            "a&b",
+            "--lanes",
+            "0",
+            "--execute",
+            "--backend",
+            "bender",
+        ],
     ] {
         let (ok, stderr) = run(&args);
         assert!(!ok, "{args:?} exited 0");
         assert!(
             stderr.contains("must be at least 1") && stderr.contains("usage"),
+            "{args:?}: no usage diagnostic in {stderr:?}"
+        );
+    }
+    let mut ranged: Vec<Vec<&str>> = Vec::new();
+    for fan_in in ["0", "1", "99"] {
+        ranged.push(vec!["serve", "--fan-in", fan_in]);
+        ranged.push(vec!["daemon", "--fan-in", fan_in]);
+        ranged.push(vec!["synth", "--expr", "a&b", "--fan-in", fan_in]);
+    }
+    for min_success in ["nan", "2", "-1"] {
+        ranged.push(vec!["serve", "--min-success", min_success]);
+    }
+    ranged.push(vec!["daemon", "--demo", "--tick-us", "0"]);
+    for args in ranged {
+        let out = Command::new(env!("CARGO_BIN_EXE_characterize"))
+            .args(&args)
+            .output()
+            .expect("characterize binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let flag = args.iter().rev().nth(1).unwrap();
+        assert!(
+            stderr.contains(&format!("{flag} must be")) && stderr.contains("usage"),
             "{args:?}: no usage diagnostic in {stderr:?}"
         );
     }

@@ -13,6 +13,7 @@ use crate::ops::{Fcdram, Prelude};
 use crate::packed::PackedBits;
 use dram_core::{BankId, Bit, GlobalRow, LocalRow, LogicOp, SimFidelity, SubarrayId};
 use serde::{Deserialize, Serialize};
+use std::borrow::{Borrow, Cow};
 use std::collections::BTreeSet;
 
 /// Handle to an allocated in-DRAM bit vector.
@@ -67,8 +68,11 @@ enum Gate<'a> {
 /// aggregate statistics only, packed host I/O, threaded column kernels
 /// on wide rows. Stored bits are identical to full-telemetry runs.
 ///
-/// Every gate — handle op or value op — ships as one command program
-/// from the [`Fcdram`] value ops and reads back one result row.
+/// Each gate (`not`, `logic`, `copy`) has one method. It takes the
+/// caller's tracked operand values as an optional `known` argument
+/// (without them the operands are read back from the device first),
+/// ships as one command program from the [`Fcdram`] value ops, reads
+/// back one result row and returns those bits with its statistics.
 #[derive(Debug)]
 pub struct BulkEngine {
     fc: Fcdram,
@@ -293,10 +297,7 @@ impl BulkEngine {
     /// Table 1) reports 2; its logic steps then fail with a typed
     /// [`FcdramError::BadInputCount`] from [`BulkEngine::logic_entry`].
     pub fn max_fan_in(&self) -> usize {
-        [16usize, 8, 4, 2]
-            .into_iter()
-            .find(|n| self.map.find_nn(*n).is_some())
-            .unwrap_or(2)
+        self.nn_entries.last().map_or(2, |e| e.shape().1)
     }
 
     /// The NOT destination pattern every NOT runs through.
@@ -389,12 +390,6 @@ impl BulkEngine {
 
     /// Writes host bits into a vector.
     pub fn write(&mut self, v: &BitVecHandle, bits: &[bool]) -> Result<()> {
-        if bits.len() != v.len {
-            return Err(FcdramError::WidthMismatch {
-                expected: v.len,
-                got: bits.len(),
-            });
-        }
         self.write_packed(v, &PackedBits::from_bools(bits))
     }
 
@@ -428,51 +423,81 @@ impl BulkEngine {
         Ok(PackedBits::from_words(words, self.shared_cols.len()))
     }
 
-    /// In-DRAM NOT: `out ← ¬a` (the operand read back, then
-    /// [`BulkEngine::not_known`]).
-    pub fn not(&mut self, a: &BitVecHandle, out: &BitVecHandle) -> Result<OpStats> {
-        let val = self.read_packed(a)?;
-        Ok(self.not_known(&val, out)?.0)
+    /// In-DRAM NOT: `out ← ¬a`, returning the statistics and the stored
+    /// bits. `known` is the caller's tracked value of `a`; with `None`
+    /// the operand is read back from the device first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FcdramError::NoPattern`] when the map has no NOT
+    /// pattern, and propagates device errors.
+    pub fn not(
+        &mut self,
+        a: &BitVecHandle,
+        known: Option<&PackedBits>,
+        out: &BitVecHandle,
+    ) -> Result<(OpStats, PackedBits)> {
+        let val = match known {
+            Some(v) => Cow::Borrowed(v),
+            None => Cow::Owned(self.read_packed(a)?),
+        };
+        let mut ideal = PackedBits::clone(&val);
+        ideal.not_in_place();
+        self.run_gate(Gate::Not(&val), &ideal, out)
     }
 
-    /// In-DRAM N-input logic: `out ← op(inputs...)` (the operands read
-    /// back, then [`BulkEngine::logic_known`]).
+    /// In-DRAM N-input logic: `out ← op(inputs...)`, returning the
+    /// statistics and the stored bits. `known` carries the tracked value
+    /// of each input, in order; with `None` the operands are read back
+    /// first. Uses the smallest discovered `N:N` pattern with `N ≥
+    /// inputs.len()`, identity-padding unused rows; the charge share is
+    /// masked to the row read back when [`Self::mask_safe`] holds.
     ///
-    /// Uses the smallest discovered `N:N` pattern with `N ≥
-    /// inputs.len()`, identity-padding unused rows.
-    pub fn logic(
+    /// # Errors
+    ///
+    /// Returns [`FcdramError::BadInputCount`] (before any device
+    /// access) for an input count [`BulkEngine::logic_entry`] rejects.
+    pub fn logic<H: Borrow<BitVecHandle>>(
         &mut self,
         op: LogicOp,
-        inputs: &[&BitVecHandle],
+        inputs: &[H],
+        known: Option<&[&PackedBits]>,
         out: &BitVecHandle,
-    ) -> Result<OpStats> {
+    ) -> Result<(OpStats, PackedBits)> {
         self.logic_entry(inputs.len())?;
-        let vals: Vec<PackedBits> = inputs
-            .iter()
-            .map(|h| self.read_packed(h))
-            .collect::<Result<_>>()?;
-        let refs: Vec<&PackedBits> = vals.iter().collect();
-        Ok(self.logic_known(op, &refs, out)?.0)
+        // Reads (and their allocations) happen only without `known`.
+        let read: Vec<PackedBits> = match known {
+            Some(_) => Vec::new(),
+            None => inputs
+                .iter()
+                .map(|h| self.read_packed(h.borrow()))
+                .collect::<Result<_>>()?,
+        };
+        let refs: Vec<&PackedBits> = read.iter().collect();
+        let vals = known.unwrap_or(&refs);
+        let ideal = crate::ops::ideal_logic(op, vals, self.shared_cols.len());
+        self.run_gate(Gate::Logic(op, vals), &ideal, out)
     }
 
-    /// Convenience wrappers.
+    /// In-DRAM AND: [`BulkEngine::logic`] with the operands read back,
+    /// returning the statistics only.
     pub fn and(&mut self, ins: &[&BitVecHandle], out: &BitVecHandle) -> Result<OpStats> {
-        self.logic(LogicOp::And, ins, out)
+        Ok(self.logic(LogicOp::And, ins, None, out)?.0)
     }
 
     /// In-DRAM OR.
     pub fn or(&mut self, ins: &[&BitVecHandle], out: &BitVecHandle) -> Result<OpStats> {
-        self.logic(LogicOp::Or, ins, out)
+        Ok(self.logic(LogicOp::Or, ins, None, out)?.0)
     }
 
     /// In-DRAM NAND.
     pub fn nand(&mut self, ins: &[&BitVecHandle], out: &BitVecHandle) -> Result<OpStats> {
-        self.logic(LogicOp::Nand, ins, out)
+        Ok(self.logic(LogicOp::Nand, ins, None, out)?.0)
     }
 
     /// In-DRAM NOR.
     pub fn nor(&mut self, ins: &[&BitVecHandle], out: &BitVecHandle) -> Result<OpStats> {
-        self.logic(LogicOp::Nor, ins, out)
+        Ok(self.logic(LogicOp::Nor, ins, None, out)?.0)
     }
 
     /// In-DRAM three-input majority via Ambit-style simultaneous
@@ -507,14 +532,10 @@ impl BulkEngine {
             self.read_packed(c)?,
         );
         // MAJ3 = (a∧b) ∨ (a∧c) ∨ (b∧c), word-wise.
-        let mut ideal = da.clone();
-        ideal.and_assign(&db);
-        let mut ac = da.clone();
-        ac.and_assign(&dc);
-        let mut bc = db.clone();
-        bc.and_assign(&dc);
-        ideal.or_assign(&ac);
-        ideal.or_assign(&bc);
+        let and = |x: &PackedBits, y| crate::ops::ideal_logic(LogicOp::And, &[x, y], da.len());
+        let terms = [and(&da, &db), and(&da, &dc), and(&db, &dc)];
+        let ideal =
+            crate::ops::ideal_logic(LogicOp::Or, &[&terms[0], &terms[1], &terms[2]], da.len());
         let cols = self.fc.config().modeled_cols;
         let inputs = vec![
             self.expand_packed(&da),
@@ -525,102 +546,51 @@ impl BulkEngine {
         Ok(self.run_gate(Gate::Maj(&inputs), &ideal, out)?.0)
     }
 
-    /// In-DRAM copy (`out ← a`) via in-subarray RowClone (the operand
-    /// read back, then [`BulkEngine::copy_known`]).
+    /// In-DRAM copy (`out ← a`) via in-subarray RowClone, returning the
+    /// statistics and the stored bits (`known` as in [`Self::not`]).
     ///
     /// Both vectors live in the compute subarray, so the copy is a
     /// sub-`tRP` `ACT → PRE → ACT` pair that never moves data over the
     /// channel. Row pairs that do not clone on this chip (the decoder
-    /// glitch predicate rejects them) fall back to a host read +
-    /// write; the fallback is reported with `executions: 0`.
+    /// glitch predicate rejects them) fall back to a host write of the
+    /// source value, reported with `executions: 0`.
     ///
     /// # Errors
     ///
     /// Propagates device addressing errors; the non-cloning-pair case
     /// is handled internally by the fallback.
-    pub fn copy(&mut self, a: &BitVecHandle, out: &BitVecHandle) -> Result<OpStats> {
-        let val = self.read_packed(a)?;
-        Ok(self.copy_known(a, &val, out)?.0)
-    }
-
-    /// Value-path NOT for prepared execution: the caller supplies the
-    /// operand's current value (tracked host-side), eliding the input
-    /// read-back. Returns the stored result bits alongside the stats
-    /// so the caller can keep tracking values.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`BulkEngine::not`].
-    pub fn not_known(
-        &mut self,
-        val: &PackedBits,
-        out: &BitVecHandle,
-    ) -> Result<(OpStats, PackedBits)> {
-        let mut ideal = val.clone();
-        ideal.not_in_place();
-        self.run_gate(Gate::Not(val), &ideal, out)
-    }
-
-    /// Value-path N-input logic for prepared execution: operand values
-    /// are supplied by the caller (no input read-backs), and the charge
-    /// share is masked to the first row of the terminal being read
-    /// when [`BulkEngine::mask_safe`] holds.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`BulkEngine::logic`].
-    pub fn logic_known(
-        &mut self,
-        op: LogicOp,
-        vals: &[&PackedBits],
-        out: &BitVecHandle,
-    ) -> Result<(OpStats, PackedBits)> {
-        self.logic_entry(vals.len())?;
-        let ideal = crate::ops::ideal_logic(op, vals, self.shared_cols.len());
-        self.run_gate(Gate::Logic(op, vals), &ideal, out)
-    }
-
-    /// Value-path copy for prepared execution: the source's current
-    /// value is supplied by the caller, eliding the input read-back.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`BulkEngine::copy`].
-    pub fn copy_known(
+    pub fn copy(
         &mut self,
         a: &BitVecHandle,
-        src_val: &PackedBits,
+        known: Option<&PackedBits>,
         out: &BitVecHandle,
     ) -> Result<(OpStats, PackedBits)> {
+        let val = match known {
+            Some(v) => Cow::Borrowed(v),
+            None => Cow::Owned(self.read_packed(a)?),
+        };
         // RowClone reads the source row on-device: any deferred fused
         // result write must land first.
         self.flush_pending()?;
         match self.fc.rowclone(self.bank, a.row, out.row) {
             Ok(outcome) => {
                 let got = self.read_packed(out)?;
-                let accuracy = got.accuracy_against(src_val);
-                let predicted = outcome
-                    .mean_success(dram_core::CellRole::CloneDst)
-                    .unwrap_or(1.0);
-                Ok((
-                    OpStats {
-                        executions: 1,
-                        accuracy,
-                        predicted_success: predicted,
-                    },
-                    got,
-                ))
+                let predicted = outcome.mean_success(dram_core::CellRole::CloneDst);
+                let stats = OpStats {
+                    executions: 1,
+                    accuracy: got.accuracy_against(&val),
+                    predicted_success: predicted.unwrap_or(1.0),
+                };
+                Ok((stats, got))
             }
             Err(_) => {
-                self.write_packed(out, src_val)?;
-                Ok((
-                    OpStats {
-                        executions: 0,
-                        accuracy: 1.0,
-                        predicted_success: 1.0,
-                    },
-                    src_val.clone(),
-                ))
+                self.write_packed(out, &val)?;
+                let stats = OpStats {
+                    executions: 0,
+                    accuracy: 1.0,
+                    predicted_success: 1.0,
+                };
+                Ok((stats, val.into_owned()))
             }
         }
     }
@@ -797,7 +767,7 @@ mod tests {
         let out = e.alloc().unwrap();
         let data = bits(2, 32);
         e.write(&a, &data).unwrap();
-        let stats = e.not(&a, &out).unwrap();
+        let (stats, _) = e.not(&a, None, &out).unwrap();
         assert!(stats.accuracy > 0.9, "accuracy {}", stats.accuracy);
         let got = e.read(&out).unwrap();
         let expect: Vec<bool> = data.iter().map(|b| !b).collect();
@@ -858,8 +828,10 @@ mod tests {
         let a = e.alloc().unwrap();
         let out = e.alloc().unwrap();
         let val = e.read_packed(&a).unwrap();
-        let handle = e.logic(LogicOp::And, &[&a], &out).unwrap_err();
-        let known = e.logic_known(LogicOp::Or, &[&val], &out).unwrap_err();
+        let handle = e.logic(LogicOp::And, &[&a], None, &out).unwrap_err();
+        let known = e
+            .logic(LogicOp::Or, &[&a], Some(&[&val]), &out)
+            .unwrap_err();
         for err in [handle, known] {
             assert!(
                 matches!(err, FcdramError::BadInputCount { n: 1, max: m } if m == max),
@@ -906,7 +878,7 @@ mod tests {
         let b = e.alloc().unwrap();
         let data = bits(10, 32);
         e.write(&a, &data).unwrap();
-        let stats = e.copy(&a, &b).unwrap();
+        let (stats, _) = e.copy(&a, None, &b).unwrap();
         assert!(stats.accuracy > 0.9, "copy accuracy {}", stats.accuracy);
         let got = e.read(&b).unwrap();
         let same = got.iter().zip(&data).filter(|(x, y)| x == y).count();
@@ -940,10 +912,10 @@ mod tests {
             .collect();
 
         let (a, b, c, out) = (handles[0], handles[1], handles[2], handles[3]);
-        e.not(&a, &out).unwrap();
+        e.not(&a, None, &out).unwrap();
         e.and(&[&a, &b], &out).unwrap();
         e.nor(&[&a, &b, &c], &out).unwrap();
-        e.copy(&a, &out).unwrap();
+        e.copy(&a, None, &out).unwrap();
         if e.has_native_maj() {
             e.maj3(&a, &b, &c, &out).unwrap();
         }
@@ -962,11 +934,10 @@ mod tests {
     }
 
     #[test]
-    fn value_path_matches_legacy_bits_and_predictions() {
-        // Two engines in identical state: the value-path ops (operand
-        // values supplied host-side, masked charge shares, first-row
-        // read-backs) must store the same bits and report the same
-        // accuracy/prediction as the legacy handle-path ops.
+    fn known_values_match_read_backs() {
+        // Two engines in identical state: gates given the operand
+        // values (`Some`) must store the same bits and report the same
+        // accuracy/prediction as gates that read them back (`None`).
         let mut e1 = engine();
         let mut e2 = engine();
         assert!(e1.mask_safe(), "table-1 part must allow masking");
@@ -987,28 +958,32 @@ mod tests {
         let vc = PackedBits::from_bools(&bits(22, 32));
 
         for op in [LogicOp::And, LogicOp::Nor, LogicOp::Or, LogicOp::Nand] {
-            let s1 = e1.logic(op, &[&a1, &b1, &c1], &o1).unwrap();
-            let (s2, bits2) = e2.logic_known(op, &[&va, &vb, &vc], &o2).unwrap();
-            assert_eq!(s1, s2, "{op:?} stats diverge");
-            assert_eq!(e1.read_packed(&o1).unwrap(), bits2, "{op:?} bits diverge");
-            assert_eq!(e2.read_packed(&o2).unwrap(), bits2);
+            let got1 = e1.logic(op, &[&a1, &b1, &c1], None, &o1).unwrap();
+            let got2 = e2
+                .logic(op, &[&a2, &b2, &c2], Some(&[&va, &vb, &vc]), &o2)
+                .unwrap();
+            assert_eq!(got1, got2, "{op:?} stats or bits diverge");
+            assert_eq!(e1.read_packed(&o1).unwrap(), got2.1, "{op:?} stored bits");
+            assert_eq!(e2.read_packed(&o2).unwrap(), got2.1);
         }
-        let s1 = e1.not(&a1, &o1).unwrap();
-        let (s2, nb) = e2.not_known(&va, &o2).unwrap();
-        assert_eq!(s1, s2, "NOT stats diverge");
-        assert_eq!(e1.read_packed(&o1).unwrap(), nb);
-        let s1 = e1.copy(&b1, &o1).unwrap();
-        let (s2, cb) = e2.copy_known(&b2, &vb, &o2).unwrap();
-        assert_eq!(s1, s2, "copy stats diverge");
-        assert_eq!(e1.read_packed(&o1).unwrap(), cb);
+        let got1 = e1.not(&a1, None, &o1).unwrap();
+        let got2 = e2.not(&a2, Some(&va), &o2).unwrap();
+        assert_eq!(got1, got2, "NOT diverges");
+        assert_eq!(e1.read_packed(&o1).unwrap(), got2.1);
+        let got1 = e1.copy(&b1, None, &o1).unwrap();
+        let got2 = e2.copy(&b2, Some(&vb), &o2).unwrap();
+        assert_eq!(got1, got2, "copy diverges");
+        assert_eq!(e1.read_packed(&o1).unwrap(), got2.1);
         // Repetition voting follows the same draws on both paths.
         e1.set_repetition(3);
         e2.set_repetition(3);
-        let s1 = e1.logic(LogicOp::Nand, &[&a1, &c1], &o1).unwrap();
-        let (s2, rb) = e2.logic_known(LogicOp::Nand, &[&va, &vc], &o2).unwrap();
-        assert_eq!(s1, s2, "repetition stats diverge");
-        assert_eq!(e1.read_packed(&o1).unwrap(), rb);
-        // Operand rows survive value-path ops untouched.
+        let got1 = e1.logic(LogicOp::Nand, &[&a1, &c1], None, &o1).unwrap();
+        let got2 = e2
+            .logic(LogicOp::Nand, &[&a2, &c2], Some(&[&va, &vc]), &o2)
+            .unwrap();
+        assert_eq!(got1, got2, "repetition diverges");
+        assert_eq!(e1.read_packed(&o1).unwrap(), got2.1);
+        // Operand rows survive gates given their values untouched.
         assert_eq!(e2.read_packed(&a2).unwrap(), va);
         assert_eq!(e2.read_packed(&c2).unwrap(), vc);
     }

@@ -20,7 +20,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use fcdram::{BulkEngine, Fcdram};
+//! use fcdram::{BulkEngine, Fcdram, LogicOp};
 //! use dram_core::{BankId, SubarrayId};
 //!
 //! // Chip 0 of the first Table-1 module, narrowed for the doctest.
@@ -33,6 +33,13 @@
 //! engine.write(&b, &vec![true; engine.capacity_bits()])?;
 //! let stats = engine.and(&[&a, &b], &out)?;
 //! assert!(stats.accuracy > 0.0);
+//! // The general form: one method per gate, returning the stored bits
+//! // too. `None` reads the operands back; a caller that tracks their
+//! // values passes them instead.
+//! let (_, bits) = engine.logic(LogicOp::Or, &[&a, &b], None, &out)?;
+//! let known = engine.read_packed(&a)?;
+//! let (_, not_a) = engine.not(&a, Some(&known), &out)?;
+//! assert_eq!(bits.len(), not_a.len());
 //! # Ok::<(), fcdram::FcdramError>(())
 //! ```
 

@@ -22,12 +22,11 @@
 //!   execution at the `Wr` indices the builder reports.
 //!
 //! [`ExecBackend::run_prepared`] then executes with batched device
-//! calls: operand values are threaded host-side (the value-path
-//! `*_known` substrate operations), so per-step operand read-backs
-//! disappear, and — when the engine's activation map permits
-//! ([`fcdram::BulkEngine::mask_safe`]) — charge-share programs compute
-//! only the terminal the step consumes. A plan run on a backend whose
-//! fan-in is narrower than one of its steps fails with
+//! calls: operand values are threaded host-side (on the VM each
+//! substrate gate is given its operands' values as `known` and returns
+//! the bits it stored), so per-step operand read-backs disappear from
+//! the device and from the op trace on both substrates. A plan run on
+//! a backend whose fan-in is narrower than one of its steps fails with
 //! [`crate::ExecError::StepTooWide`]; no other walk is taken.
 
 use crate::engine::ExecBackend;

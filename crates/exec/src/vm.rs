@@ -4,10 +4,13 @@
 //! With [`simdram::HostSubstrate`] this is the workspace's golden
 //! model (bit-exact results); with [`simdram::DramSubstrate`] gates
 //! execute through [`fcdram::BulkEngine`] and inherit the
-//! characterized per-cell success rates. Operand staging uses
-//! [`SimdVm::lease_rows`]/[`SimdVm::end_lease`], so a scheduler's row
-//! accounting stays per job and a failed stage leaves the substrate
-//! exactly as it was.
+//! characterized per-cell success rates. The prepared walk passes
+//! every gate its operands' tracked values (`Some(known)`), so neither
+//! substrate reads operands back or traces a read-back per step; on
+//! the host, debug builds assert each value against its row. Operand
+//! staging uses [`SimdVm::lease_rows`]/[`SimdVm::end_lease`], so a
+//! scheduler's row accounting stays per job and a failed stage leaves
+//! the substrate exactly as it was.
 
 use crate::engine::{check_operands, ExecBackend};
 use crate::error::Result;
@@ -124,7 +127,8 @@ impl<S: Substrate> ExecBackend for SimdVm<S> {
 }
 
 /// The prepared step walk for the VM backend: values are threaded
-/// host-side through the substrate's `*_known` operations, while rows
+/// host-side (each gate is given its operands' values and returns the
+/// bits it stored, which the walk clones into its table), while rows
 /// are allocated and freed in step order — one result row per step,
 /// temporaries released at their last use. The pool permutes rows on
 /// reuse and the device model's stochastic draws key on row indices,
@@ -132,7 +136,7 @@ impl<S: Substrate> ExecBackend for SimdVm<S> {
 ///
 /// Step inputs are borrowed (register `r < operands.len()` is operand
 /// `r`, every later register a step result in `vals`), so each step
-/// allocates only the result bits its substrate call returns.
+/// allocates only the clone of its result bits.
 #[allow(clippy::too_many_arguments)]
 fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
     vm: &mut SimdVm<S>,
@@ -171,15 +175,15 @@ fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
         let bits = match step.op {
             None => {
                 let v = value(operands, vals, step.args[0]);
-                vm.substrate_mut().not_known(arows[0], v, out)?
+                vm.substrate_mut().not(arows[0], Some(v), out)?
             }
             Some(op) if arows.len() == 1 && !op.is_inverted_terminal() => {
                 let v = value(operands, vals, step.args[0]);
-                vm.substrate_mut().copy_known(arows[0], v, out)?
+                vm.substrate_mut().copy(arows[0], Some(v), out)?
             }
             Some(_) if arows.len() == 1 => {
                 let v = value(operands, vals, step.args[0]);
-                vm.substrate_mut().not_known(arows[0], v, out)?
+                vm.substrate_mut().not(arows[0], Some(v), out)?
             }
             Some(op) => {
                 let mut avals = [&unused; MAX_FAN_IN];
@@ -187,11 +191,11 @@ fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
                     *slot = value(operands, vals, *r);
                 }
                 let avals = &avals[..step.args.len()];
-                vm.substrate_mut().logic_known(op, &arows, avals, out)?
+                vm.substrate_mut().logic(op, &arows, Some(avals), out)?
             }
         };
+        vals[step.out] = Some(bits.clone());
         regs[step.out] = Some(out);
-        vals[step.out] = Some(bits);
         on_step(i, step);
         for r in &prep.frees[i] {
             if let Some(row) = regs[*r].take() {
@@ -210,14 +214,15 @@ fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
             let out = vm.alloc_row()?;
             let src = if b { vm.one_row() } else { vm.zero_row() };
             let splat = PackedBits::splat(b, SimdVm::lanes(vm));
-            let bits = vm.substrate_mut().copy_known(src, &splat, out)?;
+            let bits = vm.substrate_mut().copy(src, Some(&splat), out)?.clone();
             (out, bits)
         }
         OutputAction::Passthrough(r) => {
             let out = vm.alloc_row()?;
             let bits = vm
                 .substrate_mut()
-                .copy_known(inputs[r], &operands[r], out)?;
+                .copy(inputs[r], Some(&operands[r]), out)?
+                .clone();
             (out, bits)
         }
         OutputAction::Reg(r) => {

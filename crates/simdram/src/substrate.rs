@@ -13,14 +13,19 @@
 //!
 //! The trait deliberately mirrors what COTS DRAM offers (§5–§6 of the
 //! paper): wide rows, one-output gates with up to 16 inputs, copies,
-//! and constant fills. Everything richer (XOR, adders, multipliers) is
-//! *synthesized* in [`crate::gates`] and [`crate::alu`] — which is the
-//! point of demonstrating functional completeness.
+//! and constant fills. Each gate is one method. It returns the bits it
+//! stored and takes the caller's tracked operand values as an optional
+//! argument: circuits pass `None`, the prepared execution walk (which
+//! threads every value host-side) passes `Some`, and the DRAM backend
+//! then skips its operand read-backs. Host I/O is bit-packed only.
+//! Everything richer (XOR, adders, multipliers) is *synthesized* in
+//! [`crate::gates`] and [`crate::alu`] — which is the point of
+//! demonstrating functional completeness.
 
 use crate::error::{Result, SimdramError};
 use crate::trace::{NativeOp, OpTrace, TraceEntry};
 use dram_core::LogicOp;
-use fcdram::{BitVecHandle, BulkEngine, PackedBits};
+use fcdram::{BitVecHandle, BulkEngine, OpStats, PackedBits};
 use serde::{Deserialize, Serialize};
 
 /// The largest fan-in any FCDRAM-style substrate can offer (the paper
@@ -44,7 +49,8 @@ impl BitRow {
 /// Implementations must guarantee that gate inputs are *not* clobbered
 /// (the in-DRAM engine stages operands into reserved scratch rows), so
 /// a row may appear several times in one `logic` call and may be
-/// shared read-only between vectors.
+/// shared read-only between vectors. A gate records exactly one trace
+/// entry, whether or not the caller supplies operand values.
 pub trait Substrate {
     /// Number of SIMD lanes (bits per row).
     fn lanes(&self) -> usize;
@@ -71,20 +77,6 @@ pub trait Substrate {
     /// no-op on the host backend and must not corrupt the pool.
     fn free(&mut self, r: BitRow);
 
-    /// Writes host bits into a row (one bit per lane).
-    ///
-    /// # Errors
-    ///
-    /// Fails when `bits.len() != lanes()` or the handle is invalid.
-    fn write(&mut self, r: BitRow, bits: &[bool]) -> Result<()>;
-
-    /// Reads a row back to host bits.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the handle is invalid.
-    fn read(&mut self, r: BitRow) -> Result<Vec<bool>>;
-
     /// Writes a bit-packed row (64 lanes per `u64` word).
     ///
     /// # Errors
@@ -106,71 +98,40 @@ pub trait Substrate {
     /// Fails when the handle is invalid.
     fn fill(&mut self, r: BitRow, value: bool) -> Result<()>;
 
-    /// Copies `src` into `dst` (RowClone on DRAM).
+    /// Copies `src` into `dst` (RowClone on DRAM) and returns the
+    /// stored bits (see [`Substrate::not`] for `known`).
     ///
     /// # Errors
     ///
     /// Fails when a handle is invalid.
-    fn copy(&mut self, src: BitRow, dst: BitRow) -> Result<()>;
+    fn copy(&mut self, src: BitRow, known: Option<&PackedBits>, dst: BitRow)
+        -> Result<&PackedBits>;
 
-    /// `out ← ¬a` (the paper's NOT, §5).
+    /// `out ← ¬a` (the paper's NOT, §5); returns the stored bits.
+    /// `known` is the caller's tracked value of `a`: the prepared walk
+    /// passes `Some` and the backend skips its operand read-back,
+    /// circuits pass `None`. Stored bits and statistics are the same.
     ///
     /// # Errors
     ///
     /// Fails when a handle is invalid or the device cannot execute.
-    fn not(&mut self, a: BitRow, out: BitRow) -> Result<()>;
+    fn not(&mut self, a: BitRow, known: Option<&PackedBits>, out: BitRow) -> Result<&PackedBits>;
 
     /// `out ← op(ins...)` for 2..=[`Substrate::max_fan_in`] inputs
-    /// (the paper's N-input AND/OR/NAND/NOR, §6).
+    /// (the paper's N-input AND/OR/NAND/NOR, §6); returns the stored
+    /// bits. `known` carries the current value of each row in `ins`,
+    /// in order (see [`Substrate::not`]).
     ///
     /// # Errors
     ///
     /// Fails on bad input counts or invalid handles.
-    fn logic(&mut self, op: LogicOp, ins: &[BitRow], out: BitRow) -> Result<()>;
-
-    /// Value-path NOT for prepared execution: the caller tracks row
-    /// values host-side and supplies `a`'s current value, letting the
-    /// backend elide its read-backs; returns the stored result bits.
-    /// Stored bits must be identical to `not` followed by
-    /// `read_packed(out)` — which is exactly the default.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Substrate::not`].
-    fn not_known(&mut self, a: BitRow, val: &PackedBits, out: BitRow) -> Result<PackedBits> {
-        let _ = val;
-        self.not(a, out)?;
-        self.read_packed(out)
-    }
-
-    /// Value-path N-input logic (see [`Substrate::not_known`]); `vals`
-    /// carries the current value of each row in `ins`, in order.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Substrate::logic`].
-    fn logic_known(
+    fn logic(
         &mut self,
         op: LogicOp,
         ins: &[BitRow],
-        vals: &[&PackedBits],
+        known: Option<&[&PackedBits]>,
         out: BitRow,
-    ) -> Result<PackedBits> {
-        let _ = vals;
-        self.logic(op, ins, out)?;
-        self.read_packed(out)
-    }
-
-    /// Value-path copy (see [`Substrate::not_known`]).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Substrate::copy`].
-    fn copy_known(&mut self, src: BitRow, val: &PackedBits, dst: BitRow) -> Result<PackedBits> {
-        let _ = val;
-        self.copy(src, dst)?;
-        self.read_packed(dst)
-    }
+    ) -> Result<&PackedBits>;
 
     /// `out ← MAJ3(a, b, c)`.
     ///
@@ -193,12 +154,11 @@ pub trait Substrate {
     }
 
     /// Opens a fused visit: until [`Substrate::end_visit`], consecutive
-    /// value-path operations may share per-operation fixed costs (one
-    /// combined command program per gate, deferred result writes,
-    /// cached pattern lookups on the DRAM backend). Stored bits and
-    /// statistics must be identical to unfused execution. Backends
-    /// without a fused path (the host golden model) keep the no-op
-    /// default.
+    /// gates may share per-operation fixed costs (one combined command
+    /// program per gate, deferred result writes, cached pattern lookups
+    /// on the DRAM backend). Stored bits and statistics must be
+    /// identical to unfused execution. Backends without a fused path
+    /// (the host golden model) keep the no-op default.
     fn begin_visit(&mut self) {}
 
     /// Closes the current fused visit, flushing any deferred device
@@ -231,10 +191,10 @@ fn derived_maj3<S: Substrate + ?Sized>(
     let ab = s.alloc()?;
     let ac = s.alloc()?;
     let bc = s.alloc()?;
-    s.logic(LogicOp::And, &[a, b], ab)?;
-    s.logic(LogicOp::And, &[a, c], ac)?;
-    s.logic(LogicOp::And, &[b, c], bc)?;
-    s.logic(LogicOp::Or, &[ab, ac, bc], out)?;
+    s.logic(LogicOp::And, &[a, b], None, ab)?;
+    s.logic(LogicOp::And, &[a, c], None, ac)?;
+    s.logic(LogicOp::And, &[b, c], None, bc)?;
+    s.logic(LogicOp::Or, &[ab, ac, bc], None, out)?;
     s.free(ab);
     s.free(ac);
     s.free(bc);
@@ -253,6 +213,9 @@ fn derived_maj3<S: Substrate + ?Sized>(
 /// word loops and host I/O is a word copy. A freed slot keeps its
 /// words: `alloc` reuses it without allocating, and [`live_rows`]
 /// is the slot count minus the free-list length instead of a scan.
+/// A gate computes from the stored rows, returns a reference to its
+/// output row and records only itself; in debug builds it also asserts
+/// that any `known` operand value equals the row it describes.
 ///
 /// [`live_rows`]: HostSubstrate::live_rows
 ///
@@ -261,15 +224,17 @@ fn derived_maj3<S: Substrate + ?Sized>(
 /// ```
 /// use simdram::{HostSubstrate, Substrate};
 /// use dram_core::LogicOp;
+/// use fcdram::PackedBits;
 ///
 /// let mut s = HostSubstrate::new(4, 64);
 /// let a = s.alloc()?;
 /// let b = s.alloc()?;
 /// let out = s.alloc()?;
-/// s.write(a, &[true, true, false, false])?;
-/// s.write(b, &[true, false, true, false])?;
-/// s.logic(LogicOp::And, &[a, b], out)?;
-/// assert_eq!(s.read(out)?, vec![true, false, false, false]);
+/// s.write_packed(a, &PackedBits::from_bools(&[true, true, false, false]))?;
+/// s.write_packed(b, &PackedBits::from_bools(&[true, false, true, false]))?;
+/// // A gate returns the bits it stored.
+/// let and = s.logic(LogicOp::And, &[a, b], None, out)?;
+/// assert_eq!(and.to_bools(), vec![true, false, false, false]);
 /// # Ok::<(), simdram::SimdramError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -311,12 +276,33 @@ impl HostSubstrate {
         }
     }
 
-    /// Moves the scratch result into `out` and records `op`.
-    fn commit(&mut self, out: BitRow, op: NativeOp) -> Result<()> {
-        self.check(out)?;
+    /// Checks every handle of a gate, then (in debug builds) that each
+    /// `known` value equals the row it describes: a value-threading
+    /// caller must track exactly what the rows hold.
+    fn check_gate(&self, ins: &[BitRow], known: Option<&[&PackedBits]>, out: BitRow) -> Result<()> {
+        for r in ins.iter().chain([&out]) {
+            self.check(*r)?;
+        }
+        debug_assert!(
+            known.is_none_or(|k| k.len() == ins.len()),
+            "one known value per input"
+        );
+        for (r, k) in ins.iter().zip(known.unwrap_or_default()) {
+            debug_assert!(
+                **k == self.rows[r.0],
+                "known value of row {} differs from the row",
+                r.0
+            );
+        }
+        Ok(())
+    }
+
+    /// Moves the scratch result into `out` (checked by the caller),
+    /// records `op` and returns the stored bits.
+    fn commit(&mut self, out: BitRow, op: NativeOp) -> &PackedBits {
         std::mem::swap(&mut self.rows[out.0], &mut self.scratch);
         self.record(op);
-        Ok(())
+        &self.rows[out.0]
     }
 
     fn record(&mut self, op: NativeOp) {
@@ -369,14 +355,6 @@ impl Substrate for HostSubstrate {
         }
     }
 
-    fn write(&mut self, r: BitRow, bits: &[bool]) -> Result<()> {
-        self.write_packed(r, &PackedBits::from_bools(bits))
-    }
-
-    fn read(&mut self, r: BitRow) -> Result<Vec<bool>> {
-        Ok(self.read_packed(r)?.to_bools())
-    }
-
     fn write_packed(&mut self, r: BitRow, bits: &PackedBits) -> Result<()> {
         if bits.len() != self.lanes {
             return Err(SimdramError::LaneMismatch {
@@ -404,20 +382,31 @@ impl Substrate for HostSubstrate {
         Ok(())
     }
 
-    fn copy(&mut self, src: BitRow, dst: BitRow) -> Result<()> {
-        self.check(src)?;
+    fn copy(
+        &mut self,
+        src: BitRow,
+        known: Option<&PackedBits>,
+        dst: BitRow,
+    ) -> Result<&PackedBits> {
+        self.check_gate(&[src], known.as_ref().map(std::slice::from_ref), dst)?;
         self.scratch.copy_from(&self.rows[src.0]);
-        self.commit(dst, NativeOp::Copy)
+        Ok(self.commit(dst, NativeOp::Copy))
     }
 
-    fn not(&mut self, a: BitRow, out: BitRow) -> Result<()> {
-        self.check(a)?;
+    fn not(&mut self, a: BitRow, known: Option<&PackedBits>, out: BitRow) -> Result<&PackedBits> {
+        self.check_gate(&[a], known.as_ref().map(std::slice::from_ref), out)?;
         self.scratch.copy_from(&self.rows[a.0]);
         self.scratch.not_in_place();
-        self.commit(out, NativeOp::Not)
+        Ok(self.commit(out, NativeOp::Not))
     }
 
-    fn logic(&mut self, op: LogicOp, ins: &[BitRow], out: BitRow) -> Result<()> {
+    fn logic(
+        &mut self,
+        op: LogicOp,
+        ins: &[BitRow],
+        known: Option<&[&PackedBits]>,
+        out: BitRow,
+    ) -> Result<&PackedBits> {
         if ins.len() < 2 || ins.len() > MAX_FAN_IN {
             return Err(SimdramError::Substrate(
                 fcdram::FcdramError::BadInputCount {
@@ -426,10 +415,9 @@ impl Substrate for HostSubstrate {
                 },
             ));
         }
-        self.check(ins[0])?;
+        self.check_gate(ins, known, out)?;
         self.scratch.copy_from(&self.rows[ins[0].0]);
         for r in &ins[1..] {
-            self.check(*r)?;
             if op.is_and_family() {
                 self.scratch.and_assign(&self.rows[r.0]);
             } else {
@@ -439,7 +427,7 @@ impl Substrate for HostSubstrate {
         if op.is_inverted_terminal() {
             self.scratch.not_in_place();
         }
-        self.commit(out, NativeOp::Logic(op, ins.len() as u8))
+        Ok(self.commit(out, NativeOp::Logic(op, ins.len() as u8)))
     }
 
     fn trace(&self) -> &OpTrace {
@@ -458,6 +446,9 @@ impl Substrate for HostSubstrate {
 /// Substrate backed by a real (simulated) DRAM chip through
 /// [`fcdram::BulkEngine`]: gates execute as violated-timing command
 /// sequences and inherit the device model's per-cell success rates.
+/// Each gate forwards `known` to the engine's one method for that gate
+/// (`None` reads the operands back first) and keeps the stored bits
+/// to return them by reference.
 ///
 /// # Examples
 ///
@@ -470,8 +461,13 @@ impl Substrate for HostSubstrate {
 /// let engine = BulkEngine::new(Fcdram::new(cfg), BankId(0), SubarrayId(0))?;
 /// let mut s = DramSubstrate::new(engine);
 /// let a = s.alloc()?;
+/// let out = s.alloc()?;
 /// s.fill(a, true)?;
-/// assert!(s.read(a)?.iter().all(|b| *b));
+/// assert_eq!(s.read_packed(a)?.count_ones(), s.lanes());
+/// // A circuit passes no operand values: the engine reads `a` back,
+/// // then runs the in-DRAM NOT and returns the bits it stored.
+/// let not_a = s.not(a, None, out)?.clone();
+/// assert_eq!(s.read_packed(out)?, not_a);
 /// # Ok::<(), simdram::SimdramError>(())
 /// ```
 #[derive(Debug)]
@@ -480,20 +476,24 @@ pub struct DramSubstrate {
     handles: Vec<Option<BitVecHandle>>,
     free: Vec<usize>,
     trace: OpTrace,
-    max_fan_in: usize,
+    /// The input handles of the current `logic` call (reused, so a
+    /// gate allocates nothing here).
+    args: Vec<BitVecHandle>,
+    /// The last gate's stored bits, returned by reference.
+    result: PackedBits,
 }
 
 impl DramSubstrate {
     /// Wraps a bulk engine. The native fan-in limit is
     /// [`BulkEngine::max_fan_in`].
     pub fn new(engine: BulkEngine) -> Self {
-        let max_fan_in = engine.max_fan_in();
         DramSubstrate {
             engine,
             handles: Vec::new(),
             free: Vec::new(),
             trace: OpTrace::new(),
-            max_fan_in,
+            args: Vec::with_capacity(MAX_FAN_IN),
+            result: PackedBits::zeros(0),
         }
     }
 
@@ -528,6 +528,21 @@ impl DramSubstrate {
             .and_then(|h| *h)
             .ok_or(SimdramError::BadHandle { id: r.0 })
     }
+
+    fn record(&mut self, op: NativeOp, executions: usize, predicted_success: f64) {
+        self.trace.record(TraceEntry {
+            op,
+            executions,
+            predicted_success,
+        });
+    }
+
+    /// Records a gate and keeps its stored bits for the caller.
+    fn finish(&mut self, op: NativeOp, (stats, bits): (OpStats, PackedBits)) -> &PackedBits {
+        self.record(op, stats.executions, stats.predicted_success);
+        self.result = bits;
+        &self.result
+    }
 }
 
 impl Substrate for DramSubstrate {
@@ -536,7 +551,7 @@ impl Substrate for DramSubstrate {
     }
 
     fn max_fan_in(&self) -> usize {
-        self.max_fan_in
+        self.engine.max_fan_in()
     }
 
     fn configure_sim(&mut self, cfg: dram_core::SimConfig) {
@@ -562,141 +577,61 @@ impl Substrate for DramSubstrate {
         }
     }
 
-    fn write(&mut self, r: BitRow, bits: &[bool]) -> Result<()> {
-        let h = self.handle(r)?;
-        self.engine.write(&h, bits)?;
-        self.trace.record(TraceEntry {
-            op: NativeOp::HostWrite,
-            executions: 0,
-            predicted_success: 1.0,
-        });
-        Ok(())
-    }
-
-    fn read(&mut self, r: BitRow) -> Result<Vec<bool>> {
-        let h = self.handle(r)?;
-        let bits = self.engine.read(&h)?;
-        self.trace.record(TraceEntry {
-            op: NativeOp::HostRead,
-            executions: 0,
-            predicted_success: 1.0,
-        });
-        Ok(bits)
-    }
-
     fn write_packed(&mut self, r: BitRow, bits: &PackedBits) -> Result<()> {
         let h = self.handle(r)?;
         self.engine.write_packed(&h, bits)?;
-        self.trace.record(TraceEntry {
-            op: NativeOp::HostWrite,
-            executions: 0,
-            predicted_success: 1.0,
-        });
+        self.record(NativeOp::HostWrite, 0, 1.0);
         Ok(())
     }
 
     fn read_packed(&mut self, r: BitRow) -> Result<PackedBits> {
         let h = self.handle(r)?;
         let words = self.engine.read_packed(&h)?;
-        self.trace.record(TraceEntry {
-            op: NativeOp::HostRead,
-            executions: 0,
-            predicted_success: 1.0,
-        });
+        self.record(NativeOp::HostRead, 0, 1.0);
         Ok(words)
     }
 
     fn fill(&mut self, r: BitRow, value: bool) -> Result<()> {
         let h = self.handle(r)?;
         self.engine.fill(&h, value)?;
-        self.trace.record(TraceEntry {
-            op: NativeOp::Fill,
-            executions: 0,
-            predicted_success: 1.0,
-        });
+        self.record(NativeOp::Fill, 0, 1.0);
         Ok(())
     }
 
-    fn copy(&mut self, src: BitRow, dst: BitRow) -> Result<()> {
+    fn copy(
+        &mut self,
+        src: BitRow,
+        known: Option<&PackedBits>,
+        dst: BitRow,
+    ) -> Result<&PackedBits> {
         let hs = self.handle(src)?;
         let hd = self.handle(dst)?;
-        let stats = self.engine.copy(&hs, &hd)?;
-        self.trace.record(TraceEntry {
-            op: NativeOp::Copy,
-            executions: stats.executions,
-            predicted_success: stats.predicted_success,
-        });
-        Ok(())
+        let done = self.engine.copy(&hs, known, &hd)?;
+        Ok(self.finish(NativeOp::Copy, done))
     }
 
-    fn not(&mut self, a: BitRow, out: BitRow) -> Result<()> {
+    fn not(&mut self, a: BitRow, known: Option<&PackedBits>, out: BitRow) -> Result<&PackedBits> {
         let ha = self.handle(a)?;
         let ho = self.handle(out)?;
-        let stats = self.engine.not(&ha, &ho)?;
-        self.trace.record(TraceEntry {
-            op: NativeOp::Not,
-            executions: stats.executions,
-            predicted_success: stats.predicted_success,
-        });
-        Ok(())
+        let done = self.engine.not(&ha, known, &ho)?;
+        Ok(self.finish(NativeOp::Not, done))
     }
 
-    fn logic(&mut self, op: LogicOp, ins: &[BitRow], out: BitRow) -> Result<()> {
-        let handles: Vec<BitVecHandle> =
-            ins.iter().map(|r| self.handle(*r)).collect::<Result<_>>()?;
-        let refs: Vec<&BitVecHandle> = handles.iter().collect();
-        let ho = self.handle(out)?;
-        let stats = self.engine.logic(op, &refs, &ho)?;
-        self.trace.record(TraceEntry {
-            op: NativeOp::Logic(op, ins.len() as u8),
-            executions: stats.executions,
-            predicted_success: stats.predicted_success,
-        });
-        Ok(())
-    }
-
-    fn not_known(&mut self, a: BitRow, val: &PackedBits, out: BitRow) -> Result<PackedBits> {
-        self.handle(a)?;
-        let ho = self.handle(out)?;
-        let (stats, bits) = self.engine.not_known(val, &ho)?;
-        self.trace.record(TraceEntry {
-            op: NativeOp::Not,
-            executions: stats.executions,
-            predicted_success: stats.predicted_success,
-        });
-        Ok(bits)
-    }
-
-    fn logic_known(
+    fn logic(
         &mut self,
         op: LogicOp,
         ins: &[BitRow],
-        vals: &[&PackedBits],
+        known: Option<&[&PackedBits]>,
         out: BitRow,
-    ) -> Result<PackedBits> {
+    ) -> Result<&PackedBits> {
+        self.args.clear();
         for r in ins {
-            self.handle(*r)?;
+            let h = self.handle(*r)?;
+            self.args.push(h);
         }
         let ho = self.handle(out)?;
-        let (stats, bits) = self.engine.logic_known(op, vals, &ho)?;
-        self.trace.record(TraceEntry {
-            op: NativeOp::Logic(op, ins.len() as u8),
-            executions: stats.executions,
-            predicted_success: stats.predicted_success,
-        });
-        Ok(bits)
-    }
-
-    fn copy_known(&mut self, src: BitRow, val: &PackedBits, dst: BitRow) -> Result<PackedBits> {
-        let hs = self.handle(src)?;
-        let hd = self.handle(dst)?;
-        let (stats, bits) = self.engine.copy_known(&hs, val, &hd)?;
-        self.trace.record(TraceEntry {
-            op: NativeOp::Copy,
-            executions: stats.executions,
-            predicted_success: stats.predicted_success,
-        });
-        Ok(bits)
+        let done = self.engine.logic(op, &self.args, known, &ho)?;
+        Ok(self.finish(NativeOp::Logic(op, ins.len() as u8), done))
     }
 
     fn maj3(&mut self, a: BitRow, b: BitRow, c: BitRow, out: BitRow) -> Result<()> {
@@ -708,11 +643,7 @@ impl Substrate for DramSubstrate {
         let hc = self.handle(c)?;
         let ho = self.handle(out)?;
         let stats = self.engine.maj3(&ha, &hb, &hc, &ho)?;
-        self.trace.record(TraceEntry {
-            op: NativeOp::Maj,
-            executions: stats.executions,
-            predicted_success: stats.predicted_success,
-        });
+        self.record(NativeOp::Maj, stats.executions, stats.predicted_success);
         Ok(())
     }
 
@@ -725,8 +656,7 @@ impl Substrate for DramSubstrate {
     }
 
     fn end_visit(&mut self) -> Result<()> {
-        self.engine.end_visit()?;
-        Ok(())
+        Ok(self.engine.end_visit()?)
     }
 
     fn trace(&self) -> &OpTrace {
@@ -744,6 +674,14 @@ mod tests {
 
     fn host() -> HostSubstrate {
         HostSubstrate::new(8, 64)
+    }
+
+    fn put<S: Substrate>(s: &mut S, r: BitRow, bits: &[bool]) {
+        s.write_packed(r, &PackedBits::from_bools(bits)).unwrap();
+    }
+
+    fn get<S: Substrate>(s: &mut S, r: BitRow) -> Vec<bool> {
+        s.read_packed(r).unwrap().to_bools()
     }
 
     #[test]
@@ -778,17 +716,17 @@ mod tests {
         let out = s.alloc().unwrap();
         let da = [true, true, false, false, true, false, true, false];
         let db = [true, false, true, false, true, true, false, false];
-        s.write(a, &da).unwrap();
-        s.write(b, &db).unwrap();
+        put(&mut s, a, &da);
+        put(&mut s, b, &db);
 
-        s.logic(LogicOp::Nand, &[a, b], out).unwrap();
-        let got = s.read(out).unwrap();
+        s.logic(LogicOp::Nand, &[a, b], None, out).unwrap();
+        let got = get(&mut s, out);
         for i in 0..8 {
             assert_eq!(got[i], !(da[i] && db[i]), "lane {i}");
         }
 
-        s.not(a, out).unwrap();
-        let got = s.read(out).unwrap();
+        s.not(a, None, out).unwrap();
+        let got = get(&mut s, out);
         for i in 0..8 {
             assert_eq!(got[i], !da[i]);
         }
@@ -799,9 +737,9 @@ mod tests {
         let mut s = host();
         let a = s.alloc().unwrap();
         let out = s.alloc().unwrap();
-        assert!(s.logic(LogicOp::And, &[a], out).is_err());
+        assert!(s.logic(LogicOp::And, &[a], None, out).is_err());
         let many: Vec<BitRow> = (0..17).map(|_| s.alloc().unwrap()).collect();
-        assert!(s.logic(LogicOp::And, &many, out).is_err());
+        assert!(s.logic(LogicOp::And, &many, None, out).is_err());
     }
 
     #[test]
@@ -828,7 +766,10 @@ mod tests {
         let mut s = host();
         let a = s.alloc().unwrap();
         s.free(a);
-        assert!(matches!(s.read(a), Err(SimdramError::BadHandle { .. })));
+        assert!(matches!(
+            s.read_packed(a),
+            Err(SimdramError::BadHandle { .. })
+        ));
     }
 
     #[test]
@@ -837,12 +778,23 @@ mod tests {
         let a = s.alloc().unwrap();
         let b = s.alloc().unwrap();
         s.fill(a, true).unwrap();
-        s.copy(a, b).unwrap();
-        s.not(a, b).unwrap();
+        s.copy(a, None, b).unwrap();
+        s.not(a, None, b).unwrap();
         assert_eq!(s.trace().len(), 3);
         assert_eq!(s.trace().in_dram_ops(), 2); // copy + not
         s.trace_mut().clear();
         assert!(s.trace().is_empty());
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "differs from the row")]
+    fn host_mismatched_known_value_trips_the_debug_check() {
+        let mut s = host();
+        let a = s.alloc().unwrap();
+        let out = s.alloc().unwrap();
+        s.fill(a, true).unwrap();
+        let _ = s.not(a, Some(&PackedBits::zeros(8)), out);
     }
 
     fn dram() -> DramSubstrate {
@@ -863,8 +815,8 @@ mod tests {
         assert!(s.lanes() > 0);
         let a = s.alloc().unwrap();
         let bits: Vec<bool> = (0..s.lanes()).map(|i| i % 3 == 0).collect();
-        s.write(a, &bits).unwrap();
-        assert_eq!(s.read(a).unwrap(), bits);
+        put(&mut s, a, &bits);
+        assert_eq!(get(&mut s, a), bits);
     }
 
     #[test]
@@ -875,7 +827,7 @@ mod tests {
         let out = s.alloc().unwrap();
         s.fill(a, true).unwrap();
         s.fill(b, false).unwrap();
-        s.logic(LogicOp::Or, &[a, b], out).unwrap();
+        s.logic(LogicOp::Or, &[a, b], None, out).unwrap();
         let entry = *s.trace().entries().last().unwrap();
         assert!(matches!(entry.op, NativeOp::Logic(LogicOp::Or, 2)));
         assert!(entry.predicted_success > 0.5 && entry.predicted_success <= 1.0);
@@ -886,15 +838,24 @@ mod tests {
         let mut s = host();
         let rows: Vec<BitRow> = (0..4).map(|_| s.alloc().unwrap()).collect();
         let (a, b, c, out) = (rows[0], rows[1], rows[2], rows[3]);
-        s.write(a, &[false, false, true, true, false, false, true, true])
-            .unwrap();
-        s.write(b, &[false, true, false, true, false, true, false, true])
-            .unwrap();
-        s.write(c, &[false, false, false, false, true, true, true, true])
-            .unwrap();
+        put(
+            &mut s,
+            a,
+            &[false, false, true, true, false, false, true, true],
+        );
+        put(
+            &mut s,
+            b,
+            &[false, true, false, true, false, true, false, true],
+        );
+        put(
+            &mut s,
+            c,
+            &[false, false, false, false, true, true, true, true],
+        );
         s.maj3(a, b, c, out).unwrap();
         assert_eq!(
-            s.read(out).unwrap(),
+            get(&mut s, out),
             vec![false, false, false, true, false, true, true, true]
         );
         assert!(!s.has_native_maj(), "host uses the derived circuit");
@@ -922,7 +883,7 @@ mod tests {
         assert_eq!(in_dram.len(), 1, "native MAJ is a single operation");
         assert!(matches!(in_dram[0].op, NativeOp::Maj));
         // MAJ(1,1,0) = 1 on most lanes.
-        let got = s.read(out).unwrap();
+        let got = get(&mut s, out);
         let ones = got.iter().filter(|x| **x).count();
         assert!(ones * 2 > got.len(), "{ones}/{} lanes correct", got.len());
     }

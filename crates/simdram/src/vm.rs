@@ -9,6 +9,7 @@ use crate::error::{Result, SimdramError};
 use crate::layout::{check_width, UintVec};
 use crate::substrate::{BitRow, Substrate};
 use crate::trace::OpTrace;
+use fcdram::PackedBits;
 use serde::{Deserialize, Serialize};
 
 /// Which full-adder circuit word arithmetic ripples through.
@@ -191,22 +192,22 @@ impl<S: Substrate> SimdVm<S> {
         }
     }
 
-    /// Writes one bit per lane into a mask row.
+    /// Writes one bit per lane into a mask row (packed on the way in).
     ///
     /// # Errors
     ///
     /// Fails on lane-count mismatch or an invalid handle.
     pub fn write_mask(&mut self, r: BitRow, bits: &[bool]) -> Result<()> {
-        self.sub.write(r, bits)
+        self.sub.write_packed(r, &PackedBits::from_bools(bits))
     }
 
-    /// Reads a mask row back.
+    /// Reads a mask row back (unpacked on the way out).
     ///
     /// # Errors
     ///
     /// Fails on an invalid handle.
     pub fn read_mask(&mut self, r: BitRow) -> Result<Vec<bool>> {
-        self.sub.read(r)
+        Ok(self.sub.read_packed(r)?.to_bools())
     }
 
     /// Leases `n` rows at once, all-or-nothing: when the pool cannot
@@ -323,7 +324,7 @@ impl<S: Substrate> SimdVm<S> {
     ///
     /// Fails on invalid handles.
     pub fn read_u64(&mut self, v: &UintVec) -> Result<Vec<u64>> {
-        let rows: Vec<fcdram::PackedBits> = v
+        let rows: Vec<PackedBits> = v
             .bits()
             .iter()
             .map(|r| self.sub.read_packed(*r))

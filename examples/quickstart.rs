@@ -37,8 +37,10 @@ fn main() -> Result<(), FcdramError> {
     engine.write(&a, &data_a)?;
     engine.write(&b, &data_b)?;
 
-    // In-DRAM NOT (bitline-bar coupling across the shared stripe).
-    let stats = engine.not(&a, &out)?;
+    // In-DRAM NOT (bitline-bar coupling across the shared stripe). A
+    // gate also returns the bits it stored; `None` means the engine
+    // reads the operand back itself instead of being handed its value.
+    let (stats, _stored) = engine.not(&a, None, &out)?;
     println!(
         "NOT  : accuracy {:>6.2}%  (model predicted {:>6.2}%)",
         stats.accuracy * 100.0,

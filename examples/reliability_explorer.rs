@@ -36,8 +36,8 @@ fn main() -> Result<(), FcdramError> {
     println!("-- success vs input count (single execution) --");
     for n in [2usize, 4, 8] {
         let ins: Vec<&fcdram::BitVecHandle> = handles.iter().take(n).collect();
-        let and = engine.logic(LogicOp::And, &ins, &out)?;
-        let or = engine.logic(LogicOp::Or, &ins, &out)?;
+        let and = engine.logic(LogicOp::And, &ins, None, &out)?.0;
+        let or = engine.logic(LogicOp::Or, &ins, None, &out)?.0;
         println!(
             "{n:>2} inputs : AND {:>6.2}%   OR {:>6.2}%",
             and.accuracy * 100.0,
@@ -53,7 +53,7 @@ fn main() -> Result<(), FcdramError> {
             .sim_config()
             .with_temperature(Temperature::celsius(t));
         engine.configure(cfg);
-        let stats = engine.logic(LogicOp::And, &ins, &out)?;
+        let stats = engine.logic(LogicOp::And, &ins, None, &out)?.0;
         println!(
             "{t:>5.0}°C : AND-4 {:>6.2}% (model {:>6.2}%)",
             stats.accuracy * 100.0,
@@ -68,7 +68,7 @@ fn main() -> Result<(), FcdramError> {
     let ins: Vec<&fcdram::BitVecHandle> = handles.iter().take(2).collect();
     for k in [1usize, 3, 9] {
         engine.set_repetition(k);
-        let stats = engine.logic(LogicOp::And, &ins, &out)?;
+        let stats = engine.logic(LogicOp::And, &ins, None, &out)?.0;
         println!(
             "k = {k}   : {:>6.2}% ({} executions)",
             stats.accuracy * 100.0,

@@ -336,10 +336,10 @@ fn engine_identical_in_both_fidelity_modes() {
         let db: Vec<bool> = (0..bits).map(|i| i % 5 != 0).collect();
         e.write(&a, &da).unwrap();
         e.write(&b, &db).unwrap();
-        let mut stats = vec![e.not(&a, &out).unwrap()];
+        let mut stats = vec![e.not(&a, None, &out).unwrap().0];
         let mut reads = vec![e.read(&out).unwrap()];
         for op in LogicOp::ALL {
-            stats.push(e.logic(op, &[&a, &b], &out).unwrap());
+            stats.push(e.logic(op, &[&a, &b], None, &out).unwrap().0);
             reads.push(e.read(&out).unwrap());
         }
         (stats, reads)

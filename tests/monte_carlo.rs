@@ -106,7 +106,7 @@ fn engine_copy_accuracy_matches_prediction() {
     let mut in_dram = 0usize;
     for _ in 0..trials {
         e.write(&a, &data).unwrap();
-        let stats = e.copy(&a, &b).unwrap();
+        let (stats, _) = e.copy(&a, None, &b).unwrap();
         predicted += stats.predicted_success;
         observed += stats.accuracy;
         in_dram += stats.executions;
