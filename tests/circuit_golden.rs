@@ -16,13 +16,13 @@
 use dram_core::math::mix2;
 use dram_core::{BankId, LogicOp, SimConfig, SubarrayId};
 use fcdram::{BulkEngine, Fcdram};
-use simdram::{AdderKind, BitRow, DramSubstrate, NativeOp, SimdVm, UintVec};
+use simdram::{
+    AdderKind, BitRow, DramSubstrate, HostSubstrate, NativeOp, SimdVm, Substrate, UintVec,
+};
 
 const COLS: usize = 1024;
 
-type Vm = SimdVm<DramSubstrate>;
-
-fn vm(chip: &str, repetition: usize) -> Vm {
+fn vm(chip: &str, repetition: usize) -> SimdVm<DramSubstrate> {
     let cfg = dram_core::config::table1()
         .into_iter()
         .find(|m| m.name == chip)
@@ -53,7 +53,7 @@ fn op_code(op: NativeOp) -> u64 {
 
 /// Every trace entry since the last clear: op, fan-in, executions and
 /// `predicted_success` bits.
-fn trace_digest(vm: &Vm) -> u64 {
+fn trace_digest<S: Substrate>(vm: &SimdVm<S>) -> u64 {
     let entries = vm.trace().entries();
     entries.iter().fold(entries.len() as u64, |h, e| {
         let h = mix2(h, op_code(e.op));
@@ -73,7 +73,7 @@ fn fold_bools(h: u64, bits: &[bool]) -> u64 {
         .fold(mix2(h, bits.len() as u64), |h, b| mix2(h, u64::from(*b)))
 }
 
-fn mask(vm: &mut Vm, seed: u64) -> BitRow {
+fn mask<S: Substrate>(vm: &mut SimdVm<S>, seed: u64) -> BitRow {
     let lanes = vm.lanes();
     let bits: Vec<bool> = (0..lanes).map(|i| mix2(seed, i as u64) & 1 == 1).collect();
     let r = vm.alloc_row().unwrap();
@@ -81,7 +81,7 @@ fn mask(vm: &mut Vm, seed: u64) -> BitRow {
     r
 }
 
-fn uint(vm: &mut Vm, width: usize, seed: u64) -> UintVec {
+fn uint<S: Substrate>(vm: &mut SimdVm<S>, width: usize, seed: u64) -> UintVec {
     let lanes = vm.lanes();
     let values: Vec<u64> = (0..lanes)
         .map(|i| mix2(seed, i as u64) & ((1 << width) - 1))
@@ -92,13 +92,13 @@ fn uint(vm: &mut Vm, width: usize, seed: u64) -> UintVec {
 }
 
 /// Reads `r` back, folds it into `h` and frees it.
-fn take_row(vm: &mut Vm, h: u64, r: BitRow) -> u64 {
+fn take_row<S: Substrate>(vm: &mut SimdVm<S>, h: u64, r: BitRow) -> u64 {
     let bits = vm.read_mask(r).unwrap();
     vm.release(r);
     fold_bools(h, &bits)
 }
 
-fn take_uint(vm: &mut Vm, h: u64, v: UintVec) -> u64 {
+fn take_uint<S: Substrate>(vm: &mut SimdVm<S>, h: u64, v: UintVec) -> u64 {
     let values = vm.read_u64(&v).unwrap();
     vm.free_uint(v);
     fold_u64s(h, &values)
@@ -106,97 +106,111 @@ fn take_uint(vm: &mut Vm, h: u64, v: UintVec) -> u64 {
 
 /// One circuit: returns the digest of its results and frees every row
 /// it allocated.
-type Circuit = fn(&mut Vm) -> u64;
+type Circuit<S> = fn(&mut SimdVm<S>) -> u64;
 
 /// The circuits, in order.
-const CIRCUITS: &[(&str, Circuit)] = &[
-    ("xor", |vm| {
-        let (a, b) = (mask(vm, 1), mask(vm, 2));
-        let x = vm.xor(a, b).unwrap();
-        vm.release(a);
-        vm.release(b);
-        take_row(vm, 0, x)
-    }),
-    ("mux", |vm| {
-        let (s, a, b) = (mask(vm, 3), mask(vm, 4), mask(vm, 5));
-        let m = vm.mux(s, a, b).unwrap();
-        for r in [s, a, b] {
-            vm.release(r);
-        }
-        take_row(vm, 0, m)
-    }),
-    ("maj", |vm| {
-        let (a, b, c) = (mask(vm, 6), mask(vm, 7), mask(vm, 8));
-        let m = vm.maj(a, b, c).unwrap();
-        for r in [a, b, c] {
-            vm.release(r);
-        }
-        take_row(vm, 0, m)
-    }),
-    ("maj_fused", |vm| {
-        let (a, b, c) = (mask(vm, 9), mask(vm, 10), mask(vm, 11));
-        let m = vm.maj_fused(a, b, c).unwrap();
-        for r in [a, b, c] {
-            vm.release(r);
-        }
-        take_row(vm, 0, m)
-    }),
-    ("add8_fc", |vm| {
-        vm.set_adder(AdderKind::FcGates);
-        let (a, b) = (uint(vm, 8, 12), uint(vm, 8, 13));
-        let s = vm.add(&a, &b).unwrap();
-        vm.free_uint(a);
-        vm.free_uint(b);
-        take_uint(vm, 0, s)
-    }),
-    ("add8_fused", |vm| {
-        vm.set_adder(AdderKind::FusedMaj);
-        let (a, b) = (uint(vm, 8, 14), uint(vm, 8, 15));
-        let s = vm.add(&a, &b).unwrap();
-        vm.set_adder(AdderKind::FcGates);
-        vm.free_uint(a);
-        vm.free_uint(b);
-        take_uint(vm, 0, s)
-    }),
-    ("mul4x4", |vm| {
-        let (a, b) = (uint(vm, 4, 16), uint(vm, 4, 17));
-        let p = vm.mul(&a, &b).unwrap();
-        vm.free_uint(a);
-        vm.free_uint(b);
-        take_uint(vm, 0, p)
-    }),
-    ("hamming", |vm| {
-        let (a, b) = (uint(vm, 8, 18), uint(vm, 8, 19));
-        let d = vm.hamming(&a, &b).unwrap();
-        vm.free_uint(a);
-        vm.free_uint(b);
-        take_uint(vm, 0, d)
-    }),
-    ("and20", |vm| {
-        // 20 inputs reduce over more than one level on both parts, and
-        // a one-input AND is a copy.
-        let ins: Vec<BitRow> = (0..20).map(|i| mask(vm, 100 + i)).collect();
-        let wide = vm.bit_and(&ins).unwrap();
-        let single = vm.bit_and(&ins[..1]).unwrap();
-        for r in ins {
-            vm.release(r);
-        }
-        let h = take_row(vm, 0, wide);
-        take_row(vm, h, single)
-    }),
-    ("shift", |vm| {
-        let a = uint(vm, 8, 20);
-        let l = vm.shl(&a, 3).unwrap();
-        let r = vm.shr(&a, 2).unwrap();
-        vm.free_uint(a);
-        let h = take_uint(vm, 0, l);
-        take_uint(vm, h, r)
-    }),
-    ("mask_io", |vm| {
-        let a = mask(vm, 21);
-        take_row(vm, 0, a)
-    }),
-];
+fn circuits<S: Substrate>() -> [(&'static str, Circuit<S>); 11] {
+    [
+        ("xor", |vm| {
+            let (a, b) = (mask(vm, 1), mask(vm, 2));
+            let x = vm.xor(a, b).unwrap();
+            vm.release(a);
+            vm.release(b);
+            take_row(vm, 0, x)
+        }),
+        ("mux", |vm| {
+            let (s, a, b) = (mask(vm, 3), mask(vm, 4), mask(vm, 5));
+            let m = vm.mux(s, a, b).unwrap();
+            for r in [s, a, b] {
+                vm.release(r);
+            }
+            take_row(vm, 0, m)
+        }),
+        ("maj", |vm| {
+            let (a, b, c) = (mask(vm, 6), mask(vm, 7), mask(vm, 8));
+            let m = vm.maj(a, b, c).unwrap();
+            for r in [a, b, c] {
+                vm.release(r);
+            }
+            take_row(vm, 0, m)
+        }),
+        ("maj_fused", |vm| {
+            let (a, b, c) = (mask(vm, 9), mask(vm, 10), mask(vm, 11));
+            let m = vm.maj_fused(a, b, c).unwrap();
+            for r in [a, b, c] {
+                vm.release(r);
+            }
+            take_row(vm, 0, m)
+        }),
+        ("add8_fc", |vm| {
+            vm.set_adder(AdderKind::FcGates);
+            let (a, b) = (uint(vm, 8, 12), uint(vm, 8, 13));
+            let s = vm.add(&a, &b).unwrap();
+            vm.free_uint(a);
+            vm.free_uint(b);
+            take_uint(vm, 0, s)
+        }),
+        ("add8_fused", |vm| {
+            vm.set_adder(AdderKind::FusedMaj);
+            let (a, b) = (uint(vm, 8, 14), uint(vm, 8, 15));
+            let s = vm.add(&a, &b).unwrap();
+            vm.set_adder(AdderKind::FcGates);
+            vm.free_uint(a);
+            vm.free_uint(b);
+            take_uint(vm, 0, s)
+        }),
+        ("mul4x4", |vm| {
+            let (a, b) = (uint(vm, 4, 16), uint(vm, 4, 17));
+            let p = vm.mul(&a, &b).unwrap();
+            vm.free_uint(a);
+            vm.free_uint(b);
+            take_uint(vm, 0, p)
+        }),
+        ("hamming", |vm| {
+            let (a, b) = (uint(vm, 8, 18), uint(vm, 8, 19));
+            let d = vm.hamming(&a, &b).unwrap();
+            vm.free_uint(a);
+            vm.free_uint(b);
+            take_uint(vm, 0, d)
+        }),
+        ("and20", |vm| {
+            // 20 inputs reduce over more than one level on both parts, and
+            // a one-input AND is a copy.
+            let ins: Vec<BitRow> = (0..20).map(|i| mask(vm, 100 + i)).collect();
+            let wide = vm.bit_and(&ins).unwrap();
+            let single = vm.bit_and(&ins[..1]).unwrap();
+            for r in ins {
+                vm.release(r);
+            }
+            let h = take_row(vm, 0, wide);
+            take_row(vm, h, single)
+        }),
+        ("shift", |vm| {
+            let a = uint(vm, 8, 20);
+            let l = vm.shl(&a, 3).unwrap();
+            let r = vm.shr(&a, 2).unwrap();
+            vm.free_uint(a);
+            let h = take_uint(vm, 0, l);
+            take_uint(vm, h, r)
+        }),
+        ("mask_io", |vm| {
+            let a = mask(vm, 21);
+            take_row(vm, 0, a)
+        }),
+    ]
+}
+
+/// `[result digest, trace digest, trace length]` per circuit on `vm`.
+fn observe_vm<S: Substrate>(vm: &mut SimdVm<S>) -> Vec<[u64; 3]> {
+    circuits::<S>()
+        .iter()
+        .map(|(_, circuit)| {
+            vm.clear_trace();
+            let result = circuit(vm);
+            [result, trace_digest(vm), vm.trace().len() as u64]
+        })
+        .collect()
+}
 
 /// `[result digest, trace digest, trace length]` per circuit, for
 /// each `(chip, repetition)` configuration in order.
@@ -207,14 +221,7 @@ fn observe() -> Vec<Vec<[u64; 3]>> {
         "hynix-8Gb-M-2666-#0".to_string(),
     ] {
         for repetition in [1, 3] {
-            let mut vm = vm(&chip, repetition);
-            let mut rows = Vec::new();
-            for (_, circuit) in CIRCUITS {
-                vm.clear_trace();
-                let result = circuit(&mut vm);
-                rows.push([result, trace_digest(&vm), vm.trace().len() as u64]);
-            }
-            out.push(rows);
+            out.push(observe_vm(&mut vm(&chip, repetition)));
         }
     }
     out
@@ -277,12 +284,32 @@ const GOLDEN: &[&[[u64; 3]]] = &[
     ],
 ];
 
-#[test]
-fn dram_circuits_are_pinned() {
-    let got = observe();
+/// The same circuits on the exact host substrate at the DRAM runs'
+/// lane count. Host results are a pure function of the circuits, so
+/// this pin never moves with the device model.
+#[rustfmt::skip]
+const HOST_GOLDEN: &[&[[u64; 3]]] = &[
+    &[
+        [0x573f4cd5f148485d, 0x0c68a04ff2d35f75, 0x0000000000000006],
+        [0x7551a3a656426e40, 0xa1a10abac1acde42, 0x0000000000000008],
+        [0x6b1b4aa591d66480, 0x1e8d34d5fe22b035, 0x0000000000000008],
+        [0xdccb561d3fd66d6b, 0x1e8d34d5fe22b035, 0x0000000000000008],
+        [0xae222df843537e5f, 0x7cf555880d2df880, 0x0000000000000070],
+        [0xe96b9806e8d728be, 0x407e83a6d43f0ec5, 0x0000000000000078],
+        [0xfec201587a2b5527, 0x77fdb0e1fc37fc89, 0x0000000000000150],
+        [0x6ab47a9435597517, 0x077dae869550a4b9, 0x00000000000000a7],
+        [0x8e71f13c73f494a1, 0xdc0e38d62013caf7, 0x000000000000001a],
+        [0x8f1a33e207f3966b, 0xad15ba5dbef1d32c, 0x0000000000000030],
+        [0xf04c10f132fff9d1, 0x5c824ea21da77fb6, 0x0000000000000002],
+    ],
+];
+
+/// Compares `got` against `want`, printing the observed table first
+/// when `FCDRAM_PRINT_GOLDEN` is set.
+fn check(label: &str, got: &[Vec<[u64; 3]>], want: &[&[[u64; 3]]]) {
     if std::env::var_os("FCDRAM_PRINT_GOLDEN").is_some() {
-        println!("const GOLDEN: &[&[[u64; 3]]] = &[");
-        for rows in &got {
+        println!("{label}: &[&[[u64; 3]]] = &[");
+        for rows in got {
             println!("    &[");
             for row in rows {
                 let row: Vec<String> = row.iter().map(|b| format!("{b:#018x}")).collect();
@@ -292,15 +319,23 @@ fn dram_circuits_are_pinned() {
         }
         println!("];");
     }
-    assert_eq!(
-        got.len(),
-        GOLDEN.len(),
-        "one golden block per configuration"
-    );
-    for (c, (rows, want)) in got.iter().zip(GOLDEN).enumerate() {
+    assert_eq!(got.len(), want.len(), "one golden block per configuration");
+    let names = circuits::<HostSubstrate>().map(|(name, _)| name);
+    for (c, (rows, want)) in got.iter().zip(want).enumerate() {
         assert_eq!(rows.len(), want.len(), "configuration {c}: circuit count");
-        for ((name, _), (row, w)) in CIRCUITS.iter().zip(rows.iter().zip(want.iter())) {
-            assert_eq!(row, w, "configuration {c}, circuit {name}");
+        for (name, (row, w)) in names.iter().zip(rows.iter().zip(want.iter())) {
+            assert_eq!(row, w, "{label} configuration {c}, circuit {name}");
         }
     }
+}
+
+#[test]
+fn dram_circuits_are_pinned() {
+    check("GOLDEN", &observe(), GOLDEN);
+}
+
+#[test]
+fn host_circuits_are_pinned() {
+    let mut vm = SimdVm::new(HostSubstrate::new(COLS / 2, 4096)).unwrap();
+    check("HOST_GOLDEN", &[observe_vm(&mut vm)], HOST_GOLDEN);
 }
