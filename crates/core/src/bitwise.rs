@@ -11,7 +11,9 @@ use crate::error::{FcdramError, Result};
 use crate::mapping::{ActivationMap, InSubarrayEntry, PatternEntry};
 use crate::ops::{Fcdram, Prelude};
 use crate::packed::PackedBits;
-use dram_core::{BankId, Bit, GlobalRow, LocalRow, LogicOp, SimFidelity, SubarrayId};
+use dram_core::{
+    BankId, Bit, GlobalRow, LocalRow, LogicOp, MultiActivation, SimFidelity, SubarrayId,
+};
 use serde::{Deserialize, Serialize};
 use std::borrow::{Borrow, Cow};
 use std::collections::BTreeSet;
@@ -551,14 +553,13 @@ impl BulkEngine {
     ///
     /// Both vectors live in the compute subarray, so the copy is a
     /// sub-`tRP` `ACT → PRE → ACT` pair that never moves data over the
-    /// channel. Row pairs that do not clone on this chip (the decoder
-    /// glitch predicate rejects them) fall back to a host write of the
-    /// source value, reported with `executions: 0`.
+    /// channel. Pairs that would not raise exactly these two rows
+    /// ([`Self::clones`] is false) never issue it; they take a host
+    /// write of the source value, reported with `executions: 0`.
     ///
     /// # Errors
     ///
-    /// Propagates device addressing errors; the non-cloning-pair case
-    /// is handled internally by the fallback.
+    /// Propagates device addressing errors.
     pub fn copy(
         &mut self,
         a: &BitVecHandle,
@@ -569,30 +570,48 @@ impl BulkEngine {
             Some(v) => Cow::Borrowed(v),
             None => Cow::Owned(self.read_packed(a)?),
         };
+        if !self.clones(a, out) {
+            self.write_packed(out, &val)?;
+            let stats = OpStats {
+                executions: 0,
+                accuracy: 1.0,
+                predicted_success: 1.0,
+            };
+            return Ok((stats, val.into_owned()));
+        }
         // RowClone reads the source row on-device: any deferred fused
         // result write must land first.
         self.flush_pending()?;
-        match self.fc.rowclone(self.bank, a.row, out.row) {
-            Ok(outcome) => {
-                let got = self.read_packed(out)?;
-                let predicted = outcome.mean_success(dram_core::CellRole::CloneDst);
-                let stats = OpStats {
-                    executions: 1,
-                    accuracy: got.accuracy_against(&val),
-                    predicted_success: predicted.unwrap_or(1.0),
-                };
-                Ok((stats, got))
-            }
-            Err(_) => {
-                self.write_packed(out, &val)?;
-                let stats = OpStats {
-                    executions: 0,
-                    accuracy: 1.0,
-                    predicted_success: 1.0,
-                };
-                Ok((stats, val.into_owned()))
-            }
-        }
+        let outcome = self.fc.rowclone(self.bank, a.row, out.row)?;
+        let got = self.read_packed(out)?;
+        let predicted = outcome.mean_success(dram_core::CellRole::CloneDst);
+        let stats = OpStats {
+            executions: 1,
+            accuracy: got.accuracy_against(&val),
+            predicted_success: predicted.unwrap_or(1.0),
+        };
+        Ok((stats, got))
+    }
+
+    /// Whether RowClone from `src` to `dst` raises exactly those two
+    /// rows on this chip's decoder. A same-subarray `ACT → PRE → ACT`
+    /// may raise more rows (merged predecode groups, as SiMRA shows on
+    /// real parts) and copy the source into all of them, so every
+    /// other pair takes the host-write fallback.
+    pub fn clones(&self, src: &BitVecHandle, dst: &BitVecHandle) -> bool {
+        let geom = self.fc.config().geometry();
+        let (Ok((_, s)), Ok((_, d)), Some(chip)) = (
+            geom.split_row(src.row),
+            geom.split_row(dst.row),
+            self.fc.bender().module().chip(self.fc.chip()),
+        ) else {
+            return false;
+        };
+        matches!(
+            chip.decoder().activation(&geom, src.row, dst.row),
+            MultiActivation::SameSubarray { rows }
+                if rows.len() == 2 && rows.contains(&s) && rows.contains(&d)
+        )
     }
 
     /// Fills a vector with a constant bit (a host row write; see
@@ -892,45 +911,77 @@ mod tests {
     #[test]
     fn ops_never_corrupt_unrelated_vectors() {
         // The allocation pool must be disjoint from the reserved
-        // operation scratch rows: filling every allocatable vector
-        // with known data and then executing each operation kind must
-        // leave all uninvolved vectors bit-identical.
-        let mut e = engine();
-        let mut handles = Vec::new();
-        while let Ok(h) = e.alloc() {
-            handles.push(h);
-        }
-        assert!(handles.len() >= 8, "pool too small: {}", handles.len());
-        let snapshots: Vec<Vec<bool>> = handles
-            .iter()
-            .enumerate()
-            .map(|(i, h)| {
-                let data = bits(1000 + i as u64, 32);
-                e.write(h, &data).unwrap();
-                data
-            })
-            .collect();
-
-        let (a, b, c, out) = (handles[0], handles[1], handles[2], handles[3]);
-        e.not(&a, None, &out).unwrap();
-        e.and(&[&a, &b], &out).unwrap();
-        e.nor(&[&a, &b, &c], &out).unwrap();
-        e.copy(&a, None, &out).unwrap();
-        if e.has_native_maj() {
-            e.maj3(&a, &b, &c, &out).unwrap();
-        }
-
-        for (i, h) in handles.iter().enumerate().skip(4) {
-            assert_eq!(
-                e.read(h).unwrap(),
-                snapshots[i],
-                "vector {i} was corrupted by an unrelated operation"
+        // operation scratch rows, and a copy must never raise a third
+        // row: on every Table-1 part that builds an engine, fill every
+        // allocatable vector with known data, run each operation kind
+        // and many copies between pool pairs, and every vector must
+        // still hold what was last written to it.
+        let mut parts = 0;
+        for cfg in table1() {
+            let name = cfg.name.clone();
+            let Ok(mut e) = BulkEngine::new(
+                Fcdram::new(cfg.with_modeled_cols(64)),
+                BankId(0),
+                SubarrayId(0),
+            ) else {
+                continue;
+            };
+            parts += 1;
+            let mut handles = Vec::new();
+            while let Ok(h) = e.alloc() {
+                handles.push(h);
+            }
+            assert!(
+                handles.len() >= 8,
+                "{name}: pool too small: {}",
+                handles.len()
             );
+            let mut held: Vec<PackedBits> = handles
+                .iter()
+                .enumerate()
+                .map(|(i, h)| {
+                    let data = PackedBits::from_bools(&bits(1000 + i as u64, 32));
+                    e.write_packed(h, &data).unwrap();
+                    data
+                })
+                .collect();
+            let (a, b, c) = (handles[0], handles[1], handles[2]);
+            // Each gate the part offers.
+            if e.not_entry().is_ok() {
+                held[3] = e.not(&a, None, &handles[3]).unwrap().1;
+            }
+            if e.logic_entry(3).is_ok() {
+                held[3] = e
+                    .logic(LogicOp::And, &[&a, &b], None, &handles[3])
+                    .unwrap()
+                    .1;
+                held[3] = e
+                    .logic(LogicOp::Nor, &[&a, &b, &c], None, &handles[3])
+                    .unwrap()
+                    .1;
+            }
+            if e.has_native_maj() {
+                e.maj3(&a, &b, &c, &handles[3]).unwrap();
+                held[3] = e.read_packed(&handles[3]).unwrap();
+            }
+            let n = handles.len() as u64;
+            for k in 0..40u64 {
+                let src = (dram_core::math::mix2(7, k) % n) as usize;
+                let dst = (dram_core::math::mix2(8, k) % n) as usize;
+                if src == dst {
+                    continue;
+                }
+                held[dst] = e.copy(&handles[src], None, &handles[dst]).unwrap().1;
+            }
+            for (i, h) in handles.iter().enumerate() {
+                assert_eq!(
+                    e.read_packed(h).unwrap(),
+                    held[i],
+                    "{name}: vector {i} was corrupted by an unrelated operation"
+                );
+            }
         }
-        // The inputs themselves also survive (operands are staged).
-        for (i, h) in [a, b, c].iter().enumerate() {
-            assert_eq!(e.read(h).unwrap(), snapshots[i], "input {i} clobbered");
-        }
+        assert!(parts >= 12, "only {parts} parts build an engine");
     }
 
     #[test]

@@ -344,27 +344,18 @@ impl BenderBackend {
         Ok((result, (out.row(), full)))
     }
 
-    /// One prepared in-subarray RowClone as a command schedule: on a
-    /// cloning pair the destination row's actual content is read once
-    /// to keep the tracked value honest; pairs the decoder predicate
-    /// rejects take the host write of the tracked value, exactly like
-    /// `BulkEngine::copy`.
+    /// One prepared copy: [`BulkEngine::copy`] itself, so both backends
+    /// take the same RowClone-or-host-write decision
+    /// ([`BulkEngine::clones`]). It counts as one native operation
+    /// either way, as the VM backend traces it.
     fn prepared_copy(
         &mut self,
         src: &BitVecHandle,
         val: &PackedBits,
         out: &BitVecHandle,
     ) -> Result<PackedBits> {
-        let bank = self.engine.bank();
-        let mut b = ProgramBuilder::new(self.speed);
-        b.seq_copy_invert(bank, src.row(), out.row());
-        let outcome = self.run_schedule(&b.finish())?;
-        if matches!(outcome, Some(OutcomeKind::InSubarray { .. })) {
-            self.read_result_row(out.row())
-        } else {
-            self.engine.write_packed(out, val)?;
-            Ok(val.clone())
-        }
+        self.native_ops += 1;
+        Ok(self.engine.copy(src, Some(val), out)?.1)
     }
 
     /// Returns a row to the engine's pool; the shared constant rows

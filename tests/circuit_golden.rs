@@ -227,7 +227,10 @@ fn observe() -> Vec<Vec<[u64; 3]>> {
     out
 }
 
-/// Captured before the substrate gates took optional operand values.
+/// Captured before the substrate gates took optional operand values;
+/// the `hamming`, `and20` and `shift` rows were re-captured when copies
+/// stopped issuing RowClone on pairs that raise more than two rows (those
+/// circuits copy between such pairs, which now take the host write).
 #[rustfmt::skip]
 const GOLDEN: &[&[[u64; 3]]] = &[
     &[
@@ -238,9 +241,9 @@ const GOLDEN: &[&[[u64; 3]]] = &[
         [0x78ff98cf9ca082bd, 0xab112cc51515e16f, 0x0000000000000070],
         [0x52c3775a23bbb4c5, 0x49d384ad0e084831, 0x0000000000000060],
         [0xa26c388388bec277, 0x38fce71849355915, 0x0000000000000150],
-        [0x5e3f44f684609c4d, 0x6b2dec7104357b15, 0x00000000000000a7],
-        [0x4c0e20aa0d2c397b, 0xc7f41e0fffeeaf5d, 0x000000000000001a],
-        [0x8bd8880fba4a150c, 0x43908a5b4c9f063c, 0x0000000000000030],
+        [0xca71ee294eaae797, 0x0cdd3e4ba9189599, 0x00000000000000a7],
+        [0xc2e0e54fb1fd15cb, 0x9870a0d845dc46a5, 0x000000000000001a],
+        [0x8f1a33e207f3966b, 0xb3b5f416e0fb6f8c, 0x0000000000000030],
         [0xf04c10f132fff9d1, 0x82622515da682178, 0x0000000000000002],
     ],
     &[
@@ -251,9 +254,9 @@ const GOLDEN: &[&[[u64; 3]]] = &[
         [0xee80920dc4365df8, 0x7600227009d44fc0, 0x0000000000000070],
         [0xa55c3b827f993ca2, 0x8fcc53cc88c8987f, 0x0000000000000060],
         [0xa8a6ce3569875be9, 0x88ed339f6d70a171, 0x0000000000000150],
-        [0x6d1bb4635c367d0f, 0x50dfd6bf6fd3e710, 0x00000000000000a7],
-        [0x176345aef12847e3, 0xf40432b2a4c32a5f, 0x000000000000001a],
-        [0xbe3c201c89fed1a3, 0x43908a5b4c9f063c, 0x0000000000000030],
+        [0x92d2d631ff62e465, 0x495b607d222c0874, 0x00000000000000a7],
+        [0x9d0937ea1b56ed44, 0x174c9f8e3dcb3abd, 0x000000000000001a],
+        [0x8f1a33e207f3966b, 0xb3b5f416e0fb6f8c, 0x0000000000000030],
         [0xf04c10f132fff9d1, 0x82622515da682178, 0x0000000000000002],
     ],
     &[
@@ -264,9 +267,9 @@ const GOLDEN: &[&[[u64; 3]]] = &[
         [0xc31f6375a507ed1b, 0x6752c3edf0d3b823, 0x0000000000000070],
         [0xcd33cd64e17ac48a, 0x61a463991f19d91c, 0x0000000000000060],
         [0xc932b0fa90df852d, 0xde6f544bd3234854, 0x0000000000000150],
-        [0x1b15d800dee106bb, 0xeb52a1ced53c0e9d, 0x00000000000000a7],
-        [0xa725d909c652ffc5, 0x210ea1a946d5fc08, 0x000000000000001b],
-        [0x764254e9e19ac07a, 0xbe7c18ba600dd9ce, 0x0000000000000030],
+        [0x3b1b40f55aa921ef, 0x93589dd1b4f29eb4, 0x00000000000000a7],
+        [0x8e71f13c73f494a1, 0x10cbe110f2a3d2d5, 0x000000000000001b],
+        [0x8f1a33e207f3966b, 0xade578c34f365411, 0x0000000000000030],
         [0xf04c10f132fff9d1, 0x82622515da682178, 0x0000000000000002],
     ],
     &[
@@ -277,9 +280,9 @@ const GOLDEN: &[&[[u64; 3]]] = &[
         [0x0497d715a2dd12b3, 0xe96ef108c3013531, 0x0000000000000070],
         [0xb0ddbdb0bae7692a, 0x10d4ee1e816f0a26, 0x0000000000000060],
         [0xae3dbd83f1608312, 0x127ac4671461ac81, 0x0000000000000150],
-        [0x34b4c664772f3129, 0x552d92bcd2f12275, 0x00000000000000a7],
-        [0xa725d909c652ffc5, 0x3ef4cd0b5a5ffd49, 0x000000000000001b],
-        [0x32eb51324afd75a2, 0xbe7c18ba600dd9ce, 0x0000000000000030],
+        [0x3820cae764577b58, 0xd4c7f426b62b421c, 0x00000000000000a7],
+        [0x8e71f13c73f494a1, 0x57bfff7abc190d0f, 0x000000000000001b],
+        [0x8f1a33e207f3966b, 0xade578c34f365411, 0x0000000000000030],
         [0xf04c10f132fff9d1, 0x82622515da682178, 0x0000000000000002],
     ],
 ];
