@@ -8,8 +8,8 @@
 //! `BENCH_engine.json` summary at the repository root.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dram_core::{BankId, SubarrayId};
-use fcdram::{BulkEngine, Fcdram};
+use dram_core::{BankId, LogicOp, SubarrayId};
+use fcdram::{BulkEngine, Fcdram, PackedBits};
 
 fn engine(cols: usize) -> BulkEngine {
     let cfg = dram_core::config::table1()
@@ -28,6 +28,7 @@ fn bench(c: &mut Criterion) {
     let db: Vec<bool> = (0..bits).map(|i| i % 5 != 0).collect();
     e.write(&a, &da).unwrap();
     e.write(&bv, &db).unwrap();
+    let (pa, pb) = (PackedBits::from_bools(&da), PackedBits::from_bools(&db));
 
     c.bench_function("engine_write_read_roundtrip", |b| {
         b.iter(|| {
@@ -37,14 +38,13 @@ fn bench(c: &mut Criterion) {
     });
 
     c.bench_function("engine_not", |b| {
-        b.iter(|| black_box(e.not(&a, None, &out).unwrap()));
+        b.iter(|| black_box(e.not(&pa, &out).unwrap()));
     });
 
     for n in [2usize, 4, 8] {
         c.bench_function(format!("engine_and_{n}_inputs"), |b| {
-            let ins: Vec<&fcdram::BitVecHandle> =
-                std::iter::repeat_n(&a, n - 1).chain([&bv]).collect();
-            b.iter(|| black_box(e.and(&ins, &out).unwrap()));
+            let ins: Vec<&PackedBits> = std::iter::repeat_n(&pa, n - 1).chain([&pb]).collect();
+            b.iter(|| black_box(e.logic(LogicOp::And, &ins, &out).unwrap()));
         });
     }
 
@@ -54,7 +54,7 @@ fn bench(c: &mut Criterion) {
         group.bench_function(format!("vote_{k}"), |b| {
             e.set_repetition(k);
             b.iter(|| {
-                let stats = e.and(&[&a, &bv], &out).unwrap();
+                let stats = e.logic(LogicOp::And, &[&pa, &pb], &out).unwrap().0;
                 assert_eq!(stats.executions, k);
                 black_box(stats)
             });
@@ -85,13 +85,14 @@ fn width_sweep(c: &mut Criterion) {
         let db: Vec<bool> = (0..bits).map(|i| i % 5 != 0).collect();
         e.write(&a, &da).unwrap();
         e.write(&bv, &db).unwrap();
-        let ins8: Vec<&fcdram::BitVecHandle> = std::iter::repeat_n(&a, 7).chain([&bv]).collect();
+        let (pa, pb) = (PackedBits::from_bools(&da), PackedBits::from_bools(&db));
+        let ins8: Vec<&PackedBits> = std::iter::repeat_n(&pa, 7).chain([&pb]).collect();
 
         c.bench_function(format!("engine_not/{cols}cols"), |b| {
-            b.iter(|| black_box(e.not(&a, None, &out).unwrap()));
+            b.iter(|| black_box(e.not(&pa, &out).unwrap()));
         });
         c.bench_function(format!("engine_and_8_inputs/{cols}cols"), |b| {
-            b.iter(|| black_box(e.and(&ins8, &out).unwrap()));
+            b.iter(|| black_box(e.logic(LogicOp::And, &ins8, &out).unwrap()));
         });
 
         // Same operations with per-cell telemetry records retained.
@@ -99,7 +100,7 @@ fn width_sweep(c: &mut Criterion) {
         c.bench_function(
             format!("engine_and_8_inputs_full_telemetry/{cols}cols"),
             |b| {
-                b.iter(|| black_box(e.and(&ins8, &out).unwrap()));
+                b.iter(|| black_box(e.logic(LogicOp::And, &ins8, &out).unwrap()));
             },
         );
     }

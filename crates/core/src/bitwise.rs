@@ -15,7 +15,6 @@ use dram_core::{
     BankId, Bit, GlobalRow, LocalRow, LogicOp, MultiActivation, SimFidelity, SubarrayId,
 };
 use serde::{Deserialize, Serialize};
-use std::borrow::{Borrow, Cow};
 use std::collections::BTreeSet;
 
 /// Handle to an allocated in-DRAM bit vector.
@@ -70,11 +69,11 @@ enum Gate<'a> {
 /// aggregate statistics only, packed host I/O, threaded column kernels
 /// on wide rows. Stored bits are identical to full-telemetry runs.
 ///
-/// Each gate (`not`, `logic`, `copy`) has one method. It takes the
-/// caller's tracked operand values as an optional `known` argument
-/// (without them the operands are read back from the device first),
-/// ships as one command program from the [`Fcdram`] value ops, reads
-/// back one result row and returns those bits with its statistics.
+/// Each gate (`not`, `logic`, `maj3`, `copy`) has one method. It takes
+/// the operand values from the caller, who owns them (no gate reads an
+/// operand row back), ships as one command program from the [`Fcdram`]
+/// value ops, reads back one result row and returns those bits with its
+/// statistics.
 #[derive(Debug)]
 pub struct BulkEngine {
     fc: Fcdram,
@@ -397,12 +396,7 @@ impl BulkEngine {
 
     /// Writes a packed vector (64 lanes per word, no per-bit `Vec`).
     pub fn write_packed(&mut self, v: &BitVecHandle, bits: &PackedBits) -> Result<()> {
-        if bits.len() != v.len {
-            return Err(FcdramError::WidthMismatch {
-                expected: v.len,
-                got: bits.len(),
-            });
-        }
+        self.check_width(bits)?;
         self.flush_pending()?;
         let row = self.expand_packed(bits);
         self.fc.write_row(self.bank, v.row, row)
@@ -425,87 +419,50 @@ impl BulkEngine {
         Ok(PackedBits::from_words(words, self.shared_cols.len()))
     }
 
-    /// In-DRAM NOT: `out ← ¬a`, returning the statistics and the stored
-    /// bits. `known` is the caller's tracked value of `a`; with `None`
-    /// the operand is read back from the device first.
+    /// In-DRAM NOT: `out ← ¬a`, staging the operand value `a` and
+    /// returning the statistics and the stored bits.
     ///
     /// # Errors
     ///
-    /// Returns [`FcdramError::NoPattern`] when the map has no NOT
-    /// pattern, and propagates device errors.
-    pub fn not(
-        &mut self,
-        a: &BitVecHandle,
-        known: Option<&PackedBits>,
-        out: &BitVecHandle,
-    ) -> Result<(OpStats, PackedBits)> {
-        let val = match known {
-            Some(v) => Cow::Borrowed(v),
-            None => Cow::Owned(self.read_packed(a)?),
-        };
-        let mut ideal = PackedBits::clone(&val);
+    /// Returns [`FcdramError::WidthMismatch`] for an operand that is
+    /// not [`Self::capacity_bits`] wide and [`FcdramError::NoPattern`]
+    /// when the map has no NOT pattern, and propagates device errors.
+    pub fn not(&mut self, a: &PackedBits, out: &BitVecHandle) -> Result<(OpStats, PackedBits)> {
+        self.check_width(a)?;
+        let mut ideal = a.clone();
         ideal.not_in_place();
-        self.run_gate(Gate::Not(&val), &ideal, out)
+        self.run_gate(Gate::Not(a), &ideal, out)
     }
 
-    /// In-DRAM N-input logic: `out ← op(inputs...)`, returning the
-    /// statistics and the stored bits. `known` carries the tracked value
-    /// of each input, in order; with `None` the operands are read back
-    /// first. Uses the smallest discovered `N:N` pattern with `N ≥
+    /// In-DRAM N-input logic: `out ← op(inputs...)` over the operand
+    /// values `inputs`, returning the statistics and the stored bits.
+    /// Uses the smallest discovered `N:N` pattern with `N ≥
     /// inputs.len()`, identity-padding unused rows; the charge share is
     /// masked to the row read back when [`Self::mask_safe`] holds.
     ///
     /// # Errors
     ///
-    /// Returns [`FcdramError::BadInputCount`] (before any device
-    /// access) for an input count [`BulkEngine::logic_entry`] rejects.
-    pub fn logic<H: Borrow<BitVecHandle>>(
+    /// Returns [`FcdramError::BadInputCount`] for an input count
+    /// [`BulkEngine::logic_entry`] rejects and
+    /// [`FcdramError::WidthMismatch`] for an operand of the wrong
+    /// width, both before any device access.
+    pub fn logic(
         &mut self,
         op: LogicOp,
-        inputs: &[H],
-        known: Option<&[&PackedBits]>,
+        inputs: &[&PackedBits],
         out: &BitVecHandle,
     ) -> Result<(OpStats, PackedBits)> {
         self.logic_entry(inputs.len())?;
-        // Reads (and their allocations) happen only without `known`.
-        let read: Vec<PackedBits> = match known {
-            Some(_) => Vec::new(),
-            None => inputs
-                .iter()
-                .map(|h| self.read_packed(h.borrow()))
-                .collect::<Result<_>>()?,
-        };
-        let refs: Vec<&PackedBits> = read.iter().collect();
-        let vals = known.unwrap_or(&refs);
-        let ideal = crate::ops::ideal_logic(op, vals, self.shared_cols.len());
-        self.run_gate(Gate::Logic(op, vals), &ideal, out)
-    }
-
-    /// In-DRAM AND: [`BulkEngine::logic`] with the operands read back,
-    /// returning the statistics only.
-    pub fn and(&mut self, ins: &[&BitVecHandle], out: &BitVecHandle) -> Result<OpStats> {
-        Ok(self.logic(LogicOp::And, ins, None, out)?.0)
-    }
-
-    /// In-DRAM OR.
-    pub fn or(&mut self, ins: &[&BitVecHandle], out: &BitVecHandle) -> Result<OpStats> {
-        Ok(self.logic(LogicOp::Or, ins, None, out)?.0)
-    }
-
-    /// In-DRAM NAND.
-    pub fn nand(&mut self, ins: &[&BitVecHandle], out: &BitVecHandle) -> Result<OpStats> {
-        Ok(self.logic(LogicOp::Nand, ins, None, out)?.0)
-    }
-
-    /// In-DRAM NOR.
-    pub fn nor(&mut self, ins: &[&BitVecHandle], out: &BitVecHandle) -> Result<OpStats> {
-        Ok(self.logic(LogicOp::Nor, ins, None, out)?.0)
+        inputs.iter().try_for_each(|v| self.check_width(v))?;
+        let ideal = crate::ops::ideal_logic(op, inputs, self.shared_cols.len());
+        self.run_gate(Gate::Logic(op, inputs), &ideal, out)
     }
 
     /// In-DRAM three-input majority via Ambit-style simultaneous
     /// four-row activation in the compute subarray:
     /// `MAJ4(a, b, c, 1) = MAJ3(a, b, c)` (the all-1 fourth row turns
-    /// the ≥3-of-4 threshold into ≥2-of-3).
+    /// the ≥3-of-4 threshold into ≥2-of-3). Stages the operand values
+    /// and returns the statistics and the stored bits.
     ///
     /// This is the baseline operation lineage the paper builds on
     /// (§2.2, §8.1); it computes the carry of a full adder in a single
@@ -515,69 +472,67 @@ impl BulkEngine {
     /// # Errors
     ///
     /// Returns [`FcdramError::OpFailed`] when the part has no four-row
-    /// in-subarray activation set (check [`BulkEngine::has_native_maj`]).
+    /// in-subarray activation set (check [`BulkEngine::has_native_maj`])
+    /// and [`FcdramError::WidthMismatch`] for an operand of the wrong
+    /// width.
     pub fn maj3(
         &mut self,
-        a: &BitVecHandle,
-        b: &BitVecHandle,
-        c: &BitVecHandle,
+        a: &PackedBits,
+        b: &PackedBits,
+        c: &PackedBits,
         out: &BitVecHandle,
-    ) -> Result<OpStats> {
+    ) -> Result<(OpStats, PackedBits)> {
         if self.maj_entry.is_none() {
             return Err(FcdramError::OpFailed {
                 detail: "no four-row in-subarray activation set discovered".to_string(),
             });
         }
-        let (da, db, dc) = (
-            self.read_packed(a)?,
-            self.read_packed(b)?,
-            self.read_packed(c)?,
-        );
+        [a, b, c].iter().try_for_each(|v| self.check_width(v))?;
         // MAJ3 = (a∧b) ∨ (a∧c) ∨ (b∧c), word-wise.
-        let and = |x: &PackedBits, y| crate::ops::ideal_logic(LogicOp::And, &[x, y], da.len());
-        let terms = [and(&da, &db), and(&da, &dc), and(&db, &dc)];
+        let and = |x: &PackedBits, y| crate::ops::ideal_logic(LogicOp::And, &[x, y], a.len());
+        let terms = [and(a, b), and(a, c), and(b, c)];
         let ideal =
-            crate::ops::ideal_logic(LogicOp::Or, &[&terms[0], &terms[1], &terms[2]], da.len());
+            crate::ops::ideal_logic(LogicOp::Or, &[&terms[0], &terms[1], &terms[2]], a.len());
         let cols = self.fc.config().modeled_cols;
         let inputs = vec![
-            self.expand_packed(&da),
-            self.expand_packed(&db),
-            self.expand_packed(&dc),
+            self.expand_packed(a),
+            self.expand_packed(b),
+            self.expand_packed(c),
             vec![Bit::One; cols],
         ];
-        Ok(self.run_gate(Gate::Maj(&inputs), &ideal, out)?.0)
+        self.run_gate(Gate::Maj(&inputs), &ideal, out)
     }
 
     /// In-DRAM copy (`out ← a`) via in-subarray RowClone, returning the
-    /// statistics and the stored bits (`known` as in [`Self::not`]).
+    /// statistics and the stored bits. `val` is the value `a` holds: a
+    /// pair that does not clone takes a host write of it, and a clone
+    /// is scored against it.
     ///
     /// Both vectors live in the compute subarray, so the copy is a
     /// sub-`tRP` `ACT → PRE → ACT` pair that never moves data over the
     /// channel. Pairs that would not raise exactly these two rows
-    /// ([`Self::clones`] is false) never issue it; they take a host
-    /// write of the source value, reported with `executions: 0`.
+    /// ([`Self::clones`] is false) never issue it; they take the host
+    /// write, reported with `executions: 0`.
     ///
     /// # Errors
     ///
-    /// Propagates device addressing errors.
+    /// Returns [`FcdramError::WidthMismatch`] for a value of the wrong
+    /// width and propagates device addressing errors.
     pub fn copy(
         &mut self,
         a: &BitVecHandle,
-        known: Option<&PackedBits>,
+        val: &PackedBits,
         out: &BitVecHandle,
     ) -> Result<(OpStats, PackedBits)> {
-        let val = match known {
-            Some(v) => Cow::Borrowed(v),
-            None => Cow::Owned(self.read_packed(a)?),
-        };
+        self.check_width(val)?;
         if !self.clones(a, out) {
-            self.write_packed(out, &val)?;
+            self.write_packed(out, val)?;
             let stats = OpStats {
                 executions: 0,
                 accuracy: 1.0,
                 predicted_success: 1.0,
             };
-            return Ok((stats, val.into_owned()));
+            return Ok((stats, val.clone()));
         }
         // RowClone reads the source row on-device: any deferred fused
         // result write must land first.
@@ -587,7 +542,7 @@ impl BulkEngine {
         let predicted = outcome.mean_success(dram_core::CellRole::CloneDst);
         let stats = OpStats {
             executions: 1,
-            accuracy: got.accuracy_against(&val),
+            accuracy: got.accuracy_against(val),
             predicted_success: predicted.unwrap_or(1.0),
         };
         Ok((stats, got))
@@ -628,6 +583,18 @@ impl BulkEngine {
     /// The module configuration of the underlying chip.
     pub fn config(&self) -> &dram_core::ModuleConfig {
         self.fc.config()
+    }
+
+    /// Checks that `bits` is one vector wide.
+    fn check_width(&self, bits: &PackedBits) -> Result<()> {
+        let expected = self.shared_cols.len();
+        if bits.len() != expected {
+            return Err(FcdramError::WidthMismatch {
+                expected,
+                got: bits.len(),
+            });
+        }
+        Ok(())
     }
 
     /// Expands shared-column lanes into a full-width row (zeros on the
@@ -752,6 +719,17 @@ mod tests {
             .collect()
     }
 
+    fn packed(seed: u64) -> PackedBits {
+        PackedBits::from_bools(&bits(seed, 32))
+    }
+
+    /// Allocates a vector holding `value`.
+    fn vector(e: &mut BulkEngine, value: &PackedBits) -> BitVecHandle {
+        let v = e.alloc().unwrap();
+        e.write_packed(&v, value).unwrap();
+        v
+    }
+
     #[test]
     fn alloc_write_read_round_trip() {
         let mut e = engine();
@@ -782,47 +760,39 @@ mod tests {
     #[test]
     fn bulk_not_inverts_mostly() {
         let mut e = engine();
-        let a = e.alloc().unwrap();
         let out = e.alloc().unwrap();
-        let data = bits(2, 32);
-        e.write(&a, &data).unwrap();
-        let (stats, _) = e.not(&a, None, &out).unwrap();
+        let data = packed(2);
+        let (stats, stored) = e.not(&data, &out).unwrap();
         assert!(stats.accuracy > 0.9, "accuracy {}", stats.accuracy);
-        let got = e.read(&out).unwrap();
-        let expect: Vec<bool> = data.iter().map(|b| !b).collect();
-        let same = got.iter().zip(&expect).filter(|(x, y)| x == y).count();
-        assert!(same >= 29, "{same}/32");
+        assert_eq!(e.read_packed(&out).unwrap(), stored);
+        let mut expect = data.clone();
+        expect.not_in_place();
+        let accuracy = stored.accuracy_against(&expect);
+        assert!(accuracy >= 29.0 / 32.0, "{accuracy}");
     }
 
     #[test]
     fn bulk_and_or() {
         let mut e = engine();
-        let a = e.alloc().unwrap();
-        let b = e.alloc().unwrap();
+        let (da, db) = (packed(3), packed(4));
+        let a = vector(&mut e, &da);
         let out = e.alloc().unwrap();
-        let da = bits(3, 32);
-        let db = bits(4, 32);
-        e.write(&a, &da).unwrap();
-        e.write(&b, &db).unwrap();
-        let s_and = e.and(&[&a, &b], &out).unwrap();
+        let s_and = e.logic(LogicOp::And, &[&da, &db], &out).unwrap().0;
         assert!(s_and.accuracy > 0.6, "AND accuracy {}", s_and.accuracy);
-        // Inputs must be intact afterwards (re-written each execution).
-        assert_eq!(e.read(&a).unwrap(), da);
-        let s_or = e.or(&[&a, &b], &out).unwrap();
+        // Operand rows are never touched (values are staged).
+        assert_eq!(e.read_packed(&a).unwrap(), da);
+        let s_or = e.logic(LogicOp::Or, &[&da, &db], &out).unwrap().0;
         assert!(s_or.accuracy > 0.7, "OR accuracy {}", s_or.accuracy);
     }
 
     #[test]
     fn repetition_improves_accuracy() {
         let mut e = engine();
-        let a = e.alloc().unwrap();
-        let b = e.alloc().unwrap();
         let out = e.alloc().unwrap();
-        e.write(&a, &bits(5, 32)).unwrap();
-        e.write(&b, &bits(6, 32)).unwrap();
-        let single = e.and(&[&a, &b], &out).unwrap();
+        let (da, db) = (packed(5), packed(6));
+        let single = e.logic(LogicOp::And, &[&da, &db], &out).unwrap().0;
         e.set_repetition(9);
-        let voted = e.and(&[&a, &b], &out).unwrap();
+        let voted = e.logic(LogicOp::And, &[&da, &db], &out).unwrap().0;
         assert_eq!(voted.executions, 9);
         assert!(
             voted.accuracy >= single.accuracy - 0.05,
@@ -844,43 +814,55 @@ mod tests {
         let mut e = BulkEngine::new(Fcdram::new(cfg), BankId(0), SubarrayId(0)).unwrap();
         let max = e.config().max_op_inputs();
         assert_eq!(max, 8);
-        let a = e.alloc().unwrap();
         let out = e.alloc().unwrap();
-        let val = e.read_packed(&a).unwrap();
-        let handle = e.logic(LogicOp::And, &[&a], None, &out).unwrap_err();
-        let known = e
-            .logic(LogicOp::Or, &[&a], Some(&[&val]), &out)
-            .unwrap_err();
-        for err in [handle, known] {
-            assert!(
-                matches!(err, FcdramError::BadInputCount { n: 1, max: m } if m == max),
-                "{err:?}"
-            );
-        }
+        let val = packed(1);
+        let err = e.logic(LogicOp::Or, &[&val], &out).unwrap_err();
+        assert!(
+            matches!(err, FcdramError::BadInputCount { n: 1, max: m } if m == max),
+            "{err:?}"
+        );
     }
 
     #[test]
     fn three_input_or_uses_padding() {
         let mut e = engine();
-        let a = e.alloc().unwrap();
-        let b = e.alloc().unwrap();
-        let c = e.alloc().unwrap();
         let out = e.alloc().unwrap();
-        let (da, db, dc) = (bits(7, 32), bits(8, 32), bits(9, 32));
-        e.write(&a, &da).unwrap();
-        e.write(&b, &db).unwrap();
-        e.write(&c, &dc).unwrap();
-        let stats = e.or(&[&a, &b, &c], &out).unwrap();
+        let (da, db, dc) = (packed(7), packed(8), packed(9));
+        let stats = e.logic(LogicOp::Or, &[&da, &db, &dc], &out).unwrap().0;
         assert!(stats.accuracy > 0.55, "{}", stats.accuracy);
     }
 
     #[test]
     fn single_input_logic_rejected() {
         let mut e = engine();
-        let a = e.alloc().unwrap();
         let out = e.alloc().unwrap();
-        let err = e.and(&[&a], &out).unwrap_err();
+        let err = e.logic(LogicOp::And, &[&packed(1)], &out).unwrap_err();
         assert!(matches!(err, FcdramError::BadInputCount { .. }));
+    }
+
+    #[test]
+    fn gate_values_are_width_checked() {
+        let mut e = engine();
+        let (a, out) = (e.alloc().unwrap(), e.alloc().unwrap());
+        let (good, bad) = (packed(1), PackedBits::zeros(31));
+        let errs = [
+            e.not(&bad, &out).unwrap_err(),
+            e.logic(LogicOp::And, &[&good, &bad], &out).unwrap_err(),
+            e.maj3(&good, &good, &bad, &out).unwrap_err(),
+            e.copy(&a, &bad, &out).unwrap_err(),
+        ];
+        for err in errs {
+            assert!(
+                matches!(
+                    err,
+                    FcdramError::WidthMismatch {
+                        expected: 32,
+                        got: 31
+                    }
+                ),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -893,15 +875,14 @@ mod tests {
     #[test]
     fn copy_and_fill_round_trip() {
         let mut e = engine();
-        let a = e.alloc().unwrap();
+        let data = packed(10);
+        let a = vector(&mut e, &data);
         let b = e.alloc().unwrap();
-        let data = bits(10, 32);
-        e.write(&a, &data).unwrap();
-        let (stats, _) = e.copy(&a, None, &b).unwrap();
+        let (stats, stored) = e.copy(&a, &data, &b).unwrap();
         assert!(stats.accuracy > 0.9, "copy accuracy {}", stats.accuracy);
-        let got = e.read(&b).unwrap();
-        let same = got.iter().zip(&data).filter(|(x, y)| x == y).count();
-        assert!(same >= 29, "{same}/32 cells copied");
+        assert_eq!(e.read_packed(&b).unwrap(), stored);
+        let accuracy = stored.accuracy_against(&data);
+        assert!(accuracy >= 29.0 / 32.0, "{accuracy} of the cells copied");
         e.fill(&b, true).unwrap();
         assert_eq!(e.read(&b).unwrap(), vec![true; 32]);
         e.fill(&b, false).unwrap();
@@ -940,29 +921,23 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(i, h)| {
-                    let data = PackedBits::from_bools(&bits(1000 + i as u64, 32));
+                    let data = packed(1000 + i as u64);
                     e.write_packed(h, &data).unwrap();
                     data
                 })
                 .collect();
-            let (a, b, c) = (handles[0], handles[1], handles[2]);
+            let (a, b, c) = (held[0].clone(), held[1].clone(), held[2].clone());
+            let out = handles[3];
             // Each gate the part offers.
             if e.not_entry().is_ok() {
-                held[3] = e.not(&a, None, &handles[3]).unwrap().1;
+                held[3] = e.not(&a, &out).unwrap().1;
             }
             if e.logic_entry(3).is_ok() {
-                held[3] = e
-                    .logic(LogicOp::And, &[&a, &b], None, &handles[3])
-                    .unwrap()
-                    .1;
-                held[3] = e
-                    .logic(LogicOp::Nor, &[&a, &b, &c], None, &handles[3])
-                    .unwrap()
-                    .1;
+                held[3] = e.logic(LogicOp::And, &[&a, &b], &out).unwrap().1;
+                held[3] = e.logic(LogicOp::Nor, &[&a, &b, &c], &out).unwrap().1;
             }
             if e.has_native_maj() {
-                e.maj3(&a, &b, &c, &handles[3]).unwrap();
-                held[3] = e.read_packed(&handles[3]).unwrap();
+                held[3] = e.maj3(&a, &b, &c, &out).unwrap().1;
             }
             let n = handles.len() as u64;
             for k in 0..40u64 {
@@ -971,7 +946,7 @@ mod tests {
                 if src == dst {
                     continue;
                 }
-                held[dst] = e.copy(&handles[src], None, &handles[dst]).unwrap().1;
+                held[dst] = e.copy(&handles[src], &held[src], &handles[dst]).unwrap().1;
             }
             for (i, h) in handles.iter().enumerate() {
                 assert_eq!(
@@ -986,80 +961,69 @@ mod tests {
 
     #[test]
     fn known_values_match_read_backs() {
-        // Two engines in identical state: gates given the operand
-        // values (`Some`) must store the same bits and report the same
-        // accuracy/prediction as gates that read them back (`None`).
+        // Two engines in identical state: gates given the values the
+        // caller wrote must store the same bits and report the same
+        // accuracy/prediction as gates given values read back from the
+        // device (what the operand read-backs used to do).
         let mut e1 = engine();
         let mut e2 = engine();
         assert!(e1.mask_safe(), "table-1 part must allow masking");
+        let vals = [packed(20), packed(21), packed(22)];
         let setup = |e: &mut BulkEngine| {
-            let a = e.alloc().unwrap();
-            let b = e.alloc().unwrap();
-            let c = e.alloc().unwrap();
-            let out = e.alloc().unwrap();
-            e.write(&a, &bits(20, 32)).unwrap();
-            e.write(&b, &bits(21, 32)).unwrap();
-            e.write(&c, &bits(22, 32)).unwrap();
-            (a, b, c, out)
+            let rows: Vec<BitVecHandle> = vals.iter().map(|v| vector(e, v)).collect();
+            (rows, e.alloc().unwrap())
         };
-        let (a1, b1, c1, o1) = setup(&mut e1);
-        let (a2, b2, c2, o2) = setup(&mut e2);
-        let va = PackedBits::from_bools(&bits(20, 32));
-        let vb = PackedBits::from_bools(&bits(21, 32));
-        let vc = PackedBits::from_bools(&bits(22, 32));
+        let (r1, o1) = setup(&mut e1);
+        let (r2, o2) = setup(&mut e2);
+        let read: Vec<PackedBits> = r1.iter().map(|r| e1.read_packed(r).unwrap()).collect();
+        let [ra, rb, rc] = [&read[0], &read[1], &read[2]];
+        let [va, vb, vc] = [&vals[0], &vals[1], &vals[2]];
 
         for op in [LogicOp::And, LogicOp::Nor, LogicOp::Or, LogicOp::Nand] {
-            let got1 = e1.logic(op, &[&a1, &b1, &c1], None, &o1).unwrap();
-            let got2 = e2
-                .logic(op, &[&a2, &b2, &c2], Some(&[&va, &vb, &vc]), &o2)
-                .unwrap();
+            let got1 = e1.logic(op, &[ra, rb, rc], &o1).unwrap();
+            let got2 = e2.logic(op, &[va, vb, vc], &o2).unwrap();
             assert_eq!(got1, got2, "{op:?} stats or bits diverge");
             assert_eq!(e1.read_packed(&o1).unwrap(), got2.1, "{op:?} stored bits");
             assert_eq!(e2.read_packed(&o2).unwrap(), got2.1);
         }
-        let got1 = e1.not(&a1, None, &o1).unwrap();
-        let got2 = e2.not(&a2, Some(&va), &o2).unwrap();
+        let got1 = e1.not(ra, &o1).unwrap();
+        let got2 = e2.not(va, &o2).unwrap();
         assert_eq!(got1, got2, "NOT diverges");
         assert_eq!(e1.read_packed(&o1).unwrap(), got2.1);
-        let got1 = e1.copy(&b1, None, &o1).unwrap();
-        let got2 = e2.copy(&b2, Some(&vb), &o2).unwrap();
+        let got1 = e1.copy(&r1[1], rb, &o1).unwrap();
+        let got2 = e2.copy(&r2[1], vb, &o2).unwrap();
         assert_eq!(got1, got2, "copy diverges");
         assert_eq!(e1.read_packed(&o1).unwrap(), got2.1);
-        // Repetition voting follows the same draws on both paths.
+        // Repetition voting follows the same draws on both engines.
         e1.set_repetition(3);
         e2.set_repetition(3);
-        let got1 = e1.logic(LogicOp::Nand, &[&a1, &c1], None, &o1).unwrap();
-        let got2 = e2
-            .logic(LogicOp::Nand, &[&a2, &c2], Some(&[&va, &vc]), &o2)
-            .unwrap();
+        let got1 = e1.logic(LogicOp::Nand, &[ra, rc], &o1).unwrap();
+        let got2 = e2.logic(LogicOp::Nand, &[va, vc], &o2).unwrap();
         assert_eq!(got1, got2, "repetition diverges");
         assert_eq!(e1.read_packed(&o1).unwrap(), got2.1);
-        // Operand rows survive gates given their values untouched.
-        assert_eq!(e2.read_packed(&a2).unwrap(), va);
-        assert_eq!(e2.read_packed(&c2).unwrap(), vc);
+        // Operand rows survive the gates untouched.
+        assert_eq!(e2.read_packed(&r2[0]).unwrap(), *va);
+        assert_eq!(e2.read_packed(&r2[2]).unwrap(), *vc);
     }
 
     #[test]
     fn native_maj3_computes_majority() {
         let mut e = engine();
         assert!(e.has_native_maj(), "SK Hynix parts discover a 4-row set");
-        let a = e.alloc().unwrap();
-        let b = e.alloc().unwrap();
-        let c = e.alloc().unwrap();
+        let (da, db, dc) = (packed(11), packed(12), packed(13));
+        let a = vector(&mut e, &da);
         let out = e.alloc().unwrap();
-        let (da, db, dc) = (bits(11, 32), bits(12, 32), bits(13, 32));
-        e.write(&a, &da).unwrap();
-        e.write(&b, &db).unwrap();
-        e.write(&c, &dc).unwrap();
-        let stats = e.maj3(&a, &b, &c, &out).unwrap();
+        let (stats, stored) = e.maj3(&da, &db, &dc, &out).unwrap();
         assert!(stats.accuracy > 0.5, "maj accuracy {}", stats.accuracy);
-        let got = e.read(&out).unwrap();
+        assert_eq!(e.read_packed(&out).unwrap(), stored);
+        let got = stored.to_bools();
+        let (da, db, dc) = (da.to_bools(), db.to_bools(), dc.to_bools());
         let ideal: Vec<bool> = (0..32)
             .map(|i| u8::from(da[i]) + u8::from(db[i]) + u8::from(dc[i]) >= 2)
             .collect();
         let same = got.iter().zip(&ideal).filter(|(x, y)| x == y).count();
         assert!(same >= 20, "{same}/32 majority cells correct");
-        // Inputs survive (operands are staged, never clobbered).
+        // Operand rows survive (values are staged, never clobbered).
         assert_eq!(e.read(&a).unwrap(), da);
     }
 }

@@ -20,26 +20,23 @@
 //! ## Quickstart
 //!
 //! ```
-//! use fcdram::{BulkEngine, Fcdram, LogicOp};
+//! use fcdram::{BulkEngine, Fcdram, LogicOp, PackedBits};
 //! use dram_core::{BankId, SubarrayId};
 //!
 //! // Chip 0 of the first Table-1 module, narrowed for the doctest.
 //! let cfg = dram_core::config::table1().remove(0).with_modeled_cols(32);
 //! let mut engine = BulkEngine::new(Fcdram::new(cfg), BankId(0), SubarrayId(0))?;
-//! let a = engine.alloc()?;
-//! let b = engine.alloc()?;
+//! let a = PackedBits::ones(engine.capacity_bits());
+//! let b = PackedBits::ones(engine.capacity_bits());
 //! let out = engine.alloc()?;
-//! engine.write(&a, &vec![true; engine.capacity_bits()])?;
-//! engine.write(&b, &vec![true; engine.capacity_bits()])?;
-//! let stats = engine.and(&[&a, &b], &out)?;
+//! // One method per gate. The caller owns the operand values (the gate
+//! // stages them; no operand row is read back) and gets back the
+//! // statistics and the bits stored in `out`.
+//! let (stats, and) = engine.logic(LogicOp::And, &[&a, &b], &out)?;
 //! assert!(stats.accuracy > 0.0);
-//! // The general form: one method per gate, returning the stored bits
-//! // too. `None` reads the operands back; a caller that tracks their
-//! // values passes them instead.
-//! let (_, bits) = engine.logic(LogicOp::Or, &[&a, &b], None, &out)?;
-//! let known = engine.read_packed(&a)?;
-//! let (_, not_a) = engine.not(&a, Some(&known), &out)?;
-//! assert_eq!(bits.len(), not_a.len());
+//! assert_eq!(engine.read_packed(&out)?, and);
+//! let (_, not_and) = engine.not(&and, &out)?;
+//! assert_eq!(not_and.len(), and.len());
 //! # Ok::<(), fcdram::FcdramError>(())
 //! ```
 

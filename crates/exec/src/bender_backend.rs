@@ -355,7 +355,7 @@ impl BenderBackend {
         out: &BitVecHandle,
     ) -> Result<PackedBits> {
         self.native_ops += 1;
-        Ok(self.engine.copy(src, Some(val), out)?.1)
+        Ok(self.engine.copy(src, val, out)?.1)
     }
 
     /// Returns a row to the engine's pool; the shared constant rows
@@ -587,8 +587,8 @@ impl BenderBackend {
             let bits = match step.op {
                 None => {
                     let t = templates.not_t.as_ref().expect("prepared");
-                    let v = vals[step.args[0]].clone().expect("value tracked");
-                    let (bits, wr) = self.prepared_not(t, &v, &out, pending.take())?;
+                    let v = vals[step.args[0]].as_ref().expect("value tracked");
+                    let (bits, wr) = self.prepared_not(t, v, &out, pending.take())?;
                     pending = Some(wr);
                     bits
                 }
@@ -597,13 +597,13 @@ impl BenderBackend {
                     // lands first (copy steps bound fused visits).
                     self.flush_result(pending.take())?;
                     let src = regs[step.args[0]].expect("mapper emits defs before uses");
-                    let v = vals[step.args[0]].clone().expect("value tracked");
-                    self.prepared_copy(&src, &v, &out)?
+                    let v = vals[step.args[0]].as_ref().expect("value tracked");
+                    self.prepared_copy(&src, v, &out)?
                 }
                 Some(_) if step.args.len() == 1 => {
                     let t = templates.not_t.as_ref().expect("prepared");
-                    let v = vals[step.args[0]].clone().expect("value tracked");
-                    let (bits, wr) = self.prepared_not(t, &v, &out, pending.take())?;
+                    let v = vals[step.args[0]].as_ref().expect("value tracked");
+                    let (bits, wr) = self.prepared_not(t, v, &out, pending.take())?;
                     pending = Some(wr);
                     bits
                 }

@@ -22,10 +22,9 @@
 //!   execution at the `Wr` indices the builder reports.
 //!
 //! [`ExecBackend::run_prepared`] then executes with batched device
-//! calls: operand values are threaded host-side (on the VM each
-//! substrate gate is given its operands' values as `known` and returns
-//! the bits it stored), so per-step operand read-backs disappear from
-//! the device and from the op trace on both substrates. A plan run on
+//! calls and no per-step operand read-backs: on the VM each substrate
+//! owns its rows' values and each gate returns the bits it stored; the
+//! Bender backend threads values host-side. A plan run on
 //! a backend whose fan-in is narrower than one of its steps fails with
 //! [`crate::ExecError::StepTooWide`]; no other walk is taken.
 

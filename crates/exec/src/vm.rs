@@ -4,10 +4,9 @@
 //! With [`simdram::HostSubstrate`] this is the workspace's golden
 //! model (bit-exact results); with [`simdram::DramSubstrate`] gates
 //! execute through [`fcdram::BulkEngine`] and inherit the
-//! characterized per-cell success rates. The prepared walk passes
-//! every gate its operands' tracked values (`Some(known)`), so neither
-//! substrate reads operands back or traces a read-back per step; on
-//! the host, debug builds assert each value against its row. Operand
+//! characterized per-cell success rates. Each substrate owns its rows'
+//! values, so the prepared walk passes rows only and no gate reads its
+//! operands back or traces a read-back per step. Operand
 //! staging uses [`SimdVm::lease_rows`]/[`SimdVm::end_lease`], so a
 //! scheduler's row accounting stays per job and a failed stage leaves
 //! the substrate exactly as it was.
@@ -93,23 +92,12 @@ impl<S: Substrate> ExecBackend for SimdVm<S> {
         let prog = prep.program();
         prep.check_fan_in(self.substrate().max_fan_in())?;
         check_operands(prog, operands.len())?;
-        let inputs: Vec<BitRow> = lease.rows().to_vec();
+        let inputs = lease.rows();
         let mut regs: Vec<Option<BitRow>> = vec![None; prog.n_regs];
-        // Operand values stay borrowed from `operands`; `vals` holds the
-        // step results only.
-        let mut vals: Vec<Option<PackedBits>> = vec![None; prog.n_regs];
         for (r, row) in inputs.iter().enumerate() {
             regs[r] = Some(*row);
         }
-        let result = run_prepared_vm(
-            self,
-            prep,
-            operands,
-            &inputs,
-            &mut regs,
-            &mut vals,
-            &mut on_step,
-        );
+        let result = run_prepared_vm(self, prep, inputs, &mut regs, &mut on_step);
         if result.is_err() {
             // A failure mid-visit must not leave the substrate in
             // fused mode (or hold a deferred write) for later callers.
@@ -126,32 +114,23 @@ impl<S: Substrate> ExecBackend for SimdVm<S> {
     }
 }
 
-/// The prepared step walk for the VM backend: values are threaded
-/// host-side (each gate is given its operands' values and returns the
-/// bits it stored, which the walk clones into its table), while rows
-/// are allocated and freed in step order — one result row per step,
-/// temporaries released at their last use. The pool permutes rows on
-/// reuse and the device model's stochastic draws key on row indices,
-/// so this order is part of the result.
-///
-/// Step inputs are borrowed (register `r < operands.len()` is operand
-/// `r`, every later register a step result in `vals`), so each step
-/// allocates only the clone of its result bits.
-#[allow(clippy::too_many_arguments)]
+/// The prepared step walk for the VM backend: each gate runs on rows
+/// (the substrate owns their values) and returns the bits it stored;
+/// the walk keeps only the output register's, from the step that
+/// defines it. Rows are allocated and freed in step order — one result
+/// row per step, temporaries released at their last use. The pool
+/// permutes rows on reuse and the device model's stochastic draws key
+/// on row indices, so this order is part of the result.
 fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
     vm: &mut SimdVm<S>,
     prep: &PreparedProgram,
-    operands: &[PackedBits],
     inputs: &[BitRow],
     regs: &mut [Option<BitRow>],
-    vals: &mut [Option<PackedBits>],
     on_step: &mut F,
 ) -> Result<PackedBits> {
     let prog = prep.program();
-    // Per-step argument buffers: rows reuse one vector, values fill a
-    // stack array (`unused` is an empty placeholder, never read).
     let mut arows: Vec<BitRow> = Vec::with_capacity(MAX_FAN_IN);
-    let unused = PackedBits::zeros(0);
+    let mut out_val = None;
     // Fused visit bounds: begin before the first step of each visit,
     // end (flushing the deferred result write) after the last. Copy
     // steps and the output stage always run outside a visit.
@@ -172,29 +151,18 @@ fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
         // NOT and one-input inverted gates take the NOT kernel,
         // one-input monotone gates copy, everything else (≤ fan-in ≤
         // MAX_FAN_IN by the `check_fan_in` guard) is one native gate.
+        let sub = vm.substrate_mut();
         let bits = match step.op {
-            None => {
-                let v = value(operands, vals, step.args[0]);
-                vm.substrate_mut().not(arows[0], Some(v), out)?
-            }
+            None => sub.not(arows[0], out)?,
             Some(op) if arows.len() == 1 && !op.is_inverted_terminal() => {
-                let v = value(operands, vals, step.args[0]);
-                vm.substrate_mut().copy(arows[0], Some(v), out)?
+                sub.copy(arows[0], out)?
             }
-            Some(_) if arows.len() == 1 => {
-                let v = value(operands, vals, step.args[0]);
-                vm.substrate_mut().not(arows[0], Some(v), out)?
-            }
-            Some(op) => {
-                let mut avals = [&unused; MAX_FAN_IN];
-                for (slot, r) in avals.iter_mut().zip(&step.args) {
-                    *slot = value(operands, vals, *r);
-                }
-                let avals = &avals[..step.args.len()];
-                vm.substrate_mut().logic(op, &arows, Some(avals), out)?
-            }
+            Some(_) if arows.len() == 1 => sub.not(arows[0], out)?,
+            Some(op) => sub.logic(op, &arows, out)?,
         };
-        vals[step.out] = Some(bits.clone());
+        if prep.output == OutputAction::Reg(step.out) {
+            out_val = Some(bits.clone());
+        }
         regs[step.out] = Some(out);
         on_step(i, step);
         for r in &prep.frees[i] {
@@ -213,38 +181,19 @@ fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
         OutputAction::Const(b) => {
             let out = vm.alloc_row()?;
             let src = if b { vm.one_row() } else { vm.zero_row() };
-            let splat = PackedBits::splat(b, SimdVm::lanes(vm));
-            let bits = vm.substrate_mut().copy(src, Some(&splat), out)?.clone();
-            (out, bits)
+            (out, vm.substrate_mut().copy(src, out)?.clone())
         }
         OutputAction::Passthrough(r) => {
             let out = vm.alloc_row()?;
-            let bits = vm
-                .substrate_mut()
-                .copy(inputs[r], Some(&operands[r]), out)?
-                .clone();
-            (out, bits)
+            (out, vm.substrate_mut().copy(inputs[r], out)?.clone())
         }
         OutputAction::Reg(r) => {
             let row = regs[r].take().expect("output register defined");
-            let bits = vals[r].take().expect("output value tracked");
-            (row, bits)
+            (row, out_val.expect("output register defined"))
         }
     };
     vm.release(out_row);
     Ok(out_val)
-}
-
-/// The current value of register `r`: an operand or a step result.
-fn value<'a>(
-    operands: &'a [PackedBits],
-    vals: &'a [Option<PackedBits>],
-    r: usize,
-) -> &'a PackedBits {
-    match operands.get(r) {
-        Some(v) => v,
-        None => vals[r].as_ref().expect("value tracked"),
-    }
 }
 
 #[cfg(test)]

@@ -90,7 +90,7 @@ impl<S: Substrate> SimdVm<S> {
         let mut out = Vec::with_capacity(pairs.len());
         for (x, y) in pairs {
             let r = self.alloc_row()?;
-            self.substrate_mut().logic(op, &[x, y], None, r)?;
+            self.substrate_mut().logic(op, &[x, y], r)?;
             out.push(r);
         }
         Ok(UintVec::from_bits(out))
@@ -363,7 +363,7 @@ impl<S: Substrate> SimdVm<S> {
             if i < k.min(w) {
                 self.substrate_mut().fill(r, false)?;
             } else {
-                self.substrate_mut().copy(a.bit(i - k), None, r)?;
+                self.substrate_mut().copy(a.bit(i - k), r)?;
             }
             bits.push(r);
         }
@@ -381,7 +381,7 @@ impl<S: Substrate> SimdVm<S> {
         for i in 0..w {
             let r = self.alloc_row()?;
             if i + k < w {
-                self.substrate_mut().copy(a.bit(i + k), None, r)?;
+                self.substrate_mut().copy(a.bit(i + k), r)?;
             } else {
                 self.substrate_mut().fill(r, false)?;
             }
@@ -408,14 +408,11 @@ impl<S: Substrate> SimdVm<S> {
         let mut out = Vec::with_capacity(pairs.len());
         for (x, y) in pairs {
             let ta = self.alloc_row()?;
-            self.substrate_mut()
-                .logic(LogicOp::And, &[sel, x], None, ta)?;
+            self.substrate_mut().logic(LogicOp::And, &[sel, x], ta)?;
             let tb = self.alloc_row()?;
-            self.substrate_mut()
-                .logic(LogicOp::And, &[nsel, y], None, tb)?;
+            self.substrate_mut().logic(LogicOp::And, &[nsel, y], tb)?;
             let r = self.alloc_row()?;
-            self.substrate_mut()
-                .logic(LogicOp::Or, &[ta, tb], None, r)?;
+            self.substrate_mut().logic(LogicOp::Or, &[ta, tb], r)?;
             self.release(ta);
             self.release(tb);
             out.push(r);
@@ -444,7 +441,7 @@ impl<S: Substrate> SimdVm<S> {
             0 => Err(SimdramError::Empty),
             1 => {
                 let r = self.alloc_row()?;
-                self.substrate_mut().copy(bits[0], None, r)?;
+                self.substrate_mut().copy(bits[0], r)?;
                 Ok(UintVec::from_bits(vec![r]))
             }
             n => {

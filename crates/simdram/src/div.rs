@@ -57,11 +57,11 @@ impl<S: Substrate> SimdVm<S> {
             // rem = (rem << 1) | a_i
             let mut bits = Vec::with_capacity(w);
             let b0 = self.alloc_row()?;
-            self.substrate_mut().copy(a.bit(i), None, b0)?;
+            self.substrate_mut().copy(a.bit(i), b0)?;
             bits.push(b0);
             for j in 0..w.saturating_sub(1) {
                 let r = self.alloc_row()?;
-                self.substrate_mut().copy(rem.bit(j), None, r)?;
+                self.substrate_mut().copy(rem.bit(j), r)?;
                 bits.push(r);
             }
             let shifted = UintVec::from_bits(bits);

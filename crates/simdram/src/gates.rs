@@ -45,7 +45,7 @@ use dram_core::LogicOp;
 impl<S: Substrate> SimdVm<S> {
     fn native(&mut self, op: LogicOp, ins: &[BitRow]) -> Result<BitRow> {
         let out = self.alloc_row()?;
-        self.substrate_mut().logic(op, ins, None, out)?;
+        self.substrate_mut().logic(op, ins, out)?;
         Ok(out)
     }
 
@@ -56,7 +56,7 @@ impl<S: Substrate> SimdVm<S> {
     /// Fails when rows run out or the device cannot execute.
     pub fn bit_not(&mut self, a: BitRow) -> Result<BitRow> {
         let out = self.alloc_row()?;
-        self.substrate_mut().not(a, None, out)?;
+        self.substrate_mut().not(a, out)?;
         Ok(out)
     }
 
@@ -244,7 +244,7 @@ impl<S: Substrate> SimdVm<S> {
         }
         if ins.len() == 1 {
             let out = self.alloc_row()?;
-            self.substrate_mut().copy(ins[0], None, out)?;
+            self.substrate_mut().copy(ins[0], out)?;
             return Ok(out);
         }
         let fan_in = self

@@ -44,7 +44,7 @@ impl<S: Substrate> SimdVm<S> {
             for i in 0..wa {
                 let r = self.alloc_row()?;
                 self.substrate_mut()
-                    .logic(LogicOp::And, &[a.bit(i), bj], None, r)?;
+                    .logic(LogicOp::And, &[a.bit(i), bj], r)?;
                 owned.push(r);
                 pbits.push(r);
             }

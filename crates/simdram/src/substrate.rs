@@ -13,11 +13,11 @@
 //!
 //! The trait deliberately mirrors what COTS DRAM offers (§5–§6 of the
 //! paper): wide rows, one-output gates with up to 16 inputs, copies,
-//! and constant fills. Each gate is one method. It returns the bits it
-//! stored and takes the caller's tracked operand values as an optional
-//! argument: circuits pass `None`, the prepared execution walk (which
-//! threads every value host-side) passes `Some`, and the DRAM backend
-//! then skips its operand read-backs. Host I/O is bit-packed only.
+//! and constant fills. Each gate is one method and returns the bits it
+//! stored. Each substrate owns the values of its rows (the DRAM backend
+//! tracks what it last wrote to each row), so no gate reads its
+//! operands back over the channel and callers thread no values. Host
+//! I/O is bit-packed only.
 //! Everything richer (XOR, adders, multipliers) is *synthesized* in
 //! [`crate::gates`] and [`crate::alu`] — which is the point of
 //! demonstrating functional completeness.
@@ -50,7 +50,7 @@ impl BitRow {
 /// (the in-DRAM engine stages operands into reserved scratch rows), so
 /// a row may appear several times in one `logic` call and may be
 /// shared read-only between vectors. A gate records exactly one trace
-/// entry, whether or not the caller supplies operand values.
+/// entry.
 pub trait Substrate {
     /// Number of SIMD lanes (bits per row).
     fn lanes(&self) -> usize;
@@ -99,39 +99,28 @@ pub trait Substrate {
     fn fill(&mut self, r: BitRow, value: bool) -> Result<()>;
 
     /// Copies `src` into `dst` (RowClone on DRAM) and returns the
-    /// stored bits (see [`Substrate::not`] for `known`).
+    /// stored bits.
     ///
     /// # Errors
     ///
     /// Fails when a handle is invalid.
-    fn copy(&mut self, src: BitRow, known: Option<&PackedBits>, dst: BitRow)
-        -> Result<&PackedBits>;
+    fn copy(&mut self, src: BitRow, dst: BitRow) -> Result<&PackedBits>;
 
     /// `out ← ¬a` (the paper's NOT, §5); returns the stored bits.
-    /// `known` is the caller's tracked value of `a`: the prepared walk
-    /// passes `Some` and the backend skips its operand read-back,
-    /// circuits pass `None`. Stored bits and statistics are the same.
     ///
     /// # Errors
     ///
     /// Fails when a handle is invalid or the device cannot execute.
-    fn not(&mut self, a: BitRow, known: Option<&PackedBits>, out: BitRow) -> Result<&PackedBits>;
+    fn not(&mut self, a: BitRow, out: BitRow) -> Result<&PackedBits>;
 
     /// `out ← op(ins...)` for 2..=[`Substrate::max_fan_in`] inputs
     /// (the paper's N-input AND/OR/NAND/NOR, §6); returns the stored
-    /// bits. `known` carries the current value of each row in `ins`,
-    /// in order (see [`Substrate::not`]).
+    /// bits.
     ///
     /// # Errors
     ///
     /// Fails on bad input counts or invalid handles.
-    fn logic(
-        &mut self,
-        op: LogicOp,
-        ins: &[BitRow],
-        known: Option<&[&PackedBits]>,
-        out: BitRow,
-    ) -> Result<&PackedBits>;
+    fn logic(&mut self, op: LogicOp, ins: &[BitRow], out: BitRow) -> Result<&PackedBits>;
 
     /// `out ← MAJ3(a, b, c)`.
     ///
@@ -191,10 +180,10 @@ fn derived_maj3<S: Substrate + ?Sized>(
     let ab = s.alloc()?;
     let ac = s.alloc()?;
     let bc = s.alloc()?;
-    s.logic(LogicOp::And, &[a, b], None, ab)?;
-    s.logic(LogicOp::And, &[a, c], None, ac)?;
-    s.logic(LogicOp::And, &[b, c], None, bc)?;
-    s.logic(LogicOp::Or, &[ab, ac, bc], None, out)?;
+    s.logic(LogicOp::And, &[a, b], ab)?;
+    s.logic(LogicOp::And, &[a, c], ac)?;
+    s.logic(LogicOp::And, &[b, c], bc)?;
+    s.logic(LogicOp::Or, &[ab, ac, bc], out)?;
     s.free(ab);
     s.free(ac);
     s.free(bc);
@@ -214,8 +203,7 @@ fn derived_maj3<S: Substrate + ?Sized>(
 /// words: `alloc` reuses it without allocating, and [`live_rows`]
 /// is the slot count minus the free-list length instead of a scan.
 /// A gate computes from the stored rows, returns a reference to its
-/// output row and records only itself; in debug builds it also asserts
-/// that any `known` operand value equals the row it describes.
+/// output row and records only itself.
 ///
 /// [`live_rows`]: HostSubstrate::live_rows
 ///
@@ -233,7 +221,7 @@ fn derived_maj3<S: Substrate + ?Sized>(
 /// s.write_packed(a, &PackedBits::from_bools(&[true, true, false, false]))?;
 /// s.write_packed(b, &PackedBits::from_bools(&[true, false, true, false]))?;
 /// // A gate returns the bits it stored.
-/// let and = s.logic(LogicOp::And, &[a, b], None, out)?;
+/// let and = s.logic(LogicOp::And, &[a, b], out)?;
 /// assert_eq!(and.to_bools(), vec![true, false, false, false]);
 /// # Ok::<(), simdram::SimdramError>(())
 /// ```
@@ -276,25 +264,9 @@ impl HostSubstrate {
         }
     }
 
-    /// Checks every handle of a gate, then (in debug builds) that each
-    /// `known` value equals the row it describes: a value-threading
-    /// caller must track exactly what the rows hold.
-    fn check_gate(&self, ins: &[BitRow], known: Option<&[&PackedBits]>, out: BitRow) -> Result<()> {
-        for r in ins.iter().chain([&out]) {
-            self.check(*r)?;
-        }
-        debug_assert!(
-            known.is_none_or(|k| k.len() == ins.len()),
-            "one known value per input"
-        );
-        for (r, k) in ins.iter().zip(known.unwrap_or_default()) {
-            debug_assert!(
-                **k == self.rows[r.0],
-                "known value of row {} differs from the row",
-                r.0
-            );
-        }
-        Ok(())
+    /// Checks every handle of a gate.
+    fn check_gate(&self, ins: &[BitRow], out: BitRow) -> Result<()> {
+        ins.iter().chain([&out]).try_for_each(|r| self.check(*r))
     }
 
     /// Moves the scratch result into `out` (checked by the caller),
@@ -382,31 +354,20 @@ impl Substrate for HostSubstrate {
         Ok(())
     }
 
-    fn copy(
-        &mut self,
-        src: BitRow,
-        known: Option<&PackedBits>,
-        dst: BitRow,
-    ) -> Result<&PackedBits> {
-        self.check_gate(&[src], known.as_ref().map(std::slice::from_ref), dst)?;
+    fn copy(&mut self, src: BitRow, dst: BitRow) -> Result<&PackedBits> {
+        self.check_gate(&[src], dst)?;
         self.scratch.copy_from(&self.rows[src.0]);
         Ok(self.commit(dst, NativeOp::Copy))
     }
 
-    fn not(&mut self, a: BitRow, known: Option<&PackedBits>, out: BitRow) -> Result<&PackedBits> {
-        self.check_gate(&[a], known.as_ref().map(std::slice::from_ref), out)?;
+    fn not(&mut self, a: BitRow, out: BitRow) -> Result<&PackedBits> {
+        self.check_gate(&[a], out)?;
         self.scratch.copy_from(&self.rows[a.0]);
         self.scratch.not_in_place();
         Ok(self.commit(out, NativeOp::Not))
     }
 
-    fn logic(
-        &mut self,
-        op: LogicOp,
-        ins: &[BitRow],
-        known: Option<&[&PackedBits]>,
-        out: BitRow,
-    ) -> Result<&PackedBits> {
+    fn logic(&mut self, op: LogicOp, ins: &[BitRow], out: BitRow) -> Result<&PackedBits> {
         if ins.len() < 2 || ins.len() > MAX_FAN_IN {
             return Err(SimdramError::Substrate(
                 fcdram::FcdramError::BadInputCount {
@@ -415,7 +376,7 @@ impl Substrate for HostSubstrate {
                 },
             ));
         }
-        self.check_gate(ins, known, out)?;
+        self.check_gate(ins, out)?;
         self.scratch.copy_from(&self.rows[ins[0].0]);
         for r in &ins[1..] {
             if op.is_and_family() {
@@ -446,9 +407,17 @@ impl Substrate for HostSubstrate {
 /// Substrate backed by a real (simulated) DRAM chip through
 /// [`fcdram::BulkEngine`]: gates execute as violated-timing command
 /// sequences and inherit the device model's per-cell success rates.
-/// Each gate forwards `known` to the engine's one method for that gate
-/// (`None` reads the operands back first) and keeps the stored bits
-/// to return them by reference.
+///
+/// The substrate owns its rows' values: it keeps the last value written
+/// to each row (by `write_packed`, `fill`, a gate's stored bits, a copy
+/// or `maj3`) and hands those to the engine, which stages them into the
+/// gate's scratch rows, so no gate reads its operands back over the
+/// channel. A row never written since `alloc` is read from the device
+/// once, on first use; `free` forgets the value. This is sound because
+/// the substrate is the only writer of its engine's rows (there is no
+/// mutable engine access, and a copy never raises a third row; see
+/// [`BulkEngine::clones`]). Debug builds check it on every
+/// [`Substrate::read_packed`].
 ///
 /// # Examples
 ///
@@ -464,9 +433,9 @@ impl Substrate for HostSubstrate {
 /// let out = s.alloc()?;
 /// s.fill(a, true)?;
 /// assert_eq!(s.read_packed(a)?.count_ones(), s.lanes());
-/// // A circuit passes no operand values: the engine reads `a` back,
-/// // then runs the in-DRAM NOT and returns the bits it stored.
-/// let not_a = s.not(a, None, out)?.clone();
+/// // The in-DRAM NOT stages the tracked value of `a` and returns the
+/// // bits it stored.
+/// let not_a = s.not(a, out)?.clone();
 /// assert_eq!(s.read_packed(out)?, not_a);
 /// # Ok::<(), simdram::SimdramError>(())
 /// ```
@@ -474,13 +443,11 @@ impl Substrate for HostSubstrate {
 pub struct DramSubstrate {
     engine: BulkEngine,
     handles: Vec<Option<BitVecHandle>>,
+    /// The last value written to each live row (`None`: not written
+    /// since `alloc`, so the device is read on first use).
+    values: Vec<Option<PackedBits>>,
     free: Vec<usize>,
     trace: OpTrace,
-    /// The input handles of the current `logic` call (reused, so a
-    /// gate allocates nothing here).
-    args: Vec<BitVecHandle>,
-    /// The last gate's stored bits, returned by reference.
-    result: PackedBits,
 }
 
 impl DramSubstrate {
@@ -490,10 +457,9 @@ impl DramSubstrate {
         DramSubstrate {
             engine,
             handles: Vec::new(),
+            values: Vec::new(),
             free: Vec::new(),
             trace: OpTrace::new(),
-            args: Vec::with_capacity(MAX_FAN_IN),
-            result: PackedBits::zeros(0),
         }
     }
 
@@ -529,6 +495,16 @@ impl DramSubstrate {
             .ok_or(SimdramError::BadHandle { id: r.0 })
     }
 
+    /// The handle of an operand row, its value loaded from the device
+    /// if the row was not written since `alloc`.
+    fn operand(&mut self, r: BitRow) -> Result<BitVecHandle> {
+        let h = self.handle(r)?;
+        if self.values[r.0].is_none() {
+            self.values[r.0] = Some(self.engine.read_packed(&h)?);
+        }
+        Ok(h)
+    }
+
     fn record(&mut self, op: NativeOp, executions: usize, predicted_success: f64) {
         self.trace.record(TraceEntry {
             op,
@@ -537,12 +513,22 @@ impl DramSubstrate {
         });
     }
 
-    /// Records a gate and keeps its stored bits for the caller.
-    fn finish(&mut self, op: NativeOp, (stats, bits): (OpStats, PackedBits)) -> &PackedBits {
+    /// Records a gate and keeps its stored bits as `out`'s value.
+    fn finish(
+        &mut self,
+        op: NativeOp,
+        out: BitRow,
+        (stats, bits): (OpStats, PackedBits),
+    ) -> &PackedBits {
         self.record(op, stats.executions, stats.predicted_success);
-        self.result = bits;
-        &self.result
+        self.values[out.0].insert(bits)
     }
+}
+
+/// The value [`DramSubstrate::operand`] loaded for `r` (a free function,
+/// so it borrows the value table apart from the engine).
+fn loaded(values: &[Option<PackedBits>], r: BitRow) -> &PackedBits {
+    values[r.0].as_ref().expect("operand loaded")
 }
 
 impl Substrate for DramSubstrate {
@@ -565,6 +551,7 @@ impl Substrate for DramSubstrate {
             return Ok(BitRow(id));
         }
         self.handles.push(Some(handle));
+        self.values.push(None);
         Ok(BitRow(self.handles.len() - 1))
     }
 
@@ -572,6 +559,7 @@ impl Substrate for DramSubstrate {
         if let Some(slot) = self.handles.get_mut(r.0) {
             if let Some(h) = slot.take() {
                 self.engine.free(h);
+                self.values[r.0] = None;
                 self.free.push(r.0);
             }
         }
@@ -580,6 +568,10 @@ impl Substrate for DramSubstrate {
     fn write_packed(&mut self, r: BitRow, bits: &PackedBits) -> Result<()> {
         let h = self.handle(r)?;
         self.engine.write_packed(&h, bits)?;
+        match &mut self.values[r.0] {
+            Some(v) => v.copy_from(bits),
+            slot => *slot = Some(bits.clone()),
+        }
         self.record(NativeOp::HostWrite, 0, 1.0);
         Ok(())
     }
@@ -587,6 +579,11 @@ impl Substrate for DramSubstrate {
     fn read_packed(&mut self, r: BitRow) -> Result<PackedBits> {
         let h = self.handle(r)?;
         let words = self.engine.read_packed(&h)?;
+        debug_assert!(
+            self.values[r.0].as_ref().is_none_or(|v| *v == words),
+            "row {} holds bits other than its tracked value",
+            r.0
+        );
         self.record(NativeOp::HostRead, 0, 1.0);
         Ok(words)
     }
@@ -594,56 +591,46 @@ impl Substrate for DramSubstrate {
     fn fill(&mut self, r: BitRow, value: bool) -> Result<()> {
         let h = self.handle(r)?;
         self.engine.fill(&h, value)?;
+        self.values[r.0] = Some(PackedBits::splat(value, h.len()));
         self.record(NativeOp::Fill, 0, 1.0);
         Ok(())
     }
 
-    fn copy(
-        &mut self,
-        src: BitRow,
-        known: Option<&PackedBits>,
-        dst: BitRow,
-    ) -> Result<&PackedBits> {
-        let hs = self.handle(src)?;
+    fn copy(&mut self, src: BitRow, dst: BitRow) -> Result<&PackedBits> {
+        let hs = self.operand(src)?;
         let hd = self.handle(dst)?;
-        let done = self.engine.copy(&hs, known, &hd)?;
-        Ok(self.finish(NativeOp::Copy, done))
+        let done = self.engine.copy(&hs, loaded(&self.values, src), &hd)?;
+        Ok(self.finish(NativeOp::Copy, dst, done))
     }
 
-    fn not(&mut self, a: BitRow, known: Option<&PackedBits>, out: BitRow) -> Result<&PackedBits> {
-        let ha = self.handle(a)?;
+    fn not(&mut self, a: BitRow, out: BitRow) -> Result<&PackedBits> {
+        self.operand(a)?;
         let ho = self.handle(out)?;
-        let done = self.engine.not(&ha, known, &ho)?;
-        Ok(self.finish(NativeOp::Not, done))
+        let done = self.engine.not(loaded(&self.values, a), &ho)?;
+        Ok(self.finish(NativeOp::Not, out, done))
     }
 
-    fn logic(
-        &mut self,
-        op: LogicOp,
-        ins: &[BitRow],
-        known: Option<&[&PackedBits]>,
-        out: BitRow,
-    ) -> Result<&PackedBits> {
-        self.args.clear();
+    fn logic(&mut self, op: LogicOp, ins: &[BitRow], out: BitRow) -> Result<&PackedBits> {
         for r in ins {
-            let h = self.handle(*r)?;
-            self.args.push(h);
+            self.operand(*r)?;
         }
         let ho = self.handle(out)?;
-        let done = self.engine.logic(op, &self.args, known, &ho)?;
-        Ok(self.finish(NativeOp::Logic(op, ins.len() as u8), done))
+        let vals: Vec<&PackedBits> = ins.iter().map(|r| loaded(&self.values, *r)).collect();
+        let done = self.engine.logic(op, &vals, &ho)?;
+        Ok(self.finish(NativeOp::Logic(op, ins.len() as u8), out, done))
     }
 
     fn maj3(&mut self, a: BitRow, b: BitRow, c: BitRow, out: BitRow) -> Result<()> {
         if !self.engine.has_native_maj() {
             return derived_maj3(self, a, b, c, out);
         }
-        let ha = self.handle(a)?;
-        let hb = self.handle(b)?;
-        let hc = self.handle(c)?;
+        for r in [a, b, c] {
+            self.operand(r)?;
+        }
         let ho = self.handle(out)?;
-        let stats = self.engine.maj3(&ha, &hb, &hc, &ho)?;
-        self.record(NativeOp::Maj, stats.executions, stats.predicted_success);
+        let [va, vb, vc] = [a, b, c].map(|r| loaded(&self.values, r));
+        let done = self.engine.maj3(va, vb, vc, &ho)?;
+        self.finish(NativeOp::Maj, out, done);
         Ok(())
     }
 
@@ -719,13 +706,13 @@ mod tests {
         put(&mut s, a, &da);
         put(&mut s, b, &db);
 
-        s.logic(LogicOp::Nand, &[a, b], None, out).unwrap();
+        s.logic(LogicOp::Nand, &[a, b], out).unwrap();
         let got = get(&mut s, out);
         for i in 0..8 {
             assert_eq!(got[i], !(da[i] && db[i]), "lane {i}");
         }
 
-        s.not(a, None, out).unwrap();
+        s.not(a, out).unwrap();
         let got = get(&mut s, out);
         for i in 0..8 {
             assert_eq!(got[i], !da[i]);
@@ -737,9 +724,9 @@ mod tests {
         let mut s = host();
         let a = s.alloc().unwrap();
         let out = s.alloc().unwrap();
-        assert!(s.logic(LogicOp::And, &[a], None, out).is_err());
+        assert!(s.logic(LogicOp::And, &[a], out).is_err());
         let many: Vec<BitRow> = (0..17).map(|_| s.alloc().unwrap()).collect();
-        assert!(s.logic(LogicOp::And, &many, None, out).is_err());
+        assert!(s.logic(LogicOp::And, &many, out).is_err());
     }
 
     #[test]
@@ -778,23 +765,12 @@ mod tests {
         let a = s.alloc().unwrap();
         let b = s.alloc().unwrap();
         s.fill(a, true).unwrap();
-        s.copy(a, None, b).unwrap();
-        s.not(a, None, b).unwrap();
+        s.copy(a, b).unwrap();
+        s.not(a, b).unwrap();
         assert_eq!(s.trace().len(), 3);
         assert_eq!(s.trace().in_dram_ops(), 2); // copy + not
         s.trace_mut().clear();
         assert!(s.trace().is_empty());
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "differs from the row")]
-    fn host_mismatched_known_value_trips_the_debug_check() {
-        let mut s = host();
-        let a = s.alloc().unwrap();
-        let out = s.alloc().unwrap();
-        s.fill(a, true).unwrap();
-        let _ = s.not(a, Some(&PackedBits::zeros(8)), out);
     }
 
     fn dram() -> DramSubstrate {
@@ -827,7 +803,7 @@ mod tests {
         let out = s.alloc().unwrap();
         s.fill(a, true).unwrap();
         s.fill(b, false).unwrap();
-        s.logic(LogicOp::Or, &[a, b], None, out).unwrap();
+        s.logic(LogicOp::Or, &[a, b], out).unwrap();
         let entry = *s.trace().entries().last().unwrap();
         assert!(matches!(entry.op, NativeOp::Logic(LogicOp::Or, 2)));
         assert!(entry.predicted_success > 0.5 && entry.predicted_success <= 1.0);

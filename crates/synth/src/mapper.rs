@@ -16,9 +16,10 @@
 //! same assumption as [`simdram::reliability`]). Ties are broken by
 //! native-op count, then by summed latency.
 //!
-//! Inverted-terminal gates (NAND/NOR) chunk like
-//! [`simdram`]'s `reduce_inverted`: monotone stages until one final
-//! native stage applies the inversion, so the tree costs no extra NOT.
+//! Inverted-terminal gates (NAND/NOR) chunk into monotone stages until
+//! one final native stage applies the inversion, so the tree costs no
+//! extra NOT; [`SynthProgram::narrowed`] rewrites over-wide steps by the
+//! same rule.
 
 use crate::cost::CostModel;
 use crate::dag::{Circuit, Node};

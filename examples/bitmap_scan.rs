@@ -14,8 +14,8 @@
 //!
 //! Run with: `cargo run --release --example bitmap_scan`
 
-use dram_core::{BankId, SubarrayId};
-use fcdram::{BulkEngine, Fcdram, FcdramError};
+use dram_core::{BankId, LogicOp, SubarrayId};
+use fcdram::{BulkEngine, Fcdram, FcdramError, PackedBits};
 
 /// Deterministic pseudo-random predicate bit.
 fn bit(seed: u64, i: usize) -> bool {
@@ -42,16 +42,21 @@ fn main() -> Result<(), FcdramError> {
     let v_opted = engine.alloc()?;
     let v_region = engine.alloc()?;
     let v_result = engine.alloc()?;
-    engine.write(&v_premium, &premium)?;
-    engine.write(&v_active, &active)?;
-    engine.write(&v_eu, &eu)?;
-    engine.write(&v_opted, &opted)?;
+    let [p_premium, p_active, p_eu, p_opted] =
+        [&premium, &active, &eu, &opted].map(|c| PackedBits::from_bools(c));
+    engine.write_packed(&v_premium, &p_premium)?;
+    engine.write_packed(&v_active, &p_active)?;
+    engine.write_packed(&v_eu, &p_eu)?;
+    engine.write_packed(&v_opted, &p_opted)?;
 
-    // (eu OR opted_in) — one in-DRAM OR.
-    let or_stats = engine.or(&[&v_eu, &v_opted], &v_region)?;
+    // (eu OR opted_in) — one in-DRAM OR over the columns' values; it
+    // returns the bits it stored in `v_region`.
+    let (or_stats, region) = engine.logic(LogicOp::Or, &[&p_eu, &p_opted], &v_region)?;
     // premium AND active AND region — one in-DRAM 3-input AND
     // (identity-padded to the 4:4 activation pattern).
-    let and_stats = engine.and(&[&v_premium, &v_active, &v_region], &v_result)?;
+    let and_stats = engine
+        .logic(LogicOp::And, &[&p_premium, &p_active, &region], &v_result)?
+        .0;
 
     let result = engine.read(&v_result)?;
     let in_dram_count = result.iter().filter(|b| **b).count();

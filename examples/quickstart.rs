@@ -6,8 +6,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use dram_core::{BankId, SubarrayId};
-use fcdram::{BulkEngine, Fcdram, FcdramError};
+use dram_core::{BankId, LogicOp, SubarrayId};
+use fcdram::{BulkEngine, Fcdram, FcdramError, PackedBits};
 
 fn main() -> Result<(), FcdramError> {
     // A 4Gb M-die SK Hynix DDR4-2666 chip (the paper's most common
@@ -34,13 +34,18 @@ fn main() -> Result<(), FcdramError> {
     let bits = engine.capacity_bits();
     let data_a: Vec<bool> = (0..bits).map(|i| i % 3 == 0).collect();
     let data_b: Vec<bool> = (0..bits).map(|i| i % 2 == 0).collect();
-    engine.write(&a, &data_a)?;
-    engine.write(&b, &data_b)?;
+    let (va, vb) = (
+        PackedBits::from_bools(&data_a),
+        PackedBits::from_bools(&data_b),
+    );
+    engine.write_packed(&a, &va)?;
+    engine.write_packed(&b, &vb)?;
 
     // In-DRAM NOT (bitline-bar coupling across the shared stripe). A
-    // gate also returns the bits it stored; `None` means the engine
-    // reads the operand back itself instead of being handed its value.
-    let (stats, _stored) = engine.not(&a, None, &out)?;
+    // gate is handed its operand values, which the caller owns (it
+    // stages them into scratch rows; nothing is read back over the
+    // channel), and returns the bits it stored.
+    let (stats, _stored) = engine.not(&va, &out)?;
     println!(
         "NOT  : accuracy {:>6.2}%  (model predicted {:>6.2}%)",
         stats.accuracy * 100.0,
@@ -48,12 +53,13 @@ fn main() -> Result<(), FcdramError> {
     );
 
     // In-DRAM 2-input gates (charge sharing against a Frac reference).
-    for (name, result) in [
-        ("AND ", engine.and(&[&a, &b], &out)?),
-        ("NAND", engine.nand(&[&a, &b], &out)?),
-        ("OR  ", engine.or(&[&a, &b], &out)?),
-        ("NOR ", engine.nor(&[&a, &b], &out)?),
+    for (name, op) in [
+        ("AND ", LogicOp::And),
+        ("NAND", LogicOp::Nand),
+        ("OR  ", LogicOp::Or),
+        ("NOR ", LogicOp::Nor),
     ] {
+        let result = engine.logic(op, &[&va, &vb], &out)?.0;
         println!(
             "{name} : accuracy {:>6.2}%  (model predicted {:>6.2}%)",
             result.accuracy * 100.0,
@@ -64,7 +70,7 @@ fn main() -> Result<(), FcdramError> {
     // Reliability is an analog phenomenon: repetition voting trades
     // bandwidth for correctness (the paper's future-work direction).
     engine.set_repetition(9);
-    let voted = engine.and(&[&a, &b], &out)?;
+    let voted = engine.logic(LogicOp::And, &[&va, &vb], &out)?.0;
     println!(
         "\nAND with 9-fold voting: accuracy {:>6.2}% over {} executions",
         voted.accuracy * 100.0,

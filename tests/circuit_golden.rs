@@ -1,17 +1,16 @@
-//! Golden pin of the in-DRAM handle path that `simdram` circuits run
-//! through.
+//! Golden pin of the synthesized `simdram` circuits.
 //!
-//! Synthesized circuits call the substrate gates without operand
-//! values, so every gate reads its operands back from the device
-//! before it executes. `predicted_success_golden.rs` pins only the
-//! prepared value path; this suite pins the other one. Each circuit
-//! runs on `SimdVm<DramSubstrate>` at 1024 modeled columns in fast
-//! fidelity, at repetition 1 and 3, on Table-1 chip 0 and on the
-//! fan-in-8 part `hynix-8Gb-M-2666-#0`. Per circuit the test pins a
-//! digest of its results and a digest of every trace entry it records
-//! (op, fan-in, `executions`, `predicted_success` as `to_bits`).
-//! A digest that moves is a re-baseline to explain, not an edit to
-//! make here.
+//! Circuits call the substrate gates one at a time with rows only; on
+//! DRAM the substrate hands each gate the values it tracks for those
+//! rows, so no operand is read back. `predicted_success_golden.rs` pins
+//! the prepared program walk; this suite pins the circuits. Each
+//! circuit runs on `SimdVm<DramSubstrate>` at 1024 modeled columns in
+//! fast fidelity, at repetition 1 and 3, on Table-1 chip 0 and on the
+//! fan-in-8 part `hynix-8Gb-M-2666-#0`, and on `HostSubstrate` at the
+//! same lane count. Per circuit the test pins a digest of its results
+//! and a digest of every trace entry it records (op, fan-in,
+//! `executions`, `predicted_success` as `to_bits`). A digest that moves
+//! is a re-baseline to explain, not an edit to make here.
 
 use dram_core::math::mix2;
 use dram_core::{BankId, LogicOp, SimConfig, SubarrayId};

@@ -140,7 +140,7 @@ pub fn reference_walk<S: Substrate>(
                 Output::Reg(r) => inputs[r],
             };
             let out = vm.alloc_row()?;
-            vm.substrate_mut().copy(src, None, out)?;
+            vm.substrate_mut().copy(src, out)?;
             out
         }
     };

@@ -4,7 +4,7 @@
 use characterize::experiments::run_experiment;
 use characterize::runner::{ModuleCtx, Scale};
 use dram_core::{BankId, LogicOp, Manufacturer, SubarrayId};
-use fcdram::{BulkEngine, Fcdram};
+use fcdram::{BulkEngine, Fcdram, PackedBits};
 
 fn hynix_cfg() -> dram_core::ModuleConfig {
     dram_core::config::table1().remove(0).with_modeled_cols(64)
@@ -32,11 +32,12 @@ fn full_stack_functionally_complete_pipeline() {
     let t2 = e.alloc().unwrap();
     let da = rand_bits(1, bits);
     let db = rand_bits(2, bits);
-    e.write(&a, &da).unwrap();
-    e.write(&b, &db).unwrap();
+    let (va, vb) = (PackedBits::from_bools(&da), PackedBits::from_bools(&db));
+    e.write_packed(&a, &va).unwrap();
+    e.write_packed(&b, &vb).unwrap();
 
     // NOT(a) = NAND(a, a).
-    e.nand(&[&a, &a], &t1).unwrap();
+    e.logic(LogicOp::Nand, &[&va, &va], &t1).unwrap();
     let got_not = e.read(&t1).unwrap();
     let want_not: Vec<bool> = da.iter().map(|x| !x).collect();
     let acc = got_not
@@ -48,8 +49,8 @@ fn full_stack_functionally_complete_pipeline() {
     assert!(acc > 0.78, "NAND-built NOT accuracy {acc}");
 
     // AND(a, b) = NOT(NAND(a, b)).
-    e.nand(&[&a, &b], &t1).unwrap();
-    e.nand(&[&t1, &t1], &t2).unwrap();
+    let nand = e.logic(LogicOp::Nand, &[&va, &vb], &t1).unwrap().1;
+    e.logic(LogicOp::Nand, &[&nand, &nand], &t2).unwrap();
     let got_and = e.read(&t2).unwrap();
     let want_and: Vec<bool> = da.iter().zip(&db).map(|(x, y)| *x && *y).collect();
     let acc = got_and

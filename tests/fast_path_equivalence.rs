@@ -328,18 +328,15 @@ fn engine_identical_in_both_fidelity_modes() {
         e.set_repetition(3);
     }
     let run = |e: &mut BulkEngine| {
-        let a = e.alloc().unwrap();
-        let b = e.alloc().unwrap();
         let out = e.alloc().unwrap();
         let bits = e.capacity_bits();
         let da: Vec<bool> = (0..bits).map(|i| i % 3 == 0).collect();
         let db: Vec<bool> = (0..bits).map(|i| i % 5 != 0).collect();
-        e.write(&a, &da).unwrap();
-        e.write(&b, &db).unwrap();
-        let mut stats = vec![e.not(&a, None, &out).unwrap().0];
+        let (da, db) = (PackedBits::from_bools(&da), PackedBits::from_bools(&db));
+        let mut stats = vec![e.not(&da, &out).unwrap().0];
         let mut reads = vec![e.read(&out).unwrap()];
         for op in LogicOp::ALL {
-            stats.push(e.logic(op, &[&a, &b], None, &out).unwrap().0);
+            stats.push(e.logic(op, &[&da, &db], &out).unwrap().0);
             reads.push(e.read(&out).unwrap());
         }
         (stats, reads)

@@ -100,13 +100,15 @@ fn engine_copy_accuracy_matches_prediction() {
         .map(|i| dram_core::math::hash_to_unit(dram_core::math::mix2(7, i as u64)) < 0.5)
         .collect();
 
+    let value = fcdram::PackedBits::from_bools(&data);
+
     let trials = 40usize;
     let mut predicted = 0.0;
     let mut observed = 0.0;
     let mut in_dram = 0usize;
     for _ in 0..trials {
         e.write(&a, &data).unwrap();
-        let (stats, _) = e.copy(&a, None, &b).unwrap();
+        let (stats, _) = e.copy(&a, &value, &b).unwrap();
         predicted += stats.predicted_success;
         observed += stats.accuracy;
         in_dram += stats.executions;

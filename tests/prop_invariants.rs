@@ -508,20 +508,16 @@ proptest! {
                     let (r, v) = (pick(1), seed >> 32 & 1 == 1);
                     prop_assert_eq!(s.fill(r, v), m.fill(r.id(), v));
                 }
-                // One kind per gate; each call is given its operands'
-                // values (as the prepared walk does) or not (as
-                // circuits do) with equal odds.
+                // One kind per gate.
                 6 => {
                     let (a, b) = (pick(1), pick(2));
-                    let val = (seed >> 40 & 1 == 1).then(|| current(&m, a));
-                    let got = s.copy(a, val.as_ref(), b).cloned();
+                    let got = s.copy(a, b).cloned();
                     prop_assert!(got.as_ref().map_or(true, tail_clear));
                     prop_assert_eq!(got, m.copy(a.id(), b.id()));
                 }
                 7 => {
                     let (a, b) = (pick(1), pick(2));
-                    let val = (seed >> 40 & 1 == 1).then(|| current(&m, a));
-                    let got = s.not(a, val.as_ref(), b).cloned();
+                    let got = s.not(a, b).cloned();
                     prop_assert!(got.as_ref().map_or(true, tail_clear));
                     prop_assert_eq!(got, m.not(a.id(), b.id()));
                 }
@@ -531,10 +527,7 @@ proptest! {
                     let ins: Vec<BitRow> = (0..n as u64).map(|k| pick(10 + k)).collect();
                     let ids: Vec<usize> = ins.iter().map(|r| r.id()).collect();
                     let out = pick(2);
-                    let vals: Vec<PackedBits> = ins.iter().map(|r| current(&m, *r)).collect();
-                    let refs: Vec<&PackedBits> = vals.iter().collect();
-                    let known = (seed >> 40 & 1 == 1).then_some(refs.as_slice());
-                    let got = s.logic(op, &ins, known, out).cloned();
+                    let got = s.logic(op, &ins, out).cloned();
                     prop_assert!(got.as_ref().map_or(true, tail_clear));
                     prop_assert_eq!(got, m.logic(op, &ids, out.id()));
                 }
@@ -550,15 +543,6 @@ proptest! {
         }
         prop_assert_eq!(s.trace(), &m.trace);
     }
-}
-
-/// The model's current value of `r` (zeros for a freed row), as a
-/// value-path caller would track it.
-fn current(m: &BoolHost, r: BitRow) -> PackedBits {
-    m.row(r.id()).map_or_else(
-        |_| PackedBits::zeros(m.lanes),
-        |b| PackedBits::from_bools(&b),
-    )
 }
 
 use dram_core::{FleetConfig, FleetSlot, FleetSlots, SlotLease};
