@@ -206,7 +206,7 @@ fn write_summary(progs: &[(Arc<SynthProgram>, usize)], ops: &[Vec<PackedBits>]) 
     derived("exec_native_ops/bender".to_string(), cmd_ops as f64, 1);
 
     // Deterministic cycle-accurate schedule latency of the mix.
-    let model = ScheduleLatency::new(dram_core::SpeedBin::Mt2666, 16);
+    let model = ScheduleLatency::new(dram_core::SpeedBin::Mt2666);
     let schedule_ns: f64 = progs
         .iter()
         .flat_map(|(p, _)| p.steps.iter())

@@ -1373,12 +1373,6 @@ fn run_synth_cli(args: Vec<String>) -> ExitCode {
                 let dev_lanes = be.lanes();
                 let operands = operands_for(dev_lanes);
                 let expect = expect_for(&operands, dev_lanes);
-                let schedule_ns: f64 = m
-                    .program
-                    .steps
-                    .iter()
-                    .map(|s| be.step_latency_ns(s).unwrap_or(0.0))
-                    .sum();
                 let prep = match be.prepare(&m.program) {
                     Ok(p) => p,
                     Err(e) => {
@@ -1386,6 +1380,13 @@ fn run_synth_cli(args: Vec<String>) -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 };
+                // Priced on the prepared (narrowed) steps the part runs.
+                let schedule_ns: f64 = prep
+                    .program()
+                    .steps
+                    .iter()
+                    .map(|s| be.step_latency_ns(s).unwrap_or(0.0))
+                    .sum();
                 match be.run_prepared(&prep, &operands, |_, _| {}) {
                     Ok(got) => {
                         println!(

@@ -411,7 +411,7 @@ impl ExecBackend for BenderBackend {
     }
 
     fn step_latency_ns(&self, step: &Step) -> Option<f64> {
-        Some(crate::latency::ScheduleLatency::new(self.speed, self.max_fan_in).step_ns(step))
+        Some(crate::latency::ScheduleLatency::new(self.speed).step_ns(step))
     }
 
     fn prepare(&mut self, prog: &std::sync::Arc<SynthProgram>) -> Result<PreparedProgram> {

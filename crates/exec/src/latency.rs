@@ -51,18 +51,12 @@ fn model_entry(rf: usize, first_rows: Vec<LocalRow>, second_rows: Vec<LocalRow>)
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleLatency {
     speed: SpeedBin,
-    fan_in: usize,
 }
 
 impl ScheduleLatency {
-    /// A model for a part of the given speed bin whose widest native
-    /// gate is `fan_in` (wider steps are priced as the reduction tree
-    /// the backends execute).
-    pub fn new(speed: SpeedBin, fan_in: usize) -> ScheduleLatency {
-        ScheduleLatency {
-            speed,
-            fan_in: fan_in.clamp(2, simdram::MAX_FAN_IN),
-        }
+    /// A model for a part of the given speed bin.
+    pub fn new(speed: SpeedBin) -> ScheduleLatency {
+        ScheduleLatency { speed }
     }
 
     /// The speed bin schedules are timed against.
@@ -117,45 +111,21 @@ impl ScheduleLatency {
         })
     }
 
-    /// Cycle-accurate latency of one program step, including the
-    /// reduction tree for steps wider than the native fan-in.
+    /// Cycle-accurate latency of one program step. Steps come from
+    /// prepared programs, which `prepare` has already narrowed to the
+    /// backend's native fan-in, so every gate step is one native
+    /// schedule.
     pub fn step_ns(&self, step: &Step) -> f64 {
         match step.op {
             None => self.not_ns(),
-            Some(op) => {
-                let n = step.args.len();
-                if n == 1 {
-                    return if op.is_inverted_terminal() {
-                        self.not_ns()
-                    } else {
-                        self.copy_ns()
-                    };
+            Some(op) if step.args.len() == 1 => {
+                if op.is_inverted_terminal() {
+                    self.not_ns()
+                } else {
+                    self.copy_ns()
                 }
-                if n <= self.fan_in {
-                    return self.native_gate_ns(n);
-                }
-                // The backends' reduction tree: monotone stages
-                // chunked at the fan-in, one final stage.
-                let mut total = 0.0;
-                let mut level = n;
-                while level > self.fan_in {
-                    let mut next = 0;
-                    let full = level / self.fan_in;
-                    let rem = level % self.fan_in;
-                    for _ in 0..full {
-                        total += self.native_gate_ns(self.fan_in);
-                        next += 1;
-                    }
-                    if rem == 1 {
-                        next += 1; // single leftover passes through
-                    } else if rem > 1 {
-                        total += self.native_gate_ns(rem);
-                        next += 1;
-                    }
-                    level = next;
-                }
-                total + self.native_gate_ns(level)
             }
+            Some(_) => self.native_gate_ns(step.args.len()),
         }
     }
 }
@@ -174,13 +144,11 @@ pub struct ScheduleTimed<B: ExecBackend> {
 }
 
 impl<B: ExecBackend> ScheduleTimed<B> {
-    /// Wraps `inner`, timing steps at `speed` with the inner backend's
-    /// native fan-in.
+    /// Wraps `inner`, timing steps at `speed`.
     pub fn new(inner: B, speed: SpeedBin) -> ScheduleTimed<B> {
-        let fan_in = inner.max_fan_in();
         ScheduleTimed {
             inner,
-            model: ScheduleLatency::new(speed, fan_in),
+            model: ScheduleLatency::new(speed),
         }
     }
 
@@ -261,7 +229,7 @@ mod tests {
 
     #[test]
     fn wider_gates_cost_more_cycles() {
-        let m = ScheduleLatency::new(SpeedBin::Mt2666, 16);
+        let m = ScheduleLatency::new(SpeedBin::Mt2666);
         let n2 = m.step_ns(&step(Some(LogicOp::And), 2));
         let n4 = m.step_ns(&step(Some(LogicOp::And), 4));
         let n16 = m.step_ns(&step(Some(LogicOp::And), 16));
@@ -277,8 +245,8 @@ mod tests {
 
     #[test]
     fn slower_bins_cost_more_nanoseconds() {
-        let fast = ScheduleLatency::new(SpeedBin::Mt2666, 16);
-        let slow = ScheduleLatency::new(SpeedBin::Mt2133, 16);
+        let fast = ScheduleLatency::new(SpeedBin::Mt2666);
+        let slow = ScheduleLatency::new(SpeedBin::Mt2133);
         let s = step(Some(LogicOp::Nand), 8);
         // Cycle counts scale with the bin's clock; ns must not shrink
         // on the slower part.
@@ -286,17 +254,22 @@ mod tests {
     }
 
     #[test]
-    fn narrow_fan_in_prices_the_reduction_tree() {
-        let wide = ScheduleLatency::new(SpeedBin::Mt2666, 16);
-        let narrow = ScheduleLatency::new(SpeedBin::Mt2666, 4);
-        let s = step(Some(LogicOp::And), 16);
-        assert!(
-            narrow.step_ns(&s) > wide.step_ns(&s),
-            "a 16-input gate at fan-in 4 needs a tree"
-        );
-        // 16 inputs at fan-in 4: 4 + 1 native gates.
-        let one = narrow.step_ns(&step(Some(LogicOp::And), 4));
-        assert!((narrow.step_ns(&s) - 5.0 * one).abs() < 1e-9);
+    fn narrowed_plans_price_their_native_steps() {
+        // A 16-input AND prepared at fan-in 4 is 4 + 1 four-input gates:
+        // the plan costs five 4-input schedules, more than the one
+        // 16-input schedule it replaces.
+        let m = ScheduleLatency::new(SpeedBin::Mt2666);
+        let cost = fcsynth::CostModel::table1_defaults();
+        let text = "a&b&c&d&e&f&g&h&i&j&k&l&m&n&o&p";
+        let prog = fcsynth::compile(text, &cost, 16).unwrap().mapping.program;
+        let plan = crate::PreparedProgram::analyze(&prog, 4);
+        let steps = &plan.program().steps;
+        assert_eq!(steps.len(), 5);
+        assert!(steps.iter().all(|s| s.args.len() <= 4));
+        let total: f64 = steps.iter().map(|s| m.step_ns(s)).sum();
+        let one = m.step_ns(&step(Some(LogicOp::And), 4));
+        assert!((total - 5.0 * one).abs() < 1e-9);
+        assert!(total > m.step_ns(&prog.steps[0]));
     }
 
     #[test]
