@@ -52,6 +52,8 @@ that takes them: --backend {vm,bender} (default vm), --shards K
 Numeric flags are range-checked in every mode: --jobs, --chips,
 --lanes, --max-batch and --ticks must be at least 1, --fan-in 2 to 16,
 --min-success in [0, 1], and --tick-us finite and greater than 0.
+Sizes are bounded too: per chip, 1 KiB plus 512 rows of --lanes bits
+must fit a 4 GiB memory budget.
 
 fleet mode sweeps a seeded population of simulated chips (drawn
 round-robin from Table 1, or from one --module) over the experiment
@@ -348,6 +350,29 @@ fn out_of_range(flag: &str, x: f64) -> Option<String> {
     (!ok).then_some(range)
 }
 
+/// The memory budget size flags are checked against before anything
+/// is allocated: 4 GiB.
+const MEMORY_BUDGET_BYTES: u128 = 4 << 30;
+
+/// Whether a run over `chips` chips with `lanes`-bit rows fits
+/// [`MEMORY_BUDGET_BYTES`], printing a usage error when it does not.
+/// The planned footprint is a per-chip bound times the chip count:
+/// 1 KiB of fleet and planner state plus one subarray's 512 rows of
+/// `lanes` bits.
+fn fits_budget(chips: usize, lanes: usize) -> bool {
+    let per_chip = 1024 + 512 * (lanes as u128).div_ceil(8);
+    let bytes = chips as u128 * per_chip;
+    if bytes <= MEMORY_BUDGET_BYTES {
+        return true;
+    }
+    eprintln!(
+        "{chips} chip(s) with {lanes}-lane rows plan {} MiB, over the {} MiB memory budget\n{USAGE}",
+        bytes >> 20,
+        MEMORY_BUDGET_BYTES >> 20
+    );
+    false
+}
+
 fn run_fleet_cli(args: Vec<String>) -> ExitCode {
     let mut common = CommonFlags::default();
     let mut module: Option<String> = None;
@@ -384,7 +409,9 @@ fn run_fleet_cli(args: Vec<String>) -> ExitCode {
             },
         }
     }
-    if !common.check_applies("fleet", &["--chips", "--shards", "--seed"]) {
+    if !common.check_applies("fleet", &["--chips", "--shards", "--seed"])
+        || !fits_budget(common.chips, 0)
+    {
         return ExitCode::FAILURE;
     }
     let (chips, shards, seed) = (common.chips, common.shards, common.seed);
@@ -524,6 +551,9 @@ fn run_serve_cli(args: Vec<String>) -> ExitCode {
                 }
             },
         }
+    }
+    if !fits_budget(common.chips, lanes) {
+        return ExitCode::FAILURE;
     }
     let (chips, shards, seed, backend) = (common.chips, common.shards, common.seed, common.backend);
     let cost = match &costs_path {
@@ -955,6 +985,9 @@ fn run_daemon_cli(args: Vec<String>) -> ExitCode {
 
     let chips = common.chips;
     let lanes = lanes.unwrap_or(64);
+    if !fits_budget(chips, lanes) {
+        return ExitCode::FAILURE;
+    }
     let Some(cost) = load_cost_model(costs_path.as_deref()) else {
         return ExitCode::FAILURE;
     };
@@ -1205,7 +1238,7 @@ fn run_synth_cli(args: Vec<String>) -> ExitCode {
             },
         }
     }
-    if !common.check_applies("synth", &["--backend", "--seed"]) {
+    if !common.check_applies("synth", &["--backend", "--seed"]) || !fits_budget(1, lanes) {
         return ExitCode::FAILURE;
     }
     let backend = common.backend;

@@ -97,6 +97,46 @@ fn zero_sizes_are_usage_errors() {
     }
 }
 
+/// Oversized size flags are usage errors checked against the memory
+/// budget before anything is allocated, never an out-of-memory abort.
+#[test]
+fn oversized_sizes_are_usage_errors() {
+    for args in [
+        vec![
+            "serve",
+            "--jobs",
+            "1",
+            "--lanes",
+            "64",
+            "--chips",
+            "100000000",
+        ],
+        vec!["serve", "--jobs", "1", "--lanes", "100000000000"],
+        vec!["serve", "--lanes", "18446744073709551615"],
+        vec!["fleet", "--chips", "100000000"],
+        vec!["daemon", "--chips", "100000000"],
+        vec![
+            "synth",
+            "--expr",
+            "a&b",
+            "--lanes",
+            "100000000000",
+            "--execute",
+        ],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_characterize"))
+            .args(&args)
+            .output()
+            .expect("characterize binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("memory budget") && stderr.contains("usage"),
+            "{args:?}: no usage diagnostic in {stderr:?}"
+        );
+    }
+}
+
 /// Hostile nesting in an input file is a typed error with a non-zero
 /// exit, never a stack overflow: a 200k-deep JSON session log, and
 /// 100k-deep parentheses or negations in an expression file. A
