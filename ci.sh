@@ -142,8 +142,10 @@ synth_smoke() {
 }
 
 # Determinism gate: the fidelity invariant enforced byte-for-byte.
-#   1. the scheduler, execution-backend, and fault-injection
-#      equivalence suites;
+#   1. the scheduler, execution-backend, fault-injection and
+#      observability equivalence suites, plus the digest pins of the
+#      DRAM circuits and the prepared device path
+#      (`tests/circuit_golden.rs`, `tests/predicted_success_golden.rs`);
 #   2. a quick fleet sweep run at 1 and at 3 shards — the two JSON
 #      reports must be byte-identical (the sweep report does not
 #      depend on the shard count) except for the count itself, which
@@ -178,9 +180,9 @@ synth_smoke() {
 #      time only, never wall clock;
 #   7. the quick full-paper report (`characterize all --quick --json`)
 #      run twice: the two JSON reports must be byte-identical. It is
-#      the one report that runs the characterization ops and the
-#      `DramSubstrate` handle path (the `arith` table, with 5-fold
-#      voting).
+#      the one report that runs the characterization ops and
+#      `simdram` circuits on `DramSubstrate` (the `arith` table, with
+#      5-fold voting).
 determinism() {
   mkdir -p target/tools
   cargo build --release -p characterize || return 1
@@ -188,6 +190,7 @@ determinism() {
   cargo test -q --test exec_equivalence || return 1
   cargo test -q --test fault_equivalence || return 1
   cargo test -q --test obs_equivalence || return 1
+  cargo test -q --test circuit_golden --test predicted_success_golden || return 1
   local bin=target/release/characterize
   "$bin" fleet --quick --chips 3 --shards 1 --json target/tools/det_fleet_s1.json >/dev/null \
     && "$bin" fleet --quick --chips 3 --shards 3 --json target/tools/det_fleet_s3a.json >/dev/null \

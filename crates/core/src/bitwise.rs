@@ -511,8 +511,8 @@ impl BulkEngine {
     /// Both vectors live in the compute subarray, so the copy is a
     /// sub-`tRP` `ACT → PRE → ACT` pair that never moves data over the
     /// channel. Pairs that would not raise exactly these two rows
-    /// ([`Self::clones`] is false) never issue it; they take the host
-    /// write, reported with `executions: 0`.
+    /// (checked on the chip's row decoder) never issue it; they take
+    /// the host write, reported with `executions: 0`.
     ///
     /// # Errors
     ///
@@ -553,7 +553,7 @@ impl BulkEngine {
     /// may raise more rows (merged predecode groups, as SiMRA shows on
     /// real parts) and copy the source into all of them, so every
     /// other pair takes the host-write fallback.
-    pub fn clones(&self, src: &BitVecHandle, dst: &BitVecHandle) -> bool {
+    fn clones(&self, src: &BitVecHandle, dst: &BitVecHandle) -> bool {
         let geom = self.fc.config().geometry();
         let (Ok((_, s)), Ok((_, d)), Some(chip)) = (
             geom.split_row(src.row),

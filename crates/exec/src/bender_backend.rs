@@ -345,9 +345,9 @@ impl BenderBackend {
     }
 
     /// One prepared copy: [`BulkEngine::copy`] itself, so both backends
-    /// take the same RowClone-or-host-write decision
-    /// ([`BulkEngine::clones`]). It counts as one native operation
-    /// either way, as the VM backend traces it.
+    /// take the same decision (RowClone only on pairs that raise
+    /// exactly two rows, else a host write). It counts as one native
+    /// operation either way, as the VM backend traces it.
     fn prepared_copy(
         &mut self,
         src: &BitVecHandle,

@@ -416,7 +416,7 @@ impl Substrate for HostSubstrate {
 /// once, on first use; `free` forgets the value. This is sound because
 /// the substrate is the only writer of its engine's rows (there is no
 /// mutable engine access, and a copy never raises a third row; see
-/// [`BulkEngine::clones`]). Debug builds check it on every
+/// [`BulkEngine::copy`]). Debug builds check it on every
 /// [`Substrate::read_packed`].
 ///
 /// # Examples

@@ -884,3 +884,163 @@ proptest! {
         }
     }
 }
+
+use fcdram::{BitVecHandle, BulkEngine, Fcdram};
+use simdram::DramSubstrate;
+
+/// The Table-1 parts the DRAM coherence property runs on: a
+/// majority-capable 16-input part, a 2133 MT/s A-die, the fan-in-8
+/// M-die and a Samsung part.
+const COHERENCE_PARTS: [&str; 4] = [
+    "hynix-4Gb-M-2666-#0",
+    "hynix-4Gb-A-2133-#1",
+    "hynix-8Gb-M-2666-#0",
+    "samsung-4Gb-F-2666-#0",
+];
+
+/// An engine on Table-1 part `name` at 64 modeled columns (32 lanes),
+/// or `None` when discovery finds no usable pattern.
+fn coherence_engine(name: &str) -> Option<BulkEngine> {
+    let cfg = dram_core::config::table1()
+        .into_iter()
+        .find(|m| m.name == name)
+        .expect("a Table-1 part")
+        .with_modeled_cols(64);
+    BulkEngine::new(Fcdram::new(cfg), BankId(0), SubarrayId(0)).ok()
+}
+
+/// A reference gate's statistics and stored bits.
+type GateResult = fcdram::Result<(fcdram::OpStats, PackedBits)>;
+
+/// One live row of the coherence property: the substrate's handle, the
+/// reference engine's handle for the same device row, and the value
+/// last written to it (`None` until the first write).
+struct LiveRow {
+    row: BitRow,
+    handle: BitVecHandle,
+    value: Option<PackedBits>,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `DramSubstrate` tracks what each row holds. On random sequences
+    /// of alloc, free, write, fill, copy, NOT, logic and MAJ3, every
+    /// live row's device read equals the value last written to it after
+    /// every operation, and every gate stores the bits and reports the
+    /// statistics of a reference that drives a second, identical
+    /// `BulkEngine` with operand values read back from the device.
+    #[test]
+    fn dram_substrate_tracks_device_rows(
+        part in 0usize..4,
+        calls in prop::collection::vec((0u8..8, any::<u64>()), 1..40),
+    ) {
+        let (Some(engine), Some(mut reference)) = (
+            coherence_engine(COHERENCE_PARTS[part]),
+            coherence_engine(COHERENCE_PARTS[part]),
+        ) else {
+            return Ok(());
+        };
+        let mut s = DramSubstrate::new(engine);
+        let lanes = s.lanes();
+        let ops = [LogicOp::And, LogicOp::Or, LogicOp::Nand, LogicOp::Nor];
+        let mut live: Vec<LiveRow> = Vec::new();
+        for (kind, seed) in calls {
+            let pick = |k: u64| (mix2(seed, k) % live.len().max(1) as u64) as usize;
+            let kind = if live.len() < 4 { 0 } else { kind };
+            // A gate's output row, whether the substrate ran it, and the
+            // reference's result.
+            let mut gate: Option<(usize, bool, GateResult)> = None;
+            match kind {
+                0 => {
+                    let got = s.alloc();
+                    let want = reference.alloc();
+                    prop_assert_eq!(got.is_ok(), want.is_ok());
+                    if let (Ok(row), Ok(handle)) = (got, want) {
+                        live.push(LiveRow { row, handle, value: None });
+                    }
+                }
+                1 => {
+                    let r = live.swap_remove(pick(1));
+                    s.free(r.row);
+                    reference.free(r.handle);
+                }
+                2 => {
+                    let (i, bits) = (pick(1), PackedBits::seeded(seed, 7, lanes));
+                    s.write_packed(live[i].row, &bits).unwrap();
+                    reference.write_packed(&live[i].handle, &bits).unwrap();
+                    live[i].value = Some(bits);
+                }
+                3 => {
+                    let (i, v) = (pick(1), seed >> 32 & 1 == 1);
+                    s.fill(live[i].row, v).unwrap();
+                    reference.fill(&live[i].handle, v).unwrap();
+                    live[i].value = Some(PackedBits::splat(v, lanes));
+                }
+                4 => {
+                    let (a, out) = (pick(1), pick(2));
+                    let val = reference.read_packed(&live[a].handle).unwrap();
+                    let want = reference.copy(&live[a].handle, &val, &live[out].handle);
+                    let got = s.copy(live[a].row, live[out].row).cloned();
+                    prop_assert_eq!(got.as_ref().ok(), want.as_ref().ok().map(|w| &w.1));
+                    gate = Some((out, got.is_ok(), want));
+                }
+                5 => {
+                    let (a, out) = (pick(1), pick(2));
+                    let val = reference.read_packed(&live[a].handle).unwrap();
+                    let want = reference.not(&val, &live[out].handle);
+                    let got = s.not(live[a].row, live[out].row).cloned();
+                    prop_assert_eq!(got.as_ref().ok(), want.as_ref().ok().map(|w| &w.1));
+                    gate = Some((out, got.is_ok(), want));
+                }
+                6 => {
+                    let op = ops[(seed >> 8) as usize % 4];
+                    let n = 2 + (seed >> 16) as usize % 3;
+                    let ins: Vec<usize> = (0..n as u64).map(|k| pick(10 + k)).collect();
+                    let out = pick(2);
+                    let vals: Vec<PackedBits> = ins
+                        .iter()
+                        .map(|i| reference.read_packed(&live[*i].handle).unwrap())
+                        .collect();
+                    let refs: Vec<&PackedBits> = vals.iter().collect();
+                    let want = reference.logic(op, &refs, &live[out].handle);
+                    let rows: Vec<BitRow> = ins.iter().map(|i| live[*i].row).collect();
+                    let got = s.logic(op, &rows, live[out].row).cloned();
+                    prop_assert_eq!(got.as_ref().ok(), want.as_ref().ok().map(|w| &w.1));
+                    gate = Some((out, got.is_ok(), want));
+                }
+                _ => {
+                    if !s.has_native_maj() {
+                        continue;
+                    }
+                    let (a, b, c, out) = (pick(1), pick(2), pick(3), pick(4));
+                    let [va, vb, vc] = [a, b, c]
+                        .map(|i| reference.read_packed(&live[i].handle).unwrap());
+                    let want = reference.maj3(&va, &vb, &vc, &live[out].handle);
+                    // Its stored bits are checked by the coherence pass.
+                    let ran = s.maj3(live[a].row, live[b].row, live[c].row, live[out].row);
+                    gate = Some((out, ran.is_ok(), want));
+                }
+            }
+            if let Some((out, ran, want)) = gate {
+                prop_assert_eq!(ran, want.is_ok());
+                if let Ok((stats, bits)) = want {
+                    let entry = *s.trace().entries().last().unwrap();
+                    prop_assert_eq!(entry.executions, stats.executions);
+                    let p = stats.predicted_success;
+                    prop_assert_eq!(entry.predicted_success.to_bits(), p.to_bits());
+                    live[out].value = Some(bits);
+                }
+            }
+            // Coherence: every live row reads back what was last
+            // written to it, on both the substrate and the reference.
+            for r in &live {
+                let got = s.read_packed(r.row).unwrap();
+                prop_assert_eq!(&got, &reference.read_packed(&r.handle).unwrap());
+                if let Some(v) = &r.value {
+                    prop_assert_eq!(&got, v);
+                }
+            }
+        }
+    }
+}
