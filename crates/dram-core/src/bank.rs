@@ -70,9 +70,10 @@ impl Bank {
         self.open = Some(open);
     }
 
-    /// Precharges the bank (closes all rows).
-    pub fn close(&mut self) {
-        self.open = None;
+    /// Precharges the bank (closes all rows), returning the rows that
+    /// were raised.
+    pub fn close(&mut self) -> Option<OpenRows> {
+        self.open.take()
     }
 
     /// Whether the bank is precharged.

@@ -181,19 +181,6 @@ impl OutcomeStats {
         s.matches += usize::from(matched);
     }
 
-    /// Records cells left unresolved, in order: their success
-    /// probabilities count toward the mean, but nothing was drawn.
-    #[inline]
-    pub(crate) fn record_unresolved(&mut self, role: CellRole, ps: impl IntoIterator<Item = f64>) {
-        let s = &mut self.roles[role.index()];
-        let mut sum_p = s.sum_p;
-        for p in ps {
-            s.count += 1;
-            sum_p += p;
-        }
-        s.sum_p = sum_p;
-    }
-
     /// Aggregates for one role.
     #[inline]
     pub fn role(&self, role: CellRole) -> &RoleStats {
@@ -351,6 +338,51 @@ impl Recorder {
         }
     }
 
+    /// Draws, stores and records one resolved row in column order. At
+    /// each column `c` of `cols`, `cell(c, stored)` gives the intended
+    /// value, the value a failed draw leaves, and the success
+    /// probability; `stored` is the cell's voltage before the write.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn resolve_row(
+        &mut self,
+        slice: &mut [f32],
+        sampler: &RowSampler,
+        (subarray, row): (SubarrayId, LocalRow),
+        role: CellRole,
+        vdd: f64,
+        cols: impl Iterator<Item = usize>,
+        mut cell: impl FnMut(usize, f32) -> (Bit, Bit, f64),
+    ) {
+        let s = &mut self.stats.roles[role.index()];
+        let mut sum_p = s.sum_p;
+        for c in cols {
+            let (intended, failed, p) = cell(c, slice[c]);
+            let actual = if sampler.sample(c, p) {
+                intended
+            } else {
+                failed
+            };
+            slice[c] = actual.voltage(vdd) as f32;
+            sum_p += p;
+            s.count += 1;
+            s.drawn += 1;
+            s.matches += usize::from(actual == intended);
+            if let Some(cells) = &mut self.cells {
+                cells.push(CellOutcome {
+                    subarray,
+                    row,
+                    col: Col(c),
+                    role,
+                    intended,
+                    actual,
+                    p_success: p,
+                });
+            }
+        }
+        s.sum_p = sum_p;
+    }
+
     fn finish(self, kind: OutcomeKind) -> OpOutcome {
         OpOutcome {
             kind,
@@ -358,33 +390,6 @@ impl Recorder {
             stats: self.stats,
         }
     }
-}
-
-/// Column-chunk width of the threaded kernel path.
-const COL_CHUNK: usize = 2048;
-
-/// Runs `kernel(start_col, p_chunk, ok_chunk)` over the whole row,
-/// either serially or fanned out over scoped threads. Chunks are
-/// independent, so both modes produce identical arrays.
-fn run_cols<K>(cols: usize, parallel: bool, p: &mut [f64], ok: &mut [bool], kernel: K)
-where
-    K: Fn(usize, &mut [f64], &mut [bool]) + Sync,
-{
-    if !parallel || cols <= COL_CHUNK {
-        kernel(0, p, ok);
-        return;
-    }
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .clamp(2, 16);
-    let chunk = cols.div_ceil(threads).max(COL_CHUNK / 2);
-    std::thread::scope(|s| {
-        for (i, (pc, oc)) in p.chunks_mut(chunk).zip(ok.chunks_mut(chunk)).enumerate() {
-            let k = &kernel;
-            s.spawn(move || k(i * chunk, pc, oc));
-        }
-    });
 }
 
 /// Keys address one activation pair `(bank, first row, last row)` or
@@ -395,14 +400,16 @@ type MemoKey = (u32, u32, u32);
 /// wholesale (same defensive idiom as [`VariationCache`]).
 const MEMO_CAP: usize = 4096;
 
-/// Per-row charge-share CDF table: `cdf[family][mm_idx][col]` holds
-/// `normal_cdf(z)` for the shared-column kernel, where `family`
-/// selects AND- vs OR-family constants and `mm_idx` indexes the three
-/// values the neighbour-mismatch fraction can take (0, ½, 1). `None`
-/// when the reliability model has no prefix for that `(op, N)`.
+/// Per-row charge-share CDF tables: `cdf[6 * (col / 2) + 3 * family +
+/// mm_idx]` holds `normal_cdf(z)` of shared column `col` for the
+/// shared-column kernel, where `family` is 1 for AND- and 0 for
+/// OR-family constants and `mm_idx` indexes the three values the
+/// neighbour-mismatch fraction can take (0, ½, 1). `None` when the
+/// reliability model has no prefix for the side's `N` (both families
+/// have one exactly when `N` is 2, 4, 8 or 16).
 #[derive(Debug, Clone)]
 struct CsRowTab {
-    cdf: [Option<[Box<[f64]>; 3]>; 2],
+    cdf: Option<Box<[f64]>>,
 }
 
 /// Charge-share tables for one `(bank, r_ref, r_com)` activation:
@@ -449,6 +456,89 @@ impl KernelMemo {
     }
 }
 
+/// Per-column working arrays of the gate kernels, owned by the chip and
+/// reused across operations (each kernel overwrites every entry it
+/// later reads). Taken out of the chip for the length of one operation.
+/// Arrays over one column half are indexed by `col / 2`.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// One column half's raised-row voltage sums and packed bits (bit
+    /// `i` set where raised row `i` holds a one): reference / compute
+    /// side.
+    sum_ref: Vec<f64>,
+    sum_com: Vec<f64>,
+    packed_ref: Vec<u64>,
+    packed_com: Vec<u64>,
+    /// Charge-share sensing outcome per shared column (see [`cs_sel`]).
+    sel: Vec<u8>,
+    /// One terminal's margin multiplier and index into its rows' CDF
+    /// tables per shared column.
+    term_mult: Vec<f64>,
+    term_idx: Vec<u32>,
+    /// Majority value and margin multiplier per column, by `col`.
+    maj: Vec<Bit>,
+    mult: Vec<f64>,
+    /// Source-row voltages of a copy.
+    src: Vec<f32>,
+}
+
+impl Scratch {
+    fn fit(&mut self, cols: usize) {
+        if self.maj.len() != cols {
+            let half = cols.div_ceil(2);
+            *self = Scratch {
+                sum_ref: vec![0.0; half],
+                sum_com: vec![0.0; half],
+                packed_ref: vec![0; half],
+                packed_com: vec![0; half],
+                sel: vec![0; half],
+                term_mult: vec![0.0; half],
+                term_idx: vec![0; half],
+                maj: vec![Bit::Zero; cols],
+                mult: vec![0.0; cols],
+                src: Vec::with_capacity(cols),
+            };
+        }
+    }
+}
+
+/// Packs one shared column's sensing outcome into a byte: bits 0–1 the
+/// [`MarginClass`], bits 2–4 the CDF table `3 * family + mm_idx` of
+/// [`CsRowTab`], bit 5 the compute terminal's result. The low five bits
+/// index a terminal's margin-multiplier table.
+#[inline]
+fn cs_sel(result: bool, and_family: bool, mm_idx: u8, class: MarginClass) -> u8 {
+    (u8::from(result) << 5) | ((3 * u8::from(and_family) + mm_idx) << 2) | class as u8
+}
+
+/// `sum` plus, in column order, each shared column's charge-share
+/// success probability `(mults[j] × table[idx[j]])^dexp` (clamped to
+/// [0, 1] before the power). Kept out of line: inlined into the
+/// kernel, the loop compiles to about twice the time per cell.
+#[inline(never)]
+fn sum_cell_p(mut sum: f64, mults: &[f64], idx: &[u32], table: &[f64], dexp: f64) -> f64 {
+    let ps = mults
+        .iter()
+        .zip(idx)
+        .map(|(m, i)| (m * table[*i as usize]).clamp(0.0, 1.0));
+    if dexp == 1.0 {
+        for p in ps {
+            sum += p;
+        }
+    } else {
+        for p in ps {
+            sum += p.powf(dexp);
+        }
+    }
+    sum
+}
+
+/// Whether a stored voltage reads as one.
+#[inline]
+fn bit_of(v: f32, vdd: f64) -> Bit {
+    Bit::from(f64::from(v) > vdd / 2.0)
+}
+
 /// One simulated DRAM chip.
 #[derive(Debug, Clone)]
 pub struct Chip {
@@ -466,6 +556,7 @@ pub struct Chip {
     disturbance: DisturbanceState,
     disturb_policy: Option<DisturbancePolicy>,
     commands: CommandTally,
+    scratch: Scratch,
 }
 
 impl Chip {
@@ -499,6 +590,7 @@ impl Chip {
             disturbance: DisturbanceState::new(geom.banks() * geom.subarrays_per_bank()),
             disturb_policy: None,
             commands: CommandTally::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -799,16 +891,13 @@ impl Chip {
             });
         }
         let vdd = self.model.analog().vdd;
-        let open = match self.bank_ref(bank)?.open() {
-            Some(o) => o.clone(),
-            None => {
-                return Err(DramError::IllegalCommand {
-                    detail: "WR while bank precharged".into(),
-                })
-            }
+        let b = self.bank_mut_ref(bank)?;
+        let Some(open) = b.close() else {
+            return Err(DramError::IllegalCommand {
+                detail: "WR while bank precharged".into(),
+            });
         };
         let last = open.last_subarray;
-        let b = self.bank_mut_ref(bank)?;
         for (sub, rows) in &open.groups {
             let upper = SubarrayId(sub.index().min(last.index()));
             // Shared columns of the pair have parity `upper + 1`; the
@@ -828,6 +917,7 @@ impl Chip {
                 }
             }
         }
+        b.set_open(open);
         self.commands.record(CommandKind::Write);
         Ok(())
     }
@@ -850,20 +940,32 @@ impl Chip {
             .frac_factor(self.model.variation(), bank, sub, local, cols);
         let mut rec = Recorder::new(self.fidelity.telemetry);
         let slice = self.banks[bank.index()].subarray_mut(sub).row_mut(local);
+        let mut matches = 0;
         for (c, f) in factors.iter().enumerate() {
             let v = (level * f).clamp(0.0, 1.0) * vdd;
             slice[c] = v as f32;
             // VDD/2 reads as 0 by threshold, so intended is Zero.
-            rec.push(
-                sub,
-                local,
-                Col(c),
-                CellRole::Frac,
-                Bit::Zero,
-                Bit::from(v > vdd / 2.0),
-                1.0,
-            );
+            let actual = Bit::from(v > vdd / 2.0);
+            matches += usize::from(actual == Bit::Zero);
+            if let Some(cells) = &mut rec.cells {
+                cells.push(CellOutcome {
+                    subarray: sub,
+                    row: local,
+                    col: Col(c),
+                    role: CellRole::Frac,
+                    intended: Bit::Zero,
+                    actual,
+                    p_success: 1.0,
+                });
+            }
         }
+        // Every cell succeeds with p = 1, so the sum is the count exactly.
+        rec.stats.roles[CellRole::Frac.index()] = RoleStats {
+            count: cols,
+            sum_p: cols as f64,
+            drawn: cols,
+            matches,
+        };
         self.banks[bank.index()].close();
         Ok(rec.finish(OutcomeKind::Frac))
     }
@@ -1087,25 +1189,21 @@ impl Chip {
                 let lz = self
                     .cache
                     .logic_z(self.model.variation(), bank, sub, *row, cols);
-                let mut cdf: [Option<[Box<[f64]>; 3]>; 2] = [None, None];
-                for (fi, pre, cpl, dist) in [
-                    (0, pre_or, cpl_or, dist_or),
-                    (1, pre_and, cpl_and, dist_and),
-                ] {
-                    let Some(pre) = pre else { continue };
-                    let mut mm_tabs = Vec::with_capacity(3);
-                    for mm_v in [0.0f64, 0.5, 1.0] {
-                        let mut t = vec![0.0f64; cols].into_boxed_slice();
-                        for c in (shared_start..cols).step_by(2) {
+                let cdf = pre_or.zip(pre_and).map(|(pre_or, pre_and)| {
+                    let fams = [(pre_or, cpl_or, dist_or), (pre_and, cpl_and, dist_and)];
+                    let shared = (shared_start..cols).step_by(2);
+                    shared
+                        .flat_map(|c| (0..6).map(move |k| (c, k)))
+                        .map(|(c, k)| {
+                            let (pre, cpl, dist) = fams[k / 3];
+                            let mm_v = [0.0f64, 0.5, 1.0][k % 3];
                             let z = pre - cpl * mm_v.clamp(0.0, 1.0) + dist - tterm
                                 + SIGMA_CELL_LOGIC * lz[c]
                                 + SIGMA_SA_LOGIC * sa[c];
-                            t[c] = normal_cdf(z);
-                        }
-                        mm_tabs.push(t);
-                    }
-                    cdf[fi] = Some(mm_tabs.try_into().expect("three mismatch tables"));
-                }
+                            normal_cdf(z)
+                        })
+                        .collect()
+                });
                 tabs.push(CsRowTab { cdf });
             }
             sides.push(tabs);
@@ -1146,7 +1244,6 @@ impl Chip {
         let cols = self.geom.cols();
 
         let telemetry = self.fidelity.telemetry;
-        let parallel = self.fidelity.parallel_at(cols);
 
         match activation {
             MultiActivation::SecondIgnored => {
@@ -1169,44 +1266,26 @@ impl Chip {
             MultiActivation::SameSubarray { rows } => {
                 self.charge_disturbance(bank, sub_f, rows.len() as u64);
                 // RowClone: every raised row except rf receives rf.
-                let src_bits = self.banks[bank.index()]
-                    .subarray_mut(sub_f)
-                    .read_bits(loc_f, vdd);
+                let mut src = self.source_voltages(bank, sub_f, loc_f);
                 let mut rec = Recorder::new(telemetry);
-                let mut p_buf = vec![0.0f64; cols];
-                let mut ok_buf = vec![false; cols];
                 for row in &rows {
                     if *row == loc_f {
                         continue;
                     }
                     let cdf = self.memo_clone_cdf(bank, sub_f, *row);
                     let sampler = self.row_sampler(op, sub_f, *row);
-                    let cdf_ref = &cdf;
-                    run_cols(cols, parallel, &mut p_buf, &mut ok_buf, |start, pc, oc| {
-                        for i in 0..pc.len() {
-                            let c = start + i;
-                            let p = cdf_ref[c];
-                            pc[i] = p;
-                            oc[i] = sampler.sample(c, p);
-                        }
-                    });
                     let slice = self.banks[bank.index()].subarray_mut(sub_f).row_mut(*row);
-                    for c in 0..cols {
-                        let intended = src_bits[c];
-                        let old = Bit::from(f64::from(slice[c]) > vdd / 2.0);
-                        let actual = if ok_buf[c] { intended } else { old };
-                        slice[c] = actual.voltage(vdd) as f32;
-                        rec.push(
-                            sub_f,
-                            *row,
-                            Col(c),
-                            CellRole::CloneDst,
-                            intended,
-                            actual,
-                            p_buf[c],
-                        );
-                    }
+                    rec.resolve_row(
+                        slice,
+                        &sampler,
+                        (sub_f, *row),
+                        CellRole::CloneDst,
+                        vdd,
+                        0..cols,
+                        |c, old| (bit_of(src[c], vdd), bit_of(old, vdd), cdf[c]),
+                    );
                 }
+                self.scratch.src = std::mem::take(&mut src);
                 let n = rows.len();
                 self.banks[bank.index()].set_open(OpenRows {
                     groups: vec![(sub_f, rows)],
@@ -1223,13 +1302,9 @@ impl Chip {
                 self.charge_disturbance(bank, sub_f, first_rows.len() as u64);
                 self.charge_disturbance(bank, sub_l, second_rows.len() as u64);
                 let upper = SubarrayId(sub_f.index().min(sub_l.index()));
-                let src_bits = self.banks[bank.index()]
-                    .subarray_mut(sub_f)
-                    .read_bits(loc_f, vdd);
+                let mut src = self.source_voltages(bank, sub_f, loc_f);
                 let shared_start = (upper.index() + 1) % 2;
                 let mut rec = Recorder::new(telemetry);
-                let mut p_buf = vec![0.0f64; cols];
-                let mut ok_buf = vec![false; cols];
                 let nt = self.memo_not_tables(
                     bank,
                     rf,
@@ -1245,103 +1320,69 @@ impl Chip {
                 // columns re-sense themselves (majority among the
                 // raised destination rows — identical values retained).
                 let n_dst = second_rows.len();
+                let mut sc = std::mem::take(&mut self.scratch);
+                sc.fit(cols);
                 for (ri, row) in second_rows.iter().enumerate() {
+                    let dst_tab = &nt.dst[ri];
+                    let sampler = self.row_sampler(op, sub_l, *row);
+                    if n_dst == 1 {
+                        let slice = self.banks[bank.index()].subarray_mut(sub_l).row_mut(*row);
+                        rec.resolve_row(
+                            slice,
+                            &sampler,
+                            (sub_l, *row),
+                            CellRole::NotDst,
+                            vdd,
+                            (shared_start..cols).step_by(2),
+                            |c, old| (bit_of(src[c], vdd).not(), bit_of(old, vdd), dst_tab[c]),
+                        );
+                        continue;
+                    }
                     // Off-column majority votes read the rows' *current*
                     // bits (earlier destination rows may already have
-                    // re-sensed), so snapshot per destination row.
-                    let (off_maj, off_margin) = if n_dst > 1 {
-                        self.off_col_majority(bank, sub_l, &second_rows, shared_start, vdd)
-                    } else {
-                        (Vec::new(), Vec::new())
-                    };
-                    let maj_cdf = if n_dst > 1 {
-                        Some(self.memo_maj_cdf(bank, sub_l, *row))
-                    } else {
-                        None
-                    };
-                    let sampler = self.row_sampler(op, sub_l, *row);
-                    let dst_tab = &nt.dst[ri];
-                    let off_margin_ref = &off_margin;
-                    run_cols(cols, parallel, &mut p_buf, &mut ok_buf, |start, pc, oc| {
-                        for i in 0..pc.len() {
-                            let c = start + i;
-                            let p = if c % 2 == shared_start {
-                                dst_tab[c]
-                            } else if let Some(mc) = &maj_cdf {
-                                let margin = off_margin_ref[c / 2];
-                                let mult = ReliabilityModel::maj_multiplier(margin);
-                                (mult * mc[c]).clamp(0.0, 1.0)
-                            } else {
-                                pc[i] = 0.0;
-                                oc[i] = false;
-                                continue;
-                            };
-                            pc[i] = p;
-                            oc[i] = sampler.sample(c, p);
-                        }
-                    });
+                    // re-sensed), so take them per destination row.
+                    let off_start = 1 - shared_start;
+                    self.majority_votes(bank, sub_l, &second_rows, off_start, &mut sc);
+                    let maj_cdf = self.memo_maj_cdf(bank, sub_l, *row);
                     let slice = self.banks[bank.index()].subarray_mut(sub_l).row_mut(*row);
                     for c in 0..cols {
-                        if c % 2 == shared_start {
-                            let intended = src_bits[c].not();
-                            let old = Bit::from(f64::from(slice[c]) > vdd / 2.0);
-                            let actual = if ok_buf[c] { intended } else { old };
-                            slice[c] = actual.voltage(vdd) as f32;
-                            rec.push(
-                                sub_l,
-                                *row,
-                                Col(c),
-                                CellRole::NotDst,
-                                intended,
-                                actual,
-                                p_buf[c],
-                            );
-                        } else if n_dst > 1 {
-                            let maj = off_maj[c / 2];
-                            let actual = if ok_buf[c] { maj } else { maj.not() };
-                            slice[c] = actual.voltage(vdd) as f32;
-                            rec.push(sub_l, *row, Col(c), CellRole::OffMaj, maj, actual, p_buf[c]);
-                        }
+                        let (role, intended, failed, p) = if c % 2 == shared_start {
+                            let not_src = bit_of(src[c], vdd).not();
+                            (CellRole::NotDst, not_src, bit_of(slice[c], vdd), dst_tab[c])
+                        } else {
+                            let p = (sc.mult[c] * maj_cdf[c]).clamp(0.0, 1.0);
+                            (CellRole::OffMaj, sc.maj[c], sc.maj[c].not(), p)
+                        };
+                        let actual = if sampler.sample(c, p) {
+                            intended
+                        } else {
+                            failed
+                        };
+                        slice[c] = actual.voltage(vdd) as f32;
+                        rec.push(sub_l, *row, Col(c), role, intended, actual, p);
                     }
                 }
+                self.scratch = sc;
 
                 // Extra source-side rows receive a copy of src on every
                 // column (all bitlines of the source subarray are
                 // latched at src's values); the per-row CDF — sense-amp
                 // stripe parity included — comes from the memo table.
-                let mut si = 0usize;
-                for row in &first_rows {
-                    if *row == loc_f {
-                        continue;
-                    }
-                    let src_tab = &nt.src[si];
-                    si += 1;
+                let extra = first_rows.iter().filter(|r| **r != loc_f);
+                for (row, src_tab) in extra.zip(&nt.src) {
                     let sampler = self.row_sampler(op, sub_f, *row);
-                    run_cols(cols, parallel, &mut p_buf, &mut ok_buf, |start, pc, oc| {
-                        for i in 0..pc.len() {
-                            let c = start + i;
-                            let p = src_tab[c];
-                            pc[i] = p;
-                            oc[i] = sampler.sample(c, p);
-                        }
-                    });
                     let slice = self.banks[bank.index()].subarray_mut(sub_f).row_mut(*row);
-                    for c in 0..cols {
-                        let intended = src_bits[c];
-                        let old = Bit::from(f64::from(slice[c]) > vdd / 2.0);
-                        let actual = if ok_buf[c] { intended } else { old };
-                        slice[c] = actual.voltage(vdd) as f32;
-                        rec.push(
-                            sub_f,
-                            *row,
-                            Col(c),
-                            CellRole::SrcCopy,
-                            intended,
-                            actual,
-                            p_buf[c],
-                        );
-                    }
+                    rec.resolve_row(
+                        slice,
+                        &sampler,
+                        (sub_f, *row),
+                        CellRole::SrcCopy,
+                        vdd,
+                        0..cols,
+                        |c, old| (bit_of(src[c], vdd), bit_of(old, vdd), src_tab[c]),
+                    );
                 }
+                self.scratch.src = std::mem::take(&mut src);
 
                 let shape = (first_rows.len(), second_rows.len());
                 self.banks[bank.index()].set_open(OpenRows {
@@ -1357,42 +1398,38 @@ impl Chip {
         }
     }
 
-    /// Majority value and margin (in cells) of every *off* (non-shared)
-    /// column across `rows`, read from the rows' current contents.
-    /// Entry `i` corresponds to the `i`-th off column (`col / 2`).
-    fn off_col_majority(
+    /// Majority value and margin multiplier of every column of parity
+    /// `start` across `rows`, read from the rows' current contents into
+    /// `sc.maj` and `sc.mult`.
+    fn majority_votes(
         &self,
         bank: BankId,
         sub: SubarrayId,
         rows: &[LocalRow],
-        shared_start: usize,
-        vdd: f64,
-    ) -> (Vec<Bit>, Vec<f64>) {
-        let cols = self.geom.cols();
-        let off_count = cols / 2 + usize::from(cols % 2 == 1 && shared_start == 1);
-        let mut votes = vec![0usize; off_count];
+        start: usize,
+        sc: &mut Scratch,
+    ) {
+        let vdd = self.model.analog().vdd;
         let sa = self.banks[bank.index()].subarray(sub);
-        for r in rows {
-            let Some(slice) = sa.and_then(|s| s.row(*r)) else {
-                continue;
-            };
-            let mut i = 0usize;
-            for (c, v) in slice.iter().enumerate() {
-                if c % 2 != shared_start {
-                    if f64::from(*v) > vdd / 2.0 {
-                        votes[i] += 1;
-                    }
-                    i += 1;
-                }
-            }
-        }
+        gather_half(sa, rows, start, vdd, &mut sc.sum_ref, &mut sc.packed_ref);
         let n = rows.len();
-        let maj: Vec<Bit> = votes.iter().map(|v| Bit::from(2 * v > n)).collect();
-        let margin: Vec<f64> = votes
-            .iter()
-            .map(|v| (*v as f64 - n as f64 / 2.0).abs())
-            .collect();
-        (maj, margin)
+        for c in (start..self.geom.cols()).step_by(2) {
+            let v = sc.packed_ref[c / 2].count_ones() as usize;
+            sc.maj[c] = Bit::from(2 * v > n);
+            sc.mult[c] = ReliabilityModel::maj_multiplier((v as f64 - n as f64 / 2.0).abs());
+        }
+    }
+
+    /// Copies the voltages of source row `loc` into the scratch source
+    /// buffer (an unallocated row reads as 0 V).
+    fn source_voltages(&mut self, bank: BankId, sub: SubarrayId, loc: LocalRow) -> Vec<f32> {
+        let mut src = std::mem::take(&mut self.scratch.src);
+        src.clear();
+        match self.banks[bank.index()].subarray_mut(sub).row(loc) {
+            Some(row) => src.extend_from_slice(row),
+            None => src.resize(self.geom.cols(), 0.0),
+        }
+        src
     }
 
     /// The charge-sharing command sequence:
@@ -1458,7 +1495,6 @@ impl Chip {
         let cols = self.geom.cols();
 
         let telemetry = self.fidelity.telemetry;
-        let parallel = self.fidelity.parallel_at(cols);
 
         match activation {
             MultiActivation::SecondIgnored => {
@@ -1486,58 +1522,33 @@ impl Chip {
                 let dexp = self.disturb_exponent(bank, sub_ref);
                 let mut rec = Recorder::new(telemetry);
                 if n >= 2 {
-                    let mut votes = vec![0usize; cols];
-                    {
-                        let sa = self.banks[bank.index()].subarray(sub_ref);
-                        for r in &rows {
-                            if let Some(slice) = sa.and_then(|s| s.row(*r)) {
-                                for (c, v) in slice.iter().enumerate() {
-                                    if f64::from(*v) > vdd / 2.0 {
-                                        votes[c] += 1;
-                                    }
-                                }
-                            }
-                        }
+                    let mut sc = std::mem::take(&mut self.scratch);
+                    sc.fit(cols);
+                    for start in [0, 1] {
+                        self.majority_votes(bank, sub_ref, &rows, start, &mut sc);
                     }
-                    let maj: Vec<Bit> = votes.iter().map(|v| Bit::from(2 * v > n)).collect();
-                    let mult: Vec<f64> = votes
-                        .iter()
-                        .map(|v| {
-                            ReliabilityModel::maj_multiplier((*v as f64 - n as f64 / 2.0).abs())
-                        })
-                        .collect();
-                    let mut p_buf = vec![0.0f64; cols];
-                    let mut ok_buf = vec![false; cols];
                     for row in &rows {
                         let cdf = self.memo_maj_cdf(bank, sub_ref, *row);
                         let sampler = self.row_sampler(op, sub_ref, *row);
-                        let (cdf_ref, mult_ref) = (&cdf, &mult);
-                        run_cols(cols, parallel, &mut p_buf, &mut ok_buf, |start, pc, oc| {
-                            for i in 0..pc.len() {
-                                let c = start + i;
-                                let mut p = (mult_ref[c] * cdf_ref[c]).clamp(0.0, 1.0);
+                        let slice = self.banks[bank.index()].subarray_mut(sub_ref).row_mut(*row);
+                        let (maj, mult) = (&sc.maj, &sc.mult);
+                        rec.resolve_row(
+                            slice,
+                            &sampler,
+                            (sub_ref, *row),
+                            CellRole::OffMaj,
+                            vdd,
+                            0..cols,
+                            |c, _| {
+                                let mut p = (mult[c] * cdf[c]).clamp(0.0, 1.0);
                                 if dexp != 1.0 {
                                     p = p.powf(dexp);
                                 }
-                                pc[i] = p;
-                                oc[i] = sampler.sample(c, p);
-                            }
-                        });
-                        let slice = self.banks[bank.index()].subarray_mut(sub_ref).row_mut(*row);
-                        for c in 0..cols {
-                            let actual = if ok_buf[c] { maj[c] } else { maj[c].not() };
-                            slice[c] = actual.voltage(vdd) as f32;
-                            rec.push(
-                                sub_ref,
-                                *row,
-                                Col(c),
-                                CellRole::OffMaj,
-                                maj[c],
-                                actual,
-                                p_buf[c],
-                            );
-                        }
+                                (maj[c], maj[c].not(), p)
+                            },
+                        );
                     }
+                    self.scratch = sc;
                 }
                 let nrows = rows.len();
                 self.banks[bank.index()].set_open(OpenRows {
@@ -1586,64 +1597,45 @@ impl Chip {
                 );
 
                 // --- Gather (SoA): per-column voltage sums and packed
-                // per-row bits, one pass per raised row. Everything
-                // downstream is computed from these flat arrays. Masked,
-                // only the shared half feeds the sensing model (classify
-                // + terminal pass); the packed bits of the other half
-                // are consumed solely by the skipped non-shared majority.
-                let masked = need != CsTerminal::Both;
-                let parity = masked.then_some(shared_start);
-                let mut sum_ref = vec![0.0f64; cols];
-                let mut sum_com = vec![0.0f64; cols];
-                let mut packed_ref = vec![0u64; cols];
-                let mut packed_com = vec![0u64; cols];
+                // per-row bits of the shared half, one pass per raised
+                // row. The sensing model is computed from these flat
+                // arrays, indexed by `col / 2`.
+                let mut sc = std::mem::take(&mut self.scratch);
+                sc.fit(cols);
                 let b = &self.banks[bank.index()];
                 let (sa_ref, sa_com) = (b.subarray(sub_ref), b.subarray(sub_com));
-                gather_rows(
-                    sa_ref,
-                    &first_rows,
-                    parity,
-                    vdd,
-                    &mut sum_ref,
-                    &mut packed_ref,
-                );
-                gather_rows(
-                    sa_com,
-                    &second_rows,
-                    parity,
-                    vdd,
-                    &mut sum_com,
-                    &mut packed_com,
-                );
+                let (sums, packed) = (&mut sc.sum_ref, &mut sc.packed_ref);
+                gather_half(sa_ref, &first_rows, shared_start, vdd, sums, packed);
+                let (sums, packed) = (&mut sc.sum_com, &mut sc.packed_com);
+                gather_half(sa_com, &second_rows, shared_start, vdd, sums, packed);
 
                 // --- Per-column sensing outcome on the shared half:
                 // differential, margin class, family, and the index of
                 // the coupling-mismatch table (packed-word compares of
                 // the two same-half neighbours: 0, ½ or 1 mismatched).
-                let mut class = vec![MarginClass::Comfortable; cols];
-                let mut fam_and = vec![false; cols];
-                let mut com_res = vec![Bit::Zero; cols];
-                let mut mm_idx = vec![0u8; cols];
+                let n_shared = (cols - shared_start).div_ceil(2);
+                let (sum_ref, sum_com) = (&sc.sum_ref[..n_shared], &sc.sum_com[..n_shared]);
+                let packed_com = &sc.packed_com[..n_shared];
                 let mut and_family_any = false;
                 let cell_unit = analog.cell_unit(n_com.max(n_ref));
-                for c in (shared_start..cols).step_by(2) {
-                    let diff = analog.bitline_from_sum(sum_com[c], n_com)
-                        - analog.bitline_from_sum(sum_ref[c], n_ref);
+                for (j, sel) in sc.sel[..n_shared].iter_mut().enumerate() {
+                    let diff = analog.bitline_from_sum(sum_com[j], n_com)
+                        - analog.bitline_from_sum(sum_ref[j], n_ref);
                     let diff_cells = diff / cell_unit;
-                    let ref_mean = sum_ref[c] / (n_ref.max(1) as f64) / vdd;
-                    class[c] = classify_margin(diff_cells, ref_mean);
-                    fam_and[c] = ref_mean > 0.5;
-                    and_family_any |= fam_and[c];
-                    com_res[c] = Bit::from(diff > 0.0);
+                    let ref_mean = sum_ref[j] / (n_ref.max(1) as f64) / vdd;
+                    let fam_and = ref_mean > 0.5;
+                    and_family_any |= fam_and;
                     let mut d = 0u8;
                     let mut cnt = 0u8;
-                    for nb in [c.wrapping_sub(2), c + 2] {
-                        if nb < cols {
+                    for nb in [j.wrapping_sub(1), j + 1] {
+                        if nb < n_shared {
                             cnt += 1;
-                            d += u8::from(packed_com[nb] != packed_com[c]);
+                            d += u8::from(packed_com[nb] != packed_com[j]);
                         }
                     }
-                    mm_idx[c] = (2 * d).checked_div(cnt).unwrap_or(0);
+                    let mm_idx = (2 * d).checked_div(cnt).unwrap_or(0);
+                    let class = classify_margin(diff_cells, ref_mean);
+                    *sel = cs_sel(diff > 0.0, fam_and, mm_idx, class);
                 }
 
                 // Read-disturbance derating: each side's result cells
@@ -1652,8 +1644,6 @@ impl Chip {
                 let dexp_ref = self.disturb_exponent(bank, sub_ref);
                 let dexp_com = self.disturb_exponent(bank, sub_com);
                 let mut rec = Recorder::new(telemetry);
-                let mut p_buf = vec![0.0f64; cols];
-                let mut ok_buf = vec![false; cols];
 
                 // Result rows on both terminals share one kernel shape:
                 // p = margin multiplier × Φ(z), Φ(z) from the memoized
@@ -1687,115 +1677,120 @@ impl Chip {
                     if !resolve {
                         continue;
                     }
-                    // Per-column invariants of this charge share.
-                    let mut mult = vec![0.0f64; cols];
-                    for c in (shared_start..cols).step_by(2) {
-                        let op_sel = if fam_and[c] { ops.0 } else { ops.1 };
-                        mult[c] = ReliabilityModel::margin_multiplier(op_sel, n_side, class[c]);
+                    // Per shared column: the margin multiplier (by the
+                    // family and class bits of its selector) and the
+                    // offset of its table among the row's six.
+                    let lut: [f64; 8] = std::array::from_fn(|k| {
+                        let op_sel = if k >= 4 { ops.0 } else { ops.1 };
+                        let class = [
+                            MarginClass::Critical,
+                            MarginClass::Marginal,
+                            MarginClass::Near,
+                            MarginClass::Comfortable,
+                        ][k & 3];
+                        ReliabilityModel::margin_multiplier(op_sel, n_side, class)
+                    });
+                    let sel = &sc.sel[..n_shared];
+                    let mults = &mut sc.term_mult[..n_shared];
+                    let idx = &mut sc.term_idx[..n_shared];
+                    for (j, ((code, m), i)) in sel
+                        .iter()
+                        .zip(mults.iter_mut())
+                        .zip(idx.iter_mut())
+                        .enumerate()
+                    {
+                        let tab = (code >> 2) & 7;
+                        *m = lut[usize::from(4 * (tab / 3) + (code & 3))];
+                        *i = (6 * j) as u32 + u32::from(tab);
                     }
-                    let (mult, fam_and, mm_idx) = (&mult, &fam_and, &mm_idx);
-                    let cell_p = |tab: &CsRowTab, c: usize| {
-                        let mut p = match &tab.cdf[usize::from(fam_and[c])] {
-                            Some(t) => (mult[c] * t[usize::from(mm_idx[c])][c]).clamp(0.0, 1.0),
-                            None => 0.0,
-                        };
-                        if dexp != 1.0 {
-                            p = p.powf(dexp);
-                        }
-                        p
-                    };
+                    let (mults, idx) = (&*mults, &*idx);
                     for (row_i, (row, tab)) in rows.iter().zip(tabs.iter()).enumerate() {
+                        let cdf = tab.cdf.as_deref();
                         if first_only && row_i > 0 {
                             // Unresolved: counted toward the mean, never
-                            // drawn; the row keeps its staged values.
-                            let ps = (shared_start..cols).step_by(2).map(|c| cell_p(tab, c));
-                            rec.stats.record_unresolved(role, ps);
+                            // drawn; the row keeps its staged values. A
+                            // row without tables adds zeros, a no-op.
+                            let s = &mut rec.stats.roles[role.index()];
+                            s.count += n_shared;
+                            if let Some(t) = cdf {
+                                s.sum_p = sum_cell_p(s.sum_p, mults, idx, t, dexp);
+                            }
                             continue;
                         }
-                        let sampler = self.row_sampler(op, sub, *row);
-                        run_cols(cols, parallel, &mut p_buf, &mut ok_buf, |start, pc, oc| {
-                            for i in ((start + shared_start) % 2..pc.len()).step_by(2) {
-                                let c = start + i;
-                                let p = cell_p(tab, c);
-                                pc[i] = p;
-                                oc[i] = sampler.sample(c, p);
+                        let p_at = |j: usize| {
+                            let mut p = match cdf {
+                                Some(t) => (mults[j] * t[idx[j] as usize]).clamp(0.0, 1.0),
+                                None => 0.0,
+                            };
+                            if dexp != 1.0 {
+                                p = p.powf(dexp);
                             }
-                        });
+                            p
+                        };
+                        let sampler = self.row_sampler(op, sub, *row);
                         let slice = self.banks[bank.index()].subarray_mut(sub).row_mut(*row);
-                        for c in (shared_start..cols).step_by(2) {
-                            let intended = if invert { com_res[c].not() } else { com_res[c] };
-                            let actual = if ok_buf[c] { intended } else { intended.not() };
-                            slice[c] = actual.voltage(vdd) as f32;
-                            rec.push(sub, *row, Col(c), role, intended, actual, p_buf[c]);
-                        }
+                        let shared = (shared_start..cols).step_by(2);
+                        rec.resolve_row(slice, &sampler, (sub, *row), role, vdd, shared, |c, _| {
+                            let intended = Bit::from((sel[c / 2] >> 5 == 1) != invert);
+                            (intended, intended.not(), p_at(c / 2))
+                        });
                     }
                 }
 
                 // Non-shared half: each side majority-resolves against
                 // its other (precharged) stripe, from the pre-operation
-                // snapshot gathered above. Skipped when masked: these
-                // cells are never read before their next rewrite.
+                // values (the terminal pass wrote only shared columns).
+                // Skipped when masked: these cells are never read before
+                // their next rewrite.
                 let off_start = 1 - shared_start;
-                let offmaj_sides: &[_] = if masked {
-                    &[]
-                } else {
-                    &[
-                        (
-                            sub_com,
-                            &second_rows,
-                            n_com,
-                            &packed_com,
-                            &sum_com,
-                            dexp_com,
-                        ),
-                        (sub_ref, &first_rows, n_ref, &packed_ref, &sum_ref, dexp_ref),
-                    ]
-                };
-                for &(sub, rows, n_side, packed, sums, dexp) in offmaj_sides {
-                    if n_side < 2 {
+                let offmaj_sides = [
+                    (sub_com, &second_rows, n_com, dexp_com),
+                    (sub_ref, &first_rows, n_ref, dexp_ref),
+                ];
+                for (sub, rows, n_side, dexp) in offmaj_sides {
+                    if need != CsTerminal::Both || n_side < 2 {
                         continue;
                     }
-                    let maj: Vec<Bit> = packed
-                        .iter()
-                        .map(|p| Bit::from(2 * p.count_ones() as usize > n_side))
-                        .collect();
-                    let mult: Vec<f64> = sums
-                        .iter()
-                        .map(|s| {
-                            ReliabilityModel::maj_multiplier((s / vdd - n_side as f64 / 2.0).abs())
-                        })
-                        .collect();
+                    let sa = self.banks[bank.index()].subarray(sub);
+                    gather_half(
+                        sa,
+                        rows,
+                        off_start,
+                        vdd,
+                        &mut sc.sum_ref,
+                        &mut sc.packed_ref,
+                    );
+                    for c in (off_start..cols).step_by(2) {
+                        let (sum, packed) = (sc.sum_ref[c / 2], sc.packed_ref[c / 2]);
+                        sc.maj[c] = Bit::from(2 * packed.count_ones() as usize > n_side);
+                        sc.mult[c] = ReliabilityModel::maj_multiplier(
+                            (sum / vdd - n_side as f64 / 2.0).abs(),
+                        );
+                    }
+                    let (maj, mult) = (&sc.maj, &sc.mult);
                     for row in rows.iter() {
                         let cdf = self.memo_maj_cdf(bank, sub, *row);
                         let sampler = self.row_sampler(op, sub, *row);
-                        let (cdf_ref, mult_ref) = (&cdf, &mult);
-                        run_cols(cols, parallel, &mut p_buf, &mut ok_buf, |start, pc, oc| {
-                            for i in ((start + off_start) % 2..pc.len()).step_by(2) {
-                                let c = start + i;
-                                let mut p = (mult_ref[c] * cdf_ref[c]).clamp(0.0, 1.0);
+                        let slice = self.banks[bank.index()].subarray_mut(sub).row_mut(*row);
+                        let offs = (off_start..cols).step_by(2);
+                        rec.resolve_row(
+                            slice,
+                            &sampler,
+                            (sub, *row),
+                            CellRole::OffMaj,
+                            vdd,
+                            offs,
+                            |c, _| {
+                                let mut p = (mult[c] * cdf[c]).clamp(0.0, 1.0);
                                 if dexp != 1.0 {
                                     p = p.powf(dexp);
                                 }
-                                pc[i] = p;
-                                oc[i] = sampler.sample(c, p);
-                            }
-                        });
-                        let slice = self.banks[bank.index()].subarray_mut(sub).row_mut(*row);
-                        for c in (off_start..cols).step_by(2) {
-                            let actual = if ok_buf[c] { maj[c] } else { maj[c].not() };
-                            slice[c] = actual.voltage(vdd) as f32;
-                            rec.push(
-                                sub,
-                                *row,
-                                Col(c),
-                                CellRole::OffMaj,
-                                maj[c],
-                                actual,
-                                p_buf[c],
-                            );
-                        }
+                                (maj[c], maj[c].not(), p)
+                            },
+                        );
                     }
                 }
+                self.scratch = sc;
 
                 self.banks[bank.index()].set_open(OpenRows {
                     groups: vec![(sub_ref, first_rows), (sub_com, second_rows)],
@@ -1882,50 +1877,66 @@ impl Chip {
     }
 }
 
-/// Adds each raised row's cell voltages into `sums`, and sets bit `i` of
-/// `packed[c]` where raised row `i` holds a one, in raised-row order
-/// (so each column's total is the same float sum whichever columns are
-/// visited). `parity = Some(s)` visits only the columns of parity `s`;
-/// `None` visits all. Unallocated rows read as zero and add nothing.
-fn gather_rows(
+/// Writes, for each column `c` of parity `start`, the sum of the raised
+/// rows' cell voltages into `sums[c / 2]`, and into `packed[c / 2]` a
+/// word whose bit `i` is set where raised row `i` holds a one. The
+/// first raised row assigns and later rows add, in raised-row order (so
+/// each column's total is the same float sum whichever columns are
+/// visited). Unallocated rows read as zero and add nothing.
+fn gather_half(
     sa: Option<&Subarray>,
     rows: &[LocalRow],
-    parity: Option<usize>,
+    start: usize,
     vdd: f64,
     sums: &mut [f64],
     packed: &mut [u64],
 ) {
+    debug_assert!(rows.len() <= 64, "one packed bit per raised row");
     let threshold = vdd / 2.0;
-    for (i, r) in rows.iter().enumerate() {
-        let Some(slice) = sa.and_then(|s| s.row(*r)) else {
+    let row_of = |r: &LocalRow| sa.and_then(|s| s.row(*r));
+    if rows.first().and_then(row_of).is_none() {
+        sums.fill(0.0);
+        packed.fill(0);
+    }
+    for (i, row) in rows.iter().enumerate() {
+        let Some(slice) = row_of(row) else {
             continue;
         };
-        let cell = |s: &mut f64, p: &mut u64, v: f32| {
-            let v = f64::from(v);
-            *s += v;
-            *p |= u64::from(v > threshold) << i;
-        };
-        match parity {
-            None => {
-                for ((s, p), v) in sums.iter_mut().zip(packed.iter_mut()).zip(slice) {
-                    cell(s, p, *v);
-                }
-            }
-            Some(start) => {
-                let pairs = sums
-                    .chunks_exact_mut(2)
-                    .zip(packed.chunks_exact_mut(2))
-                    .zip(slice.chunks_exact(2));
-                for ((s, p), v) in pairs {
-                    cell(&mut s[start], &mut p[start], v[start]);
-                }
-                // An odd trailing column is visited iff it has parity `start`.
-                let last = sums.len().wrapping_sub(1);
-                if sums.len() % 2 == 1 && last % 2 == start {
-                    cell(&mut sums[last], &mut packed[last], slice[last]);
-                }
-            }
+        let half = &slice[start..];
+        if i == 0 {
+            visit_half(half, sums, packed, |s, p, v| {
+                *s = v;
+                *p = u64::from(v > threshold);
+            });
+        } else {
+            visit_half(half, sums, packed, |s, p, v| {
+                *s += v;
+                *p |= u64::from(v > threshold) << i;
+            });
         }
+    }
+}
+
+/// Applies `cell(sums[j], packed[j], half[2 j])` for every `j` (two
+/// columns per step, so the loop vectorizes).
+#[inline]
+fn visit_half(
+    half: &[f32],
+    sums: &mut [f64],
+    packed: &mut [u64],
+    mut cell: impl FnMut(&mut f64, &mut u64, f64),
+) {
+    let quads = half.chunks_exact(4);
+    let tail = quads.remainder();
+    let pairs = sums.chunks_exact_mut(2).zip(packed.chunks_exact_mut(2));
+    for ((s, p), v) in pairs.zip(quads) {
+        cell(&mut s[0], &mut p[0], f64::from(v[0]));
+        cell(&mut s[1], &mut p[1], f64::from(v[2]));
+    }
+    // Up to two columns of the half are left past the last full quad.
+    let done = 2 * (half.len() / 4);
+    for (k, v) in tail.iter().step_by(2).enumerate() {
+        cell(&mut sums[done + k], &mut packed[done + k], f64::from(*v));
     }
 }
 

@@ -1,5 +1,5 @@
-//! Simulation-fidelity knobs: per-cell telemetry vs. the columnar
-//! fast path, and optional column-chunk threading.
+//! Simulation-fidelity knob: per-cell telemetry vs. the columnar
+//! fast path.
 //!
 //! Characterization experiments need per-cell [`crate::CellOutcome`]
 //! records (which cell failed, at what probability); bulk workloads
@@ -32,35 +32,18 @@ impl Telemetry {
 }
 
 /// Fidelity configuration of a simulated chip.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct SimFidelity {
     /// Telemetry mode for every subsequent operation.
     pub telemetry: Telemetry,
-    /// Row width (in columns) at and above which the columnar kernels
-    /// fan out over `std::thread` column chunks. `None` disables
-    /// threading. Results are bit-identical either way (each chunk is
-    /// computed independently; aggregation order is fixed).
-    pub parallel_threshold: Option<usize>,
-}
-
-impl Default for SimFidelity {
-    fn default() -> Self {
-        SimFidelity {
-            telemetry: Telemetry::Full,
-            parallel_threshold: None,
-        }
-    }
 }
 
 impl SimFidelity {
     /// The throughput configuration used by bulk engines: aggregate
-    /// statistics only. Column threading stays opt-in — per-row kernel
-    /// launches only amortize thread spawn cost for much heavier
-    /// per-column models than the default (see `parallel_threshold`).
+    /// statistics only.
     pub fn fast() -> Self {
         SimFidelity {
             telemetry: Telemetry::Fast,
-            parallel_threshold: None,
         }
     }
 
@@ -68,12 +51,6 @@ impl SimFidelity {
     /// experiments require).
     pub fn full() -> Self {
         SimFidelity::default()
-    }
-
-    /// Whether the columnar kernels should thread at `cols` columns.
-    #[inline]
-    pub fn parallel_at(&self, cols: usize) -> bool {
-        self.parallel_threshold.is_some_and(|t| cols >= t)
     }
 }
 

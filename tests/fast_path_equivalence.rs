@@ -1,10 +1,9 @@
 //! Fast-path vs. telemetry-path equivalence.
 //!
-//! The columnar fast path (telemetry off, packed I/O, optional column
-//! threading) must be *observationally identical* to the full-telemetry
-//! path: same stored bits, same `mean_success`/`observed_accuracy`,
-//! same reported statistics — only the per-cell `CellOutcome` records
-//! disappear. These tests run twin stacks from the same seed through
+//! The columnar fast path (telemetry off, packed I/O) must be
+//! *observationally identical* to the full-telemetry path: same stored
+//! bits, same `mean_success`/`observed_accuracy`, same reported
+//! statistics — only the per-cell `CellOutcome` records disappear. These tests run twin stacks from the same seed through
 //! both modes and compare exactly.
 
 use dram_core::{
@@ -81,52 +80,6 @@ fn chip_ops_identical_across_telemetry_modes() {
             full.read_row_direct(BANK, GlobalRow(r)).unwrap(),
             fast.read_row_direct(BANK, GlobalRow(r)).unwrap(),
             "row {r} diverged"
-        );
-    }
-}
-
-#[test]
-fn threaded_columns_identical_to_serial() {
-    // Same chip seed, wide row; one chip threads its column kernels.
-    let cols = 4096;
-    let mut serial = dram_core::Chip::new(cfg(cols), ChipId(0));
-    let mut threaded = dram_core::Chip::new(cfg(cols), ChipId(0));
-    threaded.configure(dram_core::SimConfig::new().with_fidelity(SimFidelity {
-        telemetry: Telemetry::Fast,
-        parallel_threshold: Some(1024),
-    }));
-    serial.configure(dram_core::SimConfig::fast());
-
-    let src = pattern(5, cols);
-    for chip in [&mut serial, &mut threaded] {
-        chip.write_row_direct(BANK, GlobalRow(7), &src).unwrap();
-    }
-    for (rf, rl) in [(7usize, 600), (3, 520), (40, 700)] {
-        let a = serial
-            .multi_act_copy(BANK, GlobalRow(rf), GlobalRow(rl))
-            .unwrap();
-        let b = threaded
-            .multi_act_copy(BANK, GlobalRow(rf), GlobalRow(rl))
-            .unwrap();
-        serial.precharge(BANK).unwrap();
-        threaded.precharge(BANK).unwrap();
-        assert_eq!(a.kind, b.kind);
-        assert_eq!(a.stats, b.stats, "threaded stats must match serial bitwise");
-        let c = serial
-            .multi_act_charge_share(BANK, GlobalRow(rf), GlobalRow(rl))
-            .unwrap();
-        let d = threaded
-            .multi_act_charge_share(BANK, GlobalRow(rf), GlobalRow(rl))
-            .unwrap();
-        serial.precharge(BANK).unwrap();
-        threaded.precharge(BANK).unwrap();
-        assert_eq!(c.stats, d.stats);
-    }
-    for r in [7usize, 600, 3, 520, 40, 700] {
-        assert_eq!(
-            serial.read_row_direct(BANK, GlobalRow(r)).unwrap(),
-            threaded.read_row_direct(BANK, GlobalRow(r)).unwrap(),
-            "row {r} diverged under threading"
         );
     }
 }
