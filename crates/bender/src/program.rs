@@ -9,6 +9,7 @@
 
 use dram_core::{BankId, Bit, GlobalRow, SpeedBin, TimingParams, ViolationWindows};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One DDR4 command as the infrastructure issues it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -18,8 +19,9 @@ pub enum DdrCommand {
     /// Bank precharge.
     Pre(BankId),
     /// Column write: overdrives the open row buffer with a full row of
-    /// data (the paper's §4.2 methodology writes whole rows).
-    Wr(BankId, Vec<Bit>),
+    /// data (the paper's §4.2 methodology writes whole rows). The
+    /// payload is shared, so cloning a program copies no row data.
+    Wr(BankId, Arc<[Bit]>),
     /// Column read of an open row; the captured data lands in the
     /// execution's read log.
     Rd(BankId, GlobalRow),
@@ -138,8 +140,8 @@ impl ProgramBuilder {
     }
 
     /// `WR` of a full row at the cursor.
-    pub fn wr(&mut self, bank: BankId, data: Vec<Bit>) -> &mut Self {
-        self.push(DdrCommand::Wr(bank, data))
+    pub fn wr(&mut self, bank: BankId, data: impl Into<Arc<[Bit]>>) -> &mut Self {
+        self.push(DdrCommand::Wr(bank, data.into()))
     }
 
     /// `RD` of an open row at the cursor.
@@ -152,7 +154,12 @@ impl ProgramBuilder {
     // -----------------------------------------------------------------
 
     /// Timing-respecting row write: `ACT → WR → (tRAS) → PRE → (tRP)`.
-    pub fn seq_write_row(&mut self, bank: BankId, row: GlobalRow, data: Vec<Bit>) -> &mut Self {
+    pub fn seq_write_row(
+        &mut self,
+        bank: BankId,
+        row: GlobalRow,
+        data: impl Into<Arc<[Bit]>>,
+    ) -> &mut Self {
         let (t_rcd, t_ras, t_rp) = (
             self.timing.t_rcd_ns,
             self.timing.t_ras_ns,

@@ -17,6 +17,7 @@ use dram_core::{
     LocalRow, LogicOp, ModuleConfig, OpOutcome, OutcomeKind, SubarrayId,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Result of a value-path NOT: packed, shared columns only, first
 /// destination row only, no per-cell records.
@@ -202,7 +203,7 @@ impl GateSite {
         let (sub_ref, _) = self.geom.split_row(entry.rf)?;
         let (sub_com, _) = self.geom.split_row(entry.rl)?;
         let result_rows = self.terminal_rows(entry, op)?;
-        let fill = vec![Bit::from(op.is_and_family()); self.geom.cols()];
+        let fill: Arc<[Bit]> = vec![Bit::from(op.is_and_family()); self.geom.cols()].into();
         let refs = self.join_rows(sub_ref, &entry.first_rows)?;
         let coms = self.join_rows(sub_com, &entry.second_rows)?;
         if let Some((frac, consts)) = refs.split_last() {
@@ -215,7 +216,7 @@ impl GateSite {
         let operand_wr = coms
             .iter()
             .map(|g| {
-                let data = operands.next().unwrap_or_else(|| fill.clone());
+                let data = operands.next().map_or_else(|| fill.clone(), Arc::from);
                 self.stage(b, *g, data)
             })
             .collect();
@@ -284,7 +285,7 @@ impl GateSite {
 
     /// A timing-respecting row write; returns its `Wr` command's index
     /// (the write is `ACT`, `WR`, `PRE`).
-    fn stage(&self, b: &mut ProgramBuilder, row: GlobalRow, data: Vec<Bit>) -> usize {
+    fn stage(&self, b: &mut ProgramBuilder, row: GlobalRow, data: impl Into<Arc<[Bit]>>) -> usize {
         let wr = b.len() + 1;
         b.seq_write_row(self.bank, row, data);
         wr

@@ -237,7 +237,8 @@ impl BenderBackend {
     /// sequence [`fcdram::Fcdram::write_row`] would issue as its own
     /// program, so the device sees an identical command stream either
     /// way — is emitted first and the template appended after it in a
-    /// single copy; otherwise the template is cloned as-is. Returns
+    /// single copy; otherwise the template is cloned as-is. Either way
+    /// the `Wr` payloads are shared, not copied. Returns
     /// the program plus the index shift at which the template's
     /// recorded `Wr` command positions now sit, so callers patch
     /// operand payloads without a second pass over the commands.
@@ -283,7 +284,7 @@ impl BenderBackend {
         let data = val.expand_strided(cols, start, 2);
         let (mut program, shift) = self.template_with_prelude(&t.program, prelude);
         if let DdrCommand::Wr(_, payload) = &mut program.commands_mut()[shift + t.wr].command {
-            *payload = data;
+            *payload = data.into();
         }
         let outcome = self.run_schedule(&program)?;
         if !matches!(outcome, Some(OutcomeKind::Not { .. })) {
@@ -319,7 +320,7 @@ impl BenderBackend {
             if let DdrCommand::Wr(_, payload) =
                 &mut program.commands_mut()[shift + t.operand_wr[i]].command
             {
-                *payload = data;
+                *payload = data.into();
             }
         }
         if self.engine.mask_safe() {
@@ -526,24 +527,23 @@ impl ExecBackend for BenderBackend {
         })?;
         let prog = prep.program();
         check_operands(prog, operands.len())?;
-        let inputs: Vec<BitVecHandle> = lease.clone();
         let mut regs: Vec<Option<BitVecHandle>> = vec![None; prog.n_regs];
-        let mut vals: Vec<Option<PackedBits>> = vec![None; prog.n_regs];
-        for (r, h) in inputs.iter().enumerate() {
+        for (r, h) in lease.iter().enumerate() {
             regs[r] = Some(*h);
-            vals[r] = Some(operands[r].clone());
         }
+        // Values of the steps' results; inputs are read from `operands`.
+        let mut vals: Vec<Option<PackedBits>> = vec![None; prog.n_regs];
         let result = self.run_prepared_steps(
             templates,
             prep,
             operands,
-            &inputs,
+            lease,
             &mut regs,
             &mut vals,
             &mut on_step,
         );
         if result.is_err() {
-            for slot in regs.iter_mut().skip(inputs.len()) {
+            for slot in regs.iter_mut().skip(lease.len()) {
                 if let Some(h) = slot.take() {
                     self.release(h);
                 }
@@ -587,7 +587,7 @@ impl BenderBackend {
             let bits = match step.op {
                 None => {
                     let t = templates.not_t.as_ref().expect("prepared");
-                    let v = vals[step.args[0]].as_ref().expect("value tracked");
+                    let v = tracked(operands, vals, step.args[0]);
                     let (bits, wr) = self.prepared_not(t, v, &out, pending.take())?;
                     pending = Some(wr);
                     bits
@@ -597,12 +597,11 @@ impl BenderBackend {
                     // lands first (copy steps bound fused visits).
                     self.flush_result(pending.take())?;
                     let src = regs[step.args[0]].expect("mapper emits defs before uses");
-                    let v = vals[step.args[0]].as_ref().expect("value tracked");
-                    self.prepared_copy(&src, v, &out)?
+                    self.prepared_copy(&src, tracked(operands, vals, step.args[0]), &out)?
                 }
                 Some(_) if step.args.len() == 1 => {
                     let t = templates.not_t.as_ref().expect("prepared");
-                    let v = vals[step.args[0]].as_ref().expect("value tracked");
+                    let v = tracked(operands, vals, step.args[0]);
                     let (bits, wr) = self.prepared_not(t, v, &out, pending.take())?;
                     pending = Some(wr);
                     bits
@@ -613,7 +612,7 @@ impl BenderBackend {
                     let avals: Vec<&PackedBits> = step
                         .args
                         .iter()
-                        .map(|r| vals[*r].as_ref().expect("value tracked"))
+                        .map(|r| tracked(operands, vals, *r))
                         .collect();
                     let (bits, wr) = self.prepared_gate(t, op, &avals, &out, pending.take())?;
                     pending = Some(wr);
@@ -653,6 +652,19 @@ impl BenderBackend {
         };
         self.release(out_h);
         Ok(out_val)
+    }
+}
+
+/// The value register `r` holds: an operand for an input register,
+/// else the result its defining step recorded.
+fn tracked<'a>(
+    operands: &'a [PackedBits],
+    vals: &'a [Option<PackedBits>],
+    r: usize,
+) -> &'a PackedBits {
+    match operands.get(r) {
+        Some(v) => v,
+        None => vals[r].as_ref().expect("value tracked"),
     }
 }
 

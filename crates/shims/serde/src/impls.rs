@@ -138,6 +138,18 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_content(&self) -> Content {
+        (**self).to_content()
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::sync::Arc<[T]> {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        Vec::<T>::from_content(c).map(Into::into)
+    }
+}
+
 // ---------------------------------------------------------------------
 // Option / containers
 // ---------------------------------------------------------------------
