@@ -52,8 +52,9 @@ that takes them: --backend {vm,bender} (default vm), --shards K
 Numeric flags are range-checked in every mode: --jobs, --chips,
 --lanes, --max-batch and --ticks must be at least 1, --fan-in 2 to 16,
 --min-success in [0, 1], and --tick-us finite and greater than 0.
-Sizes are bounded too: per chip, 1 KiB plus 512 rows of --lanes bits
-must fit a 4 GiB memory budget.
+Sizes are bounded too: per chip, 1 KiB plus 512 rows of --lanes bits,
+and for serve per job, 1 KiB plus one --lanes-bit row per input, must
+fit a 4 GiB memory budget.
 
 fleet mode sweeps a seeded population of simulated chips (drawn
 round-robin from Table 1, or from one --module) over the experiment
@@ -354,23 +355,36 @@ fn out_of_range(flag: &str, x: f64) -> Option<String> {
 /// is allocated: 4 GiB.
 const MEMORY_BUDGET_BYTES: u128 = 4 << 30;
 
-/// Whether a run over `chips` chips with `lanes`-bit rows fits
+/// Whether a run over `chips` chips with `lanes`-bit rows, plus `jobs`
+/// jobs staging `operand_rows` host rows in all, fits
 /// [`MEMORY_BUDGET_BYTES`], printing a usage error when it does not.
-/// The planned footprint is a per-chip bound times the chip count:
-/// 1 KiB of fleet and planner state plus one subarray's 512 rows of
-/// `lanes` bits.
-fn fits_budget(chips: usize, lanes: usize) -> bool {
-    let per_chip = 1024 + 512 * (lanes as u128).div_ceil(8);
-    let bytes = chips as u128 * per_chip;
+/// The planned footprint is, per chip, 1 KiB of fleet and planner state
+/// plus one subarray's 512 rows of `lanes` bits, and per job, 1 KiB of
+/// job state plus its operand rows.
+fn fits_budget(chips: usize, lanes: usize, jobs: u128, operand_rows: u128) -> bool {
+    let row = (lanes as u128).div_ceil(8);
+    let bytes = chips as u128 * (1024 + 512 * row) + jobs * 1024 + operand_rows * row;
     if bytes <= MEMORY_BUDGET_BYTES {
         return true;
     }
     eprintln!(
-        "{chips} chip(s) with {lanes}-lane rows plan {} MiB, over the {} MiB memory budget\n{USAGE}",
+        "{chips} chip(s) and {jobs} job(s) with {lanes}-lane rows plan {} MiB, over the {} MiB memory budget\n{USAGE}",
         bytes >> 20,
         MEMORY_BUDGET_BYTES >> 20
     );
     false
+}
+
+/// Host operand rows a `jobs`-job batch cycling through `exprs` stages:
+/// each job one row per input of its expression (an expression that
+/// does not parse counts none; building the batch reports it).
+fn batch_operand_rows(exprs: &[String], jobs: usize) -> u128 {
+    let inputs: Vec<u128> = exprs
+        .iter()
+        .map(|t| fcsynth::Expr::parse(t).map_or(0, |e| e.inputs().len() as u128))
+        .collect();
+    let (cycles, rest) = (jobs / exprs.len().max(1), jobs % exprs.len().max(1));
+    cycles as u128 * inputs.iter().sum::<u128>() + inputs[..rest].iter().sum::<u128>()
 }
 
 fn run_fleet_cli(args: Vec<String>) -> ExitCode {
@@ -410,7 +424,7 @@ fn run_fleet_cli(args: Vec<String>) -> ExitCode {
         }
     }
     if !common.check_applies("fleet", &["--chips", "--shards", "--seed"])
-        || !fits_budget(common.chips, 0)
+        || !fits_budget(common.chips, 0, 0, 0)
     {
         return ExitCode::FAILURE;
     }
@@ -552,9 +566,6 @@ fn run_serve_cli(args: Vec<String>) -> ExitCode {
             },
         }
     }
-    if !fits_budget(common.chips, lanes) {
-        return ExitCode::FAILURE;
-    }
     let (chips, shards, seed, backend) = (common.chips, common.shards, common.seed, common.backend);
     let cost = match &costs_path {
         Some(path) => {
@@ -595,6 +606,9 @@ fn run_serve_cli(args: Vec<String>) -> ExitCode {
             .map(|s| s.to_string())
             .collect(),
     };
+    if !fits_budget(chips, lanes, jobs as u128, batch_operand_rows(&exprs, jobs)) {
+        return ExitCode::FAILURE;
+    }
     let fleet = match module {
         Some(name) => {
             let all = dram_core::config::full_fleet();
@@ -985,7 +999,7 @@ fn run_daemon_cli(args: Vec<String>) -> ExitCode {
 
     let chips = common.chips;
     let lanes = lanes.unwrap_or(64);
-    if !fits_budget(chips, lanes) {
+    if !fits_budget(chips, lanes, 0, 0) {
         return ExitCode::FAILURE;
     }
     let Some(cost) = load_cost_model(costs_path.as_deref()) else {
@@ -1238,7 +1252,7 @@ fn run_synth_cli(args: Vec<String>) -> ExitCode {
             },
         }
     }
-    if !common.check_applies("synth", &["--backend", "--seed"]) || !fits_budget(1, lanes) {
+    if !common.check_applies("synth", &["--backend", "--seed"]) || !fits_budget(1, lanes, 0, 0) {
         return ExitCode::FAILURE;
     }
     let backend = common.backend;

@@ -113,6 +113,7 @@ fn oversized_sizes_are_usage_errors() {
         ],
         vec!["serve", "--jobs", "1", "--lanes", "100000000000"],
         vec!["serve", "--lanes", "18446744073709551615"],
+        vec!["serve", "--jobs", "100000000000", "--lanes", "64"],
         vec!["fleet", "--chips", "100000000"],
         vec!["daemon", "--chips", "100000000"],
         vec![
