@@ -400,25 +400,26 @@ type MemoKey = (u32, u32, u32);
 /// wholesale (same defensive idiom as [`VariationCache`]).
 const MEMO_CAP: usize = 4096;
 
-/// Per-row charge-share CDF tables: `cdf[6 * (col / 2) + 3 * family +
-/// mm_idx]` holds `normal_cdf(z)` of shared column `col` for the
-/// shared-column kernel, where `family` is 1 for AND- and 0 for
-/// OR-family constants and `mm_idx` indexes the three values the
-/// neighbour-mismatch fraction can take (0, ½, 1). `None` when the
-/// reliability model has no prefix for the side's `N` (both families
-/// have one exactly when `N` is 2, 4, 8 or 16).
-#[derive(Debug, Clone)]
-struct CsRowTab {
-    cdf: Option<Box<[f64]>>,
+/// Shared-column CDF tables of one terminal side of a charge-share
+/// activation, one per raised row: `normal_cdf(z)` of shared column
+/// `col` at `[3 * n_shared * family + 3 * (col / 2) + mm_idx]`, where
+/// `family` is 1 for AND- and 0 for OR-family constants and `mm_idx`
+/// indexes the three values the neighbour-mismatch fraction can take
+/// (0, ½, 1). Each family's half is computed the first time a charge
+/// share reads it. `rows` stays empty when the model has no prefix for
+/// the side's `N` (both families have one exactly when `N` is 2, 4, 8
+/// or 16).
+#[derive(Debug, Clone, Default)]
+struct CsSide {
+    rows: Vec<Box<[f64]>>,
+    built: [bool; 2],
 }
 
-/// Charge-share tables for one `(bank, r_ref, r_com)` activation:
-/// compute-terminal rows and reference-terminal rows, in raised-row
-/// order.
-#[derive(Debug, Clone)]
+/// Charge-share tables for one `(bank, r_ref, r_com)` activation: the
+/// compute side, then the reference side.
+#[derive(Debug, Clone, Default)]
 struct CsTables {
-    com: Vec<CsRowTab>,
-    refs: Vec<CsRowTab>,
+    sides: [CsSide; 2],
 }
 
 /// NOT-sequence tables for one `(bank, rf, rl)` activation: per
@@ -441,7 +442,7 @@ struct NotTables {
 /// only by a temperature change through [`Chip::configure`].
 #[derive(Debug, Clone, Default)]
 struct KernelMemo {
-    cs: HashMap<MemoKey, Arc<CsTables>>,
+    cs: HashMap<MemoKey, CsTables>,
     not: HashMap<MemoKey, Arc<NotTables>>,
     maj: HashMap<MemoKey, Arc<[f64]>>,
     clone: HashMap<MemoKey, Arc<[f64]>>,
@@ -503,9 +504,8 @@ impl Scratch {
 }
 
 /// Packs one shared column's sensing outcome into a byte: bits 0–1 the
-/// [`MarginClass`], bits 2–4 the CDF table `3 * family + mm_idx` of
-/// [`CsRowTab`], bit 5 the compute terminal's result. The low five bits
-/// index a terminal's margin-multiplier table.
+/// [`MarginClass`], bits 2–4 `3 * family + mm_idx` (see [`CsSide`]),
+/// bit 5 the compute terminal's result.
 #[inline]
 fn cs_sel(result: bool, and_family: bool, mm_idx: u8, class: MarginClass) -> u8 {
     (u8::from(result) << 5) | ((3 * u8::from(and_family) + mm_idx) << 2) | class as u8
@@ -1114,108 +1114,79 @@ impl Chip {
         t
     }
 
-    /// Shared-column CDF tables for one charge-share activation pair:
-    /// per terminal row, per constant family, per neighbour-mismatch
-    /// level. The stored value is `normal_cdf(z)` with the exact
-    /// float-op order of the in-line kernel; the data-dependent margin
+    /// Builds the shared-column CDF tables of one charge-share
+    /// activation pair that `need[side][family]` asks for and the memo
+    /// lacks (sides and families as in [`CsTables`] and [`CsSide`]).
+    /// The stored value is `normal_cdf(z)` with the exact float-op
+    /// order of the in-line kernel; the data-dependent margin
     /// multiplier and disturbance exponent are applied at use time.
     #[allow(clippy::too_many_arguments)]
     fn memo_cs_tables(
         &mut self,
-        bank: BankId,
-        r_ref: GlobalRow,
-        r_com: GlobalRow,
+        key: MemoKey,
         first_rows: &[LocalRow],
         second_rows: &[LocalRow],
         sub_ref: SubarrayId,
         sub_com: SubarrayId,
         loc_ref: LocalRow,
         loc_com: LocalRow,
-    ) -> Arc<CsTables> {
-        let key = (
-            bank.index() as u32,
-            r_ref.index() as u32,
-            r_com.index() as u32,
-        );
-        if let Some(t) = self.memo.cs.get(&key) {
-            return t.clone();
+        need: [[bool; 2]; 2],
+    ) {
+        if !self.memo.cs.contains_key(&key) && self.memo.cs.len() >= MEMO_CAP {
+            self.memo.cs.clear();
         }
+        let bank = BankId(key.0 as usize);
         let cols = self.geom.cols();
         let rows_per_sub = self.geom.rows_per_subarray();
         let upper = SubarrayId(sub_ref.index().min(sub_com.index()));
         let stripe = upper.index() + 1;
         let shared_start = (upper.index() + 1) % 2;
-        let n_ref = first_rows.len();
-        let n_com = second_rows.len();
+        let n_shared = (cols - shared_start).div_ceil(2);
         let com_dist_addr = dist_to_stripe(loc_com, rows_per_sub, sub_com, upper);
         let ref_dist_addr = dist_to_stripe(loc_ref, rows_per_sub, sub_ref, upper);
         let tterm = ReliabilityModel::logic_temp_term(self.temperature);
         let sa = self.cache.sa_z(self.model.variation(), bank, stripe, cols);
-        let mut sides: Vec<Vec<CsRowTab>> = Vec::with_capacity(2);
-        for (sub, rows, ops, n_side, invert) in [
-            (
-                sub_com,
-                second_rows,
-                (LogicOp::And, LogicOp::Or),
-                n_com,
-                false,
-            ),
-            (
-                sub_ref,
-                first_rows,
-                (LogicOp::Nand, LogicOp::Nor),
-                n_ref,
-                true,
-            ),
-        ] {
-            let pre_and = self.model.logic_z_prefix(ops.0, n_side);
-            let pre_or = self.model.logic_z_prefix(ops.1, n_side);
-            let cpl_and = ReliabilityModel::coupling(ops.0);
-            let cpl_or = ReliabilityModel::coupling(ops.1);
-            let mut tabs = Vec::with_capacity(rows.len());
-            for row in rows {
-                let own_dist = dist_to_stripe(*row, rows_per_sub, sub, upper);
-                let (dist_and, dist_or) = if invert {
-                    (
-                        ReliabilityModel::logic_dist_term(ops.0, com_dist_addr, own_dist),
-                        ReliabilityModel::logic_dist_term(ops.1, com_dist_addr, own_dist),
-                    )
-                } else {
-                    (
-                        ReliabilityModel::logic_dist_term(ops.0, own_dist, ref_dist_addr),
-                        ReliabilityModel::logic_dist_term(ops.1, own_dist, ref_dist_addr),
-                    )
+        let sides = [
+            (sub_com, second_rows, [LogicOp::Or, LogicOp::And], false),
+            (sub_ref, first_rows, [LogicOp::Nor, LogicOp::Nand], true),
+        ];
+        for (side, (sub, rows, ops, invert)) in sides.into_iter().enumerate() {
+            for fam in 0..2 {
+                let entry = &mut self.memo.cs.entry(key).or_default().sides[side];
+                if !need[side][fam] || entry.built[fam] {
+                    continue;
+                }
+                entry.built[fam] = true;
+                let Some(pre) = self.model.logic_z_prefix(ops[fam], rows.len()) else {
+                    continue;
                 };
-                let lz = self
-                    .cache
-                    .logic_z(self.model.variation(), bank, sub, *row, cols);
-                let cdf = pre_or.zip(pre_and).map(|(pre_or, pre_and)| {
-                    let fams = [(pre_or, cpl_or, dist_or), (pre_and, cpl_and, dist_and)];
+                let mut tabs = std::mem::take(&mut entry.rows);
+                tabs.resize_with(rows.len(), || vec![0.0; 6 * n_shared].into());
+                let cpl = ReliabilityModel::coupling(ops[fam]);
+                for (row, t) in rows.iter().zip(&mut tabs) {
+                    let own_dist = dist_to_stripe(*row, rows_per_sub, sub, upper);
+                    let dist = if invert {
+                        ReliabilityModel::logic_dist_term(ops[fam], com_dist_addr, own_dist)
+                    } else {
+                        ReliabilityModel::logic_dist_term(ops[fam], own_dist, ref_dist_addr)
+                    };
+                    let lz = self
+                        .cache
+                        .logic_z(self.model.variation(), bank, sub, *row, cols);
+                    let half = &mut t[3 * n_shared * fam..3 * n_shared * (fam + 1)];
                     let shared = (shared_start..cols).step_by(2);
-                    shared
-                        .flat_map(|c| (0..6).map(move |k| (c, k)))
-                        .map(|(c, k)| {
-                            let (pre, cpl, dist) = fams[k / 3];
-                            let mm_v = [0.0f64, 0.5, 1.0][k % 3];
+                    for (cdfs, c) in half.chunks_exact_mut(3).zip(shared) {
+                        for (cdf, mm_v) in cdfs.iter_mut().zip([0.0f64, 0.5, 1.0]) {
                             let z = pre - cpl * mm_v.clamp(0.0, 1.0) + dist - tterm
                                 + SIGMA_CELL_LOGIC * lz[c]
                                 + SIGMA_SA_LOGIC * sa[c];
-                            normal_cdf(z)
-                        })
-                        .collect()
-                });
-                tabs.push(CsRowTab { cdf });
+                            *cdf = normal_cdf(z);
+                        }
+                    }
+                }
+                self.memo.cs.entry(key).or_default().sides[side].rows = tabs;
             }
-            sides.push(tabs);
         }
-        let refs = sides.pop().expect("two sides built");
-        let com = sides.pop().expect("two sides built");
-        let t = Arc::new(CsTables { com, refs });
-        if self.memo.cs.len() >= MEMO_CAP {
-            self.memo.cs.clear();
-        }
-        self.memo.cs.insert(key, t.clone());
-        t
     }
 
     /// The NOT / RowClone command sequence:
@@ -1584,18 +1555,6 @@ impl Chip {
                 let (_, loc_ref) = self.geom.split_row(r_ref)?;
                 let (_, loc_com) = self.geom.split_row(r_com)?;
                 let shared_start = (upper.index() + 1) % 2;
-                let cs_tab = self.memo_cs_tables(
-                    bank,
-                    r_ref,
-                    r_com,
-                    &first_rows,
-                    &second_rows,
-                    sub_ref,
-                    sub_com,
-                    loc_ref,
-                    loc_com,
-                );
-
                 // --- Gather (SoA): per-column voltage sums and packed
                 // per-row bits of the shared half, one pass per raised
                 // row. The sensing model is computed from these flat
@@ -1616,7 +1575,7 @@ impl Chip {
                 let n_shared = (cols - shared_start).div_ceil(2);
                 let (sum_ref, sum_com) = (&sc.sum_ref[..n_shared], &sc.sum_com[..n_shared]);
                 let packed_com = &sc.packed_com[..n_shared];
-                let mut and_family_any = false;
+                let mut families = [false; 2];
                 let cell_unit = analog.cell_unit(n_com.max(n_ref));
                 for (j, sel) in sc.sel[..n_shared].iter_mut().enumerate() {
                     let diff = analog.bitline_from_sum(sum_com[j], n_com)
@@ -1624,7 +1583,7 @@ impl Chip {
                     let diff_cells = diff / cell_unit;
                     let ref_mean = sum_ref[j] / (n_ref.max(1) as f64) / vdd;
                     let fam_and = ref_mean > 0.5;
-                    and_family_any |= fam_and;
+                    families[usize::from(fam_and)] = true;
                     let mut d = 0u8;
                     let mut cnt = 0u8;
                     for nb in [j.wrapping_sub(1), j + 1] {
@@ -1644,6 +1603,24 @@ impl Chip {
                 let dexp_ref = self.disturb_exponent(bank, sub_ref);
                 let dexp_com = self.disturb_exponent(bank, sub_com);
                 let mut rec = Recorder::new(telemetry);
+                let key = (
+                    bank.index() as u32,
+                    r_ref.index() as u32,
+                    r_com.index() as u32,
+                );
+                let wanted = [need.resolves_compute(), need.resolves_reference()]
+                    .map(|side| families.map(|f| side && f));
+                self.memo_cs_tables(
+                    key,
+                    &first_rows,
+                    &second_rows,
+                    sub_ref,
+                    sub_com,
+                    loc_ref,
+                    loc_com,
+                    wanted,
+                );
+                let tables = &self.memo.cs[&key].sides;
 
                 // Result rows on both terminals share one kernel shape:
                 // p = margin multiplier × Φ(z), Φ(z) from the memoized
@@ -1654,7 +1631,7 @@ impl Chip {
                         need.resolves_compute(),
                         sub_com,
                         &second_rows,
-                        &cs_tab.com,
+                        &tables[0].rows,
                         (LogicOp::And, LogicOp::Or),
                         n_com,
                         false,
@@ -1665,7 +1642,7 @@ impl Chip {
                         need.resolves_reference(),
                         sub_ref,
                         &first_rows,
-                        &cs_tab.refs,
+                        &tables[1].rows,
                         (LogicOp::Nand, LogicOp::Nor),
                         n_ref,
                         true,
@@ -1679,7 +1656,7 @@ impl Chip {
                     }
                     // Per shared column: the margin multiplier (by the
                     // family and class bits of its selector) and the
-                    // offset of its table among the row's six.
+                    // offset of its CDF in each row's table.
                     let lut: [f64; 8] = std::array::from_fn(|k| {
                         let op_sel = if k >= 4 { ops.0 } else { ops.1 };
                         let class = [
@@ -1701,11 +1678,12 @@ impl Chip {
                     {
                         let tab = (code >> 2) & 7;
                         *m = lut[usize::from(4 * (tab / 3) + (code & 3))];
-                        *i = (6 * j) as u32 + u32::from(tab);
+                        *i = (3 * n_shared * usize::from(tab / 3) + 3 * j) as u32
+                            + u32::from(tab % 3);
                     }
                     let (mults, idx) = (&*mults, &*idx);
-                    for (row_i, (row, tab)) in rows.iter().zip(tabs.iter()).enumerate() {
-                        let cdf = tab.cdf.as_deref();
+                    for (row_i, row) in rows.iter().enumerate() {
+                        let cdf = tabs.get(row_i).map(|t| &**t);
                         if first_only && row_i > 0 {
                             // Unresolved: counted toward the mean, never
                             // drawn; the row keeps its staged values. A
@@ -1799,7 +1777,7 @@ impl Chip {
                 Ok(rec.finish(OutcomeKind::Logic {
                     n_ref,
                     n_com,
-                    and_family: and_family_any,
+                    and_family: families[1],
                 }))
             }
         }
