@@ -314,9 +314,27 @@ fmt_check() {
 # The repo benchmark's own tests (perfbench/ is a standalone package
 # outside the workspace, so `cargo test` at the root skips them):
 # per-seed determinism, the pinned exact counts of every workload, and
-# the BENCHMARK.json <-> code tables.
+# the BENCHMARK.json <-> code tables. Then one traced 1 s device_exec
+# run at seed 1 must report the device path's exact counts: mismatched
+# result bits per backend, native ops, engine visits, Bender templates
+# and arena slots (a kernel rewrite that moves any of them changed
+# what the device model computes or how plans are shaped).
 perfbench_tests() {
-  cargo test --release --offline --manifest-path perfbench/Cargo.toml
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml || return 1
+  local out want name value got
+  out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload device_exec --seed 1 --seconds 1 --trace 1) || return 1
+  for want in dram_core.mismatched_bits.vm_dram=5580 dram_core.mismatched_bits.bender=5580 \
+    fcexec.native_ops=30 fcexec.engine_visits=11 fcexec.templates=19 fcexec.arena_slots=125; do
+    name=${want%%=*}
+    value=${want#*=}
+    got=$(awk -v n="$name" '$1 == n && $2 == "=" { print $3 }' <<< "$out")
+    if [[ "$got" != "$value" ]]; then
+      echo "perfbench: $name = '$got', expected $value" >&2
+      return 1
+    fi
+  done
+  echo "perfbench: device_exec seed 1 exact counts match"
 }
 
 wants() {
