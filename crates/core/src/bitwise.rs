@@ -66,8 +66,8 @@ enum Gate<'a> {
 /// The bulk bitwise engine.
 ///
 /// Runs the chip in the fast fidelity mode ([`SimFidelity::fast`]):
-/// aggregate statistics only, packed host I/O, threaded column kernels
-/// on wide rows. Stored bits are identical to full-telemetry runs.
+/// aggregate statistics only and packed host I/O. Stored bits are
+/// identical to full-telemetry runs.
 ///
 /// Each gate (`not`, `logic`, `maj3`, `copy`) has one method. It takes
 /// the operand values from the caller, who owns them (no gate reads an

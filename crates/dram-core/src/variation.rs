@@ -307,8 +307,7 @@ impl ProcessVariation {
 /// inverse-normal per cell per operation. Operations touch the same
 /// scratch rows over and over, so the chip keeps these arrays cached:
 /// first touch fills a row (`O(cols)`), every later operation is an
-/// `Arc` clone. Shared `Arc<[f64]>` slices also let the threaded column
-/// kernels borrow rows without copying.
+/// `Arc` clone, so a kernel borrows the row without copying it.
 #[derive(Debug, Clone, Default)]
 pub struct VariationCache {
     not_z: HashMap<(u32, u32, u32), Arc<[f64]>>,
