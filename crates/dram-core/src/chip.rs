@@ -354,8 +354,7 @@ impl Recorder {
         cols: impl Iterator<Item = usize>,
         mut cell: impl FnMut(usize, f32) -> (Bit, Bit, f64),
     ) {
-        let s = &mut self.stats.roles[role.index()];
-        let mut sum_p = s.sum_p;
+        let (mut sum_p, mut n, mut matches) = (self.stats.roles[role.index()].sum_p, 0, 0);
         for c in cols {
             let (intended, failed, p) = cell(c, slice[c]);
             let actual = if sampler.sample(c, p) {
@@ -365,9 +364,8 @@ impl Recorder {
             };
             slice[c] = actual.voltage(vdd) as f32;
             sum_p += p;
-            s.count += 1;
-            s.drawn += 1;
-            s.matches += usize::from(actual == intended);
+            n += 1;
+            matches += usize::from(actual == intended);
             if let Some(cells) = &mut self.cells {
                 cells.push(CellOutcome {
                     subarray,
@@ -380,7 +378,11 @@ impl Recorder {
                 });
             }
         }
+        let s = &mut self.stats.roles[role.index()];
         s.sum_p = sum_p;
+        s.count += n;
+        s.drawn += n;
+        s.matches += matches;
     }
 
     fn finish(self, kind: OutcomeKind) -> OpOutcome {
@@ -853,13 +855,13 @@ impl Chip {
             0
         };
         let mut words = vec![0u64; lanes.div_ceil(64)];
-        {
-            let b = self.bank_ref(bank)?;
-            if let Some(slice) = b.subarray(sub).and_then(|s| s.row(local)) {
-                for (i, c) in (start..cols).step_by(step).enumerate() {
-                    if f64::from(slice[c]) > vdd / 2.0 {
-                        words[i / 64] |= 1 << (i % 64);
-                    }
+        let b = self.bank_ref(bank)?;
+        if let Some(slice) = b.subarray(sub).and_then(|s| s.row(local)) {
+            // Word `k` packs the 64 lanes read from its chunk of columns.
+            let chunks = slice[start.min(cols)..].chunks(64 * step);
+            for (w, chunk) in words.iter_mut().zip(chunks) {
+                for (i, v) in chunk.iter().step_by(step).enumerate() {
+                    *w |= u64::from(f64::from(*v) > vdd / 2.0) << i;
                 }
             }
         }
@@ -1572,16 +1574,21 @@ impl Chip {
                 // differential, margin class, family, and the index of
                 // the coupling-mismatch table (packed-word compares of
                 // the two same-half neighbours: 0, ½ or 1 mismatched).
+                // The differential and the mean reference level replace
+                // the sums in place first, in a loop that vectorizes.
                 let n_shared = (cols - shared_start).div_ceil(2);
-                let (sum_ref, sum_com) = (&sc.sum_ref[..n_shared], &sc.sum_com[..n_shared]);
+                let (diffs, ref_means) = (&mut sc.sum_com[..n_shared], &mut sc.sum_ref[..n_shared]);
+                for (com, rf) in diffs.iter_mut().zip(ref_means.iter_mut()) {
+                    *com =
+                        analog.bitline_from_sum(*com, n_com) - analog.bitline_from_sum(*rf, n_ref);
+                    *rf = *rf / (n_ref.max(1) as f64) / vdd;
+                }
                 let packed_com = &sc.packed_com[..n_shared];
                 let mut families = [false; 2];
                 let cell_unit = analog.cell_unit(n_com.max(n_ref));
                 for (j, sel) in sc.sel[..n_shared].iter_mut().enumerate() {
-                    let diff = analog.bitline_from_sum(sum_com[j], n_com)
-                        - analog.bitline_from_sum(sum_ref[j], n_ref);
+                    let (diff, ref_mean) = (diffs[j], ref_means[j]);
                     let diff_cells = diff / cell_unit;
-                    let ref_mean = sum_ref[j] / (n_ref.max(1) as f64) / vdd;
                     let fam_and = ref_mean > 0.5;
                     families[usize::from(fam_and)] = true;
                     let mut d = 0u8;
