@@ -53,8 +53,8 @@ Numeric flags are range-checked in every mode: --jobs, --chips,
 --lanes, --max-batch and --ticks must be at least 1, --fan-in 2 to 16,
 --min-success in [0, 1], and --tick-us finite and greater than 0.
 Sizes are bounded too: per chip, 1 KiB plus 512 rows of --lanes bits,
-and for serve per job, 1 KiB plus one --lanes-bit row per input, must
-fit a 4 GiB memory budget.
+and for serve per job, 1 KiB plus one row of --lanes bits per input,
+must fit a 4 GiB memory budget.
 
 fleet mode sweeps a seeded population of simulated chips (drawn
 round-robin from Table 1, or from one --module) over the experiment
