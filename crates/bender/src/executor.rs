@@ -326,8 +326,9 @@ impl Bender {
             })
     }
 
-    /// Reads every `step`-th column of a row starting at `start`,
-    /// packed 64 lanes per `u64` word — the fast-path read used by the
+    /// Reads one shared-column vector of a row — every
+    /// [`dram_core::SHARED_COL_STRIDE`]-th column starting at `start` —
+    /// packed 64 lanes per `u64` word: the fast-path read used by the
     /// bulk engine (see [`dram_core::Chip::read_row_packed`]).
     ///
     /// The command sequence is the same timing-respecting
@@ -343,12 +344,11 @@ impl Bender {
         bank: BankId,
         row: GlobalRow,
         start: usize,
-        step: usize,
     ) -> Result<Vec<u64>> {
         Ok(self
             .module_mut()
             .chip_mut(chip)
-            .read_row_packed(bank, row, start, step)?)
+            .read_row_packed(bank, row, start)?)
     }
 
     /// Runs the NOT / RowClone sequence and returns its outcome.

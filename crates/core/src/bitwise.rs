@@ -415,7 +415,7 @@ impl BulkEngine {
         let words =
             self.fc
                 .bender_mut()
-                .read_row_packed(chip, self.bank, v.row, self.shared_start, 2)?;
+                .read_row_packed(chip, self.bank, v.row, self.shared_start)?;
         Ok(PackedBits::from_words(words, self.shared_cols.len()))
     }
 
@@ -601,7 +601,7 @@ impl BulkEngine {
     /// off half). The shared columns are exactly every other column
     /// starting at `shared_start`, so this is a strided expansion.
     fn expand_packed(&self, bits: &PackedBits) -> Vec<Bit> {
-        bits.expand_strided(self.fc.config().modeled_cols, self.shared_start, 2)
+        bits.expand_strided(self.fc.config().modeled_cols, self.shared_start)
     }
 
     /// Runs `gate` `repetition` times through its value op — the first

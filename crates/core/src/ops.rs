@@ -542,9 +542,7 @@ impl Fcdram {
         start: usize,
         lanes: usize,
     ) -> Result<PackedBits> {
-        let words = self
-            .bender
-            .read_row_packed(self.chip, bank, row, start, 2)?;
+        let words = self.bender.read_row_packed(self.chip, bank, row, start)?;
         Ok(PackedBits::from_words(words, lanes))
     }
 
@@ -701,11 +699,7 @@ impl Fcdram {
         let (start, lanes) = site.shared_lanes(entry)?;
         check_width(lanes, src.len())?;
         let mut b = self.program(bank, prelude);
-        let gate = site.not(
-            &mut b,
-            entry,
-            src.expand_strided(site.geom.cols(), start, 2),
-        )?;
+        let gate = site.not(&mut b, entry, src.expand_strided(site.geom.cols(), start))?;
         let outcome = self.ship(&b.finish(), None)?;
         let shape = not_shape(&outcome)?;
         let mut expected = src.clone();
@@ -751,7 +745,7 @@ impl Fcdram {
         }
         let cols = site.geom.cols();
         let mut b = self.program(bank, prelude);
-        let staged = inputs.iter().map(|p| p.expand_strided(cols, start, 2));
+        let staged = inputs.iter().map(|p| p.expand_strided(cols, start));
         let gate = site.logic(&mut b, entry, op, staged)?;
         let mask = mask_safe.then(|| CsTerminal::first_row_of(op));
         let outcome = self.ship(&b.finish(), mask)?;
@@ -1458,7 +1452,7 @@ mod tests {
                     .collect();
                 let rows: Vec<Vec<Bit>> = vals
                     .iter()
-                    .map(|v| v.expand_strided(geom.cols(), shared[0], 2))
+                    .map(|v| v.expand_strided(geom.cols(), shared[0]))
                     .collect();
                 let prelude = (j % 2 == 1).then(|| (spare, pattern(seed + 99, geom.cols())));
                 if let Some((row, data)) = prelude.clone() {

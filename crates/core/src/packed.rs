@@ -7,8 +7,30 @@
 //! cache line instead of a branch per bit.
 
 use dram_core::math::{mix2, splitmix64};
-use dram_core::Bit;
+use dram_core::{Bit, SHARED_COL_STRIDE};
 use serde::{Deserialize, Serialize};
+
+/// Row cells one operand byte covers when spread at the shared-column
+/// stride.
+const SPREAD_BLOCK: usize = 8 * SHARED_COL_STRIDE;
+
+/// Byte `b` spread onto [`SPREAD_BLOCK`] row cells: bit `j` of `b` at
+/// cell `j·SHARED_COL_STRIDE`, zeros between.
+const SPREAD: [[Bit; SPREAD_BLOCK]; 256] = {
+    let mut table = [[Bit::Zero; SPREAD_BLOCK]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut j = 0;
+        while j < 8 {
+            if b >> j & 1 == 1 {
+                table[b][j * SHARED_COL_STRIDE] = Bit::One;
+            }
+            j += 1;
+        }
+        b += 1;
+    }
+    table
+};
 
 /// A fixed-length bit vector packed 64 lanes per `u64` word.
 ///
@@ -111,14 +133,30 @@ impl PackedBits {
         (0..self.len).map(|i| Bit::from(self.get(i))).collect()
     }
 
-    /// Expands the lanes into a `cols`-wide row at every `step`-th
-    /// column starting from `start`, zeros elsewhere — the staging
+    /// Spreads the lanes onto a `cols`-wide row, lane `i` at column
+    /// `start + i·`[`SHARED_COL_STRIDE`], zeros elsewhere — the staging
     /// convention for writing shared-column vectors into full DRAM
-    /// rows.
-    pub fn expand_strided(&self, cols: usize, start: usize, step: usize) -> Vec<Bit> {
+    /// rows. Lanes past the row's end are dropped.
+    ///
+    /// Each operand byte covers one fixed block of the row and is
+    /// written as one copy of its entry in a 256-entry spread table.
+    pub fn expand_strided(&self, cols: usize, start: usize) -> Vec<Bit> {
         let mut row = vec![Bit::Zero; cols];
-        for (i, c) in (start..cols).step_by(step).enumerate().take(self.len) {
-            row[c] = Bit::from(self.get(i));
+        let Some(tail) = row.get_mut(start..) else {
+            return row;
+        };
+        let mut bytes = self
+            .words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .take(self.len.div_ceil(8));
+        let mut blocks = tail.chunks_exact_mut(SPREAD_BLOCK);
+        for (block, byte) in blocks.by_ref().zip(bytes.by_ref()) {
+            block.copy_from_slice(&SPREAD[usize::from(byte)]);
+        }
+        let rest = blocks.into_remainder();
+        if let Some(byte) = bytes.next() {
+            rest.copy_from_slice(&SPREAD[usize::from(byte)][..rest.len()]);
         }
         row
     }
@@ -269,6 +307,35 @@ mod tests {
                     q.set(l, dram_core::math::mix3(seed, key, l as u64) & 1 == 1);
                 }
                 assert_eq!(p, q, "lanes {lanes} seed {seed} key {key}");
+            }
+        }
+    }
+
+    #[test]
+    fn expand_strided_matches_per_lane_spread() {
+        let cases = [0usize, 1, 63, 64, 65, 130, 512, 700]
+            .into_iter()
+            .flat_map(|len| {
+                [
+                    PackedBits::seeded(5, len as u64, len),
+                    PackedBits::ones(len),
+                ]
+            });
+        for p in cases {
+            let len = p.len();
+            for start in [0usize, 1, 3] {
+                let lanes_cols = 2 * len;
+                for cols in [lanes_cols, lanes_cols + 1, lanes_cols + 3, len / 2, 0] {
+                    let mut want = vec![Bit::Zero; cols];
+                    for (i, c) in (start..cols).step_by(2).enumerate().take(len) {
+                        want[c] = Bit::from(p.get(i));
+                    }
+                    assert_eq!(
+                        p.expand_strided(cols, start),
+                        want,
+                        "len {len} start {start} cols {cols}"
+                    );
+                }
             }
         }
     }

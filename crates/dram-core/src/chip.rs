@@ -31,7 +31,7 @@ use crate::reliability::{
 use crate::row_decoder::{MultiActivation, PatternKind, RowDecoder};
 use crate::subarray::Subarray;
 use crate::thermal::Temperature;
-use crate::types::{BankId, Bit, ChipId, Col, GlobalRow, LocalRow, SubarrayId};
+use crate::types::{BankId, Bit, ChipId, Col, GlobalRow, LocalRow, SubarrayId, SHARED_COL_STRIDE};
 use crate::variation::{RowSampler, VariationCache};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -459,6 +459,18 @@ impl KernelMemo {
     }
 }
 
+/// One row's `Frac` result: the voltage every cell stores, what each
+/// cell reads as, and how many read as zero (the intended value). A
+/// pure function of the row's frac-level factors and the analog
+/// parameters, so it is computed on a row's first `Frac` and copied
+/// on every later one.
+#[derive(Debug, Clone)]
+struct FracRow {
+    volts: Box<[f32]>,
+    actual: Box<[Bit]>,
+    matches: usize,
+}
+
 /// Per-column working arrays of the gate kernels, owned by the chip and
 /// reused across operations (each kernel overwrites every entry it
 /// later reads). Taken out of the chip for the length of one operation.
@@ -555,6 +567,9 @@ pub struct Chip {
     fidelity: SimFidelity,
     cache: VariationCache,
     memo: KernelMemo,
+    /// `Frac` results by `(bank, subarray, row)`. They do not depend
+    /// on the temperature, so a temperature change keeps them.
+    frac_rows: HashMap<MemoKey, FracRow>,
     disturbance: DisturbanceState,
     disturb_policy: Option<DisturbancePolicy>,
     commands: CommandTally,
@@ -589,6 +604,7 @@ impl Chip {
             fidelity: SimFidelity::default(),
             cache: VariationCache::new(),
             memo: KernelMemo::default(),
+            frac_rows: HashMap::new(),
             disturbance: DisturbanceState::new(geom.banks() * geom.subarrays_per_bank()),
             disturb_policy: None,
             commands: CommandTally::new(),
@@ -826,13 +842,13 @@ impl Chip {
         Ok(())
     }
 
-    /// Reads every `step`-th column of `row` starting at `start`,
-    /// packed 64 lanes per `u64` word (LSB first), through a proper
+    /// Reads one shared-column vector of `row` — every
+    /// [`SHARED_COL_STRIDE`]-th column starting at `start` — packed 64
+    /// lanes per `u64` word (LSB first), through a proper
     /// activate/read/precharge sequence.
     ///
     /// This is the fast-path read: no per-cell `Vec<Bit>` is
-    /// materialized, and callers that only need the shared column half
-    /// touch half the cells.
+    /// materialized, and only the shared column half is touched.
     ///
     /// # Errors
     ///
@@ -842,15 +858,13 @@ impl Chip {
         bank: BankId,
         row: GlobalRow,
         start: usize,
-        step: usize,
     ) -> Result<Vec<u64>> {
-        debug_assert!(step >= 1);
         self.activate(bank, row)?;
         let (sub, local) = self.geom.split_row(row)?;
         let vdd = self.model.analog().vdd;
         let cols = self.geom.cols();
         let lanes = if start < cols {
-            (cols - start).div_ceil(step)
+            (cols - start).div_ceil(SHARED_COL_STRIDE)
         } else {
             0
         };
@@ -858,11 +872,12 @@ impl Chip {
         let b = self.bank_ref(bank)?;
         if let Some(slice) = b.subarray(sub).and_then(|s| s.row(local)) {
             // Word `k` packs the 64 lanes read from its chunk of columns.
-            let chunks = slice[start.min(cols)..].chunks(64 * step);
+            let half = vdd / 2.0;
+            let chunks = slice[start.min(cols)..].chunks(64 * SHARED_COL_STRIDE);
             for (w, chunk) in words.iter_mut().zip(chunks) {
-                for (i, v) in chunk.iter().step_by(step).enumerate() {
-                    *w |= u64::from(f64::from(*v) > vdd / 2.0) << i;
-                }
+                *w = (0..chunk.len().div_ceil(SHARED_COL_STRIDE)).fold(0, |w, i| {
+                    w | u64::from(f64::from(chunk[i * SHARED_COL_STRIDE]) > half) << i
+                });
             }
         }
         self.commands.record(CommandKind::Read);
@@ -893,6 +908,9 @@ impl Chip {
             });
         }
         let vdd = self.model.analog().vdd;
+        // Each value's stored voltage, hoisted so the cell loops are
+        // plain selects.
+        let (zero, one) = (Bit::Zero.voltage(vdd) as f32, Bit::One.voltage(vdd) as f32);
         let b = self.bank_mut_ref(bank)?;
         let Some(open) = b.close() else {
             return Err(DramError::IllegalCommand {
@@ -910,11 +928,11 @@ impl Chip {
                 let slice = b.subarray_mut(*sub).row_mut(*row);
                 if *sub == last {
                     for (cell, bit) in slice.iter_mut().zip(data) {
-                        *cell = bit.voltage(vdd) as f32;
+                        *cell = if *bit == Bit::One { one } else { zero };
                     }
                 } else {
-                    for c in (shared_start..data.len()).step_by(2) {
-                        slice[c] = data[c].not().voltage(vdd) as f32;
+                    for c in (shared_start..data.len()).step_by(SHARED_COL_STRIDE) {
+                        slice[c] = if data[c] == Bit::One { zero } else { one };
                     }
                 }
             }
@@ -929,47 +947,77 @@ impl Chip {
     // -----------------------------------------------------------------
 
     /// `Frac` (FracDRAM): interrupting restoration stores ≈VDD/2 in
-    /// every cell of `row`.
+    /// every cell of `row`. The result depends only on the row, so it
+    /// is computed on the row's first `Frac` and copied afterwards.
     pub fn frac(&mut self, bank: BankId, row: GlobalRow) -> Result<OpOutcome> {
         let (sub, local) = self.geom.split_row(row)?;
         self.charge_disturbance(bank, sub, 1);
         self.commands.record(CommandKind::Frac);
-        let vdd = self.model.analog().vdd;
-        let level = self.model.analog().frac_level;
         let cols = self.geom.cols();
-        let factors = self
-            .cache
-            .frac_factor(self.model.variation(), bank, sub, local, cols);
-        let mut rec = Recorder::new(self.fidelity.telemetry);
-        let slice = self.banks[bank.index()].subarray_mut(sub).row_mut(local);
-        let mut matches = 0;
-        for (c, f) in factors.iter().enumerate() {
-            let v = (level * f).clamp(0.0, 1.0) * vdd;
-            slice[c] = v as f32;
-            // VDD/2 reads as 0 by threshold, so intended is Zero.
-            let actual = Bit::from(v > vdd / 2.0);
-            matches += usize::from(actual == Bit::Zero);
-            if let Some(cells) = &mut rec.cells {
-                cells.push(CellOutcome {
-                    subarray: sub,
-                    row: local,
-                    col: Col(c),
-                    role: CellRole::Frac,
-                    intended: Bit::Zero,
-                    actual,
-                    p_success: 1.0,
-                });
+        let key = (
+            bank.index() as u32,
+            sub.index() as u32,
+            local.index() as u32,
+        );
+        if !self.frac_rows.contains_key(&key) {
+            if self.frac_rows.len() >= MEMO_CAP {
+                self.frac_rows.clear();
             }
+            let fr = self.build_frac_row(bank, sub, local);
+            self.frac_rows.insert(key, fr);
+        }
+        let fr = &self.frac_rows[&key];
+        let mut rec = Recorder::new(self.fidelity.telemetry);
+        self.banks[bank.index()]
+            .subarray_mut(sub)
+            .row_mut(local)
+            .copy_from_slice(&fr.volts);
+        if let Some(cells) = &mut rec.cells {
+            // VDD/2 reads as 0 by threshold, so intended is Zero.
+            cells.extend(
+                fr.actual
+                    .iter()
+                    .enumerate()
+                    .map(|(c, &actual)| CellOutcome {
+                        subarray: sub,
+                        row: local,
+                        col: Col(c),
+                        role: CellRole::Frac,
+                        intended: Bit::Zero,
+                        actual,
+                        p_success: 1.0,
+                    }),
+            );
         }
         // Every cell succeeds with p = 1, so the sum is the count exactly.
         rec.stats.roles[CellRole::Frac.index()] = RoleStats {
             count: cols,
             sum_p: cols as f64,
             drawn: cols,
-            matches,
+            matches: fr.matches,
         };
         self.banks[bank.index()].close();
         Ok(rec.finish(OutcomeKind::Frac))
+    }
+
+    /// The `Frac` result of one row: each cell stores `(frac_level ×
+    /// factor).clamp(0, 1) × vdd` and reads as one above VDD/2.
+    fn build_frac_row(&self, bank: BankId, sub: SubarrayId, local: LocalRow) -> FracRow {
+        let vdd = self.model.analog().vdd;
+        let level = self.model.analog().frac_level;
+        let mut volts = vec![0.0; self.geom.cols()];
+        self.model
+            .variation()
+            .fill_frac_level_factor(bank, sub, local, &mut volts);
+        for v in &mut volts {
+            *v = (level * *v).clamp(0.0, 1.0) * vdd;
+        }
+        let actual: Box<[Bit]> = volts.iter().map(|&v| Bit::from(v > vdd / 2.0)).collect();
+        FracRow {
+            volts: volts.iter().map(|&v| v as f32).collect(),
+            matches: actual.iter().filter(|&&a| a == Bit::Zero).count(),
+            actual,
+        }
     }
 
     // -----------------------------------------------------------------
@@ -1987,6 +2035,62 @@ mod tests {
         let v = bank.subarray(sub).unwrap().voltage(local, Col(0));
         assert!(v > 0.45 && v < 0.70, "frac voltage {v}");
         let _ = local;
+    }
+
+    #[test]
+    fn frac_row_cache_matches_a_fresh_chip() {
+        let (bank, row) = (BankId(0), GlobalRow(5));
+        let full = crate::SimConfig::new().with_telemetry(Telemetry::Full);
+        let volts = |chip: &Chip| {
+            let (sub, local) = chip.geometry().split_row(row).unwrap();
+            chip.banks[bank.index()]
+                .subarray(sub)
+                .and_then(|s| s.row(local))
+                .unwrap()
+                .to_vec()
+        };
+        let mut fresh = hynix_chip().with_sim_config(full);
+        let want_out = fresh.frac(bank, row).unwrap();
+        let want_volts = volts(&fresh);
+        assert_eq!(want_out.cells.len(), fresh.geometry().cols());
+
+        let mut chip = hynix_chip().with_sim_config(full);
+        let check = |chip: &mut Chip, after: &str| {
+            let out = chip.frac(bank, row).unwrap();
+            assert_eq!(out, want_out, "outcome after {after}");
+            assert_eq!(volts(chip), want_volts, "voltages after {after}");
+        };
+        check(&mut chip, "a first Frac");
+
+        let cols = chip.geometry().cols();
+        chip.activate(bank, row).unwrap();
+        chip.write_open(bank, &pattern(9, cols)).unwrap();
+        chip.precharge(bank).unwrap();
+        assert_ne!(volts(&chip), want_volts, "WR must overwrite the row");
+        check(&mut chip, "a WR");
+
+        let rl = (512..1024)
+            .map(GlobalRow)
+            .find(|rl| {
+                matches!(
+                    chip.decoder().activation(chip.geometry(), row, *rl),
+                    MultiActivation::CrossSubarray { .. }
+                )
+            })
+            .expect("some pair must glitch");
+        let cs = chip.multi_act_charge_share(bank, row, rl).unwrap();
+        chip.precharge(bank).unwrap();
+        assert!(
+            matches!(cs.kind, OutcomeKind::Logic { .. }),
+            "{:?}",
+            cs.kind
+        );
+        assert_ne!(
+            volts(&chip),
+            want_volts,
+            "the charge share must overwrite the row"
+        );
+        check(&mut chip, "a charge share");
     }
 
     #[test]

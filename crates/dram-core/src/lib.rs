@@ -79,5 +79,6 @@ pub use thermal::Temperature;
 pub use timing::{SpeedBin, TimingParams, ViolationWindows};
 pub use types::{
     is_shared_col, BankId, Bit, ChipId, Col, GlobalRow, LocalRow, RowLoc, StripeSide, SubarrayId,
+    SHARED_COL_STRIDE,
 };
 pub use variation::{DistanceRegion, ProcessVariation, RowSampler, VariationCache};

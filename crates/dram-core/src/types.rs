@@ -194,6 +194,12 @@ impl StripeSide {
     }
 }
 
+/// Column stride of a shared-column vector: the columns one stripe
+/// shares between two neighbouring subarrays alternate, so a vector
+/// staged on them occupies every `SHARED_COL_STRIDE`-th column of a
+/// row (see [`is_shared_col`]).
+pub const SHARED_COL_STRIDE: usize = 2;
+
 /// Whether column `col` is served by the stripe *shared* between the
 /// neighboring subarrays `(upper, upper+1)` — i.e. wired `Below` in
 /// `upper` and `Above` in `upper+1`. Exactly half the columns qualify,

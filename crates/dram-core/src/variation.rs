@@ -313,7 +313,6 @@ pub struct VariationCache {
     not_z: HashMap<(u32, u32, u32), Arc<[f64]>>,
     logic_z: HashMap<(u32, u32, u32), Arc<[f64]>>,
     sa_z: HashMap<(u32, u32), Arc<[f64]>>,
-    frac: HashMap<(u32, u32, u32), Arc<[f64]>>,
 }
 
 /// Fetches a cached row, refilling when absent or when the requested
@@ -357,7 +356,7 @@ impl VariationCache {
 
     /// Number of cached rows across all kinds (for tests/diagnostics).
     pub fn cached_rows(&self) -> usize {
-        self.not_z.len() + self.logic_z.len() + self.sa_z.len() + self.frac.len()
+        self.not_z.len() + self.logic_z.len() + self.sa_z.len()
     }
 
     /// Cached [`ProcessVariation::cell_not_z`] row.
@@ -419,23 +418,6 @@ impl VariationCache {
             *entry = buf.into();
         }
         entry.clone()
-    }
-
-    /// Cached [`ProcessVariation::frac_level_factor`] row.
-    pub fn frac_factor(
-        &mut self,
-        v: &ProcessVariation,
-        bank: BankId,
-        sub: SubarrayId,
-        row: LocalRow,
-        cols: usize,
-    ) -> Arc<[f64]> {
-        cached_row(
-            &mut self.frac,
-            (bank.index() as u32, sub.index() as u32, row.index() as u32),
-            cols,
-            |buf| v.fill_frac_level_factor(bank, sub, row, buf),
-        )
     }
 }
 

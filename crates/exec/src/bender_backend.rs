@@ -191,7 +191,7 @@ impl BenderBackend {
             .engine
             .fcdram_mut()
             .bender_mut()
-            .read_row_packed(chip, bank, row, start, 2)?;
+            .read_row_packed(chip, bank, row, start)?;
         Ok(PackedBits::from_words(words, lanes))
     }
 
@@ -281,7 +281,7 @@ impl BenderBackend {
         let geom = self.engine.config().geometry();
         let cols = geom.cols();
         let start = self.engine.shared_start();
-        let data = val.expand_strided(cols, start, 2);
+        let data = val.expand_strided(cols, start);
         let (mut program, shift) = self.template_with_prelude(&t.program, prelude);
         if let DdrCommand::Wr(_, payload) = &mut program.commands_mut()[shift + t.wr].command {
             *payload = data.into();
@@ -293,7 +293,7 @@ impl BenderBackend {
             });
         }
         let result = self.read_result_row(t.result_row)?;
-        let full = result.expand_strided(cols, start, 2);
+        let full = result.expand_strided(cols, start);
         Ok((result, (out.row(), full)))
     }
 
@@ -316,7 +316,7 @@ impl BenderBackend {
         let start = self.engine.shared_start();
         let (mut program, shift) = self.template_with_prelude(&t.program, prelude);
         for (i, v) in vals.iter().enumerate() {
-            let data = v.expand_strided(cols, start, 2);
+            let data = v.expand_strided(cols, start);
             if let DdrCommand::Wr(_, payload) =
                 &mut program.commands_mut()[shift + t.operand_wr[i]].command
             {
@@ -341,7 +341,7 @@ impl BenderBackend {
             t.result_row_monotone
         };
         let result = self.read_result_row(row)?;
-        let full = result.expand_strided(cols, start, 2);
+        let full = result.expand_strided(cols, start);
         Ok((result, (out.row(), full)))
     }
 
@@ -380,29 +380,8 @@ impl ExecBackend for BenderBackend {
     }
 
     fn stage(&mut self, operands: &[PackedBits]) -> Result<Vec<BitVecHandle>> {
-        // All-or-nothing, mirroring `SimdVm::lease_rows`: allocate the
-        // full batch first, then stage data.
-        let mut rows = Vec::with_capacity(operands.len());
-        for _ in 0..operands.len() {
-            match self.engine.alloc() {
-                Ok(r) => rows.push(r),
-                Err(e) => {
-                    for r in rows {
-                        self.engine.free(r);
-                    }
-                    return Err(e.into());
-                }
-            }
-        }
-        for (i, o) in operands.iter().enumerate() {
-            if let Err(e) = self.engine.write_packed(&rows[i], o) {
-                for r in rows {
-                    self.engine.free(r);
-                }
-                return Err(e.into());
-            }
-        }
-        Ok(rows)
+        let mut leases = self.stage_many(&[operands])?;
+        Ok(leases.pop().expect("one lease per batch"))
     }
 
     fn end_stage(&mut self, lease: Vec<BitVecHandle>) {
@@ -446,10 +425,10 @@ impl ExecBackend for BenderBackend {
     fn stage_many(&mut self, batches: &[&[PackedBits]]) -> Result<Vec<Vec<BitVecHandle>>> {
         // Allocate every row of every batch first (all-or-nothing),
         // then emit ONE combined `Wr`-burst program staging the whole
-        // batch — the same per-row write sequence `stage`'s
-        // `write_packed` loop issues as separate mini-programs, so
-        // stored bits and the device command stream are identical; the
-        // per-program fixed costs are paid once.
+        // batch: the same per-row write sequence separate `write_row`
+        // programs would issue, so stored bits and the device command
+        // stream are identical; the per-program fixed costs are paid
+        // once.
         let lanes = self.engine.capacity_bits();
         let mut leases: Vec<Vec<BitVecHandle>> = Vec::with_capacity(batches.len());
         let mut fail: Option<ExecError> = None;
@@ -484,7 +463,7 @@ impl ExecBackend for BenderBackend {
             let mut any = false;
             for (lease, operands) in leases.iter().zip(batches) {
                 for (row, o) in lease.iter().zip(operands.iter()) {
-                    b.seq_write_row(bank, row.row(), o.expand_strided(cols, start, 2));
+                    b.seq_write_row(bank, row.row(), o.expand_strided(cols, start));
                     any = true;
                 }
             }
