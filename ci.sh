@@ -311,21 +311,12 @@ fmt_check() {
     && cargo fmt --manifest-path perfbench/Cargo.toml --all --check
 }
 
-# The repo benchmark's own tests (perfbench/ is a standalone package
-# outside the workspace, so `cargo test` at the root skips them):
-# per-seed determinism, the pinned exact counts of every workload, and
-# the BENCHMARK.json <-> code tables. Then one traced 1 s device_exec
-# run at seed 1 must report the device path's exact counts: mismatched
-# result bits per backend, native ops, engine visits, Bender templates
-# and arena slots (a kernel rewrite that moves any of them changed
-# what the device model computes or how plans are shaped).
-perfbench_tests() {
-  cargo test --release --offline --manifest-path perfbench/Cargo.toml || return 1
-  local out want name value got
-  out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload device_exec --seed 1 --seconds 1 --trace 1) || return 1
-  for want in dram_core.mismatched_bits.vm_dram=5580 dram_core.mismatched_bits.bender=5580 \
-    fcexec.native_ops=30 fcexec.engine_visits=11 fcexec.templates=19 fcexec.arena_slots=125; do
+# Fails unless the traced perfbench report `$1` prints every exact
+# `name=value` pair given after it.
+expect_counts() {
+  local out=$1 want name value got
+  shift
+  for want in "$@"; do
     name=${want%%=*}
     value=${want#*=}
     got=$(awk -v n="$name" '$1 == n && $2 == "=" { print $3 }' <<< "$out")
@@ -334,7 +325,37 @@ perfbench_tests() {
       return 1
     fi
   done
-  echo "perfbench: device_exec seed 1 exact counts match"
+}
+
+# The repo benchmark's own tests (perfbench/ is a standalone package
+# outside the workspace, so `cargo test` at the root skips them):
+# per-seed determinism, the pinned exact counts of every workload, and
+# the BENCHMARK.json <-> code tables. Then two traced 1 s runs at seed
+# 1 must report exact values:
+#   - device_exec: mismatched result bits per backend, native ops,
+#     engine visits, Bender templates and arena slots (a kernel
+#     rewrite that moves any of them changed what the device model
+#     computes or how plans are shaped);
+#   - sweep_fleet: cells and conditions swept, failures, and the NOT
+#     and logic success means (the sweep runs `Frac` and every
+#     kernel under full telemetry, so a change to what the device
+#     model stores or records moves them).
+perfbench_tests() {
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml || return 1
+  local out
+  out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload device_exec --seed 1 --seconds 1 --trace 1) || return 1
+  expect_counts "$out" \
+    dram_core.mismatched_bits.vm_dram=5580 dram_core.mismatched_bits.bender=5580 \
+    fcexec.native_ops=30 fcexec.engine_visits=11 fcexec.templates=19 \
+    fcexec.arena_slots=125 || return 1
+  out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload sweep_fleet --seed 1 --seconds 1 --trace 1) || return 1
+  expect_counts "$out" \
+    characterize.cells=3171840 characterize.conditions=2000 characterize.failures=0 \
+    fcdram.not_success_mean=0.7092738855804632 \
+    fcdram.logic_success_mean=0.9587421165370428 || return 1
+  echo "perfbench: device_exec and sweep_fleet seed 1 exact values match"
 }
 
 wants() {
