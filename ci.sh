@@ -123,22 +123,38 @@ bench_check() {
     && target/tools/bench_check
 }
 
+# Fails unless the output `$1` has the exact line `$2`.
+expect_line() {
+  if ! grep -qxF -- "$2" <<< "$1"; then
+    echo "missing line: $2" >&2
+    return 1
+  fi
+}
+
 # End-to-end synthesis smoke: compile an expression with the
 # reliability-aware mapper, execute it on the host-substrate SimdVm
 # (verified bit-exact against the reference evaluator), and emit
 # bender assembly; then run that expression and the paper's 16-input
-# AND headline shape through the command-schedule backend, so the
-# templated Bender prepare/run path executes end to end.
+# AND headline shape through the command-schedule backend, whose
+# prepare/run path must print its exact schedule count, lane match
+# and cycle-accurate latency (the device model is deterministic).
 synth_smoke() {
   mkdir -p target/tools
+  local out
   cargo build --release -p characterize \
     && target/release/characterize synth \
          --expr '(a & b & c & d) ^ !(e | f | g)' \
-         --execute --asm target/tools/ci_synth.asm \
-    && target/release/characterize synth --backend bender \
-         --expr '(a & b & c & d) ^ !(e | f | g)' --execute \
-    && target/release/characterize synth --backend bender \
-         --expr 'a&b&c&d&e&f&g&h&i&j&k&l&m&n&o&p' --execute
+         --execute --asm target/tools/ci_synth.asm || return 1
+  out=$(target/release/characterize synth --backend bender \
+         --expr '(a & b & c & d) ^ !(e | f | g)' --execute) || return 1
+  expect_line "$out" "executed as 5 combined command schedule(s) on simulated \
+hynix-4Gb-M-2666-#0: 208/256 lanes match the reference (81.2%), 2745 ns cycle-accurate \
+schedule latency" || return 1
+  out=$(target/release/characterize synth --backend bender \
+         --expr 'a&b&c&d&e&f&g&h&i&j&k&l&m&n&o&p' --execute) || return 1
+  expect_line "$out" "executed as 1 combined command schedule(s) on simulated \
+hynix-4Gb-M-2666-#0: 255/256 lanes match the reference (99.6%), 2025 ns cycle-accurate \
+schedule latency"
 }
 
 # Determinism gate: the fidelity invariant enforced byte-for-byte.
@@ -333,7 +349,7 @@ expect_counts() {
 # the BENCHMARK.json <-> code tables. Then two traced 1 s runs at seed
 # 1 must report exact values:
 #   - device_exec: mismatched result bits per backend, native ops,
-#     engine visits, Bender templates and arena slots (a kernel
+#     engine visits, gate programs per plan and arena slots (a kernel
 #     rewrite that moves any of them changed what the device model
 #     computes or how plans are shaped);
 #   - sweep_fleet: cells and conditions swept, failures, and the NOT

@@ -34,11 +34,11 @@
 //!   latency model the scheduler's bender mode charges).
 //! * `exec_prepared_templates/mix` and `exec_arena_slots/mix` —
 //!   **deterministic** shape of the prepared plans: the total number
-//!   of cached per-`(op family, N)` Bender command-program templates
-//!   across the mix, and the summed peak arena width (simultaneously
-//!   live rows) of the row plans. Exact-gated: template-cache or
-//!   lifetime-analysis drift in either direction is an API-shape
-//!   change, not noise.
+//!   of distinct per-`(op family, N:N entry)` gate command programs
+//!   (plus one per plan with a NOT) the Bender plans ship across the
+//!   mix, and the summed peak arena width (simultaneously live rows)
+//!   of the row plans. Exact-gated: gate-program or lifetime-analysis
+//!   drift in either direction is an API-shape change, not noise.
 //! * `exec_fused_visits/mix` — **deterministic** fused-visit count of
 //!   the mix's step plans (pure function of the programs; exact-gated
 //!   so the visit segmentation observability counters derive from

@@ -51,13 +51,6 @@ impl Program {
         &self.cmds
     }
 
-    /// Mutable access to the scheduled commands, so prepared-program
-    /// templates can patch `Wr` payloads in a clone without rebuilding
-    /// the cycle schedule (the cycles themselves must not change).
-    pub fn commands_mut(&mut self) -> &mut [TimedCommand] {
-        &mut self.cmds
-    }
-
     /// Number of commands.
     pub fn len(&self) -> usize {
         self.cmds.len()
@@ -232,26 +225,6 @@ impl ProgramBuilder {
         let mid = 0.5 * (self.windows.frac_lo_ns + self.windows.frac_hi_ns);
         let t_rp = self.timing.t_rp_ns;
         self.act(bank, row).wait_ns(mid).pre(bank).wait_ns(t_rp)
-    }
-
-    /// Re-emits an already-built program at the cursor, preserving its
-    /// internal cycle gaps exactly. The cursor advances one cycle past
-    /// the appended program's last command, mirroring [`push`]: a
-    /// sequence appended after this one sees the same gap it would have
-    /// seen had both been built inline, so fused programs stay
-    /// command-for-command identical to their split counterparts.
-    ///
-    /// [`push`]: Self::push
-    pub fn append_program(&mut self, program: &Program) -> &mut Self {
-        let base = self.cursor;
-        for c in program.commands() {
-            self.cmds.push(TimedCommand {
-                cycle: base + c.cycle,
-                command: c.command.clone(),
-            });
-        }
-        self.cursor = base + program.duration_cycles() + 1;
-        self
     }
 
     /// Commands emitted so far (the next appended command's index).

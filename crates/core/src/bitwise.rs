@@ -246,12 +246,6 @@ impl BulkEngine {
         Ok(())
     }
 
-    /// Whether the gates may use masked charge shares on this part's
-    /// activation map (see the field docs for the criterion).
-    pub fn mask_safe(&self) -> bool {
-        self.mask_safe
-    }
-
     /// The current simulation configuration of the chip under the
     /// engine.
     pub fn sim_config(&self) -> dram_core::SimConfig {
@@ -340,12 +334,6 @@ impl BulkEngine {
     /// The bank this engine computes in.
     pub fn bank(&self) -> BankId {
         self.bank
-    }
-
-    /// Column offset of the first shared column (operands and results
-    /// live on every other column starting here).
-    pub fn shared_start(&self) -> usize {
-        self.shared_start
     }
 
     /// The wrapped library facade (command interface included), for
@@ -438,7 +426,8 @@ impl BulkEngine {
     /// values `inputs`, returning the statistics and the stored bits.
     /// Uses the smallest discovered `N:N` pattern with `N ≥
     /// inputs.len()`, identity-padding unused rows; the charge share is
-    /// masked to the row read back when [`Self::mask_safe`] holds.
+    /// masked to the row read back when the activation map makes that
+    /// safe (no NOT entry raises a row a logic entry raises).
     ///
     /// # Errors
     ///
@@ -967,7 +956,7 @@ mod tests {
         // device (what the operand read-backs used to do).
         let mut e1 = engine();
         let mut e2 = engine();
-        assert!(e1.mask_safe(), "table-1 part must allow masking");
+        assert!(e1.mask_safe, "table-1 part must allow masking");
         let vals = [packed(20), packed(21), packed(22)];
         let setup = |e: &mut BulkEngine| {
             let rows: Vec<BitVecHandle> = vals.iter().map(|v| vector(e, v)).collect();

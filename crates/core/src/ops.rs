@@ -149,11 +149,6 @@ pub struct GateSite {
 /// What a gate builder emitted, beyond the commands themselves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateLayout {
-    /// Builder indices of the per-operand `Wr` commands, in row order
-    /// (for logic: the `N` compute-side rows, operands first, then
-    /// identity padding), so a prebuilt program can be re-staged by
-    /// patching payloads.
-    pub operand_wr: Vec<usize>,
     /// The rows that hold the result: the NOT destination rows, the
     /// read terminal's rows (compute side for AND/OR, reference side
     /// for NAND/NOR), or the MAJ set's rows. The value ops read back
@@ -176,12 +171,9 @@ impl GateSite {
     ) -> Result<GateLayout> {
         let (sub_l, _) = self.geom.split_row(entry.rl)?;
         let result_rows = self.join_rows(sub_l, &entry.second_rows)?;
-        let operand_wr = vec![self.stage(b, entry.rf, src)];
+        b.seq_write_row(self.bank, entry.rf, src);
         b.seq_copy_invert(self.bank, entry.rf, entry.rl);
-        Ok(GateLayout {
-            operand_wr,
-            result_rows,
-        })
+        Ok(GateLayout { result_rows })
     }
 
     /// N-input logic (§6.1) through an `N:N` entry: the reference side
@@ -213,18 +205,12 @@ impl GateSite {
             b.seq_frac(self.bank, *frac);
         }
         let mut operands = operands.into_iter();
-        let operand_wr = coms
-            .iter()
-            .map(|g| {
-                let data = operands.next().map_or_else(|| fill.clone(), Arc::from);
-                self.stage(b, *g, data)
-            })
-            .collect();
+        for g in &coms {
+            let data = operands.next().map_or_else(|| fill.clone(), Arc::from);
+            b.seq_write_row(self.bank, *g, data);
+        }
         b.seq_charge_share(self.bank, entry.rf, entry.rl);
-        Ok(GateLayout {
-            operand_wr,
-            result_rows,
-        })
+        Ok(GateLayout { result_rows })
     }
 
     /// In-subarray majority (§2.2): one staging write per raised row,
@@ -242,16 +228,11 @@ impl GateSite {
     ) -> Result<GateLayout> {
         let (sub, _) = self.geom.split_row(entry.rf)?;
         let result_rows = self.join_rows(sub, &entry.rows)?;
-        let operand_wr = result_rows
-            .iter()
-            .zip(inputs)
-            .map(|(g, data)| self.stage(b, *g, data))
-            .collect();
+        for (g, data) in result_rows.iter().zip(inputs) {
+            b.seq_write_row(self.bank, *g, data);
+        }
         b.seq_charge_share(self.bank, entry.rf, entry.rl);
-        Ok(GateLayout {
-            operand_wr,
-            result_rows,
-        })
+        Ok(GateLayout { result_rows })
     }
 
     /// The rows `op`'s result lands in: the reference side for
@@ -260,7 +241,7 @@ impl GateSite {
     /// # Errors
     ///
     /// Fails when the entry's rows are outside the geometry.
-    pub fn terminal_rows(&self, entry: &PatternEntry, op: LogicOp) -> Result<Vec<GlobalRow>> {
+    fn terminal_rows(&self, entry: &PatternEntry, op: LogicOp) -> Result<Vec<GlobalRow>> {
         let (anchor, rows) = if op.is_inverted_terminal() {
             (entry.rf, &entry.first_rows)
         } else {
@@ -281,14 +262,6 @@ impl GateSite {
         rows.iter()
             .map(|r| Ok(self.geom.join_row(sub, *r)?))
             .collect()
-    }
-
-    /// A timing-respecting row write; returns its `Wr` command's index
-    /// (the write is `ACT`, `WR`, `PRE`).
-    fn stage(&self, b: &mut ProgramBuilder, row: GlobalRow, data: impl Into<Arc<[Bit]>>) -> usize {
-        let wr = b.len() + 1;
-        b.seq_write_row(self.bank, row, data);
-        wr
     }
 }
 
@@ -1506,8 +1479,7 @@ mod tests {
         assert_eq!(chip.fidelity(), dram_core::SimFidelity::fast());
     }
 
-    /// Every builder's operand slots are its `Wr` commands, in row
-    /// order, wherever the builder starts.
+    /// A builder reports its terminal's rows wherever it starts.
     #[test]
     fn builders_report_their_operand_writes() {
         let mut fc = fc();
@@ -1519,15 +1491,6 @@ mod tests {
         b.seq_write_row(BankId(0), GlobalRow(9), vec![Bit::One; cols]);
         let ops = (0..3).map(|i| vec![Bit::from(i % 2 == 0); cols]);
         let gate = site.logic(&mut b, &entry, LogicOp::Nor, ops).unwrap();
-        let program = b.finish();
-        assert_eq!(gate.operand_wr.len(), 4);
-        for (i, at) in gate.operand_wr.iter().enumerate() {
-            let bender::DdrCommand::Wr(_, data) = &program.commands()[*at].command else {
-                panic!("slot {i} is not a Wr");
-            };
-            // Three operands, then the OR family's all-0 padding.
-            assert_eq!(data[0], Bit::from(i < 3 && i % 2 == 0), "slot {i}");
-        }
         assert_eq!(
             gate.result_rows,
             site.terminal_rows(&entry, LogicOp::Nor).unwrap()

@@ -51,9 +51,8 @@ pub trait ExecBackend {
     ///
     /// The default loops [`ExecBackend::stage`]; backends with a bulk
     /// write path override it to amortize per-staging fixed costs
-    /// (the command-schedule backend emits one combined `Wr`-burst
-    /// program for the whole batch). Staged bits are identical to the
-    /// looped default.
+    /// (the VM takes every lease first, then writes every row in one
+    /// pass). Staged bits are identical to the looped default.
     ///
     /// # Errors
     ///
@@ -89,8 +88,8 @@ pub trait ExecBackend {
     /// Compiles `prog` into a reusable [`PreparedProgram`]: steps wider
     /// than [`ExecBackend::max_fan_in`] are narrowed into trees of
     /// native gates, the row plan and output action are resolved once,
-    /// and command-schedule backends precompute their per-`(op, N)`
-    /// program templates. The returned plan is specific to this
+    /// and the command-schedule backend checks every gate step against
+    /// the part's activation map. The returned plan is specific to this
     /// backend instance. When no step needs narrowing the plan shares
     /// `prog` (one refcount) rather than copying it.
     ///
@@ -98,7 +97,7 @@ pub trait ExecBackend {
     ///
     /// # Errors
     ///
-    /// Backend overrides may fail while building templates.
+    /// Backend overrides may refuse a step the part cannot run.
     fn prepare(&mut self, prog: &Arc<SynthProgram>) -> Result<PreparedProgram>
     where
         Self: Sized,

@@ -41,13 +41,6 @@ pub enum ExecError {
     /// An [`fcdram`] engine failure (no activation pattern, width
     /// mismatch, out of rows).
     Engine(fcdram::FcdramError),
-    /// A command schedule executed but produced an operation outcome
-    /// of the wrong kind (e.g. the double activation did not
-    /// charge-share on this address pair).
-    Protocol {
-        /// Description of what the schedule produced instead.
-        detail: String,
-    },
 }
 
 impl fmt::Display for ExecError {
@@ -64,7 +57,6 @@ impl fmt::Display for ExecError {
             ExecError::Vm(e) => write!(f, "vm backend: {e}"),
             ExecError::Device(e) => write!(f, "command interface: {e}"),
             ExecError::Engine(e) => write!(f, "bulk engine: {e}"),
-            ExecError::Protocol { detail } => write!(f, "schedule protocol: {detail}"),
         }
     }
 }
@@ -136,7 +128,10 @@ mod tests {
         use std::error::Error;
         let e: ExecError = fcdram::FcdramError::OutOfRows.into();
         assert!(e.source().is_some());
-        let e = ExecError::Protocol { detail: "x".into() };
+        let e = ExecError::InputMismatch {
+            expected: 2,
+            got: 1,
+        };
         assert!(e.source().is_none());
     }
 }

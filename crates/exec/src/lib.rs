@@ -12,15 +12,15 @@
 //!   [`ExecBackend::run_prepared`] with a per-step observer;
 //! * **[`PreparedProgram`]** — a program compiled once for one backend:
 //!   steps wider than the backend's fan-in narrowed into trees of
-//!   native gates, the row plan, and (on [`BenderBackend`]) the
-//!   command-program templates;
+//!   native gates, the row plan, and (on [`BenderBackend`]) the count
+//!   of gate programs it ships, each checked against the part;
 //! * **[`SimdVm`](simdram::SimdVm)`<S>`** — the VM backend for any
 //!   [`simdram::Substrate`]: the exact host golden model and the
 //!   characterized DRAM device model;
-//! * **[`BenderBackend`]** — the command-schedule backend: every
-//!   native operation is one combined cycle-timed DDR4 program
-//!   executed through [`bender::Bender`], bit-identical to the VM
-//!   backend on the same module configuration;
+//! * **[`BenderBackend`]** — the command-schedule backend: the
+//!   `SimdVm<DramSubstrate>` walk, where every native operation is one
+//!   combined cycle-timed DDR4 program executed through
+//!   [`bender::Bender`], priced per step by [`ScheduleLatency`];
 //! * **[`ScheduleLatency`] / [`ScheduleTimed`]** — the cycle-accurate
 //!   latency model the fleet scheduler's bender mode charges.
 //!

@@ -15,16 +15,15 @@
 //!   of simultaneously-live rows the plan touches;
 //! * the **output action** — constant / passthrough / register moves
 //!   classified once instead of per execution;
-//! * on [`crate::BenderBackend`], the **command-program templates** —
-//!   one cycle-timed DDR4 [`bender::Program`] per `(op family, N)`
-//!   shape, built once by the `fcdram` gate builder
-//!   ([`fcdram::GateSite`]) with constant payloads and patched per
-//!   execution at the `Wr` indices the builder reports.
+//! * on [`crate::BenderBackend`], the **gate-program check** — each
+//!   gate step's activation-map entry resolved once, so a part that
+//!   lacks a shape refuses the plan here, and
+//!   [`PreparedProgram::template_count`] counts the distinct gate
+//!   programs ([`fcdram::GateSite`] builds them) the plan ships.
 //!
 //! [`ExecBackend::run_prepared`] then executes with batched device
-//! calls and no per-step operand read-backs: on the VM each substrate
-//! owns its rows' values and each gate returns the bits it stored; the
-//! Bender backend threads values host-side. A plan run on
+//! calls and no per-step operand read-backs: each substrate owns its
+//! rows' values and each gate returns the bits it stored. A plan run on
 //! a backend whose fan-in is narrower than one of its steps fails with
 //! [`crate::ExecError::StepTooWide`]; no other walk is taken.
 
@@ -51,9 +50,9 @@ pub(crate) enum OutputAction {
 /// Produced by [`ExecBackend::prepare`]; executed — any number of
 /// times — by [`ExecBackend::run_prepared`]. The plan is
 /// **backend-specific**: a plan prepared on one backend instance must
-/// only run on that instance (command templates embed that engine's
-/// activation-map rows, and a step wider than the running backend's
-/// fan-in is refused).
+/// only run on that instance (its narrowing and gate-program check
+/// hold for that engine's activation map, and a step wider than the
+/// running backend's fan-in is refused).
 #[derive(Debug, Clone)]
 pub struct PreparedProgram {
     /// The program the plan runs: the caller's, shared (preparing bumps
@@ -66,12 +65,9 @@ pub struct PreparedProgram {
     pub(crate) output: OutputAction,
     /// Argument count of the widest step of `prog`.
     width: usize,
-    /// Command-program templates (command-schedule backends only).
-    pub(crate) templates: Option<crate::bender_backend::BenderTemplates>,
-    /// Deterministic serialization of the templates, empty when the
-    /// backend has none — `prepare` is a pure function of the program,
-    /// and this is the witness equality is checked against.
-    pub(crate) template_bytes: Vec<u8>,
+    /// Distinct gate programs the plan ships (command-schedule
+    /// backends only; see [`PreparedProgram::template_count`]).
+    pub(crate) templates: usize,
     /// Fused visits: maximal `[start, end)` runs of consecutive steps
     /// that execute in the engine's subarray pair without reading rows
     /// back mid-run (copy steps RowClone on-device and bound a run).
@@ -83,7 +79,7 @@ pub struct PreparedProgram {
 impl PreparedProgram {
     /// The backend-independent analysis: narrowing to `max_fan_in`,
     /// free schedule, output action, arena width. This is the whole plan on
-    /// every backend without command templates ([`ExecBackend::prepare`]'s
+    /// every backend but [`crate::BenderBackend`] ([`ExecBackend::prepare`]'s
     /// default is exactly this call at the backend's fan-in), so a
     /// caller that must size a backend from [`PreparedProgram::arena_slots`]
     /// can plan before the backend exists.
@@ -124,8 +120,7 @@ impl PreparedProgram {
             prog,
             frees,
             output,
-            templates: None,
-            template_bytes: Vec::new(),
+            templates: 0,
         }
     }
 
@@ -141,16 +136,12 @@ impl PreparedProgram {
         self.arena_slots
     }
 
-    /// Number of precompiled command-program templates (0 on backends
-    /// that execute through a substrate rather than command schedules).
+    /// Number of distinct gate command programs the plan ships: one
+    /// per `(op family, N:N entry)` its gate steps run through, plus
+    /// one when it has a NOT. Counted by [`crate::BenderBackend`]'s
+    /// prepare; 0 on the other backends.
     pub fn template_count(&self) -> usize {
-        self.templates.as_ref().map_or(0, |t| t.count())
-    }
-
-    /// Deterministic byte serialization of the command templates —
-    /// preparing the same program twice yields identical bytes.
-    pub fn template_bytes(&self) -> &[u8] {
-        &self.template_bytes
+        self.templates
     }
 
     /// The fused visits the step plan defines: maximal `[start, end)`
@@ -250,7 +241,6 @@ mod tests {
         }
         assert!(prep.arena_slots() >= n_in);
         assert_eq!(prep.template_count(), 0);
-        assert!(prep.template_bytes().is_empty());
     }
 
     #[test]

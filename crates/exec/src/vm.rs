@@ -147,7 +147,10 @@ fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
                 .iter()
                 .map(|r| regs[*r].expect("mapper emits defs before uses")),
         );
+        // Recorded before the gate runs, so a failed gate's row is
+        // released with the other temporaries.
         let out = vm.alloc_row()?;
+        regs[step.out] = Some(out);
         // NOT and one-input inverted gates take the NOT kernel,
         // one-input monotone gates copy, everything else (≤ fan-in ≤
         // MAX_FAN_IN by the `check_fan_in` guard) is one native gate.
@@ -163,7 +166,6 @@ fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
         if prep.output == OutputAction::Reg(step.out) {
             out_val = Some(bits.clone());
         }
-        regs[step.out] = Some(out);
         on_step(i, step);
         for r in &prep.frees[i] {
             if let Some(row) = regs[*r].take() {
@@ -177,23 +179,25 @@ fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
             }
         }
     }
-    let (out_row, out_val) = match prep.output {
+    let src = match prep.output {
         OutputAction::Const(b) => {
-            let out = vm.alloc_row()?;
-            let src = if b { vm.one_row() } else { vm.zero_row() };
-            (out, vm.substrate_mut().copy(src, out)?.clone())
+            if b {
+                vm.one_row()
+            } else {
+                vm.zero_row()
+            }
         }
-        OutputAction::Passthrough(r) => {
-            let out = vm.alloc_row()?;
-            (out, vm.substrate_mut().copy(inputs[r], out)?.clone())
-        }
+        OutputAction::Passthrough(r) => inputs[r],
         OutputAction::Reg(r) => {
             let row = regs[r].take().expect("output register defined");
-            (row, out_val.expect("output register defined"))
+            vm.release(row);
+            return Ok(out_val.expect("output register defined"));
         }
     };
-    vm.release(out_row);
-    Ok(out_val)
+    let out = vm.alloc_row()?;
+    let copied = vm.substrate_mut().copy(src, out).cloned();
+    vm.release(out);
+    Ok(copied?)
 }
 
 #[cfg(test)]
@@ -330,6 +334,34 @@ mod tests {
         let tiny = mapped("a & b");
         let out = execute(&mut vm, &tiny.program, &random_operands(2, 8, 4)).unwrap();
         assert_eq!(out.len(), 8);
+    }
+
+    #[test]
+    fn failed_gates_release_their_rows() {
+        // A Samsung part has no `N:N` pattern, so every logic gate
+        // fails after its result row is allocated. Each failure must
+        // return that row: a stranded one per run drains the pool
+        // until the error turns into row exhaustion.
+        let cfg = dram_core::config::table1()
+            .into_iter()
+            .find(|m| m.manufacturer == dram_core::Manufacturer::Samsung)
+            .unwrap()
+            .with_modeled_cols(64);
+        let engine = fcdram::BulkEngine::new(
+            fcdram::Fcdram::new(cfg),
+            dram_core::BankId(0),
+            dram_core::SubarrayId(0),
+        )
+        .unwrap();
+        let mut vm = SimdVm::new(simdram::DramSubstrate::new(engine)).unwrap();
+        let m = mapped("a & b");
+        let ops = random_operands(2, SimdVm::lanes(&vm), 5);
+        let first = execute(&mut vm, &m.program, &ops).unwrap_err();
+        assert!(matches!(first, ExecError::Vm(_)), "{first}");
+        for run in 1..600 {
+            let err = execute(&mut vm, &m.program, &ops).unwrap_err();
+            assert_eq!(err, first, "run {run}");
+        }
     }
 
     #[test]

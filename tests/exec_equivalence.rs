@@ -19,8 +19,8 @@
 //!   expressions, and the observer sees every step in order on every
 //!   backend.
 //! * Leased runs agree across backends: operand sets bulk-staged with
-//!   one `ExecBackend::stage_many` call (a combined `Wr`-burst program
-//!   on bender) and run back to back with `run_prepared_leased` give
+//!   one `ExecBackend::stage_many` call and run back to back with
+//!   `run_prepared_leased` give
 //!   bit-identical results on both device backends in both
 //!   fidelities, and the reference evaluator's bits on the host model.
 //! * Lease safety: `SimdVm::lease_rows`/`end_lease` driven through
@@ -479,7 +479,8 @@ proptest! {
 
     /// `prepare` is a pure function of the program: preparing the same
     /// program twice — on the same backend or on a fresh one of the
-    /// same configuration — yields byte-identical command templates.
+    /// same configuration — yields the same plan: gate-program count,
+    /// arena width, fused visits and narrowed steps.
     #[test]
     fn prepare_is_pure(
         n in 1usize..=8,
@@ -493,14 +494,17 @@ proptest! {
         let mut cmd = BenderBackend::new(engine(SimFidelity::fast())).unwrap();
         let a = cmd.prepare(prog).map_err(|e| e.to_string())?;
         let b = cmd.prepare(prog).map_err(|e| e.to_string())?;
-        prop_assert_eq!(a.template_bytes(), b.template_bytes(), "{}: same backend", text);
-        prop_assert_eq!(a.template_count(), b.template_count());
         let mut fresh = BenderBackend::new(engine(SimFidelity::fast())).unwrap();
         let c = fresh.prepare(prog).map_err(|e| e.to_string())?;
-        prop_assert_eq!(a.template_bytes(), c.template_bytes(), "{}: fresh backend", text);
-        // Programs with a native gate step carry at least one template.
+        for (other, which) in [(&b, "same backend"), (&c, "fresh backend")] {
+            prop_assert_eq!(a.template_count(), other.template_count(), "{}: {}", text, which);
+            prop_assert_eq!(a.arena_slots(), other.arena_slots(), "{}: {}", text, which);
+            prop_assert_eq!(a.fused_visits(), other.fused_visits(), "{}: {}", text, which);
+            prop_assert_eq!(&a.program().steps, &other.program().steps, "{}: {}", text, which);
+        }
+        // Programs with a native gate step ship at least one gate program.
         if prog.steps.iter().any(|s| s.op.is_some() && s.args.len() > 1) {
-            prop_assert!(a.template_count() > 0, "{}: no gate templates", text);
+            prop_assert!(a.template_count() > 0, "{}: no gate programs", text);
         }
     }
 }
