@@ -227,16 +227,6 @@ impl ProgramBuilder {
         self.act(bank, row).wait_ns(mid).pre(bank).wait_ns(t_rp)
     }
 
-    /// Commands emitted so far (the next appended command's index).
-    pub fn len(&self) -> usize {
-        self.cmds.len()
-    }
-
-    /// Whether no commands have been emitted yet.
-    pub fn is_empty(&self) -> bool {
-        self.cmds.is_empty()
-    }
-
     /// Finishes the program, leaving the builder reusable.
     pub fn build(&self) -> Program {
         Program {
