@@ -26,6 +26,12 @@
 //! 4096-column sequence of copies and charge shares. Each operation's
 //! per-role statistics, per-cell records and raised-row bits, and each
 //! scenario's final cell voltages, are pinned.
+//!
+//! A fourth section pins what the figures and the fleet sweep consume,
+//! on one quick Hynix `ModuleCtx`: the `run_not` records of two
+//! entries × {Random, Checker}, the `run_logic_random` records of the
+//! four ops × N ∈ {2, 4}, and one `chip_sweep` `ChipResult` (every
+//! accumulator's count, sum, min, max and bins).
 
 use characterize::serve::DEMO_MIX;
 use dram_core::math::mix2;
@@ -589,3 +595,103 @@ const KERNEL_GOLDEN: &[&[u64]] = &[
     &[0x39e1241b429da262, 0x67babc731dc21a55, 0x5718411320b6c049, 0xac9648832fc5a66c, 0x5fe173889f173f41, 0x5ca66abb5e58f9bd, 0xf8bf0da37887d6ff],
     &[0x0b00b87d54229532, 0xcb6707897fe32c27, 0xab4b3a8500079bc4, 0x34508dac66545fe3, 0x064193ba2177265f, 0xe4ab62457ab9f88b, 0xf8bf0da37887d6ff],
 ];
+
+// ---------------------------------------------------------------------
+// What the figures consume
+// ---------------------------------------------------------------------
+
+/// A digest of `value`'s JSON text. The shim prints every `f64` in
+/// its shortest round-trip form, so the digest covers exact bits.
+fn json_digest<T: serde::Serialize>(value: &T) -> u64 {
+    serde_json::to_string(value)
+        .unwrap()
+        .bytes()
+        .fold(0, |h, b| mix2(h, u64::from(b)))
+}
+
+/// One row per measurement on one quick Hynix context, in one
+/// sequence: `[record count, records digest]` for `run_not` over two
+/// entries × {Random, Checker}, then `run_logic_random` over the four
+/// ops × N ∈ {2, 4}, then `[cells, ChipResult digest]` for one
+/// `chip_sweep` over the quick grid.
+fn observe_figure_inputs() -> Vec<[u64; 2]> {
+    use characterize::patterns::DataPattern;
+    use characterize::runner::{run_logic_random, run_not};
+    use characterize::{ChipResult, ModuleCtx, Scale, SweepConfig};
+
+    let scale = Scale::quick();
+    let cfg = dram_core::config::table1().remove(0);
+    let mut ctx = ModuleCtx::build(&cfg, &scale).unwrap();
+    let entries: Vec<_> = [2usize, 4]
+        .into_iter()
+        .map(|d| ctx.not_entries(d, &scale)[0].clone())
+        .collect();
+    let mut out = Vec::new();
+    for entry in &entries {
+        for pattern in [DataPattern::Random(0xF1EE7), DataPattern::Checker] {
+            let recs = run_not(&mut ctx, entry, pattern).unwrap();
+            out.push([recs.len() as u64, json_digest(&recs)]);
+        }
+    }
+    for n in [2usize, 4] {
+        for (j, op) in LogicOp::ALL.into_iter().enumerate() {
+            let seed = mix2(n as u64, j as u64);
+            let recs = run_logic_random(&mut ctx, op, n, scale.input_draws, seed).unwrap();
+            out.push([recs.len() as u64, json_digest(&recs)]);
+        }
+    }
+    let mut chip = ChipResult {
+        label: format!("{}/c0", cfg.name),
+        module: cfg.name.clone(),
+        chip: 0,
+        manufacturer: cfg.manufacturer.to_string(),
+        not: fcdram::SuccessAccumulator::new(),
+        logic: fcdram::SuccessAccumulator::new(),
+        logic_shapes: Vec::new(),
+        conditions: 0,
+        failures: 0,
+    };
+    characterize::sweep::chip_sweep(&mut ctx, &SweepConfig::quick(), &mut chip);
+    out.push([chip.not.count() + chip.logic.count(), json_digest(&chip)]);
+    out
+}
+
+/// Captured before the characterization experiments stopped reading
+/// result rows back.
+#[rustfmt::skip]
+const FIGURE_GOLDEN: &[[u64; 2]] = &[
+    [0x0000000000000020, 0x1b97f404e4d6c95b],
+    [0x0000000000000020, 0x1b97f404e4d6c95b],
+    [0x0000000000000040, 0x2ff2639a065eb2e6],
+    [0x0000000000000040, 0x2ff2639a065eb2e6],
+    [0x0000000000000040, 0x64c0ad44920a8703],
+    [0x0000000000000040, 0x08dc99b41a13c57b],
+    [0x0000000000000040, 0xb27527f2c51acb21],
+    [0x0000000000000040, 0xe9e638ec22e4cb48],
+    [0x0000000000000080, 0x6ea02b5bad81be65],
+    [0x0000000000000080, 0xa9134b25cf560b3b],
+    [0x0000000000000080, 0x8d82e865e0f43d36],
+    [0x0000000000000080, 0x30dc299f0424990b],
+    [0x00000000000005a0, 0x8d6bdec85ecb82b6],
+];
+
+#[test]
+fn figure_inputs_are_pinned() {
+    let got = observe_figure_inputs();
+    if std::env::var_os("FCDRAM_PRINT_GOLDEN").is_some() {
+        println!("const FIGURE_GOLDEN: &[[u64; 2]] = &[");
+        for row in &got {
+            let row: Vec<String> = row.iter().map(|b| format!("{b:#018x}")).collect();
+            println!("    [{}],", row.join(", "));
+        }
+        println!("];");
+    }
+    assert_eq!(
+        got.len(),
+        FIGURE_GOLDEN.len(),
+        "one golden row per measurement"
+    );
+    for (i, (g, want)) in got.iter().zip(FIGURE_GOLDEN).enumerate() {
+        assert_eq!(g, want, "measurement {i}");
+    }
+}
