@@ -131,6 +131,17 @@ expect_line() {
   fi
 }
 
+# Fails unless the SHA-256 of stdin is the digest in $2; $1 names the
+# bytes in the message.
+expect_sha256() {
+  local got
+  got=$(sha256sum | cut -d' ' -f1)
+  if [[ "$got" != "$2" ]]; then
+    echo "$1: sha256 $got, expected $2" >&2
+    return 1
+  fi
+}
+
 # End-to-end synthesis smoke: compile an expression with the
 # reliability-aware mapper, execute it on the host-substrate SimdVm
 # (verified bit-exact against the reference evaluator), and emit
@@ -198,7 +209,12 @@ schedule latency"
 #      run twice: the two JSON reports must be byte-identical. It is
 #      the one report that runs the characterization ops and
 #      `simdram` circuits on `DramSubstrate` (the `arith` table, with
-#      5-fold voting).
+#      5-fold voting);
+#   8. the last accepted bytes, not only the previous run's: the
+#      SHA-256 of that quick paper report and of the 1-shard quick
+#      fleet report (shard note normalized as in 2) must equal the
+#      digests recorded at commit 30a5743. A change that moves either
+#      report is a deliberate re-baseline that updates them here.
 determinism() {
   mkdir -p target/tools
   cargo build --release -p characterize || return 1
@@ -276,10 +292,17 @@ determinism() {
     || { echo "determinism: quick paper report failed" >&2; return 1; }
   cmp target/tools/det_all_a.json target/tools/det_all_b.json \
     || { echo "determinism: quick paper reports differ between runs" >&2; return 1; }
+  expect_sha256 "quick paper report" \
+      1ccaa57560db030b9ad54630f4ced2e483f0d7bdb4334c60908c3f69a4072d8e \
+      < target/tools/det_all_a.json || return 1
+  sed "$shard_note" target/tools/det_fleet_s1.json \
+    | expect_sha256 "quick fleet report" \
+        2dc8db9765c2a100923cbb2ba7c914d7e33d189e88452a06e91e4d3bb7eb8e75 || return 1
   echo "determinism: fleet, serve, wide serve, and faulted serve (vm + bender)" \
        "reports byte-identical; fleet-health ledger identical across shards and backends;" \
        "daemon session, trace JSON, and metrics replay byte-identically" \
-       "(shards 1/5 x vm/bender); quick paper report byte-identical across runs"
+       "(shards 1/5 x vm/bender); quick paper report byte-identical across runs;" \
+       "quick paper and fleet reports match their recorded digests"
 }
 
 # Docs gate, two halves:

@@ -18,6 +18,7 @@ use dram_core::{
     BankId, Bit, ChipId, CsTerminal, DramModule, GlobalRow, OpOutcome, OutcomeKind, SpeedBin,
     Temperature, TimingParams, ViolationWindows,
 };
+use std::sync::Arc;
 
 /// One captured `RD` result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -295,13 +296,14 @@ impl Bender {
     // Host convenience operations (command-accurate under the hood)
     // -----------------------------------------------------------------
 
-    /// Writes a full row through a timing-respecting program.
+    /// Writes a full row through a timing-respecting program; `data`
+    /// is the write's payload as it is.
     pub fn write_row(
         &mut self,
         chip: ChipId,
         bank: BankId,
         row: GlobalRow,
-        data: Vec<Bit>,
+        data: impl Into<Arc<[Bit]>>,
     ) -> Result<()> {
         let mut b = self.builder();
         b.seq_write_row(bank, row, data);

@@ -9,8 +9,8 @@
 use crate::patterns::DataPattern;
 use dram_core::variation::row_region;
 use dram_core::{
-    BankId, CellRole, ChipId, DistanceRegion, DramModule, LocalRow, LogicOp, Manufacturer,
-    ModuleConfig, PatternKind, StripeSide, SubarrayId, Temperature,
+    BankId, CellRole, ChipId, DistanceRegion, DramModule, Geometry, LocalRow, LogicOp,
+    Manufacturer, ModuleConfig, OpOutcome, PatternKind, StripeSide, SubarrayId, Temperature,
 };
 use fcdram::{ActivationMap, Bit, Fcdram, FcdramError, PatternEntry, Result};
 use serde::{Deserialize, Serialize};
@@ -172,17 +172,34 @@ pub struct NotCellRecord {
     pub dst_region: DistanceRegion,
 }
 
-/// Executes one NOT entry with a random source pattern and collects
-/// destination-cell records.
+/// Ships one NOT entry with `pattern` as its source row (the gate
+/// only, nothing read back) and returns the activated shape
+/// (`N_RF`, `N_RL`) and the outcome.
+pub(crate) fn not_gate(
+    ctx: &mut ModuleCtx,
+    entry: &PatternEntry,
+    pattern: DataPattern,
+) -> Result<((usize, usize), OpOutcome)> {
+    let src = pattern.row(ctx.cfg.geometry().cols());
+    let (_, shape, outcome) = ctx.fc.not_outcome(BANK, entry, &src)?;
+    Ok((shape, outcome))
+}
+
+/// Executes one NOT entry with `pattern` as its source row and
+/// collects destination-cell records.
+///
+/// The records come from the gate's outcome ([`Fcdram::not_outcome`]):
+/// no destination row is read back, which leaves every cell and every
+/// later draw exactly as [`Fcdram::execute_not`] would (experiments
+/// install no disturbance policy).
 pub fn run_not(
     ctx: &mut ModuleCtx,
     entry: &PatternEntry,
     pattern: DataPattern,
 ) -> Result<Vec<NotCellRecord>> {
+    let ((n_rf, n_rl), outcome) = not_gate(ctx, entry, pattern)?;
     let geom = ctx.cfg.geometry();
     let rows = geom.rows_per_subarray();
-    let src = pattern.row(geom.cols());
-    let report = ctx.fc.execute_not(BANK, entry, &src)?;
     let (sub_f, loc_f) = geom.split_row(entry.rf)?;
     let src_side = if sub_f == PAIR.0 {
         StripeSide::Below
@@ -191,9 +208,7 @@ pub fn run_not(
     };
     let src_region = row_region(loc_f, rows, src_side);
     let kind = entry.kind;
-    let (n_rf, n_rl) = report.shape;
-    Ok(report
-        .outcome
+    Ok(outcome
         .cells
         .iter()
         .filter(|c| c.role == CellRole::NotDst)
@@ -228,23 +243,44 @@ pub struct LogicCellRecord {
     pub other_region: DistanceRegion,
 }
 
+/// The role of `op`'s result cells: the compute terminal for AND/OR,
+/// the reference terminal for NAND/NOR.
+pub(crate) fn result_role(op: LogicOp) -> CellRole {
+    if op.is_inverted_terminal() {
+        CellRole::Reference
+    } else {
+        CellRole::Compute
+    }
+}
+
 /// Executes one logic entry and collects result-cell records (compute
 /// terminal for AND/OR, reference terminal for NAND/NOR).
+///
+/// The records come from the gate's outcome
+/// ([`Fcdram::logic_outcome`]): no result row is read back, which
+/// leaves every cell and every later draw exactly as
+/// [`Fcdram::execute_logic`] would (experiments install no
+/// disturbance policy).
 pub fn run_logic(
     ctx: &mut ModuleCtx,
     entry: &PatternEntry,
     op: LogicOp,
     inputs: &[Vec<Bit>],
 ) -> Result<Vec<LogicCellRecord>> {
-    let geom = ctx.cfg.geometry();
+    let (_, n, outcome) = ctx.fc.logic_outcome(BANK, entry, op, inputs)?;
+    logic_records(&ctx.cfg.geometry(), entry, op, n, &outcome)
+}
+
+/// The result-cell records of one logic outcome through `entry`.
+fn logic_records(
+    geom: &Geometry,
+    entry: &PatternEntry,
+    op: LogicOp,
+    n: usize,
+    outcome: &OpOutcome,
+) -> Result<Vec<LogicCellRecord>> {
     let rows = geom.rows_per_subarray();
-    let report = ctx.fc.execute_logic(BANK, entry, op, inputs)?;
-    let role = if op.is_inverted_terminal() {
-        CellRole::Reference
-    } else {
-        CellRole::Compute
-    };
-    let n = report.n;
+    let role = result_role(op);
     // The *addressed* rows anchor the opposite-side distance term
     // (matching the device model's event construction). Reference rows
     // sit in the upper subarray (Below side), compute rows in the
@@ -253,8 +289,7 @@ pub fn run_logic(
     let (_, loc_com) = geom.split_row(entry.rl)?;
     let ref_region = row_region(loc_ref, rows, StripeSide::Below);
     let com_region = row_region(loc_com, rows, StripeSide::Above);
-    Ok(report
-        .outcome
+    Ok(outcome
         .cells
         .iter()
         .filter(|c| c.role == role)
@@ -278,8 +313,44 @@ pub fn run_logic(
         .collect())
 }
 
+/// Runs a (op, N) condition's `draws` random input sets through the
+/// map's `N:N` entry, handing each draw's input count and outcome to
+/// `visit` in draw order (the gate only, nothing read back). This is
+/// the one draw loop of a logic condition: [`run_logic_random`] and
+/// the fleet sweep both run it.
+///
+/// # Errors
+///
+/// [`FcdramError::NoPattern`] when the map has no `N:N` entry; the
+/// first failing draw's or visit's error otherwise.
+pub(crate) fn logic_draws(
+    ctx: &mut ModuleCtx,
+    op: LogicOp,
+    n: usize,
+    draws: usize,
+    seed: u64,
+    mut visit: impl FnMut(&PatternEntry, usize, &OpOutcome) -> Result<()>,
+) -> Result<()> {
+    let entry = ctx
+        .map
+        .find_nn(n)
+        .cloned()
+        .ok_or(FcdramError::NoPattern { n_rf: n, n_rl: n })?;
+    let cols = ctx.cfg.geometry().cols();
+    for d in 0..draws.max(1) {
+        let inputs = crate::patterns::random_input_set(
+            n,
+            dram_core::math::mix3(seed, d as u64, n as u64),
+            cols,
+        );
+        let (_, width, outcome) = ctx.fc.logic_outcome(BANK, &entry, op, &inputs)?;
+        visit(&entry, width, &outcome)?;
+    }
+    Ok(())
+}
+
 /// Runs a (op, N) condition with `draws` random input sets, returning
-/// all result-cell records.
+/// all result-cell records in draw order.
 pub fn run_logic_random(
     ctx: &mut ModuleCtx,
     op: LogicOp,
@@ -287,21 +358,12 @@ pub fn run_logic_random(
     draws: usize,
     seed: u64,
 ) -> Result<Vec<LogicCellRecord>> {
-    let entry = ctx
-        .map
-        .find_nn(n)
-        .cloned()
-        .ok_or(FcdramError::NoPattern { n_rf: n, n_rl: n })?;
-    let cols = ctx.cfg.geometry().cols();
+    let geom = ctx.cfg.geometry();
     let mut out = Vec::new();
-    for d in 0..draws.max(1) {
-        let inputs = crate::patterns::random_input_set(
-            n,
-            dram_core::math::mix3(seed, d as u64, n as u64),
-            cols,
-        );
-        out.extend(run_logic(ctx, &entry, op, &inputs)?);
-    }
+    logic_draws(ctx, op, n, draws, seed, |entry, width, outcome| {
+        out.extend(logic_records(&geom, entry, op, width, outcome)?);
+        Ok(())
+    })?;
     Ok(out)
 }
 

@@ -16,9 +16,9 @@
 
 use crate::patterns::DataPattern;
 use crate::report::{Row, Table};
-use crate::runner::{run_logic_random, run_not, ModuleCtx, Scale};
+use crate::runner::{logic_draws, not_gate, result_role, ModuleCtx, Scale};
 use dram_core::fleet::{ChipSpec, FleetConfig};
-use dram_core::{LogicOp, Manufacturer, Temperature};
+use dram_core::{CellRole, LogicOp, Manufacturer, OpOutcome, Temperature};
 use fcdram::SuccessAccumulator;
 use serde::{Deserialize, Serialize};
 
@@ -200,11 +200,17 @@ impl ChipResult {
 /// Runs the full grid on one already-built chip context, streaming
 /// cell success probabilities into the two accumulators of `out`.
 ///
+/// Each cell's `p_success` goes from the gate's outcome straight into
+/// the accumulators: no result row is read back and no per-cell
+/// record is built. A logic condition buffers its draws' values, so a
+/// failing draw adds nothing.
+///
 /// This is the exact per-chip work [`run_fleet_sweep`] performs; it is
 /// public so the fleet-of-1 bit-identity test can drive the historical
 /// single-chip path through the identical code.
 pub fn chip_sweep(ctx: &mut ModuleCtx, cfg: &SweepConfig, out: &mut ChipResult) {
     let chip_seed = ctx.cfg.chip_seed(ctx.chip);
+    let mut draws: Vec<f64> = Vec::new();
     for temp in &cfg.scale.temps {
         let sim_cfg = ctx.fc.sim_config().with_temperature(*temp);
         ctx.fc.configure(sim_cfg);
@@ -223,8 +229,8 @@ pub fn chip_sweep(ctx: &mut ModuleCtx, cfg: &SweepConfig, out: &mut ChipResult) 
                 out.conditions += 1;
                 let mut measured = false;
                 for entry in entries.iter().take(cfg.scale.execs_per_condition) {
-                    if let Ok(recs) = run_not(ctx, entry, *pattern) {
-                        out.not.extend_from(recs.iter().map(|r| r.p));
+                    if let Ok((_, outcome)) = not_gate(ctx, entry, *pattern) {
+                        out.not.extend_from(success_of(&outcome, CellRole::NotDst));
                         measured = true;
                     }
                 }
@@ -240,11 +246,23 @@ pub fn chip_sweep(ctx: &mut ModuleCtx, cfg: &SweepConfig, out: &mut ChipResult) 
             }
             for (oi, op) in cfg.logic_ops.iter().enumerate() {
                 let seed = dram_core::math::mix3(chip_seed, (ni * 64 + oi) as u64, 0x51EE9);
-                match run_logic_random(ctx, *op, *n, cfg.scale.input_draws, seed) {
-                    Ok(recs) if !recs.is_empty() => {
+                draws.clear();
+                let measured = logic_draws(
+                    ctx,
+                    *op,
+                    *n,
+                    cfg.scale.input_draws,
+                    seed,
+                    |_, _, outcome| {
+                        draws.extend(success_of(outcome, result_role(*op)));
+                        Ok(())
+                    },
+                );
+                match measured {
+                    Ok(()) if !draws.is_empty() => {
                         out.conditions += 1;
-                        out.logic.extend_from(recs.iter().map(|r| r.p));
-                        out.shape_mut(*op, *n).extend_from(recs.iter().map(|r| r.p));
+                        out.logic.extend_from(draws.iter().copied());
+                        out.shape_mut(*op, *n).extend_from(draws.iter().copied());
                     }
                     // No N:N pattern discovered at this budget — a
                     // capability gap, not a measurement failure.
@@ -259,6 +277,16 @@ pub fn chip_sweep(ctx: &mut ModuleCtx, cfg: &SweepConfig, out: &mut ChipResult) 
     }
     let sim_cfg = ctx.fc.sim_config().with_temperature(Temperature::BASELINE);
     ctx.fc.configure(sim_cfg);
+}
+
+/// The success probabilities of `outcome`'s cells in `role`, in
+/// outcome order.
+fn success_of(outcome: &OpOutcome, role: CellRole) -> impl Iterator<Item = f64> + '_ {
+    outcome
+        .cells
+        .iter()
+        .filter(move |c| c.role == role)
+        .map(|c| c.p_success)
 }
 
 /// Builds and sweeps one fleet member. Pure function of `(spec, cfg)`

@@ -16,6 +16,7 @@ use dram_core::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Handle to an allocated in-DRAM bit vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -60,7 +61,7 @@ enum Gate<'a> {
     /// N-input logic over operand values.
     Logic(LogicOp, &'a [&'a PackedBits]),
     /// In-subarray majority over full-width staged rows.
-    Maj(&'a [Vec<Bit>]),
+    Maj(&'a [Arc<[Bit]>]),
 }
 
 /// The bulk bitwise engine.
@@ -483,11 +484,11 @@ impl BulkEngine {
         let ideal =
             crate::ops::ideal_logic(LogicOp::Or, &[&terms[0], &terms[1], &terms[2]], a.len());
         let cols = self.fc.config().modeled_cols;
-        let inputs = vec![
+        let inputs = [
             self.expand_packed(a),
             self.expand_packed(b),
             self.expand_packed(c),
-            vec![Bit::One; cols],
+            std::iter::repeat_n(Bit::One, cols).collect(),
         ];
         self.run_gate(Gate::Maj(&inputs), &ideal, out)
     }
@@ -589,7 +590,7 @@ impl BulkEngine {
     /// Expands shared-column lanes into a full-width row (zeros on the
     /// off half). The shared columns are exactly every other column
     /// starting at `shared_start`, so this is a strided expansion.
-    fn expand_packed(&self, bits: &PackedBits) -> Vec<Bit> {
+    fn expand_packed(&self, bits: &PackedBits) -> Arc<[Bit]> {
         bits.expand_strided(self.fc.config().modeled_cols, self.shared_start)
     }
 

@@ -127,8 +127,9 @@ pub struct MajReport {
 }
 
 /// A deferred full-row write: `(row, data)` shipped ahead of a gate
-/// program instead of as a program of its own.
-pub type Prelude = Option<(GlobalRow, Vec<Bit>)>;
+/// program instead of as a program of its own; `data` is the write's
+/// payload as it is.
+pub type Prelude = Option<(GlobalRow, Arc<[Bit]>)>;
 
 /// Where a device gate's command program runs: the geometry that
 /// resolves pattern entries into bank rows, and the bank addressed.
@@ -158,7 +159,8 @@ pub struct GateLayout {
 
 impl GateSite {
     /// NOT (§5.1): the source staging write, then the tRP-violating
-    /// copy-invert pair `entry.rf → entry.rl`.
+    /// copy-invert pair `entry.rf → entry.rl`. `src` becomes the
+    /// write's payload.
     ///
     /// # Errors
     ///
@@ -167,7 +169,7 @@ impl GateSite {
         &self,
         b: &mut ProgramBuilder,
         entry: &PatternEntry,
-        src: Vec<Bit>,
+        src: impl Into<Arc<[Bit]>>,
     ) -> Result<GateLayout> {
         let (sub_l, _) = self.geom.split_row(entry.rl)?;
         let result_rows = self.join_rows(sub_l, &entry.second_rows)?;
@@ -180,7 +182,8 @@ impl GateSite {
     /// gets N−1 constant rows (all-1 for the AND family, all-0 for the
     /// OR family) and one `Frac` row, the compute side gets `operands`
     /// identity-padded with constant rows to N, then the doubly
-    /// violated charge-sharing activation.
+    /// violated charge-sharing activation. Each operand row becomes its
+    /// write's payload as it is.
     ///
     /// # Errors
     ///
@@ -190,7 +193,7 @@ impl GateSite {
         b: &mut ProgramBuilder,
         entry: &PatternEntry,
         op: LogicOp,
-        operands: impl IntoIterator<Item = Vec<Bit>>,
+        operands: impl IntoIterator<Item = Arc<[Bit]>>,
     ) -> Result<GateLayout> {
         let (sub_ref, _) = self.geom.split_row(entry.rf)?;
         let (sub_com, _) = self.geom.split_row(entry.rl)?;
@@ -206,7 +209,7 @@ impl GateSite {
         }
         let mut operands = operands.into_iter();
         for g in &coms {
-            let data = operands.next().map_or_else(|| fill.clone(), Arc::from);
+            let data = operands.next().unwrap_or_else(|| fill.clone());
             b.seq_write_row(self.bank, *g, data);
         }
         b.seq_charge_share(self.bank, entry.rf, entry.rl);
@@ -214,8 +217,8 @@ impl GateSite {
     }
 
     /// In-subarray majority (§2.2): one staging write per raised row,
-    /// then the charge-sharing activation; the majority overwrites
-    /// every raised row.
+    /// each input row its write's payload, then the charge-sharing
+    /// activation; the majority overwrites every raised row.
     ///
     /// # Errors
     ///
@@ -224,7 +227,7 @@ impl GateSite {
         &self,
         b: &mut ProgramBuilder,
         entry: &InSubarrayEntry,
-        inputs: impl IntoIterator<Item = Vec<Bit>>,
+        inputs: impl IntoIterator<Item = Arc<[Bit]>>,
     ) -> Result<GateLayout> {
         let (sub, _) = self.geom.split_row(entry.rf)?;
         let result_rows = self.join_rows(sub, &entry.rows)?;
@@ -442,8 +445,14 @@ impl Fcdram {
         ActivationMap::discover(&mut self.bender, self.chip, bank, pair, budget, 16)
     }
 
-    /// Writes a row (timing-respecting command sequence).
-    pub fn write_row(&mut self, bank: BankId, row: GlobalRow, data: Vec<Bit>) -> Result<()> {
+    /// Writes a row (timing-respecting command sequence); `data` is the
+    /// write's payload as it is.
+    pub fn write_row(
+        &mut self,
+        bank: BankId,
+        row: GlobalRow,
+        data: impl Into<Arc<[Bit]>>,
+    ) -> Result<()> {
         self.bender.write_row(self.chip, bank, row, data)?;
         Ok(())
     }
@@ -519,25 +528,54 @@ impl Fcdram {
         Ok(PackedBits::from_words(words, lanes))
     }
 
-    /// Executes a NOT through `entry`, negating `src_data` into the
+    /// Ships a NOT through `entry`, negating `src_data` into the
     /// destination rows: the source write and the copy-invert ship as
-    /// one program; every destination row is then read back full
-    /// width for the report.
+    /// one program ([`GateSite::not`]) and nothing is read back.
+    /// Returns where the result landed, the activated shape
+    /// (`N_RF`, `N_RL`) and the per-cell outcome, which carries every
+    /// destination cell's success probability.
+    ///
+    /// A read-back changes no cell, draws nothing and advances no op
+    /// counter: it only charges the chip's command tally and
+    /// disturbance counters, which no later outcome reads unless a
+    /// [`dram_core::DisturbancePolicy`] is installed. Without one, a
+    /// caller that needs only the outcome (the characterization
+    /// experiments) sees exactly what [`Fcdram::execute_not`] reports,
+    /// now and in every later operation.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a width mismatch, an address outside the geometry, or a
+    /// sequence that does not produce a NOT on this chip.
+    pub fn not_outcome(
+        &mut self,
+        bank: BankId,
+        entry: &PatternEntry,
+        src_data: &[Bit],
+    ) -> Result<(GateLayout, (usize, usize), OpOutcome)> {
+        let site = self.site(bank);
+        check_width(site.geom.cols(), src_data.len())?;
+        // Both addressed rows must resolve before anything ships.
+        upper_subarray(&site.geom, entry)?;
+        let mut b = self.bender.builder();
+        let gate = site.not(&mut b, entry, src_data)?;
+        let outcome = self.ship(&b.finish(), None)?;
+        let shape = not_shape(&outcome)?;
+        Ok((gate, shape, outcome))
+    }
+
+    /// Executes a NOT through `entry`, negating `src_data` into the
+    /// destination rows: [`Fcdram::not_outcome`], then every
+    /// destination row is read back full width for the report.
     pub fn execute_not(
         &mut self,
         bank: BankId,
         entry: &PatternEntry,
         src_data: &[Bit],
     ) -> Result<NotReport> {
-        let site = self.site(bank);
-        let geom = site.geom;
-        check_width(geom.cols(), src_data.len())?;
+        let (gate, shape, outcome) = self.not_outcome(bank, entry, src_data)?;
+        let geom = self.config().geometry();
         let upper = upper_subarray(&geom, entry)?;
-        let mut b = self.bender.builder();
-        let gate = site.not(&mut b, entry, src_data.to_vec())?;
-        let outcome = self.ship(&b.finish(), None)?;
-        let shape = not_shape(&outcome)?;
-
         let shared_cols: Vec<usize> = (0..geom.cols())
             .filter(|c| is_shared_col(upper, Col(*c)))
             .collect();
@@ -565,7 +603,10 @@ impl Fcdram {
         })
     }
 
-    /// Executes an N-input logic operation through an `N:N` entry.
+    /// Ships an N-input logic operation through an `N:N` entry and
+    /// reads nothing back. Returns where the result landed, the entry's
+    /// input count N and the per-cell outcome, which carries every
+    /// result cell's success probability.
     ///
     /// `inputs` are full-width rows (only the shared column half
     /// carries results). For AND/NAND the reference subarray is loaded
@@ -573,10 +614,10 @@ impl Fcdram {
     /// rows. Shorter input lists are padded with the operation's
     /// identity element (all-1 for AND-family, all-0 for OR-family),
     /// which leaves the result unchanged. The stagings and the charge
-    /// share ship as one program ([`GateSite::logic`]); every result
-    /// row is then read back full width.
+    /// share ship as one program ([`GateSite::logic`]). Skipping the
+    /// read-back is exact as for [`Fcdram::not_outcome`].
     ///
-    /// The charge share resolves only the terminal read back (compute
+    /// The charge share resolves only the result terminal (compute
     /// for AND/OR, reference for NAND/NOR; [`CsTerminal::terminal_of`]).
     /// That is exact for everything reported: every raised row is
     /// rewritten just before the charge share, and each result cell's
@@ -586,6 +627,35 @@ impl Fcdram {
     /// they are next written, so a later NOT whose destination rows
     /// overlap them can observe different old bits than a full charge
     /// share would have left.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a non-`N:N` entry, too many or no inputs, a width
+    /// mismatch, an address outside the geometry, or an activation that
+    /// does not charge-share on this chip.
+    pub fn logic_outcome(
+        &mut self,
+        bank: BankId,
+        entry: &PatternEntry,
+        op: LogicOp,
+        inputs: &[Vec<Bit>],
+    ) -> Result<(GateLayout, usize, OpOutcome)> {
+        let n = logic_width(entry, inputs.len())?;
+        let site = self.site(bank);
+        for input in inputs {
+            check_width(site.geom.cols(), input.len())?;
+        }
+        let mut b = self.bender.builder();
+        let rows = inputs.iter().map(|r| Arc::from(r.as_slice()));
+        let gate = site.logic(&mut b, entry, op, rows)?;
+        let outcome = self.ship(&b.finish(), Some(CsTerminal::terminal_of(op)))?;
+        expect_kind(&outcome, false)?;
+        Ok((gate, n, outcome))
+    }
+
+    /// Executes an N-input logic operation through an `N:N` entry:
+    /// [`Fcdram::logic_outcome`], then every result row is read back
+    /// full width for the report.
     pub fn execute_logic(
         &mut self,
         bank: BankId,
@@ -593,18 +663,9 @@ impl Fcdram {
         op: LogicOp,
         inputs: &[Vec<Bit>],
     ) -> Result<LogicReport> {
-        let n = logic_width(entry, inputs.len())?;
-        let site = self.site(bank);
-        let geom = site.geom;
-        for input in inputs {
-            check_width(geom.cols(), input.len())?;
-        }
+        let (gate, n, outcome) = self.logic_outcome(bank, entry, op, inputs)?;
+        let geom = self.config().geometry();
         let upper = upper_subarray(&geom, entry)?;
-        let mut b = self.bender.builder();
-        let gate = site.logic(&mut b, entry, op, inputs.iter().cloned())?;
-        let outcome = self.ship(&b.finish(), Some(CsTerminal::terminal_of(op)))?;
-        expect_kind(&outcome, false)?;
-
         let shared_cols: Vec<usize> = (0..geom.cols())
             .filter(|c| is_shared_col(upper, Col(*c)))
             .collect();
@@ -748,7 +809,7 @@ impl Fcdram {
         &mut self,
         bank: BankId,
         entry: &InSubarrayEntry,
-        inputs: &[Vec<Bit>],
+        inputs: &[impl AsRef<[Bit]>],
         shared_start: usize,
         prelude: Prelude,
     ) -> Result<FastMajResult> {
@@ -756,7 +817,8 @@ impl Fcdram {
         let cols = site.geom.cols();
         let n = maj_width(entry, inputs, cols)?;
         let mut b = self.program(bank, prelude);
-        let gate = site.maj(&mut b, entry, inputs.iter().cloned())?;
+        let rows = inputs.iter().map(|r| Arc::from(r.as_ref()));
+        let gate = site.maj(&mut b, entry, rows)?;
         let outcome = self.ship(&b.finish(), None)?;
         expect_kind(&outcome, true)?;
         let lanes = (cols - shared_start.min(cols)).div_ceil(2);
@@ -831,7 +893,8 @@ impl Fcdram {
         let cols = site.geom.cols();
         let n = maj_width(entry, inputs, cols)?;
         let mut b = self.bender.builder();
-        let gate = site.maj(&mut b, entry, inputs.iter().cloned())?;
+        let rows = inputs.iter().map(|r| Arc::from(r.as_slice()));
+        let gate = site.maj(&mut b, entry, rows)?;
         let outcome = self.ship(&b.finish(), None)?;
         expect_kind(&outcome, true)?;
         let expected: Vec<Bit> = (0..cols)
@@ -868,7 +931,7 @@ impl Fcdram {
 }
 
 /// Checks a majority's input count and widths; returns N.
-fn maj_width(entry: &InSubarrayEntry, inputs: &[Vec<Bit>], cols: usize) -> Result<usize> {
+fn maj_width(entry: &InSubarrayEntry, inputs: &[impl AsRef<[Bit]>], cols: usize) -> Result<usize> {
     let n = entry.rows.len();
     if inputs.len() != n {
         return Err(FcdramError::BadInputCount {
@@ -877,7 +940,7 @@ fn maj_width(entry: &InSubarrayEntry, inputs: &[Vec<Bit>], cols: usize) -> Resul
         });
     }
     for input in inputs {
-        check_width(cols, input.len())?;
+        check_width(cols, input.as_ref().len())?;
     }
     Ok(n)
 }
@@ -1425,9 +1488,10 @@ mod tests {
                     .collect();
                 let rows: Vec<Vec<Bit>> = vals
                     .iter()
-                    .map(|v| v.expand_strided(geom.cols(), shared[0]))
+                    .map(|v| v.expand_strided(geom.cols(), shared[0]).to_vec())
                     .collect();
-                let prelude = (j % 2 == 1).then(|| (spare, pattern(seed + 99, geom.cols())));
+                let prelude =
+                    (j % 2 == 1).then(|| (spare, Arc::from(pattern(seed + 99, geom.cols()))));
                 if let Some((row, data)) = prelude.clone() {
                     split.write_row(bank, row, data).unwrap();
                 }
@@ -1489,7 +1553,7 @@ mod tests {
         let entry = map.find_nn(4).expect("4:4 entry").clone();
         let mut b = fc.bender().builder();
         b.seq_write_row(BankId(0), GlobalRow(9), vec![Bit::One; cols]);
-        let ops = (0..3).map(|i| vec![Bit::from(i % 2 == 0); cols]);
+        let ops = (0..3).map(|i| Arc::from(vec![Bit::from(i % 2 == 0); cols]));
         let gate = site.logic(&mut b, &entry, LogicOp::Nor, ops).unwrap();
         assert_eq!(
             gate.result_rows,

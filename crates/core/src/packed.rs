@@ -9,6 +9,7 @@
 use dram_core::math::{mix2, splitmix64};
 use dram_core::{Bit, SHARED_COL_STRIDE};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Row cells one operand byte covers when spread at the shared-column
 /// stride.
@@ -138,11 +139,14 @@ impl PackedBits {
     /// convention for writing shared-column vectors into full DRAM
     /// rows. Lanes past the row's end are dropped.
     ///
-    /// Each operand byte covers one fixed block of the row and is
-    /// written as one copy of its entry in a 256-entry spread table.
-    pub fn expand_strided(&self, cols: usize, start: usize) -> Vec<Bit> {
-        let mut row = vec![Bit::Zero; cols];
-        let Some(tail) = row.get_mut(start..) else {
+    /// The row is built in place as a shared `WR` payload, so staging
+    /// it copies nothing. Each operand byte covers one fixed block of
+    /// the row and is written as one copy of its entry in a 256-entry
+    /// spread table.
+    pub fn expand_strided(&self, cols: usize, start: usize) -> Arc<[Bit]> {
+        let mut row: Arc<[Bit]> = std::iter::repeat_n(Bit::Zero, cols).collect();
+        let fresh = Arc::get_mut(&mut row).expect("a new row has one owner");
+        let Some(tail) = fresh.get_mut(start..) else {
             return row;
         };
         let mut bytes = self
@@ -331,8 +335,8 @@ mod tests {
                         want[c] = Bit::from(p.get(i));
                     }
                     assert_eq!(
-                        p.expand_strided(cols, start),
-                        want,
+                        &*p.expand_strided(cols, start),
+                        &want[..],
                         "len {len} start {start} cols {cols}"
                     );
                 }

@@ -515,6 +515,17 @@ impl Scratch {
             };
         }
     }
+
+    /// Majority value and margin multiplier of every column of parity
+    /// `start` below `cols`, from the `n` raised rows' bits gathered
+    /// into `packed_ref`, into `maj` and `mult`.
+    fn votes(&mut self, n: usize, start: usize, cols: usize) {
+        for c in (start..cols).step_by(2) {
+            let v = self.packed_ref[c / 2].count_ones() as usize;
+            self.maj[c] = Bit::from(2 * v > n);
+            self.mult[c] = ReliabilityModel::maj_multiplier((v as f64 - n as f64 / 2.0).abs());
+        }
+    }
 }
 
 /// Packs one shared column's sensing outcome into a byte: bits 0–1 the
@@ -1341,8 +1352,20 @@ impl Chip {
                 // columns re-sense themselves (majority among the
                 // raised destination rows — identical values retained).
                 let n_dst = second_rows.len();
+                let off_start = 1 - shared_start;
                 let mut sc = std::mem::take(&mut self.scratch);
                 sc.fit(cols);
+                if n_dst > 1 {
+                    let sa = self.banks[bank.index()].subarray(sub_l);
+                    gather_half(
+                        sa,
+                        &second_rows,
+                        off_start,
+                        vdd,
+                        &mut sc.sum_ref,
+                        &mut sc.packed_ref,
+                    );
+                }
                 for (ri, row) in second_rows.iter().enumerate() {
                     let dst_tab = &nt.dst[ri];
                     let sampler = self.row_sampler(op, sub_l, *row);
@@ -1361,9 +1384,12 @@ impl Chip {
                     }
                     // Off-column majority votes read the rows' *current*
                     // bits (earlier destination rows may already have
-                    // re-sensed), so take them per destination row.
-                    let off_start = 1 - shared_start;
-                    self.majority_votes(bank, sub_l, &second_rows, off_start, &mut sc);
+                    // re-sensed): the bits gathered once above, with
+                    // each resolved row's stored bits set back in (the
+                    // decoder's raised rows are distinct, so bit `ri`
+                    // is this row's alone).
+                    sc.votes(n_dst, off_start, cols);
+                    let stored = 1u64 << ri;
                     let maj_cdf = self.memo_maj_cdf(bank, sub_l, *row);
                     let slice = self.banks[bank.index()].subarray_mut(sub_l).row_mut(*row);
                     for c in 0..cols {
@@ -1380,6 +1406,10 @@ impl Chip {
                             failed
                         };
                         slice[c] = actual.voltage(vdd) as f32;
+                        if c % 2 == off_start {
+                            let bits = &mut sc.packed_ref[c / 2];
+                            *bits = (*bits & !stored) | (stored * u64::from(actual.as_bool()));
+                        }
                         rec.push(sub_l, *row, Col(c), role, intended, actual, p);
                     }
                 }
@@ -1433,12 +1463,7 @@ impl Chip {
         let vdd = self.model.analog().vdd;
         let sa = self.banks[bank.index()].subarray(sub);
         gather_half(sa, rows, start, vdd, &mut sc.sum_ref, &mut sc.packed_ref);
-        let n = rows.len();
-        for c in (start..self.geom.cols()).step_by(2) {
-            let v = sc.packed_ref[c / 2].count_ones() as usize;
-            sc.maj[c] = Bit::from(2 * v > n);
-            sc.mult[c] = ReliabilityModel::maj_multiplier((v as f64 - n as f64 / 2.0).abs());
-        }
+        sc.votes(rows.len(), start, self.geom.cols());
     }
 
     /// Copies the voltages of source row `loc` into the scratch source
