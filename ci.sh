@@ -369,7 +369,7 @@ expect_counts() {
 # The repo benchmark's own tests (perfbench/ is a standalone package
 # outside the workspace, so `cargo test` at the root skips them):
 # per-seed determinism, the pinned exact counts of every workload, and
-# the BENCHMARK.json <-> code tables. Then two traced 1 s runs at seed
+# the BENCHMARK.json <-> code tables. Then four traced 1 s runs at seed
 # 1 must report exact values:
 #   - device_exec: mismatched result bits per backend, native ops,
 #     engine visits, gate programs per plan and arena slots (a kernel
@@ -378,7 +378,14 @@ expect_counts() {
 #   - sweep_fleet: cells and conditions swept, failures, and the NOT
 #     and logic success means (the sweep runs `Frac` and every
 #     kernel under full telemetry, so a change to what the device
-#     model stores or records moves them).
+#     model stores or records moves them);
+#   - batch_wide: fused jobs, retries, remaps, failed jobs, native ops
+#     and engine visits of the first batch cycle (a planner or
+#     executor change that moves a placement, an admission or a
+#     fusion group moves them);
+#   - daemon_mix: the daemon's admitted, shed, rejected and narrowed
+#     jobs, its batches, retries, native ops and engine visits (the
+#     same for the serving session's admission and planning).
 perfbench_tests() {
   cargo test --release --offline --manifest-path perfbench/Cargo.toml || return 1
   local out
@@ -394,7 +401,18 @@ perfbench_tests() {
     characterize.cells=3171840 characterize.conditions=2000 characterize.failures=0 \
     fcdram.not_success_mean=0.7092738855804632 \
     fcdram.logic_success_mean=0.9587421165370428 || return 1
-  echo "perfbench: device_exec and sweep_fleet seed 1 exact values match"
+  out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload batch_wide --seed 1 --seconds 1 --trace 1) || return 1
+  expect_counts "$out" \
+    fcsched.fused_jobs=80 fcsched.retries=19 fcsched.remapped=0 fcsched.failed_jobs=0 \
+    fcexec.native_ops=880 fcexec.engine_visits=192 || return 1
+  out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload daemon_mix --seed 1 --seconds 1 --trace 1) || return 1
+  expect_counts "$out" \
+    fcserve.admitted=1084 fcserve.shed=42 fcserve.rejected=192 fcserve.narrowed=123 \
+    fcsched.batches=97 fcsched.retries=112 fcexec.native_ops=3728 \
+    fcexec.engine_visits=1084 || return 1
+  echo "perfbench: device_exec, sweep_fleet, batch_wide and daemon_mix seed 1 exact values match"
 }
 
 wants() {

@@ -48,7 +48,7 @@
 //! wall-clock optimization.
 
 use crate::error::Result;
-use crate::planner::{same_program, Admission, Assignment, Plan, SchedPolicy};
+use crate::planner::{find_program, Admission, Assignment, Plan, SchedPolicy};
 use crate::queue::{Batch, Job, JobId};
 use crate::report::BatchReport;
 use dram_core::math::{hash_to_unit, mix3};
@@ -299,27 +299,24 @@ fn run_leased<B: ExecBackend>(
     })
 }
 
-/// Whether two planned jobs can share one fused run: same fleet
-/// member (same profile, same chip seed), same mapped program (same
-/// prepared plan), same lane count (same staging shape).
-fn fusable(a: (&Job, &Assignment), b: (&Job, &Assignment)) -> bool {
-    a.1.member == b.1.member && a.0.lanes == b.0.lanes && same_program(&a.1.program, &b.1.program)
-}
-
-/// Groups job indices by [`fusable`] key, each group in submission
-/// order and groups in order of first appearance. Adjacency is
-/// irrelevant, so a round-robin template mix fuses as well as a sorted
-/// one. A linear scan over group representatives: programs compare by
-/// pointer first and structurally otherwise, and a map keyed on
-/// serialized programs would cost more than it saves at batch sizes.
+/// Groups job indices by fusion key — the planned jobs that can share
+/// one fused run: same fleet member (same profile, same chip seed),
+/// same lane count (same staging shape) and same mapped program (same
+/// prepared plan) — each group in submission order and groups in order
+/// of first appearance. Adjacency is irrelevant, so a round-robin
+/// template mix fuses as well as a sorted one. A linear scan over group
+/// representatives ([`find_program`]: by pointer, then structurally on
+/// a miss); a map keyed on serialized programs would cost more than it
+/// saves at batch sizes.
 fn fusion_groups(jobs: &[Job], asgs: &[Assignment]) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    for i in 0..jobs.len() {
-        let found = groups
-            .iter_mut()
-            .find(|g| fusable((&jobs[g[0]], &asgs[g[0]]), (&jobs[i], &asgs[i])));
+    for (i, (job, asg)) in jobs.iter().zip(asgs).enumerate() {
+        let found = find_program(&groups, &asg.program, |g| {
+            let (head, lead) = (&jobs[g[0]], &asgs[g[0]]);
+            (lead.member == asg.member && head.lanes == job.lanes).then_some(&*lead.program)
+        });
         match found {
-            Some(g) => g.push(i),
+            Some(k) => groups[k].push(i),
             None => groups.push(vec![i]),
         }
     }
@@ -345,7 +342,7 @@ pub fn fused_jobs(batch: &Batch, plan: &Plan) -> usize {
 /// count, on the policy-selected backend kind — the VM itself, or the
 /// same VM wrapped in [`ScheduleTimed`] at the member's speed bin — and
 /// hands the VM back with its trace cleared. The group's jobs share a
-/// program, a lane count, and an operand count ([`fusable`],
+/// program, a lane count, and an operand count ([`fusion_groups`],
 /// [`Batch::push`]).
 fn run_group(
     mut vm: SimdVm<HostSubstrate>,
@@ -408,10 +405,7 @@ fn run_chunk(
     let mut slots: Vec<(usize, usize)> = Vec::with_capacity(groups.len());
     for g in &groups {
         let (job, asg) = (&jobs[g[0]], &asgs[g[0]]);
-        let k = match plans
-            .iter()
-            .position(|p| same_program(p.program(), &asg.program))
-        {
+        let k = match find_program(&plans, &asg.program, |p| Some(p.program())) {
             Some(k) => k,
             None => {
                 plans.push(fcexec::PreparedProgram::analyze(
@@ -1012,7 +1006,7 @@ mod tests {
             let spread = groups.iter().any(|a| {
                 groups.iter().any(|b| {
                     let (x, y) = (&plan.assignments[a[0]], &plan.assignments[b[0]]);
-                    x.member != y.member && same_program(&x.program, &y.program)
+                    x.member != y.member && x.program == y.program
                 })
             });
             assert!(spread, "some program runs on two members");

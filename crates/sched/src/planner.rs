@@ -28,7 +28,7 @@ use crate::error::{Result, SchedError};
 use crate::health::{Dropout, FleetHealth, HealthEvent, MemberHealth};
 use crate::queue::{Batch, Job, JobId};
 use dram_core::fault::{hazard_rate, step_activations, DisturbanceState, FaultPlan};
-use dram_core::fleet::{ChipSpec, FleetConfig, FleetSlot, FleetSlots};
+use dram_core::fleet::{ChipSpec, FleetConfig, FleetSlot, FleetSlots, SlotLease};
 use dram_core::math::{hash_to_unit, mix2};
 use dram_core::Temperature;
 use fcsynth::{CostModel, ProgramCost, SynthProgram};
@@ -138,34 +138,30 @@ pub struct ChipProfile {
     /// The part's speed bin (command-schedule latency is cycle-timed
     /// against it when serving on the bender backend).
     pub speed: dram_core::SpeedBin,
-    /// The derated per-chip cost model.
+    /// The derated per-chip cost model ([`CostModel::derated`]: it
+    /// shares the base model's document).
     pub cost: CostModel,
 }
 
 impl ChipProfile {
     /// Derives the profile of fleet member `member` from its spec and
-    /// the fleet-level base model.
+    /// the fleet-level base model. The derated model is
+    /// [`CostModel::derated`] from `base`'s resolved table: no document
+    /// is copied or re-resolved, and the profile's
+    /// [`cost.data()`](CostModel::data) is `base`'s own document.
     pub fn derive(member: usize, spec: &ChipSpec, base: &CostModel) -> ChipProfile {
         let chip_seed = spec.seed();
         // Squared unit draw: most chips near the population mean, a
         // thin tail of weak ones — the shape of the paper's per-chip
         // distributions.
         let strain = 3.0 * hash_to_unit(mix2(chip_seed, 0x57A1)).powi(2);
-        let mut data = base.data().clone();
-        data.source = format!("{} derated for {}", data.source, spec.label());
-        for e in &mut data.entries {
-            if e.op != "not" && e.inputs > 1 {
-                let exponent = 1.0 + strain * (e.inputs - 1) as f64 / 15.0;
-                e.success = e.success.powf(exponent);
-            }
-        }
         ChipProfile {
             member,
             label: spec.label(),
             chip_seed,
             strain,
             speed: spec.cfg.speed,
-            cost: CostModel::from_data(data).expect("derating keeps the model valid"),
+            cost: base.derated(|inputs| 1.0 + strain * (inputs - 1) as f64 / 15.0),
         }
     }
 }
@@ -254,13 +250,42 @@ type Decision = (Option<usize>, Admission, ProgramCost);
 #[derive(Debug, Clone)]
 struct AdmissionEntry {
     submitted: Arc<SynthProgram>,
-    /// The narrowed variants `(width, program)` in trial order, those
-    /// equal to the submitted program left out. They do not depend on
-    /// the chip, so they are built once, when a decision first needs
-    /// them, and every assignment that runs one shares it.
-    narrowed: Option<Vec<(usize, Arc<SynthProgram>)>>,
+    /// The submitted program's row footprint
+    /// ([`SynthProgram::peak_live_rows`]), read by every placement.
+    rows: usize,
+    /// The narrowed variants in trial order, widths that would rewrite
+    /// nothing left out. They do not depend on the chip, so they are
+    /// built once, when a decision first needs them, and every
+    /// assignment that runs one shares it.
+    narrowed: Option<Vec<Variant>>,
     /// One slot per fleet member.
     decisions: Vec<Option<Decision>>,
+}
+
+/// A narrowed variant of a submitted program.
+#[derive(Debug, Clone)]
+struct Variant {
+    /// The native-gate width it was narrowed to.
+    width: usize,
+    program: Arc<SynthProgram>,
+    /// Its row footprint ([`SynthProgram::peak_live_rows`]).
+    rows: usize,
+}
+
+impl AdmissionEntry {
+    /// Narrowed variant `i` of a decision.
+    fn variant(&self, i: usize) -> &Variant {
+        &self
+            .narrowed
+            .as_ref()
+            .expect("a narrowed decision built the variants")[i]
+    }
+
+    /// The row footprint a decision's variant runs with (`None`: the
+    /// submitted program's).
+    fn rows(&self, variant: Option<usize>) -> usize {
+        variant.map_or(self.rows, |i| self.variant(i).rows)
+    }
 }
 
 /// Memoized admission decisions, one entry per distinct submitted
@@ -415,61 +440,56 @@ impl<'a> Planner<'a> {
     }
 }
 
-/// Looks up (or computes and caches) the admission result for one
-/// (submitted program, member) pair. Entries match by pointer first
-/// and structurally otherwise, so jobs compiled separately from the
-/// same text share one entry and one decision. The returned program is
-/// shared, never copied: the job's own when it runs as submitted, the
-/// memo's narrowed variant otherwise.
+/// Looks up (or computes and caches) the admission decision for one
+/// (submitted program, member) pair, returning the memo entry's index
+/// with it. Entries are found by [`find_program`], so jobs compiled
+/// separately from the same text share one entry and one decision.
 fn admit_memoized(
     memo: &mut AdmissionMemo,
     policy: &SchedPolicy,
     job: &Job,
     member: usize,
-    profile: &ChipProfile,
-) -> (Arc<SynthProgram>, Admission, ProgramCost) {
-    let pi = match memo
-        .iter()
-        .position(|e| same_program(&e.submitted, &job.program))
-    {
+    profiles: &[ChipProfile],
+) -> (usize, Decision) {
+    let pi = match find_program(memo, &job.program, |e| Some(&e.submitted)) {
         Some(i) => i,
         None => {
             memo.push(AdmissionEntry {
                 submitted: Arc::clone(&job.program),
+                rows: job.program.peak_live_rows(),
                 narrowed: None,
-                decisions: Vec::new(),
+                decisions: vec![None; profiles.len()],
             });
             memo.len() - 1
         }
     };
     let entry = &mut memo[pi];
-    if entry.decisions.len() <= member {
-        entry.decisions.resize(member + 1, None);
-    }
-    let (variant, admission, cost) = match entry.decisions[member] {
+    let decision = match entry.decisions[member] {
         Some(hit) => hit,
         None => {
-            let decision = admit(policy, entry, profile);
+            let decision = admit(policy, entry, &profiles[member]);
             entry.decisions[member] = Some(decision);
             decision
         }
     };
-    let program = match variant {
-        Some(i) => {
-            let narrowed = entry.narrowed.as_ref();
-            let (_, program) = &narrowed.expect("a narrowed decision built the variants")[i];
-            Arc::clone(program)
-        }
-        None => Arc::clone(&job.program),
-    };
-    (program, admission, cost)
+    (pi, decision)
 }
 
-/// Whether two programs are the same program: one shared allocation,
-/// or structurally equal. The pointer check is only a fast path —
-/// decisions never depend on which of the two holds.
-pub(crate) fn same_program(a: &SynthProgram, b: &SynthProgram) -> bool {
-    std::ptr::eq(a, b) || a == b
+/// The index of the first of `items` holding `program` — one shared
+/// allocation, or on a miss the first structurally equal one — among
+/// the items `key` maps to a program (`None` skips an item). The
+/// pointer pass is only a fast path: every caller keeps at most one
+/// structurally equal program among the items it asks about, so both
+/// passes find the same item and nothing depends on which one did.
+pub(crate) fn find_program<'a, T>(
+    items: &'a [T],
+    program: &SynthProgram,
+    key: impl Fn(&'a T) -> Option<&'a SynthProgram>,
+) -> Option<usize> {
+    items
+        .iter()
+        .position(|t| key(t).is_some_and(|p| std::ptr::eq(p, program)))
+        .or_else(|| items.iter().position(|t| key(t) == Some(program)))
 }
 
 /// Admission control for one (program, chip) pair.
@@ -490,16 +510,29 @@ fn admit(policy: &SchedPolicy, entry: &mut AdmissionEntry, profile: &ChipProfile
     // rewrites nothing and is skipped); keep the best expected success
     // (ties to the wider variant — fewer ops, lower latency).
     let narrowed = narrowed.get_or_insert_with(|| {
+        let widest = submitted
+            .steps
+            .iter()
+            .filter(|s| s.op.is_some())
+            .map(|s| s.args.len())
+            .max()
+            .unwrap_or(0);
         [8usize, 4, 2]
             .into_iter()
-            .map(|width| (width, submitted.narrowed(width)))
-            .filter(|(_, cand)| cand != &**submitted)
-            .map(|(width, cand)| (width, Arc::new(cand)))
+            .filter(|&width| widest > width)
+            .map(|width| {
+                let program = submitted.narrowed(width);
+                Variant {
+                    width,
+                    rows: program.peak_live_rows(),
+                    program: Arc::new(program),
+                }
+            })
             .collect()
     });
     let mut best: Option<(usize, ProgramCost)> = None;
-    for (i, (_, cand)) in narrowed.iter().enumerate() {
-        let c = cand.price(&profile.cost);
+    for (i, v) in narrowed.iter().enumerate() {
+        let c = v.program.price(&profile.cost);
         if best
             .as_ref()
             .is_none_or(|(_, b)| c.expected_success > b.expected_success + 1e-15)
@@ -510,7 +543,7 @@ fn admit(policy: &SchedPolicy, entry: &mut AdmissionEntry, profile: &ChipProfile
     match best {
         Some((i, c)) if c.expected_success > as_is.expected_success + 1e-15 => {
             let admission = if c.expected_success >= policy.min_success {
-                Admission::Remapped(narrowed[i].0)
+                Admission::Remapped(narrowed[i].width)
             } else {
                 Admission::Flagged
             };
@@ -577,6 +610,35 @@ impl PlanCtx<'_> {
         }
     }
 
+    /// The live member after `prev` in candidate order — by predicted
+    /// load, ties to the lowest index — or the first one when `prev` is
+    /// `None`. Placement usually takes the first candidate, so the
+    /// order is picked one member at a time instead of sorted per job;
+    /// loads do not change while one job's candidates are tried.
+    fn next_candidate(&self, prev: Option<usize>) -> Option<usize> {
+        let before = |a: usize, b: usize| self.load[a].total_cmp(&self.load[b]).then(a.cmp(&b));
+        (0..self.load.len())
+            .filter(|&m| self.faults.as_ref().is_none_or(|f| !f.dead[m]))
+            .filter(|&m| prev.is_none_or(|p| before(p, m).is_lt()))
+            .min_by(|&a, &b| before(a, b))
+    }
+
+    /// Leases `rows` on `member`. A full member that fits the job when
+    /// idle rolls into its next wave: all of its slots are recycled for
+    /// sequential reuse. `None` when the member can never hold `rows`.
+    fn lease(&mut self, member: usize, rows: usize) -> Option<SlotLease> {
+        if let Some(lease) = self.slots.lease_on(member, rows) {
+            return Some(lease);
+        }
+        if self.capacity[member] < rows {
+            return None;
+        }
+        self.wave[member] += 1;
+        self.slots.reset_member(member);
+        let lease = self.slots.lease_on(member, rows);
+        Some(lease.expect("an idle member at capacity fits the job"))
+    }
+
     /// Places job `idx` (and settles its fault consequences, possibly
     /// recursively re-placing other jobs off a chip it kills).
     fn place(&mut self, jobs: &[Job], idx: usize, replacements: u32, wasted_ns: f64) -> Result<()> {
@@ -587,16 +649,11 @@ impl PlanCtx<'_> {
         // even idle — is skipped rather than aborting the batch, so a
         // heterogeneous fleet places the job on a chip that fits it.
         // Dead members are out of the pool entirely.
-        let mut order: Vec<usize> = (0..self.profiles.len()).collect();
-        if let Some(f) = &self.faults {
-            order.retain(|&m| !f.dead[m]);
-            if order.is_empty() {
-                return Err(SchedError::FleetExhausted {
-                    job: job.label.clone(),
-                });
-            }
-        }
-        order.sort_by(|a, b| self.load[*a].total_cmp(&self.load[*b]).then(a.cmp(b)));
+        let Some(first) = self.next_candidate(None) else {
+            return Err(SchedError::FleetExhausted {
+                job: job.label.clone(),
+            });
+        };
         // Under a fault plan, placement runs two passes: pass 0 skips
         // members whose wear derating would push an admissible job
         // below the threshold (reliability-aware diversion); pass 1
@@ -604,12 +661,14 @@ impl PlanCtx<'_> {
         let passes = if self.faults.is_some() { 2 } else { 1 };
         let mut placed = None;
         'passes: for pass in 0..passes {
-            'candidates: for &member in &order {
-                let admitted =
-                    admit_memoized(self.memo, policy, job, member, &self.profiles[member]);
+            let mut candidate = Some(first);
+            while let Some(member) = candidate {
+                candidate = self.next_candidate(Some(member));
+                let (pi, (variant, admission, predicted)) =
+                    admit_memoized(self.memo, policy, job, member, self.profiles);
                 if pass + 1 < passes {
                     let wexp = self.wear_exp(member);
-                    let s = admitted.2.expected_success;
+                    let s = predicted.expected_success;
                     if wexp > 1.0 && s >= policy.min_success && s.powf(wexp) < policy.min_success {
                         if let Some(f) = &mut self.faults {
                             f.diverted[member] += 1;
@@ -621,7 +680,7 @@ impl PlanCtx<'_> {
                                 job: job.id,
                             });
                         }
-                        continue 'candidates;
+                        continue;
                     }
                 }
                 // Narrowing only ever adds temporaries, so the
@@ -631,34 +690,20 @@ impl PlanCtx<'_> {
                 // narrowing made the job too big for this member —
                 // feasibility beats the reliability re-map, and the
                 // job is flagged instead.
-                let submitted_fallback = if same_program(&admitted.0, &job.program) {
-                    None
-                } else {
-                    Some((
-                        Arc::clone(&job.program),
-                        Admission::Flagged,
-                        job.program.price(&self.profiles[member].cost),
-                    ))
-                };
-                for (program, admission, predicted) in
-                    std::iter::once(admitted).chain(submitted_fallback)
-                {
-                    let rows = program.peak_live_rows();
-                    if let Some(lease) = self.slots.lease_on(member, rows) {
-                        placed = Some((member, lease, program, admission, predicted));
-                        break 'passes;
-                    }
-                    if self.capacity[member] >= rows {
-                        // Wave rollover: the chip is full but fits the
-                        // job when idle; recycle all of its slots for
-                        // sequential reuse.
-                        self.wave[member] += 1;
-                        self.slots.reset_member(member);
-                        let lease = self
-                            .slots
-                            .lease_on(member, rows)
-                            .expect("an idle member at capacity fits the job");
-                        placed = Some((member, lease, program, admission, predicted));
+                let (rows, submitted_rows) = (self.memo[pi].rows(variant), self.memo[pi].rows);
+                if let Some(lease) = self.lease(member, rows) {
+                    let program = match variant {
+                        Some(i) => Arc::clone(&self.memo[pi].variant(i).program),
+                        None => Arc::clone(&job.program),
+                    };
+                    placed = Some((member, lease, program, admission, predicted));
+                    break 'passes;
+                }
+                if variant.is_some() {
+                    if let Some(lease) = self.lease(member, submitted_rows) {
+                        let predicted = job.program.price(&self.profiles[member].cost);
+                        let program = Arc::clone(&job.program);
+                        placed = Some((member, lease, program, Admission::Flagged, predicted));
                         break 'passes;
                     }
                 }
@@ -897,17 +942,71 @@ mod tests {
         let narrowed = planner.memo[0].narrowed.as_ref().expect("variants built");
         let mut narrowed_jobs = 0;
         for (job, asg) in batch.jobs().iter().zip(&plan.assignments) {
-            if same_program(&asg.program, &job.program) {
+            if asg.program == job.program {
                 assert!(Arc::ptr_eq(&asg.program, &job.program), "flagging copied");
             } else {
                 narrowed_jobs += 1;
                 assert!(
-                    narrowed.iter().any(|(_, v)| Arc::ptr_eq(v, &asg.program)),
+                    narrowed
+                        .iter()
+                        .any(|v| Arc::ptr_eq(&v.program, &asg.program)),
                     "narrowed variant copied"
                 );
             }
         }
         assert!(narrowed_jobs > 0, "some chip runs a narrowed variant");
+    }
+
+    #[test]
+    fn leases_fit_footprints_and_session_plans_match_fresh_ones() {
+        let fleet = FleetConfig::table1(12);
+        let base = cost();
+        let texts = [
+            "a&b&c&d&e&f&g&h&i&j&k&l&m&n&o&p",
+            "(a & b & c & d) ^ (e | f | g | h)",
+        ];
+        let compile = |text| fcsynth::compile(text, &base, 16).unwrap().mapping;
+        let shared = texts.map(compile);
+        // Submitted programs shared by pointer, with every third job a
+        // twin: its text compiled again, structurally equal.
+        let batch = |seed: u64| {
+            let mut batch = crate::queue::Batch::new(seed);
+            for j in 0..36u64 {
+                let k = (j % 2) as usize;
+                let twin;
+                let mapping = if j % 3 == 0 {
+                    twin = compile(texts[k]);
+                    &twin
+                } else {
+                    &shared[k]
+                };
+                let ops = (0..mapping.program.inputs.len() as u64)
+                    .map(|i| fcdram::PackedBits::seeded(seed ^ j, i, 8))
+                    .collect();
+                batch.push(texts[k], mapping, ops, 8).unwrap();
+            }
+            batch
+        };
+        let strict = SchedPolicy {
+            min_success: 1.01,
+            ..SchedPolicy::default()
+        };
+        let mut session = Planner::new(&fleet, &base, &strict);
+        session.plan(&batch(1)).unwrap();
+        let second = batch(2);
+        let plan = session.plan(&second).unwrap();
+        assert_eq!(
+            plan,
+            Planner::new(&fleet, &base, &strict).plan(&second).unwrap(),
+            "a session's memo hits are a fresh planner's decisions"
+        );
+        assert_eq!(session.memo.len(), 2, "twins share their text's entry");
+        let mut narrowed = 0;
+        for (job, asg) in second.jobs().iter().zip(&plan.assignments) {
+            assert_eq!(asg.slot.rows, asg.program.peak_live_rows(), "{}", job.label);
+            narrowed += usize::from(asg.program != job.program);
+        }
+        assert!(narrowed > 0, "some job runs a narrowed variant");
     }
 
     #[test]

@@ -24,6 +24,8 @@ use dram_core::timing::SpeedBin;
 use dram_core::LogicOp;
 use serde::{Deserialize, Serialize};
 use simdram::trace::{NativeOp, TraceEntry};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Measured (or default) statistics for one native operation shape.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -73,101 +75,139 @@ pub struct CostModelData {
 /// over the document.
 #[derive(Debug, Clone)]
 pub struct CostModel {
-    data: CostModelData,
-    /// NOT statistics (`not` entries interpolated at one input).
-    not: Stat,
-    /// One resolved curve per [`LogicOp::ALL`] entry, with the dual
-    /// fallback already applied.
-    logic: [Curve; 4],
+    /// Everything resolved from the document but the logic success
+    /// rates: shared, unchanged, by every [`CostModel::derated`] model.
+    table: Arc<Table>,
+    /// The success rate of each of the table's points.
+    success: Box<[f64]>,
+    /// Every curve's dense success table, laid out as the table's dense
+    /// prices.
+    dense_success: Box<[f64]>,
 }
 
-/// Equality is the document's: the resolved table is a pure function
-/// of it.
+/// Equality is the document's plus the resolved success rates: the
+/// rest of the table is a pure function of the document, and a derated
+/// model shares its base's.
 impl PartialEq for CostModel {
     fn eq(&self, other: &CostModel) -> bool {
-        self.data == other.data
+        self.table.data == other.table.data
+            && std::iter::zip(&*self.success, &*other.success)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 }
 
-/// Success, latency and energy of one operation shape.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Stat {
-    success: f64,
+/// Latency and energy of one operation shape.
+#[derive(Debug, Clone, Copy)]
+struct Price {
     latency_ns: f64,
     energy_pj: f64,
+}
+
+/// The resolved document: every logic curve's points and dense table,
+/// curve after curve, success rates left to each [`CostModel`].
+#[derive(Debug)]
+struct Table {
+    data: CostModelData,
+    /// NOT success and price (`not` entries interpolated at one
+    /// input).
+    not: (f64, Price),
+    /// Each point's input count, every curve stably sorted by it.
+    inputs: Box<[usize]>,
+    /// Each point's price.
+    prices: Box<[Price]>,
+    /// Every curve's dense price table.
+    dense: Box<[Price]>,
+    /// One curve per [`LogicOp::ALL`] entry, with the dual fallback
+    /// already applied.
+    logic: [Curve; 4],
 }
 
 /// Input counts the dense table covers at most; a document with wider
 /// points interpolates the (rare) rest from its sorted points.
 const DENSE_INPUTS: usize = 64;
 
-/// One operation's statistics over the input count.
-#[derive(Debug, Clone)]
+/// One operation's statistics over the input count, as ranges of the
+/// model's per-point and dense tables.
+#[derive(Debug)]
 struct Curve {
-    /// The op's points, stably sorted by input count.
-    points: Vec<(usize, Stat)>,
-    /// [`interp`] at every N from 0 up to the largest point (at most
-    /// [`DENSE_INPUTS`]).
-    dense: Vec<Stat>,
+    /// The op's points.
+    points: Range<usize>,
+    /// Its dense table: [`interp`] at every N from 0 up to the largest
+    /// point (at most [`DENSE_INPUTS`]).
+    dense: Range<usize>,
 }
 
-impl Curve {
-    /// The curve of every entry named `op`, or `None` when there is
-    /// none.
-    fn of(entries: &[GateCost], op: &str) -> Option<Curve> {
-        let mut points: Vec<(usize, Stat)> = entries
-            .iter()
-            .filter(|e| e.op == op)
-            .map(|e| {
-                let stat = Stat {
-                    success: e.success,
-                    latency_ns: e.latency_ns,
-                    energy_pj: e.energy_pj,
-                };
-                (e.inputs, stat)
-            })
-            .collect();
-        points.sort_by_key(|(inputs, _)| *inputs);
-        let last = points.last()?.0;
-        let dense = (0..=last.min(DENSE_INPUTS))
-            .map(|n| interp(&points, n))
-            .collect();
-        Some(Curve { points, dense })
+/// Linear interpolation at `n` over the `values` of points with the
+/// sorted, non-empty input counts `inputs`, clamped to the end points.
+fn interp<T: Copy>(inputs: &[usize], values: &[T], lerp: fn(T, T, f64) -> T, n: usize) -> T {
+    let last = inputs.len() - 1;
+    if n <= inputs[0] {
+        return values[0];
     }
-
-    fn at(&self, n: usize) -> Stat {
-        match self.dense.get(n) {
-            Some(stat) => *stat,
-            None => interp(&self.points, n),
-        }
+    if n >= inputs[last] {
+        return values[last];
     }
-}
-
-/// Linear interpolation over sorted, non-empty `points`, clamped to
-/// the end points.
-fn interp(points: &[(usize, Stat)], n: usize) -> Stat {
-    let (first, last) = (points[0], points[points.len() - 1]);
-    if n <= first.0 {
-        return first.1;
-    }
-    if n >= last.0 {
-        return last.1;
-    }
-    for w in points.windows(2) {
-        let ((n0, v0), (n1, v1)) = (w[0], w[1]);
+    for i in 0..last {
+        let (n0, n1) = (inputs[i], inputs[i + 1]);
         if n0 <= n && n <= n1 {
             if n == n0 {
-                return v0;
+                return values[i];
             }
             let t = (n - n0) as f64 / (n1 - n0) as f64;
-            return Stat {
-                success: v0.success + t * (v1.success - v0.success),
-                latency_ns: v0.latency_ns + t * (v1.latency_ns - v0.latency_ns),
-                energy_pj: v0.energy_pj + t * (v1.energy_pj - v0.energy_pj),
-            };
+            return lerp(values[i], values[i + 1], t);
         }
     }
     unreachable!("n inside the sorted point range");
+}
+
+fn lerp(a: f64, b: f64, t: f64) -> f64 {
+    a + t * (b - a)
+}
+
+fn lerp_price(a: Price, b: Price, t: f64) -> Price {
+    Price {
+        latency_ns: lerp(a.latency_ns, b.latency_ns, t),
+        energy_pj: lerp(a.energy_pj, b.energy_pj, t),
+    }
+}
+
+/// The dense table of per-point `values` (laid out as `inputs`): each
+/// curve's [`interp`] at every N of its dense range, curve after curve.
+fn tabulate<T: Copy>(
+    inputs: &[usize],
+    logic: &[Curve; 4],
+    values: &[T],
+    lerp: fn(T, T, f64) -> T,
+) -> Box<[T]> {
+    let mut dense = Vec::with_capacity(logic.iter().map(|c| c.dense.len()).sum());
+    for curve in logic {
+        let (inputs, values) = (&inputs[curve.points.clone()], &values[curve.points.clone()]);
+        dense.extend((0..curve.dense.len()).map(|n| interp(inputs, values, lerp, n)));
+    }
+    dense.into_boxed_slice()
+}
+
+/// Every entry named `op`, stably sorted by input count.
+fn entries_of<'a>(entries: &'a [GateCost], op: &str) -> Vec<&'a GateCost> {
+    let mut points: Vec<&GateCost> = entries.iter().filter(|e| e.op == op).collect();
+    points.sort_by_key(|e| e.inputs);
+    points
+}
+
+/// Input counts, success rates and prices of some points.
+type Columns = (Box<[usize]>, Box<[f64]>, Box<[Price]>);
+
+/// The columns of `points`.
+fn columns(points: &[&GateCost]) -> Columns {
+    let price = |e: &&GateCost| Price {
+        latency_ns: e.latency_ns,
+        energy_pj: e.energy_pj,
+    };
+    (
+        points.iter().map(|e| e.inputs).collect(),
+        points.iter().map(|e| e.success).collect(),
+        points.iter().map(price).collect(),
+    )
 }
 
 impl CostModel {
@@ -197,14 +237,21 @@ impl CostModel {
     /// the lookup table. A logic op with no entries of its own takes
     /// its monotone/inverted dual's curve, then any logic data at all.
     fn resolve(data: CostModelData) -> CostModel {
-        let not = Curve::of(&data.entries, "not").map_or(
-            Stat {
-                success: 1.0,
-                latency_ns: 0.0,
-                energy_pj: 0.0,
-            },
-            |c| c.at(1),
-        );
+        let not = match columns(&entries_of(&data.entries, "not")) {
+            (inputs, ..) if inputs.is_empty() => {
+                let free = Price {
+                    latency_ns: 0.0,
+                    energy_pj: 0.0,
+                };
+                (1.0, free)
+            }
+            (inputs, success, prices) => (
+                interp(&inputs, &success, lerp, 1),
+                interp(&inputs, &prices, lerp_price, 1),
+            ),
+        };
+        let mut points: Vec<&GateCost> = Vec::new();
+        let mut dense_len = 0;
         let logic = LogicOp::ALL.map(|op| {
             let dual = match op {
                 LogicOp::And => LogicOp::Nand,
@@ -212,12 +259,65 @@ impl CostModel {
                 LogicOp::Or => LogicOp::Nor,
                 LogicOp::Nor => LogicOp::Or,
             };
-            [op.name(), dual.name(), "and", "or", "nand", "nor"]
+            let own = [op.name(), dual.name(), "and", "or", "nand", "nor"]
                 .into_iter()
-                .find_map(|name| Curve::of(&data.entries, name))
-                .expect("from_data guarantees at least one logic entry")
+                .map(|name| entries_of(&data.entries, name))
+                .find(|p| !p.is_empty())
+                .expect("from_data guarantees at least one logic entry");
+            let start = points.len();
+            points.extend(own);
+            let width = points[points.len() - 1].inputs.min(DENSE_INPUTS) + 1;
+            dense_len += width;
+            Curve {
+                points: start..points.len(),
+                dense: dense_len - width..dense_len,
+            }
         });
-        CostModel { data, not, logic }
+        let (inputs, success, prices) = columns(&points);
+        let table = Table {
+            not,
+            dense: tabulate(&inputs, &logic, &prices, lerp_price),
+            inputs,
+            prices,
+            logic,
+            data,
+        };
+        CostModel {
+            dense_success: tabulate(&table.inputs, &table.logic, &success, lerp),
+            success,
+            table: Arc::new(table),
+        }
+    }
+
+    /// This model derated: each resolved logic point with more than
+    /// one input has its success rate raised to the power
+    /// `exponent(inputs)`, and the dense success table is rebuilt from
+    /// the derated points by the same interpolation. That is exactly
+    /// the table [`CostModel::from_data`] resolves from the document
+    /// with those entries derated, so every getter returns its bits;
+    /// NOT, latency and energy are unchanged. A non-negative exponent
+    /// keeps every rate in `[0, 1]`.
+    ///
+    /// The derated model shares this model's document and prices
+    /// instead of copying them: its [`data`](CostModel::data) is the
+    /// base's document, not a derated one.
+    #[must_use]
+    pub fn derated(&self, exponent: impl Fn(usize) -> f64) -> CostModel {
+        let t = &self.table;
+        let success: Box<[f64]> = std::iter::zip(&*t.inputs, &*self.success)
+            .map(|(&inputs, &s)| {
+                if inputs > 1 {
+                    s.powf(exponent(inputs))
+                } else {
+                    s
+                }
+            })
+            .collect();
+        CostModel {
+            dense_success: tabulate(&t.inputs, &t.logic, &success, lerp),
+            success,
+            table: Arc::clone(t),
+        }
     }
 
     /// Parses the JSON document `characterize fleet --export-costs`
@@ -235,9 +335,10 @@ impl CostModel {
     }
 
     /// The underlying document (serializable back to the export
-    /// schema).
+    /// schema). A [`derated`](CostModel::derated) model shares its
+    /// base's document, so this is the base's, underated.
     pub fn data(&self) -> &CostModelData {
-        &self.data
+        &self.table.data
     }
 
     /// Default model calibrated to the paper's Table-1 population:
@@ -304,44 +405,70 @@ impl CostModel {
         CostModel::table1_defaults_for(65_536)
     }
 
-    fn logic_stat(&self, op: LogicOp, n: usize) -> Stat {
+    fn curve(&self, op: LogicOp) -> &Curve {
         let i = match op {
             LogicOp::And => 0,
             LogicOp::Nand => 1,
             LogicOp::Or => 2,
             LogicOp::Nor => 3,
         };
-        self.logic[i].at(n)
+        &self.table.logic[i]
+    }
+
+    /// `op`'s curve at `n` over per-point `values` and their `dense`
+    /// table.
+    fn lookup<T: Copy>(
+        &self,
+        op: LogicOp,
+        n: usize,
+        values: &[T],
+        dense: &[T],
+        lerp: fn(T, T, f64) -> T,
+    ) -> T {
+        let curve = self.curve(op);
+        match dense[curve.dense.clone()].get(n) {
+            Some(v) => *v,
+            None => {
+                let points = curve.points.clone();
+                interp(&self.table.inputs[points.clone()], &values[points], lerp, n)
+            }
+        }
+    }
+
+    fn price(&self, op: LogicOp, n: usize) -> Price {
+        let t = &*self.table;
+        self.lookup(op, n, &t.prices, &t.dense, lerp_price)
     }
 
     /// Mean success rate of an `n`-input `op` gate (interpolated).
     pub fn success(&self, op: LogicOp, n: usize) -> f64 {
-        self.logic_stat(op, n).success.clamp(0.0, 1.0)
+        let success = self.lookup(op, n, &self.success, &self.dense_success, lerp);
+        success.clamp(0.0, 1.0)
     }
 
     /// Latency of one `n`-input `op` execution, nanoseconds.
     pub fn latency_ns(&self, op: LogicOp, n: usize) -> f64 {
-        self.logic_stat(op, n).latency_ns
+        self.price(op, n).latency_ns
     }
 
     /// Energy of one `n`-input `op` execution, picojoules.
     pub fn energy_pj(&self, op: LogicOp, n: usize) -> f64 {
-        self.logic_stat(op, n).energy_pj
+        self.price(op, n).energy_pj
     }
 
     /// Mean success rate of the NOT operation.
     pub fn not_success(&self) -> f64 {
-        self.not.success.clamp(0.0, 1.0)
+        self.table.not.0.clamp(0.0, 1.0)
     }
 
     /// Latency of one NOT execution, nanoseconds.
     pub fn not_latency_ns(&self) -> f64 {
-        self.not.latency_ns
+        self.table.not.1.latency_ns
     }
 
     /// Energy of one NOT execution, picojoules.
     pub fn not_energy_pj(&self) -> f64 {
-        self.not.energy_pj
+        self.table.not.1.energy_pj
     }
 }
 

@@ -5,6 +5,10 @@
 //! table replaced: filter the entries by op name, sort them by input
 //! count and interpolate, on every call. Every getter must return the
 //! reference's bits for N in 0..=40 on every document shape.
+//!
+//! A derated model (`CostModel::derated`, and so every chip profile)
+//! keeps its base's document, so its reference is the base document
+//! with each logic entry derated first, then interpolated.
 
 use dram_core::{FleetConfig, LogicOp};
 use fcsched::ChipProfile;
@@ -68,11 +72,15 @@ fn reference_logic<F: Fn(&GateCost) -> f64 + Copy>(
 }
 
 fn assert_matches_reference(m: &CostModel) {
-    assert_matches_reference_at(m, 0..=40);
+    assert_matches_reference_at(m, m.data(), 0..=40);
 }
 
-fn assert_matches_reference_at(m: &CostModel, widths: impl Iterator<Item = usize> + Clone) {
-    let data = m.data();
+/// Every getter of `m` against the reference lookup over `data`.
+fn assert_matches_reference_at(
+    m: &CostModel,
+    data: &CostModelData,
+    widths: impl Iterator<Item = usize> + Clone,
+) {
     let same = |got: f64, want: f64, what: &str| {
         assert_eq!(
             got.to_bits(),
@@ -139,6 +147,81 @@ fn document(source: &str, entries: Vec<GateCost>) -> CostModel {
     .expect("valid test document")
 }
 
+/// `data` with the success rate of every logic entry of more than one
+/// input raised to `exponent(inputs)`.
+fn derated_document(data: &CostModelData, exponent: impl Fn(usize) -> f64) -> CostModelData {
+    let mut data = data.clone();
+    data.source = format!("{} derated", data.source);
+    for e in &mut data.entries {
+        if e.op != "not" && e.inputs > 1 {
+            e.success = e.success.powf(exponent(e.inputs));
+        }
+    }
+    data
+}
+
+/// Widths past the dense table (64 inputs), where lookups interpolate.
+const PAST_DENSE: [usize; 7] = [63, 64, 65, 500, 999, 1_000, 1_001];
+
+/// `base.derated(exponent)` against the reference over the derated
+/// document, at N in 0..=40 and past the dense table.
+fn assert_derated_matches_reference(base: &CostModel, exponent: impl Fn(usize) -> f64 + Copy) {
+    let derated = base.derated(exponent);
+    assert_eq!(derated.data(), base.data(), "shares the base's document");
+    let reference = derated_document(base.data(), exponent);
+    assert_matches_reference_at(&derated, &reference, (0..=40).chain(PAST_DENSE));
+}
+
+/// One logic op only: the other three fall back to it.
+fn or_only() -> CostModel {
+    document(
+        "or only",
+        vec![
+            gate("not", 1, 0.98, 5.0),
+            gate("or", 2, 0.99, 10.0),
+            gate("or", 8, 0.95, 30.0),
+        ],
+    )
+}
+
+/// One point per op: every N clamps to it.
+fn one_point_per_op() -> CostModel {
+    document(
+        "one point per op",
+        vec![
+            gate("not", 1, 0.97, 4.0),
+            gate("and", 4, 0.96, 11.0),
+            gate("nand", 2, 0.95, 12.0),
+            gate("or", 16, 0.9, 13.0),
+            gate("nor", 3, 0.93, 14.0),
+        ],
+    )
+}
+
+/// Points past the dense table.
+fn very_wide() -> CostModel {
+    document(
+        "very wide",
+        vec![gate("or", 2, 0.99, 8.0), gate("or", 1_000, 0.1, 900.0)],
+    )
+}
+
+/// A 32-input entry, unsorted input order and a repeated width.
+fn wide() -> CostModel {
+    document(
+        "wide",
+        vec![
+            gate("and", 32, 0.7, 90.0),
+            gate("and", 2, 0.99, 9.0),
+            gate("and", 8, 0.9, 30.0),
+            gate("and", 8, 0.91, 31.0),
+            gate("nor", 5, 0.85, 20.0),
+            gate("nor", 32, 0.6, 95.0),
+            gate("not", 1, 0.99, 3.0),
+        ],
+    )
+}
+
 #[test]
 fn table1_defaults_match_the_reference() {
     for lanes in [1usize, 32, 64, 4096, 65_536] {
@@ -150,51 +233,46 @@ fn table1_defaults_match_the_reference() {
 fn derated_chip_profiles_match_the_reference() {
     let base = CostModel::table1_defaults();
     let fleet = FleetConfig::table1(12);
+    let mut strained = 0;
     for (i, spec) in fleet.specs().iter().enumerate() {
-        assert_matches_reference(&ChipProfile::derive(i, spec, &base).cost);
+        let profile = ChipProfile::derive(i, spec, &base);
+        let strain = profile.strain;
+        strained += usize::from(strain > 0.05);
+        let reference = derated_document(base.data(), |inputs| {
+            1.0 + strain * (inputs - 1) as f64 / 15.0
+        });
+        assert_eq!(
+            profile.cost.data(),
+            base.data(),
+            "shares the base's document"
+        );
+        assert_matches_reference_at(&profile.cost, &reference, 0..=40);
+    }
+    assert!(strained > 0, "some chip is derated");
+}
+
+#[test]
+fn derated_hand_built_documents_match_the_reference() {
+    // Derated before interpolation: dual fallback ("or only"),
+    // interpolated and repeated widths ("wide"), widths past the last
+    // point ("one point per op") and past the dense table ("very
+    // wide").
+    for base in [or_only(), wide(), one_point_per_op(), very_wide()] {
+        assert_derated_matches_reference(&base, |inputs| 1.0 + 0.7 * (inputs - 1) as f64 / 15.0);
+        assert_derated_matches_reference(&base, |inputs| 2.5 + inputs as f64 / 4.0);
     }
 }
 
 #[test]
 fn hand_built_documents_match_the_reference() {
-    // One logic op only: the other three fall back to it.
-    assert_matches_reference(&document(
-        "or only",
-        vec![
-            gate("not", 1, 0.98, 5.0),
-            gate("or", 2, 0.99, 10.0),
-            gate("or", 8, 0.95, 30.0),
-        ],
-    ));
-    // One point per op: every N clamps to it.
-    assert_matches_reference(&document(
-        "one point per op",
-        vec![
-            gate("not", 1, 0.97, 4.0),
-            gate("and", 4, 0.96, 11.0),
-            gate("nand", 2, 0.95, 12.0),
-            gate("or", 16, 0.9, 13.0),
-            gate("nor", 3, 0.93, 14.0),
-        ],
-    ));
+    assert_matches_reference(&or_only());
+    assert_matches_reference(&one_point_per_op());
     // No NOT entry: NOT is assumed exact and free.
     assert_matches_reference(&document(
         "no not",
         vec![gate("nand", 2, 0.9, 7.0), gate("nand", 16, 0.8, 70.0)],
     ));
-    // A 32-input entry, unsorted input order and a repeated width.
-    assert_matches_reference(&document(
-        "wide",
-        vec![
-            gate("and", 32, 0.7, 90.0),
-            gate("and", 2, 0.99, 9.0),
-            gate("and", 8, 0.9, 30.0),
-            gate("and", 8, 0.91, 31.0),
-            gate("nor", 5, 0.85, 20.0),
-            gate("nor", 32, 0.6, 95.0),
-            gate("not", 1, 0.99, 3.0),
-        ],
-    ));
+    assert_matches_reference(&wide());
     // Repeated widths at both ends of the point range.
     assert_matches_reference(&document(
         "repeated ends",
@@ -206,10 +284,7 @@ fn hand_built_documents_match_the_reference() {
         ],
     ));
     // Points past the dense table: lookups between them interpolate.
-    let very_wide = document(
-        "very wide",
-        vec![gate("or", 2, 0.99, 8.0), gate("or", 1_000, 0.1, 900.0)],
-    );
+    let very_wide = very_wide();
     assert_matches_reference(&very_wide);
-    assert_matches_reference_at(&very_wide, [63, 64, 65, 500, 999, 1_000, 1_001].into_iter());
+    assert_matches_reference_at(&very_wide, very_wide.data(), PAST_DENSE.into_iter());
 }
