@@ -214,7 +214,14 @@ schedule latency"
 #      SHA-256 of that quick paper report and of the 1-shard quick
 #      fleet report (shard note normalized as in 2) must equal the
 #      digests recorded at commit 30a5743. A change that moves either
-#      report is a deliberate re-baseline that updates them here.
+#      report is a deliberate re-baseline that updates them here;
+#   9. every example under examples/ built and run once: the SHA-256
+#      of each one's stdout must equal the digest recorded below
+#      (captured at commit f843d58, identical across runs). The
+#      examples drive the library's public surface end to end — the
+#      bulk engine, the gate calls, simdram and fcsynth — so a change
+#      that moves their output is a deliberate re-baseline that
+#      updates the digest here.
 determinism() {
   mkdir -p target/tools
   cargo build --release -p characterize || return 1
@@ -298,11 +305,27 @@ determinism() {
   sed "$shard_note" target/tools/det_fleet_s1.json \
     | expect_sha256 "quick fleet report" \
         2dc8db9765c2a100923cbb2ba7c914d7e33d189e88452a06e91e4d3bb7eb8e75 || return 1
+  cargo build --release --examples || return 1
+  local example digest
+  while read -r example digest; do
+    "target/release/examples/$example" \
+      | expect_sha256 "example $example stdout" "$digest" || return 1
+  done <<'DIGESTS'
+bitmap_scan 5a75cc35b9ecbedd8ec769409740acf344db161dba9fab69d5c888cebcdf0280
+energy_comparison 390ed4d62a1fd11479406ba6a472a12d81fb5ec50b5c288af0e5e22ae456b357
+in_dram_trng 1aee96ab499223a8505c2cba629206084544a2f857948f17166c253518e47fcd
+quickstart 4e674d6f82fc4eeb4d5bf9f24b4091450ea664df2fc4c55d389b035ded681c32
+reliability_explorer ff5e5991bd88b4e062affaeb1ff25d5bd7a3b7fc8883c5d55fea560e40e34c70
+reverse_engineer 64bdfb43d73b054564cf68cb3f4ece1370cddd8725a073642818df0e06c23814
+similarity_search 4fe46ff8b5f08d340caabd02456482c570e4c106458484bdf32f9308b5db7b49
+synth_logic ad39689c8c2949c5a59c6bd2c6a7537e3ae5d27c3c1229857446f0a51a170d86
+vector_arithmetic 0ffc694aff2a277921c3702136f6aa593604701db1458e5ed5271f6191804c0d
+DIGESTS
   echo "determinism: fleet, serve, wide serve, and faulted serve (vm + bender)" \
        "reports byte-identical; fleet-health ledger identical across shards and backends;" \
        "daemon session, trace JSON, and metrics replay byte-identically" \
        "(shards 1/5 x vm/bender); quick paper report byte-identical across runs;" \
-       "quick paper and fleet reports match their recorded digests"
+       "quick paper and fleet reports and every example's stdout match their recorded digests"
 }
 
 # Docs gate, two halves:

@@ -9,11 +9,13 @@
 use crate::patterns::DataPattern;
 use dram_core::variation::row_region;
 use dram_core::{
-    BankId, CellRole, ChipId, DistanceRegion, DramModule, Geometry, LocalRow, LogicOp,
-    Manufacturer, ModuleConfig, OpOutcome, PatternKind, StripeSide, SubarrayId, Temperature,
+    result_role, BankId, CellRole, ChipId, CsTerminal, DistanceRegion, DramModule, Geometry,
+    LocalRow, LogicOp, Manufacturer, ModuleConfig, OpOutcome, OutcomeKind, PatternKind, StripeSide,
+    SubarrayId, Temperature,
 };
 use fcdram::{ActivationMap, Bit, Fcdram, FcdramError, PatternEntry, Result};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Experiment scale knobs (runtime vs fidelity).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -173,16 +175,15 @@ pub struct NotCellRecord {
 }
 
 /// Ships one NOT entry with `pattern` as its source row (the gate
-/// only, nothing read back) and returns the activated shape
-/// (`N_RF`, `N_RL`) and the outcome.
+/// only, nothing read back) and returns the outcome.
 pub(crate) fn not_gate(
     ctx: &mut ModuleCtx,
     entry: &PatternEntry,
     pattern: DataPattern,
-) -> Result<((usize, usize), OpOutcome)> {
+) -> Result<OpOutcome> {
     let src = pattern.row(ctx.cfg.geometry().cols());
-    let (_, shape, outcome) = ctx.fc.not_outcome(BANK, entry, &src)?;
-    Ok((shape, outcome))
+    let (_, outcome) = ctx.fc.not_outcome(BANK, entry, src.into(), None)?;
+    Ok(outcome)
 }
 
 /// Executes one NOT entry with `pattern` as its source row and
@@ -190,14 +191,19 @@ pub(crate) fn not_gate(
 ///
 /// The records come from the gate's outcome ([`Fcdram::not_outcome`]):
 /// no destination row is read back, which leaves every cell and every
-/// later draw exactly as [`Fcdram::execute_not`] would (experiments
-/// install no disturbance policy).
+/// later draw exactly as reading them would (experiments install no
+/// disturbance policy; see [`Fcdram::read_row`]).
 pub fn run_not(
     ctx: &mut ModuleCtx,
     entry: &PatternEntry,
     pattern: DataPattern,
 ) -> Result<Vec<NotCellRecord>> {
-    let ((n_rf, n_rl), outcome) = not_gate(ctx, entry, pattern)?;
+    let outcome = not_gate(ctx, entry, pattern)?;
+    let OutcomeKind::Not { n_rf, n_rl, .. } = outcome.kind else {
+        return Err(FcdramError::OpFailed {
+            detail: format!("NOT produced {:?}", outcome.kind),
+        });
+    };
     let geom = ctx.cfg.geometry();
     let rows = geom.rows_per_subarray();
     let (sub_f, loc_f) = geom.split_row(entry.rf)?;
@@ -243,23 +249,13 @@ pub struct LogicCellRecord {
     pub other_region: DistanceRegion,
 }
 
-/// The role of `op`'s result cells: the compute terminal for AND/OR,
-/// the reference terminal for NAND/NOR.
-pub(crate) fn result_role(op: LogicOp) -> CellRole {
-    if op.is_inverted_terminal() {
-        CellRole::Reference
-    } else {
-        CellRole::Compute
-    }
-}
-
 /// Executes one logic entry and collects result-cell records (compute
 /// terminal for AND/OR, reference terminal for NAND/NOR).
 ///
 /// The records come from the gate's outcome
-/// ([`Fcdram::logic_outcome`]): no result row is read back, which
-/// leaves every cell and every later draw exactly as
-/// [`Fcdram::execute_logic`] would (experiments install no
+/// ([`Fcdram::logic_outcome`], resolving only the result terminal): no
+/// result row is read back, which leaves every cell and every later
+/// draw exactly as reading them would (experiments install no
 /// disturbance policy).
 pub fn run_logic(
     ctx: &mut ModuleCtx,
@@ -267,8 +263,23 @@ pub fn run_logic(
     op: LogicOp,
     inputs: &[Vec<Bit>],
 ) -> Result<Vec<LogicCellRecord>> {
-    let (_, n, outcome) = ctx.fc.logic_outcome(BANK, entry, op, inputs)?;
-    logic_records(&ctx.cfg.geometry(), entry, op, n, &outcome)
+    let outcome = logic_gate(ctx, entry, op, inputs)?;
+    logic_records(&ctx.cfg.geometry(), entry, op, &outcome)
+}
+
+/// Ships one logic operation through `entry` (the gate only, nothing
+/// read back, only the result terminal resolved) and returns the
+/// outcome.
+fn logic_gate(
+    ctx: &mut ModuleCtx,
+    entry: &PatternEntry,
+    op: LogicOp,
+    inputs: &[Vec<Bit>],
+) -> Result<OpOutcome> {
+    let rows: Vec<Arc<[Bit]>> = inputs.iter().map(|r| Arc::from(r.as_slice())).collect();
+    let mask = Some(CsTerminal::terminal_of(op));
+    let (_, outcome) = ctx.fc.logic_outcome(BANK, entry, op, &rows, None, mask)?;
+    Ok(outcome)
 }
 
 /// The result-cell records of one logic outcome through `entry`.
@@ -276,9 +287,9 @@ fn logic_records(
     geom: &Geometry,
     entry: &PatternEntry,
     op: LogicOp,
-    n: usize,
     outcome: &OpOutcome,
 ) -> Result<Vec<LogicCellRecord>> {
+    let n = entry.shape().1;
     let rows = geom.rows_per_subarray();
     let role = result_role(op);
     // The *addressed* rows anchor the opposite-side distance term
@@ -314,8 +325,8 @@ fn logic_records(
 }
 
 /// Runs a (op, N) condition's `draws` random input sets through the
-/// map's `N:N` entry, handing each draw's input count and outcome to
-/// `visit` in draw order (the gate only, nothing read back). This is
+/// map's `N:N` entry, handing each draw's outcome to `visit` in draw
+/// order (the gate only, nothing read back). This is
 /// the one draw loop of a logic condition: [`run_logic_random`] and
 /// the fleet sweep both run it.
 ///
@@ -329,7 +340,7 @@ pub(crate) fn logic_draws(
     n: usize,
     draws: usize,
     seed: u64,
-    mut visit: impl FnMut(&PatternEntry, usize, &OpOutcome) -> Result<()>,
+    mut visit: impl FnMut(&PatternEntry, &OpOutcome) -> Result<()>,
 ) -> Result<()> {
     let entry = ctx
         .map
@@ -343,8 +354,8 @@ pub(crate) fn logic_draws(
             dram_core::math::mix3(seed, d as u64, n as u64),
             cols,
         );
-        let (_, width, outcome) = ctx.fc.logic_outcome(BANK, &entry, op, &inputs)?;
-        visit(&entry, width, &outcome)?;
+        let outcome = logic_gate(ctx, &entry, op, &inputs)?;
+        visit(&entry, &outcome)?;
     }
     Ok(())
 }
@@ -360,8 +371,8 @@ pub fn run_logic_random(
 ) -> Result<Vec<LogicCellRecord>> {
     let geom = ctx.cfg.geometry();
     let mut out = Vec::new();
-    logic_draws(ctx, op, n, draws, seed, |entry, width, outcome| {
-        out.extend(logic_records(&geom, entry, op, width, outcome)?);
+    logic_draws(ctx, op, n, draws, seed, |entry, outcome| {
+        out.extend(logic_records(&geom, entry, op, outcome)?);
         Ok(())
     })?;
     Ok(out)

@@ -16,9 +16,9 @@
 
 use crate::patterns::DataPattern;
 use crate::report::{Row, Table};
-use crate::runner::{logic_draws, not_gate, result_role, ModuleCtx, Scale};
+use crate::runner::{logic_draws, not_gate, ModuleCtx, Scale};
 use dram_core::fleet::{ChipSpec, FleetConfig};
-use dram_core::{CellRole, LogicOp, Manufacturer, OpOutcome, Temperature};
+use dram_core::{result_role, CellRole, LogicOp, Manufacturer, OpOutcome, Temperature};
 use fcdram::SuccessAccumulator;
 use serde::{Deserialize, Serialize};
 
@@ -229,7 +229,7 @@ pub fn chip_sweep(ctx: &mut ModuleCtx, cfg: &SweepConfig, out: &mut ChipResult) 
                 out.conditions += 1;
                 let mut measured = false;
                 for entry in entries.iter().take(cfg.scale.execs_per_condition) {
-                    if let Ok((_, outcome)) = not_gate(ctx, entry, *pattern) {
+                    if let Ok(outcome) = not_gate(ctx, entry, *pattern) {
                         out.not.extend_from(success_of(&outcome, CellRole::NotDst));
                         measured = true;
                     }
@@ -247,17 +247,11 @@ pub fn chip_sweep(ctx: &mut ModuleCtx, cfg: &SweepConfig, out: &mut ChipResult) 
             for (oi, op) in cfg.logic_ops.iter().enumerate() {
                 let seed = dram_core::math::mix3(chip_seed, (ni * 64 + oi) as u64, 0x51EE9);
                 draws.clear();
-                let measured = logic_draws(
-                    ctx,
-                    *op,
-                    *n,
-                    cfg.scale.input_draws,
-                    seed,
-                    |_, _, outcome| {
+                let measured =
+                    logic_draws(ctx, *op, *n, cfg.scale.input_draws, seed, |_, outcome| {
                         draws.extend(success_of(outcome, result_role(*op)));
                         Ok(())
-                    },
-                );
+                    });
                 match measured {
                     Ok(()) if !draws.is_empty() => {
                         out.conditions += 1;

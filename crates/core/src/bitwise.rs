@@ -12,7 +12,8 @@ use crate::mapping::{ActivationMap, InSubarrayEntry, PatternEntry};
 use crate::ops::{Fcdram, Prelude};
 use crate::packed::PackedBits;
 use dram_core::{
-    BankId, Bit, GlobalRow, LocalRow, LogicOp, MultiActivation, SimFidelity, SubarrayId,
+    result_role, BankId, Bit, CellRole, CsTerminal, GlobalRow, LocalRow, LogicOp, MultiActivation,
+    SimFidelity, SubarrayId,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -53,14 +54,16 @@ pub struct OpStats {
     pub predicted_success: f64,
 }
 
-/// One device gate as [`BulkEngine::run_gate`] dispatches it.
+/// One device gate as [`BulkEngine::run_gate`] dispatches it, over
+/// its full-width staged rows (built once, shared by every repeated
+/// execution).
 #[derive(Clone, Copy)]
 enum Gate<'a> {
-    /// NOT of the operand value.
-    Not(&'a PackedBits),
-    /// N-input logic over operand values.
-    Logic(LogicOp, &'a [&'a PackedBits]),
-    /// In-subarray majority over full-width staged rows.
+    /// NOT of the staged source row.
+    Not(&'a Arc<[Bit]>),
+    /// N-input logic over the staged operand rows.
+    Logic(LogicOp, &'a [Arc<[Bit]>]),
+    /// In-subarray majority over the staged rows.
     Maj(&'a [Arc<[Bit]>]),
 }
 
@@ -72,16 +75,17 @@ enum Gate<'a> {
 ///
 /// Each gate (`not`, `logic`, `maj3`, `copy`) has one method. It takes
 /// the operand values from the caller, who owns them (no gate reads an
-/// operand row back), ships as one command program from the [`Fcdram`]
-/// value ops, reads back one result row and returns those bits with its
+/// operand row back), ships as one command program through the
+/// [`Fcdram`] gate call, reads back the first result row's lanes
+/// ([`Fcdram::read_lanes`]) and returns those bits with its
 /// statistics.
 #[derive(Debug)]
 pub struct BulkEngine {
     fc: Fcdram,
     bank: BankId,
     map: ActivationMap,
-    com_subarray: SubarrayId,
-    shared_cols: Vec<usize>,
+    /// Bits per vector: the shared column half of a row.
+    lanes: usize,
     shared_start: usize,
     free_rows: Vec<GlobalRow>,
     repetition: usize,
@@ -137,9 +141,9 @@ impl BulkEngine {
         let pair = (pair_upper, SubarrayId(pair_upper.index() + 1));
         let map = fc.discover(bank, pair, scan_budget)?;
         let geom = fc.config().geometry();
-        let shared_cols: Vec<usize> = (0..geom.cols())
+        let lanes = (0..geom.cols())
             .filter(|c| dram_core::is_shared_col(pair.0, dram_core::Col(*c)))
-            .collect();
+            .count();
         // The first entry of each small NOT destination shape; NOTs run
         // through the first of them.
         let not_shapes: Vec<&PatternEntry> = [1usize, 2]
@@ -204,8 +208,7 @@ impl BulkEngine {
             fc,
             bank,
             map,
-            com_subarray: com_sub,
-            shared_cols,
+            lanes,
             shared_start: (pair.0.index() + 1) % 2,
             free_rows,
             repetition: 1,
@@ -279,7 +282,7 @@ impl BulkEngine {
 
     /// Bits per vector (the shared column half of a row).
     pub fn capacity_bits(&self) -> usize {
-        self.shared_cols.len()
+        self.lanes
     }
 
     /// The discovered activation map (for inspection).
@@ -327,11 +330,6 @@ impl BulkEngine {
         covering(&self.nn_entries, inputs).ok_or(bad)
     }
 
-    /// The compute subarray vectors are allocated in.
-    pub fn compute_subarray(&self) -> SubarrayId {
-        self.com_subarray
-    }
-
     /// The bank this engine computes in.
     pub fn bank(&self) -> BankId {
         self.bank
@@ -343,11 +341,6 @@ impl BulkEngine {
     /// stay bit-identical to this engine's operation sequences.
     pub fn fcdram(&self) -> &Fcdram {
         &self.fc
-    }
-
-    /// Mutable access to the wrapped library facade.
-    pub fn fcdram_mut(&mut self) -> &mut Fcdram {
-        &mut self.fc
     }
 
     /// Enables k-fold repetition with majority voting (k odd).
@@ -369,7 +362,7 @@ impl BulkEngine {
         let row = self.free_rows.pop().ok_or(FcdramError::OutOfRows)?;
         Ok(BitVecHandle {
             row,
-            len: self.shared_cols.len(),
+            len: self.lanes,
         })
     }
 
@@ -400,12 +393,8 @@ impl BulkEngine {
     /// shared column half directly into `u64` words.
     pub fn read_packed(&mut self, v: &BitVecHandle) -> Result<PackedBits> {
         self.flush_pending()?;
-        let chip = self.fc.chip();
-        let words =
-            self.fc
-                .bender_mut()
-                .read_row_packed(chip, self.bank, v.row, self.shared_start)?;
-        Ok(PackedBits::from_words(words, self.shared_cols.len()))
+        self.fc
+            .read_lanes(self.bank, v.row, self.shared_start, self.lanes)
     }
 
     /// In-DRAM NOT: `out ← ¬a`, staging the operand value `a` and
@@ -415,12 +404,15 @@ impl BulkEngine {
     ///
     /// Returns [`FcdramError::WidthMismatch`] for an operand that is
     /// not [`Self::capacity_bits`] wide and [`FcdramError::NoPattern`]
-    /// when the map has no NOT pattern, and propagates device errors.
+    /// when the map has no NOT pattern, both before any device access,
+    /// and propagates device errors.
     pub fn not(&mut self, a: &PackedBits, out: &BitVecHandle) -> Result<(OpStats, PackedBits)> {
         self.check_width(a)?;
+        self.not_entry()?;
         let mut ideal = a.clone();
         ideal.not_in_place();
-        self.run_gate(Gate::Not(a), &ideal, out)
+        let src = self.expand_packed(a);
+        self.run_gate(Gate::Not(&src), &ideal, out)
     }
 
     /// In-DRAM N-input logic: `out ← op(inputs...)` over the operand
@@ -444,8 +436,9 @@ impl BulkEngine {
     ) -> Result<(OpStats, PackedBits)> {
         self.logic_entry(inputs.len())?;
         inputs.iter().try_for_each(|v| self.check_width(v))?;
-        let ideal = crate::ops::ideal_logic(op, inputs, self.shared_cols.len());
-        self.run_gate(Gate::Logic(op, inputs), &ideal, out)
+        let ideal = ideal_logic(op, inputs, self.lanes);
+        let rows: Vec<Arc<[Bit]>> = inputs.iter().map(|v| self.expand_packed(v)).collect();
+        self.run_gate(Gate::Logic(op, &rows), &ideal, out)
     }
 
     /// In-DRAM three-input majority via Ambit-style simultaneous
@@ -479,10 +472,9 @@ impl BulkEngine {
         }
         [a, b, c].iter().try_for_each(|v| self.check_width(v))?;
         // MAJ3 = (a∧b) ∨ (a∧c) ∨ (b∧c), word-wise.
-        let and = |x: &PackedBits, y| crate::ops::ideal_logic(LogicOp::And, &[x, y], a.len());
+        let and = |x: &PackedBits, y| ideal_logic(LogicOp::And, &[x, y], a.len());
         let terms = [and(a, b), and(a, c), and(b, c)];
-        let ideal =
-            crate::ops::ideal_logic(LogicOp::Or, &[&terms[0], &terms[1], &terms[2]], a.len());
+        let ideal = ideal_logic(LogicOp::Or, &[&terms[0], &terms[1], &terms[2]], a.len());
         let cols = self.fc.config().modeled_cols;
         let inputs = [
             self.expand_packed(a),
@@ -559,9 +551,7 @@ impl BulkEngine {
         )
     }
 
-    /// Fills a vector with a constant bit (a host row write; see
-    /// [`Fcdram::broadcast`] for the amortized in-DRAM bulk
-    /// initialization of many rows at once).
+    /// Fills a vector with a constant bit (a host row write).
     ///
     /// # Errors
     ///
@@ -577,7 +567,7 @@ impl BulkEngine {
 
     /// Checks that `bits` is one vector wide.
     fn check_width(&self, bits: &PackedBits) -> Result<()> {
-        let expected = self.shared_cols.len();
+        let expected = self.lanes;
         if bits.len() != expected {
             return Err(FcdramError::WidthMismatch {
                 expected,
@@ -594,9 +584,10 @@ impl BulkEngine {
         bits.expand_strided(self.fc.config().modeled_cols, self.shared_start)
     }
 
-    /// Runs `gate` `repetition` times through its value op — the first
-    /// run carries the deferred result write as its program's prelude
-    /// — majority-votes the results and stores the vote in `out`:
+    /// Runs `gate` `repetition` times through its [`Fcdram`] gate call
+    /// — the first run carries the deferred result write as its
+    /// program's prelude — reads each run's first result row back as
+    /// lanes, majority-votes them and stores the vote in `out`:
     /// deferred into the visit when one is open, landed now otherwise.
     fn run_gate(
         &mut self,
@@ -605,46 +596,41 @@ impl BulkEngine {
         out: &BitVecHandle,
     ) -> Result<(OpStats, PackedBits)> {
         let k = self.repetition;
-        let mut votes = vec![0u32; if k > 1 { self.shared_cols.len() } else { 0 }];
+        let mut votes = vec![0u32; if k > 1 { self.lanes } else { 0 }];
         let mut predicted = 0.0;
         let mut result = None;
         for _ in 0..k {
             let prelude = self.pending.take();
-            let (bits, p) = match gate {
-                Gate::Not(val) => {
-                    let entry = self
-                        .not_entry
-                        .as_ref()
-                        .ok_or(FcdramError::NoPattern { n_rf: 1, n_rl: 1 })?;
-                    let rep = self.fc.execute_not_value(self.bank, entry, val, prelude)?;
-                    (rep.result, rep.predicted_success)
+            let ((layout, outcome), role) = match gate {
+                Gate::Not(src) => {
+                    let entry = self.not_entry.as_ref().expect("checked by not");
+                    let shipped = self
+                        .fc
+                        .not_outcome(self.bank, entry, src.clone(), prelude)?;
+                    (shipped, CellRole::NotDst)
                 }
-                Gate::Logic(op, vals) => {
+                Gate::Logic(op, rows) => {
                     let entry =
-                        covering(&self.nn_entries, vals.len()).expect("checked by logic_entry");
-                    let rep = self.fc.execute_logic_value(
-                        self.bank,
-                        entry,
-                        op,
-                        vals,
-                        prelude,
-                        self.mask_safe,
-                    )?;
-                    (rep.result, rep.predicted_success)
+                        covering(&self.nn_entries, rows.len()).expect("checked by logic_entry");
+                    let mask = self.mask_safe.then(|| CsTerminal::first_row_of(op));
+                    let shipped = self
+                        .fc
+                        .logic_outcome(self.bank, entry, op, rows, prelude, mask)?;
+                    (shipped, result_role(op))
                 }
-                Gate::Maj(inputs) => {
+                Gate::Maj(rows) => {
                     let entry = self.maj_entry.as_ref().expect("checked by maj3");
-                    let rep = self.fc.execute_maj_value(
-                        self.bank,
-                        entry,
-                        inputs,
-                        self.shared_start,
-                        prelude,
-                    )?;
-                    (rep.result, rep.predicted_success)
+                    let shipped = self.fc.maj_outcome(self.bank, entry, rows, prelude)?;
+                    (shipped, CellRole::OffMaj)
                 }
             };
-            predicted += p;
+            let bits = self.fc.read_lanes(
+                self.bank,
+                layout.result_rows[0],
+                self.shared_start,
+                self.lanes,
+            )?;
+            predicted += outcome.mean_success(role).unwrap_or(0.0);
             if k > 1 {
                 tally(&mut votes, &bits);
             }
@@ -667,6 +653,22 @@ impl BulkEngine {
         }
         Ok((stats, result))
     }
+}
+
+/// The ideal result of `op` over packed inputs.
+fn ideal_logic(op: LogicOp, inputs: &[&PackedBits], lanes: usize) -> PackedBits {
+    let mut out = PackedBits::splat(op.is_and_family(), lanes);
+    for input in inputs {
+        if op.is_and_family() {
+            out.and_assign(input);
+        } else {
+            out.or_assign(input);
+        }
+    }
+    if op.is_inverted_terminal() {
+        out.not_in_place();
+    }
+    out
 }
 
 /// The narrowest of `entries` (narrowest first) with at least
@@ -994,6 +996,22 @@ mod tests {
         // Operand rows survive the gates untouched.
         assert_eq!(e2.read_packed(&r2[0]).unwrap(), *va);
         assert_eq!(e2.read_packed(&r2[2]).unwrap(), *vc);
+    }
+
+    /// A gate refused for a missing pattern ships nothing, so the
+    /// visit's deferred result write still lands.
+    #[test]
+    fn a_refused_not_keeps_the_deferred_write() {
+        let mut e = engine();
+        e.not_entry = None;
+        let out = e.alloc().unwrap();
+        let (da, db) = (packed(40), packed(41));
+        e.begin_visit();
+        let (_, stored) = e.logic(LogicOp::Or, &[&da, &db], &out).unwrap();
+        let err = e.not(&da, &out).unwrap_err();
+        assert!(matches!(err, FcdramError::NoPattern { .. }), "{err:?}");
+        e.end_visit().unwrap();
+        assert_eq!(e.read_packed(&out).unwrap(), stored);
     }
 
     #[test]

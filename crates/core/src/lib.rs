@@ -9,8 +9,13 @@
 //!   probing, physical row order via RowHammer, and the
 //!   `N_RF:N_RL` activation-pattern map of every neighboring subarray
 //!   pair ([`mapping`], [`row_order`]);
-//! * **in-DRAM operations** — RowClone, `Frac` (VDD/2), NOT, and
-//!   N-input AND / OR / NAND / NOR for N up to 16 ([`ops`]);
+//! * **in-DRAM operations** — RowClone, NOT, N-input AND / OR / NAND /
+//!   NOR for N up to 16 and in-subarray MAJ ([`ops`]): one call per
+//!   gate family ([`Fcdram::not_outcome`], [`Fcdram::logic_outcome`],
+//!   [`Fcdram::maj_outcome`]) ships the gate as one command program and
+//!   returns where the result landed and the per-cell outcome, and two
+//!   reads fetch results back ([`Fcdram::read_row`] full width,
+//!   [`Fcdram::read_lanes`] as packed shared-half lanes);
 //! * **a bulk bitwise engine** — allocate bit vectors in DRAM and
 //!   combine them with in-DRAM gates, optionally with repetition
 //!   voting for reliability ([`bitwise`]);
@@ -54,10 +59,7 @@ pub mod success;
 pub use bitwise::{BitVecHandle, BulkEngine, OpStats};
 pub use error::{FcdramError, Result};
 pub use mapping::{ActivationMap, CoverageRow, InSubarrayEntry, PatternEntry};
-pub use ops::{
-    FastLogicResult, FastMajResult, FastNotResult, Fcdram, GateLayout, GateSite, LogicReport,
-    MajReport, NotReport, Prelude,
-};
+pub use ops::{Fcdram, GateLayout, GateSite, Prelude};
 pub use packed::PackedBits;
 pub use row_order::{discover_row_order, RowOrder};
 pub use success::{sample_trials, sampled_success_rate, SuccessAccumulator, SuccessStats};

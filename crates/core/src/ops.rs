@@ -1,130 +1,26 @@
-//! The in-DRAM operations: RowClone, Frac, NOT, and N-input
-//! AND/OR/NAND/NOR, executed over the command interface against a
+//! The in-DRAM operations: RowClone, NOT, N-input AND/OR/NAND/NOR and
+//! in-subarray MAJ, executed over the command interface against a
 //! discovered [`ActivationMap`].
 //!
 //! Each device gate — NOT, N-input logic and in-subarray MAJ — has
-//! exactly one command-program builder ([`GateSite`]). Every layer that
-//! issues a gate takes its program from there: the characterization
-//! ops and value ops below, the bulk engine on top of them, and the
-//! command-schedule execution backend.
+//! exactly one command-program builder ([`GateSite`]) and one
+//! [`Fcdram`] call that ships it ([`Fcdram::not_outcome`],
+//! [`Fcdram::logic_outcome`], [`Fcdram::maj_outcome`]) and returns
+//! where the result landed and the per-cell outcome. Results are read
+//! back on their own, full width ([`Fcdram::read_row`]) or as packed
+//! shared-half lanes ([`Fcdram::read_lanes`]). Every layer that issues
+//! a gate takes its program from there: the characterization runner,
+//! the bulk engine and the command-schedule execution backend.
 
 use crate::error::{FcdramError, Result};
 use crate::mapping::{ActivationMap, InSubarrayEntry, PatternEntry};
 use crate::packed::PackedBits;
-use bender::{Bender, Program, ProgramBuilder};
+use bender::{Bender, ProgramBuilder};
 use dram_core::{
-    is_shared_col, BankId, Bit, CellRole, ChipId, Col, CsTerminal, DramModule, Geometry, GlobalRow,
-    LocalRow, LogicOp, ModuleConfig, OpOutcome, OutcomeKind, SubarrayId,
+    BankId, Bit, ChipId, CsTerminal, DramModule, Geometry, GlobalRow, LocalRow, LogicOp,
+    ModuleConfig, OpOutcome, OutcomeKind, SubarrayId,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Result of a value-path NOT: packed, shared columns only, first
-/// destination row only, no per-cell records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FastNotResult {
-    /// Shape actually activated (`N_RF`, `N_RL`).
-    pub shape: (usize, usize),
-    /// First destination row's shared columns (packed).
-    pub result: PackedBits,
-    /// Fraction of the first destination row's shared cells holding
-    /// ¬src.
-    pub observed_success: f64,
-    /// Mean model-assigned success probability of destination cells.
-    pub predicted_success: f64,
-}
-
-/// Result of a value-path logic operation (packed, shared columns
-/// only, first result row only).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FastLogicResult {
-    /// The operation.
-    pub op: LogicOp,
-    /// Input count (the `N` of the `N:N` entry).
-    pub n: usize,
-    /// Ideal result on shared columns (packed).
-    pub expected: PackedBits,
-    /// First result row's shared columns (packed).
-    pub result: PackedBits,
-    /// Fraction of the first result row's shared cells holding the
-    /// correct value.
-    pub observed_success: f64,
-    /// Mean model success probability of result cells.
-    pub predicted_success: f64,
-}
-
-/// Result of a value-path in-subarray majority.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FastMajResult {
-    /// Number of rows that charge-shared.
-    pub n: usize,
-    /// First raised row's shared columns (packed; the engine's vectors
-    /// live on the shared half).
-    pub result: PackedBits,
-    /// Mean model success probability of the raised cells.
-    pub predicted_success: f64,
-}
-
-/// Result of an executed NOT operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NotReport {
-    /// Shape actually activated (`N_RF`, `N_RL`).
-    pub shape: (usize, usize),
-    /// Shared columns carrying the negated result.
-    pub shared_cols: Vec<usize>,
-    /// Read-back of each destination row (full width).
-    pub dst_reads: Vec<(GlobalRow, Vec<Bit>)>,
-    /// Fraction of destination cells on shared columns holding ¬src.
-    pub observed_success: f64,
-    /// Mean model-assigned success probability of destination cells
-    /// (the trials → ∞ success rate).
-    pub predicted_success: f64,
-    /// The raw per-cell outcome, for fine-grained analysis.
-    pub outcome: OpOutcome,
-}
-
-/// Result of an executed logic operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LogicReport {
-    /// The operation.
-    pub op: LogicOp,
-    /// Input count.
-    pub n: usize,
-    /// Shared columns carrying results.
-    pub shared_cols: Vec<usize>,
-    /// The ideal result on shared columns (in `shared_cols` order).
-    pub expected: Vec<Bit>,
-    /// The result read back from the first result row (in
-    /// `shared_cols` order).
-    pub result: Vec<Bit>,
-    /// Fraction of result cells (all result rows × shared columns)
-    /// holding the correct value.
-    pub observed_success: f64,
-    /// Mean model success probability of result cells.
-    pub predicted_success: f64,
-    /// The raw per-cell outcome, for fine-grained analysis. It carries
-    /// only the result terminal's shared-half cells (role `Compute`
-    /// for AND/OR, `Reference` for NAND/NOR): the other terminal and
-    /// the non-shared majority half are not resolved.
-    pub outcome: OpOutcome,
-}
-
-/// Result of an executed in-subarray majority operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MajReport {
-    /// Number of rows that charge-shared.
-    pub n: usize,
-    /// The ideal majority result per column.
-    pub expected: Vec<Bit>,
-    /// The result read back from the first raised row.
-    pub result: Vec<Bit>,
-    /// Fraction of raised-row cells holding the correct majority.
-    pub observed_success: f64,
-    /// Mean model success probability.
-    pub predicted_success: f64,
-    /// The raw per-cell outcome.
-    pub outcome: OpOutcome,
-}
 
 /// A deferred full-row write: `(row, data)` shipped ahead of a gate
 /// program instead of as a program of its own; `data` is the write's
@@ -152,7 +48,7 @@ pub struct GateSite {
 pub struct GateLayout {
     /// The rows that hold the result: the NOT destination rows, the
     /// read terminal's rows (compute side for AND/OR, reference side
-    /// for NAND/NOR), or the MAJ set's rows. The value ops read back
+    /// for NAND/NOR), or the MAJ set's rows. The bulk engine reads back
     /// only the first.
     pub result_rows: Vec<GlobalRow>,
 }
@@ -254,13 +150,6 @@ impl GateSite {
         self.join_rows(sub, rows)
     }
 
-    /// First shared column and shared-lane count of `entry`'s
-    /// subarray pair (results live on every other column from there).
-    fn shared_lanes(&self, entry: &PatternEntry) -> Result<(usize, usize)> {
-        let start = (upper_subarray(&self.geom, entry)?.index() + 1) % 2;
-        Ok((start, (self.geom.cols() - start).div_ceil(2)))
-    }
-
     fn join_rows(&self, sub: SubarrayId, rows: &[LocalRow]) -> Result<Vec<GlobalRow>> {
         rows.iter()
             .map(|r| Ok(self.geom.join_row(sub, *r)?))
@@ -276,8 +165,8 @@ fn upper_subarray(geom: &Geometry, entry: &PatternEntry) -> Result<SubarrayId> {
     Ok(SubarrayId(sub_f.index().min(sub_l.index())))
 }
 
-/// Checks a logic operation's entry shape and input count; returns N.
-fn logic_width(entry: &PatternEntry, inputs: usize) -> Result<usize> {
+/// Checks a logic operation's entry shape and input count.
+fn check_logic_inputs(entry: &PatternEntry, inputs: usize) -> Result<()> {
     let (n_ref, n_com) = entry.shape();
     if n_ref != n_com {
         return Err(FcdramError::OpFailed {
@@ -290,61 +179,38 @@ fn logic_width(entry: &PatternEntry, inputs: usize) -> Result<usize> {
             max: n_com,
         });
     }
-    Ok(n_com)
+    Ok(())
 }
 
-fn check_width(expected: usize, got: usize) -> Result<()> {
-    if got == expected {
-        Ok(())
+/// Checks a majority's input count (one row per raised row).
+fn check_maj_inputs(entry: &InSubarrayEntry, inputs: usize) -> Result<()> {
+    let n = entry.rows.len();
+    if inputs != n {
+        return Err(FcdramError::BadInputCount { n: inputs, max: n });
+    }
+    Ok(())
+}
+
+/// Checks that every staged row is `cols` wide.
+fn check_widths(cols: usize, rows: &[Arc<[Bit]>]) -> Result<()> {
+    match rows.iter().find(|r| r.len() != cols) {
+        Some(r) => Err(FcdramError::WidthMismatch {
+            expected: cols,
+            got: r.len(),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// `outcome` when `ok` accepts its kind; an [`FcdramError::OpFailed`]
+/// naming `what` otherwise.
+fn expect_kind(outcome: OpOutcome, what: &str, ok: fn(&OutcomeKind) -> bool) -> Result<OpOutcome> {
+    if ok(&outcome.kind) {
+        Ok(outcome)
     } else {
-        Err(FcdramError::WidthMismatch { expected, got })
-    }
-}
-
-/// The ideal result of `op` over packed inputs.
-pub(crate) fn ideal_logic(op: LogicOp, inputs: &[&PackedBits], lanes: usize) -> PackedBits {
-    let mut out = PackedBits::splat(op.is_and_family(), lanes);
-    for input in inputs {
-        if op.is_and_family() {
-            out.and_assign(input);
-        } else {
-            out.or_assign(input);
-        }
-    }
-    if op.is_inverted_terminal() {
-        out.not_in_place();
-    }
-    out
-}
-
-/// The activation shape of a NOT outcome.
-fn not_shape(outcome: &OpOutcome) -> Result<(usize, usize)> {
-    match outcome.kind {
-        OutcomeKind::Not { n_rf, n_rl, .. } => Ok((n_rf, n_rl)),
-        ref k => Err(FcdramError::OpFailed {
-            detail: format!("NOT produced {k:?}"),
-        }),
-    }
-}
-
-fn expect_kind(outcome: &OpOutcome, in_subarray: bool) -> Result<()> {
-    match (&outcome.kind, in_subarray) {
-        (OutcomeKind::Logic { .. }, false) | (OutcomeKind::InSubarray { .. }, true) => Ok(()),
-        (k, false) => Err(FcdramError::OpFailed {
-            detail: format!("charge share produced {k:?}"),
-        }),
-        (k, true) => Err(FcdramError::OpFailed {
-            detail: format!("in-subarray activation produced {k:?}"),
-        }),
-    }
-}
-
-/// The role of `op`'s result cells.
-fn result_role(op: LogicOp) -> CellRole {
-    if op.is_inverted_terminal() {
-        CellRole::Reference
-    } else {
-        CellRole::Compute
+        Err(FcdramError::OpFailed {
+            detail: format!("{what} produced {:?}", outcome.kind),
+        })
     }
 }
 
@@ -457,9 +323,31 @@ impl Fcdram {
         Ok(())
     }
 
-    /// Reads a row (timing-respecting command sequence).
+    /// Reads a row, full width (timing-respecting command sequence).
+    ///
+    /// A read-back changes no cell, draws nothing and advances no op
+    /// counter: it only charges the chip's command tally and
+    /// disturbance counters, which no later outcome reads unless a
+    /// [`dram_core::DisturbancePolicy`] is installed. Without one, a
+    /// caller that needs only a gate's outcome can skip reading its
+    /// result rows and leaves every later operation exactly as it
+    /// would have been.
     pub fn read_row(&mut self, bank: BankId, row: GlobalRow) -> Result<Vec<Bit>> {
         Ok(self.bender.read_row(self.chip, bank, row)?)
+    }
+
+    /// Reads every other column of `row` from `start` (one row's
+    /// shared half), thresholded straight into `lanes` packed lanes:
+    /// the bits [`Fcdram::read_row`] returns on those columns.
+    pub fn read_lanes(
+        &mut self,
+        bank: BankId,
+        row: GlobalRow,
+        start: usize,
+        lanes: usize,
+    ) -> Result<PackedBits> {
+        let words = self.bender.read_row_packed(self.chip, bank, row, start)?;
+        Ok(PackedBits::from_words(words, lanes))
     }
 
     /// Row width in columns.
@@ -475,480 +363,170 @@ impl Fcdram {
     /// does not clone on this chip (try a different destination).
     pub fn rowclone(&mut self, bank: BankId, src: GlobalRow, dst: GlobalRow) -> Result<OpOutcome> {
         let out = self.bender.copy_invert(self.chip, bank, src, dst)?;
-        match out.kind {
-            OutcomeKind::InSubarray { .. } => Ok(out),
-            ref k => Err(FcdramError::OpFailed {
-                detail: format!("rowclone produced {k:?}"),
-            }),
-        }
+        expect_kind(out, "rowclone", |k| {
+            matches!(k, OutcomeKind::InSubarray { .. })
+        })
     }
 
-    /// `Frac`: stores ≈VDD/2 into every cell of `row`.
-    pub fn frac(&mut self, bank: BankId, row: GlobalRow) -> Result<()> {
-        self.bender.frac(self.chip, bank, row)?;
-        Ok(())
-    }
-
-    /// A program builder for `bank` that starts with the deferred
-    /// write, if any.
-    fn program(&self, bank: BankId, prelude: Prelude) -> ProgramBuilder {
+    /// Ships one gate program — the deferred write `prelude` first,
+    /// then the gate `build` emits, arming `mask` for its charge share
+    /// — and returns the layout and the outcome of the program's last
+    /// recognized operation, the gate's own.
+    fn ship(
+        &mut self,
+        bank: BankId,
+        prelude: Prelude,
+        mask: Option<CsTerminal>,
+        build: impl FnOnce(&GateSite, &mut ProgramBuilder) -> Result<GateLayout>,
+    ) -> Result<(GateLayout, OpOutcome)> {
+        let site = self.site(bank);
         let mut b = self.bender.builder();
         if let Some((row, data)) = prelude {
             b.seq_write_row(bank, row, data);
         }
-        b
-    }
-
-    /// Ships one gate program — arming `mask` for its charge share —
-    /// and returns the outcome of its last recognized operation, the
-    /// gate's own.
-    fn ship(&mut self, program: &Program, mask: Option<CsTerminal>) -> Result<OpOutcome> {
+        let gate = build(&site, &mut b)?;
         if let Some(need) = mask {
             self.bender.arm_cs_mask(need);
         }
-        let exec = self.bender.execute(self.chip, program)?;
-        exec.outcomes
+        let exec = self.bender.execute(self.chip, &b.finish())?;
+        let outcome = exec
+            .outcomes
             .into_iter()
             .next_back()
             .map(|(_, o)| o)
             .ok_or_else(|| FcdramError::OpFailed {
                 detail: "gate program produced no outcome".into(),
-            })
+            })?;
+        Ok((gate, outcome))
     }
 
-    /// Reads every other column of `row` from `start`, packed.
-    fn read_lanes(
-        &mut self,
-        bank: BankId,
-        row: GlobalRow,
-        start: usize,
-        lanes: usize,
-    ) -> Result<PackedBits> {
-        let words = self.bender.read_row_packed(self.chip, bank, row, start)?;
-        Ok(PackedBits::from_words(words, lanes))
-    }
-
-    /// Ships a NOT through `entry`, negating `src_data` into the
-    /// destination rows: the source write and the copy-invert ship as
-    /// one program ([`GateSite::not`]) and nothing is read back.
-    /// Returns where the result landed, the activated shape
-    /// (`N_RF`, `N_RL`) and the per-cell outcome, which carries every
-    /// destination cell's success probability.
-    ///
-    /// A read-back changes no cell, draws nothing and advances no op
-    /// counter: it only charges the chip's command tally and
-    /// disturbance counters, which no later outcome reads unless a
-    /// [`dram_core::DisturbancePolicy`] is installed. Without one, a
-    /// caller that needs only the outcome (the characterization
-    /// experiments) sees exactly what [`Fcdram::execute_not`] reports,
-    /// now and in every later operation.
+    /// NOT (§5.1) through `entry`: the deferred write `prelude`, the
+    /// staging of the full-width source row `src` and the tRP-violating
+    /// copy-invert ship as one program ([`GateSite::not`]), and nothing
+    /// is read back. Returns where the result landed (the destination
+    /// rows) and the outcome: its kind carries the activated shape
+    /// (`N_RF`, `N_RL`), its cells every destination cell's success
+    /// probability ([`dram_core::CellRole::NotDst`]).
     ///
     /// # Errors
     ///
-    /// Fails on a width mismatch, an address outside the geometry, or a
-    /// sequence that does not produce a NOT on this chip.
+    /// Fails before anything ships on a width mismatch or an address
+    /// outside the geometry, and after on a sequence that does not
+    /// produce a NOT on this chip.
     pub fn not_outcome(
         &mut self,
         bank: BankId,
         entry: &PatternEntry,
-        src_data: &[Bit],
-    ) -> Result<(GateLayout, (usize, usize), OpOutcome)> {
-        let site = self.site(bank);
-        check_width(site.geom.cols(), src_data.len())?;
-        // Both addressed rows must resolve before anything ships.
-        upper_subarray(&site.geom, entry)?;
-        let mut b = self.bender.builder();
-        let gate = site.not(&mut b, entry, src_data)?;
-        let outcome = self.ship(&b.finish(), None)?;
-        let shape = not_shape(&outcome)?;
-        Ok((gate, shape, outcome))
+        src: Arc<[Bit]>,
+        prelude: Prelude,
+    ) -> Result<(GateLayout, OpOutcome)> {
+        check_widths(self.cols(), std::slice::from_ref(&src))?;
+        let (gate, outcome) = self.ship(bank, prelude, None, |site, b| {
+            // Both addressed rows must resolve before anything ships.
+            upper_subarray(&site.geom, entry)?;
+            site.not(b, entry, src)
+        })?;
+        let outcome = expect_kind(outcome, "NOT", |k| matches!(k, OutcomeKind::Not { .. }))?;
+        Ok((gate, outcome))
     }
 
-    /// Executes a NOT through `entry`, negating `src_data` into the
-    /// destination rows: [`Fcdram::not_outcome`], then every
-    /// destination row is read back full width for the report.
-    pub fn execute_not(
-        &mut self,
-        bank: BankId,
-        entry: &PatternEntry,
-        src_data: &[Bit],
-    ) -> Result<NotReport> {
-        let (gate, shape, outcome) = self.not_outcome(bank, entry, src_data)?;
-        let geom = self.config().geometry();
-        let upper = upper_subarray(&geom, entry)?;
-        let shared_cols: Vec<usize> = (0..geom.cols())
-            .filter(|c| is_shared_col(upper, Col(*c)))
-            .collect();
-        let mut dst_reads = Vec::new();
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        for g in gate.result_rows {
-            let data = self.bender.read_row(self.chip, bank, g)?;
-            for c in &shared_cols {
-                total += 1;
-                if data[*c] == src_data[*c].not() {
-                    correct += 1;
-                }
-            }
-            dst_reads.push((g, data));
-        }
-        let predicted = outcome.mean_success(CellRole::NotDst).unwrap_or(0.0);
-        Ok(NotReport {
-            shape,
-            shared_cols,
-            dst_reads,
-            observed_success: correct as f64 / total.max(1) as f64,
-            predicted_success: predicted,
-            outcome,
-        })
-    }
-
-    /// Ships an N-input logic operation through an `N:N` entry and
-    /// reads nothing back. Returns where the result landed, the entry's
-    /// input count N and the per-cell outcome, which carries every
-    /// result cell's success probability.
+    /// N-input logic (§6.1) through an `N:N` entry: the deferred write
+    /// `prelude`, the reference side's constants and `Frac`, the
+    /// full-width operand rows `inputs` and the charge share ship as
+    /// one program ([`GateSite::logic`]), and nothing is read back.
+    /// Returns where the result landed (the result terminal's rows) and
+    /// the outcome, which carries every resolved result cell's success
+    /// probability ([`dram_core::result_role`]). N is
+    /// `entry.shape().1`.
     ///
-    /// `inputs` are full-width rows (only the shared column half
-    /// carries results). For AND/NAND the reference subarray is loaded
-    /// with N−1 all-1 rows plus one `Frac` row; OR/NOR uses all-0
-    /// rows. Shorter input lists are padded with the operation's
-    /// identity element (all-1 for AND-family, all-0 for OR-family),
-    /// which leaves the result unchanged. The stagings and the charge
-    /// share ship as one program ([`GateSite::logic`]). Skipping the
-    /// read-back is exact as for [`Fcdram::not_outcome`].
+    /// Only the shared column half carries results. For AND/NAND the
+    /// reference subarray holds N−1 all-1 rows plus one `Frac` row;
+    /// OR/NOR uses all-0 rows. Shorter input lists are padded with the
+    /// operation's identity element (all-1 for the AND family, all-0
+    /// for the OR family), which leaves the result unchanged.
     ///
-    /// The charge share resolves only the result terminal (compute
-    /// for AND/OR, reference for NAND/NOR; [`CsTerminal::terminal_of`]).
-    /// That is exact for everything reported: every raised row is
-    /// rewritten just before the charge share, and each result cell's
-    /// success probability and sampled value depend only on those rows.
-    /// The other terminal's rows and the non-shared column half of both
-    /// sides are left unresolved: they keep their staged values until
-    /// they are next written, so a later NOT whose destination rows
+    /// `mask` scopes what the charge share resolves. `None` resolves
+    /// both terminals. [`CsTerminal::terminal_of`] resolves only the
+    /// result terminal: exact for everything the outcome reports,
+    /// since every raised row is rewritten just before the charge
+    /// share and each result cell depends only on those rows; the
+    /// other terminal and the non-shared half keep their staged values
+    /// until next written, so a later NOT whose destination rows
     /// overlap them can observe different old bits than a full charge
-    /// share would have left.
+    /// share would have left. [`CsTerminal::first_row_of`] resolves
+    /// only the first result row, with the same `mean_success`; that is
+    /// safe only when every raised row is rewritten before its next
+    /// read, which the caller vouches for (as [`crate::BulkEngine`]
+    /// does for its row plan).
     ///
     /// # Errors
     ///
-    /// Fails on a non-`N:N` entry, too many or no inputs, a width
-    /// mismatch, an address outside the geometry, or an activation that
-    /// does not charge-share on this chip.
+    /// Fails before anything ships on a non-`N:N` entry, too many or no
+    /// inputs, a width mismatch or an address outside the geometry, and
+    /// after on an activation that does not charge-share on this chip.
     pub fn logic_outcome(
         &mut self,
         bank: BankId,
         entry: &PatternEntry,
         op: LogicOp,
-        inputs: &[Vec<Bit>],
-    ) -> Result<(GateLayout, usize, OpOutcome)> {
-        let n = logic_width(entry, inputs.len())?;
-        let site = self.site(bank);
-        for input in inputs {
-            check_width(site.geom.cols(), input.len())?;
-        }
-        let mut b = self.bender.builder();
-        let rows = inputs.iter().map(|r| Arc::from(r.as_slice()));
-        let gate = site.logic(&mut b, entry, op, rows)?;
-        let outcome = self.ship(&b.finish(), Some(CsTerminal::terminal_of(op)))?;
-        expect_kind(&outcome, false)?;
-        Ok((gate, n, outcome))
-    }
-
-    /// Executes an N-input logic operation through an `N:N` entry:
-    /// [`Fcdram::logic_outcome`], then every result row is read back
-    /// full width for the report.
-    pub fn execute_logic(
-        &mut self,
-        bank: BankId,
-        entry: &PatternEntry,
-        op: LogicOp,
-        inputs: &[Vec<Bit>],
-    ) -> Result<LogicReport> {
-        let (gate, n, outcome) = self.logic_outcome(bank, entry, op, inputs)?;
-        let geom = self.config().geometry();
-        let upper = upper_subarray(&geom, entry)?;
-        let shared_cols: Vec<usize> = (0..geom.cols())
-            .filter(|c| is_shared_col(upper, Col(*c)))
-            .collect();
-        // Ideal result per shared column.
-        let expected: Vec<Bit> = shared_cols
-            .iter()
-            .map(|c| {
-                let mut all = inputs.iter().map(|r| r[*c].as_bool());
-                let agg = if op.is_and_family() {
-                    all.all(|b| b)
-                } else {
-                    all.any(|b| b)
-                };
-                Bit::from(if op.is_inverted_terminal() { !agg } else { agg })
-            })
-            .collect();
-
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        let mut first_read: Option<Vec<Bit>> = None;
-        for g in gate.result_rows {
-            let data = self.bender.read_row(self.chip, bank, g)?;
-            for (i, c) in shared_cols.iter().enumerate() {
-                total += 1;
-                if data[*c] == expected[i] {
-                    correct += 1;
-                }
-            }
-            if first_read.is_none() {
-                first_read = Some(shared_cols.iter().map(|c| data[*c]).collect());
-            }
-        }
-        let predicted = outcome.mean_success(result_role(op)).unwrap_or(0.0);
-        Ok(LogicReport {
-            op,
-            n,
-            shared_cols,
-            expected,
-            result: first_read.unwrap_or_default(),
-            observed_success: correct as f64 / total.max(1) as f64,
-            predicted_success: predicted,
-            outcome,
-        })
-    }
-
-    /// Value-path NOT: the deferred write (`prelude`), the source
-    /// staging and the copy-invert ship as one program, and only the
-    /// first destination row's shared columns are read back (packed).
-    /// `src` carries one lane per shared column; the staged row holds
-    /// zeros on the other half. `observed_success` covers the row read
-    /// back.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a width mismatch, an address outside the geometry, or a
-    /// sequence that does not produce a NOT on this chip.
-    pub fn execute_not_value(
-        &mut self,
-        bank: BankId,
-        entry: &PatternEntry,
-        src: &PackedBits,
+        inputs: &[Arc<[Bit]>],
         prelude: Prelude,
-    ) -> Result<FastNotResult> {
-        let site = self.site(bank);
-        let (start, lanes) = site.shared_lanes(entry)?;
-        check_width(lanes, src.len())?;
-        let mut b = self.program(bank, prelude);
-        let gate = site.not(&mut b, entry, src.expand_strided(site.geom.cols(), start))?;
-        let outcome = self.ship(&b.finish(), None)?;
-        let shape = not_shape(&outcome)?;
-        let mut expected = src.clone();
-        expected.not_in_place();
-        let result = self.read_lanes(bank, gate.result_rows[0], start, lanes)?;
-        Ok(FastNotResult {
-            shape,
-            observed_success: result.count_matches(&expected) as f64 / lanes.max(1) as f64,
-            predicted_success: outcome.mean_success(CellRole::NotDst).unwrap_or(0.0),
-            result,
-        })
+        mask: Option<CsTerminal>,
+    ) -> Result<(GateLayout, OpOutcome)> {
+        check_logic_inputs(entry, inputs.len())?;
+        check_widths(self.cols(), inputs)?;
+        let (gate, outcome) = self.ship(bank, prelude, mask, |site, b| {
+            site.logic(b, entry, op, inputs.iter().cloned())
+        })?;
+        let outcome = expect_kind(outcome, "charge share", |k| {
+            matches!(k, OutcomeKind::Logic { .. })
+        })?;
+        Ok((gate, outcome))
     }
 
-    /// Value-path N-input logic: the deferred write (`prelude`), the
-    /// reference-side constants and `Frac`, the operand stagings
-    /// (packed, one lane per shared column, zeros on the other half)
-    /// and the charge share ship as one program, and only the first
-    /// result row is read back. `observed_success` covers that row.
-    ///
-    /// With `mask_safe`, the charge share resolves only that row
-    /// ([`CsTerminal::first_row_of`]); its result, draws and
-    /// `predicted_success` are the same as without. That is only safe
-    /// when every raised row is rewritten before its next read — the
-    /// caller vouches for its row plan (see `BulkEngine::mask_safe`).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Fcdram::execute_logic`].
-    pub fn execute_logic_value(
-        &mut self,
-        bank: BankId,
-        entry: &PatternEntry,
-        op: LogicOp,
-        inputs: &[&PackedBits],
-        prelude: Prelude,
-        mask_safe: bool,
-    ) -> Result<FastLogicResult> {
-        let n = logic_width(entry, inputs.len())?;
-        let site = self.site(bank);
-        let (start, lanes) = site.shared_lanes(entry)?;
-        for input in inputs {
-            check_width(lanes, input.len())?;
-        }
-        let cols = site.geom.cols();
-        let mut b = self.program(bank, prelude);
-        let staged = inputs.iter().map(|p| p.expand_strided(cols, start));
-        let gate = site.logic(&mut b, entry, op, staged)?;
-        let mask = mask_safe.then(|| CsTerminal::first_row_of(op));
-        let outcome = self.ship(&b.finish(), mask)?;
-        expect_kind(&outcome, false)?;
-        let expected = ideal_logic(op, inputs, lanes);
-        let result = self.read_lanes(bank, gate.result_rows[0], start, lanes)?;
-        Ok(FastLogicResult {
-            op,
-            n,
-            observed_success: result.count_matches(&expected) as f64 / lanes.max(1) as f64,
-            predicted_success: outcome.mean_success(result_role(op)).unwrap_or(0.0),
-            expected,
-            result,
-        })
-    }
-
-    /// Value-path in-subarray majority: the deferred write (`prelude`),
-    /// one staging write per raised row (`inputs` are full-width rows)
-    /// and the charge share ship as one program, and only the first
-    /// raised row's columns from `shared_start` (every other one) are
-    /// read back, packed.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Fcdram::execute_maj`].
-    pub fn execute_maj_value(
-        &mut self,
-        bank: BankId,
-        entry: &InSubarrayEntry,
-        inputs: &[impl AsRef<[Bit]>],
-        shared_start: usize,
-        prelude: Prelude,
-    ) -> Result<FastMajResult> {
-        let site = self.site(bank);
-        let cols = site.geom.cols();
-        let n = maj_width(entry, inputs, cols)?;
-        let mut b = self.program(bank, prelude);
-        let rows = inputs.iter().map(|r| Arc::from(r.as_ref()));
-        let gate = site.maj(&mut b, entry, rows)?;
-        let outcome = self.ship(&b.finish(), None)?;
-        expect_kind(&outcome, true)?;
-        let lanes = (cols - shared_start.min(cols)).div_ceil(2);
-        let result = self.read_lanes(bank, gate.result_rows[0], shared_start, lanes)?;
-        Ok(FastMajResult {
-            n,
-            result,
-            predicted_success: outcome.mean_success(CellRole::OffMaj).unwrap_or(0.0),
-        })
-    }
-
-    /// In-DRAM bulk initialization (§2.2, RowClone lineage): writes
-    /// `data` to the entry's first row once, then lets a single
-    /// violated-timing double activation broadcast it to *all* raised
-    /// rows of the set — one row write amortized over `2^k` rows.
-    ///
-    /// Returns the per-row copy accuracy (fraction of cells holding
-    /// `data` across the raised rows, excluding the source).
-    pub fn broadcast(
-        &mut self,
-        bank: BankId,
-        entry: &InSubarrayEntry,
-        data: &[Bit],
-    ) -> Result<f64> {
-        let geom = self.config().geometry();
-        check_width(geom.cols(), data.len())?;
-        let (sub, loc_f) = geom.split_row(entry.rf)?;
-        self.bender
-            .write_row(self.chip, bank, entry.rf, data.to_vec())?;
-        let outcome = self
-            .bender
-            .copy_invert(self.chip, bank, entry.rf, entry.rl)?;
-        if !matches!(outcome.kind, OutcomeKind::InSubarray { .. }) {
-            return Err(FcdramError::OpFailed {
-                detail: format!("broadcast produced {:?}", outcome.kind),
-            });
-        }
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        for row in entry.rows.iter().filter(|r| **r != loc_f) {
-            let got = self
-                .bender
-                .read_row(self.chip, bank, geom.join_row(sub, *row)?)?;
-            for c in 0..geom.cols() {
-                total += 1;
-                if got[c] == data[c] {
-                    correct += 1;
-                }
-            }
-        }
-        Ok(correct as f64 / total.max(1) as f64)
-    }
-
-    /// Executes an in-subarray N-row majority (the Ambit/ComputeDRAM
-    /// baseline the paper builds on, §2.2): all raised rows
-    /// charge-share and the sense amplifiers resolve the per-column
-    /// majority, which overwrites every raised row. The stagings and
-    /// the charge share ship as one program ([`GateSite::maj`]); every
-    /// raised row is then read back full width.
+    /// In-subarray N-row majority (the Ambit/ComputeDRAM baseline the
+    /// paper builds on, §2.2): the deferred write `prelude`, one
+    /// staging write per raised row (`inputs`, full width) and the
+    /// charge share ship as one program ([`GateSite::maj`]), and
+    /// nothing is read back. The majority overwrites every raised row;
+    /// returns those rows and the outcome, which carries every raised
+    /// cell's success probability ([`dram_core::CellRole::OffMaj`]).
     ///
     /// Unlike the cross-subarray logic operations, in-subarray MAJ
     /// computes on *every* column (both bitline halves see a
     /// precharged reference). With constant rows it expresses AND/OR:
     /// `MAJ4(A, B, 1, 0) = AND(A, B)`, `MAJ4(A, B, 1, 1) = OR(A, B)`.
-    pub fn execute_maj(
+    ///
+    /// # Errors
+    ///
+    /// Fails before anything ships on an input count other than the
+    /// entry's row count, a width mismatch or an address outside the
+    /// geometry, and after on an activation that does not
+    /// charge-share in-subarray on this chip.
+    pub fn maj_outcome(
         &mut self,
         bank: BankId,
         entry: &InSubarrayEntry,
-        inputs: &[Vec<Bit>],
-    ) -> Result<MajReport> {
-        let site = self.site(bank);
-        let cols = site.geom.cols();
-        let n = maj_width(entry, inputs, cols)?;
-        let mut b = self.bender.builder();
-        let rows = inputs.iter().map(|r| Arc::from(r.as_slice()));
-        let gate = site.maj(&mut b, entry, rows)?;
-        let outcome = self.ship(&b.finish(), None)?;
-        expect_kind(&outcome, true)?;
-        let expected: Vec<Bit> = (0..cols)
-            .map(|c| {
-                let ones = inputs.iter().filter(|r| r[c].as_bool()).count();
-                Bit::from(2 * ones > n)
-            })
-            .collect();
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        let mut first_read: Option<Vec<Bit>> = None;
-        for g in gate.result_rows {
-            let data = self.bender.read_row(self.chip, bank, g)?;
-            for c in 0..cols {
-                total += 1;
-                if data[c] == expected[c] {
-                    correct += 1;
-                }
-            }
-            if first_read.is_none() {
-                first_read = Some(data);
-            }
-        }
-        let predicted = outcome.mean_success(CellRole::OffMaj).unwrap_or(0.0);
-        Ok(MajReport {
-            n,
-            expected,
-            result: first_read.unwrap_or_default(),
-            observed_success: correct as f64 / total.max(1) as f64,
-            predicted_success: predicted,
-            outcome,
-        })
+        inputs: &[Arc<[Bit]>],
+        prelude: Prelude,
+    ) -> Result<(GateLayout, OpOutcome)> {
+        check_maj_inputs(entry, inputs.len())?;
+        check_widths(self.cols(), inputs)?;
+        let (gate, outcome) = self.ship(bank, prelude, None, |site, b| {
+            site.maj(b, entry, inputs.iter().cloned())
+        })?;
+        let outcome = expect_kind(outcome, "in-subarray activation", |k| {
+            matches!(k, OutcomeKind::InSubarray { .. })
+        })?;
+        Ok((gate, outcome))
     }
-}
-
-/// Checks a majority's input count and widths; returns N.
-fn maj_width(entry: &InSubarrayEntry, inputs: &[impl AsRef<[Bit]>], cols: usize) -> Result<usize> {
-    let n = entry.rows.len();
-    if inputs.len() != n {
-        return Err(FcdramError::BadInputCount {
-            n: inputs.len(),
-            max: n,
-        });
-    }
-    for input in inputs {
-        check_width(cols, input.as_ref().len())?;
-    }
-    Ok(n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dram_core::config::table1;
+    use dram_core::{is_shared_col, result_role, CellRole, Col};
 
     fn fc() -> Fcdram {
         let cfg = table1().into_iter().next().unwrap().with_modeled_cols(64);
@@ -970,6 +548,67 @@ mod tests {
             .unwrap()
     }
 
+    fn rows(inputs: &[Vec<Bit>]) -> Vec<Arc<[Bit]>> {
+        inputs.iter().map(|r| Arc::from(r.as_slice())).collect()
+    }
+
+    /// The shared columns of subarray pair (0, 1).
+    fn shared(cols: usize) -> Vec<usize> {
+        (0..cols)
+            .filter(|c| is_shared_col(SubarrayId(0), Col(*c)))
+            .collect()
+    }
+
+    /// The fraction of cells in columns `cols`, across every row of
+    /// `layout` read back full width, that hold `want[col]`.
+    fn accuracy(fc: &mut Fcdram, layout: &GateLayout, cols: &[usize], want: &[Bit]) -> f64 {
+        let mut correct = 0;
+        for g in &layout.result_rows {
+            let data = fc.read_row(BankId(0), *g).unwrap();
+            correct += cols.iter().filter(|c| data[**c] == want[**c]).count();
+        }
+        correct as f64 / (layout.result_rows.len() * cols.len()) as f64
+    }
+
+    /// The ideal full-width result of `op` over `inputs`.
+    fn ideal(op: LogicOp, inputs: &[Vec<Bit>]) -> Vec<Bit> {
+        (0..inputs[0].len())
+            .map(|c| {
+                let agg = if op.is_and_family() {
+                    inputs.iter().all(|r| r[c].as_bool())
+                } else {
+                    inputs.iter().any(|r| r[c].as_bool())
+                };
+                Bit::from(agg != op.is_inverted_terminal())
+            })
+            .collect()
+    }
+
+    /// What a gate call returns.
+    type Shipped = Result<(GateLayout, OpOutcome)>;
+
+    fn logic(fc: &mut Fcdram, entry: &PatternEntry, op: LogicOp, inputs: &[Vec<Bit>]) -> Shipped {
+        let mask = Some(CsTerminal::terminal_of(op));
+        fc.logic_outcome(BankId(0), entry, op, &rows(inputs), None, mask)
+    }
+
+    fn maj_set(fc: &mut Fcdram, sub: SubarrayId, budget: usize, cap: usize) -> InSubarrayEntry {
+        let chip = fc.chip();
+        let sets = crate::mapping::discover_in_subarray(
+            fc.bender_mut(),
+            chip,
+            BankId(0),
+            sub,
+            budget,
+            cap,
+        )
+        .unwrap();
+        sets.get(&4)
+            .and_then(|v| v.first())
+            .expect("a 4-row in-subarray set")
+            .clone()
+    }
+
     #[test]
     fn not_through_map_negates() {
         let mut fc = fc();
@@ -982,18 +621,17 @@ mod tests {
             .or_else(|| map.find_dst(2).first().cloned().cloned())
             .expect("a small NOT pattern");
         let src = pattern(11, fc.cols());
-        let report = fc.execute_not(BankId(0), &entry, &src).unwrap();
-        assert!(
-            report.observed_success > 0.9,
-            "observed {}",
-            report.observed_success
-        );
-        assert!(
-            report.predicted_success > 0.9,
-            "predicted {}",
-            report.predicted_success
-        );
-        assert_eq!(report.shared_cols.len(), fc.cols() / 2);
+        let (layout, outcome) = fc
+            .not_outcome(BankId(0), &entry, src.clone().into(), None)
+            .unwrap();
+        assert!(matches!(outcome.kind, OutcomeKind::Not { .. }));
+        let want: Vec<Bit> = src.iter().map(|b| b.not()).collect();
+        let cols = shared(fc.cols());
+        let observed = accuracy(&mut fc, &layout, &cols, &want);
+        assert!(observed > 0.9, "observed {observed}");
+        let predicted = outcome.mean_success(CellRole::NotDst).unwrap();
+        assert!(predicted > 0.9, "predicted {predicted}");
+        assert_eq!(layout.result_rows.len(), entry.second_rows.len());
     }
 
     #[test]
@@ -1001,42 +639,33 @@ mod tests {
         let mut fc = fc();
         let map = map_for(&mut fc);
         let entry = map.find_nn(2).expect("2:2 entry").clone();
-        let a = pattern(1, fc.cols());
-        let b = pattern(2, fc.cols());
-        let report = fc
-            .execute_logic(BankId(0), &entry, LogicOp::And, &[a.clone(), b.clone()])
-            .unwrap();
-        assert_eq!(report.n, 2);
-        // Expected vector is the bitwise AND on shared columns.
-        for (i, c) in report.shared_cols.iter().enumerate() {
-            assert_eq!(
-                report.expected[i],
-                Bit::from(a[*c].as_bool() && b[*c].as_bool())
-            );
-        }
-        assert!(
-            report.observed_success > 0.55,
-            "observed {}",
-            report.observed_success
-        );
+        assert_eq!(entry.shape().1, 2);
+        let inputs = [pattern(1, fc.cols()), pattern(2, fc.cols())];
+        let (layout, _) = logic(&mut fc, &entry, LogicOp::And, &inputs).unwrap();
+        let want = ideal(LogicOp::And, &inputs);
+        let cols = shared(fc.cols());
+        let observed = accuracy(&mut fc, &layout, &cols, &want);
+        assert!(observed > 0.55, "observed {observed}");
     }
 
+    /// NAND lands on the reference terminal, AND on the compute one,
+    /// and the NAND rows hold the inverted AND.
     #[test]
     fn nand_is_inverted_and() {
         let mut fc = fc();
         let map = map_for(&mut fc);
         let entry = map.find_nn(2).expect("2:2 entry").clone();
-        let a = pattern(3, fc.cols());
-        let b = pattern(4, fc.cols());
-        let and = fc
-            .execute_logic(BankId(0), &entry, LogicOp::And, &[a.clone(), b.clone()])
-            .unwrap();
-        let nand = fc
-            .execute_logic(BankId(0), &entry, LogicOp::Nand, &[a, b])
-            .unwrap();
-        for (x, y) in and.expected.iter().zip(&nand.expected) {
-            assert_eq!(x.not(), *y);
-        }
+        let inputs = [pattern(3, fc.cols()), pattern(4, fc.cols())];
+        let (and, _) = logic(&mut fc, &entry, LogicOp::And, &inputs).unwrap();
+        let (nand, _) = logic(&mut fc, &entry, LogicOp::Nand, &inputs).unwrap();
+        assert_ne!(and.result_rows, nand.result_rows);
+        let inverted: Vec<Bit> = ideal(LogicOp::And, &inputs)
+            .iter()
+            .map(|b| b.not())
+            .collect();
+        let cols = shared(fc.cols());
+        let observed = accuracy(&mut fc, &nand, &cols, &inverted);
+        assert!(observed > 0.55, "observed {observed}");
     }
 
     #[test]
@@ -1050,14 +679,10 @@ mod tests {
             pattern(6, fc.cols()),
             pattern(7, fc.cols()),
         ];
-        let report = fc
-            .execute_logic(BankId(0), &entry, LogicOp::Or, &ins)
-            .unwrap();
-        for (i, c) in report.shared_cols.iter().enumerate() {
-            let expect = ins.iter().any(|r| r[*c].as_bool());
-            assert_eq!(report.expected[i], Bit::from(expect));
-        }
-        assert!(report.observed_success > 0.5);
+        let (layout, _) = logic(&mut fc, &entry, LogicOp::Or, &ins).unwrap();
+        let want = ideal(LogicOp::Or, &ins);
+        let cols = shared(fc.cols());
+        assert!(accuracy(&mut fc, &layout, &cols, &want) > 0.5);
     }
 
     #[test]
@@ -1072,9 +697,7 @@ mod tests {
             .and_then(|(f, l)| map.find(f, l).first().cloned())
         {
             let ins = vec![pattern(1, fc.cols()); 2];
-            let err = fc
-                .execute_logic(BankId(0), &entry, LogicOp::And, &ins)
-                .unwrap_err();
+            let err = logic(&mut fc, &entry, LogicOp::And, &ins).unwrap_err();
             assert!(matches!(err, FcdramError::OpFailed { .. }));
         }
     }
@@ -1085,21 +708,29 @@ mod tests {
         let map = map_for(&mut fc);
         let entry = map.find_nn(2).expect("2:2 entry").clone();
         let ins = vec![pattern(1, fc.cols()); 3];
-        let err = fc
-            .execute_logic(BankId(0), &entry, LogicOp::And, &ins)
-            .unwrap_err();
+        let err = logic(&mut fc, &entry, LogicOp::And, &ins).unwrap_err();
         assert!(matches!(err, FcdramError::BadInputCount { .. }));
     }
 
+    /// A rejected gate call ships nothing, not even its prelude.
     #[test]
     fn width_mismatch_rejected() {
         let mut fc = fc();
         let map = map_for(&mut fc);
         let entry = map.find_nn(2).expect("2:2 entry").clone();
+        let spare = GlobalRow(9);
+        let before = fc.read_row(BankId(0), spare).unwrap();
+        let prelude = Some((spare, Arc::from(pattern(5, fc.cols()))));
         let err = fc
-            .execute_not(BankId(0), &entry, &[Bit::One; 3])
+            .not_outcome(BankId(0), &entry, Arc::from([Bit::One; 3]), prelude.clone())
             .unwrap_err();
         assert!(matches!(err, FcdramError::WidthMismatch { .. }));
+        let short = rows(&[pattern(1, fc.cols()), pattern(2, 3)]);
+        let err = fc
+            .logic_outcome(BankId(0), &entry, LogicOp::And, &short, prelude, None)
+            .unwrap_err();
+        assert!(matches!(err, FcdramError::WidthMismatch { .. }));
+        assert_eq!(fc.read_row(BankId(0), spare).unwrap(), before);
     }
 
     #[test]
@@ -1123,75 +754,33 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_initializes_many_rows_from_one_write() {
-        let mut fc = fc();
-        let sets = crate::mapping::discover_in_subarray(
-            fc.bender_mut(),
-            dram_core::ChipId(0),
-            BankId(0),
-            SubarrayId(4),
-            8192,
-            4,
-        )
-        .unwrap();
-        // Prefer a wide set: one write initializes many rows.
-        let entry = sets
-            .iter()
-            .rev()
-            .find(|(n, v)| **n >= 4 && !v.is_empty())
-            .map(|(_, v)| v[0].clone())
-            .expect("a wide in-subarray set");
-        let data = pattern(77, fc.cols());
-        let accuracy = fc.broadcast(BankId(0), &entry, &data).unwrap();
-        assert!(accuracy > 0.95, "broadcast accuracy {accuracy}");
-        assert!(entry.rows.len() >= 4);
-    }
-
-    #[test]
     fn in_subarray_maj_computes_majority() {
         let mut fc = fc();
-        let sets = crate::mapping::discover_in_subarray(
-            fc.bender_mut(),
-            dram_core::ChipId(0),
-            BankId(0),
-            SubarrayId(2),
-            8192,
-            4,
-        )
-        .unwrap();
-        let entry = sets
-            .get(&4)
-            .and_then(|v| v.first())
-            .expect("a 4-row in-subarray set")
-            .clone();
+        let entry = maj_set(&mut fc, SubarrayId(2), 8192, 4);
         let cols = fc.cols();
         let a = pattern(31, cols);
         let b = pattern(32, cols);
         let ones = vec![Bit::One; cols];
         let zeros = vec![Bit::Zero; cols];
         // MAJ4(A, B, 1, 0) = AND(A, B).
-        let report = fc
-            .execute_maj(BankId(0), &entry, &[a.clone(), b.clone(), ones, zeros])
-            .unwrap();
-        assert_eq!(report.n, 4);
-        for c in 0..cols {
-            let expect = Bit::from(a[c].as_bool() && b[c].as_bool());
-            assert_eq!(report.expected[c], expect, "col {c}");
-        }
-        assert!(report.observed_success > 0.6, "{}", report.observed_success);
-        assert!(
-            report.predicted_success > 0.6,
-            "{}",
-            report.predicted_success
-        );
+        let inputs = rows(&[a.clone(), b.clone(), ones, zeros]);
+        let (layout, outcome) = fc.maj_outcome(BankId(0), &entry, &inputs, None).unwrap();
+        assert_eq!(layout.result_rows.len(), 4);
+        let want = ideal(LogicOp::And, &[a, b]);
+        let all: Vec<usize> = (0..cols).collect();
+        let observed = accuracy(&mut fc, &layout, &all, &want);
+        assert!(observed > 0.6, "{observed}");
+        let predicted = outcome.mean_success(CellRole::OffMaj).unwrap();
+        assert!(predicted > 0.6, "{predicted}");
     }
 
     #[test]
     fn maj_rejects_wrong_input_count() {
         let mut fc = fc();
+        let chip = fc.chip();
         let sets = crate::mapping::discover_in_subarray(
             fc.bender_mut(),
-            dram_core::ChipId(0),
+            chip,
             BankId(0),
             SubarrayId(2),
             4096,
@@ -1199,9 +788,9 @@ mod tests {
         )
         .unwrap();
         if let Some(entry) = sets.values().next().and_then(|v| v.first()) {
-            let ins = vec![pattern(1, fc.cols())];
+            let ins = rows(&[pattern(1, fc.cols())]);
             if entry.rows.len() != 1 {
-                let err = fc.execute_maj(BankId(0), entry, &ins).unwrap_err();
+                let err = fc.maj_outcome(BankId(0), entry, &ins, None).unwrap_err();
                 assert!(matches!(err, FcdramError::BadInputCount { .. }));
             }
         }
@@ -1224,18 +813,16 @@ mod tests {
             kind: dram_core::PatternKind::NN,
         };
         let ins = vec![vec![Bit::One; 32]];
-        let err = fc
-            .execute_logic(BankId(0), &entry, LogicOp::And, &ins)
-            .unwrap_err();
+        let err = logic(&mut fc, &entry, LogicOp::And, &ins).unwrap_err();
         assert!(matches!(err, FcdramError::OpFailed { .. }));
     }
 
-    /// What `execute_logic` reports, recomputed on a twin stack that
-    /// stages the same rows and runs an unmasked (both-terminal)
-    /// charge share: `(result, expected, observed, predicted, cells)`.
+    /// A logic gate's figures recomputed on a twin stack that stages
+    /// the same rows and runs an unmasked (both-terminal) charge share:
+    /// `(result, expected, observed, predicted, cells)`.
     type Unmasked = (Vec<Bit>, Vec<Bit>, f64, f64, Vec<dram_core::CellOutcome>);
 
-    /// Stages every raised row of `entry` as `execute_logic` does:
+    /// Stages every raised row of `entry` as [`GateSite::logic`] does:
     /// constant reference rows plus one `Frac`, identity-padded
     /// operands.
     fn stage_logic(fc: &mut Fcdram, entry: &PatternEntry, op: LogicOp, inputs: &[Vec<Bit>]) {
@@ -1280,21 +867,13 @@ mod tests {
         let shared: Vec<usize> = (0..geom.cols())
             .filter(|c| is_shared_col(upper, Col(*c)))
             .collect();
-        let expected: Vec<Bit> = shared
-            .iter()
-            .map(|c| {
-                let agg = if op.is_and_family() {
-                    inputs.iter().all(|r| r[*c].as_bool())
-                } else {
-                    inputs.iter().any(|r| r[*c].as_bool())
-                };
-                Bit::from(agg != op.is_inverted_terminal())
-            })
-            .collect();
-        let (sub, rows, role) = if op.is_inverted_terminal() {
-            (sub_ref, &entry.first_rows, CellRole::Reference)
+        let want = ideal(op, inputs);
+        let expected: Vec<Bit> = shared.iter().map(|c| want[*c]).collect();
+        let role = result_role(op);
+        let (sub, rows) = if op.is_inverted_terminal() {
+            (sub_ref, &entry.first_rows)
         } else {
-            (sub_com, &entry.second_rows, CellRole::Compute)
+            (sub_com, &entry.second_rows)
         };
         let mut correct = 0usize;
         let mut result = Vec::new();
@@ -1322,10 +901,11 @@ mod tests {
         )
     }
 
-    /// `execute_logic` resolves only the terminal it reads, and reports
-    /// exactly what a full charge share over the same staged rows
-    /// reports — across a sequence of operations on one chip, so each
-    /// op also sees the rows the previous op left unresolved.
+    /// A logic gate resolving only its result terminal
+    /// ([`CsTerminal::terminal_of`]), every result row read back,
+    /// reports exactly what a full charge share over the same staged
+    /// rows reports — across a sequence of operations on one chip, so
+    /// each op also sees the rows the previous op left unresolved.
     #[test]
     fn masked_logic_matches_an_unmasked_twin() {
         let mut masked = fc();
@@ -1333,40 +913,42 @@ mod tests {
         let map = masked
             .discover(BankId(0), (SubarrayId(0), SubarrayId(1)), 16384)
             .unwrap();
+        let cols = shared(masked.cols());
         for (k, n) in [2usize, 4, 8, 16].into_iter().enumerate() {
             let entry = map.find_nn(n).expect("an N:N entry").clone();
             for (j, op) in LogicOp::ALL.into_iter().enumerate() {
                 let inputs: Vec<Vec<Bit>> = (0..n)
                     .map(|i| pattern((100 * k + 10 * j + i) as u64, masked.cols()))
                     .collect();
-                let report = masked
-                    .execute_logic(BankId(0), &entry, op, &inputs)
-                    .unwrap();
-                let (result, expected, observed, predicted, cells) =
+                let (layout, outcome) = logic(&mut masked, &entry, op, &inputs).unwrap();
+                let want = ideal(op, &inputs);
+                let observed = accuracy(&mut masked, &layout, &cols, &want);
+                let first = masked.read_row(BankId(0), layout.result_rows[0]).unwrap();
+                let (result, expected, twin_observed, predicted, cells) =
                     logic_unmasked(&mut twin, &entry, op, &inputs);
-                let role = if op.is_inverted_terminal() {
-                    CellRole::Reference
-                } else {
-                    CellRole::Compute
-                };
-                assert_eq!(report.result, result, "{op:?} n={n} result");
-                assert_eq!(report.expected, expected, "{op:?} n={n} expected");
-                assert_eq!(report.observed_success, observed, "{op:?} n={n} observed");
+                let role = result_role(op);
+                let ctx = format!("{op:?} n={n}");
+                let got: Vec<Bit> = cols.iter().map(|c| first[*c]).collect();
+                assert_eq!(got, result, "{ctx} result");
+                let ideal_shared: Vec<Bit> = cols.iter().map(|c| want[*c]).collect();
+                assert_eq!(ideal_shared, expected, "{ctx} expected");
+                assert_eq!(observed, twin_observed, "{ctx} observed");
                 assert_eq!(
-                    report.predicted_success, predicted,
-                    "{op:?} n={n} predicted"
+                    outcome.mean_success(role).unwrap_or(0.0),
+                    predicted,
+                    "{ctx} predicted"
                 );
-                assert!(!cells.is_empty(), "{op:?} n={n}: no result cells");
+                assert!(!cells.is_empty(), "{ctx}: no result cells");
                 assert!(
-                    report.outcome.cells.iter().all(|c| c.role == role),
-                    "{op:?} n={n}: the outcome carries only the result terminal"
+                    outcome.cells.iter().all(|c| c.role == role),
+                    "{ctx}: the outcome carries only the result terminal"
                 );
-                assert_eq!(report.outcome.cells, cells, "{op:?} n={n} result cells");
+                assert_eq!(outcome.cells, cells, "{ctx} result cells");
             }
         }
     }
 
-    /// The row-scoped charge share the value path uses
+    /// The row-scoped charge share the bulk engine uses
     /// ([`CsTerminal::first_row_of`]) against the whole-terminal one
     /// ([`CsTerminal::terminal_of`]) on twin stacks: the first result
     /// row and `mean_success` are identical, the other result rows
@@ -1397,10 +979,11 @@ mod tests {
                 let inputs: Vec<Vec<Bit>> = (0..n)
                     .map(|i| pattern((1000 + 100 * k + 10 * j + i) as u64, geom.cols()))
                     .collect();
-                let (sub, rows, role) = if op.is_inverted_terminal() {
-                    (sub_ref, &entry.first_rows, CellRole::Reference)
+                let role = result_role(op);
+                let (sub, rows) = if op.is_inverted_terminal() {
+                    (sub_ref, &entry.first_rows)
                 } else {
-                    (sub_com, &entry.second_rows, CellRole::Compute)
+                    (sub_com, &entry.second_rows)
                 };
                 let result_rows: Vec<GlobalRow> = rows
                     .iter()
@@ -1461,68 +1044,119 @@ mod tests {
         }
     }
 
-    /// The value op with the mask off (`mask_safe == false`; no
-    /// Table-1 part takes this branch) against the split direct-Bender
-    /// reference: the deferred write issued on its own, each row
-    /// staged by its own program, a full charge share. Every device
-    /// row of the pair, the prediction and the read-back agree, with
-    /// and without a prelude.
+    /// Every gate family with a deferred write in its program, against
+    /// twins. `plain` lands the write as a program of its own, then
+    /// makes the same gate call without a prelude: the outcome, the
+    /// first result row's lanes and every device row of subarrays 0–2
+    /// and of the prelude's row agree. For logic with the mask off (no
+    /// Table-1 part takes this branch in the engine) `split` is the
+    /// direct-Bender reference: the deferred write on its own, each row
+    /// staged by its own program, a full charge share; its first result
+    /// row, its prediction and every device row of the pair agree too.
+    /// Logic alternates a prelude with none; NOT and MAJ always carry
+    /// one.
     #[test]
     fn unmasked_value_logic_matches_the_split_reference() {
-        let (bank, mut value, mut split) = (BankId(0), fc(), fc());
+        let bank = BankId(0);
+        let (mut value, mut plain, mut split) = (fc(), fc(), fc());
         let pair = (SubarrayId(0), SubarrayId(1));
         let map = value.discover(bank, pair, 16384).unwrap();
+        plain.discover(bank, pair, 16384).unwrap();
         split.discover(bank, pair, 16384).unwrap();
         let geom = value.config().geometry();
-        let shared: Vec<usize> = (0..geom.cols())
-            .filter(|c| is_shared_col(pair.0, Col(*c)))
-            .collect();
+        let shared = shared(geom.cols());
+        let (start, lanes) = (shared[0], shared.len());
         let spare = geom.join_row(SubarrayId(4), LocalRow(7)).unwrap();
-        let pair_rows = 2 * geom.rows_per_subarray();
+        let direct = |fc: &Fcdram, g: GlobalRow| {
+            let chip = fc.bender().module().chip(fc.chip()).unwrap();
+            chip.read_row_direct(bank, g).unwrap()
+        };
+        let rows_of = |subarrays: usize| {
+            (0..subarrays * geom.rows_per_subarray())
+                .map(GlobalRow)
+                .chain([spare])
+        };
+        // Ships `gate` on `value` with `prelude` and on `plain` after
+        // the write, compares the two, and returns `value`'s layout.
+        let twin = |value: &mut Fcdram,
+                    plain: &mut Fcdram,
+                    prelude: Prelude,
+                    ctx: &str,
+                    gate: &dyn Fn(&mut Fcdram, Prelude) -> Shipped| {
+            let got = gate(value, prelude.clone()).unwrap();
+            if let Some((row, data)) = prelude {
+                plain.write_row(bank, row, data).unwrap();
+            }
+            let want = gate(plain, None).unwrap();
+            assert_eq!(got, want, "{ctx}: outcome");
+            let first = got.0.result_rows[0];
+            assert_eq!(
+                value.read_lanes(bank, first, start, lanes).unwrap(),
+                plain.read_lanes(bank, first, start, lanes).unwrap(),
+                "{ctx}: lanes"
+            );
+            for g in rows_of(3) {
+                assert_eq!(direct(value, g), direct(plain, g), "{ctx}: row {g}");
+            }
+            got
+        };
         for (k, n) in [2usize, 4, 8, 16].into_iter().enumerate() {
             let entry = map.find_nn(n).expect("an N:N entry").clone();
             for (j, op) in LogicOp::ALL.into_iter().enumerate() {
                 let seed = (100 * k + 10 * j) as u64;
                 let vals: Vec<PackedBits> = (0..n)
-                    .map(|i| PackedBits::from_bits(&pattern(seed + i as u64, shared.len())))
+                    .map(|i| PackedBits::from_bits(&pattern(seed + i as u64, lanes)))
                     .collect();
-                let rows: Vec<Vec<Bit>> = vals
+                let staged: Vec<Arc<[Bit]>> = vals
                     .iter()
-                    .map(|v| v.expand_strided(geom.cols(), shared[0]).to_vec())
+                    .map(|v| v.expand_strided(geom.cols(), start))
                     .collect();
+                let inputs: Vec<Vec<Bit>> = staged.iter().map(|r| r.to_vec()).collect();
                 let prelude =
                     (j % 2 == 1).then(|| (spare, Arc::from(pattern(seed + 99, geom.cols()))));
-                if let Some((row, data)) = prelude.clone() {
+                let ctx = format!("{op:?} n={n}");
+                let (layout, outcome) = twin(
+                    &mut value,
+                    &mut plain,
+                    prelude.clone(),
+                    &ctx,
+                    &|fc, prelude| fc.logic_outcome(bank, &entry, op, &staged, prelude, None),
+                );
+                if let Some((row, data)) = prelude {
                     split.write_row(bank, row, data).unwrap();
                 }
-                let refs: Vec<&PackedBits> = vals.iter().collect();
+                let (result, _, _, predicted, _) = logic_unmasked(&mut split, &entry, op, &inputs);
                 let got = value
-                    .execute_logic_value(bank, &entry, op, &refs, prelude, false)
+                    .read_lanes(bank, layout.result_rows[0], start, lanes)
                     .unwrap();
-                let (result, expected, _, predicted, _) =
-                    logic_unmasked(&mut split, &entry, op, &rows);
-                let ctx = format!("{op:?} n={n}");
-                assert_eq!(got.result.to_bits(), result, "{ctx}: result");
-                assert_eq!(got.expected.to_bits(), expected, "{ctx}: expected");
+                assert_eq!(got.to_bits(), result, "{ctx}: result");
                 assert_eq!(
-                    got.predicted_success.to_bits(),
-                    predicted.to_bits(),
+                    outcome.mean_success(result_role(op)).map(f64::to_bits),
+                    Some(predicted.to_bits()),
                     "{ctx}: predicted"
                 );
-                let matched = result.iter().zip(&expected).filter(|(a, b)| a == b).count();
-                assert_eq!(
-                    got.observed_success,
-                    matched as f64 / shared.len() as f64,
-                    "{ctx}: observed"
-                );
-                for g in (0..pair_rows).map(GlobalRow).chain([spare]) {
-                    let direct = |fc: &Fcdram| {
-                        let chip = fc.bender().module().chip(fc.chip()).unwrap();
-                        chip.read_row_direct(bank, g).unwrap()
-                    };
-                    assert_eq!(direct(&value), direct(&split), "{ctx}: row {g}");
+                for g in rows_of(2) {
+                    assert_eq!(direct(&value, g), direct(&split, g), "{ctx}: row {g}");
                 }
             }
+        }
+        let not_entry = map.find_dst(1).first().copied().cloned().unwrap();
+        for seed in [500u64, 501] {
+            let src: Arc<[Bit]> = pattern(seed, geom.cols()).into();
+            let prelude = Some((spare, Arc::from(pattern(seed + 99, geom.cols()))));
+            twin(&mut value, &mut plain, prelude, "NOT", &|fc, prelude| {
+                fc.not_outcome(bank, &not_entry, src.clone(), prelude)
+            });
+        }
+        let maj = maj_set(&mut value, SubarrayId(2), 8192, 4);
+        assert_eq!(maj, maj_set(&mut plain, SubarrayId(2), 8192, 4));
+        for seed in [600u64, 601] {
+            let inputs: Vec<Vec<Bit>> = (0..4).map(|i| pattern(seed + i, geom.cols())).collect();
+            let staged = rows(&inputs);
+            let prelude = Some((spare, Arc::from(pattern(seed + 99, geom.cols()))));
+            twin(&mut value, &mut plain, prelude, "MAJ4", &|fc, prelude| {
+                fc.maj_outcome(bank, &maj, &staged, prelude)
+            });
         }
     }
 

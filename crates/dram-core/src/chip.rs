@@ -147,6 +147,17 @@ impl CsTerminal {
     }
 }
 
+/// The role of `op`'s result cells: [`CellRole::Reference`] for
+/// NAND/NOR, [`CellRole::Compute`] for AND/OR (the cells
+/// [`CsTerminal::terminal_of`] resolves).
+pub fn result_role(op: LogicOp) -> CellRole {
+    if op.is_inverted_terminal() {
+        CellRole::Reference
+    } else {
+        CellRole::Compute
+    }
+}
+
 /// Aggregate statistics for cells of one role in one operation.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct RoleStats {
@@ -1510,7 +1521,7 @@ impl Chip {
     /// read — the prepared execution path guarantees this (and
     /// `BulkEngine` falls back to the full kernel when its row plan
     /// cannot keep NOT destinations disjoint from charge-share rows),
-    /// and `fcdram`'s `execute_logic` stages every raised row before
+    /// and `fcdram`'s `logic_outcome` stages every raised row before
     /// each charge share.
     pub fn multi_act_charge_share_masked(
         &mut self,

@@ -131,11 +131,8 @@ impl FleetConfig {
     /// chip indices beyond a module's physical chip count roll over
     /// into replica modules with remixed seeds.
     pub fn spec(&self, index: usize) -> ChipSpec {
-        assert!(!self.modules.is_empty(), "fleet needs at least one module");
-        assert!(index < self.chips, "fleet member {index} out of range");
-        let m = self.modules.len();
-        let module = &self.modules[index % m];
-        let draw = index / m;
+        let module = self.module_of(index);
+        let draw = index / self.modules.len();
         let phys = module.chips.max(1);
         let replica = draw / phys;
         let chip = ChipId(draw % phys);
@@ -147,6 +144,14 @@ impl FleetConfig {
             cfg.name = format!("{}-r{replica}", cfg.name);
         }
         ChipSpec { cfg, chip }
+    }
+
+    /// The module member `index` is drawn from. Its geometry is the
+    /// member's: a spec only reseeds and renames its module.
+    fn module_of(&self, index: usize) -> &ModuleConfig {
+        assert!(!self.modules.is_empty(), "fleet needs at least one module");
+        assert!(index < self.chips, "fleet member {index} out of range");
+        &self.modules[index % self.modules.len()]
     }
 
     /// Every member spec, in fleet order.
@@ -278,7 +283,7 @@ impl FleetSlots {
     pub fn new(fleet: &FleetConfig, reserved_top: usize) -> FleetSlots {
         let members = (0..fleet.len())
             .map(|i| {
-                let g = fleet.spec(i).cfg.geometry();
+                let g = fleet.module_of(i).geometry();
                 let usable = g.rows_per_subarray().saturating_sub(reserved_top);
                 MemberSlots::new(g.subarrays_per_bank(), usable)
             })

@@ -61,7 +61,8 @@ pub mod variation;
 pub use analog::{AnalogParams, MarginClass};
 pub use bank::{Bank, OpenRows};
 pub use chip::{
-    CellOutcome, CellRole, Chip, CsTerminal, OpOutcome, OutcomeKind, OutcomeStats, RoleStats,
+    result_role, CellOutcome, CellRole, Chip, CsTerminal, OpOutcome, OutcomeKind, OutcomeStats,
+    RoleStats,
 };
 pub use config::{ActivationCapability, ChipOrg, Density, DieRevision, Manufacturer, ModuleConfig};
 pub use energy::{EnergyParams, OpCost};

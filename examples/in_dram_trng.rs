@@ -12,6 +12,7 @@
 use dram_core::{BankId, Bit, ChipId, SubarrayId};
 use fcdram::mapping::discover_in_subarray;
 use fcdram::{Fcdram, FcdramError};
+use std::sync::Arc;
 
 fn main() -> Result<(), FcdramError> {
     let cfg = dram_core::config::table1().remove(0).with_modeled_cols(256);
@@ -26,20 +27,18 @@ fn main() -> Result<(), FcdramError> {
     println!("{} four-row activation sets discovered", entries.len());
 
     let cols = fc.cols();
-    let ones = vec![Bit::One; cols];
-    let zeros = vec![Bit::Zero; cols];
+    let ones: Arc<[Bit]> = vec![Bit::One; cols].into();
+    let zeros: Arc<[Bit]> = vec![Bit::Zero; cols].into();
+    let tie = [ones.clone(), ones, zeros.clone(), zeros];
 
     // Harvest raw bits: each activation with a 2–2 tie yields one
-    // noise-resolved bit per column.
+    // noise-resolved bit per column, read from the first raised row.
     let mut raw_bits: Vec<bool> = Vec::new();
     for round in 0..24usize {
         let entry = &entries[round % entries.len()];
-        let report = fc.execute_maj(
-            bank,
-            entry,
-            &[ones.clone(), ones.clone(), zeros.clone(), zeros.clone()],
-        )?;
-        raw_bits.extend(report.result.iter().map(|b| b.as_bool()));
+        let (layout, _) = fc.maj_outcome(bank, entry, &tie, None)?;
+        let row = fc.read_row(bank, layout.result_rows[0])?;
+        raw_bits.extend(row.iter().map(|b| b.as_bool()));
     }
     let n = raw_bits.len();
     let ones_frac = raw_bits.iter().filter(|b| **b).count() as f64 / n as f64;

@@ -1,14 +1,15 @@
 //! Shared fixtures for the workspace integration suites.
 //!
 //! Each `tests/*.rs` file is its own crate; this module is included
-//! with `mod common;` so the random-expression grammar and operand
-//! derivation live in exactly one place.
+//! with `mod common;` so the random-expression grammar, operand
+//! derivation and the device-gate read-back helpers live in exactly one
+//! place.
 
 // Each test binary uses a subset of these helpers.
 #![allow(dead_code)]
 
-use dram_core::LogicOp;
-use fcdram::PackedBits;
+use dram_core::{BankId, Bit, Col, GlobalRow, LogicOp, SubarrayId};
+use fcdram::{Fcdram, GateLayout, PackedBits};
 use fcexec::ExecBackend;
 use fcsynth::{Output, Step, SynthProgram};
 use simdram::{BitRow, SimdVm, SimdramError, Substrate};
@@ -148,4 +149,69 @@ pub fn reference_walk<S: Substrate>(
     vm.release(out);
     vm.end_lease(lease);
     Ok(bits)
+}
+
+/// Full-width rows as the `Arc<[Bit]>` payloads the `Fcdram` gate
+/// calls stage.
+pub fn staged_rows(rows: &[Vec<Bit>]) -> Vec<Arc<[Bit]>> {
+    rows.iter().map(|r| Arc::from(r.as_slice())).collect()
+}
+
+/// The shared columns of a subarray pair whose upper subarray is
+/// `upper`: the half that carries cross-subarray results.
+pub fn shared_cols(cols: usize, upper: SubarrayId) -> Vec<usize> {
+    (0..cols)
+        .filter(|c| dram_core::is_shared_col(upper, Col(*c)))
+        .collect()
+}
+
+/// Every result row of a shipped gate, read back full width through
+/// `Fcdram::read_row`, in layout order.
+pub fn read_results(
+    fc: &mut Fcdram,
+    bank: BankId,
+    layout: &GateLayout,
+) -> Vec<(GlobalRow, Vec<Bit>)> {
+    layout
+        .result_rows
+        .iter()
+        .map(|g| (*g, fc.read_row(bank, *g).unwrap()))
+        .collect()
+}
+
+/// The fraction of cells in columns `cols` of every row in `reads` that
+/// hold `want[col]` (`want` is a full-width ideal row).
+pub fn accuracy(reads: &[(GlobalRow, Vec<Bit>)], cols: &[usize], want: &[Bit]) -> f64 {
+    let correct: usize = reads
+        .iter()
+        .map(|(_, row)| cols.iter().filter(|c| row[**c] == want[**c]).count())
+        .sum();
+    correct as f64 / (reads.len() * cols.len()).max(1) as f64
+}
+
+/// The ideal full-width result of `op` over `inputs`.
+pub fn ideal_logic(op: LogicOp, inputs: &[Vec<Bit>]) -> Vec<Bit> {
+    let cols = inputs.first().map_or(0, Vec::len);
+    (0..cols)
+        .map(|c| {
+            let agg = if op.is_and_family() {
+                inputs.iter().all(|r| r[c].as_bool())
+            } else {
+                inputs.iter().any(|r| r[c].as_bool())
+            };
+            Bit::from(agg != op.is_inverted_terminal())
+        })
+        .collect()
+}
+
+/// The ideal full-width majority of `inputs` (strictly more than half
+/// the rows hold 1).
+pub fn ideal_majority(inputs: &[Vec<Bit>]) -> Vec<Bit> {
+    let cols = inputs.first().map_or(0, Vec::len);
+    (0..cols)
+        .map(|c| {
+            let ones = inputs.iter().filter(|r| r[c].as_bool()).count();
+            Bit::from(2 * ones > inputs.len())
+        })
+        .collect()
 }

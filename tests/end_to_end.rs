@@ -1,9 +1,12 @@
 //! End-to-end integration tests spanning all crates: device model →
 //! command infrastructure → fcdram library → characterization harness.
 
+mod common;
+
 use characterize::experiments::run_experiment;
 use characterize::runner::{ModuleCtx, Scale};
-use dram_core::{BankId, LogicOp, Manufacturer, SubarrayId};
+use common::{accuracy, ideal_logic, read_results, shared_cols, staged_rows};
+use dram_core::{result_role, BankId, CellRole, CsTerminal, LogicOp, Manufacturer, SubarrayId};
 use fcdram::{BulkEngine, Fcdram, PackedBits};
 
 fn hynix_cfg() -> dram_core::ModuleConfig {
@@ -83,18 +86,17 @@ fn sixteen_input_operations_work_on_capable_parts() {
                 .collect()
         })
         .collect();
+    let shared = shared_cols(cols, SubarrayId(0));
     for op in [LogicOp::And, LogicOp::Nand, LogicOp::Or, LogicOp::Nor] {
-        let report = fc.execute_logic(BankId(0), &entry, op, &inputs).unwrap();
-        assert!(
-            report.predicted_success > 0.85,
-            "{op:?}: predicted {}",
-            report.predicted_success
-        );
-        assert!(
-            report.observed_success > 0.75,
-            "{op:?}: observed {}",
-            report.observed_success
-        );
+        let mask = Some(CsTerminal::terminal_of(op));
+        let (layout, outcome) = fc
+            .logic_outcome(BankId(0), &entry, op, &staged_rows(&inputs), None, mask)
+            .unwrap();
+        let predicted = outcome.mean_success(result_role(op)).unwrap();
+        assert!(predicted > 0.85, "{op:?}: predicted {predicted}");
+        let reads = read_results(&mut fc, BankId(0), &layout);
+        let observed = accuracy(&reads, &shared, &ideal_logic(op, &inputs));
+        assert!(observed > 0.75, "{op:?}: observed {observed}");
     }
 }
 
@@ -128,17 +130,18 @@ fn samsung_not_works_but_logic_does_not() {
     // Sequential 1:1 NOT works.
     let entry = ctx.sequential_entry(0);
     let src = characterize::patterns::DataPattern::Random(5).row(32);
-    let report = ctx.fc.execute_not(BankId(0), &entry, &src).unwrap();
-    assert!(
-        report.predicted_success > 0.7,
-        "{}",
-        report.predicted_success
-    );
+    let (_, outcome) = ctx
+        .fc
+        .not_outcome(BankId(0), &entry, src.clone().into(), None)
+        .unwrap();
+    let predicted = outcome.mean_success(CellRole::NotDst).unwrap();
+    assert!(predicted > 0.7, "{predicted}");
     // Logic fails.
-    let inputs = vec![src.clone(), src];
+    let inputs = staged_rows(&[src.clone(), src]);
+    let mask = Some(CsTerminal::terminal_of(LogicOp::And));
     assert!(ctx
         .fc
-        .execute_logic(BankId(0), &entry, LogicOp::And, &inputs)
+        .logic_outcome(BankId(0), &entry, LogicOp::And, &inputs, None, mask)
         .is_err());
 }
 

@@ -3,11 +3,18 @@
 //! The columnar fast path (telemetry off, packed I/O) must be
 //! *observationally identical* to the full-telemetry path: same stored
 //! bits, same `mean_success`/`observed_accuracy`, same reported
-//! statistics — only the per-cell `CellOutcome` records disappear. These tests run twin stacks from the same seed through
-//! both modes and compare exactly.
+//! statistics — only the per-cell `CellOutcome` records disappear.
+//! These tests run twin stacks from the same seed through both modes
+//! and compare exactly: each `Fcdram` gate call ships on both, the
+//! full stack reads every result row back through `read_row` and the
+//! fast one reads packed lanes through `read_lanes`.
 
+mod common;
+
+use common::{accuracy, ideal_logic, read_results, shared_cols, staged_rows};
 use dram_core::{
-    BankId, Bit, CellRole, ChipId, GlobalRow, LogicOp, SimFidelity, SubarrayId, Telemetry,
+    result_role, BankId, Bit, CellRole, ChipId, CsTerminal, GlobalRow, LogicOp, SimFidelity,
+    SubarrayId, Telemetry,
 };
 use fcdram::{BulkEngine, Fcdram, PackedBits};
 
@@ -26,13 +33,6 @@ fn pattern(seed: u64, n: usize) -> Vec<Bit> {
 }
 
 const BANK: BankId = BankId(0);
-
-/// Shared columns of the pair (upper = 0) are the odd ones.
-fn shared_cols(cols: usize, upper: SubarrayId) -> Vec<usize> {
-    (0..cols)
-        .filter(|c| dram_core::is_shared_col(upper, dram_core::Col(*c)))
-        .collect()
-}
 
 #[test]
 fn chip_ops_identical_across_telemetry_modes() {
@@ -92,7 +92,9 @@ fn lanes(seed: u64, n: usize) -> PackedBits {
     PackedBits::from_bools(&bits)
 }
 
-/// The value ops' staging convention: shared lanes, zeros elsewhere.
+/// The engine's staging convention, written out column by column:
+/// shared lanes, zeros elsewhere (the fast stacks stage the same row
+/// through `PackedBits::expand_strided`).
 fn staged(p: &PackedBits, cols: usize, shared: &[usize]) -> Vec<Bit> {
     let mut row = vec![Bit::Zero; cols];
     for (i, c) in shared.iter().enumerate() {
@@ -101,25 +103,31 @@ fn staged(p: &PackedBits, cols: usize, shared: &[usize]) -> Vec<Bit> {
     row
 }
 
-/// Accuracy of one read-back row over `cols` against `want`.
-fn row_accuracy(row: &[Bit], cols: &[usize], want: impl Fn(usize, usize) -> bool) -> f64 {
-    let hits = cols
-        .iter()
-        .enumerate()
-        .filter(|(i, c)| row[**c].as_bool() == want(*i, **c))
-        .count();
-    hits as f64 / cols.len() as f64
+/// Twin full-telemetry and fast stacks of one Table-1 part, both with
+/// the activation map of subarray pair (0, 1) discovered.
+fn twins(cols: usize, budget: usize) -> (Fcdram, Fcdram, fcdram::ActivationMap) {
+    let mut full = Fcdram::new(cfg(cols));
+    let mut fast = Fcdram::new(cfg(cols));
+    fast.configure(dram_core::SimConfig::fast());
+    let pair = (SubarrayId(0), SubarrayId(1));
+    let map = full.discover(BANK, pair, budget).unwrap();
+    let _ = fast.discover(BANK, pair, budget).unwrap();
+    (full, fast, map)
+}
+
+/// The fast stack's packed lanes of `row` against the full stack's
+/// full-width read-back of the same row, lane by lane.
+fn assert_lanes_match(lanes: &PackedBits, row: &[Bit], shared: &[usize], ctx: &str) {
+    assert_eq!(lanes.len(), shared.len(), "{ctx}: lane count");
+    for (i, c) in shared.iter().enumerate() {
+        assert_eq!(lanes.get(i), row[*c].as_bool(), "{ctx}: lane {i}");
+    }
 }
 
 #[test]
 fn packed_not_matches_telemetry_report() {
     let cols = 64;
-    let mut full = Fcdram::new(cfg(cols));
-    let mut fast = Fcdram::new(cfg(cols));
-    fast.configure(dram_core::SimConfig::fast());
-    let pair = (SubarrayId(0), SubarrayId(1));
-    let map = full.discover(BANK, pair, 8192).unwrap();
-    let _ = fast.discover(BANK, pair, 8192).unwrap();
+    let (mut full, mut fast, map) = twins(cols, 8192);
     let entry = map
         .find_dst(1)
         .first()
@@ -128,39 +136,43 @@ fn packed_not_matches_telemetry_report() {
         .or_else(|| map.find_dst(2).first().cloned().cloned())
         .expect("a small NOT pattern");
 
-    let shared = shared_cols(cols, pair.0);
+    let shared = shared_cols(cols, SubarrayId(0));
     let src = lanes(11, shared.len());
-    let report = full
-        .execute_not(BANK, &entry, &staged(&src, cols, &shared))
+    let (layout, report) = full
+        .not_outcome(BANK, &entry, staged(&src, cols, &shared).into(), None)
         .unwrap();
-    let fast_res = fast.execute_not_value(BANK, &entry, &src, None).unwrap();
+    let reads = read_results(&mut full, BANK, &layout);
+    let (fast_layout, fast_res) = fast
+        .not_outcome(BANK, &entry, src.expand_strided(cols, shared[0]), None)
+        .unwrap();
+    let result = fast
+        .read_lanes(BANK, fast_layout.result_rows[0], shared[0], shared.len())
+        .unwrap();
 
-    assert_eq!(report.shape, fast_res.shape);
+    assert_eq!(layout, fast_layout);
+    assert_eq!(report.kind, fast_res.kind, "activated shape");
     assert_eq!(
-        report.predicted_success.to_bits(),
-        fast_res.predicted_success.to_bits()
+        report.mean_success(CellRole::NotDst).map(f64::to_bits),
+        fast_res.mean_success(CellRole::NotDst).map(f64::to_bits)
     );
     // First destination row, shared columns only, bit-identical; the
-    // value op's accuracy is that row's.
-    let (_, data) = &report.dst_reads[0];
-    assert_eq!(fast_res.result.len(), shared.len());
-    for (i, c) in shared.iter().enumerate() {
-        assert_eq!(fast_res.result.get(i), data[*c].as_bool(), "lane {i}");
-    }
-    let first = row_accuracy(data, &shared, |i, _| !src.get(i));
-    assert_eq!(first.to_bits(), fast_res.observed_success.to_bits());
+    // lanes' accuracy is that row's.
+    assert_lanes_match(&result, &reads[0].1, &shared, "NOT");
+    let mut want = src.clone();
+    want.not_in_place();
+    let ideal: Vec<Bit> = staged(&src, cols, &shared)
+        .iter()
+        .map(|b| b.not())
+        .collect();
+    let first = accuracy(&reads[..1], &shared, &ideal);
+    assert_eq!(first.to_bits(), result.accuracy_against(&want).to_bits());
 }
 
 #[test]
 fn packed_logic_matches_telemetry_report_across_n() {
     let cols = 64;
-    let mut full = Fcdram::new(cfg(cols));
-    let mut fast = Fcdram::new(cfg(cols));
-    fast.configure(dram_core::SimConfig::fast());
-    let pair = (SubarrayId(0), SubarrayId(1));
-    let map = full.discover(BANK, pair, 16384).unwrap();
-    let _ = fast.discover(BANK, pair, 16384).unwrap();
-    let shared = shared_cols(cols, pair.0);
+    let (mut full, mut fast, map) = twins(cols, 16384);
+    let shared = shared_cols(cols, SubarrayId(0));
 
     let mut tested = 0usize;
     for n in [2usize, 4, 8, 16] {
@@ -168,6 +180,7 @@ fn packed_logic_matches_telemetry_report_across_n() {
             continue;
         };
         for op in LogicOp::ALL {
+            let ctx = format!("{op:?} n={n}");
             // n random packed inputs over the shared half.
             let packed: Vec<PackedBits> = (0..n)
                 .map(|i| {
@@ -178,44 +191,59 @@ fn packed_logic_matches_telemetry_report_across_n() {
                 })
                 .collect();
             let rows: Vec<Vec<Bit>> = packed.iter().map(|p| staged(p, cols, &shared)).collect();
-            let refs: Vec<&PackedBits> = packed.iter().collect();
+            let expanded: Vec<_> = packed
+                .iter()
+                .map(|p| p.expand_strided(cols, shared[0]))
+                .collect();
 
-            let report = full.execute_logic(BANK, &entry, op, &rows).unwrap();
-            let fast_res = fast
-                .execute_logic_value(BANK, &entry, op, &refs, None, true)
+            // The full stack resolves the whole result terminal and
+            // reads every result row; the fast one resolves only the
+            // first row, as the engine does, and reads its lanes.
+            let (layout, report) = full
+                .logic_outcome(
+                    BANK,
+                    &entry,
+                    op,
+                    &staged_rows(&rows),
+                    None,
+                    Some(CsTerminal::terminal_of(op)),
+                )
+                .unwrap();
+            let reads = read_results(&mut full, BANK, &layout);
+            let (fast_layout, fast_res) = fast
+                .logic_outcome(
+                    BANK,
+                    &entry,
+                    op,
+                    &expanded,
+                    None,
+                    Some(CsTerminal::first_row_of(op)),
+                )
+                .unwrap();
+            let result = fast
+                .read_lanes(BANK, fast_layout.result_rows[0], shared[0], shared.len())
                 .unwrap();
 
-            assert_eq!(report.n, fast_res.n, "{op:?} n={n}");
+            assert_eq!(layout, fast_layout, "{ctx}");
+            assert_eq!(report.kind, fast_res.kind, "{ctx}");
+            let role = result_role(op);
             assert_eq!(
-                report.predicted_success.to_bits(),
-                fast_res.predicted_success.to_bits(),
-                "{op:?} n={n} predicted"
+                report.mean_success(role).map(f64::to_bits),
+                fast_res.mean_success(role).map(f64::to_bits),
+                "{ctx} predicted"
             );
-            for i in 0..shared.len() {
-                assert_eq!(
-                    report.expected[i].as_bool(),
-                    fast_res.expected.get(i),
-                    "{op:?} n={n}"
-                );
-                assert_eq!(
-                    report.result[i].as_bool(),
-                    fast_res.result.get(i),
-                    "{op:?} n={n}"
-                );
-            }
-            // `result` is the report's first result row on the shared
-            // columns, so its accuracy is the value op's.
-            let first = report
-                .result
-                .iter()
-                .zip(&report.expected)
-                .filter(|(a, b)| a == b)
-                .count() as f64
-                / shared.len() as f64;
+            assert_lanes_match(&result, &reads[0].1, &shared, &ctx);
+            // The lanes are the first result row on the shared columns,
+            // so their accuracy is that row's.
+            let ideal = ideal_logic(op, &rows);
+            let want: Vec<bool> = shared.iter().map(|c| ideal[*c].as_bool()).collect();
+            let first = accuracy(&reads[..1], &shared, &ideal);
             assert_eq!(
                 first.to_bits(),
-                fast_res.observed_success.to_bits(),
-                "{op:?} n={n} observed"
+                result
+                    .accuracy_against(&PackedBits::from_bools(&want))
+                    .to_bits(),
+                "{ctx} observed"
             );
             tested += 1;
         }
@@ -246,25 +274,20 @@ fn packed_logic_matches_telemetry_report_across_n() {
         .and_then(|v| v.first())
         .expect("a 4-row in-subarray set")
         .clone();
-    let inputs: Vec<Vec<Bit>> = (0..4).map(|i| pattern(0xA0 + i, cols)).collect();
-    let report = full.execute_maj(BANK, &entry, &inputs).unwrap();
-    let start = shared[0];
-    let fast_res = fast
-        .execute_maj_value(BANK, &entry, &inputs, start, None)
+    let inputs = staged_rows(&(0..4).map(|i| pattern(0xA0 + i, cols)).collect::<Vec<_>>());
+    let (layout, report) = full.maj_outcome(BANK, &entry, &inputs, None).unwrap();
+    let reads = read_results(&mut full, BANK, &layout);
+    let (fast_layout, fast_res) = fast.maj_outcome(BANK, &entry, &inputs, None).unwrap();
+    let result = fast
+        .read_lanes(BANK, fast_layout.result_rows[0], shared[0], shared.len())
         .unwrap();
-    assert_eq!(report.n, fast_res.n);
+    assert_eq!(layout, fast_layout);
+    assert_eq!(report.kind, fast_res.kind);
     assert_eq!(
-        report.predicted_success.to_bits(),
-        fast_res.predicted_success.to_bits()
+        report.mean_success(CellRole::OffMaj).map(f64::to_bits),
+        fast_res.mean_success(CellRole::OffMaj).map(f64::to_bits)
     );
-    assert_eq!(fast_res.result.len(), shared.len());
-    for (i, c) in shared.iter().enumerate() {
-        assert_eq!(
-            report.result[*c].as_bool(),
-            fast_res.result.get(i),
-            "MAJ4 lane {i}"
-        );
-    }
+    assert_lanes_match(&result, &reads[0].1, &shared, "MAJ4");
 }
 
 #[test]

@@ -2,9 +2,28 @@
 //! the experiments consume must agree with what repeated *actual*
 //! executions of the command sequences produce.
 
+mod common;
+
 use characterize::patterns::DataPattern;
-use dram_core::{BankId, Bit, CellRole, GlobalRow, LogicOp, SubarrayId};
-use fcdram::{sample_trials, Fcdram};
+use common::{accuracy, ideal_logic, ideal_majority, read_results, shared_cols, staged_rows};
+use dram_core::{BankId, Bit, CellRole, CsTerminal, GlobalRow, LogicOp, OpOutcome, SubarrayId};
+use fcdram::{sample_trials, Fcdram, GateLayout, PatternEntry};
+
+type Reads = Vec<(GlobalRow, Vec<Bit>)>;
+
+/// A NOT through `entry`, every destination row read back, and the
+/// accuracy of their shared columns.
+fn not_with_reads(
+    fc: &mut Fcdram,
+    entry: &PatternEntry,
+    src: &[Bit],
+) -> fcdram::Result<(GateLayout, OpOutcome, Reads, f64)> {
+    let (layout, outcome) = fc.not_outcome(BankId(0), entry, src.into(), None)?;
+    let reads = read_results(fc, BankId(0), &layout);
+    let want: Vec<Bit> = src.iter().map(|b| b.not()).collect();
+    let observed = accuracy(&reads, &shared_cols(fc.cols(), SubarrayId(0)), &want);
+    Ok((layout, outcome, reads, observed))
+}
 
 fn fc() -> Fcdram {
     let cfg = dram_core::config::table1().remove(0).with_modeled_cols(64);
@@ -31,9 +50,9 @@ fn not_observed_rate_matches_predicted_over_trials() {
     let mut predicted = 0.0;
     let mut observed = 0.0;
     for _ in 0..trials {
-        let report = fc.execute_not(BankId(0), &entry, &src).unwrap();
-        predicted += report.predicted_success;
-        observed += report.observed_success;
+        let (_, outcome, _, accuracy) = not_with_reads(&mut fc, &entry, &src).unwrap();
+        predicted += outcome.mean_success(CellRole::NotDst).unwrap();
+        observed += accuracy;
     }
     predicted /= trials as f64;
     observed /= trials as f64;
@@ -70,14 +89,16 @@ fn maj_observed_rate_matches_predicted_over_trials() {
         DataPattern::Random(43).row(cols),
         vec![Bit::One; cols],
     ];
+    let (rows, want) = (staged_rows(&inputs), ideal_majority(&inputs));
+    let all: Vec<usize> = (0..cols).collect();
 
     let trials = 60usize;
     let mut predicted = 0.0;
     let mut observed = 0.0;
     for _ in 0..trials {
-        let report = fc.execute_maj(BankId(0), &entry, &inputs).unwrap();
-        predicted += report.predicted_success;
-        observed += report.observed_success;
+        let (layout, outcome) = fc.maj_outcome(BankId(0), &entry, &rows, None).unwrap();
+        predicted += outcome.mean_success(CellRole::OffMaj).unwrap();
+        observed += accuracy(&read_results(&mut fc, BankId(0), &layout), &all, &want);
     }
     predicted /= trials as f64;
     observed /= trials as f64;
@@ -141,16 +162,19 @@ fn logic_observed_rate_matches_predicted_over_trials() {
     let inputs: Vec<Vec<Bit>> = (0..4)
         .map(|i| DataPattern::Random(100 + i).row(fc.cols()))
         .collect();
+    let (rows, want) = (staged_rows(&inputs), ideal_logic(LogicOp::And, &inputs));
+    let shared = shared_cols(fc.cols(), SubarrayId(0));
+    let mask = Some(CsTerminal::terminal_of(LogicOp::And));
 
     let trials = 60usize;
     let mut predicted = 0.0;
     let mut observed = 0.0;
     for _ in 0..trials {
-        let report = fc
-            .execute_logic(BankId(0), &entry, LogicOp::And, &inputs)
+        let (layout, outcome) = fc
+            .logic_outcome(BankId(0), &entry, LogicOp::And, &rows, None, mask)
             .unwrap();
-        predicted += report.predicted_success;
-        observed += report.observed_success;
+        predicted += outcome.mean_success(CellRole::Compute).unwrap();
+        observed += accuracy(&read_results(&mut fc, BankId(0), &layout), &shared, &want);
     }
     predicted /= trials as f64;
     observed /= trials as f64;
@@ -176,9 +200,8 @@ fn ten_thousand_trial_methodology() {
         .cloned()
         .expect("4-dest pattern");
     let src = DataPattern::Random(9).row(fc.cols());
-    let report = fc.execute_not(BankId(0), &entry, &src).unwrap();
-    for (i, cell) in report
-        .outcome
+    let (_, outcome) = fc.not_outcome(BankId(0), &entry, src.into(), None).unwrap();
+    for (i, cell) in outcome
         .cells
         .iter()
         .filter(|c| c.role == CellRole::NotDst)
@@ -214,24 +237,17 @@ fn sampling_is_fresh_within_a_session_and_reproducible_across() {
             .cloned()
             .expect("16-dest pattern");
         let src = DataPattern::Random(5).row(fc.cols());
-        let a = fc.execute_not(BankId(0), &entry, &src).unwrap();
-        let b = fc.execute_not(BankId(0), &entry, &src).unwrap();
+        let a = not_with_reads(&mut fc, &entry, &src).unwrap();
+        let b = not_with_reads(&mut fc, &entry, &src).unwrap();
         (a, b)
     };
     let (a1, b1) = run_twice();
     let (a2, b2) = run_twice();
     // Heavy-load NOT has enough noise that two in-session runs differ.
+    let actual = |o: &OpOutcome| o.cells.iter().map(|c| c.actual).collect::<Vec<_>>();
     assert_ne!(
-        a1.outcome
-            .cells
-            .iter()
-            .map(|c| c.actual)
-            .collect::<Vec<_>>(),
-        b1.outcome
-            .cells
-            .iter()
-            .map(|c| c.actual)
-            .collect::<Vec<_>>(),
+        actual(&a1.1),
+        actual(&b1.1),
         "two executions should sample different outcomes"
     );
     // But the session replay is bit-identical.
@@ -256,14 +272,13 @@ fn memory_state_is_consistent_with_outcomes() {
         .cloned()
         .expect("32-dest pattern");
     let src = DataPattern::Random(11).row(fc.cols());
-    let report = fc.execute_not(BankId(0), &entry, &src).unwrap();
+    let (_, outcome, reads, observed) = not_with_reads(&mut fc, &entry, &src).unwrap();
     // At 48 driven rows most destination cells fail.
-    assert!(report.observed_success < 0.6, "{}", report.observed_success);
+    assert!(observed < 0.6, "{observed}");
     let geom = fc.config().geometry();
-    for (row, data) in &report.dst_reads {
+    for (row, data) in &reads {
         let (sub, local) = geom.split_row(*row).unwrap();
-        for cell in report
-            .outcome
+        for cell in outcome
             .cells
             .iter()
             .filter(|c| c.role == CellRole::NotDst && c.subarray == sub && c.row == local)
@@ -297,7 +312,9 @@ fn micron_not_leaves_memory_untouched() {
         kind: dram_core::PatternKind::NN,
     };
     let src = DataPattern::Random(1).row(32);
-    let err = fc.execute_not(BankId(0), &entry, &src).unwrap_err();
+    let err = fc
+        .not_outcome(BankId(0), &entry, src.into(), None)
+        .unwrap_err();
     assert!(matches!(err, fcdram::FcdramError::OpFailed { .. }));
     assert_eq!(fc.read_row(BankId(0), GlobalRow(512)).unwrap(), before);
 }

@@ -11,12 +11,14 @@
 //! kernel rewrite that claims bit-identical draws and statistics must
 //! leave every value here unchanged.
 //!
-//! A second section pins the characterization path: `execute_not`,
-//! `execute_logic` (AND/OR/NAND/NOR × N ∈ {2, 4, 8, 16}) and
-//! `execute_maj` (MAJ4) on one Table-1 chip at full fidelity, in one
-//! sequence, so each operation also sees what the previous ones left
-//! in the rows. Each report's success figures (as `to_bits`), shape,
-//! read-back and per-cell outcomes are pinned.
+//! A second section pins the characterization path: the gate calls
+//! `not_outcome`, `logic_outcome` (AND/OR/NAND/NOR × N ∈ {2, 4, 8, 16},
+//! resolving the result terminal) and `maj_outcome` (MAJ4) on one
+//! Table-1 chip at full fidelity, each followed by a full-width
+//! read-back of every result row, in one sequence, so each operation
+//! also sees what the previous ones left in the rows. Each operation's
+//! success figures (as `to_bits`), shape, read-back and per-cell
+//! outcomes are pinned.
 //!
 //! A third section drives `Chip` kernels directly: charge shares under
 //! all five `CsTerminal` scopes, NOT copies, RowClone, in-subarray MAJ,
@@ -33,11 +35,14 @@
 //! four ops × N ∈ {2, 4}, and one `chip_sweep` `ChipResult` (every
 //! accumulator's count, sum, min, max and bins).
 
+mod common;
+
 use characterize::serve::DEMO_MIX;
 use dram_core::math::mix2;
 use dram_core::{
-    ActivationShape, BankId, Bit, CellOutcome, Chip, ChipId, CsTerminal, DisturbancePolicy,
-    GlobalRow, LogicOp, MultiActivation, OpOutcome, SimConfig, SubarrayId, Telemetry,
+    result_role, ActivationShape, BankId, Bit, CellOutcome, CellRole, Chip, ChipId, CsTerminal,
+    DisturbancePolicy, GlobalRow, LogicOp, MultiActivation, OpOutcome, OutcomeKind, SimConfig,
+    SubarrayId, Telemetry,
 };
 use fcdram::{BulkEngine, Fcdram, PackedBits};
 use fcexec::{BenderBackend, ExecBackend};
@@ -189,10 +194,13 @@ fn row_pattern(seed: u64, cols: usize) -> Vec<Bit> {
         .collect()
 }
 
-/// One row per report: `[observed, predicted, shape.0, shape.1,
-/// read-back digest, outcome-cell digest]`. NOT reports its activation
-/// shape; logic reports `(N, op index)`; MAJ reports `(N, 0)`.
+/// One row per operation: `[observed, predicted, shape.0, shape.1,
+/// read-back digest, outcome-cell digest]`. NOT records its activation
+/// shape; logic records `(N, op index)`; MAJ records `(N, 0)`. The
+/// observed figure is the accuracy of every result row read back (the
+/// shared columns for NOT and logic, every column for MAJ).
 fn observe_characterization() -> Vec<[u64; 6]> {
+    use common::{accuracy, ideal_logic, ideal_majority, read_results, shared_cols, staged_rows};
     let cfg = dram_core::config::table1()
         .remove(0)
         .with_modeled_cols(CHAR_COLS);
@@ -201,6 +209,7 @@ fn observe_characterization() -> Vec<[u64; 6]> {
     let map = fc
         .discover(bank, (SubarrayId(0), SubarrayId(1)), 16_384)
         .unwrap();
+    let shared = shared_cols(CHAR_COLS, SubarrayId(0));
     let mut out = Vec::new();
     let not_entry = map
         .find_dst(1)
@@ -210,19 +219,25 @@ fn observe_characterization() -> Vec<[u64; 6]> {
         .expect("a small NOT pattern")
         .clone();
     for seed in [1u64, 2] {
-        let r = fc
-            .execute_not(bank, &not_entry, &row_pattern(seed, CHAR_COLS))
+        let src = row_pattern(seed, CHAR_COLS);
+        let (layout, outcome) = fc
+            .not_outcome(bank, &not_entry, src.clone().into(), None)
             .unwrap();
-        let reads = r.dst_reads.iter().fold(0u64, |h, (g, bits)| {
+        let OutcomeKind::Not { n_rf, n_rl, .. } = outcome.kind else {
+            panic!("NOT produced {:?}", outcome.kind);
+        };
+        let reads = read_results(&mut fc, bank, &layout);
+        let want: Vec<Bit> = src.iter().map(|b| b.not()).collect();
+        let digest = reads.iter().fold(0u64, |h, (g, bits)| {
             fold_bits(mix2(h, g.index() as u64), bits)
         });
         out.push([
-            r.observed_success.to_bits(),
-            r.predicted_success.to_bits(),
-            r.shape.0 as u64,
-            r.shape.1 as u64,
-            reads,
-            cells_digest(&r.outcome.cells),
+            accuracy(&reads, &shared, &want).to_bits(),
+            outcome.mean_success(CellRole::NotDst).unwrap().to_bits(),
+            n_rf as u64,
+            n_rl as u64,
+            digest,
+            cells_digest(&outcome.cells),
         ]);
     }
     for n in [2usize, 4, 8, 16] {
@@ -231,14 +246,21 @@ fn observe_characterization() -> Vec<[u64; 6]> {
             let inputs: Vec<Vec<Bit>> = (0..n)
                 .map(|i| row_pattern((100 * n + 10 * j + i) as u64, CHAR_COLS))
                 .collect();
-            let r = fc.execute_logic(bank, &entry, op, &inputs).unwrap();
+            let mask = Some(CsTerminal::terminal_of(op));
+            let (layout, outcome) = fc
+                .logic_outcome(bank, &entry, op, &staged_rows(&inputs), None, mask)
+                .unwrap();
+            let reads = read_results(&mut fc, bank, &layout);
+            let want = ideal_logic(op, &inputs);
+            let expected: Vec<Bit> = shared.iter().map(|c| want[*c]).collect();
+            let result: Vec<Bit> = shared.iter().map(|c| reads[0].1[*c]).collect();
             out.push([
-                r.observed_success.to_bits(),
-                r.predicted_success.to_bits(),
-                r.n as u64,
+                accuracy(&reads, &shared, &want).to_bits(),
+                outcome.mean_success(result_role(op)).unwrap().to_bits(),
+                entry.shape().1 as u64,
                 j as u64,
-                fold_bits(fold_bits(0, &r.expected), &r.result),
-                cells_digest(&r.outcome.cells),
+                fold_bits(fold_bits(0, &expected), &result),
+                cells_digest(&outcome.cells),
             ]);
         }
     }
@@ -251,18 +273,23 @@ fn observe_characterization() -> Vec<[u64; 6]> {
         .and_then(|v| v.first())
         .expect("a 4-row in-subarray set")
         .clone();
+    let all: Vec<usize> = (0..CHAR_COLS).collect();
     for seed in [7u64, 8] {
         let inputs: Vec<Vec<Bit>> = (0..4)
             .map(|i| row_pattern(1000 * seed + i, CHAR_COLS))
             .collect();
-        let r = fc.execute_maj(bank, &maj, &inputs).unwrap();
+        let (layout, outcome) = fc
+            .maj_outcome(bank, &maj, &staged_rows(&inputs), None)
+            .unwrap();
+        let reads = read_results(&mut fc, bank, &layout);
+        let want = ideal_majority(&inputs);
         out.push([
-            r.observed_success.to_bits(),
-            r.predicted_success.to_bits(),
-            r.n as u64,
+            accuracy(&reads, &all, &want).to_bits(),
+            outcome.mean_success(CellRole::OffMaj).unwrap().to_bits(),
+            maj.rows.len() as u64,
             0,
-            fold_bits(fold_bits(0, &r.expected), &r.result),
-            cells_digest(&r.outcome.cells),
+            fold_bits(fold_bits(0, &want), &reads[0].1),
+            cells_digest(&outcome.cells),
         ]);
     }
     out
