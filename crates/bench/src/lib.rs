@@ -4,6 +4,8 @@
 //! operations → statistics) at a reduced scale, so `cargo bench`
 //! exercises every reproduction pipeline and tracks its cost.
 
+pub mod exec_mix;
+
 use characterize::runner::{ModuleCtx, Scale};
 use criterion::Criterion;
 use dram_core::Temperature;

@@ -182,7 +182,7 @@ pub(crate) fn not_gate(
     pattern: DataPattern,
 ) -> Result<OpOutcome> {
     let src = pattern.row(ctx.cfg.geometry().cols());
-    let (_, outcome) = ctx.fc.not_outcome(BANK, entry, src.into(), None)?;
+    let (_, outcome) = ctx.fc.not_outcome(BANK, entry, src.into())?;
     Ok(outcome)
 }
 
@@ -278,7 +278,7 @@ fn logic_gate(
 ) -> Result<OpOutcome> {
     let rows: Vec<Arc<[Bit]>> = inputs.iter().map(|r| Arc::from(r.as_slice())).collect();
     let mask = Some(CsTerminal::terminal_of(op));
-    let (_, outcome) = ctx.fc.logic_outcome(BANK, entry, op, &rows, None, mask)?;
+    let (_, outcome) = ctx.fc.logic_outcome(BANK, entry, op, &rows, mask)?;
     Ok(outcome)
 }
 

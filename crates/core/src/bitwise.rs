@@ -9,7 +9,7 @@
 
 use crate::error::{FcdramError, Result};
 use crate::mapping::{ActivationMap, InSubarrayEntry, PatternEntry};
-use crate::ops::{Fcdram, Prelude};
+use crate::ops::Fcdram;
 use crate::packed::PackedBits;
 use dram_core::{
     result_role, BankId, Bit, CellRole, CsTerminal, GlobalRow, LocalRow, LogicOp, MultiActivation,
@@ -77,8 +77,8 @@ enum Gate<'a> {
 /// the operand values from the caller, who owns them (no gate reads an
 /// operand row back), ships as one command program through the
 /// [`Fcdram`] gate call, reads back the first result row's lanes
-/// ([`Fcdram::read_lanes`]) and returns those bits with its
-/// statistics.
+/// ([`Fcdram::read_lanes`]), stores the result in its output vector
+/// before it returns and returns those bits with its statistics.
 #[derive(Debug)]
 pub struct BulkEngine {
     fc: Fcdram,
@@ -102,12 +102,6 @@ pub struct BulkEngine {
     /// logic entry's raised rows (which a masked charge share may
     /// leave unresolved). Computed once at construction.
     mask_safe: bool,
-    /// Whether a fused visit is open (see [`BulkEngine::begin_visit`]).
-    visiting: bool,
-    /// The previous gate's result write, deferred during a visit so it
-    /// ships as the prelude of the next gate's program (or is flushed
-    /// before anything reads device rows, and at visit end).
-    pending: Prelude,
 }
 
 impl BulkEngine {
@@ -216,38 +210,7 @@ impl BulkEngine {
             nn_entries,
             maj_entry,
             mask_safe,
-            visiting: false,
-            pending: None,
         })
-    }
-
-    /// Opens a fused visit: until [`BulkEngine::end_visit`], each gate's
-    /// result write is deferred into the *next* gate's command program
-    /// instead of shipping as a program of its own. The device-call
-    /// sequence — and with it every stored bit, stochastic draw, and
-    /// success statistic — is identical to unfused execution; only the
-    /// per-program fixed costs are amortized.
-    ///
-    /// Nested calls are idempotent (an active visit is kept).
-    pub fn begin_visit(&mut self) {
-        self.visiting = true;
-    }
-
-    /// Closes the current fused visit, flushing the deferred result
-    /// write (if any). A no-op when no visit is active.
-    pub fn end_visit(&mut self) -> Result<()> {
-        self.visiting = false;
-        self.flush_pending()
-    }
-
-    /// Lands the visit's deferred result write, so operations that
-    /// read device rows directly (copies, host read-backs) observe a
-    /// consistent chip.
-    fn flush_pending(&mut self) -> Result<()> {
-        if let Some((row, data)) = self.pending.take() {
-            self.fc.write_row(self.bank, row, data)?;
-        }
-        Ok(())
     }
 
     /// The current simulation configuration of the chip under the
@@ -379,7 +342,6 @@ impl BulkEngine {
     /// Writes a packed vector (64 lanes per word, no per-bit `Vec`).
     pub fn write_packed(&mut self, v: &BitVecHandle, bits: &PackedBits) -> Result<()> {
         self.check_width(bits)?;
-        self.flush_pending()?;
         let row = self.expand_packed(bits);
         self.fc.write_row(self.bank, v.row, row)
     }
@@ -392,7 +354,6 @@ impl BulkEngine {
     /// Reads a vector back packed: the device thresholds only the
     /// shared column half directly into `u64` words.
     pub fn read_packed(&mut self, v: &BitVecHandle) -> Result<PackedBits> {
-        self.flush_pending()?;
         self.fc
             .read_lanes(self.bank, v.row, self.shared_start, self.lanes)
     }
@@ -516,9 +477,6 @@ impl BulkEngine {
             };
             return Ok((stats, val.clone()));
         }
-        // RowClone reads the source row on-device: any deferred fused
-        // result write must land first.
-        self.flush_pending()?;
         let outcome = self.fc.rowclone(self.bank, a.row, out.row)?;
         let got = self.read_packed(out)?;
         let predicted = outcome.mean_success(dram_core::CellRole::CloneDst);
@@ -584,11 +542,9 @@ impl BulkEngine {
         bits.expand_strided(self.fc.config().modeled_cols, self.shared_start)
     }
 
-    /// Runs `gate` `repetition` times through its [`Fcdram`] gate call
-    /// — the first run carries the deferred result write as its
-    /// program's prelude — reads each run's first result row back as
-    /// lanes, majority-votes them and stores the vote in `out`:
-    /// deferred into the visit when one is open, landed now otherwise.
+    /// Runs `gate` `repetition` times through its [`Fcdram`] gate call,
+    /// reads each run's first result row back as lanes, majority-votes
+    /// them and stores the vote in `out` with a plain row write.
     fn run_gate(
         &mut self,
         gate: Gate<'_>,
@@ -600,27 +556,22 @@ impl BulkEngine {
         let mut predicted = 0.0;
         let mut result = None;
         for _ in 0..k {
-            let prelude = self.pending.take();
             let ((layout, outcome), role) = match gate {
                 Gate::Not(src) => {
                     let entry = self.not_entry.as_ref().expect("checked by not");
-                    let shipped = self
-                        .fc
-                        .not_outcome(self.bank, entry, src.clone(), prelude)?;
+                    let shipped = self.fc.not_outcome(self.bank, entry, src.clone())?;
                     (shipped, CellRole::NotDst)
                 }
                 Gate::Logic(op, rows) => {
                     let entry =
                         covering(&self.nn_entries, rows.len()).expect("checked by logic_entry");
                     let mask = self.mask_safe.then(|| CsTerminal::first_row_of(op));
-                    let shipped = self
-                        .fc
-                        .logic_outcome(self.bank, entry, op, rows, prelude, mask)?;
+                    let shipped = self.fc.logic_outcome(self.bank, entry, op, rows, mask)?;
                     (shipped, result_role(op))
                 }
                 Gate::Maj(rows) => {
                     let entry = self.maj_entry.as_ref().expect("checked by maj3");
-                    let shipped = self.fc.maj_outcome(self.bank, entry, rows, prelude)?;
+                    let shipped = self.fc.maj_outcome(self.bank, entry, rows)?;
                     (shipped, CellRole::OffMaj)
                 }
             };
@@ -647,10 +598,7 @@ impl BulkEngine {
             predicted_success: predicted / k as f64,
         };
         let full = self.expand_packed(&result);
-        self.pending = Some((out.row, full));
-        if !self.visiting {
-            self.flush_pending()?;
-        }
+        self.fc.write_row(self.bank, out.row, full)?;
         Ok((stats, result))
     }
 }
@@ -998,20 +946,57 @@ mod tests {
         assert_eq!(e2.read_packed(&r2[2]).unwrap(), *vc);
     }
 
-    /// A gate refused for a missing pattern ships nothing, so the
-    /// visit's deferred result write still lands.
+    /// Every gate stores its result before the call returns: the `out`
+    /// row's shared columns, read straight from the chip, hold the bits
+    /// the call returned. A NOT refused for a missing pattern after an
+    /// OR ships nothing, so the row still holds the OR's result.
     #[test]
-    fn a_refused_not_keeps_the_deferred_write() {
+    fn gate_results_are_on_the_device_when_the_call_returns() {
         let mut e = engine();
-        e.not_entry = None;
-        let out = e.alloc().unwrap();
-        let (da, db) = (packed(40), packed(41));
-        e.begin_visit();
-        let (_, stored) = e.logic(LogicOp::Or, &[&da, &db], &out).unwrap();
-        let err = e.not(&da, &out).unwrap_err();
-        assert!(matches!(err, FcdramError::NoPattern { .. }), "{err:?}");
-        e.end_visit().unwrap();
-        assert_eq!(e.read_packed(&out).unwrap(), stored);
+        let (da, db, dc) = (packed(40), packed(41), packed(42));
+        let a = vector(&mut e, &da);
+        let out = loop {
+            let o = e.alloc().unwrap();
+            if e.clones(&a, &o) {
+                break o;
+            }
+        };
+        let on_device = |e: &BulkEngine| {
+            let fc = e.fcdram();
+            let chip = fc.bender().module().chip(fc.chip()).unwrap();
+            let row = chip.read_row_direct(e.bank, out.row).unwrap();
+            let lanes: Vec<Bit> = row
+                .into_iter()
+                .skip(e.shared_start)
+                .step_by(dram_core::SHARED_COL_STRIDE)
+                .collect();
+            PackedBits::from_bits(&lanes)
+        };
+        type Stored<'a> = &'a dyn Fn(&mut BulkEngine) -> PackedBits;
+        let gates: [(&str, Stored); 5] = [
+            ("NOT", &|e| e.not(&da, &out).unwrap().1),
+            ("OR", &|e| {
+                e.logic(LogicOp::Or, &[&da, &db], &out).unwrap().1
+            }),
+            ("MAJ3", &|e| e.maj3(&da, &db, &dc, &out).unwrap().1),
+            ("copy", &|e| {
+                let (stats, stored) = e.copy(&a, &da, &out).unwrap();
+                assert_eq!(stats.executions, 1, "the pair clones");
+                stored
+            }),
+            ("refused NOT after OR", &|e| {
+                let (_, or) = e.logic(LogicOp::Or, &[&da, &db], &out).unwrap();
+                let entry = e.not_entry.take();
+                let err = e.not(&da, &out).unwrap_err();
+                e.not_entry = entry;
+                assert!(matches!(err, FcdramError::NoPattern { .. }), "{err:?}");
+                or
+            }),
+        ];
+        for (name, gate) in gates {
+            let stored = gate(&mut e);
+            assert_eq!(on_device(&e), stored, "{name}");
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod success;
 pub use bitwise::{BitVecHandle, BulkEngine, OpStats};
 pub use error::{FcdramError, Result};
 pub use mapping::{ActivationMap, CoverageRow, InSubarrayEntry, PatternEntry};
-pub use ops::{Fcdram, GateLayout, GateSite, Prelude};
+pub use ops::{Fcdram, GateLayout, GateSite};
 pub use packed::PackedBits;
 pub use row_order::{discover_row_order, RowOrder};
 pub use success::{sample_trials, sampled_success_rate, SuccessAccumulator, SuccessStats};

@@ -22,19 +22,12 @@ use dram_core::{
 };
 use std::sync::Arc;
 
-/// A deferred full-row write: `(row, data)` shipped ahead of a gate
-/// program instead of as a program of its own; `data` is the write's
-/// payload as it is.
-pub type Prelude = Option<(GlobalRow, Arc<[Bit]>)>;
-
 /// Where a device gate's command program runs: the geometry that
 /// resolves pattern entries into bank rows, and the bank addressed.
 ///
 /// Its three builders — [`GateSite::not`], [`GateSite::logic`] and
 /// [`GateSite::maj`] — are the only place a gate's command sequence is
-/// written down. They emit into a caller's [`ProgramBuilder`], so a
-/// deferred write (or anything else) issued before them rides in the
-/// same program.
+/// written down. They emit into a caller's [`ProgramBuilder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GateSite {
     /// The chip geometry.
@@ -326,8 +319,8 @@ impl Fcdram {
     /// Reads a row, full width (timing-respecting command sequence).
     ///
     /// A read-back changes no cell, draws nothing and advances no op
-    /// counter: it only charges the chip's command tally and
-    /// disturbance counters, which no later outcome reads unless a
+    /// counter: it only charges the chip's disturbance counters, which
+    /// no later outcome reads unless a
     /// [`dram_core::DisturbancePolicy`] is installed. Without one, a
     /// caller that needs only a gate's outcome can skip reading its
     /// result rows and leaves every later operation exactly as it
@@ -368,22 +361,17 @@ impl Fcdram {
         })
     }
 
-    /// Ships one gate program — the deferred write `prelude` first,
-    /// then the gate `build` emits, arming `mask` for its charge share
-    /// — and returns the layout and the outcome of the program's last
-    /// recognized operation, the gate's own.
+    /// Ships one gate program — the gate `build` emits, arming `mask`
+    /// for its charge share — and returns the layout and the outcome of
+    /// the program's last recognized operation, the gate's own.
     fn ship(
         &mut self,
         bank: BankId,
-        prelude: Prelude,
         mask: Option<CsTerminal>,
         build: impl FnOnce(&GateSite, &mut ProgramBuilder) -> Result<GateLayout>,
     ) -> Result<(GateLayout, OpOutcome)> {
         let site = self.site(bank);
         let mut b = self.bender.builder();
-        if let Some((row, data)) = prelude {
-            b.seq_write_row(bank, row, data);
-        }
         let gate = build(&site, &mut b)?;
         if let Some(need) = mask {
             self.bender.arm_cs_mask(need);
@@ -400,10 +388,9 @@ impl Fcdram {
         Ok((gate, outcome))
     }
 
-    /// NOT (§5.1) through `entry`: the deferred write `prelude`, the
-    /// staging of the full-width source row `src` and the tRP-violating
-    /// copy-invert ship as one program ([`GateSite::not`]), and nothing
-    /// is read back. Returns where the result landed (the destination
+    /// NOT (§5.1) through `entry`: the staging of the full-width source
+    /// row `src` and the tRP-violating copy-invert ship as one program
+    /// ([`GateSite::not`]), and nothing is read back. Returns where the result landed (the destination
     /// rows) and the outcome: its kind carries the activated shape
     /// (`N_RF`, `N_RL`), its cells every destination cell's success
     /// probability ([`dram_core::CellRole::NotDst`]).
@@ -418,10 +405,9 @@ impl Fcdram {
         bank: BankId,
         entry: &PatternEntry,
         src: Arc<[Bit]>,
-        prelude: Prelude,
     ) -> Result<(GateLayout, OpOutcome)> {
         check_widths(self.cols(), std::slice::from_ref(&src))?;
-        let (gate, outcome) = self.ship(bank, prelude, None, |site, b| {
+        let (gate, outcome) = self.ship(bank, None, |site, b| {
             // Both addressed rows must resolve before anything ships.
             upper_subarray(&site.geom, entry)?;
             site.not(b, entry, src)
@@ -430,10 +416,10 @@ impl Fcdram {
         Ok((gate, outcome))
     }
 
-    /// N-input logic (§6.1) through an `N:N` entry: the deferred write
-    /// `prelude`, the reference side's constants and `Frac`, the
-    /// full-width operand rows `inputs` and the charge share ship as
-    /// one program ([`GateSite::logic`]), and nothing is read back.
+    /// N-input logic (§6.1) through an `N:N` entry: the reference
+    /// side's constants and `Frac`, the full-width operand rows `inputs`
+    /// and the charge share ship as one program ([`GateSite::logic`]),
+    /// and nothing is read back.
     /// Returns where the result landed (the result terminal's rows) and
     /// the outcome, which carries every resolved result cell's success
     /// probability ([`dram_core::result_role`]). N is
@@ -470,12 +456,11 @@ impl Fcdram {
         entry: &PatternEntry,
         op: LogicOp,
         inputs: &[Arc<[Bit]>],
-        prelude: Prelude,
         mask: Option<CsTerminal>,
     ) -> Result<(GateLayout, OpOutcome)> {
         check_logic_inputs(entry, inputs.len())?;
         check_widths(self.cols(), inputs)?;
-        let (gate, outcome) = self.ship(bank, prelude, mask, |site, b| {
+        let (gate, outcome) = self.ship(bank, mask, |site, b| {
             site.logic(b, entry, op, inputs.iter().cloned())
         })?;
         let outcome = expect_kind(outcome, "charge share", |k| {
@@ -485,10 +470,9 @@ impl Fcdram {
     }
 
     /// In-subarray N-row majority (the Ambit/ComputeDRAM baseline the
-    /// paper builds on, §2.2): the deferred write `prelude`, one
-    /// staging write per raised row (`inputs`, full width) and the
-    /// charge share ship as one program ([`GateSite::maj`]), and
-    /// nothing is read back. The majority overwrites every raised row;
+    /// paper builds on, §2.2): one staging write per raised row
+    /// (`inputs`, full width) and the charge share ship as one program
+    /// ([`GateSite::maj`]), and nothing is read back. The majority overwrites every raised row;
     /// returns those rows and the outcome, which carries every raised
     /// cell's success probability ([`dram_core::CellRole::OffMaj`]).
     ///
@@ -508,11 +492,10 @@ impl Fcdram {
         bank: BankId,
         entry: &InSubarrayEntry,
         inputs: &[Arc<[Bit]>],
-        prelude: Prelude,
     ) -> Result<(GateLayout, OpOutcome)> {
         check_maj_inputs(entry, inputs.len())?;
         check_widths(self.cols(), inputs)?;
-        let (gate, outcome) = self.ship(bank, prelude, None, |site, b| {
+        let (gate, outcome) = self.ship(bank, None, |site, b| {
             site.maj(b, entry, inputs.iter().cloned())
         })?;
         let outcome = expect_kind(outcome, "in-subarray activation", |k| {
@@ -589,7 +572,7 @@ mod tests {
 
     fn logic(fc: &mut Fcdram, entry: &PatternEntry, op: LogicOp, inputs: &[Vec<Bit>]) -> Shipped {
         let mask = Some(CsTerminal::terminal_of(op));
-        fc.logic_outcome(BankId(0), entry, op, &rows(inputs), None, mask)
+        fc.logic_outcome(BankId(0), entry, op, &rows(inputs), mask)
     }
 
     fn maj_set(fc: &mut Fcdram, sub: SubarrayId, budget: usize, cap: usize) -> InSubarrayEntry {
@@ -622,7 +605,7 @@ mod tests {
             .expect("a small NOT pattern");
         let src = pattern(11, fc.cols());
         let (layout, outcome) = fc
-            .not_outcome(BankId(0), &entry, src.clone().into(), None)
+            .not_outcome(BankId(0), &entry, src.clone().into())
             .unwrap();
         assert!(matches!(outcome.kind, OutcomeKind::Not { .. }));
         let want: Vec<Bit> = src.iter().map(|b| b.not()).collect();
@@ -712,25 +695,29 @@ mod tests {
         assert!(matches!(err, FcdramError::BadInputCount { .. }));
     }
 
-    /// A rejected gate call ships nothing, not even its prelude.
+    /// A rejected gate call ships nothing: no row of the pair moves.
     #[test]
     fn width_mismatch_rejected() {
         let mut fc = fc();
         let map = map_for(&mut fc);
         let entry = map.find_nn(2).expect("2:2 entry").clone();
-        let spare = GlobalRow(9);
-        let before = fc.read_row(BankId(0), spare).unwrap();
-        let prelude = Some((spare, Arc::from(pattern(5, fc.cols()))));
+        let pair_rows = |fc: &Fcdram| -> Vec<Vec<Bit>> {
+            let chip = fc.bender().module().chip(fc.chip()).unwrap();
+            (0..2 * fc.config().geometry().rows_per_subarray())
+                .map(|r| chip.read_row_direct(BankId(0), GlobalRow(r)).unwrap())
+                .collect()
+        };
+        let before = pair_rows(&fc);
         let err = fc
-            .not_outcome(BankId(0), &entry, Arc::from([Bit::One; 3]), prelude.clone())
+            .not_outcome(BankId(0), &entry, Arc::from([Bit::One; 3]))
             .unwrap_err();
         assert!(matches!(err, FcdramError::WidthMismatch { .. }));
         let short = rows(&[pattern(1, fc.cols()), pattern(2, 3)]);
         let err = fc
-            .logic_outcome(BankId(0), &entry, LogicOp::And, &short, prelude, None)
+            .logic_outcome(BankId(0), &entry, LogicOp::And, &short, None)
             .unwrap_err();
         assert!(matches!(err, FcdramError::WidthMismatch { .. }));
-        assert_eq!(fc.read_row(BankId(0), spare).unwrap(), before);
+        assert!(pair_rows(&fc) == before, "a rejected gate shipped");
     }
 
     #[test]
@@ -764,7 +751,7 @@ mod tests {
         let zeros = vec![Bit::Zero; cols];
         // MAJ4(A, B, 1, 0) = AND(A, B).
         let inputs = rows(&[a.clone(), b.clone(), ones, zeros]);
-        let (layout, outcome) = fc.maj_outcome(BankId(0), &entry, &inputs, None).unwrap();
+        let (layout, outcome) = fc.maj_outcome(BankId(0), &entry, &inputs).unwrap();
         assert_eq!(layout.result_rows.len(), 4);
         let want = ideal(LogicOp::And, &[a, b]);
         let all: Vec<usize> = (0..cols).collect();
@@ -790,7 +777,7 @@ mod tests {
         if let Some(entry) = sets.values().next().and_then(|v| v.first()) {
             let ins = rows(&[pattern(1, fc.cols())]);
             if entry.rows.len() != 1 {
-                let err = fc.maj_outcome(BankId(0), entry, &ins, None).unwrap_err();
+                let err = fc.maj_outcome(BankId(0), entry, &ins).unwrap_err();
                 assert!(matches!(err, FcdramError::BadInputCount { .. }));
             }
         }
@@ -1044,61 +1031,24 @@ mod tests {
         }
     }
 
-    /// Every gate family with a deferred write in its program, against
-    /// twins. `plain` lands the write as a program of its own, then
-    /// makes the same gate call without a prelude: the outcome, the
-    /// first result row's lanes and every device row of subarrays 0–2
-    /// and of the prelude's row agree. For logic with the mask off (no
-    /// Table-1 part takes this branch in the engine) `split` is the
-    /// direct-Bender reference: the deferred write on its own, each row
-    /// staged by its own program, a full charge share; its first result
-    /// row, its prediction and every device row of the pair agree too.
-    /// Logic alternates a prelude with none; NOT and MAJ always carry
-    /// one.
+    /// Logic with the mask off (no Table-1 part takes this branch in
+    /// the engine) against the direct-Bender reference `split`: each
+    /// row staged by its own program, then a full charge share. The
+    /// first result row's lanes, the prediction and every device row of
+    /// the pair agree.
     #[test]
     fn unmasked_value_logic_matches_the_split_reference() {
         let bank = BankId(0);
-        let (mut value, mut plain, mut split) = (fc(), fc(), fc());
+        let (mut value, mut split) = (fc(), fc());
         let pair = (SubarrayId(0), SubarrayId(1));
         let map = value.discover(bank, pair, 16384).unwrap();
-        plain.discover(bank, pair, 16384).unwrap();
         split.discover(bank, pair, 16384).unwrap();
         let geom = value.config().geometry();
         let shared = shared(geom.cols());
         let (start, lanes) = (shared[0], shared.len());
-        let spare = geom.join_row(SubarrayId(4), LocalRow(7)).unwrap();
         let direct = |fc: &Fcdram, g: GlobalRow| {
             let chip = fc.bender().module().chip(fc.chip()).unwrap();
             chip.read_row_direct(bank, g).unwrap()
-        };
-        let rows_of = |subarrays: usize| {
-            (0..subarrays * geom.rows_per_subarray())
-                .map(GlobalRow)
-                .chain([spare])
-        };
-        // Ships `gate` on `value` with `prelude` and on `plain` after
-        // the write, compares the two, and returns `value`'s layout.
-        let twin = |value: &mut Fcdram,
-                    plain: &mut Fcdram,
-                    prelude: Prelude,
-                    ctx: &str,
-                    gate: &dyn Fn(&mut Fcdram, Prelude) -> Shipped| {
-            let got = gate(value, prelude.clone()).unwrap();
-            if let Some((row, data)) = prelude {
-                plain.write_row(bank, row, data).unwrap();
-            }
-            let want = gate(plain, None).unwrap();
-            assert_eq!(got, want, "{ctx}: outcome");
-            let first = got.0.result_rows[0];
-            assert_eq!(
-                value.read_lanes(bank, first, start, lanes).unwrap(),
-                plain.read_lanes(bank, first, start, lanes).unwrap(),
-                "{ctx}: lanes"
-            );
-            for g in rows_of(3) {
-                assert_eq!(direct(value, g), direct(plain, g), "{ctx}: row {g}");
-            }
-            got
         };
         for (k, n) in [2usize, 4, 8, 16].into_iter().enumerate() {
             let entry = map.find_nn(n).expect("an N:N entry").clone();
@@ -1112,19 +1062,10 @@ mod tests {
                     .map(|v| v.expand_strided(geom.cols(), start))
                     .collect();
                 let inputs: Vec<Vec<Bit>> = staged.iter().map(|r| r.to_vec()).collect();
-                let prelude =
-                    (j % 2 == 1).then(|| (spare, Arc::from(pattern(seed + 99, geom.cols()))));
                 let ctx = format!("{op:?} n={n}");
-                let (layout, outcome) = twin(
-                    &mut value,
-                    &mut plain,
-                    prelude.clone(),
-                    &ctx,
-                    &|fc, prelude| fc.logic_outcome(bank, &entry, op, &staged, prelude, None),
-                );
-                if let Some((row, data)) = prelude {
-                    split.write_row(bank, row, data).unwrap();
-                }
+                let (layout, outcome) = value
+                    .logic_outcome(bank, &entry, op, &staged, None)
+                    .unwrap();
                 let (result, _, _, predicted, _) = logic_unmasked(&mut split, &entry, op, &inputs);
                 let got = value
                     .read_lanes(bank, layout.result_rows[0], start, lanes)
@@ -1135,28 +1076,10 @@ mod tests {
                     Some(predicted.to_bits()),
                     "{ctx}: predicted"
                 );
-                for g in rows_of(2) {
+                for g in (0..2 * geom.rows_per_subarray()).map(GlobalRow) {
                     assert_eq!(direct(&value, g), direct(&split, g), "{ctx}: row {g}");
                 }
             }
-        }
-        let not_entry = map.find_dst(1).first().copied().cloned().unwrap();
-        for seed in [500u64, 501] {
-            let src: Arc<[Bit]> = pattern(seed, geom.cols()).into();
-            let prelude = Some((spare, Arc::from(pattern(seed + 99, geom.cols()))));
-            twin(&mut value, &mut plain, prelude, "NOT", &|fc, prelude| {
-                fc.not_outcome(bank, &not_entry, src.clone(), prelude)
-            });
-        }
-        let maj = maj_set(&mut value, SubarrayId(2), 8192, 4);
-        assert_eq!(maj, maj_set(&mut plain, SubarrayId(2), 8192, 4));
-        for seed in [600u64, 601] {
-            let inputs: Vec<Vec<Bit>> = (0..4).map(|i| pattern(seed + i, geom.cols())).collect();
-            let staged = rows(&inputs);
-            let prelude = Some((spare, Arc::from(pattern(seed + 99, geom.cols()))));
-            twin(&mut value, &mut plain, prelude, "MAJ4", &|fc, prelude| {
-                fc.maj_outcome(bank, &maj, &staged, prelude)
-            });
         }
     }
 

@@ -23,7 +23,6 @@ use crate::fault::{DisturbancePolicy, DisturbanceState};
 use crate::fidelity::{SimFidelity, Telemetry};
 use crate::geometry::Geometry;
 use crate::math::normal_cdf;
-use crate::obs::{CommandKind, CommandTally};
 use crate::reliability::{
     LogicOp, NotEvent, ReliabilityModel, SIGMA_CELL_LOGIC, SIGMA_CELL_NOT, SIGMA_SA_LOGIC,
     SIGMA_SA_NOT, Z_ROWCLONE,
@@ -196,11 +195,6 @@ impl OutcomeStats {
     #[inline]
     pub fn role(&self, role: CellRole) -> &RoleStats {
         &self.roles[role.index()]
-    }
-
-    /// Total cells recorded across all roles.
-    pub fn total_cells(&self) -> usize {
-        self.roles.iter().map(|r| r.count).sum()
     }
 }
 
@@ -594,7 +588,6 @@ pub struct Chip {
     frac_rows: HashMap<MemoKey, FracRow>,
     disturbance: DisturbanceState,
     disturb_policy: Option<DisturbancePolicy>,
-    commands: CommandTally,
     scratch: Scratch,
 }
 
@@ -629,7 +622,6 @@ impl Chip {
             frac_rows: HashMap::new(),
             disturbance: DisturbanceState::new(geom.banks() * geom.subarrays_per_bank()),
             disturb_policy: None,
-            commands: CommandTally::new(),
             scratch: Scratch::default(),
         }
     }
@@ -717,21 +709,6 @@ impl Chip {
     #[inline]
     pub fn disturbance_policy(&self) -> Option<&DisturbancePolicy> {
         self.disturb_policy.as_ref()
-    }
-
-    /// Device commands issued by this chip since creation (or the
-    /// last [`Self::reset_commands`]). Pure bookkeeping for the
-    /// observability layer: host-side direct accesses are not
-    /// counted, and the tally never affects stored bits or success
-    /// rates.
-    #[inline]
-    pub fn commands(&self) -> &CommandTally {
-        &self.commands
-    }
-
-    /// Drain and reset the device-command tally.
-    pub fn reset_commands(&mut self) -> CommandTally {
-        std::mem::take(&mut self.commands)
     }
 
     /// Installs (or removes) the read-disturbance policy. With `None`
@@ -822,14 +799,12 @@ impl Chip {
             last_subarray: sub,
         });
         self.charge_disturbance(bank, sub, 1);
-        self.commands.record(CommandKind::Activate);
         Ok(())
     }
 
     /// Normal precharge: closes the bank.
     pub fn precharge(&mut self, bank: BankId) -> Result<()> {
         self.bank_mut_ref(bank)?.close();
-        self.commands.record(CommandKind::Precharge);
         Ok(())
     }
 
@@ -843,7 +818,6 @@ impl Chip {
             let b = self.bank_mut_ref(bank)?;
             b.subarray_mut(sub).read_bits(local, vdd)
         };
-        self.commands.record(CommandKind::Read);
         self.precharge(bank)?;
         Ok(bits)
     }
@@ -902,7 +876,6 @@ impl Chip {
                 });
             }
         }
-        self.commands.record(CommandKind::Read);
         self.precharge(bank)?;
         Ok(words)
     }
@@ -960,7 +933,6 @@ impl Chip {
             }
         }
         b.set_open(open);
-        self.commands.record(CommandKind::Write);
         Ok(())
     }
 
@@ -974,7 +946,6 @@ impl Chip {
     pub fn frac(&mut self, bank: BankId, row: GlobalRow) -> Result<OpOutcome> {
         let (sub, local) = self.geom.split_row(row)?;
         self.charge_disturbance(bank, sub, 1);
-        self.commands.record(CommandKind::Frac);
         let cols = self.geom.cols();
         let key = (
             bank.index() as u32,
@@ -1281,7 +1252,6 @@ impl Chip {
         let activation = self.decoder.activation(&self.geom, rf, rl);
         let (sub_f, loc_f) = self.geom.split_row(rf)?;
         let (sub_l, _) = self.geom.split_row(rl)?;
-        self.commands.record(CommandKind::MultiActCopy);
         let op = self.next_op();
         let vdd = self.model.analog().vdd;
         let cols = self.geom.cols();
@@ -1546,7 +1516,6 @@ impl Chip {
         let activation = self.decoder.activation(&self.geom, r_ref, r_com);
         let (sub_ref, _) = self.geom.split_row(r_ref)?;
         let (sub_com, _) = self.geom.split_row(r_com)?;
-        self.commands.record(CommandKind::ChargeShare);
         let op = self.next_op();
         let vdd = self.model.analog().vdd;
         let cols = self.geom.cols();
@@ -1900,7 +1869,6 @@ impl Chip {
         let (sub, local) = self.geom.split_row(row)?;
         self.geom.check_bank(bank)?;
         self.charge_disturbance(bank, sub, activations);
-        self.commands.record_n(CommandKind::Hammer, activations);
         let vdd = self.model.analog().vdd;
         let rows_per_sub = self.geom.rows_per_subarray();
         let mut victims = Vec::new();

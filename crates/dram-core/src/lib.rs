@@ -49,7 +49,6 @@ pub mod fleet;
 pub mod geometry;
 pub mod math;
 pub mod module;
-pub mod obs;
 pub mod reliability;
 pub mod row_decoder;
 pub mod subarray;
@@ -72,7 +71,6 @@ pub use fidelity::{SimConfig, SimFidelity, Telemetry};
 pub use fleet::{ChipSpec, FleetConfig, FleetSlot, FleetSlots, SlotLease};
 pub use geometry::Geometry;
 pub use module::DramModule;
-pub use obs::{CommandKind, CommandTally};
 pub use reliability::{CellRef, LogicEvent, LogicOp, NotEvent, ReliabilityModel};
 pub use row_decoder::{ActivationShape, MultiActivation, PatternKind, RowDecoder};
 pub use subarray::Subarray;

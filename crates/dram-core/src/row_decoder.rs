@@ -74,20 +74,6 @@ pub enum MultiActivation {
     },
 }
 
-impl MultiActivation {
-    /// `(N_RF, N_RL)` for cross-subarray outcomes, `None` otherwise.
-    pub fn cross_shape(&self) -> Option<(usize, usize)> {
-        match self {
-            MultiActivation::CrossSubarray {
-                first_rows,
-                second_rows,
-                ..
-            } => Some((first_rows.len(), second_rows.len())),
-            _ => None,
-        }
-    }
-}
-
 /// Compact description of an activation shape, used by coverage scans
 /// that do not need the actual row sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

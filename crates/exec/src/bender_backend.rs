@@ -128,12 +128,6 @@ impl ExecBackend for BenderBackend {
         ExecBackend::max_fan_in(&self.vm)
     }
 
-    fn stage(&mut self, operands: &[PackedBits]) -> Result<RowLease> {
-        let lease = self.vm.stage(operands);
-        self.fold_trace();
-        lease
-    }
-
     fn stage_many(&mut self, batches: &[&[PackedBits]]) -> Result<Vec<RowLease>> {
         let leases = self.vm.stage_many(batches);
         self.fold_trace();

@@ -37,44 +37,30 @@ pub trait ExecBackend {
     /// [`ExecBackend::prepare`] narrows wider steps to it.
     fn max_fan_in(&self) -> usize;
 
-    /// Stages packed operands into fresh rows, all-or-nothing: when
+    /// Stages several operand sets into fresh rows — one lease per
+    /// set, in order, all-or-nothing across the whole batch: when
     /// staging fails part-way, every allocated row is returned before
     /// the error propagates.
-    fn stage(&mut self, operands: &[PackedBits]) -> Result<Self::Lease>;
-
-    /// Returns every row of a lease to the backend's pool.
-    fn end_stage(&mut self, lease: Self::Lease);
-
-    /// Stages several operand sets in one bulk operation — one lease
-    /// per set, in order, all-or-nothing across the whole batch (a
-    /// failure returns every already-staged lease before propagating).
-    ///
-    /// The default loops [`ExecBackend::stage`]; backends with a bulk
-    /// write path override it to amortize per-staging fixed costs
-    /// (the VM takes every lease first, then writes every row in one
-    /// pass). Staged bits are identical to the looped default.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ExecBackend::stage`].
-    fn stage_many(&mut self, batches: &[&[PackedBits]]) -> Result<Vec<Self::Lease>>
-    where
-        Self: Sized,
-    {
-        let mut leases = Vec::with_capacity(batches.len());
-        for operands in batches {
-            match self.stage(operands) {
-                Ok(lease) => leases.push(lease),
-                Err(e) => {
-                    for lease in leases {
-                        self.end_stage(lease);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(leases)
+    /// Fails on row exhaustion, a ragged lane count or any backend
+    /// write failure.
+    fn stage_many(&mut self, batches: &[&[PackedBits]]) -> Result<Vec<Self::Lease>>;
+
+    /// Stages one operand set: [`ExecBackend::stage_many`] over a
+    /// batch of one, yielding its lease.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ExecBackend::stage_many`].
+    fn stage(&mut self, operands: &[PackedBits]) -> Result<Self::Lease> {
+        let lease = self.stage_many(&[operands])?.pop();
+        Ok(lease.expect("one lease per staged set"))
     }
+
+    /// Returns every row of a lease to the backend's pool.
+    fn end_stage(&mut self, lease: Self::Lease);
 
     /// Cycle-accurate per-step latency when this backend's fidelity is
     /// a real command schedule; `None` when latency belongs to an

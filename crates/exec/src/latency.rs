@@ -180,10 +180,6 @@ impl<B: ExecBackend> ExecBackend for ScheduleTimed<B> {
         self.inner.max_fan_in()
     }
 
-    fn stage(&mut self, operands: &[PackedBits]) -> Result<B::Lease> {
-        self.inner.stage(operands)
-    }
-
     fn end_stage(&mut self, lease: B::Lease) {
         self.inner.end_stage(lease);
     }

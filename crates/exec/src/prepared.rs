@@ -68,11 +68,6 @@ pub struct PreparedProgram {
     /// Distinct gate programs the plan ships (command-schedule
     /// backends only; see [`PreparedProgram::template_count`]).
     pub(crate) templates: usize,
-    /// Fused visits: maximal `[start, end)` runs of consecutive steps
-    /// that execute in the engine's subarray pair without reading rows
-    /// back mid-run (copy steps RowClone on-device and bound a run).
-    /// `run_prepared` executes each one as a single engine visit.
-    pub(crate) visits: Vec<(usize, usize)>,
     arena_slots: usize,
 }
 
@@ -115,7 +110,6 @@ impl PreparedProgram {
         };
         PreparedProgram {
             width: widest(&prog),
-            visits: fused_visits_of(&prog),
             arena_slots: prog.peak_live_rows(),
             prog,
             frees,
@@ -144,13 +138,11 @@ impl PreparedProgram {
         self.templates
     }
 
-    /// The fused visits the step plan defines: maximal `[start, end)`
-    /// runs of steps a backend may execute under one engine visit.
-    /// A pure function of the program — independent of which backend
-    /// prepared the plan, so observability counters derived from it
-    /// are invariant across backends.
-    pub fn fused_visits(&self) -> &[(usize, usize)] {
-        &self.visits
+    /// The fused visits of the plan's program — maximal `[start, end)`
+    /// runs of gate steps between copy steps — computed on each call
+    /// by [`fused_visits_of`].
+    pub fn fused_visits(&self) -> Vec<(usize, usize)> {
+        fused_visits_of(&self.prog)
     }
 
     /// Fails with [`ExecError::StepTooWide`] when a step is wider than
@@ -167,12 +159,10 @@ impl PreparedProgram {
     }
 }
 
-/// The fused visits a program's step plan defines: maximal `[start,
-/// end)` runs of consecutive steps a backend may execute under one
-/// engine visit. A step is fusable unless it is a one-input monotone
-/// gate (executed as an on-device copy, which must see all prior
-/// writes landed); maximal runs of fusable steps become one visit
-/// each.
+/// The fused visits of a program: maximal `[start, end)` runs of gate
+/// steps between copy steps (a copy is a one-input monotone gate).
+/// Execution does not depend on them; they only group steps for
+/// counters and trace spans.
 ///
 /// A pure function of the program — independent of any backend and of
 /// the shard count — so observability counters

@@ -29,23 +29,9 @@ impl<S: Substrate> ExecBackend for SimdVm<S> {
         self.substrate().max_fan_in()
     }
 
-    fn stage(&mut self, operands: &[PackedBits]) -> Result<RowLease> {
-        let lease = self.lease_rows(operands.len())?;
-        for (i, o) in operands.iter().enumerate() {
-            if let Err(e) = self.substrate_mut().write_packed(lease.row(i), o) {
-                self.end_lease(lease);
-                return Err(e.into());
-            }
-        }
-        Ok(lease)
-    }
-
     fn stage_many(&mut self, batches: &[&[PackedBits]]) -> Result<Vec<RowLease>> {
-        // All leases first, then every row write in one pass — a
-        // single loop over the substrate instead of interleaved
-        // lease/write/lease/write bookkeeping. Write order (batch
-        // order, operand order within a batch) matches the looped
-        // default exactly.
+        // All leases first, then every row write in one pass, in batch
+        // order and operand order within a batch.
         let mut leases: Vec<RowLease> = Vec::with_capacity(batches.len());
         let mut fail: Option<crate::error::ExecError> = None;
         for operands in batches {
@@ -99,9 +85,6 @@ impl<S: Substrate> ExecBackend for SimdVm<S> {
         }
         let result = run_prepared_vm(self, prep, inputs, &mut regs, &mut on_step);
         if result.is_err() {
-            // A failure mid-visit must not leave the substrate in
-            // fused mode (or hold a deferred write) for later callers.
-            let _ = self.substrate_mut().end_visit();
             // A failure must not strand live temporaries (inputs
             // belong to the lease).
             for slot in regs.iter_mut().skip(inputs.len()) {
@@ -131,16 +114,7 @@ fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
     let prog = prep.program();
     let mut arows: Vec<BitRow> = Vec::with_capacity(MAX_FAN_IN);
     let mut out_val = None;
-    // Fused visit bounds: begin before the first step of each visit,
-    // end (flushing the deferred result write) after the last. Copy
-    // steps and the output stage always run outside a visit.
-    let mut visits = prep.visits.iter().peekable();
     for (i, step) in prog.steps.iter().enumerate() {
-        if let Some((start, _)) = visits.peek() {
-            if i == *start {
-                vm.substrate_mut().begin_visit();
-            }
-        }
         arows.clear();
         arows.extend(
             step.args
@@ -170,12 +144,6 @@ fn run_prepared_vm<S: Substrate, F: FnMut(usize, &Step)>(
         for r in &prep.frees[i] {
             if let Some(row) = regs[*r].take() {
                 vm.release(row);
-            }
-        }
-        if let Some((_, end)) = visits.peek() {
-            if i + 1 == *end {
-                vm.substrate_mut().end_visit()?;
-                visits.next();
             }
         }
     }

@@ -698,10 +698,10 @@ fn emit_batch_events(
             cursor += dur;
         }
         step_starts.push(cursor);
-        // One span per fused engine visit — derived from the program's
-        // step plan and the modeled step clock, so the emitted stream
-        // is identical whether execution actually fused, on every
-        // backend, at every shard count.
+        // One span per fused visit (a maximal run of gate steps between
+        // copy steps) — derived from the program's step plan and the
+        // modeled step clock, so the emitted stream is identical on
+        // every backend, at every shard count.
         for (v, &(start, end)) in fcexec::fused_visits_of(&asg.program).iter().enumerate() {
             sink.record(TraceEvent {
                 phase: Phase::Span,

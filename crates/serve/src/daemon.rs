@@ -108,8 +108,9 @@ pub struct Daemon<'a> {
     tick: usize,
     batches: usize,
     native_ops: usize,
-    /// Fused engine visits across every executed job — a pure
-    /// function of each job's step plan ([`fcexec::fused_visits_of`]),
+    /// Fused visits (maximal runs of gate steps between copy steps)
+    /// across every executed job — a pure function of each job's step
+    /// plan ([`fcexec::fused_visits_of`]),
     /// counted in submission order, so the exposition is identical
     /// across shard counts and backends.
     engine_visits: usize,

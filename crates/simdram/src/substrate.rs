@@ -50,7 +50,7 @@ impl BitRow {
 /// (the in-DRAM engine stages operands into reserved scratch rows), so
 /// a row may appear several times in one `logic` call and may be
 /// shared read-only between vectors. A gate records exactly one trace
-/// entry.
+/// entry, and its result is stored in its output row when it returns.
 pub trait Substrate {
     /// Number of SIMD lanes (bits per row).
     fn lanes(&self) -> usize;
@@ -140,24 +140,6 @@ pub trait Substrate {
     /// (as opposed to the 4-gate derived circuit).
     fn has_native_maj(&self) -> bool {
         false
-    }
-
-    /// Opens a fused visit: until [`Substrate::end_visit`], consecutive
-    /// gates may share per-operation fixed costs (one combined command
-    /// program per gate, deferred result writes, cached pattern lookups
-    /// on the DRAM backend). Stored bits and statistics must be
-    /// identical to unfused execution. Backends without a fused path
-    /// (the host golden model) keep the no-op default.
-    fn begin_visit(&mut self) {}
-
-    /// Closes the current fused visit, flushing any deferred device
-    /// state. Must be a no-op when no visit is active.
-    ///
-    /// # Errors
-    ///
-    /// Fails when flushing deferred writes fails on the device.
-    fn end_visit(&mut self) -> Result<()> {
-        Ok(())
     }
 
     /// The accumulated operation trace.
@@ -483,11 +465,6 @@ impl DramSubstrate {
         &self.engine
     }
 
-    /// Consumes the substrate, returning the engine.
-    pub fn into_engine(self) -> BulkEngine {
-        self.engine
-    }
-
     fn handle(&self, r: BitRow) -> Result<BitVecHandle> {
         self.handles
             .get(r.0)
@@ -636,14 +613,6 @@ impl Substrate for DramSubstrate {
 
     fn has_native_maj(&self) -> bool {
         self.engine.has_native_maj()
-    }
-
-    fn begin_visit(&mut self) {
-        self.engine.begin_visit();
-    }
-
-    fn end_visit(&mut self) -> Result<()> {
-        Ok(self.engine.end_visit()?)
     }
 
     fn trace(&self) -> &OpTrace {

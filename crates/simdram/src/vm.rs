@@ -129,7 +129,7 @@ impl<S: Substrate> SimdVm<S> {
     }
 
     /// Whether `r` is one of the shared constant rows.
-    pub fn is_const_row(&self, r: BitRow) -> bool {
+    fn is_const_row(&self, r: BitRow) -> bool {
         r == self.zero || r == self.one
     }
 
@@ -142,11 +142,6 @@ impl<S: Substrate> SimdVm<S> {
     /// temperature on [`crate::DramSubstrate`]).
     pub fn substrate_mut(&mut self) -> &mut S {
         &mut self.sub
-    }
-
-    /// Consumes the VM, returning the substrate.
-    pub fn into_substrate(self) -> S {
-        self.sub
     }
 
     /// Applies a [`dram_core::SimConfig`] (fidelity + temperature) to

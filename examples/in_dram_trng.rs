@@ -36,7 +36,7 @@ fn main() -> Result<(), FcdramError> {
     let mut raw_bits: Vec<bool> = Vec::new();
     for round in 0..24usize {
         let entry = &entries[round % entries.len()];
-        let (layout, _) = fc.maj_outcome(bank, entry, &tie, None)?;
+        let (layout, _) = fc.maj_outcome(bank, entry, &tie)?;
         let row = fc.read_row(bank, layout.result_rows[0])?;
         raw_bits.extend(row.iter().map(|b| b.as_bool()));
     }

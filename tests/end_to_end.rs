@@ -90,7 +90,7 @@ fn sixteen_input_operations_work_on_capable_parts() {
     for op in [LogicOp::And, LogicOp::Nand, LogicOp::Or, LogicOp::Nor] {
         let mask = Some(CsTerminal::terminal_of(op));
         let (layout, outcome) = fc
-            .logic_outcome(BankId(0), &entry, op, &staged_rows(&inputs), None, mask)
+            .logic_outcome(BankId(0), &entry, op, &staged_rows(&inputs), mask)
             .unwrap();
         let predicted = outcome.mean_success(result_role(op)).unwrap();
         assert!(predicted > 0.85, "{op:?}: predicted {predicted}");
@@ -132,7 +132,7 @@ fn samsung_not_works_but_logic_does_not() {
     let src = characterize::patterns::DataPattern::Random(5).row(32);
     let (_, outcome) = ctx
         .fc
-        .not_outcome(BankId(0), &entry, src.clone().into(), None)
+        .not_outcome(BankId(0), &entry, src.clone().into())
         .unwrap();
     let predicted = outcome.mean_success(CellRole::NotDst).unwrap();
     assert!(predicted > 0.7, "{predicted}");
@@ -141,7 +141,7 @@ fn samsung_not_works_but_logic_does_not() {
     let mask = Some(CsTerminal::terminal_of(LogicOp::And));
     assert!(ctx
         .fc
-        .logic_outcome(BankId(0), &entry, LogicOp::And, &inputs, None, mask)
+        .logic_outcome(BankId(0), &entry, LogicOp::And, &inputs, mask)
         .is_err());
 }
 

@@ -139,11 +139,11 @@ fn packed_not_matches_telemetry_report() {
     let shared = shared_cols(cols, SubarrayId(0));
     let src = lanes(11, shared.len());
     let (layout, report) = full
-        .not_outcome(BANK, &entry, staged(&src, cols, &shared).into(), None)
+        .not_outcome(BANK, &entry, staged(&src, cols, &shared).into())
         .unwrap();
     let reads = read_results(&mut full, BANK, &layout);
     let (fast_layout, fast_res) = fast
-        .not_outcome(BANK, &entry, src.expand_strided(cols, shared[0]), None)
+        .not_outcome(BANK, &entry, src.expand_strided(cols, shared[0]))
         .unwrap();
     let result = fast
         .read_lanes(BANK, fast_layout.result_rows[0], shared[0], shared.len())
@@ -205,7 +205,6 @@ fn packed_logic_matches_telemetry_report_across_n() {
                     &entry,
                     op,
                     &staged_rows(&rows),
-                    None,
                     Some(CsTerminal::terminal_of(op)),
                 )
                 .unwrap();
@@ -216,7 +215,6 @@ fn packed_logic_matches_telemetry_report_across_n() {
                     &entry,
                     op,
                     &expanded,
-                    None,
                     Some(CsTerminal::first_row_of(op)),
                 )
                 .unwrap();
@@ -275,9 +273,9 @@ fn packed_logic_matches_telemetry_report_across_n() {
         .expect("a 4-row in-subarray set")
         .clone();
     let inputs = staged_rows(&(0..4).map(|i| pattern(0xA0 + i, cols)).collect::<Vec<_>>());
-    let (layout, report) = full.maj_outcome(BANK, &entry, &inputs, None).unwrap();
+    let (layout, report) = full.maj_outcome(BANK, &entry, &inputs).unwrap();
     let reads = read_results(&mut full, BANK, &layout);
-    let (fast_layout, fast_res) = fast.maj_outcome(BANK, &entry, &inputs, None).unwrap();
+    let (fast_layout, fast_res) = fast.maj_outcome(BANK, &entry, &inputs).unwrap();
     let result = fast
         .read_lanes(BANK, fast_layout.result_rows[0], shared[0], shared.len())
         .unwrap();

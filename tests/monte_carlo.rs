@@ -18,7 +18,7 @@ fn not_with_reads(
     entry: &PatternEntry,
     src: &[Bit],
 ) -> fcdram::Result<(GateLayout, OpOutcome, Reads, f64)> {
-    let (layout, outcome) = fc.not_outcome(BankId(0), entry, src.into(), None)?;
+    let (layout, outcome) = fc.not_outcome(BankId(0), entry, src.into())?;
     let reads = read_results(fc, BankId(0), &layout);
     let want: Vec<Bit> = src.iter().map(|b| b.not()).collect();
     let observed = accuracy(&reads, &shared_cols(fc.cols(), SubarrayId(0)), &want);
@@ -96,7 +96,7 @@ fn maj_observed_rate_matches_predicted_over_trials() {
     let mut predicted = 0.0;
     let mut observed = 0.0;
     for _ in 0..trials {
-        let (layout, outcome) = fc.maj_outcome(BankId(0), &entry, &rows, None).unwrap();
+        let (layout, outcome) = fc.maj_outcome(BankId(0), &entry, &rows).unwrap();
         predicted += outcome.mean_success(CellRole::OffMaj).unwrap();
         observed += accuracy(&read_results(&mut fc, BankId(0), &layout), &all, &want);
     }
@@ -171,7 +171,7 @@ fn logic_observed_rate_matches_predicted_over_trials() {
     let mut observed = 0.0;
     for _ in 0..trials {
         let (layout, outcome) = fc
-            .logic_outcome(BankId(0), &entry, LogicOp::And, &rows, None, mask)
+            .logic_outcome(BankId(0), &entry, LogicOp::And, &rows, mask)
             .unwrap();
         predicted += outcome.mean_success(CellRole::Compute).unwrap();
         observed += accuracy(&read_results(&mut fc, BankId(0), &layout), &shared, &want);
@@ -200,7 +200,7 @@ fn ten_thousand_trial_methodology() {
         .cloned()
         .expect("4-dest pattern");
     let src = DataPattern::Random(9).row(fc.cols());
-    let (_, outcome) = fc.not_outcome(BankId(0), &entry, src.into(), None).unwrap();
+    let (_, outcome) = fc.not_outcome(BankId(0), &entry, src.into()).unwrap();
     for (i, cell) in outcome
         .cells
         .iter()
@@ -312,9 +312,7 @@ fn micron_not_leaves_memory_untouched() {
         kind: dram_core::PatternKind::NN,
     };
     let src = DataPattern::Random(1).row(32);
-    let err = fc
-        .not_outcome(BankId(0), &entry, src.into(), None)
-        .unwrap_err();
+    let err = fc.not_outcome(BankId(0), &entry, src.into()).unwrap_err();
     assert!(matches!(err, fcdram::FcdramError::OpFailed { .. }));
     assert_eq!(fc.read_row(BankId(0), GlobalRow(512)).unwrap(), before);
 }

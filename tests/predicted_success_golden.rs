@@ -221,7 +221,7 @@ fn observe_characterization() -> Vec<[u64; 6]> {
     for seed in [1u64, 2] {
         let src = row_pattern(seed, CHAR_COLS);
         let (layout, outcome) = fc
-            .not_outcome(bank, &not_entry, src.clone().into(), None)
+            .not_outcome(bank, &not_entry, src.clone().into())
             .unwrap();
         let OutcomeKind::Not { n_rf, n_rl, .. } = outcome.kind else {
             panic!("NOT produced {:?}", outcome.kind);
@@ -248,7 +248,7 @@ fn observe_characterization() -> Vec<[u64; 6]> {
                 .collect();
             let mask = Some(CsTerminal::terminal_of(op));
             let (layout, outcome) = fc
-                .logic_outcome(bank, &entry, op, &staged_rows(&inputs), None, mask)
+                .logic_outcome(bank, &entry, op, &staged_rows(&inputs), mask)
                 .unwrap();
             let reads = read_results(&mut fc, bank, &layout);
             let want = ideal_logic(op, &inputs);
@@ -278,9 +278,7 @@ fn observe_characterization() -> Vec<[u64; 6]> {
         let inputs: Vec<Vec<Bit>> = (0..4)
             .map(|i| row_pattern(1000 * seed + i, CHAR_COLS))
             .collect();
-        let (layout, outcome) = fc
-            .maj_outcome(bank, &maj, &staged_rows(&inputs), None)
-            .unwrap();
+        let (layout, outcome) = fc.maj_outcome(bank, &maj, &staged_rows(&inputs)).unwrap();
         let reads = read_results(&mut fc, bank, &layout);
         let want = ideal_majority(&inputs);
         out.push([
