@@ -5,8 +5,8 @@
 # artifact upload).
 #
 #   ./ci.sh                 full gate: build, test, synth, clippy,
-#                           fmt, bench-check, determinism, docs,
-#                           perfbench (clippy and fmt also lint the
+#                           fmt, bench-check, surface, determinism,
+#                           docs, perfbench (clippy and fmt also lint the
 #                           perfbench/ package, which sits outside
 #                           the workspace but compiles against it)
 #   ./ci.sh --quick         build + test only (other stages are
@@ -14,15 +14,16 @@
 #   ./ci.sh --stage NAME    run one stage (repeatable, and NAME may be
 #                           a comma-separated list); NAME is one of:
 #                           build test synth clippy fmt bench-check
-#                           determinism docs perfbench. Unknown names
-#                           error out listing the valid stages.
+#                           surface determinism docs perfbench.
+#                           Unknown names error out listing the
+#                           valid stages.
 #
 # Exit status is 0 iff every executed stage passed. Offline-safe: all
 # dependencies are in-tree (crates/shims), no registry access needed.
 set -uo pipefail
 cd "$(dirname "$0")" || exit 1
 
-ALL_STAGES=(build test synth clippy fmt bench-check determinism docs perfbench)
+ALL_STAGES=(build test synth clippy fmt bench-check surface determinism docs perfbench)
 SELECTED=()
 QUICK=0
 while [[ $# -gt 0 ]]; do
@@ -121,6 +122,17 @@ bench_check() {
   mkdir -p target/tools
   rustc -O --edition 2021 tools/bench_check.rs -o target/tools/bench_check \
     && target/tools/bench_check
+}
+
+# Public-surface ratchet: fails when a crate under crates/ has a `pub`
+# item that no file outside the crate names and that
+# tools/surface_allowlist.txt does not list, or when a listed item is
+# gone or has gained an outside user — so the crate-local public
+# surface can only shrink (tools/surface_check.rs says how it scans).
+surface_check() {
+  mkdir -p target/tools
+  rustc -O --edition 2021 tools/surface_check.rs -o target/tools/surface_check \
+    && target/tools/surface_check
 }
 
 # Fails unless the output `$1` has the exact line `$2`.
@@ -458,6 +470,7 @@ for stage in "${ALL_STAGES[@]}"; do
     clippy)      run_stage clippy clippy_check ;;
     fmt)         run_stage fmt fmt_check ;;
     bench-check) run_stage bench-check bench_check ;;
+    surface)     run_stage surface surface_check ;;
     determinism) run_stage determinism determinism ;;
     docs)        run_stage docs docs_check ;;
     perfbench)   run_stage perfbench perfbench_tests ;;

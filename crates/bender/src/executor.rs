@@ -16,11 +16,14 @@ use crate::error::{BenderError, Result};
 use crate::program::{DdrCommand, Program, ProgramBuilder, TimedCommand};
 use dram_core::{
     BankId, Bit, ChipId, CsTerminal, DramModule, GlobalRow, OpOutcome, OutcomeKind, SpeedBin,
-    Temperature, TimingParams, ViolationWindows,
+    Temperature, ViolationWindows,
 };
 use std::sync::Arc;
 
 /// One captured `RD` result.
+///
+/// Stays `pub` although no other crate names it: it is the element type
+/// of [`Execution::reads`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadRecord {
     /// Bank the read addressed.
@@ -32,6 +35,9 @@ pub struct ReadRecord {
 }
 
 /// Everything a program execution produced.
+///
+/// Stays `pub` although no other crate names it: [`Bender::execute`]
+/// returns it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Execution {
     /// Semantic operation outcomes, tagged with the index of the
@@ -40,16 +46,6 @@ pub struct Execution {
     pub outcomes: Vec<(usize, OpOutcome)>,
     /// Captured reads in program order.
     pub reads: Vec<ReadRecord>,
-}
-
-impl Execution {
-    /// The first outcome whose kind is not `NoGlitch`/`Ignored`, if any.
-    pub fn primary_outcome(&self) -> Option<&OpOutcome> {
-        self.outcomes
-            .iter()
-            .map(|(_, o)| o)
-            .find(|o| !matches!(o.kind, OutcomeKind::NoGlitch | OutcomeKind::Ignored))
-    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -65,7 +61,6 @@ struct BankTracker {
 #[derive(Debug, Clone)]
 pub struct Bender {
     module: DramModule,
-    timing: TimingParams,
     windows: ViolationWindows,
     temperature: Temperature,
     /// One-shot terminal mask consumed by the next charge-share the
@@ -78,7 +73,6 @@ impl Bender {
     pub fn new(module: DramModule) -> Self {
         Bender {
             module,
-            timing: TimingParams::default(),
             windows: ViolationWindows::default(),
             temperature: Temperature::BASELINE,
             cs_mask: None,
@@ -96,18 +90,8 @@ impl Bender {
     }
 
     /// The module's speed bin.
-    pub fn speed(&self) -> SpeedBin {
+    pub(crate) fn speed(&self) -> SpeedBin {
         self.module.config().speed
-    }
-
-    /// The manufacturer-recommended timing parameters in force.
-    pub fn timing(&self) -> &TimingParams {
-        &self.timing
-    }
-
-    /// The violated-timing windows the executor recognizes.
-    pub fn windows(&self) -> &ViolationWindows {
-        &self.windows
     }
 
     /// Sets the target temperature (heater pads + controller).
@@ -438,6 +422,16 @@ mod tests {
     use super::*;
     use dram_core::config::table1;
     use dram_core::CellRole;
+
+    impl Execution {
+        /// The first outcome whose kind is not `NoGlitch`/`Ignored`, if any.
+        fn primary_outcome(&self) -> Option<&OpOutcome> {
+            self.outcomes
+                .iter()
+                .map(|(_, o)| o)
+                .find(|o| !matches!(o.kind, OutcomeKind::NoGlitch | OutcomeKind::Ignored))
+        }
+    }
 
     fn bender() -> Bender {
         let cfg = table1().into_iter().next().unwrap().with_modeled_cols(32);

@@ -31,6 +31,9 @@ pub enum DdrCommand {
 }
 
 /// A command scheduled at an absolute clock cycle.
+///
+/// Stays `pub` although no other crate names it: [`Program::commands`]
+/// returns these.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TimedCommand {
     /// Absolute cycle at which the command is issued.
@@ -93,11 +96,6 @@ impl ProgramBuilder {
             cursor: 0,
             cmds: Vec::new(),
         }
-    }
-
-    /// The speed bin this program targets.
-    pub fn speed(&self) -> SpeedBin {
-        self.speed
     }
 
     /// Emits a command at the cursor and advances one cycle.

@@ -6,7 +6,7 @@
 //! turns a finished [`DaemonReport`] into the same [`Table`] shape
 //! every other experiment report uses. Only deterministic quantities
 //! appear — the daemon's throughput figure is *modeled* jobs per
-//! modeled second ([`fcserve::DaemonTotals::modeled_jobs_per_s`]),
+//! modeled second ([`fcserve::report::DaemonTotals::modeled_jobs_per_s`]),
 //! never the machine-dependent wall-clock rate the CLI prints to
 //! stderr — so `--json` output is byte-identical for every shard
 //! count and both execution backends, and a recorded session replays

@@ -21,9 +21,9 @@ use simdram::{reliability, DramSubstrate, SimdVm};
 
 /// Gate counts of the synthesized circuits (documented in
 /// `simdram::gates`): XOR = 3, full adder = 9 per bit.
-pub const XOR_GATES: usize = 3;
+pub(crate) const XOR_GATES: usize = 3;
 /// 4-bit ripple-carry adder gate count.
-pub const ADD4_GATES: usize = 36;
+pub(crate) const ADD4_GATES: usize = 36;
 
 /// Per-module measurement of one circuit.
 struct CircuitResult {
@@ -113,7 +113,7 @@ fn run_module(
 
 /// Regenerates the extension artifact: per-circuit predicted vs
 /// measured lane accuracy, unprotected and with 5-fold voting.
-pub fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
+pub(crate) fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
     let mut t = Table::new(
         "arith",
         "Extension: synthesized word arithmetic on characterized gates (%)",

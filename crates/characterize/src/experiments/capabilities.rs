@@ -15,7 +15,7 @@ use crate::stats::mean;
 /// Regenerates the capability inventory: per module, the largest
 /// discovered N:N width, the largest destination-row count, whether
 /// the N:2N family exists, and the NOT success at one destination row.
-pub fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
+pub(crate) fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
     let mut t = Table::new(
         "capabilities",
         "Per-module computational capability (discovered, not configured)",

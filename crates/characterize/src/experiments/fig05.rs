@@ -8,7 +8,7 @@ use dram_core::{Manufacturer, PatternKind};
 
 /// The activation shapes the paper reports, with its measured average
 /// coverage (percent) for comparison.
-pub const PAPER_COVERAGE: [((usize, usize), f64); 10] = [
+pub(crate) const PAPER_COVERAGE: [((usize, usize), f64); 10] = [
     ((1, 1), 0.23),
     ((1, 2), 0.15),
     ((2, 2), 2.60),
@@ -23,7 +23,7 @@ pub const PAPER_COVERAGE: [((usize, usize), f64); 10] = [
 
 /// Regenerates Fig. 5: per-shape coverage distribution across SK Hynix
 /// modules (box statistics over modules).
-pub fn run(fleet: &mut [ModuleCtx], _scale: &Scale) -> Table {
+pub(crate) fn run(fleet: &mut [ModuleCtx], _scale: &Scale) -> Table {
     let mut t = Table::new(
         "fig5",
         "Coverage of N_RF:N_RL activation types (%)",

@@ -5,11 +5,8 @@ use crate::report::{Row, Table};
 use crate::runner::{ModuleCtx, Scale};
 use crate::stats::BoxStats;
 
-/// Paper average success rates (percent) per destination-row count.
-pub const PAPER_MEANS: [(usize, f64); 2] = [(1, 98.37), (32, 7.95)];
-
 /// Regenerates Fig. 7.
-pub fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
+pub(crate) fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
     let recs = not_records(fleet, scale, &DEST_ROWS);
     let mut t = Table::new(
         "fig7",

@@ -8,7 +8,7 @@ use crate::stats::mean;
 use dram_core::PatternKind;
 
 /// Regenerates Fig. 8.
-pub fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
+pub(crate) fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
     let recs = not_records(fleet, scale, &[1, 2, 4, 8, 16, 32]);
     let mut t = Table::new(
         "fig8",

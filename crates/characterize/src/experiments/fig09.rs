@@ -31,7 +31,7 @@ fn region_records(fleet: &mut [ModuleCtx], per_shape: usize) -> Vec<NotCellRecor
 
 /// Regenerates Fig. 9. Rows are source regions, columns destination
 /// regions.
-pub fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
+pub(crate) fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
     let recs = region_records(fleet, scale.execs_per_condition.max(2));
     let mut t = Table::new(
         "fig9",

@@ -10,7 +10,7 @@ use dram_core::{Manufacturer, Temperature};
 
 /// Regenerates Fig. 10. Rows are destination-row counts, columns the
 /// tested temperatures.
-pub fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
+pub(crate) fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
     let temps = scale.temps.clone();
     let headers: Vec<String> = temps.iter().map(|t| t.to_string()).collect();
     let mut t = Table::new(

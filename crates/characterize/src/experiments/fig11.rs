@@ -8,7 +8,7 @@ use dram_core::{Manufacturer, SpeedBin};
 
 /// Regenerates Fig. 11: rows are destination-row counts, one column
 /// per SK Hynix speed bin.
-pub fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
+pub(crate) fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
     let speeds = [SpeedBin::Mt2133, SpeedBin::Mt2400, SpeedBin::Mt2666];
     let mut t = Table::new(
         "fig11",

@@ -8,7 +8,7 @@ use crate::stats::mean;
 use dram_core::{Density, DieRevision, Manufacturer};
 
 /// The density/die groups the paper plots.
-pub const GROUPS: [(&str, Manufacturer, Density, DieRevision); 7] = [
+pub(crate) const GROUPS: [(&str, Manufacturer, Density, DieRevision); 7] = [
     (
         "Hynix 4Gb A",
         Manufacturer::SkHynix,
@@ -54,7 +54,7 @@ pub const GROUPS: [(&str, Manufacturer, Density, DieRevision); 7] = [
 ];
 
 /// Regenerates Fig. 12 (one destination row).
-pub fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
+pub(crate) fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
     let mut t = Table::new(
         "fig12",
         "NOT success rate by density and die revision, 1 destination row (%)",

@@ -6,19 +6,7 @@ use crate::runner::{run_logic_random, ModuleCtx, Scale};
 use dram_core::{LogicOp, Manufacturer};
 
 /// The input counts characterized by the paper.
-pub const INPUT_COUNTS: [usize; 4] = [2, 4, 8, 16];
-
-/// Paper averages (percent) for the 2- and 16-input endpoints.
-pub const PAPER_MEANS: [(LogicOp, usize, f64); 8] = [
-    (LogicOp::And, 2, 84.67),
-    (LogicOp::And, 16, 94.94),
-    (LogicOp::Nand, 2, 85.17),
-    (LogicOp::Nand, 16, 94.94),
-    (LogicOp::Or, 2, 95.09),
-    (LogicOp::Or, 16, 95.85),
-    (LogicOp::Nor, 2, 95.49),
-    (LogicOp::Nor, 16, 95.87),
-];
+pub(crate) const INPUT_COUNTS: [usize; 4] = [2, 4, 8, 16];
 
 /// Collects mean success (percent) for one op at one input count over
 /// the Hynix sub-fleet; `None` if no module expresses it.
@@ -26,7 +14,12 @@ pub const PAPER_MEANS: [(LogicOp, usize, f64); 8] = [
 /// Module means are weighted by the module's chip count: the paper
 /// averages over *cells across all chips*, and modules carry 8, 16, or
 /// 32 chips (Table 1).
-pub fn op_mean(fleet: &mut [ModuleCtx], scale: &Scale, op: LogicOp, n: usize) -> Option<f64> {
+pub(crate) fn op_mean(
+    fleet: &mut [ModuleCtx],
+    scale: &Scale,
+    op: LogicOp,
+    n: usize,
+) -> Option<f64> {
     let mut num = 0.0;
     let mut den = 0.0;
     for (mi, ctx) in fleet.iter_mut().enumerate() {
@@ -53,7 +46,7 @@ pub fn op_mean(fleet: &mut [ModuleCtx], scale: &Scale, op: LogicOp, n: usize) ->
 }
 
 /// Regenerates Fig. 15: rows are operations, columns input counts.
-pub fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
+pub(crate) fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
     let mut t = Table::new(
         "fig15",
         "Logic operation success rate vs input count (%, random patterns)",

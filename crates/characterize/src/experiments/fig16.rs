@@ -9,7 +9,7 @@ use dram_core::{LogicOp, Manufacturer};
 
 /// Mean success (percent) for `op` with exactly `m` of `n` inputs set
 /// to all-1 rows, over the capable Hynix sub-fleet.
-pub fn weighted_mean(
+pub(crate) fn weighted_mean(
     fleet: &mut [ModuleCtx],
     _scale: &Scale,
     op: LogicOp,
@@ -38,7 +38,7 @@ pub fn weighted_mean(
 
 /// Regenerates Fig. 16: rows are (op, N) pairs, columns the number of
 /// logic-1s (0..=16; `-` where m > N).
-pub fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
+pub(crate) fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
     let configs = [
         (LogicOp::And, 4),
         (LogicOp::And, 16),

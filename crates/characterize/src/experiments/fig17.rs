@@ -10,7 +10,7 @@ use dram_core::{DistanceRegion, LogicOp, Manufacturer};
 
 /// Regenerates Fig. 17: rows are (compute region × reference region)
 /// buckets, one column per operation, aggregated over input counts.
-pub fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
+pub(crate) fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
     let mut t = Table::new(
         "fig17",
         "Logic success rate by distance of activated rows to shared sense amps (%)",

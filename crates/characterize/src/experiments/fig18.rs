@@ -7,14 +7,6 @@ use crate::runner::{run_logic, run_logic_random, ModuleCtx, Scale};
 use crate::stats::mean;
 use dram_core::{LogicOp, Manufacturer};
 
-/// Paper penalties (points lost by random vs all-1s/0s patterns).
-pub const PAPER_PENALTY: [(LogicOp, f64); 4] = [
-    (LogicOp::And, 1.43),
-    (LogicOp::Nand, 1.39),
-    (LogicOp::Or, 1.98),
-    (LogicOp::Nor, 1.97),
-];
-
 /// Mean success under the uniform all-1s/0s family for one op and
 /// input count.
 fn uniform_mean(fleet: &mut [ModuleCtx], op: LogicOp, n: usize) -> Option<f64> {
@@ -72,7 +64,7 @@ fn random_mean(fleet: &mut [ModuleCtx], scale: &Scale, op: LogicOp, n: usize) ->
 
 /// Regenerates Fig. 18: rows are ops, columns alternate
 /// uniform/random means per input count, plus the average penalty.
-pub fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
+pub(crate) fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
     let counts = [2usize, 4, 8];
     let mut headers = Vec::new();
     for n in counts {

@@ -6,7 +6,7 @@ use crate::stats::mean;
 use dram_core::{LogicOp, Manufacturer, Temperature};
 
 /// Regenerates Fig. 19: rows are (op, N), columns temperatures.
-pub fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
+pub(crate) fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
     let temps = scale.temps.clone();
     let counts = [2usize, 16];
     let mut t = Table::new(

@@ -6,7 +6,7 @@ use crate::stats::mean;
 use dram_core::{LogicOp, Manufacturer, SpeedBin};
 
 /// Regenerates Fig. 20: rows are (op, N), one column per speed bin.
-pub fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
+pub(crate) fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
     let speeds = [SpeedBin::Mt2133, SpeedBin::Mt2400, SpeedBin::Mt2666];
     let counts = [2usize, 4, 8, 16];
     let mut t = Table::new(

@@ -7,7 +7,7 @@ use crate::stats::mean;
 use dram_core::{Density, DieRevision, LogicOp, Manufacturer, SpeedBin};
 
 /// The Hynix density/die groups the paper plots.
-pub const GROUPS: [(&str, Density, DieRevision); 4] = [
+pub(crate) const GROUPS: [(&str, Density, DieRevision); 4] = [
     ("4Gb A", Density::Gb4, DieRevision::A),
     ("4Gb M", Density::Gb4, DieRevision::M),
     ("8Gb A", Density::Gb8, DieRevision::A),
@@ -15,7 +15,7 @@ pub const GROUPS: [(&str, Density, DieRevision); 4] = [
 ];
 
 /// Regenerates Fig. 21: rows are (op, N), one column per die group.
-pub fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
+pub(crate) fn run(fleet: &mut [ModuleCtx], scale: &Scale) -> Table {
     let counts = [2usize, 4, 8, 16];
     let mut t = Table::new(
         "fig21",

@@ -73,7 +73,7 @@ pub fn run_experiment(id: &str, fleet: &mut [ModuleCtx], scale: &Scale) -> Optio
 }
 
 /// The destination-row counts tested by the NOT experiments (Fig. 7).
-pub const DEST_ROWS: [usize; 6] = [1, 2, 4, 8, 16, 32];
+pub(crate) const DEST_ROWS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
 /// Collects NOT destination-cell records across the fleet for the
 /// given destination-row counts. Samsung parts contribute only to
@@ -85,7 +85,7 @@ pub fn not_records(fleet: &mut [ModuleCtx], scale: &Scale, dests: &[usize]) -> V
 }
 
 /// As [`not_records`], over an arbitrary sub-fleet.
-pub fn not_records_for(
+pub(crate) fn not_records_for(
     fleet: &mut [&mut ModuleCtx],
     scale: &Scale,
     dests: &[usize],

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 /// Regenerates Table 1 from the fleet (grouped like the paper: one row
 /// per manufacturer × die × density × organization × speed).
-pub fn run(fleet: &mut [ModuleCtx], _scale: &Scale) -> Table {
+pub(crate) fn run(fleet: &mut [ModuleCtx], _scale: &Scale) -> Table {
     let mut groups: BTreeMap<String, (usize, usize, usize)> = BTreeMap::new();
     for ctx in fleet.iter() {
         let c = &ctx.cfg;

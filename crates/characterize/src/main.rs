@@ -429,20 +429,10 @@ fn run_fleet_cli(args: Vec<String>) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let (chips, shards, seed) = (common.chips, common.shards, common.seed);
-    let fleet = match module {
-        Some(name) => {
-            let all = dram_core::config::full_fleet();
-            match all.into_iter().find(|m| m.name == name) {
-                Some(cfg) => FleetConfig::single(cfg, chips),
-                None => {
-                    eprintln!("unknown module '{name}' (see `characterize table1`)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => FleetConfig::table1(chips),
-    }
-    .with_seed(seed);
+    let Some(fleet) = build_cli_fleet(module.as_deref(), chips) else {
+        return ExitCode::FAILURE;
+    };
+    let fleet = fleet.with_seed(seed);
     let sweep = if quick {
         SweepConfig::quick()
     } else {
@@ -567,24 +557,8 @@ fn run_serve_cli(args: Vec<String>) -> ExitCode {
         }
     }
     let (chips, shards, seed, backend) = (common.chips, common.shards, common.seed, common.backend);
-    let cost = match &costs_path {
-        Some(path) => {
-            let json = match std::fs::read_to_string(path) {
-                Ok(j) => j,
-                Err(e) => {
-                    eprintln!("failed to read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match fcsynth::CostModel::from_json(&json) {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => fcsynth::CostModel::table1_defaults(),
+    let Some(cost) = load_cost_model(costs_path.as_deref()) else {
+        return ExitCode::FAILURE;
     };
     let exprs: Vec<String> = match &exprs_path {
         Some(path) => match std::fs::read_to_string(path) {
@@ -609,18 +583,8 @@ fn run_serve_cli(args: Vec<String>) -> ExitCode {
     if !fits_budget(chips, lanes, jobs as u128, batch_operand_rows(&exprs, jobs)) {
         return ExitCode::FAILURE;
     }
-    let fleet = match module {
-        Some(name) => {
-            let all = dram_core::config::full_fleet();
-            match all.into_iter().find(|m| m.name == name) {
-                Some(cfg) => FleetConfig::single(cfg, chips),
-                None => {
-                    eprintln!("unknown module '{name}' (see `characterize table1`)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => FleetConfig::table1(chips),
+    let Some(fleet) = build_cli_fleet(module.as_deref(), chips) else {
+        return ExitCode::FAILURE;
     };
     let batch = match characterize::serve::build_batch(&exprs, jobs, lanes, seed, &cost, fan_in) {
         Ok(b) => b,
@@ -629,24 +593,11 @@ fn run_serve_cli(args: Vec<String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let faults = match &faults_arg {
-        Some(f) if f == "demo" => Some(fcsched::FaultPlan::demo()),
-        Some(path) => {
-            let json = match std::fs::read_to_string(path) {
-                Ok(j) => j,
-                Err(e) => {
-                    eprintln!("failed to read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match fcsched::FaultPlan::from_json(&json) {
-                Ok(p) => Some(p),
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+    let faults = match faults_arg.as_deref() {
+        Some(arg) => match load_fault_plan(arg) {
+            Some(plan) => Some(plan),
+            None => return ExitCode::FAILURE,
+        },
         None => None,
     };
     if health_json_path.is_some() && faults.is_none() {
@@ -730,6 +681,28 @@ fn load_cost_model(costs_path: Option<&str>) -> Option<fcsynth::CostModel> {
             }
         }
         None => Some(fcsynth::CostModel::table1_defaults()),
+    }
+}
+
+/// Loads a `--faults` plan: `demo` names the built-in scenario,
+/// anything else is a fault-plan JSON file.
+fn load_fault_plan(arg: &str) -> Option<fcsched::FaultPlan> {
+    if arg == "demo" {
+        return Some(fcsched::FaultPlan::demo());
+    }
+    let json = match std::fs::read_to_string(arg) {
+        Ok(j) => j,
+        Err(e) => {
+            eprintln!("failed to read {arg}: {e}");
+            return None;
+        }
+    };
+    match fcsched::FaultPlan::from_json(&json) {
+        Ok(p) => Some(p),
+        Err(e) => {
+            eprintln!("{arg}: {e}");
+            None
+        }
     }
 }
 
@@ -1015,24 +988,11 @@ fn run_daemon_cli(args: Vec<String>) -> ExitCode {
     if demo {
         faults_arg = Some("demo".into());
     }
-    let faults = match &faults_arg {
-        Some(f) if f == "demo" => Some(fcsched::FaultPlan::demo()),
-        Some(path) => {
-            let json = match std::fs::read_to_string(path) {
-                Ok(j) => j,
-                Err(e) => {
-                    eprintln!("failed to read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match fcsched::FaultPlan::from_json(&json) {
-                Ok(p) => Some(p),
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+    let faults = match faults_arg.as_deref() {
+        Some(arg) => match load_fault_plan(arg) {
+            Some(plan) => Some(plan),
+            None => return ExitCode::FAILURE,
+        },
         None => None,
     };
     let mut knobs = fcserve::DaemonKnobs::default();
@@ -1271,24 +1231,8 @@ fn run_synth_cli(args: Vec<String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let cost = match &costs_path {
-        Some(path) => {
-            let json = match std::fs::read_to_string(path) {
-                Ok(j) => j,
-                Err(e) => {
-                    eprintln!("failed to read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match fcsynth::CostModel::from_json(&json) {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => fcsynth::CostModel::table1_defaults(),
+    let Some(cost) = load_cost_model(costs_path.as_deref()) else {
+        return ExitCode::FAILURE;
     };
     let compiled = fcsynth::compile_expr(expr, &cost, fan_in);
     let naive = fcsynth::Mapper::naive(&cost).map(&compiled.circuit);

@@ -29,17 +29,12 @@ impl DataPattern {
             DataPattern::Checker => (0..cols).map(|c| Bit::from(c % 2 == 1)).collect(),
         }
     }
-
-    /// Whether every cell of the pattern holds the same value.
-    pub fn is_uniform(&self) -> bool {
-        matches!(self, DataPattern::AllOnes | DataPattern::AllZeros)
-    }
 }
 
 /// The paper's "all-1s/0s" input family for an N-input operation: each
 /// of the N rows is uniformly all-1 or all-0, enumerated by the bits of
 /// `index` (there are `2^n` such patterns; §6.2).
-pub fn uniform_input_set(n: usize, index: usize, cols: usize) -> Vec<Vec<Bit>> {
+pub(crate) fn uniform_input_set(n: usize, index: usize, cols: usize) -> Vec<Vec<Bit>> {
     (0..n)
         .map(|i| {
             if (index >> i) & 1 == 1 {
@@ -53,7 +48,7 @@ pub fn uniform_input_set(n: usize, index: usize, cols: usize) -> Vec<Vec<Bit>> {
 
 /// N rows of independent random data (the paper's "random data
 /// pattern"), keyed by `seed`.
-pub fn random_input_set(n: usize, seed: u64, cols: usize) -> Vec<Vec<Bit>> {
+pub(crate) fn random_input_set(n: usize, seed: u64, cols: usize) -> Vec<Vec<Bit>> {
     (0..n)
         .map(|i| DataPattern::Random(mix3(seed, i as u64, 0x1217)).row(cols))
         .collect()
@@ -62,7 +57,7 @@ pub fn random_input_set(n: usize, seed: u64, cols: usize) -> Vec<Vec<Bit>> {
 /// An input set with exactly `m` all-1 rows and `n − m` all-0 rows
 /// (Fig. 16's number-of-logic-1s experiment, which varies per-column
 /// input weight using uniform rows).
-pub fn weighted_input_set(n: usize, m: usize, cols: usize) -> Vec<Vec<Bit>> {
+pub(crate) fn weighted_input_set(n: usize, m: usize, cols: usize) -> Vec<Vec<Bit>> {
     assert!(m <= n, "m ({m}) must not exceed n ({n})");
     (0..n)
         .map(|i| {
@@ -101,9 +96,13 @@ mod tests {
 
     #[test]
     fn uniformity_flag() {
-        assert!(DataPattern::AllOnes.is_uniform());
-        assert!(!DataPattern::Random(1).is_uniform());
-        assert!(!DataPattern::Checker.is_uniform());
+        // Only the all-1s and all-0s patterns hold one value in every
+        // cell.
+        let uniform = |p: DataPattern| p.row(64).windows(2).all(|w| w[0] == w[1]);
+        assert!(uniform(DataPattern::AllOnes));
+        assert!(uniform(DataPattern::AllZeros));
+        assert!(!uniform(DataPattern::Random(1)));
+        assert!(!uniform(DataPattern::Checker));
     }
 
     #[test]

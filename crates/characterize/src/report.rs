@@ -19,7 +19,7 @@ pub struct RowOrigin {
 
 impl RowOrigin {
     /// Builds an origin from a module config and chip id.
-    pub fn of(cfg: &dram_core::ModuleConfig, chip: dram_core::ChipId) -> RowOrigin {
+    pub(crate) fn of(cfg: &dram_core::ModuleConfig, chip: dram_core::ChipId) -> RowOrigin {
         RowOrigin {
             module: cfg.name.clone(),
             chip: chip.index(),

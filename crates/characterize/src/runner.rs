@@ -78,7 +78,7 @@ pub struct ModuleCtx {
 /// representative under our deterministic variation model).
 pub const BANK: BankId = BankId(0);
 /// The subarray pair every experiment uses.
-pub const PAIR: (SubarrayId, SubarrayId) = (SubarrayId(0), SubarrayId(1));
+pub(crate) const PAIR: (SubarrayId, SubarrayId) = (SubarrayId(0), SubarrayId(1));
 
 impl ModuleCtx {
     /// Builds the context for chip 0 of one module at the given scale
@@ -105,7 +105,7 @@ impl ModuleCtx {
     }
 
     /// The report origin of rows measured on this context's chip.
-    pub fn origin(&self) -> crate::report::RowOrigin {
+    pub(crate) fn origin(&self) -> crate::report::RowOrigin {
         crate::report::RowOrigin::of(&self.cfg, self.chip)
     }
 
@@ -158,6 +158,9 @@ pub fn build_fleet(scale: &Scale, hynix_only: bool) -> Vec<ModuleCtx> {
 }
 
 /// Per-cell record of one NOT execution.
+///
+/// Stays `pub` although no other crate names it: [`run_not`] returns
+/// these.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NotCellRecord {
     /// Model success probability of the destination cell.
@@ -237,6 +240,9 @@ pub fn run_not(
 }
 
 /// Per-cell record of one logic execution.
+///
+/// Stays `pub` although no other crate names it: [`run_logic_random`]
+/// returns these.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LogicCellRecord {
     /// Model success probability of the result cell.
@@ -257,6 +263,10 @@ pub struct LogicCellRecord {
 /// result row is read back, which leaves every cell and every later
 /// draw exactly as reading them would (experiments install no
 /// disturbance policy).
+///
+/// Stays `pub` although no other crate calls it: docs/ARCHITECTURE.md
+/// names it with [`run_not`] and [`run_logic_random`] as the runner's
+/// record builders.
 pub fn run_logic(
     ctx: &mut ModuleCtx,
     entry: &PatternEntry,

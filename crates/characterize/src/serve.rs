@@ -301,6 +301,58 @@ mod tests {
         DEMO_MIX.iter().map(|s| s.to_string()).collect()
     }
 
+    /// The one narrowing ladder (`SynthProgram::narrowed_variants`)
+    /// yields the widths and programs of the build-then-compare loop
+    /// admission used to run, for every demo expression, and the
+    /// planner's narrowed assignments run exactly those variants.
+    #[test]
+    fn narrowing_ladder_matches_build_then_compare() {
+        let cost = CostModel::table1_defaults();
+        let mut texts = demo();
+        texts.extend(
+            crate::daemon::demo_tenants()
+                .into_iter()
+                .flat_map(|t| t.exprs),
+        );
+        for fan_in in [16, 8] {
+            for text in &texts {
+                let program = fcsynth::compile(text, &cost, fan_in)
+                    .unwrap()
+                    .mapping
+                    .program;
+                let built_then_compared: Vec<_> = [8usize, 4, 2]
+                    .into_iter()
+                    .map(|width| (width, program.narrowed(width)))
+                    .filter(|(_, variant)| *variant != *program)
+                    .collect();
+                let ladder: Vec<_> = program.narrowed_variants().collect();
+                assert_eq!(ladder, built_then_compared, "{text} at fan-in {fan_in}");
+            }
+        }
+        let batch = build_batch(&demo(), 12, 16, 3, &cost, 16).unwrap();
+        let strict = SchedPolicy {
+            min_success: 1.01,
+            ..SchedPolicy::default()
+        };
+        let plan = fcsched::Planner::new(&FleetConfig::table1(12), &cost, &strict)
+            .plan(&batch)
+            .unwrap();
+        let mut narrowed = 0;
+        for (job, asg) in batch.jobs().iter().zip(&plan.assignments) {
+            if asg.program != job.program {
+                narrowed += 1;
+                assert!(
+                    job.program
+                        .narrowed_variants()
+                        .any(|(_, variant)| variant == *asg.program),
+                    "{}: the planner ran a program off the ladder",
+                    job.label
+                );
+            }
+        }
+        assert!(narrowed > 0, "some job runs a narrowed variant");
+    }
+
     #[test]
     fn expr_file_parsing_skips_noise() {
         let text = "# tenants\n\n a & b \n!(c | d)\n# done\n";

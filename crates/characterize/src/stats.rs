@@ -42,11 +42,6 @@ impl BoxStats {
             count: v.len(),
         })
     }
-
-    /// Interquartile range (box height).
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 /// Linear-interpolation quantile of an ascending-sorted slice.
@@ -54,7 +49,7 @@ impl BoxStats {
 /// # Panics
 ///
 /// Panics if `v` is empty or `q` is outside `[0, 1]`.
-pub fn quantile_sorted(v: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile_sorted(v: &[f64], q: f64) -> f64 {
     assert!(!v.is_empty(), "quantile of empty slice");
     assert!(
         (0.0..=1.0).contains(&q),
@@ -93,7 +88,6 @@ mod tests {
         assert_eq!(s.q3, 4.0);
         assert_eq!(s.mean, 3.0);
         assert_eq!(s.count, 5);
-        assert_eq!(s.iqr(), 2.0);
     }
 
     #[test]

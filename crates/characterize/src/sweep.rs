@@ -96,35 +96,19 @@ impl SweepConfig {
         self
     }
 
-    /// The worker-thread count actually used for `chips` fleet
-    /// members: the configured count, or one per available CPU when 0,
-    /// never more than the fleet size and never less than 1.
-    pub fn effective_shards(&self, chips: usize) -> usize {
-        let requested = if self.shards == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.shards
-        };
-        requested.min(chips).max(1)
-    }
-
-    /// The worker threads [`run_fleet_sweep`] actually spawns for
-    /// `chips` fleet members. Ceil-division chunking can need fewer
-    /// workers than [`effective_shards`](Self::effective_shards)
-    /// (e.g. 5 chips over 4 shards → 3 chunks of 2); this is the
+    /// The worker threads [`run_fleet_sweep`] spawns for `chips` fleet
+    /// members ([`dram_core::shard::effective_workers`]); this is the
     /// count recorded in [`FleetReport::shards`].
     pub fn effective_workers(&self, chips: usize) -> usize {
-        let shards = self.effective_shards(chips);
-        if shards <= 1 || chips == 0 {
-            1
-        } else {
-            chips.div_ceil(chips.div_ceil(shards))
-        }
+        dram_core::shard::effective_workers(self.shards, chips)
     }
 }
 
 /// Per-(op, input-count) logic accumulator of one chip — the
 /// granularity [`fcsynth::CostModel`] consumes.
+///
+/// Stays `pub` although no other crate names it: it is the element type
+/// of [`ChipResult::logic_shapes`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LogicShapeResult {
     /// The operation.
@@ -298,6 +282,9 @@ fn run_chip(spec: &ChipSpec, cfg: &SweepConfig) -> ChipResult {
 }
 
 /// The merged outcome of a fleet sweep.
+///
+/// Stays `pub` although no other crate names it: [`run_fleet_sweep`]
+/// returns it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetReport {
     /// Worker threads actually used.
@@ -309,7 +296,7 @@ pub struct FleetReport {
 impl FleetReport {
     /// Population accumulators (NOT, logic), merged in fleet order so
     /// the means are bit-stable across shard counts.
-    pub fn population(&self) -> (SuccessAccumulator, SuccessAccumulator) {
+    pub(crate) fn population(&self) -> (SuccessAccumulator, SuccessAccumulator) {
         let mut not = SuccessAccumulator::new();
         let mut logic = SuccessAccumulator::new();
         for c in &self.chips {
@@ -322,7 +309,7 @@ impl FleetReport {
     /// Population per-(op, N) accumulators, merged across chips in
     /// fleet order and sorted by (input count, op order in
     /// [`LogicOp::ALL`]) for stable reporting.
-    pub fn logic_shapes(&self) -> Vec<LogicShapeResult> {
+    pub(crate) fn logic_shapes(&self) -> Vec<LogicShapeResult> {
         let mut merged: Vec<LogicShapeResult> = Vec::new();
         for c in &self.chips {
             for s in &c.logic_shapes {
@@ -394,7 +381,7 @@ impl FleetReport {
     }
 
     /// Manufacturer display names present, in fleet order.
-    pub fn manufacturers(&self) -> Vec<String> {
+    pub(crate) fn manufacturers(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
         for c in &self.chips {
             if !out.contains(&c.manufacturer) {
@@ -405,7 +392,10 @@ impl FleetReport {
     }
 
     /// Merged accumulators `(not, logic, chips)` for one manufacturer.
-    pub fn per_manufacturer(&self, mfr: &str) -> (SuccessAccumulator, SuccessAccumulator, usize) {
+    pub(crate) fn per_manufacturer(
+        &self,
+        mfr: &str,
+    ) -> (SuccessAccumulator, SuccessAccumulator, usize) {
         let mut not = SuccessAccumulator::new();
         let mut logic = SuccessAccumulator::new();
         let mut chips = 0usize;
@@ -528,42 +518,15 @@ impl FleetReport {
 /// the returned report is identical for every shard count.
 pub fn run_fleet_sweep(fleet: &FleetConfig, cfg: &SweepConfig) -> FleetReport {
     let specs = fleet.specs();
-    let shards = cfg.effective_shards(specs.len());
-    let workers = cfg.effective_workers(specs.len());
-    let mut results: Vec<Option<ChipResult>> = (0..specs.len()).map(|_| None).collect();
-    if workers <= 1 {
-        for (i, spec) in specs.iter().enumerate() {
-            results[i] = Some(run_chip(spec, cfg));
-        }
-    } else {
-        let chunk = specs.len().div_ceil(shards);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = specs
-                .chunks(chunk)
-                .enumerate()
-                .map(|(si, chunk_specs)| {
-                    s.spawn(move || {
-                        chunk_specs
-                            .iter()
-                            .enumerate()
-                            .map(|(j, spec)| (si * chunk + j, run_chip(spec, cfg)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, r) in h.join().expect("sweep shard panicked") {
-                    results[i] = Some(r);
-                }
-            }
-        });
-    }
+    let chips = dram_core::shard::sharded_map(specs.len(), cfg.shards, |range| {
+        specs[range]
+            .iter()
+            .map(|spec| run_chip(spec, cfg))
+            .collect()
+    });
     FleetReport {
-        shards: workers,
-        chips: results
-            .into_iter()
-            .map(|r| r.expect("every fleet member swept"))
-            .collect(),
+        shards: cfg.effective_workers(specs.len()),
+        chips,
     }
 }
 
@@ -691,9 +654,9 @@ mod tests {
     #[test]
     fn effective_shards_clamps() {
         let cfg = SweepConfig::bench();
-        assert_eq!(cfg.clone().with_shards(8).effective_shards(3), 3);
-        assert_eq!(cfg.clone().with_shards(2).effective_shards(64), 2);
-        assert!(cfg.clone().with_shards(0).effective_shards(64) >= 1);
-        assert_eq!(cfg.with_shards(5).effective_shards(0), 1);
+        assert_eq!(cfg.clone().with_shards(8).effective_workers(3), 3);
+        assert_eq!(cfg.clone().with_shards(2).effective_workers(64), 2);
+        assert!(cfg.clone().with_shards(0).effective_workers(64) >= 1);
+        assert_eq!(cfg.with_shards(5).effective_workers(0), 1);
     }
 }

@@ -202,3 +202,45 @@ fn deep_nesting_exits_cleanly() {
         );
     }
 }
+
+/// Each input-file kind has one loader, so a file it cannot use fails
+/// the same way in every subcommand: one diagnostic line on stderr and
+/// exit status 1. The expected lines are the ones the binary printed
+/// before the subcommands shared their loaders.
+#[test]
+fn unusable_input_files_exit_with_one_diagnostic() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let absent = |name: &str| {
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        path.to_string_lossy().into_owned()
+    };
+    let costs = absent("absent_costs.json");
+    let faults = absent("absent_faults.json");
+    let malformed = dir.join("malformed_faults.json");
+    std::fs::write(&malformed, "{\"a\": \n").expect("scratch input written");
+    let malformed = malformed.to_string_lossy().into_owned();
+    let unreadable = |path: &str| {
+        let err = std::fs::read_to_string(path).expect_err("file is absent");
+        format!("failed to read {path}: {err}\n")
+    };
+    for (args, want) in [
+        (vec!["serve", "--costs", &costs], unreadable(&costs)),
+        (
+            vec!["fleet", "--module", "nope"],
+            "unknown module 'nope' (see `characterize table1`)\n".to_string(),
+        ),
+        (vec!["serve", "--faults", &faults], unreadable(&faults)),
+        (
+            vec!["daemon", "--faults", &malformed],
+            format!("{malformed}: invalid fault plan: unexpected input None at byte 7\n"),
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_characterize"))
+            .args(&args)
+            .output()
+            .expect("characterize binary runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), want, "{args:?}");
+    }
+}

@@ -36,11 +36,6 @@ impl BitVecHandle {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// The backing DRAM row.
-    pub fn row(&self) -> GlobalRow {
-        self.row
-    }
 }
 
 /// Statistics of one executed bulk operation.
@@ -291,11 +286,6 @@ impl BulkEngine {
             return Err(bad);
         }
         covering(&self.nn_entries, inputs).ok_or(bad)
-    }
-
-    /// The bank this engine computes in.
-    pub fn bank(&self) -> BankId {
-        self.bank
     }
 
     /// The wrapped library facade (command interface included), for

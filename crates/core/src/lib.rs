@@ -62,7 +62,7 @@ pub use mapping::{ActivationMap, CoverageRow, InSubarrayEntry, PatternEntry};
 pub use ops::{Fcdram, GateLayout, GateSite};
 pub use packed::PackedBits;
 pub use row_order::{discover_row_order, RowOrder};
-pub use success::{sample_trials, sampled_success_rate, SuccessAccumulator, SuccessStats};
+pub use success::{sample_trials, SuccessAccumulator};
 
 // Re-export the device-model vocabulary users need at the API surface.
 pub use dram_core::{

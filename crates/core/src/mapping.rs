@@ -84,7 +84,7 @@ mod tuple_keyed_map {
     use serde::{Content, Deserialize, Error, Serialize};
     use std::collections::BTreeMap;
 
-    pub fn serialize<K, V>(map: &BTreeMap<K, V>) -> Content
+    pub(crate) fn serialize<K, V>(map: &BTreeMap<K, V>) -> Content
     where
         K: Serialize + Ord,
         V: Serialize,
@@ -96,7 +96,7 @@ mod tuple_keyed_map {
         )
     }
 
-    pub fn deserialize<K, V>(c: &Content) -> Result<BTreeMap<K, V>, Error>
+    pub(crate) fn deserialize<K, V>(c: &Content) -> Result<BTreeMap<K, V>, Error>
     where
         K: Deserialize + Ord,
         V: Deserialize,
@@ -251,6 +251,10 @@ impl ActivationMap {
 /// One usable in-subarray multi-row activation (the Ambit /
 /// ComputeDRAM / QUAC lineage: all raised rows charge-share against
 /// their precharged reference bitlines, computing a majority).
+///
+/// Stays `pub` although no other crate names it:
+/// [`discover_in_subarray`] returns these and
+/// [`crate::Fcdram::maj_outcome`] takes one.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InSubarrayEntry {
     /// First activated row address.

@@ -26,7 +26,7 @@ use std::sync::Arc;
 /// resolves pattern entries into bank rows, and the bank addressed.
 ///
 /// Its three builders — [`GateSite::not`], [`GateSite::logic`] and
-/// [`GateSite::maj`] — are the only place a gate's command sequence is
+/// `GateSite::maj` — are the only place a gate's command sequence is
 /// written down. They emit into a caller's [`ProgramBuilder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GateSite {
@@ -112,6 +112,9 @@ impl GateSite {
     /// # Errors
     ///
     /// Fails when the entry's rows are outside the geometry.
+    ///
+    /// Stays `pub` although only this crate calls it: it is one of the
+    /// three gate builders docs/ARCHITECTURE.md names.
     pub fn maj(
         &self,
         b: &mut ProgramBuilder,
@@ -241,7 +244,7 @@ impl Fcdram {
     }
 
     /// The underlying infrastructure.
-    pub fn bender(&self) -> &Bender {
+    pub(crate) fn bender(&self) -> &Bender {
         &self.bender
     }
 
@@ -287,7 +290,7 @@ impl Fcdram {
 
     /// The gate site of `bank` on this chip: where the gate programs
     /// every layer ships to it are built.
-    pub fn site(&self, bank: BankId) -> GateSite {
+    pub(crate) fn site(&self, bank: BankId) -> GateSite {
         GateSite {
             geom: self.config().geometry(),
             bank,
@@ -354,7 +357,12 @@ impl Fcdram {
     ///
     /// Fails if the addresses are not in the same subarray or the pair
     /// does not clone on this chip (try a different destination).
-    pub fn rowclone(&mut self, bank: BankId, src: GlobalRow, dst: GlobalRow) -> Result<OpOutcome> {
+    pub(crate) fn rowclone(
+        &mut self,
+        bank: BankId,
+        src: GlobalRow,
+        dst: GlobalRow,
+    ) -> Result<OpOutcome> {
         let out = self.bender.copy_invert(self.chip, bank, src, dst)?;
         expect_kind(out, "rowclone", |k| {
             matches!(k, OutcomeKind::InSubarray { .. })
@@ -472,7 +480,7 @@ impl Fcdram {
     /// In-subarray N-row majority (the Ambit/ComputeDRAM baseline the
     /// paper builds on, §2.2): one staging write per raised row
     /// (`inputs`, full width) and the charge share ship as one program
-    /// ([`GateSite::maj`]), and nothing is read back. The majority overwrites every raised row;
+    /// (`GateSite::maj`), and nothing is read back. The majority overwrites every raised row;
     /// returns those rows and the outcome, which carries every raised
     /// cell's success probability ([`dram_core::CellRole::OffMaj`]).
     ///

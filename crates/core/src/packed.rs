@@ -93,17 +93,6 @@ impl PackedBits {
         p
     }
 
-    /// Packs a [`Bit`] slice.
-    pub fn from_bits(bits: &[Bit]) -> Self {
-        let mut p = Self::zeros(bits.len());
-        for (i, b) in bits.iter().enumerate() {
-            if b.as_bool() {
-                p.words[i / 64] |= 1 << (i % 64);
-            }
-        }
-        p
-    }
-
     /// The seeded operand `key` of `lanes` bits: lane `l` holds the low
     /// bit of [`dram_core::math::mix3`]`(seed, key, l)`.
     ///
@@ -127,11 +116,6 @@ impl PackedBits {
     /// Unpacks to a `bool` vector.
     pub fn to_bools(&self) -> Vec<bool> {
         (0..self.len).map(|i| self.get(i)).collect()
-    }
-
-    /// Unpacks to a [`Bit`] vector.
-    pub fn to_bits(&self) -> Vec<Bit> {
-        (0..self.len).map(|i| Bit::from(self.get(i))).collect()
     }
 
     /// Spreads the lanes onto a `cols`-wide row, lane `i` at column
@@ -257,14 +241,6 @@ impl PackedBits {
         }
     }
 
-    /// Lane-wise XOR with `other`.
-    pub fn xor_assign(&mut self, other: &PackedBits) {
-        assert_eq!(self.len, other.len, "length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a ^= b;
-        }
-    }
-
     /// Lane-wise complement.
     pub fn not_in_place(&mut self) {
         for w in &mut self.words {
@@ -300,6 +276,24 @@ impl PackedBits {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PackedBits {
+        /// Packs a [`Bit`] slice.
+        pub(crate) fn from_bits(bits: &[Bit]) -> Self {
+            let mut p = Self::zeros(bits.len());
+            for (i, b) in bits.iter().enumerate() {
+                if b.as_bool() {
+                    p.words[i / 64] |= 1 << (i % 64);
+                }
+            }
+            p
+        }
+
+        /// Unpacks to a [`Bit`] vector.
+        pub(crate) fn to_bits(&self) -> Vec<Bit> {
+            (0..self.len).map(|i| Bit::from(self.get(i))).collect()
+        }
+    }
 
     #[test]
     fn seeded_matches_per_lane_mix3() {

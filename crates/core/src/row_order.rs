@@ -14,6 +14,9 @@ use dram_core::{BankId, Bit, ChipId, DistanceRegion, GlobalRow, LocalRow, Stripe
 use serde::{Deserialize, Serialize};
 
 /// Physical layout of one subarray as discovered by hammering.
+///
+/// Stays `pub` although no other crate names it: [`discover_row_order`]
+/// returns it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RowOrder {
     /// Subarray this describes.

@@ -6,88 +6,19 @@
 //! probabilities, as the hardware experiments do with 10,000 trials)
 //! and the analytic limit (using the probabilities directly).
 
-use dram_core::math::{mix2, mix3};
+use dram_core::math::mix3;
 use serde::{Deserialize, Serialize};
-
-/// Accumulates per-cell success probabilities into summary statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SuccessStats {
-    values: Vec<f64>,
-}
-
-impl SuccessStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one cell's success rate.
-    pub fn push(&mut self, p: f64) {
-        self.values.push(p.clamp(0.0, 1.0));
-    }
-
-    /// Adds many cells' success rates.
-    pub fn extend_from(&mut self, ps: impl IntoIterator<Item = f64>) {
-        for p in ps {
-            self.push(p);
-        }
-    }
-
-    /// Number of cells recorded.
-    pub fn count(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Mean success rate (the paper's "average success rate").
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().sum::<f64>() / self.values.len() as f64
-    }
-
-    /// Minimum success rate.
-    pub fn min(&self) -> f64 {
-        self.values.iter().copied().fold(f64::NAN, f64::min)
-    }
-
-    /// Maximum success rate.
-    pub fn max(&self) -> f64 {
-        self.values.iter().copied().fold(f64::NAN, f64::max)
-    }
-
-    /// Fraction of cells with success rate above `threshold` (the
-    /// paper preselects cells >90% for several experiments).
-    pub fn fraction_above(&self, threshold: f64) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().filter(|p| **p > threshold).count() as f64 / self.values.len() as f64
-    }
-
-    /// The recorded values (unsorted).
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Absorbs another accumulator's values (exact merge: the result is
-    /// identical to having pushed both value streams into one
-    /// accumulator, in `self`-then-`other` order).
-    pub fn merge(&mut self, other: &SuccessStats) {
-        self.values.extend_from_slice(&other.values);
-    }
-}
 
 /// Number of histogram bins in a [`SuccessAccumulator`].
 ///
 /// 1024 bins over `[0, 1]` resolve success-rate quantiles to better
 /// than 0.1 percentage points — finer than any figure in the paper.
-pub const ACCUMULATOR_BINS: usize = 1024;
+pub(crate) const ACCUMULATOR_BINS: usize = 1024;
 
 /// Constant-memory, *mergeable* success-rate accumulator.
 ///
-/// [`SuccessStats`] stores every value, which is exact but unbounded: a
-/// 256-chip sweep at full row width records billions of cells. This
+/// Storing every value is exact but unbounded: a 256-chip sweep at
+/// full row width records billions of cells. This
 /// accumulator keeps O(1) state — count, sum, exact min/max, and a
 /// fixed 1024-bin histogram — and supports an order-insensitive
 /// [`merge`](Self::merge) so per-chip shards can be combined into
@@ -228,18 +159,6 @@ impl SuccessAccumulator {
         }
         self.max
     }
-
-    /// Fraction of recorded values in bins strictly above `threshold`'s
-    /// bin (histogram resolution: 1/1024).
-    pub fn fraction_above(&self, threshold: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let t = threshold.clamp(0.0, 1.0);
-        let cut = ((t * ACCUMULATOR_BINS as f64) as usize).min(ACCUMULATOR_BINS - 1);
-        let above: u64 = self.bins[cut + 1..].iter().sum();
-        above as f64 / self.count as f64
-    }
 }
 
 /// Deterministically samples the number of successes in `trials`
@@ -258,25 +177,100 @@ pub fn sample_trials(p: f64, trials: u32, key: u64) -> u32 {
     successes
 }
 
-/// Measured success rate over sampled trials.
-pub fn sampled_success_rate(p: f64, trials: u32, key: u64) -> f64 {
-    if trials == 0 {
-        return 0.0;
-    }
-    f64::from(sample_trials(p, trials, key)) / f64::from(trials)
-}
-
-/// Convenience: a stable key for a cell coordinate.
-pub fn cell_key(bank: usize, subarray: usize, row: usize, col: usize) -> u64 {
-    mix2(
-        ((bank as u64) << 48) | ((subarray as u64) << 32) | row as u64,
-        col as u64,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Measured success rate over sampled trials.
+    fn sampled_success_rate(p: f64, trials: u32, key: u64) -> f64 {
+        if trials == 0 {
+            return 0.0;
+        }
+        f64::from(sample_trials(p, trials, key)) / f64::from(trials)
+    }
+
+    impl SuccessAccumulator {
+        /// Fraction of recorded values in bins strictly above `threshold`'s
+        /// bin (histogram resolution: 1/1024).
+        fn fraction_above(&self, threshold: f64) -> f64 {
+            if self.count == 0 {
+                return 0.0;
+            }
+            let t = threshold.clamp(0.0, 1.0);
+            let cut = ((t * ACCUMULATOR_BINS as f64) as usize).min(ACCUMULATOR_BINS - 1);
+            let above: u64 = self.bins[cut + 1..].iter().sum();
+            above as f64 / self.count as f64
+        }
+    }
+
+    /// Accumulates per-cell success probabilities into summary statistics.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    struct SuccessStats {
+        values: Vec<f64>,
+    }
+
+    impl SuccessStats {
+        /// Creates an empty accumulator.
+        fn new() -> Self {
+            Self::default()
+        }
+
+        /// Adds one cell's success rate.
+        fn push(&mut self, p: f64) {
+            self.values.push(p.clamp(0.0, 1.0));
+        }
+
+        /// Adds many cells' success rates.
+        fn extend_from(&mut self, ps: impl IntoIterator<Item = f64>) {
+            for p in ps {
+                self.push(p);
+            }
+        }
+
+        /// Number of cells recorded.
+        fn count(&self) -> usize {
+            self.values.len()
+        }
+
+        /// Mean success rate (the paper's "average success rate").
+        fn mean(&self) -> f64 {
+            if self.values.is_empty() {
+                return 0.0;
+            }
+            self.values.iter().sum::<f64>() / self.values.len() as f64
+        }
+
+        /// Minimum success rate.
+        fn min(&self) -> f64 {
+            self.values.iter().copied().fold(f64::NAN, f64::min)
+        }
+
+        /// Maximum success rate.
+        fn max(&self) -> f64 {
+            self.values.iter().copied().fold(f64::NAN, f64::max)
+        }
+
+        /// Fraction of cells with success rate above `threshold` (the
+        /// paper preselects cells >90% for several experiments).
+        fn fraction_above(&self, threshold: f64) -> f64 {
+            if self.values.is_empty() {
+                return 0.0;
+            }
+            self.values.iter().filter(|p| **p > threshold).count() as f64 / self.values.len() as f64
+        }
+
+        /// The recorded values (unsorted).
+        fn values(&self) -> &[f64] {
+            &self.values
+        }
+
+        /// Absorbs another accumulator's values (exact merge: the result is
+        /// identical to having pushed both value streams into one
+        /// accumulator, in `self`-then-`other` order).
+        fn merge(&mut self, other: &SuccessStats) {
+            self.values.extend_from_slice(&other.values);
+        }
+    }
 
     #[test]
     fn stats_basics() {
@@ -330,7 +324,7 @@ mod tests {
     #[test]
     fn accumulator_matches_exact_stats() {
         let values: Vec<f64> = (0..5000)
-            .map(|i| dram_core::math::hash_to_unit(mix2(0xACC, i as u64)))
+            .map(|i| dram_core::math::hash_to_unit(dram_core::math::mix2(0xACC, i as u64)))
             .collect();
         let mut acc = SuccessAccumulator::new();
         acc.extend_from(values.iter().copied());
@@ -411,14 +405,5 @@ mod tests {
         b.extend_from([0.3]);
         a.merge(&b);
         assert_eq!(a.values(), &[0.1, 0.2, 0.3]);
-    }
-
-    #[test]
-    fn cell_keys_are_distinct() {
-        let a = cell_key(0, 1, 2, 3);
-        let b = cell_key(0, 1, 2, 4);
-        let c = cell_key(0, 1, 3, 3);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
     }
 }

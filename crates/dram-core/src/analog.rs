@@ -58,7 +58,7 @@ impl AnalogParams {
     /// `n` cells — the columnar fast path keeps per-column running sums
     /// instead of materializing per-column voltage vectors.
     #[inline]
-    pub fn bitline_from_sum(&self, voltage_sum: f64, n: usize) -> f64 {
+    pub(crate) fn bitline_from_sum(&self, voltage_sum: f64, n: usize) -> f64 {
         let num = self.cb_over_cc * self.v_pre() + voltage_sum;
         num / (self.cb_over_cc + n as f64)
     }
@@ -69,36 +69,6 @@ impl AnalogParams {
     #[inline]
     pub fn cell_unit(&self, n: usize) -> f64 {
         self.vdd / (self.cb_over_cc + n as f64)
-    }
-
-    /// Differential signal (volts) between a compute bitline carrying
-    /// `com` cell voltages and a reference bitline carrying `refs`.
-    ///
-    /// Positive means the compute side reads high.
-    pub fn differential(&self, com: &[f64], refs: &[f64]) -> f64 {
-        self.bitline_after_share(com) - self.bitline_after_share(refs)
-    }
-
-    /// Same differential expressed in cell units of the compute side
-    /// (assumes both sides share `N = com.len()` cells, the paper's
-    /// N:N configuration).
-    pub fn differential_cells(&self, com: &[f64], refs: &[f64]) -> f64 {
-        debug_assert_eq!(com.len(), refs.len(), "N:N configuration expected");
-        self.differential(com, refs) / self.cell_unit(com.len())
-    }
-
-    /// Ideal reference-bitline voltage for an N-input AND: N−1 all-1
-    /// cells plus one `Frac` cell, in closed form (no per-call vector).
-    pub fn v_and_ideal(&self, n: usize) -> f64 {
-        debug_assert!(n >= 1);
-        self.bitline_from_sum((n - 1) as f64 * self.vdd + self.frac_level * self.vdd, n)
-    }
-
-    /// Ideal reference-bitline voltage for an N-input OR: N−1 all-0
-    /// cells plus one `Frac` cell, in closed form.
-    pub fn v_or_ideal(&self, n: usize) -> f64 {
-        debug_assert!(n >= 1);
-        self.bitline_from_sum(self.frac_level * self.vdd, n)
     }
 }
 
@@ -156,6 +126,38 @@ pub fn classify_margin(diff_cells: f64, ref_mean_frac: f64) -> MarginClass {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AnalogParams {
+        /// Differential signal (volts) between a compute bitline carrying
+        /// `com` cell voltages and a reference bitline carrying `refs`.
+        ///
+        /// Positive means the compute side reads high.
+        fn differential(&self, com: &[f64], refs: &[f64]) -> f64 {
+            self.bitline_after_share(com) - self.bitline_after_share(refs)
+        }
+
+        /// Same differential expressed in cell units of the compute side
+        /// (assumes both sides share `N = com.len()` cells, the paper's
+        /// N:N configuration).
+        fn differential_cells(&self, com: &[f64], refs: &[f64]) -> f64 {
+            debug_assert_eq!(com.len(), refs.len(), "N:N configuration expected");
+            self.differential(com, refs) / self.cell_unit(com.len())
+        }
+
+        /// Ideal reference-bitline voltage for an N-input AND: N−1 all-1
+        /// cells plus one `Frac` cell, in closed form (no per-call vector).
+        fn v_and_ideal(&self, n: usize) -> f64 {
+            debug_assert!(n >= 1);
+            self.bitline_from_sum((n - 1) as f64 * self.vdd + self.frac_level * self.vdd, n)
+        }
+
+        /// Ideal reference-bitline voltage for an N-input OR: N−1 all-0
+        /// cells plus one `Frac` cell, in closed form.
+        fn v_or_ideal(&self, n: usize) -> f64 {
+            debug_assert!(n >= 1);
+            self.bitline_from_sum(self.frac_level * self.vdd, n)
+        }
+    }
 
     const P: AnalogParams = AnalogParams::ddr4_default();
 

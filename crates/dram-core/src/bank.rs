@@ -6,7 +6,7 @@ use crate::types::{LocalRow, SubarrayId};
 
 /// Rows currently raised in a bank, grouped by subarray.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpenRows {
+pub(crate) struct OpenRows {
     /// Raised rows per subarray (at most two subarrays in this model).
     pub groups: Vec<(SubarrayId, Vec<LocalRow>)>,
     /// Subarray addressed by the most recent `ACT` — the target of a
@@ -14,24 +14,9 @@ pub struct OpenRows {
     pub last_subarray: SubarrayId,
 }
 
-impl OpenRows {
-    /// Total number of raised rows.
-    pub fn total(&self) -> usize {
-        self.groups.iter().map(|(_, r)| r.len()).sum()
-    }
-
-    /// Rows raised in `sub`, if any.
-    pub fn rows_in(&self, sub: SubarrayId) -> Option<&[LocalRow]> {
-        self.groups
-            .iter()
-            .find(|(s, _)| *s == sub)
-            .map(|(_, r)| r.as_slice())
-    }
-}
-
 /// One bank.
 #[derive(Debug, Clone)]
-pub struct Bank {
+pub(crate) struct Bank {
     subarrays: Vec<Option<Subarray>>,
     rows_per_subarray: usize,
     cols: usize,
@@ -40,7 +25,7 @@ pub struct Bank {
 
 impl Bank {
     /// Creates a bank with all subarrays unallocated.
-    pub fn new(subarrays: usize, rows_per_subarray: usize, cols: usize) -> Self {
+    pub(crate) fn new(subarrays: usize, rows_per_subarray: usize, cols: usize) -> Self {
         Bank {
             subarrays: vec![None; subarrays],
             rows_per_subarray,
@@ -50,39 +35,34 @@ impl Bank {
     }
 
     /// Immutable view of a subarray, if it has been touched.
-    pub fn subarray(&self, sub: SubarrayId) -> Option<&Subarray> {
+    pub(crate) fn subarray(&self, sub: SubarrayId) -> Option<&Subarray> {
         self.subarrays.get(sub.index()).and_then(|s| s.as_ref())
     }
 
     /// Mutable subarray access, allocating on first touch.
-    pub fn subarray_mut(&mut self, sub: SubarrayId) -> &mut Subarray {
+    pub(crate) fn subarray_mut(&mut self, sub: SubarrayId) -> &mut Subarray {
         let slot = &mut self.subarrays[sub.index()];
         slot.get_or_insert_with(|| Subarray::new(self.rows_per_subarray, self.cols))
     }
 
-    /// Currently raised rows, if the bank is open.
-    pub fn open(&self) -> Option<&OpenRows> {
-        self.open.as_ref()
-    }
-
     /// Raises rows (replacing any previous open state).
-    pub fn set_open(&mut self, open: OpenRows) {
+    pub(crate) fn set_open(&mut self, open: OpenRows) {
         self.open = Some(open);
     }
 
     /// Precharges the bank (closes all rows), returning the rows that
     /// were raised.
-    pub fn close(&mut self) -> Option<OpenRows> {
+    pub(crate) fn close(&mut self) -> Option<OpenRows> {
         self.open.take()
     }
 
     /// Whether the bank is precharged.
-    pub fn is_precharged(&self) -> bool {
+    pub(crate) fn is_precharged(&self) -> bool {
         self.open.is_none()
     }
 
     /// Applies leakage to every allocated subarray.
-    pub fn leak(&mut self, dt_over_tau: f64) {
+    pub(crate) fn leak(&mut self, dt_over_tau: f64) {
         for s in self.subarrays.iter_mut().flatten() {
             s.leak(dt_over_tau);
         }
@@ -118,9 +98,7 @@ mod tests {
         };
         b.set_open(open.clone());
         assert!(!b.is_precharged());
-        assert_eq!(b.open().unwrap().total(), 2);
-        assert_eq!(b.open().unwrap().rows_in(SubarrayId(1)).unwrap().len(), 2);
-        assert!(b.open().unwrap().rows_in(SubarrayId(0)).is_none());
+        assert_eq!(b.open, Some(open));
         b.close();
         assert!(b.is_precharged());
     }

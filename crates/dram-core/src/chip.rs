@@ -69,7 +69,7 @@ impl CellRole {
 
     /// Index of this role into [`OutcomeStats`].
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 }
@@ -158,6 +158,9 @@ pub fn result_role(op: LogicOp) -> CellRole {
 }
 
 /// Aggregate statistics for cells of one role in one operation.
+///
+/// Stays `pub` although no other crate names it: [`OutcomeStats::role`]
+/// returns it.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct RoleStats {
     /// Number of cells recorded, drawn or not.
@@ -174,16 +177,19 @@ pub struct RoleStats {
 /// Per-role aggregates of an operation, maintained in both telemetry
 /// modes (so [`OpOutcome::mean_success`] works without per-cell
 /// records).
+///
+/// Stays `pub` although no other crate names it: it is the type of
+/// [`OpOutcome::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct OutcomeStats {
-    /// Aggregates indexed by [`CellRole::index`].
+    /// Aggregates indexed by `CellRole::index`.
     pub roles: [RoleStats; 7],
 }
 
 impl OutcomeStats {
     /// Records one drawn cell.
     #[inline]
-    pub fn record(&mut self, role: CellRole, p: f64, matched: bool) {
+    pub(crate) fn record(&mut self, role: CellRole, p: f64, matched: bool) {
         let s = &mut self.roles[role.index()];
         s.count += 1;
         s.sum_p += p;
@@ -572,8 +578,6 @@ fn bit_of(v: f32, vdd: f64) -> Bit {
 /// One simulated DRAM chip.
 #[derive(Debug, Clone)]
 pub struct Chip {
-    config: ModuleConfig,
-    id: ChipId,
     geom: Geometry,
     decoder: RowDecoder,
     model: ReliabilityModel,
@@ -608,8 +612,6 @@ impl Chip {
             })
             .collect();
         Chip {
-            config,
-            id,
             geom,
             decoder,
             model,
@@ -660,18 +662,6 @@ impl Chip {
         self
     }
 
-    /// The module configuration this chip belongs to.
-    #[inline]
-    pub fn config(&self) -> &ModuleConfig {
-        &self.config
-    }
-
-    /// This chip's index within its module.
-    #[inline]
-    pub fn id(&self) -> ChipId {
-        self.id
-    }
-
     /// The modeled geometry.
     #[inline]
     pub fn geometry(&self) -> &Geometry {
@@ -705,28 +695,12 @@ impl Chip {
         &self.disturbance
     }
 
-    /// The installed disturbance policy, if any.
-    #[inline]
-    pub fn disturbance_policy(&self) -> Option<&DisturbancePolicy> {
-        self.disturb_policy.as_ref()
-    }
-
     /// Installs (or removes) the read-disturbance policy. With `None`
     /// (the default) counters are still charged but success rates are
     /// never derated — the chip behaves bit-identically to a build
     /// without fault injection.
     pub fn set_disturbance_policy(&mut self, policy: Option<DisturbancePolicy>) {
         self.disturb_policy = policy;
-    }
-
-    /// Mitigates one threshold's worth of disturbance on
-    /// `(bank, subarray)` (the targeted-refresh command a scheduler
-    /// issues). Returns the zone's remaining unmitigated count.
-    pub fn mitigate_subarray(&mut self, bank: BankId, sub: SubarrayId) -> u64 {
-        let zone = self.disturb_zone(bank, sub);
-        let policy = self.disturb_policy.unwrap_or_default();
-        self.disturbance.mitigate(zone, &policy);
-        self.disturbance.pending(zone)
     }
 
     #[inline]
@@ -2439,8 +2413,12 @@ mod tests {
                 chip.charge_disturbance(BankId(0), sub2, pre_charge);
                 if mitigate {
                     for _ in 0..pre_charge / policy.threshold + 1 {
-                        chip.mitigate_subarray(BankId(0), sub);
-                        chip.mitigate_subarray(BankId(0), sub2);
+                        for zone in [
+                            chip.disturb_zone(BankId(0), sub),
+                            chip.disturb_zone(BankId(0), sub2),
+                        ] {
+                            chip.disturbance.mitigate(zone, &policy);
+                        }
                     }
                 }
             }

@@ -32,7 +32,7 @@ impl Manufacturer {
     /// The cross-subarray activation capability the paper observed for
     /// this manufacturer (§4.3, §7 Limitation 1).
     #[inline]
-    pub fn activation_capability(self) -> ActivationCapability {
+    pub(crate) fn activation_capability(self) -> ActivationCapability {
         match self {
             Manufacturer::SkHynix => ActivationCapability::Simultaneous,
             Manufacturer::Samsung => ActivationCapability::SequentialOnly,
@@ -54,7 +54,7 @@ impl fmt::Display for Manufacturer {
 /// How a chip responds to the `ACT → PRE → ACT` sequence with violated
 /// timings targeting neighboring subarrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ActivationCapability {
+pub(crate) enum ActivationCapability {
     /// Multiple rows activate simultaneously in both subarrays.
     Simultaneous,
     /// The two rows activate in sequence (1:1 only; enables NOT with
@@ -107,7 +107,7 @@ pub enum Density {
 impl Density {
     /// Subarrays per bank for the modeled geometry (512-row subarrays).
     #[inline]
-    pub fn subarrays_per_bank(self) -> usize {
+    pub(crate) fn subarrays_per_bank(self) -> usize {
         match self {
             Density::Gb4 => 64,
             Density::Gb8 => 128,
@@ -125,6 +125,9 @@ impl fmt::Display for Density {
 }
 
 /// Chip organization (data-bus width per chip).
+///
+/// Stays `pub` although no other crate names it: it is the type of
+/// [`ModuleConfig::org`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ChipOrg {
     /// x4 chips (16 per 64-bit rank; the paper's x4 modules carry 32).
@@ -136,7 +139,7 @@ pub enum ChipOrg {
 impl ChipOrg {
     /// Chips per module as listed in Table 1 (x4 modules are dual-rank).
     #[inline]
-    pub fn chips_per_module(self) -> usize {
+    pub(crate) fn chips_per_module(self) -> usize {
         match self {
             ChipOrg::X4 => 32,
             ChipOrg::X8 => 8,
@@ -145,7 +148,7 @@ impl ChipOrg {
 
     /// Columns (bitline pairs) per row in the modeled chip.
     #[inline]
-    pub fn cols_per_row(self) -> usize {
+    pub(crate) fn cols_per_row(self) -> usize {
         match self {
             ChipOrg::X4 => 4096,
             ChipOrg::X8 => 8192,
@@ -199,7 +202,7 @@ pub struct ModuleConfig {
 impl ModuleConfig {
     /// Creates a module configuration with full-width modeled columns.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         manufacturer: Manufacturer,
         die: DieRevision,
@@ -245,7 +248,7 @@ impl ModuleConfig {
 
     /// Overrides the manufacturing date.
     #[must_use]
-    pub fn with_mfr_date(mut self, year: u16, week: u8) -> Self {
+    pub(crate) fn with_mfr_date(mut self, year: u16, week: u8) -> Self {
         self.mfr_date = Some((year, week));
         self
     }
@@ -253,14 +256,14 @@ impl ModuleConfig {
     /// Overrides the chip count (dual-rank modules carry twice the
     /// default; Table 1's 8Gb A x8 module has 16 chips).
     #[must_use]
-    pub fn with_chips(mut self, chips: usize) -> Self {
+    pub(crate) fn with_chips(mut self, chips: usize) -> Self {
         self.chips = chips;
         self
     }
 
     /// Disables the N:2N activation family (some modules only do N:N).
     #[must_use]
-    pub fn without_n2n(mut self) -> Self {
+    pub(crate) fn without_n2n(mut self) -> Self {
         self.supports_n2n = false;
         self
     }

@@ -1,6 +1,6 @@
 //! Error type for the device model.
 
-use crate::types::{BankId, Col, GlobalRow, SubarrayId};
+use crate::types::{BankId, GlobalRow, SubarrayId};
 use std::error::Error as StdError;
 use std::fmt;
 
@@ -28,13 +28,6 @@ pub enum DramError {
         subarray: SubarrayId,
         /// Number of subarrays per bank.
         subarrays: usize,
-    },
-    /// A column index was out of range for the row.
-    ColOutOfRange {
-        /// Offending column.
-        col: Col,
-        /// Number of columns per row.
-        cols: usize,
     },
     /// A command was issued that is illegal in the current bank state
     /// (e.g. `RD` while precharged).
@@ -74,9 +67,6 @@ impl fmt::Display for DramError {
                     f,
                     "subarray {subarray} out of range (bank has {subarrays} subarrays)"
                 )
-            }
-            DramError::ColOutOfRange { col, cols } => {
-                write!(f, "column {col} out of range (row has {cols} columns)")
             }
             DramError::IllegalCommand { detail } => {
                 write!(f, "illegal command sequence: {detail}")
@@ -135,10 +125,6 @@ mod tests {
             DramError::SubarrayOutOfRange {
                 subarray: SubarrayId(4),
                 subarrays: 2,
-            },
-            DramError::ColOutOfRange {
-                col: Col(1024),
-                cols: 512,
             },
             DramError::IllegalCommand {
                 detail: "rd while precharged".into(),

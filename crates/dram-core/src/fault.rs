@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// Modeled failure times at or beyond this horizon (in modeled
 /// nanoseconds) are reported as "never fails": far beyond any served
 /// session, and kept out of serialized reports (JSON has no infinity).
-pub const FAIL_HORIZON_NS: f64 = 1e15;
+pub(crate) const FAIL_HORIZON_NS: f64 = 1e15;
 
 /// Read-disturbance accounting knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -89,23 +89,11 @@ impl DisturbanceState {
         }
     }
 
-    /// Number of tracked zones.
-    #[inline]
-    pub fn zones(&self) -> usize {
-        self.acts.len()
-    }
-
     /// Charges `rows` activation-rows to zone `zone`.
     #[inline]
     pub fn charge(&mut self, zone: usize, rows: u64) {
         self.acts[zone] += rows;
         self.lifetime[zone] += rows;
-    }
-
-    /// Activation-rows charged to `zone` since its last mitigation.
-    #[inline]
-    pub fn pending(&self, zone: usize) -> u64 {
-        self.acts[zone]
     }
 
     /// Whether `zone` has crossed the mitigation threshold.
@@ -149,7 +137,7 @@ impl DisturbanceState {
 /// `[0.0013, 0.0025, 0.005, 0.01]` for up-to 16K / 64K / 256K / 1M
 /// bits-per-chip class; every Table-1 part (4 Gb / 8 Gb) lands in the
 /// top class.
-pub fn c1(density: Density) -> f64 {
+pub(crate) fn c1(density: Density) -> f64 {
     match density {
         Density::Gb4 | Density::Gb8 => 0.01,
     }
@@ -157,7 +145,7 @@ pub fn c1(density: Density) -> f64 {
 
 /// MIL-HDBK-217F Arrhenius temperature factor `π_T` for memory
 /// (activation energy 0.6 eV, referenced to 25 °C junction).
-pub fn pi_t(temp: Temperature) -> f64 {
+pub(crate) fn pi_t(temp: Temperature) -> f64 {
     const EA_OVER_K: f64 = 0.6 / 8.617e-5; // eV / (eV/K)
     let t_k = temp.as_celsius() + 273.15;
     0.1 * (-EA_OVER_K * (1.0 / t_k - 1.0 / 298.15)).exp()
@@ -260,7 +248,7 @@ impl FaultPlan {
     /// Deterministic modeled failure time of fleet member `member`
     /// (identified by its chip seed), in modeled serving nanoseconds.
     /// `None` means the member outlives any session
-    /// ([`FAIL_HORIZON_NS`]).
+    /// (`FAIL_HORIZON_NS`).
     ///
     /// The draw inverts the exponential lifetime CDF at the member's
     /// hazard rate: `t = −ln(1−u)/λ` handbook hours, compressed by
@@ -287,12 +275,6 @@ impl FaultPlan {
             }
         }
         (at < FAIL_HORIZON_NS).then_some(at)
-    }
-
-    /// Serializes the plan as pretty JSON (the `--faults PLAN.json`
-    /// file format).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("fault plan serializes")
     }
 
     /// Parses a plan from JSON.
@@ -329,7 +311,7 @@ mod tests {
             mitigation_ns: 50.0,
         };
         let mut s = DisturbanceState::new(4);
-        assert_eq!(s.zones(), 4);
+        assert_eq!(s.acts.len(), 4);
         s.charge(1, 60);
         assert!(!s.needs_mitigation(1, &policy));
         assert_eq!(s.derate_exponent(1, &policy), 1.0, "below threshold");
@@ -338,12 +320,12 @@ mod tests {
         // 150 pending = threshold + 50 excess → 1 + 2·(50/100).
         assert!((s.derate_exponent(1, &policy) - 2.0).abs() < 1e-12);
         s.mitigate(1, &policy);
-        assert_eq!(s.pending(1), 50);
+        assert_eq!(s.acts[1], 50);
         assert_eq!(s.mitigations_total(), 1);
         assert_eq!(s.lifetime_total(), 150, "lifetime never resets");
         assert_eq!(s.derate_exponent(1, &policy), 1.0);
         // Other zones untouched.
-        assert_eq!(s.pending(0), 0);
+        assert_eq!(s.acts[0], 0);
     }
 
     #[test]
@@ -425,7 +407,7 @@ mod tests {
     #[test]
     fn plan_round_trips_through_json() {
         let plan = FaultPlan::demo();
-        let json = plan.to_json();
+        let json = serde_json::to_string_pretty(&plan).unwrap();
         let back = FaultPlan::from_json(&json).unwrap();
         assert_eq!(plan, back);
         assert!(FaultPlan::from_json("{not json").is_err());

@@ -26,7 +26,7 @@ pub enum Telemetry {
 impl Telemetry {
     /// Whether per-cell records are kept.
     #[inline]
-    pub fn per_cell(self) -> bool {
+    pub(crate) fn per_cell(self) -> bool {
         matches!(self, Telemetry::Full)
     }
 }

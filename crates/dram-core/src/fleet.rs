@@ -94,16 +94,6 @@ impl FleetConfig {
         }
     }
 
-    /// A fleet drawn from an explicit module list.
-    pub fn custom(modules: Vec<ModuleConfig>, chips: usize) -> FleetConfig {
-        assert!(!modules.is_empty(), "fleet needs at least one module");
-        FleetConfig {
-            modules,
-            chips,
-            seed: 0,
-        }
-    }
-
     /// Overrides the fleet-level seed. A non-zero seed reseeds *every*
     /// module (including the first replica), producing an independent
     /// population of the same inventory shape.
@@ -291,11 +281,6 @@ impl FleetSlots {
         FleetSlots { members }
     }
 
-    /// Number of fleet members tracked.
-    pub fn members(&self) -> usize {
-        self.members.len()
-    }
-
     /// Leases `rows` contiguous rows on `member` (first fit across its
     /// subarrays). Returns `None` when no subarray has a large enough
     /// free range.
@@ -480,7 +465,7 @@ mod tests {
         let g = fleet.spec(0).cfg.geometry();
         let usable = g.rows_per_subarray() - 16;
         let mut slots = FleetSlots::new(&fleet, 16);
-        assert_eq!(slots.members(), 2);
+        assert_eq!(slots.members.len(), 2);
         assert_eq!(slots.largest_lease(0), usable);
 
         let a = slots.lease_on(0, 10).unwrap();

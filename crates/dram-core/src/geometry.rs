@@ -3,7 +3,7 @@
 //! (subarray, local-row) pairs.
 
 use crate::error::{DramError, Result};
-use crate::types::{BankId, Col, GlobalRow, LocalRow, SubarrayId};
+use crate::types::{BankId, GlobalRow, LocalRow, SubarrayId};
 use serde::{Deserialize, Serialize};
 
 /// The modeled geometry of one DRAM chip.
@@ -56,12 +56,6 @@ impl Geometry {
         })
     }
 
-    /// A small geometry for unit tests and examples (2 banks,
-    /// 8 subarrays × 512 rows, 64 columns).
-    pub fn small() -> Self {
-        Geometry::new(2, 8, 512, 64).expect("small geometry is valid")
-    }
-
     /// Number of banks.
     #[inline]
     pub fn banks(&self) -> usize {
@@ -90,12 +84,6 @@ impl Geometry {
     #[inline]
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Number of address bits within a subarray.
-    #[inline]
-    pub fn local_row_bits(&self) -> u32 {
-        self.rows_per_subarray.trailing_zeros()
     }
 
     /// Validates a bank index.
@@ -130,18 +118,6 @@ impl Geometry {
             Err(DramError::SubarrayOutOfRange {
                 subarray,
                 subarrays: self.subarrays_per_bank,
-            })
-        }
-    }
-
-    /// Validates a column index.
-    pub fn check_col(&self, col: Col) -> Result<()> {
-        if col.index() < self.cols {
-            Ok(())
-        } else {
-            Err(DramError::ColOutOfRange {
-                col,
-                cols: self.cols,
             })
         }
     }
@@ -183,16 +159,19 @@ impl Geometry {
     pub fn are_neighbors(&self, a: SubarrayId, b: SubarrayId) -> bool {
         a.index().abs_diff(b.index()) == 1
     }
-
-    /// Iterator over all neighboring subarray pairs `(s, s+1)` in a bank.
-    pub fn neighbor_pairs(&self) -> impl Iterator<Item = (SubarrayId, SubarrayId)> + '_ {
-        (0..self.subarrays_per_bank.saturating_sub(1)).map(|s| (SubarrayId(s), SubarrayId(s + 1)))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Geometry {
+        /// A small geometry for unit tests and examples (2 banks,
+        /// 8 subarrays × 512 rows, 64 columns).
+        fn small() -> Self {
+            Geometry::new(2, 8, 512, 64).expect("small geometry is valid")
+        }
+    }
 
     #[test]
     fn rejects_degenerate_dimensions() {
@@ -243,13 +222,6 @@ mod tests {
         assert!(g.are_neighbors(SubarrayId(3), SubarrayId(2)));
         assert!(!g.are_neighbors(SubarrayId(0), SubarrayId(2)));
         assert!(!g.are_neighbors(SubarrayId(1), SubarrayId(1)));
-        assert_eq!(g.neighbor_pairs().count(), 7);
-    }
-
-    #[test]
-    fn local_row_bits() {
-        let g = Geometry::small();
-        assert_eq!(g.local_row_bits(), 9);
     }
 
     #[test]
@@ -257,8 +229,6 @@ mod tests {
         let g = Geometry::small();
         assert!(g.check_bank(BankId(1)).is_ok());
         assert!(g.check_bank(BankId(2)).is_err());
-        assert!(g.check_col(Col(63)).is_ok());
-        assert!(g.check_col(Col(64)).is_err());
         assert!(g.check_subarray(SubarrayId(7)).is_ok());
         assert!(g.check_subarray(SubarrayId(8)).is_err());
     }

@@ -51,6 +51,7 @@ pub mod math;
 pub mod module;
 pub mod reliability;
 pub mod row_decoder;
+pub mod shard;
 pub mod subarray;
 pub mod thermal;
 pub mod timing;
@@ -58,12 +59,11 @@ pub mod types;
 pub mod variation;
 
 pub use analog::{AnalogParams, MarginClass};
-pub use bank::{Bank, OpenRows};
 pub use chip::{
     result_role, CellOutcome, CellRole, Chip, CsTerminal, OpOutcome, OutcomeKind, OutcomeStats,
     RoleStats,
 };
-pub use config::{ActivationCapability, ChipOrg, Density, DieRevision, Manufacturer, ModuleConfig};
+pub use config::{ChipOrg, Density, DieRevision, Manufacturer, ModuleConfig};
 pub use energy::{EnergyParams, OpCost};
 pub use error::{DramError, Result};
 pub use fault::{AgingPolicy, DisturbancePolicy, DisturbanceState, FaultPlan, PlannedDropout};
@@ -73,11 +73,10 @@ pub use geometry::Geometry;
 pub use module::DramModule;
 pub use reliability::{CellRef, LogicEvent, LogicOp, NotEvent, ReliabilityModel};
 pub use row_decoder::{ActivationShape, MultiActivation, PatternKind, RowDecoder};
-pub use subarray::Subarray;
 pub use thermal::Temperature;
 pub use timing::{SpeedBin, TimingParams, ViolationWindows};
 pub use types::{
-    is_shared_col, BankId, Bit, ChipId, Col, GlobalRow, LocalRow, RowLoc, StripeSide, SubarrayId,
+    is_shared_col, BankId, Bit, ChipId, Col, GlobalRow, LocalRow, StripeSide, SubarrayId,
     SHARED_COL_STRIDE,
 };
 pub use variation::{DistanceRegion, ProcessVariation, RowSampler, VariationCache};

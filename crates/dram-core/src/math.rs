@@ -61,7 +61,7 @@ pub fn hash_to_unit(h: u64) -> f64 {
 /// from `h`. The result is clamped to ±8σ so downstream arithmetic
 /// never sees infinities.
 #[inline]
-pub fn hash_to_normal(h: u64) -> f64 {
+pub(crate) fn hash_to_normal(h: u64) -> f64 {
     // Avoid the exact endpoints of (0,1).
     let u = hash_to_unit(h).clamp(1e-12, 1.0 - 1e-12);
     normal_quantile(u).clamp(-8.0, 8.0)
@@ -69,7 +69,7 @@ pub fn hash_to_normal(h: u64) -> f64 {
 
 /// The error function, via the Abramowitz & Stegun 7.1.26 rational
 /// approximation (|error| < 1.5e-7, plenty for success-rate work).
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     const A1: f64 = 0.254_829_592;
@@ -102,7 +102,7 @@ pub fn normal_cdf(z: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `p` is not in the open interval `(0, 1)`.
-pub fn normal_quantile(p: f64) -> f64 {
+pub(crate) fn normal_quantile(p: f64) -> f64 {
     assert!(
         p > 0.0 && p < 1.0,
         "normal_quantile requires p in (0,1), got {p}"
@@ -155,24 +155,23 @@ pub fn normal_quantile(p: f64) -> f64 {
     }
 }
 
-/// Shifts a target mean success probability into z-space such that,
-/// after adding a per-cell N(0, `sigma`) offset and mapping back
-/// through Φ, the *mean over cells* equals `p_mean`.
-///
-/// Uses the identity `E[Φ(a + σZ)] = Φ(a / sqrt(1 + σ²))`, so
-/// `a = Φ⁻¹(p_mean) · sqrt(1 + σ²)`.
-///
-/// Returns `a`; callers compute per-cell probability as
-/// `Φ(a + σ·z_cell)`.
-#[inline]
-pub fn mean_preserving_z(p_mean: f64, sigma: f64) -> f64 {
-    let p = p_mean.clamp(1e-9, 1.0 - 1e-9);
-    normal_quantile(p) * (1.0 + sigma * sigma).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Shifts a target mean success probability into z-space such that,
+    /// after adding a per-cell N(0, `sigma`) offset and mapping back
+    /// through Φ, the *mean over cells* equals `p_mean`.
+    ///
+    /// Uses the identity `E[Φ(a + σZ)] = Φ(a / sqrt(1 + σ²))`, so
+    /// `a = Φ⁻¹(p_mean) · sqrt(1 + σ²)`.
+    ///
+    /// Returns `a`; callers compute per-cell probability as
+    /// `Φ(a + σ·z_cell)`.
+    fn mean_preserving_z(p_mean: f64, sigma: f64) -> f64 {
+        let p = p_mean.clamp(1e-9, 1.0 - 1e-9);
+        normal_quantile(p) * (1.0 + sigma * sigma).sqrt()
+    }
 
     #[test]
     fn splitmix_is_deterministic_and_spreads() {

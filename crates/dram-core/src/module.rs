@@ -56,14 +56,6 @@ impl DramModule {
         }
     }
 
-    /// Builder form of [`DramModule::configure`] for construction
-    /// chains.
-    #[must_use]
-    pub fn with_sim_config(mut self, cfg: SimConfig) -> Self {
-        self.configure(cfg);
-        self
-    }
-
     /// Number of chips on the module.
     #[inline]
     pub fn chip_count(&self) -> usize {
@@ -86,11 +78,6 @@ impl DramModule {
     pub fn chip(&self, id: ChipId) -> Option<&Chip> {
         self.chips.get(id.index()).and_then(|c| c.as_ref())
     }
-
-    /// Number of chips instantiated so far.
-    pub fn instantiated_chips(&self) -> usize {
-        self.chips.iter().filter(|c| c.is_some()).count()
-    }
 }
 
 #[cfg(test)]
@@ -103,9 +90,9 @@ mod tests {
         let cfg = table1().into_iter().next().unwrap().with_modeled_cols(16);
         let mut m = DramModule::new(cfg);
         assert_eq!(m.chip_count(), 8);
-        assert_eq!(m.instantiated_chips(), 0);
+        assert_eq!(m.chips.iter().flatten().count(), 0);
         let _ = m.chip_mut(ChipId(3));
-        assert_eq!(m.instantiated_chips(), 1);
+        assert_eq!(m.chips.iter().flatten().count(), 1);
         assert!(m.chip(ChipId(3)).is_some());
         assert!(m.chip(ChipId(0)).is_none());
     }

@@ -15,7 +15,7 @@
 //! `p = C(margin class) · Φ(z)` with
 //! `z = z_base − load − regions − temperature − coupling + σ·cell_z`,
 //! so the population mean over cells is `C · Φ(z̄ / sqrt(1+σ²))`
-//! (see [`crate::math::mean_preserving_z`]). Base `z` values are solved
+//! (by `E[Φ(a + σZ)] = Φ(a / sqrt(1 + σ²))`). Base `z` values are solved
 //! at model construction by bisection against the *fleet* of Table 1
 //! modules, so fleet-weighted means land on the paper's numbers by
 //! construction.
@@ -91,22 +91,22 @@ fn n_index(n: usize) -> Option<usize> {
 
 /// Cell-to-cell spread of NOT/restore reliability (z units). Sets the
 /// box-plot width in Fig. 7 and allows Observation 3's 100%-cells.
-pub const SIGMA_CELL_NOT: f64 = 0.60;
+pub(crate) const SIGMA_CELL_NOT: f64 = 0.60;
 /// Sense-amp-to-sense-amp spread for NOT (z units).
-pub const SIGMA_SA_NOT: f64 = 0.40;
+pub(crate) const SIGMA_SA_NOT: f64 = 0.40;
 /// Load penalty per simultaneously driven row beyond two (z units).
 /// Fitted with `Z0` so the fleet means hit Fig. 7's 98.37% (1 dest
 /// row) and 7.95% (32 dest rows), including the Jensen effect of the
 /// region shifts below.
-pub const ALPHA_LOAD_NOT: f64 = 0.125;
+pub(crate) const ALPHA_LOAD_NOT: f64 = 0.125;
 /// Temperature sensitivity for NOT (z per °C). Observation 7: ≤0.20%
 /// drift from 50→95 °C.
-pub const BETA_TEMP_NOT: f64 = 0.0005;
+pub(crate) const BETA_TEMP_NOT: f64 = 0.0005;
 /// Design-induced z-shift by *source*-row distance region
 /// {Close, Middle, Far}, zero-mean, scaled by the load fraction.
 /// Middle sources fare best — consistent with the paper's best cell
 /// being Middle-Far (Fig. 9).
-pub const SRC_REGION_Z_NOT: [f64; 3] = [0.3, 0.7, -1.0];
+pub(crate) const SRC_REGION_Z_NOT: [f64; 3] = [0.3, 0.7, -1.0];
 /// Design-induced z-shift by *destination*-row distance region,
 /// zero-mean, scaled by the load fraction. Far destinations succeed
 /// more often (late far-wordline rise disturbs sensing less); with
@@ -114,7 +114,7 @@ pub const SRC_REGION_Z_NOT: [f64; 3] = [0.3, 0.7, -1.0];
 /// Middle-Far 85.02% under destination-cell-weighted aggregation
 /// (direction and ranking reproduce; see EXPERIMENTS.md for the
 /// residual gap forced by consistency with Fig. 7).
-pub const DST_REGION_Z_NOT: [f64; 3] = [-0.9, 0.0, 0.9];
+pub(crate) const DST_REGION_Z_NOT: [f64; 3] = [-0.9, 0.0, 0.9];
 
 /// Cell spread for logic-op sensing (z units) — Fig. 15 box widths.
 pub const SIGMA_CELL_LOGIC: f64 = 0.85;
@@ -122,24 +122,24 @@ pub const SIGMA_CELL_LOGIC: f64 = 0.85;
 pub const SIGMA_SA_LOGIC: f64 = 0.30;
 /// Temperature sensitivity for logic ops (z per °C). Observation 17:
 /// ≤1.66% drift from 50→95 °C.
-pub const BETA_TEMP_LOGIC: f64 = 0.0045;
+pub(crate) const BETA_TEMP_LOGIC: f64 = 0.0045;
 /// Bitline-coupling penalty (z) for a fully mismatched neighborhood,
 /// AND family. Observation 16 / Fig. 18: random patterns lose 1.43%
 /// (AND) / 1.39% (NAND). (The base-z solver compensates, so Fig. 15's
 /// random-pattern means are unaffected by this constant.)
-pub const COUPLING_AND: f64 = 0.50;
+pub(crate) const COUPLING_AND: f64 = 0.50;
 /// Bitline-coupling penalty (z), OR family: 1.98% (OR) / 1.97% (NOR).
-pub const COUPLING_OR: f64 = 1.00;
+pub(crate) const COUPLING_OR: f64 = 1.00;
 /// Compute-row distance coefficient for logic ops (z).
-pub const DIST_COM_LOGIC: f64 = 2.8;
+pub(crate) const DIST_COM_LOGIC: f64 = 2.8;
 /// Reference-row distance coefficient for logic ops (z). With
 /// [`DIST_COM_LOGIC`], targets Fig. 17's spreads (≈23% AND/NAND,
 /// ≈10% OR/NOR after family weighting).
-pub const DIST_REF_LOGIC: f64 = 1.8;
+pub(crate) const DIST_REF_LOGIC: f64 = 1.8;
 
 /// In-subarray RowClone success z (≈99.9%; RowClone is reliable on
 /// COTS chips per ComputeDRAM/PiDRAM).
-pub const Z_ROWCLONE: f64 = 3.7;
+pub(crate) const Z_ROWCLONE: f64 = 3.7;
 
 /// Fleet-mean targets, random data patterns (Fig. 15):
 /// `B[op][n_index]` is the target mean of the margin-comfortable
@@ -395,18 +395,6 @@ pub struct LogicEvent {
     pub temperature: Temperature,
 }
 
-/// A majority (MAJ-N) event on the non-shared column half (extension;
-/// Ambit/PULSAR lineage).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MajEvent {
-    /// Input count.
-    pub n: usize,
-    /// |Σinputs − N/2| in cell units.
-    pub margin_cells: f64,
-    /// Chip temperature.
-    pub temperature: Temperature,
-}
-
 /// Structural coordinates of the cell being scored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellRef {
@@ -450,7 +438,7 @@ impl ReliabilityModel {
     /// Base z values are solved against the Table 1 fleet so that
     /// fleet-weighted means reproduce the paper's averages; the solve
     /// is identical for every chip, so it runs once per process.
-    pub fn new(cfg: &ModuleConfig, chip_seed: u64) -> Self {
+    pub(crate) fn new(cfg: &ModuleConfig, chip_seed: u64) -> Self {
         let &FleetCalibration { z0_not, z_logic } = fleet_calibration();
         ReliabilityModel {
             variation: ProcessVariation::new(chip_seed),
@@ -465,13 +453,13 @@ impl ReliabilityModel {
 
     /// The analog parameters used by this model.
     #[inline]
-    pub fn analog(&self) -> &AnalogParams {
+    pub(crate) fn analog(&self) -> &AnalogParams {
         &self.analog
     }
 
     /// The process-variation oracle for this chip.
     #[inline]
-    pub fn variation(&self) -> &ProcessVariation {
+    pub(crate) fn variation(&self) -> &ProcessVariation {
         &self.variation
     }
 
@@ -540,36 +528,6 @@ impl ReliabilityModel {
         (c * normal_cdf(z)).clamp(0.0, 1.0)
     }
 
-    /// Success probability for an in-subarray RowClone destination cell.
-    pub fn rowclone_success_prob(&self, cell: CellRef) -> f64 {
-        let z = Z_ROWCLONE
-            + SIGMA_CELL_NOT
-                * self
-                    .variation
-                    .cell_not_z(cell.bank, cell.subarray, cell.row, cell.col);
-        normal_cdf(z)
-    }
-
-    /// Success probability for a majority result cell on the non-shared
-    /// column half (extension; not paper-calibrated).
-    pub fn maj_success_prob(&self, ev: &MajEvent, cell: CellRef) -> f64 {
-        let c = if ev.margin_cells < 0.75 {
-            0.55
-        } else if ev.margin_cells < 1.5 {
-            0.93
-        } else if ev.margin_cells < 2.5 {
-            0.99
-        } else {
-            1.0
-        };
-        let z = 2.6 - BETA_TEMP_LOGIC * ev.temperature.above_baseline()
-            + SIGMA_CELL_LOGIC
-                * self
-                    .variation
-                    .cell_logic_z(cell.bank, cell.subarray, cell.row, cell.col);
-        (c * normal_cdf(z)).clamp(0.0, 1.0)
-    }
-
     // -----------------------------------------------------------------
     // Row-batch decomposition (the columnar fast path)
     // -----------------------------------------------------------------
@@ -583,7 +541,7 @@ impl ReliabilityModel {
     /// Column-invariant part of the NOT z-score (everything in
     /// [`Self::not_success_prob`] except the per-cell and per-SA
     /// variation terms).
-    pub fn not_z_base(&self, ev: &NotEvent) -> f64 {
+    pub(crate) fn not_z_base(&self, ev: &NotEvent) -> f64 {
         use crate::variation::DistanceRegion;
         let lf = load_fraction(ev.total_rows);
         let src_z =
@@ -633,7 +591,7 @@ impl ReliabilityModel {
     }
 
     /// Margin-class success multiplier for `op` at `n` inputs.
-    pub fn margin_multiplier(op: LogicOp, n: usize, class: MarginClass) -> f64 {
+    pub(crate) fn margin_multiplier(op: LogicOp, n: usize, class: MarginClass) -> f64 {
         let Some(ni) = n_index(n) else { return 0.0 };
         let fam = if op.is_and_family() { 0 } else { 1 };
         match class {
@@ -650,9 +608,10 @@ impl ReliabilityModel {
         BETA_TEMP_LOGIC * temperature.above_baseline()
     }
 
-    /// Margin multiplier of [`Self::maj_success_prob`].
+    /// Success multiplier of a majority result cell whose inputs sum
+    /// `margin_cells` (|Σinputs − N/2|, in cell units) away from a tie.
     #[inline]
-    pub fn maj_multiplier(margin_cells: f64) -> f64 {
+    pub(crate) fn maj_multiplier(margin_cells: f64) -> f64 {
         if margin_cells < 0.75 {
             0.55
         } else if margin_cells < 1.5 {
@@ -670,6 +629,18 @@ mod tests {
     use super::*;
     use crate::config::table1;
     use crate::types::ChipId;
+
+    impl ReliabilityModel {
+        /// Success probability for an in-subarray RowClone destination cell.
+        fn rowclone_success_prob(&self, cell: CellRef) -> f64 {
+            let z = Z_ROWCLONE
+                + SIGMA_CELL_NOT
+                    * self
+                        .variation
+                        .cell_not_z(cell.bank, cell.subarray, cell.row, cell.col);
+            normal_cdf(z)
+        }
+    }
 
     fn model_for(idx: usize) -> (ModuleConfig, ReliabilityModel) {
         let cfg = table1().into_iter().nth(idx).unwrap();

@@ -136,12 +136,6 @@ impl RowDecoder {
         }
     }
 
-    /// The per-chip glitch probability (for diagnostics/tests).
-    #[inline]
-    pub fn p_glitch(&self) -> f64 {
-        self.p_glitch
-    }
-
     /// Bitmask of the 2-bit predecode groups (bits 0..4) in which two
     /// local addresses differ, restricted to the mergeable groups.
     fn merged_mask(&self, a: LocalRow, b: LocalRow) -> u8 {
@@ -343,6 +337,14 @@ const GLITCH_SALT: u64 = 0x611C4;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RowDecoder {
+        /// The decoder's glitch probability, which other modules'
+        /// tests compare across chips.
+        pub(crate) fn p_glitch(&self) -> f64 {
+            self.p_glitch
+        }
+    }
     use crate::config::table1;
     use crate::types::ChipId;
 

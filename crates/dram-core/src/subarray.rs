@@ -9,39 +9,22 @@ use crate::types::{Bit, Col, LocalRow};
 
 /// One subarray's cell matrix.
 #[derive(Debug, Clone)]
-pub struct Subarray {
+pub(crate) struct Subarray {
     rows: Vec<Option<Box<[f32]>>>,
     cols: usize,
 }
 
 impl Subarray {
     /// Creates an empty (all rows unallocated ⇒ logic-0) subarray.
-    pub fn new(rows: usize, cols: usize) -> Self {
+    pub(crate) fn new(rows: usize, cols: usize) -> Self {
         Subarray {
             rows: vec![None; rows],
             cols,
         }
     }
 
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of rows currently backed by real storage.
-    pub fn allocated_rows(&self) -> usize {
-        self.rows.iter().filter(|r| r.is_some()).count()
-    }
-
     /// Voltage of one cell (unallocated rows read as 0.0 V).
-    pub fn voltage(&self, row: LocalRow, col: Col) -> f64 {
+    pub(crate) fn voltage(&self, row: LocalRow, col: Col) -> f64 {
         debug_assert!(col.index() < self.cols);
         match &self.rows[row.index()] {
             Some(r) => f64::from(r[col.index()]),
@@ -50,23 +33,23 @@ impl Subarray {
     }
 
     /// Mutable access to a row's voltages, allocating on first touch.
-    pub fn row_mut(&mut self, row: LocalRow) -> &mut [f32] {
+    pub(crate) fn row_mut(&mut self, row: LocalRow) -> &mut [f32] {
         let slot = &mut self.rows[row.index()];
         slot.get_or_insert_with(|| vec![0.0f32; self.cols].into_boxed_slice())
     }
 
     /// Read-only access to a row's voltages, if allocated.
-    pub fn row(&self, row: LocalRow) -> Option<&[f32]> {
+    pub(crate) fn row(&self, row: LocalRow) -> Option<&[f32]> {
         self.rows[row.index()].as_deref()
     }
 
     /// Sets one cell's voltage.
-    pub fn set_voltage(&mut self, row: LocalRow, col: Col, v: f64) {
+    pub(crate) fn set_voltage(&mut self, row: LocalRow, col: Col, v: f64) {
         self.row_mut(row)[col.index()] = v as f32;
     }
 
     /// Reads one cell as a bit, thresholding at `vdd / 2`.
-    pub fn bit(&self, row: LocalRow, col: Col, vdd: f64) -> Bit {
+    pub(crate) fn bit(&self, row: LocalRow, col: Col, vdd: f64) -> Bit {
         Bit::from(self.voltage(row, col) > vdd / 2.0)
     }
 
@@ -75,7 +58,7 @@ impl Subarray {
     /// # Panics
     ///
     /// Panics if `bits.len() != cols`.
-    pub fn write_bits(&mut self, row: LocalRow, bits: &[Bit], vdd: f64) {
+    pub(crate) fn write_bits(&mut self, row: LocalRow, bits: &[Bit], vdd: f64) {
         assert_eq!(bits.len(), self.cols, "row width mismatch");
         let r = self.row_mut(row);
         for (cell, b) in r.iter_mut().zip(bits) {
@@ -84,7 +67,7 @@ impl Subarray {
     }
 
     /// Reads a full row of bits.
-    pub fn read_bits(&self, row: LocalRow, vdd: f64) -> Vec<Bit> {
+    pub(crate) fn read_bits(&self, row: LocalRow, vdd: f64) -> Vec<Bit> {
         match self.row(row) {
             Some(r) => r
                 .iter()
@@ -98,7 +81,7 @@ impl Subarray {
     /// cell: `v ← v · exp(−dt/τ)`; charged cells decay, empty cells
     /// stay empty (the asymmetry that makes all-0 reference rows more
     /// stable than all-1 rows).
-    pub fn leak(&mut self, dt_over_tau: f64) {
+    pub(crate) fn leak(&mut self, dt_over_tau: f64) {
         let factor = (-dt_over_tau).exp() as f32;
         for row in self.rows.iter_mut().flatten() {
             for v in row.iter_mut() {
@@ -117,7 +100,7 @@ mod tests {
         let s = Subarray::new(8, 4);
         assert_eq!(s.voltage(LocalRow(3), Col(2)), 0.0);
         assert_eq!(s.bit(LocalRow(3), Col(2), 1.2), Bit::Zero);
-        assert_eq!(s.allocated_rows(), 0);
+        assert_eq!(s.rows.iter().flatten().count(), 0);
     }
 
     #[test]
@@ -126,7 +109,7 @@ mod tests {
         let bits = vec![Bit::One, Bit::Zero, Bit::One, Bit::One];
         s.write_bits(LocalRow(2), &bits, 1.2);
         assert_eq!(s.read_bits(LocalRow(2), 1.2), bits);
-        assert_eq!(s.allocated_rows(), 1);
+        assert_eq!(s.rows.iter().flatten().count(), 1);
     }
 
     #[test]

@@ -35,19 +35,19 @@ impl Temperature {
 
     /// Degrees Celsius.
     #[inline]
-    pub fn as_celsius(self) -> f64 {
+    pub(crate) fn as_celsius(self) -> f64 {
         self.0
     }
 
     /// Degrees above the 50 °C experimental baseline.
     #[inline]
-    pub fn above_baseline(self) -> f64 {
+    pub(crate) fn above_baseline(self) -> f64 {
         self.0 - Self::BASELINE.0
     }
 
     /// Leakage time-constant acceleration factor relative to 50 °C
     /// (retention roughly halves every ~10 °C in DRAM literature).
-    pub fn leakage_acceleration(self) -> f64 {
+    pub(crate) fn leakage_acceleration(self) -> f64 {
         2f64.powf(self.above_baseline() / 10.0)
     }
 }

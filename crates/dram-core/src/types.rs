@@ -47,7 +47,7 @@ impl Bit {
 
     /// Nominal stored voltage for this value given a supply `vdd`.
     #[inline]
-    pub fn voltage(self, vdd: f64) -> f64 {
+    pub(crate) fn voltage(self, vdd: f64) -> f64 {
         match self {
             Bit::Zero => 0.0,
             Bit::One => vdd,
@@ -136,23 +136,6 @@ index_newtype!(
     ChipId
 );
 
-/// A fully-resolved row location: bank, subarray, and row within it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct RowLoc {
-    /// Bank containing the row.
-    pub bank: BankId,
-    /// Subarray within the bank.
-    pub subarray: SubarrayId,
-    /// Row within the subarray.
-    pub row: LocalRow,
-}
-
-impl fmt::Display for RowLoc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "b{}/s{}/r{}", self.bank, self.subarray, self.row)
-    }
-}
-
 /// Which side of a subarray a column's bitline is sensed on.
 ///
 /// In the open-bitline organization, even columns connect to the
@@ -180,16 +163,6 @@ impl StripeSide {
             StripeSide::Above
         } else {
             StripeSide::Below
-        }
-    }
-
-    /// The opposite side.
-    #[inline]
-    #[must_use]
-    pub fn opposite(self) -> StripeSide {
-        match self {
-            StripeSide::Above => StripeSide::Below,
-            StripeSide::Below => StripeSide::Above,
         }
     }
 }
@@ -244,22 +217,10 @@ mod tests {
     }
 
     #[test]
-    fn rowloc_display() {
-        let loc = RowLoc {
-            bank: BankId(1),
-            subarray: SubarrayId(2),
-            row: LocalRow(37),
-        };
-        assert_eq!(loc.to_string(), "b1/s2/r37");
-    }
-
-    #[test]
     fn stripe_side_alternates_with_column_and_subarray_parity() {
         assert_eq!(StripeSide::of(SubarrayId(0), Col(0)), StripeSide::Above);
         assert_eq!(StripeSide::of(SubarrayId(0), Col(1)), StripeSide::Below);
         assert_eq!(StripeSide::of(SubarrayId(1), Col(1)), StripeSide::Above);
-        assert_eq!(StripeSide::Above.opposite(), StripeSide::Below);
-        assert_eq!(StripeSide::Below.opposite(), StripeSide::Above);
     }
 
     #[test]

@@ -50,15 +50,6 @@ impl DistanceRegion {
             DistanceRegion::Far
         }
     }
-
-    /// Mean normalized distance of rows in this tertile.
-    pub fn mean_normalized(self) -> f64 {
-        match self {
-            DistanceRegion::Close => 1.0 / 6.0,
-            DistanceRegion::Middle => 0.5,
-            DistanceRegion::Far => 5.0 / 6.0,
-        }
-    }
 }
 
 impl fmt::Display for DistanceRegion {
@@ -76,7 +67,7 @@ impl fmt::Display for DistanceRegion {
 ///
 /// Row 0 is physically adjacent to the stripe *above* (shared with the
 /// previous subarray); row `rows-1` is adjacent to the stripe *below*.
-pub fn row_distance(row: LocalRow, rows: usize, side: StripeSide) -> f64 {
+pub(crate) fn row_distance(row: LocalRow, rows: usize, side: StripeSide) -> f64 {
     debug_assert!(rows > 1);
     let r = row.index().min(rows - 1) as f64;
     let denom = (rows - 1) as f64;
@@ -103,6 +94,9 @@ pub struct ProcessVariation {
 
 /// Monte-Carlo draws for the cells of one row in one operation (see
 /// [`ProcessVariation::row_sampler`]).
+///
+/// Stays `pub` although no other crate names it:
+/// [`ProcessVariation::row_sampler`] returns it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowSampler {
     /// `splitmix64(seed ^ 0x7214)`: the first stage of every draw.
@@ -136,7 +130,7 @@ impl RowSampler {
 /// sensing deviation. The same physical cell is involved in both, but
 /// the dominant failure mechanisms differ (restore drive vs. sensing
 /// margin), so the correlation is partial.
-pub const NOT_LOGIC_CORRELATION: f64 = 0.35;
+pub(crate) const NOT_LOGIC_CORRELATION: f64 = 0.35;
 
 impl ProcessVariation {
     /// Creates the variation oracle for a chip.
@@ -149,7 +143,7 @@ impl ProcessVariation {
     /// Standard-normal deviation of a cell's NOT/restore behaviour.
     ///
     /// Positive values mean a more reliable cell.
-    pub fn cell_not_z(&self, bank: BankId, sub: SubarrayId, row: LocalRow, col: Col) -> f64 {
+    pub(crate) fn cell_not_z(&self, bank: BankId, sub: SubarrayId, row: LocalRow, col: Col) -> f64 {
         let h = mix4(
             self.seed ^ 0x0717,
             bank.index() as u64,
@@ -161,7 +155,13 @@ impl ProcessVariation {
 
     /// Standard-normal deviation of a cell's logic-op sensing
     /// behaviour, partially correlated with [`Self::cell_not_z`].
-    pub fn cell_logic_z(&self, bank: BankId, sub: SubarrayId, row: LocalRow, col: Col) -> f64 {
+    pub(crate) fn cell_logic_z(
+        &self,
+        bank: BankId,
+        sub: SubarrayId,
+        row: LocalRow,
+        col: Col,
+    ) -> f64 {
         let rho = NOT_LOGIC_CORRELATION;
         let h = mix4(
             self.seed ^ 0x106C,
@@ -179,7 +179,7 @@ impl ProcessVariation {
     ///
     /// Stripe `i` is the SA row between subarrays `i-1` and `i`; stripe
     /// indices run 0..=subarrays (edges included).
-    pub fn sense_amp_z(&self, bank: BankId, stripe: usize, col: Col) -> f64 {
+    pub(crate) fn sense_amp_z(&self, bank: BankId, stripe: usize, col: Col) -> f64 {
         let h = mix4(
             self.seed ^ 0x5A5A,
             bank.index() as u64,
@@ -187,19 +187,6 @@ impl ProcessVariation {
             col.index() as u64,
         );
         hash_to_normal(h)
-    }
-
-    /// Multiplicative deviation (mean 1.0) of the level actually stored
-    /// by a `Frac` operation in a given cell, around the nominal
-    /// fractional level. FracDRAM reports sizable cell-to-cell spread.
-    pub fn frac_level_factor(&self, bank: BankId, sub: SubarrayId, row: LocalRow, col: Col) -> f64 {
-        let h = mix4(
-            self.seed ^ 0xF2AC,
-            bank.index() as u64,
-            ((sub.index() as u64) << 32) | row.index() as u64,
-            col.index() as u64,
-        );
-        1.0 + 0.04 * hash_to_normal(h)
     }
 
     /// Per-trial uniform deviate for Monte-Carlo sampling, indexed by a
@@ -222,7 +209,13 @@ impl ProcessVariation {
     /// RowHammer threshold of a cell: the number of aggressor
     /// activations after which it is likely to flip. Log-normally
     /// distributed around ≈60k activations, per RowHammer literature.
-    pub fn hammer_threshold(&self, bank: BankId, sub: SubarrayId, row: LocalRow, col: Col) -> f64 {
+    pub(crate) fn hammer_threshold(
+        &self,
+        bank: BankId,
+        sub: SubarrayId,
+        row: LocalRow,
+        col: Col,
+    ) -> f64 {
         let h = mix4(
             self.seed ^ 0x44A4,
             bank.index() as u64,
@@ -251,7 +244,13 @@ impl ProcessVariation {
     }
 
     /// Fills `out[c]` with [`Self::cell_not_z`] for every column.
-    pub fn fill_cell_not_z(&self, bank: BankId, sub: SubarrayId, row: LocalRow, out: &mut [f64]) {
+    pub(crate) fn fill_cell_not_z(
+        &self,
+        bank: BankId,
+        sub: SubarrayId,
+        row: LocalRow,
+        out: &mut [f64],
+    ) {
         let pre = self.row_prefix(0x0717, bank, sub, row);
         for (c, slot) in out.iter_mut().enumerate() {
             *slot = hash_to_normal(splitmix64(pre ^ (c as u64).rotate_left(7)));
@@ -259,7 +258,13 @@ impl ProcessVariation {
     }
 
     /// Fills `out[c]` with [`Self::cell_logic_z`] for every column.
-    pub fn fill_cell_logic_z(&self, bank: BankId, sub: SubarrayId, row: LocalRow, out: &mut [f64]) {
+    pub(crate) fn fill_cell_logic_z(
+        &self,
+        bank: BankId,
+        sub: SubarrayId,
+        row: LocalRow,
+        out: &mut [f64],
+    ) {
         let rho = NOT_LOGIC_CORRELATION;
         let w = (1.0 - rho * rho).sqrt();
         let pre_logic = self.row_prefix(0x106C, bank, sub, row);
@@ -274,15 +279,18 @@ impl ProcessVariation {
 
     /// Fills `out[c]` with [`Self::sense_amp_z`] for every column of a
     /// stripe.
-    pub fn fill_sense_amp_z(&self, bank: BankId, stripe: usize, out: &mut [f64]) {
+    pub(crate) fn fill_sense_amp_z(&self, bank: BankId, stripe: usize, out: &mut [f64]) {
         let pre = mix3(self.seed ^ 0x5A5A, bank.index() as u64, stripe as u64);
         for (c, slot) in out.iter_mut().enumerate() {
             *slot = hash_to_normal(splitmix64(pre ^ (c as u64).rotate_left(7)));
         }
     }
 
-    /// Fills `out[c]` with [`Self::frac_level_factor`] for every column.
-    pub fn fill_frac_level_factor(
+    /// Fills `out[c]` with the multiplicative deviation (mean 1.0) of the
+    /// level a `Frac` operation stores in column `c` of the row, around
+    /// the nominal fractional level (FracDRAM reports sizable
+    /// cell-to-cell spread).
+    pub(crate) fn fill_frac_level_factor(
         &self,
         bank: BankId,
         sub: SubarrayId,
@@ -354,13 +362,8 @@ impl VariationCache {
         VariationCache::default()
     }
 
-    /// Number of cached rows across all kinds (for tests/diagnostics).
-    pub fn cached_rows(&self) -> usize {
-        self.not_z.len() + self.logic_z.len() + self.sa_z.len()
-    }
-
     /// Cached [`ProcessVariation::cell_not_z`] row.
-    pub fn not_z(
+    pub(crate) fn not_z(
         &mut self,
         v: &ProcessVariation,
         bank: BankId,
@@ -376,7 +379,7 @@ impl VariationCache {
         )
     }
 
-    /// Cached [`ProcessVariation::cell_logic_z`] row.
+    /// Cached `ProcessVariation::cell_logic_z` row.
     pub fn logic_z(
         &mut self,
         v: &ProcessVariation,
@@ -393,7 +396,7 @@ impl VariationCache {
         )
     }
 
-    /// Cached [`ProcessVariation::sense_amp_z`] stripe row.
+    /// Cached `ProcessVariation::sense_amp_z` stripe row.
     pub fn sa_z(
         &mut self,
         v: &ProcessVariation,
@@ -424,6 +427,21 @@ impl VariationCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ProcessVariation {
+        /// Multiplicative deviation (mean 1.0) of the level actually stored
+        /// by a `Frac` operation in a given cell, around the nominal
+        /// fractional level. FracDRAM reports sizable cell-to-cell spread.
+        fn frac_level_factor(&self, bank: BankId, sub: SubarrayId, row: LocalRow, col: Col) -> f64 {
+            let h = mix4(
+                self.seed ^ 0xF2AC,
+                bank.index() as u64,
+                ((sub.index() as u64) << 32) | row.index() as u64,
+                col.index() as u64,
+            );
+            1.0 + 0.04 * hash_to_normal(h)
+        }
+    }
 
     #[test]
     fn regions_partition_unit_interval() {
@@ -529,12 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn region_mean_distances() {
-        assert!((DistanceRegion::Close.mean_normalized() - 1.0 / 6.0).abs() < 1e-12);
-        assert!((DistanceRegion::Far.mean_normalized() - 5.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn row_fills_match_scalar_accessors_bitwise() {
         let v = ProcessVariation::new(0xFEED);
         let cols = 96;
@@ -571,7 +583,10 @@ mod tests {
         let a = cache.not_z(&v, BankId(0), SubarrayId(1), LocalRow(9), 32);
         let b = cache.not_z(&v, BankId(0), SubarrayId(1), LocalRow(9), 32);
         assert!(Arc::ptr_eq(&a, &b), "second access must hit the cache");
-        assert_eq!(cache.cached_rows(), 1);
+        assert_eq!(
+            cache.not_z.len() + cache.logic_z.len() + cache.sa_z.len(),
+            1
+        );
         assert_eq!(
             a[5],
             v.cell_not_z(BankId(0), SubarrayId(1), LocalRow(9), Col(5))

@@ -78,30 +78,6 @@ impl BenderBackend {
         BenderBackend::new(engine)
     }
 
-    /// The wrapped engine (for inspection).
-    pub fn engine(&self) -> &BulkEngine {
-        self.vm.substrate().engine()
-    }
-
-    /// The current simulation configuration of the chip under test.
-    pub fn sim_config(&self) -> dram_core::SimConfig {
-        self.vm.substrate().sim_config()
-    }
-
-    /// Applies a [`dram_core::SimConfig`] to the chip under test
-    /// (stored bits are identical across fidelity modes).
-    pub fn configure(&mut self, cfg: dram_core::SimConfig) {
-        self.vm.configure(cfg);
-    }
-
-    /// Builder form of [`BenderBackend::configure`] for construction
-    /// chains.
-    #[must_use]
-    pub fn with_sim_config(mut self, cfg: dram_core::SimConfig) -> Self {
-        self.configure(cfg);
-        self
-    }
-
     /// Native operations executed so far (each gate's combined
     /// schedule counts once, as do copies, output-stage ones included).
     pub fn native_ops(&self) -> usize {
@@ -244,14 +220,14 @@ mod tests {
         let mut cmd = BenderBackend::new(engine(64)).unwrap();
         let lanes = cmd.lanes();
         let ops = random_operands(4, lanes, 9);
-        let before = cmd.engine().fcdram().config().name.clone();
+        let before = cmd.vm.substrate().engine().fcdram().config().name.clone();
         let _ = execute(&mut cmd, &compiled.mapping.program, &ops).unwrap();
         // Re-running on the same backend must still find rows — every
         // staged row, temporary, and result row was returned.
         for _ in 0..3 {
             let _ = execute(&mut cmd, &compiled.mapping.program, &ops).unwrap();
         }
-        assert_eq!(cmd.engine().fcdram().config().name, before);
+        assert_eq!(cmd.vm.substrate().engine().fcdram().config().name, before);
     }
 
     #[test]

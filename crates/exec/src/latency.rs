@@ -59,11 +59,6 @@ impl ScheduleLatency {
         ScheduleLatency { speed }
     }
 
-    /// The speed bin schedules are timed against.
-    pub fn speed(&self) -> SpeedBin {
-        self.speed
-    }
-
     fn ns_of(&self, build: impl FnOnce(&mut ProgramBuilder)) -> f64 {
         let mut b = ProgramBuilder::new(self.speed);
         build(&mut b);
@@ -152,20 +147,10 @@ impl<B: ExecBackend> ScheduleTimed<B> {
         }
     }
 
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
     /// Unwraps the backend, so a caller can re-time it at another
     /// speed bin without rebuilding it.
     pub fn into_inner(self) -> B {
         self.inner
-    }
-
-    /// The latency model in force.
-    pub fn model(&self) -> ScheduleLatency {
-        self.model
     }
 }
 

@@ -11,6 +11,9 @@ use crate::trace::{Phase, TraceEvent};
 use std::collections::BTreeMap;
 
 /// Total heat of one op shape (`and16`, `nor2`, `not`, ...).
+///
+/// Stays `pub` although no other crate names it: [`hot_ops`] returns
+/// these.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpHeat {
     /// Op-shape name from the step span.
@@ -24,6 +27,9 @@ pub struct OpHeat {
 }
 
 /// Busy accounting for one fleet member.
+///
+/// Stays `pub` although no other crate names it: [`chip_utilization`]
+/// returns these.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChipUse {
     /// Chip label (span `who`).
@@ -35,6 +41,9 @@ pub struct ChipUse {
 }
 
 /// Queue-wait breakdown for one tenant.
+///
+/// Stays `pub` although no other crate names it: [`tenant_queue_waits`]
+/// returns these.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantWait {
     /// Tenant name (job label prefix before `:`).

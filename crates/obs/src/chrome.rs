@@ -33,7 +33,7 @@ fn escape(s: &str) -> String {
 /// Arg names [`to_chrome`] claims for the round-trip envelope; extra
 /// event args must not reuse them (a duplicate JSON key would be
 /// silently dropped on re-import).
-pub const RESERVED_ARGS: [&str; 6] = ["who", "tick", "job", "step", "ts_ns", "dur_ns"];
+pub(crate) const RESERVED_ARGS: [&str; 6] = ["who", "tick", "job", "step", "ts_ns", "dur_ns"];
 
 /// Render events as a Chrome trace-event JSON document.
 pub fn to_chrome(events: &[TraceEvent]) -> String {

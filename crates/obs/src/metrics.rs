@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 /// Fixed-bin histogram over `[0, scale]` modeled values.
 #[derive(Debug, Clone)]
-pub struct ScaledHistogram {
+pub(crate) struct ScaledHistogram {
     acc: SuccessAccumulator,
     scale: f64,
     sum: f64,
@@ -23,7 +23,7 @@ pub struct ScaledHistogram {
 
 impl ScaledHistogram {
     /// A histogram whose bins span `[0, scale]`.
-    pub fn new(scale: f64) -> Self {
+    pub(crate) fn new(scale: f64) -> Self {
         ScaledHistogram {
             acc: SuccessAccumulator::new(),
             scale,
@@ -32,23 +32,23 @@ impl ScaledHistogram {
     }
 
     /// Record one observation (clamped into the binned range).
-    pub fn observe(&mut self, v: f64) {
+    pub(crate) fn observe(&mut self, v: f64) {
         self.acc.push((v / self.scale).clamp(0.0, 1.0));
         self.sum += v;
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.acc.count()
     }
 
     /// Sum of raw observations.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.sum
     }
 
     /// Quantile `q` in raw units (bin-resolution, deterministic).
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.acc.is_empty() {
             0.0
         } else {
@@ -112,11 +112,6 @@ impl MetricsRegistry {
             .entry(series_key(name, labels))
             .or_insert_with(|| ScaledHistogram::new(scale))
             .observe(v);
-    }
-
-    /// Total number of registered series.
-    pub fn series(&self) -> usize {
-        self.counters.len() + self.gauges.len() + self.histograms.len()
     }
 
     /// Render the Prometheus-style text exposition. Counters come
@@ -235,6 +230,6 @@ mod tests {
         m.counter("c_total", &[], "c", 1);
         m.counter("c_total", &[], "c", 2);
         assert!(m.render().contains("c_total 3"));
-        assert_eq!(m.series(), 1);
+        assert_eq!(m.counters.len() + m.gauges.len() + m.histograms.len(), 1);
     }
 }

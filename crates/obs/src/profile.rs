@@ -29,11 +29,6 @@ impl SelfProfiler {
         out
     }
 
-    /// The recorded `(stage, seconds)` pairs, in execution order.
-    pub fn stages(&self) -> &[(String, f64)] {
-        &self.stages
-    }
-
     /// One-line-per-stage summary for stderr.
     pub fn summary(&self) -> String {
         let total: f64 = self.stages.iter().map(|(_, s)| s).sum();
@@ -56,8 +51,8 @@ mod tests {
         let v = p.stage("setup", || 41 + 1);
         assert_eq!(v, 42);
         p.stage("serve", || ());
-        assert_eq!(p.stages().len(), 2);
-        assert_eq!(p.stages()[0].0, "setup");
+        assert_eq!(p.stages.len(), 2);
+        assert_eq!(p.stages[0].0, "setup");
         let s = p.summary();
         assert!(s.contains("setup") && s.contains("serve") && s.contains("total"));
     }

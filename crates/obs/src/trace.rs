@@ -117,16 +117,6 @@ impl TraceBuffer {
         }
     }
 
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether nothing has been recorded (or everything was shed).
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
     /// Events shed at the front of the ring.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -138,11 +128,6 @@ impl TraceBuffer {
         let mut events: Vec<TraceEvent> = self.ring.into();
         events.sort_by_key(TraceEvent::key);
         events
-    }
-
-    /// A sorted snapshot without consuming the buffer.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.clone().finish()
     }
 }
 
@@ -196,7 +181,7 @@ mod tests {
         for t in 0..5 {
             buf.record(ev(t, 0, 0, "e"));
         }
-        assert_eq!(buf.len(), 2);
+        assert_eq!(buf.ring.len(), 2);
         assert_eq!(buf.dropped(), 3);
         let ticks: Vec<u64> = buf.finish().into_iter().map(|e| e.tick).collect();
         assert_eq!(ticks, [3, 4]);

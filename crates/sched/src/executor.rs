@@ -58,6 +58,9 @@ use fcsynth::ProgramCost;
 use simdram::{HostSubstrate, SimdVm};
 
 /// Everything measured about one executed job.
+///
+/// Stays `pub` although no other crate names it: it is the element type
+/// of [`BatchReport::outcomes`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobOutcome {
     /// The job (submission index).
@@ -100,7 +103,7 @@ pub struct JobOutcome {
 /// [`ExecBackend::step_latency_ns`] — so recorded traces are
 /// byte-identical across backends (determinism invariant #4).
 #[derive(Debug, Clone, PartialEq)]
-pub struct StepTrace {
+pub(crate) struct StepTrace {
     /// Op-shape name (`and16`, `nor2`, `not`).
     pub name: String,
     /// Cost-model latency of one attempt, nanoseconds.
@@ -497,7 +500,7 @@ pub fn execute_plan(batch: &Batch, plan: &Plan, policy: &SchedPolicy) -> Result<
 /// in submission order *after* shard reassembly — never in thread
 /// completion order — so the emitted stream is identical for every
 /// shard count. All span durations come from the cost model and the
-/// deterministic retry draws (see [`StepTrace`]), so the stream is
+/// deterministic retry draws (one `StepTrace` per executed step), so the stream is
 /// also identical across vm/bender backends. The report is
 /// byte-identical to [`execute_plan`]'s.
 ///
@@ -555,64 +558,27 @@ fn execute_plan_impl(
         "plan does not match batch"
     );
     let n = batch.len();
-    let workers = policy.effective_workers(n);
-    let mut results: Vec<Option<JobRun>> = (0..n).map(|_| None).collect();
-    if workers <= 1 {
-        let runs = run_chunk(
-            batch.jobs(),
-            &plan.assignments,
+    let results = dram_core::shard::sharded_map(n, policy.shards, |range| {
+        run_chunk(
+            &batch.jobs()[range.clone()],
+            &plan.assignments[range],
             &plan.profiles,
             policy,
             batch.seed(),
             record,
-        );
-        for (i, r) in runs.into_iter().enumerate() {
-            results[i] = Some(r);
-        }
-    } else {
-        let shards = policy.effective_shards(n);
-        let chunk = n.div_ceil(shards);
-        let jobs = batch.jobs();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = jobs
-                .chunks(chunk)
-                .zip(plan.assignments.chunks(chunk))
-                .enumerate()
-                .map(|(si, (job_chunk, asg_chunk))| {
-                    s.spawn(move || {
-                        run_chunk(
-                            job_chunk,
-                            asg_chunk,
-                            &plan.profiles,
-                            policy,
-                            batch.seed(),
-                            record,
-                        )
-                        .into_iter()
-                        .enumerate()
-                        .map(|(j, r)| (si * chunk + j, r))
-                        .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, r) in h.join().expect("executor shard panicked") {
-                    results[i] = Some(r);
-                }
-            }
-        });
-    }
+        )
+    });
     let mut outcomes = Vec::with_capacity(n);
     let mut traces = Vec::with_capacity(n);
     for r in results {
-        let (outcome, steps) = r.expect("every job executed")?;
+        let (outcome, steps) = r?;
         outcomes.push(outcome);
         traces.push(steps);
     }
     Ok((
         BatchReport {
             outcomes,
-            shards: workers,
+            shards: policy.effective_workers(n),
             waves: plan.waves,
             chips: plan.profiles.len(),
             seed: batch.seed(),

@@ -14,6 +14,9 @@
 use serde::{Deserialize, Serialize};
 
 /// One fleet member's degradation ledger over a served session.
+///
+/// Stays `pub` although no other crate names it: it is the element type
+/// of [`FleetHealth::members`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MemberHealth {
     /// Fleet member index.
@@ -41,6 +44,9 @@ pub struct MemberHealth {
 }
 
 /// One chip death during a served session.
+///
+/// Stays `pub` although no other crate names it: it is the element type
+/// of [`FleetHealth::dropouts`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dropout {
     /// Fleet member that died.
@@ -62,6 +68,9 @@ pub struct Dropout {
 /// happened. The trace layer turns these into `fault`-category
 /// instants, which is what gives the `serve-dropouts` table ordering
 /// context on the batch timeline.
+///
+/// Stays `pub` although no other crate names it: it is the element type
+/// of [`FleetHealth::timeline`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthEvent {
     /// Event kind: `"mitigation"`, `"diversion"`, or `"dropout"`.
@@ -78,6 +87,9 @@ pub struct HealthEvent {
 }
 
 /// The fleet-wide health report of one fault-injected session.
+///
+/// Stays `pub` although no other crate names it: it is the type of
+/// [`crate::Plan::health`] and [`crate::BatchReport::health`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetHealth {
     /// Seed of the [`dram_core::FaultPlan`] that produced this ledger

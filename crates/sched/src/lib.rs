@@ -84,13 +84,11 @@ pub mod report;
 
 pub use error::{Result, SchedError};
 pub use executor::{
-    execute_plan, execute_plan_traced, fused_jobs, ideal_cost, run_job_on, serve_batch, JobOutcome,
-    StepTrace, TraceCtx,
+    execute_plan, execute_plan_traced, fused_jobs, ideal_cost, run_job_on, serve_batch, TraceCtx,
 };
-pub use health::{Dropout, FleetHealth, HealthEvent, MemberHealth};
-pub use planner::{Admission, Assignment, ChipProfile, Plan, Planner, SchedPolicy};
-pub use queue::{Batch, Job, JobId};
-pub use report::{digest, BatchReport, LatencySummary, MemberUsage};
+pub use planner::{ChipProfile, Plan, Planner, SchedPolicy};
+pub use queue::Batch;
+pub use report::{digest, BatchReport, LatencySummary};
 
 // Re-exported for doc examples and downstream convenience.
 pub use dram_core::{AgingPolicy, DisturbancePolicy, FaultPlan, PlannedDropout};

@@ -90,28 +90,10 @@ impl SchedPolicy {
         self
     }
 
-    /// The shard count actually used for `jobs` jobs: the configured
-    /// count, or one per available CPU when 0, never more than the
-    /// job count and never less than 1.
-    pub fn effective_shards(&self, jobs: usize) -> usize {
-        let requested = if self.shards == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.shards
-        };
-        requested.min(jobs).max(1)
-    }
-
-    /// The worker threads the executor actually spawns for `jobs`
-    /// jobs (ceil-division chunking can need fewer workers than
-    /// [`effective_shards`](Self::effective_shards)).
+    /// The worker threads the executor spawns for `jobs` jobs
+    /// ([`dram_core::shard::effective_workers`]).
     pub fn effective_workers(&self, jobs: usize) -> usize {
-        let shards = self.effective_shards(jobs);
-        if shards <= 1 || jobs == 0 {
-            1
-        } else {
-            jobs.div_ceil(jobs.div_ceil(shards))
-        }
+        dram_core::shard::effective_workers(self.shards, jobs)
     }
 }
 
@@ -167,6 +149,9 @@ impl ChipProfile {
 }
 
 /// How admission control handled a job.
+///
+/// Stays `pub` although no other crate names it: it is the type of
+/// [`Assignment::admission`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Admission {
     /// Admitted as submitted.
@@ -190,6 +175,9 @@ impl std::fmt::Display for Admission {
 }
 
 /// One job's planned placement and the program that will actually run.
+///
+/// Stays `pub` although no other crate names it: it is the element type
+/// of [`Plan::assignments`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Assignment {
     /// The job (submission index).
@@ -506,27 +494,15 @@ fn admit(policy: &SchedPolicy, entry: &mut AdmissionEntry, profile: &ChipProfile
     if !policy.allow_remap {
         return (None, Admission::Flagged, as_is);
     }
-    // Try narrower native widths (a width with no gate wider than it
-    // rewrites nothing and is skipped); keep the best expected success
-    // (ties to the wider variant — fewer ops, lower latency).
+    // Try the narrowed variants; keep the best expected success (ties
+    // to the wider variant — fewer ops, lower latency).
     let narrowed = narrowed.get_or_insert_with(|| {
-        let widest = submitted
-            .steps
-            .iter()
-            .filter(|s| s.op.is_some())
-            .map(|s| s.args.len())
-            .max()
-            .unwrap_or(0);
-        [8usize, 4, 2]
-            .into_iter()
-            .filter(|&width| widest > width)
-            .map(|width| {
-                let program = submitted.narrowed(width);
-                Variant {
-                    width,
-                    rows: program.peak_live_rows(),
-                    program: Arc::new(program),
-                }
+        submitted
+            .narrowed_variants()
+            .map(|(width, program)| Variant {
+                width,
+                rows: program.peak_live_rows(),
+                program: Arc::new(program),
             })
             .collect()
     });
@@ -940,6 +916,22 @@ mod tests {
         let plan = planner.plan(&batch).unwrap();
         assert_eq!(planner.memo.len(), 1);
         let narrowed = planner.memo[0].narrowed.as_ref().expect("variants built");
+        // The memo holds the shared ladder's variants, and each one
+        // shares the submitted program's input names.
+        let ladder: Vec<_> = m.program.narrowed_variants().collect();
+        assert!(
+            narrowed
+                .iter()
+                .map(|v| (v.width, &*v.program))
+                .eq(ladder.iter().map(|(width, program)| (*width, program))),
+            "memo variants are not the ladder's"
+        );
+        for v in narrowed {
+            assert!(
+                Arc::ptr_eq(&v.program.inputs, &m.program.inputs),
+                "inputs copied"
+            );
+        }
         let mut narrowed_jobs = 0;
         for (job, asg) in batch.jobs().iter().zip(&plan.assignments) {
             if asg.program == job.program {
@@ -1208,10 +1200,10 @@ mod tests {
     #[test]
     fn effective_shards_clamp() {
         let p = SchedPolicy::default();
-        assert_eq!(p.clone().with_shards(8).effective_shards(3), 3);
-        assert_eq!(p.clone().with_shards(2).effective_shards(64), 2);
-        assert!(p.clone().with_shards(0).effective_shards(64) >= 1);
-        assert_eq!(p.clone().with_shards(5).effective_shards(0), 1);
+        assert_eq!(p.clone().with_shards(8).effective_workers(3), 3);
+        assert_eq!(p.clone().with_shards(2).effective_workers(64), 2);
+        assert!(p.clone().with_shards(0).effective_workers(64) >= 1);
+        assert_eq!(p.clone().with_shards(5).effective_workers(0), 1);
         assert_eq!(p.with_shards(4).effective_workers(5), 3);
     }
 }

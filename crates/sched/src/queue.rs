@@ -14,9 +14,12 @@ use fcsynth::{Mapping, SynthProgram};
 use std::sync::Arc;
 
 /// Submission index of a job within its batch.
-pub type JobId = usize;
+pub(crate) type JobId = usize;
 
 /// One schedulable unit: a synthesized program with staged operands.
+///
+/// Stays `pub` although no other crate names it: [`Batch::jobs`]
+/// returns these.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Submission index within the batch.

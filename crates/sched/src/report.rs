@@ -73,6 +73,9 @@ impl LatencySummary {
 }
 
 /// Per-fleet-member utilization rollup.
+///
+/// Stays `pub` although no other crate names it:
+/// [`BatchReport::member_usage`] returns these.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MemberUsage {
     /// Fleet member index.

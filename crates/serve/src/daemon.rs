@@ -166,7 +166,7 @@ impl<'a> Daemon<'a> {
     /// with the collected trace and last metrics exposition — from
     /// [`Daemon::drain_and_finish_obs`].
     #[must_use]
-    pub fn with_obs(mut self, obs: Observability) -> Self {
+    pub(crate) fn with_obs(mut self, obs: Observability) -> Self {
         self.obs = obs;
         self
     }
@@ -194,14 +194,11 @@ impl<'a> Daemon<'a> {
         // floor under the population model. If even the best variant
         // misses it, no chip assignment can honor the contract in
         // expectation, so the contract says reject, not degrade.
-        let mut best = m.expected_success;
-        for width in [8usize, 4, 2] {
-            let cand = m.program.narrowed(width);
-            if cand == *m.program {
-                continue;
-            }
-            best = best.max(cand.price(self.cost).expected_success);
-        }
+        let best = m
+            .program
+            .narrowed_variants()
+            .map(|(_, cand)| cand.price(self.cost).expected_success)
+            .fold(m.expected_success, f64::max);
         let entry = CompiledExpr {
             run: m,
             inputs,
@@ -661,7 +658,7 @@ impl<'a> Daemon<'a> {
     ///
     /// Propagates scheduling failures from the drain batches and
     /// metrics-write failures ([`ServeError::Io`]).
-    pub fn drain_and_finish_obs(mut self) -> Result<(DaemonReport, Observability)> {
+    pub(crate) fn drain_and_finish_obs(mut self) -> Result<(DaemonReport, Observability)> {
         let ingest_ticks = self.cfg.knobs.ticks;
         let mut drain_ticks = 0usize;
         while drain_ticks < self.cfg.knobs.drain_max && self.queues.iter().any(|q| !q.is_empty()) {

@@ -24,7 +24,7 @@
 //!    formation → [`fcsched`] plan/execute → modeled-latency
 //!    accounting;
 //! 4. **[`report`]** — the deterministic [`DaemonReport`]: per-tenant
-//!    rollups, periodic [`HealthSnapshot`]s with modeled throughput,
+//!    rollups, periodic [`HealthSnapshot`](report::HealthSnapshot)s with modeled throughput,
 //!    and a cumulative fault ledger.
 //!
 //! ## The replay invariant
@@ -77,8 +77,8 @@ pub mod session;
 pub mod tier;
 
 pub use daemon::{replay, replay_obs, run_live, run_live_obs, Daemon};
-pub use report::{DaemonReport, DaemonTotals, HealthSnapshot, TenantHealth, TenantReport};
-pub use session::{IngestEvent, SessionLog, SESSION_VERSION};
+pub use report::DaemonReport;
+pub use session::{IngestEvent, SessionLog};
 pub use tier::{DaemonConfig, DaemonKnobs, TenantSpec, TierClass};
 
 use std::fmt;

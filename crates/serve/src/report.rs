@@ -16,6 +16,9 @@ use fcsched::LatencySummary;
 use serde::{Deserialize, Serialize};
 
 /// One tenant's final session rollup.
+///
+/// Stays `pub` although no other crate names it: it is the element type
+/// of [`DaemonReport::tenants`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TenantReport {
     /// Tenant index.
@@ -56,6 +59,9 @@ pub struct TenantReport {
 }
 
 /// One tenant's live state inside a [`HealthSnapshot`].
+///
+/// Stays `pub` although no other crate names it: it is the element type
+/// of [`HealthSnapshot::tenants`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TenantHealth {
     /// Tenant index.
@@ -75,6 +81,9 @@ pub struct TenantHealth {
 
 /// A periodic health report: the daemon's live view, emitted every
 /// `report_every` ticks and once more after the drain.
+///
+/// Stays `pub` although no other crate names it: it is the element type
+/// of [`DaemonReport::snapshots`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthSnapshot {
     /// Tick the snapshot was taken after (0-based).
@@ -105,6 +114,9 @@ pub struct HealthSnapshot {
 }
 
 /// Session-wide totals.
+///
+/// Stays `pub` although no other crate names it: it is the type of
+/// [`DaemonReport::totals`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DaemonTotals {
     /// Jobs the traffic model submitted.
@@ -168,15 +180,6 @@ impl DaemonReport {
     /// Wall-clock and shard count are deliberately absent.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("daemon report serializes")
-    }
-
-    /// Parses a report from JSON (CI tooling convenience).
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse diagnostic as a string.
-    pub fn from_json(json: &str) -> std::result::Result<DaemonReport, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
     }
 
     /// Per-tier `(admitted, shed, narrowed)` rollup in tier rank
@@ -252,9 +255,9 @@ mod tests {
     #[test]
     fn json_round_trips() {
         let r = report();
-        let back = DaemonReport::from_json(&r.to_json()).unwrap();
+        let back = serde_json::from_str::<DaemonReport>(&r.to_json()).unwrap();
         assert_eq!(back, r);
-        assert!(DaemonReport::from_json("nope").is_err());
+        assert!(serde_json::from_str::<DaemonReport>("nope").is_err());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::{Result, ServeError};
 use serde::{Deserialize, Serialize};
 
 /// Current session-log schema version.
-pub const SESSION_VERSION: u32 = 1;
+pub(crate) const SESSION_VERSION: u32 = 1;
 
 /// One ingested job, in ingestion order.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -37,7 +37,7 @@ pub struct IngestEvent {
 /// [`crate::daemon::replay`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionLog {
-    /// Schema version ([`SESSION_VERSION`]).
+    /// Schema version (`SESSION_VERSION`).
     pub version: u32,
     /// Session seed (micro-batch retry draws derive from it).
     pub seed: u64,
@@ -96,7 +96,7 @@ impl SessionLog {
     /// Reconstructs the [`DaemonConfig`] this log was recorded under,
     /// optionally overriding the serving-time choices (`shards`,
     /// `backend`) that may not move a report byte.
-    pub fn config(
+    pub(crate) fn config(
         &self,
         shards: Option<usize>,
         backend: Option<fcexec::BackendKind>,
@@ -123,7 +123,7 @@ impl SessionLog {
     /// # Errors
     ///
     /// Returns [`ServeError::BadSession`] naming the first problem.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.version != SESSION_VERSION {
             return Err(ServeError::BadSession(format!(
                 "version {} (this build reads {SESSION_VERSION})",

@@ -36,7 +36,7 @@ impl TierClass {
     }
 
     /// Lower-case display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TierClass::Gold => "gold",
             TierClass::Silver => "silver",
@@ -45,7 +45,7 @@ impl TierClass {
     }
 
     /// All tiers in drain order.
-    pub fn all() -> [TierClass; 3] {
+    pub(crate) fn all() -> [TierClass; 3] {
         [TierClass::Gold, TierClass::Silver, TierClass::Bronze]
     }
 }

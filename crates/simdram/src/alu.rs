@@ -70,69 +70,11 @@ impl<S: Substrate> SimdVm<S> {
     /// # Errors
     ///
     /// Fails on row exhaustion or device failure.
-    pub fn wnot(&mut self, a: &UintVec) -> Result<UintVec> {
+    pub(crate) fn wnot(&mut self, a: &UintVec) -> Result<UintVec> {
         let bits = a.bits().to_vec();
         let mut out = Vec::with_capacity(bits.len());
         for r in bits {
             out.push(self.bit_not(r)?);
-        }
-        Ok(UintVec::from_bits(out))
-    }
-
-    fn w_zip(&mut self, op: LogicOp, a: &UintVec, b: &UintVec) -> Result<UintVec> {
-        Self::check_same_width(a, b)?;
-        let pairs: Vec<(BitRow, BitRow)> = a
-            .bits()
-            .iter()
-            .copied()
-            .zip(b.bits().iter().copied())
-            .collect();
-        let mut out = Vec::with_capacity(pairs.len());
-        for (x, y) in pairs {
-            let r = self.alloc_row()?;
-            self.substrate_mut().logic(op, &[x, y], r)?;
-            out.push(r);
-        }
-        Ok(UintVec::from_bits(out))
-    }
-
-    /// Elementwise AND.
-    ///
-    /// # Errors
-    ///
-    /// Fails on width mismatch, row exhaustion or device failure.
-    pub fn wand(&mut self, a: &UintVec, b: &UintVec) -> Result<UintVec> {
-        self.w_zip(LogicOp::And, a, b)
-    }
-
-    /// Elementwise OR.
-    ///
-    /// # Errors
-    ///
-    /// Fails on width mismatch, row exhaustion or device failure.
-    pub fn wor(&mut self, a: &UintVec, b: &UintVec) -> Result<UintVec> {
-        self.w_zip(LogicOp::Or, a, b)
-    }
-
-    fn w_zip_n(&mut self, and_family: bool, vs: &[&UintVec]) -> Result<UintVec> {
-        let first = vs.first().ok_or(SimdramError::Empty)?;
-        let w = first.width();
-        for v in vs {
-            if v.width() != w {
-                return Err(SimdramError::WidthMismatch {
-                    expected: w,
-                    got: v.width(),
-                });
-            }
-        }
-        let mut out = Vec::with_capacity(w);
-        for i in 0..w {
-            let rows: Vec<BitRow> = vs.iter().map(|v| v.bit(i)).collect();
-            out.push(if and_family {
-                self.bit_and(&rows)?
-            } else {
-                self.bit_or(&rows)?
-            });
         }
         Ok(UintVec::from_bits(out))
     }
@@ -147,17 +89,22 @@ impl<S: Substrate> SimdVm<S> {
     /// Fails on an empty list, width mismatch, row exhaustion or
     /// device failure.
     pub fn wand_n(&mut self, vs: &[&UintVec]) -> Result<UintVec> {
-        self.w_zip_n(true, vs)
-    }
-
-    /// Elementwise OR across N vectors (dual of [`Self::wand_n`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails on an empty list, width mismatch, row exhaustion or
-    /// device failure.
-    pub fn wor_n(&mut self, vs: &[&UintVec]) -> Result<UintVec> {
-        self.w_zip_n(false, vs)
+        let first = vs.first().ok_or(SimdramError::Empty)?;
+        let w = first.width();
+        for v in vs {
+            if v.width() != w {
+                return Err(SimdramError::WidthMismatch {
+                    expected: w,
+                    got: v.width(),
+                });
+            }
+        }
+        let mut out = Vec::with_capacity(w);
+        for i in 0..w {
+            let rows: Vec<BitRow> = vs.iter().map(|v| v.bit(i)).collect();
+            out.push(self.bit_and(&rows)?);
+        }
+        Ok(UintVec::from_bits(out))
     }
 
     /// Elementwise XOR (3 native ops per bit).
@@ -165,7 +112,7 @@ impl<S: Substrate> SimdVm<S> {
     /// # Errors
     ///
     /// Fails on width mismatch, row exhaustion or device failure.
-    pub fn wxor(&mut self, a: &UintVec, b: &UintVec) -> Result<UintVec> {
+    pub(crate) fn wxor(&mut self, a: &UintVec, b: &UintVec) -> Result<UintVec> {
         Self::check_same_width(a, b)?;
         let pairs: Vec<(BitRow, BitRow)> = a
             .bits()
@@ -246,22 +193,10 @@ impl<S: Substrate> SimdVm<S> {
     /// # Errors
     ///
     /// Fails on width mismatch, row exhaustion or device failure.
-    pub fn sub(&mut self, a: &UintVec, b: &UintVec) -> Result<UintVec> {
+    pub(crate) fn sub(&mut self, a: &UintVec, b: &UintVec) -> Result<UintVec> {
         let (diff, borrow) = self.sub_full(a, b)?;
         self.release(borrow);
         Ok(diff)
-    }
-
-    /// Two's-complement negation: `(-a) mod 2^W`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on row exhaustion or device failure.
-    pub fn neg(&mut self, a: &UintVec) -> Result<UintVec> {
-        let zero = self.const_uint(a.width(), 0)?;
-        let out = self.sub(&zero, a);
-        self.free_uint(zero);
-        out
     }
 
     // ---------------------------------------------------------------
@@ -292,18 +227,6 @@ impl<S: Substrate> SimdVm<S> {
         Ok(out)
     }
 
-    /// Lane mask of `a != b`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on width mismatch, row exhaustion or device failure.
-    pub fn ne(&mut self, a: &UintVec, b: &UintVec) -> Result<BitRow> {
-        let e = self.eq(a, b)?;
-        let out = self.bit_not(e)?;
-        self.release(e);
-        Ok(out)
-    }
-
     /// Lane mask of unsigned `a < b` (the borrow of `a - b`).
     ///
     /// # Errors
@@ -325,15 +248,6 @@ impl<S: Substrate> SimdVm<S> {
         let out = self.bit_not(l)?;
         self.release(l);
         Ok(out)
-    }
-
-    /// Lane mask of unsigned `a > b`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on width mismatch, row exhaustion or device failure.
-    pub fn gt(&mut self, a: &UintVec, b: &UintVec) -> Result<BitRow> {
-        self.lt(b, a)
     }
 
     /// Lane mask of unsigned `a <= b`.
@@ -524,7 +438,8 @@ mod tests {
     fn neg_is_twos_complement() {
         let mut vm = vm();
         let a = load(&mut vm, 8, &A);
-        let n = vm.neg(&a).unwrap();
+        let zero = vm.const_uint(8, 0).unwrap();
+        let n = vm.sub(&zero, &a).unwrap();
         let got = vm.read_u64(&n).unwrap();
         for i in 0..LANES {
             assert_eq!(got[i], A[i].wrapping_neg() & 0xFF, "lane {i}");
@@ -537,20 +452,10 @@ mod tests {
         let a = load(&mut vm, 8, &A);
         let b = load(&mut vm, 8, &B);
         let x = vm.wxor(&a, &b).unwrap();
-        let o = vm.wor(&a, &b).unwrap();
-        let n = vm.wand(&a, &b).unwrap();
         let c = vm.wnot(&a).unwrap();
         assert_eq!(
             vm.read_u64(&x).unwrap(),
             A.iter().zip(&B).map(|(a, b)| a ^ b).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            vm.read_u64(&o).unwrap(),
-            A.iter().zip(&B).map(|(a, b)| a | b).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            vm.read_u64(&n).unwrap(),
-            A.iter().zip(&B).map(|(a, b)| a & b).collect::<Vec<_>>()
         );
         assert_eq!(
             vm.read_u64(&c).unwrap(),
@@ -580,14 +485,10 @@ mod tests {
             8,
             "16 vectors AND at fan-in 16 = one native op per bit"
         );
-        let or = vm.wor_n(&refs).unwrap();
         let andv = vm.read_u64(&and).unwrap();
-        let orv = vm.read_u64(&or).unwrap();
         for i in 0..LANES {
             let expect_and = data.iter().fold(0xFFu64, |acc, d| acc & d[i]);
-            let expect_or = data.iter().fold(0u64, |acc, d| acc | d[i]);
             assert_eq!(andv[i], expect_and, "and lane {i}");
-            assert_eq!(orv[i], expect_or, "or lane {i}");
         }
     }
 
@@ -598,7 +499,7 @@ mod tests {
         let a = vm.alloc_uint(8).unwrap();
         let b = vm.alloc_uint(4).unwrap();
         assert!(matches!(
-            vm.wor_n(&[&a, &b]),
+            vm.wand_n(&[&a, &b]),
             Err(SimdramError::WidthMismatch {
                 expected: 8,
                 got: 4
@@ -616,17 +517,15 @@ mod tests {
         let a = load(&mut vm, 8, &A);
         let b = load(&mut vm, 8, &B);
         let eq = vm.eq(&a, &b).unwrap();
-        let ne = vm.ne(&a, &b).unwrap();
         let lt = vm.lt(&a, &b).unwrap();
         let ge = vm.ge(&a, &b).unwrap();
-        let gt = vm.gt(&a, &b).unwrap();
+        let gt = vm.lt(&b, &a).unwrap();
         let le = vm.le(&a, &b).unwrap();
-        let (eqv, nev) = (vm.read_mask(eq).unwrap(), vm.read_mask(ne).unwrap());
+        let eqv = vm.read_mask(eq).unwrap();
         let (ltv, gev) = (vm.read_mask(lt).unwrap(), vm.read_mask(ge).unwrap());
         let (gtv, lev) = (vm.read_mask(gt).unwrap(), vm.read_mask(le).unwrap());
         for i in 0..LANES {
             assert_eq!(eqv[i], A[i] == B[i], "eq lane {i}");
-            assert_eq!(nev[i], A[i] != B[i], "ne lane {i}");
             assert_eq!(ltv[i], A[i] < B[i], "lt lane {i}");
             assert_eq!(gev[i], A[i] >= B[i], "ge lane {i}");
             assert_eq!(gtv[i], A[i] > B[i], "gt lane {i}");

@@ -5,7 +5,7 @@
 //! dominates cost; PuD computes where the data is. This module makes
 //! that comparison concrete for the arithmetic layer: an
 //! [`OpTrace`] is folded into an [`OpCost`] using the steady-state
-//! in-DRAM accounting below, and [`CostModel::host_word_cost`] prices
+//! in-DRAM accounting below, and `CostModel::host_word_cost` prices
 //! the same computation on a host that must stream every operand row
 //! over the channel.
 //!
@@ -22,7 +22,7 @@
 use crate::trace::{NativeOp, OpTrace, TraceEntry};
 use dram_core::energy::{EnergyParams, OpCost};
 use dram_core::timing::{SpeedBin, TimingParams};
-use dram_core::ModuleConfig;
+
 use serde::{Deserialize, Serialize};
 
 /// Prices native operations for one chip configuration.
@@ -54,12 +54,6 @@ impl CostModel {
             speed,
             row_bytes: lanes.div_ceil(8),
         }
-    }
-
-    /// Builds a model from a Table-1 module configuration; `lanes` is
-    /// the substrate lane count (half a row on the shared columns).
-    pub fn for_module(cfg: &ModuleConfig, lanes: usize) -> Self {
-        CostModel::new(cfg.speed, lanes)
     }
 
     /// Bytes per operand row at this lane count.
@@ -137,7 +131,7 @@ impl CostModel {
     /// consumes `input_rows` operand rows and produces `output_rows`
     /// result rows: every row crosses the channel once and the host
     /// ALU touches every byte.
-    pub fn host_word_cost(&self, input_rows: usize, output_rows: usize) -> OpCost {
+    pub(crate) fn host_word_cost(&self, input_rows: usize, output_rows: usize) -> OpCost {
         let (t, en, sp, rb) = (&self.timing, &self.energy, self.speed, self.row_bytes);
         let mut total = OpCost::default();
         for _ in 0..input_rows {
@@ -186,23 +180,6 @@ impl CostSummary {
     pub fn energy_ratio(&self) -> f64 {
         self.host.energy_pj / self.in_dram.energy_pj.max(f64::MIN_POSITIVE)
     }
-
-    /// Host latency divided by in-DRAM latency (>1 ⇒ PuD wins).
-    pub fn latency_ratio(&self) -> f64 {
-        self.host.latency_ns / self.in_dram.latency_ns.max(f64::MIN_POSITIVE)
-    }
-
-    /// In-DRAM energy per lane in picojoules.
-    pub fn energy_per_lane_pj(&self) -> f64 {
-        self.in_dram.energy_pj / self.lanes.max(1) as f64
-    }
-
-    /// In-DRAM lane-operations per second
-    /// (`lanes / latency`; one "lane-op" is the whole traced circuit
-    /// applied to one lane).
-    pub fn lane_ops_per_sec(&self) -> f64 {
-        self.lanes as f64 / (self.in_dram.latency_ns.max(f64::MIN_POSITIVE) * 1e-9)
-    }
 }
 
 #[cfg(test)]
@@ -210,6 +187,20 @@ mod tests {
     use super::*;
     use crate::trace::{NativeOp, TraceEntry};
     use dram_core::LogicOp;
+
+    impl CostSummary {
+        /// In-DRAM energy per lane in picojoules.
+        fn energy_per_lane_pj(&self) -> f64 {
+            self.in_dram.energy_pj / self.lanes.max(1) as f64
+        }
+
+        /// In-DRAM lane-operations per second
+        /// (`lanes / latency`; one "lane-op" is the whole traced circuit
+        /// applied to one lane).
+        fn lane_ops_per_sec(&self) -> f64 {
+            self.lanes as f64 / (self.in_dram.latency_ns.max(f64::MIN_POSITIVE) * 1e-9)
+        }
+    }
 
     fn model() -> CostModel {
         CostModel::new(SpeedBin::Mt2666, 32)

@@ -79,28 +79,6 @@ impl<S: Substrate> SimdVm<S> {
         let quot = UintVec::from_bits(quot_bits.into_iter().map(|q| q.expect("set")).collect());
         Ok((quot, rem))
     }
-
-    /// Unsigned division: `a / b` per lane.
-    ///
-    /// # Errors
-    ///
-    /// Fails on width mismatch, row exhaustion or device failure.
-    pub fn div(&mut self, a: &UintVec, b: &UintVec) -> Result<UintVec> {
-        let (q, r) = self.div_rem(a, b)?;
-        self.free_uint(r);
-        Ok(q)
-    }
-
-    /// Unsigned remainder: `a % b` per lane.
-    ///
-    /// # Errors
-    ///
-    /// Fails on width mismatch, row exhaustion or device failure.
-    pub fn rem(&mut self, a: &UintVec, b: &UintVec) -> Result<UintVec> {
-        let (q, r) = self.div_rem(a, b)?;
-        self.free_uint(q);
-        Ok(r)
-    }
 }
 
 #[cfg(test)]

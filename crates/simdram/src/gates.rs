@@ -116,7 +116,7 @@ impl<S: Substrate> SimdVm<S> {
     /// # Errors
     ///
     /// Fails on row exhaustion or device failure.
-    pub fn xnor(&mut self, a: BitRow, b: BitRow) -> Result<BitRow> {
+    pub(crate) fn xnor(&mut self, a: BitRow, b: BitRow) -> Result<BitRow> {
         let and_ab = self.native(LogicOp::And, &[a, b])?;
         let nor_ab = self.native(LogicOp::Nor, &[a, b])?;
         let out = self.native(LogicOp::Or, &[and_ab, nor_ab])?;
@@ -171,17 +171,6 @@ impl<S: Substrate> SimdVm<S> {
         Ok(out)
     }
 
-    /// Half adder: `(sum, carry) = (a ⊕ b, a ∧ b)` — 4 native ops.
-    ///
-    /// # Errors
-    ///
-    /// Fails on row exhaustion or device failure.
-    pub fn half_adder(&mut self, a: BitRow, b: BitRow) -> Result<(BitRow, BitRow)> {
-        let sum = self.xor(a, b)?;
-        let carry = self.native(LogicOp::And, &[a, b])?;
-        Ok((sum, carry))
-    }
-
     /// Full adder — 9 native ops with shared subterms:
     ///
     /// ```text
@@ -194,7 +183,12 @@ impl<S: Substrate> SimdVm<S> {
     /// # Errors
     ///
     /// Fails on row exhaustion or device failure.
-    pub fn full_adder(&mut self, a: BitRow, b: BitRow, cin: BitRow) -> Result<(BitRow, BitRow)> {
+    pub(crate) fn full_adder(
+        &mut self,
+        a: BitRow,
+        b: BitRow,
+        cin: BitRow,
+    ) -> Result<(BitRow, BitRow)> {
         let or_ab = self.native(LogicOp::Or, &[a, b])?;
         let nand_ab = self.native(LogicOp::Nand, &[a, b])?;
         let x = self.native(LogicOp::And, &[or_ab, nand_ab])?;
@@ -221,7 +215,7 @@ impl<S: Substrate> SimdVm<S> {
     /// # Errors
     ///
     /// Fails on row exhaustion or device failure.
-    pub fn full_adder_fused(
+    pub(crate) fn full_adder_fused(
         &mut self,
         a: BitRow,
         b: BitRow,
@@ -439,16 +433,12 @@ mod tests {
         vm.write_mask(c, &[false, false, false, false, true, true, true, true])
             .unwrap();
 
-        let (hs, hc) = vm.half_adder(a, b).unwrap();
         let (fs, fc) = vm.full_adder(a, b, c).unwrap();
         let da = vm.read_mask(a).unwrap();
         let db = vm.read_mask(b).unwrap();
         let dc = vm.read_mask(c).unwrap();
-        let (hsv, hcv) = (vm.read_mask(hs).unwrap(), vm.read_mask(hc).unwrap());
         let (fsv, fcv) = (vm.read_mask(fs).unwrap(), vm.read_mask(fc).unwrap());
         for i in 0..LANES {
-            let h = u8::from(da[i]) + u8::from(db[i]);
-            assert_eq!((hsv[i], hcv[i]), (h & 1 == 1, h >> 1 == 1), "half lane {i}");
             let f = u8::from(da[i]) + u8::from(db[i]) + u8::from(dc[i]);
             assert_eq!((fsv[i], fcv[i]), (f & 1 == 1, f >> 1 == 1), "full lane {i}");
         }

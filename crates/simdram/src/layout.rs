@@ -13,7 +13,7 @@ use fcdram::PackedBits;
 use serde::{Deserialize, Serialize};
 
 /// Largest integer width the layer supports (host values are `u64`).
-pub const MAX_WIDTH: usize = 64;
+pub(crate) const MAX_WIDTH: usize = 64;
 
 /// A vector of unsigned integers stored bit-transposed, LSB first.
 ///
@@ -41,12 +41,12 @@ impl UintVec {
     /// # Panics
     ///
     /// Panics if `i >= self.width()`.
-    pub fn bit(&self, i: usize) -> BitRow {
+    pub(crate) fn bit(&self, i: usize) -> BitRow {
         self.bits[i]
     }
 
     /// All rows, LSB first.
-    pub fn bits(&self) -> &[BitRow] {
+    pub(crate) fn bits(&self) -> &[BitRow] {
         &self.bits
     }
 
@@ -99,35 +99,13 @@ pub fn transpose_to_rows(values: &[u64], width: usize) -> Result<Vec<Vec<bool>>>
         .collect())
 }
 
-/// Inverse of [`transpose_to_rows`]: folds per-bit rows back into lane
-/// values. Rows beyond bit 63 are ignored (callers never build them;
-/// [`MAX_WIDTH`] is 64).
-///
-/// # Panics
-///
-/// Panics if rows have unequal lane counts.
-pub fn transpose_from_rows(rows: &[Vec<bool>]) -> Vec<u64> {
-    let lanes = rows.first().map_or(0, Vec::len);
-    for r in rows {
-        assert_eq!(r.len(), lanes, "rows must have equal lane counts");
-    }
-    (0..lanes)
-        .map(|lane| {
-            rows.iter()
-                .take(64)
-                .enumerate()
-                .fold(0u64, |acc, (i, row)| acc | (u64::from(row[lane]) << i))
-        })
-        .collect()
-}
-
 /// Bit-packed variant of [`transpose_to_rows`]: one [`PackedBits`]
 /// per bit position, no intermediate `Vec<bool>`.
 ///
 /// # Errors
 ///
 /// Fails on a bad width or a lane value exceeding it.
-pub fn transpose_to_packed(values: &[u64], width: usize) -> Result<Vec<PackedBits>> {
+pub(crate) fn transpose_to_packed(values: &[u64], width: usize) -> Result<Vec<PackedBits>> {
     check_width(width)?;
     for &v in values {
         if width < 64 && v >> width != 0 {
@@ -147,12 +125,13 @@ pub fn transpose_to_packed(values: &[u64], width: usize) -> Result<Vec<PackedBit
         .collect())
 }
 
-/// Bit-packed variant of [`transpose_from_rows`].
+/// Transposes bit-packed rows back into one value per lane (the
+/// inverse of [`transpose_to_packed`]).
 ///
 /// # Panics
 ///
 /// Panics if rows have unequal lane counts.
-pub fn transpose_from_packed(rows: &[PackedBits]) -> Vec<u64> {
+pub(crate) fn transpose_from_packed(rows: &[PackedBits]) -> Vec<u64> {
     let lanes = rows.first().map_or(0, PackedBits::len);
     for r in rows {
         assert_eq!(r.len(), lanes, "rows must have equal lane counts");
@@ -169,6 +148,28 @@ pub fn transpose_from_packed(rows: &[PackedBits]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Inverse of [`transpose_to_rows`]: folds per-bit rows back into lane
+    /// values. Rows beyond bit 63 are ignored (callers never build them;
+    /// [`MAX_WIDTH`] is 64).
+    ///
+    /// # Panics
+    ///
+    /// Panics if rows have unequal lane counts.
+    fn transpose_from_rows(rows: &[Vec<bool>]) -> Vec<u64> {
+        let lanes = rows.first().map_or(0, Vec::len);
+        for r in rows {
+            assert_eq!(r.len(), lanes, "rows must have equal lane counts");
+        }
+        (0..lanes)
+            .map(|lane| {
+                rows.iter()
+                    .take(64)
+                    .enumerate()
+                    .fold(0u64, |acc, (i, row)| acc | (u64::from(row[lane]) << i))
+            })
+            .collect()
+    }
 
     #[test]
     fn transpose_round_trip() {

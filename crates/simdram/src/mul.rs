@@ -61,34 +61,6 @@ impl<S: Substrate> SimdVm<S> {
         }
         Ok(acc)
     }
-
-    /// Truncated product: `(a × b) mod 2^W` where `W = max(Wa, Wb)`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on row exhaustion or device failure.
-    pub fn mul_low(&mut self, a: &UintVec, b: &UintVec) -> Result<UintVec> {
-        let w = a.width().max(b.width());
-        let full = self.mul(a, b)?;
-        let mut bits = full.into_bits();
-        for r in bits.split_off(w) {
-            self.release(r);
-        }
-        Ok(UintVec::from_bits(bits))
-    }
-
-    /// Per-lane square: `a × a` at `2·Wa` bits.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `2·Wa > 64`, on row exhaustion, or on device
-    /// failure.
-    pub fn square(&mut self, a: &UintVec) -> Result<UintVec> {
-        // `mul` never clobbers inputs, so aliasing a with itself is
-        // safe (the substrate stages operands into scratch rows).
-        let a_alias = UintVec::from_bits(a.bits().to_vec());
-        self.mul(a, &a_alias)
-    }
 }
 
 #[cfg(test)]
@@ -139,26 +111,13 @@ mod tests {
     }
 
     #[test]
-    fn mul_low_truncates() {
-        let mut vm = vm();
-        let av = [15u64, 15, 9, 1, 0, 3, 5, 7];
-        let bv = [15u64, 2, 9, 1, 9, 3, 5, 7];
-        let a = load(&mut vm, 4, &av);
-        let b = load(&mut vm, 4, &bv);
-        let p = vm.mul_low(&a, &b).unwrap();
-        assert_eq!(p.width(), 4);
-        let got = vm.read_u64(&p).unwrap();
-        for i in 0..LANES {
-            assert_eq!(got[i], (av[i] * bv[i]) & 0xF, "lane {i}");
-        }
-    }
-
-    #[test]
     fn square_matches() {
         let mut vm = vm();
         let av = [0u64, 1, 2, 3, 7, 9, 15, 12];
         let a = load(&mut vm, 4, &av);
-        let s = vm.square(&a).unwrap();
+        // `mul` never clobbers its inputs, so a vector may be both
+        // operands.
+        let s = vm.mul(&a, &a).unwrap();
         let got = vm.read_u64(&s).unwrap();
         for i in 0..LANES {
             assert_eq!(got[i], av[i] * av[i], "lane {i}");

@@ -47,7 +47,7 @@ impl NativeOp {
     }
 
     /// Short mnemonic for reports.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             NativeOp::Not => "NOT",
             NativeOp::Logic(LogicOp::And, _) => "AND",
@@ -119,7 +119,7 @@ impl OpTrace {
     }
 
     /// Clears the log (used between measured sections).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
     }
 
@@ -141,20 +141,6 @@ impl OpTrace {
             .sum()
     }
 
-    /// Number of rows moved over the channel (host reads + writes +
-    /// fills + fallback copies).
-    pub fn host_transfers(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.op,
-                    NativeOp::HostWrite | NativeOp::HostRead | NativeOp::Fill
-                ) || (e.op == NativeOp::Copy && e.executions == 0)
-            })
-            .count()
-    }
-
     /// Histogram of entries by mnemonic (for reports).
     pub fn histogram(&self) -> Vec<(&'static str, usize)> {
         let mut out: Vec<(&'static str, usize)> = Vec::new();
@@ -172,6 +158,22 @@ impl OpTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl OpTrace {
+        /// Number of rows moved over the channel (host reads + writes +
+        /// fills + fallback copies).
+        fn host_transfers(&self) -> usize {
+            self.entries
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e.op,
+                        NativeOp::HostWrite | NativeOp::HostRead | NativeOp::Fill
+                    ) || (e.op == NativeOp::Copy && e.executions == 0)
+                })
+                .count()
+        }
+    }
 
     fn e(op: NativeOp, executions: usize, p: f64) -> TraceEntry {
         TraceEntry {

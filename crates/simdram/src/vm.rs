@@ -109,7 +109,7 @@ impl<S: Substrate> SimdVm<S> {
     }
 
     /// The currently selected adder circuit.
-    pub fn adder(&self) -> AdderKind {
+    pub(crate) fn adder(&self) -> AdderKind {
         self.adder
     }
 
@@ -148,13 +148,6 @@ impl<S: Substrate> SimdVm<S> {
     /// the substrate device. A no-op on the host golden model.
     pub fn configure(&mut self, cfg: dram_core::SimConfig) {
         self.sub.configure_sim(cfg);
-    }
-
-    /// Builder form of [`SimdVm::configure`] for construction chains.
-    #[must_use]
-    pub fn with_sim_config(mut self, cfg: dram_core::SimConfig) -> Self {
-        self.configure(cfg);
-        self
     }
 
     /// The accumulated native-operation trace.

@@ -69,7 +69,7 @@ impl BenderEmitter {
     /// Fails when the register file exceeds the home subarray, the
     /// scratch layout exceeds the paired subarray, or `cols` is not a
     /// multiple of 4.
-    pub fn emit(&self, prog: &SynthProgram) -> Result<Program> {
+    pub(crate) fn emit(&self, prog: &SynthProgram) -> Result<Program> {
         if self.cols == 0 || !self.cols.is_multiple_of(4) {
             return Err(SynthError::Backend(format!(
                 "cols {} must be a positive multiple of 4",
@@ -145,7 +145,7 @@ impl BenderEmitter {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`BenderEmitter::emit`].
+    /// Same conditions as `BenderEmitter::emit`.
     pub fn emit_asm(&self, prog: &SynthProgram) -> Result<String> {
         Ok(bender::asm::format(&self.emit(prog)?))
     }

@@ -26,7 +26,7 @@
 //! whatever width the reliability model favors (≤ the substrate's
 //! 16-input maximum).
 //!
-//! XOR is not native to the substrate, so [`Circuit::xor`] expands to
+//! XOR is not native to the substrate, so `Circuit::xor` expands to
 //! the paper's 3-gate circuit `AND(OR(a,b), NAND(a,b))` at build time;
 //! the interner shares the `OR`/`NAND` subterms with any other use.
 
@@ -36,13 +36,13 @@ use fcdram::PackedBits;
 use std::collections::HashMap;
 
 /// Index of a node in a [`Circuit`] arena.
-pub type NodeId = usize;
+pub(crate) type NodeId = usize;
 
 /// One DAG node. Gate children are sorted and deduplicated, which is
 /// what makes structural hashing canonical for the commutative,
 /// idempotent native operations.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Node {
+pub(crate) enum Node {
     /// Circuit input, by operand index.
     Input(usize),
     /// Constant 0 or 1.
@@ -106,8 +106,8 @@ pub struct Circuit {
 
 impl Circuit {
     /// An empty circuit over named inputs, with output pinned to
-    /// constant 0 until [`Circuit::set_output`].
-    pub fn new(inputs: Vec<String>) -> Circuit {
+    /// constant 0 until `Circuit::set_output`.
+    pub(crate) fn new(inputs: Vec<String>) -> Circuit {
         let mut c = Circuit {
             nodes: Vec::new(),
             interner: HashMap::new(),
@@ -172,19 +172,19 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics when `i` is out of range for the input table.
-    pub fn input(&mut self, i: usize) -> NodeId {
+    pub(crate) fn input(&mut self, i: usize) -> NodeId {
         assert!(i < self.inputs.len(), "input {i} out of range");
         self.intern(Node::Input(i))
     }
 
     /// The node for constant `b`.
-    pub fn constant(&mut self, b: bool) -> NodeId {
+    pub(crate) fn constant(&mut self, b: bool) -> NodeId {
         self.intern(Node::Const(b))
     }
 
     /// `!x`, normalized: constants fold, `!!x → x`, `!gate →
     /// inverse gate` (so NOT nodes survive only over inputs).
-    pub fn not(&mut self, x: NodeId) -> NodeId {
+    pub(crate) fn not(&mut self, x: NodeId) -> NodeId {
         match self.nodes[x].clone() {
             Node::Const(b) => self.constant(!b),
             Node::Not(y) => y,
@@ -200,7 +200,7 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics on an empty child list.
-    pub fn gate(&mut self, op: LogicOp, children: Vec<NodeId>) -> NodeId {
+    pub(crate) fn gate(&mut self, op: LogicOp, children: Vec<NodeId>) -> NodeId {
         assert!(!children.is_empty(), "gate with no inputs");
         let monotone = if op.is_and_family() {
             LogicOp::And
@@ -270,7 +270,7 @@ impl Circuit {
 
     /// `a ⊕ b` expanded to the native 3-gate circuit
     /// `AND(OR(a,b), NAND(a,b))` (the form [`simdram`] synthesizes).
-    pub fn xor(&mut self, a: NodeId, b: NodeId) -> NodeId {
+    pub(crate) fn xor(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let or_ab = self.gate(LogicOp::Or, vec![a, b]);
         let nand_ab = self.gate(LogicOp::Nand, vec![a, b]);
         self.gate(LogicOp::And, vec![or_ab, nand_ab])
@@ -281,13 +281,13 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics on an out-of-range id.
-    pub fn set_output(&mut self, out: NodeId) {
+    pub(crate) fn set_output(&mut self, out: NodeId) {
         assert!(out < self.nodes.len(), "output id out of range");
         self.output = out;
     }
 
     /// The designated output node.
-    pub fn output(&self) -> NodeId {
+    pub(crate) fn output(&self) -> NodeId {
         self.output
     }
 
@@ -298,18 +298,18 @@ impl Circuit {
 
     /// All nodes (creation order is topological: children precede
     /// parents).
-    pub fn nodes(&self) -> &[Node] {
+    pub(crate) fn nodes(&self) -> &[Node] {
         &self.nodes
     }
 
     /// Node `id`.
-    pub fn node(&self, id: NodeId) -> &Node {
+    pub(crate) fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id]
     }
 
     /// Ids of the nodes reachable from the output, in topological
     /// (children-first) order — the live set the mapper emits.
-    pub fn live_nodes(&self) -> Vec<NodeId> {
+    pub(crate) fn live_nodes(&self) -> Vec<NodeId> {
         let mut live = vec![false; self.nodes.len()];
         let mut stack = vec![self.output];
         while let Some(id) = stack.pop() {

@@ -14,10 +14,10 @@
 //! numbered in first-appearance order, which is also the operand order
 //! every backend expects.
 //!
-//! Parentheses and negations nest at most [`MAX_DEPTH`] deep; deeper
+//! Parentheses and negations nest at most `MAX_DEPTH` deep; deeper
 //! input is a [`SynthError::Parse`], never a stack overflow. A run of
 //! one binary operator (`a & b & … & z`) parses into a single n-ary
-//! [`ExprNode::Apply`], so a flat chain of any length adds no depth.
+//! `ExprNode::Apply`, so a flat chain of any length adds no depth.
 //!
 //! # Examples
 //!
@@ -32,11 +32,11 @@ use crate::error::{Result, SynthError};
 /// Deepest nesting of parentheses and negations [`Expr::parse`]
 /// accepts. The parser is recursive descent, so the bound keeps hostile
 /// input from exhausting the stack.
-pub const MAX_DEPTH: usize = 256;
+pub(crate) const MAX_DEPTH: usize = 256;
 
 /// Operator applied by an [`ExprNode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExprOp {
+pub(crate) enum ExprOp {
     /// Logical negation (unary).
     Not,
     /// Logical conjunction.
@@ -49,7 +49,7 @@ pub enum ExprOp {
 
 /// One node of a parsed expression tree.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ExprNode {
+pub(crate) enum ExprNode {
     /// A named input, by index into [`Expr::inputs`].
     Var(usize),
     /// A literal `0` or `1`.
@@ -190,7 +190,7 @@ impl Expr {
     }
 
     /// The root node.
-    pub fn root(&self) -> &ExprNode {
+    pub(crate) fn root(&self) -> &ExprNode {
         &self.root
     }
 

@@ -64,9 +64,9 @@ pub mod mapper;
 
 pub use backend::BenderEmitter;
 pub use cost::{CostModel, CostModelData, GateCost};
-pub use dag::{Circuit, Node, NodeId};
+pub use dag::Circuit;
 pub use error::{Result, SynthError};
-pub use expr::{Expr, ExprNode, ExprOp};
+pub use expr::Expr;
 pub use mapper::{Mapper, Mapping, Output, ProgramCost, Step, SynthProgram};
 
 /// A fully compiled expression: parsed form, optimized DAG, and the

@@ -25,7 +25,6 @@ use crate::cost::CostModel;
 use crate::dag::{Circuit, Node};
 use dram_core::LogicOp;
 use serde::{Deserialize, Serialize};
-use simdram::trace::{NativeOp, OpTrace, TraceEntry};
 use std::sync::Arc;
 
 /// A virtual register of the mapped program. Registers
@@ -58,8 +57,9 @@ pub enum Output {
 /// A linear native-op program over virtual registers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SynthProgram {
-    /// Operand names, in register order.
-    pub inputs: Vec<String>,
+    /// Operand names, in register order, shared by every narrowed
+    /// variant of the program.
+    pub inputs: Arc<[String]>,
     /// Native operations in execution order.
     pub steps: Vec<Step>,
     /// Result location.
@@ -166,7 +166,7 @@ impl SynthProgram {
     pub fn narrowed(&self, max_width: usize) -> SynthProgram {
         let width = max_width.clamp(2, simdram::MAX_FAN_IN);
         let mut out = SynthProgram {
-            inputs: self.inputs.clone(),
+            inputs: Arc::clone(&self.inputs),
             steps: Vec::new(),
             output: self.output,
             n_regs: self.n_regs,
@@ -216,6 +216,26 @@ impl SynthProgram {
         }
         out
     }
+
+    /// The variants admission tries when a program misses its
+    /// reliability floor: [`Self::narrowed`] at each width of the
+    /// ladder 8, 4, 2, widest first, paired with that width. A width
+    /// no gate of the program exceeds would rewrite nothing, so it is
+    /// skipped before anything is built; every variant returned
+    /// differs from the program.
+    pub fn narrowed_variants(&self) -> impl Iterator<Item = (usize, SynthProgram)> + '_ {
+        let widest = self
+            .steps
+            .iter()
+            .filter(|s| s.op.is_some())
+            .map(|s| s.args.len())
+            .max()
+            .unwrap_or(0);
+        [8usize, 4, 2]
+            .into_iter()
+            .filter(move |&width| widest > width)
+            .map(|width| (width, self.narrowed(width)))
+    }
 }
 
 /// A mapped program plus the model's predictions for it.
@@ -252,30 +272,6 @@ impl Mapping {
         }
         rows.sort();
         rows
-    }
-
-    /// The program as a [`simdram`] operation trace (one entry per
-    /// step, carrying the model's predicted success), so existing
-    /// tooling — [`simdram::CostModel::trace_cost`],
-    /// [`simdram::reliability::expected_lane_accuracy`] — prices and
-    /// analyzes synthesized circuits unchanged.
-    pub fn to_trace(&self, cost: &CostModel) -> OpTrace {
-        let mut t = OpTrace::new();
-        for s in &self.program.steps {
-            let (op, p) = match s.op {
-                None => (NativeOp::Not, cost.not_success()),
-                Some(op) => (
-                    NativeOp::Logic(op, s.args.len() as u8),
-                    cost.success(op, s.args.len()),
-                ),
-            };
-            t.record(TraceEntry {
-                op,
-                executions: 1,
-                predicted_success: p,
-            });
-        }
-        t
     }
 }
 
@@ -344,7 +340,7 @@ impl<'a> Mapper<'a> {
     }
 
     /// The chunk width this mapper uses for an `n`-input `op` gate.
-    pub fn choose_width(&self, op: LogicOp, n: usize) -> usize {
+    pub(crate) fn choose_width(&self, op: LogicOp, n: usize) -> usize {
         if let Some(w) = self.force_width {
             return w;
         }
@@ -364,7 +360,7 @@ impl<'a> Mapper<'a> {
     /// Maps a circuit to a native-op program with predictions.
     pub fn map(&self, circuit: &Circuit) -> Mapping {
         let mut prog = SynthProgram {
-            inputs: circuit.inputs().to_vec(),
+            inputs: circuit.inputs().into(),
             steps: Vec::new(),
             output: Output::Const(false),
             n_regs: circuit.inputs().len(),
@@ -501,6 +497,33 @@ fn emit_level<F: FnMut(&mut SynthProgram, LogicOp, Vec<Reg>) -> Reg>(
 mod tests {
     use super::*;
     use crate::expr::Expr;
+    use simdram::trace::{NativeOp, OpTrace, TraceEntry};
+
+    impl Mapping {
+        /// The program as a [`simdram`] operation trace (one entry per
+        /// step, carrying the model's predicted success), so existing
+        /// tooling — [`simdram::CostModel::trace_cost`],
+        /// [`simdram::reliability::expected_lane_accuracy`] — prices and
+        /// analyzes synthesized circuits unchanged.
+        fn to_trace(&self, cost: &CostModel) -> OpTrace {
+            let mut t = OpTrace::new();
+            for s in &self.program.steps {
+                let (op, p) = match s.op {
+                    None => (NativeOp::Not, cost.not_success()),
+                    Some(op) => (
+                        NativeOp::Logic(op, s.args.len() as u8),
+                        cost.success(op, s.args.len()),
+                    ),
+                };
+                t.record(TraceEntry {
+                    op,
+                    executions: 1,
+                    predicted_success: p,
+                });
+            }
+            t
+        }
+    }
 
     fn circuit(text: &str) -> Circuit {
         Circuit::from_expr(&Expr::parse(text).unwrap())
