@@ -404,8 +404,8 @@ expect_counts() {
 # The repo benchmark's own tests (perfbench/ is a standalone package
 # outside the workspace, so `cargo test` at the root skips them):
 # per-seed determinism, the pinned exact counts of every workload, and
-# the BENCHMARK.json <-> code tables. Then four traced 1 s runs at seed
-# 1 must report exact values:
+# the BENCHMARK.json <-> code tables. Then traced 1 s runs must report
+# exact values, each workload at seed 1 and sweep_fleet also at seed 13:
 #   - device_exec: mismatched result bits per backend, native ops,
 #     engine visits, gate programs per plan and arena slots (a kernel
 #     rewrite that moves any of them changed what the device model
@@ -413,7 +413,9 @@ expect_counts() {
 #   - sweep_fleet: cells and conditions swept, failures, and the NOT
 #     and logic success means (the sweep runs `Frac` and every
 #     kernel under full telemetry, so a change to what the device
-#     model stores or records moves them);
+#     model stores or records moves them), at seed 1 and again at
+#     seed 13 (a second fleet population, values recorded at
+#     commit 2aca089);
 #   - batch_wide: fused jobs, retries, remaps, failed jobs, native ops
 #     and engine visits of the first batch cycle (a planner or
 #     executor change that moves a placement, an admission or a
@@ -437,6 +439,12 @@ perfbench_tests() {
     fcdram.not_success_mean=0.7092738855804632 \
     fcdram.logic_success_mean=0.9587421165370428 || return 1
   out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload sweep_fleet --seed 13 --seconds 1 --trace 1) || return 1
+  expect_counts "$out" \
+    characterize.cells=3171840 characterize.conditions=2000 characterize.failures=0 \
+    fcdram.not_success_mean=0.6933982488272717 \
+    fcdram.logic_success_mean=0.9528716440383534 || return 1
+  out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload batch_wide --seed 1 --seconds 1 --trace 1) || return 1
   expect_counts "$out" \
     fcsched.fused_jobs=80 fcsched.retries=19 fcsched.remapped=0 fcsched.failed_jobs=0 \
@@ -447,7 +455,8 @@ perfbench_tests() {
     fcserve.admitted=1084 fcserve.shed=42 fcserve.rejected=192 fcserve.narrowed=123 \
     fcsched.batches=97 fcsched.retries=112 fcexec.native_ops=3728 \
     fcexec.engine_visits=1084 || return 1
-  echo "perfbench: device_exec, sweep_fleet, batch_wide and daemon_mix seed 1 exact values match"
+  echo "perfbench: device_exec, sweep_fleet (seeds 1 and 13), batch_wide and daemon_mix" \
+       "seed 1 exact values match"
 }
 
 wants() {

@@ -63,8 +63,9 @@ pub struct Bender {
     module: DramModule,
     windows: ViolationWindows,
     temperature: Temperature,
-    /// One-shot terminal mask consumed by the next charge-share the
-    /// executor recognizes (set via [`Bender::charge_share_masked`]).
+    /// One-shot terminal mask consumed by the next multi-row activation
+    /// the executor recognizes, copy or charge share (set via
+    /// [`Bender::arm_cs_mask`] or [`Bender::charge_share_masked`]).
     cs_mask: Option<CsTerminal>,
 }
 
@@ -109,10 +110,12 @@ impl Bender {
         ProgramBuilder::new(self.speed())
     }
 
-    /// Arms a one-shot terminal mask: the next charge share the
+    /// Arms a one-shot terminal mask: the next multi-row activation the
     /// executor recognizes (in any program) resolves only `need`'s
-    /// cells (a terminal, or its first row). Cleared when consumed or
-    /// at the next `execute`.
+    /// cells — for a charge share a terminal or its first row, for a
+    /// copy its destination side
+    /// ([`dram_core::Chip::multi_act_copy_masked`]). Cleared when
+    /// consumed or at the next `execute`.
     pub fn arm_cs_mask(&mut self, need: CsTerminal) {
         self.cs_mask = Some(need);
     }
@@ -159,17 +162,13 @@ impl Bender {
                             // first gap decides copy vs charge share.
                             let (ca, _) = t.last_act.expect("checked");
                             let gap_act_pre = speed.cycles_to_ns(cp.saturating_sub(ca));
+                            let need = pending_mask.take().unwrap_or(CsTerminal::Both);
                             let outcome = if gap_act_pre <= self.windows.charge_share_t_ras_ns {
-                                match pending_mask.take() {
-                                    Some(need) => {
-                                        dev.multi_act_charge_share_masked(*bank, rf, *row, need)?
-                                    }
-                                    None => dev.multi_act_charge_share(*bank, rf, *row)?,
-                                }
+                                dev.multi_act_charge_share_masked(*bank, rf, *row, need)?
                             } else {
                                 // Restored (or mostly restored) source:
                                 // driven copy / NOT.
-                                dev.multi_act_copy(*bank, rf, *row)?
+                                dev.multi_act_copy_masked(*bank, rf, *row, need)?
                             };
                             let ignored = outcome.kind == OutcomeKind::Ignored;
                             trackers[b].pending_pre = None;

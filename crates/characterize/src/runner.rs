@@ -177,15 +177,23 @@ pub struct NotCellRecord {
     pub dst_region: DistanceRegion,
 }
 
-/// Ships one NOT entry with `pattern` as its source row (the gate
-/// only, nothing read back) and returns the outcome.
+/// Ships one NOT entry with the full-width row `src` as its source
+/// (the gate only, nothing read back, only the destination subarray
+/// resolved) and returns the outcome.
+///
+/// The copy resolves only its destination rows
+/// ([`CsTerminal::Compute`]): characterization reads nothing but the
+/// destination cells' outcomes, and never reads an extra source-side
+/// row before restaging it (every NOT stages its source row, every
+/// logic operation every raised row), so the skipped rows change no
+/// measured value.
 pub(crate) fn not_gate(
     ctx: &mut ModuleCtx,
     entry: &PatternEntry,
-    pattern: DataPattern,
+    src: Arc<[Bit]>,
 ) -> Result<OpOutcome> {
-    let src = pattern.row(ctx.cfg.geometry().cols());
-    let (_, outcome) = ctx.fc.not_outcome(BANK, entry, src.into())?;
+    let mask = Some(CsTerminal::Compute);
+    let (_, outcome) = ctx.fc.not_outcome(BANK, entry, src, mask)?;
     Ok(outcome)
 }
 
@@ -201,7 +209,8 @@ pub fn run_not(
     entry: &PatternEntry,
     pattern: DataPattern,
 ) -> Result<Vec<NotCellRecord>> {
-    let outcome = not_gate(ctx, entry, pattern)?;
+    let src = pattern.row(ctx.cfg.geometry().cols());
+    let outcome = not_gate(ctx, entry, src.into())?;
     let OutcomeKind::Not { n_rf, n_rl, .. } = outcome.kind else {
         return Err(FcdramError::OpFailed {
             detail: format!("NOT produced {:?}", outcome.kind),
@@ -273,22 +282,22 @@ pub fn run_logic(
     op: LogicOp,
     inputs: &[Vec<Bit>],
 ) -> Result<Vec<LogicCellRecord>> {
-    let outcome = logic_gate(ctx, entry, op, inputs)?;
+    let rows: Vec<Arc<[Bit]>> = inputs.iter().map(|r| Arc::from(r.as_slice())).collect();
+    let outcome = logic_gate(ctx, entry, op, &rows)?;
     logic_records(&ctx.cfg.geometry(), entry, op, &outcome)
 }
 
-/// Ships one logic operation through `entry` (the gate only, nothing
-/// read back, only the result terminal resolved) and returns the
-/// outcome.
+/// Ships one logic operation through `entry` on the full-width operand
+/// rows `inputs` (the gate only, nothing read back, only the result
+/// terminal resolved) and returns the outcome.
 fn logic_gate(
     ctx: &mut ModuleCtx,
     entry: &PatternEntry,
     op: LogicOp,
-    inputs: &[Vec<Bit>],
+    inputs: &[Arc<[Bit]>],
 ) -> Result<OpOutcome> {
-    let rows: Vec<Arc<[Bit]>> = inputs.iter().map(|r| Arc::from(r.as_slice())).collect();
     let mask = Some(CsTerminal::terminal_of(op));
-    let (_, outcome) = ctx.fc.logic_outcome(BANK, entry, op, &rows, mask)?;
+    let (_, outcome) = ctx.fc.logic_outcome(BANK, entry, op, inputs, mask)?;
     Ok(outcome)
 }
 
@@ -334,22 +343,40 @@ fn logic_records(
         .collect())
 }
 
-/// Runs a (op, N) condition's `draws` random input sets through the
-/// map's `N:N` entry, handing each draw's outcome to `visit` in draw
-/// order (the gate only, nothing read back). This is
-/// the one draw loop of a logic condition: [`run_logic_random`] and
-/// the fleet sweep both run it.
+/// The `draws` (at least one) random `n`-row input sets of a logic
+/// condition keyed by `seed`, in draw order, each row full width
+/// (`cols`) and shared, so one set can ship many times without a copy.
+pub(crate) fn logic_inputs(n: usize, draws: usize, seed: u64, cols: usize) -> Vec<Vec<Arc<[Bit]>>> {
+    (0..draws.max(1))
+        .map(|d| {
+            crate::patterns::random_input_set(
+                n,
+                dram_core::math::mix3(seed, d as u64, n as u64),
+                cols,
+            )
+            .into_iter()
+            .map(Arc::from)
+            .collect()
+        })
+        .collect()
+}
+
+/// Runs an (op, N) condition over prebuilt input sets ([`logic_inputs`])
+/// through the map's `N:N` entry, handing each set's outcome to
+/// `visit` in order (the gate only, nothing read back). This is the one
+/// draw loop of a logic condition: [`run_logic_random`] and the fleet
+/// sweep both run it, the sweep on sets it builds once per chip and
+/// ships at every temperature.
 ///
 /// # Errors
 ///
 /// [`FcdramError::NoPattern`] when the map has no `N:N` entry; the
-/// first failing draw's or visit's error otherwise.
+/// first failing set's or visit's error otherwise.
 pub(crate) fn logic_draws(
     ctx: &mut ModuleCtx,
     op: LogicOp,
     n: usize,
-    draws: usize,
-    seed: u64,
+    sets: &[Vec<Arc<[Bit]>>],
     mut visit: impl FnMut(&PatternEntry, &OpOutcome) -> Result<()>,
 ) -> Result<()> {
     let entry = ctx
@@ -357,14 +384,8 @@ pub(crate) fn logic_draws(
         .find_nn(n)
         .cloned()
         .ok_or(FcdramError::NoPattern { n_rf: n, n_rl: n })?;
-    let cols = ctx.cfg.geometry().cols();
-    for d in 0..draws.max(1) {
-        let inputs = crate::patterns::random_input_set(
-            n,
-            dram_core::math::mix3(seed, d as u64, n as u64),
-            cols,
-        );
-        let outcome = logic_gate(ctx, &entry, op, &inputs)?;
+    for inputs in sets {
+        let outcome = logic_gate(ctx, &entry, op, inputs)?;
         visit(&entry, &outcome)?;
     }
     Ok(())
@@ -380,8 +401,9 @@ pub fn run_logic_random(
     seed: u64,
 ) -> Result<Vec<LogicCellRecord>> {
     let geom = ctx.cfg.geometry();
+    let sets = logic_inputs(n, draws, seed, geom.cols());
     let mut out = Vec::new();
-    logic_draws(ctx, op, n, draws, seed, |entry, outcome| {
+    logic_draws(ctx, op, n, &sets, |entry, outcome| {
         out.extend(logic_records(&geom, entry, op, outcome)?);
         Ok(())
     })?;

@@ -16,11 +16,12 @@
 
 use crate::patterns::DataPattern;
 use crate::report::{Row, Table};
-use crate::runner::{logic_draws, not_gate, ModuleCtx, Scale};
+use crate::runner::{logic_draws, logic_inputs, not_gate, ModuleCtx, Scale};
 use dram_core::fleet::{ChipSpec, FleetConfig};
-use dram_core::{result_role, CellRole, LogicOp, Manufacturer, OpOutcome, Temperature};
-use fcdram::SuccessAccumulator;
+use dram_core::{result_role, Bit, CellRole, LogicOp, Manufacturer, OpOutcome, Temperature};
+use fcdram::{PatternEntry, SuccessAccumulator};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The experiment grid swept on every fleet chip, plus the shard
 /// (thread) count.
@@ -189,31 +190,58 @@ impl ChipResult {
 /// record is built. A logic condition buffers its draws' values, so a
 /// failing draw adds nothing.
 ///
+/// Only work whose results the grid consumes runs. Nothing the sweep
+/// ships depends on the temperature except the outcomes, so the NOT
+/// source rows (one per pattern), the NOT entries (one list per
+/// destination-row count) and every (N, op, draw) logic input set are
+/// built once per chip, before the temperature loop, and shared by
+/// every temperature. Each NOT resolves only its destination subarray
+/// (see [`crate::runner`]'s `not_gate`). Every drawn bit and every
+/// accumulated value is the one a per-temperature rebuild would give.
+///
 /// This is the exact per-chip work [`run_fleet_sweep`] performs; it is
 /// public so the fleet-of-1 bit-identity test can drive the historical
 /// single-chip path through the identical code.
 pub fn chip_sweep(ctx: &mut ModuleCtx, cfg: &SweepConfig, out: &mut ChipResult) {
     let chip_seed = ctx.cfg.chip_seed(ctx.chip);
+    let cols = ctx.cfg.geometry().cols();
+    let samsung = ctx.cfg.manufacturer == Manufacturer::Samsung;
+    let not_srcs: Vec<Arc<[Bit]>> = cfg.patterns.iter().map(|p| p.row(cols).into()).collect();
+    // An empty entry list means the chip's activation map has no such
+    // shape — a capability gap, not a measurement failure.
+    let not_entries: Vec<Vec<PatternEntry>> = cfg
+        .dest_rows
+        .iter()
+        .filter(|d| !samsung || **d == 1)
+        .map(|d| {
+            let mut entries = ctx.not_entries(*d, &cfg.scale);
+            entries.truncate(cfg.scale.execs_per_condition);
+            entries
+        })
+        .filter(|entries| !entries.is_empty())
+        .collect();
+    let mut logic_sets = Vec::new();
+    for (ni, n) in cfg.logic_inputs.iter().enumerate() {
+        if ctx.cfg.max_op_inputs() < *n {
+            continue;
+        }
+        for (oi, op) in cfg.logic_ops.iter().enumerate() {
+            let seed = dram_core::math::mix3(chip_seed, (ni * 64 + oi) as u64, 0x51EE9);
+            let sets = logic_inputs(*n, cfg.scale.input_draws, seed, cols);
+            logic_sets.push((*op, *n, sets));
+        }
+    }
     let mut draws: Vec<f64> = Vec::new();
     for temp in &cfg.scale.temps {
         let sim_cfg = ctx.fc.sim_config().with_temperature(*temp);
         ctx.fc.configure(sim_cfg);
         // NOT conditions: pattern × destination-row count.
-        for pattern in &cfg.patterns {
-            for d in &cfg.dest_rows {
-                if ctx.cfg.manufacturer == Manufacturer::Samsung && *d != 1 {
-                    continue;
-                }
-                let entries = ctx.not_entries(*d, &cfg.scale);
-                if entries.is_empty() {
-                    // The chip's activation map has no such shape — a
-                    // capability gap, not a measurement failure.
-                    continue;
-                }
+        for src in &not_srcs {
+            for entries in &not_entries {
                 out.conditions += 1;
                 let mut measured = false;
-                for entry in entries.iter().take(cfg.scale.execs_per_condition) {
-                    if let Ok(outcome) = not_gate(ctx, entry, *pattern) {
+                for entry in entries {
+                    if let Ok(outcome) = not_gate(ctx, entry, src.clone()) {
                         out.not.extend_from(success_of(&outcome, CellRole::NotDst));
                         measured = true;
                     }
@@ -224,31 +252,24 @@ pub fn chip_sweep(ctx: &mut ModuleCtx, cfg: &SweepConfig, out: &mut ChipResult) 
             }
         }
         // Logic conditions: op × input count, random input draws.
-        for (ni, n) in cfg.logic_inputs.iter().enumerate() {
-            if ctx.cfg.max_op_inputs() < *n {
-                continue;
-            }
-            for (oi, op) in cfg.logic_ops.iter().enumerate() {
-                let seed = dram_core::math::mix3(chip_seed, (ni * 64 + oi) as u64, 0x51EE9);
-                draws.clear();
-                let measured =
-                    logic_draws(ctx, *op, *n, cfg.scale.input_draws, seed, |_, outcome| {
-                        draws.extend(success_of(outcome, result_role(*op)));
-                        Ok(())
-                    });
-                match measured {
-                    Ok(()) if !draws.is_empty() => {
-                        out.conditions += 1;
-                        out.logic.extend_from(draws.iter().copied());
-                        out.shape_mut(*op, *n).extend_from(draws.iter().copied());
-                    }
-                    // No N:N pattern discovered at this budget — a
-                    // capability gap, not a measurement failure.
-                    Err(fcdram::FcdramError::NoPattern { .. }) => {}
-                    _ => {
-                        out.conditions += 1;
-                        out.failures += 1;
-                    }
+        for (op, n, sets) in &logic_sets {
+            draws.clear();
+            let measured = logic_draws(ctx, *op, *n, sets, |_, outcome| {
+                draws.extend(success_of(outcome, result_role(*op)));
+                Ok(())
+            });
+            match measured {
+                Ok(()) if !draws.is_empty() => {
+                    out.conditions += 1;
+                    out.logic.extend_from(draws.iter().copied());
+                    out.shape_mut(*op, *n).extend_from(draws.iter().copied());
+                }
+                // No N:N pattern discovered at this budget — a
+                // capability gap, not a measurement failure.
+                Err(fcdram::FcdramError::NoPattern { .. }) => {}
+                _ => {
+                    out.conditions += 1;
+                    out.failures += 1;
                 }
             }
         }

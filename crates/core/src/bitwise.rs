@@ -549,7 +549,7 @@ impl BulkEngine {
             let ((layout, outcome), role) = match gate {
                 Gate::Not(src) => {
                     let entry = self.not_entry.as_ref().expect("checked by not");
-                    let shipped = self.fc.not_outcome(self.bank, entry, src.clone())?;
+                    let shipped = self.fc.not_outcome(self.bank, entry, src.clone(), None)?;
                     (shipped, CellRole::NotDst)
                 }
                 Gate::Logic(op, rows) => {

@@ -77,6 +77,14 @@ pub struct ActivationMap {
     scanned: usize,
 }
 
+/// One `(N_RF, N_RL)` shape seen by [`ActivationMap::discover`]: its
+/// scanned-pair counts (`N:N`, then `N:2N`) and its kept entries.
+struct ShapeBucket {
+    shape: (usize, usize),
+    counts: [usize; 2],
+    entries: Vec<PatternEntry>,
+}
+
 /// Serializes `BTreeMap`s whose keys are tuples as sequences of
 /// `(key, value)` pairs, so they survive formats (like JSON) that only
 /// allow string object keys.
@@ -135,8 +143,10 @@ impl ActivationMap {
         let rows = geom.rows_per_subarray();
         let total = rows * rows;
         let budget = budget.min(total).max(1);
-        let mut entries: BTreeMap<(usize, usize), Vec<PatternEntry>> = BTreeMap::new();
-        let mut shape_counts: BTreeMap<(usize, usize, bool), usize> = BTreeMap::new();
+        // A decoder yields a handful of shapes, so each is counted and
+        // its entries kept in a small flat bucket found by a linear
+        // scan; the two maps are collected once at the end.
+        let mut buckets: Vec<ShapeBucket> = Vec::new();
         let mut scanned = 0usize;
         // Deterministic pseudo-random walk through the pair space so
         // the retained entries sample all row positions (the stored
@@ -155,10 +165,20 @@ impl ActivationMap {
                 dev.decoder().activation_shape(&geom, rf, rl)
             {
                 let shape = (usize::from(n_rf), usize::from(n_rl));
-                *shape_counts
-                    .entry((shape.0, shape.1, kind == PatternKind::N2N))
-                    .or_insert(0) += 1;
-                let list = entries.entry(shape).or_default();
+                let at = match buckets.iter().position(|b| b.shape == shape) {
+                    Some(at) => at,
+                    None => {
+                        buckets.push(ShapeBucket {
+                            shape,
+                            counts: [0; 2],
+                            entries: Vec::new(),
+                        });
+                        buckets.len() - 1
+                    }
+                };
+                let bucket = &mut buckets[at];
+                bucket.counts[usize::from(kind == PatternKind::N2N)] += 1;
+                let list = &mut bucket.entries;
                 if list.len() < cap_per_shape {
                     let MultiActivation::CrossSubarray {
                         first_rows,
@@ -179,6 +199,15 @@ impl ActivationMap {
             }
             scanned += 1;
         }
+        let mut shape_counts = BTreeMap::new();
+        for b in &buckets {
+            for (n2n, count) in [false, true].into_iter().zip(b.counts) {
+                if count > 0 {
+                    shape_counts.insert((b.shape.0, b.shape.1, n2n), count);
+                }
+            }
+        }
+        let entries = buckets.into_iter().map(|b| (b.shape, b.entries)).collect();
         Ok(ActivationMap {
             bank,
             pair,

@@ -370,7 +370,7 @@ impl Fcdram {
     }
 
     /// Ships one gate program — the gate `build` emits, arming `mask`
-    /// for its charge share — and returns the layout and the outcome of
+    /// for its multi-row activation — and returns the layout and the outcome of
     /// the program's last recognized operation, the gate's own.
     fn ship(
         &mut self,
@@ -398,10 +398,21 @@ impl Fcdram {
 
     /// NOT (§5.1) through `entry`: the staging of the full-width source
     /// row `src` and the tRP-violating copy-invert ship as one program
-    /// ([`GateSite::not`]), and nothing is read back. Returns where the result landed (the destination
-    /// rows) and the outcome: its kind carries the activated shape
-    /// (`N_RF`, `N_RL`), its cells every destination cell's success
-    /// probability ([`dram_core::CellRole::NotDst`]).
+    /// ([`GateSite::not`]), and nothing is read back. Returns where the
+    /// result landed (the destination rows) and the outcome: its kind
+    /// carries the activated shape (`N_RF`, `N_RL`), its cells every
+    /// destination cell's success probability
+    /// ([`dram_core::CellRole::NotDst`]).
+    ///
+    /// `mask` scopes what the copy resolves, as in
+    /// [`Fcdram::logic_outcome`]. `None` resolves every raised row.
+    /// `Some(CsTerminal::Compute)` resolves only the destination
+    /// subarray's rows (`NotDst` and `OffMaj` cells, drawn and recorded
+    /// exactly as unmasked) and leaves the extra source-side rows
+    /// (`SrcCopy`) as they were: exact for everything the outcome's
+    /// destination cells report, and safe when no extra source row is
+    /// read before it is next written, as in characterization
+    /// ([`dram_core::Chip::multi_act_copy_masked`]).
     ///
     /// # Errors
     ///
@@ -413,9 +424,10 @@ impl Fcdram {
         bank: BankId,
         entry: &PatternEntry,
         src: Arc<[Bit]>,
+        mask: Option<CsTerminal>,
     ) -> Result<(GateLayout, OpOutcome)> {
         check_widths(self.cols(), std::slice::from_ref(&src))?;
-        let (gate, outcome) = self.ship(bank, None, |site, b| {
+        let (gate, outcome) = self.ship(bank, mask, |site, b| {
             // Both addressed rows must resolve before anything ships.
             upper_subarray(&site.geom, entry)?;
             site.not(b, entry, src)
@@ -613,7 +625,7 @@ mod tests {
             .expect("a small NOT pattern");
         let src = pattern(11, fc.cols());
         let (layout, outcome) = fc
-            .not_outcome(BankId(0), &entry, src.clone().into())
+            .not_outcome(BankId(0), &entry, src.clone().into(), None)
             .unwrap();
         assert!(matches!(outcome.kind, OutcomeKind::Not { .. }));
         let want: Vec<Bit> = src.iter().map(|b| b.not()).collect();
@@ -717,7 +729,7 @@ mod tests {
         };
         let before = pair_rows(&fc);
         let err = fc
-            .not_outcome(BankId(0), &entry, Arc::from([Bit::One; 3]))
+            .not_outcome(BankId(0), &entry, Arc::from([Bit::One; 3]), None)
             .unwrap_err();
         assert!(matches!(err, FcdramError::WidthMismatch { .. }));
         let short = rows(&[pattern(1, fc.cols()), pattern(2, 3)]);
@@ -810,6 +822,81 @@ mod tests {
         let ins = vec![vec![Bit::One; 32]];
         let err = logic(&mut fc, &entry, LogicOp::And, &ins).unwrap_err();
         assert!(matches!(err, FcdramError::OpFailed { .. }));
+    }
+
+    /// A destination-only NOT (`Some(CsTerminal::Compute)`) against an
+    /// unmasked twin, on two Table-1 parts and every discovered shape
+    /// (multi-row ones included), one after another on one chip: the
+    /// destination subarray stores the same bits, the outcome carries
+    /// the same `NotDst`/`OffMaj` records and statistics and no
+    /// `SrcCopy` record, and the extra source rows keep what they held.
+    #[test]
+    fn destination_only_not_matches_an_unmasked_twin() {
+        let parts: Vec<ModuleConfig> = table1()
+            .into_iter()
+            .filter(|m| m.manufacturer == dram_core::Manufacturer::SkHynix)
+            .collect();
+        let bank = BankId(0);
+        let mut multi_row = 0;
+        for cfg in [&parts[0], &parts[parts.len() - 1]] {
+            let cfg = cfg.clone().with_modeled_cols(64);
+            let mut masked = Fcdram::new(cfg.clone());
+            let mut twin = Fcdram::new(cfg.clone());
+            let map = map_for(&mut masked);
+            let geom = cfg.geometry();
+            let cols = geom.cols();
+            let direct = |fc: &Fcdram, g: GlobalRow| {
+                let chip = fc.bender().module().chip(fc.chip()).unwrap();
+                chip.read_row_direct(bank, g).unwrap()
+            };
+            for (k, (n_rf, n_rl)) in map.shapes().into_iter().enumerate() {
+                let entry = map.find(n_rf, n_rl)[0].clone();
+                let ctx = format!("{} {n_rf}:{n_rl}", cfg.name);
+                multi_row += usize::from(n_rf > 1 && n_rl > 1);
+                let (sub_f, loc_f) = geom.split_row(entry.rf).unwrap();
+                let (sub_l, _) = geom.split_row(entry.rl).unwrap();
+                let extra: Vec<GlobalRow> = (entry.first_rows.iter())
+                    .filter(|r| **r != loc_f)
+                    .map(|r| geom.join_row(sub_f, *r).unwrap())
+                    .collect();
+                let dst: Vec<GlobalRow> = (entry.second_rows.iter())
+                    .map(|r| geom.join_row(sub_l, *r).unwrap())
+                    .collect();
+                let old: Vec<Vec<Bit>> = (0..extra.len() + dst.len())
+                    .map(|i| pattern((1000 * k + i) as u64, cols))
+                    .collect();
+                for fc in [&mut masked, &mut twin] {
+                    for (g, bits) in extra.iter().chain(&dst).zip(&old) {
+                        fc.write_row(bank, *g, bits.clone()).unwrap();
+                    }
+                }
+                let src: Arc<[Bit]> = pattern(77 + k as u64, cols).into();
+                let mask = Some(CsTerminal::Compute);
+                let (_, got) = masked.not_outcome(bank, &entry, src.clone(), mask).unwrap();
+                let (_, want) = twin.not_outcome(bank, &entry, src, None).unwrap();
+                for g in &dst {
+                    assert_eq!(direct(&masked, *g), direct(&twin, *g), "{ctx}: row {g:?}");
+                }
+                let dst_side = |c: &&dram_core::CellOutcome| c.role != CellRole::SrcCopy;
+                let want_cells: Vec<_> = want.cells.iter().filter(dst_side).copied().collect();
+                assert_eq!(got.cells, want_cells, "{ctx}: destination records");
+                assert_eq!(got.kind, want.kind, "{ctx}");
+                for role in [CellRole::NotDst, CellRole::OffMaj] {
+                    assert_eq!(
+                        got.stats.role(role),
+                        want.stats.role(role),
+                        "{ctx}: {role:?}"
+                    );
+                }
+                assert_eq!(got.stats.role(CellRole::SrcCopy).count, 0, "{ctx}");
+                let copies = want.stats.role(CellRole::SrcCopy).count;
+                assert_eq!(copies, extra.len() * cols, "{ctx}: the twin copies");
+                for (g, bits) in extra.iter().zip(&old) {
+                    assert_eq!(&direct(&masked, *g), bits, "{ctx}: source row {g:?} kept");
+                }
+            }
+        }
+        assert!(multi_row > 0, "no multi-row NOT shape was exercised");
     }
 
     /// A logic gate's figures recomputed on a twin stack that stages

@@ -66,11 +66,24 @@ impl SuccessAccumulator {
         self.bins[bin] += 1;
     }
 
-    /// Records many success rates.
+    /// Records many success rates: bit-identical to calling
+    /// [`push`](Self::push) on each in order. Count, sum, min and max
+    /// live in locals for the whole loop (the histogram stays in
+    /// place), so the hot loop does not store them back per value; the
+    /// sum adds in the same order.
     pub fn extend_from(&mut self, ps: impl IntoIterator<Item = f64>) {
+        let (mut count, mut sum, mut min, mut max) = (self.count, self.sum, self.min, self.max);
+        let bins = self.bins.as_mut_slice();
         for p in ps {
-            self.push(p);
+            let p = p.clamp(0.0, 1.0);
+            count += 1;
+            sum += p;
+            min = min.min(p);
+            max = max.max(p);
+            let bin = ((p * ACCUMULATOR_BINS as f64) as usize).min(ACCUMULATOR_BINS - 1);
+            bins[bin] += 1;
         }
+        (self.count, self.sum, self.min, self.max) = (count, sum, min, max);
     }
 
     /// Absorbs another accumulator. Histogram, count, min, and max are
@@ -395,6 +408,53 @@ mod tests {
         let json = serde_json::to_string(&acc).unwrap();
         let back: SuccessAccumulator = serde_json::from_str(&json).unwrap();
         assert_eq!(back, acc);
+    }
+
+    #[test]
+    fn extend_from_equals_repeated_push_bit_for_bit() {
+        let unit = |i: u64| dram_core::math::hash_to_unit(dram_core::math::mix2(0xE7E, i));
+        let random: Vec<f64> = (0..4000).map(unit).collect();
+        // Out of range on both sides, so clamping decides min, max and
+        // the edge bins.
+        let clamped: Vec<f64> = (0..4000).map(|i| 3.0 * unit(i) - 1.0).collect();
+        let constant = vec![0.731; 257];
+        for (name, values) in [
+            ("random", &random),
+            ("clamped", &clamped),
+            ("constant", &constant),
+        ] {
+            // From empty, and on top of earlier values (so the loop
+            // starts from stored state, not the identities).
+            for prefix in [0, 100] {
+                let mut pushed = SuccessAccumulator::new();
+                let mut extended = SuccessAccumulator::new();
+                for p in &values[..prefix] {
+                    pushed.push(*p);
+                    extended.push(*p);
+                }
+                for p in &values[prefix..] {
+                    pushed.push(*p);
+                }
+                extended.extend_from(values[prefix..].iter().copied());
+                assert_eq!(extended.count, pushed.count, "{name}/{prefix}: count");
+                assert_eq!(
+                    extended.sum.to_bits(),
+                    pushed.sum.to_bits(),
+                    "{name}/{prefix}: sum"
+                );
+                assert_eq!(
+                    extended.min.to_bits(),
+                    pushed.min.to_bits(),
+                    "{name}/{prefix}"
+                );
+                assert_eq!(
+                    extended.max.to_bits(),
+                    pushed.max.to_bits(),
+                    "{name}/{prefix}"
+                );
+                assert_eq!(extended.bins, pushed.bins, "{name}/{prefix}: bins");
+            }
+        }
     }
 
     #[test]

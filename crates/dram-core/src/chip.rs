@@ -90,6 +90,13 @@ impl CellRole {
 /// column order, so [`OpOutcome::mean_success`] is bit-identical to the
 /// whole-terminal scope; they draw nothing, keep their staged values
 /// and emit no [`CellOutcome`].
+///
+/// A cross-subarray copy (NOT) reads the scope by side: the `rl`
+/// (destination) subarray is its compute side and the `rf` (source)
+/// subarray its reference side. A scope that leaves the reference
+/// terminal unresolved (`Compute`, `ComputeFirstRow`) skips the extra
+/// source-side rows ([`CellRole::SrcCopy`]); the destination rows
+/// always resolve in full (see [`Chip::multi_act_copy_masked`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CsTerminal {
     /// Resolve both terminals and the non-shared majority half.
@@ -316,9 +323,12 @@ struct Recorder {
 }
 
 impl Recorder {
-    fn new(telemetry: Telemetry) -> Self {
+    /// A recorder for an operation that records exactly `cells` cells:
+    /// under full telemetry the record vector is allocated once, at
+    /// that size.
+    fn new(telemetry: Telemetry, cells: usize) -> Self {
         Recorder {
-            cells: telemetry.per_cell().then(Vec::new),
+            cells: telemetry.per_cell().then(|| Vec::with_capacity(cells)),
             stats: OutcomeStats::default(),
         }
     }
@@ -397,6 +407,10 @@ impl Recorder {
     }
 
     fn finish(self, kind: OutcomeKind) -> OpOutcome {
+        debug_assert!(
+            self.cells.as_ref().is_none_or(|c| c.len() == c.capacity()),
+            "a kernel recorded a different number of cells than it reserved"
+        );
         OpOutcome {
             kind,
             cells: self.cells.unwrap_or_default(),
@@ -435,14 +449,29 @@ struct CsTables {
     sides: [CsSide; 2],
 }
 
-/// NOT-sequence tables for one `(bank, rf, rl)` activation: per
-/// destination row the shared-column CDF, and per extra source row
-/// (source row itself excluded) the full-width copy CDF with the
-/// stripe-parity sense-amp term baked in.
-#[derive(Debug, Clone)]
-struct NotTables {
-    dst: Vec<Box<[f64]>>,
-    src: Vec<Box<[f64]>>,
+/// One CDF table per raised row of one side of a NOT activation.
+type RowTables = Arc<[Box<[f64]>]>;
+
+/// A cross-subarray NOT activation, as its success tables see it.
+struct NotAct<'a> {
+    /// `(bank, rf, rl)`.
+    key: MemoKey,
+    first_rows: &'a [LocalRow],
+    second_rows: &'a [LocalRow],
+    sub_f: SubarrayId,
+    sub_l: SubarrayId,
+    loc_f: LocalRow,
+}
+
+impl NotAct<'_> {
+    fn bank(&self) -> BankId {
+        BankId(self.key.0 as usize)
+    }
+
+    /// The upper subarray of the pair (it owns the shared stripe).
+    fn upper(&self) -> SubarrayId {
+        SubarrayId(self.sub_f.index().min(self.sub_l.index()))
+    }
 }
 
 /// Memoized kernel CDF tables. Everything data-*independent* in the
@@ -456,7 +485,13 @@ struct NotTables {
 #[derive(Debug, Clone, Default)]
 struct KernelMemo {
     cs: HashMap<MemoKey, CsTables>,
-    not: HashMap<MemoKey, Arc<NotTables>>,
+    /// NOT tables by `(bank, rf, rl)`: per destination row the
+    /// shared-column CDF, and (built only when a copy resolves its
+    /// source side) per extra source row, source row itself excluded,
+    /// the full-width copy CDF with the stripe-parity sense-amp term
+    /// baked in.
+    not_dst: HashMap<MemoKey, RowTables>,
+    not_src: HashMap<MemoKey, RowTables>,
     maj: HashMap<MemoKey, Arc<[f64]>>,
     clone: HashMap<MemoKey, Arc<[f64]>>,
 }
@@ -464,7 +499,8 @@ struct KernelMemo {
 impl KernelMemo {
     fn clear(&mut self) {
         self.cs.clear();
-        self.not.clear();
+        self.not_dst.clear();
+        self.not_src.clear();
         self.maj.clear();
         self.clone.clear();
     }
@@ -934,7 +970,7 @@ impl Chip {
             self.frac_rows.insert(key, fr);
         }
         let fr = &self.frac_rows[&key];
-        let mut rec = Recorder::new(self.fidelity.telemetry);
+        let mut rec = Recorder::new(self.fidelity.telemetry, cols);
         self.banks[bank.index()]
             .subarray_mut(sub)
             .row_mut(local)
@@ -1037,48 +1073,39 @@ impl Chip {
         t
     }
 
-    /// Success-CDF tables for one cross-subarray NOT activation pair.
-    /// The whole z-score of both the shared-column NOT kernel and the
-    /// source-copy kernel is data-independent, so the final clamped
-    /// CDF is stored outright.
-    #[allow(clippy::too_many_arguments)]
-    fn memo_not_tables(
-        &mut self,
-        bank: BankId,
-        rf: GlobalRow,
-        rl: GlobalRow,
-        first_rows: &[LocalRow],
-        second_rows: &[LocalRow],
-        sub_f: SubarrayId,
-        sub_l: SubarrayId,
-        loc_f: LocalRow,
-    ) -> Arc<NotTables> {
-        let key = (bank.index() as u32, rf.index() as u32, rl.index() as u32);
-        if let Some(t) = self.memo.not.get(&key) {
+    /// The data-independent z-score base of a cell of row `row` in
+    /// subarray `sub` under the cross-subarray NOT activation `act`.
+    fn not_base(&self, act: &NotAct, sub: SubarrayId, row: LocalRow) -> f64 {
+        let rows_per_sub = self.geom.rows_per_subarray();
+        let upper = act.upper();
+        self.model.not_z_base(&NotEvent {
+            total_rows: act.first_rows.len() + act.second_rows.len(),
+            src_dist: dist_to_stripe(act.loc_f, rows_per_sub, act.sub_f, upper),
+            dst_dist: dist_to_stripe(row, rows_per_sub, sub, upper),
+            temperature: self.temperature,
+        })
+    }
+
+    /// Success-CDF tables of a cross-subarray NOT's destination rows:
+    /// the whole z-score is data-independent, so the final clamped CDF
+    /// of each shared column is stored outright.
+    fn memo_not_dst(&mut self, act: &NotAct) -> RowTables {
+        if let Some(t) = self.memo.not_dst.get(&act.key) {
             return t.clone();
         }
+        let bank = act.bank();
         let cols = self.geom.cols();
-        let rows_per_sub = self.geom.rows_per_subarray();
-        let temp = self.temperature;
-        let upper = SubarrayId(sub_f.index().min(sub_l.index()));
-        let stripe = upper.index() + 1;
-        let k_total = first_rows.len() + second_rows.len();
-        let src_dist = dist_to_stripe(loc_f, rows_per_sub, sub_f, upper);
+        let upper = act.upper();
         let shared_start = (upper.index() + 1) % 2;
-        let sa_shared = self.cache.sa_z(self.model.variation(), bank, stripe, cols);
-        let mut dst = Vec::with_capacity(second_rows.len());
-        for row in second_rows {
-            let dst_dist = dist_to_stripe(*row, rows_per_sub, sub_l, upper);
-            let ev = NotEvent {
-                total_rows: k_total,
-                src_dist,
-                dst_dist,
-                temperature: temp,
-            };
-            let base = self.model.not_z_base(&ev);
+        let sa_shared = self
+            .cache
+            .sa_z(self.model.variation(), bank, upper.index() + 1, cols);
+        let mut dst = Vec::with_capacity(act.second_rows.len());
+        for row in act.second_rows {
+            let base = self.not_base(act, act.sub_l, *row);
             let nz = self
                 .cache
-                .not_z(self.model.variation(), bank, sub_l, *row, cols);
+                .not_z(self.model.variation(), bank, act.sub_l, *row, cols);
             let mut t = vec![0.0f64; cols].into_boxed_slice();
             for c in (shared_start..cols).step_by(2) {
                 t[c] = normal_cdf(base + SIGMA_CELL_NOT * nz[c] + SIGMA_SA_NOT * sa_shared[c])
@@ -1086,31 +1113,41 @@ impl Chip {
             }
             dst.push(t);
         }
+        let t: RowTables = dst.into();
+        if self.memo.not_dst.len() >= MEMO_CAP {
+            self.memo.not_dst.clear();
+        }
+        self.memo.not_dst.insert(act.key, t.clone());
+        t
+    }
+
+    /// Success-CDF tables of a cross-subarray NOT's extra source rows
+    /// (the source row itself excluded), full width, with the sense amp
+    /// serving each column baked in.
+    fn memo_not_src(&mut self, act: &NotAct) -> RowTables {
+        if let Some(t) = self.memo.not_src.get(&act.key) {
+            return t.clone();
+        }
+        let bank = act.bank();
+        let cols = self.geom.cols();
         // The sense amp serving a source cell alternates stripes with
         // column parity; bake the selected draw into the table.
         let sa_above = self
             .cache
-            .sa_z(self.model.variation(), bank, sub_f.index(), cols);
+            .sa_z(self.model.variation(), bank, act.sub_f.index(), cols);
         let sa_below = self
             .cache
-            .sa_z(self.model.variation(), bank, sub_f.index() + 1, cols);
-        let parity = sub_f.index() % 2;
+            .sa_z(self.model.variation(), bank, act.sub_f.index() + 1, cols);
+        let parity = act.sub_f.index() % 2;
         let mut src = Vec::new();
-        for row in first_rows {
-            if *row == loc_f {
+        for row in act.first_rows {
+            if *row == act.loc_f {
                 continue;
             }
-            let dst_dist = dist_to_stripe(*row, rows_per_sub, sub_f, upper);
-            let ev = NotEvent {
-                total_rows: k_total,
-                src_dist,
-                dst_dist,
-                temperature: temp,
-            };
-            let base = self.model.not_z_base(&ev);
+            let base = self.not_base(act, act.sub_f, *row);
             let nz = self
                 .cache
-                .not_z(self.model.variation(), bank, sub_f, *row, cols);
+                .not_z(self.model.variation(), bank, act.sub_f, *row, cols);
             let mut t = vec![0.0f64; cols].into_boxed_slice();
             for (c, slot) in t.iter_mut().enumerate() {
                 let sz = if (c + parity).is_multiple_of(2) {
@@ -1123,11 +1160,11 @@ impl Chip {
             }
             src.push(t);
         }
-        let t = Arc::new(NotTables { dst, src });
-        if self.memo.not.len() >= MEMO_CAP {
-            self.memo.not.clear();
+        let t: RowTables = src.into();
+        if self.memo.not_src.len() >= MEMO_CAP {
+            self.memo.not_src.clear();
         }
-        self.memo.not.insert(key, t.clone());
+        self.memo.not_src.insert(act.key, t.clone());
         t
     }
 
@@ -1220,6 +1257,34 @@ impl Chip {
         rf: GlobalRow,
         rl: GlobalRow,
     ) -> Result<OpOutcome> {
+        self.multi_act_copy_masked(bank, rf, rl, CsTerminal::Both)
+    }
+
+    /// Copy resolving only the cells the caller will read.
+    ///
+    /// A cross-subarray copy under a scope that leaves the reference
+    /// terminal unresolved ([`CsTerminal::Compute`] or
+    /// [`CsTerminal::ComputeFirstRow`]) resolves only the destination
+    /// subarray's rows — their [`CellRole::NotDst`] and
+    /// [`CellRole::OffMaj`] cells draw, store and record exactly what
+    /// [`Chip::multi_act_copy`] would — and skips the extra source-side
+    /// rows: no draw, no record, no success table. Every other scope,
+    /// and every in-subarray RowClone, resolves every raised row. Draws
+    /// key on the operation, row and column, so the skipped rows move
+    /// no other cell's draw.
+    ///
+    /// Skipped rows keep their old values, so masking is only safe when
+    /// the caller never reads an extra source row before rewriting it.
+    /// Characterization guarantees this: every NOT stages its source
+    /// row, every logic operation stages every raised row, and nothing
+    /// reads a result back.
+    pub fn multi_act_copy_masked(
+        &mut self,
+        bank: BankId,
+        rf: GlobalRow,
+        rl: GlobalRow,
+        need: CsTerminal,
+    ) -> Result<OpOutcome> {
         self.geom.check_row(rf)?;
         self.geom.check_row(rl)?;
         self.geom.check_bank(bank)?;
@@ -1254,7 +1319,8 @@ impl Chip {
                 self.charge_disturbance(bank, sub_f, rows.len() as u64);
                 // RowClone: every raised row except rf receives rf.
                 let mut src = self.source_voltages(bank, sub_f, loc_f);
-                let mut rec = Recorder::new(telemetry);
+                let dsts = rows.iter().filter(|r| **r != loc_f).count();
+                let mut rec = Recorder::new(telemetry, dsts * cols);
                 for row in &rows {
                     if *row == loc_f {
                         continue;
@@ -1291,22 +1357,28 @@ impl Chip {
                 let upper = SubarrayId(sub_f.index().min(sub_l.index()));
                 let mut src = self.source_voltages(bank, sub_f, loc_f);
                 let shared_start = (upper.index() + 1) % 2;
-                let mut rec = Recorder::new(telemetry);
-                let nt = self.memo_not_tables(
-                    bank,
-                    rf,
-                    rl,
-                    &first_rows,
-                    &second_rows,
+                let act = NotAct {
+                    key: (bank.index() as u32, rf.index() as u32, rl.index() as u32),
+                    first_rows: &first_rows,
+                    second_rows: &second_rows,
                     sub_f,
                     sub_l,
                     loc_f,
-                );
+                };
+                let dst_tabs = self.memo_not_dst(&act);
+                let src_tabs = need.resolves_reference().then(|| self.memo_not_src(&act));
 
                 // Destination rows: shared columns get ¬src; off
                 // columns re-sense themselves (majority among the
                 // raised destination rows — identical values retained).
                 let n_dst = second_rows.len();
+                let dst_cells = if n_dst == 1 {
+                    (cols - shared_start).div_ceil(2)
+                } else {
+                    n_dst * cols
+                };
+                let src_cells = src_tabs.as_ref().map_or(0, |t| t.len() * cols);
+                let mut rec = Recorder::new(telemetry, dst_cells + src_cells);
                 let off_start = 1 - shared_start;
                 let mut sc = std::mem::take(&mut self.scratch);
                 sc.fit(cols);
@@ -1322,7 +1394,7 @@ impl Chip {
                     );
                 }
                 for (ri, row) in second_rows.iter().enumerate() {
-                    let dst_tab = &nt.dst[ri];
+                    let dst_tab = &dst_tabs[ri];
                     let sampler = self.row_sampler(op, sub_l, *row);
                     if n_dst == 1 {
                         let slice = self.banks[bank.index()].subarray_mut(sub_l).row_mut(*row);
@@ -1374,8 +1446,9 @@ impl Chip {
                 // column (all bitlines of the source subarray are
                 // latched at src's values); the per-row CDF — sense-amp
                 // stripe parity included — comes from the memo table.
+                // A destination-only scope skips them.
                 let extra = first_rows.iter().filter(|r| **r != loc_f);
-                for (row, src_tab) in extra.zip(&nt.src) {
+                for (row, src_tab) in extra.zip(src_tabs.iter().flat_map(|t| t.iter())) {
                     let sampler = self.row_sampler(op, sub_f, *row);
                     let slice = self.banks[bank.index()].subarray_mut(sub_f).row_mut(*row);
                     rec.resolve_row(
@@ -1520,7 +1593,7 @@ impl Chip {
                 // so a single upfront snapshot is exact.
                 let n = rows.len();
                 let dexp = self.disturb_exponent(bank, sub_ref);
-                let mut rec = Recorder::new(telemetry);
+                let mut rec = Recorder::new(telemetry, if n >= 2 { n * cols } else { 0 });
                 if n >= 2 {
                     let mut sc = std::mem::take(&mut self.scratch);
                     sc.fit(cols);
@@ -1636,7 +1709,27 @@ impl Chip {
                 // pressure (1.0 without a policy — the no-op path).
                 let dexp_ref = self.disturb_exponent(bank, sub_ref);
                 let dexp_com = self.disturb_exponent(bank, sub_com);
-                let mut rec = Recorder::new(telemetry);
+                // Records: n_shared per drawn terminal row, and each
+                // majority-resolved side's rows on the other half.
+                let drawn_rows =
+                    |resolve: bool, n_side: usize| match (resolve, need.first_row_only()) {
+                        (false, _) => 0,
+                        (true, true) => n_side.min(1),
+                        (true, false) => n_side,
+                    };
+                let n_off = (cols - (1 - shared_start)).div_ceil(2);
+                let off_rows = |n_side: usize| {
+                    if need == CsTerminal::Both && n_side >= 2 {
+                        n_side
+                    } else {
+                        0
+                    }
+                };
+                let cells = n_shared
+                    * (drawn_rows(need.resolves_compute(), n_com)
+                        + drawn_rows(need.resolves_reference(), n_ref))
+                    + n_off * (off_rows(n_com) + off_rows(n_ref));
+                let mut rec = Recorder::new(telemetry, cells);
                 let key = (
                     bank.index() as u32,
                     r_ref.index() as u32,

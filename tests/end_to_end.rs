@@ -132,7 +132,7 @@ fn samsung_not_works_but_logic_does_not() {
     let src = characterize::patterns::DataPattern::Random(5).row(32);
     let (_, outcome) = ctx
         .fc
-        .not_outcome(BankId(0), &entry, src.clone().into())
+        .not_outcome(BankId(0), &entry, src.clone().into(), None)
         .unwrap();
     let predicted = outcome.mean_success(CellRole::NotDst).unwrap();
     assert!(predicted > 0.7, "{predicted}");

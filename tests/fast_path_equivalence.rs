@@ -139,11 +139,11 @@ fn packed_not_matches_telemetry_report() {
     let shared = shared_cols(cols, SubarrayId(0));
     let src = lanes(11, shared.len());
     let (layout, report) = full
-        .not_outcome(BANK, &entry, staged(&src, cols, &shared).into())
+        .not_outcome(BANK, &entry, staged(&src, cols, &shared).into(), None)
         .unwrap();
     let reads = read_results(&mut full, BANK, &layout);
     let (fast_layout, fast_res) = fast
-        .not_outcome(BANK, &entry, src.expand_strided(cols, shared[0]))
+        .not_outcome(BANK, &entry, src.expand_strided(cols, shared[0]), None)
         .unwrap();
     let result = fast
         .read_lanes(BANK, fast_layout.result_rows[0], shared[0], shared.len())

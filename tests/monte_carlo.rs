@@ -18,7 +18,7 @@ fn not_with_reads(
     entry: &PatternEntry,
     src: &[Bit],
 ) -> fcdram::Result<(GateLayout, OpOutcome, Reads, f64)> {
-    let (layout, outcome) = fc.not_outcome(BankId(0), entry, src.into())?;
+    let (layout, outcome) = fc.not_outcome(BankId(0), entry, src.into(), None)?;
     let reads = read_results(fc, BankId(0), &layout);
     let want: Vec<Bit> = src.iter().map(|b| b.not()).collect();
     let observed = accuracy(&reads, &shared_cols(fc.cols(), SubarrayId(0)), &want);
@@ -200,7 +200,7 @@ fn ten_thousand_trial_methodology() {
         .cloned()
         .expect("4-dest pattern");
     let src = DataPattern::Random(9).row(fc.cols());
-    let (_, outcome) = fc.not_outcome(BankId(0), &entry, src.into()).unwrap();
+    let (_, outcome) = fc.not_outcome(BankId(0), &entry, src.into(), None).unwrap();
     for (i, cell) in outcome
         .cells
         .iter()
@@ -312,7 +312,9 @@ fn micron_not_leaves_memory_untouched() {
         kind: dram_core::PatternKind::NN,
     };
     let src = DataPattern::Random(1).row(32);
-    let err = fc.not_outcome(BankId(0), &entry, src.into()).unwrap_err();
+    let err = fc
+        .not_outcome(BankId(0), &entry, src.into(), None)
+        .unwrap_err();
     assert!(matches!(err, fcdram::FcdramError::OpFailed { .. }));
     assert_eq!(fc.read_row(BankId(0), GlobalRow(512)).unwrap(), before);
 }

@@ -221,7 +221,7 @@ fn observe_characterization() -> Vec<[u64; 6]> {
     for seed in [1u64, 2] {
         let src = row_pattern(seed, CHAR_COLS);
         let (layout, outcome) = fc
-            .not_outcome(bank, &not_entry, src.clone().into())
+            .not_outcome(bank, &not_entry, src.clone().into(), None)
             .unwrap();
         let OutcomeKind::Not { n_rf, n_rl, .. } = outcome.kind else {
             panic!("NOT produced {:?}", outcome.kind);
