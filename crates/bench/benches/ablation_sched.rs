@@ -25,19 +25,14 @@
 //!   cross-job fusion shape the executor and the daemon's
 //!   `fc_fused_jobs_total` counter derive from).
 
-use characterize::serve::{build_batch, DEMO_MIX};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dram_core::FleetConfig;
+use fcdram_bench::sched_mix::{demo_batch, exact_counts, JOBS};
 use fcsched::{serve_batch, Batch, SchedPolicy};
 use fcsynth::CostModel;
 
 /// Fleet sizes swept by the ablation.
 const CHIP_COUNTS: [usize; 3] = [1, 4, 16];
-/// Batch size: enough jobs that every fleet size has real multi-tenant
-/// contention.
-const JOBS: usize = 48;
-/// SIMD lanes per job.
-const LANES: usize = 256;
 
 /// Worker threads for the sharded configuration: one per CPU, floored
 /// at 2 so the threaded path is exercised even on one core.
@@ -45,11 +40,6 @@ fn worker_threads() -> usize {
     std::thread::available_parallelism()
         .map_or(1, |n| n.get())
         .clamp(2, 16)
-}
-
-fn demo_batch(cost: &CostModel) -> Batch {
-    let exprs: Vec<String> = DEMO_MIX.iter().map(|s| s.to_string()).collect();
-    build_batch(&exprs, JOBS, LANES, 0xBA7C4, cost, 16).expect("demo mix compiles")
 }
 
 /// One full schedule+execute pass; returns the retry count so the
@@ -74,12 +64,12 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(serve(&batch, &cost, chips, threads)));
         });
     }
-    write_summary(&cost, &batch, threads);
+    write_summary(threads);
 }
 
 /// Writes the wall-clock measurements plus derived throughput and
 /// deterministic batch-shape entries to `BENCH_sched.json`.
-fn write_summary(cost: &CostModel, batch: &Batch, threads: usize) {
+fn write_summary(threads: usize) {
     let results = criterion::results();
     let mean_of =
         |id: &str| -> Option<f64> { results.iter().find(|r| r.id == id).map(|r| r.mean_ns) };
@@ -134,42 +124,14 @@ fn write_summary(cost: &CostModel, batch: &Batch, threads: usize) {
         }
     }
     // Deterministic batch shape under the default policy on the
-    // 4-chip fleet: what got scheduled, independent of wall clock.
-    let fleet = FleetConfig::table1(4);
-    let policy = SchedPolicy::default().with_shards(1);
-    let report = serve_batch(&fleet, cost, &policy, batch).expect("batch schedules");
-    println!(
-        "sched_jobs/mix: {} jobs, {} native ops, {} remapped, {} flagged, {} retries",
-        report.jobs(),
-        report.native_ops(),
-        report.remapped(),
-        report.flagged(),
-        report.total_retries()
-    );
-    derived(
-        "sched_jobs/mix".to_string(),
-        report.jobs() as f64,
-        report.succeeded() as u64,
-    );
-    derived(
-        "sched_native_ops/mix".to_string(),
-        report.native_ops() as f64,
-        report.total_retries(),
-    );
-    // Deterministic cross-job fusion shape of the same plan: how many
-    // jobs sit in same-(chip, program, lanes) fusion groups of two or
-    // more, adjacency-independent. A pure function of (fleet, batch,
-    // policy) — independent of the shard count and the backend — so
-    // the daemon's `fc_fused_jobs_total` counter is pinned here.
-    let plan = fcsched::Planner::new(&fleet, cost, &policy)
-        .plan(batch)
-        .expect("batch plans");
-    let fused = fcsched::fused_jobs(batch, &plan);
-    println!(
-        "sched_fused_jobs/mix: {fused} of {} jobs in fused runs",
-        report.jobs()
-    );
-    derived("sched_fused_jobs/mix".to_string(), fused as f64, 1);
+    // 4-chip fleet: what got scheduled and how many jobs sit in fusion
+    // groups, independent of wall clock. The fusion count is
+    // independent of the shard count and the backend, so the daemon's
+    // `fc_fused_jobs_total` counter is pinned here too.
+    for (id, value, iterations) in exact_counts() {
+        println!("{id}: {value} ({iterations})");
+        derived(id.to_string(), value, iterations);
+    }
     let json = serde_json::to_string_pretty(&entries).expect("summary serializes");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sched.json");
     std::fs::write(path, json).expect("summary written");

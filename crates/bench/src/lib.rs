@@ -5,6 +5,7 @@
 //! exercises every reproduction pipeline and tracks its cost.
 
 pub mod exec_mix;
+pub mod sched_mix;
 
 use characterize::runner::{ModuleCtx, Scale};
 use criterion::Criterion;

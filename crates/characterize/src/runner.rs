@@ -226,26 +226,33 @@ pub fn run_not(
     };
     let src_region = row_region(loc_f, rows, src_side);
     let kind = entry.kind;
-    Ok(outcome
-        .cells
-        .iter()
-        .filter(|c| c.role == CellRole::NotDst)
-        .map(|c| {
-            let dst_side = if c.subarray == PAIR.0 {
-                StripeSide::Below
-            } else {
-                StripeSide::Above
-            };
-            NotCellRecord {
-                p: c.p_success,
-                dest_rows: n_rl,
-                total_rows: n_rf + n_rl,
-                kind,
-                src_region,
-                dst_region: row_region(c.row, rows, dst_side),
-            }
-        })
-        .collect())
+    let mut out = Vec::with_capacity(outcome.p.len());
+    for r in &outcome.rows {
+        let dst_side = if r.subarray == PAIR.0 {
+            StripeSide::Below
+        } else {
+            StripeSide::Above
+        };
+        let record = |p: &f64| NotCellRecord {
+            p: *p,
+            dest_rows: n_rl,
+            total_rows: n_rf + n_rl,
+            kind,
+            src_region,
+            dst_region: row_region(r.row, rows, dst_side),
+        };
+        let ps = outcome.p_of(r);
+        if r.roles == [CellRole::NotDst; 2] {
+            out.extend(ps.iter().map(record));
+        } else {
+            let dst = r
+                .cols()
+                .zip(ps)
+                .filter(|(c, _)| r.roles[c % 2] == CellRole::NotDst);
+            out.extend(dst.map(|(_, p)| record(p)));
+        }
+    }
+    Ok(out)
 }
 
 /// Per-cell record of one logic execution.
@@ -319,28 +326,28 @@ fn logic_records(
     let (_, loc_com) = geom.split_row(entry.rl)?;
     let ref_region = row_region(loc_ref, rows, StripeSide::Below);
     let com_region = row_region(loc_com, rows, StripeSide::Above);
-    Ok(outcome
-        .cells
-        .iter()
-        .filter(|c| c.role == role)
-        .map(|c| {
-            let own_side = if c.subarray == PAIR.0 {
-                StripeSide::Below
-            } else {
-                StripeSide::Above
-            };
-            LogicCellRecord {
-                p: c.p_success,
-                n,
-                own_region: row_region(c.row, rows, own_side),
-                other_region: if op.is_inverted_terminal() {
-                    com_region
-                } else {
-                    ref_region
-                },
-            }
-        })
-        .collect())
+    let other_region = if op.is_inverted_terminal() {
+        com_region
+    } else {
+        ref_region
+    };
+    // Only the result terminal resolves, one shared half per row.
+    let mut out = Vec::with_capacity(outcome.p.len());
+    for r in outcome.rows.iter().filter(|r| r.roles == [role; 2]) {
+        let own_side = if r.subarray == PAIR.0 {
+            StripeSide::Below
+        } else {
+            StripeSide::Above
+        };
+        let own_region = row_region(r.row, rows, own_side);
+        out.extend(outcome.p_of(r).iter().map(|p| LogicCellRecord {
+            p: *p,
+            n,
+            own_region,
+            other_region,
+        }));
+    }
+    Ok(out)
 }
 
 /// The `draws` (at least one) random `n`-row input sets of a logic

@@ -163,32 +163,35 @@ impl ChipResult {
             failures: 0,
         }
     }
+}
 
-    /// The per-(op, N) accumulator, created on first use.
-    fn shape_mut(&mut self, op: LogicOp, inputs: usize) -> &mut SuccessAccumulator {
-        if let Some(i) = self
-            .logic_shapes
-            .iter()
-            .position(|s| s.op == op && s.inputs == inputs)
-        {
-            return &mut self.logic_shapes[i].acc;
-        }
-        self.logic_shapes.push(LogicShapeResult {
-            op,
-            inputs,
-            acc: SuccessAccumulator::new(),
-        });
-        &mut self.logic_shapes.last_mut().expect("just pushed").acc
+/// The per-(op, N) accumulator of `shapes`, created on first use.
+fn shape_mut(
+    shapes: &mut Vec<LogicShapeResult>,
+    op: LogicOp,
+    inputs: usize,
+) -> &mut SuccessAccumulator {
+    if let Some(i) = shapes.iter().position(|s| s.op == op && s.inputs == inputs) {
+        return &mut shapes[i].acc;
     }
+    shapes.push(LogicShapeResult {
+        op,
+        inputs,
+        acc: SuccessAccumulator::new(),
+    });
+    &mut shapes.last_mut().expect("just pushed").acc
 }
 
 /// Runs the full grid on one already-built chip context, streaming
 /// cell success probabilities into the two accumulators of `out`.
 ///
-/// Each cell's `p_success` goes from the gate's outcome straight into
-/// the accumulators: no result row is read back and no per-cell
-/// record is built. A logic condition buffers its draws' values, so a
-/// failing draw adds nothing.
+/// Each cell's success probability goes from the gate's outcome (its
+/// row records' `p` slices) into the accumulators: no result row is
+/// read back, so no result cell is ever drawn (each gate's result rows
+/// owe their draws until the next gate's staging overwrites them). A
+/// condition buffers its values, so a failing logic draw adds nothing,
+/// and a logic condition then feeds the population and per-shape
+/// accumulators in one pass ([`SuccessAccumulator::extend_pair`]).
 ///
 /// Only work whose results the grid consumes runs. Nothing the sweep
 /// ships depends on the temperature except the outcomes, so the NOT
@@ -242,7 +245,9 @@ pub fn chip_sweep(ctx: &mut ModuleCtx, cfg: &SweepConfig, out: &mut ChipResult) 
                 let mut measured = false;
                 for entry in entries {
                     if let Ok(outcome) = not_gate(ctx, entry, src.clone()) {
-                        out.not.extend_from(success_of(&outcome, CellRole::NotDst));
+                        draws.clear();
+                        success_of(&outcome, CellRole::NotDst, &mut draws);
+                        out.not.extend_from(draws.iter().copied());
                         measured = true;
                     }
                 }
@@ -255,14 +260,14 @@ pub fn chip_sweep(ctx: &mut ModuleCtx, cfg: &SweepConfig, out: &mut ChipResult) 
         for (op, n, sets) in &logic_sets {
             draws.clear();
             let measured = logic_draws(ctx, *op, *n, sets, |_, outcome| {
-                draws.extend(success_of(outcome, result_role(*op)));
+                success_of(outcome, result_role(*op), &mut draws);
                 Ok(())
             });
             match measured {
                 Ok(()) if !draws.is_empty() => {
                     out.conditions += 1;
-                    out.logic.extend_from(draws.iter().copied());
-                    out.shape_mut(*op, *n).extend_from(draws.iter().copied());
+                    let shape = shape_mut(&mut out.logic_shapes, *op, *n);
+                    SuccessAccumulator::extend_pair(&mut out.logic, shape, &draws);
                 }
                 // No N:N pattern discovered at this budget — a
                 // capability gap, not a measurement failure.
@@ -278,14 +283,19 @@ pub fn chip_sweep(ctx: &mut ModuleCtx, cfg: &SweepConfig, out: &mut ChipResult) 
     ctx.fc.configure(sim_cfg);
 }
 
-/// The success probabilities of `outcome`'s cells in `role`, in
-/// outcome order.
-fn success_of(outcome: &OpOutcome, role: CellRole) -> impl Iterator<Item = f64> + '_ {
-    outcome
-        .cells
-        .iter()
-        .filter(move |c| c.role == role)
-        .map(|c| c.p_success)
+/// Appends the success probabilities of `outcome`'s cells in `role` to
+/// `out`, in outcome order: a row wholly in `role` as its `p` slice,
+/// a multi-row NOT's destination row by column parity.
+fn success_of(outcome: &OpOutcome, role: CellRole, out: &mut Vec<f64>) {
+    for r in &outcome.rows {
+        let ps = outcome.p_of(r);
+        if r.roles == [role; 2] {
+            out.extend_from_slice(ps);
+        } else {
+            let cells = r.cols().zip(ps).filter(|(c, _)| r.roles[c % 2] == role);
+            out.extend(cells.map(|(_, p)| *p));
+        }
+    }
 }
 
 /// Builds and sweeps one fleet member. Pure function of `(spec, cfg)`

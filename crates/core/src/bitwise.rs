@@ -188,9 +188,9 @@ impl BulkEngine {
         };
         let mask_safe =
             raised(&mut not_shapes.iter().copied())?.is_disjoint(&raised(&mut nn_entries.iter())?);
-        // Bulk workloads never inspect per-cell records: run the chip
-        // in the fast fidelity mode (identical stored bits and
-        // aggregate statistics, no per-cell vectors).
+        // Bulk workloads never inspect row records: run the chip in
+        // the fast fidelity mode (identical stored bits and aggregate
+        // statistics, no record vectors).
         let cfg = fc.sim_config().with_fidelity(SimFidelity::fast());
         fc.configure(cfg);
         Ok(BulkEngine {
@@ -951,9 +951,9 @@ mod tests {
                 break o;
             }
         };
-        let on_device = |e: &BulkEngine| {
-            let fc = e.fcdram();
-            let chip = fc.bender().module().chip(fc.chip()).unwrap();
+        let on_device = |e: &mut BulkEngine| {
+            let id = e.fc.chip();
+            let chip = e.fc.bender_mut().module_mut().chip_mut(id);
             let row = chip.read_row_direct(e.bank, out.row).unwrap();
             let lanes: Vec<Bit> = row
                 .into_iter()
@@ -985,7 +985,7 @@ mod tests {
         ];
         for (name, gate) in gates {
             let stored = gate(&mut e);
-            assert_eq!(on_device(&e), stored, "{name}");
+            assert_eq!(on_device(&mut e), stored, "{name}");
         }
     }
 

@@ -6,7 +6,7 @@
 //! exactly one command-program builder ([`GateSite`]) and one
 //! [`Fcdram`] call that ships it ([`Fcdram::not_outcome`],
 //! [`Fcdram::logic_outcome`], [`Fcdram::maj_outcome`]) and returns
-//! where the result landed and the per-cell outcome. Results are read
+//! where the result landed and the row-shaped outcome. Results are read
 //! back on their own, full width ([`Fcdram::read_row`]) or as packed
 //! shared-half lanes ([`Fcdram::read_lanes`]). Every layer that issues
 //! a gate takes its program from there: the characterization runner,
@@ -321,9 +321,10 @@ impl Fcdram {
 
     /// Reads a row, full width (timing-respecting command sequence).
     ///
-    /// A read-back changes no cell, draws nothing and advances no op
-    /// counter: it only charges the chip's disturbance counters, which
-    /// no later outcome reads unless a
+    /// A read-back settles the row's pending draws (the bits every
+    /// later read would see anyway; see [`dram_core::OpOutcome`]) and
+    /// advances no op counter: besides that it only charges the chip's
+    /// disturbance counters, which no later outcome reads unless a
     /// [`dram_core::DisturbancePolicy`] is installed. Without one, a
     /// caller that needs only a gate's outcome can skip reading its
     /// result rows and leaves every later operation exactly as it
@@ -400,9 +401,10 @@ impl Fcdram {
     /// row `src` and the tRP-violating copy-invert ship as one program
     /// ([`GateSite::not`]), and nothing is read back. Returns where the
     /// result landed (the destination rows) and the outcome: its kind
-    /// carries the activated shape (`N_RF`, `N_RL`), its cells every
-    /// destination cell's success probability
-    /// ([`dram_core::CellRole::NotDst`]).
+    /// carries the activated shape (`N_RF`, `N_RL`), its row records
+    /// every destination cell's success probability
+    /// ([`dram_core::CellRole::NotDst`]). The destination cells draw as
+    /// the copy runs (a failed NOT cell keeps its old bit).
     ///
     /// `mask` scopes what the copy resolves, as in
     /// [`Fcdram::logic_outcome`]. `None` resolves every raised row.
@@ -442,8 +444,12 @@ impl Fcdram {
     /// and nothing is read back.
     /// Returns where the result landed (the result terminal's rows) and
     /// the outcome, which carries every resolved result cell's success
-    /// probability ([`dram_core::result_role`]). N is
-    /// `entry.shape().1`.
+    /// probability and intended bit ([`dram_core::result_role`]). N is
+    /// `entry.shape().1`. The result cells are not drawn yet: each
+    /// resolved row owes its draws until something reads it
+    /// ([`Fcdram::read_row`], [`Fcdram::read_lanes`], a later
+    /// activation raising it) and drops them when it is next written
+    /// whole, as the next gate's staging does.
     ///
     /// Only the shared column half carries results. For AND/NAND the
     /// reference subarray holds N−1 all-1 rows plus one `Frac` row;
@@ -529,7 +535,7 @@ impl Fcdram {
 mod tests {
     use super::*;
     use dram_core::config::table1;
-    use dram_core::{is_shared_col, result_role, CellRole, Col};
+    use dram_core::{is_shared_col, result_role, CellRole, Col, RowOutcome};
 
     fn fc() -> Fcdram {
         let cfg = table1().into_iter().next().unwrap().with_modeled_cols(64);
@@ -721,13 +727,11 @@ mod tests {
         let mut fc = fc();
         let map = map_for(&mut fc);
         let entry = map.find_nn(2).expect("2:2 entry").clone();
-        let pair_rows = |fc: &Fcdram| -> Vec<Vec<Bit>> {
-            let chip = fc.bender().module().chip(fc.chip()).unwrap();
-            (0..2 * fc.config().geometry().rows_per_subarray())
-                .map(|r| chip.read_row_direct(BankId(0), GlobalRow(r)).unwrap())
-                .collect()
+        let pair_rows = |fc: &mut Fcdram| -> Vec<Vec<Bit>> {
+            let rows = 2 * fc.config().geometry().rows_per_subarray();
+            (0..rows).map(|r| direct(fc, GlobalRow(r))).collect()
         };
-        let before = pair_rows(&fc);
+        let before = pair_rows(&mut fc);
         let err = fc
             .not_outcome(BankId(0), &entry, Arc::from([Bit::One; 3]), None)
             .unwrap_err();
@@ -737,7 +741,7 @@ mod tests {
             .logic_outcome(BankId(0), &entry, LogicOp::And, &short, None)
             .unwrap_err();
         assert!(matches!(err, FcdramError::WidthMismatch { .. }));
-        assert!(pair_rows(&fc) == before, "a rejected gate shipped");
+        assert!(pair_rows(&mut fc) == before, "a rejected gate shipped");
     }
 
     #[test]
@@ -845,10 +849,6 @@ mod tests {
             let map = map_for(&mut masked);
             let geom = cfg.geometry();
             let cols = geom.cols();
-            let direct = |fc: &Fcdram, g: GlobalRow| {
-                let chip = fc.bender().module().chip(fc.chip()).unwrap();
-                chip.read_row_direct(bank, g).unwrap()
-            };
             for (k, (n_rf, n_rl)) in map.shapes().into_iter().enumerate() {
                 let entry = map.find(n_rf, n_rl)[0].clone();
                 let ctx = format!("{} {n_rf}:{n_rl}", cfg.name);
@@ -875,11 +875,12 @@ mod tests {
                 let (_, got) = masked.not_outcome(bank, &entry, src.clone(), mask).unwrap();
                 let (_, want) = twin.not_outcome(bank, &entry, src, None).unwrap();
                 for g in &dst {
-                    assert_eq!(direct(&masked, *g), direct(&twin, *g), "{ctx}: row {g:?}");
+                    let (a, b) = (direct(&mut masked, *g), direct(&mut twin, *g));
+                    assert_eq!(a, b, "{ctx}: row {g:?}");
                 }
-                let dst_side = |c: &&dram_core::CellOutcome| c.role != CellRole::SrcCopy;
-                let want_cells: Vec<_> = want.cells.iter().filter(dst_side).copied().collect();
-                assert_eq!(got.cells, want_cells, "{ctx}: destination records");
+                let dst_side = |r: &RowOutcome| r.roles != [CellRole::SrcCopy; 2];
+                let want_cells = row_records(&want, dst_side);
+                assert_eq!(row_records(&got, |_| true), want_cells, "{ctx}: records");
                 assert_eq!(got.kind, want.kind, "{ctx}");
                 for role in [CellRole::NotDst, CellRole::OffMaj] {
                     assert_eq!(
@@ -892,17 +893,61 @@ mod tests {
                 let copies = want.stats.role(CellRole::SrcCopy).count;
                 assert_eq!(copies, extra.len() * cols, "{ctx}: the twin copies");
                 for (g, bits) in extra.iter().zip(&old) {
-                    assert_eq!(&direct(&masked, *g), bits, "{ctx}: source row {g:?} kept");
+                    let kept = direct(&mut masked, *g);
+                    assert_eq!(&kept, bits, "{ctx}: source row {g:?} kept");
                 }
             }
         }
         assert!(multi_row > 0, "no multi-row NOT shape was exercised");
     }
 
+    /// Row `g` of bank 0 on `fc`'s chip, read directly (no disturbance
+    /// charged; pending draws settle).
+    fn direct(fc: &mut Fcdram, g: GlobalRow) -> Vec<Bit> {
+        let chip = fc.chip();
+        let dev = fc.bender_mut().module_mut().chip_mut(chip);
+        dev.read_row_direct(BankId(0), g).unwrap()
+    }
+
+    /// One row record with its cells' success probabilities (as bits)
+    /// and intended values, the record's offset dropped.
+    type RowRecord = (RowOutcome, Vec<u64>, Vec<Bit>);
+
+    /// The row records of `outcome` that `keep` selects, in order.
+    fn row_records(outcome: &OpOutcome, keep: impl Fn(&RowOutcome) -> bool) -> Vec<RowRecord> {
+        (outcome.rows.iter().filter(|r| keep(r)))
+            .map(|r| {
+                let p = outcome.p_of(r).iter().map(|p| p.to_bits()).collect();
+                let row = RowOutcome { offset: 0, ..*r };
+                (row, p, outcome.intended_of(r).to_vec())
+            })
+            .collect()
+    }
+
+    /// Every recorded cell of `outcome` in `role`: its row, column,
+    /// intended value and success probability (as bits), and the bit
+    /// its row reads back.
+    type Cells = Vec<(LocalRow, usize, Bit, u64, Bit)>;
+
+    fn cells_read_back(fc: &mut Fcdram, outcome: &OpOutcome, role: CellRole) -> Cells {
+        let geom = fc.config().geometry();
+        let mut out = Vec::new();
+        for r in &outcome.rows {
+            let read = direct(fc, geom.join_row(r.subarray, r.row).unwrap());
+            let cells = r.cols().zip(outcome.p_of(r)).zip(outcome.intended_of(r));
+            for ((c, p), want) in cells {
+                if r.roles[c % 2] == role {
+                    out.push((r.row, c, *want, p.to_bits(), read[c]));
+                }
+            }
+        }
+        out
+    }
+
     /// A logic gate's figures recomputed on a twin stack that stages
     /// the same rows and runs an unmasked (both-terminal) charge share:
     /// `(result, expected, observed, predicted, cells)`.
-    type Unmasked = (Vec<Bit>, Vec<Bit>, f64, f64, Vec<dram_core::CellOutcome>);
+    type Unmasked = (Vec<Bit>, Vec<Bit>, f64, f64, Cells);
 
     /// Stages every raised row of `entry` as [`GateSite::logic`] does:
     /// constant reference rows plus one `Frac`, identity-padded
@@ -968,12 +1013,7 @@ mod tests {
                 result = got;
             }
         }
-        let cells = outcome
-            .cells
-            .iter()
-            .filter(|c| c.role == role)
-            .copied()
-            .collect();
+        let cells = cells_read_back(fc, &outcome, role);
         (
             result,
             expected,
@@ -1022,10 +1062,11 @@ mod tests {
                 );
                 assert!(!cells.is_empty(), "{ctx}: no result cells");
                 assert!(
-                    outcome.cells.iter().all(|c| c.role == role),
+                    outcome.rows.iter().all(|r| r.roles == [role; 2]),
                     "{ctx}: the outcome carries only the result terminal"
                 );
-                assert_eq!(outcome.cells, cells, "{ctx} result cells");
+                let got = cells_read_back(&mut masked, &outcome, role);
+                assert_eq!(got, cells, "{ctx} result cells");
             }
         }
     }
@@ -1034,8 +1075,7 @@ mod tests {
     /// ([`CsTerminal::first_row_of`]) against the whole-terminal one
     /// ([`CsTerminal::terminal_of`]) on twin stacks: the first result
     /// row and `mean_success` are identical, the other result rows
-    /// keep their staged values, and `observed_accuracy` covers the
-    /// drawn cells only.
+    /// keep their staged values, and only the first row is recorded.
     #[test]
     fn row_scoped_logic_matches_a_whole_terminal_twin() {
         let cfg = table1().into_iter().next().unwrap().with_modeled_cols(1024);
@@ -1049,10 +1089,6 @@ mod tests {
         let shared = (0..geom.cols())
             .filter(|c| is_shared_col(pair.0, Col(*c)))
             .count();
-        let direct = |fc: &Fcdram, g: GlobalRow| {
-            let module = fc.bender().module();
-            module.chip(chip).unwrap().read_row_direct(bank, g).unwrap()
-        };
         for (k, n) in [2usize, 4, 8, 16].into_iter().enumerate() {
             let entry = map.find_nn(n).expect("an N:N entry").clone();
             let (sub_ref, _) = geom.split_row(entry.rf).unwrap();
@@ -1088,8 +1124,8 @@ mod tests {
                 let (a, b) = (&outcomes[0], &outcomes[1]);
                 let ctx = format!("{op:?} n={n}");
                 assert_eq!(
-                    direct(&scoped, result_rows[0]),
-                    direct(&whole, result_rows[0]),
+                    direct(&mut scoped, result_rows[0]),
+                    direct(&mut whole, result_rows[0]),
                     "{ctx}: first result row"
                 );
                 assert_eq!(
@@ -1099,28 +1135,28 @@ mod tests {
                 );
                 for (i, g) in result_rows.iter().enumerate().skip(1) {
                     assert_eq!(
-                        direct(&scoped, *g),
+                        direct(&mut scoped, *g),
                         staged[i],
                         "{ctx}: row {i} stays staged"
                     );
                 }
-                // Only the first row draws: its cells are the whole
-                // twin's first-row cells, and the accuracy is theirs.
+                // Only the first row resolves: its cells are the whole
+                // twin's first-row cells, and so are their read-backs.
                 let (sa, sb) = (a.stats.role(role), b.stats.role(role));
                 assert_eq!((sa.count, sb.count), (n * shared, n * shared), "{ctx}");
-                assert_eq!((sa.drawn, sb.drawn), (shared, n * shared), "{ctx}");
-                let first: Vec<_> = b
-                    .cells
-                    .iter()
-                    .filter(|c| c.role == role && c.row == rows[0])
-                    .copied()
-                    .collect();
-                assert_eq!(a.cells, first, "{ctx}: first-row cells only");
-                let matched = first.iter().filter(|c| c.actual == c.intended).count();
+                assert_eq!((a.p.len(), b.p.len()), (shared, n * shared), "{ctx}");
+                let first = row_records(b, |r| r.roles == [role; 2] && r.row == rows[0]);
                 assert_eq!(
-                    a.observed_accuracy(role),
-                    Some(matched as f64 / shared as f64),
-                    "{ctx}: observed accuracy"
+                    row_records(a, |_| true),
+                    first,
+                    "{ctx}: first-row cells only"
+                );
+                let scoped_cells = cells_read_back(&mut scoped, a, role);
+                let whole_cells = cells_read_back(&mut whole, b, role);
+                assert_eq!(
+                    scoped_cells,
+                    whole_cells[..shared],
+                    "{ctx}: first-row reads"
                 );
             }
         }
@@ -1141,10 +1177,6 @@ mod tests {
         let geom = value.config().geometry();
         let shared = shared(geom.cols());
         let (start, lanes) = (shared[0], shared.len());
-        let direct = |fc: &Fcdram, g: GlobalRow| {
-            let chip = fc.bender().module().chip(fc.chip()).unwrap();
-            chip.read_row_direct(bank, g).unwrap()
-        };
         for (k, n) in [2usize, 4, 8, 16].into_iter().enumerate() {
             let entry = map.find_nn(n).expect("an N:N entry").clone();
             for (j, op) in LogicOp::ALL.into_iter().enumerate() {
@@ -1172,7 +1204,8 @@ mod tests {
                     "{ctx}: predicted"
                 );
                 for g in (0..2 * geom.rows_per_subarray()).map(GlobalRow) {
-                    assert_eq!(direct(&value, g), direct(&split, g), "{ctx}: row {g}");
+                    let (a, b) = (direct(&mut value, g), direct(&mut split, g));
+                    assert_eq!(a, b, "{ctx}: row {g}");
                 }
             }
         }

@@ -86,6 +86,33 @@ impl SuccessAccumulator {
         (self.count, self.sum, self.min, self.max) = (count, sum, min, max);
     }
 
+    /// Records every value of `ps` into both `first` and `second` in
+    /// one pass: bit-identical to `first.extend_from(ps)` followed by
+    /// `second.extend_from(ps)`. Each accumulator's sum adds in the same
+    /// order as there, so the two latency-bound sum chains interleave
+    /// instead of running one after the other.
+    pub fn extend_pair(first: &mut Self, second: &mut Self, ps: &[f64]) {
+        let (mut sum_a, mut min_a, mut max_a) = (first.sum, first.min, first.max);
+        let (mut sum_b, mut min_b, mut max_b) = (second.sum, second.min, second.max);
+        let (bins_a, bins_b) = (first.bins.as_mut_slice(), second.bins.as_mut_slice());
+        for p in ps {
+            let p = p.clamp(0.0, 1.0);
+            sum_a += p;
+            sum_b += p;
+            min_a = min_a.min(p);
+            min_b = min_b.min(p);
+            max_a = max_a.max(p);
+            max_b = max_b.max(p);
+            let bin = ((p * ACCUMULATOR_BINS as f64) as usize).min(ACCUMULATOR_BINS - 1);
+            bins_a[bin] += 1;
+            bins_b[bin] += 1;
+        }
+        (first.sum, first.min, first.max) = (sum_a, min_a, max_a);
+        (second.sum, second.min, second.max) = (sum_b, min_b, max_b);
+        first.count += ps.len() as u64;
+        second.count += ps.len() as u64;
+    }
+
     /// Absorbs another accumulator. Histogram, count, min, and max are
     /// order-insensitive; `sum` (and hence `mean`) follows the merge
     /// order, so callers wanting bit-stable means must merge in a
@@ -453,6 +480,37 @@ mod tests {
                     "{name}/{prefix}"
                 );
                 assert_eq!(extended.bins, pushed.bins, "{name}/{prefix}: bins");
+            }
+        }
+    }
+
+    #[test]
+    fn extend_pair_equals_two_extend_from_calls_bit_for_bit() {
+        let unit = |i: u64| dram_core::math::hash_to_unit(dram_core::math::mix2(0xBA1, i));
+        let random: Vec<f64> = (0..1920).map(unit).collect();
+        let clamped: Vec<f64> = (0..1920).map(|i| 3.0 * unit(i) - 1.0).collect();
+        for (name, values) in [("random", &random), ("clamped", &clamped)] {
+            // From empty, and on top of two different earlier streams
+            // (so the loop starts from stored, distinct states).
+            for prefix in [0, 100] {
+                let (mut a, mut b) = (SuccessAccumulator::new(), SuccessAccumulator::new());
+                a.extend_from(values[..prefix].iter().copied());
+                b.extend_from(values[..prefix / 2].iter().map(|p| 1.0 - p));
+                let (mut want_a, mut want_b) = (a.clone(), b.clone());
+                want_a.extend_from(values[prefix..].iter().copied());
+                want_b.extend_from(values[prefix..].iter().copied());
+                SuccessAccumulator::extend_pair(&mut a, &mut b, &values[prefix..]);
+                for (got, want) in [(&a, &want_a), (&b, &want_b)] {
+                    assert_eq!(got.count, want.count, "{name}/{prefix}: count");
+                    assert_eq!(
+                        got.sum.to_bits(),
+                        want.sum.to_bits(),
+                        "{name}/{prefix}: sum"
+                    );
+                    assert_eq!(got.min.to_bits(), want.min.to_bits(), "{name}/{prefix}");
+                    assert_eq!(got.max.to_bits(), want.max.to_bits(), "{name}/{prefix}");
+                    assert_eq!(got.bins, want.bins, "{name}/{prefix}: bins");
+                }
             }
         }
     }

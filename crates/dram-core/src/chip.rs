@@ -9,11 +9,13 @@
 //! crate builds user-facing operations on top.
 //!
 //! Every mutating operation returns an [`OpOutcome`] describing, for
-//! each affected cell, the intended value, the success probability the
-//! reliability model assigned, and the actually sampled value. The
-//! *actual* values are what the cell array stores afterwards; the
-//! probabilities allow analytic (trials → ∞) success-rate analysis
-//! without re-executing.
+//! each resolved row, the intended value of each cell and the success
+//! probability the reliability model assigned it. The probabilities
+//! allow analytic (trials → ∞) success-rate analysis without
+//! re-executing; the sampled values are what the cell array stores,
+//! read back like any other row. A cell that fails to the complement
+//! of its intended bit (charge-share results and majority re-senses)
+//! is drawn only when something reads its row (see [`OpOutcome`]).
 
 use crate::analog::{classify_margin, MarginClass};
 use crate::bank::{Bank, OpenRows};
@@ -83,13 +85,18 @@ impl CellRole {
 /// unchanged, because each cell's model inputs and sample keys are
 /// per-(row, col) and independent of the skipped cells' writes.
 ///
+/// A resolved charge-share row does not draw at once: its draws wait
+/// until something reads the row (see [`OpOutcome`]). A scope decides
+/// which rows resolve, and so which rows owe draws; an unresolved row
+/// owes none and keeps its staged values.
+///
 /// The `*FirstRow` scopes narrow one terminal further, to its first
 /// raised row (the row a value-path caller reads back). The terminal's
 /// other rows still compute their success probabilities into
 /// [`RoleStats::count`]/[`RoleStats::sum_p`], in the same row-then-
 /// column order, so [`OpOutcome::mean_success`] is bit-identical to the
-/// whole-terminal scope; they draw nothing, keep their staged values
-/// and emit no [`CellOutcome`].
+/// whole-terminal scope; they owe no draws, keep their staged values
+/// and emit no [`RowOutcome`].
 ///
 /// A cross-subarray copy (NOT) reads the scope by side: the `rl`
 /// (destination) subarray is its compute side and the `rf` (source)
@@ -170,15 +177,10 @@ pub fn result_role(op: LogicOp) -> CellRole {
 /// returns it.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct RoleStats {
-    /// Number of cells recorded, drawn or not.
+    /// Number of cells recorded, resolved or not.
     pub count: usize,
     /// Sum of model-assigned success probabilities.
     pub sum_p: f64,
-    /// Number of cells whose value was drawn and stored (smaller than
-    /// `count` only under a row-scoped [`CsTerminal`]).
-    pub drawn: usize,
-    /// Number of drawn cells whose sampled value matched the intent.
-    pub matches: usize,
 }
 
 /// Per-role aggregates of an operation, maintained in both telemetry
@@ -194,16 +196,6 @@ pub struct OutcomeStats {
 }
 
 impl OutcomeStats {
-    /// Records one drawn cell.
-    #[inline]
-    pub(crate) fn record(&mut self, role: CellRole, p: f64, matched: bool) {
-        let s = &mut self.roles[role.index()];
-        s.count += 1;
-        s.sum_p += p;
-        s.drawn += 1;
-        s.matches += usize::from(matched);
-    }
-
     /// Aggregates for one role.
     #[inline]
     pub fn role(&self, role: CellRole) -> &RoleStats {
@@ -211,23 +203,35 @@ impl OutcomeStats {
     }
 }
 
-/// Per-cell record of an operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CellOutcome {
-    /// Subarray of the cell.
+/// One row an operation resolved: which of its columns resolved and
+/// in what role. The cells' success probabilities and intended values
+/// sit in the owning [`OpOutcome`]'s `p` and `intended` from `offset`,
+/// one per resolved column, columns ascending.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct RowOutcome {
+    /// Subarray of the row.
     pub subarray: SubarrayId,
     /// Row within the subarray.
     pub row: LocalRow,
-    /// Column.
-    pub col: Col,
-    /// Role in the operation.
-    pub role: CellRole,
-    /// The value a perfectly reliable chip would have stored.
-    pub intended: Bit,
-    /// The value actually stored (sampled from the model).
-    pub actual: Bit,
-    /// Probability the model assigned to storing `intended`.
-    pub p_success: f64,
+    /// Role of each column parity: column `c` plays `roles[c % 2]`.
+    /// Both entries are equal except on a multi-row NOT's destination
+    /// rows, whose off-half columns re-sense by majority.
+    pub roles: [CellRole; 2],
+    /// First resolved column.
+    pub start: usize,
+    /// Column stride: 1 for a whole row, 2 for one column half.
+    pub step: usize,
+    /// Index of the row's first cell in [`OpOutcome::p`].
+    pub offset: usize,
+    /// Number of resolved cells.
+    pub len: usize,
+}
+
+impl RowOutcome {
+    /// The resolved columns, ascending.
+    pub fn cols(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len).map(move |i| self.start + i * self.step)
+    }
 }
 
 /// What kind of activation a violated sequence produced.
@@ -268,16 +272,33 @@ pub enum OutcomeKind {
 
 /// Result of a semantic operation.
 ///
-/// Aggregate statistics (`stats`) are always present; per-cell records
-/// (`cells`) are kept only under [`Telemetry::Full`]. Stored values and
-/// statistics are identical in both modes.
+/// Aggregate statistics (`stats`) are always present; the row records
+/// (`rows`, `p`, `intended`) are kept only under [`Telemetry::Full`].
+/// Stored values and statistics are identical in both modes.
+///
+/// An outcome carries what the model predicts, not what was drawn. The
+/// cells of a charge share (both terminals and the off-half majority)
+/// and of an in-subarray MAJ fail to the complement of their intended
+/// bit, so their draws wait on the chip until something reads the row
+/// (a read, a later activation raising it, a partial `WR`, leakage or
+/// hammering); a full-row write drops them undrawn. Draws key on the
+/// operation, row and column, so a row reads back the same bits
+/// whenever it settles. NOT and RowClone destinations draw at once:
+/// their failed value is the cell's old bit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OpOutcome {
     /// What happened.
     pub kind: OutcomeKind,
-    /// Per-cell records (empty for `Ignored`/`NoGlitch`/`Unsupported`,
-    /// and under [`Telemetry::Fast`]).
-    pub cells: Vec<CellOutcome>,
+    /// Every resolved row in resolve order (empty for
+    /// `Ignored`/`NoGlitch`/`Unsupported`, and under
+    /// [`Telemetry::Fast`]).
+    pub rows: Vec<RowOutcome>,
+    /// Success probability of every recorded cell: row after row in
+    /// `rows` order, columns ascending.
+    pub p: Vec<f64>,
+    /// The value a perfectly reliable chip would have stored in every
+    /// recorded cell, in the order of `p`.
+    pub intended: Vec<Bit>,
     /// Per-role aggregates (always populated).
     pub stats: OutcomeStats,
 }
@@ -287,7 +308,9 @@ impl OpOutcome {
     pub fn empty(kind: OutcomeKind) -> Self {
         OpOutcome {
             kind,
-            cells: Vec::new(),
+            rows: Vec::new(),
+            p: Vec::new(),
+            intended: Vec::new(),
             stats: OutcomeStats::default(),
         }
     }
@@ -302,81 +325,108 @@ impl OpOutcome {
         }
     }
 
-    /// Fraction of drawn cells with the given role whose sampled
-    /// value matches the intent.
-    pub fn observed_accuracy(&self, role: CellRole) -> Option<f64> {
-        let s = self.stats.role(role);
-        if s.drawn == 0 {
-            None
-        } else {
-            Some(s.matches as f64 / s.drawn as f64)
-        }
+    /// The success probabilities of row `r`'s cells, columns ascending.
+    pub fn p_of(&self, r: &RowOutcome) -> &[f64] {
+        &self.p[r.offset..r.offset + r.len]
+    }
+
+    /// The intended values of row `r`'s cells, columns ascending.
+    pub fn intended_of(&self, r: &RowOutcome) -> &[Bit] {
+        &self.intended[r.offset..r.offset + r.len]
     }
 }
 
+/// The row records of a full-telemetry outcome, filled as it runs.
+#[derive(Debug, Default)]
+struct Records {
+    rows: Vec<RowOutcome>,
+    p: Vec<f64>,
+    intended: Vec<Bit>,
+}
+
 /// Builds an [`OpOutcome`] while an operation runs: always aggregates,
-/// materializes per-cell records only under full telemetry.
+/// materializes row records only under full telemetry.
 #[derive(Debug)]
 struct Recorder {
-    cells: Option<Vec<CellOutcome>>,
+    records: Option<Records>,
     stats: OutcomeStats,
+    /// Cells drawn at once (NOT and RowClone destinations).
+    #[cfg(test)]
+    drawn: u64,
 }
 
 impl Recorder {
     /// A recorder for an operation that records exactly `cells` cells:
-    /// under full telemetry the record vector is allocated once, at
+    /// under full telemetry the record vectors are allocated once, at
     /// that size.
     fn new(telemetry: Telemetry, cells: usize) -> Self {
         Recorder {
-            cells: telemetry.per_cell().then(|| Vec::with_capacity(cells)),
+            records: telemetry.per_cell().then(|| Records {
+                rows: Vec::new(),
+                p: Vec::with_capacity(cells),
+                intended: Vec::with_capacity(cells),
+            }),
             stats: OutcomeStats::default(),
+            #[cfg(test)]
+            drawn: 0,
         }
     }
 
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn push(
+    /// Opens the record of one row resolving `len` cells from column
+    /// `start` every `step` columns; its cells follow in column order.
+    fn begin_row(
         &mut self,
-        subarray: SubarrayId,
-        row: LocalRow,
-        col: Col,
-        role: CellRole,
-        intended: Bit,
-        actual: Bit,
-        p_success: f64,
+        (subarray, row): (SubarrayId, LocalRow),
+        roles: [CellRole; 2],
+        (start, step): (usize, usize),
+        len: usize,
     ) {
-        self.stats.record(role, p_success, intended == actual);
-        if let Some(cells) = &mut self.cells {
-            cells.push(CellOutcome {
+        if let Some(r) = &mut self.records {
+            r.rows.push(RowOutcome {
                 subarray,
                 row,
-                col,
-                role,
-                intended,
-                actual,
-                p_success,
+                roles,
+                start,
+                step,
+                offset: r.p.len(),
+                len,
             });
         }
     }
 
-    /// Draws, stores and records one resolved row in column order. At
-    /// each column `c` of `cols`, `cell(c, stored)` gives the intended
-    /// value, the value a failed draw leaves, and the success
-    /// probability; `stored` is the cell's voltage before the write.
+    /// Records one cell of the open row.
+    #[inline]
+    fn push(&mut self, role: CellRole, intended: Bit, p: f64) {
+        let s = &mut self.stats.roles[role.index()];
+        s.count += 1;
+        s.sum_p += p;
+        if let Some(r) = &mut self.records {
+            r.p.push(p);
+            r.intended.push(intended);
+        }
+    }
+
+    /// Draws, stores and records one resolved row in column order, from
+    /// column `start` every `step` columns. At each column `c`,
+    /// `cell(c, stored)` gives the intended value, the value a failed
+    /// draw leaves, and the success probability; `stored` is the cell's
+    /// voltage before the write.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn resolve_row(
         &mut self,
         slice: &mut [f32],
         sampler: &RowSampler,
-        (subarray, row): (SubarrayId, LocalRow),
+        at: (SubarrayId, LocalRow),
         role: CellRole,
         vdd: f64,
-        cols: impl Iterator<Item = usize>,
+        (start, step): (usize, usize),
         mut cell: impl FnMut(usize, f32) -> (Bit, Bit, f64),
     ) {
-        let (mut sum_p, mut n, mut matches) = (self.stats.roles[role.index()].sum_p, 0, 0);
-        for c in cols {
+        let len = (slice.len() - start).div_ceil(step);
+        self.begin_row(at, [role; 2], (start, step), len);
+        let mut sum_p = self.stats.roles[role.index()].sum_p;
+        for c in (start..slice.len()).step_by(step) {
             let (intended, failed, p) = cell(c, slice[c]);
             let actual = if sampler.sample(c, p) {
                 intended
@@ -385,37 +435,183 @@ impl Recorder {
             };
             slice[c] = actual.voltage(vdd) as f32;
             sum_p += p;
-            n += 1;
-            matches += usize::from(actual == intended);
-            if let Some(cells) = &mut self.cells {
-                cells.push(CellOutcome {
-                    subarray,
-                    row,
-                    col: Col(c),
-                    role,
-                    intended,
-                    actual,
-                    p_success: p,
-                });
+            if let Some(r) = &mut self.records {
+                r.p.push(p);
+                r.intended.push(intended);
             }
         }
         let s = &mut self.stats.roles[role.index()];
         s.sum_p = sum_p;
-        s.count += n;
-        s.drawn += n;
-        s.matches += matches;
+        s.count += len;
+        #[cfg(test)]
+        {
+            self.drawn += len as u64;
+        }
+    }
+
+    /// Records one resolved row of `cols` columns, from column `start`
+    /// (0 or 1) every `step` columns, whose draws wait in `pending`: at
+    /// each column `c`, `cell(c)` gives the intended value and the
+    /// success probability, and a failed draw leaves the complement.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn defer_row(
+        &mut self,
+        pending: &mut PendingRow,
+        at: (SubarrayId, LocalRow),
+        role: CellRole,
+        cols: usize,
+        (start, step): (usize, usize),
+        mut cell: impl FnMut(usize) -> (Bit, f64),
+    ) {
+        debug_assert!(start < 2 && (step == 1 || step == 2));
+        let len = (cols - start).div_ceil(step);
+        self.begin_row(at, [role; 2], (start, step), len);
+        let parities = if step == 1 { 0..2 } else { start..start + 1 };
+        for half in &mut pending.halves[parities] {
+            debug_assert!(!half.live, "a half defers once per operation");
+            half.live = true;
+            half.p.clear();
+            half.intended.clear();
+        }
+        let mut sum_p = self.stats.roles[role.index()].sum_p;
+        for c in (start..cols).step_by(step) {
+            let (intended, p) = cell(c);
+            let half = &mut pending.halves[c & 1];
+            half.p.push(p);
+            half.intended.push(intended);
+            sum_p += p;
+            if let Some(r) = &mut self.records {
+                r.p.push(p);
+                r.intended.push(intended);
+            }
+        }
+        let s = &mut self.stats.roles[role.index()];
+        s.sum_p = sum_p;
+        s.count += len;
     }
 
     fn finish(self, kind: OutcomeKind) -> OpOutcome {
         debug_assert!(
-            self.cells.as_ref().is_none_or(|c| c.len() == c.capacity()),
+            self.records
+                .as_ref()
+                .is_none_or(|r| r.p.len() == r.p.capacity()),
             "a kernel recorded a different number of cells than it reserved"
         );
+        let Records { rows, p, intended } = self.records.unwrap_or_default();
         OpOutcome {
             kind,
-            cells: self.cells.unwrap_or_default(),
+            rows,
+            p,
+            intended,
             stats: self.stats,
         }
+    }
+}
+
+/// One half of a row's pending draws: the cells of one column parity
+/// (column `parity + 2 j` at index `j`), each with its success
+/// probability and intended value.
+#[derive(Debug, Clone, Default)]
+struct PendingHalf {
+    live: bool,
+    p: Vec<f64>,
+    intended: Vec<Bit>,
+}
+
+/// The draws one row owes to the operation `op` that resolved it. The
+/// row's cells keep their pre-operation voltages until it settles.
+#[derive(Debug, Clone, Default)]
+struct PendingRow {
+    op: u64,
+    halves: [PendingHalf; 2],
+}
+
+/// Every pending row of a chip, by zone (`(bank, subarray)` in
+/// bank-major order, as the disturbance counters) and row: a slot holds
+/// a row's draws exactly while it has some. A zone's slots are
+/// allocated on its first deferral; a row's buffers return to `free`
+/// when it settles or is overwritten, so the chip keeps as many as rows
+/// were ever pending at once.
+#[derive(Debug, Clone, Default)]
+struct PendingDraws {
+    zones: Vec<(usize, Vec<Option<Box<PendingRow>>>)>,
+    /// Boxed like the slots, so a row's buffers move between a slot
+    /// and this list without a new allocation.
+    #[allow(clippy::vec_box)]
+    free: Vec<Box<PendingRow>>,
+    /// Rows with pending draws.
+    live: usize,
+}
+
+impl PendingDraws {
+    fn zone(geom: &Geometry, (bank, sub): (BankId, SubarrayId)) -> usize {
+        bank.index() * geom.subarrays_per_bank() + sub.index()
+    }
+
+    /// Takes row `row`'s pending draws, if it has any.
+    fn take(
+        &mut self,
+        geom: &Geometry,
+        at: (BankId, SubarrayId),
+        row: LocalRow,
+    ) -> Option<Box<PendingRow>> {
+        let zone = Self::zone(geom, at);
+        let (_, slots) = self.zones.iter_mut().find(|(z, _)| *z == zone)?;
+        let pend = slots[row.index()].take()?;
+        self.live -= 1;
+        Some(pend)
+    }
+
+    /// Keeps a taken row's buffers for the next deferral.
+    fn recycle(&mut self, pend: Box<PendingRow>) {
+        self.free.push(pend);
+    }
+
+    /// The pending slot operation `op` defers row `row` of `at` into:
+    /// the row must have settled before `op` raised it.
+    fn slot(
+        &mut self,
+        geom: &Geometry,
+        at: (BankId, SubarrayId),
+        row: LocalRow,
+        op: u64,
+    ) -> &mut PendingRow {
+        let zone = Self::zone(geom, at);
+        let i = match self.zones.iter().position(|(z, _)| *z == zone) {
+            Some(i) => i,
+            None => {
+                let slots = (0..geom.rows_per_subarray()).map(|_| None).collect();
+                self.zones.push((zone, slots));
+                self.zones.len() - 1
+            }
+        };
+        let slot = &mut self.zones[i].1[row.index()];
+        if slot.is_none() {
+            let mut pend = self.free.pop().unwrap_or_default();
+            pend.op = op;
+            pend.halves.iter_mut().for_each(|h| h.live = false);
+            *slot = Some(pend);
+            self.live += 1;
+        }
+        let pend = slot.as_deref_mut().expect("just filled");
+        debug_assert_eq!(
+            pend.op, op,
+            "a row settles before another operation defers it"
+        );
+        pend
+    }
+
+    /// Every `(bank, subarray, row)` with pending draws.
+    fn live_rows(&self, geom: &Geometry) -> Vec<(BankId, SubarrayId, LocalRow)> {
+        let per_bank = geom.subarrays_per_bank();
+        let mut out = Vec::with_capacity(self.live);
+        for (zone, slots) in &self.zones {
+            let at = (BankId(zone / per_bank), SubarrayId(zone % per_bank));
+            let rows = slots.iter().enumerate().filter(|(_, s)| s.is_some());
+            out.extend(rows.map(|(row, _)| (at.0, at.1, LocalRow(row))));
+        }
+        out
     }
 }
 
@@ -427,26 +623,64 @@ type MemoKey = (u32, u32, u32);
 /// wholesale (same defensive idiom as [`VariationCache`]).
 const MEMO_CAP: usize = 4096;
 
-/// Shared-column CDF tables of one terminal side of a charge-share
-/// activation, one per raised row: `normal_cdf(z)` of shared column
-/// `col` at `[3 * n_shared * family + 3 * (col / 2) + mm_idx]`, where
-/// `family` is 1 for AND- and 0 for OR-family constants and `mm_idx`
-/// indexes the three values the neighbour-mismatch fraction can take
-/// (0, ½, 1). Each family's half is computed the first time a charge
-/// share reads it. `rows` stays empty when the model has no prefix for
-/// the side's `N` (both families have one exactly when `N` is 2, 4, 8
-/// or 16).
+/// One raised row of one terminal side of a charge-share activation:
+/// the column-independent head of each of its z-scores, its
+/// cell-variation draws, and its shared-column CDF table, filled entry
+/// by entry the first time a charge share reads one (see [`CsSide`]).
+///
+/// Entry `[3 * n_shared * family + 3 * (col / 2) + mm_idx]` is
+/// `normal_cdf(z)` of shared column `col`, where `family` is 1 for
+/// AND- and 0 for OR-family constants and `mm_idx` indexes the three
+/// values the neighbour-mismatch fraction can take (0, ½, 1). `z` is
+/// `pre − cpl·mm + dist − tterm + σ_cell·lz[col] + σ_sa·sa[col]`, added
+/// left to right; its first four terms are `head[family][mm_idx]`.
+#[derive(Debug, Clone)]
+struct CsRow {
+    head: [[f64; 3]; 2],
+    lz: Arc<[f64]>,
+    table: Box<[f64]>,
+}
+
+/// The rows of one terminal side, empty when the model has no prefix
+/// for the side's `N` (both families have one exactly when `N` is 2,
+/// 4, 8 or 16). An entry fills in every row at once, so one flag per
+/// entry says which entries every row's table holds.
 #[derive(Debug, Clone, Default)]
 struct CsSide {
-    rows: Vec<Box<[f64]>>,
-    built: [bool; 2],
+    rows: Vec<CsRow>,
+    filled: Vec<bool>,
+}
+
+impl CsSide {
+    /// Fills, in every row's table, each entry `idx` names that is not
+    /// yet filled. `idx[j]` is shared column `shared_start + 2 j`'s
+    /// entry; `sa` holds the shared stripe's sense-amp draws.
+    fn fill(&mut self, idx: &[u32], n_shared: usize, shared_start: usize, sa: &[f64]) {
+        for (j, i) in idx.iter().enumerate() {
+            let i = *i as usize;
+            if self.filled[i] {
+                continue;
+            }
+            self.filled[i] = true;
+            let c = shared_start + 2 * j;
+            for r in &mut self.rows {
+                let z = r.head[i / (3 * n_shared)][i % 3]
+                    + SIGMA_CELL_LOGIC * r.lz[c]
+                    + SIGMA_SA_LOGIC * sa[c];
+                r.table[i] = normal_cdf(z);
+            }
+        }
+    }
 }
 
 /// Charge-share tables for one `(bank, r_ref, r_com)` activation: the
-/// compute side, then the reference side.
-#[derive(Debug, Clone, Default)]
+/// shared stripe's sense-amp draws, then the compute side and the
+/// reference side, each built the first time a charge share resolves
+/// it.
+#[derive(Debug, Clone)]
 struct CsTables {
-    sides: [CsSide; 2],
+    sa: Arc<[f64]>,
+    sides: [Option<CsSide>; 2],
 }
 
 /// One CDF table per raised row of one side of a NOT activation.
@@ -504,18 +738,6 @@ impl KernelMemo {
         self.maj.clear();
         self.clone.clear();
     }
-}
-
-/// One row's `Frac` result: the voltage every cell stores, what each
-/// cell reads as, and how many read as zero (the intended value). A
-/// pure function of the row's frac-level factors and the analog
-/// parameters, so it is computed on a row's first `Frac` and copied
-/// on every later one.
-#[derive(Debug, Clone)]
-struct FracRow {
-    volts: Box<[f32]>,
-    actual: Box<[Bit]>,
-    matches: usize,
 }
 
 /// Per-column working arrays of the gate kernels, owned by the chip and
@@ -623,12 +845,19 @@ pub struct Chip {
     fidelity: SimFidelity,
     cache: VariationCache,
     memo: KernelMemo,
-    /// `Frac` results by `(bank, subarray, row)`. They do not depend
-    /// on the temperature, so a temperature change keeps them.
-    frac_rows: HashMap<MemoKey, FracRow>,
+    /// `Frac` voltages by `(bank, subarray, row)`: a pure function of
+    /// the row's frac-level factors and the analog parameters, computed
+    /// on a row's first `Frac` and copied on every later one. They do
+    /// not depend on the temperature, so a temperature change keeps
+    /// them.
+    frac_rows: HashMap<MemoKey, Box<[f32]>>,
     disturbance: DisturbanceState,
     disturb_policy: Option<DisturbancePolicy>,
     scratch: Scratch,
+    pending: PendingDraws,
+    /// Cells drawn so far, at once or on settling.
+    #[cfg(test)]
+    drawn: u64,
 }
 
 impl Chip {
@@ -661,6 +890,9 @@ impl Chip {
             disturbance: DisturbanceState::new(geom.banks() * geom.subarrays_per_bank()),
             disturb_policy: None,
             scratch: Scratch::default(),
+            pending: PendingDraws::default(),
+            #[cfg(test)]
+            drawn: 0,
         }
     }
 
@@ -679,8 +911,8 @@ impl Chip {
 
     /// Applies a [`crate::SimConfig`] — fidelity and temperature in
     /// one call. Stored bits and aggregate statistics are identical
-    /// across fidelity modes; only the presence of per-cell
-    /// [`CellOutcome`] records changes.
+    /// across fidelity modes; only the presence of [`RowOutcome`]
+    /// records changes.
     pub fn configure(&mut self, cfg: crate::SimConfig) {
         self.fidelity = cfg.fidelity();
         let t = cfg.temperature();
@@ -787,6 +1019,82 @@ impl Chip {
     }
 
     // -----------------------------------------------------------------
+    // Pending draws
+    // -----------------------------------------------------------------
+
+    /// Draws and stores row `row`'s pending cells, if it has any: each
+    /// cell keeps its intended value with its success probability and
+    /// fails to the complement, drawn from the sampler of the operation
+    /// that resolved it, so the row holds exactly what an immediate
+    /// draw would have stored.
+    fn settle(&mut self, bank: BankId, sub: SubarrayId, row: LocalRow) {
+        let Some(mut pend) = self.pending.take(&self.geom, (bank, sub), row) else {
+            return;
+        };
+        let key = ((sub.index() as u64) << 32) | row.index() as u64;
+        let sampler = self.model.variation().row_sampler(pend.op, key);
+        let vdd = self.model.analog().vdd;
+        let slice = self.banks[bank.index()].subarray_mut(sub).row_mut(row);
+        for (parity, half) in pend.halves.iter_mut().enumerate() {
+            if !half.live {
+                continue;
+            }
+            for (j, (p, intended)) in half.p.iter().zip(&half.intended).enumerate() {
+                let c = parity + 2 * j;
+                let actual = if sampler.sample(c, *p) {
+                    *intended
+                } else {
+                    intended.not()
+                };
+                slice[c] = actual.voltage(vdd) as f32;
+            }
+            #[cfg(test)]
+            {
+                self.drawn += half.p.len() as u64;
+            }
+        }
+        self.pending.recycle(pend);
+    }
+
+    /// Settles every row of `rows` in `sub`.
+    fn settle_rows(&mut self, bank: BankId, sub: SubarrayId, rows: &[LocalRow]) {
+        if self.pending.live > 0 {
+            for row in rows {
+                self.settle(bank, sub, *row);
+            }
+        }
+    }
+
+    /// Drops row `row`'s pending draws undrawn: a full-row write is
+    /// about to replace every cell they would set.
+    fn discard_pending(&mut self, bank: BankId, sub: SubarrayId, row: LocalRow) {
+        if self.pending.live > 0 {
+            if let Some(pend) = self.pending.take(&self.geom, (bank, sub), row) {
+                self.pending.recycle(pend);
+            }
+        }
+    }
+
+    /// Settles every row with pending draws.
+    fn settle_all(&mut self) {
+        if self.pending.live > 0 {
+            for (bank, sub, row) in self.pending.live_rows(&self.geom) {
+                self.settle(bank, sub, row);
+            }
+        }
+    }
+
+    /// Ends an operation's record (and counts the cells it drew at
+    /// once).
+    fn finish(&mut self, rec: Recorder, kind: OutcomeKind) -> OpOutcome {
+        #[cfg(test)]
+        {
+            self.drawn += rec.drawn;
+        }
+        rec.finish(kind)
+    }
+
+    // -----------------------------------------------------------------
     // Plain DDR4 behaviour
     // -----------------------------------------------------------------
 
@@ -823,6 +1131,7 @@ impl Chip {
     pub fn read_row(&mut self, bank: BankId, row: GlobalRow) -> Result<Vec<Bit>> {
         self.activate(bank, row)?;
         let (sub, local) = self.geom.split_row(row)?;
+        self.settle(bank, sub, local);
         let vdd = self.model.analog().vdd;
         let bits = {
             let b = self.bank_mut_ref(bank)?;
@@ -842,6 +1151,8 @@ impl Chip {
             });
         }
         let (sub, local) = self.geom.split_row(row)?;
+        self.geom.check_bank(bank)?;
+        self.discard_pending(bank, sub, local);
         let vdd = self.model.analog().vdd;
         let b = self.bank_mut_ref(bank)?;
         b.subarray_mut(sub).write_bits(local, bits, vdd);
@@ -867,6 +1178,7 @@ impl Chip {
     ) -> Result<Vec<u64>> {
         self.activate(bank, row)?;
         let (sub, local) = self.geom.split_row(row)?;
+        self.settle(bank, sub, local);
         let vdd = self.model.analog().vdd;
         let cols = self.geom.cols();
         let lanes = if start < cols {
@@ -890,9 +1202,12 @@ impl Chip {
         Ok(words)
     }
 
-    /// Host-side direct row read (no state checks).
-    pub fn read_row_direct(&self, bank: BankId, row: GlobalRow) -> Result<Vec<Bit>> {
+    /// Host-side direct row read (no state checks). Like every read, it
+    /// settles the row's pending draws first.
+    pub fn read_row_direct(&mut self, bank: BankId, row: GlobalRow) -> Result<Vec<Bit>> {
         let (sub, local) = self.geom.split_row(row)?;
+        self.geom.check_bank(bank)?;
+        self.settle(bank, sub, local);
         let vdd = self.model.analog().vdd;
         let b = self.bank_ref(bank)?;
         Ok(match b.subarray(sub) {
@@ -904,7 +1219,9 @@ impl Chip {
     /// `WR` overdrive to an *open* bank: every raised row in the
     /// last-activated subarray stores `data` exactly; raised rows in a
     /// neighboring subarray store `¬data` on the shared column half
-    /// (§4.2's subarray-mapping methodology relies on this).
+    /// (§4.2's subarray-mapping methodology relies on this). A row
+    /// written whole drops its pending draws; a neighbour row, written
+    /// on one half, settles first.
     pub fn write_open(&mut self, bank: BankId, data: &[Bit]) -> Result<()> {
         if data.len() != self.geom.cols() {
             return Err(DramError::WidthMismatch {
@@ -916,13 +1233,22 @@ impl Chip {
         // Each value's stored voltage, hoisted so the cell loops are
         // plain selects.
         let (zero, one) = (Bit::Zero.voltage(vdd) as f32, Bit::One.voltage(vdd) as f32);
-        let b = self.bank_mut_ref(bank)?;
-        let Some(open) = b.close() else {
+        let Some(open) = self.bank_mut_ref(bank)?.close() else {
             return Err(DramError::IllegalCommand {
                 detail: "WR while bank precharged".into(),
             });
         };
         let last = open.last_subarray;
+        for (sub, rows) in &open.groups {
+            for row in rows {
+                if *sub == last {
+                    self.discard_pending(bank, *sub, *row);
+                } else {
+                    self.settle(bank, *sub, *row);
+                }
+            }
+        }
+        let b = &mut self.banks[bank.index()];
         for (sub, rows) in &open.groups {
             let upper = SubarrayId(sub.index().min(last.index()));
             // Shared columns of the pair have parity `upper + 1`; the
@@ -969,43 +1295,31 @@ impl Chip {
             let fr = self.build_frac_row(bank, sub, local);
             self.frac_rows.insert(key, fr);
         }
-        let fr = &self.frac_rows[&key];
+        self.discard_pending(bank, sub, local);
+        let volts = &self.frac_rows[&key];
         let mut rec = Recorder::new(self.fidelity.telemetry, cols);
         self.banks[bank.index()]
             .subarray_mut(sub)
             .row_mut(local)
-            .copy_from_slice(&fr.volts);
-        if let Some(cells) = &mut rec.cells {
-            // VDD/2 reads as 0 by threshold, so intended is Zero.
-            cells.extend(
-                fr.actual
-                    .iter()
-                    .enumerate()
-                    .map(|(c, &actual)| CellOutcome {
-                        subarray: sub,
-                        row: local,
-                        col: Col(c),
-                        role: CellRole::Frac,
-                        intended: Bit::Zero,
-                        actual,
-                        p_success: 1.0,
-                    }),
-            );
+            .copy_from_slice(volts);
+        // VDD/2 reads as 0 by threshold, so intended is Zero.
+        rec.begin_row((sub, local), [CellRole::Frac; 2], (0, 1), cols);
+        if let Some(r) = &mut rec.records {
+            r.p.resize(cols, 1.0);
+            r.intended.resize(cols, Bit::Zero);
         }
         // Every cell succeeds with p = 1, so the sum is the count exactly.
         rec.stats.roles[CellRole::Frac.index()] = RoleStats {
             count: cols,
             sum_p: cols as f64,
-            drawn: cols,
-            matches: fr.matches,
         };
         self.banks[bank.index()].close();
         Ok(rec.finish(OutcomeKind::Frac))
     }
 
-    /// The `Frac` result of one row: each cell stores `(frac_level ×
-    /// factor).clamp(0, 1) × vdd` and reads as one above VDD/2.
-    fn build_frac_row(&self, bank: BankId, sub: SubarrayId, local: LocalRow) -> FracRow {
+    /// The `Frac` voltages of one row: each cell stores `(frac_level ×
+    /// factor).clamp(0, 1) × vdd`.
+    fn build_frac_row(&self, bank: BankId, sub: SubarrayId, local: LocalRow) -> Box<[f32]> {
         let vdd = self.model.analog().vdd;
         let level = self.model.analog().frac_level;
         let mut volts = vec![0.0; self.geom.cols()];
@@ -1015,12 +1329,7 @@ impl Chip {
         for v in &mut volts {
             *v = (level * *v).clamp(0.0, 1.0) * vdd;
         }
-        let actual: Box<[Bit]> = volts.iter().map(|&v| Bit::from(v > vdd / 2.0)).collect();
-        FracRow {
-            volts: volts.iter().map(|&v| v as f32).collect(),
-            matches: actual.iter().filter(|&&a| a == Bit::Zero).count(),
-            actual,
-        }
+        volts.iter().map(|&v| v as f32).collect()
     }
 
     // -----------------------------------------------------------------
@@ -1168,11 +1477,10 @@ impl Chip {
         t
     }
 
-    /// Builds the shared-column CDF tables of one charge-share
-    /// activation pair that `need[side][family]` asks for and the memo
-    /// lacks (sides and families as in [`CsTables`] and [`CsSide`]).
-    /// The stored value is `normal_cdf(z)` with the exact float-op
-    /// order of the in-line kernel; the data-dependent margin
+    /// Builds the terminal sides of one charge-share activation pair
+    /// that `need` asks for (compute, then reference) and the memo
+    /// lacks: each raised row's z-score heads and cell-variation draws,
+    /// and an unfilled CDF table ([`CsRow`]). The data-dependent margin
     /// multiplier and disturbance exponent are applied at use time.
     #[allow(clippy::too_many_arguments)]
     fn memo_cs_tables(
@@ -1184,11 +1492,8 @@ impl Chip {
         sub_com: SubarrayId,
         loc_ref: LocalRow,
         loc_com: LocalRow,
-        need: [[bool; 2]; 2],
+        need: [bool; 2],
     ) {
-        if !self.memo.cs.contains_key(&key) && self.memo.cs.len() >= MEMO_CAP {
-            self.memo.cs.clear();
-        }
         let bank = BankId(key.0 as usize);
         let cols = self.geom.cols();
         let rows_per_sub = self.geom.rows_per_subarray();
@@ -1199,46 +1504,55 @@ impl Chip {
         let com_dist_addr = dist_to_stripe(loc_com, rows_per_sub, sub_com, upper);
         let ref_dist_addr = dist_to_stripe(loc_ref, rows_per_sub, sub_ref, upper);
         let tterm = ReliabilityModel::logic_temp_term(self.temperature);
-        let sa = self.cache.sa_z(self.model.variation(), bank, stripe, cols);
+        if !self.memo.cs.contains_key(&key) {
+            if self.memo.cs.len() >= MEMO_CAP {
+                self.memo.cs.clear();
+            }
+            let sa = self.cache.sa_z(self.model.variation(), bank, stripe, cols);
+            let tables = CsTables {
+                sa,
+                sides: [None, None],
+            };
+            self.memo.cs.insert(key, tables);
+        }
         let sides = [
             (sub_com, second_rows, [LogicOp::Or, LogicOp::And], false),
             (sub_ref, first_rows, [LogicOp::Nor, LogicOp::Nand], true),
         ];
         for (side, (sub, rows, ops, invert)) in sides.into_iter().enumerate() {
-            for fam in 0..2 {
-                let entry = &mut self.memo.cs.entry(key).or_default().sides[side];
-                if !need[side][fam] || entry.built[fam] {
-                    continue;
-                }
-                entry.built[fam] = true;
-                let Some(pre) = self.model.logic_z_prefix(ops[fam], rows.len()) else {
-                    continue;
-                };
-                let mut tabs = std::mem::take(&mut entry.rows);
-                tabs.resize_with(rows.len(), || vec![0.0; 6 * n_shared].into());
-                let cpl = ReliabilityModel::coupling(ops[fam]);
-                for (row, t) in rows.iter().zip(&mut tabs) {
+            if !need[side] || self.memo.cs[&key].sides[side].is_some() {
+                continue;
+            }
+            let prefixes = ops.map(|op| self.model.logic_z_prefix(op, rows.len()));
+            let mut built = CsSide {
+                rows: Vec::new(),
+                filled: vec![false; 6 * n_shared],
+            };
+            if let [Some(pre_or), Some(pre_and)] = prefixes {
+                for row in rows {
                     let own_dist = dist_to_stripe(*row, rows_per_sub, sub, upper);
-                    let dist = if invert {
-                        ReliabilityModel::logic_dist_term(ops[fam], com_dist_addr, own_dist)
-                    } else {
-                        ReliabilityModel::logic_dist_term(ops[fam], own_dist, ref_dist_addr)
-                    };
+                    let head = [(ops[0], pre_or), (ops[1], pre_and)].map(|(op, pre)| {
+                        let dist = if invert {
+                            ReliabilityModel::logic_dist_term(op, com_dist_addr, own_dist)
+                        } else {
+                            ReliabilityModel::logic_dist_term(op, own_dist, ref_dist_addr)
+                        };
+                        let cpl = ReliabilityModel::coupling(op);
+                        [0.0f64, 0.5, 1.0]
+                            .map(|mm_v| pre - cpl * mm_v.clamp(0.0, 1.0) + dist - tterm)
+                    });
                     let lz = self
                         .cache
                         .logic_z(self.model.variation(), bank, sub, *row, cols);
-                    let half = &mut t[3 * n_shared * fam..3 * n_shared * (fam + 1)];
-                    let shared = (shared_start..cols).step_by(2);
-                    for (cdfs, c) in half.chunks_exact_mut(3).zip(shared) {
-                        for (cdf, mm_v) in cdfs.iter_mut().zip([0.0f64, 0.5, 1.0]) {
-                            let z = pre - cpl * mm_v.clamp(0.0, 1.0) + dist - tterm
-                                + SIGMA_CELL_LOGIC * lz[c]
-                                + SIGMA_SA_LOGIC * sa[c];
-                            *cdf = normal_cdf(z);
-                        }
-                    }
+                    built.rows.push(CsRow {
+                        head,
+                        lz,
+                        table: vec![0.0; 6 * n_shared].into(),
+                    });
                 }
-                self.memo.cs.entry(key).or_default().sides[side].rows = tabs;
+            }
+            if let Some(t) = self.memo.cs.get_mut(&key) {
+                t.sides[side] = Some(built);
             }
         }
     }
@@ -1278,6 +1592,10 @@ impl Chip {
     /// Characterization guarantees this: every NOT stages its source
     /// row, every logic operation stages every raised row, and nothing
     /// reads a result back.
+    ///
+    /// Every row the copy reads or writes settles its pending draws
+    /// first (see [`OpOutcome`]); a skipped source row keeps them.
+    /// The copy's own destinations draw at once.
     pub fn multi_act_copy_masked(
         &mut self,
         bank: BankId,
@@ -1317,6 +1635,7 @@ impl Chip {
             }
             MultiActivation::SameSubarray { rows } => {
                 self.charge_disturbance(bank, sub_f, rows.len() as u64);
+                self.settle_rows(bank, sub_f, &rows);
                 // RowClone: every raised row except rf receives rf.
                 let mut src = self.source_voltages(bank, sub_f, loc_f);
                 let dsts = rows.iter().filter(|r| **r != loc_f).count();
@@ -1334,7 +1653,7 @@ impl Chip {
                         (sub_f, *row),
                         CellRole::CloneDst,
                         vdd,
-                        0..cols,
+                        (0, 1),
                         |c, old| (bit_of(src[c], vdd), bit_of(old, vdd), cdf[c]),
                     );
                 }
@@ -1344,7 +1663,7 @@ impl Chip {
                     groups: vec![(sub_f, rows)],
                     last_subarray: sub_f,
                 });
-                Ok(rec.finish(OutcomeKind::InSubarray { rows: n }))
+                Ok(self.finish(rec, OutcomeKind::InSubarray { rows: n }))
             }
             MultiActivation::CrossSubarray {
                 first_rows,
@@ -1354,6 +1673,12 @@ impl Chip {
             } => {
                 self.charge_disturbance(bank, sub_f, first_rows.len() as u64);
                 self.charge_disturbance(bank, sub_l, second_rows.len() as u64);
+                if need.resolves_reference() {
+                    self.settle_rows(bank, sub_f, &first_rows);
+                } else {
+                    self.settle_rows(bank, sub_f, &[loc_f]);
+                }
+                self.settle_rows(bank, sub_l, &second_rows);
                 let upper = SubarrayId(sub_f.index().min(sub_l.index()));
                 let mut src = self.source_voltages(bank, sub_f, loc_f);
                 let shared_start = (upper.index() + 1) % 2;
@@ -1404,7 +1729,7 @@ impl Chip {
                             (sub_l, *row),
                             CellRole::NotDst,
                             vdd,
-                            (shared_start..cols).step_by(2),
+                            (shared_start, 2),
                             |c, old| (bit_of(src[c], vdd).not(), bit_of(old, vdd), dst_tab[c]),
                         );
                         continue;
@@ -1418,6 +1743,9 @@ impl Chip {
                     sc.votes(n_dst, off_start, cols);
                     let stored = 1u64 << ri;
                     let maj_cdf = self.memo_maj_cdf(bank, sub_l, *row);
+                    let mut roles = [CellRole::OffMaj; 2];
+                    roles[shared_start] = CellRole::NotDst;
+                    rec.begin_row((sub_l, *row), roles, (0, 1), cols);
                     let slice = self.banks[bank.index()].subarray_mut(sub_l).row_mut(*row);
                     for c in 0..cols {
                         let (role, intended, failed, p) = if c % 2 == shared_start {
@@ -1437,7 +1765,11 @@ impl Chip {
                             let bits = &mut sc.packed_ref[c / 2];
                             *bits = (*bits & !stored) | (stored * u64::from(actual.as_bool()));
                         }
-                        rec.push(sub_l, *row, Col(c), role, intended, actual, p);
+                        rec.push(role, intended, p);
+                    }
+                    #[cfg(test)]
+                    {
+                        rec.drawn += cols as u64;
                     }
                 }
                 self.scratch = sc;
@@ -1457,7 +1789,7 @@ impl Chip {
                         (sub_f, *row),
                         CellRole::SrcCopy,
                         vdd,
-                        0..cols,
+                        (0, 1),
                         |c, old| (bit_of(src[c], vdd), bit_of(old, vdd), src_tab[c]),
                     );
                 }
@@ -1468,11 +1800,14 @@ impl Chip {
                     groups: vec![(sub_f, first_rows), (sub_l, second_rows)],
                     last_subarray: sub_l,
                 });
-                Ok(rec.finish(OutcomeKind::Not {
-                    n_rf: shape.0,
-                    n_rl: shape.1,
-                    pattern: kind,
-                }))
+                Ok(self.finish(
+                    rec,
+                    OutcomeKind::Not {
+                        n_rf: shape.0,
+                        n_rl: shape.1,
+                        pattern: kind,
+                    },
+                ))
             }
         }
     }
@@ -1528,10 +1863,13 @@ impl Chip {
     /// `*FirstRow` scopes also skip the read terminal's rows after its
     /// first raised row, which then only add their success
     /// probabilities to the outcome's `count`/`sum_p` (so
-    /// `mean_success` is bit-identical to the whole terminal's, and
-    /// `observed_accuracy` covers the drawn row alone). Resolved cells
-    /// draw and store exactly what [`Chip::multi_act_charge_share`]
-    /// would.
+    /// `mean_success` is bit-identical to the whole terminal's). Resolved
+    /// cells draw and store exactly what [`Chip::multi_act_charge_share`]
+    /// would, when their row settles.
+    ///
+    /// Every raised row settles its pending draws before the charge
+    /// share gathers it. The resolved rows then owe their own draws
+    /// (see [`OpOutcome`]).
     ///
     /// Unresolved rows keep their staged values, so masking is only
     /// safe when the caller rewrites every raised row before its next
@@ -1595,6 +1933,7 @@ impl Chip {
                 let dexp = self.disturb_exponent(bank, sub_ref);
                 let mut rec = Recorder::new(telemetry, if n >= 2 { n * cols } else { 0 });
                 if n >= 2 {
+                    self.settle_rows(bank, sub_ref, &rows);
                     let mut sc = std::mem::take(&mut self.scratch);
                     sc.fit(cols);
                     for start in [0, 1] {
@@ -1602,22 +1941,19 @@ impl Chip {
                     }
                     for row in &rows {
                         let cdf = self.memo_maj_cdf(bank, sub_ref, *row);
-                        let sampler = self.row_sampler(op, sub_ref, *row);
-                        let slice = self.banks[bank.index()].subarray_mut(sub_ref).row_mut(*row);
                         let (maj, mult) = (&sc.maj, &sc.mult);
-                        rec.resolve_row(
-                            slice,
-                            &sampler,
+                        rec.defer_row(
+                            self.pending.slot(&self.geom, (bank, sub_ref), *row, op),
                             (sub_ref, *row),
                             CellRole::OffMaj,
-                            vdd,
-                            0..cols,
-                            |c, _| {
+                            cols,
+                            (0, 1),
+                            |c| {
                                 let mut p = (mult[c] * cdf[c]).clamp(0.0, 1.0);
                                 if dexp != 1.0 {
                                     p = p.powf(dexp);
                                 }
-                                (maj[c], maj[c].not(), p)
+                                (maj[c], p)
                             },
                         );
                     }
@@ -1628,7 +1964,7 @@ impl Chip {
                     groups: vec![(sub_ref, rows)],
                     last_subarray: sub_ref,
                 });
-                Ok(rec.finish(OutcomeKind::InSubarray { rows: nrows }))
+                Ok(self.finish(rec, OutcomeKind::InSubarray { rows: nrows }))
             }
             MultiActivation::CrossSubarray {
                 first_rows,
@@ -1650,6 +1986,8 @@ impl Chip {
             } => {
                 self.charge_disturbance(bank, sub_ref, first_rows.len() as u64);
                 self.charge_disturbance(bank, sub_com, second_rows.len() as u64);
+                self.settle_rows(bank, sub_ref, &first_rows);
+                self.settle_rows(bank, sub_com, &second_rows);
                 let upper = SubarrayId(sub_ref.index().min(sub_com.index()));
                 let n_ref = first_rows.len();
                 let n_com = second_rows.len();
@@ -1684,13 +2022,13 @@ impl Chip {
                     *rf = *rf / (n_ref.max(1) as f64) / vdd;
                 }
                 let packed_com = &sc.packed_com[..n_shared];
-                let mut families = [false; 2];
+                let mut and_family = false;
                 let cell_unit = analog.cell_unit(n_com.max(n_ref));
                 for (j, sel) in sc.sel[..n_shared].iter_mut().enumerate() {
                     let (diff, ref_mean) = (diffs[j], ref_means[j]);
                     let diff_cells = diff / cell_unit;
                     let fam_and = ref_mean > 0.5;
-                    families[usize::from(fam_and)] = true;
+                    and_family |= fam_and;
                     let mut d = 0u8;
                     let mut cnt = 0u8;
                     for nb in [j.wrapping_sub(1), j + 1] {
@@ -1735,8 +2073,7 @@ impl Chip {
                     r_ref.index() as u32,
                     r_com.index() as u32,
                 );
-                let wanted = [need.resolves_compute(), need.resolves_reference()]
-                    .map(|side| families.map(|f| side && f));
+                let wanted = [need.resolves_compute(), need.resolves_reference()];
                 self.memo_cs_tables(
                     key,
                     &first_rows,
@@ -1747,7 +2084,6 @@ impl Chip {
                     loc_com,
                     wanted,
                 );
-                let tables = &self.memo.cs[&key].sides;
 
                 // Result rows on both terminals share one kernel shape:
                 // p = margin multiplier × Φ(z), Φ(z) from the memoized
@@ -1758,7 +2094,7 @@ impl Chip {
                         need.resolves_compute(),
                         sub_com,
                         &second_rows,
-                        &tables[0].rows,
+                        0,
                         (LogicOp::And, LogicOp::Or),
                         n_com,
                         false,
@@ -1769,7 +2105,7 @@ impl Chip {
                         need.resolves_reference(),
                         sub_ref,
                         &first_rows,
-                        &tables[1].rows,
+                        1,
                         (LogicOp::Nand, LogicOp::Nor),
                         n_ref,
                         true,
@@ -1777,7 +2113,7 @@ impl Chip {
                         dexp_ref,
                     ),
                 ];
-                for (resolve, sub, rows, tabs, ops, n_side, invert, role, dexp) in terminals {
+                for (resolve, sub, rows, side, ops, n_side, invert, role, dexp) in terminals {
                     if !resolve {
                         continue;
                     }
@@ -1809,8 +2145,14 @@ impl Chip {
                             + u32::from(tab % 3);
                     }
                     let (mults, idx) = (&*mults, &*idx);
+                    // Fill the table entries this gate reads (once per
+                    // activation pair, temperature and entry).
+                    let tables = self.memo.cs.get_mut(&key).expect("built above");
+                    let built = tables.sides[side].as_mut().expect("built above");
+                    built.fill(idx, n_shared, shared_start, &tables.sa);
+                    let tabs = &built.rows;
                     for (row_i, row) in rows.iter().enumerate() {
-                        let cdf = tabs.get(row_i).map(|t| &**t);
+                        let cdf = tabs.get(row_i).map(|t| &*t.table);
                         if first_only && row_i > 0 {
                             // Unresolved: counted toward the mean, never
                             // drawn; the row keeps its staged values. A
@@ -1832,19 +2174,19 @@ impl Chip {
                             }
                             p
                         };
-                        let sampler = self.row_sampler(op, sub, *row);
-                        let slice = self.banks[bank.index()].subarray_mut(sub).row_mut(*row);
-                        let shared = (shared_start..cols).step_by(2);
-                        rec.resolve_row(slice, &sampler, (sub, *row), role, vdd, shared, |c, _| {
+                        let pending = self.pending.slot(&self.geom, (bank, sub), *row, op);
+                        let at = (sub, *row);
+                        rec.defer_row(pending, at, role, cols, (shared_start, 2), |c| {
                             let intended = Bit::from((sel[c / 2] >> 5 == 1) != invert);
-                            (intended, intended.not(), p_at(c / 2))
+                            (intended, p_at(c / 2))
                         });
                     }
                 }
 
                 // Non-shared half: each side majority-resolves against
                 // its other (precharged) stripe, from the pre-operation
-                // values (the terminal pass wrote only shared columns).
+                // values (the terminal rows' draws wait, and cover only
+                // the shared columns).
                 // Skipped when masked: these cells are never read before
                 // their next rewrite.
                 let off_start = 1 - shared_start;
@@ -1872,25 +2214,21 @@ impl Chip {
                             (sum / vdd - n_side as f64 / 2.0).abs(),
                         );
                     }
-                    let (maj, mult) = (&sc.maj, &sc.mult);
                     for row in rows.iter() {
                         let cdf = self.memo_maj_cdf(bank, sub, *row);
-                        let sampler = self.row_sampler(op, sub, *row);
-                        let slice = self.banks[bank.index()].subarray_mut(sub).row_mut(*row);
-                        let offs = (off_start..cols).step_by(2);
-                        rec.resolve_row(
-                            slice,
-                            &sampler,
+                        let (maj, mult) = (&sc.maj, &sc.mult);
+                        rec.defer_row(
+                            self.pending.slot(&self.geom, (bank, sub), *row, op),
                             (sub, *row),
                             CellRole::OffMaj,
-                            vdd,
-                            offs,
-                            |c, _| {
+                            cols,
+                            (off_start, 2),
+                            |c| {
                                 let mut p = (mult[c] * cdf[c]).clamp(0.0, 1.0);
                                 if dexp != 1.0 {
                                     p = p.powf(dexp);
                                 }
-                                (maj[c], maj[c].not(), p)
+                                (maj[c], p)
                             },
                         );
                     }
@@ -1901,18 +2239,23 @@ impl Chip {
                     groups: vec![(sub_ref, first_rows), (sub_com, second_rows)],
                     last_subarray: sub_com,
                 });
-                Ok(rec.finish(OutcomeKind::Logic {
-                    n_ref,
-                    n_com,
-                    and_family: families[1],
-                }))
+                Ok(self.finish(
+                    rec,
+                    OutcomeKind::Logic {
+                        n_ref,
+                        n_com,
+                        and_family,
+                    },
+                ))
             }
         }
     }
 
     /// Applies retention leakage for `dt_ns` nanoseconds at the current
-    /// temperature (τ ≈ 64 ms at 50 °C, halving every 10 °C).
+    /// temperature (τ ≈ 64 ms at 50 °C, halving every 10 °C). Every
+    /// pending draw settles first, so cells leak from their drawn value.
     pub fn advance_time(&mut self, dt_ns: f64) {
+        self.settle_all();
         let tau_ns = 64e6 / self.temperature.leakage_acceleration();
         for b in &mut self.banks {
             b.leak(dt_ns / tau_ns);
@@ -1927,6 +2270,7 @@ impl Chip {
     ///
     /// Charged cells flip toward GND with probability growing past the
     /// cell's hammer threshold; discharged cells flip far more rarely.
+    /// Each victim settles its pending draws first.
     pub fn hammer(
         &mut self,
         bank: BankId,
@@ -1945,6 +2289,7 @@ impl Chip {
         if local.index() + 1 < rows_per_sub {
             victims.push(LocalRow(local.index() + 1));
         }
+        self.settle_rows(bank, sub, &victims);
         let op = self.next_op();
         let mut out = Vec::new();
         for victim in victims {
@@ -2067,6 +2412,23 @@ mod tests {
         Chip::new(cfg, ChipId(0))
     }
 
+    /// The fraction of `out`'s recorded cells in `role` that read back
+    /// as intended (reads settle pending draws).
+    fn read_accuracy(chip: &mut Chip, out: &OpOutcome, role: CellRole) -> f64 {
+        let (mut hits, mut total) = (0usize, 0usize);
+        for r in &out.rows {
+            let g = chip.geometry().join_row(r.subarray, r.row).unwrap();
+            let bits = chip.read_row_direct(BankId(0), g).unwrap();
+            for (c, want) in r.cols().zip(out.intended_of(r)) {
+                if r.roles[c % 2] == role {
+                    total += 1;
+                    hits += usize::from(bits[c] == *want);
+                }
+            }
+        }
+        hits as f64 / total as f64
+    }
+
     fn pattern(seed: u64, cols: usize) -> Vec<Bit> {
         (0..cols)
             .map(|c| Bit::from(crate::math::hash_to_unit(crate::math::mix2(seed, c as u64)) < 0.5))
@@ -2123,7 +2485,7 @@ mod tests {
         let mut fresh = hynix_chip().with_sim_config(full);
         let want_out = fresh.frac(bank, row).unwrap();
         let want_volts = volts(&fresh);
-        assert_eq!(want_out.cells.len(), fresh.geometry().cols());
+        assert_eq!(want_out.p.len(), fresh.geometry().cols());
 
         let mut chip = hynix_chip().with_sim_config(full);
         let check = |chip: &mut Chip, after: &str| {
@@ -2156,6 +2518,8 @@ mod tests {
             "{:?}",
             cs.kind
         );
+        // The charge share's draws land when the row is read.
+        chip.read_row_direct(bank, row).unwrap();
         assert_ne!(
             volts(&chip),
             want_volts,
@@ -2187,17 +2551,21 @@ mod tests {
         let src = pattern(42, cols);
         chip.write_row_direct(bank, rf, &src).unwrap();
         let out = chip.multi_act_copy(bank, rf, rl).unwrap();
+        chip.precharge(bank).unwrap();
         assert!(matches!(out.kind, OutcomeKind::Not { .. }));
         // Destination cells on shared columns should mostly be ¬src.
-        let acc = out.observed_accuracy(CellRole::NotDst).unwrap();
+        let acc = read_accuracy(&mut chip, &out, CellRole::NotDst);
         assert!(acc > 0.85, "NOT accuracy {acc}");
-        for cell in out
-            .cells
+        for r in out
+            .rows
             .iter()
-            .filter(|c| c.role == CellRole::NotDst)
-            .take(8)
+            .filter(|r| r.roles.contains(&CellRole::NotDst))
         {
-            assert_eq!(cell.intended, src[cell.col.index()].not());
+            for (c, want) in r.cols().zip(out.intended_of(r)) {
+                if r.roles[c % 2] == CellRole::NotDst {
+                    assert_eq!(*want, src[c].not());
+                }
+            }
         }
     }
 
@@ -2226,8 +2594,9 @@ mod tests {
         let src = pattern(9, cols);
         chip.write_row_direct(bank, rf, &src).unwrap();
         let out = chip.multi_act_copy(bank, rf, rl).unwrap();
+        chip.precharge(bank).unwrap();
         assert!(matches!(out.kind, OutcomeKind::InSubarray { rows: 2 }));
-        let acc = out.observed_accuracy(CellRole::CloneDst).unwrap();
+        let acc = read_accuracy(&mut chip, &out, CellRole::CloneDst);
         assert!(acc > 0.95, "clone accuracy {acc}");
         let read = chip.read_row_direct(bank, rl).unwrap();
         let matches = read.iter().zip(&src).filter(|(a, b)| a == b).count();
@@ -2286,21 +2655,24 @@ mod tests {
             } => {}
             other => panic!("unexpected kind {other:?}"),
         }
-        // Intended compute results must equal bitwise AND of inputs.
+        chip.precharge(bank).unwrap();
+        // Intended compute results must equal bitwise AND of inputs;
+        // the reference terminal carries NAND.
         let upper = SubarrayId(sub_ref.index().min(sub_com.index()));
-        for cell in out.cells.iter().filter(|c| c.role == CellRole::Compute) {
-            assert!(is_shared_col(upper, cell.col));
-            let expect =
-                Bit::from(in_a[cell.col.index()].as_bool() && in_b[cell.col.index()].as_bool());
-            assert_eq!(cell.intended, expect, "col {}", cell.col);
+        for r in &out.rows {
+            for (c, want) in r.cols().zip(out.intended_of(r)) {
+                let and = in_a[c].as_bool() && in_b[c].as_bool();
+                match r.roles[c % 2] {
+                    CellRole::Compute => {
+                        assert!(is_shared_col(upper, Col(c)));
+                        assert_eq!(*want, Bit::from(and), "col {c}");
+                    }
+                    CellRole::Reference => assert_eq!(*want, Bit::from(!and), "col {c}"),
+                    _ => {}
+                }
+            }
         }
-        // Reference terminal carries NAND.
-        for cell in out.cells.iter().filter(|c| c.role == CellRole::Reference) {
-            let expect =
-                Bit::from(!(in_a[cell.col.index()].as_bool() && in_b[cell.col.index()].as_bool()));
-            assert_eq!(cell.intended, expect);
-        }
-        let acc = out.observed_accuracy(CellRole::Compute).unwrap();
+        let acc = read_accuracy(&mut chip, &out, CellRole::Compute);
         assert!(acc > 0.6, "AND accuracy {acc}");
     }
 
@@ -2569,5 +2941,422 @@ mod tests {
         let v = chip.banks[0].subarray(sub).unwrap().voltage(local, Col(0));
         assert!(v < 1.2, "leaked voltage {v}");
         assert!(v > 0.3, "too much leak {v}");
+    }
+
+    // -----------------------------------------------------------------
+    // Pending draws
+    // -----------------------------------------------------------------
+
+    /// A 2:2 simultaneous cross-subarray pair between subarrays 0 and
+    /// 1: `(r_ref, r_com, ref rows, com rows)` as global rows.
+    fn cs_pair(chip: &Chip) -> (GlobalRow, GlobalRow, Vec<GlobalRow>, Vec<GlobalRow>) {
+        let geom = *chip.geometry();
+        for f in 0..512usize {
+            for l in 0..512usize {
+                let (rf, rl) = (GlobalRow(f), GlobalRow(512 + l));
+                if let MultiActivation::CrossSubarray {
+                    first_rows,
+                    second_rows,
+                    simultaneous: true,
+                    ..
+                } = chip.decoder().activation(&geom, rf, rl)
+                {
+                    if first_rows.len() == 2 && second_rows.len() == 2 {
+                        let join = |sub, rows: &[LocalRow]| -> Vec<GlobalRow> {
+                            rows.iter()
+                                .map(|r| geom.join_row(SubarrayId(sub), *r).unwrap())
+                                .collect()
+                        };
+                        return (rf, rl, join(0, &first_rows), join(1, &second_rows));
+                    }
+                }
+            }
+        }
+        panic!("no 2:2 pair");
+    }
+
+    /// Stages an AND gate the way the gate builder does (constant and
+    /// `Frac` reference rows, operand rows, each through ACT–WR–PRE)
+    /// and runs its charge share under `need`.
+    fn and_gate(chip: &mut Chip, seed: u64, need: CsTerminal) -> OpOutcome {
+        let (bank, cols) = (BankId(0), chip.geometry().cols());
+        let (rf, rl, refs, coms) = cs_pair(chip);
+        let stage = |chip: &mut Chip, g: GlobalRow, bits: &[Bit]| {
+            chip.activate(bank, g).unwrap();
+            chip.write_open(bank, bits).unwrap();
+            chip.precharge(bank).unwrap();
+        };
+        stage(chip, refs[0], &vec![Bit::One; cols]);
+        chip.frac(bank, refs[1]).unwrap();
+        for (i, g) in coms.iter().enumerate() {
+            stage(chip, *g, &pattern(seed + i as u64, cols));
+        }
+        let out = chip
+            .multi_act_charge_share_masked(bank, rf, rl, need)
+            .unwrap();
+        assert!(
+            matches!(out.kind, OutcomeKind::Logic { .. }),
+            "{:?}",
+            out.kind
+        );
+        out
+    }
+
+    /// Every raised row of the 2:2 pair.
+    fn pair_rows(chip: &Chip) -> Vec<GlobalRow> {
+        let (_, _, refs, coms) = cs_pair(chip);
+        refs.into_iter().chain(coms).collect()
+    }
+
+    /// The stored voltages of `g` (zeros if never allocated).
+    fn row_volts(chip: &Chip, g: GlobalRow) -> Vec<f32> {
+        let (sub, local) = chip.geometry().split_row(g).unwrap();
+        let s = chip.banks[0].subarray(sub).and_then(|s| s.row(local));
+        s.map_or_else(|| vec![0.0; chip.geometry().cols()], <[f32]>::to_vec)
+    }
+
+    /// Reads every row of `rows` directly, settling their draws.
+    fn settle_by_reading(chip: &mut Chip, rows: &[GlobalRow]) {
+        for g in rows {
+            chip.read_row_direct(BankId(0), *g).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_gate_and_the_next_staging_draw_nothing() {
+        let mut chip = hynix_chip();
+        let need = CsTerminal::terminal_of(LogicOp::And);
+        let out = and_gate(&mut chip, 1, need);
+        chip.precharge(BankId(0)).unwrap();
+        assert_eq!(chip.drawn, 0, "the gate draws nothing");
+        let n_shared = out.stats.role(CellRole::Compute).count / 2;
+        assert_eq!(chip.pending.live, 2, "both result rows owe draws");
+        assert_eq!(out.p.len(), 2 * n_shared);
+        and_gate(&mut chip, 7, need);
+        assert_eq!(chip.drawn, 0, "the staging writes drop the draws undrawn");
+        assert_eq!(
+            chip.pending.live, 2,
+            "only the second gate's rows owe draws"
+        );
+    }
+
+    #[test]
+    fn a_read_draws_exactly_its_rows_pending_cells() {
+        let bank = BankId(0);
+        let need = CsTerminal::terminal_of(LogicOp::And);
+        let fresh = || {
+            let mut chip = hynix_chip();
+            and_gate(&mut chip, 3, need);
+            chip.precharge(bank).unwrap();
+            chip
+        };
+        let (_, _, _, coms) = cs_pair(&hynix_chip());
+        let n_shared = (hynix_chip().geometry().cols() / 2) as u64;
+        // The reference: each result row read directly, twice.
+        let mut direct = fresh();
+        let want: Vec<Vec<Bit>> = coms
+            .iter()
+            .map(|g| {
+                let before = direct.drawn;
+                let bits = direct.read_row_direct(bank, *g).unwrap();
+                assert_eq!(direct.drawn - before, n_shared, "direct read");
+                assert_eq!(direct.read_row_direct(bank, *g).unwrap(), bits);
+                assert_eq!(direct.drawn - before, n_shared, "a second read draws none");
+                bits
+            })
+            .collect();
+        // A full read through activate/read/precharge.
+        let mut full = fresh();
+        for (g, bits) in coms.iter().zip(&want) {
+            let before = full.drawn;
+            assert_eq!(&full.read_row(bank, *g).unwrap(), bits);
+            assert_eq!(full.drawn - before, n_shared, "read_row");
+            assert_eq!(&full.read_row(bank, *g).unwrap(), bits);
+            assert_eq!(
+                full.drawn - before,
+                n_shared,
+                "a second read_row draws none"
+            );
+        }
+        // The packed read of one column half.
+        let mut packed = fresh();
+        let upper_start = 1;
+        for (g, bits) in coms.iter().zip(&want) {
+            let before = packed.drawn;
+            let words = packed.read_row_packed(bank, *g, upper_start).unwrap();
+            assert_eq!(packed.drawn - before, n_shared, "read_row_packed");
+            let lanes: Vec<Bit> = (upper_start..bits.len())
+                .step_by(2)
+                .map(|c| bits[c])
+                .collect();
+            for (j, b) in lanes.iter().enumerate() {
+                assert_eq!(words[j / 64] >> (j % 64) & 1 == 1, b.as_bool(), "lane {j}");
+            }
+            assert_eq!(
+                packed.read_row_packed(bank, *g, upper_start).unwrap(),
+                words
+            );
+            assert_eq!(packed.drawn - before, n_shared);
+        }
+    }
+
+    /// A chip that runs `then` on a gate's pending rows against a twin
+    /// that reads them first: afterwards every raised row holds the
+    /// same voltages, and their reads agree.
+    fn settles_like_a_read_first(then: impl Fn(&mut Chip)) {
+        let rows = pair_rows(&hynix_chip());
+        let mut chips = [hynix_chip(), hynix_chip()];
+        for (i, chip) in chips.iter_mut().enumerate() {
+            let out = and_gate(chip, 11, CsTerminal::Both);
+            assert!(chip.pending.live > 0, "{out:?}");
+            if i == 1 {
+                settle_by_reading(chip, &rows);
+            }
+            then(chip);
+            if !chip.banks[0].is_precharged() {
+                chip.precharge(BankId(0)).unwrap();
+            }
+        }
+        let [mut lazy, mut eager] = chips;
+        for g in &rows {
+            let (a, b) = (
+                lazy.read_row_direct(BankId(0), *g),
+                eager.read_row_direct(BankId(0), *g),
+            );
+            assert_eq!(a.unwrap(), b.unwrap(), "row {g} bits");
+            assert_eq!(
+                row_volts(&lazy, *g),
+                row_volts(&eager, *g),
+                "row {g} voltages"
+            );
+        }
+    }
+
+    #[test]
+    fn a_neighbour_half_write_settles_first() {
+        // The bank is still open on the charge share's rows: the WR
+        // writes the compute rows whole and the reference rows' shared
+        // half (¬data), leaving their off-half majority draws.
+        settles_like_a_read_first(|chip| {
+            let data = pattern(21, chip.geometry().cols());
+            chip.write_open(BankId(0), &data).unwrap();
+        });
+    }
+
+    #[test]
+    fn leakage_settles_first() {
+        settles_like_a_read_first(|chip| {
+            chip.precharge(BankId(0)).unwrap();
+            chip.configure(crate::SimConfig::new().with_temperature(Temperature::celsius(95.0)));
+            chip.advance_time(2e6);
+        });
+    }
+
+    #[test]
+    fn hammering_settles_its_victims_first() {
+        settles_like_a_read_first(|chip| {
+            chip.precharge(BankId(0)).unwrap();
+            let (_, _, _, coms) = cs_pair(chip);
+            let (sub, local) = chip.geometry().split_row(coms[0]).unwrap();
+            let aggressor = LocalRow(if local.index() > 0 {
+                local.index() - 1
+            } else {
+                1
+            });
+            let g = chip.geometry().join_row(sub, aggressor).unwrap();
+            chip.hammer(BankId(0), g, 400_000).unwrap();
+        });
+    }
+
+    /// `follow` run on the rows an earlier operation left pending
+    /// (`setup` stages and runs it) gives the outcome and leaves the
+    /// bits it gives on a twin that read `rows` first.
+    fn follow_up_matches_a_read_first_twin(
+        setup: impl Fn(&mut Chip),
+        rows: &[GlobalRow],
+        follow: impl Fn(&mut Chip) -> OpOutcome,
+    ) {
+        let mut runs = Vec::new();
+        for read_first in [false, true] {
+            let mut chip = hynix_chip();
+            setup(&mut chip);
+            chip.precharge(BankId(0)).unwrap();
+            assert!(chip.pending.live > 0, "the setup leaves draws pending");
+            if read_first {
+                settle_by_reading(&mut chip, rows);
+            }
+            let out = follow(&mut chip);
+            chip.precharge(BankId(0)).unwrap();
+            let bits: Vec<Vec<Bit>> = rows
+                .iter()
+                .map(|g| chip.read_row_direct(BankId(0), *g).unwrap())
+                .collect();
+            runs.push((out, bits));
+        }
+        assert_eq!(runs[0], runs[1]);
+    }
+
+    #[test]
+    fn cross_subarray_activations_settle_the_rows_they_raise() {
+        // A copy under each scope and a second charge share over the
+        // gate's pending rows, with nothing restaged.
+        let (rf, rl, _, _) = cs_pair(&hynix_chip());
+        let rows = pair_rows(&hynix_chip());
+        let gate = |chip: &mut Chip| {
+            and_gate(chip, 11, CsTerminal::Both);
+        };
+        for need in [CsTerminal::Both, CsTerminal::Compute] {
+            follow_up_matches_a_read_first_twin(gate, &rows, |chip| {
+                chip.multi_act_copy_masked(BankId(0), rf, rl, need).unwrap()
+            });
+        }
+        follow_up_matches_a_read_first_twin(gate, &rows, |chip| {
+            chip.multi_act_charge_share(BankId(0), rf, rl).unwrap()
+        });
+    }
+
+    #[test]
+    fn same_subarray_activations_settle_the_rows_they_raise() {
+        let chip = hynix_chip();
+        let geom = *chip.geometry();
+        let (rf, rl, rows) = (1..512usize)
+            .find_map(|b| {
+                let (rf, rl) = (GlobalRow(0), GlobalRow(b));
+                match chip.decoder().activation(&geom, rf, rl) {
+                    MultiActivation::SameSubarray { rows } if rows.len() >= 3 => {
+                        let rows: Vec<GlobalRow> = (rows.iter())
+                            .map(|r| geom.join_row(SubarrayId(0), *r).unwrap())
+                            .collect();
+                        Some((rf, rl, rows))
+                    }
+                    _ => None,
+                }
+            })
+            .expect("a multi-row same-subarray activation");
+        // An in-subarray MAJ leaves every raised row pending.
+        let maj = |chip: &mut Chip| {
+            let cols = chip.geometry().cols();
+            for (i, g) in rows.iter().enumerate() {
+                chip.write_row_direct(BankId(0), *g, &pattern(40 + i as u64, cols))
+                    .unwrap();
+            }
+            let out = chip.multi_act_charge_share(BankId(0), rf, rl).unwrap();
+            assert!(matches!(out.kind, OutcomeKind::InSubarray { .. }));
+        };
+        follow_up_matches_a_read_first_twin(maj, &rows, |chip| {
+            chip.multi_act_copy(BankId(0), rf, rl).unwrap()
+        });
+        follow_up_matches_a_read_first_twin(maj, &rows, |chip| {
+            chip.multi_act_charge_share(BankId(0), rf, rl).unwrap()
+        });
+    }
+
+    /// The shared-column CDF of `side` (0 compute, 1 reference) of the
+    /// charge share keyed `key`, built whole in the float-op order the
+    /// lazy fill replays: `[row][table entry]`.
+    fn eager_cs_tables(chip: &mut Chip, key: MemoKey, side: usize) -> Vec<Vec<f64>> {
+        let (bank, r_ref, r_com) = (
+            BankId(key.0 as usize),
+            GlobalRow(key.1 as usize),
+            GlobalRow(key.2 as usize),
+        );
+        let geom = *chip.geometry();
+        let MultiActivation::CrossSubarray {
+            first_rows,
+            second_rows,
+            ..
+        } = chip.decoder().activation(&geom, r_ref, r_com)
+        else {
+            panic!("a charge-share key");
+        };
+        let ((sub_ref, loc_ref), (sub_com, loc_com)) = (
+            geom.split_row(r_ref).unwrap(),
+            geom.split_row(r_com).unwrap(),
+        );
+        let (cols, rows_per_sub) = (geom.cols(), geom.rows_per_subarray());
+        let upper = SubarrayId(sub_ref.index().min(sub_com.index()));
+        let shared_start = (upper.index() + 1) % 2;
+        let n_shared = (cols - shared_start).div_ceil(2);
+        let com_dist = dist_to_stripe(loc_com, rows_per_sub, sub_com, upper);
+        let ref_dist = dist_to_stripe(loc_ref, rows_per_sub, sub_ref, upper);
+        let tterm = ReliabilityModel::logic_temp_term(chip.temperature);
+        let sa = chip
+            .cache
+            .sa_z(chip.model.variation(), bank, upper.index() + 1, cols);
+        let (sub, rows, ops, invert) = if side == 0 {
+            (sub_com, &second_rows, [LogicOp::Or, LogicOp::And], false)
+        } else {
+            (sub_ref, &first_rows, [LogicOp::Nor, LogicOp::Nand], true)
+        };
+        let mut out = Vec::new();
+        for row in rows {
+            let mut t = vec![0.0; 6 * n_shared];
+            for (fam, op) in ops.into_iter().enumerate() {
+                let pre = chip.model.logic_z_prefix(op, rows.len()).unwrap();
+                let cpl = ReliabilityModel::coupling(op);
+                let own = dist_to_stripe(*row, rows_per_sub, sub, upper);
+                let dist = if invert {
+                    ReliabilityModel::logic_dist_term(op, com_dist, own)
+                } else {
+                    ReliabilityModel::logic_dist_term(op, own, ref_dist)
+                };
+                let lz = chip
+                    .cache
+                    .logic_z(chip.model.variation(), bank, sub, *row, cols);
+                for (j, c) in (shared_start..cols).step_by(2).enumerate() {
+                    for (mm, mm_v) in [0.0f64, 0.5, 1.0].into_iter().enumerate() {
+                        let z = pre - cpl * mm_v.clamp(0.0, 1.0) + dist - tterm
+                            + SIGMA_CELL_LOGIC * lz[c]
+                            + SIGMA_SA_LOGIC * sa[c];
+                        t[3 * n_shared * fam + 3 * j + mm] = normal_cdf(z);
+                    }
+                }
+            }
+            out.push(t);
+        }
+        out
+    }
+
+    #[test]
+    fn lazily_filled_cs_tables_match_an_eager_build() {
+        let mut chip = hynix_chip();
+        let bank = BankId(0);
+        let (rf, rl, refs, coms) = cs_pair(&chip);
+        let cols = chip.geometry().cols();
+        let scopes = [CsTerminal::Both, CsTerminal::Compute, CsTerminal::Reference];
+        for temp in [50.0, 85.0] {
+            chip.configure(crate::SimConfig::new().with_temperature(Temperature::celsius(temp)));
+            for k in 0..6u64 {
+                for (i, g) in refs.iter().chain(&coms).enumerate() {
+                    chip.write_row_direct(bank, *g, &pattern(100 * k + i as u64, cols))
+                        .unwrap();
+                }
+                chip.multi_act_charge_share_masked(bank, rf, rl, scopes[k as usize % 3])
+                    .unwrap();
+                chip.precharge(bank).unwrap();
+            }
+            let keys: Vec<MemoKey> = chip.memo.cs.keys().copied().collect();
+            let (mut filled, mut empty) = (0, 0);
+            for key in keys {
+                for side in 0..2 {
+                    let Some(built) = chip.memo.cs[&key].sides[side].clone() else {
+                        continue;
+                    };
+                    let eager = eager_cs_tables(&mut chip, key, side);
+                    for (row, want) in built.rows.iter().zip(&eager) {
+                        let entries = row.table.iter().zip(want).zip(&built.filled);
+                        for ((got, want), is_filled) in entries {
+                            if *is_filled {
+                                filled += 1;
+                                assert_eq!(got.to_bits(), want.to_bits(), "{temp} °C");
+                            } else {
+                                empty += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(filled > 0 && empty > 0, "{filled} filled, {empty} unread");
+        }
     }
 }

@@ -1,30 +1,34 @@
 //! Simulation-fidelity knob: per-cell telemetry vs. the columnar
 //! fast path.
 //!
-//! Characterization experiments need per-cell [`crate::CellOutcome`]
-//! records (which cell failed, at what probability); bulk workloads
-//! only need the stored bits plus aggregate success statistics. The
-//! fast path skips materializing the per-cell vectors — the *stored
-//! values and aggregate statistics are bit-identical* in both modes,
-//! because both run the same columnar compute kernels and differ only
-//! in what they record.
+//! Characterization experiments need row-shaped [`crate::RowOutcome`]
+//! records (each resolved cell's intended value and success
+//! probability); bulk workloads only need the stored bits plus
+//! aggregate success statistics. The fast path skips materializing the
+//! records — the *stored values and aggregate statistics are
+//! bit-identical* in both modes, because both run the same columnar
+//! compute kernels and differ only in what they record. In both modes a
+//! charge share's result cells draw when their row is read, not when
+//! the gate runs (see [`crate::OpOutcome`]).
 
 use serde::{Deserialize, Serialize};
 
 /// How much per-operation detail the device model records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Telemetry {
-    /// Record a [`crate::CellOutcome`] for every affected cell
-    /// (required by the characterization experiments).
+    /// Record a [`crate::RowOutcome`] for every resolved row, with
+    /// each cell's intended value and success probability (required by
+    /// the characterization experiments). Records what the model
+    /// predicts; the drawn bits are read back from the rows.
     #[default]
     Full,
     /// Record only aggregate per-role statistics
-    /// ([`crate::chip::OutcomeStats`]); `OpOutcome::cells` stays empty.
+    /// ([`crate::chip::OutcomeStats`]); `OpOutcome::rows` stays empty.
     Fast,
 }
 
 impl Telemetry {
-    /// Whether per-cell records are kept.
+    /// Whether row records are kept.
     #[inline]
     pub(crate) fn per_cell(self) -> bool {
         matches!(self, Telemetry::Full)

@@ -60,8 +60,8 @@ pub mod variation;
 
 pub use analog::{AnalogParams, MarginClass};
 pub use chip::{
-    result_role, CellOutcome, CellRole, Chip, CsTerminal, OpOutcome, OutcomeKind, OutcomeStats,
-    RoleStats,
+    result_role, CellRole, Chip, CsTerminal, OpOutcome, OutcomeKind, OutcomeStats, RoleStats,
+    RowOutcome,
 };
 pub use config::{ChipOrg, Density, DieRevision, Manufacturer, ModuleConfig};
 pub use energy::{EnergyParams, OpCost};

@@ -2,8 +2,9 @@
 //!
 //! The columnar fast path (telemetry off, packed I/O) must be
 //! *observationally identical* to the full-telemetry path: same stored
-//! bits, same `mean_success`/`observed_accuracy`, same reported
-//! statistics — only the per-cell `CellOutcome` records disappear.
+//! bits, same `mean_success`, same reported statistics, the same bits
+//! read back from every recorded row — only the `RowOutcome` records
+//! disappear.
 //! These tests run twin stacks from the same seed through both modes
 //! and compare exactly: each `Fcdram` gate call ships on both, the
 //! full stack reads every result row back through `read_row` and the
@@ -58,10 +59,19 @@ fn chip_ops_identical_across_telemetry_modes() {
         fast.precharge(BANK).unwrap();
         assert_eq!(a.kind, b.kind);
         assert_eq!(a.stats, b.stats, "aggregates must match bitwise (l={l})");
-        assert!(b.cells.is_empty(), "fast mode records no cells");
+        assert!(
+            b.rows.is_empty() && b.p.is_empty(),
+            "fast mode records no cells"
+        );
         for role in CellRole::ALL {
             assert_eq!(a.mean_success(role), b.mean_success(role));
-            assert_eq!(a.observed_accuracy(role), b.observed_accuracy(role));
+        }
+        // Observed accuracy reads the recorded rows back: both chips
+        // hold the same bits in each.
+        for r in &a.rows {
+            let g = full.geometry().join_row(r.subarray, r.row).unwrap();
+            let (x, y) = (full.read_row_direct(BANK, g), fast.read_row_direct(BANK, g));
+            assert_eq!(x.unwrap(), y.unwrap(), "row {g} read back (l={l})");
         }
         let c = full
             .multi_act_charge_share(BANK, GlobalRow(l), GlobalRow(512 + l))

@@ -55,7 +55,18 @@ fn fleet_of_one_chip_is_bit_identical_to_direct_chip() {
         assert_eq!(a.stats, b.stats, "OpOutcome aggregates must match (l={l})");
         for role in CellRole::ALL {
             assert_eq!(a.mean_success(role), b.mean_success(role));
-            assert_eq!(a.observed_accuracy(role), b.observed_accuracy(role));
+        }
+        // Observed accuracy reads the recorded rows back: same records,
+        // same bits in each.
+        assert_eq!(a, b, "row records must match (l={l})");
+        for r in &a.rows {
+            let g = direct.geometry().join_row(r.subarray, r.row).unwrap();
+            let x = fleet_chip.read_row_direct(BANK, g).unwrap();
+            assert_eq!(
+                x,
+                direct.read_row_direct(BANK, g).unwrap(),
+                "row {g} (l={l})"
+            );
         }
         let c = fleet_chip
             .multi_act_charge_share(BANK, GlobalRow(l), GlobalRow(512 + l))

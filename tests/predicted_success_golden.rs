@@ -40,7 +40,7 @@ mod common;
 use characterize::serve::DEMO_MIX;
 use dram_core::math::mix2;
 use dram_core::{
-    result_role, ActivationShape, BankId, Bit, CellOutcome, CellRole, Chip, ChipId, CsTerminal,
+    result_role, ActivationShape, BankId, Bit, CellRole, Chip, ChipId, CsTerminal,
     DisturbancePolicy, GlobalRow, LogicOp, MultiActivation, OpOutcome, OutcomeKind, SimConfig,
     SubarrayId, Telemetry,
 };
@@ -176,15 +176,45 @@ fn fold_bits(h: u64, bits: &[Bit]) -> u64 {
     })
 }
 
-fn cells_digest(cells: &[CellOutcome]) -> u64 {
+/// One recorded cell as the digests fold it: role, subarray, row,
+/// column, intended value, the bit its row reads back, and its success
+/// probability.
+type Cell = (CellRole, usize, usize, usize, Bit, Bit, f64);
+
+/// Every cell `o` records, in record order (rows in resolve order,
+/// columns ascending), each with the bit its row reads back on `chip`
+/// (a direct read: it settles pending draws and charges nothing).
+fn cells_of(chip: &mut Chip, o: &OpOutcome) -> Vec<Cell> {
+    let geom = *chip.geometry();
+    let mut out = Vec::with_capacity(o.p.len());
+    for r in &o.rows {
+        let g = geom.join_row(r.subarray, r.row).unwrap();
+        let bits = chip.read_row_direct(BankId(0), g).unwrap();
+        let cells = r.cols().zip(o.p_of(r)).zip(o.intended_of(r));
+        for ((c, p), want) in cells {
+            let (sub, row) = (r.subarray.index(), r.row.index());
+            out.push((r.roles[c % 2], sub, row, c, *want, bits[c], *p));
+        }
+    }
+    out
+}
+
+/// [`cells_of`] on the chip behind `fc`.
+fn fc_cells(fc: &mut Fcdram, o: &OpOutcome) -> Vec<Cell> {
+    let chip = fc.chip();
+    cells_of(fc.bender_mut().module_mut().chip_mut(chip), o)
+}
+
+fn cells_digest(cells: &[Cell]) -> u64 {
     cells.iter().fold(cells.len() as u64, |h, c| {
-        let h = mix2(h, c.role as u64);
-        let h = mix2(h, c.subarray.index() as u64);
-        let h = mix2(h, c.row.index() as u64);
-        let h = mix2(h, c.col.index() as u64);
-        let h = mix2(h, u64::from(c.intended.as_bool()));
-        let h = mix2(h, u64::from(c.actual.as_bool()));
-        mix2(h, c.p_success.to_bits())
+        let (role, sub, row, col, intended, actual, p) = *c;
+        let h = mix2(h, role as u64);
+        let h = mix2(h, sub as u64);
+        let h = mix2(h, row as u64);
+        let h = mix2(h, col as u64);
+        let h = mix2(h, u64::from(intended.as_bool()));
+        let h = mix2(h, u64::from(actual.as_bool()));
+        mix2(h, p.to_bits())
     })
 }
 
@@ -237,7 +267,7 @@ fn observe_characterization() -> Vec<[u64; 6]> {
             n_rf as u64,
             n_rl as u64,
             digest,
-            cells_digest(&outcome.cells),
+            cells_digest(&fc_cells(&mut fc, &outcome)),
         ]);
     }
     for n in [2usize, 4, 8, 16] {
@@ -260,7 +290,7 @@ fn observe_characterization() -> Vec<[u64; 6]> {
                 entry.shape().1 as u64,
                 j as u64,
                 fold_bits(fold_bits(0, &expected), &result),
-                cells_digest(&outcome.cells),
+                cells_digest(&fc_cells(&mut fc, &outcome)),
             ]);
         }
     }
@@ -287,7 +317,7 @@ fn observe_characterization() -> Vec<[u64; 6]> {
             maj.rows.len() as u64,
             0,
             fold_bits(fold_bits(0, &want), &reads[0].1),
-            cells_digest(&outcome.cells),
+            cells_digest(&fc_cells(&mut fc, &outcome)),
         ]);
     }
     out
@@ -356,16 +386,49 @@ const HOT: DisturbancePolicy = DisturbancePolicy {
     mitigation_ns: 350.0,
 };
 
-fn stats_digest(o: &OpOutcome) -> u64 {
-    o.stats
-        .roles
-        .iter()
-        .fold(mix2(0, o.cells.len() as u64), |h, r| {
-            let h = mix2(h, r.count as u64);
-            let h = mix2(h, r.sum_p.to_bits());
-            let h = mix2(h, r.drawn as u64);
-            mix2(h, r.matches as u64)
-        })
+/// Per role: the count and `sum_p` of `o`'s statistics, then how many
+/// of `cells` (the operation's full-telemetry records) it resolved and
+/// how many of those read back as intended. Folded from `o`'s own
+/// record count (0 under fast telemetry).
+fn stats_digest(o: &OpOutcome, cells: &[Cell]) -> u64 {
+    let stats = o.stats.roles.iter().zip(CellRole::ALL);
+    stats.fold(mix2(0, o.p.len() as u64), |h, (r, role)| {
+        let resolved = cells.iter().filter(|c| c.0 == role);
+        let matched = resolved.clone().filter(|c| c.4 == c.5).count();
+        let h = mix2(h, r.count as u64);
+        let h = mix2(h, r.sum_p.to_bits());
+        let h = mix2(h, resolved.count() as u64);
+        mix2(h, matched as u64)
+    })
+}
+
+/// The full-telemetry outcomes of a scenario, in operation order: a
+/// full-telemetry run records each one, and the same scenario under
+/// fast telemetry (identical bits and statistics, no records) replays
+/// them to count what each operation resolved.
+enum FullRecords {
+    Record(Vec<OpOutcome>),
+    Replay(std::vec::IntoIter<OpOutcome>),
+}
+
+impl FullRecords {
+    /// The full-telemetry twin of `o`, the scenario's next operation.
+    fn next(&mut self, o: &OpOutcome) -> OpOutcome {
+        match self {
+            FullRecords::Record(all) => {
+                all.push(o.clone());
+                o.clone()
+            }
+            FullRecords::Replay(rest) => rest.next().expect("one record per operation"),
+        }
+    }
+
+    fn into_replay(self) -> FullRecords {
+        match self {
+            FullRecords::Record(all) => FullRecords::Replay(all.into_iter()),
+            replay => replay,
+        }
+    }
 }
 
 /// Every row the decoder raises for `(rf, rl)`, as global rows.
@@ -398,16 +461,19 @@ fn raised(chip: &Chip, rf: usize, rl: usize) -> Vec<GlobalRow> {
 }
 
 /// One pinned value per operation: its per-role statistics (`sum_p`
-/// as `to_bits`), its per-cell records, and the bits every raised row
-/// holds afterwards.
-fn op_digest(chip: &Chip, o: &OpOutcome, rows: &[GlobalRow]) -> u64 {
+/// as `to_bits`), its per-cell records with their read-back bits, and
+/// the bits every raised row holds afterwards. `full` supplies the
+/// operation's full-telemetry records.
+fn op_digest(chip: &mut Chip, o: &OpOutcome, rows: &[GlobalRow], full: &mut FullRecords) -> u64 {
+    let cells = cells_of(chip, &full.next(o));
+    let shown = if o.p.is_empty() { &[][..] } else { &cells[..] };
     let reads = rows.iter().fold(0u64, |h, r| {
         fold_bits(
             mix2(h, r.index() as u64),
             &chip.read_row_direct(BankId(0), *r).unwrap(),
         )
     });
-    mix2(mix2(stats_digest(o), cells_digest(&o.cells)), reads)
+    mix2(mix2(stats_digest(o, &cells), cells_digest(shown)), reads)
 }
 
 /// Digest of every stored cell voltage of the chip, taken from the
@@ -475,7 +541,12 @@ fn stage(chip: &mut Chip, rows: &[GlobalRow], ref_side: usize, flavour: usize, s
 /// (1, 2), whose shared columns have opposite parity. Each N:N shape up
 /// to the part's widest and one N:2N shape runs one charge-share scope,
 /// rotating through all five on each pair.
-fn observe_kernels(part: &str, telemetry: Telemetry, hot: bool) -> Vec<u64> {
+fn observe_kernels(
+    part: &str,
+    telemetry: Telemetry,
+    hot: bool,
+    full: &mut FullRecords,
+) -> Vec<u64> {
     let cfg = dram_core::config::table1()
         .into_iter()
         .find(|c| c.name == part)
@@ -497,24 +568,29 @@ fn observe_kernels(part: &str, telemetry: Telemetry, hot: bool) -> Vec<u64> {
             stage(&mut chip, &rows, n_ref, k, (sub * 100 + k) as u64);
             // The reference side's first raised row holds ≈VDD/2.
             let frac = chip.frac(bank, rows[0]).unwrap();
-            out.push(op_digest(&chip, &frac, &rows[..1]));
+            out.push(op_digest(&mut chip, &frac, &rows[..1], full));
             let scope = SCOPES[k % SCOPES.len()];
             let cs = chip
                 .multi_act_charge_share_masked(bank, GlobalRow(rf), GlobalRow(rl), scope)
                 .unwrap();
             chip.precharge(bank).unwrap();
-            out.push(op_digest(&chip, &cs, &rows));
+            out.push(op_digest(&mut chip, &cs, &rows, full));
             // NOT over the same pair, then a WR overdrive of every row
             // it left raised (¬data on the other subarray's shared half).
             stage(&mut chip, &rows, 0, k, (sub * 100 + k + 50) as u64);
             let not = chip
                 .multi_act_copy(bank, GlobalRow(rf), GlobalRow(rl))
                 .unwrap();
-            out.push(op_digest(&chip, &not, &rows));
+            out.push(op_digest(&mut chip, &not, &rows, full));
             let data = row_pattern((sub * 7 + k) as u64, CHAR_COLS);
             chip.write_open(bank, &data).unwrap();
             chip.precharge(bank).unwrap();
-            out.push(op_digest(&chip, &OpOutcome::empty(not.kind), &rows));
+            out.push(op_digest(
+                &mut chip,
+                &OpOutcome::empty(not.kind),
+                &rows,
+                full,
+            ));
         }
         // RowClone and in-subarray MAJ in the pair's upper subarray.
         let (rf, rl) = same_pair(&chip, sub, 3);
@@ -524,13 +600,13 @@ fn observe_kernels(part: &str, telemetry: Telemetry, hot: bool) -> Vec<u64> {
             .multi_act_copy(bank, GlobalRow(rf), GlobalRow(rl))
             .unwrap();
         chip.precharge(bank).unwrap();
-        out.push(op_digest(&chip, &clone, &rows));
+        out.push(op_digest(&mut chip, &clone, &rows, full));
         stage(&mut chip, &rows, 0, 2, (sub * 100 + 91) as u64);
         let maj = chip
             .multi_act_charge_share(bank, GlobalRow(rf), GlobalRow(rl))
             .unwrap();
         chip.precharge(bank).unwrap();
-        out.push(op_digest(&chip, &maj, &rows));
+        out.push(op_digest(&mut chip, &maj, &rows, full));
     }
     out.push(voltage_digest(&chip));
     out
@@ -538,7 +614,7 @@ fn observe_kernels(part: &str, telemetry: Telemetry, hot: bool) -> Vec<u64> {
 
 /// The wide-row sequence: 4096 columns, a source row copied and
 /// charge-shared across three cross-subarray pairs in turn.
-fn observe_wide(telemetry: Telemetry) -> Vec<u64> {
+fn observe_wide(telemetry: Telemetry, full: &mut FullRecords) -> Vec<u64> {
     let cols = 4096;
     let cfg = dram_core::config::table1()
         .remove(0)
@@ -557,12 +633,12 @@ fn observe_wide(telemetry: Telemetry) -> Vec<u64> {
             .multi_act_copy(bank, GlobalRow(rf), GlobalRow(rl))
             .unwrap();
         chip.precharge(bank).unwrap();
-        out.push(op_digest(&chip, &a, &rows));
+        out.push(op_digest(&mut chip, &a, &rows, full));
         let c = chip
             .multi_act_charge_share(bank, GlobalRow(rf), GlobalRow(rl))
             .unwrap();
         chip.precharge(bank).unwrap();
-        out.push(op_digest(&chip, &c, &rows));
+        out.push(op_digest(&mut chip, &c, &rows, full));
     }
     out.push(voltage_digest(&chip));
     out
@@ -572,14 +648,17 @@ fn observe_wide(telemetry: Telemetry) -> Vec<u64> {
 fn kernel_scenarios() -> Vec<Vec<u64>> {
     let mut out = Vec::new();
     for part in ["hynix-4Gb-M-2666-#0", "hynix-8Gb-M-2666-#0"] {
+        let mut full = [false, true].map(|_| FullRecords::Record(Vec::new()));
         for telemetry in [Telemetry::Full, Telemetry::Fast] {
-            for hot in [false, true] {
-                out.push(observe_kernels(part, telemetry, hot));
+            for (hot, records) in [false, true].into_iter().zip(&mut full) {
+                out.push(observe_kernels(part, telemetry, hot, records));
             }
+            full = full.map(FullRecords::into_replay);
         }
     }
-    out.push(observe_wide(Telemetry::Full));
-    out.push(observe_wide(Telemetry::Fast));
+    let mut full = FullRecords::Record(Vec::new());
+    out.push(observe_wide(Telemetry::Full, &mut full));
+    out.push(observe_wide(Telemetry::Fast, &mut full.into_replay()));
     out
 }
 

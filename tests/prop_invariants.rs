@@ -289,10 +289,13 @@ proptest! {
             .collect();
         chip.write_row_direct(BankId(0), GlobalRow(0), &src).unwrap();
         let out = chip.multi_act_copy(BankId(0), GlobalRow(0), GlobalRow(512 + l)).unwrap();
-        for cell in &out.cells {
-            prop_assert!((0.0..=1.0).contains(&cell.p_success));
-            if cell.role == dram_core::CellRole::NotDst {
-                prop_assert_eq!(cell.intended, src[cell.col.index()].not());
+        for r in &out.rows {
+            let cells = r.cols().zip(out.p_of(r)).zip(out.intended_of(r));
+            for ((c, p), intended) in cells {
+                prop_assert!((0.0..=1.0).contains(p));
+                if r.roles[c % 2] == dram_core::CellRole::NotDst {
+                    prop_assert_eq!(*intended, src[c].not());
+                }
             }
         }
     }
