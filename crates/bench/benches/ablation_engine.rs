@@ -3,9 +3,8 @@
 //! Measures end-to-end in-DRAM operation latency through the full
 //! stack (library → command programs → device model), the cost of the
 //! repetition-voting reliability knob, and — via the column-width
-//! sweep — the columnar fast path at full row width (8192 columns)
-//! with the per-cell telemetry mode alongside for comparison. Emits a
-//! `BENCH_engine.json` summary at the repository root.
+//! sweep — the columnar kernels at full row width (8192 columns).
+//! Emits a `BENCH_engine.json` summary at the repository root.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dram_core::{BankId, LogicOp, SubarrayId};
@@ -64,13 +63,9 @@ fn bench(c: &mut Criterion) {
 }
 
 /// Column-width sweep: NOT and AND-8 at 64 / 1024 / 8192 modeled
-/// columns, in the fast fidelity mode (the engine default) and with
-/// full per-cell telemetry for comparison.
+/// columns.
 ///
-/// Note: *both* fidelity modes run the columnar kernels — the
-/// `full_telemetry` rows measure only the cost of materializing
-/// per-cell records, NOT the pre-rewrite per-cell path. The
-/// pre-rewrite comparison is the `logic_model_scalar_per_cell` vs
+/// The pre-rewrite comparison is the `logic_model_scalar_per_cell` vs
 /// `logic_model_columnar_cached` pair below, which reproduces the
 /// per-cell model evaluation the old inner loops performed on every
 /// operation (≈7× slower than the cached columnar form at 1024 cols).
@@ -94,15 +89,6 @@ fn width_sweep(c: &mut Criterion) {
         c.bench_function(format!("engine_and_8_inputs/{cols}cols"), |b| {
             b.iter(|| black_box(e.logic(LogicOp::And, &ins8, &out).unwrap()));
         });
-
-        // Same operations with per-cell telemetry records retained.
-        e.configure(dram_core::SimConfig::full());
-        c.bench_function(
-            format!("engine_and_8_inputs_full_telemetry/{cols}cols"),
-            |b| {
-                b.iter(|| black_box(e.logic(LogicOp::And, &ins8, &out).unwrap()));
-            },
-        );
     }
     cell_model_reference(c);
     write_summary();

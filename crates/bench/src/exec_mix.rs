@@ -27,15 +27,15 @@ pub fn programs() -> Vec<(Arc<SynthProgram>, usize)> {
         .collect()
 }
 
-/// A fresh fast-fidelity engine on chip 0 of the first Table-1 module,
-/// `DEVICE_COLS` columns wide.
+/// A fresh engine on chip 0 of the first Table-1 module, `DEVICE_COLS`
+/// columns wide.
 pub fn engine() -> BulkEngine {
     let cfg = dram_core::config::table1()
         .remove(0)
         .with_modeled_cols(DEVICE_COLS);
     BulkEngine::new(Fcdram::new(cfg), BankId(0), SubarrayId(0))
         .unwrap()
-        .with_sim_config(dram_core::SimConfig::fast())
+        .with_sim_config(dram_core::SimConfig::new())
 }
 
 /// Prepares every program of the mix once on `backend`.

@@ -138,8 +138,7 @@ impl Bender {
         let temp = self.temperature;
         let mut pending_mask = self.cs_mask.take();
         let dev = self.module.chip_mut(chip);
-        let sim_cfg = dev.sim_config().with_temperature(temp);
-        dev.configure(sim_cfg);
+        dev.configure(dram_core::SimConfig::new().with_temperature(temp));
         let banks = dev.geometry().banks();
         let mut trackers = vec![BankTracker::default(); banks];
         let mut exec = Execution::default();

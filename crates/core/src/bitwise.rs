@@ -13,7 +13,7 @@ use crate::ops::Fcdram;
 use crate::packed::PackedBits;
 use dram_core::{
     result_role, BankId, Bit, CellRole, CsTerminal, GlobalRow, LocalRow, LogicOp, MultiActivation,
-    SimFidelity, SubarrayId,
+    SubarrayId,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -64,16 +64,16 @@ enum Gate<'a> {
 
 /// The bulk bitwise engine.
 ///
-/// Runs the chip in the fast fidelity mode ([`SimFidelity::fast`]):
-/// aggregate statistics only and packed host I/O. Stored bits are
-/// identical to full-telemetry runs.
-///
 /// Each gate (`not`, `logic`, `maj3`, `copy`) has one method. It takes
 /// the operand values from the caller, who owns them (no gate reads an
 /// operand row back), ships as one command program through the
 /// [`Fcdram`] gate call, reads back the first result row's lanes
 /// ([`Fcdram::read_lanes`]), stores the result in its output vector
 /// before it returns and returns those bits with its statistics.
+/// The statistics come from the gate's [`dram_core::OpOutcome`]: where
+/// the row plan allows, a logic gate resolves only its first result
+/// row (a `*FirstRow` [`CsTerminal`] scope), so the outcome records
+/// that row alone while its `mean_success` covers the whole terminal.
 #[derive(Debug)]
 pub struct BulkEngine {
     fc: Fcdram,
@@ -188,11 +188,6 @@ impl BulkEngine {
         };
         let mask_safe =
             raised(&mut not_shapes.iter().copied())?.is_disjoint(&raised(&mut nn_entries.iter())?);
-        // Bulk workloads never inspect row records: run the chip in
-        // the fast fidelity mode (identical stored bits and aggregate
-        // statistics, no record vectors).
-        let cfg = fc.sim_config().with_fidelity(SimFidelity::fast());
-        fc.configure(cfg);
         Ok(BulkEngine {
             fc,
             bank,
@@ -214,10 +209,8 @@ impl BulkEngine {
         self.fc.sim_config()
     }
 
-    /// Applies a [`dram_core::SimConfig`] — fidelity and temperature
-    /// in one call (the engine constructs itself at
-    /// [`SimFidelity::fast`]). Stored bits are identical across
-    /// fidelity modes; operations degrade slightly when hot (the
+    /// Applies a [`dram_core::SimConfig`] (the temperature) to the chip
+    /// under the engine; operations degrade slightly when hot (the
     /// paper's Figs. 10 and 19).
     pub fn configure(&mut self, cfg: dram_core::SimConfig) {
         self.fc.configure(cfg);

@@ -253,32 +253,17 @@ impl Fcdram {
         &mut self.bender
     }
 
-    /// The current simulation configuration (module fidelity + rig
-    /// temperature).
+    /// The current simulation configuration (the rig temperature).
     pub fn sim_config(&self) -> dram_core::SimConfig {
-        dram_core::SimConfig::new()
-            .with_fidelity(self.bender.module().fidelity())
-            .with_temperature(self.bender.temperature())
+        dram_core::SimConfig::new().with_temperature(self.bender.temperature())
     }
 
-    /// Applies a [`dram_core::SimConfig`]: rig temperature plus the
-    /// simulation fidelity of the whole module under test. Stored bits
-    /// and aggregate statistics are identical across fidelity modes.
+    /// Applies a [`dram_core::SimConfig`]: sets the rig temperature.
     ///
     /// The rig temperature reaches a chip when it next runs a program;
     /// until then, chips heated one by one keep their own temperature.
     pub fn configure(&mut self, cfg: dram_core::SimConfig) {
         self.bender.set_temperature(cfg.temperature());
-        let module = self.bender.module_mut();
-        let heated: Vec<(ChipId, dram_core::Temperature)> = (0..module.chip_count())
-            .map(ChipId)
-            .filter_map(|id| module.chip(id).map(|c| (id, c.temperature())))
-            .collect();
-        module.configure(module.sim_config().with_fidelity(cfg.fidelity()));
-        for (id, t) in heated {
-            let chip = module.chip_mut(id);
-            chip.configure(chip.sim_config().with_temperature(t));
-        }
     }
 
     /// Builder form of [`Fcdram::configure`] for construction chains.
@@ -1211,21 +1196,17 @@ mod tests {
         }
     }
 
-    /// `configure` sets the module's fidelity and the rig temperature;
-    /// a chip heated on its own keeps its temperature until it next
-    /// runs a program.
+    /// `configure` sets the rig temperature; a chip heated on its own
+    /// keeps its temperature until it next runs a program.
     #[test]
     fn configure_keeps_individually_heated_chips() {
         let mut fc = fc();
         let hot = dram_core::Temperature::celsius(85.0);
         let chip = fc.bender_mut().module_mut().chip_mut(ChipId(1));
         chip.configure(chip.sim_config().with_temperature(hot));
-        fc.configure(dram_core::SimConfig::fast());
-        let module = fc.bender().module();
-        assert_eq!(module.fidelity(), dram_core::SimFidelity::fast());
-        let chip = module.chip(ChipId(1)).unwrap();
+        fc.configure(dram_core::SimConfig::new());
+        let chip = fc.bender().module().chip(ChipId(1)).unwrap();
         assert_eq!(chip.temperature(), hot);
-        assert_eq!(chip.fidelity(), dram_core::SimFidelity::fast());
     }
 
     /// A builder reports its terminal's rows wherever it starts.

@@ -22,7 +22,6 @@ use crate::bank::{Bank, OpenRows};
 use crate::config::ModuleConfig;
 use crate::error::{DramError, Result};
 use crate::fault::{DisturbancePolicy, DisturbanceState};
-use crate::fidelity::{SimFidelity, Telemetry};
 use crate::geometry::Geometry;
 use crate::math::normal_cdf;
 use crate::reliability::{
@@ -79,7 +78,7 @@ impl CellRole {
 /// Which charge-share cells a caller intends to read back.
 ///
 /// `Both` is the hardware-faithful default: every raised row resolves.
-/// The masked variants skip the state/telemetry updates for rows the
+/// The masked variants skip the state and record updates for rows the
 /// caller has promised to rewrite before they are next read — the
 /// resolved cells (bits, predicted success, stochastic draws) are
 /// unchanged, because each cell's model inputs and sample keys are
@@ -183,9 +182,10 @@ pub struct RoleStats {
     pub sum_p: f64,
 }
 
-/// Per-role aggregates of an operation, maintained in both telemetry
-/// modes (so [`OpOutcome::mean_success`] works without per-cell
-/// records).
+/// Per-role aggregates of an operation: every cell in
+/// [`OpOutcome::rows`], plus, under a `*FirstRow` scope, the read
+/// terminal's other rows, which are counted but not recorded (so
+/// [`OpOutcome::mean_success`] covers the whole terminal).
 ///
 /// Stays `pub` although no other crate names it: it is the type of
 /// [`OpOutcome::stats`].
@@ -272,9 +272,10 @@ pub enum OutcomeKind {
 
 /// Result of a semantic operation.
 ///
-/// Aggregate statistics (`stats`) are always present; the row records
-/// (`rows`, `p`, `intended`) are kept only under [`Telemetry::Full`].
-/// Stored values and statistics are identical in both modes.
+/// One record per resolved row (`rows`, with its cells' `p` and
+/// `intended`), plus per-role aggregates (`stats`). Under a `*FirstRow`
+/// [`CsTerminal`] scope only the terminal's first row is recorded; its
+/// other rows count toward `stats` alone.
 ///
 /// An outcome carries what the model predicts, not what was drawn. The
 /// cells of a charge share (both terminals and the off-half majority)
@@ -290,8 +291,7 @@ pub struct OpOutcome {
     /// What happened.
     pub kind: OutcomeKind,
     /// Every resolved row in resolve order (empty for
-    /// `Ignored`/`NoGlitch`/`Unsupported`, and under
-    /// [`Telemetry::Fast`]).
+    /// `Ignored`/`NoGlitch`/`Unsupported`).
     pub rows: Vec<RowOutcome>,
     /// Success probability of every recorded cell: row after row in
     /// `rows` order, columns ascending.
@@ -299,7 +299,7 @@ pub struct OpOutcome {
     /// The value a perfectly reliable chip would have stored in every
     /// recorded cell, in the order of `p`.
     pub intended: Vec<Bit>,
-    /// Per-role aggregates (always populated).
+    /// Per-role aggregates.
     pub stats: OutcomeStats,
 }
 
@@ -336,19 +336,13 @@ impl OpOutcome {
     }
 }
 
-/// The row records of a full-telemetry outcome, filled as it runs.
-#[derive(Debug, Default)]
-struct Records {
+/// Builds an [`OpOutcome`] while an operation runs: its row records
+/// and aggregates.
+#[derive(Debug)]
+struct Recorder {
     rows: Vec<RowOutcome>,
     p: Vec<f64>,
     intended: Vec<Bit>,
-}
-
-/// Builds an [`OpOutcome`] while an operation runs: always aggregates,
-/// materializes row records only under full telemetry.
-#[derive(Debug)]
-struct Recorder {
-    records: Option<Records>,
     stats: OutcomeStats,
     /// Cells drawn at once (NOT and RowClone destinations).
     #[cfg(test)]
@@ -357,15 +351,12 @@ struct Recorder {
 
 impl Recorder {
     /// A recorder for an operation that records exactly `cells` cells:
-    /// under full telemetry the record vectors are allocated once, at
-    /// that size.
-    fn new(telemetry: Telemetry, cells: usize) -> Self {
+    /// the record vectors are allocated once, at that size.
+    fn new(cells: usize) -> Self {
         Recorder {
-            records: telemetry.per_cell().then(|| Records {
-                rows: Vec::new(),
-                p: Vec::with_capacity(cells),
-                intended: Vec::with_capacity(cells),
-            }),
+            rows: Vec::new(),
+            p: Vec::with_capacity(cells),
+            intended: Vec::with_capacity(cells),
             stats: OutcomeStats::default(),
             #[cfg(test)]
             drawn: 0,
@@ -381,17 +372,15 @@ impl Recorder {
         (start, step): (usize, usize),
         len: usize,
     ) {
-        if let Some(r) = &mut self.records {
-            r.rows.push(RowOutcome {
-                subarray,
-                row,
-                roles,
-                start,
-                step,
-                offset: r.p.len(),
-                len,
-            });
-        }
+        self.rows.push(RowOutcome {
+            subarray,
+            row,
+            roles,
+            start,
+            step,
+            offset: self.p.len(),
+            len,
+        });
     }
 
     /// Records one cell of the open row.
@@ -400,10 +389,8 @@ impl Recorder {
         let s = &mut self.stats.roles[role.index()];
         s.count += 1;
         s.sum_p += p;
-        if let Some(r) = &mut self.records {
-            r.p.push(p);
-            r.intended.push(intended);
-        }
+        self.p.push(p);
+        self.intended.push(intended);
     }
 
     /// Draws, stores and records one resolved row in column order, from
@@ -435,10 +422,8 @@ impl Recorder {
             };
             slice[c] = actual.voltage(vdd) as f32;
             sum_p += p;
-            if let Some(r) = &mut self.records {
-                r.p.push(p);
-                r.intended.push(intended);
-            }
+            self.p.push(p);
+            self.intended.push(intended);
         }
         let s = &mut self.stats.roles[role.index()];
         s.sum_p = sum_p;
@@ -481,10 +466,8 @@ impl Recorder {
             half.p.push(p);
             half.intended.push(intended);
             sum_p += p;
-            if let Some(r) = &mut self.records {
-                r.p.push(p);
-                r.intended.push(intended);
-            }
+            self.p.push(p);
+            self.intended.push(intended);
         }
         let s = &mut self.stats.roles[role.index()];
         s.sum_p = sum_p;
@@ -492,18 +475,16 @@ impl Recorder {
     }
 
     fn finish(self, kind: OutcomeKind) -> OpOutcome {
-        debug_assert!(
-            self.records
-                .as_ref()
-                .is_none_or(|r| r.p.len() == r.p.capacity()),
+        debug_assert_eq!(
+            self.p.len(),
+            self.p.capacity(),
             "a kernel recorded a different number of cells than it reserved"
         );
-        let Records { rows, p, intended } = self.records.unwrap_or_default();
         OpOutcome {
             kind,
-            rows,
-            p,
-            intended,
+            rows: self.rows,
+            p: self.p,
+            intended: self.intended,
             stats: self.stats,
         }
     }
@@ -842,7 +823,6 @@ pub struct Chip {
     banks: Vec<Bank>,
     temperature: Temperature,
     op_counter: u64,
-    fidelity: SimFidelity,
     cache: VariationCache,
     memo: KernelMemo,
     /// `Frac` voltages by `(bank, subarray, row)`: a pure function of
@@ -883,7 +863,6 @@ impl Chip {
             banks,
             temperature: Temperature::BASELINE,
             op_counter: 0,
-            fidelity: SimFidelity::default(),
             cache: VariationCache::new(),
             memo: KernelMemo::default(),
             frac_rows: HashMap::new(),
@@ -896,25 +875,13 @@ impl Chip {
         }
     }
 
-    /// Current simulation-fidelity configuration.
-    #[inline]
-    pub fn fidelity(&self) -> SimFidelity {
-        self.fidelity
-    }
-
-    /// The current simulation configuration (fidelity + temperature).
+    /// The current simulation configuration (the temperature).
     pub fn sim_config(&self) -> crate::SimConfig {
-        crate::SimConfig::new()
-            .with_fidelity(self.fidelity)
-            .with_temperature(self.temperature)
+        crate::SimConfig::new().with_temperature(self.temperature)
     }
 
-    /// Applies a [`crate::SimConfig`] — fidelity and temperature in
-    /// one call. Stored bits and aggregate statistics are identical
-    /// across fidelity modes; only the presence of [`RowOutcome`]
-    /// records changes.
+    /// Applies a [`crate::SimConfig`]: sets the chip temperature.
     pub fn configure(&mut self, cfg: crate::SimConfig) {
-        self.fidelity = cfg.fidelity();
         let t = cfg.temperature();
         if t != self.temperature {
             // The memoized kernel tables bake the temperature term in.
@@ -1297,17 +1264,15 @@ impl Chip {
         }
         self.discard_pending(bank, sub, local);
         let volts = &self.frac_rows[&key];
-        let mut rec = Recorder::new(self.fidelity.telemetry, cols);
+        let mut rec = Recorder::new(cols);
         self.banks[bank.index()]
             .subarray_mut(sub)
             .row_mut(local)
             .copy_from_slice(volts);
         // VDD/2 reads as 0 by threshold, so intended is Zero.
         rec.begin_row((sub, local), [CellRole::Frac; 2], (0, 1), cols);
-        if let Some(r) = &mut rec.records {
-            r.p.resize(cols, 1.0);
-            r.intended.resize(cols, Bit::Zero);
-        }
+        rec.p.resize(cols, 1.0);
+        rec.intended.resize(cols, Bit::Zero);
         // Every cell succeeds with p = 1, so the sum is the count exactly.
         rec.stats.roles[CellRole::Frac.index()] = RoleStats {
             count: cols,
@@ -1613,8 +1578,6 @@ impl Chip {
         let vdd = self.model.analog().vdd;
         let cols = self.geom.cols();
 
-        let telemetry = self.fidelity.telemetry;
-
         match activation {
             MultiActivation::SecondIgnored => {
                 self.charge_disturbance(bank, sub_f, 1);
@@ -1639,7 +1602,7 @@ impl Chip {
                 // RowClone: every raised row except rf receives rf.
                 let mut src = self.source_voltages(bank, sub_f, loc_f);
                 let dsts = rows.iter().filter(|r| **r != loc_f).count();
-                let mut rec = Recorder::new(telemetry, dsts * cols);
+                let mut rec = Recorder::new(dsts * cols);
                 for row in &rows {
                     if *row == loc_f {
                         continue;
@@ -1703,7 +1666,7 @@ impl Chip {
                     n_dst * cols
                 };
                 let src_cells = src_tabs.as_ref().map_or(0, |t| t.len() * cols);
-                let mut rec = Recorder::new(telemetry, dst_cells + src_cells);
+                let mut rec = Recorder::new(dst_cells + src_cells);
                 let off_start = 1 - shared_start;
                 let mut sc = std::mem::take(&mut self.scratch);
                 sc.fit(cols);
@@ -1858,7 +1821,7 @@ impl Chip {
 
     /// Charge share resolving only the cells the caller will read.
     ///
-    /// `Compute`/`Reference` skip voltage/telemetry updates for the
+    /// `Compute`/`Reference` skip voltage and record updates for the
     /// other terminal's rows and for the non-shared majority half; the
     /// `*FirstRow` scopes also skip the read terminal's rows after its
     /// first raised row, which then only add their success
@@ -1905,8 +1868,6 @@ impl Chip {
         let vdd = self.model.analog().vdd;
         let cols = self.geom.cols();
 
-        let telemetry = self.fidelity.telemetry;
-
         match activation {
             MultiActivation::SecondIgnored => {
                 self.charge_disturbance(bank, sub_ref, 1);
@@ -1931,7 +1892,7 @@ impl Chip {
                 // so a single upfront snapshot is exact.
                 let n = rows.len();
                 let dexp = self.disturb_exponent(bank, sub_ref);
-                let mut rec = Recorder::new(telemetry, if n >= 2 { n * cols } else { 0 });
+                let mut rec = Recorder::new(if n >= 2 { n * cols } else { 0 });
                 if n >= 2 {
                     self.settle_rows(bank, sub_ref, &rows);
                     let mut sc = std::mem::take(&mut self.scratch);
@@ -2067,7 +2028,7 @@ impl Chip {
                     * (drawn_rows(need.resolves_compute(), n_com)
                         + drawn_rows(need.resolves_reference(), n_ref))
                     + n_off * (off_rows(n_com) + off_rows(n_ref));
-                let mut rec = Recorder::new(telemetry, cells);
+                let mut rec = Recorder::new(cells);
                 let key = (
                     bank.index() as u32,
                     r_ref.index() as u32,
@@ -2473,7 +2434,6 @@ mod tests {
     #[test]
     fn frac_row_cache_matches_a_fresh_chip() {
         let (bank, row) = (BankId(0), GlobalRow(5));
-        let full = crate::SimConfig::new().with_telemetry(Telemetry::Full);
         let volts = |chip: &Chip| {
             let (sub, local) = chip.geometry().split_row(row).unwrap();
             chip.banks[bank.index()]
@@ -2482,12 +2442,12 @@ mod tests {
                 .unwrap()
                 .to_vec()
         };
-        let mut fresh = hynix_chip().with_sim_config(full);
+        let mut fresh = hynix_chip();
         let want_out = fresh.frac(bank, row).unwrap();
         let want_volts = volts(&fresh);
         assert_eq!(want_out.p.len(), fresh.geometry().cols());
 
-        let mut chip = hynix_chip().with_sim_config(full);
+        let mut chip = hynix_chip();
         let check = |chip: &mut Chip, after: &str| {
             let out = chip.frac(bank, row).unwrap();
             assert_eq!(out, want_out, "outcome after {after}");
@@ -2841,21 +2801,14 @@ mod tests {
         chip.precharge(BankId(0)).unwrap();
         chip.hammer(BankId(0), GlobalRow(10), 1_000).unwrap();
         assert_eq!(chip.disturbance().lifetime_total(), 1_002);
-        // Counting is identical across simulation fidelities.
-        let mut fast = hynix_chip();
-        let mut full = hynix_chip();
-        fast.configure(crate::SimConfig::new().with_telemetry(Telemetry::Fast));
-        full.configure(crate::SimConfig::new().with_telemetry(Telemetry::Full));
-        for c in [&mut fast, &mut full] {
-            c.multi_act_copy(BankId(0), GlobalRow(0), GlobalRow(520))
-                .unwrap();
-            c.precharge(BankId(0)).unwrap();
-            c.multi_act_charge_share(BankId(0), GlobalRow(1), GlobalRow(521))
-                .unwrap();
-            c.precharge(BankId(0)).unwrap();
-        }
-        assert_eq!(fast.disturbance(), full.disturbance());
-        assert!(fast.disturbance().lifetime_total() >= 2);
+        // A copy and a charge share each charge at least one row.
+        chip.multi_act_copy(BankId(0), GlobalRow(0), GlobalRow(520))
+            .unwrap();
+        chip.precharge(BankId(0)).unwrap();
+        chip.multi_act_charge_share(BankId(0), GlobalRow(1), GlobalRow(521))
+            .unwrap();
+        chip.precharge(BankId(0)).unwrap();
+        assert!(chip.disturbance().lifetime_total() >= 1_004);
     }
 
     #[test]

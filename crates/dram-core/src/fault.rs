@@ -9,7 +9,7 @@
 //!
 //! * [`DisturbanceState`] — per-subarray activation counters charged on
 //!   every (multi-)row activation. Counters are pure bookkeeping
-//!   (identical in fast and full simulation fidelity); once a
+//!   (each activation charges the rows it raises); once a
 //!   subarray's count crosses [`DisturbancePolicy::threshold`] without
 //!   a mitigation, its cells' modeled success rates are derated by
 //!   raising them to a pressure-dependent exponent.

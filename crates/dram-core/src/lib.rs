@@ -44,7 +44,6 @@ pub mod config;
 pub mod energy;
 pub mod error;
 pub mod fault;
-pub mod fidelity;
 pub mod fleet;
 pub mod geometry;
 pub mod math;
@@ -67,13 +66,12 @@ pub use config::{ChipOrg, Density, DieRevision, Manufacturer, ModuleConfig};
 pub use energy::{EnergyParams, OpCost};
 pub use error::{DramError, Result};
 pub use fault::{AgingPolicy, DisturbancePolicy, DisturbanceState, FaultPlan, PlannedDropout};
-pub use fidelity::{SimConfig, SimFidelity, Telemetry};
 pub use fleet::{ChipSpec, FleetConfig, FleetSlot, FleetSlots, SlotLease};
 pub use geometry::Geometry;
 pub use module::DramModule;
 pub use reliability::{CellRef, LogicEvent, LogicOp, NotEvent, ReliabilityModel};
 pub use row_decoder::{ActivationShape, MultiActivation, PatternKind, RowDecoder};
-pub use thermal::Temperature;
+pub use thermal::{SimConfig, Temperature};
 pub use timing::{SpeedBin, TimingParams, ViolationWindows};
 pub use types::{
     is_shared_col, BankId, Bit, ChipId, Col, GlobalRow, LocalRow, StripeSide, SubarrayId,

@@ -8,7 +8,6 @@
 
 use crate::chip::Chip;
 use crate::config::ModuleConfig;
-use crate::fidelity::{SimConfig, SimFidelity};
 use crate::types::ChipId;
 
 /// A DRAM module (lazily instantiated chips).
@@ -16,7 +15,6 @@ use crate::types::ChipId;
 pub struct DramModule {
     config: ModuleConfig,
     chips: Vec<Option<Chip>>,
-    sim: SimConfig,
 }
 
 impl DramModule {
@@ -26,7 +24,6 @@ impl DramModule {
         DramModule {
             config,
             chips: (0..n).map(|_| None).collect(),
-            sim: SimConfig::default(),
         }
     }
 
@@ -36,33 +33,14 @@ impl DramModule {
         &self.config
     }
 
-    /// The fidelity configuration applied to every chip.
-    #[inline]
-    pub fn fidelity(&self) -> SimFidelity {
-        self.sim.fidelity()
-    }
-
-    /// The simulation configuration applied to every chip.
-    #[inline]
-    pub fn sim_config(&self) -> SimConfig {
-        self.sim
-    }
-
-    /// Applies a [`SimConfig`] to all chips (instantiated and future).
-    pub fn configure(&mut self, cfg: SimConfig) {
-        self.sim = cfg;
-        for chip in self.chips.iter_mut().flatten() {
-            chip.configure(cfg);
-        }
-    }
-
     /// Number of chips on the module.
     #[inline]
     pub fn chip_count(&self) -> usize {
         self.chips.len()
     }
 
-    /// Mutable access to chip `id`, instantiating it on first use.
+    /// Mutable access to chip `id`, instantiating it on first use (at
+    /// the baseline temperature).
     ///
     /// # Panics
     ///
@@ -70,8 +48,7 @@ impl DramModule {
     pub fn chip_mut(&mut self, id: ChipId) -> &mut Chip {
         assert!(id.index() < self.chips.len(), "chip {id} out of range");
         let cfg = self.config.clone();
-        let sim = self.sim;
-        self.chips[id.index()].get_or_insert_with(|| Chip::new(cfg, id).with_sim_config(sim))
+        self.chips[id.index()].get_or_insert_with(|| Chip::new(cfg, id))
     }
 
     /// Immutable access to chip `id` if it has been instantiated.

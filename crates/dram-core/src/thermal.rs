@@ -64,6 +64,53 @@ impl fmt::Display for Temperature {
     }
 }
 
+/// The simulation configuration of a chip, carried as one value: its
+/// temperature (the heater-pad knob of the paper's testing rig).
+///
+/// Every simulated layer — `Chip`, the `Fcdram` facade, `BulkEngine`,
+/// `SimdVm` — accepts a `SimConfig` through the same builder-style
+/// surface (`with_sim_config` at construction, `configure` afterwards,
+/// `sim_config` to read the current value).
+///
+/// ```
+/// use dram_core::{SimConfig, Temperature};
+///
+/// let hot = SimConfig::new().with_temperature(Temperature::celsius(85.0));
+/// assert_eq!(hot.temperature(), Temperature::celsius(85.0));
+/// assert_eq!(SimConfig::new().temperature(), Temperature::BASELINE);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+pub struct SimConfig {
+    temperature: Temperature,
+}
+
+impl SimConfig {
+    /// The baseline temperature.
+    pub fn new() -> Self {
+        SimConfig::default()
+    }
+
+    /// Alias of [`SimConfig::new`]. The repository benchmark
+    /// (`perfbench/src/device_exec.rs`) names it, and perfbench changes
+    /// only together with the benchmark; it is not `#[deprecated]`
+    /// because perfbench's clippy runs with `-D warnings`.
+    pub fn fast() -> Self {
+        SimConfig::new()
+    }
+
+    /// Replaces the chip temperature.
+    pub fn with_temperature(mut self, t: Temperature) -> Self {
+        self.temperature = t;
+        self
+    }
+
+    /// The chip temperature.
+    #[inline]
+    pub fn temperature(&self) -> Temperature {
+        self.temperature
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,7 +19,7 @@
 //!
 //! Both backends are one walk over one engine, so on the same module
 //! configuration they produce bit-identical results for every program
-//! (`tests/exec_equivalence.rs` pins this in both fidelity modes).
+//! (`tests/exec_equivalence.rs` pins this).
 
 use crate::engine::ExecBackend;
 use crate::error::Result;

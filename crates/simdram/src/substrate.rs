@@ -59,8 +59,8 @@ pub trait Substrate {
     /// [`MAX_FAN_IN`]).
     fn max_fan_in(&self) -> usize;
 
-    /// Applies a [`dram_core::SimConfig`] (fidelity + temperature) to
-    /// the underlying device, when the substrate models one. The host
+    /// Applies a [`dram_core::SimConfig`] (the chip temperature) to the
+    /// underlying device, when the substrate models one. The host
     /// golden model has no device knobs: the default is a no-op.
     fn configure_sim(&mut self, cfg: dram_core::SimConfig) {
         let _ = cfg;

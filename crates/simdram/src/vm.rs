@@ -144,8 +144,8 @@ impl<S: Substrate> SimdVm<S> {
         &mut self.sub
     }
 
-    /// Applies a [`dram_core::SimConfig`] (fidelity + temperature) to
-    /// the substrate device. A no-op on the host golden model.
+    /// Applies a [`dram_core::SimConfig`] (the chip temperature) to the
+    /// substrate device. A no-op on the host golden model.
     pub fn configure(&mut self, cfg: dram_core::SimConfig) {
         self.sub.configure_sim(cfg);
     }

@@ -4,8 +4,8 @@
 //! DRAM the substrate hands each gate the values it tracks for those
 //! rows, so no operand is read back. `predicted_success_golden.rs` pins
 //! the prepared program walk; this suite pins the circuits. Each
-//! circuit runs on `SimdVm<DramSubstrate>` at 1024 modeled columns in
-//! fast fidelity, at repetition 1 and 3, on Table-1 chip 0 and on the
+//! circuit runs on `SimdVm<DramSubstrate>` at 1024 modeled columns, at
+//! repetition 1 and 3, on Table-1 chip 0 and on the
 //! fan-in-8 part `hynix-8Gb-M-2666-#0`, and on `HostSubstrate` at the
 //! same lane count. Per circuit the test pins a digest of its results
 //! and a digest of every trace entry it records (op, fan-in,
@@ -13,7 +13,7 @@
 //! is a re-baseline to explain, not an edit to make here.
 
 use dram_core::math::mix2;
-use dram_core::{BankId, LogicOp, SimConfig, SubarrayId};
+use dram_core::{BankId, LogicOp, SubarrayId};
 use fcdram::{BulkEngine, Fcdram};
 use simdram::{
     AdderKind, BitRow, DramSubstrate, HostSubstrate, NativeOp, SimdVm, Substrate, UintVec,
@@ -27,9 +27,7 @@ fn vm(chip: &str, repetition: usize) -> SimdVm<DramSubstrate> {
         .find(|m| m.name == chip)
         .expect("a Table-1 part")
         .with_modeled_cols(COLS);
-    let engine = BulkEngine::new(Fcdram::new(cfg), BankId(0), SubarrayId(0))
-        .unwrap()
-        .with_sim_config(SimConfig::fast());
+    let engine = BulkEngine::new(Fcdram::new(cfg), BankId(0), SubarrayId(0)).unwrap();
     let mut sub = DramSubstrate::new(engine);
     sub.set_repetition(repetition);
     SimdVm::new(sub).unwrap()

@@ -3,13 +3,12 @@
 //!
 //! * Arbitrary synthesized programs produce **bit-identical** results
 //!   on the Substrate/VM backend (`SimdVm<DramSubstrate>`) and the
-//!   bender command-level backend (`fcexec::BenderBackend`), in both
-//!   the fast and the full simulation fidelity — the tentpole claim of
-//!   the unified execution layer. The two backends drive the same
-//!   module configuration through different interfaces (bulk-engine
-//!   calls vs combined cycle-timed DDR4 command programs), so their
-//!   agreement pins that the command schedules reproduce the exact
-//!   device-call sequence.
+//!   bender command-level backend (`fcexec::BenderBackend`) — the
+//!   tentpole claim of the unified execution layer. The two backends
+//!   (the device's two fidelities) drive the same module configuration
+//!   through different interfaces (bulk-engine calls vs combined
+//!   cycle-timed DDR4 command programs), so their agreement pins that
+//!   the command schedules reproduce the exact device-call sequence.
 //! * A golden table pins the device results of fixed and over-wide
 //!   programs, the latter on the fan-in-8 part `hynix-8Gb-M-2666-#0`,
 //!   where `prepare` narrows them.
@@ -21,8 +20,8 @@
 //! * Leased runs agree across backends: operand sets bulk-staged with
 //!   one `ExecBackend::stage_many` call and run back to back with
 //!   `run_prepared_leased` give
-//!   bit-identical results on both device backends in both
-//!   fidelities, and the reference evaluator's bits on the host model.
+//!   bit-identical results on both device backends, and the reference
+//!   evaluator's bits on the host model.
 //! * Lease safety: `SimdVm::lease_rows`/`end_lease` driven through
 //!   `ExecBackend::stage` and `dram_core::FleetSlots` stay
 //!   all-or-nothing and reusable under randomized interleavings.
@@ -30,7 +29,7 @@
 mod common;
 
 use common::{execute, random_expr, random_operands, reference_walk};
-use dram_core::{BankId, SimFidelity, SubarrayId};
+use dram_core::{BankId, SubarrayId};
 use fcdram::{BulkEngine, Fcdram, PackedBits};
 use fcexec::{BenderBackend, ExecBackend};
 use fcsynth::CostModel;
@@ -38,16 +37,14 @@ use proptest::prelude::*;
 use simdram::{DramSubstrate, HostSubstrate, SimdVm};
 
 /// A fresh bulk engine over chip 0 of the first Table-1 part (64
-/// modeled columns keep the device model fast) at the given fidelity.
-fn engine(fidelity: SimFidelity) -> BulkEngine {
+/// modeled columns keep the device model fast).
+fn engine() -> BulkEngine {
     let cfg = dram_core::config::table1().remove(0).with_modeled_cols(64);
-    BulkEngine::new(Fcdram::new(cfg), BankId(0), SubarrayId(0))
-        .unwrap()
-        .with_sim_config(dram_core::SimConfig::new().with_fidelity(fidelity))
+    BulkEngine::new(Fcdram::new(cfg), BankId(0), SubarrayId(0)).unwrap()
 }
 
 // ---------------------------------------------------------------------
-// vm backend vs bender command-level backend, fast and full fidelity
+// vm backend vs bender command-level backend
 // ---------------------------------------------------------------------
 
 /// The fixed expressions both device backends are pinned on.
@@ -64,8 +61,8 @@ const BIT_IDENTICAL_CASES: [&str; 8] = [
 
 /// The tentpole pin: for a spread of synthesized programs (wide gates,
 /// inverted terminals, XOR trees, passthroughs, constants, narrowed
-/// re-mappings), all four executions — {vm, bender} × {fast, full} —
-/// produce the same bits.
+/// re-mappings), both device fidelities — the vm and the bender
+/// command-schedule backend — produce the same bits.
 #[test]
 fn backends_bit_identical_in_both_fidelities() {
     let cost = CostModel::table1_defaults();
@@ -81,26 +78,18 @@ fn backends_bit_identical_in_both_fidelities() {
             std::sync::Arc::new(compiled.mapping.program.narrowed(2)),
         ];
         for (pi, prog) in programs.iter().enumerate() {
-            let mut results: Vec<(String, PackedBits)> = Vec::new();
-            for fidelity in [SimFidelity::fast(), SimFidelity::full()] {
-                let mut vm = SimdVm::new(DramSubstrate::new(engine(fidelity))).unwrap();
-                let lanes = ExecBackend::lanes(&vm);
-                let ops = random_operands(k, lanes, 0xC0FFEE ^ (ci as u64) << 8 ^ pi as u64);
-                let via_vm = execute(&mut vm, prog, &ops).unwrap();
-                results.push((format!("vm/{:?}", fidelity.telemetry), via_vm));
+            let mut vm = SimdVm::new(DramSubstrate::new(engine())).unwrap();
+            let lanes = ExecBackend::lanes(&vm);
+            let ops = random_operands(k, lanes, 0xC0FFEE ^ (ci as u64) << 8 ^ pi as u64);
+            let via_vm = execute(&mut vm, prog, &ops).unwrap();
 
-                let mut cmd = BenderBackend::new(engine(fidelity)).unwrap();
-                assert_eq!(cmd.lanes(), lanes);
-                let via_cmd = execute(&mut cmd, prog, &ops).unwrap();
-                results.push((format!("bender/{:?}", fidelity.telemetry), via_cmd));
-            }
-            let (ref first_name, ref first) = results[0];
-            for (name, bits) in &results[1..] {
-                assert_eq!(
-                    bits, first,
-                    "{text} (variant {pi}): {name} diverged from {first_name}"
-                );
-            }
+            let mut cmd = BenderBackend::new(engine()).unwrap();
+            assert_eq!(cmd.lanes(), lanes);
+            let via_cmd = execute(&mut cmd, prog, &ops).unwrap();
+            assert_eq!(
+                via_cmd, via_vm,
+                "{text} (variant {pi}): bender diverged from vm"
+            );
         }
     }
 }
@@ -163,28 +152,19 @@ fn pinned_digest(
     k: usize,
     seed: u64,
 ) -> u64 {
-    let fresh = |fidelity: SimFidelity| {
-        BulkEngine::new(Fcdram::new(cfg.clone()), BankId(0), SubarrayId(0))
-            .unwrap()
-            .with_sim_config(dram_core::SimConfig::new().with_fidelity(fidelity))
-    };
-    let mut digests = Vec::new();
-    for fidelity in [SimFidelity::fast(), SimFidelity::full()] {
-        let mut vm = SimdVm::new(DramSubstrate::new(fresh(fidelity))).unwrap();
-        let ops = random_operands(k, ExecBackend::lanes(&vm), seed);
-        let prep = vm.prepare(prog).unwrap();
-        digests.push(digest(&fcexec::run_prepared(&mut vm, &prep, &ops).unwrap()));
-        let mut cmd = BenderBackend::new(fresh(fidelity)).unwrap();
-        let prep = cmd.prepare(prog).unwrap();
-        digests.push(digest(
-            &fcexec::run_prepared(&mut cmd, &prep, &ops).unwrap(),
-        ));
-    }
-    assert!(
-        digests.iter().all(|d| *d == digests[0]),
-        "backends or fidelities diverged: {digests:x?}"
+    let fresh = || BulkEngine::new(Fcdram::new(cfg.clone()), BankId(0), SubarrayId(0)).unwrap();
+    let mut vm = SimdVm::new(DramSubstrate::new(fresh())).unwrap();
+    let ops = random_operands(k, ExecBackend::lanes(&vm), seed);
+    let prep = vm.prepare(prog).unwrap();
+    let via_vm = digest(&fcexec::run_prepared(&mut vm, &prep, &ops).unwrap());
+    let mut cmd = BenderBackend::new(fresh()).unwrap();
+    let prep = cmd.prepare(prog).unwrap();
+    let via_cmd = digest(&fcexec::run_prepared(&mut cmd, &prep, &ops).unwrap());
+    assert_eq!(
+        via_vm, via_cmd,
+        "backends diverged: {via_vm:x} vs {via_cmd:x}"
     );
-    digests[0]
+    via_vm
 }
 
 /// Golden pin of device results, captured before `prepare` learned to
@@ -287,7 +267,7 @@ fn observer_is_backend_independent() {
     let prog = &compiled.mapping.program;
     let ops = |lanes: usize| random_operands(compiled.circuit.inputs().len(), lanes, 0xAB);
 
-    let mut reference = SimdVm::new(DramSubstrate::new(engine(SimFidelity::fast()))).unwrap();
+    let mut reference = SimdVm::new(DramSubstrate::new(engine())).unwrap();
     let lanes = ExecBackend::lanes(&reference);
     let mut ref_steps = Vec::new();
     reference_walk(&mut reference, prog, &ops(lanes), |i, s| {
@@ -295,7 +275,7 @@ fn observer_is_backend_independent() {
     })
     .unwrap();
 
-    let mut vm = SimdVm::new(DramSubstrate::new(engine(SimFidelity::fast()))).unwrap();
+    let mut vm = SimdVm::new(DramSubstrate::new(engine())).unwrap();
     let prep = vm.prepare(prog).unwrap();
     let mut vm_steps = Vec::new();
     vm.run_prepared(&prep, &ops(lanes), |i, s| {
@@ -303,7 +283,7 @@ fn observer_is_backend_independent() {
     })
     .unwrap();
 
-    let mut cmd = BenderBackend::new(engine(SimFidelity::fast())).unwrap();
+    let mut cmd = BenderBackend::new(engine()).unwrap();
     let prep = cmd.prepare(prog).unwrap();
     let mut cmd_steps = Vec::new();
     cmd.run_prepared(&prep, &ops(lanes), |i, s| {
@@ -363,9 +343,8 @@ proptest! {
     /// expressions, `prepare` + `run_prepared` on the VM produces
     /// exactly the bytes of the independent reference walk
     /// (`common::reference_walk`) on a fresh VM of the same
-    /// configuration, and the command-schedule backend matches the VM —
-    /// in both fidelities, with the observer seeing the same ordered
-    /// step walk everywhere.
+    /// configuration, and the command-schedule backend matches the VM,
+    /// with the observer seeing the same ordered step walk everywhere.
     #[test]
     fn prepared_matches_unprepared_bit_for_bit(
         n in 1usize..=8,
@@ -377,48 +356,46 @@ proptest! {
             .map_err(|e| format!("{text}: {e}"))?;
         let k = compiled.circuit.inputs().len();
         let prog = &compiled.mapping.program;
-        for fidelity in [SimFidelity::fast(), SimFidelity::full()] {
-            // The reference walk over the DRAM substrate.
-            let mut reference = SimdVm::new(DramSubstrate::new(engine(fidelity))).unwrap();
-            let lanes = ExecBackend::lanes(&reference);
-            let ops = random_operands(k, lanes, seed ^ 0x9E37);
-            let mut ref_steps = Vec::new();
-            let want = reference_walk(&mut reference, prog, &ops, |i, s| {
-                ref_steps.push((i, s.op, s.args.len()));
+        // The reference walk over the DRAM substrate.
+        let mut reference = SimdVm::new(DramSubstrate::new(engine())).unwrap();
+        let lanes = ExecBackend::lanes(&reference);
+        let ops = random_operands(k, lanes, seed ^ 0x9E37);
+        let mut ref_steps = Vec::new();
+        let want = reference_walk(&mut reference, prog, &ops, |i, s| {
+            ref_steps.push((i, s.op, s.args.len()));
+        })
+        .map_err(|e| format!("{text}: {e}"))?;
+
+        let mut vm = SimdVm::new(DramSubstrate::new(engine())).unwrap();
+        let prep = vm.prepare(prog).map_err(|e| e.to_string())?;
+        prop_assert_eq!(prep.arena_slots(), prog.peak_live_rows());
+        let mut prep_steps = Vec::new();
+        let got = vm
+            .run_prepared(&prep, &ops, |i, s| {
+                prep_steps.push((i, s.op, s.args.len()));
             })
             .map_err(|e| format!("{text}: {e}"))?;
+        prop_assert_eq!(&got, &want, "{}: vm prepared diverged", text);
+        prop_assert_eq!(&prep_steps, &ref_steps, "{}: vm observer walks differ", text);
 
-            let mut vm = SimdVm::new(DramSubstrate::new(engine(fidelity))).unwrap();
-            let prep = vm.prepare(prog).map_err(|e| e.to_string())?;
-            prop_assert_eq!(prep.arena_slots(), prog.peak_live_rows());
-            let mut prep_steps = Vec::new();
-            let got = vm
-                .run_prepared(&prep, &ops, |i, s| {
-                    prep_steps.push((i, s.op, s.args.len()));
-                })
-                .map_err(|e| format!("{text}: {e}"))?;
-            prop_assert_eq!(&got, &want, "{}: vm prepared diverged", text);
-            prop_assert_eq!(&prep_steps, &ref_steps, "{}: vm observer walks differ", text);
-
-            // Command-schedule backend, against the VM.
-            let mut cmd = BenderBackend::new(engine(fidelity)).unwrap();
-            let prep_cmd = cmd.prepare(prog).map_err(|e| e.to_string())?;
-            let mut cmd_steps = Vec::new();
-            let got_cmd = cmd
-                .run_prepared(&prep_cmd, &ops, |i, s| {
-                    cmd_steps.push((i, s.op, s.args.len()));
-                })
-                .map_err(|e| format!("{text}: {e}"))?;
-            prop_assert_eq!(&got_cmd, &got, "{}: bender prepared diverged", text);
-            prop_assert_eq!(&cmd_steps, &prep_steps, "{}: bender observer walks differ", text);
-        }
+        // Command-schedule backend, against the VM.
+        let mut cmd = BenderBackend::new(engine()).unwrap();
+        let prep_cmd = cmd.prepare(prog).map_err(|e| e.to_string())?;
+        let mut cmd_steps = Vec::new();
+        let got_cmd = cmd
+            .run_prepared(&prep_cmd, &ops, |i, s| {
+                cmd_steps.push((i, s.op, s.args.len()));
+            })
+            .map_err(|e| format!("{text}: {e}"))?;
+        prop_assert_eq!(&got_cmd, &got, "{}: bender prepared diverged", text);
+        prop_assert_eq!(&cmd_steps, &prep_steps, "{}: bender observer walks differ", text);
     }
 
     /// Bulk-staged leased runs are backend-independent: `sets` operand
     /// sets staged with one `stage_many` call and run back to back
     /// through `run_prepared_leased` give bit-identical results and
-    /// observer walks on `SimdVm<DramSubstrate>` and `BenderBackend`
-    /// in both fidelities, and `eval_packed`'s bits on the host model.
+    /// observer walks on `SimdVm<DramSubstrate>` and `BenderBackend`,
+    /// and `eval_packed`'s bits on the host model.
     #[test]
     fn leased_runs_match_across_backends(
         n in 1usize..=8,
@@ -453,14 +430,12 @@ proptest! {
                 .map(|j| random_operands(k, lanes, seed ^ 0x1EA5E ^ (j as u64) << 32))
                 .collect()
         };
-        for fidelity in [SimFidelity::fast(), SimFidelity::full()] {
-            let mut vm = SimdVm::new(DramSubstrate::new(engine(fidelity))).unwrap();
-            let sets_dev = operand_sets(ExecBackend::lanes(&vm));
-            let via_vm = run_leased(&mut vm, prog, &sets_dev)?;
-            let mut cmd = BenderBackend::new(engine(fidelity)).unwrap();
-            let via_cmd = run_leased(&mut cmd, prog, &sets_dev)?;
-            prop_assert_eq!(&via_vm, &via_cmd, "{}: leased runs diverged ({:?})", text, fidelity);
-        }
+        let mut vm = SimdVm::new(DramSubstrate::new(engine())).unwrap();
+        let sets_dev = operand_sets(ExecBackend::lanes(&vm));
+        let via_vm = run_leased(&mut vm, prog, &sets_dev)?;
+        let mut cmd = BenderBackend::new(engine()).unwrap();
+        let via_cmd = run_leased(&mut cmd, prog, &sets_dev)?;
+        prop_assert_eq!(&via_vm, &via_cmd, "{}: leased runs diverged", text);
         let lanes = 96;
         let sets_host = operand_sets(lanes);
         let capacity = prog.n_regs + sets * k + 8;
@@ -491,10 +466,10 @@ proptest! {
         let compiled = fcsynth::compile(&text, &cost, 16)
             .map_err(|e| format!("{text}: {e}"))?;
         let prog = &compiled.mapping.program;
-        let mut cmd = BenderBackend::new(engine(SimFidelity::fast())).unwrap();
+        let mut cmd = BenderBackend::new(engine()).unwrap();
         let a = cmd.prepare(prog).map_err(|e| e.to_string())?;
         let b = cmd.prepare(prog).map_err(|e| e.to_string())?;
-        let mut fresh = BenderBackend::new(engine(SimFidelity::fast())).unwrap();
+        let mut fresh = BenderBackend::new(engine()).unwrap();
         let c = fresh.prepare(prog).map_err(|e| e.to_string())?;
         for (other, which) in [(&b, "same backend"), (&c, "fresh backend")] {
             prop_assert_eq!(a.template_count(), other.template_count(), "{}: {}", text, which);

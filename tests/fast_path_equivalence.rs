@@ -1,23 +1,19 @@
-//! Fast-path vs. telemetry-path equivalence.
+//! Packed-path vs. row-path equivalence.
 //!
-//! The columnar fast path (telemetry off, packed I/O) must be
-//! *observationally identical* to the full-telemetry path: same stored
-//! bits, same `mean_success`, same reported statistics, the same bits
-//! read back from every recorded row — only the `RowOutcome` records
-//! disappear.
-//! These tests run twin stacks from the same seed through both modes
-//! and compare exactly: each `Fcdram` gate call ships on both, the
-//! full stack reads every result row back through `read_row` and the
-//! fast one reads packed lanes through `read_lanes`.
+//! The engine's packed path (a logic gate resolving only its first
+//! result row, packed lane reads) must be *observationally identical*
+//! to the whole-terminal row path: same layout, same `mean_success`,
+//! and the same bits in the first result row.
+//! These tests run twin stacks of one config from the same seed and
+//! compare exactly: each `Fcdram` gate call ships on both, one stack
+//! reads every result row back through `read_row` and the other reads
+//! the first row's packed lanes through `read_lanes`.
 
 mod common;
 
 use common::{accuracy, ideal_logic, read_results, shared_cols, staged_rows};
-use dram_core::{
-    result_role, BankId, Bit, CellRole, ChipId, CsTerminal, GlobalRow, LogicOp, SimFidelity,
-    SubarrayId, Telemetry,
-};
-use fcdram::{BulkEngine, Fcdram, PackedBits};
+use dram_core::{result_role, BankId, Bit, CellRole, CsTerminal, LogicOp, SubarrayId};
+use fcdram::{Fcdram, PackedBits};
 
 fn cfg(cols: usize) -> dram_core::ModuleConfig {
     dram_core::config::table1()
@@ -35,65 +31,6 @@ fn pattern(seed: u64, n: usize) -> Vec<Bit> {
 
 const BANK: BankId = BankId(0);
 
-#[test]
-fn chip_ops_identical_across_telemetry_modes() {
-    let cols = 64;
-    let mut full = dram_core::Chip::new(cfg(cols), ChipId(0));
-    let mut fast = dram_core::Chip::new(cfg(cols), ChipId(0));
-    fast.configure(dram_core::SimConfig::fast());
-    assert_eq!(full.fidelity().telemetry, Telemetry::Full);
-
-    let src = pattern(99, cols);
-    for chip in [&mut full, &mut fast] {
-        chip.write_row_direct(BANK, GlobalRow(0), &src).unwrap();
-    }
-    // Drive the same violated-timing sequences on both chips.
-    for l in 0..48usize {
-        let a = full
-            .multi_act_copy(BANK, GlobalRow(0), GlobalRow(512 + l))
-            .unwrap();
-        let b = fast
-            .multi_act_copy(BANK, GlobalRow(0), GlobalRow(512 + l))
-            .unwrap();
-        full.precharge(BANK).unwrap();
-        fast.precharge(BANK).unwrap();
-        assert_eq!(a.kind, b.kind);
-        assert_eq!(a.stats, b.stats, "aggregates must match bitwise (l={l})");
-        assert!(
-            b.rows.is_empty() && b.p.is_empty(),
-            "fast mode records no cells"
-        );
-        for role in CellRole::ALL {
-            assert_eq!(a.mean_success(role), b.mean_success(role));
-        }
-        // Observed accuracy reads the recorded rows back: both chips
-        // hold the same bits in each.
-        for r in &a.rows {
-            let g = full.geometry().join_row(r.subarray, r.row).unwrap();
-            let (x, y) = (full.read_row_direct(BANK, g), fast.read_row_direct(BANK, g));
-            assert_eq!(x.unwrap(), y.unwrap(), "row {g} read back (l={l})");
-        }
-        let c = full
-            .multi_act_charge_share(BANK, GlobalRow(l), GlobalRow(512 + l))
-            .unwrap();
-        let d = fast
-            .multi_act_charge_share(BANK, GlobalRow(l), GlobalRow(512 + l))
-            .unwrap();
-        full.precharge(BANK).unwrap();
-        fast.precharge(BANK).unwrap();
-        assert_eq!(c.kind, d.kind);
-        assert_eq!(c.stats, d.stats);
-    }
-    // Every touched row holds identical bits.
-    for r in 0..1024usize {
-        assert_eq!(
-            full.read_row_direct(BANK, GlobalRow(r)).unwrap(),
-            fast.read_row_direct(BANK, GlobalRow(r)).unwrap(),
-            "row {r} diverged"
-        );
-    }
-}
-
 /// `n` random lanes, one per shared column.
 fn lanes(seed: u64, n: usize) -> PackedBits {
     let bits: Vec<bool> = (0..n)
@@ -103,7 +40,7 @@ fn lanes(seed: u64, n: usize) -> PackedBits {
 }
 
 /// The engine's staging convention, written out column by column:
-/// shared lanes, zeros elsewhere (the fast stacks stage the same row
+/// shared lanes, zeros elsewhere (the narrow stack stages the same row
 /// through `PackedBits::expand_strided`).
 fn staged(p: &PackedBits, cols: usize, shared: &[usize]) -> Vec<Bit> {
     let mut row = vec![Bit::Zero; cols];
@@ -113,19 +50,19 @@ fn staged(p: &PackedBits, cols: usize, shared: &[usize]) -> Vec<Bit> {
     row
 }
 
-/// Twin full-telemetry and fast stacks of one Table-1 part, both with
-/// the activation map of subarray pair (0, 1) discovered.
+/// Twin stacks of one Table-1 part, `whole` for the row path and
+/// `narrow` for the packed path, both with the activation map of
+/// subarray pair (0, 1) discovered.
 fn twins(cols: usize, budget: usize) -> (Fcdram, Fcdram, fcdram::ActivationMap) {
-    let mut full = Fcdram::new(cfg(cols));
-    let mut fast = Fcdram::new(cfg(cols));
-    fast.configure(dram_core::SimConfig::fast());
+    let mut whole = Fcdram::new(cfg(cols));
+    let mut narrow = Fcdram::new(cfg(cols));
     let pair = (SubarrayId(0), SubarrayId(1));
-    let map = full.discover(BANK, pair, budget).unwrap();
-    let _ = fast.discover(BANK, pair, budget).unwrap();
-    (full, fast, map)
+    let map = whole.discover(BANK, pair, budget).unwrap();
+    let _ = narrow.discover(BANK, pair, budget).unwrap();
+    (whole, narrow, map)
 }
 
-/// The fast stack's packed lanes of `row` against the full stack's
+/// The narrow stack's packed lanes of `row` against the whole stack's
 /// full-width read-back of the same row, lane by lane.
 fn assert_lanes_match(lanes: &PackedBits, row: &[Bit], shared: &[usize], ctx: &str) {
     assert_eq!(lanes.len(), shared.len(), "{ctx}: lane count");
@@ -137,7 +74,7 @@ fn assert_lanes_match(lanes: &PackedBits, row: &[Bit], shared: &[usize], ctx: &s
 #[test]
 fn packed_not_matches_telemetry_report() {
     let cols = 64;
-    let (mut full, mut fast, map) = twins(cols, 8192);
+    let (mut whole, mut narrow, map) = twins(cols, 8192);
     let entry = map
         .find_dst(1)
         .first()
@@ -148,22 +85,22 @@ fn packed_not_matches_telemetry_report() {
 
     let shared = shared_cols(cols, SubarrayId(0));
     let src = lanes(11, shared.len());
-    let (layout, report) = full
+    let (layout, report) = whole
         .not_outcome(BANK, &entry, staged(&src, cols, &shared).into(), None)
         .unwrap();
-    let reads = read_results(&mut full, BANK, &layout);
-    let (fast_layout, fast_res) = fast
+    let reads = read_results(&mut whole, BANK, &layout);
+    let (narrow_layout, narrow_res) = narrow
         .not_outcome(BANK, &entry, src.expand_strided(cols, shared[0]), None)
         .unwrap();
-    let result = fast
-        .read_lanes(BANK, fast_layout.result_rows[0], shared[0], shared.len())
+    let result = narrow
+        .read_lanes(BANK, narrow_layout.result_rows[0], shared[0], shared.len())
         .unwrap();
 
-    assert_eq!(layout, fast_layout);
-    assert_eq!(report.kind, fast_res.kind, "activated shape");
+    assert_eq!(layout, narrow_layout);
+    assert_eq!(report.kind, narrow_res.kind, "activated shape");
     assert_eq!(
         report.mean_success(CellRole::NotDst).map(f64::to_bits),
-        fast_res.mean_success(CellRole::NotDst).map(f64::to_bits)
+        narrow_res.mean_success(CellRole::NotDst).map(f64::to_bits)
     );
     // First destination row, shared columns only, bit-identical; the
     // lanes' accuracy is that row's.
@@ -181,7 +118,7 @@ fn packed_not_matches_telemetry_report() {
 #[test]
 fn packed_logic_matches_telemetry_report_across_n() {
     let cols = 64;
-    let (mut full, mut fast, map) = twins(cols, 16384);
+    let (mut whole, mut narrow, map) = twins(cols, 16384);
     let shared = shared_cols(cols, SubarrayId(0));
 
     let mut tested = 0usize;
@@ -206,10 +143,10 @@ fn packed_logic_matches_telemetry_report_across_n() {
                 .map(|p| p.expand_strided(cols, shared[0]))
                 .collect();
 
-            // The full stack resolves the whole result terminal and
-            // reads every result row; the fast one resolves only the
+            // The whole stack resolves the whole result terminal and
+            // reads every result row; the narrow one resolves only the
             // first row, as the engine does, and reads its lanes.
-            let (layout, report) = full
+            let (layout, report) = whole
                 .logic_outcome(
                     BANK,
                     &entry,
@@ -218,8 +155,8 @@ fn packed_logic_matches_telemetry_report_across_n() {
                     Some(CsTerminal::terminal_of(op)),
                 )
                 .unwrap();
-            let reads = read_results(&mut full, BANK, &layout);
-            let (fast_layout, fast_res) = fast
+            let reads = read_results(&mut whole, BANK, &layout);
+            let (narrow_layout, narrow_res) = narrow
                 .logic_outcome(
                     BANK,
                     &entry,
@@ -228,16 +165,16 @@ fn packed_logic_matches_telemetry_report_across_n() {
                     Some(CsTerminal::first_row_of(op)),
                 )
                 .unwrap();
-            let result = fast
-                .read_lanes(BANK, fast_layout.result_rows[0], shared[0], shared.len())
+            let result = narrow
+                .read_lanes(BANK, narrow_layout.result_rows[0], shared[0], shared.len())
                 .unwrap();
 
-            assert_eq!(layout, fast_layout, "{ctx}");
-            assert_eq!(report.kind, fast_res.kind, "{ctx}");
+            assert_eq!(layout, narrow_layout, "{ctx}");
+            assert_eq!(report.kind, narrow_res.kind, "{ctx}");
             let role = result_role(op);
             assert_eq!(
                 report.mean_success(role).map(f64::to_bits),
-                fast_res.mean_success(role).map(f64::to_bits),
+                narrow_res.mean_success(role).map(f64::to_bits),
                 "{ctx} predicted"
             );
             assert_lanes_match(&result, &reads[0].1, &shared, &ctx);
@@ -263,7 +200,7 @@ fn packed_logic_matches_telemetry_report_across_n() {
 
     // MAJ4 on an in-subarray four-row set of the same chips.
     let mut sets = Vec::new();
-    for fc in [&mut full, &mut fast] {
+    for fc in [&mut whole, &mut narrow] {
         let chip = fc.chip();
         sets.push(
             fcdram::mapping::discover_in_subarray(
@@ -283,54 +220,17 @@ fn packed_logic_matches_telemetry_report_across_n() {
         .expect("a 4-row in-subarray set")
         .clone();
     let inputs = staged_rows(&(0..4).map(|i| pattern(0xA0 + i, cols)).collect::<Vec<_>>());
-    let (layout, report) = full.maj_outcome(BANK, &entry, &inputs).unwrap();
-    let reads = read_results(&mut full, BANK, &layout);
-    let (fast_layout, fast_res) = fast.maj_outcome(BANK, &entry, &inputs).unwrap();
-    let result = fast
-        .read_lanes(BANK, fast_layout.result_rows[0], shared[0], shared.len())
+    let (layout, report) = whole.maj_outcome(BANK, &entry, &inputs).unwrap();
+    let reads = read_results(&mut whole, BANK, &layout);
+    let (narrow_layout, narrow_res) = narrow.maj_outcome(BANK, &entry, &inputs).unwrap();
+    let result = narrow
+        .read_lanes(BANK, narrow_layout.result_rows[0], shared[0], shared.len())
         .unwrap();
-    assert_eq!(layout, fast_layout);
-    assert_eq!(report.kind, fast_res.kind);
+    assert_eq!(layout, narrow_layout);
+    assert_eq!(report.kind, narrow_res.kind);
     assert_eq!(
         report.mean_success(CellRole::OffMaj).map(f64::to_bits),
-        fast_res.mean_success(CellRole::OffMaj).map(f64::to_bits)
+        narrow_res.mean_success(CellRole::OffMaj).map(f64::to_bits)
     );
     assert_lanes_match(&result, &reads[0].1, &shared, "MAJ4");
-}
-
-#[test]
-fn engine_identical_in_both_fidelity_modes() {
-    let build = |fidelity: SimFidelity| {
-        BulkEngine::new(Fcdram::new(cfg(64)), BANK, SubarrayId(0))
-            .unwrap()
-            .with_sim_config(dram_core::SimConfig::new().with_fidelity(fidelity))
-    };
-    let mut fast = build(SimFidelity::fast());
-    let mut full = build(SimFidelity::full());
-
-    for e in [&mut fast, &mut full] {
-        e.set_repetition(3);
-    }
-    let run = |e: &mut BulkEngine| {
-        let out = e.alloc().unwrap();
-        let bits = e.capacity_bits();
-        let da: Vec<bool> = (0..bits).map(|i| i % 3 == 0).collect();
-        let db: Vec<bool> = (0..bits).map(|i| i % 5 != 0).collect();
-        let (da, db) = (PackedBits::from_bools(&da), PackedBits::from_bools(&db));
-        let mut stats = vec![e.not(&da, &out).unwrap().0];
-        let mut reads = vec![e.read(&out).unwrap()];
-        for op in LogicOp::ALL {
-            stats.push(e.logic(op, &[&da, &db], &out).unwrap().0);
-            reads.push(e.read(&out).unwrap());
-        }
-        (stats, reads)
-    };
-    let (stats_fast, reads_fast) = run(&mut fast);
-    let (stats_full, reads_full) = run(&mut full);
-    assert_eq!(reads_fast, reads_full, "stored bits must be identical");
-    for (sf, sl) in stats_fast.iter().zip(&stats_full) {
-        assert_eq!(sf.executions, sl.executions);
-        assert_eq!(sf.accuracy, sl.accuracy);
-        assert_eq!(sf.predicted_success, sl.predicted_success);
-    }
 }

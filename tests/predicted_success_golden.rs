@@ -4,7 +4,7 @@
 //! The serve demo mix plus the paper's five headline shapes (NOT and
 //! 16-input NAND/NOR/AND/OR) run through `fcexec::run_prepared` on
 //! `SimdVm<DramSubstrate>` and on `BenderBackend`, each over one
-//! Table-1 chip at 1024 modeled columns in fast fidelity, two passes
+//! Table-1 chip at 1024 modeled columns, two passes
 //! with different operands. The test pins, as `f64::to_bits`, every
 //! `predicted_success` the VM trace records, plus a digest of each
 //! result on both backends (`BenderBackend` keeps no trace). Any
@@ -14,7 +14,7 @@
 //! A second section pins the characterization path: the gate calls
 //! `not_outcome`, `logic_outcome` (AND/OR/NAND/NOR × N ∈ {2, 4, 8, 16},
 //! resolving the result terminal) and `maj_outcome` (MAJ4) on one
-//! Table-1 chip at full fidelity, each followed by a full-width
+//! Table-1 chip, each followed by a full-width
 //! read-back of every result row, in one sequence, so each operation
 //! also sees what the previous ones left in the rows. Each operation's
 //! success figures (as `to_bits`), shape, read-back and per-cell
@@ -23,8 +23,8 @@
 //! A third section drives `Chip` kernels directly: charge shares under
 //! all five `CsTerminal` scopes, NOT copies, RowClone, in-subarray MAJ,
 //! `Frac` and `WR` overdrives, on two Table-1 parts, on subarray pairs
-//! of both shared-column parities, in full and fast telemetry, with
-//! and without a disturbance policy past its threshold, plus a
+//! of both shared-column parities, with and without a disturbance
+//! policy past its threshold, plus a
 //! 4096-column sequence of copies and charge shares. Each operation's
 //! per-role statistics, per-cell records and raised-row bits, and each
 //! scenario's final cell voltages, are pinned.
@@ -41,8 +41,7 @@ use characterize::serve::DEMO_MIX;
 use dram_core::math::mix2;
 use dram_core::{
     result_role, ActivationShape, BankId, Bit, CellRole, Chip, ChipId, CsTerminal,
-    DisturbancePolicy, GlobalRow, LogicOp, MultiActivation, OpOutcome, OutcomeKind, SimConfig,
-    SubarrayId, Telemetry,
+    DisturbancePolicy, GlobalRow, LogicOp, MultiActivation, OpOutcome, OutcomeKind, SubarrayId,
 };
 use fcdram::{BulkEngine, Fcdram, PackedBits};
 use fcexec::{BenderBackend, ExecBackend};
@@ -68,9 +67,7 @@ fn engine() -> BulkEngine {
     let cfg = dram_core::config::table1()
         .remove(0)
         .with_modeled_cols(COLS);
-    BulkEngine::new(Fcdram::new(cfg), BankId(0), SubarrayId(0))
-        .unwrap()
-        .with_sim_config(SimConfig::fast())
+    BulkEngine::new(Fcdram::new(cfg), BankId(0), SubarrayId(0)).unwrap()
 }
 
 fn digest(bits: &PackedBits) -> u64 {
@@ -234,7 +231,7 @@ fn observe_characterization() -> Vec<[u64; 6]> {
     let cfg = dram_core::config::table1()
         .remove(0)
         .with_modeled_cols(CHAR_COLS);
-    let mut fc = Fcdram::new(cfg).with_sim_config(SimConfig::full());
+    let mut fc = Fcdram::new(cfg);
     let bank = BankId(0);
     let map = fc
         .discover(bank, (SubarrayId(0), SubarrayId(1)), 16_384)
@@ -387,9 +384,8 @@ const HOT: DisturbancePolicy = DisturbancePolicy {
 };
 
 /// Per role: the count and `sum_p` of `o`'s statistics, then how many
-/// of `cells` (the operation's full-telemetry records) it resolved and
-/// how many of those read back as intended. Folded from `o`'s own
-/// record count (0 under fast telemetry).
+/// of `cells` (the operation's records) it resolved and how many of
+/// those read back as intended. Folded from `o`'s own record count.
 fn stats_digest(o: &OpOutcome, cells: &[Cell]) -> u64 {
     let stats = o.stats.roles.iter().zip(CellRole::ALL);
     stats.fold(mix2(0, o.p.len() as u64), |h, (r, role)| {
@@ -400,35 +396,6 @@ fn stats_digest(o: &OpOutcome, cells: &[Cell]) -> u64 {
         let h = mix2(h, resolved.count() as u64);
         mix2(h, matched as u64)
     })
-}
-
-/// The full-telemetry outcomes of a scenario, in operation order: a
-/// full-telemetry run records each one, and the same scenario under
-/// fast telemetry (identical bits and statistics, no records) replays
-/// them to count what each operation resolved.
-enum FullRecords {
-    Record(Vec<OpOutcome>),
-    Replay(std::vec::IntoIter<OpOutcome>),
-}
-
-impl FullRecords {
-    /// The full-telemetry twin of `o`, the scenario's next operation.
-    fn next(&mut self, o: &OpOutcome) -> OpOutcome {
-        match self {
-            FullRecords::Record(all) => {
-                all.push(o.clone());
-                o.clone()
-            }
-            FullRecords::Replay(rest) => rest.next().expect("one record per operation"),
-        }
-    }
-
-    fn into_replay(self) -> FullRecords {
-        match self {
-            FullRecords::Record(all) => FullRecords::Replay(all.into_iter()),
-            replay => replay,
-        }
-    }
 }
 
 /// Every row the decoder raises for `(rf, rl)`, as global rows.
@@ -462,18 +429,16 @@ fn raised(chip: &Chip, rf: usize, rl: usize) -> Vec<GlobalRow> {
 
 /// One pinned value per operation: its per-role statistics (`sum_p`
 /// as `to_bits`), its per-cell records with their read-back bits, and
-/// the bits every raised row holds afterwards. `full` supplies the
-/// operation's full-telemetry records.
-fn op_digest(chip: &mut Chip, o: &OpOutcome, rows: &[GlobalRow], full: &mut FullRecords) -> u64 {
-    let cells = cells_of(chip, &full.next(o));
-    let shown = if o.p.is_empty() { &[][..] } else { &cells[..] };
+/// the bits every raised row holds afterwards.
+fn op_digest(chip: &mut Chip, o: &OpOutcome, rows: &[GlobalRow]) -> u64 {
+    let cells = cells_of(chip, o);
     let reads = rows.iter().fold(0u64, |h, r| {
         fold_bits(
             mix2(h, r.index() as u64),
             &chip.read_row_direct(BankId(0), *r).unwrap(),
         )
     });
-    mix2(mix2(stats_digest(o, &cells), cells_digest(shown)), reads)
+    mix2(mix2(stats_digest(o, &cells), cells_digest(&cells)), reads)
 }
 
 /// Digest of every stored cell voltage of the chip, taken from the
@@ -541,19 +506,13 @@ fn stage(chip: &mut Chip, rows: &[GlobalRow], ref_side: usize, flavour: usize, s
 /// (1, 2), whose shared columns have opposite parity. Each N:N shape up
 /// to the part's widest and one N:2N shape runs one charge-share scope,
 /// rotating through all five on each pair.
-fn observe_kernels(
-    part: &str,
-    telemetry: Telemetry,
-    hot: bool,
-    full: &mut FullRecords,
-) -> Vec<u64> {
+fn observe_kernels(part: &str, hot: bool) -> Vec<u64> {
     let cfg = dram_core::config::table1()
         .into_iter()
         .find(|c| c.name == part)
         .expect("a Table-1 part")
         .with_modeled_cols(CHAR_COLS);
-    let mut chip =
-        Chip::new(cfg, ChipId(0)).with_sim_config(SimConfig::new().with_telemetry(telemetry));
+    let mut chip = Chip::new(cfg, ChipId(0));
     if hot {
         chip.set_disturbance_policy(Some(HOT));
     }
@@ -568,29 +527,24 @@ fn observe_kernels(
             stage(&mut chip, &rows, n_ref, k, (sub * 100 + k) as u64);
             // The reference side's first raised row holds ≈VDD/2.
             let frac = chip.frac(bank, rows[0]).unwrap();
-            out.push(op_digest(&mut chip, &frac, &rows[..1], full));
+            out.push(op_digest(&mut chip, &frac, &rows[..1]));
             let scope = SCOPES[k % SCOPES.len()];
             let cs = chip
                 .multi_act_charge_share_masked(bank, GlobalRow(rf), GlobalRow(rl), scope)
                 .unwrap();
             chip.precharge(bank).unwrap();
-            out.push(op_digest(&mut chip, &cs, &rows, full));
+            out.push(op_digest(&mut chip, &cs, &rows));
             // NOT over the same pair, then a WR overdrive of every row
             // it left raised (¬data on the other subarray's shared half).
             stage(&mut chip, &rows, 0, k, (sub * 100 + k + 50) as u64);
             let not = chip
                 .multi_act_copy(bank, GlobalRow(rf), GlobalRow(rl))
                 .unwrap();
-            out.push(op_digest(&mut chip, &not, &rows, full));
+            out.push(op_digest(&mut chip, &not, &rows));
             let data = row_pattern((sub * 7 + k) as u64, CHAR_COLS);
             chip.write_open(bank, &data).unwrap();
             chip.precharge(bank).unwrap();
-            out.push(op_digest(
-                &mut chip,
-                &OpOutcome::empty(not.kind),
-                &rows,
-                full,
-            ));
+            out.push(op_digest(&mut chip, &OpOutcome::empty(not.kind), &rows));
         }
         // RowClone and in-subarray MAJ in the pair's upper subarray.
         let (rf, rl) = same_pair(&chip, sub, 3);
@@ -600,13 +554,13 @@ fn observe_kernels(
             .multi_act_copy(bank, GlobalRow(rf), GlobalRow(rl))
             .unwrap();
         chip.precharge(bank).unwrap();
-        out.push(op_digest(&mut chip, &clone, &rows, full));
+        out.push(op_digest(&mut chip, &clone, &rows));
         stage(&mut chip, &rows, 0, 2, (sub * 100 + 91) as u64);
         let maj = chip
             .multi_act_charge_share(bank, GlobalRow(rf), GlobalRow(rl))
             .unwrap();
         chip.precharge(bank).unwrap();
-        out.push(op_digest(&mut chip, &maj, &rows, full));
+        out.push(op_digest(&mut chip, &maj, &rows));
     }
     out.push(voltage_digest(&chip));
     out
@@ -614,13 +568,12 @@ fn observe_kernels(
 
 /// The wide-row sequence: 4096 columns, a source row copied and
 /// charge-shared across three cross-subarray pairs in turn.
-fn observe_wide(telemetry: Telemetry, full: &mut FullRecords) -> Vec<u64> {
+fn observe_wide() -> Vec<u64> {
     let cols = 4096;
     let cfg = dram_core::config::table1()
         .remove(0)
         .with_modeled_cols(cols);
-    let mut chip =
-        Chip::new(cfg, ChipId(0)).with_sim_config(SimConfig::new().with_telemetry(telemetry));
+    let mut chip = Chip::new(cfg, ChipId(0));
     let bank = BankId(0);
     let src: Vec<Bit> = (0..cols)
         .map(|c| Bit::from(dram_core::math::hash_to_unit(mix2(5, c as u64)) < 0.5))
@@ -633,32 +586,26 @@ fn observe_wide(telemetry: Telemetry, full: &mut FullRecords) -> Vec<u64> {
             .multi_act_copy(bank, GlobalRow(rf), GlobalRow(rl))
             .unwrap();
         chip.precharge(bank).unwrap();
-        out.push(op_digest(&mut chip, &a, &rows, full));
+        out.push(op_digest(&mut chip, &a, &rows));
         let c = chip
             .multi_act_charge_share(bank, GlobalRow(rf), GlobalRow(rl))
             .unwrap();
         chip.precharge(bank).unwrap();
-        out.push(op_digest(&mut chip, &c, &rows, full));
+        out.push(op_digest(&mut chip, &c, &rows));
     }
     out.push(voltage_digest(&chip));
     out
 }
 
-/// `(part, telemetry, hot)` per kernel scenario, then the two wide ones.
+/// `(part, hot)` per kernel scenario, then the wide one.
 fn kernel_scenarios() -> Vec<Vec<u64>> {
     let mut out = Vec::new();
     for part in ["hynix-4Gb-M-2666-#0", "hynix-8Gb-M-2666-#0"] {
-        let mut full = [false, true].map(|_| FullRecords::Record(Vec::new()));
-        for telemetry in [Telemetry::Full, Telemetry::Fast] {
-            for (hot, records) in [false, true].into_iter().zip(&mut full) {
-                out.push(observe_kernels(part, telemetry, hot, records));
-            }
-            full = full.map(FullRecords::into_replay);
+        for hot in [false, true] {
+            out.push(observe_kernels(part, hot));
         }
     }
-    let mut full = FullRecords::Record(Vec::new());
-    out.push(observe_wide(Telemetry::Full, &mut full));
-    out.push(observe_wide(Telemetry::Fast, &mut full.into_replay()));
+    out.push(observe_wide());
     out
 }
 
@@ -690,14 +637,9 @@ fn device_kernels_are_pinned() {
 const KERNEL_GOLDEN: &[&[u64]] = &[
     &[0x79a27ac32007cd0d, 0xfa4310e20b673e7b, 0xe3136cf629b803fa, 0x8abb8112ddbb5297, 0x79a27ac32007cd0d, 0xc25b7ce6a0fcd58d, 0x97aba06250d9b7d4, 0x198deff58b8162b1, 0x79a27ac32007cd0d, 0x97a98cae8aced2c0, 0x216049381be27963, 0x2b0c7f6e003dc40d, 0x79a27ac32007cd0d, 0x9bd4616bb916c347, 0x2024d5c54257afc2, 0x3d7cb5a972f33978, 0x79a27ac32007cd0d, 0x0736f5cc410fdd45, 0x84c05ec471c5a197, 0xc9668f3384a91ec0, 0x79a27ac32007cd0d, 0xc96c25847489a8bc, 0x6278c28306d759ba, 0x1ad36dff9cb14516, 0x79a27ac32007cd0d, 0xc44ed3ccea927660, 0x09fea677322dcc55, 0xac205f6893780a2e, 0xe47d6d532c23b693, 0xd66ff56d6b7aba48, 0xd149636dc2b94f9b, 0x41dfe77c6e89c1a6, 0x7b02707ea610eb9f, 0x9e8800be80ee5818, 0xd149636dc2b94f9b, 0x30035eb076dca988, 0x89eb85d7118f51ab, 0x2a85d4e90dff3cda, 0xd149636dc2b94f9b, 0x6be206b5b18c8777, 0x69846de166c213b1, 0x6b71dc3e46631ca4, 0xd149636dc2b94f9b, 0xe3e594fcf53d2d9b, 0x95cfa95927c0fb0b, 0x85f745638ab1dccd, 0xd149636dc2b94f9b, 0xcb7fe0d215d215c5, 0x0309c3a86cc6fb45, 0x99ab6084adf13faa, 0xd149636dc2b94f9b, 0xaccaf2a61a1e6db5, 0xa6fc633cc571a1a3, 0x3c06486f4d24a947, 0xd149636dc2b94f9b, 0xe160556bff18e239, 0x4e2648c8a1e3b598, 0x8e35fa8910040369, 0x361de7107dd55653, 0xbc0032d17d3ad0cb, 0xe72945f273342552],
     &[0x79a27ac32007cd0d, 0xfa4310e20b673e7b, 0xe3136cf629b803fa, 0x8abb8112ddbb5297, 0x79a27ac32007cd0d, 0xc25b7ce6a0fcd58d, 0x97aba06250d9b7d4, 0x198deff58b8162b1, 0x79a27ac32007cd0d, 0x241a7efdc6f1fefe, 0x216049381be27963, 0x2b0c7f6e003dc40d, 0x79a27ac32007cd0d, 0x9f81c0415dc25c03, 0x2024d5c54257afc2, 0x3d7cb5a972f33978, 0x79a27ac32007cd0d, 0x6645796344247068, 0x84c05ec471c5a197, 0xc9668f3384a91ec0, 0x79a27ac32007cd0d, 0x05fe4cda007e693b, 0x6278c28306d759ba, 0x1ad36dff9cb14516, 0x79a27ac32007cd0d, 0x117cd52fc0930673, 0x09fea677322dcc55, 0xac205f6893780a2e, 0xe47d6d532c23b693, 0xda70ec90b1ae35a0, 0xd149636dc2b94f9b, 0x41dfe77c6e89c1a6, 0x7b02707ea610eb9f, 0x9e8800be80ee5818, 0xd149636dc2b94f9b, 0x30035eb076dca988, 0x89eb85d7118f51ab, 0x2a85d4e90dff3cda, 0xd149636dc2b94f9b, 0xd00037a903641bdb, 0x69846de166c213b1, 0x6b71dc3e46631ca4, 0xd149636dc2b94f9b, 0xa02509bdd7b7af5a, 0x95cfa95927c0fb0b, 0x85f745638ab1dccd, 0xd149636dc2b94f9b, 0x66ed7c48ece7b653, 0x0309c3a86cc6fb45, 0x99ab6084adf13faa, 0xd149636dc2b94f9b, 0xba9502883828d784, 0xa6fc633cc571a1a3, 0x3c06486f4d24a947, 0xd149636dc2b94f9b, 0x98d4a01041f592f3, 0x4e2648c8a1e3b598, 0x8e35fa8910040369, 0x361de7107dd55653, 0x34759054c494c9f1, 0x037e42c13c7c0f25],
-    &[0x461cdb7b79e1face, 0x3015a8d247380ca3, 0xa07e9ab6d9bacc89, 0x8abb8112ddbb5297, 0x461cdb7b79e1face, 0xb23d2f9f1fe880b2, 0xa32eb5e5658bed10, 0x198deff58b8162b1, 0x461cdb7b79e1face, 0x15eae5192c59df2d, 0xb359877a28a94fa8, 0x2b0c7f6e003dc40d, 0x461cdb7b79e1face, 0x0295e50febde4a39, 0xa368e1f7c7d4a815, 0x3d7cb5a972f33978, 0x461cdb7b79e1face, 0xb2f7f78b7cd8a515, 0xa33b757a9e858391, 0xc9668f3384a91ec0, 0x461cdb7b79e1face, 0xbaee53451d5659b5, 0xcd1219ab352a5149, 0x1ad36dff9cb14516, 0x461cdb7b79e1face, 0xa1088d12e530e667, 0x7ea55a537bee2357, 0xac205f6893780a2e, 0x4fcdf3b949d4cf38, 0xda443863618daff8, 0xe37a7bf5fd7c85d6, 0xf3d56f2c5323dd98, 0x7cc7a0099ff800f4, 0x9e8800be80ee5818, 0xe37a7bf5fd7c85d6, 0xe75c28a3e4f13e7b, 0x47d43f04e599ddce, 0x2a85d4e90dff3cda, 0xe37a7bf5fd7c85d6, 0x16afdf0cf65c90c2, 0x009d0938918bfdad, 0x6b71dc3e46631ca4, 0xe37a7bf5fd7c85d6, 0xcb9d5c8b491846dc, 0x38671b81d26a5b21, 0x85f745638ab1dccd, 0xe37a7bf5fd7c85d6, 0x0f56caa11f4e678f, 0xa5c1350ead4063bd, 0x99ab6084adf13faa, 0xe37a7bf5fd7c85d6, 0x073662870b72011f, 0x0a6c468d87513f29, 0x3c06486f4d24a947, 0xe37a7bf5fd7c85d6, 0x7fb39b68e0e5f9c3, 0x531c597d1e078a58, 0x8e35fa8910040369, 0xf2c25a6e301ecb13, 0x3de212ef93e0f3a7, 0xe72945f273342552],
-    &[0x461cdb7b79e1face, 0x3015a8d247380ca3, 0xa07e9ab6d9bacc89, 0x8abb8112ddbb5297, 0x461cdb7b79e1face, 0xb23d2f9f1fe880b2, 0xa32eb5e5658bed10, 0x198deff58b8162b1, 0x461cdb7b79e1face, 0x8d5b65e509a255a3, 0xb359877a28a94fa8, 0x2b0c7f6e003dc40d, 0x461cdb7b79e1face, 0x3a6f93147082c6fb, 0xa368e1f7c7d4a815, 0x3d7cb5a972f33978, 0x461cdb7b79e1face, 0x65e25d3f7b4da847, 0xa33b757a9e858391, 0xc9668f3384a91ec0, 0x461cdb7b79e1face, 0x94e5e654a39de5b9, 0xcd1219ab352a5149, 0x1ad36dff9cb14516, 0x461cdb7b79e1face, 0xc10dbcf307266227, 0x7ea55a537bee2357, 0xac205f6893780a2e, 0x4fcdf3b949d4cf38, 0x76ee699178553b4e, 0xe37a7bf5fd7c85d6, 0xf3d56f2c5323dd98, 0x7cc7a0099ff800f4, 0x9e8800be80ee5818, 0xe37a7bf5fd7c85d6, 0xe75c28a3e4f13e7b, 0x47d43f04e599ddce, 0x2a85d4e90dff3cda, 0xe37a7bf5fd7c85d6, 0xf12c900109c33ef9, 0x009d0938918bfdad, 0x6b71dc3e46631ca4, 0xe37a7bf5fd7c85d6, 0xe3476ebaafeb6422, 0x38671b81d26a5b21, 0x85f745638ab1dccd, 0xe37a7bf5fd7c85d6, 0x0c53215f08f2224f, 0xa5c1350ead4063bd, 0x99ab6084adf13faa, 0xe37a7bf5fd7c85d6, 0x0f8c27e45b8cee11, 0x0a6c468d87513f29, 0x3c06486f4d24a947, 0xe37a7bf5fd7c85d6, 0x56201b87047c2514, 0x531c597d1e078a58, 0x8e35fa8910040369, 0xf2c25a6e301ecb13, 0x7c0836ba2b4463f2, 0x037e42c13c7c0f25],
     &[0x223579276f4b3884, 0x04a1047d7c7f1892, 0x28438d242aff7122, 0x8abb8112ddbb5297, 0x223579276f4b3884, 0x42c0ff40e6db3fe1, 0x329bb95e340ac148, 0x198deff58b8162b1, 0x223579276f4b3884, 0x73301599d01bd7ac, 0x15e02a9d20ecd1da, 0x9922950cf82ddda4, 0x223579276f4b3884, 0xadc0ac3f7843e000, 0x4c2cd51f5ae212d3, 0x0168f2a685cd295f, 0x223579276f4b3884, 0x01f4c21f15122780, 0x7c62c9d44903e0fc, 0xb98325f8842194b8, 0x223579276f4b3884, 0x9016ebfd0931ca2c, 0x0e42c07c17a071b6, 0x0eb0ce65aeb0691d, 0xd31bf3c295b728fe, 0xe248b778e86875ac, 0xc2110e7cc67855c3, 0x4bed075a96d5b7f0, 0xe8e16eb98d909786, 0x9e8800be80ee5818, 0xc2110e7cc67855c3, 0xbeb9fddcc8ef4ef3, 0x1974aa0ce7031ec0, 0x2a85d4e90dff3cda, 0xc2110e7cc67855c3, 0x005a3161d19f969c, 0x935c677356ae52b5, 0xf8e95bd8daaf5e47, 0xc2110e7cc67855c3, 0x6a667ebbc4aee0fe, 0x869532fff0e8b8d8, 0xf9c2e44aaf5895aa, 0xc2110e7cc67855c3, 0x0b8dc165bf6dcb71, 0x3bbe3099804309a9, 0x4e31a38e2f4e8dd9, 0xc2110e7cc67855c3, 0x872fc3df191fcff5, 0x6624a1379f18d462, 0x90f3a809657bd618, 0xa5f9910d6345ced6, 0xae0553287ef7148a, 0xc8998d1257ae27c5],
     &[0x223579276f4b3884, 0x04a1047d7c7f1892, 0x28438d242aff7122, 0x8abb8112ddbb5297, 0x223579276f4b3884, 0x42c0ff40e6db3fe1, 0x329bb95e340ac148, 0x198deff58b8162b1, 0x223579276f4b3884, 0x130501b109aae985, 0x15e02a9d20ecd1da, 0x9922950cf82ddda4, 0x223579276f4b3884, 0xaaf399b743124d59, 0x4c2cd51f5ae212d3, 0x0168f2a685cd295f, 0x223579276f4b3884, 0xb5b8cb724cdc3a3c, 0x7c62c9d44903e0fc, 0xb98325f8842194b8, 0x223579276f4b3884, 0x8bb0e29fe8328ab4, 0x0e42c07c17a071b6, 0x0eb0ce65aeb0691d, 0xd31bf3c295b728fe, 0x0e6af8b5e1f53099, 0xc2110e7cc67855c3, 0x4bed075a96d5b7f0, 0xe8e16eb98d909786, 0x9e8800be80ee5818, 0xc2110e7cc67855c3, 0xbeb9fddcc8ef4ef3, 0x1974aa0ce7031ec0, 0x2a85d4e90dff3cda, 0xc2110e7cc67855c3, 0xb58c1b61ccdf5ab8, 0x935c677356ae52b5, 0xf8e95bd8daaf5e47, 0xc2110e7cc67855c3, 0xb3368bad044288fb, 0x869532fff0e8b8d8, 0xf9c2e44aaf5895aa, 0xc2110e7cc67855c3, 0x0c1d033822d35635, 0x3bbe3099804309a9, 0x4e31a38e2f4e8dd9, 0xc2110e7cc67855c3, 0x1f6259d836f42ef9, 0x6624a1379f18d462, 0x90f3a809657bd618, 0xa5f9910d6345ced6, 0xe87e70ee6122d00a, 0x0a20657b029ed7ad],
-    &[0xcdce18f5ab67c257, 0x2259579dfe9f48ad, 0xd73d0fcf02572493, 0x8abb8112ddbb5297, 0xcdce18f5ab67c257, 0x3c18337afd38161b, 0x7d757826c6f26129, 0x198deff58b8162b1, 0xcdce18f5ab67c257, 0x5398124ddbc61897, 0x4f9531924b39a69b, 0x9922950cf82ddda4, 0xcdce18f5ab67c257, 0xbd5395c475bb9244, 0xc5d052cf4379666f, 0x0168f2a685cd295f, 0xcdce18f5ab67c257, 0x79ae0f442ebc6386, 0x7f60d1b91368b279, 0xb98325f8842194b8, 0xcdce18f5ab67c257, 0x2a06413a6a5ad371, 0x11149dba501cf358, 0x0eb0ce65aeb0691d, 0x7ddc819c9dc90ad5, 0x1355d064026a33ca, 0x7cfbe99aa5e4ac9b, 0x3d09703ab8ab1ae9, 0x2d7048a64b5fce1b, 0x9e8800be80ee5818, 0x7cfbe99aa5e4ac9b, 0xbe54edaf33c0bd9a, 0xe62de9f4471b9cf4, 0x2a85d4e90dff3cda, 0x7cfbe99aa5e4ac9b, 0x8c080d4578ca15e2, 0x4c1f824261268e0b, 0xf8e95bd8daaf5e47, 0x7cfbe99aa5e4ac9b, 0x161e82b571e4ac67, 0xd7d0ab7f2bf98c93, 0xf9c2e44aaf5895aa, 0x7cfbe99aa5e4ac9b, 0xdb4a01488b8530c5, 0xdaecf49e3d3a8071, 0x4e31a38e2f4e8dd9, 0x7cfbe99aa5e4ac9b, 0x8d0e6cc27a0ca767, 0x8528ecdf861969ad, 0x90f3a809657bd618, 0x0ffdd802c885a383, 0x9a8e82eb4af67ac3, 0xc8998d1257ae27c5],
-    &[0xcdce18f5ab67c257, 0x2259579dfe9f48ad, 0xd73d0fcf02572493, 0x8abb8112ddbb5297, 0xcdce18f5ab67c257, 0x3c18337afd38161b, 0x7d757826c6f26129, 0x198deff58b8162b1, 0xcdce18f5ab67c257, 0x7e599e64b4648055, 0x4f9531924b39a69b, 0x9922950cf82ddda4, 0xcdce18f5ab67c257, 0xbb6f1ad58ea716c1, 0xc5d052cf4379666f, 0x0168f2a685cd295f, 0xcdce18f5ab67c257, 0xb12831c64f60eaa3, 0x7f60d1b91368b279, 0xb98325f8842194b8, 0xcdce18f5ab67c257, 0x98484c2ae7e2b830, 0x11149dba501cf358, 0x0eb0ce65aeb0691d, 0x7ddc819c9dc90ad5, 0x4a4c454bb3c5ea39, 0x7cfbe99aa5e4ac9b, 0x3d09703ab8ab1ae9, 0x2d7048a64b5fce1b, 0x9e8800be80ee5818, 0x7cfbe99aa5e4ac9b, 0xbe54edaf33c0bd9a, 0xe62de9f4471b9cf4, 0x2a85d4e90dff3cda, 0x7cfbe99aa5e4ac9b, 0xb732163c3fde35df, 0x4c1f824261268e0b, 0xf8e95bd8daaf5e47, 0x7cfbe99aa5e4ac9b, 0x9dfcb0086b436948, 0xd7d0ab7f2bf98c93, 0xf9c2e44aaf5895aa, 0x7cfbe99aa5e4ac9b, 0xd7c73c361444d9a5, 0xdaecf49e3d3a8071, 0x4e31a38e2f4e8dd9, 0x7cfbe99aa5e4ac9b, 0xf64fa77b30a24301, 0x8528ecdf861969ad, 0x90f3a809657bd618, 0x0ffdd802c885a383, 0x8004f49ef1724f4b, 0x0a20657b029ed7ad],
     &[0x39e1241b429da262, 0x67babc731dc21a55, 0x5718411320b6c049, 0xac9648832fc5a66c, 0x5fe173889f173f41, 0x5ca66abb5e58f9bd, 0xf8bf0da37887d6ff],
-    &[0x0b00b87d54229532, 0xcb6707897fe32c27, 0xab4b3a8500079bc4, 0x34508dac66545fe3, 0x064193ba2177265f, 0xe4ab62457ab9f88b, 0xf8bf0da37887d6ff],
 ];
 
 // ---------------------------------------------------------------------

@@ -302,6 +302,157 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Row records against per-role aggregates
+// ---------------------------------------------------------------------------
+
+use dram_core::{CellRole, CsTerminal, OpOutcome, OutcomeKind};
+
+/// Each role's `count` and `sum_p`, summed from `o`'s row records in
+/// record order, must equal its `stats` bit for bit.
+fn records_sum_to_stats(o: &OpOutcome) -> Result<(), String> {
+    for role in CellRole::ALL {
+        let (mut count, mut sum_p) = (0usize, 0.0f64);
+        for r in &o.rows {
+            for (c, p) in r.cols().zip(o.p_of(r)) {
+                if r.roles[c % 2] == role {
+                    count += 1;
+                    sum_p += p;
+                }
+            }
+        }
+        let s = o.stats.role(role);
+        prop_assert_eq!(count, s.count, "{:?} count of {:?}", role, o.kind);
+        prop_assert_eq!(
+            sum_p.to_bits(),
+            s.sum_p.to_bits(),
+            "{:?} sum_p of {:?}",
+            role,
+            o.kind
+        );
+    }
+    Ok(())
+}
+
+/// Random bits in every row `(rf, rl)` raises.
+fn stage_raised(chip: &mut Chip, rf: GlobalRow, rl: GlobalRow, seed: u64) {
+    let geom = *chip.geometry();
+    let (sub_f, _) = geom.split_row(rf).unwrap();
+    let (sub_l, _) = geom.split_row(rl).unwrap();
+    let groups = match chip.decoder().activation(&geom, rf, rl) {
+        MultiActivation::SameSubarray { rows } => vec![(sub_f, rows)],
+        MultiActivation::CrossSubarray {
+            first_rows,
+            second_rows,
+            ..
+        } => {
+            vec![(sub_f, first_rows), (sub_l, second_rows)]
+        }
+        _ => Vec::new(),
+    };
+    for (sub, rows) in groups {
+        for row in rows {
+            let g = geom.join_row(sub, row).unwrap();
+            let bits: Vec<Bit> = (0..geom.cols())
+                .map(|c| Bit::from(mix2(mix2(seed, g.index() as u64), c as u64) & 1 == 1))
+                .collect();
+            chip.write_row_direct(BankId(0), g, &bits).unwrap();
+        }
+    }
+}
+
+/// The first `rl` from `from` on (wrapping within `sub`'s 512 rows)
+/// whose activation with `rf` satisfies `want`.
+fn find_partner(
+    chip: &Chip,
+    rf: GlobalRow,
+    sub: usize,
+    from: usize,
+    want: impl Fn(&MultiActivation) -> bool,
+) -> Option<GlobalRow> {
+    (0..512)
+        .map(|k| GlobalRow(sub * 512 + (from + k) % 512))
+        .find(|rl| *rl != rf && want(&chip.decoder().activation(chip.geometry(), rf, *rl)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Row records and aggregates agree. For NOT, RowClone, in-subarray
+    /// MAJ and a `CsTerminal::Both` charge share, each role's `count`
+    /// and `sum_p`, summed from the outcome's rows in record order, are
+    /// its `stats` bit for bit. Under a `*FirstRow` scope the outcome
+    /// records only the terminal's first raised row; the terminal's
+    /// other rows count toward `stats` alone.
+    #[test]
+    fn outcome_records_sum_to_their_stats(
+        seed in any::<u64>(),
+        f in 0usize..512,
+        l in 0usize..512,
+    ) {
+        let mut chip = hynix_chip(32);
+        let bank = BankId(0);
+        let rf = GlobalRow(f);
+        let cross = |a: &MultiActivation| matches!(a, MultiActivation::CrossSubarray { .. });
+        let wide = |a: &MultiActivation| matches!(a, MultiActivation::CrossSubarray {
+            first_rows, second_rows, simultaneous: true, ..
+        } if first_rows.len() >= 2 && second_rows.len() >= 2);
+        let multi = |a: &MultiActivation| matches!(
+            a, MultiActivation::SameSubarray { rows } if rows.len() >= 3
+        );
+        let not_rl = find_partner(&chip, rf, 1, l, cross).expect("a cross-subarray NOT");
+        let cs_rl = find_partner(&chip, rf, 1, l, wide).expect("a multi-row charge share");
+        let same_rl = find_partner(&chip, rf, 0, l, multi).expect("a multi-row same-subarray pair");
+
+        stage_raised(&mut chip, rf, not_rl, seed);
+        let not = chip.multi_act_copy(bank, rf, not_rl).unwrap();
+        chip.precharge(bank).unwrap();
+        prop_assert!(matches!(not.kind, OutcomeKind::Not { .. }), "{:?}", not.kind);
+
+        stage_raised(&mut chip, rf, cs_rl, seed ^ 1);
+        let cs = chip.multi_act_charge_share(bank, rf, cs_rl).unwrap();
+        chip.precharge(bank).unwrap();
+        prop_assert!(matches!(cs.kind, OutcomeKind::Logic { .. }), "{:?}", cs.kind);
+
+        stage_raised(&mut chip, rf, same_rl, seed ^ 2);
+        let clone = chip.multi_act_copy(bank, rf, same_rl).unwrap();
+        chip.precharge(bank).unwrap();
+        stage_raised(&mut chip, rf, same_rl, seed ^ 3);
+        let maj = chip.multi_act_charge_share(bank, rf, same_rl).unwrap();
+        chip.precharge(bank).unwrap();
+        for o in [&not, &cs, &clone, &maj] {
+            prop_assert!(!o.rows.is_empty(), "{:?} recorded no row", o.kind);
+            records_sum_to_stats(o)?;
+        }
+
+        let geom = *chip.geometry();
+        let MultiActivation::CrossSubarray { first_rows, second_rows, .. } =
+            chip.decoder().activation(&geom, rf, cs_rl)
+        else {
+            unreachable!("found above");
+        };
+        let terminals = [
+            (CsTerminal::ComputeFirstRow, CellRole::Compute, cs_rl, &second_rows),
+            (CsTerminal::ReferenceFirstRow, CellRole::Reference, rf, &first_rows),
+        ];
+        for (k, (scope, role, at, raised_rows)) in terminals.into_iter().enumerate() {
+            stage_raised(&mut chip, rf, cs_rl, seed ^ (4 + k as u64));
+            let o = chip.multi_act_charge_share_masked(bank, rf, cs_rl, scope).unwrap();
+            chip.precharge(bank).unwrap();
+            let (sub, _) = geom.split_row(at).unwrap();
+            prop_assert_eq!(o.rows.len(), 1, "{:?} records one row", scope);
+            let r = &o.rows[0];
+            prop_assert_eq!((r.subarray, r.row), (sub, raised_rows[0]), "{:?}", scope);
+            prop_assert_eq!(r.roles, [role; 2]);
+            let s = o.stats.role(role);
+            prop_assert_eq!(s.count, r.len * raised_rows.len(), "{:?} count", scope);
+            for other in CellRole::ALL.into_iter().filter(|x| *x != role) {
+                prop_assert_eq!(o.stats.role(other).count, 0, "{:?} {:?}", scope, other);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // HostSubstrate against a per-`bool` reference model
 // ---------------------------------------------------------------------------
 

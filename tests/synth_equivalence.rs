@@ -5,15 +5,15 @@
 //! * for random expressions over ≤ 8 inputs, the synthesized circuit
 //!   executed on [`SimdVm`] is bit-identical to the pure-software
 //!   reference evaluator over random [`PackedBits`] operands (exactly
-//!   on the host substrate; on DRAM, the fast- and full-fidelity
-//!   executions must be bit-identical to each other per the repo's
-//!   fidelity invariant).
+//!   on the host substrate; on DRAM, the substrate VM and the
+//!   command-schedule backend must be bit-identical to each other per
+//!   the repo's fidelity invariant).
 
 mod common;
 
 use bender::{DdrCommand, ProgramBuilder};
 use common::{random_expr, random_operands};
-use dram_core::{BankId, Bit, GlobalRow, SimFidelity, SpeedBin, SubarrayId};
+use dram_core::{BankId, Bit, GlobalRow, SpeedBin, SubarrayId};
 use fcdram::{BulkEngine, Fcdram, PackedBits};
 use fcsynth::{compile, Circuit, CostModel, Expr, Mapper};
 use proptest::prelude::*;
@@ -124,48 +124,38 @@ proptest! {
     }
 }
 
-/// Builds a DRAM-substrate VM for chip 0 of the first Table-1 part at
-/// the given fidelity.
-fn dram_vm(fidelity: SimFidelity) -> SimdVm<DramSubstrate> {
+/// A bulk engine over chip 0 of the first Table-1 part.
+fn dram_engine() -> BulkEngine {
     let cfg = dram_core::config::table1().remove(0).with_modeled_cols(64);
-    let engine = BulkEngine::new(Fcdram::new(cfg), BankId(0), SubarrayId(0))
-        .unwrap()
-        .with_sim_config(dram_core::SimConfig::new().with_fidelity(fidelity));
-    SimdVm::new(DramSubstrate::new(engine)).unwrap()
+    BulkEngine::new(Fcdram::new(cfg), BankId(0), SubarrayId(0)).unwrap()
 }
 
 /// On the DRAM substrate the result inherits the characterized gate
 /// unreliability, so it cannot be compared to the exact reference —
-/// but the fast- and full-telemetry modes must produce bit-identical
-/// rows (the repo's fidelity invariant), on the same random
-/// expressions the host property uses.
+/// but the substrate VM and the command-schedule backend must produce
+/// bit-identical rows (the repo's fidelity invariant), on the same
+/// random expressions the host property uses.
 #[test]
 fn synthesized_circuits_fidelity_bit_identical_on_dram() {
     let cost = CostModel::table1_defaults();
-    let mut fast_vm = dram_vm(SimFidelity::fast());
-    let mut full_vm = dram_vm(SimFidelity::default());
-    let lanes = fast_vm.lanes();
-    assert_eq!(lanes, full_vm.lanes());
+    let mut vm = SimdVm::new(DramSubstrate::new(dram_engine())).unwrap();
+    let mut cmd = fcexec::BenderBackend::new(dram_engine()).unwrap();
+    let lanes = vm.lanes();
+    assert_eq!(lanes, fcexec::ExecBackend::lanes(&cmd));
     for case in 0..6u64 {
         let n = 1 + (case as usize * 3) % 8;
         let text = random_expr(n, 0xD1CE + case, 8);
         let compiled = compile(&text, &cost, 16).unwrap();
         let k = compiled.circuit.inputs().len();
         let operands = random_operands(k, lanes, case ^ 0xF00D);
-        let fast = common::execute(&mut fast_vm, &compiled.mapping.program, &operands)
-            .unwrap_or_else(|e| panic!("{text}: fast execution failed: {e}"));
-        let full = common::execute(&mut full_vm, &compiled.mapping.program, &operands)
-            .unwrap_or_else(|e| panic!("{text}: full execution failed: {e}"));
-        assert_eq!(fast, full, "{text}: fidelity modes diverged");
-        // Both VMs must also agree on the predicted-success trace.
-        assert_eq!(
-            fast_vm.trace().in_dram_ops(),
-            full_vm.trace().in_dram_ops(),
-            "{text}: op counts diverged"
-        );
+        let via_vm = common::execute(&mut vm, &compiled.mapping.program, &operands)
+            .unwrap_or_else(|e| panic!("{text}: vm execution failed: {e}"));
+        let via_cmd = common::execute(&mut cmd, &compiled.mapping.program, &operands)
+            .unwrap_or_else(|e| panic!("{text}: bender execution failed: {e}"));
+        assert_eq!(via_vm, via_cmd, "{text}: backends diverged");
     }
     // Sanity: the executions did real in-DRAM work.
-    assert!(fast_vm.trace().in_dram_ops() > 0);
+    assert!(vm.trace().in_dram_ops() > 0);
 }
 
 /// The acceptance-pinned mapper case at the workspace level: on a
