@@ -405,11 +405,13 @@ expect_counts() {
 # outside the workspace, so `cargo test` at the root skips them):
 # per-seed determinism, the pinned exact counts of every workload, and
 # the BENCHMARK.json <-> code tables. Then traced 1 s runs must report
-# exact values, each workload at seed 1 and sweep_fleet also at seed 13:
+# exact values, each workload at seed 1 and device_exec and sweep_fleet
+# also at seed 13:
 #   - device_exec: mismatched result bits per backend, native ops,
 #     engine visits, gate programs per plan and arena slots (a kernel
 #     rewrite that moves any of them changed what the device model
-#     computes or how plans are shaped);
+#     computes or how plans are shaped), and the mismatched bits again
+#     at seed 13 (values recorded at commit f96ff92);
 #   - sweep_fleet: cells and conditions swept, failures, and the NOT
 #     and logic success means (the sweep runs `Frac` and every
 #     kernel under full telemetry, so a change to what the device
@@ -433,6 +435,10 @@ perfbench_tests() {
     fcexec.native_ops=30 fcexec.engine_visits=11 fcexec.templates=19 \
     fcexec.arena_slots=125 || return 1
   out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload device_exec --seed 13 --seconds 1 --trace 1) || return 1
+  expect_counts "$out" \
+    dram_core.mismatched_bits.vm_dram=5659 dram_core.mismatched_bits.bender=5659 || return 1
+  out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload sweep_fleet --seed 1 --seconds 1 --trace 1) || return 1
   expect_counts "$out" \
     characterize.cells=3171840 characterize.conditions=2000 characterize.failures=0 \
@@ -455,8 +461,8 @@ perfbench_tests() {
     fcserve.admitted=1084 fcserve.shed=42 fcserve.rejected=192 fcserve.narrowed=123 \
     fcsched.batches=97 fcsched.retries=112 fcexec.native_ops=3728 \
     fcexec.engine_visits=1084 || return 1
-  echo "perfbench: device_exec, sweep_fleet (seeds 1 and 13), batch_wide and daemon_mix" \
-       "seed 1 exact values match"
+  echo "perfbench: device_exec and sweep_fleet (seeds 1 and 13), batch_wide and daemon_mix" \
+       "(seed 1) exact values match"
 }
 
 wants() {

@@ -22,7 +22,7 @@
 
 use crate::error::{BenderError, Result};
 use crate::program::{DdrCommand, Program, ProgramBuilder, TimedCommand};
-use dram_core::{BankId, Bit, GlobalRow, SpeedBin};
+use dram_core::{BankId, GlobalRow, PackedBits, SpeedBin};
 use std::fmt::Write as _;
 
 /// Serializes a program to assembly text.
@@ -142,29 +142,24 @@ fn parse_usize(tok: Option<&str>, what: &str, lineno: usize) -> Result<usize> {
 
 /// Encodes a bit row as hex, 4 bits per digit, column 0 first
 /// (little-endian nibbles).
-pub fn bits_to_hex(bits: &[Bit]) -> String {
+pub fn bits_to_hex(bits: &PackedBits) -> String {
     let mut s = String::with_capacity(bits.len().div_ceil(4));
-    for chunk in bits.chunks(4) {
-        let mut v = 0u8;
-        for (i, b) in chunk.iter().enumerate() {
-            if b.as_bool() {
-                v |= 1 << i;
-            }
-        }
+    for k in 0..bits.len().div_ceil(4) {
+        let v = bits.words()[k / 16] >> (4 * (k % 16)) & 0xF;
         let _ = write!(s, "{v:x}");
     }
     s
 }
 
 /// Decodes [`bits_to_hex`] output (4 bits per hex digit).
-pub fn hex_to_bits(hex: &str) -> std::result::Result<Vec<Bit>, String> {
-    let mut bits = Vec::with_capacity(hex.len() * 4);
-    for c in hex.chars() {
+pub fn hex_to_bits(hex: &str) -> std::result::Result<PackedBits, String> {
+    let mut bits = PackedBits::zeros(hex.len() * 4);
+    for (k, c) in hex.chars().enumerate() {
         let v = c
             .to_digit(16)
             .ok_or_else(|| format!("invalid hex digit '{c}'"))?;
         for i in 0..4 {
-            bits.push(Bit::from((v >> i) & 1 == 1));
+            bits.set(4 * k + i, (v >> i) & 1 == 1);
         }
     }
     Ok(bits)
@@ -173,6 +168,7 @@ pub fn hex_to_bits(hex: &str) -> std::result::Result<Vec<Bit>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dram_core::Bit;
 
     fn not_program() -> Program {
         let mut b = ProgramBuilder::new(SpeedBin::Mt2666);
@@ -232,9 +228,9 @@ mod tests {
     #[test]
     fn hex_codec_round_trips() {
         let bits: Vec<Bit> = (0..64).map(|i| Bit::from((i * 7) % 5 == 0)).collect();
-        let hex = bits_to_hex(&bits);
+        let hex = bits_to_hex(&bits.clone().into());
         assert_eq!(hex.len(), 16);
-        assert_eq!(hex_to_bits(&hex).unwrap(), bits);
+        assert_eq!(hex_to_bits(&hex).unwrap(), bits.into());
     }
 
     #[test]
@@ -245,7 +241,7 @@ mod tests {
         let data: Vec<Bit> = (0..16).map(|i| Bit::from(i % 2 == 0)).collect();
         let text = std::format!(
             "ACT 0 3\nWAIT 14ns\nWR 0 {}\nWAIT 33ns\nPRE 0\nWAIT 14ns\nACT 0 3\nWAIT 14ns\nRD 0 3\nWAIT 33ns\nPRE 0\n",
-            bits_to_hex(&data)
+            bits_to_hex(&data.clone().into())
         );
         let p = parse(&text, bender.speed()).unwrap();
         let exec = bender.execute(ChipId(0), &p).unwrap();

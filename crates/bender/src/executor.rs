@@ -15,10 +15,9 @@
 use crate::error::{BenderError, Result};
 use crate::program::{DdrCommand, Program, ProgramBuilder, TimedCommand};
 use dram_core::{
-    BankId, Bit, ChipId, CsTerminal, DramModule, GlobalRow, OpOutcome, OutcomeKind, SpeedBin,
-    Temperature, ViolationWindows,
+    BankId, Bit, ChipId, CsTerminal, DramModule, GlobalRow, OpOutcome, OutcomeKind, PackedBits,
+    SpeedBin, Temperature, ViolationWindows,
 };
-use std::sync::Arc;
 
 /// One captured `RD` result.
 ///
@@ -285,7 +284,7 @@ impl Bender {
         chip: ChipId,
         bank: BankId,
         row: GlobalRow,
-        data: impl Into<Arc<[Bit]>>,
+        data: impl Into<PackedBits>,
     ) -> Result<()> {
         let mut b = self.builder();
         b.seq_write_row(bank, row, data);

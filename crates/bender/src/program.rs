@@ -7,9 +7,8 @@
 //! together than the datasheet allows; the executor derives the analog
 //! consequences from the gaps.
 
-use dram_core::{BankId, Bit, GlobalRow, SpeedBin, TimingParams, ViolationWindows};
+use dram_core::{BankId, GlobalRow, PackedBits, SpeedBin, TimingParams, ViolationWindows};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// One DDR4 command as the infrastructure issues it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -20,8 +19,9 @@ pub enum DdrCommand {
     Pre(BankId),
     /// Column write: overdrives the open row buffer with a full row of
     /// data (the paper's §4.2 methodology writes whole rows). The
-    /// payload is shared, so cloning a program copies no row data.
-    Wr(BankId, Arc<[Bit]>),
+    /// payload is the row's bits packed one column per bit, 64 to a
+    /// word: what the chip stores, word for word.
+    Wr(BankId, PackedBits),
     /// Column read of an open row; the captured data lands in the
     /// execution's read log.
     Rd(BankId, GlobalRow),
@@ -131,7 +131,7 @@ impl ProgramBuilder {
     }
 
     /// `WR` of a full row at the cursor.
-    pub fn wr(&mut self, bank: BankId, data: impl Into<Arc<[Bit]>>) -> &mut Self {
+    pub fn wr(&mut self, bank: BankId, data: impl Into<PackedBits>) -> &mut Self {
         self.push(DdrCommand::Wr(bank, data.into()))
     }
 
@@ -149,7 +149,7 @@ impl ProgramBuilder {
         &mut self,
         bank: BankId,
         row: GlobalRow,
-        data: impl Into<Arc<[Bit]>>,
+        data: impl Into<PackedBits>,
     ) -> &mut Self {
         let (t_rcd, t_ras, t_rp) = (
             self.timing.t_rcd_ns,
@@ -243,6 +243,7 @@ impl ProgramBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dram_core::Bit;
 
     #[test]
     fn builder_orders_commands_monotonically() {

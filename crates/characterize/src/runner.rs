@@ -13,9 +13,8 @@ use dram_core::{
     LocalRow, LogicOp, Manufacturer, ModuleConfig, OpOutcome, OutcomeKind, PatternKind, StripeSide,
     SubarrayId, Temperature,
 };
-use fcdram::{ActivationMap, Bit, Fcdram, FcdramError, PatternEntry, Result};
+use fcdram::{ActivationMap, Bit, Fcdram, FcdramError, PackedBits, PatternEntry, Result};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Experiment scale knobs (runtime vs fidelity).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -190,7 +189,7 @@ pub struct NotCellRecord {
 pub(crate) fn not_gate(
     ctx: &mut ModuleCtx,
     entry: &PatternEntry,
-    src: Arc<[Bit]>,
+    src: PackedBits,
 ) -> Result<OpOutcome> {
     let mask = Some(CsTerminal::Compute);
     let (_, outcome) = ctx.fc.not_outcome(BANK, entry, src, mask)?;
@@ -289,7 +288,7 @@ pub fn run_logic(
     op: LogicOp,
     inputs: &[Vec<Bit>],
 ) -> Result<Vec<LogicCellRecord>> {
-    let rows: Vec<Arc<[Bit]>> = inputs.iter().map(|r| Arc::from(r.as_slice())).collect();
+    let rows: Vec<PackedBits> = inputs.iter().map(PackedBits::from).collect();
     let outcome = logic_gate(ctx, entry, op, &rows)?;
     logic_records(&ctx.cfg.geometry(), entry, op, &outcome)
 }
@@ -301,7 +300,7 @@ fn logic_gate(
     ctx: &mut ModuleCtx,
     entry: &PatternEntry,
     op: LogicOp,
-    inputs: &[Arc<[Bit]>],
+    inputs: &[PackedBits],
 ) -> Result<OpOutcome> {
     let mask = Some(CsTerminal::terminal_of(op));
     let (_, outcome) = ctx.fc.logic_outcome(BANK, entry, op, inputs, mask)?;
@@ -352,8 +351,8 @@ fn logic_records(
 
 /// The `draws` (at least one) random `n`-row input sets of a logic
 /// condition keyed by `seed`, in draw order, each row full width
-/// (`cols`) and shared, so one set can ship many times without a copy.
-pub(crate) fn logic_inputs(n: usize, draws: usize, seed: u64, cols: usize) -> Vec<Vec<Arc<[Bit]>>> {
+/// (`cols`) and packed once, so one set can ship many times.
+pub(crate) fn logic_inputs(n: usize, draws: usize, seed: u64, cols: usize) -> Vec<Vec<PackedBits>> {
     (0..draws.max(1))
         .map(|d| {
             crate::patterns::random_input_set(
@@ -362,7 +361,7 @@ pub(crate) fn logic_inputs(n: usize, draws: usize, seed: u64, cols: usize) -> Ve
                 cols,
             )
             .into_iter()
-            .map(Arc::from)
+            .map(PackedBits::from)
             .collect()
         })
         .collect()
@@ -383,7 +382,7 @@ pub(crate) fn logic_draws(
     ctx: &mut ModuleCtx,
     op: LogicOp,
     n: usize,
-    sets: &[Vec<Arc<[Bit]>>],
+    sets: &[Vec<PackedBits>],
     mut visit: impl FnMut(&PatternEntry, &OpOutcome) -> Result<()>,
 ) -> Result<()> {
     let entry = ctx

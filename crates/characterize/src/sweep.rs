@@ -18,10 +18,9 @@ use crate::patterns::DataPattern;
 use crate::report::{Row, Table};
 use crate::runner::{logic_draws, logic_inputs, not_gate, ModuleCtx, Scale};
 use dram_core::fleet::{ChipSpec, FleetConfig};
-use dram_core::{result_role, Bit, CellRole, LogicOp, Manufacturer, OpOutcome, Temperature};
+use dram_core::{result_role, CellRole, LogicOp, Manufacturer, OpOutcome, PackedBits, Temperature};
 use fcdram::{PatternEntry, SuccessAccumulator};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// The experiment grid swept on every fleet chip, plus the shard
 /// (thread) count.
@@ -209,7 +208,7 @@ pub fn chip_sweep(ctx: &mut ModuleCtx, cfg: &SweepConfig, out: &mut ChipResult) 
     let chip_seed = ctx.cfg.chip_seed(ctx.chip);
     let cols = ctx.cfg.geometry().cols();
     let samsung = ctx.cfg.manufacturer == Manufacturer::Samsung;
-    let not_srcs: Vec<Arc<[Bit]>> = cfg.patterns.iter().map(|p| p.row(cols).into()).collect();
+    let not_srcs: Vec<PackedBits> = cfg.patterns.iter().map(|p| p.row(cols).into()).collect();
     // An empty entry list means the chip's activation map has no such
     // shape — a capability gap, not a measurement failure.
     let not_entries: Vec<Vec<PatternEntry>> = cfg

@@ -10,14 +10,12 @@
 use crate::error::{FcdramError, Result};
 use crate::mapping::{ActivationMap, InSubarrayEntry, PatternEntry};
 use crate::ops::Fcdram;
-use crate::packed::PackedBits;
 use dram_core::{
-    result_role, BankId, Bit, CellRole, CsTerminal, GlobalRow, LocalRow, LogicOp, MultiActivation,
-    SubarrayId,
+    result_role, BankId, CellRole, CsTerminal, GlobalRow, LocalRow, LogicOp, MultiActivation,
+    PackedBits, SubarrayId,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Handle to an allocated in-DRAM bit vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -55,11 +53,11 @@ pub struct OpStats {
 #[derive(Clone, Copy)]
 enum Gate<'a> {
     /// NOT of the staged source row.
-    Not(&'a Arc<[Bit]>),
+    Not(&'a PackedBits),
     /// N-input logic over the staged operand rows.
-    Logic(LogicOp, &'a [Arc<[Bit]>]),
+    Logic(LogicOp, &'a [PackedBits]),
     /// In-subarray majority over the staged rows.
-    Maj(&'a [Arc<[Bit]>]),
+    Maj(&'a [PackedBits]),
 }
 
 /// The bulk bitwise engine.
@@ -381,7 +379,7 @@ impl BulkEngine {
         self.logic_entry(inputs.len())?;
         inputs.iter().try_for_each(|v| self.check_width(v))?;
         let ideal = ideal_logic(op, inputs, self.lanes);
-        let rows: Vec<Arc<[Bit]>> = inputs.iter().map(|v| self.expand_packed(v)).collect();
+        let rows: Vec<PackedBits> = inputs.iter().map(|v| self.expand_packed(v)).collect();
         self.run_gate(Gate::Logic(op, &rows), &ideal, out)
     }
 
@@ -424,7 +422,7 @@ impl BulkEngine {
             self.expand_packed(a),
             self.expand_packed(b),
             self.expand_packed(c),
-            std::iter::repeat_n(Bit::One, cols).collect(),
+            PackedBits::ones(cols),
         ];
         self.run_gate(Gate::Maj(&inputs), &ideal, out)
     }
@@ -521,7 +519,7 @@ impl BulkEngine {
     /// Expands shared-column lanes into a full-width row (zeros on the
     /// off half). The shared columns are exactly every other column
     /// starting at `shared_start`, so this is a strided expansion.
-    fn expand_packed(&self, bits: &PackedBits) -> Arc<[Bit]> {
+    fn expand_packed(&self, bits: &PackedBits) -> PackedBits {
         bits.expand_strided(self.fc.config().modeled_cols, self.shared_start)
     }
 
@@ -948,12 +946,12 @@ mod tests {
             let id = e.fc.chip();
             let chip = e.fc.bender_mut().module_mut().chip_mut(id);
             let row = chip.read_row_direct(e.bank, out.row).unwrap();
-            let lanes: Vec<Bit> = row
+            let lanes: Vec<dram_core::Bit> = row
                 .into_iter()
                 .skip(e.shared_start)
                 .step_by(dram_core::SHARED_COL_STRIDE)
                 .collect();
-            PackedBits::from_bits(&lanes)
+            PackedBits::from(lanes)
         };
         type Stored<'a> = &'a dyn Fn(&mut BulkEngine) -> PackedBits;
         let gates: [(&str, Stored); 5] = [

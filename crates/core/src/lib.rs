@@ -52,7 +52,6 @@ pub mod bitwise;
 pub mod error;
 pub mod mapping;
 pub mod ops;
-pub mod packed;
 pub mod row_order;
 pub mod success;
 
@@ -60,12 +59,11 @@ pub use bitwise::{BitVecHandle, BulkEngine, OpStats};
 pub use error::{FcdramError, Result};
 pub use mapping::{ActivationMap, CoverageRow, InSubarrayEntry, PatternEntry};
 pub use ops::{Fcdram, GateLayout, GateSite};
-pub use packed::PackedBits;
 pub use row_order::{discover_row_order, RowOrder};
 pub use success::{sample_trials, SuccessAccumulator};
 
 // Re-export the device-model vocabulary users need at the API surface.
 pub use dram_core::{
-    BankId, Bit, ChipId, GlobalRow, LocalRow, LogicOp, ModuleConfig, PatternKind, SubarrayId,
-    Temperature,
+    BankId, Bit, ChipId, GlobalRow, LocalRow, LogicOp, ModuleConfig, PackedBits, PatternKind,
+    SubarrayId, Temperature,
 };

@@ -14,13 +14,11 @@
 
 use crate::error::{FcdramError, Result};
 use crate::mapping::{ActivationMap, InSubarrayEntry, PatternEntry};
-use crate::packed::PackedBits;
 use bender::{Bender, ProgramBuilder};
 use dram_core::{
     BankId, Bit, ChipId, CsTerminal, DramModule, Geometry, GlobalRow, LocalRow, LogicOp,
-    ModuleConfig, OpOutcome, OutcomeKind, SubarrayId,
+    ModuleConfig, OpOutcome, OutcomeKind, PackedBits, SubarrayId,
 };
-use std::sync::Arc;
 
 /// Where a device gate's command program runs: the geometry that
 /// resolves pattern entries into bank rows, and the bank addressed.
@@ -58,7 +56,7 @@ impl GateSite {
         &self,
         b: &mut ProgramBuilder,
         entry: &PatternEntry,
-        src: impl Into<Arc<[Bit]>>,
+        src: impl Into<PackedBits>,
     ) -> Result<GateLayout> {
         let (sub_l, _) = self.geom.split_row(entry.rl)?;
         let result_rows = self.join_rows(sub_l, &entry.second_rows)?;
@@ -72,7 +70,8 @@ impl GateSite {
     /// OR family) and one `Frac` row, the compute side gets `operands`
     /// identity-padded with constant rows to N, then the doubly
     /// violated charge-sharing activation. Each operand row becomes its
-    /// write's payload as it is.
+    /// write's payload as it is; each constant row is a copy of one
+    /// filled row.
     ///
     /// # Errors
     ///
@@ -82,12 +81,12 @@ impl GateSite {
         b: &mut ProgramBuilder,
         entry: &PatternEntry,
         op: LogicOp,
-        operands: impl IntoIterator<Item = Arc<[Bit]>>,
+        operands: impl IntoIterator<Item = PackedBits>,
     ) -> Result<GateLayout> {
         let (sub_ref, _) = self.geom.split_row(entry.rf)?;
         let (sub_com, _) = self.geom.split_row(entry.rl)?;
         let result_rows = self.terminal_rows(entry, op)?;
-        let fill: Arc<[Bit]> = vec![Bit::from(op.is_and_family()); self.geom.cols()].into();
+        let fill = PackedBits::splat(op.is_and_family(), self.geom.cols());
         let refs = self.join_rows(sub_ref, &entry.first_rows)?;
         let coms = self.join_rows(sub_com, &entry.second_rows)?;
         if let Some((frac, consts)) = refs.split_last() {
@@ -119,7 +118,7 @@ impl GateSite {
         &self,
         b: &mut ProgramBuilder,
         entry: &InSubarrayEntry,
-        inputs: impl IntoIterator<Item = Arc<[Bit]>>,
+        inputs: impl IntoIterator<Item = PackedBits>,
     ) -> Result<GateLayout> {
         let (sub, _) = self.geom.split_row(entry.rf)?;
         let result_rows = self.join_rows(sub, &entry.rows)?;
@@ -188,7 +187,7 @@ fn check_maj_inputs(entry: &InSubarrayEntry, inputs: usize) -> Result<()> {
 }
 
 /// Checks that every staged row is `cols` wide.
-fn check_widths(cols: usize, rows: &[Arc<[Bit]>]) -> Result<()> {
+fn check_widths(cols: usize, rows: &[PackedBits]) -> Result<()> {
     match rows.iter().find(|r| r.len() != cols) {
         Some(r) => Err(FcdramError::WidthMismatch {
             expected: cols,
@@ -292,13 +291,14 @@ impl Fcdram {
         ActivationMap::discover(&mut self.bender, self.chip, bank, pair, budget, 16)
     }
 
-    /// Writes a row (timing-respecting command sequence); `data` is the
-    /// write's payload as it is.
+    /// Writes a row (timing-respecting command sequence); `data`, the
+    /// row's bits packed one column per bit, is the write's payload as
+    /// it is.
     pub fn write_row(
         &mut self,
         bank: BankId,
         row: GlobalRow,
-        data: impl Into<Arc<[Bit]>>,
+        data: impl Into<PackedBits>,
     ) -> Result<()> {
         self.bender.write_row(self.chip, bank, row, data)?;
         Ok(())
@@ -410,7 +410,7 @@ impl Fcdram {
         &mut self,
         bank: BankId,
         entry: &PatternEntry,
-        src: Arc<[Bit]>,
+        src: PackedBits,
         mask: Option<CsTerminal>,
     ) -> Result<(GateLayout, OpOutcome)> {
         check_widths(self.cols(), std::slice::from_ref(&src))?;
@@ -466,7 +466,7 @@ impl Fcdram {
         bank: BankId,
         entry: &PatternEntry,
         op: LogicOp,
-        inputs: &[Arc<[Bit]>],
+        inputs: &[PackedBits],
         mask: Option<CsTerminal>,
     ) -> Result<(GateLayout, OpOutcome)> {
         check_logic_inputs(entry, inputs.len())?;
@@ -502,7 +502,7 @@ impl Fcdram {
         &mut self,
         bank: BankId,
         entry: &InSubarrayEntry,
-        inputs: &[Arc<[Bit]>],
+        inputs: &[PackedBits],
     ) -> Result<(GateLayout, OpOutcome)> {
         check_maj_inputs(entry, inputs.len())?;
         check_widths(self.cols(), inputs)?;
@@ -542,8 +542,8 @@ mod tests {
             .unwrap()
     }
 
-    fn rows(inputs: &[Vec<Bit>]) -> Vec<Arc<[Bit]>> {
-        inputs.iter().map(|r| Arc::from(r.as_slice())).collect()
+    fn rows(inputs: &[Vec<Bit>]) -> Vec<PackedBits> {
+        inputs.iter().map(PackedBits::from).collect()
     }
 
     /// The shared columns of subarray pair (0, 1).
@@ -718,7 +718,7 @@ mod tests {
         };
         let before = pair_rows(&mut fc);
         let err = fc
-            .not_outcome(BankId(0), &entry, Arc::from([Bit::One; 3]), None)
+            .not_outcome(BankId(0), &entry, PackedBits::ones(3), None)
             .unwrap_err();
         assert!(matches!(err, FcdramError::WidthMismatch { .. }));
         let short = rows(&[pattern(1, fc.cols()), pattern(2, 3)]);
@@ -855,7 +855,7 @@ mod tests {
                         fc.write_row(bank, *g, bits.clone()).unwrap();
                     }
                 }
-                let src: Arc<[Bit]> = pattern(77 + k as u64, cols).into();
+                let src: PackedBits = pattern(77 + k as u64, cols).into();
                 let mask = Some(CsTerminal::Compute);
                 let (_, got) = masked.not_outcome(bank, &entry, src.clone(), mask).unwrap();
                 let (_, want) = twin.not_outcome(bank, &entry, src, None).unwrap();
@@ -1167,13 +1167,16 @@ mod tests {
             for (j, op) in LogicOp::ALL.into_iter().enumerate() {
                 let seed = (100 * k + 10 * j) as u64;
                 let vals: Vec<PackedBits> = (0..n)
-                    .map(|i| PackedBits::from_bits(&pattern(seed + i as u64, lanes)))
+                    .map(|i| PackedBits::from(pattern(seed + i as u64, lanes)))
                     .collect();
-                let staged: Vec<Arc<[Bit]>> = vals
+                let staged: Vec<PackedBits> = vals
                     .iter()
                     .map(|v| v.expand_strided(geom.cols(), start))
                     .collect();
-                let inputs: Vec<Vec<Bit>> = staged.iter().map(|r| r.to_vec()).collect();
+                let inputs: Vec<Vec<Bit>> = staged
+                    .iter()
+                    .map(|r| r.to_bools().into_iter().map(Bit::from).collect())
+                    .collect();
                 let ctx = format!("{op:?} n={n}");
                 let (layout, outcome) = value
                     .logic_outcome(bank, &entry, op, &staged, None)
@@ -1182,7 +1185,7 @@ mod tests {
                 let got = value
                     .read_lanes(bank, layout.result_rows[0], start, lanes)
                     .unwrap();
-                assert_eq!(got.to_bits(), result, "{ctx}: result");
+                assert_eq!(got, PackedBits::from(result), "{ctx}: result");
                 assert_eq!(
                     outcome.mean_success(result_role(op)).map(f64::to_bits),
                     Some(predicted.to_bits()),
@@ -1219,7 +1222,7 @@ mod tests {
         let entry = map.find_nn(4).expect("4:4 entry").clone();
         let mut b = fc.bender().builder();
         b.seq_write_row(BankId(0), GlobalRow(9), vec![Bit::One; cols]);
-        let ops = (0..3).map(|i| Arc::from(vec![Bit::from(i % 2 == 0); cols]));
+        let ops = (0..3).map(|i| PackedBits::splat(i % 2 == 0, cols));
         let gate = site.logic(&mut b, &entry, LogicOp::Nor, ops).unwrap();
         assert_eq!(
             gate.result_rows,

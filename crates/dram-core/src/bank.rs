@@ -3,6 +3,7 @@
 
 use crate::subarray::Subarray;
 use crate::types::{LocalRow, SubarrayId};
+use std::fmt;
 
 /// Rows currently raised in a bank, grouped by subarray.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,22 +16,39 @@ pub(crate) struct OpenRows {
 }
 
 /// One bank.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub(crate) struct Bank {
     subarrays: Vec<Option<Subarray>>,
     rows_per_subarray: usize,
     cols: usize,
     open: Option<OpenRows>,
+    /// The supply its subarrays store a one at.
+    vdd: f64,
+}
+
+/// The bank's geometry, open rows and cell voltages; the supply shows
+/// in the voltages, so it is not listed.
+impl fmt::Debug for Bank {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Bank")
+            .field("subarrays", &self.subarrays)
+            .field("rows_per_subarray", &self.rows_per_subarray)
+            .field("cols", &self.cols)
+            .field("open", &self.open)
+            .finish()
+    }
 }
 
 impl Bank {
-    /// Creates a bank with all subarrays unallocated.
-    pub(crate) fn new(subarrays: usize, rows_per_subarray: usize, cols: usize) -> Self {
+    /// Creates a bank with all subarrays unallocated, storing a one at
+    /// `vdd`.
+    pub(crate) fn new(subarrays: usize, rows_per_subarray: usize, cols: usize, vdd: f64) -> Self {
         Bank {
             subarrays: vec![None; subarrays],
             rows_per_subarray,
             cols,
             open: None,
+            vdd,
         }
     }
 
@@ -42,7 +60,7 @@ impl Bank {
     /// Mutable subarray access, allocating on first touch.
     pub(crate) fn subarray_mut(&mut self, sub: SubarrayId) -> &mut Subarray {
         let slot = &mut self.subarrays[sub.index()];
-        slot.get_or_insert_with(|| Subarray::new(self.rows_per_subarray, self.cols))
+        slot.get_or_insert_with(|| Subarray::new(self.rows_per_subarray, self.cols, self.vdd))
     }
 
     /// Raises rows (replacing any previous open state).
@@ -75,14 +93,14 @@ mod tests {
 
     #[test]
     fn starts_precharged_and_unallocated() {
-        let b = Bank::new(8, 512, 64);
+        let b = Bank::new(8, 512, 64, 1.2);
         assert!(b.is_precharged());
         assert!(b.subarray(SubarrayId(0)).is_none());
     }
 
     #[test]
     fn subarray_mut_allocates() {
-        let mut b = Bank::new(8, 512, 64);
+        let mut b = Bank::new(8, 512, 64, 1.2);
         b.subarray_mut(SubarrayId(3))
             .set_voltage(LocalRow(1), crate::types::Col(2), 1.2);
         assert!(b.subarray(SubarrayId(3)).is_some());
@@ -91,7 +109,7 @@ mod tests {
 
     #[test]
     fn open_close_cycle() {
-        let mut b = Bank::new(8, 512, 64);
+        let mut b = Bank::new(8, 512, 64, 1.2);
         let open = OpenRows {
             groups: vec![(SubarrayId(1), vec![LocalRow(5), LocalRow(9)])],
             last_subarray: SubarrayId(1),

@@ -24,12 +24,13 @@ use crate::error::{DramError, Result};
 use crate::fault::{DisturbancePolicy, DisturbanceState};
 use crate::geometry::Geometry;
 use crate::math::normal_cdf;
+use crate::packed::{lane_word, PackedBits, EVEN};
 use crate::reliability::{
     LogicOp, NotEvent, ReliabilityModel, SIGMA_CELL_LOGIC, SIGMA_CELL_NOT, SIGMA_SA_LOGIC,
     SIGMA_SA_NOT, Z_ROWCLONE,
 };
 use crate::row_decoder::{MultiActivation, PatternKind, RowDecoder};
-use crate::subarray::Subarray;
+use crate::subarray::{RowMut, Subarray};
 use crate::thermal::Temperature;
 use crate::types::{BankId, Bit, ChipId, Col, GlobalRow, LocalRow, SubarrayId, SHARED_COL_STRIDE};
 use crate::variation::{RowSampler, VariationCache};
@@ -393,37 +394,41 @@ impl Recorder {
         self.intended.push(intended);
     }
 
-    /// Draws, stores and records one resolved row in column order, from
-    /// column `start` every `step` columns. At each column `c`,
-    /// `cell(c, stored)` gives the intended value, the value a failed
-    /// draw leaves, and the success probability; `stored` is the cell's
-    /// voltage before the write.
+    /// Draws, stores and records one resolved row of `cols` columns in
+    /// column order, from column `start` every `step` columns. At each
+    /// column `c`, `cell(c, stored)` gives the intended value, the value
+    /// a failed draw leaves, and the success probability; `stored` is
+    /// the cell's bit before the write. A row written whole is left at
+    /// the rails.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn resolve_row(
         &mut self,
-        slice: &mut [f32],
+        row: &mut RowMut,
+        cols: usize,
         sampler: &RowSampler,
         at: (SubarrayId, LocalRow),
         role: CellRole,
-        vdd: f64,
         (start, step): (usize, usize),
-        mut cell: impl FnMut(usize, f32) -> (Bit, Bit, f64),
+        mut cell: impl FnMut(usize, Bit) -> (Bit, Bit, f64),
     ) {
-        let len = (slice.len() - start).div_ceil(step);
+        let len = (cols - start).div_ceil(step);
         self.begin_row(at, [role; 2], (start, step), len);
         let mut sum_p = self.stats.roles[role.index()].sum_p;
-        for c in (start..slice.len()).step_by(step) {
-            let (intended, failed, p) = cell(c, slice[c]);
+        for c in (start..cols).step_by(step) {
+            let (intended, failed, p) = cell(c, row.bit(c));
             let actual = if sampler.sample(c, p) {
                 intended
             } else {
                 failed
             };
-            slice[c] = actual.voltage(vdd) as f32;
+            row.set(c, actual);
             sum_p += p;
             self.p.push(p);
             self.intended.push(intended);
+        }
+        if (start, step) == (0, 1) {
+            row.at_rails();
         }
         let s = &mut self.stats.roles[role.index()];
         s.sum_p = sum_p;
@@ -727,13 +732,17 @@ impl KernelMemo {
 /// Arrays over one column half are indexed by `col / 2`.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// One column half's raised-row voltage sums and packed bits (bit
-    /// `i` set where raised row `i` holds a one): reference / compute
-    /// side.
+    /// One column half's raised-row voltage sums and counts of raised
+    /// rows holding a one (see [`gather_half`]): reference / compute
+    /// side. Counts run to 32 per 64-column word of the row.
     sum_ref: Vec<f64>,
     sum_com: Vec<f64>,
-    packed_ref: Vec<u64>,
-    packed_com: Vec<u64>,
+    count_ref: Vec<u8>,
+    count_com: Vec<u8>,
+    /// The compute side's neighbour mismatches: bit `2 (j % 32)` of
+    /// word `j / 32` is set where some raised row differs between
+    /// shared columns `j` and `j + 1` of the half.
+    diffs: Vec<u64>,
     /// Charge-share sensing outcome per shared column (see [`cs_sel`]).
     sel: Vec<u8>,
     /// One terminal's margin multiplier and index into its rows' CDF
@@ -743,35 +752,37 @@ struct Scratch {
     /// Majority value and margin multiplier per column, by `col`.
     maj: Vec<Bit>,
     mult: Vec<f64>,
-    /// Source-row voltages of a copy.
-    src: Vec<f32>,
+    /// Source-row bits of a copy.
+    src: Vec<u64>,
 }
 
 impl Scratch {
     fn fit(&mut self, cols: usize) {
         if self.maj.len() != cols {
             let half = cols.div_ceil(2);
+            let words = cols.div_ceil(64);
             *self = Scratch {
                 sum_ref: vec![0.0; half],
                 sum_com: vec![0.0; half],
-                packed_ref: vec![0; half],
-                packed_com: vec![0; half],
+                count_ref: vec![0; 32 * words],
+                count_com: vec![0; 32 * words],
+                diffs: vec![0; words],
                 sel: vec![0; half],
                 term_mult: vec![0.0; half],
                 term_idx: vec![0; half],
                 maj: vec![Bit::Zero; cols],
                 mult: vec![0.0; cols],
-                src: Vec::with_capacity(cols),
+                src: Vec::with_capacity(cols.div_ceil(64)),
             };
         }
     }
 
     /// Majority value and margin multiplier of every column of parity
-    /// `start` below `cols`, from the `n` raised rows' bits gathered
-    /// into `packed_ref`, into `maj` and `mult`.
+    /// `start` below `cols`, from the counts of ones among the `n`
+    /// raised rows gathered into `count_ref`, into `maj` and `mult`.
     fn votes(&mut self, n: usize, start: usize, cols: usize) {
         for c in (start..cols).step_by(2) {
-            let v = self.packed_ref[c / 2].count_ones() as usize;
+            let v = usize::from(self.count_ref[c / 2]);
             self.maj[c] = Bit::from(2 * v > n);
             self.mult[c] = ReliabilityModel::maj_multiplier((v as f64 - n as f64 / 2.0).abs());
         }
@@ -808,10 +819,18 @@ fn sum_cell_p(mut sum: f64, mults: &[f64], idx: &[u32], table: &[f64], dexp: f64
     sum
 }
 
-/// Whether a stored voltage reads as one.
+/// Bit `c` of a row's packed bits.
 #[inline]
-fn bit_of(v: f32, vdd: f64) -> Bit {
-    Bit::from(f64::from(v) > vdd / 2.0)
+fn plane_bit(words: &[u64], c: usize) -> Bit {
+    Bit::from(words[c / 64] >> (c % 64) & 1 == 1)
+}
+
+/// A row's `Frac` voltages, shared with every row that stores them,
+/// and their thresholded bits.
+#[derive(Debug, Clone)]
+struct FracRow {
+    bits: Box<[u64]>,
+    volts: Arc<[f32]>,
 }
 
 /// One simulated DRAM chip.
@@ -830,7 +849,7 @@ pub struct Chip {
     /// on a row's first `Frac` and copied on every later one. They do
     /// not depend on the temperature, so a temperature change keeps
     /// them.
-    frac_rows: HashMap<MemoKey, Box<[f32]>>,
+    frac_rows: HashMap<MemoKey, FracRow>,
     disturbance: DisturbanceState,
     disturb_policy: Option<DisturbancePolicy>,
     scratch: Scratch,
@@ -853,6 +872,7 @@ impl Chip {
                     geom.subarrays_per_bank(),
                     geom.rows_per_subarray(),
                     geom.cols(),
+                    model.analog().vdd,
                 )
             })
             .collect();
@@ -1000,9 +1020,11 @@ impl Chip {
         };
         let key = ((sub.index() as u64) << 32) | row.index() as u64;
         let sampler = self.model.variation().row_sampler(pend.op, key);
-        let vdd = self.model.analog().vdd;
-        let slice = self.banks[bank.index()].subarray_mut(sub).row_mut(row);
+        let cols = self.geom.cols();
+        let mut cells = self.banks[bank.index()].subarray_mut(sub).row_mut(row);
+        let mut whole = true;
         for (parity, half) in pend.halves.iter_mut().enumerate() {
+            whole &= half.live && half.p.len() == (cols - parity).div_ceil(2);
             if !half.live {
                 continue;
             }
@@ -1013,12 +1035,15 @@ impl Chip {
                 } else {
                     intended.not()
                 };
-                slice[c] = actual.voltage(vdd) as f32;
+                cells.set(c, actual);
             }
             #[cfg(test)]
             {
                 self.drawn += half.p.len() as u64;
             }
+        }
+        if whole {
+            cells.at_rails();
         }
         self.pending.recycle(pend);
     }
@@ -1099,10 +1124,9 @@ impl Chip {
         self.activate(bank, row)?;
         let (sub, local) = self.geom.split_row(row)?;
         self.settle(bank, sub, local);
-        let vdd = self.model.analog().vdd;
         let bits = {
             let b = self.bank_mut_ref(bank)?;
-            b.subarray_mut(sub).read_bits(local, vdd)
+            b.subarray_mut(sub).read_bits(local)
         };
         self.precharge(bank)?;
         Ok(bits)
@@ -1120,9 +1144,8 @@ impl Chip {
         let (sub, local) = self.geom.split_row(row)?;
         self.geom.check_bank(bank)?;
         self.discard_pending(bank, sub, local);
-        let vdd = self.model.analog().vdd;
         let b = self.bank_mut_ref(bank)?;
-        b.subarray_mut(sub).write_bits(local, bits, vdd);
+        b.subarray_mut(sub).write_bits(local, bits);
         Ok(())
     }
 
@@ -1131,8 +1154,9 @@ impl Chip {
     /// lanes per `u64` word (LSB first), through a proper
     /// activate/read/precharge sequence.
     ///
-    /// This is the fast-path read: no per-cell `Vec<Bit>` is
-    /// materialized, and only the shared column half is touched.
+    /// This is the fast-path read: the lanes are taken from the row's
+    /// bit-plane a word at a time, and no per-cell `Vec<Bit>` is
+    /// materialized.
     ///
     /// # Errors
     ///
@@ -1146,7 +1170,6 @@ impl Chip {
         self.activate(bank, row)?;
         let (sub, local) = self.geom.split_row(row)?;
         self.settle(bank, sub, local);
-        let vdd = self.model.analog().vdd;
         let cols = self.geom.cols();
         let lanes = if start < cols {
             (cols - start).div_ceil(SHARED_COL_STRIDE)
@@ -1155,14 +1178,9 @@ impl Chip {
         };
         let mut words = vec![0u64; lanes.div_ceil(64)];
         let b = self.bank_ref(bank)?;
-        if let Some(slice) = b.subarray(sub).and_then(|s| s.row(local)) {
-            // Word `k` packs the 64 lanes read from its chunk of columns.
-            let half = vdd / 2.0;
-            let chunks = slice[start.min(cols)..].chunks(64 * SHARED_COL_STRIDE);
-            for (w, chunk) in words.iter_mut().zip(chunks) {
-                *w = (0..chunk.len().div_ceil(SHARED_COL_STRIDE)).fold(0, |w, i| {
-                    w | u64::from(f64::from(chunk[i * SHARED_COL_STRIDE]) > half) << i
-                });
+        if let Some(r) = b.subarray(sub).and_then(|s| s.row(local)) {
+            for (m, w) in words.iter_mut().enumerate() {
+                *w = lane_word(r.bits(), m, start);
             }
         }
         self.precharge(bank)?;
@@ -1175,31 +1193,28 @@ impl Chip {
         let (sub, local) = self.geom.split_row(row)?;
         self.geom.check_bank(bank)?;
         self.settle(bank, sub, local);
-        let vdd = self.model.analog().vdd;
         let b = self.bank_ref(bank)?;
         Ok(match b.subarray(sub) {
-            Some(s) => s.read_bits(local, vdd),
+            Some(s) => s.read_bits(local),
             None => vec![Bit::Zero; self.geom.cols()],
         })
     }
 
     /// `WR` overdrive to an *open* bank: every raised row in the
-    /// last-activated subarray stores `data` exactly; raised rows in a
-    /// neighboring subarray store `¬data` on the shared column half
-    /// (§4.2's subarray-mapping methodology relies on this). A row
-    /// written whole drops its pending draws; a neighbour row, written
-    /// on one half, settles first.
-    pub fn write_open(&mut self, bank: BankId, data: &[Bit]) -> Result<()> {
+    /// last-activated subarray stores `data` exactly, a copy of its
+    /// words that leaves the row at the rails; raised rows in a
+    /// neighboring subarray store `¬data` on the shared column half, a
+    /// masked merge of the inverted words (§4.2's subarray-mapping
+    /// methodology relies on this). A row written whole drops its
+    /// pending draws; a neighbour row, written on one half, settles
+    /// first.
+    pub fn write_open(&mut self, bank: BankId, data: &PackedBits) -> Result<()> {
         if data.len() != self.geom.cols() {
             return Err(DramError::WidthMismatch {
                 expected: self.geom.cols(),
                 got: data.len(),
             });
         }
-        let vdd = self.model.analog().vdd;
-        // Each value's stored voltage, hoisted so the cell loops are
-        // plain selects.
-        let (zero, one) = (Bit::Zero.voltage(vdd) as f32, Bit::One.voltage(vdd) as f32);
         let Some(open) = self.bank_mut_ref(bank)?.close() else {
             return Err(DramError::IllegalCommand {
                 detail: "WR while bank precharged".into(),
@@ -1222,16 +1237,12 @@ impl Chip {
             // non-shared half of the other subarray keeps its sensed
             // values (not driven by this WR).
             let shared_start = (upper.index() + 1) % 2;
+            let sa = b.subarray_mut(*sub);
             for row in rows {
-                let slice = b.subarray_mut(*sub).row_mut(*row);
                 if *sub == last {
-                    for (cell, bit) in slice.iter_mut().zip(data) {
-                        *cell = if *bit == Bit::One { one } else { zero };
-                    }
+                    sa.write_words(*row, data.words());
                 } else {
-                    for c in (shared_start..data.len()).step_by(SHARED_COL_STRIDE) {
-                        slice[c] = if data[c] == Bit::One { zero } else { one };
-                    }
+                    sa.write_inverted_half(*row, data.words(), shared_start);
                 }
             }
         }
@@ -1263,12 +1274,11 @@ impl Chip {
             self.frac_rows.insert(key, fr);
         }
         self.discard_pending(bank, sub, local);
-        let volts = &self.frac_rows[&key];
+        let fr = &self.frac_rows[&key];
         let mut rec = Recorder::new(cols);
         self.banks[bank.index()]
             .subarray_mut(sub)
-            .row_mut(local)
-            .copy_from_slice(volts);
+            .write_volts(local, &fr.bits, &fr.volts);
         // VDD/2 reads as 0 by threshold, so intended is Zero.
         rec.begin_row((sub, local), [CellRole::Frac; 2], (0, 1), cols);
         rec.p.resize(cols, 1.0);
@@ -1283,8 +1293,8 @@ impl Chip {
     }
 
     /// The `Frac` voltages of one row: each cell stores `(frac_level ×
-    /// factor).clamp(0, 1) × vdd`.
-    fn build_frac_row(&self, bank: BankId, sub: SubarrayId, local: LocalRow) -> Box<[f32]> {
+    /// factor).clamp(0, 1) × vdd`; and their thresholded bits.
+    fn build_frac_row(&self, bank: BankId, sub: SubarrayId, local: LocalRow) -> FracRow {
         let vdd = self.model.analog().vdd;
         let level = self.model.analog().frac_level;
         let mut volts = vec![0.0; self.geom.cols()];
@@ -1294,7 +1304,15 @@ impl Chip {
         for v in &mut volts {
             *v = (level * *v).clamp(0.0, 1.0) * vdd;
         }
-        volts.iter().map(|&v| v as f32).collect()
+        let volts: Arc<[f32]> = volts.iter().map(|&v| v as f32).collect();
+        let mut bits = PackedBits::zeros(volts.len());
+        for (c, v) in volts.iter().enumerate() {
+            bits.set(c, f64::from(*v) > vdd / 2.0);
+        }
+        FracRow {
+            bits: bits.words().into(),
+            volts,
+        }
     }
 
     // -----------------------------------------------------------------
@@ -1575,7 +1593,6 @@ impl Chip {
         let (sub_f, loc_f) = self.geom.split_row(rf)?;
         let (sub_l, _) = self.geom.split_row(rl)?;
         let op = self.next_op();
-        let vdd = self.model.analog().vdd;
         let cols = self.geom.cols();
 
         match activation {
@@ -1600,7 +1617,7 @@ impl Chip {
                 self.charge_disturbance(bank, sub_f, rows.len() as u64);
                 self.settle_rows(bank, sub_f, &rows);
                 // RowClone: every raised row except rf receives rf.
-                let mut src = self.source_voltages(bank, sub_f, loc_f);
+                let mut src = self.source_bits(bank, sub_f, loc_f);
                 let dsts = rows.iter().filter(|r| **r != loc_f).count();
                 let mut rec = Recorder::new(dsts * cols);
                 for row in &rows {
@@ -1609,15 +1626,15 @@ impl Chip {
                     }
                     let cdf = self.memo_clone_cdf(bank, sub_f, *row);
                     let sampler = self.row_sampler(op, sub_f, *row);
-                    let slice = self.banks[bank.index()].subarray_mut(sub_f).row_mut(*row);
+                    let mut cells = self.banks[bank.index()].subarray_mut(sub_f).row_mut(*row);
                     rec.resolve_row(
-                        slice,
+                        &mut cells,
+                        cols,
                         &sampler,
                         (sub_f, *row),
                         CellRole::CloneDst,
-                        vdd,
                         (0, 1),
-                        |c, old| (bit_of(src[c], vdd), bit_of(old, vdd), cdf[c]),
+                        |c, old| (plane_bit(&src, c), old, cdf[c]),
                     );
                 }
                 self.scratch.src = std::mem::take(&mut src);
@@ -1643,7 +1660,7 @@ impl Chip {
                 }
                 self.settle_rows(bank, sub_l, &second_rows);
                 let upper = SubarrayId(sub_f.index().min(sub_l.index()));
-                let mut src = self.source_voltages(bank, sub_f, loc_f);
+                let mut src = self.source_bits(bank, sub_f, loc_f);
                 let shared_start = (upper.index() + 1) % 2;
                 let act = NotAct {
                     key: (bank.index() as u32, rf.index() as u32, rl.index() as u32),
@@ -1672,48 +1689,41 @@ impl Chip {
                 sc.fit(cols);
                 if n_dst > 1 {
                     let sa = self.banks[bank.index()].subarray(sub_l);
-                    gather_half(
-                        sa,
-                        &second_rows,
-                        off_start,
-                        vdd,
-                        &mut sc.sum_ref,
-                        &mut sc.packed_ref,
-                    );
+                    let (sums, counts) = (&mut sc.sum_ref, &mut sc.count_ref);
+                    gather_half(sa, &second_rows, off_start, cols, sums, counts, None);
                 }
                 for (ri, row) in second_rows.iter().enumerate() {
                     let dst_tab = &dst_tabs[ri];
                     let sampler = self.row_sampler(op, sub_l, *row);
                     if n_dst == 1 {
-                        let slice = self.banks[bank.index()].subarray_mut(sub_l).row_mut(*row);
+                        let mut cells = self.banks[bank.index()].subarray_mut(sub_l).row_mut(*row);
                         rec.resolve_row(
-                            slice,
+                            &mut cells,
+                            cols,
                             &sampler,
                             (sub_l, *row),
                             CellRole::NotDst,
-                            vdd,
                             (shared_start, 2),
-                            |c, old| (bit_of(src[c], vdd).not(), bit_of(old, vdd), dst_tab[c]),
+                            |c, old| (plane_bit(&src, c).not(), old, dst_tab[c]),
                         );
                         continue;
                     }
                     // Off-column majority votes read the rows' *current*
                     // bits (earlier destination rows may already have
-                    // re-sensed): the bits gathered once above, with
-                    // each resolved row's stored bits set back in (the
-                    // decoder's raised rows are distinct, so bit `ri`
-                    // is this row's alone).
+                    // re-sensed): the counts gathered once above, each
+                    // moved by every resolved row's change of its own
+                    // bit (the decoder's raised rows are distinct).
                     sc.votes(n_dst, off_start, cols);
-                    let stored = 1u64 << ri;
                     let maj_cdf = self.memo_maj_cdf(bank, sub_l, *row);
                     let mut roles = [CellRole::OffMaj; 2];
                     roles[shared_start] = CellRole::NotDst;
                     rec.begin_row((sub_l, *row), roles, (0, 1), cols);
-                    let slice = self.banks[bank.index()].subarray_mut(sub_l).row_mut(*row);
+                    let mut cells = self.banks[bank.index()].subarray_mut(sub_l).row_mut(*row);
                     for c in 0..cols {
+                        let old = cells.bit(c);
                         let (role, intended, failed, p) = if c % 2 == shared_start {
-                            let not_src = bit_of(src[c], vdd).not();
-                            (CellRole::NotDst, not_src, bit_of(slice[c], vdd), dst_tab[c])
+                            let not_src = plane_bit(&src, c).not();
+                            (CellRole::NotDst, not_src, old, dst_tab[c])
                         } else {
                             let p = (sc.mult[c] * maj_cdf[c]).clamp(0.0, 1.0);
                             (CellRole::OffMaj, sc.maj[c], sc.maj[c].not(), p)
@@ -1723,13 +1733,14 @@ impl Chip {
                         } else {
                             failed
                         };
-                        slice[c] = actual.voltage(vdd) as f32;
+                        cells.set(c, actual);
                         if c % 2 == off_start {
-                            let bits = &mut sc.packed_ref[c / 2];
-                            *bits = (*bits & !stored) | (stored * u64::from(actual.as_bool()));
+                            let n = &mut sc.count_ref[c / 2];
+                            *n = *n + u8::from(actual.as_bool()) - u8::from(old.as_bool());
                         }
                         rec.push(role, intended, p);
                     }
+                    cells.at_rails();
                     #[cfg(test)]
                     {
                         rec.drawn += cols as u64;
@@ -1745,15 +1756,15 @@ impl Chip {
                 let extra = first_rows.iter().filter(|r| **r != loc_f);
                 for (row, src_tab) in extra.zip(src_tabs.iter().flat_map(|t| t.iter())) {
                     let sampler = self.row_sampler(op, sub_f, *row);
-                    let slice = self.banks[bank.index()].subarray_mut(sub_f).row_mut(*row);
+                    let mut cells = self.banks[bank.index()].subarray_mut(sub_f).row_mut(*row);
                     rec.resolve_row(
-                        slice,
+                        &mut cells,
+                        cols,
                         &sampler,
                         (sub_f, *row),
                         CellRole::SrcCopy,
-                        vdd,
                         (0, 1),
-                        |c, old| (bit_of(src[c], vdd), bit_of(old, vdd), src_tab[c]),
+                        |c, old| (plane_bit(&src, c), old, src_tab[c]),
                     );
                 }
                 self.scratch.src = std::mem::take(&mut src);
@@ -1786,20 +1797,28 @@ impl Chip {
         start: usize,
         sc: &mut Scratch,
     ) {
-        let vdd = self.model.analog().vdd;
+        let cols = self.geom.cols();
         let sa = self.banks[bank.index()].subarray(sub);
-        gather_half(sa, rows, start, vdd, &mut sc.sum_ref, &mut sc.packed_ref);
-        sc.votes(rows.len(), start, self.geom.cols());
+        gather_half(
+            sa,
+            rows,
+            start,
+            cols,
+            &mut sc.sum_ref,
+            &mut sc.count_ref,
+            None,
+        );
+        sc.votes(rows.len(), start, cols);
     }
 
-    /// Copies the voltages of source row `loc` into the scratch source
-    /// buffer (an unallocated row reads as 0 V).
-    fn source_voltages(&mut self, bank: BankId, sub: SubarrayId, loc: LocalRow) -> Vec<f32> {
+    /// Copies the bits of source row `loc` into the scratch source
+    /// buffer (an unallocated row reads as zeros).
+    fn source_bits(&mut self, bank: BankId, sub: SubarrayId, loc: LocalRow) -> Vec<u64> {
         let mut src = std::mem::take(&mut self.scratch.src);
         src.clear();
         match self.banks[bank.index()].subarray_mut(sub).row(loc) {
-            Some(row) => src.extend_from_slice(row),
-            None => src.resize(self.geom.cols(), 0.0),
+            Some(row) => src.extend_from_slice(row.bits()),
+            None => src.resize(self.geom.cols().div_ceil(64), 0),
         }
         src
     }
@@ -1956,23 +1975,33 @@ impl Chip {
                 let (_, loc_ref) = self.geom.split_row(r_ref)?;
                 let (_, loc_com) = self.geom.split_row(r_com)?;
                 let shared_start = (upper.index() + 1) % 2;
-                // --- Gather (SoA): per-column voltage sums and packed
-                // per-row bits of the shared half, one pass per raised
-                // row. The sensing model is computed from these flat
-                // arrays, indexed by `col / 2`.
+                // --- Gather (SoA): per-column voltage sums of the shared
+                // half, and the compute side's neighbour mismatches,
+                // from the raised rows' bit-planes. The sensing model is
+                // computed from these flat arrays, indexed by `col / 2`.
                 let mut sc = std::mem::take(&mut self.scratch);
                 sc.fit(cols);
                 let b = &self.banks[bank.index()];
                 let (sa_ref, sa_com) = (b.subarray(sub_ref), b.subarray(sub_com));
-                let (sums, packed) = (&mut sc.sum_ref, &mut sc.packed_ref);
-                gather_half(sa_ref, &first_rows, shared_start, vdd, sums, packed);
-                let (sums, packed) = (&mut sc.sum_com, &mut sc.packed_com);
-                gather_half(sa_com, &second_rows, shared_start, vdd, sums, packed);
+                let (sums, counts) = (&mut sc.sum_ref, &mut sc.count_ref);
+                gather_half(sa_ref, &first_rows, shared_start, cols, sums, counts, None);
+                let (sums, counts) = (&mut sc.sum_com, &mut sc.count_com);
+                let diffs = Some(&mut sc.diffs[..]);
+                gather_half(
+                    sa_com,
+                    &second_rows,
+                    shared_start,
+                    cols,
+                    sums,
+                    counts,
+                    diffs,
+                );
 
                 // --- Per-column sensing outcome on the shared half:
                 // differential, margin class, family, and the index of
-                // the coupling-mismatch table (packed-word compares of
-                // the two same-half neighbours: 0, ½ or 1 mismatched).
+                // the coupling-mismatch table (whether some raised row
+                // differs from each of the two same-half neighbours: 0,
+                // ½ or 1 mismatched).
                 // The differential and the mean reference level replace
                 // the sums in place first, in a loop that vectorizes.
                 let n_shared = (cols - shared_start).div_ceil(2);
@@ -1982,7 +2011,7 @@ impl Chip {
                         analog.bitline_from_sum(*com, n_com) - analog.bitline_from_sum(*rf, n_ref);
                     *rf = *rf / (n_ref.max(1) as f64) / vdd;
                 }
-                let packed_com = &sc.packed_com[..n_shared];
+                let differs = |j: usize| sc.diffs[j / 32] >> (2 * (j % 32)) & 1 == 1;
                 let mut and_family = false;
                 let cell_unit = analog.cell_unit(n_com.max(n_ref));
                 for (j, sel) in sc.sel[..n_shared].iter_mut().enumerate() {
@@ -1990,15 +2019,7 @@ impl Chip {
                     let diff_cells = diff / cell_unit;
                     let fam_and = ref_mean > 0.5;
                     and_family |= fam_and;
-                    let mut d = 0u8;
-                    let mut cnt = 0u8;
-                    for nb in [j.wrapping_sub(1), j + 1] {
-                        if nb < n_shared {
-                            cnt += 1;
-                            d += u8::from(packed_com[nb] != packed_com[j]);
-                        }
-                    }
-                    let mm_idx = (2 * d).checked_div(cnt).unwrap_or(0);
+                    let mm_idx = mismatch_index(j, n_shared, differs);
                     let class = classify_margin(diff_cells, ref_mean);
                     *sel = cs_sel(diff > 0.0, fam_and, mm_idx, class);
                 }
@@ -2160,17 +2181,11 @@ impl Chip {
                         continue;
                     }
                     let sa = self.banks[bank.index()].subarray(sub);
-                    gather_half(
-                        sa,
-                        rows,
-                        off_start,
-                        vdd,
-                        &mut sc.sum_ref,
-                        &mut sc.packed_ref,
-                    );
+                    let (sums, counts) = (&mut sc.sum_ref, &mut sc.count_ref);
+                    gather_half(sa, rows, off_start, cols, sums, counts, None);
                     for c in (off_start..cols).step_by(2) {
-                        let (sum, packed) = (sc.sum_ref[c / 2], sc.packed_ref[c / 2]);
-                        sc.maj[c] = Bit::from(2 * packed.count_ones() as usize > n_side);
+                        let (sum, count) = (sc.sum_ref[c / 2], sc.count_ref[c / 2]);
+                        sc.maj[c] = Bit::from(2 * usize::from(count) > n_side);
                         sc.mult[c] = ReliabilityModel::maj_multiplier(
                             (sum / vdd - n_side as f64 / 2.0).abs(),
                         );
@@ -2241,7 +2256,6 @@ impl Chip {
         let (sub, local) = self.geom.split_row(row)?;
         self.geom.check_bank(bank)?;
         self.charge_disturbance(bank, sub, activations);
-        let vdd = self.model.analog().vdd;
         let rows_per_sub = self.geom.rows_per_subarray();
         let mut victims = Vec::new();
         if local.index() > 0 {
@@ -2262,22 +2276,18 @@ impl Chip {
                     .model
                     .variation()
                     .hammer_threshold(bank, sub, victim, col);
-                let charged = self.banks[bank.index()]
-                    .subarray_mut(sub)
-                    .bit(victim, col, vdd)
-                    .as_bool();
+                let sa = self.banks[bank.index()].subarray_mut(sub);
+                let old = sa.bit(victim, col);
                 // Anti-cells (0 → 1 flips) are ~8× rarer.
-                let eff = if charged { threshold } else { threshold * 8.0 };
+                let eff = if old.as_bool() {
+                    threshold
+                } else {
+                    threshold * 8.0
+                };
                 let p_flip = (activations as f64 / eff - 0.8).clamp(0.0, 0.95);
                 if p_flip > 0.0 && sampler.sample(c, p_flip) {
-                    let old = self.banks[bank.index()]
-                        .subarray_mut(sub)
-                        .bit(victim, col, vdd);
-                    self.banks[bank.index()].subarray_mut(sub).set_voltage(
-                        victim,
-                        col,
-                        old.not().voltage(vdd),
-                    );
+                    // A flip stores the other rail.
+                    sa.row_mut(victim).set(c, old.not());
                     flips += 1;
                 }
             }
@@ -2287,67 +2297,140 @@ impl Chip {
     }
 }
 
-/// Writes, for each column `c` of parity `start`, the sum of the raised
-/// rows' cell voltages into `sums[c / 2]`, and into `packed[c / 2]` a
-/// word whose bit `i` is set where raised row `i` holds a one. The
-/// first raised row assigns and later rows add, in raised-row order (so
-/// each column's total is the same float sum whichever columns are
-/// visited). Unallocated rows read as zero and add nothing.
+/// Writes, for each column `c = start + 2 j` (`start` 0 or 1) of the
+/// raised rows, the sum of their cell voltages into `sums[j]` and the
+/// number of them whose cell reads one into `counts[j]`; with `diffs`,
+/// sets bit `2 (j % 32)` of `diffs[j / 32]` where some raised row's cell
+/// differs between columns `c` and `c + 2` (the next column of the
+/// half). `counts` holds 32 entries per 64-column word of the row.
+///
+/// Sums are the float sums of the voltages added in raised-row order,
+/// the first assigning. A row at the rails holds 0 V or `vdd`, and
+/// adding 0.0 moves no float, so over the rows before the first with a
+/// voltage overlay each column's sum is `vdd` added once per one:
+/// `table[count]`, the same `f64` bit for bit. Those rows are counted a
+/// 64-column word at a time from their bit-planes, in byte counters;
+/// from the first overlay row on, each row's voltages are added cell by
+/// cell, in raised-row order. Unallocated rows read as zero and add
+/// nothing.
 fn gather_half(
     sa: Option<&Subarray>,
     rows: &[LocalRow],
     start: usize,
-    vdd: f64,
+    cols: usize,
     sums: &mut [f64],
-    packed: &mut [u64],
+    counts: &mut [u8],
+    mut diffs: Option<&mut [u64]>,
 ) {
-    debug_assert!(rows.len() <= 64, "one packed bit per raised row");
-    let threshold = vdd / 2.0;
-    let row_of = |r: &LocalRow| sa.and_then(|s| s.row(*r));
-    if rows.first().and_then(row_of).is_none() {
-        sums.fill(0.0);
-        packed.fill(0);
+    debug_assert!(start < 2 && rows.len() <= 64, "one byte count per column");
+    const BYTE_LOW: u64 = 0x0101_0101_0101_0101;
+    let n_half = (cols - start).div_ceil(2);
+    let words = cols.div_ceil(64);
+    let Some(sa) = sa else {
+        sums[..n_half].fill(0.0);
+        counts[..32 * words].fill(0);
+        if let Some(d) = diffs {
+            d[..words].fill(0);
+        }
+        return;
+    };
+    let split = rows
+        .iter()
+        .position(|r| sa.row(*r).is_some_and(|r| r.volts().is_some()))
+        .unwrap_or(rows.len());
+    let (rails, overlaid) = rows.split_at(split);
+    let mut planes: [&[u64]; 64] = [&[]; 64];
+    let mut n_planes = 0;
+    for row in rails.iter().filter_map(|r| sa.row(*r)) {
+        planes[n_planes] = row.bits();
+        n_planes += 1;
     }
-    for (i, row) in rows.iter().enumerate() {
-        let Some(slice) = row_of(row) else {
-            continue;
-        };
-        let half = &slice[start..];
-        if i == 0 {
-            visit_half(half, sums, packed, |s, p, v| {
-                *s = v;
-                *p = u64::from(v > threshold);
-            });
-        } else {
-            visit_half(half, sums, packed, |s, p, v| {
-                *s += v;
-                *p |= u64::from(v > threshold) << i;
-            });
+    let planes = &planes[..n_planes];
+    for w in 0..words {
+        // Byte `b` of `acc[k]` counts lane `32 w + 4 b + k`, the column
+        // at bit `8 b + 2 k` of the word shifted to `start`.
+        let mut acc = [0u64; 4];
+        let mut diff = 0u64;
+        for bits in planes {
+            let x = bits[w] >> start & EVEN;
+            for (k, a) in acc.iter_mut().enumerate() {
+                *a += x >> (2 * k) & BYTE_LOW;
+            }
+            if diffs.is_some() {
+                diff |= neighbour_diffs(bits, w, start, x);
+            }
+        }
+        let block = &mut counts[32 * w..32 * w + 32];
+        for (b, lanes) in block.chunks_exact_mut(4).enumerate() {
+            for (n, a) in lanes.iter_mut().zip(acc) {
+                *n = (a >> (8 * b)) as u8;
+            }
+        }
+        if let Some(d) = diffs.as_deref_mut() {
+            d[w] = diff;
+        }
+    }
+    let one = f64::from(sa.one());
+    let mut table = [0.0f64; 65];
+    for k in 1..=rails.len() {
+        table[k] = table[k - 1] + one;
+    }
+    for (s, n) in sums[..n_half].iter_mut().zip(&counts[..n_half]) {
+        *s = table[usize::from(*n)];
+    }
+    for r in overlaid.iter().filter_map(|r| sa.row(*r)) {
+        let cells = sums[..n_half].iter_mut().zip(counts.iter_mut()).enumerate();
+        match r.volts() {
+            Some(volts) => {
+                for (j, (s, n)) in cells {
+                    let c = start + 2 * j;
+                    *s += f64::from(volts[c]);
+                    *n += u8::from(r.bit(c).as_bool());
+                }
+            }
+            None => {
+                for (j, (s, n)) in cells {
+                    let one = r.bit(start + 2 * j).as_bool();
+                    *s += if one { f64::from(sa.one()) } else { 0.0 };
+                    *n += u8::from(one);
+                }
+            }
+        }
+        if let Some(d) = diffs.as_deref_mut() {
+            for (w, dw) in d[..words].iter_mut().enumerate() {
+                *dw |= neighbour_diffs(r.bits(), w, start, r.bits()[w] >> start & EVEN);
+            }
         }
     }
 }
 
-/// Applies `cell(sums[j], packed[j], half[2 j])` for every `j` (two
-/// columns per step, so the loop vectorizes).
+/// Bit `2 i` set where lane `32 w + i` of a row's half from `start`
+/// differs from the lane after it; `x` is word `w` of the row shifted to
+/// `start`, masked to its even bits.
 #[inline]
-fn visit_half(
-    half: &[f32],
-    sums: &mut [f64],
-    packed: &mut [u64],
-    mut cell: impl FnMut(&mut f64, &mut u64, f64),
-) {
-    let quads = half.chunks_exact(4);
-    let tail = quads.remainder();
-    let pairs = sums.chunks_exact_mut(2).zip(packed.chunks_exact_mut(2));
-    for ((s, p), v) in pairs.zip(quads) {
-        cell(&mut s[0], &mut p[0], f64::from(v[0]));
-        cell(&mut s[1], &mut p[1], f64::from(v[2]));
+fn neighbour_diffs(bits: &[u64], w: usize, start: usize, x: u64) -> u64 {
+    // Lane `32 (w + 1)` is bit `start` of the row's next word.
+    let next = bits.get(w + 1).map_or(0, |n| n >> start & 1);
+    (x ^ ((x >> 2) | (next << 62))) & EVEN
+}
+
+/// The coupling-mismatch table index of shared column `j` of `n`: how
+/// many of its same-half neighbours differ from it (`differs(j)`: lanes
+/// `j` and `j + 1` differ), as 0, 1 or 2 halves of the neighbours there
+/// are.
+#[inline]
+fn mismatch_index(j: usize, n: usize, differs: impl Fn(usize) -> bool) -> u8 {
+    let mut d = 0u8;
+    let mut cnt = 0u8;
+    if j > 0 {
+        cnt += 1;
+        d += u8::from(differs(j - 1));
     }
-    // Up to two columns of the half are left past the last full quad.
-    let done = 2 * (half.len() / 4);
-    for (k, v) in tail.iter().step_by(2).enumerate() {
-        cell(&mut sums[done + k], &mut packed[done + k], f64::from(*v));
+    if j + 1 < n {
+        cnt += 1;
+        d += u8::from(differs(j));
     }
+    (2 * d).checked_div(cnt).unwrap_or(0)
 }
 
 /// Normalized distance of `row` (in subarray `sub`) to the stripe
@@ -2438,9 +2521,8 @@ mod tests {
             let (sub, local) = chip.geometry().split_row(row).unwrap();
             chip.banks[bank.index()]
                 .subarray(sub)
-                .and_then(|s| s.row(local))
+                .and_then(|s| s.row_volts(local))
                 .unwrap()
-                .to_vec()
         };
         let mut fresh = hynix_chip();
         let want_out = fresh.frac(bank, row).unwrap();
@@ -2457,7 +2539,7 @@ mod tests {
 
         let cols = chip.geometry().cols();
         chip.activate(bank, row).unwrap();
-        chip.write_open(bank, &pattern(9, cols)).unwrap();
+        chip.write_open(bank, &pattern(9, cols).into()).unwrap();
         chip.precharge(bank).unwrap();
         assert_ne!(volts(&chip), want_volts, "WR must overwrite the row");
         check(&mut chip, "a WR");
@@ -2657,7 +2739,7 @@ mod tests {
         let (rf, rl) = found.unwrap();
         chip.multi_act_copy(bank, rf, rl).unwrap();
         let data = pattern(77, cols);
-        chip.write_open(bank, &data).unwrap();
+        chip.write_open(bank, &data.clone().into()).unwrap();
         chip.precharge(bank).unwrap();
         // Last-activated subarray rows hold the exact data.
         let read_l = chip.read_row_direct(bank, rl).unwrap();
@@ -2936,7 +3018,7 @@ mod tests {
         let (rf, rl, refs, coms) = cs_pair(chip);
         let stage = |chip: &mut Chip, g: GlobalRow, bits: &[Bit]| {
             chip.activate(bank, g).unwrap();
-            chip.write_open(bank, bits).unwrap();
+            chip.write_open(bank, &bits.into()).unwrap();
             chip.precharge(bank).unwrap();
         };
         stage(chip, refs[0], &vec![Bit::One; cols]);
@@ -2964,8 +3046,8 @@ mod tests {
     /// The stored voltages of `g` (zeros if never allocated).
     fn row_volts(chip: &Chip, g: GlobalRow) -> Vec<f32> {
         let (sub, local) = chip.geometry().split_row(g).unwrap();
-        let s = chip.banks[0].subarray(sub).and_then(|s| s.row(local));
-        s.map_or_else(|| vec![0.0; chip.geometry().cols()], <[f32]>::to_vec)
+        let s = chip.banks[0].subarray(sub).and_then(|s| s.row_volts(local));
+        s.unwrap_or_else(|| vec![0.0; chip.geometry().cols()])
     }
 
     /// Reads every row of `rows` directly, settling their draws.
@@ -3092,7 +3174,7 @@ mod tests {
         // half (¬data), leaving their off-half majority draws.
         settles_like_a_read_first(|chip| {
             let data = pattern(21, chip.geometry().cols());
-            chip.write_open(BankId(0), &data).unwrap();
+            chip.write_open(BankId(0), &data.into()).unwrap();
         });
     }
 
@@ -3310,6 +3392,278 @@ mod tests {
                 }
             }
             assert!(filled > 0 && empty > 0, "{filled} filled, {empty} unread");
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The gather over bit-planes
+    // -----------------------------------------------------------------
+
+    /// The gather before rows were planes, kept as the reference: each
+    /// raised row's `f32` voltages (`None`: unallocated) added as `f64`
+    /// in raised-row order, the first assigning, and bit `i` of
+    /// `packed[j]` set where raised row `i`'s cell reads one.
+    fn gather_half_f32(
+        rows: &[Option<Vec<f32>>],
+        start: usize,
+        vdd: f64,
+        sums: &mut [f64],
+        packed: &mut [u64],
+    ) {
+        let threshold = vdd / 2.0;
+        if rows.first().is_none_or(Option::is_none) {
+            sums.fill(0.0);
+            packed.fill(0);
+        }
+        for (i, row) in rows.iter().enumerate() {
+            let Some(slice) = row else {
+                continue;
+            };
+            for (j, v) in slice[start..].iter().step_by(2).enumerate() {
+                let v = f64::from(*v);
+                if i == 0 {
+                    sums[j] = v;
+                    packed[j] = u64::from(v > threshold);
+                } else {
+                    sums[j] += v;
+                    packed[j] |= u64::from(v > threshold) << i;
+                }
+            }
+        }
+    }
+
+    /// A subarray of `n` raised rows (rows `0..n`) of `cols` columns:
+    /// random rail rows, some unallocated, and an overlay row (random
+    /// voltages between the rails and at them) at each raised position
+    /// in `overlays`.
+    fn gather_rows(seed: u64, n: usize, cols: usize, overlays: &[usize]) -> Subarray {
+        let vdd = 1.2;
+        let mut sa = Subarray::new(n, cols, vdd);
+        let draw = |r: usize, c: usize, k: u64| crate::math::mix3(seed, (r * 4096 + c) as u64, k);
+        for r in 0..n {
+            if overlays.contains(&r) {
+                let volts: Vec<f32> = (0..cols)
+                    .map(|c| match draw(r, c, 1) % 4 {
+                        0 => 0.0,
+                        1 => vdd as f32,
+                        _ => (crate::math::hash_to_unit(draw(r, c, 2)) * vdd) as f32,
+                    })
+                    .collect();
+                let mut bits = PackedBits::zeros(cols);
+                for (c, v) in volts.iter().enumerate() {
+                    bits.set(c, f64::from(*v) > vdd / 2.0);
+                }
+                sa.write_volts(LocalRow(r), bits.words(), &volts.into());
+            } else if draw(r, 0, 3) % 8 != 0 {
+                let bits: Vec<Bit> = (0..cols)
+                    .map(|c| Bit::from(draw(r, c, 4) & 1 == 1))
+                    .collect();
+                sa.write_bits(LocalRow(r), &bits);
+            }
+        }
+        sa
+    }
+
+    /// The plane gather against the `f32` reference, bit for bit: sums,
+    /// counts against the packed bits' popcounts, and each shared
+    /// column's mismatch index.
+    fn assert_gathers_agree(sa: Option<&Subarray>, n: usize, start: usize, cols: usize, ctx: &str) {
+        let rows: Vec<LocalRow> = (0..n).map(LocalRow).collect();
+        let n_half = (cols - start).div_ceil(2);
+        let words = cols.div_ceil(64);
+        let (mut sums, mut counts, mut diffs) = (
+            vec![f64::NAN; n_half],
+            vec![0xAA; 32 * words],
+            vec![!0; words],
+        );
+        gather_half(
+            sa,
+            &rows,
+            start,
+            cols,
+            &mut sums,
+            &mut counts,
+            Some(&mut diffs),
+        );
+        let volts: Vec<Option<Vec<f32>>> = rows
+            .iter()
+            .map(|r| sa.and_then(|s| s.row_volts(*r)))
+            .collect();
+        let (mut want_sums, mut packed) = (vec![0.0; n_half], vec![0u64; n_half]);
+        gather_half_f32(&volts, start, 1.2, &mut want_sums, &mut packed);
+        for j in 0..n_half {
+            assert_eq!(sums[j].to_bits(), want_sums[j].to_bits(), "{ctx}: sum {j}");
+            assert_eq!(
+                u32::from(counts[j]),
+                packed[j].count_ones(),
+                "{ctx}: count {j}"
+            );
+            let differs = |j: usize| diffs[j / 32] >> (2 * (j % 32)) & 1 == 1;
+            let differs_f32 = |j: usize| packed[j] != packed[j + 1];
+            assert_eq!(
+                mismatch_index(j, n_half, differs),
+                mismatch_index(j, n_half, differs_f32),
+                "{ctx}: mismatch {j}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_plane_gather_matches_the_f32_gather_bit_for_bit() {
+        for cols in [1usize, 3, 64, 65, 127, 130, 257] {
+            for n in 1..=32usize {
+                let mut cases: Vec<Vec<usize>> = (0..n).map(|p| vec![p]).collect();
+                cases.push(Vec::new());
+                cases.push(vec![n / 3, n - 1]);
+                for (k, overlays) in cases.iter().enumerate() {
+                    let seed = (cols * 1000 + n * 40 + k) as u64;
+                    let sa = gather_rows(seed, n, cols, overlays);
+                    for start in [0, 1].into_iter().filter(|s| *s < cols) {
+                        let ctx = format!("cols {cols} n {n} overlays {overlays:?} start {start}");
+                        assert_gathers_agree(Some(&sa), n, start, cols, &ctx);
+                    }
+                }
+            }
+        }
+        for n in [16usize, 32] {
+            for overlays in [vec![], vec![n - 1], vec![0, n / 2]] {
+                let sa = gather_rows(n as u64, n, 1024, &overlays);
+                for start in [0, 1] {
+                    let ctx = format!("1024 cols n {n} overlays {overlays:?} start {start}");
+                    assert_gathers_agree(Some(&sa), n, start, 1024, &ctx);
+                }
+            }
+        }
+        assert_gathers_agree(None, 4, 1, 65, "unallocated subarray");
+    }
+
+    // -----------------------------------------------------------------
+    // Row storage through the chip
+    // -----------------------------------------------------------------
+
+    /// Whether `g` carries a voltage overlay.
+    fn has_overlay(chip: &Chip, g: GlobalRow) -> bool {
+        let (sub, local) = chip.geometry().split_row(g).unwrap();
+        chip.banks[0]
+            .subarray(sub)
+            .and_then(|s| s.row(local))
+            .is_some_and(|r| r.volts().is_some())
+    }
+
+    #[test]
+    fn frac_gives_an_overlay_and_a_full_rail_write_drops_it() {
+        let mut chip = hynix_chip();
+        let (bank, row, cols) = (BankId(0), GlobalRow(5), chip.geometry().cols());
+        chip.frac(bank, row).unwrap();
+        assert!(has_overlay(&chip, row), "a Frac row is off the rails");
+        chip.activate(bank, row).unwrap();
+        chip.write_open(bank, &pattern(4, cols).into()).unwrap();
+        chip.precharge(bank).unwrap();
+        assert!(
+            !has_overlay(&chip, row),
+            "a whole-row WR returns it to the plane"
+        );
+        assert_eq!(chip.read_row_direct(bank, row).unwrap(), pattern(4, cols));
+        chip.frac(bank, row).unwrap();
+        chip.write_row_direct(bank, row, &pattern(5, cols)).unwrap();
+        assert!(!has_overlay(&chip, row), "so does a direct write");
+    }
+
+    #[test]
+    fn leakage_gives_an_overlay_and_hammering_keeps_rows_on_the_plane() {
+        let mut chip = hynix_chip();
+        let (bank, cols) = (BankId(0), chip.geometry().cols());
+        for r in 95..=105usize {
+            chip.write_row_direct(bank, GlobalRow(r), &vec![Bit::One; cols])
+                .unwrap();
+        }
+        let flips = chip.hammer(bank, GlobalRow(100), 500_000).unwrap();
+        assert!(flips.iter().any(|(_, f)| *f > 0));
+        for (victim, _) in &flips {
+            assert!(!has_overlay(&chip, *victim), "a hammer flip is a rail flip");
+        }
+        chip.configure(crate::SimConfig::new().with_temperature(Temperature::celsius(95.0)));
+        chip.advance_time(1e6);
+        assert!(
+            has_overlay(&chip, GlobalRow(103)),
+            "a leaked row is off the rails"
+        );
+    }
+
+    #[test]
+    fn a_neighbour_half_write_updates_plane_and_overlay() {
+        // A Frac row in the first subarray of a glitching pair, raised
+        // with the second: the WR stores ¬data on its shared half and
+        // keeps its Frac voltages on the other.
+        let mut chip = hynix_chip();
+        let (bank, cols) = (BankId(0), chip.geometry().cols());
+        let (rf, rl) = (0..512usize)
+            .flat_map(|f| (0..512usize).map(move |l| (GlobalRow(f), GlobalRow(512 + l))))
+            .find(|(rf, rl)| {
+                matches!(
+                    chip.decoder().activation(chip.geometry(), *rf, *rl),
+                    MultiActivation::CrossSubarray { .. }
+                )
+            })
+            .unwrap();
+        chip.frac(bank, rf).unwrap();
+        let frac = row_volts(&chip, rf);
+        chip.multi_act_copy(bank, rf, rl).unwrap();
+        chip.precharge(bank).unwrap();
+        // The copy leaves the source row as it was.
+        assert_eq!(row_volts(&chip, rf), frac);
+        let data = pattern(6, cols);
+        chip.multi_act_copy(bank, rf, rl).unwrap();
+        chip.write_open(bank, &data.clone().into()).unwrap();
+        chip.precharge(bank).unwrap();
+        assert!(
+            has_overlay(&chip, rf),
+            "half the row keeps its Frac voltages"
+        );
+        let (sub_f, _) = chip.geometry().split_row(rf).unwrap();
+        let upper = SubarrayId(sub_f.index().min(1));
+        let got = row_volts(&chip, rf);
+        let bits = chip.read_row_direct(bank, rf).unwrap();
+        for c in 0..cols {
+            let want = if is_shared_col(upper, Col(c)) {
+                data[c].not().voltage(1.2) as f32
+            } else {
+                frac[c]
+            };
+            assert_eq!(got[c], want, "col {c} voltage");
+            assert_eq!(bits[c], bit_of_volts(want), "col {c} bit");
+        }
+    }
+
+    /// The bit a stored voltage reads as.
+    fn bit_of_volts(v: f32) -> Bit {
+        Bit::from(f64::from(v) > 1.2 / 2.0)
+    }
+
+    #[test]
+    fn the_packed_read_of_an_overlay_row_thresholds_like_the_f32_fold() {
+        let mut chip = hynix_chip();
+        let (bank, row, cols) = (BankId(0), GlobalRow(9), chip.geometry().cols());
+        chip.write_row_direct(bank, row, &pattern(8, cols)).unwrap();
+        chip.configure(crate::SimConfig::new().with_temperature(Temperature::celsius(95.0)));
+        chip.advance_time(6e5);
+        chip.frac(bank, GlobalRow(10)).unwrap();
+        for g in [row, GlobalRow(10)] {
+            assert!(has_overlay(&chip, g));
+            let volts = row_volts(&chip, g);
+            for start in [0, 1, 3] {
+                // The fold `read_row_packed` ran over the f32 row.
+                let half = 1.2 / 2.0;
+                let chunks = volts[start..].chunks(64 * SHARED_COL_STRIDE);
+                let want: Vec<u64> = chunks
+                    .map(|chunk| {
+                        (0..chunk.len().div_ceil(SHARED_COL_STRIDE)).fold(0, |w, i| {
+                            w | u64::from(f64::from(chunk[i * SHARED_COL_STRIDE]) > half) << i
+                        })
+                    })
+                    .collect();
+                assert_eq!(chip.read_row_packed(bank, g, start).unwrap(), want);
+            }
         }
     }
 }

@@ -48,6 +48,7 @@ pub mod fleet;
 pub mod geometry;
 pub mod math;
 pub mod module;
+pub mod packed;
 pub mod reliability;
 pub mod row_decoder;
 pub mod shard;
@@ -69,6 +70,7 @@ pub use fault::{AgingPolicy, DisturbancePolicy, DisturbanceState, FaultPlan, Pla
 pub use fleet::{ChipSpec, FleetConfig, FleetSlot, FleetSlots, SlotLease};
 pub use geometry::Geometry;
 pub use module::DramModule;
+pub use packed::PackedBits;
 pub use reliability::{CellRef, LogicEvent, LogicOp, NotEvent, ReliabilityModel};
 pub use row_decoder::{ActivationShape, MultiActivation, PatternKind, RowDecoder};
 pub use thermal::{SimConfig, Temperature};

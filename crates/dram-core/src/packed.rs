@@ -1,39 +1,69 @@
-//! Bit-packed host-side vectors: `u64` words instead of `Vec<bool>`.
+//! Bit-packed vectors: `u64` words instead of `Vec<bool>`.
 //!
-//! The bulk engine moves whole DRAM rows (8K+ bits) between host and
-//! device on every operation. Packing 64 lanes per word turns the
-//! host-side bookkeeping — expected-value computation, accuracy
-//! counting, majority voting — into a handful of word operations per
+//! One type carries a row's bits end to end: host operands and results
+//! (64 lanes per word), the full-width rows a command program writes
+//! (the `WR` payload, one bit per column), and the bit-plane a
+//! subarray stores each row in ([`crate::subarray`]). Packing turns
+//! staging, reading back, expected-value computation, accuracy
+//! counting and majority voting into a handful of word operations per
 //! cache line instead of a branch per bit.
 
-use dram_core::math::{mix2, splitmix64};
-use dram_core::{Bit, SHARED_COL_STRIDE};
+use crate::math::{mix2, splitmix64};
+use crate::types::{Bit, SHARED_COL_STRIDE};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
-/// Row cells one operand byte covers when spread at the shared-column
-/// stride.
-const SPREAD_BLOCK: usize = 8 * SHARED_COL_STRIDE;
+/// Even bits of a word: one column half of a row's 64-column word.
+pub(crate) const EVEN: u64 = 0x5555_5555_5555_5555;
 
-/// Byte `b` spread onto [`SPREAD_BLOCK`] row cells: bit `j` of `b` at
-/// cell `j·SHARED_COL_STRIDE`, zeros between.
-const SPREAD: [[Bit; SPREAD_BLOCK]; 256] = {
-    let mut table = [[Bit::Zero; SPREAD_BLOCK]; 256];
-    let mut b = 0;
-    while b < 256 {
-        let mut j = 0;
-        while j < 8 {
-            if b >> j & 1 == 1 {
-                table[b][j * SHARED_COL_STRIDE] = Bit::One;
-            }
-            j += 1;
-        }
-        b += 1;
+/// The 32 bits of `v` moved to the even bit positions of a word (bit
+/// `i` to bit `2 i`), zeros between.
+#[inline]
+fn spread_even(v: u32) -> u64 {
+    let mut x = u64::from(v);
+    x = (x | (x << 16)) & 0x0000_FFFF_0000_FFFF;
+    x = (x | (x << 8)) & 0x00FF_00FF_00FF_00FF;
+    x = (x | (x << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    x = (x | (x << 2)) & 0x3333_3333_3333_3333;
+    (x | (x << 1)) & EVEN
+}
+
+/// The even bits of `w` packed into 32 bits (bit `2 i` to bit `i`):
+/// the inverse of [`spread_even`].
+#[inline]
+fn gather_even(w: u64) -> u32 {
+    let mut x = w & EVEN;
+    x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
+    x = (x | (x >> 2)) & 0x0F0F_0F0F_0F0F_0F0F;
+    x = (x | (x >> 4)) & 0x00FF_00FF_00FF_00FF;
+    x = (x | (x >> 8)) & 0x0000_FFFF_0000_FFFF;
+    ((x | (x >> 16)) & 0xFFFF_FFFF) as u32
+}
+
+/// Word `q` of the bit vector `words` shifted down by `start` bits
+/// (bit `start + 64 q + i` at bit `i`; zeros past the end).
+#[inline]
+fn shifted_word(words: &[u64], q: usize, start: usize) -> u64 {
+    let (skip, shift) = (q + start / 64, start % 64);
+    let lo = words.get(skip).map_or(0, |w| w >> shift);
+    match shift {
+        0 => lo,
+        _ => lo | words.get(skip + 1).map_or(0, |w| w << (64 - shift)),
     }
-    table
-};
+}
 
-/// A fixed-length bit vector packed 64 lanes per `u64` word.
+/// Lane word `m` of the shared-column vector of the bit vector `row`
+/// from column `start`: bit `i` is column `start + (64 m + i)·`
+/// [`SHARED_COL_STRIDE`].
+#[inline]
+pub(crate) fn lane_word(row: &[u64], m: usize, start: usize) -> u64 {
+    let lo = gather_even(shifted_word(row, 2 * m, start));
+    let hi = gather_even(shifted_word(row, 2 * m + 1, start));
+    u64::from(lo) | (u64::from(hi) << 32)
+}
+
+/// A fixed-length bit vector packed 64 lanes per `u64` word: a host
+/// operand of lanes, or a full row of one bit per column (the `WR`
+/// payload and every staged gate row).
 ///
 /// Bit `i` lives in word `i / 64` at bit position `i % 64`. Unused
 /// high bits of the last word are always zero (maintained by every
@@ -94,7 +124,7 @@ impl PackedBits {
     }
 
     /// The seeded operand `key` of `lanes` bits: lane `l` holds the low
-    /// bit of [`dram_core::math::mix3`]`(seed, key, l)`.
+    /// bit of [`crate::math::mix3`]`(seed, key, l)`.
     ///
     /// Built a word at a time with `mix2(seed, key)` hoisted out of the
     /// lane loop: `mix3(s, k, l)` is `splitmix64(mix2(s, k) ^
@@ -123,29 +153,23 @@ impl PackedBits {
     /// convention for writing shared-column vectors into full DRAM
     /// rows. Lanes past the row's end are dropped.
     ///
-    /// The row is built in place as a shared `WR` payload, so staging
-    /// it copies nothing. Each operand byte covers one fixed block of
-    /// the row and is written as one copy of its entry in a 256-entry
-    /// spread table.
-    pub fn expand_strided(&self, cols: usize, start: usize) -> Arc<[Bit]> {
-        let mut row: Arc<[Bit]> = std::iter::repeat_n(Bit::Zero, cols).collect();
-        let fresh = Arc::get_mut(&mut row).expect("a new row has one owner");
-        let Some(tail) = fresh.get_mut(start..) else {
-            return row;
-        };
-        let mut bytes = self
-            .words
-            .iter()
-            .flat_map(|w| w.to_le_bytes())
-            .take(self.len.div_ceil(8));
-        let mut blocks = tail.chunks_exact_mut(SPREAD_BLOCK);
-        for (block, byte) in blocks.by_ref().zip(bytes.by_ref()) {
-            block.copy_from_slice(&SPREAD[usize::from(byte)]);
+    /// Each row word is one half of an operand word with zeros
+    /// interleaved, shifted to `start`.
+    pub fn expand_strided(&self, cols: usize, start: usize) -> PackedBits {
+        const _: () = assert!(SHARED_COL_STRIDE == 2, "rows interleave two column halves");
+        let mut row = PackedBits::zeros(cols);
+        let (skip, shift) = (start / 64, start % 64);
+        let mut carry = 0u64;
+        for (k, out) in row.words.iter_mut().skip(skip).enumerate() {
+            let half = self
+                .words
+                .get(k / 2)
+                .map_or(0, |w| (w >> (32 * (k % 2))) as u32);
+            let w = spread_even(half);
+            *out = (w << shift) | carry;
+            carry = if shift == 0 { 0 } else { w >> (64 - shift) };
         }
-        let rest = blocks.into_remainder();
-        if let Some(byte) = bytes.next() {
-            rest.copy_from_slice(&SPREAD[usize::from(byte)][..rest.len()]);
-        }
+        row.mask_tail();
         row
     }
 
@@ -273,27 +297,36 @@ impl PackedBits {
     }
 }
 
+/// Packs a [`Bit`] slice, one lane per bit: the boundary where a
+/// caller holding bits (test and experiment set-up) hands over a row.
+impl From<&[Bit]> for PackedBits {
+    fn from(bits: &[Bit]) -> Self {
+        let mut p = Self::zeros(bits.len());
+        for (w, chunk) in p.words.iter_mut().zip(bits.chunks(64)) {
+            *w = chunk
+                .iter()
+                .enumerate()
+                .fold(0, |w, (i, b)| w | u64::from(b.as_bool()) << i);
+        }
+        p
+    }
+}
+
+impl From<Vec<Bit>> for PackedBits {
+    fn from(bits: Vec<Bit>) -> Self {
+        Self::from(bits.as_slice())
+    }
+}
+
+impl From<&Vec<Bit>> for PackedBits {
+    fn from(bits: &Vec<Bit>) -> Self {
+        Self::from(bits.as_slice())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl PackedBits {
-        /// Packs a [`Bit`] slice.
-        pub(crate) fn from_bits(bits: &[Bit]) -> Self {
-            let mut p = Self::zeros(bits.len());
-            for (i, b) in bits.iter().enumerate() {
-                if b.as_bool() {
-                    p.words[i / 64] |= 1 << (i % 64);
-                }
-            }
-            p
-        }
-
-        /// Unpacks to a [`Bit`] vector.
-        pub(crate) fn to_bits(&self) -> Vec<Bit> {
-            (0..self.len).map(|i| Bit::from(self.get(i))).collect()
-        }
-    }
 
     #[test]
     fn seeded_matches_per_lane_mix3() {
@@ -302,7 +335,7 @@ mod tests {
                 let p = PackedBits::seeded(seed, key, lanes);
                 let mut q = PackedBits::zeros(lanes);
                 for l in 0..lanes {
-                    q.set(l, dram_core::math::mix3(seed, key, l as u64) & 1 == 1);
+                    q.set(l, crate::math::mix3(seed, key, l as u64) & 1 == 1);
                 }
                 assert_eq!(p, q, "lanes {lanes} seed {seed} key {key}");
             }
@@ -329,8 +362,8 @@ mod tests {
                         want[c] = Bit::from(p.get(i));
                     }
                     assert_eq!(
-                        &*p.expand_strided(cols, start),
-                        &want[..],
+                        p.expand_strided(cols, start),
+                        PackedBits::from(&want[..]),
                         "len {len} start {start} cols {cols}"
                     );
                 }
@@ -386,8 +419,11 @@ mod tests {
     #[test]
     fn bit_slice_round_trip() {
         let bits: Vec<Bit> = (0..67).map(|i| Bit::from(i % 5 == 0)).collect();
-        let p = PackedBits::from_bits(&bits);
-        assert_eq!(p.to_bits(), bits);
+        let p = PackedBits::from(&bits[..]);
+        assert_eq!(
+            p.to_bools(),
+            bits.iter().map(|b| b.as_bool()).collect::<Vec<_>>()
+        );
         assert_eq!(p.count_ones(), bits.iter().filter(|b| b.as_bool()).count());
     }
 

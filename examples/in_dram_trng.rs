@@ -9,10 +9,9 @@
 //!
 //! Run with: `cargo run --release --example in_dram_trng`
 
-use dram_core::{BankId, Bit, ChipId, SubarrayId};
+use dram_core::{BankId, ChipId, SubarrayId};
 use fcdram::mapping::discover_in_subarray;
-use fcdram::{Fcdram, FcdramError};
-use std::sync::Arc;
+use fcdram::{Fcdram, FcdramError, PackedBits};
 
 fn main() -> Result<(), FcdramError> {
     let cfg = dram_core::config::table1().remove(0).with_modeled_cols(256);
@@ -27,8 +26,8 @@ fn main() -> Result<(), FcdramError> {
     println!("{} four-row activation sets discovered", entries.len());
 
     let cols = fc.cols();
-    let ones: Arc<[Bit]> = vec![Bit::One; cols].into();
-    let zeros: Arc<[Bit]> = vec![Bit::Zero; cols].into();
+    let ones = PackedBits::ones(cols);
+    let zeros = PackedBits::zeros(cols);
     let tie = [ones.clone(), ones, zeros.clone(), zeros];
 
     // Harvest raw bits: each activation with a 2–2 tie yields one

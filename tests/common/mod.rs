@@ -151,10 +151,10 @@ pub fn reference_walk<S: Substrate>(
     Ok(bits)
 }
 
-/// Full-width rows as the `Arc<[Bit]>` payloads the `Fcdram` gate
-/// calls stage.
-pub fn staged_rows(rows: &[Vec<Bit>]) -> Vec<Arc<[Bit]>> {
-    rows.iter().map(|r| Arc::from(r.as_slice())).collect()
+/// Full-width rows as the packed payloads the `Fcdram` gate calls
+/// stage.
+pub fn staged_rows(rows: &[Vec<Bit>]) -> Vec<PackedBits> {
+    rows.iter().map(PackedBits::from).collect()
 }
 
 /// The shared columns of a subarray pair whose upper subarray is

@@ -542,7 +542,7 @@ fn observe_kernels(part: &str, hot: bool) -> Vec<u64> {
                 .unwrap();
             out.push(op_digest(&mut chip, &not, &rows));
             let data = row_pattern((sub * 7 + k) as u64, CHAR_COLS);
-            chip.write_open(bank, &data).unwrap();
+            chip.write_open(bank, &data.into()).unwrap();
             chip.precharge(bank).unwrap();
             out.push(op_digest(&mut chip, &OpOutcome::empty(not.kind), &rows));
         }

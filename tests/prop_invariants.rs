@@ -240,8 +240,8 @@ proptest! {
             }
             v
         };
-        let hex = bender::asm::bits_to_hex(&padded);
-        prop_assert_eq!(bender::asm::hex_to_bits(&hex).unwrap(), padded);
+        let hex = bender::asm::bits_to_hex(&padded.clone().into());
+        prop_assert_eq!(bender::asm::hex_to_bits(&hex).unwrap(), padded.into());
     }
 
     /// RowHammer only ever disturbs the physically adjacent rows, and
